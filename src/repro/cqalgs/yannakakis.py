@@ -9,6 +9,13 @@ the concrete engine behind the paper's use of ``HW(1) = AC`` (Theorem 3
 with ``k = 1``), and the backend of the bounded-width engines, which reduce
 to an acyclic instance first.
 
+:func:`relation_with_join_tree` is the entry point: it returns the answers
+as a :class:`~repro.relalg.relation.Relation` and optionally takes a
+**seed** — a relation of key bindings the answers must join with, pushed
+into the scans (the WDPT evaluator's sideways information passing from a
+parent node to a child label).  :func:`evaluate_with_join_tree` is the same
+run unpacked into ``Mapping`` objects.
+
 Interchangeable execution paths implement the phases, selected per
 run by :func:`repro.relalg.config.choose_kernel` (``REPRO_KERNELS``):
 
@@ -65,6 +72,7 @@ from ..relalg.config import (
 )
 from ..relalg.relation import (
     Relation,
+    from_mappings,
     hash_join,
     project,
     scan,
@@ -106,34 +114,63 @@ def evaluate_with_join_tree(
     links: Sequence[Tuple[int, int]],
     kernel: Optional[str] = None,
 ) -> FrozenSet[Mapping]:
-    """Yannakakis over an explicit join tree (``links``: child→parent).
+    """Yannakakis over an explicit join tree (``links``: child→parent):
+    :func:`relation_with_join_tree` unpacked at the ``Mapping`` boundary."""
+    return to_mappings(
+        relation_with_join_tree(atoms, links, db, query.free_variables, kernel)
+    )
+
+
+def relation_with_join_tree(
+    atoms: Sequence[Atom],
+    links: Sequence[Tuple[int, int]],
+    db: Database,
+    frees: Iterable[Variable],
+    kernel: Optional[str] = None,
+    seed: Optional[Relation] = None,
+) -> Relation:
+    """The answers of the CQ ``(frees, atoms)`` as a :class:`Relation`.
 
     ``kernel`` optionally carries the plan's advisory kernel preference
     (the stats-store's historical winner); it is honored only when
     feasible for this database and pool state
     (:func:`~repro.relalg.config.resolve_kernel`).
+
+    ``seed`` (a relation over some of ``frees``) restricts the result to
+    the answers that join with it — ``semijoin(answers, seed)`` — without
+    computing the others first: the columnar kernel seeds every scan that
+    shares a variable with it, the SQL kernel ships it as a ``VALUES``
+    CTE.  Per-atom filtering is exact when one atom holds all the seed's
+    variables; otherwise (and on the kernels that run unseeded) one
+    semi-join of the answers with the seed finishes the job.
     """
     n = len(atoms)
-    if n == 0:
-        return frozenset()
+    frees = frozenset(frees)
+    if seed is not None and not frees.issuperset(seed.schema):
+        raise ValueError(
+            "seed variables %r are not all free in the query" % (seed.schema,)
+        )
+    if n == 0 or (seed is not None and not seed.rows):
+        return Relation(sorted(frees, key=repr), [])
     tracer = current_tracer()
     pool = current_pool()
     kernel = resolve_kernel(db, pool, preferred=kernel)
     with tracer.span("yannakakis", atoms=n, kernel=kernel) as y_span:
+        #: The seed, while the result still has to be filtered by it.
+        pending = seed
         if kernel == KERNEL_DIST:
             # Sharded backend: the whole tree runs as a shard program —
             # local semi-join passes per shard, bounded key exchange
             # between levels, final merge on the coordinator
             # (:mod:`repro.dist.exec`).
-            result = db.dist_yannakakis(atoms, links, query.free_variables)
+            result = db.dist_yannakakis(atoms, links, frees)
         elif kernel == KERNEL_SQL:
             # SQLite-backed database: scans, both semi-join sweeps, and
             # the join/projection phase run as one SQL statement; only
             # the answer rows cross back into Python.
             with tracer.span("yannakakis.sql") as sp:
-                result: FrozenSet[Mapping] = db.sql_yannakakis(
-                    atoms, links, query.free_variables
-                )
+                result = db.sql_yannakakis(atoms, links, frees, seed=seed)
+                pending = None
                 account_rows(len(result))
                 if tracer.enabled:
                     sp.set(answers=len(result))
@@ -143,12 +180,23 @@ def evaluate_with_join_tree(
             order = _topological(root, children)  # root first
             if kernel == KERNEL_COLUMNAR:
                 result = _evaluate_columnar(
-                    query, db, atoms, links, root, children, order, pool, tracer
+                    frees, db, atoms, links, root, children, order, pool, tracer,
+                    seed,
                 )
+                if seed is not None and any(
+                    a.variables().issuperset(seed.schema) for a in atoms
+                ):
+                    pending = None
             else:
-                result = _evaluate_legacy(
-                    query, db, atoms, links, root, children, order, pool, tracer
+                result = from_mappings(
+                    _evaluate_legacy(
+                        frees, db, atoms, links, root, children, order, pool,
+                        tracer,
+                    ),
+                    sorted(frees, key=repr),
                 )
+        if pending is not None:
+            result = semijoin(result, pending)
         if tracer.enabled:
             y_span.set(answers=len(result))
         return result
@@ -239,7 +287,7 @@ def _satisfiable_columnar(
 # Columnar path (repro.relalg kernels)
 # ---------------------------------------------------------------------------
 def _evaluate_columnar(
-    query: ConjunctiveQuery,
+    frees: FrozenSet[Variable],
     db: Database,
     atoms: Sequence[Atom],
     links: Sequence[Tuple[int, int]],
@@ -248,15 +296,16 @@ def _evaluate_columnar(
     order: List[int],
     pool,
     tracer,
-) -> FrozenSet[Mapping]:
+    seed: Optional[Relation] = None,
+) -> Relation:
     n = len(atoms)
     with tracer.span("yannakakis.scan") as sp:
         if pool is not None and n >= 2:
             relations: List[Relation] = pool.map_tasks(
-                lambda a: scan(a, db), list(atoms)
+                lambda a: scan(a, db, seed), list(atoms)
             )
         else:
-            relations = [scan(a, db) for a in atoms]
+            relations = [scan(a, db, seed) for a in atoms]
         account_rows(max(len(r) for r in relations))
         if tracer.enabled:
             sp.set(relation_sizes=[len(r) for r in relations])
@@ -287,8 +336,7 @@ def _evaluate_columnar(
             sp.set(relation_sizes=[len(r) for r in relations])
     # Phase 3: bottom-up join keeping (free ∪ parent-interface) variables.
     return columnar_join_phase(
-        frozenset(query.free_variables), atoms, links, relations, root,
-        children, order, tracer,
+        frees, atoms, links, relations, root, children, order, tracer
     )
 
 
@@ -301,7 +349,7 @@ def columnar_join_phase(
     children: Dict[int, List[int]],
     order: List[int],
     tracer,
-) -> FrozenSet[Mapping]:
+) -> Relation:
     """Phase 3 on columnar relations: the bottom-up join/projection pass,
     keeping (free ∪ parent-interface) variables per node.
 
@@ -332,14 +380,14 @@ def columnar_join_phase(
             partials[node] = project(current, keep)
         if tracer.enabled:
             sp.set(partial_sizes=[len(p) for p in partials])
-    return to_mappings(partials[root])
+    return partials[root]
 
 
 # ---------------------------------------------------------------------------
 # Legacy path (tuple-at-a-time over Mapping objects)
 # ---------------------------------------------------------------------------
 def _evaluate_legacy(
-    query: ConjunctiveQuery,
+    frees: FrozenSet[Variable],
     db: Database,
     atoms: Sequence[Atom],
     links: Sequence[Tuple[int, int]],
@@ -387,12 +435,12 @@ def _evaluate_legacy(
         if tracer.enabled:
             sp.set(relation_sizes=[len(r) for r in relations])
     return _join_phase(
-        query, db, atoms, links, relations, root, children, order, tracer
+        frees, db, atoms, links, relations, root, children, order, tracer
     )
 
 
 def _join_phase(
-    query: ConjunctiveQuery,
+    frees: FrozenSet[Variable],
     db: Database,
     atoms: Sequence[Atom],
     links: Sequence[Tuple[int, int]],
@@ -409,7 +457,6 @@ def _join_phase(
     projected to — so the join kernels never inspect row contents to
     find the shared variables (robust for empty relations)."""
     n = len(atoms)
-    frees = frozenset(query.free_variables)
     atom_vars = [a.variables() for a in atoms]
     subtree_vars = _subtree_variables(atom_vars, children, order)
     parent_of: Dict[int, int] = {c: p for c, p in links}

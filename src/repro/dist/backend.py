@@ -184,6 +184,9 @@ class ShardedBackend(StorageBackend):
     def match(self, pattern: Atom) -> Iterator[Atom]:
         return self._mirror.match(pattern)
 
+    def match_bound(self, pattern: Atom) -> int:
+        return self._mirror.match_bound(pattern)
+
     def __contains__(self, fact: Atom) -> bool:
         return fact in self._mirror
 

@@ -45,9 +45,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
-from ..core.mappings import Mapping
 from ..cqalgs.yannakakis import (
     _edge_shared_variables,
     _levels,
@@ -229,8 +228,9 @@ def run_program(
 ):
     """Run Yannakakis over ``backend``'s shards; see the module docstring.
 
-    Returns a ``frozenset`` of answer mappings, or a ``bool`` with
-    ``exists_only`` (the Boolean fast path: the up sweep alone decides).
+    Returns the answers as a :class:`~repro.relalg.relation.Relation`, or
+    a ``bool`` with ``exists_only`` (the Boolean fast path: the up sweep
+    alone decides).
     Raises :class:`ShardFailure` when a shard process dies — recovery
     and the single retry live in the backend, not here.
     """
@@ -244,7 +244,7 @@ def run_program(
     levels = _levels(root, children, order)
     shared = _edge_shared_variables(atoms, links)
 
-    empty: Any = False if exists_only else frozenset()
+    empty: Any = False if exists_only else Relation(sorted(frees, key=repr), [])
     with tracer.span(
         "yannakakis.dist",
         atoms=n, shards=backend.shards, qid=ex.qid, boolean=exists_only,
@@ -318,7 +318,7 @@ def run_program(
             account_rows(gathered)
             if tracer.enabled:
                 sp.set(relation_sizes=[len(r) for r in relations])
-        result: FrozenSet[Mapping] = columnar_join_phase(
+        result: Relation = columnar_join_phase(
             frozenset(frees), atoms, links, relations, root, children, order,
             tracer,
         )

@@ -3,7 +3,7 @@ evaluation stack (ROADMAP item 2).
 
 :mod:`repro.relalg.relation` defines the :class:`Relation`
 representation and the kernels (``scan``/``semijoin``/``hash_join``/
-``project``/``dedup``); :mod:`repro.relalg.config` resolves which
+``project``/``group_by``/``dedup``); :mod:`repro.relalg.config` resolves which
 execution path — columnar, legacy Mapping, or whole-tree SQL pushdown —
 serves a given query (``REPRO_KERNELS``).
 """
@@ -25,6 +25,7 @@ from .relation import (
     Relation,
     dedup,
     from_mappings,
+    group_by,
     hash_join,
     project,
     scan,
@@ -38,6 +39,7 @@ __all__ = [
     "semijoin",
     "hash_join",
     "project",
+    "group_by",
     "dedup",
     "from_mappings",
     "to_mappings",

@@ -159,6 +159,13 @@ class StorageBackend(abc.ABC):
         """Number of facts matching ``pattern`` (see :meth:`match`)."""
         return sum(1 for _ in self.match(pattern))
 
+    def match_bound(self, pattern: Atom) -> int:
+        """An upper bound on :meth:`match_count`, at most as expensive:
+        how many facts a ``match(pattern)`` would have to read.  A seeded
+        :func:`repro.relalg.relation.scan` weighs it against its key
+        count to choose index probes or a full scan."""
+        return self.match_count(pattern)
+
     @abc.abstractmethod
     def copy(self) -> "StorageBackend":
         """An independent copy sharing no mutable state, carrying the

@@ -25,6 +25,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -217,7 +218,11 @@ class MemoryBackend(StorageBackend):
             if fact_matches(pattern, fact, repeated):
                 yield fact
 
-    def _candidates(self, pattern: Atom) -> Iterable[Atom]:
+    def match_bound(self, pattern: Atom) -> int:
+        """Length of the posting list :meth:`match` would scan (O(1))."""
+        return len(self._candidates(pattern))
+
+    def _candidates(self, pattern: Atom) -> Sequence[Atom]:
         """Smallest available posting list of facts that might match."""
         if pattern.relation not in self._by_relation:
             return ()

@@ -22,7 +22,8 @@ Three capabilities the in-memory backend does not have:
   CTE layer per phase (per-atom ``DISTINCT`` scans, bottom-up and
   top-down ``EXISTS`` semi-join sweeps, then the bottom-up
   join/projection phase), with only the final answer rows decoded back
-  into Python.  ``repro.cqalgs.yannakakis`` selects it automatically
+  into Python; a seed relation of key bindings rides along as a
+  ``VALUES`` CTE.  ``repro.cqalgs.yannakakis`` selects it automatically
   when the database is SQLite-backed (``REPRO_KERNELS=auto``).  The
   older :meth:`~SQLiteBackend.sql_semijoin_reduce` (temp-table sweeps,
   Python join phase) is kept as a standalone building block.
@@ -54,6 +55,7 @@ from ..core.atoms import Atom, Schema
 from ..core.mappings import Mapping
 from ..core.terms import Constant, Variable
 from ..exceptions import NotGroundError, ReproError
+from ..relalg.relation import Relation, semijoin
 from .base import StorageBackend, allocate_backend_id
 
 #: Catalog table mapping relation names to their backing tables.
@@ -145,6 +147,12 @@ class SQLiteBackend(StorageBackend):
         self._tables: Dict[str, Tuple[str, int]] = {}
         self._version = 0
         self._tmp_counter = 0
+        # ``Connection.getlimit`` is Python ≥ 3.11; 999 is what SQLite
+        # builds before 3.32 default to, so it is safe everywhere.
+        getlimit = getattr(self._conn, "getlimit", None)
+        self._max_parameters: int = (
+            getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER) if getlimit else 999
+        )
         if self._path is not None:
             self._backend_id = "sqlite:%s" % self._path
         else:
@@ -443,6 +451,7 @@ class SQLiteBackend(StorageBackend):
         links: Sequence[Tuple[int, int]],
         frees: Iterable[Variable],
         exists_only: bool = False,
+        seed: Optional[Relation] = None,
     ):
         """The whole Yannakakis join plan as **one** SQL statement.
 
@@ -469,9 +478,20 @@ class SQLiteBackend(StorageBackend):
           so all cross-child equalities route through ``t0`` and each
           kept column has a unique source.
 
-        Returns the decoded answer mappings, or — with ``exists_only``,
-        the Boolean fast path — whether the root survives the bottom-up
-        sweep (the ``d``/``a`` layers are then not even generated).
+        ``seed`` (a non-empty relation over some of ``frees``) keeps only
+        the answers that join with it.  Its rows become a ``VALUES`` CTE
+        named ``seed``: every scan sharing a variable with it gains an
+        ``IN (SELECT … FROM seed)`` on the shared columns, and the final
+        ``SELECT`` one over all its columns (a scan only sees the seed
+        variables of its own atom).
+        Past SQLite's bound-parameter limit the statement runs unseeded
+        and the semi-join happens here, on the decoded answers.
+
+        Returns the decoded answers as a
+        :class:`~repro.relalg.relation.Relation` (columns sorted by
+        variable repr), or — with ``exists_only``, the Boolean fast
+        path — whether the root survives the bottom-up sweep (the
+        ``d``/``a`` layers are then not even generated).
         """
         n = len(atoms)
         children: Dict[int, List[int]] = {i: [] for i in range(n)}
@@ -503,6 +523,36 @@ class SQLiteBackend(StorageBackend):
         #: current CTE name per node, advanced layer by layer
         rel = ["s%d" % i for i in range(n)]
 
+        # --- seed --------------------------------------------------------
+        if seed is not None and exists_only:
+            raise ReproError("sql_yannakakis: a seed needs the answers, not exists_only")
+        seed_column: Dict[Variable, int] = {}
+        if seed is not None and seed.schema:
+            constants = sum(
+                isinstance(arg, Constant) for a in atoms for arg in a.args
+            )
+            width = len(seed.schema)
+            if len(seed.rows) * width + constants <= self._max_parameters:
+                seed_column = {v: j for j, v in enumerate(seed.schema)}
+                params.extend(
+                    encode_value(c.value) for row in seed.rows for c in row
+                )
+                ctes.append((
+                    "seed(%s)" % ", ".join("k%d" % j for j in range(width)),
+                    "VALUES %s" % ", ".join(
+                        ["(%s)" % ", ".join("?" * width)] * len(seed.rows)
+                    ),
+                ))
+
+        def joins_seed(column_of: Dict[Variable, str]) -> str:
+            """Membership of ``column_of``'s columns (SQL column per
+            variable) in the seed, on the variables the two share."""
+            shared = [v for v in column_of if v in seed_column]
+            return "(%s) IN (SELECT %s FROM seed)" % (
+                ", ".join(column_of[v] for v in shared),
+                ", ".join("k%d" % seed_column[v] for v in shared),
+            )
+
         # --- scans -----------------------------------------------------
         for i, a in enumerate(atoms):
             vs = atom_vars[i]
@@ -523,6 +573,10 @@ class SQLiteBackend(StorageBackend):
                     select = ", ".join(
                         "c%d AS v%d" % (pos_of[v], j) for j, v in enumerate(vs)
                     )
+                    if not seed_column.keys().isdisjoint(vs):
+                        where += " AND " + joins_seed(
+                            {v: "c%d" % pos_of[v] for v in vs}
+                        )
                 else:
                     select = "1 AS one"
                 body = "SELECT DISTINCT %s FROM %s WHERE %s" % (
@@ -642,24 +696,26 @@ class SQLiteBackend(StorageBackend):
             )
             rel[node] = "a%d" % node
 
+        out_schema = a_schema[root]
         sql = "WITH %s SELECT * FROM %s" % (
             ", ".join("%s AS (%s)" % (name, body) for name, body in ctes),
             rel[root],
         )
+        if seed_column:
+            sql += " WHERE " + joins_seed(
+                {v: "%s.v%d" % (rel[root], j) for j, v in enumerate(out_schema)}
+            )
         with self._lock:
             rows = self._conn.execute(sql, params).fetchall()
-        out_schema = a_schema[root]
         if not out_schema:
-            return frozenset([Mapping()]) if rows else frozenset()
-        return frozenset(
-            Mapping.from_trusted(
-                {
-                    v: Constant(decode_value(row[j]))
-                    for j, v in enumerate(out_schema)
-                }
-            )
-            for row in rows
+            return Relation((), [()] if rows else [])
+        answers = Relation(
+            out_schema,
+            [tuple(Constant(decode_value(text)) for text in row) for row in rows],
         )
+        if seed is not None and not seed_column:
+            return semijoin(answers, seed)
+        return answers
 
     # ------------------------------------------------------------------
     # Yannakakis semi-join pushdown

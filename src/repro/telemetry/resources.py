@@ -9,9 +9,9 @@ A :class:`ResourceMonitor` wraps one query execution and accounts
   (Yannakakis relation/partial sizes, the top-down evaluator's extension
   sets, the Theorem 6 DP's interface-candidate sets) through
   :func:`account_rows`;
-* the number of CQ subqueries the decision procedures issued
-  (:func:`account_subquery` — each Theorem 6/8/9 satisfiability check is
-  one subquery).
+* the number of CQ subqueries issued (:func:`account_subquery` — one per
+  tree node the top-down evaluator evaluates, one per Theorem 6/8/9
+  satisfiability check).
 
 Budgets come in two strengths (:class:`ResourceBudget`): **soft** limits
 are recorded as violations on the resulting :class:`ResourceUsage` (the
@@ -171,7 +171,8 @@ def account_rows(rows: int) -> None:
 
 
 def account_subquery(n: int = 1) -> None:
-    """Report ``n`` CQ subqueries issued by a decision procedure."""
+    """Report ``n`` CQ subqueries issued by an evaluator or a decision
+    procedure."""
     monitor = getattr(_active, "monitor", None)
     if monitor is not None:
         monitor.note_subqueries(n)

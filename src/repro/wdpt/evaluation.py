@@ -10,10 +10,39 @@ Two independent evaluators are provided and cross-checked in the tests:
 
 * :func:`homomorphisms_reference` — literal subtree enumeration (the
   definition, exponential in ``|T|``);
-* :func:`maximal_homomorphisms` — a top-down procedural evaluator that
-  grows homomorphisms node by node (the natural OPT-style algorithm; still
-  exponential in the worst case, as it must be — ``EVAL`` is Σ₂ᵖ-complete
-  for arbitrary WDPTs, Theorem 1).
+* :func:`maximal_homomorphisms` / :func:`evaluate` — the top-down
+  evaluator (the natural OPT-style algorithm; still exponential in the
+  worst case, as it must be — ``EVAL`` is Σ₂ᵖ-complete for arbitrary
+  WDPTs, Theorem 1).
+
+The top-down evaluator is **set-at-a-time**: one recursion step per tree
+node, over relations (:mod:`repro.relalg`), never per parent mapping.
+
+1. *Node relation.*  The root's relation is ``λ(root)`` evaluated as a
+   full CQ.  For a child ``c`` of ``t``, ``t``'s relation is projected
+   onto the interface ``vars(t) ∩ vars(c)`` and ``λ(c)`` is evaluated
+   **once**, as a full CQ *seeded* with those keys
+   (:func:`~repro.cqalgs.yannakakis.relation_with_join_tree`): the keys
+   filter every scanned atom they share a variable with — by index
+   probes or by a scan and a semi-join, whichever the sizes favour — and
+   the result holds exactly the homomorphisms of ``λ(c)`` that some row
+   of ``t`` can be extended by.  Cyclic labels (and
+   ``REPRO_KERNELS=legacy``) have no join tree to run; their node
+   relation comes from the backtracking search, once per distinct key.
+2. *Product.*  ``c``'s relation is extended into its own subtree the same
+   way, then grouped by interface key.  Sibling subtrees share variables
+   only through ``t``, so each row ``h`` of ``t`` yields ``{h} ⨝ ∏_c
+   group_c(h|interface)``; a key without a group is an OPT branch that
+   fails, and its columns are padded with ``None`` (unbound).
+3. *Mapping boundary.*  Relations become ``Mapping`` objects once, at
+   the final answer set.
+
+:func:`evaluate` returns only ``x̄``-projections, so it projects every
+node's output onto the free and interface variables as it goes, and it
+skips (node ids unchanged) every node outside the keep-set of
+:func:`~repro.wdpt.transform.free_branch_nodes` — step 1 of the paper's
+Lemma 1, which preserves ``p(D)`` exactly.  :func:`maximal_homomorphisms`
+keeps every node and every variable.
 
 ``EVAL``, the exact-membership decision problem, is solved here by full
 enumeration; the polynomial algorithm for ``ℓ-C ∩ BI(c)`` lives in
@@ -23,26 +52,32 @@ enumeration; the polynomial algorithm for ``ℓ-C ∩ BI(c)`` lives in
 from __future__ import annotations
 
 import time
+from operator import mul
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..core.atoms import Atom
-from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
 from ..core.mappings import Mapping, maximal_mappings
+from ..core.terms import Variable
 from ..cqalgs.naive import homomorphisms as cq_homomorphisms
-from ..cqalgs.yannakakis import evaluate_with_join_tree
+from ..cqalgs.yannakakis import relation_with_join_tree
 from ..hypergraphs.gyo import join_tree_of_atoms
-from ..parallel.pool import WorkerPool, current_pool
+from ..parallel.pool import current_pool
 from ..relalg.config import MODE_LEGACY, kernel_mode
-from ..telemetry.metrics import NodeStatsCollector
-from ..telemetry.resources import account_rows
+from ..relalg.relation import (
+    Relation,
+    Row,
+    from_mappings,
+    group_by,
+    project,
+    row_getter,
+    to_mappings,
+)
+from ..telemetry.resources import account_rows, account_subquery
 from ..telemetry.tracer import current_tracer
+from .subtrees import interface_to_parent
+from .transform import free_branch_nodes
 from .tree import ROOT
 from .wdpt import WDPT
-
-#: Per-node join-tree cache: node → (sorted atoms, links), or ``None``
-#: for labels the columnar extension cannot serve (cyclic hypergraph).
-NodeTrees = Dict[int, Optional[Tuple[Tuple[Atom, ...], Tuple[Tuple[int, int], ...]]]]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime
     from ..planner.profile import TreeProfile
@@ -68,57 +103,187 @@ def evaluate_reference(p: WDPT, db: Database) -> FrozenSet[Mapping]:
 
 
 # ---------------------------------------------------------------------------
-# Top-down procedural evaluator
+# Top-down evaluator, one relation per tree node
 # ---------------------------------------------------------------------------
-def _node_homomorphisms(
-    p: WDPT,
-    db: Database,
-    node: int,
-    sigma: Mapping,
-    trees: Optional[NodeTrees],
-) -> Iterable[Mapping]:
-    """The homomorphisms of ``λ(node)`` extending ``sigma`` (each total on
-    ``vars(λ(node)) ∪ dom(sigma)``) — the per-node extension step of the
-    top-down evaluator.
+class _TreeEvaluation:
+    """One run of the set-at-a-time recursion (see the module docstring).
 
-    With ``trees`` (the per-node join-tree cache) and an acyclic label,
-    the step runs set-at-a-time: ``sigma`` is substituted into the label
-    atoms and the remaining variables are evaluated as one full CQ
-    through the Yannakakis kernels (the join tree of the unsubstituted
-    label stays valid — instantiating variables only shrinks hyperedges).
-    Cyclic or empty labels, and ``trees is None`` (legacy kernel mode),
-    fall back to the historical backtracking search.
+    ``frees is None`` keeps every variable (the maximal homomorphisms
+    themselves); otherwise only ``frees`` survive and the nodes outside
+    the Lemma 1 keep-set are never evaluated.
     """
-    label = p.labels[node]
-    if trees is None or not label:
-        return cq_homomorphisms(label, db, pre_assignment=sigma)
-    entry = trees.get(node, False)
-    if entry is False:
-        atoms = tuple(sorted(set(label)))
-        links = join_tree_of_atoms(atoms)
-        entry = (atoms, tuple(links)) if links is not None else None
-        trees[node] = entry
-    if entry is None:
-        return cq_homomorphisms(label, db, pre_assignment=sigma)
-    atoms, links = entry
-    if len(sigma):
-        substituted = tuple(a.substitute(sigma) for a in atoms)
-    else:
-        substituted = atoms
-    frees: Set = set()
-    for a in substituted:
-        frees |= a.variables()
-    q = ConjunctiveQuery(tuple(sorted(frees)), substituted)
-    rows = evaluate_with_join_tree(q, db, substituted, links)
-    if not len(sigma):
-        return rows
-    base = sigma.as_dict()
-    out: List[Mapping] = []
-    for m in rows:
-        merged = dict(base)
-        merged.update(m.items())
-        out.append(Mapping.from_trusted(merged))
-    return out
+
+    def __init__(
+        self,
+        p: WDPT,
+        db: Database,
+        profile: "Optional[TreeProfile]",
+        frees: Optional[FrozenSet[Variable]],
+        tracing: bool,
+    ):
+        self.p = p
+        self.db = db
+        self.backtrack = kernel_mode() == MODE_LEGACY
+        self.pool = current_pool()
+        self.safe = (
+            _parallel_safe_nodes(p, profile) if self.pool is not None else frozenset()
+        )
+        kept = set(p.tree.nodes()) if frees is None else free_branch_nodes(p)
+        self.children: Dict[int, List[int]] = {
+            node: [c for c in p.tree.children(node) if c in kept] for node in kept
+        }
+        #: Output columns per node: its own kept variables, then each kept
+        #: child's columns that the node does not bind itself.  Static, so
+        #: a failed branch can be padded without evaluating below it.
+        self.own: Dict[int, Tuple[Variable, ...]] = {}
+        self.schema: Dict[int, Tuple[Variable, ...]] = {}
+        for node in sorted(kept, reverse=True):  # children before parents
+            variables = p.node_variables(node)
+            wanted = variables
+            if frees is not None:
+                wanted = (variables & frees) | interface_to_parent(p, node)
+            self.own[node] = tuple(sorted(wanted, key=repr))
+            self.schema[node] = self.own[node] + tuple(
+                v
+                for child in self.children[node]
+                for v in self.schema[child]
+                if v not in variables
+            )
+        #: Node relations and per-child wall time, kept only for node_stats.
+        self.relations: Optional[Dict[int, Relation]] = {} if tracing else None
+        self.seconds: Dict[int, float] = {}
+
+    # -- node relations ---------------------------------------------------
+    def node_relation(self, node: int, keys: Optional[Relation]) -> Relation:
+        """The homomorphisms of ``λ(node)`` that join with ``keys`` (the
+        parent relation projected onto the interface; ``None`` at the
+        root) — one CQ per tree node."""
+        account_subquery()
+        label = self.p.labels[node]
+        variables = self.p.node_variables(node)
+        links = None
+        if not self.backtrack:
+            atoms = sorted(label)
+            links = join_tree_of_atoms(atoms)
+        if links is not None:
+            rel = relation_with_join_tree(atoms, links, self.db, variables, seed=keys)
+        else:
+            # Cyclic label, or the legacy kernels: backtracking search,
+            # once per distinct key instead of once per parent mapping.
+            schema = sorted(variables, key=repr)
+            seeds = [Mapping()] if keys is None else to_mappings(keys)
+            rel = from_mappings(
+                (h for s in seeds for h in cq_homomorphisms(label, self.db, s)),
+                schema,
+            )
+        account_rows(len(rel))
+        if self.relations is not None:
+            self.relations[node] = rel
+        return rel
+
+    # -- the product decomposition ------------------------------------------
+    def branch(self, node: int, rel: Relation, child: int):
+        """How ``child``'s subtree extends the rows of ``rel`` (``node``'s
+        relation): ``(key of a row, {key: extension rows}, padding)``."""
+        start = time.perf_counter() if self.relations is not None else 0.0
+        shared = [v for v in rel.schema if v in self.p.node_variables(child)]
+        found = self.node_relation(child, project(rel, shared))
+        groups = group_by(self.extensions(child, found), shared) if found.rows else {}
+        if self.relations is not None:
+            self.seconds[child] = time.perf_counter() - start
+        key_of = row_getter([rel.index[v] for v in shared])
+        return key_of, groups, (None,) * (len(self.schema[child]) - len(shared))
+
+    def extensions(self, node: int, rel: Relation) -> Relation:
+        """``rel`` (``node``'s relation) extended into the subtree below:
+        per row ``h``, ``{h} ⨝ ∏_c branch(c, h|shared)`` projected onto
+        the kept variables, an absent group being the failed OPT branch."""
+        # Nothing to extend (only the root can be empty): no child CQs.
+        children = self.children[node] if rel.rows else ()
+        if self.pool is not None and node in self.safe:
+            # Sibling subtrees only share variables through ``node``.
+            branches = self.pool.map_tasks(
+                lambda child: self.branch(node, rel, child), children
+            )
+        else:
+            branches = [self.branch(node, rel, child) for child in children]
+        own = self.own[node]
+        take = row_getter([rel.index[v] for v in own])
+        rows: Iterable[Row]
+        if branches:
+            rows = []
+            for row in rel.rows:
+                partial = [take(row)]
+                for key_of, groups, padding in branches:
+                    found = groups.get(key_of(row))
+                    if found is None:
+                        partial = [r + padding for r in partial]
+                    else:
+                        partial = [r + e for r in partial for e in found]
+                rows.extend(partial)
+        else:
+            rows = map(take, rel.rows)
+        if len(own) < len(rel.schema):
+            rows = set(rows)  # the projection may have merged rows
+        out = Relation(self.schema[node], rows)
+        account_rows(len(out))
+        return out
+
+    # -- node_stats ---------------------------------------------------------
+    def node_stats(self) -> Dict[int, Dict[str, float]]:
+        """Per evaluated node: ``candidates`` — homomorphisms of the
+        root→node path CQ, ``extensions`` — their maximal extensions into
+        the node's subtree (what the mapping-at-a-time evaluator counted
+        one by one), ``seconds`` — inclusive wall time.  A path
+        homomorphism is a chain of node-relation rows agreeing on the
+        interfaces, so both counts follow from the relations alone."""
+        relations = self.relations
+        nodes = sorted(relations)  # parents first
+        parent_of = self.p.tree.parent
+        #: Per non-root node: (interface key of a parent row, of its own row).
+        keys = {}
+        for node in nodes[1:]:
+            upper, lower = relations[parent_of(node)], relations[node]
+            shared = [v for v in upper.schema if v in lower.index]
+            keys[node] = (
+                row_getter([upper.index[v] for v in shared]),
+                row_getter([lower.index[v] for v in shared]),
+            )
+
+        def total_by_key(key_of, rel: Relation, counts: List[int]) -> Dict[Row, int]:
+            totals: Dict[Row, int] = {}
+            for row, count in zip(rel.rows, counts):
+                key = key_of(row)
+                totals[key] = totals.get(key, 0) + count
+            return totals
+
+        # Top-down: how many path homomorphisms end in each row.
+        paths: Dict[int, List[int]] = {ROOT: [1] * len(relations[ROOT])}
+        for node in nodes[1:]:
+            parent = parent_of(node)
+            above = total_by_key(keys[node][0], relations[parent], paths[parent])
+            paths[node] = [above[keys[node][1](row)] for row in relations[node].rows]
+        # Bottom-up: how many maximal subtree extensions each row has (a
+        # child no row reaches is a failed branch: factor 1).
+        below: Dict[int, List[int]] = {}
+        for node in reversed(nodes):
+            below[node] = [1] * len(relations[node])
+            for child in self.children[node]:
+                if child in relations:
+                    under = total_by_key(keys[child][1], relations[child], below[child])
+                    below[node] = [
+                        count * under.get(keys[child][0](row), 1)
+                        for count, row in zip(below[node], relations[node].rows)
+                    ]
+        stats: Dict[int, Dict[str, float]] = {}
+        for node in nodes:
+            stats[node] = {
+                "candidates": sum(paths[node]),
+                "extensions": sum(map(mul, paths[node], below[node])),
+            }
+            if node in self.seconds:
+                stats[node]["seconds"] = self.seconds[node]
+        return stats
 
 
 def _parallel_safe_nodes(p: WDPT, profile: "Optional[TreeProfile]") -> FrozenSet[int]:
@@ -129,6 +294,23 @@ def _parallel_safe_nodes(p: WDPT, profile: "Optional[TreeProfile]") -> FrozenSet
         return profile.parallel_safe_nodes
     tree = p.tree
     return frozenset(n for n in tree.nodes() if len(tree.children(n)) >= 2)
+
+
+def _evaluate_tree(
+    p: WDPT,
+    db: Database,
+    profile: "Optional[TreeProfile]",
+    frees: Optional[FrozenSet[Variable]],
+) -> FrozenSet[Mapping]:
+    tracer = current_tracer()
+    with tracer.span("wdpt.maximal_homomorphisms") as sp:
+        run = _TreeEvaluation(p, db, profile, frees, tracer.enabled)
+        out = run.extensions(ROOT, run.node_relation(ROOT, None))
+        if tracer.enabled:
+            stats = run.node_stats()
+            sp.set(node_stats=stats, maximal=stats[ROOT]["extensions"])
+        # A single evaluated node has no OPT branch that could fail.
+        return to_mappings(out, partial=len(run.children) > 1)
 
 
 def maximal_homomorphisms(
@@ -150,123 +332,21 @@ def maximal_homomorphisms(
     be extended in every maximal homomorphism, which is exactly what the
     product encodes.  No a-posteriori maximality filtering is needed.
 
-    When tracing is enabled (:mod:`repro.telemetry`) a per-node stats
-    collector records candidate-mapping counts, maximal-extension counts,
-    and inclusive wall time per tree node; the aggregate is attached to the
-    ``wdpt.maximal_homomorphisms`` span as ``node_stats`` and joined with
-    the static profile by ``Session.analyze``.
+    When tracing is enabled (:mod:`repro.telemetry`) the per-node
+    candidate counts, maximal-extension counts and inclusive wall times
+    are attached to the ``wdpt.maximal_homomorphisms`` span as
+    ``node_stats`` and joined with the static profile by
+    ``Session.analyze``.
 
     When a :class:`~repro.parallel.pool.WorkerPool` is installed
-    (:func:`~repro.parallel.pool.use_pool`), the independent units of work
-    fan out to it: the per-root-candidate branch computations, and — at
+    (:func:`~repro.parallel.pool.use_pool`), the sibling subtrees of the
     nodes the planner marks parallel-safe (``profile=`` a
-    :class:`~repro.planner.profile.TreeProfile`) — the sibling-subtree
-    extensions inside :func:`_branch_solutions`.  The product decomposition
-    above is exactly the soundness argument: sibling work never shares
-    state beyond the (immutable) parent mapping, so the parallel schedule
-    computes the same set.
+    :class:`~repro.planner.profile.TreeProfile`) are evaluated
+    concurrently.  The product decomposition above is the soundness
+    argument: sibling work shares nothing but the (immutable) parent
+    relation, so the parallel schedule computes the same set.
     """
-    tracer = current_tracer()
-    collector = NodeStatsCollector() if tracer.enabled else None
-    pool = current_pool()
-    safe = _parallel_safe_nodes(p, profile) if pool is not None else frozenset()
-    trees: Optional[NodeTrees] = {} if kernel_mode() != MODE_LEGACY else None
-    out: Set[Mapping] = set()
-    with tracer.span("wdpt.maximal_homomorphisms") as sp:
-        roots = list(_node_homomorphisms(p, db, ROOT, Mapping(), trees))
-        if pool is not None and len(roots) >= 2:
-            # Fan the root candidates out; each task explores its branch
-            # sequentially (nested dispatch would run inline anyway).
-            branches = pool.map_tasks(
-                lambda h: _branch_solutions(p, db, ROOT, h, collector, trees=trees),
-                roots,
-            )
-            for solutions in branches:
-                out.update(solutions)
-        else:
-            for h in roots:
-                out.update(
-                    _branch_solutions(p, db, ROOT, h, collector, pool, safe, trees)
-                )
-        account_rows(len(out))
-        if collector is not None:
-            collector.add(ROOT, candidates=len(roots), extensions=len(out))
-            sp.set(node_stats=collector.rows(), maximal=len(out))
-    return frozenset(out)
-
-
-def _child_solutions(
-    p: WDPT,
-    db: Database,
-    child: int,
-    sigma: Mapping,
-    collector: Optional[NodeStatsCollector],
-    pool: "Optional[WorkerPool]",
-    safe: FrozenSet[int],
-    trees: Optional[NodeTrees] = None,
-) -> List[Mapping]:
-    """The maximal extensions of ``sigma`` into ``child``'s subtree
-    (empty when ``λ(child)`` admits none — the OPT branch fails)."""
-    start = time.perf_counter() if collector is not None else 0.0
-    candidates = 0
-    solutions: List[Mapping] = []
-    for g in _node_homomorphisms(p, db, child, sigma, trees):
-        candidates += 1
-        solutions.extend(
-            _branch_solutions(p, db, child, g, collector, pool, safe, trees)
-        )
-    if collector is not None:
-        collector.add(
-            child,
-            candidates=candidates,
-            extensions=len(solutions),
-            seconds=time.perf_counter() - start,
-        )
-    return solutions
-
-
-def _branch_solutions(
-    p: WDPT,
-    db: Database,
-    node: int,
-    h: Mapping,
-    collector: Optional[NodeStatsCollector] = None,
-    pool: "Optional[WorkerPool]" = None,
-    safe: FrozenSet[int] = frozenset(),
-    trees: Optional[NodeTrees] = None,
-) -> List[Mapping]:
-    """All maximal homomorphisms of the subtree under ``node`` that extend
-    the node homomorphism ``h`` (``h`` is total on ``vars(node)``)."""
-    results: List[Mapping] = [h]
-    node_vars = p.node_variables(node)
-    children = p.tree.children(node)
-    if pool is not None and node in safe:
-        # Sibling subtrees are independent given h (see the product
-        # decomposition in maximal_homomorphisms) — compute them
-        # concurrently, then fold the product in child order.
-        per_child = pool.map_tasks(
-            lambda child: _child_solutions(
-                p, db, child, h.restrict(node_vars & p.node_variables(child)),
-                collector, None, safe, trees,
-            ),
-            children,
-        )
-        for child_solutions in per_child:
-            if not child_solutions:
-                continue  # OPT branch fails: the answers keep h unextended
-            results = [r.union(m) for r in results for m in child_solutions]
-            account_rows(len(results))
-        return results
-    for child in children:
-        sigma = h.restrict(node_vars & p.node_variables(child))
-        child_solutions = _child_solutions(
-            p, db, child, sigma, collector, pool, safe, trees
-        )
-        if not child_solutions:
-            continue  # OPT branch fails: the answers keep h unextended
-        results = [r.union(m) for r in results for m in child_solutions]
-        account_rows(len(results))
-    return results
+    return _evaluate_tree(p, db, profile, None)
 
 
 def evaluate(
@@ -291,8 +371,7 @@ def evaluate(
     """
     tracer = current_tracer()
     with tracer.span("wdpt.evaluate", nodes=len(p.tree)) as sp:
-        maximal = maximal_homomorphisms(p, db, profile)
-        answers = frozenset(h.restrict(p.free_variables) for h in maximal)
+        answers = _evaluate_tree(p, db, profile, frozenset(p.free_variables))
         if tracer.enabled:
             sp.set(answers=len(answers))
         return answers

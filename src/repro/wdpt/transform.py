@@ -34,14 +34,21 @@ def introduces_free_variable(p: WDPT, node: int) -> bool:
     return bool(new_variables_at(p, node) & frees)
 
 
-def prune_non_free_branches(p: WDPT) -> WDPT:
-    """Step 1 of Lemma 1: drop every node not on a root-path to a
-    free-variable-introducing node.  The root always stays."""
+def free_branch_nodes(p: WDPT) -> Set[int]:
+    """The nodes step 1 of Lemma 1 keeps: those on a root-path to a
+    free-variable-introducing node, and always the root.  ``p(D)`` only
+    depends on them, which is what lets the evaluator skip the rest."""
     keep: Set[int] = {ROOT}
     for node in p.tree.nodes():
         if introduces_free_variable(p, node):
             keep.update(p.tree.path_to_root(node))
-    return _restrict_to_nodes(p, keep)
+    return keep
+
+
+def prune_non_free_branches(p: WDPT) -> WDPT:
+    """Step 1 of Lemma 1: drop every node not on a root-path to a
+    free-variable-introducing node.  The root always stays."""
+    return _restrict_to_nodes(p, free_branch_nodes(p))
 
 
 def merge_chains(p: WDPT) -> WDPT:

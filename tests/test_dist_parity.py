@@ -30,6 +30,7 @@ from repro.dist.exec import ShardFailure  # noqa: E402
 from repro.engine import Session  # noqa: E402
 from repro.exceptions import ReproError, ResourceBudgetExceeded  # noqa: E402
 from repro.planner.planner import Planner  # noqa: E402
+from repro.relalg.config import MODE_AUTO, force_kernels  # noqa: E402
 from repro.storage import MemoryBackend, SQLiteBackend  # noqa: E402
 from repro.telemetry.obslog import QueryLog  # noqa: E402
 from repro.telemetry.resources import ResourceBudget  # noqa: E402
@@ -43,6 +44,14 @@ from repro.workloads.generators import (  # noqa: E402
 
 RELATIONS = ("E", "F")
 SHARD_COUNTS = (1, 2, 4)
+
+
+@pytest.fixture(autouse=True)
+def _auto_kernels():
+    """Only ``auto`` mode selects the dist kernel this module is about:
+    pin it, so the suite also passes under ``REPRO_KERNELS=legacy``."""
+    with force_kernels(MODE_AUTO):
+        yield
 
 
 def _facts(seed, n_facts=15, domain_size=3):

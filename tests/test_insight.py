@@ -29,6 +29,7 @@ from repro.relalg.config import (
     KERNEL_COLUMNAR,
     KERNEL_LEGACY,
     KERNEL_SQL,
+    MODE_AUTO,
     force_kernels,
     resolve_kernel,
 )
@@ -178,7 +179,8 @@ def test_analyze_shows_estimates_under_forced_kernels(kernel):
 
 def test_analyze_shows_estimates_on_the_sql_pushdown_path():
     session = Session(example2_graph(), backend="sqlite")
-    report = session.analyze(EXAMPLE2_QUERY)
+    with force_kernels(MODE_AUTO):  # the only mode that picks the pushdown
+        report = session.analyze(EXAMPLE2_QUERY)
     _assert_estimates_in_report(report)
     assert any(row.get("kernel") == KERNEL_SQL for row in report.rows)
 
