@@ -13,11 +13,14 @@ intermediate-rows budget).  The driver:
 
 1. fires concurrent mixed traffic from both tenants and checks the
    served responses (answers, tenant stamps, trace ids);
-2. sends one over-budget query as beta and checks the ``429`` budget
+2. fires a herd of 8 identical never-seen queries as alpha and checks,
+   from ``/metrics`` counts alone (no timing), that it cost exactly one
+   evaluation: one cache miss, seven riders or cache hits, equal bodies;
+3. sends one over-budget query as beta and checks the ``429`` budget
    response;
-3. storms beta's single-slot tier with concurrent clients and checks
+4. storms beta's single-slot tier with concurrent clients and checks
    that at least one request was shed with ``429`` + ``Retry-After``;
-4. asserts the whole story is visible in ``/metrics`` and ``/healthz``
+5. asserts the whole story is visible in ``/metrics`` and ``/healthz``
    (per-tenant admitted/shed counters, cache series).
 
 Exits 0 when every check passes, 1 otherwise.  Network access is only to
@@ -25,8 +28,11 @@ the given base URL — this is an offline CI check.
 """
 
 import json
+import os
+import re
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -82,6 +88,17 @@ def fan_out(base, spec):
     return results
 
 
+def scrape(base, tenant):
+    """``{metric name: value}`` of the ``tenant``-labelled series."""
+    with urllib.request.urlopen(base + "/metrics", timeout=30) as resp:
+        text = resp.read().decode("utf-8")
+    pattern = r'^(\w+)\{tenant="%s"\} (\S+)$' % re.escape(tenant)
+    return {
+        name: float(value)
+        for name, value in re.findall(pattern, text, flags=re.MULTILINE)
+    }
+
+
 def main(argv):
     if len(argv) != 1:
         print(__doc__)
@@ -107,7 +124,39 @@ def main(argv):
     check(all(status in (200, 429) for status, _, _ in beta),
           "beta saw only 200s or clean sheds")
 
-    print("2. over-budget query (beta's hard intermediate-rows limit)")
+    print("2. thundering herd (8 identical never-seen queries, 1 evaluation)")
+    herd_query = (
+        "SELECT ?x ?y WHERE { ?x recorded_by ?y "
+        'OPTIONAL { ?x NME_rating "herd-%d-%d" } }'
+        % (os.getpid(), time.time_ns())
+    )
+    before = scrape(base, "alpha")
+    herd = fan_out(base, [("/query", {"query": herd_query}, "alpha-key")] * 8)
+    after = scrape(base, "alpha")
+
+    def rose(name):
+        return after.get(name, 0.0) - before.get(name, 0.0)
+
+    check(all(status == 200 for status, _, _ in herd),
+          "all 8 herd requests served (got %s)"
+          % [status for status, _, _ in herd])
+    check(rose("repro_service_cache_misses") == 1,
+          "the herd cost exactly one evaluation (cache misses +%g)"
+          % rose("repro_service_cache_misses"))
+    shared = rose("repro_service_coalesced") + rose("repro_service_cache_hits")
+    check(shared == 7,
+          "the other 7 rode the flight or hit its cached result "
+          "(coalesced +%g, cache hits +%g)"
+          % (rose("repro_service_coalesced"), rose("repro_service_cache_hits")))
+    per_request = ("wall_ms", "trace_id", "coalesced", "resources")
+    bodies = {
+        json.dumps({k: v for k, v in body.items() if k not in per_request},
+                   sort_keys=True)
+        for _, body, _ in herd
+    }
+    check(len(bodies) == 1, "all 8 herd bodies carry the same answers")
+
+    print("3. over-budget query (beta's hard intermediate-rows limit)")
     status, body, headers = request(
         base, "/query", {"query": WIDE_QUERY}, key="beta-key"
     )
@@ -116,7 +165,7 @@ def main(argv):
           "429 body names the budget: %r" % body.get("error"))
     check("Retry-After" in headers, "budget 429 carries Retry-After")
 
-    print("3. load shedding (30 concurrent clients vs. beta's 1 slot)")
+    print("4. load shedding (30 concurrent clients vs. beta's 1 slot)")
     storm = fan_out(
         base, [("/query", {"query": SMALL_QUERY}, "beta-key")] * 30
     )
@@ -134,7 +183,7 @@ def main(argv):
     check(all(body["scope"] in ("tenant", "global") for _, body, _ in shed),
           "shed responses name the saturated scope")
 
-    print("4. the story is visible in /metrics and /healthz")
+    print("5. the story is visible in /metrics and /healthz")
     with urllib.request.urlopen(base + "/metrics", timeout=30) as resp:
         metrics = resp.read().decode("utf-8")
     check('repro_service_admitted{tenant="alpha"}' in metrics,

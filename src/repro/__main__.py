@@ -900,7 +900,8 @@ def main(argv: Optional[list] = None) -> int:
     )
     p_svc.add_argument(
         "--jobs", type=int, default=None, metavar="J",
-        help="workers per coalesced evaluation batch (default: sequential)",
+        help="intra-query workers of each tenant session "
+             "(default: sequential)",
     )
     p_svc.add_argument(
         "--global-limit", type=int, default=64, metavar="N",

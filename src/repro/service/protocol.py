@@ -22,26 +22,36 @@ responses add ``rows``, the sorted ``answers`` (each a
 ``{"?var": value}`` object, missing optionals absent), wall time, and
 the ``trace_id`` that correlates the response with the obslog lines,
 spans, and profiler samples of its execution.
+
+:func:`encode_result` is the *definition* of an evaluation body.  The
+server sends the same bytes without building that dict per request:
+:class:`AnswerEncoder` serialises the ``answers`` array once per answer
+set and :func:`result_body` splices it between the small per-request
+fields.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+import weakref
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.mappings import Mapping
 from ..exceptions import ReproError
 from ..serialize import SerializationError, mapping_to_json
+from ..telemetry.routes import encode_json
 
 __all__ = [
     "MAX_BODY_BYTES",
     "PROTOCOL_VERSION",
+    "AnswerEncoder",
     "ProtocolError",
     "QueryRequest",
     "encode_answers",
     "encode_ask",
     "encode_explain",
     "encode_result",
+    "result_body",
 ]
 
 #: Stamped on every success response.
@@ -154,6 +164,26 @@ def _base(op: str, tenant: str) -> Dict[str, Any]:
     return {"protocol": PROTOCOL_VERSION, "op": op, "tenant": tenant}
 
 
+def _result_fields(
+    op: str, tenant: str, result, wall_seconds: float, coalesced: bool
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """An evaluation body's fields before and after ``answers``."""
+    head = _base(op, tenant)
+    head["rows"] = len(result.answers)
+    tail: Dict[str, Any] = {"wall_ms": round(wall_seconds * 1000.0, 3)}
+    resources = getattr(result, "resources", None)
+    tail["trace_id"] = getattr(resources, "trace_id", None)
+    if resources is not None:
+        tail["resources"] = {
+            "wall_seconds": resources.wall_seconds,
+            "peak_intermediate_rows": resources.peak_intermediate_rows,
+            "subqueries": resources.subqueries,
+        }
+    if coalesced:
+        tail["coalesced"] = True
+    return head, tail
+
+
 def encode_result(
     op: str,
     tenant: str,
@@ -162,21 +192,64 @@ def encode_result(
     coalesced: bool = False,
 ) -> Dict[str, Any]:
     """The success body of a ``query`` / ``query_maximal`` evaluation."""
-    body = _base(op, tenant)
-    body["rows"] = len(result.answers)
+    body, tail = _result_fields(op, tenant, result, wall_seconds, coalesced)
     body["answers"] = encode_answers(result.answers)
-    body["wall_ms"] = round(wall_seconds * 1000.0, 3)
-    resources = getattr(result, "resources", None)
-    body["trace_id"] = getattr(resources, "trace_id", None)
-    if resources is not None:
-        body["resources"] = {
-            "wall_seconds": resources.wall_seconds,
-            "peak_intermediate_rows": resources.peak_intermediate_rows,
-            "subqueries": resources.subqueries,
-        }
-    if coalesced:
-        body["coalesced"] = True
+    body.update(tail)
     return body
+
+
+def result_body(
+    op: str,
+    tenant: str,
+    result,
+    wall_seconds: float,
+    coalesced: bool,
+    answers_json: bytes,
+) -> bytes:
+    """The bytes ``encode_json(encode_result(...))`` would produce, given
+    ``answers_json`` — the already serialised ``answers`` array
+    (:meth:`AnswerEncoder.fragment`) — so a response costs its few
+    per-request fields however many rows it carries."""
+    head, tail = _result_fields(op, tenant, result, wall_seconds, coalesced)
+    return b"".join((
+        encode_json(head)[:-1], b', "answers": ', answers_json, b", ",
+        encode_json(tail)[1:],
+    ))
+
+
+class AnswerEncoder:
+    """The serialised ``answers`` array of each live answer set, encoded
+    once.
+
+    Fragments are keyed by the *identity* of the answer ``frozenset`` and
+    held through a weak reference to it: a
+    :class:`~repro.storage.cache.ResultCache` entry and its encoding are
+    dropped together, whether the entry is evicted or a write rotates
+    the ``data_version`` in its key.  No bound or invalidation of its own
+    — a set that nothing caches is encoded for its one response and
+    forgotten with it.  Safe to call from any thread.
+    """
+
+    def __init__(self) -> None:
+        self._fragments: Dict[int, Tuple[weakref.ref, bytes]] = {}
+
+    def fragment(self, answers) -> bytes:
+        """``encode_json(encode_answers(answers))``."""
+        if not answers:
+            return b"[]"  # frozenset() is one immortal object: nothing to tie to
+        key = id(answers)
+        entry = self._fragments.get(key)
+        if entry is not None and entry[0]() is answers:
+            return entry[1]
+        data = encode_json(encode_answers(answers))
+        # The callback runs while the set is being freed, so before its
+        # id can name another object.
+        forget = weakref.ref(answers, lambda _: self._fragments.pop(key, None))
+        self._fragments[key] = (forget, data)
+        return data
+
+    def __len__(self) -> int:
+        return len(self._fragments)
 
 
 def encode_ask(

@@ -15,15 +15,17 @@ owns
 * an :class:`~repro.service.admission.AdmissionController` enforcing
   per-tenant concurrency caps and a global in-flight ceiling — requests
   queue briefly, then are shed with ``429`` + ``Retry-After``;
-* a **request coalescer**: compatible concurrent requests (same tenant,
-  same operation) dispatch as one
-  :meth:`~repro.engine.Session.run_batch` call, and identical query
-  texts within a group evaluate once and share the answers.
+* an **in-flight table** (single-flight coalescing): the first request
+  for a ``(tenant, op, query text)`` goes to the executor at once,
+  identical requests arriving while it runs await the same future and
+  share its answers, distinct texts run side by side.
 
 Evaluation is synchronous Python, so the asyncio loop never runs a
 query itself: admitted requests are handed to a bounded thread executor
-and the loop keeps accepting, shedding, and answering health checks
-while queries grind.  HTTP routes:
+— which also serialises the answers, once per answer set
+(:class:`~repro.service.protocol.AnswerEncoder`) — and the loop keeps
+accepting, shedding, and answering health checks while queries grind.
+HTTP routes:
 
 ====================  =====================================================
 ``POST /query``       evaluate (``{"maximal": true}`` for ``p_m(D)``)
@@ -69,6 +71,7 @@ from ..storage import StorageBackend
 from ..telemetry.obslog import QueryLog
 from ..telemetry.promhttp import MetricsServer
 from ..telemetry.routes import (
+    JSON_CONTENT_TYPE,
     RouteRequest,
     RouteResponse,
     Router,
@@ -78,129 +81,56 @@ from ..telemetry.routes import (
 from .admission import DEFAULT_GLOBAL_LIMIT, AdmissionController, LoadShedError
 from .protocol import (
     MAX_BODY_BYTES,
+    AnswerEncoder,
     ProtocolError,
     QueryRequest,
     encode_ask,
     encode_explain,
-    encode_result,
+    result_body,
 )
 from .tenancy import API_KEY_HEADER, TenantConfig, TenantRegistry, default_registry
 
 __all__ = ["ServiceServer"]
 
-#: How long a batch window stays open collecting compatible requests.
-DEFAULT_BATCH_WINDOW = 0.005
+#: Largest request head (request line + headers) accepted (431 beyond).
+MAX_HEAD_BYTES = 1 << 16
 
-#: Per-request header/body read timeout.
+#: Timeout of the request-head read, and of each body read.
 READ_TIMEOUT = 30.0
+
+_HEAD_END = b"\r\n\r\n"
 
 _HTTP_STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 401: "Unauthorized", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable",
+    429: "Too Many Requests", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 503: "Service Unavailable",
 }
 
 
-def _eval_one(session: Session, op: str, text: str) -> Tuple[bool, Any]:
-    """Evaluate one query in the executor, capturing the exception so a
-    failing group member never poisons its peers."""
-    try:
-        fn = session.query if op == "query" else session.query_maximal
-        return True, fn(text)
-    except Exception as exc:  # distributed per-request by the batcher
-        return False, exc
+def _evaluate(
+    session: Session, op: str, text: str, encoder: AnswerEncoder
+) -> Tuple[Result, bytes]:
+    """One flight, on an executor thread: the result and its serialised
+    ``answers`` array."""
+    fn = session.query if op == "query" else session.query_maximal
+    result = fn(text)
+    return result, encoder.fragment(result.answers)
 
 
-def _run_group(
-    session: Session, op: str, texts: List[str], jobs: int
-) -> List[Tuple[bool, Any]]:
-    """Evaluate a coalesced group: ``run_batch`` when there is real
-    fan-out, falling back to per-item evaluation if the batch dies (so
-    one tenant query blowing its budget only fails its own requests)."""
-    if len(texts) > 1:
+async def _read_head(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The request head through its blank line — or ``None`` for one over
+    :data:`MAX_HEAD_BYTES`, which is read to its end and discarded so the
+    client can finish writing and read the 431 instead of a reset."""
+    oversized = False
+    while True:
         try:
-            batch = session.run_batch(
-                list(texts), jobs=jobs, executor="thread", op=op
-            )
-            return [(True, result) for result in batch.results]
-        except Exception:
-            pass
-    return [_eval_one(session, op, text) for text in texts]
-
-
-class _Batcher:
-    """Coalesce compatible concurrent requests into ``run_batch`` calls.
-
-    Requests arriving within one batch window for the same
-    ``(tenant, op)`` dispatch as a single group; identical query texts
-    inside a group evaluate once and fan the shared answers back out
-    (``coalesced`` in the response and the ``service.coalesced`` counter
-    mark the riders).
-    """
-
-    def __init__(self, server: "ServiceServer", window: float):
-        self.server = server
-        self.window = window
-        self._pending: Dict[Tuple[str, str], List[Tuple[str, asyncio.Future]]] = {}
-
-    def submit(
-        self, tenant: TenantConfig, session: Session, op: str, text: str
-    ) -> "asyncio.Future[Tuple[bool, Any, bool]]":
-        """Enqueue; the future resolves to ``(ok, value, coalesced)``."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        key = (tenant.name, op)
-        group = self._pending.get(key)
-        if group is None:
-            self._pending[key] = [(text, future)]
-            if self.window > 0:
-                loop.call_later(self.window, self._flush, key, session)
-            else:
-                loop.call_soon(self._flush, key, session)
+            head = await reader.readuntil(_HEAD_END)
+        except asyncio.LimitOverrunError as exc:
+            oversized = True
+            await reader.read(exc.consumed)
         else:
-            group.append((text, future))
-        return future
-
-    def _flush(self, key: Tuple[str, str], session: Session) -> None:
-        group = self._pending.pop(key, None)
-        if not group:
-            return
-        tenant_name, op = key
-        unique: List[str] = []
-        riders: Dict[str, List[asyncio.Future]] = {}
-        for text, future in group:
-            if text not in riders:
-                riders[text] = []
-                unique.append(text)
-            riders[text].append(future)
-        metrics = self.server.metrics
-        metrics.counter("service.batch.dispatches").inc()
-        metrics.histogram("service.batch.size").observe(len(group))
-        coalesced = len(group) - len(unique)
-        if coalesced:
-            metrics.counter(
-                "service.coalesced", labels={"tenant": tenant_name}
-            ).inc(coalesced)
-        loop = asyncio.get_running_loop()
-        jobs = min(len(unique), self.server.batch_jobs)
-        executor_future = loop.run_in_executor(
-            self.server._executor, _run_group, session, op, unique, jobs
-        )
-
-        def _distribute(done: "asyncio.Future") -> None:
-            error = done.exception()
-            for i, text in enumerate(unique):
-                for rank, future in enumerate(riders[text]):
-                    if future.cancelled():
-                        continue
-                    if error is not None:
-                        future.set_exception(error)
-                    else:
-                        ok, value = done.result()[i]
-                        future.set_result((ok, value, rank > 0))
-
-        executor_future.add_done_callback(_distribute)
+            return None if oversized else head
 
 
 class ServiceServer:
@@ -218,16 +148,12 @@ class ServiceServer:
         jobs: Optional[int] = None,
         global_limit: int = DEFAULT_GLOBAL_LIMIT,
         obslog: Optional[QueryLog] = None,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
         drain_timeout: float = 30.0,
     ):
         self.tenants = tenants if tenants is not None else default_registry()
         self.host = host
         self._requested_port = port
         self.jobs = jobs
-        #: Worker cap a single coalesced batch may fan out to.
-        self.batch_jobs = max(1, jobs or 4)
-        self.batch_window = batch_window
         self.drain_timeout = drain_timeout
         self.obslog = obslog
         # One root session owns backend conversion and the shared planner;
@@ -260,7 +186,10 @@ class ServiceServer:
         self.admission = AdmissionController(
             global_limit=global_limit, metrics=self.metrics
         )
-        self._batcher = _Batcher(self, batch_window)
+        #: Evaluations in progress by ``(tenant, op, query text)``; only
+        #: the event-loop thread touches it.
+        self._flights: Dict[Tuple[str, str, str], "asyncio.Future"] = {}
+        self._answers = AnswerEncoder()
         self._executor = ThreadPoolExecutor(
             max_workers=global_limit, thread_name_prefix="repro-service"
         )
@@ -440,6 +369,31 @@ class ServiceServer:
             response = await self._execute(tenant, parsed, start)
         return self._finish_op(tenant, op, start, response)
 
+    async def _fly(
+        self, tenant: TenantConfig, op: str, text: str
+    ) -> Tuple[Result, bytes, bool]:
+        """Single-flight evaluation: ``(result, serialised answers,
+        coalesced)``.  The first request for a ``(tenant, op, text)``
+        starts the flight; identical ones arriving before it lands ride
+        it, failure included."""
+        key = (tenant.name, op, text)
+        flight = self._flights.get(key)
+        coalesced = flight is not None
+        if coalesced:
+            self.metrics.counter(
+                "service.coalesced", labels={"tenant": tenant.name}
+            ).inc()
+        else:
+            flight = asyncio.get_running_loop().run_in_executor(
+                self._executor, _evaluate,
+                self.sessions[tenant.name], op, text, self._answers,
+            )
+            self._flights[key] = flight
+            flight.add_done_callback(lambda _: self._flights.pop(key, None))
+        # Shielded: a cancelled request must not cancel its peers' flight.
+        result, answers_json = await asyncio.shield(flight)
+        return result, answers_json, coalesced
+
     async def _execute(
         self, tenant: TenantConfig, parsed: QueryRequest, start: float
     ) -> RouteResponse:
@@ -447,17 +401,14 @@ class ServiceServer:
         loop = asyncio.get_running_loop()
         try:
             if parsed.op in ("query", "query_maximal"):
-                ok, value, coalesced = await self._batcher.submit(
-                    tenant, session, parsed.op, parsed.query
+                result, answers_json, coalesced = await self._fly(
+                    tenant, parsed.op, parsed.query
                 )
-                if not ok:
-                    raise value
-                result: Result = value
-                body = encode_result(
+                return RouteResponse(200, JSON_CONTENT_TYPE, result_body(
                     parsed.op, tenant.name, result,
-                    time.perf_counter() - start, coalesced=coalesced,
-                )
-            elif parsed.op == "ask":
+                    time.perf_counter() - start, coalesced, answers_json,
+                ))
+            if parsed.op == "ask":
                 decision = await loop.run_in_executor(
                     self._executor, session.ask, parsed.query, parsed.candidate
                 )
@@ -541,27 +492,32 @@ class ServiceServer:
         :class:`~repro.telemetry.routes.RouteRequest` — or return the
         error :class:`RouteResponse` to answer with."""
         try:
-            request_line = await asyncio.wait_for(
-                reader.readline(), READ_TIMEOUT
-            )
+            head = await asyncio.wait_for(_read_head(reader), READ_TIMEOUT)
         except asyncio.TimeoutError:
-            return error_response(400, "timed out reading the request")
-        parts = request_line.decode("latin-1").split()
+            return error_response(400, "timed out reading the request head")
+        except asyncio.IncompleteReadError:
+            return error_response(
+                400, "connection closed before the end of the request head"
+            )
+        if head is None:
+            return error_response(
+                431, "request head exceeds the %d byte limit" % MAX_HEAD_BYTES
+            )
+        request_line, *header_lines = head.decode("latin-1").split("\r\n")
+        parts = request_line.split()
         if len(parts) != 3:
             return error_response(400, "malformed HTTP request line")
         method, target, _version = parts
         headers: Dict[str, str] = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(), READ_TIMEOUT)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = line.decode("latin-1").partition(":")
+        for line in header_lines:
+            name, sep, value = line.partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
-        length_text = headers.get("content-length", "0")
         try:
-            length = int(length_text)
+            length = int(headers.get("content-length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
             return error_response(400, "invalid Content-Length")
         if length > MAX_BODY_BYTES:
             # Drain (bounded) so the client can finish writing and read
@@ -632,7 +588,8 @@ class ServiceServer:
         if self._server is not None:
             return self
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+            self._handle_connection, self.host, self._requested_port,
+            limit=MAX_HEAD_BYTES,
         )
         self._started_at = time.time()
         self._loop = asyncio.get_running_loop()

@@ -32,6 +32,7 @@ __all__ = [
     "RouteRequest",
     "RouteResponse",
     "Router",
+    "encode_json",
     "error_response",
     "json_response",
     "render_html",
@@ -108,6 +109,12 @@ class RouteResponse:
         )
 
 
+def encode_json(payload: Any) -> bytes:
+    """The bytes of a JSON body as every repro server writes it (values
+    that are not JSON-native fall back to their ``repr``)."""
+    return json.dumps(payload, default=repr).encode("utf-8")
+
+
 def json_response(
     status: int,
     payload: Any,
@@ -119,8 +126,7 @@ def json_response(
     if request is not None and request.wants_html():
         body = render_html(title, payload).encode("utf-8")
         return RouteResponse(status, HTML_CONTENT_TYPE, body, headers)
-    body = json.dumps(payload, default=repr).encode("utf-8")
-    return RouteResponse(status, JSON_CONTENT_TYPE, body, headers)
+    return RouteResponse(status, JSON_CONTENT_TYPE, encode_json(payload), headers)
 
 
 def error_response(
@@ -136,8 +142,7 @@ def error_response(
     """
     payload = {"error": message}
     payload.update(extra)
-    body = json.dumps(payload, default=repr).encode("utf-8")
-    return RouteResponse(status, JSON_CONTENT_TYPE, body, headers)
+    return RouteResponse(status, JSON_CONTENT_TYPE, encode_json(payload), headers)
 
 
 Handler = Callable[[RouteRequest], Any]

@@ -3,14 +3,20 @@ protocol validation, the tenant registry, admission control, and live
 concurrent HTTP traffic against an embedded server."""
 
 import asyncio
+import gc
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.mappings import Mapping
 from repro.engine import Session
 from repro.exceptions import ReproError
 from repro.service import (
@@ -24,6 +30,14 @@ from repro.service import (
     default_registry,
     load_tenants,
 )
+from repro.service import server as server_module
+from repro.service.protocol import (
+    AnswerEncoder,
+    encode_answers,
+    encode_result,
+    result_body,
+)
+from repro.telemetry.routes import encode_json
 from repro.telemetry.obslog import QueryLog
 from repro.telemetry.resources import ResourceBudget
 from repro.workloads.families import example2_graph
@@ -71,6 +85,30 @@ def _request(base, path, payload=None, key=None, method=None, raw=None):
             return resp.status, json.loads(resp.read()), dict(resp.headers)
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read()), dict(exc.headers)
+
+
+def _raw_exchange(srv, data, half_close=False):
+    """Send raw bytes, read to EOF; returns (status, decoded JSON body)."""
+    with socket.create_connection((srv.host, srv.port), timeout=30) as sock:
+        sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def _wait_until(condition, timeout=30.0):
+    """Poll ``condition`` (a deadline, not a measurement)."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +159,75 @@ class TestProtocol:
     def test_protocol_error_is_repro_error(self):
         with pytest.raises(ReproError):
             QueryRequest.from_body("query", b"")
+
+
+# ---------------------------------------------------------------------------
+# Protocol: the spliced body is encode_result, byte for byte
+# ---------------------------------------------------------------------------
+_values = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6).filter(lambda text: not text.startswith("?")),
+    # Not JSON-native: the whole mapping takes the repr fallback.
+    st.tuples(st.integers(), st.text(max_size=3)),
+    st.binary(max_size=4),
+)
+# Any subset of the variables: partial mappings, as failed OPT branches
+# leave them; the empty set included.
+_answer_sets = st.frozensets(
+    st.dictionaries(st.sampled_from(["?x", "?y", "?z"]), _values).map(Mapping),
+    max_size=6,
+)
+_resources = st.one_of(
+    st.none(),
+    st.builds(
+        SimpleNamespace,
+        trace_id=st.text(max_size=8),
+        wall_seconds=st.floats(0, 10),
+        peak_intermediate_rows=st.integers(0, 10**6),
+        subqueries=st.integers(0, 100),
+    ),
+)
+
+
+class TestEncodedBody:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        answers=_answer_sets, resources=_resources,
+        op=st.sampled_from(["query", "query_maximal"]),
+        wall=st.floats(0, 100), coalesced=st.booleans(),
+    )
+    def test_spliced_body_is_encode_result(
+        self, answers, resources, op, wall, coalesced
+    ):
+        result = SimpleNamespace(answers=answers, resources=resources)
+        body = result_body(
+            op, "acme", result, wall, coalesced,
+            AnswerEncoder().fragment(answers),
+        )
+        expected = encode_result(op, "acme", result, wall, coalesced)
+        assert expected["answers"] == encode_answers(answers)
+        assert body == encode_json(expected)
+        assert json.loads(body) == expected
+
+    def test_fragments_follow_object_identity_and_lifetime(self):
+        encoder = AnswerEncoder()
+        first = frozenset({Mapping({"?x": 1}), Mapping({"?x": 2, "?y": "a"})})
+        twin = frozenset(list(first))
+        assert first == twin and first is not twin
+        fragment = encoder.fragment(first)
+        assert encoder.fragment(first) is fragment  # encoded once
+        assert encoder.fragment(twin) == fragment
+        assert encoder.fragment(twin) is not fragment  # never shared by value
+        assert len(encoder) == 2
+        assert encoder.fragment(frozenset()) == b"[]"
+        assert len(encoder) == 2  # the immortal empty set is not tracked
+        del first
+        gc.collect()
+        assert len(encoder) == 1
+        del twin
+        gc.collect()
+        assert len(encoder) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +447,37 @@ class TestLiveRequests:
         assert status == 413
         assert "error" in body
 
+    @pytest.mark.parametrize("pad", [70_000, 300_000])
+    def test_oversized_head_is_431(self, server, pad):
+        status, body = _raw_exchange(
+            server,
+            b"POST /query HTTP/1.1\r\nX-Pad: " + b"a" * pad + b"\r\n\r\n",
+        )
+        assert status == 431
+        assert "head" in body["error"]
+
+    def test_truncated_head_is_400(self, server):
+        status, body = _raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\nHost: x\r\n", half_close=True
+        )
+        assert status == 400
+        assert "request head" in body["error"]
+
+    def test_stalled_head_is_400(self, server, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT", 0.2)
+        status, body = _raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\nX-Slow: "
+        )
+        assert status == 400
+        assert "timed out" in body["error"]
+
+    def test_negative_content_length_is_400(self, server):
+        status, body = _raw_exchange(
+            server, b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+        )
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
     def test_404_shape_matches_metrics_server(self, server):
         status, body, _ = _request(server.url, "/nope")
         assert status == 404
@@ -436,22 +574,155 @@ class TestConcurrency:
         for _, body, _ in results:
             assert body["rows"] >= 2
 
+    @staticmethod
+    def _gate(session):
+        """Hold every ``session.query`` until released; returns the
+        release event and the list of texts that reached evaluation."""
+        release, evaluated = threading.Event(), []
+        original = session.query
+
+        def gated(text):
+            evaluated.append(text)
+            assert release.wait(30)
+            return original(text)
+
+        session.query = gated
+        return release, evaluated
+
+    @staticmethod
+    def _coalesced(srv, tenant):
+        return srv.metrics.counter(
+            "service.coalesced", labels={"tenant": tenant}
+        ).value
+
     def test_identical_queries_coalesce(self):
         registry = TenantRegistry.from_dict(TENANTS)
-        with ServiceServer(
-            example2_graph(), tenants=registry, batch_window=0.25
-        ) as srv:
+        with ServiceServer(example2_graph(), tenants=registry) as srv:
+            release, evaluated = self._gate(srv.sessions["acme"])
+            before = srv.sessions["acme"].result_cache.stats()
             spec = [("/query", {"query": QUERY}, "acme-key")] * 4
-            results = _fan_out(srv.url, spec)
-            assert [status for status, _, _ in results] == [200] * 4
-            rows = {body["rows"] for _, body, _ in results}
-            assert len(rows) == 1
-            coalesced = [b for _, b, _ in results if b.get("coalesced")]
-            assert len(coalesced) == 3  # one evaluation, three riders
-            value = srv.metrics.counter(
-                "service.coalesced", labels={"tenant": "acme"}
-            ).value
-            assert value >= 3
+            spec.append(("/query", {"query": SMALL_QUERY}, "acme-key"))
+            results = [None] * len(spec)
+            threads = [
+                threading.Thread(
+                    target=_fire, args=(srv.url, *entry, results, i)
+                )
+                for i, entry in enumerate(spec)
+            ]
+            for thread in threads:
+                thread.start()
+            # Both flights are up and the three riders have joined theirs.
+            _wait_until(
+                lambda: len(evaluated) == 2
+                and self._coalesced(srv, "acme") == 3
+            )
+            assert len(srv._flights) == 2
+            release.set()
+            for thread in threads:
+                thread.join(30)
+            assert [status for status, _, _ in results] == [200] * 5
+            assert sorted(evaluated) == sorted([QUERY, SMALL_QUERY])
+            after = srv.sessions["acme"].result_cache.stats()
+            assert after["misses"] - before["misses"] == 2
+            assert after["puts"] - before["puts"] == 2
+            shared = [body for _, body, _ in results[:4]]
+            assert len({json.dumps(b["answers"]) for b in shared}) == 1
+            assert len({b["trace_id"] for b in shared}) == 1
+            assert sum(1 for b in shared if b.get("coalesced")) == 3
+            assert "coalesced" not in results[4][1]
+            assert self._coalesced(srv, "acme") == 3
+            assert srv._flights == {}
+
+    @pytest.mark.parametrize(
+        "tenant,key,query,status,needle",
+        [
+            ("acme", "acme-key", "SELECT garbage {{{{", 400, "parse error"),
+            ("tiny", "tiny-key", SMALL_QUERY, 429, "budget"),
+        ],
+    )
+    def test_failing_flight_fails_every_rider(
+        self, tenant, key, query, status, needle
+    ):
+        registry = TenantRegistry.from_dict(TENANTS)
+        with ServiceServer(example2_graph(), tenants=registry) as srv:
+            release, evaluated = self._gate(srv.sessions[tenant])
+            results = [None] * 3
+            threads = [
+                threading.Thread(
+                    target=_fire,
+                    args=(srv.url, "/query", {"query": query}, key, results, i),
+                )
+                for i in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            _wait_until(lambda: self._coalesced(srv, tenant) == 2)
+            release.set()
+            for thread in threads:
+                thread.join(30)
+            assert [s for s, _, _ in results] == [status] * 3
+            assert all(needle in body["error"] for _, body, _ in results)
+            assert evaluated == [query]
+            assert srv._flights == {}
+            # The failure was the flight's, not the key's: the next
+            # request starts a fresh one.
+            assert _request(
+                srv.url, "/query", {"query": query}, key=key
+            )[0] == status
+            assert len(evaluated) == 2
+
+    def test_answers_follow_writes_for_every_tenant(self):
+        registry = TenantRegistry.from_dict(TENANTS)
+        query = "SELECT ?a ?b WHERE { ?a NME_rating ?b }"
+        triple = ("Our_love", "NME_rating", "11")
+        with ServiceServer(example2_graph(), tenants=registry) as srv:
+            def rows():
+                return [
+                    _request(srv.url, "/query", {"query": query}, key=key)[1]
+                    for key in ("acme-key", None) for _ in range(2)
+                ]
+
+            base = rows()
+            assert len({json.dumps(body["answers"]) for body in base}) == 1
+            # Equal answers, but each tenant's cache owns its own set
+            # object, so each has its own fragment.
+            assert len(srv._answers) == 2
+            srv.sessions["acme"].add_triples([triple])
+            grown = rows()
+            row = {"?a": "Our_love", "?b": "11"}
+            assert all(row in body["answers"] for body in grown)
+            assert all(body["rows"] == base[0]["rows"] + 1 for body in grown)
+            from repro.core.atoms import Atom
+            from repro.rdf.graph import TRIPLE_RELATION
+
+            srv.sessions["public"].remove(Atom(TRIPLE_RELATION, triple))
+            assert [body["answers"] for body in rows()] == [
+                body["answers"] for body in base
+            ]
+
+    def test_fragments_die_with_their_cache_entries(self):
+        registry = TenantRegistry.from_dict({
+            "tiers": {"small": {"cache_size": 2}},
+            "tenants": [{"name": "public", "tier": "small"}],
+        })
+        bands = ["Caribou", "Swans", "Liars", "Low", "Wire"]
+        with ServiceServer(example2_graph(), tenants=registry) as srv:
+            srv.sessions["public"].add_triples(
+                ("record_%d" % i, "recorded_by", band)
+                for i, band in enumerate(bands)
+            )
+            for band in bands:
+                status, body, _ = _request(
+                    srv.url, "/query",
+                    {"query": 'SELECT ?x WHERE { ?x recorded_by "%s" }' % band},
+                )
+                assert status == 200 and body["rows"] >= 1
+            gc.collect()
+            # Five answer sets were encoded; the two-entry LRU kept two.
+            assert len(srv._answers) == 2
+            srv.sessions["public"].result_cache.clear()
+            gc.collect()
+            assert len(srv._answers) == 0
 
     def test_tenant_result_caches_are_isolated(self, server):
         for key in ("acme-key", None):
