@@ -36,18 +36,26 @@ run by :func:`repro.relalg.config.choose_kernel` (``REPRO_KERNELS``):
   levels, and the coordinator merges the gathered fragments with
   :func:`columnar_join_phase`.
 
+The columnar path does not scan its atoms independently: one schedule
+(:func:`_scan_phase`, shared by evaluation and the Boolean path) reads
+them in increasing ``db.match_bound`` and seeds every scan with the
+smallest relation already scanned next to it in the join tree, so a
+selective atom turns its neighbours' full scans into a few index probes
+and the sweeps start from relations that are already small.  A scan that
+comes back empty ends the run: the query has no answers.
+
 With a worker pool installed (:mod:`repro.parallel`) the independent
-pieces overlap on either Python path: the per-atom scans, and the
-semi-join passes taken level-by-level over the join tree — within one
-level every pass reads relations fixed by the previous level and writes a
-distinct slot, so the parallel schedule computes exactly the sequential
-relations.
+pieces overlap on either Python path: the scans that wait for nobody
+still running (the legacy path: all of them), and the semi-join passes
+taken level-by-level over the join tree — within one level every pass
+reads relations fixed by the previous level and writes a distinct slot,
+so the parallel schedule computes exactly the sequential relations.
 
 :func:`satisfiable_with_join_tree` is the Boolean fast path the planner
 routes the Theorem 6/8/9 inner loops through: for satisfiability the
 bottom-up sweep alone decides the answer (the root empties iff some
 relation empties), so the top-down sweep and the join phase are skipped
-entirely and empty scans exit early.
+entirely.
 """
 
 from __future__ import annotations
@@ -138,11 +146,12 @@ def relation_with_join_tree(
 
     ``seed`` (a relation over some of ``frees``) restricts the result to
     the answers that join with it — ``semijoin(answers, seed)`` — without
-    computing the others first: the columnar kernel seeds every scan that
-    shares a variable with it, the SQL kernel ships it as a ``VALUES``
-    CTE.  Per-atom filtering is exact when one atom holds all the seed's
-    variables; otherwise (and on the kernels that run unseeded) one
-    semi-join of the answers with the seed finishes the job.
+    computing the others first: the columnar kernel filters every atom
+    that shares a variable with it during the scan phase, the SQL kernel
+    ships it as a ``VALUES`` CTE.  Per-atom filtering is exact when one
+    atom holds all the seed's variables; otherwise (and on the kernels
+    that run unseeded) one semi-join of the answers with the seed
+    finishes the job.
     """
     n = len(atoms)
     frees = frozenset(frees)
@@ -240,52 +249,156 @@ def satisfiable_with_join_tree(
                 if tracer.enabled:
                     sp.set(satisfiable=result)
         else:
-            result = _satisfiable_columnar(atoms, links, db, tracer)
+            result = _satisfiable_columnar(atoms, links, db, pool, tracer)
         if tracer.enabled:
             y_span.set(satisfiable=result)
         return result
+
+
+# ---------------------------------------------------------------------------
+# Columnar path (repro.relalg kernels)
+# ---------------------------------------------------------------------------
+class _CountedReads:
+    """``db`` as one scan sees it under tracing: ``match`` also counts the
+    facts it hands over (``facts_read`` of the ``yannakakis.scan`` span)."""
+
+    __slots__ = ("db", "facts")
+
+    def __init__(self, db: Database):
+        self.db = db
+        self.facts = 0
+
+    def match(self, pattern: Atom) -> List[Atom]:
+        found = list(self.db.match(pattern))
+        self.facts += len(found)
+        return found
+
+    def match_bound(self, pattern: Atom) -> int:
+        return self.db.match_bound(pattern)
+
+
+def _shares_variable(rel: Relation, pattern: Atom) -> bool:
+    return not rel.index.keys().isdisjoint(pattern.args)
+
+
+def _scan_phase(
+    atoms: Sequence[Atom],
+    links: Sequence[Tuple[int, int]],
+    db: Database,
+    seed: Optional[Relation],
+    pool,
+    tracer,
+) -> Optional[List[Relation]]:
+    """Phase 0, for evaluation and the Boolean path alike: one relation
+    per atom, scanned in increasing ``db.match_bound`` with sideways
+    information passing along the join tree — or ``None`` as soon as a
+    relation comes back empty (the query has no answers, nothing else
+    needs reading).
+
+    An atom is scanned after its join-tree neighbours of smaller bound,
+    seeded with the smallest of their relations that shares a variable
+    with it, so a selective atom turns its neighbours' full scans into
+    index probes whenever :func:`~repro.relalg.relation.scan`'s cost rule
+    says the keys are few enough.  The caller's ``seed`` is applied to
+    every atom it shares a variable with — as the scan's seed when it is
+    the smaller of the two, by a semi-join after it otherwise — which
+    keeps the result exact in the seed whenever one atom holds all its
+    variables.  The order is cut into *waves*, a new one whenever the
+    next atom has a neighbour in the current one: the atoms of a wave
+    read only relations of earlier waves, so a wave fans out over
+    ``pool`` and computes what the serial loop computes.
+
+    Each relation lies between the atom's fully reduced relation and its
+    unseeded scan: a row is only dropped for lacking a partner in a
+    neighbour's relation or in the seed, and such a row is in no answer
+    that joins with the seed.  The semi-join sweeps therefore still end
+    in the full reduction.
+    """
+    n = len(atoms)
+    with tracer.span("yannakakis.scan") as sp:
+        # A lone atom has nobody to be ordered against; ``scan`` asks for
+        # its bound itself if a seed makes it matter.
+        bounds = [db.match_bound(a) for a in atoms] if n > 1 else [None]
+        neighbours: List[List[int]] = [[] for _ in range(n)]
+        for child, parent in links:
+            neighbours[child].append(parent)
+            neighbours[parent].append(child)
+        waves: List[List[int]] = []
+        for i in sorted(range(n), key=bounds.__getitem__):
+            if not waves or any(j in waves[-1] for j in neighbours[i]):
+                waves.append([])
+            waves[-1].append(i)
+
+        relations: List[Optional[Relation]] = [None] * n
+        seeded_by: List[object] = [None] * n
+        facts_read: List[Optional[int]] = [None] * n
+
+        def scan_atom(i: int) -> Relation:
+            """Atom ``i``'s relation, given those of the earlier waves."""
+            pattern = atoms[i]
+            via = by = None
+            for j in neighbours[i]:
+                near = relations[j]
+                if (
+                    near is not None
+                    and (via is None or len(near) < len(via))
+                    and _shares_variable(near, pattern)
+                ):
+                    via, by = near, j
+            seeded = seed is not None and _shares_variable(seed, pattern)
+            if seeded and (via is None or len(seed) <= len(via)):
+                via, by = seed, "seed"
+            source = _CountedReads(db) if tracer.enabled else db
+            rel = scan(pattern, source, via, bounds[i])
+            if seeded and via is not seed:
+                rel = semijoin(rel, seed)
+            if tracer.enabled:
+                seeded_by[i], facts_read[i] = by, source.facts
+            return rel
+
+        fan_out = pool.map_tasks if pool is not None else map
+        nonempty = 0 not in bounds
+        for wave in waves if nonempty else ():
+            for i, rel in zip(wave, list(fan_out(scan_atom, wave))):
+                relations[i] = rel
+                nonempty = nonempty and bool(rel.rows)
+            if not nonempty:
+                break
+        account_rows(max((len(r) for r in relations if r is not None), default=0))
+        if tracer.enabled:
+            sp.set(
+                relation_sizes=[None if r is None else len(r) for r in relations],
+                scan_order=[i for wave in waves for i in wave],
+                seeded_by=seeded_by,
+                facts_read=facts_read,
+            )
+    return relations if nonempty else None
 
 
 def _satisfiable_columnar(
     atoms: Sequence[Atom],
     links: Sequence[Tuple[int, int]],
     db: Database,
+    pool,
     tracer,
 ) -> bool:
-    n = len(atoms)
-    root = join_tree_root(links, n)
-    children = join_tree_children(links, n)
-    order = _topological(root, children)
-    verdict: Optional[bool] = None
-    relations: List[Relation] = []
-    with tracer.span("yannakakis.scan") as sp:
-        for a in atoms:
-            rel = scan(a, db)
-            if not rel.rows:
-                verdict = False
-                break
-            relations.append(rel)
-        account_rows(max((len(r) for r in relations), default=0))
-        if tracer.enabled:
-            sp.set(relation_sizes=[len(r) for r in relations])
+    relations = _scan_phase(atoms, links, db, None, pool, tracer)
     with tracer.span("yannakakis.semijoin_up") as sp:
-        if verdict is None:
-            for node in reversed(order):
+        verdict = relations is not None
+        if verdict:
+            n = len(atoms)
+            children = join_tree_children(links, n)
+            for node in reversed(_topological(join_tree_root(links, n), children)):
                 for child in children[node]:
                     relations[node] = semijoin(relations[node], relations[child])
                 if not relations[node].rows:
                     verdict = False
                     break
-            if verdict is None:
-                verdict = bool(relations[root].rows)
         if tracer.enabled:
-            sp.set(relation_sizes=[len(r) for r in relations])
+            sp.set(relation_sizes=[len(r) for r in relations or ()])
     return verdict
 
 
-# ---------------------------------------------------------------------------
-# Columnar path (repro.relalg kernels)
-# ---------------------------------------------------------------------------
 def _evaluate_columnar(
     frees: FrozenSet[Variable],
     db: Database,
@@ -298,17 +411,9 @@ def _evaluate_columnar(
     tracer,
     seed: Optional[Relation] = None,
 ) -> Relation:
-    n = len(atoms)
-    with tracer.span("yannakakis.scan") as sp:
-        if pool is not None and n >= 2:
-            relations: List[Relation] = pool.map_tasks(
-                lambda a: scan(a, db, seed), list(atoms)
-            )
-        else:
-            relations = [scan(a, db, seed) for a in atoms]
-        account_rows(max(len(r) for r in relations))
-        if tracer.enabled:
-            sp.set(relation_sizes=[len(r) for r in relations])
+    relations = _scan_phase(atoms, links, db, seed, pool, tracer)
+    if relations is None:
+        return Relation(sorted(frees, key=repr), [])
     levels = _levels(root, children, order) if pool is not None else None
 
     def sj(node: int, other: int, left: Relation, right: Relation) -> Relation:

@@ -19,9 +19,12 @@ happens only at API boundaries (:func:`from_mappings` /
 :func:`to_mappings`).
 
 :func:`scan` optionally takes a **seed**: a relation of key bindings
-that the scanned atom must join with (sideways information passing —
-the WDPT evaluator seeds a child label with the interface keys of its
-parent's relation).  A seeded scan returns exactly
+that the scanned atom must join with.  This is sideways information
+passing at two levels: the WDPT evaluator seeds a child label with the
+interface keys of its parent's relation, and inside one label the
+columnar Yannakakis seeds each atom with the smallest relation already
+scanned next to it in the join tree, so the scans of a query are a
+schedule, not independent reads.  A seeded scan returns exactly
 ``semijoin(scan(pattern, db), seed)``; it chooses between one index
 probe per distinct key and a full scan followed by the semi-join from
 the two sizes it can observe, the key count and the backend's
@@ -40,7 +43,7 @@ boundary cases the parity suite pins down:
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import (
     Callable,
     Dict,
@@ -112,8 +115,17 @@ def row_getter(positions: Sequence[int]) -> Callable[[Row], Row]:
 #: under the pattern's match bound.
 _PROBE_COST_IN_FACTS = 6
 
+#: ``fact -> fact.args``: a scan turns facts into rows without a Python
+#: frame per fact.
+_ARGS = attrgetter("args")
 
-def scan(pattern: Atom, db, seed: Optional[Relation] = None) -> Relation:
+
+def scan(
+    pattern: Atom,
+    db,
+    seed: Optional[Relation] = None,
+    bound: Optional[int] = None,
+) -> Relation:
     """The relation of ``pattern`` over ``db``: the variable bindings of
     its matching facts, schema sorted by variable repr (the same order
     the SQL pushdown uses, so layouts agree across paths).
@@ -121,7 +133,8 @@ def scan(pattern: Atom, db, seed: Optional[Relation] = None) -> Relation:
     With ``seed``, the bindings that also join with it —
     ``semijoin(scan(pattern, db), seed)``, computed with one index probe
     per distinct key when the keys are few against the facts a full scan
-    would read."""
+    would read: ``bound``, the caller's ``db.match_bound(pattern)`` when
+    it already took one."""
     schema = sorted(pattern.variables(), key=repr)
     if seed is not None and not seed.rows:
         return Relation(schema, [])
@@ -136,18 +149,19 @@ def scan(pattern: Atom, db, seed: Optional[Relation] = None) -> Relation:
         shared = [v for v in schema if v in seed.index]
         if shared:
             keys = project(seed, shared)
-    if keys is not None and (
-        len(keys.rows) * _PROBE_COST_IN_FACTS < db.match_bound(pattern)
-    ):
-        # Distinct keys match disjoint facts: no duplicates.
-        return Relation(schema, [
-            take(fact.args)
-            for key in keys.rows
-            for fact in db.match(pattern.substitute(dict(zip(keys.schema, key))))
-        ])
+    if keys is not None:
+        if bound is None:
+            bound = db.match_bound(pattern)
+        if len(keys.rows) * _PROBE_COST_IN_FACTS < bound:
+            # Distinct keys match disjoint facts: no duplicates.
+            return Relation(schema, [
+                take(fact.args)
+                for key in keys.rows
+                for fact in db.match(pattern.substitute(dict(zip(keys.schema, key))))
+            ])
     # Distinct facts matching a pattern always differ at some variable
     # position, so the projection is already duplicate-free.
-    full = Relation(schema, [take(fact.args) for fact in db.match(pattern)])
+    full = Relation(schema, map(take, map(_ARGS, db.match(pattern))))
     return full if keys is None else semijoin(full, keys)
 
 
@@ -167,12 +181,11 @@ def semijoin(left: Relation, right: Relation) -> Relation:
         ri = right.index[shared[0]]
         keys: Set = {row[ri] for row in right.rows}
         return Relation(left.schema, [row for row in left.rows if row[li] in keys])
-    lpos = [left.index[v] for v in shared]
-    rpos = [right.index[v] for v in shared]
-    key_set: Set[Row] = {tuple(row[i] for i in rpos) for row in right.rows}
+    left_key = row_getter([left.index[v] for v in shared])
+    right_key = row_getter([right.index[v] for v in shared])
+    key_set: Set[Row] = set(map(right_key, right.rows))
     return Relation(
-        left.schema,
-        [row for row in left.rows if tuple(row[i] for i in lpos) in key_set],
+        left.schema, [row for row in left.rows if left_key(row) in key_set]
     )
 
 
@@ -186,18 +199,21 @@ def hash_join(left: Relation, right: Relation) -> Relation:
     schema = left.schema + tuple(v for v, _ in extra)
     if not left.rows or not right.rows:
         return Relation(schema, [])
-    extra_pos = [i for _, i in extra]
-    rpos = [right.index[v] for v in shared]
+    right_key = row_getter([right.index[v] for v in shared])
+    extension = row_getter([i for _, i in extra])
     buckets: Dict[Row, List[Row]] = {}
     for row in right.rows:
-        key = tuple(row[i] for i in rpos)
-        buckets.setdefault(key, []).append(tuple(row[i] for i in extra_pos))
-    lpos = [left.index[v] for v in shared]
+        buckets.setdefault(right_key(row), []).append(extension(row))
+    left_key = row_getter([left.index[v] for v in shared])
     rows: List[Row] = []
     for row in left.rows:
-        matches = buckets.get(tuple(row[i] for i in lpos))
-        if matches:
-            rows.extend(row + ext for ext in matches)
+        matches = buckets.get(left_key(row))
+        if matches is None:
+            continue
+        if len(matches) == 1:
+            rows.append(row + matches[0])
+        else:
+            rows.extend([row + ext for ext in matches])
     return Relation(schema, rows)
 
 

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from ..core.atoms import Atom, Schema
-from ..core.terms import Constant, Variable
+from ..core.terms import Constant
 
 #: Process-wide allocator for anonymous backend ids.
 _BACKEND_IDS = itertools.count(1)
@@ -55,9 +55,6 @@ class StorageBackend(abc.ABC):
     # ------------------------------------------------------------------
     # Optional capabilities
     # ------------------------------------------------------------------
-    #: The backend can run Yannakakis' two semi-join sweeps natively and
-    #: hand the reduced relations back (``sql_semijoin_reduce``).
-    supports_sql_semijoin = False
     #: The backend can run the *whole* Yannakakis join plan — scans,
     #: both sweeps, and the join/projection phase — as one native query
     #: (``sql_yannakakis``).  Checked by
@@ -161,9 +158,10 @@ class StorageBackend(abc.ABC):
 
     def match_bound(self, pattern: Atom) -> int:
         """An upper bound on :meth:`match_count`, at most as expensive:
-        how many facts a ``match(pattern)`` would have to read.  A seeded
-        :func:`repro.relalg.relation.scan` weighs it against its key
-        count to choose index probes or a full scan."""
+        how many facts a ``match(pattern)`` would have to read.  The
+        columnar Yannakakis scans its atoms in increasing bound, and a
+        seeded :func:`repro.relalg.relation.scan` weighs the bound
+        against its key count to choose index probes or a full scan."""
         return self.match_count(pattern)
 
     @abc.abstractmethod
@@ -197,31 +195,3 @@ class StorageBackend(abc.ABC):
             type(self).__name__, len(self), len(self.relations()),
             self.data_version,
         )
-
-
-# ---------------------------------------------------------------------------
-# Pattern-matching helpers shared by the backends
-# ---------------------------------------------------------------------------
-def repeated_positions(pattern: Atom) -> Tuple[Tuple[int, ...], ...]:
-    """Groups of argument positions bound to the same variable (size ≥ 2)."""
-    groups: Dict[Variable, List[int]] = {}
-    for pos, value in enumerate(pattern.args):
-        if isinstance(value, Variable):
-            groups.setdefault(value, []).append(pos)
-    return tuple(tuple(ps) for ps in groups.values() if len(ps) > 1)
-
-
-def fact_matches(
-    pattern: Atom, fact: Atom, repeated: Tuple[Tuple[int, ...], ...]
-) -> bool:
-    """Does ``fact`` unify with ``pattern`` (``repeated`` precomputed)?"""
-    if pattern.relation != fact.relation or pattern.arity != fact.arity:
-        return False
-    for p_arg, f_arg in zip(pattern.args, fact.args):
-        if isinstance(p_arg, Constant) and p_arg != f_arg:
-            return False
-    for positions in repeated:
-        first = fact.args[positions[0]]
-        if any(fact.args[p] != first for p in positions[1:]):
-            return False
-    return True

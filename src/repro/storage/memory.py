@@ -33,12 +33,7 @@ from typing import (
 from ..core.atoms import Atom, Schema
 from ..core.terms import Constant
 from ..exceptions import NotGroundError
-from .base import (
-    StorageBackend,
-    allocate_backend_id,
-    fact_matches,
-    repeated_positions,
-)
+from .base import StorageBackend, allocate_backend_id
 
 
 class MemoryBackend(StorageBackend):
@@ -205,38 +200,67 @@ class MemoryBackend(StorageBackend):
     # Matching
     # ------------------------------------------------------------------
     def match(self, pattern: Atom) -> Iterator[Atom]:
-        """Yield the facts unifying with ``pattern``.
+        """The facts unifying with ``pattern``.
 
         ``pattern`` may mix constants and variables; repeated variables
-        impose equality between positions.  The smallest inverted-index
-        posting list among the constant positions is scanned; with no
-        constants the relation's full fact list is scanned.
+        impose equality between positions.  The pattern is compiled once
+        (:meth:`_compile`) into the smallest posting list among its
+        constant positions and the comparisons that list leaves open: a
+        pattern with at most one constant and no repeated variable gets
+        its posting list back as it is, any other pays one inline
+        comparison per candidate fact and open check.
         """
-        candidates = self._candidates(pattern)
-        repeated = repeated_positions(pattern)
-        for fact in candidates:
-            if fact_matches(pattern, fact, repeated):
-                yield fact
+        if pattern in self._facts:  # only a ground pattern can be a fact
+            return iter((pattern,))
+        facts, constants, equal = self._compile(pattern)
+        for pos, value in constants:
+            facts = [f for f in facts if f.args[pos] == value]
+        for pos, other in equal:
+            facts = [f for f in facts if f.args[pos] == f.args[other]]
+        return iter(facts)
 
     def match_bound(self, pattern: Atom) -> int:
-        """Length of the posting list :meth:`match` would scan (O(1))."""
-        return len(self._candidates(pattern))
+        """Length of the posting list :meth:`match` would read (O(arity))."""
+        if pattern in self._facts:
+            return 1
+        return len(self._compile(pattern)[0])
 
-    def _candidates(self, pattern: Atom) -> Sequence[Atom]:
-        """Smallest available posting list of facts that might match."""
-        if pattern.relation not in self._by_relation:
-            return ()
-        best: Optional[List[Atom]] = None
-        for pos, value in enumerate(pattern.args):
+    def _compile(
+        self, pattern: Atom
+    ) -> Tuple[Sequence[Atom], List[Tuple[int, Constant]], List[Tuple[int, int]]]:
+        """``(posting list, constant checks, equality checks)`` for
+        ``pattern``: the smallest inverted-index posting list among its
+        constant positions (the relation's fact list when it has none),
+        ``(position, constant)`` for every *other* constant position, and
+        ``(first position, later position)`` for every repeat of a
+        variable.  A fact of the list matches iff it passes the checks;
+        nothing can match an unknown relation, another arity or an
+        unindexed constant, which compile to the empty list."""
+        relation = pattern.relation
+        best: Optional[Sequence[Atom]] = self._by_relation.get(relation)
+        if best is None or len(best[0].args) != len(pattern.args):
+            return (), [], []
+        posting_of = self._index.get
+        args = pattern.args
+        chosen = -1
+        constants: List[Tuple[int, Constant]] = []
+        first_at: Dict[object, int] = {}
+        equal: List[Tuple[int, int]] = []
+        for pos, value in enumerate(args):
             if isinstance(value, Constant):
-                posting = self._index.get((pattern.relation, pos, value))
+                posting = posting_of((relation, pos, value))
                 if posting is None:
-                    return ()
-                if best is None or len(posting) < len(best):
-                    best = posting
-        if best is None:
-            best = self._by_relation[pattern.relation]
-        return best
+                    return (), [], []
+                if chosen < 0:
+                    best, chosen = posting, pos
+                elif len(posting) < len(best):
+                    constants.append((chosen, args[chosen]))
+                    best, chosen = posting, pos
+                else:
+                    constants.append((pos, value))
+            elif first_at.setdefault(value, pos) != pos:
+                equal.append((first_at[value], pos))
+        return best, constants, equal
 
     def copy(self) -> "MemoryBackend":
         """An independent copy sharing no mutable state.  The copy carries

@@ -24,9 +24,7 @@ Three capabilities the in-memory backend does not have:
   join/projection phase), with only the final answer rows decoded back
   into Python; a seed relation of key bindings rides along as a
   ``VALUES`` CTE.  ``repro.cqalgs.yannakakis`` selects it automatically
-  when the database is SQLite-backed (``REPRO_KERNELS=auto``).  The
-  older :meth:`~SQLiteBackend.sql_semijoin_reduce` (temp-table sweeps,
-  Python join phase) is kept as a standalone building block.
+  when the database is SQLite-backed (``REPRO_KERNELS=auto``).
 * **Concurrency** — the connection is shared across threads behind an
   ``RLock`` (``repro.parallel``'s thread pools may issue matches
   concurrently); pickling ships the facts, so process pools work too.
@@ -52,7 +50,6 @@ from typing import (
 )
 
 from ..core.atoms import Atom, Schema
-from ..core.mappings import Mapping
 from ..core.terms import Constant, Variable
 from ..exceptions import NotGroundError, ReproError
 from ..relalg.relation import Relation, semijoin
@@ -146,7 +143,6 @@ class SQLiteBackend(StorageBackend):
         #: relation name -> (table name, arity)
         self._tables: Dict[str, Tuple[str, int]] = {}
         self._version = 0
-        self._tmp_counter = 0
         # ``Connection.getlimit`` is Python ≥ 3.11; 999 is what SQLite
         # builds before 3.32 default to, so it is safe everywhere.
         getlimit = getattr(self._conn, "getlimit", None)
@@ -716,141 +712,6 @@ class SQLiteBackend(StorageBackend):
         if seed is not None and not seed_column:
             return semijoin(answers, seed)
         return answers
-
-    # ------------------------------------------------------------------
-    # Yannakakis semi-join pushdown
-    # ------------------------------------------------------------------
-    #: Capability flag ``repro.cqalgs.yannakakis`` checks for.
-    supports_sql_semijoin = True
-
-    def sql_semijoin_reduce(
-        self,
-        atoms: Sequence[Atom],
-        links: Sequence[Tuple[int, int]],
-    ) -> List[List[Mapping]]:
-        """Both semi-join sweeps of Yannakakis' algorithm, in SQL.
-
-        ``atoms`` are the join-tree nodes and ``links`` its child→parent
-        edges.  Each atom is scanned into a temp table of its distinct
-        variable bindings; the bottom-up and top-down sweeps then run as
-        correlated ``DELETE … WHERE NOT EXISTS`` statements along the
-        tree, and the reduced relations are decoded back into
-        :class:`~repro.core.mappings.Mapping` lists for the join phase.
-        The result equals the Python sweeps' output up to duplicate
-        bindings (temp tables are ``DISTINCT``), which the join phase
-        collapses anyway.
-        """
-        n = len(atoms)
-        children: Dict[int, List[int]] = {i: [] for i in range(n)}
-        is_child = [False] * n
-        for child, parent in links:
-            children[parent].append(child)
-            is_child[child] = True
-        roots = [i for i in range(n) if not is_child[i]]
-        order: List[int] = []
-        stack = list(roots)
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(children[node])
-
-        atom_vars: List[List[Variable]] = [
-            sorted(a.variables(), key=repr) for a in atoms
-        ]
-        with self._lock, self._conn:
-            self._tmp_counter += 1
-            prefix = "yt%d" % self._tmp_counter
-            names = ["%s_%d" % (prefix, i) for i in range(n)]
-            try:
-                for i, a in enumerate(atoms):
-                    self._scan_to_temp(names[i], a, atom_vars[i])
-                # Phase 1: bottom-up (children filter parents).
-                for node in reversed(order):
-                    for child in children[node]:
-                        self._sql_semijoin(
-                            names[node], atom_vars[node],
-                            names[child], atom_vars[child],
-                        )
-                # Phase 2: top-down (parents filter children).
-                for node in order:
-                    for child in children[node]:
-                        self._sql_semijoin(
-                            names[child], atom_vars[child],
-                            names[node], atom_vars[node],
-                        )
-                relations: List[List[Mapping]] = []
-                for i in range(n):
-                    rows = self._conn.execute(
-                        "SELECT * FROM %s" % names[i]
-                    ).fetchall()
-                    vs = atom_vars[i]
-                    relations.append(
-                        [
-                            Mapping(
-                                {
-                                    v: Constant(decode_value(row[j]))
-                                    for j, v in enumerate(vs)
-                                }
-                            )
-                            for row in rows
-                        ]
-                    )
-                return relations
-            finally:
-                for name in names:
-                    self._conn.execute("DROP TABLE IF EXISTS %s" % name)
-
-    def _scan_to_temp(self, name: str, pattern: Atom, vs: List[Variable]) -> None:
-        """``CREATE TEMP TABLE name`` holding the distinct variable
-        bindings of the facts matching ``pattern`` (a constant ``one``
-        column when the pattern is ground)."""
-        cols = ", ".join("v%d TEXT" % i for i in range(len(vs))) or "one INTEGER"
-        self._conn.execute("CREATE TEMP TABLE %s (%s)" % (name, cols))
-        plan = self._pattern_sql(pattern)
-        if plan is None:
-            return
-        tbl, where, params = plan
-        if vs:
-            pos_of = {
-                v: next(
-                    p for p, arg in enumerate(pattern.args) if arg == v
-                )
-                for v in vs
-            }
-            select = ", ".join("c%d" % pos_of[v] for v in vs)
-            self._conn.execute(
-                "INSERT INTO %s SELECT DISTINCT %s FROM %s WHERE %s"
-                % (name, select, tbl, where),
-                params,
-            )
-        else:
-            self._conn.execute(
-                "INSERT INTO %s SELECT DISTINCT 1 FROM %s WHERE %s"
-                % (name, tbl, where),
-                params,
-            )
-
-    def _sql_semijoin(
-        self,
-        left: str,
-        left_vars: List[Variable],
-        right: str,
-        right_vars: List[Variable],
-    ) -> None:
-        """``left ⋉ right`` in place: delete the ``left`` rows with no
-        join partner (on the shared variables) in ``right``."""
-        shared = [v for v in left_vars if v in set(right_vars)]
-        conditions = " AND ".join(
-            "%s.v%d = %s.v%d"
-            % (right, right_vars.index(v), left, left_vars.index(v))
-            for v in shared
-        )
-        sub = "SELECT 1 FROM %s" % right
-        if conditions:
-            sub += " WHERE %s" % conditions
-        self._conn.execute(
-            "DELETE FROM %s WHERE NOT EXISTS (%s)" % (left, sub)
-        )
 
     # ------------------------------------------------------------------
     # Persistence

@@ -123,6 +123,7 @@ class _TreeEvaluation:
     ):
         self.p = p
         self.db = db
+        self.profile = profile
         self.backtrack = kernel_mode() == MODE_LEGACY
         self.pool = current_pool()
         self.safe = (
@@ -154,23 +155,31 @@ class _TreeEvaluation:
         self.seconds: Dict[int, float] = {}
 
     # -- node relations ---------------------------------------------------
+    def join_tree(self, node: int):
+        """``(sorted atoms, join-tree links)`` of ``λ(node)``, the links
+        ``None`` when the label is cyclic — the planner's memoised
+        analysis when a profile was supplied, so a hot query pays for the
+        sort and the GYO reduction once, not once per run."""
+        if self.profile is not None:
+            analysed = self.profile.node_profile(node)
+            return analysed.sorted_atoms, analysed.join_tree
+        atoms = sorted(self.p.labels[node])
+        return atoms, join_tree_of_atoms(atoms)
+
     def node_relation(self, node: int, keys: Optional[Relation]) -> Relation:
         """The homomorphisms of ``λ(node)`` that join with ``keys`` (the
         parent relation projected onto the interface; ``None`` at the
         root) — one CQ per tree node."""
         account_subquery()
-        label = self.p.labels[node]
         variables = self.p.node_variables(node)
-        links = None
-        if not self.backtrack:
-            atoms = sorted(label)
-            links = join_tree_of_atoms(atoms)
+        atoms, links = (None, None) if self.backtrack else self.join_tree(node)
         if links is not None:
             rel = relation_with_join_tree(atoms, links, self.db, variables, seed=keys)
         else:
             # Cyclic label, or the legacy kernels: backtracking search,
             # once per distinct key instead of once per parent mapping.
             schema = sorted(variables, key=repr)
+            label = self.p.labels[node]
             seeds = [Mapping()] if keys is None else to_mappings(keys)
             rel = from_mappings(
                 (h for s in seeds for h in cq_homomorphisms(label, self.db, s)),

@@ -1,9 +1,11 @@
 """Unit tests for repro.storage: protocol, SQLite backend, persistence,
-SQL semi-join pushdown, and pickling."""
+SQL pushdown, and pickling."""
 
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.atoms import Schema, atom
 from repro.core.cq import ConjunctiveQuery
@@ -26,6 +28,58 @@ FACTS = [atom("E", 1, 2), atom("E", 2, 3), atom("E", 2, 2), atom("U", 1)]
 @pytest.fixture(params=sorted(BACKENDS))
 def db(request):
     return BACKENDS[request.param](FACTS)
+
+
+# ---------------------------------------------------------------------------
+# match against a brute-force filter
+# ---------------------------------------------------------------------------
+def _unifies(pattern, fact):
+    """Definition of ``match``, fact by fact: same relation and arity,
+    constants equal, one value per variable."""
+    if pattern.relation != fact.relation or len(pattern.args) != len(fact.args):
+        return False
+    binding = {}
+    for want, have in zip(pattern.args, fact.args):
+        if isinstance(want, Constant):
+            if want != have:
+                return False
+        elif binding.setdefault(want, have) != have:
+            return False
+    return True
+
+
+_TERMS = st.sampled_from([0, 1, 2, "a", "?x", "?y", "?z"])
+_PATTERNS = st.one_of(
+    st.builds(atom, st.sampled_from(["E", "T"]), _TERMS, _TERMS, _TERMS),
+    st.builds(atom, st.sampled_from(["E", "F", "Z"]), _TERMS, _TERMS),
+)
+_VALUES = st.sampled_from([0, 1, 2, "a"])
+_GROUND = st.one_of(
+    st.builds(atom, st.just("T"), _VALUES, _VALUES, _VALUES),
+    st.builds(atom, st.sampled_from(["E", "F"]), _VALUES, _VALUES),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    facts=st.lists(_GROUND, max_size=25),
+    gone=st.lists(_GROUND, max_size=10),
+    patterns=st.lists(_PATTERNS, min_size=1, max_size=12),
+)
+def test_match_is_a_filter_over_facts(kind, facts, gone, patterns):
+    """Any mix of constants, repeated variables, ground patterns, a wrong
+    arity (``E``/3) and an unknown relation — before and after facts
+    leave the posting lists."""
+    db = BACKENDS[kind](facts)
+    for removed in [()] + [gone]:
+        for fact in removed:
+            db.discard(fact)
+        for pattern in patterns:
+            expected = sorted(f for f in db.facts() if _unifies(pattern, f))
+            assert sorted(db.match(pattern)) == expected, pattern
+            assert db.match_count(pattern) == len(expected), pattern
+            assert db.match_bound(pattern) >= len(expected), pattern
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +247,7 @@ class TestSQLiteBackend:
         db.close()
 
 
-class TestSQLSemijoinPushdown:
+class TestSQLPushdown:
     def _graph(self):
         facts = [atom("E", i, (i * 3 + 1) % 7) for i in range(7)]
         facts += [atom("E", i, (i + 1) % 5) for i in range(5)]
@@ -218,15 +272,3 @@ class TestSQLSemijoinPushdown:
         assert evaluate_acyclic(q, SQLiteBackend(facts)) == evaluate_acyclic(
             q, MemoryBackend(facts)
         )
-
-    def test_temp_tables_are_cleaned_up(self):
-        db = SQLiteBackend(self._graph())
-        q = ConjunctiveQuery(
-            ("?x",), [atom("E", "?x", "?y"), atom("L", "?y", "?c")]
-        )
-        evaluate_acyclic(q, db)
-        evaluate_acyclic(q, db)
-        leftovers = db._conn.execute(
-            "SELECT name FROM sqlite_temp_master WHERE type='table'"
-        ).fetchall()
-        assert leftovers == []

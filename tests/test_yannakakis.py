@@ -1,13 +1,29 @@
 """Unit tests for Yannakakis' algorithm (cross-checked against naive)."""
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.atoms import atom
 from repro.core.cq import cq
 from repro.core.database import Database
-from repro.cqalgs.naive import evaluate_naive
-from repro.cqalgs.yannakakis import evaluate_acyclic
+from repro.core.terms import Constant, Variable
+from repro.cqalgs.naive import evaluate_naive, homomorphisms
+from repro.cqalgs.yannakakis import (
+    _scan_phase,
+    evaluate_acyclic,
+    relation_with_join_tree,
+    satisfiable_with_join_tree,
+)
+from repro.engine import Session
 from repro.exceptions import ClassMembershipError
+from repro.hypergraphs.gyo import join_tree_of_atoms
+from repro.parallel.pool import WorkerPool, use_pool
+from repro.relalg.config import force_kernels
+from repro.relalg.relation import Relation, scan, to_mappings
+from repro.storage import MemoryBackend, SQLiteBackend
+from repro.telemetry.tracer import current_tracer, tracing
+from repro.workloads.datasets import music_catalog
 from repro.workloads.generators import path_cq, random_graph_database, star_cq
 
 
@@ -77,3 +93,158 @@ def test_theta_family_is_acyclic_and_agrees():
         + [atom("T3", 0, 1, 2), atom("T3", 1, 1, 1)]
     )
     assert evaluate_acyclic(q, db) == evaluate_naive(q, db)
+
+
+# ---------------------------------------------------------------------------
+# The scan schedule: bound order, seeds passed along the join tree
+# ---------------------------------------------------------------------------
+#: relation -> (arity, most facts drawn); ``Z`` never gets one (the empty
+#: relation), ``T`` gets enough for an index probe to beat a full scan.
+RELATIONS = {"E": (2, 9), "F": (2, 9), "T": (3, 27), "U": (1, 3), "Z": (2, 0)}
+VALUES = (0, 1, 2)
+
+
+@st.composite
+def acyclic_cq_and_facts(draw):
+    """An acyclic CQ grown ear by ear — every new atom takes its old
+    variables from one earlier atom (possibly none: a join-tree edge with
+    no shared variable) — with constants at any position (ground atoms,
+    multi-constant ``T`` patterns), repeated variables, now and then the
+    empty relation; a database; free variables; maybe a seed over some."""
+    atoms, fresh = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        relation = draw(st.sampled_from("EEEFFFTTTTUZ"))
+        old = sorted(draw(st.sampled_from(atoms)).variables()) if atoms else []
+        args = []
+        for _ in range(RELATIONS[relation][0]):
+            kind = draw(st.sampled_from(["old"] * 3 + ["new", "new", "constant", "constant", "repeat"]))
+            mine = [a for a in args if isinstance(a, str)]
+            if kind == "old" and old:
+                args.append("?" + draw(st.sampled_from(old)).name)
+            elif kind == "repeat" and mine:
+                args.append(draw(st.sampled_from(mine)))
+            elif kind == "constant":
+                args.append(draw(st.sampled_from(VALUES)))
+            else:
+                fresh += 1
+                args.append("?v%d" % fresh)
+        atoms.append(atom(relation, *args))
+    atoms = sorted(set(atoms))
+    facts = {
+        atom(relation, *[draw(st.sampled_from(VALUES)) for _ in range(arity)])
+        for relation, (arity, most) in RELATIONS.items()
+        for _ in range(draw(st.integers(most // 3, most)))
+    }
+    variables = sorted({v for a in atoms for v in a.variables()})
+    frees = draw(st.sets(st.sampled_from(variables), min_size=1)) if variables else set()
+    seed = None
+    if frees and draw(st.integers(0, 2)):
+        schema = sorted(draw(st.sets(st.sampled_from(sorted(frees)), min_size=1)))
+        seed = Relation(schema, {
+            tuple(Constant(draw(st.sampled_from(VALUES))) for _ in schema)
+            for _ in range(draw(st.integers(1, 6)))
+        })
+    return atoms, sorted(facts), frozenset(frees), seed
+
+
+def _joins(h, seed):
+    return seed is None or any(
+        all(h[v] == c for v, c in zip(seed.schema, row)) for row in seed.rows
+    )
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(acyclic_cq_and_facts())
+@example((
+    # R's scan is seeded by the one-row S, not by the larger seed — which
+    # must still filter it: R holds every seed variable, so nothing later will.
+    [atom("R", "?x", "?y"), atom("S", "?y", "c")],
+    [atom("R", x, 10) for x in range(1, 5)] + [atom("S", 10, "c")],
+    frozenset({Variable("x")}),
+    Relation([Variable("x")], [(Constant(1),), (Constant(2),), (Constant(9),)]),
+))
+def test_scan_schedule_stays_between_full_reduction_and_plain_scan(case):
+    atoms, facts, frees, seed = case
+    links = join_tree_of_atoms(atoms)
+    assert links is not None
+    oracle = MemoryBackend(facts)
+    homs = [h for h in homomorphisms(atoms, oracle) if _joins(h, seed)]
+    expected = frozenset(h.restrict(frees) for h in homs)
+    for backend in (MemoryBackend, SQLiteBackend):
+        db = backend(facts)
+        with force_kernels("columnar"):
+            for jobs in (1, 2):
+                with WorkerPool(jobs=jobs) as pool, use_pool(pool if jobs > 1 else None):
+                    config = (backend.__name__, jobs)
+                    relations = _scan_phase(
+                        atoms, links, db, seed, pool if jobs > 1 else None, current_tracer()
+                    )
+                    if relations is None:
+                        assert not homs, config
+                    else:
+                        for a, rel in zip(atoms, relations):
+                            plain = scan(a, db)
+                            assert rel.schema == plain.schema, config
+                            assert set(rel.rows) <= set(plain.rows), config
+                            assert len(set(rel.rows)) == len(rel.rows), config
+                            reduced = {tuple(h[v] for v in rel.schema) for h in homs}
+                            assert reduced <= set(rel.rows), config
+                    answers = relation_with_join_tree(atoms, links, db, frees, seed=seed)
+                    assert to_mappings(answers) == expected, config
+                    if seed is None:
+                        assert satisfiable_with_join_tree(atoms, links, db) is bool(homs), config
+
+
+def test_band_query_root_label_reads_a_handful_of_facts():
+    """Structural, not wall-clock: the selective ``recorded_by`` atom is
+    scanned first and turns the scan of the 1 000-fact ``published``
+    posting list into one index probe per record of the band."""
+    graph = music_catalog(200, 5, seed=1)
+    text = (
+        'SELECT ?x ?z WHERE { ?x recorded_by band_7 . ?x published "after_2010" '
+        "OPTIONAL { ?x NME_rating ?z } }"
+    )
+    with Session(graph, backend="memory", cache=False) as session:
+        with force_kernels("columnar"), tracing() as tracer:
+            answers = session.query(text).answers
+        db = session.database
+        root = next(run for run in tracer.find("yannakakis") if run.attrs["atoms"] == 2)
+        (span,) = [child for child in root.children if child.name == "yannakakis.scan"]
+        published, recorded_by = sorted(session.parse(text).labels[0])
+        assert db.match_bound(published) > 400 and db.match_bound(recorded_by) == 5
+        assert span.attrs["scan_order"] == [1, 0]
+        assert span.attrs["seeded_by"] == [1, None]
+        assert sum(span.attrs["facts_read"]) <= 50
+        assert span.attrs["relation_sizes"][0] == len(answers) <= 5
+
+
+def test_schedule_asks_for_one_bound_per_atom():
+    """On SQLite a bound is a ``COUNT`` query: the schedule takes one per
+    atom and hands it to the seeded scan instead of letting it ask again."""
+
+    class Counting(MemoryBackend):
+        __slots__ = ("bounds",)
+
+        def match_bound(self, pattern):
+            self.bounds = getattr(self, "bounds", 0) + 1
+            return super().match_bound(pattern)
+
+    facts = [atom("R", x, x % 3) for x in range(40)] + [atom("S", 1, "c")]
+    atoms = [atom("R", "?x", "?y"), atom("S", "?y", "c")]
+    x = Variable("x")
+    seed = Relation([x], [(Constant(1),), (Constant(4),), (Constant(5),)])
+    db = Counting(facts)
+    with force_kernels("columnar"):
+        rel = relation_with_join_tree(atoms, [(1, 0)], db, {x}, seed=seed)
+    assert sorted(rel.rows) == [(Constant(1),), (Constant(4),)]
+    assert db.bounds == 2
+    # A lone atom is ordered against nobody: only a seeded scan wants its bound.
+    db.bounds = 0
+    with force_kernels("columnar"):
+        relation_with_join_tree(atoms[:1], [], db, {x})
+        assert db.bounds == 0
+        relation_with_join_tree(atoms[:1], [], db, {x}, seed=seed)
+        assert db.bounds == 1
