@@ -141,38 +141,6 @@ def _bench_cq_yannakakis(
     return lambda: planner.evaluate_cq(q, db)
 
 
-def _kernel_workload(
-    planner: Planner, backend: str, mode: str
-) -> Callable[[], object]:
-    """A path-CQ evaluation over a random graph with the kernel mode
-    pinned — ``kernels.columnar`` vs ``kernels.legacy`` in one point is
-    the regression gate's view of the columnar win."""
-    from ..relalg.config import force_kernels
-    from ..storage import to_backend
-    from ..workloads.generators import path_cq, random_graph_database
-
-    q = path_cq(5)
-    db = to_backend(random_graph_database(50, 320, seed=7), backend)
-
-    def run() -> object:
-        with force_kernels(mode):
-            return planner.evaluate_cq(q, db)
-
-    return run
-
-
-def _bench_kernels_columnar(
-    planner: Planner, backend: str = "memory"
-) -> Callable[[], object]:
-    return _kernel_workload(planner, backend, "columnar")
-
-
-def _bench_kernels_legacy(
-    planner: Planner, backend: str = "memory"
-) -> Callable[[], object]:
-    return _kernel_workload(planner, backend, "legacy")
-
-
 #: name → factory(planner, backend) → zero-arg timed workload.
 BENCHMARKS: Dict[str, Callable[..., Callable[[], object]]] = {
     "fig1.query": _bench_fig1_query,
@@ -180,8 +148,6 @@ BENCHMARKS: Dict[str, Callable[..., Callable[[], object]]] = {
     "thm8.partial_eval": _bench_thm8_partial_eval,
     "thm9.max_eval": _bench_thm9_max_eval,
     "cq.yannakakis": _bench_cq_yannakakis,
-    "kernels.columnar": _bench_kernels_columnar,
-    "kernels.legacy": _bench_kernels_legacy,
 }
 
 

@@ -15,15 +15,16 @@ sets, :func:`enumerate_answers` streams answers instead:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Atom
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
 from ..core.mappings import Mapping
-from ..hypergraphs.gyo import join_tree_children, join_tree_of_atoms, join_tree_root
+from ..hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
+from ..relalg.relation import Row, group_by, row_getter
 from .naive import homomorphisms
-from .yannakakis import _edge_shared_variables, _scan, _semijoin
+from .yannakakis import scan_schedule, semijoin_reduce
 
 
 def enumerate_answers(
@@ -38,7 +39,7 @@ def enumerate_answers(
     """
     atoms = sorted(query.atoms)
     links = join_tree_of_atoms(atoms)
-    if links is not None and len(atoms) > 1:
+    if links is not None:
         source: Iterator[Mapping] = _acyclic_stream(query, db, atoms, links)
     else:
         source = _naive_stream(query, db)
@@ -68,57 +69,39 @@ def _acyclic_stream(
 ) -> Iterator[Mapping]:
     """Semi-join-reduce, then walk the join tree; every branch of the walk
     extends to a full answer, so delay is polynomial per answer."""
-    n = len(atoms)
-    relations: List[List[Mapping]] = [_scan(a, db) for a in atoms]
-    root = join_tree_root(links, n)
-    children = join_tree_children(links, n)
-    order = _preorder(root, children)
-    shared = _edge_shared_variables(atoms, links)
-    for node in reversed(order):
-        for child in children[node]:
-            relations[node] = _semijoin(
-                relations[node], relations[child], shared[(node, child)]
-            )
-    for node in order:
-        for child in children[node]:
-            relations[child] = _semijoin(
-                relations[child], relations[node], shared[(child, node)]
-            )
-    if not relations[root]:
+    relations = scan_schedule(atoms, links, db)
+    tree = join_tree_shape(links, len(atoms))
+    if relations is None or not semijoin_reduce(relations, tree):
         return
+    # A homomorphism is a root row extended node by node, parents first.
+    # Whatever a node shares with the nodes before it, it shares with its
+    # parent (running intersection), so its candidates are one lookup by
+    # the values already chosen, and the rest of each is new columns.
+    schema = relations[tree.root].schema
+    steps = []
+    for node in tree.order[1:]:
+        rel = relations[node]
+        shared = [v for v in rel.schema if v in schema]
+        steps.append((
+            row_getter([schema.index(v) for v in shared]),
+            group_by(rel, shared),
+        ))
+        schema += tuple(v for v in rel.schema if v not in shared)
 
-    frees = query.free_variables
-    seen: Set[Mapping] = set()
-
-    def walk(index: int, node: int, bound: Mapping) -> Iterator[Mapping]:
-        candidates = [m for m in relations[node] if bound.compatible(m)]
-        for m in candidates:
-            extended = bound.union(m)
-            kids = children[node]
-            if not kids:
-                yield extended
-                continue
-            yield from _across_children(kids, 0, extended)
-
-    def _across_children(kids: List[int], i: int, bound: Mapping) -> Iterator[Mapping]:
-        if i == len(kids):
-            yield bound
+    def extend(row: Row, i: int) -> Iterator[Row]:
+        if i == len(steps):
+            yield row
             return
-        for m in walk(0, kids[i], bound):
-            yield from _across_children(kids, i + 1, m)
+        key_of, groups = steps[i]
+        for rest in groups[key_of(row)]:
+            yield from extend(row + rest, i + 1)
 
-    for full in walk(0, root, Mapping()):
-        answer = full.restrict(frees)
-        if answer not in seen:
-            seen.add(answer)
-            yield answer
-
-
-def _preorder(root: int, children: Dict[int, List[int]]) -> List[int]:
-    order: List[int] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(children[node])
-    return order
+    frees = sorted(query.free_variables, key=repr)
+    answer_of = row_getter([schema.index(v) for v in frees])
+    seen: Set[Row] = set()
+    for row in relations[tree.root].rows:
+        for full in extend(row, 0):
+            answer = answer_of(full)
+            if answer not in seen:
+                seen.add(answer)
+                yield Mapping.from_trusted(dict(zip(frees, answer)))

@@ -24,7 +24,6 @@ from ..core.database import Database
 from ..core.mappings import Mapping
 from ..core.terms import Constant, Term, Variable
 from ..hypergraphs.gyo import join_tree_of_atoms
-from ..relalg.config import MODE_LEGACY, kernel_mode
 from .naive import homomorphisms as db_homomorphisms
 from .yannakakis import evaluate_with_join_tree
 
@@ -68,11 +67,11 @@ def _source_homomorphisms(
     Unlimited enumerations of an acyclic source run set-at-a-time through
     the Yannakakis kernels (``pre`` substituted in, the remaining
     variables evaluated as one full CQ over the canonical database);
-    cyclic sources, bounded enumerations (where backtracking's early exit
-    wins), and ``REPRO_KERNELS=legacy`` take the backtracking search.
+    cyclic sources and bounded enumerations (where backtracking's early
+    exit wins) take the backtracking search.
     """
     atoms = tuple(sorted(set(source)))
-    if limit is None and atoms and kernel_mode() != MODE_LEGACY:
+    if limit is None and atoms:
         links = join_tree_of_atoms(atoms)
         if links is not None:
             if len(pre):

@@ -5,20 +5,22 @@ These engines realize Theorems 2 and 3 of the paper: CQs in ``TW(k)`` /
 to an *acyclic* instance and finish with Yannakakis:
 
 1. compute a (hyper)tree decomposition of the query hypergraph;
-2. materialize one synthetic relation per decomposition node ("bag"):
-   the join of the atoms assigned to / covering the bag, restricted to the
-   bag's variables (cost ``|D|^{k+1}`` resp. ``|D|^k``);
-3. replace the query by one synthetic atom per bag — acyclic by
-   construction, with the decomposition tree as its join tree;
-4. run Yannakakis.
+2. materialize one relation per decomposition node ("bag"): the join of
+   the atoms assigned to / covering the bag, projected onto the bag's
+   variables (cost ``|D|^{k+1}`` resp. ``|D|^k``);
+3. the bag relations are an acyclic instance with the decomposition tree
+   as its join tree: hand them to the semi-join program
+   (:func:`~repro.cqalgs.yannakakis.semijoin_reduce`);
+4. assemble the answers with the join/projection phase
+   (:func:`~repro.cqalgs.yannakakis.columnar_join_phase`).
 
 Every original atom is assigned to some bag (guaranteed by decomposition
-condition (2)), so the synthetic query is equivalent to the original.
+condition (2)), so the join of the bag relations is the original query.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Atom
 from ..core.cq import ConjunctiveQuery
@@ -26,11 +28,14 @@ from ..core.database import Database
 from ..core.mappings import Mapping
 from ..core.terms import Variable
 from ..exceptions import ClassMembershipError
+from ..hypergraphs.gyo import join_tree_shape
 from ..hypergraphs.hypergraph import hypergraph_of_cq
 from ..hypergraphs.hypertree import hypertree_decomposition
 from ..hypergraphs.treedecomp import TreeDecomposition
 from ..hypergraphs.treewidth import tree_decomposition
-from .yannakakis import _join, _scan, evaluate_with_join_tree
+from ..relalg.relation import Relation, hash_join, project, scan, to_mappings
+from ..telemetry.resources import account_rows
+from .yannakakis import columnar_join_phase, semijoin_reduce
 
 
 def evaluate_bounded_treewidth(
@@ -90,55 +95,40 @@ def _evaluate_with_decomposition(
 
     assignment = _assign_atoms_to_bags(variable_atoms, td)
 
-    # Materialize one relation per bag.  Each factor carries its schema
-    # (the variables its mappings are total on) so the joins run on
-    # structurally-known shared variables rather than inspecting rows.
-    bag_relations: List[FrozenSet[Mapping]] = []
-    bag_vars: List[Tuple[Variable, ...]] = []
+    # Materialize one relation per bag: its cover edges' and assigned
+    # atoms' relations, then a unary domain per variable still uncovered.
+    # An empty bag (a padding node of a degenerate decomposition) is the
+    # Boolean *true* relation, which constrains nothing.
+    relations: List[Relation] = []
     for i, bag in enumerate(td.bags):
-        factors: List[Tuple[FrozenSet[Variable], FrozenSet[Mapping]]] = []
-        covered: Set[Variable] = set()
-        if td.covers is not None:
-            for edge in td.covers[i]:
-                witness = _atom_with_variables(variable_atoms, edge)
-                factors.append((frozenset(edge), frozenset(_scan(witness, db))))
-                covered |= set(edge)
-        for a in assignment.get(i, ()):
-            factors.append((a.variables(), frozenset(_scan(a, db))))
-            covered |= set(a.variables())
-        for v in sorted(bag - covered, key=repr):
-            factors.append((frozenset([v]), _unary_domain(v, variable_atoms, db)))
-            covered.add(v)
-        relation: FrozenSet[Mapping] = frozenset([Mapping()])
-        schema: Set[Variable] = set()
-        for f_vars, f in factors:
-            relation = _join(relation, f, tuple(sorted(schema & f_vars, key=repr)))
-            schema |= f_vars
-        relation = frozenset(m.restrict(bag) for m in relation)
-        bag_relations.append(relation)
-        bag_vars.append(tuple(sorted((v for v in bag), key=repr)))
-
-    # Build the synthetic acyclic instance and query.
-    synthetic_db = Database()
-    synthetic_atoms: List[Atom] = []
-    for i, (rel, vs) in enumerate(zip(bag_relations, bag_vars)):
-        name = "__bag_%d" % i
-        if not vs:
-            # An empty bag constrains nothing; represent it as satisfied
-            # (bags are never empty when the query has variables, except
-            # padding nodes of degenerate decompositions).
-            continue
-        synthetic_atoms.append(Atom(name, vs))
-        for m in rel:
-            synthetic_db.add(Atom(name, tuple(m[v] for v in vs)))
-        if not rel:
+        covering = [
+            _atom_with_variables(variable_atoms, edge)
+            for edge in (td.covers[i] if td.covers is not None else ())
+        ]
+        relation = Relation((), [()])
+        for a in covering + assignment.get(i, []):
+            relation = _join(relation, scan(a, db))
+        for v in sorted(bag.difference(relation.schema), key=repr):
+            relation = _join(relation, _unary_domain(v, variable_atoms, db))
+        relation = project(relation, bag)
+        if not relation.rows:
             return frozenset()
-    if not synthetic_atoms:
-        return frozenset([Mapping()]) if not query.free_variables else frozenset()
+        relations.append(relation)
 
-    synthetic_query = ConjunctiveQuery(query.free_variables, synthetic_atoms)
-    links = _decomposition_join_tree(td, synthetic_atoms)
-    return evaluate_with_join_tree(synthetic_query, db=synthetic_db, atoms=synthetic_atoms, links=links)
+    tree = join_tree_shape(_decomposition_links(td), len(relations))
+    if not semijoin_reduce(relations, tree):
+        return frozenset()
+    return to_mappings(
+        columnar_join_phase(frozenset(query.free_variables), relations, tree)
+    )
+
+
+def _join(left: Relation, right: Relation) -> Relation:
+    """One factor joined into a bag relation, the intermediate result
+    accounted so a hard row budget stops a bag blow-up where it starts."""
+    joined = hash_join(left, right)
+    account_rows(len(joined))
+    return joined
 
 
 def _assign_atoms_to_bags(
@@ -167,47 +157,24 @@ def _atom_with_variables(atoms: Sequence[Atom], variables: FrozenSet[Variable]) 
     )
 
 
-def _unary_domain(
-    v: Variable, atoms: Sequence[Atom], db: Database
-) -> FrozenSet[Mapping]:
+def _unary_domain(v: Variable, atoms: Sequence[Atom], db: Database) -> Relation:
     """All values ``v`` can take in any atom mentioning it (a tight unary
     relation used to pad bag variables not covered by local atoms)."""
     for a in atoms:
         if v in a.variables():
-            return frozenset(m.restrict([v]) for m in _scan(a, db))
+            return project(scan(a, db), [v])
     raise ClassMembershipError("variable %r occurs in no atom" % (v,))
 
 
-def _decomposition_join_tree(
-    td: TreeDecomposition, synthetic_atoms: Sequence[Atom]
-) -> List[Tuple[int, int]]:
-    """Orient the decomposition tree as child→parent links over the indices
-    of the synthetic atoms (skipping empty bags, which were dropped)."""
-    # Map original node ids to synthetic indices.
-    kept: Dict[int, int] = {}
-    for idx, a in enumerate(synthetic_atoms):
-        original = int(a.relation.rsplit("_", 1)[1])
-        kept[original] = idx
-    adjacency: Dict[int, Set[int]] = {i: set() for i in range(len(td.bags))}
-    for i, j in td.tree_edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    # BFS from the first kept node over the *original* tree, emitting links
-    # between nearest kept ancestors (empty bags are contracted away).
-    root = next(iter(sorted(kept)))
+def _decomposition_links(td: TreeDecomposition) -> List[Tuple[int, int]]:
+    """The decomposition tree as child→parent links, rooted at node 0."""
     links: List[Tuple[int, int]] = []
-    seen = {root}
-    stack: List[Tuple[int, int]] = [(root, root)]  # (node, nearest kept ancestor)
+    seen = {0}
+    stack = [0]
     while stack:
-        node, anchor = stack.pop()
-        for neighbour in adjacency[node]:
-            if neighbour in seen:
-                continue
+        node = stack.pop()
+        for neighbour in td.neighbours(node) - seen:
             seen.add(neighbour)
-            if neighbour in kept:
-                if neighbour != anchor:
-                    links.append((kept[neighbour], kept[anchor]))
-                stack.append((neighbour, neighbour))
-            else:
-                stack.append((neighbour, anchor))
+            links.append((neighbour, node))
+            stack.append(neighbour)
     return links

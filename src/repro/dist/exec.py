@@ -47,13 +47,8 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Sequence, Set, Tuple
 
-from ..cqalgs.yannakakis import (
-    _edge_shared_variables,
-    _levels,
-    _topological,
-    columnar_join_phase,
-)
-from ..hypergraphs.gyo import join_tree_children, join_tree_root
+from ..cqalgs.yannakakis import columnar_join_phase
+from ..hypergraphs.gyo import join_tree_shape
 from ..parallel.batch import _graft_spans
 from ..relalg.relation import Relation
 from ..telemetry.context import current_trace_id
@@ -238,11 +233,13 @@ def run_program(
     tracer = current_tracer()
     ex = _Exec(backend, backend.next_qid())
     limit = int(getattr(backend, "broadcast_limit", BROADCAST_LIMIT))
-    root = join_tree_root(links, n)
-    children = join_tree_children(links, n)
-    order = _topological(root, children)
-    levels = _levels(root, children, order)
-    shared = _edge_shared_variables(atoms, links)
+    tree = join_tree_shape(links, n)
+    children, levels = tree.children, tree.levels
+    #: Per join-tree edge, both orientations: the variables it joins on.
+    shared: Dict[Tuple[int, int], Tuple[Any, ...]] = {}
+    for child, parent in links:
+        common = tuple(sorted(atoms[child].variables() & atoms[parent].variables()))
+        shared[(child, parent)] = shared[(parent, child)] = common
 
     empty: Any = False if exists_only else Relation(sorted(frees, key=repr), [])
     with tracer.span(
@@ -318,10 +315,7 @@ def run_program(
             account_rows(gathered)
             if tracer.enabled:
                 sp.set(relation_sizes=[len(r) for r in relations])
-        result: Relation = columnar_join_phase(
-            frozenset(frees), atoms, links, relations, root, children, order,
-            tracer,
-        )
+        result: Relation = columnar_join_phase(frozenset(frees), relations, tree)
         _finish(ex, answers=len(result))
         if tracer.enabled:
             y_span.set(answers=len(result), exchange_rows=ex.exchange_rows)

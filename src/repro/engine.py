@@ -192,8 +192,7 @@ class Session:
     * ``stats_store=`` — a
       :class:`~repro.telemetry.insight.QueryStatsStore` accumulating
       per-query-shape execution history (latency, rows, cache hits,
-      kernel outcomes, q-errors); when set, the planner also consults it
-      to prefer the kernel that historically won for a fingerprint;
+      kernel outcomes, q-errors);
     * ``jobs=`` — worker count for parallel evaluation (:mod:`repro.parallel`);
       ``None``/``1`` keeps everything sequential;
     * ``executor=`` — the :meth:`run_batch` backend, ``"thread"``
@@ -306,8 +305,6 @@ class Session:
         #: Per-query-shape execution history (``telemetry.insight``);
         #: ``None`` disables stats accumulation.
         self.stats_store = stats_store
-        if stats_store is not None and self.planner.stats_store is None:
-            self.planner.stats_store = stats_store
         #: Default worker count for parallel evaluation (``None`` = serial).
         self.jobs = jobs
         #: Default :meth:`run_batch` executor kind.

@@ -15,12 +15,12 @@ from .fractional import (
     fractional_hypertreewidth_upper_bound,
 )
 from .gyo import (
+    JoinTree,
     gyo_reduction,
     is_alpha_acyclic,
-    join_tree_children,
     join_tree_is_valid,
     join_tree_of_atoms,
-    join_tree_root,
+    join_tree_shape,
 )
 from .hypergraph import Hypergraph, hypergraph_of_atoms, hypergraph_of_cq
 from .hypertree import (
@@ -52,10 +52,10 @@ __all__ = [
     "fractional_hypertreewidth_upper_bound",
     "gyo_reduction",
     "is_alpha_acyclic",
-    "join_tree_children",
     "join_tree_is_valid",
     "join_tree_of_atoms",
-    "join_tree_root",
+    "join_tree_shape",
+    "JoinTree",
     "Hypergraph",
     "hypergraph_of_atoms",
     "hypergraph_of_cq",

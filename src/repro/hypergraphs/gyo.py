@@ -14,7 +14,7 @@ atoms of a CQ may share the same variable set.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Atom
 from .hypergraph import Hypergraph, Vertex
@@ -102,23 +102,44 @@ def join_tree_of_atoms(atoms: Sequence[Atom]) -> Optional[List[Tuple[int, int]]]
     return links
 
 
-def join_tree_root(links: Sequence[Tuple[int, int]], n_atoms: int) -> int:
-    """The root index of a join tree returned by :func:`join_tree_of_atoms`."""
-    children = {c for c, _ in links}
-    roots = [i for i in range(n_atoms) if i not in children]
-    if len(roots) != 1:
-        raise ValueError("join tree with %d atoms has %d roots" % (n_atoms, len(roots)))
-    return roots[0]
+class JoinTree(NamedTuple):
+    """The shape of a join tree, derived once from its parent links —
+    what every walk over the tree needs (the semi-join sweeps, the join
+    phase, the SQL statement builder, the shard program)."""
+
+    root: int
+    #: Child lists per node, in link order.
+    children: Dict[int, List[int]]
+    #: Parent per non-root node.
+    parent: Dict[int, int]
+    #: All nodes, root first, every parent before its children.
+    order: List[int]
+    #: The same nodes grouped by depth, the root's level first.
+    levels: List[List[int]]
 
 
-def join_tree_children(
-    links: Sequence[Tuple[int, int]], n_atoms: int
-) -> Dict[int, List[int]]:
-    """Child lists per node for a join tree's parent links."""
+def join_tree_shape(links: Sequence[Tuple[int, int]], n_atoms: int) -> JoinTree:
+    """The :class:`JoinTree` of the parent links :func:`join_tree_of_atoms`
+    returns (any ``(child, parent)`` links forming one tree will do).
+
+    >>> join_tree_shape([(0, 1), (2, 1), (3, 2)], 4).levels
+    [[1], [0, 2], [3]]
+    """
+    parent = dict(links)
     children: Dict[int, List[int]] = {i: [] for i in range(n_atoms)}
-    for child, parent in links:
-        children[parent].append(child)
-    return children
+    for child, above in links:
+        children[above].append(child)
+    level = list(children.keys() - parent.keys())
+    if len(level) != 1:
+        raise ValueError("join tree with %d atoms has %d roots" % (n_atoms, len(level)))
+    order, levels = level[:], [level]
+    while len(order) < n_atoms:
+        level = [child for node in level for child in children[node]]
+        if not level:
+            raise ValueError("join-tree links reach %d of %d atoms" % (len(order), n_atoms))
+        order += level
+        levels.append(level)
+    return JoinTree(order[0], children, parent, order, levels)
 
 
 def join_tree_is_valid(atoms: Sequence[Atom], links: Sequence[Tuple[int, int]]) -> bool:

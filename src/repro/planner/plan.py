@@ -35,9 +35,10 @@ class QueryPlan:
         The memoized structural analysis (join tree / decomposition) the
         engine consumes — shared with every other plan for this shape.
     kernel:
-        For Yannakakis plans, the resolved relational kernel (``sql`` /
-        ``columnar`` / ``legacy``, see :mod:`repro.relalg.config`) the
-        run will use against the database the plan was built for;
+        For Yannakakis plans, the relational kernel (``sql`` /
+        ``columnar`` / ``dist``, see :mod:`repro.relalg.config`) a
+        pool-less run resolves to against the database the plan was
+        built for — a label, the run itself asks ``choose_kernel``;
         ``None`` for the other engines (they evaluate through their own
         decomposition machinery before reaching the kernels).
     estimate:

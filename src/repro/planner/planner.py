@@ -75,7 +75,7 @@ from .plan import (
 from .profile import StructuralProfile, TreeProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..telemetry.insight import CardinalityEstimate, QueryStatsStore
+    from ..telemetry.insight import CardinalityEstimate
     from ..wdpt.explain import WDPTProfile
 
 #: Treewidth (heuristic upper bound) below which the TD engine is preferred.
@@ -91,7 +91,6 @@ class Planner:
         parse_cache_size: int = 256,
         tw_cutoff: int = DEFAULT_TW_CUTOFF,
         metrics: Optional[MetricsRegistry] = None,
-        stats_store: Optional["QueryStatsStore"] = None,
     ):
         self.profiles = PlanCache(profile_cache_size)
         self.parses = PlanCache(parse_cache_size)
@@ -99,11 +98,6 @@ class Planner:
         self.estimates = PlanCache(profile_cache_size)
         self.tw_cutoff = tw_cutoff
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Optional :class:`~repro.telemetry.insight.QueryStatsStore`:
-        #: when present (and the kernel mode is ``auto``), Yannakakis
-        #: plans prefer the kernel that historically won for the query's
-        #: fingerprint over the static default.
-        self.stats_store = stats_store
 
     # The former ad-hoc counter attributes, now views over the registry
     # (kept as properties so ``planner.engine_seconds``-style consumers
@@ -215,7 +209,7 @@ class Planner:
                 ENGINE_YANNAKAKIS,
                 "Theorem 3, k=1 (HW(1) = AC): Yannakakis over the memoized join tree",
                 profile,
-                kernel=self._preferred_kernel(fingerprint, db),
+                kernel=default_kernel(db),
                 estimate=estimate,
             )
         if profile.treewidth_upper <= self.tw_cutoff:
@@ -258,25 +252,6 @@ class Planner:
             self.estimates.put(key, estimate)
         return estimate
 
-    def _preferred_kernel(self, fingerprint: str, db: Optional[Database]) -> str:
-        """The kernel a Yannakakis plan should request: the stats store's
-        historical winner for this fingerprint when one is seasoned (and
-        the mode is ``auto``), else the static default."""
-        fallback = default_kernel(db)
-        if self.stats_store is None or not fingerprint:
-            return fallback
-        from ..relalg.config import MODE_AUTO, kernel_mode
-
-        if kernel_mode() != MODE_AUTO:
-            return fallback
-        preferred = self.stats_store.best_kernel(fingerprint[:16])
-        if preferred is None:
-            return fallback
-        self.metrics.counter(
-            "planner.kernel.history_preferred", {"kernel": preferred}
-        ).inc()
-        return preferred
-
     def evaluate_cq(self, query: ConjunctiveQuery, db: Database) -> FrozenSet:
         """``q(D)`` through the plan-aware router (the ``auto`` method)."""
         plan = self.plan_cq(query, db)
@@ -287,11 +262,7 @@ class Planner:
             with current_tracer().span("planner.evaluate_cq", engine=plan.engine):
                 if plan.engine == ENGINE_YANNAKAKIS:
                     return evaluate_with_join_tree(
-                        query,
-                        db,
-                        plan.profile.sorted_atoms,
-                        plan.profile.join_tree,
-                        kernel=plan.kernel,
+                        query, db, plan.profile.sorted_atoms, plan.profile.join_tree
                     )
                 if plan.engine == ENGINE_TREEWIDTH:
                     return evaluate_bounded_treewidth(
@@ -314,7 +285,7 @@ class Planner:
         self.metrics.histogram("planner.engine_latency", labels=labels).observe(seconds)
 
     def record_kernel(self, kernel: str) -> None:
-        """Record which relational kernel (``sql``/``columnar``/``legacy``)
+        """Record which relational kernel (``sql``/``columnar``/``dist``)
         a Yannakakis run resolved to — a labeled counter family, mirroring
         :meth:`record_engine`."""
         self.metrics.counter("planner.kernel.selected", {"kernel": kernel}).inc()
@@ -328,9 +299,6 @@ class Planner:
             ).items()
             if count
         }
-
-    #: Backwards-compatible alias (pre-telemetry callers).
-    _record_engine = record_engine
 
     # ------------------------------------------------------------------
     # Substituted satisfiability (the Theorem 6/8/9 inner loop)

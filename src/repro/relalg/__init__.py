@@ -4,18 +4,16 @@ evaluation stack (ROADMAP item 2).
 :mod:`repro.relalg.relation` defines the :class:`Relation`
 representation and the kernels (``scan``/``semijoin``/``hash_join``/
 ``project``/``group_by``/``dedup``); :mod:`repro.relalg.config` resolves which
-execution path — columnar, legacy Mapping, or whole-tree SQL pushdown —
+executor — columnar, whole-tree SQL pushdown, or the shard program —
 serves a given query (``REPRO_KERNELS``).
 """
 
 from .config import (
     KERNEL_COLUMNAR,
-    KERNEL_LEGACY,
     KERNEL_SQL,
     KERNELS_ENV,
     MODE_AUTO,
     MODE_COLUMNAR,
-    MODE_LEGACY,
     choose_kernel,
     default_kernel,
     force_kernels,
@@ -50,8 +48,6 @@ __all__ = [
     "KERNELS_ENV",
     "KERNEL_SQL",
     "KERNEL_COLUMNAR",
-    "KERNEL_LEGACY",
     "MODE_AUTO",
     "MODE_COLUMNAR",
-    "MODE_LEGACY",
 ]

@@ -1,12 +1,11 @@
 """Kernel selection for the relational-algebra layer.
 
-Three execution paths implement the same relational operations:
+Three executors run Yannakakis' algorithm over a join tree
+(:mod:`repro.cqalgs.yannakakis`):
 
 * ``columnar`` — the set-oriented kernels of
   :mod:`repro.relalg.relation`: explicit variable schemas, tuple rows,
   shared-variable layouts computed once per join-tree edge;
-* ``legacy`` — the historical tuple-at-a-time path over immutable
-  :class:`~repro.core.mappings.Mapping` objects;
 * ``sql`` — the whole-tree SQL pushdown of
   :meth:`repro.storage.sqlite.SQLiteBackend.sql_yannakakis` (only
   available when the database is SQLite-backed);
@@ -23,13 +22,13 @@ environment variable (or forced programmatically with
   one (``dist`` on a sharded backend, ``sql`` on SQLite) and no worker
   pool is installed, otherwise the columnar kernels;
 * ``columnar`` — always the columnar Python kernels (even on SQLite or
-  a sharded backend — the coordinator's mirror serves the scans);
-* ``legacy`` — always the historical Mapping path.
+  a sharded backend — the coordinator's mirror serves the scans).
 
 The **kernel** is the resolved per-execution choice (``dist`` / ``sql``
-/ ``columnar`` / ``legacy``), computed by :func:`choose_kernel` from the
-mode plus the database's capabilities; it is recorded in plans, traces,
-and the obslog so operators can see which path served a query.
+/ ``columnar``), computed by :func:`choose_kernel` from the mode plus
+the database's capabilities and the installed pool — and from nothing
+else; it is recorded in plans, traces, and the obslog so operators can
+see which path served a query.
 """
 
 from __future__ import annotations
@@ -44,13 +43,11 @@ KERNELS_ENV = "REPRO_KERNELS"
 #: User-facing modes.
 MODE_AUTO = "auto"
 MODE_COLUMNAR = "columnar"
-MODE_LEGACY = "legacy"
-MODES = (MODE_AUTO, MODE_COLUMNAR, MODE_LEGACY)
+MODES = (MODE_AUTO, MODE_COLUMNAR)
 
 #: Resolved per-execution kernels.
 KERNEL_SQL = "sql"
 KERNEL_COLUMNAR = "columnar"
-KERNEL_LEGACY = "legacy"
 KERNEL_DIST = "dist"
 
 #: Programmatic override (tests, benchmarks); ``None`` defers to the env.
@@ -74,8 +71,8 @@ def kernel_mode() -> str:
 @contextmanager
 def force_kernels(mode: str) -> Iterator[None]:
     """Force the kernel mode for the dynamic extent of the block,
-    overriding ``REPRO_KERNELS`` — the parity tests and the kernel
-    microbenchmarks pin each path with this."""
+    overriding ``REPRO_KERNELS`` — the parity tests pin each path with
+    this."""
     if mode not in MODES:
         raise ValueError("unknown kernel mode %r (expected one of %s)" % (mode, ", ".join(MODES)))
     global _forced
@@ -97,50 +94,13 @@ def choose_kernel(db: object, pool: object = None) -> str:
     parallelism), else ``sql`` when it advertises
     :attr:`supports_sql_yannakakis`.
     """
-    mode = kernel_mode()
-    if mode == MODE_LEGACY:
-        return KERNEL_LEGACY
-    if mode == MODE_COLUMNAR:
+    if kernel_mode() == MODE_COLUMNAR:
         return KERNEL_COLUMNAR
     if pool is None and getattr(db, "supports_dist_yannakakis", False):
         return KERNEL_DIST
     if pool is None and getattr(db, "supports_sql_yannakakis", False):
         return KERNEL_SQL
     return KERNEL_COLUMNAR
-
-
-def resolve_kernel(db: object, pool: object = None, preferred: Optional[str] = None) -> str:
-    """:func:`choose_kernel`, with an optional *advisory* preference.
-
-    ``preferred`` (from a :class:`~repro.planner.plan.QueryPlan` whose
-    planner consulted the query-stats history) is honored only when it is
-    feasible here and now: the mode must be ``auto`` (explicit modes are
-    user policy and always win), and ``sql``/``dist`` additionally need
-    a backend that supports the corresponding whole-tree path and no
-    installed worker pool — exactly the conditions under which ``auto``
-    itself would allow them.
-    Infeasible or unknown preferences fall back to :func:`choose_kernel`.
-    """
-    fallback = choose_kernel(db, pool)
-    if preferred is None or preferred == fallback:
-        return fallback
-    if kernel_mode() != MODE_AUTO:
-        return fallback
-    if preferred in (KERNEL_COLUMNAR, KERNEL_LEGACY):
-        return preferred
-    if (
-        preferred == KERNEL_SQL
-        and pool is None
-        and getattr(db, "supports_sql_yannakakis", False)
-    ):
-        return preferred
-    if (
-        preferred == KERNEL_DIST
-        and pool is None
-        and getattr(db, "supports_dist_yannakakis", False)
-    ):
-        return preferred
-    return fallback
 
 
 def default_kernel(db: object = None) -> str:

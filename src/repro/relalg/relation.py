@@ -3,9 +3,9 @@
 The evaluation stack's inner loops — Yannakakis' semi-join sweeps, the
 join/projection phase, the per-node extension steps of the WDPT
 evaluators — operate on *relations over variables*: sets of bindings of
-a fixed variable set.  The historical representation is one immutable
-:class:`~repro.core.mappings.Mapping` per binding, which re-derives the
-shared-variable layout of every operation from row contents and pays a
+a fixed variable set.  One immutable
+:class:`~repro.core.mappings.Mapping` per binding would re-derive the
+shared-variable layout of every operation from row contents and pay a
 hash + dict per row per operation.
 
 A :class:`Relation` instead carries an explicit **schema** — a tuple of
@@ -30,8 +30,8 @@ probe per distinct key and a full scan followed by the semi-join from
 the two sizes it can observe, the key count and the backend's
 :meth:`~repro.storage.base.StorageBackend.match_bound` for the pattern.
 
-Kernel semantics match the legacy Mapping path exactly, including the
-boundary cases the parity suite pins down:
+The boundary cases of the kernel semantics, pinned down by the unit
+tests, are those of relational algebra over sets of bindings:
 
 * a semi-join against an **empty** right side is empty, even when the
   two schemas share no variable;
@@ -166,9 +166,10 @@ def scan(
 
 
 def semijoin(left: Relation, right: Relation) -> Relation:
-    """``left ⋉ right`` on the schemas' common variables (legacy edge
-    semantics: empty right ⇒ empty result; no shared variables against a
-    non-empty right ⇒ ``left`` unchanged)."""
+    """``left ⋉ right`` on the schemas' common variables: the rows of
+    ``left`` with a join partner in ``right``.  An empty right side
+    empties the result even when no variable is shared; a non-empty one
+    sharing no variable leaves ``left`` unchanged."""
     if not right.rows:
         return Relation(left.schema, [])
     shared = [v for v in left.schema if v in right.index]

@@ -52,6 +52,7 @@ from typing import (
 from ..core.atoms import Atom, Schema
 from ..core.terms import Constant, Variable
 from ..exceptions import NotGroundError, ReproError
+from ..hypergraphs.gyo import join_tree_shape
 from ..relalg.relation import Relation, semijoin
 from .base import StorageBackend, allocate_backend_id
 
@@ -490,24 +491,7 @@ class SQLiteBackend(StorageBackend):
         ``d``/``a`` layers are then not even generated).
         """
         n = len(atoms)
-        children: Dict[int, List[int]] = {i: [] for i in range(n)}
-        parent_of: Dict[int, int] = {}
-        for child, parent in links:
-            children[parent].append(child)
-            parent_of[child] = parent
-        roots = [i for i in range(n) if i not in parent_of]
-        if len(roots) != 1:
-            raise ReproError(
-                "sql_yannakakis needs a single-root join tree, got %d roots"
-                % len(roots)
-            )
-        root = roots[0]
-        order: List[int] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(children[node])
+        root, children, parent_of, order, _ = join_tree_shape(links, n)
 
         atom_vars: List[List[Variable]] = [
             sorted(a.variables(), key=repr) for a in atoms

@@ -31,10 +31,8 @@ after the fact:
   Symmetric, ≥ 1, and 1.0 exactly when the estimate is right.
 
 * :class:`QueryStatsStore` — a bounded, thread-safe, mergeable
-  per-fingerprint history (latency, rows, cache hits, kernel wins,
-  q-error) that persists to JSON and answers
-  :meth:`~QueryStatsStore.best_kernel` so the planner can prefer the
-  kernel that historically won for a query shape.
+  per-fingerprint history (latency, rows, cache hits, per-kernel counts,
+  q-error) that persists to JSON.
 
 Everything here is read-side telemetry: estimates are memoized per
 ``(atom set, backend_id, data_version)`` by the planner, and nothing in
@@ -245,17 +243,13 @@ def _agm_bound(
 #: Schema stamp of :meth:`QueryStatsStore.dump` / persisted JSON files.
 STATS_SCHEMA = 1
 
-#: Executions of a kernel required before :meth:`QueryStatsStore.best_kernel`
-#: trusts its mean latency.
-MIN_KERNEL_SAMPLES = 3
-
 
 class QueryStatsStore:
     """Bounded, thread-safe, mergeable per-query-shape statistics.
 
     Keys are query ids (the first 16 chars of a structural fingerprint,
     as stamped on obslog events); values accumulate execution history:
-    latency, rows, cache hits, per-kernel wins, q-error.  The store is
+    latency, rows, cache hits, per-kernel counts, q-error.  The store is
     LRU-bounded like :class:`~repro.planner.cache.PlanCache`, merges like
     ``MetricsRegistry.dump``/``merge_dump`` (process workers ship their
     local store back inside the batch envelope), and round-trips through
@@ -330,26 +324,6 @@ class QueryStatsStore:
                 q["last"] = float(max_q_error)
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    # Planner feedback
-    # ------------------------------------------------------------------
-    def best_kernel(self, query_id: str) -> Optional[str]:
-        """The kernel with the lowest mean latency for ``query_id`` among
-        kernels with ≥ ``MIN_KERNEL_SAMPLES`` executions, or ``None``
-        when history is too thin to prefer one."""
-        with self._lock:
-            entry = self._data.get(query_id)
-            if entry is None:
-                return None
-            seasoned = {
-                kernel: k["wall_seconds"] / k["count"]
-                for kernel, k in entry["kernels"].items()
-                if k["count"] >= MIN_KERNEL_SAMPLES
-            }
-        if not seasoned:
-            return None
-        return min(seasoned, key=lambda kernel: (seasoned[kernel], kernel))
 
     # ------------------------------------------------------------------
     # Introspection / merge / persistence

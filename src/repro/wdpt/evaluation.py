@@ -26,9 +26,9 @@ node, over relations (:mod:`repro.relalg`), never per parent mapping.
    filter every scanned atom they share a variable with — by index
    probes or by a scan and a semi-join, whichever the sizes favour — and
    the result holds exactly the homomorphisms of ``λ(c)`` that some row
-   of ``t`` can be extended by.  Cyclic labels (and
-   ``REPRO_KERNELS=legacy``) have no join tree to run; their node
-   relation comes from the backtracking search, once per distinct key.
+   of ``t`` can be extended by.  Cyclic labels have no join tree to run;
+   their node relation comes from the backtracking search, once per
+   distinct key.
 2. *Product.*  ``c``'s relation is extended into its own subtree the same
    way, then grouped by interface key.  Sibling subtrees share variables
    only through ``t``, so each row ``h`` of ``t`` yields ``{h} ⨝ ∏_c
@@ -62,7 +62,6 @@ from ..cqalgs.naive import homomorphisms as cq_homomorphisms
 from ..cqalgs.yannakakis import relation_with_join_tree
 from ..hypergraphs.gyo import join_tree_of_atoms
 from ..parallel.pool import current_pool
-from ..relalg.config import MODE_LEGACY, kernel_mode
 from ..relalg.relation import (
     Relation,
     Row,
@@ -124,7 +123,6 @@ class _TreeEvaluation:
         self.p = p
         self.db = db
         self.profile = profile
-        self.backtrack = kernel_mode() == MODE_LEGACY
         self.pool = current_pool()
         self.safe = (
             _parallel_safe_nodes(p, profile) if self.pool is not None else frozenset()
@@ -172,12 +170,12 @@ class _TreeEvaluation:
         root) — one CQ per tree node."""
         account_subquery()
         variables = self.p.node_variables(node)
-        atoms, links = (None, None) if self.backtrack else self.join_tree(node)
+        atoms, links = self.join_tree(node)
         if links is not None:
             rel = relation_with_join_tree(atoms, links, self.db, variables, seed=keys)
         else:
-            # Cyclic label, or the legacy kernels: backtracking search,
-            # once per distinct key instead of once per parent mapping.
+            # Cyclic label: backtracking search, once per distinct key
+            # instead of once per parent mapping.
             schema = sorted(variables, key=repr)
             label = self.p.labels[node]
             seeds = [Mapping()] if keys is None else to_mappings(keys)

@@ -49,7 +49,7 @@ SHARD_COUNTS = (1, 2, 4)
 @pytest.fixture(autouse=True)
 def _auto_kernels():
     """Only ``auto`` mode selects the dist kernel this module is about:
-    pin it, so the suite also passes under ``REPRO_KERNELS=legacy``."""
+    pin it, so the suite also passes under ``REPRO_KERNELS=columnar``."""
     with force_kernels(MODE_AUTO):
         yield
 

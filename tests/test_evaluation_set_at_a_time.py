@@ -19,7 +19,7 @@ from repro.cqalgs.naive import count_homomorphisms
 from repro.cqalgs.yannakakis import relation_with_join_tree
 from repro.engine import Session
 from repro.parallel.pool import WorkerPool, use_pool
-from repro.relalg.config import MODE_LEGACY, MODES, force_kernels
+from repro.relalg.config import MODES, force_kernels
 from repro.relalg.relation import Relation, group_by, scan, semijoin, to_mappings
 from repro.storage import MemoryBackend, SQLiteBackend
 from repro.telemetry.tracer import tracing
@@ -271,9 +271,7 @@ def _assert_one_run_per_node(p, evaluated):
         for mode in MODES:
             with force_kernels(mode), tracing() as tracer:
                 result = session.query(p)
-            # The legacy mode's node relations come from backtracking.
-            runs = 0 if mode == MODE_LEGACY else evaluated
-            assert len(list(tracer.find("yannakakis"))) == runs
+            assert len(list(tracer.find("yannakakis"))) == evaluated
             assert result.resources.subqueries == evaluated
             assert result.answers == evaluate_reference(p, session.database)
 

@@ -6,10 +6,9 @@ from repro.core.atoms import atom
 from repro.hypergraphs.gyo import (
     gyo_reduction,
     is_alpha_acyclic,
-    join_tree_children,
     join_tree_is_valid,
     join_tree_of_atoms,
-    join_tree_root,
+    join_tree_shape,
 )
 from repro.hypergraphs.hypergraph import Hypergraph
 
@@ -69,9 +68,17 @@ class TestJoinTrees:
     def test_root_and_children(self):
         atoms = [atom("E", "?x", "?y"), atom("E", "?y", "?z")]
         links = join_tree_of_atoms(atoms)
-        root = join_tree_root(links, 2)
-        children = join_tree_children(links, 2)
-        assert set(children[root]) == {1 - root}
+        tree = join_tree_shape(links, 2)
+        assert tree.children[tree.root] == [1 - tree.root]
+        assert tree.parent == {1 - tree.root: tree.root}
+        assert tree.order == [tree.root, 1 - tree.root]
+        assert tree.levels == [[tree.root], [1 - tree.root]]
+
+    def test_shape_rejects_links_that_are_not_one_tree(self):
+        with pytest.raises(ValueError, match="2 roots"):
+            join_tree_shape([(0, 1)], 3)
+        with pytest.raises(ValueError, match="reach 1 of 3"):
+            join_tree_shape([(1, 2), (2, 1)], 3)
 
     def test_star_query(self):
         atoms = [atom("E", "?c", "?r%d" % i) for i in range(4)]

@@ -27,14 +27,11 @@ from repro.planner.planner import Planner
 from repro.planner.profile import StructuralProfile
 from repro.relalg.config import (
     KERNEL_COLUMNAR,
-    KERNEL_LEGACY,
     KERNEL_SQL,
     MODE_AUTO,
     force_kernels,
-    resolve_kernel,
 )
 from repro.telemetry.insight import (
-    MIN_KERNEL_SAMPLES,
     QueryStatsStore,
     STATS_SCHEMA,
     CardinalityEstimate,
@@ -168,7 +165,7 @@ def _assert_estimates_in_report(report):
     assert summary["max"] >= summary["p95"] >= summary["p50"] >= 1.0
 
 
-@pytest.mark.parametrize("kernel", [KERNEL_COLUMNAR, KERNEL_LEGACY])
+@pytest.mark.parametrize("kernel", [KERNEL_COLUMNAR])
 def test_analyze_shows_estimates_under_forced_kernels(kernel):
     with force_kernels(kernel):
         session = Session(example2_graph())
@@ -253,7 +250,7 @@ def test_stats_store_merge_equals_direct_recording():
     direct, left, right = QueryStatsStore(), QueryStatsStore(), QueryStatsStore()
     samples = [
         ("q1", 0.2, 4, "yannakakis", "columnar"),
-        ("q1", 0.3, 4, "yannakakis", "legacy"),
+        ("q1", 0.3, 4, "yannakakis", "sql"),
         ("q2", 0.1, 1, "naive", None),
     ]
     for i, (qid, wall, rows, engine, kernel) in enumerate(samples):
@@ -286,44 +283,6 @@ def test_stats_store_persists_and_reloads(tmp_path):
     reloaded = QueryStatsStore.load(path)
     assert reloaded.dump() == store.dump()
     assert reloaded.dump()["schema"] == STATS_SCHEMA
-
-
-def test_best_kernel_needs_seasoned_history():
-    store = QueryStatsStore()
-    for _ in range(MIN_KERNEL_SAMPLES - 1):
-        store.record("q1", wall_seconds=0.1, kernel="legacy")
-    assert store.best_kernel("q1") is None          # too thin
-    store.record("q1", wall_seconds=0.1, kernel="legacy")
-    assert store.best_kernel("q1") == "legacy"
-    for _ in range(MIN_KERNEL_SAMPLES):
-        store.record("q1", wall_seconds=0.01, kernel="columnar")
-    assert store.best_kernel("q1") == "columnar"    # lower mean latency wins
-    assert store.best_kernel("unknown") is None
-
-
-def test_planner_prefers_historical_kernel_in_auto_mode():
-    db = example2_graph()
-    store = QueryStatsStore()
-    planner = Planner(stats_store=store)
-    fingerprint = "f" * 16
-    for _ in range(MIN_KERNEL_SAMPLES):
-        store.record(fingerprint, wall_seconds=0.01, kernel=KERNEL_LEGACY)
-    assert planner._preferred_kernel(fingerprint, db) == KERNEL_LEGACY
-    # Explicit modes are user policy: history never overrides them.
-    with force_kernels(KERNEL_COLUMNAR):
-        assert planner._preferred_kernel(fingerprint, db) == KERNEL_COLUMNAR
-    # No history / no fingerprint: the static default.
-    assert planner._preferred_kernel("0" * 16, db) == resolve_kernel(db)
-    assert planner._preferred_kernel("", db) == resolve_kernel(db)
-
-
-def test_resolve_kernel_preference_is_advisory():
-    db = example2_graph()
-    assert resolve_kernel(db, preferred=KERNEL_LEGACY) == KERNEL_LEGACY
-    with force_kernels(KERNEL_COLUMNAR):  # explicit mode wins
-        assert resolve_kernel(db, preferred=KERNEL_LEGACY) == KERNEL_COLUMNAR
-    # sql needs a backend that supports pushdown: infeasible → fallback.
-    assert resolve_kernel(db, preferred=KERNEL_SQL) == resolve_kernel(db)
 
 
 def test_session_feeds_the_stats_store():

@@ -1,20 +1,21 @@
 """The columnar relation layer: per-kernel unit tests and cross-path
 parity properties.
 
-The unit half pins down the edge semantics the legacy Mapping path
-established (empty right side of a semi-join, no shared variables,
-Boolean relations over the empty schema).  The property half drives
-random acyclic CQs and WDPTs through all three execution paths —
-``columnar``, ``legacy``, and (on SQLite) the whole-tree SQL pushdown —
-and requires identical answer sets.
+The unit half pins down the edge semantics of the kernels (empty right
+side of a semi-join, no shared variables, Boolean relations over the
+empty schema).  The property half drives random acyclic CQs and WDPTs
+through the ``columnar`` kernels and (on SQLite) the whole-tree SQL
+pushdown and requires the answer sets of the independent references,
+the backtracking search and the literal Definition 2 evaluator.
 """
 
 import pytest
 
 from repro.core.atoms import Atom, atom
 from repro.core.database import Database
-from repro.core.mappings import Mapping
+from repro.core.mappings import Mapping, maximal_mappings
 from repro.core.terms import Constant, Variable
+from repro.cqalgs.naive import evaluate_naive, satisfiable
 from repro.cqalgs.yannakakis import evaluate_acyclic, satisfiable_with_join_tree
 from repro.hypergraphs.gyo import join_tree_of_atoms
 from repro.relalg import (
@@ -143,30 +144,30 @@ class _SQLCapable:
 def test_kernel_mode_reads_environment(monkeypatch):
     monkeypatch.delenv(KERNELS_ENV, raising=False)
     assert kernel_mode() == "auto"
-    monkeypatch.setenv(KERNELS_ENV, "LEGACY")
-    assert kernel_mode() == "legacy"
-    monkeypatch.setenv(KERNELS_ENV, "vectorized")
-    with pytest.raises(ValueError):
-        kernel_mode()
+    monkeypatch.setenv(KERNELS_ENV, "COLUMNAR")
+    assert kernel_mode() == "columnar"
+    for not_a_mode in ("vectorized", "legacy"):
+        monkeypatch.setenv(KERNELS_ENV, not_a_mode)
+        with pytest.raises(ValueError, match="not a kernel mode"):
+            kernel_mode()
 
 
 def test_force_kernels_overrides_environment(monkeypatch):
-    monkeypatch.setenv(KERNELS_ENV, "legacy")
+    monkeypatch.setenv(KERNELS_ENV, "auto")
     with force_kernels("columnar"):
         assert kernel_mode() == "columnar"
         with force_kernels("auto"):
             assert kernel_mode() == "auto"
         assert kernel_mode() == "columnar"
-    assert kernel_mode() == "legacy"
-    with pytest.raises(ValueError):
-        with force_kernels("nope"):
-            pass
+    assert kernel_mode() == "auto"
+    for not_a_mode in ("nope", "legacy"):
+        with pytest.raises(ValueError):
+            with force_kernels(not_a_mode):
+                pass
 
 
 def test_choose_kernel_matrix():
     db = Database()
-    with force_kernels("legacy"):
-        assert choose_kernel(_SQLCapable()) == "legacy"
     with force_kernels("columnar"):
         assert choose_kernel(_SQLCapable()) == "columnar"
     with force_kernels("auto"):
@@ -187,6 +188,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.engine import Session  # noqa: E402
 from repro.storage import SQLiteBackend  # noqa: E402
+from repro.wdpt.evaluation import evaluate_reference  # noqa: E402
 from repro.workloads.generators import (  # noqa: E402
     path_cq,
     random_cq,
@@ -222,8 +224,7 @@ def test_columnar_legacy_sql_parity_on_acyclic_cqs(seed, length, rays):
     db = _db(seed)
     lite = SQLiteBackend(db.facts())
     for q in _acyclic_queries(seed, length, rays):
-        with force_kernels("legacy"):
-            expected = evaluate_acyclic(q, db)
+        expected = evaluate_naive(q, db)
         with force_kernels("columnar"):
             assert evaluate_acyclic(q, db) == expected
         with force_kernels("auto"):
@@ -242,8 +243,7 @@ def test_boolean_fast_path_parity(seed, length):
     atoms = tuple(sorted(path_cq(length).atoms))
     links = join_tree_of_atoms(atoms)
     assert links is not None
-    with force_kernels("legacy"):
-        expected = satisfiable_with_join_tree(atoms, links, db)
+    expected = satisfiable(atoms, db)
     with force_kernels("columnar"):
         assert satisfiable_with_join_tree(atoms, links, db) is expected
     with force_kernels("auto"):
@@ -262,9 +262,8 @@ def test_wdpt_evaluation_parity_across_kernel_modes(seed):
         relations=RELATIONS,
         seed=seed,
     )
-    with force_kernels("legacy"):
-        expected = Session(db, cache=False).query(query).answers
-        expected_max = Session(db, cache=False).query_maximal(query).answers
+    expected = evaluate_reference(query, db)
+    expected_max = maximal_mappings(expected)
     for mode in ("columnar", "auto"):
         with force_kernels(mode):
             assert Session(db, cache=False).query(query).answers == expected

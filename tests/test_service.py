@@ -612,11 +612,13 @@ class TestConcurrency:
             for thread in threads:
                 thread.start()
             # Both flights are up and the three riders have joined theirs.
+            # (The executor thread can run ``gated`` before the loop
+            # thread has registered the flight, so that is polled too.)
             _wait_until(
                 lambda: len(evaluated) == 2
                 and self._coalesced(srv, "acme") == 3
+                and len(srv._flights) == 2
             )
-            assert len(srv._flights) == 2
             release.set()
             for thread in threads:
                 thread.join(30)

@@ -79,7 +79,7 @@ def test_decision_procedure_parity(seed):
         )
 
 
-@pytest.mark.parametrize("mode", ["auto", "columnar", "legacy"])
+@pytest.mark.parametrize("mode", ["auto", "columnar"])
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10 ** 6),
@@ -87,8 +87,8 @@ def test_decision_procedure_parity(seed):
     rays=st.integers(min_value=1, max_value=3),
 )
 def test_acyclic_cq_parity_per_kernel_mode(mode, seed, length, rays):
-    # ``auto`` on SQLite is the whole-tree SQL pushdown; ``columnar`` and
-    # ``legacy`` pin the two Python kernels on both backends.
+    # ``auto`` on SQLite is the whole-tree SQL pushdown; ``columnar``
+    # pins the Python kernels on both backends.
     from repro.relalg.config import force_kernels
 
     mem, sql = _pair(seed, n_facts=30, domain_size=5)

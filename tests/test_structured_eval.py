@@ -1,6 +1,8 @@
 """Unit tests for bounded-treewidth / bounded-hypertreewidth evaluation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.atoms import atom
 from repro.core.cq import cq
@@ -11,7 +13,9 @@ from repro.cqalgs.structured import (
     evaluate_bounded_hypertreewidth,
     evaluate_bounded_treewidth,
 )
-from repro.exceptions import ClassMembershipError
+from repro.exceptions import ClassMembershipError, ResourceBudgetExceeded
+from repro.storage import MemoryBackend, SQLiteBackend
+from repro.telemetry.resources import ResourceBudget, ResourceMonitor
 from repro.workloads.generators import (
     cycle_cq,
     grid_cq,
@@ -78,6 +82,57 @@ def test_constants_inside_atoms(db):
 def test_repeated_variables(db):
     q = cq(["?x"], [atom("E", "?x", "?x"), atom("E", "?x", "?y")])
     assert evaluate_bounded_treewidth(q, db) == evaluate_naive(q, db)
+
+
+VALUES = (0, 1, 2)
+
+
+@st.composite
+def cyclic_cq_and_facts(draw):
+    """A triangle or 4-cycle over ``E``/``F`` with pendant atoms hanging
+    off it and, now and then, a repeated variable, a ground atom (present
+    or not) and an atom over the empty relation ``Z``; free variables
+    (maybe none); a small database."""
+    n = draw(st.sampled_from([3, 4]))
+    cycle = ["?c%d" % i for i in range(n)]
+    edge = st.sampled_from("EF")
+    atoms = [atom(draw(edge), cycle[i], cycle[(i + 1) % n]) for i in range(n)]
+    for j in range(draw(st.integers(0, 2))):
+        atoms.append(atom(draw(edge), draw(st.sampled_from(cycle)), "?p%d" % j))
+    extras = draw(st.sets(st.sampled_from(["repeat", "ground", "empty"])))
+    if "repeat" in extras:
+        atoms.append(atom(draw(edge), *[draw(st.sampled_from(cycle))] * 2))
+    if "ground" in extras:
+        atoms.append(atom("U", draw(st.sampled_from(VALUES))))
+    if "empty" in extras:
+        atoms.append(atom("Z", draw(st.sampled_from(cycle)), "?z"))
+    variables = sorted({v for a in atoms for v in a.variables()})
+    frees = draw(st.sets(st.sampled_from(variables)))
+    pairs = st.sets(st.tuples(*[st.sampled_from(VALUES)] * 2), min_size=3)
+    facts = [atom(r, *pair) for r in "EF" for pair in sorted(draw(pairs))]
+    facts += [atom("U", value) for value in sorted(draw(st.sets(st.sampled_from(VALUES))))]
+    return cq(sorted(frees), atoms), facts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cyclic_cq_and_facts())
+def test_both_engines_agree_with_naive_on_random_cyclic_cqs(case):
+    query, facts = case
+    expected = evaluate_naive(query, MemoryBackend(facts))
+    for backend in (MemoryBackend, SQLiteBackend):
+        db = backend(facts)
+        assert evaluate_bounded_treewidth(query, db) == expected, backend.__name__
+        assert evaluate_bounded_hypertreewidth(query, db) == expected, backend.__name__
+
+
+def test_hard_row_budget_stops_a_bag_where_it_blows_up():
+    """The triangle's one bag joins to 40·39·38 rows; the kill comes at
+    the first intermediate over the limit, not after the finished bag."""
+    db = Database([atom("E", i, j) for i in range(40) for j in range(40) if i != j])
+    with ResourceMonitor(ResourceBudget(hard_intermediate_rows=100)):
+        with pytest.raises(ResourceBudgetExceeded) as kill:
+            evaluate_bounded_treewidth(cycle_cq(3), db)
+    assert kill.value.observed == 40 * 39
 
 
 class TestDispatch:

@@ -1,28 +1,32 @@
 """Unit tests for Yannakakis' algorithm (cross-checked against naive)."""
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.atoms import atom
-from repro.core.cq import cq
+from repro.core.cq import ConjunctiveQuery, cq
 from repro.core.database import Database
 from repro.core.terms import Constant, Variable
+from repro.cqalgs.enumeration import enumerate_answers
 from repro.cqalgs.naive import evaluate_naive, homomorphisms
 from repro.cqalgs.yannakakis import (
-    _scan_phase,
     evaluate_acyclic,
     relation_with_join_tree,
     satisfiable_with_join_tree,
+    scan_schedule,
+    semijoin_reduce,
 )
 from repro.engine import Session
 from repro.exceptions import ClassMembershipError
-from repro.hypergraphs.gyo import join_tree_of_atoms
+from repro.hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
 from repro.parallel.pool import WorkerPool, use_pool
 from repro.relalg.config import force_kernels
 from repro.relalg.relation import Relation, scan, to_mappings
 from repro.storage import MemoryBackend, SQLiteBackend
-from repro.telemetry.tracer import current_tracer, tracing
+from repro.telemetry.tracer import tracing
 from repro.workloads.datasets import music_catalog
 from repro.workloads.generators import path_cq, random_graph_database, star_cq
 
@@ -153,10 +157,26 @@ def _joins(h, seed):
     )
 
 
-@settings(
+#: backend × pool/no pool.
+CONFIGURATIONS = [(b, jobs) for b in (MemoryBackend, SQLiteBackend) for jobs in (1, 2)]
+
+
+@contextmanager
+def _configured(backend, jobs, facts):
+    """``(db, label)`` with the columnar kernels pinned and, for
+    ``jobs > 1``, a pool installed."""
+    with force_kernels("columnar"), WorkerPool(jobs=jobs) as pool:
+        with use_pool(pool if jobs > 1 else None):
+            yield backend(facts), (backend.__name__, jobs)
+
+
+_ACYCLIC = settings(
     max_examples=150, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+
+
+@_ACYCLIC
 @given(acyclic_cq_and_facts())
 @example((
     # R's scan is seeded by the one-row S, not by the larger seed — which
@@ -173,29 +193,57 @@ def test_scan_schedule_stays_between_full_reduction_and_plain_scan(case):
     oracle = MemoryBackend(facts)
     homs = [h for h in homomorphisms(atoms, oracle) if _joins(h, seed)]
     expected = frozenset(h.restrict(frees) for h in homs)
-    for backend in (MemoryBackend, SQLiteBackend):
-        db = backend(facts)
-        with force_kernels("columnar"):
-            for jobs in (1, 2):
-                with WorkerPool(jobs=jobs) as pool, use_pool(pool if jobs > 1 else None):
-                    config = (backend.__name__, jobs)
-                    relations = _scan_phase(
-                        atoms, links, db, seed, pool if jobs > 1 else None, current_tracer()
-                    )
-                    if relations is None:
-                        assert not homs, config
-                    else:
-                        for a, rel in zip(atoms, relations):
-                            plain = scan(a, db)
-                            assert rel.schema == plain.schema, config
-                            assert set(rel.rows) <= set(plain.rows), config
-                            assert len(set(rel.rows)) == len(rel.rows), config
-                            reduced = {tuple(h[v] for v in rel.schema) for h in homs}
-                            assert reduced <= set(rel.rows), config
-                    answers = relation_with_join_tree(atoms, links, db, frees, seed=seed)
-                    assert to_mappings(answers) == expected, config
-                    if seed is None:
-                        assert satisfiable_with_join_tree(atoms, links, db) is bool(homs), config
+    for backend, jobs in CONFIGURATIONS:
+        with _configured(backend, jobs, facts) as (db, config):
+            relations = scan_schedule(atoms, links, db, seed)
+            if relations is None:
+                assert not homs, config
+            else:
+                for a, rel in zip(atoms, relations):
+                    plain = scan(a, db)
+                    assert rel.schema == plain.schema, config
+                    assert set(rel.rows) <= set(plain.rows), config
+                    assert len(set(rel.rows)) == len(rel.rows), config
+                    reduced = {tuple(h[v] for v in rel.schema) for h in homs}
+                    assert reduced <= set(rel.rows), config
+            answers = relation_with_join_tree(atoms, links, db, frees, seed=seed)
+            assert to_mappings(answers) == expected, config
+            if seed is None:
+                assert satisfiable_with_join_tree(atoms, links, db) is bool(homs), config
+
+
+@_ACYCLIC
+@given(acyclic_cq_and_facts())
+def test_semijoin_program_ends_in_the_full_reduction(case):
+    """Per atom, exactly the rows some homomorphism uses — computed by the
+    same loop with and without a pool."""
+    atoms, facts, _, _ = case
+    links = join_tree_of_atoms(atoms)
+    homs = list(homomorphisms(atoms, MemoryBackend(facts)))
+    for backend, jobs in CONFIGURATIONS:
+        with _configured(backend, jobs, facts) as (db, config):
+            relations = scan_schedule(atoms, links, db)
+            alive = relations is not None and semijoin_reduce(
+                relations, join_tree_shape(links, len(atoms))
+            )
+            assert alive is bool(homs), config
+            for rel in relations if alive else ():
+                used = {tuple(h[v] for v in rel.schema) for h in homs}
+                assert len(rel.rows) == len(used) and set(rel.rows) == used, config
+
+
+@_ACYCLIC
+@given(acyclic_cq_and_facts())
+def test_enumeration_emits_every_answer_once(case):
+    atoms, facts, frees, _ = case
+    query = ConjunctiveQuery(sorted(frees), atoms)
+    expected = evaluate_naive(query, MemoryBackend(facts))
+    for backend, jobs in CONFIGURATIONS:
+        with _configured(backend, jobs, facts) as (db, config):
+            emitted = list(enumerate_answers(query, db))
+            assert len(emitted) == len(expected), config
+            assert frozenset(emitted) == expected, config
+            assert list(enumerate_answers(query, db, limit=2)) == emitted[:2], config
 
 
 def test_band_query_root_label_reads_a_handful_of_facts():
