@@ -1,7 +1,8 @@
 """Shared configuration for the paper-reproduction benchmarks.
 
 Each ``bench_*.py`` file regenerates one paper artifact (a Table 1/2 row or
-a figure).  Two kinds of measurements coexist:
+a figure) and asserts its shape; none of them referees performance between
+commits — that is ``bench/run.py``.  Two kinds of measurements coexist:
 
 * ``pytest-benchmark`` fixtures time a single representative operation per
   class column (these show up in the ``--benchmark-only`` summary table);

@@ -22,9 +22,6 @@ Usage::
                              [--port P] [--jobs J] [--global-limit N]
                              [--backend B | --store DB.sqlite] [--shards N]
                              [--self-check]
-    python -m repro bench    [--names N1,N2] [--repeats R] [--jobs J]
-                             [--shards S] [--out FILE]
-                             [--profile-hz HZ] [--profile-out OUT.json]
     python -m repro demo
 
 * ``profile`` parses the query (surface SPARQL first, the paper's
@@ -50,12 +47,12 @@ Usage::
   processes and evaluates distributively (``repro.dist``; also via
   ``REPRO_BACKEND=sharded`` + ``REPRO_SHARDS``), and ``--no-cache``
   disables the version-keyed result cache.
-* ``analyze`` runs EXPLAIN ANALYZE directly (over the paper's Example 2
-  database when no triples file is given).
   ``--stats-store STATS.json`` accumulates per-query-shape statistics
   (resumed across runs), and ``--serve-debug PORT`` serves ``/metrics``,
   ``/healthz`` and ``/debug/{queries,plans,stats}`` during the run
   (``--serve-seconds N`` keeps serving after it finishes).
+* ``analyze`` runs EXPLAIN ANALYZE directly (over the paper's Example 2
+  database when no triples file is given).
 * ``metrics`` evaluates a query (the paper's query (1) by default) and
   prints the planner's metrics in Prometheus text exposition format.
 * ``serve-metrics`` exposes ``/metrics`` + ``/healthz`` + ``/debug/*``
@@ -69,12 +66,6 @@ Usage::
   resource budgets, private result-cache sizes); over-cap traffic is shed
   with ``429`` + ``Retry-After``, and ``SIGTERM`` drains gracefully.
   See ``docs/SERVICE.md`` for the operator guide.
-* ``bench`` runs the named regression benchmarks
-  (``repro.benchharness.regress``) and, with ``--jobs N > 1``, the
-  parallel batch-scaling sweep; with ``--shards S > 1`` it also sweeps
-  distributed evaluation across 1..S shard processes (``repro.dist``);
-  ``--out`` appends the point to a trajectory file (``BENCH_eval.json``
-  by convention).
 * ``demo`` replays the paper's running example.
 
 ``run --jobs N`` evaluates with ``N`` pool workers: independent subtrees
@@ -88,20 +79,14 @@ import argparse
 import sys
 from typing import Optional
 
-from .exceptions import ParseError, ReproError
+from .engine import Session, _parse_text
+from .exceptions import ReproError
 from .rdf.graph import RDFGraph
 from .rdf.parser import parse_query
-from .rdf.sparql import parse_sparql
 from .wdpt.evaluation import evaluate
 from .wdpt.explain import explain
 from .wdpt.wdpt import WDPT
-
-
-def _parse_any(text: str) -> WDPT:
-    try:
-        return parse_sparql(text)
-    except ParseError:
-        return parse_query(text)
+from .workloads.families import FIGURE1_QUERY_TEXT, example2_graph
 
 
 def _load_triples(path: str) -> RDFGraph:
@@ -125,8 +110,14 @@ def _load_triples(path: str) -> RDFGraph:
     return graph
 
 
+def _graph(triples: Optional[str]) -> RDFGraph:
+    """The graph of a TRIPLES file, or the paper's Example 2 database
+    when the subcommand was given none."""
+    return _load_triples(triples) if triples is not None else example2_graph()
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
-    p = _parse_any(args.query)
+    p = _parse_text(args.query)
     sampling = (
         args.hz is not None
         or args.duration is not None
@@ -151,19 +142,12 @@ def _profile_sampled(args: argparse.Namespace, p: WDPT) -> int:
     """
     import time
 
-    from .engine import Session
     from .telemetry.profiler import DEFAULT_HZ, SamplingProfiler
     from .telemetry.tracer import tracing
 
-    if args.triples is not None:
-        graph = _load_triples(args.triples)
-    else:
-        from .workloads.families import example2_graph
-
-        graph = example2_graph()
     hz = int(args.hz) if args.hz is not None else DEFAULT_HZ
     duration = float(args.duration) if args.duration is not None else 1.0
-    session = Session(graph, cache=False)
+    session = Session(_graph(args.triples), cache=False)
     profiler = SamplingProfiler(hz=hz, registry=session.planner.metrics)
     runs = 0
     profiler.start()
@@ -306,13 +290,11 @@ def _make_stats_store(args: argparse.Namespace):
 def cmd_run(args: argparse.Namespace) -> int:
     import time
 
-    from .engine import Session
-
     if args.triples is None and args.store is None:
         raise ReproError(
             "run needs a TRIPLES file, --store DB.sqlite, or both"
         )
-    p = _parse_any(args.query)
+    p = _parse_text(args.query)
     obslog = _make_obslog(args)
     stats_store = _make_stats_store(args)
     session = Session(
@@ -340,12 +322,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     profiler = _start_profiler(args, session.planner.metrics)
     try:
-        if args.analyze or args.trace_out:
-            report = session.analyze(p)
-            answers = sorted(session.query(p), key=repr)
-        else:
-            report = None
-            answers = sorted(session.query(p), key=repr)
+        report = (
+            session.analyze(p) if args.analyze or args.trace_out else None
+        )
+        answers = sorted(session.query(p), key=repr)
         if args.save_db:
             _save_database(session.database, args.save_db)
         print("%d answer(s) over %d facts:" % (len(answers), session.size))
@@ -394,16 +374,8 @@ def _save_database(db, path: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .engine import Session
-
-    p = _parse_any(args.query)
-    if args.triples is not None:
-        session = Session(_load_triples(args.triples))
-    else:
-        from .workloads.families import example2_graph
-
-        session = Session(example2_graph())
-    report = session.analyze(p)
+    p = _parse_text(args.query)
+    report = Session(_graph(args.triples)).analyze(p)
     print(report.as_text())
     if args.trace_out:
         _write_trace(report, args.trace_out)
@@ -421,8 +393,6 @@ def _write_trace(report, path: str) -> None:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    from .engine import Session
-
     session, p = _metrics_session(args)
     session.query(p)
     print(session.planner.metrics.to_prometheus(), end="")
@@ -431,19 +401,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def _metrics_session(args: argparse.Namespace, obslog=None):
     """A Session plus warm-up query for the metrics subcommands."""
-    from .engine import Session
-
-    if args.triples is not None:
-        session = Session(_load_triples(args.triples), obslog=obslog)
-    else:
-        from .workloads.families import example2_graph
-
-        session = Session(example2_graph(), obslog=obslog)
+    session = Session(_graph(args.triples), obslog=obslog)
     if getattr(args, "query", None):
-        p = _parse_any(args.query)
+        p = _parse_text(args.query)
     else:
-        from .workloads.families import FIGURE1_QUERY_TEXT
-
         p = parse_query(FIGURE1_QUERY_TEXT)
     return session, p
 
@@ -499,14 +460,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     tenants = (
         load_tenants(args.tenants) if args.tenants else default_registry()
     )
-    if args.triples is not None:
-        data = _load_triples(args.triples)
-    else:
-        from .workloads.families import example2_graph
-
-        data = example2_graph()
     server = ServiceServer(
-        data,
+        _graph(args.triples),
         tenants=tenants,
         host=args.host,
         port=args.port,
@@ -556,87 +511,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             obslog.close()
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .benchharness.regress import (
-        append_point,
-        build_point,
-        measure_dist_scaling,
-        measure_parallel_scaling,
-    )
-    from .benchharness.reporting import format_table
-
-    names = args.names.split(",") if args.names else None
-    profiler = _start_profiler(args, None)
-    try:
-        point = build_point(
-            names=names, repeats=args.repeats, backend=args.backend,
-            profiler=profiler,
-        )
-    finally:
-        _finish_profiler(args, profiler)
-    rows = [
-        [name, "%.6f" % bench["seconds"]]
-        for name, bench in sorted(point["benchmarks"].items())
-    ]
-    print(format_table(["benchmark", "best-of-%d s" % args.repeats], rows))
-    est = point.get("estimator")
-    if est:
-        print(
-            "estimator q-error: p50 %.2f, p95 %.2f, max %.2f over %d node(s)"
-            % (est["p50"], est["p95"], est["max"], est["nodes"])
-        )
-    if args.jobs > 1:
-        jobs_list = sorted({1, *[j for j in (2, args.jobs) if j <= args.jobs]})
-        scaling = measure_parallel_scaling(
-            jobs_list=jobs_list, repeats=args.repeats
-        )
-        point["parallel"] = scaling
-        print()
-        print(
-            format_table(
-                ["jobs", "seconds", "speedup"],
-                [
-                    [str(j), "%.4f" % scaling["seconds"][j],
-                     "%.2fx" % scaling["speedup"][j]]
-                    for j in sorted(scaling["seconds"])
-                ],
-            )
-        )
-        print(
-            "executor=%s, effective CPUs=%d, answers_equal=%s"
-            % (scaling["executor"], scaling["effective_cpus"],
-               scaling["answers_equal"])
-        )
-    if args.shards > 1:
-        shards_list = sorted({1, *[s for s in (2, args.shards) if s <= args.shards]})
-        dist = measure_dist_scaling(
-            shards_list=shards_list, repeats=args.repeats
-        )
-        point["dist"] = dist
-        print()
-        print(
-            format_table(
-                ["shards", "seconds", "speedup"],
-                [
-                    [str(s), "%.4f" % dist["seconds"][s],
-                     "%.2fx" % dist["speedup"][s]]
-                    for s in sorted(dist["seconds"])
-                ],
-            )
-        )
-        print(
-            "effective CPUs=%d, answers_equal=%s"
-            % (dist["effective_cpus"], dist["answers_equal"])
-        )
-    if args.out:
-        append_point(args.out, point)
-        print("appended point to %s" % args.out)
-    return 0
-
-
 def cmd_demo(args: argparse.Namespace) -> int:
-    from .workloads.families import FIGURE1_QUERY_TEXT, example2_graph
-
     p = parse_query(FIGURE1_QUERY_TEXT)
     db = example2_graph().to_database()
     print("Query (1) of the paper:")
@@ -649,12 +524,63 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[list] = None) -> int:
+def _query_log_flags() -> argparse.ArgumentParser:
+    """The query-log flags (read by :func:`_make_obslog`), as a parent
+    parser of every subcommand that keeps a query log."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--log-queries", metavar="LOG.jsonl", default=None,
+        help="append structured query events as JSON lines",
+    )
+    flags.add_argument(
+        "--slow-ms", type=float, default=None, metavar="MS",
+        help="capture the EXPLAIN ANALYZE profile of queries slower than "
+             "this into the query log (implies query logging)",
+    )
+    flags.add_argument(
+        "--max-log-bytes", type=int, default=None, metavar="BYTES",
+        help="rotate the query log when it reaches this size "
+             "(default: never rotate)",
+    )
+    flags.add_argument(
+        "--log-backups", type=int, default=3, metavar="N",
+        help="rotated query-log files to keep as LOG.jsonl.1..N "
+             "(0 = truncate in place; default: %(default)s)",
+    )
+    return flags
+
+
+def _storage_flags() -> argparse.ArgumentParser:
+    """The storage flags (``Session``'s ``backend=``/``shards=``/``path=``),
+    as a parent parser of every subcommand that builds its own backend."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--backend", default=None, choices=["memory", "sharded", "sqlite"],
+        help="storage backend (default: memory, or $REPRO_BACKEND; "
+             "--store implies sqlite, --shards implies sharded)",
+    )
+    flags.add_argument(
+        "--shards", type=int, default=None, metavar="N",
+        help="evaluate on N hash-partitioned shard processes "
+             "(repro.dist; implies --backend sharded; default: "
+             "$REPRO_SHARDS, else 2)",
+    )
+    flags.add_argument(
+        "--store", metavar="DB.sqlite", default=None,
+        help="on-disk SQLite database to evaluate against (created when "
+             "missing, resumed when present; any TRIPLES are added to it)",
+    )
+    return flags
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Well-designed pattern trees: profile and evaluate {AND, OPT} queries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    query_log = _query_log_flags()
+    storage = _storage_flags()
 
     p_profile = sub.add_parser(
         "profile",
@@ -703,6 +629,7 @@ def main(argv: Optional[list] = None) -> int:
 
     p_run = sub.add_parser(
         "run",
+        parents=[query_log, storage],
         help="evaluate a query over a triples file or a stored database",
     )
     p_run.add_argument("query")
@@ -720,25 +647,6 @@ def main(argv: Optional[list] = None) -> int:
         help="write the Chrome trace-event JSON of the execution",
     )
     p_run.add_argument(
-        "--log-queries", metavar="LOG.jsonl", default=None,
-        help="append structured query events as JSON lines",
-    )
-    p_run.add_argument(
-        "--slow-ms", type=float, default=None, metavar="MS",
-        help="capture the EXPLAIN ANALYZE profile of queries slower than "
-             "this into the query log (implies query logging)",
-    )
-    p_run.add_argument(
-        "--max-log-bytes", type=int, default=None, metavar="BYTES",
-        help="rotate the query log when it reaches this size "
-             "(default: never rotate)",
-    )
-    p_run.add_argument(
-        "--log-backups", type=int, default=3, metavar="N",
-        help="rotated query-log files to keep as LOG.jsonl.1..N "
-             "(0 = truncate in place; default: %(default)s)",
-    )
-    p_run.add_argument(
         "--profile-hz", type=int, default=None, metavar="HZ",
         help="sample wall-clock stacks at HZ while the query runs",
     )
@@ -750,22 +658,6 @@ def main(argv: Optional[list] = None) -> int:
         "--jobs", type=int, default=None, metavar="N",
         help="evaluate with N pool workers (independent subtrees fan out; "
              "answers are identical to the sequential run)",
-    )
-    p_run.add_argument(
-        "--backend", default=None, choices=["memory", "sharded", "sqlite"],
-        help="storage backend (default: memory, or $REPRO_BACKEND; "
-             "--store implies sqlite, --shards implies sharded)",
-    )
-    p_run.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="evaluate on N hash-partitioned shard processes "
-             "(repro.dist; implies --backend sharded; default: "
-             "$REPRO_SHARDS, else 2)",
-    )
-    p_run.add_argument(
-        "--store", metavar="DB.sqlite", default=None,
-        help="on-disk SQLite database to evaluate against (created when "
-             "missing, resumed when present; any TRIPLES are added to it)",
     )
     p_run.add_argument(
         "--save-db", metavar="DB.sqlite", default=None,
@@ -824,6 +716,7 @@ def main(argv: Optional[list] = None) -> int:
 
     p_serve = sub.add_parser(
         "serve-metrics",
+        parents=[query_log],
         help="expose /metrics and /healthz over HTTP",
     )
     p_serve.add_argument(
@@ -843,30 +736,11 @@ def main(argv: Optional[list] = None) -> int:
         "--self-check", action="store_true",
         help="fetch the endpoint once, print the response, and exit",
     )
-    p_serve.add_argument(
-        "--log-queries", metavar="LOG.jsonl", default=None,
-        help="append structured query events as JSON lines while serving",
-    )
-    p_serve.add_argument(
-        "--slow-ms", type=float, default=None, metavar="MS",
-        help="capture the EXPLAIN ANALYZE profile of queries slower than "
-             "this into the query log (implies query logging)",
-    )
-    p_serve.add_argument(
-        "--max-log-bytes", type=int, default=None, metavar="BYTES",
-        help="rotate the query log when it reaches this size — long-lived "
-             "servers otherwise grow the log unboundedly "
-             "(default: never rotate)",
-    )
-    p_serve.add_argument(
-        "--log-backups", type=int, default=3, metavar="N",
-        help="rotated query-log files to keep as LOG.jsonl.1..N "
-             "(0 = truncate in place; default: %(default)s)",
-    )
     p_serve.set_defaults(func=cmd_serve_metrics)
 
     p_svc = sub.add_parser(
         "serve",
+        parents=[query_log, storage],
         help="run the multi-tenant async query service "
              "(POST /query|/ask|/explain; see docs/SERVICE.md)",
     )
@@ -885,20 +759,6 @@ def main(argv: Optional[list] = None) -> int:
         help="port to bind (default: 0 = pick a free one, printed)",
     )
     p_svc.add_argument(
-        "--backend", default=None, choices=["memory", "sharded", "sqlite"],
-        help="storage backend (default: memory, or sqlite with --store, "
-             "or sharded with --shards)",
-    )
-    p_svc.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="serve from N hash-partitioned shard processes "
-             "(repro.dist; implies --backend sharded)",
-    )
-    p_svc.add_argument(
-        "--store", default=None, metavar="DB.sqlite",
-        help="serve directly against an on-disk SQLite database",
-    )
-    p_svc.add_argument(
         "--jobs", type=int, default=None, metavar="J",
         help="intra-query workers of each tenant session "
              "(default: sequential)",
@@ -912,76 +772,15 @@ def main(argv: Optional[list] = None) -> int:
         help="start, probe /healthz, /tenants and POST /explain once, "
              "print the responses, and exit",
     )
-    p_svc.add_argument(
-        "--log-queries", metavar="LOG.jsonl", default=None,
-        help="append structured request/query events as JSON lines "
-             "(the service request log)",
-    )
-    p_svc.add_argument(
-        "--slow-ms", type=float, default=None, metavar="MS",
-        help="capture the EXPLAIN ANALYZE profile of queries slower than "
-             "this into the query log (implies query logging)",
-    )
-    p_svc.add_argument(
-        "--max-log-bytes", type=int, default=None, metavar="BYTES",
-        help="rotate the query log when it reaches this size "
-             "(default: never rotate)",
-    )
-    p_svc.add_argument(
-        "--log-backups", type=int, default=3, metavar="N",
-        help="rotated query-log files to keep (default: %(default)s)",
-    )
     p_svc.set_defaults(func=cmd_serve)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the regression benchmarks (and, with --jobs, the "
-             "parallel scaling sweep)",
-    )
-    p_bench.add_argument(
-        "--names", default=None,
-        help="comma-separated benchmark names (default: all)",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="best-of-N repetitions per benchmark (default: 3)",
-    )
-    p_bench.add_argument(
-        "--jobs", type=int, default=1, metavar="J",
-        help="also sweep batch evaluation at 1..J workers and report "
-             "speedup (default: 1 = skip)",
-    )
-    p_bench.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="append the measured point to this trajectory JSON file",
-    )
-    p_bench.add_argument(
-        "--backend", default="memory", choices=["memory", "sharded", "sqlite"],
-        help="storage backend the benchmarks run against "
-             "(default: %(default)s)",
-    )
-    p_bench.add_argument(
-        "--shards", type=int, default=1, metavar="S",
-        help="also sweep distributed evaluation at 1..S shard processes "
-             "and report speedup (default: 1 = skip)",
-    )
-    p_bench.add_argument(
-        "--profile-hz", type=int, default=None, metavar="HZ",
-        help="sample wall-clock stacks at HZ during the benchmarks; each "
-             "trajectory point's benchmarks gain a per-window profile "
-             "summary",
-    )
-    p_bench.add_argument(
-        "--profile-out", metavar="FILE.json", default=None,
-        help="with --profile-hz, write the combined profile as "
-             "speedscope JSON",
-    )
-    p_bench.set_defaults(func=cmd_bench)
 
     p_demo = sub.add_parser("demo", help="replay the paper's running example")
     p_demo.set_defaults(func=cmd_demo)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list] = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ReproError as exc:

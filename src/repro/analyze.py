@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from .planner.planner import Planner
+from .table import format_table
 from .telemetry.export import aggregate_spans, render_stage_breakdown, trace_to_dict
 from .telemetry.insight import q_error
 from .telemetry.tracer import Tracer
@@ -111,8 +112,6 @@ class AnalyzeReport:
 
     def as_text(self) -> str:
         """The tree-shaped EXPLAIN ANALYZE report."""
-        from .benchharness.reporting import format_table
-
         header = [
             "EXPLAIN ANALYZE (%s) — fingerprint %s"
             % (self.mode, self.profile.fingerprint[:12]),

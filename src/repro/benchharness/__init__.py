@@ -1,7 +1,7 @@
 """Measurement harness: sweeps, growth estimates, table rendering."""
 
 from .reporting import format_planner_stats, format_series_table, format_table
-from .runner import DEFAULT_STAGES, Series, stage_breakdown, sweep, time_callable
+from .runner import DEFAULT_STAGES, Series, stage_breakdown, time_callable
 
 __all__ = [
     "DEFAULT_STAGES",
@@ -10,6 +10,5 @@ __all__ = [
     "format_table",
     "Series",
     "stage_breakdown",
-    "sweep",
     "time_callable",
 ]

@@ -6,28 +6,10 @@ two figures; this module keeps the formatting in one place.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
+from ..table import format_table
 from .runner import Series
-
-
-def format_table(
-    headers: Sequence[str], rows: Iterable[Sequence[object]], title: Optional[str] = None
-) -> str:
-    """Render a fixed-width text table."""
-    str_rows = [[_cell(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in str_rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 def format_series_table(
@@ -160,12 +142,6 @@ def format_planner_stats(stats: Mapping[str, object], title: str = "planner") ->
                 ]
             )
     return format_table(["counter", "value"], rows, title=title)
-
-
-def _cell(value: object) -> str:
-    if isinstance(value, float):
-        return "%.6f" % value
-    return str(value)
 
 
 def _fmt_param(p: float) -> str:

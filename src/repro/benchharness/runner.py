@@ -8,15 +8,14 @@ module provides those sweeps:
 * :func:`time_callable` — robust best-of-N wall-clock timing;
 * :class:`Series` — a named sequence of (parameter, seconds) points with a
   log–log slope estimate (≈ polynomial degree) and a doubling-ratio
-  estimate (exponential growth shows up as a ratio ≫ 1 under +1 steps);
-* :func:`sweep` — run a factory/workload over a parameter grid.
+  estimate (exponential growth shows up as a ratio ≫ 1 under +1 steps).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Span names rolled up into the coarse pipeline stages benchmarks report:
 #: structural analysis vs. CQ-engine time vs. the Yannakakis semijoin
@@ -112,17 +111,3 @@ class Series:
 
     def __repr__(self) -> str:
         return "Series(%r, %d points)" % (self.name, len(self.points))
-
-
-def sweep(
-    name: str,
-    parameters: Iterable[float],
-    make_task: Callable[[float], Callable[[], object]],
-    repeats: int = 3,
-) -> Series:
-    """Measure ``make_task(p)()`` for each parameter ``p``."""
-    series = Series(name)
-    for p in parameters:
-        task = make_task(p)
-        series.add(p, time_callable(task, repeats=repeats))
-    return series

@@ -64,6 +64,7 @@ from .rdf.sparql import parse_sparql
 from .planner.planner import Planner
 from .storage import ResultCache, StorageBackend, to_backend
 from .storage.cache import DEFAULT_SIZE as DEFAULT_CACHE_SIZE
+from .table import format_table
 from .telemetry.insight import STATS_SCHEMA, QueryStatsStore
 from .telemetry.obslog import QueryLog, QueryObservation
 from .telemetry.profiler import current_profiler, gc_summary
@@ -139,8 +140,6 @@ class Result:
 
     def to_table(self, limit: Optional[int] = None) -> str:
         """Render answers as a fixed-width table (missing optionals = ``-``)."""
-        from .benchharness.reporting import format_table
-
         columns = [v for v in self.query.free_variables]
         rows = []
         for answer in self:
@@ -585,26 +584,45 @@ class Session:
 
     def query(self, query: Query) -> Result:
         """Evaluate and return all answers."""
-        obs = self._observe("query", query)
+        return self._evaluate("query", query, evaluate, "wdpt-topdown")
+
+    def query_maximal(self, query: Query) -> Result:
+        """Evaluate under the maximal-mapping semantics ``p_m(D)``."""
+        return self._evaluate(
+            "query_maximal", query, evaluate_max, "wdpt-topdown-max"
+        )
+
+    def _evaluate(self, op: str, query: Query, evaluator, engine: str) -> Result:
+        """:meth:`query` and :meth:`query_maximal` — they differ in the op
+        name, the evaluator and the planner's engine label only.  This is
+        the observation wrapper; the evaluation is :meth:`_evaluate_impl`."""
+        obs = self._observe(op, query)
         if obs is None:
-            return self._query_impl(query, None)
+            return self._evaluate_impl(op, query, evaluator, engine, None)
         with obs:
-            result = self._query_impl(query, obs)
+            result = self._evaluate_impl(op, query, evaluator, engine, obs)
             obs.finish(result.query, len(result.answers))
         result.resources = obs.usage
         self._attach_profile(result, obs)
         return result
 
-    def _query_impl(self, query: Query, obs: Optional[QueryObservation]) -> Result:
+    def _evaluate_impl(
+        self,
+        op: str,
+        query: Query,
+        evaluator,
+        engine: str,
+        obs: Optional[QueryObservation],
+    ) -> Result:
         tracer = current_tracer()
-        with tracer.span("session.query"):
+        with tracer.span("session." + op):
             with tracer.span("session.parse"):
                 p = self.parse(query)
             with tracer.span("session.profile"):
                 profile = self.planner.profile_wdpt(p)  # warm the shared analysis
             if obs is not None:
                 obs.parsed(p)
-            key = self._cache_key("query", p)
+            key = self._cache_key(op, p)
             if key is not None:
                 answers = self.result_cache.get(key)
                 if answers is not None:
@@ -613,48 +631,8 @@ class Session:
                 self._note_cache(obs, "miss")
             start = time.perf_counter()
             with use_pool(self._intra_pool()):
-                answers = evaluate(p, self.database, profile)
-            self.planner.record_engine("wdpt-topdown", time.perf_counter() - start)
-            if key is not None:
-                self.result_cache.put(key, answers)
-        return Result(self, p, answers)
-
-    def query_maximal(self, query: Query) -> Result:
-        """Evaluate under the maximal-mapping semantics ``p_m(D)``."""
-        obs = self._observe("query_maximal", query)
-        if obs is None:
-            return self._query_maximal_impl(query, None)
-        with obs:
-            result = self._query_maximal_impl(query, obs)
-            obs.finish(result.query, len(result.answers))
-        result.resources = obs.usage
-        self._attach_profile(result, obs)
-        return result
-
-    def _query_maximal_impl(
-        self, query: Query, obs: Optional[QueryObservation]
-    ) -> Result:
-        tracer = current_tracer()
-        with tracer.span("session.query_maximal"):
-            with tracer.span("session.parse"):
-                p = self.parse(query)
-            with tracer.span("session.profile"):
-                profile = self.planner.profile_wdpt(p)
-            if obs is not None:
-                obs.parsed(p)
-            key = self._cache_key("query_maximal", p)
-            if key is not None:
-                answers = self.result_cache.get(key)
-                if answers is not None:
-                    self._note_cache(obs, "hit")
-                    return Result(self, p, answers)
-                self._note_cache(obs, "miss")
-            start = time.perf_counter()
-            with use_pool(self._intra_pool()):
-                answers = evaluate_max(p, self.database, profile)
-            self.planner.record_engine(
-                "wdpt-topdown-max", time.perf_counter() - start
-            )
+                answers = evaluator(p, self.database, profile)
+            self.planner.record_engine(engine, time.perf_counter() - start)
             if key is not None:
                 self.result_cache.put(key, answers)
         return Result(self, p, answers)

@@ -11,7 +11,7 @@ Three consumers of a recorded :class:`~repro.telemetry.tracer.Tracer`:
   forest (round-tripped in the tests) and :func:`validate_chrome_trace`
   used by the CI smoke job's schema check;
 * :func:`render_trace` — a fixed-width text tree reusing
-  :func:`repro.benchharness.reporting.format_table`.
+  :func:`repro.table.format_table`.
 
 :func:`aggregate_spans` rolls the forest up into per-name totals — the
 bench harness prints these as the per-stage time breakdown.
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..table import format_table
 from .tracer import Span, Tracer
 
 #: Chrome trace-event keys every exported event carries.
@@ -207,8 +208,6 @@ def aggregate_spans(tracer: Tracer) -> Dict[str, Dict[str, float]]:
 
 def render_trace(tracer: Tracer, max_attr_chars: int = 48) -> str:
     """The span forest as an indented fixed-width table."""
-    from ..benchharness.reporting import format_table
-
     rows: List[Sequence[object]] = []
     total = sum(root.duration for root in tracer.roots) or 1.0
 
@@ -236,8 +235,6 @@ def render_trace(tracer: Tracer, max_attr_chars: int = 48) -> str:
 
 def render_stage_breakdown(tracer: Tracer, title: str = "per-stage time") -> str:
     """The aggregated per-stage table the benchmarks print."""
-    from ..benchharness.reporting import format_table
-
     totals = aggregate_spans(tracer)
     rows = [
         [name, "%d" % int(entry["calls"]), _fmt_seconds(entry["seconds"])]

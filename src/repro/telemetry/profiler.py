@@ -161,6 +161,7 @@ class SamplingProfiler:
         self.gc_stats = gc_stats
         self.dropped = 0
         self.ticks = 0
+        self._cpu_seconds = 0.0
         self._samples: List[Sample] = []
         self._lock = threading.Lock()
         self._state_lock = threading.Lock()
@@ -228,6 +229,7 @@ class SamplingProfiler:
     def _loop(self) -> None:
         interval = 1.0 / self.hz
         own = threading.get_ident()
+        cpu_before = self._cpu_seconds  # earlier start()/stop() cycles
         next_tick = time.perf_counter() + interval
         while True:
             delay = next_tick - time.perf_counter()
@@ -244,10 +246,20 @@ class SamplingProfiler:
                 self._sample_once(now, own)
             except Exception:  # pragma: no cover - never kill the app
                 pass
+            self._cpu_seconds = cpu_before + time.thread_time()
 
     def _sample_once(self, now: float, own_ident: int) -> None:
         self.ticks += 1
-        frames = sys._current_frames()
+        # CPython before 3.11.8/3.12.2 (gh-106883) can deadlock the whole
+        # process when a collection starts inside sys._current_frames():
+        # it allocates while holding the runtime's thread-list lock.
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            frames = sys._current_frames()
+        finally:
+            if gc_enabled:
+                gc.enable()
         collected: List[Sample] = []
         for ident, frame in list(frames.items()):
             if ident == own_ident:
@@ -296,6 +308,13 @@ class SamplingProfiler:
     def sample_count(self) -> int:
         with self._lock:
             return len(self._samples)
+
+    @property
+    def cpu_seconds(self) -> float:
+        """CPU time the sampling thread itself has used
+        (``time.thread_time``, summed over start/stop cycles) — what
+        profiling costs the process, whatever else the machine runs."""
+        return self._cpu_seconds
 
     def clear(self) -> None:
         with self._lock:
@@ -347,6 +366,7 @@ class SamplingProfiler:
         summary = summarize_samples(self.samples, self.hz, top=top)
         summary["dropped"] = self.dropped
         summary["running"] = self.running
+        summary["sampler_cpu_seconds"] = self.cpu_seconds
         return summary
 
     def trace_summary(self, trace_id: Optional[str],
@@ -556,8 +576,8 @@ def summarize_samples(
     samples: Sequence[Sample], hz: int, top: int = 10,
 ) -> Dict[str, Any]:
     """A JSON-sized digest: counts per phase plus the hottest stacks.
-    This is what embeds in ``query.slow`` obslog events and
-    BENCH_eval.json points — raw samples stay on the profiler."""
+    This is what embeds in ``query.slow`` obslog events — raw samples
+    stay on the profiler."""
     phases: Dict[str, int] = {}
     traces = set()
     for sample in samples:

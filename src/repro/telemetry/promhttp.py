@@ -48,7 +48,6 @@ from .routes import (
     Router,
     error_response,
     json_response,
-    render_html,
 )
 
 Source = Union[MetricsRegistry, Callable[[], str]]
@@ -329,6 +328,3 @@ class MetricsServer:
     def __repr__(self) -> str:
         state = "serving on %s" % self.url if self._httpd else "stopped"
         return "MetricsServer(%s, %d sources)" % (state, len(self.sources))
-
-#: Back-compat alias; the renderer moved to repro.telemetry.routes.
-_render_html = render_html

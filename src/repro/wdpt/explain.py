@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
+from ..table import format_table
 from .wdpt import WDPT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -86,7 +87,6 @@ class WDPTProfile:
         return "general procedure (PARTIAL-EVAL is NP-complete, Prop. 1)"
 
     def as_table(self) -> str:
-        from ..benchharness.reporting import format_table
         from ..relalg.config import kernel_mode
 
         rows = [

@@ -3,7 +3,7 @@
 import time
 
 from repro.benchharness.reporting import format_series_table, format_table
-from repro.benchharness.runner import Series, sweep, time_callable
+from repro.benchharness.runner import Series, time_callable
 
 
 class TestTiming:
@@ -45,11 +45,6 @@ class TestSeries:
         s.add(1, 0.0)
         assert s.loglog_slope() is None
         assert s.growth_ratio() is None
-
-    def test_sweep(self):
-        series = sweep("s", [1, 2, 3], lambda n: (lambda: n * n), repeats=1)
-        assert series.parameters() == [1.0, 2.0, 3.0]
-        assert len(series.seconds()) == 3
 
 
 class TestReporting:

@@ -1,8 +1,17 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import re
+
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import main
+
+OBSERVABILITY_MD = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "docs", "OBSERVABILITY.md",
+)
 
 
 class TestProfile:
@@ -120,3 +129,35 @@ class TestDemo:
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
         assert "Our_love" in out and "Theorem 7" in out
+
+
+def test_cli_matches_its_docs():
+    """The parser, the module's usage docstring and the flag table of
+    docs/OBSERVABILITY.md name the same subcommands and flags."""
+    parser = cli.build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    usage = re.findall(r"^    python -m repro (\S+)", cli.__doc__, re.M)
+    assert set(usage) == set(commands)
+
+    with open(OBSERVABILITY_MD) as handle:
+        text = handle.read()
+    table = text[text.index("| flag | subcommands | effect |"):].splitlines()
+    rows = 0
+    for line in table[2:]:
+        if not line.startswith("|"):
+            break
+        flags_cell, commands_cell = line.split("|")[1:3]
+        flags = re.findall(r"--[a-z-]+", flags_cell)
+        listed = [name.strip() for name in commands_cell.split(",")]
+        assert flags and set(listed) <= set(commands), line
+        for flag in flags:
+            for name in listed:
+                assert flag in commands[name]._option_string_actions, (flag, name)
+            if "analyze" not in listed:
+                assert flag not in commands["analyze"]._option_string_actions, flag
+        rows += 1
+    assert rows >= 10  # the table was found and read, not skipped
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench"])
+    assert exit_info.value.code == 2

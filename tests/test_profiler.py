@@ -4,6 +4,7 @@ attribution, flamegraph exports, GC/pool health gauges, the
 
 import gc
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -509,15 +510,6 @@ def _kernel_workload():
     return lambda: planner.evaluate_cq(q, db)
 
 
-def _best_of(fn, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_disabled_path_is_structurally_zero_cost():
     # No profiler → the per-span hook is a single module-global read
     # that is None, and the trace-map is the only context write.
@@ -537,25 +529,46 @@ def test_disabled_path_is_structurally_zero_cost():
         tracer_mod.set_span_registry(previous)
 
 
+def test_no_collection_while_reading_other_threads_frames(monkeypatch):
+    # gh-106883 (CPython < 3.11.8 / 3.12.2): a GC run that starts inside
+    # sys._current_frames() can deadlock the process, so the sampler reads
+    # the frames with the collector off and puts it back as it found it.
+    seen = []
+    real = sys._current_frames
+
+    def spy():
+        seen.append(gc.isenabled())
+        return real()
+
+    monkeypatch.setattr(sys, "_current_frames", spy)
+    profiler = SamplingProfiler(hz=100, gc_stats=False)
+    assert gc.isenabled()
+    profiler._sample_once(time.perf_counter(), own_ident=-1)
+    assert seen == [False] and gc.isenabled()
+    gc.disable()
+    try:
+        profiler._sample_once(time.perf_counter(), own_ident=-1)
+        assert seen == [False, False] and not gc.isenabled()
+    finally:
+        gc.enable()
+    assert profiler.sample_count >= 2
+
+
 def test_profiled_overhead_within_five_percent():
+    # The overhead is the CPU the sampling thread takes from the process,
+    # so measure that (per-thread CPU clock) against the wall time of the
+    # run instead of racing two wall clocks on a shared machine.
     workload = _kernel_workload()
     workload()  # warm caches
-    # Best-of-N filters scheduler noise, and the whole comparison is
-    # retried: a single run can still catch a page-cache hiccup, but
-    # three in a row exceeding the gate means real overhead.
-    attempts = []
-    for _ in range(3):
-        baseline = _best_of(workload, repeats=5)
-        profiler = SamplingProfiler(hz=100, gc_stats=False)
-        profiler.start()
-        try:
-            profiled = _best_of(workload, repeats=5)
-        finally:
-            profiler.stop()
-        attempts.append((baseline, profiled))
-        if profiled <= baseline * 1.05 + 5e-4:
-            return
-    pytest.fail(
-        "profiling overhead above 5%% at 100 Hz in all attempts: %s"
-        % ", ".join("%.6fs -> %.6fs" % pair for pair in attempts)
-    )
+    profiler = SamplingProfiler(hz=100, gc_stats=False)
+    profiler.start()
+    start = time.perf_counter()
+    try:
+        while time.perf_counter() - start < 0.5:
+            workload()
+    finally:
+        profiler.stop()
+    elapsed = time.perf_counter() - start
+    summary = profiler.summary()
+    assert summary["samples"] >= 1
+    assert 0 < summary["sampler_cpu_seconds"] <= 0.05 * elapsed
