@@ -7,7 +7,7 @@ Usage::
                              [--speedscope OUT.json] [--folded OUT.folded]
     python -m repro run      QUERY  [TRIPLES.tsv]  [--analyze] [--trace-out trace.json]
                              [--log-queries LOG.jsonl] [--slow-ms MS]
-                             [--max-log-bytes B] [--log-backups N] [--jobs N]
+                             [--max-log-bytes B] [--log-backups N]
                              [--profile-hz HZ] [--profile-out OUT.json]
                              [--backend {memory,sharded,sqlite}] [--shards N]
                              [--store DB.sqlite]
@@ -19,7 +19,7 @@ Usage::
     python -m repro serve-metrics  [TRIPLES.tsv]  [--port P] [--self-check]
                              [--log-queries LOG.jsonl] [--max-log-bytes B]
     python -m repro serve    [TRIPLES.tsv]  [--tenants TENANTS.json]
-                             [--port P] [--jobs J] [--global-limit N]
+                             [--port P] [--global-limit N]
                              [--backend B | --store DB.sqlite] [--shards N]
                              [--self-check]
     python -m repro demo
@@ -67,10 +67,6 @@ Usage::
   with ``429`` + ``Retry-After``, and ``SIGTERM`` drains gracefully.
   See ``docs/SERVICE.md`` for the operator guide.
 * ``demo`` replays the paper's running example.
-
-``run --jobs N`` evaluates with ``N`` pool workers: independent subtrees
-of the query fan out (:mod:`repro.parallel`); answers are identical to
-the sequential run.
 """
 
 from __future__ import annotations
@@ -301,7 +297,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         _load_triples(args.triples) if args.triples is not None else None,
         obslog=obslog,
         stats_store=stats_store,
-        jobs=args.jobs,
         backend=args.backend,
         path=args.store,
         shards=args.shards,
@@ -468,7 +463,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         path=args.store,
         shards=args.shards,
-        jobs=args.jobs,
         global_limit=args.global_limit,
         obslog=obslog,
     )
@@ -655,11 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --profile-hz, write the profile as speedscope JSON",
     )
     p_run.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="evaluate with N pool workers (independent subtrees fan out; "
-             "answers are identical to the sequential run)",
-    )
-    p_run.add_argument(
         "--save-db", metavar="DB.sqlite", default=None,
         help="snapshot the loaded database to this SQLite file after the run",
     )
@@ -757,11 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_svc.add_argument(
         "--port", type=int, default=0,
         help="port to bind (default: 0 = pick a free one, printed)",
-    )
-    p_svc.add_argument(
-        "--jobs", type=int, default=None, metavar="J",
-        help="intra-query workers of each tenant session "
-             "(default: sequential)",
     )
     p_svc.add_argument(
         "--global-limit", type=int, default=64, metavar="N",

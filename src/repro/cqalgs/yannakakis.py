@@ -11,13 +11,11 @@ with ``k = 1``), and the last stage of the bounded-width engines
 
 Phases (1) and (2) — the semi-join program — are written once, in
 :func:`semijoin_reduce`, over :class:`~repro.relalg.relation.Relation`
-objects and a :class:`~repro.hypergraphs.gyo.JoinTree`.  It sweeps the
-tree level by level; within one level every pass reads relations fixed
-by the previous level and writes a distinct slot, so a level is one
-``map`` — over the worker pool when one is installed
-(:mod:`repro.parallel`), which therefore computes exactly the sequential
-relations.  Everything that needs a reduction calls it: evaluation and
-the Boolean path here, answer enumeration
+objects and a :class:`~repro.hypergraphs.gyo.JoinTree`: two loops over
+the tree's root-first order, children before parents on the way up and
+parents before children on the way down, so every pass reads relations
+that are already final.  Everything that needs a reduction calls it:
+evaluation and the Boolean path here, answer enumeration
 (:mod:`repro.cqalgs.enumeration`), and the Theorem 2/3 engines.
 
 :func:`relation_with_join_tree` is the entry point: it returns the answers
@@ -67,7 +65,6 @@ from ..core.mappings import Mapping
 from ..core.terms import Variable
 from ..exceptions import ClassMembershipError
 from ..hypergraphs.gyo import JoinTree, join_tree_of_atoms, join_tree_shape
-from ..parallel.pool import current_pool
 from ..relalg.config import KERNEL_DIST, KERNEL_SQL, choose_kernel
 from ..relalg.relation import (
     Relation,
@@ -180,7 +177,7 @@ def _run(
     answers filtered here.
     """
     tracer = current_tracer()
-    kernel = choose_kernel(db, current_pool())
+    kernel = choose_kernel(db)
     if boolean:
         span = tracer.span("yannakakis", atoms=len(atoms), kernel=kernel, boolean=True)
     else:
@@ -290,10 +287,7 @@ def scan_schedule(
     every atom it shares a variable with — as the scan's seed when it is
     the smaller of the two, by a semi-join after it otherwise — which
     keeps the result exact in the seed whenever one atom holds all its
-    variables.  The order is cut into *waves*, a new one whenever the
-    next atom has a neighbour in the current one: the atoms of a wave
-    read only relations of earlier waves, so a wave fans out over
-    the installed worker pool and computes what the serial loop computes.
+    variables.
 
     Each relation lies between the atom's fully reduced relation and its
     unseeded scan: a row is only dropped for lacking a partner in a
@@ -303,7 +297,6 @@ def scan_schedule(
     """
     n = len(atoms)
     tracer = current_tracer()
-    pool = current_pool()
     with tracer.span("yannakakis.scan") as sp:
         # A lone atom has nobody to be ordered against; ``scan`` asks for
         # its bound itself if a seed makes it matter.
@@ -312,18 +305,13 @@ def scan_schedule(
         for child, parent in links:
             neighbours[child].append(parent)
             neighbours[parent].append(child)
-        waves: List[List[int]] = []
-        for i in sorted(range(n), key=bounds.__getitem__):
-            if not waves or any(j in waves[-1] for j in neighbours[i]):
-                waves.append([])
-            waves[-1].append(i)
+        order = sorted(range(n), key=bounds.__getitem__)
 
         relations: List[Optional[Relation]] = [None] * n
         seeded_by: List[object] = [None] * n
         facts_read: List[Optional[int]] = [None] * n
-
-        def scan_atom(i: int) -> Relation:
-            """Atom ``i``'s relation, given those of the earlier waves."""
+        nonempty = 0 not in bounds
+        for i in order if nonempty else ():
             pattern = atoms[i]
             via = by = None
             for j in neighbours[i]:
@@ -343,21 +331,15 @@ def scan_schedule(
                 rel = semijoin(rel, seed)
             if tracer.enabled:
                 seeded_by[i], facts_read[i] = by, source.facts
-            return rel
-
-        fan_out = pool.map_tasks if pool is not None else map
-        nonempty = 0 not in bounds
-        for wave in waves if nonempty else ():
-            for i, rel in zip(wave, list(fan_out(scan_atom, wave))):
-                relations[i] = rel
-                nonempty = nonempty and bool(rel.rows)
-            if not nonempty:
+            relations[i] = rel
+            if not rel.rows:
+                nonempty = False
                 break
         account_rows(max((len(r) for r in relations if r is not None), default=0))
         if tracer.enabled:
             sp.set(
                 relation_sizes=[None if r is None else len(r) for r in relations],
-                scan_order=[i for wave in waves for i in wave],
+                scan_order=order,
                 seeded_by=seeded_by,
                 facts_read=facts_read,
             )
@@ -376,43 +358,35 @@ def semijoin_reduce(
     homomorphism exists; the remaining passes are skipped), else ``True``
     — after the bottom-up sweep alone that already decides satisfiability.
 
-    Both sweeps go level by level: a node's pass reads relations one
-    level away, final since the previous step, and writes its own slot,
-    so the nodes of a level are independent and each level is one
-    fan-out — over the installed worker pool or, without one, ``map``.
+    ``tree.order`` lists parents before children.  Walked backwards, a
+    node's children are final when it is reached; walked forwards from
+    the second entry, its parent is.
     """
     tracer = current_tracer()
-    pool = current_pool()
-    fan_out = pool.map_tasks if pool is not None else map
-    children, parent = tree.children, tree.parent
-
-    def by_children(node: int) -> Relation:
-        rel = relations[node]
-        for child in children[node]:
-            rel = semijoin(rel, relations[child])
-        return rel
-
-    def by_parent(node: int) -> Relation:
-        return semijoin(relations[node], relations[parent[node]])
-
-    # The deepest level holds only leaves: nothing below filters them.
-    sweeps = [("yannakakis.semijoin_up", by_children, tree.levels[-2::-1])]
-    if top_down:
-        sweeps.append(("yannakakis.semijoin_down", by_parent, tree.levels[1:]))
+    children, parent, order = tree.children, tree.parent, tree.order
     alive = True
-    for name, reduce_node, levels in sweeps:
-        with tracer.span(name) as sp:
-            for level in levels:
-                for node, rel in zip(level, fan_out(reduce_node, level)):
-                    relations[node] = rel
-                    alive = alive and bool(rel.rows)
-                if not alive:
+    with tracer.span("yannakakis.semijoin_up") as sp:
+        for node in reversed(order):
+            rel = relations[node]
+            for child in children[node]:
+                rel = semijoin(rel, relations[child])
+            relations[node] = rel
+            if not rel.rows:
+                alive = False
+                break
+        if tracer.enabled:
+            sp.set(relation_sizes=[len(r) for r in relations])
+    if alive and top_down:
+        with tracer.span("yannakakis.semijoin_down") as sp:
+            for node in order[1:]:
+                rel = semijoin(relations[node], relations[parent[node]])
+                relations[node] = rel
+                if not rel.rows:
+                    alive = False
                     break
             if tracer.enabled:
                 sp.set(relation_sizes=[len(r) for r in relations])
-        if not alive:
-            return False
-    return True
+    return alive
 
 
 def columnar_join_phase(

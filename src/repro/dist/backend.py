@@ -359,7 +359,7 @@ class ShardedBackend(StorageBackend):
     def _call(self, sid: int, op: str, payload=None):
         """One synchronous maintenance RPC; unwraps the envelope."""
         envelope = self.shard_submit(sid, (op, payload, None, False, None)).result()
-        return envelope[1]
+        return envelope.value
 
     def shard_pids(self) -> Dict[int, int]:
         """Live shard process ids (spawning any missing shard) — the

@@ -122,8 +122,7 @@ class _Exec:
             except BrokenProcessPool:
                 dead.add(sid)
                 continue
-            (_idx, value, _usage, _wid, _metrics, _records, spans, _stats,
-             profile_dump, shard) = envelope
+            shard = envelope.shard
             elapsed_ms = (time.perf_counter() - starts[sid]) * 1000.0
             self.shard_ms[shard] = self.shard_ms.get(shard, 0.0) + elapsed_ms
             metrics = self.backend.metrics
@@ -131,11 +130,11 @@ class _Exec:
                 metrics.histogram(
                     "dist.shard_ms", labels={"shard": shard}
                 ).observe(elapsed_ms)
-            if spans and self._want_trace:
-                _graft_spans(self._tracer, spans)
-            if profile_dump and self._profiler is not None:
-                self._profiler.absorb_dump(profile_dump)
-            values[sid] = value
+            if envelope.span_dicts and self._want_trace:
+                _graft_spans(self._tracer, envelope.span_dicts)
+            if envelope.profile_dump and self._profiler is not None:
+                self._profiler.absorb_dump(envelope.profile_dump)
+            values[sid] = envelope.value
         if dead:
             raise ShardFailure(dead)
         return values

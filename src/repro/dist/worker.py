@@ -10,7 +10,7 @@ small **RPC tasks** shipped through :meth:`WorkerPool.submit`:
 ``("<op>", payload, trace_id, want_trace, profile_hz)``
 
 and every reply is the library's standard process-worker envelope
-(:func:`repro.parallel.batch.pack_envelope`) stamped with this shard's
+(:class:`repro.parallel.batch.Envelope`) stamped with this shard's
 label, so spans and profiler samples recorded here are attributed per
 shard when the coordinator absorbs them.
 
@@ -39,8 +39,8 @@ from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..exceptions import ReproError
-from ..parallel.batch import pack_envelope
-from ..parallel.pool import mark_process_worker
+from ..parallel.batch import Envelope
+from ..parallel.pool import mark_process_worker, process_worker_id
 from ..telemetry.context import trace_context
 from ..telemetry.tracer import Tracer, current_tracer, tracing
 
@@ -105,8 +105,11 @@ def shard_call(task: Tuple[str, Any, Optional[str], bool, Optional[int]]):
         [root.to_dict() for root in tracer.roots] if tracer is not None else []
     )
     profile_dump = profiler.dump(drain=True) if profiler is not None else None
-    return pack_envelope(
-        0, value, None, None, [], span_dicts, None, profile_dump,
+    return Envelope(
+        value,
+        process_worker_id(),
+        span_dicts=span_dicts,
+        profile_dump=profile_dump,
         shard=shard_label(),
     )
 

@@ -21,12 +21,9 @@ algorithms of Sections 3 through the planner's engine router.
 :meth:`Session.stats` reports the accumulated counters (cache hit rates,
 per-engine selections, analysis vs. engine time).
 
-Parallelism (:mod:`repro.parallel`) is opt-in via ``jobs=``: a session
-constructed with ``jobs=4`` dispatches independent subtrees and semijoin
-passes of each query to a worker pool, and :meth:`Session.run_batch` /
-:meth:`Session.map` fan whole query lists out — over threads by default,
-or separate processes with ``executor="process"`` for CPU parallelism.
-Results are bit-identical to sequential evaluation either way.
+A query runs start to finish on the thread that asked for it;
+:meth:`Session.run_batch` / :meth:`Session.map` fan whole query lists
+out over thread or process workers (:mod:`repro.parallel`).
 
 The Session accepts any :class:`~repro.storage.base.StorageBackend`
 (:class:`~repro.core.database.Database`/
@@ -57,7 +54,7 @@ from .core.atoms import Atom
 from .core.database import Database
 from .core.mappings import Mapping
 from .exceptions import ParseError
-from .parallel.pool import EXECUTORS, WorkerPool, use_pool
+from .parallel.pool import WorkerPool
 from .rdf.graph import RDFGraph
 from .rdf.parser import parse_query
 from .rdf.sparql import parse_sparql
@@ -192,12 +189,6 @@ class Session:
       :class:`~repro.telemetry.insight.QueryStatsStore` accumulating
       per-query-shape execution history (latency, rows, cache hits,
       kernel outcomes, q-errors);
-    * ``jobs=`` — worker count for parallel evaluation (:mod:`repro.parallel`);
-      ``None``/``1`` keeps everything sequential;
-    * ``executor=`` — the :meth:`run_batch` backend, ``"thread"``
-      (default; shared session, no pickling) or ``"process"`` (CPU
-      parallelism; per-worker sessions).  Intra-query fan-out always uses
-      threads.
     * ``tenant=`` — name of the tenant this session serves
       (:mod:`repro.service`): obslog records emitted by the session are
       stamped ``tenant=<name>`` (via ``QueryLog.bound``) and the
@@ -208,10 +199,10 @@ class Session:
     >>> s.size
     1
 
-    A session with workers is also a context manager — leaving the block
-    shuts its pools down:
+    A session is also a context manager — leaving the block shuts down
+    the worker pools :meth:`run_batch` created:
 
-    >>> with Session([atom("E", 1, 2)], jobs=2) as s:
+    >>> with Session([atom("E", 1, 2)]) as s:
     ...     s.size
     1
     """
@@ -224,8 +215,6 @@ class Session:
         budgets: Optional["ResourceBudget"] = None,
         track_resources: bool = False,
         stats_store: Optional[QueryStatsStore] = None,
-        jobs: Optional[int] = None,
-        executor: str = "thread",
         backend: Optional[str] = None,
         path: Optional[str] = None,
         shards: Optional[int] = None,
@@ -233,11 +222,6 @@ class Session:
         cache_size: int = DEFAULT_CACHE_SIZE,
         tenant: Optional[str] = None,
     ):
-        if executor not in EXECUTORS:
-            raise ValueError(
-                "unknown executor %r (expected one of %s)"
-                % (executor, ", ".join(EXECUTORS))
-            )
         if isinstance(data, RDFGraph):
             data = data.to_database()
         kind = backend
@@ -304,10 +288,6 @@ class Session:
         #: Per-query-shape execution history (``telemetry.insight``);
         #: ``None`` disables stats accumulation.
         self.stats_store = stats_store
-        #: Default worker count for parallel evaluation (``None`` = serial).
-        self.jobs = jobs
-        #: Default :meth:`run_batch` executor kind.
-        self.executor = executor
         self._pools: Dict[object, WorkerPool] = {}
         # Live observability state backing the /debug/queries endpoint:
         # observations currently inside their ``with`` block, plus a
@@ -352,13 +332,6 @@ class Session:
             self._pools[key] = pool
         return pool
 
-    def _intra_pool(self) -> Optional[WorkerPool]:
-        """The thread pool intra-query dispatch sites fan out to, or
-        ``None`` when the session is serial (``jobs`` unset or 1)."""
-        if self.jobs is None or self.jobs <= 1:
-            return None
-        return self._pool_for(self.jobs, "thread")
-
     def close(self) -> None:
         """Shut down every worker pool this session created, plus the
         shard processes of a backend the session built itself
@@ -390,7 +363,9 @@ class Session:
         executor: Optional[str] = None,
         op: str = "query",
     ):
-        """Evaluate many independent queries, ``jobs`` at a time.
+        """Evaluate many independent queries, ``jobs`` at a time
+        (``None``: the sequential loop) on ``executor`` workers
+        (``"thread"``, the default, or ``"process"``).
 
         Returns a :class:`~repro.parallel.batch.BatchResult` whose
         ``results[i]`` matches ``queries[i]`` — identical to the
@@ -630,8 +605,7 @@ class Session:
                     return Result(self, p, answers)
                 self._note_cache(obs, "miss")
             start = time.perf_counter()
-            with use_pool(self._intra_pool()):
-                answers = evaluator(p, self.database, profile)
+            answers = evaluator(p, self.database, profile)
             self.planner.record_engine(engine, time.perf_counter() - start)
             if key is not None:
                 self.result_cache.put(key, answers)
@@ -666,11 +640,10 @@ class Session:
                     self._note_cache(obs, "hit")
                     return decision
                 self._note_cache(obs, "miss")
-            with use_pool(self._intra_pool()):
-                decision = eval_tractable(
-                    p, self.database, candidate,
-                    method=method, planner=self.planner,
-                )
+            decision = eval_tractable(
+                p, self.database, candidate,
+                method=method, planner=self.planner,
+            )
             if key is not None:
                 self.result_cache.put(key, decision)
             return decision

@@ -1,47 +1,27 @@
 """Parallel and batched WDPT evaluation.
 
-Two layers, one pool (:mod:`repro.parallel.pool`):
+Parallelism lives at two outer seams; a single query runs start to finish
+on the thread that asked for it:
 
-* **batch** — :func:`repro.parallel.batch.run_batch` fans independent
-  queries over thread or process workers, sharing one warmed plan cache
-  and merging per-worker telemetry deterministically (surfaced as
+* **across queries** — :func:`repro.parallel.batch.run_batch` fans
+  independent queries over thread or process workers
+  (:mod:`repro.parallel.pool`), sharing one warmed plan cache and merging
+  per-worker telemetry deterministically (surfaced as
   ``Session.run_batch`` / ``Session.map``);
-* **intra-query** — the evaluators in :mod:`repro.wdpt.evaluation`,
-  :mod:`repro.wdpt.eval_tractable` and :mod:`repro.cqalgs.yannakakis`
-  dispatch independent subtrees / semijoin passes to the installed pool
-  at the nodes the planner marks parallel-safe.
-
-``batch`` is re-exported lazily: it imports :mod:`repro.engine`, which
-imports the evaluators, which import :mod:`repro.parallel.pool` — eager
-re-export would close that cycle.
+* **across data** — the shard processes of :mod:`repro.dist`, each a
+  single-worker process pool from the same module.
 """
 
 from __future__ import annotations
 
-from .pool import (
-    EXECUTORS,
-    WorkerPool,
-    current_pool,
-    current_worker_id,
-    effective_cpu_count,
-    use_pool,
-)
+from .batch import BatchResult, run_batch
+from .pool import EXECUTORS, WorkerPool, current_worker_id, effective_cpu_count
 
 __all__ = [
     "BatchResult",
     "EXECUTORS",
     "WorkerPool",
-    "current_pool",
     "current_worker_id",
     "effective_cpu_count",
     "run_batch",
-    "use_pool",
 ]
-
-
-def __getattr__(name: str):
-    if name in ("BatchResult", "run_batch"):
-        from . import batch
-
-        return getattr(batch, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -17,13 +17,10 @@ Two executors (:data:`repro.parallel.pool.EXECUTORS`):
 * ``"process"`` — workers are separate interpreters, each owning a
   private :class:`~repro.engine.Session` built once per worker from the
   pickled database (so its plan cache warms across the tasks it serves).
-  Tasks ship back ``(index, value, usage, worker_id, metrics dump,
-  obslog records, span dicts, stats dump, profile dump, shard)``
-  envelopes (``shard`` is ``None`` for batch tasks; the shard workers of
-  :mod:`repro.dist` reuse the same format with their shard label, see
-  :func:`pack_envelope`); the
-  parent folds
-  the per-task :meth:`~repro.telemetry.metrics.MetricsRegistry.dump`
+  Tasks ship back an :class:`Envelope` (the shard workers of
+  :mod:`repro.dist` reply in the same format, stamped with their shard
+  label); the parent folds the per-task
+  :meth:`~repro.telemetry.metrics.MetricsRegistry.dump`
   payloads into the session's registry **in task order**, making the
   merged metrics deterministic regardless of which worker ran which
   task.  When the parent session has an obslog, a recording tracer, or
@@ -37,7 +34,9 @@ Either executor, every task runs under the **batch's trace context**
 ``trace_id`` (reusing an ambient one when the caller already has a trace
 in flight), the thread envelope carries it across threads, and process
 tasks ship it inside the task tuple — so all spans and obslog lines of a
-fanned-out batch stitch together under a single id.
+fanned-out batch stitch together under a single id.  Each task's
+``session.query`` installs its own resource monitor, in whichever worker
+runs it.
 
 Either way the contract is: ``run_batch(...).answers()`` equals the
 sequential ``[session.query(q).answers for q in queries]`` exactly, and
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 from ..telemetry.context import ensure_trace_id, set_trace_context, trace_context
 from ..telemetry.metrics import MetricsRegistry
@@ -62,7 +61,7 @@ from .pool import (
     process_worker_id,
 )
 
-__all__ = ["BATCH_OPS", "BatchResult", "pack_envelope", "run_batch"]
+__all__ = ["BATCH_OPS", "BatchResult", "Envelope", "run_batch"]
 
 #: Session operations a batch can fan out.
 BATCH_OPS = ("query", "query_maximal", "ask")
@@ -127,22 +126,46 @@ class BatchResult:
 # ---------------------------------------------------------------------------
 # Process-pool worker side (module-level: must pickle by reference)
 # ---------------------------------------------------------------------------
-def pack_envelope(
-    index, value, usage, metrics_dump, records, span_dicts, stats_dump,
-    profile_dump, shard=None,
-):
-    """Build the pickle-safe result envelope a process worker ships home.
+class Envelope(NamedTuple):
+    """The pickle-safe reply a process worker ships home.
 
     One format for every process-worker reply in the library: batch tasks
     leave ``shard`` as ``None``; the shard workers of :mod:`repro.dist`
     stamp their shard label (``"s0"``, ``"s1"``, …) so the parent can
-    attribute spans, profiles, and metrics per shard.  The worker id is
-    taken from the calling process.
+    attribute spans, profiles, and metrics per shard.
     """
-    return (
-        index, value, usage, process_worker_id(), metrics_dump,
-        records, span_dicts, stats_dump, profile_dump, shard,
-    )
+
+    value: Any
+    #: ``p<pid>`` of the process that ran the task.
+    worker_id: str
+    #: Position of the task in its batch.
+    index: int = 0
+    #: The task's :class:`~repro.telemetry.resources.ResourceUsage`.
+    usage: Any = None
+    metrics_dump: Any = None
+    #: Obslog records the task emitted.
+    records: Sequence[Dict[str, Any]] = ()
+    #: ``Span.to_dict()`` of the root spans the task recorded.
+    span_dicts: Sequence[Dict[str, Any]] = ()
+    stats_dump: Any = None
+    profile_dump: Any = None
+    shard: Optional[str] = None
+
+
+class _Task(NamedTuple):
+    """One batch task.  The last three fields only matter to a process
+    worker, which shares no thread-locals with the parent: the batch's
+    ``trace_id`` to install for the duration of the task, whether to
+    record spans, and the rate of the parent's running sampling profiler
+    (``None``: not profiling)."""
+
+    index: int
+    op: str
+    query: Any
+    candidate: Any
+    trace_id: Optional[str] = None
+    want_trace: bool = False
+    profile_hz: Optional[int] = None
 
 
 _worker_session = None
@@ -177,27 +200,22 @@ def _init_process_worker(
     _worker_session._want_stats = want_stats
 
 
-def _run_process_task(
-    task: Tuple[int, str, Any, Any, Optional[str], bool, Optional[int]]
-):
-    """Run one ``(index, op, query, candidate, trace_id, want_trace,
-    profile_hz)`` task on the worker's session and return a picklable
-    envelope.  Fresh metrics/stats accumulators are swapped in per task,
-    so the payloads shipped back are exactly this task's contribution —
-    the parent merges them in task order.  The batch's ``trace_id`` is
-    installed for the duration of the task, so every record and span the
-    worker emits carries it.  ``profile_hz`` (set when the parent has a
-    sampling profiler running) keeps a worker-local profiler running at
+def _run_process_task(task: _Task) -> Envelope:
+    """Run one task on the worker's session.  Fresh metrics/stats
+    accumulators are swapped in per task, so the payloads shipped back
+    are exactly this task's contribution — the parent merges them in task
+    order.  Every record and span the worker emits carries the batch's
+    ``trace_id``.  With ``profile_hz`` a worker-local profiler runs at
     that rate; the samples collected during the task ship home in the
     envelope and the parent absorbs them, so a parallel batch still
     yields one merged, trace-attributed profile."""
-    index, op, query, candidate, trace_id, want_trace, profile_hz = task
+    op, query, trace_id = task.op, task.query, task.trace_id
     session = _worker_session
     profiler = None
-    if profile_hz:
+    if task.profile_hz:
         from ..telemetry.profiler import ensure_profiler
 
-        profiler = ensure_profiler(profile_hz)
+        profiler = ensure_profiler(task.profile_hz)
         profiler.drain()  # keep only this task's samples for the envelope
     registry = MetricsRegistry()
     session.planner.metrics = registry
@@ -206,20 +224,20 @@ def _run_process_task(
 
         session.stats_store = QueryStatsStore()
     del _worker_records[:]
-    tracer = Tracer() if want_trace else None
+    tracer = Tracer() if task.want_trace else None
     usage = None
     with trace_context(trace_id):
         with tracing(tracer) if tracer is not None else nullcontext():
             span = (
                 current_tracer().span(
                     "parallel.task",
-                    index=index, op=op,
+                    index=task.index, op=op,
                     trace_id=trace_id, worker=process_worker_id(),
                 )
             )
             with span:
                 if op == "ask":
-                    value = session.ask(query, candidate)
+                    value = session.ask(query, task.candidate)
                 elif op == "query_maximal":
                     result = session.query_maximal(query)
                     value, usage = result.answers, result.resources
@@ -233,9 +251,16 @@ def _run_process_task(
         session.stats_store.dump() if session.stats_store is not None else None
     )
     profile_dump = profiler.dump(drain=True) if profiler is not None else None
-    return pack_envelope(
-        index, value, usage, registry.dump(),
-        list(_worker_records), span_dicts, stats_dump, profile_dump,
+    return Envelope(
+        value,
+        process_worker_id(),
+        index=task.index,
+        usage=usage,
+        metrics_dump=registry.dump(),
+        records=list(_worker_records),
+        span_dicts=span_dicts,
+        stats_dump=stats_dump,
+        profile_dump=profile_dump,
     )
 
 
@@ -254,28 +279,28 @@ def run_batch(
 
     ``op`` selects the session operation: ``"query"`` (default),
     ``"query_maximal"``, or ``"ask"`` — for ``ask``, ``queries`` is a
-    sequence of ``(query, candidate)`` pairs.  ``jobs``/``executor``
-    default to the session's configuration.  ``jobs=1`` runs the plain
-    sequential loop (the parity baseline the tests compare against).
+    sequence of ``(query, candidate)`` pairs.  ``jobs=None`` or ``1`` runs
+    the plain sequential loop (the parity baseline the tests compare
+    against); ``executor=None`` means ``"thread"``.
     """
     if op not in BATCH_OPS:
         raise ValueError(
             "unknown batch op %r (expected one of %s)" % (op, ", ".join(BATCH_OPS))
         )
-    jobs = (session.jobs or 1) if jobs is None else max(1, int(jobs))
-    kind = session.executor if executor is None else executor
+    jobs = 1 if jobs is None else max(1, int(jobs))
+    kind = "thread" if executor is None else executor
     if kind not in EXECUTORS:
         raise ValueError(
             "unknown executor %r (expected one of %s)"
             % (kind, ", ".join(EXECUTORS))
         )
-    tasks: List[Tuple[int, str, Any, Any]] = []
+    tasks: List[_Task] = []
     for index, item in enumerate(queries):
         if op == "ask":
             query, candidate = item
         else:
             query, candidate = item, None
-        tasks.append((index, op, query, candidate))
+        tasks.append(_Task(index, op, query, candidate))
 
     # One trace id for the whole batch: every task (thread envelope or
     # process task tuple) runs under it, so the batch's spans and obslog
@@ -319,14 +344,13 @@ def run_batch(
 def _run_thread_batch(session, tasks, jobs: int, kind: str):
     """Thread (or inline, ``jobs=1``) execution on the shared session."""
 
-    def run(task):
-        _, op, query, candidate = task
-        if op == "ask":
-            value = session.ask(query, candidate)
-        elif op == "query_maximal":
-            value = session.query_maximal(query)
+    def run(task: _Task):
+        if task.op == "ask":
+            value = session.ask(task.query, task.candidate)
+        elif task.op == "query_maximal":
+            value = session.query_maximal(task.query)
         else:
-            value = session.query(query)
+            value = session.query(task.query)
         return (value, current_worker_id())
 
     pool = session._pool_for(jobs, "thread")
@@ -354,30 +378,31 @@ def _run_process_batch(session, tasks, jobs: int, trace_id: Optional[str]):
         profiler = None
     profile_hz = profiler.hz if profiler is not None else None
     pool = session._pool_for(jobs, "process")
-    shipped = [task + (trace_id, want_trace, profile_hz) for task in tasks]
+    shipped = [
+        task._replace(trace_id=trace_id, want_trace=want_trace, profile_hz=profile_hz)
+        for task in tasks
+    ]
     chunksize = max(1, len(tasks) // (jobs * 4))
     envelopes = pool.map_tasks(_run_process_task, shipped, chunksize=chunksize)
     results: List[Any] = []
     worker_ids: List[Optional[str]] = []
-    for (index, op, query, _), envelope in zip(tasks, envelopes):
-        (env_index, value, usage, worker_id, dump, records, spans, stats,
-         profile_dump, _shard) = envelope
-        assert env_index == index
-        session.planner.metrics.merge_dump(dump)
-        if records and session.obslog is not None:
-            session.obslog.absorb(records)
-        if spans and want_trace:
-            _graft_spans(tracer, spans)
-        if stats is not None and session.stats_store is not None:
-            session.stats_store.merge_dump(stats)
-        if profile_dump and profiler is not None:
-            profiler.absorb_dump(profile_dump)
-        worker_ids.append(worker_id)
-        if op == "ask":
-            results.append(value)
+    for task, envelope in zip(tasks, envelopes):
+        assert envelope.index == task.index
+        session.planner.metrics.merge_dump(envelope.metrics_dump)
+        if envelope.records and session.obslog is not None:
+            session.obslog.absorb(envelope.records)
+        if envelope.span_dicts and want_trace:
+            _graft_spans(tracer, envelope.span_dicts)
+        if envelope.stats_dump is not None and session.stats_store is not None:
+            session.stats_store.merge_dump(envelope.stats_dump)
+        if envelope.profile_dump and profiler is not None:
+            profiler.absorb_dump(envelope.profile_dump)
+        worker_ids.append(envelope.worker_id)
+        if task.op == "ask":
+            results.append(envelope.value)
         else:
-            result = Result(session, session.parse(query), value)
-            result.resources = usage
+            result = Result(session, session.parse(task.query), envelope.value)
+            result.resources = envelope.usage
             results.append(result)
     return results, worker_ids
 

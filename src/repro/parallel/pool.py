@@ -5,34 +5,27 @@ A :class:`WorkerPool` wraps a :mod:`concurrent.futures` executor —
 behind an API shaped for the query path:
 
 * :meth:`WorkerPool.map_tasks` runs a function over items **in order**,
-  propagating the submitting thread's active
-  :class:`~repro.telemetry.resources.ResourceMonitor` into the worker for
-  the duration of each task, so resource budgets are accounted (and hard
-  limits enforced) across workers;
+  carrying the submitting thread's trace context
+  (:mod:`repro.telemetry.context`) into the worker for the duration of
+  each task, so everything a batch emits shares one ``trace_id``;
 * every worker carries a stable **worker id** (``t1``/``t2``… for
-  threads, ``p<pid>`` for processes) exposed through
-  :func:`current_worker_id` — the query log stamps it on events emitted
-  from inside a worker;
-* tasks submitted *from* a worker run **inline** (sequentially, on the
-  worker itself).  This makes nested parallelism — a batch worker whose
-  query fans its own subtrees out — deadlock-free by construction: only
-  the outermost dispatch uses the pool.
+  threads, ``p<pid>`` for processes) kept beside the trace context and
+  read with :func:`current_worker_id` — the query log stamps it on events
+  emitted from inside a worker;
+* tasks submitted *from* a worker — a thread that has a worker id — run
+  **inline** (sequentially, on the worker itself).  This makes nested
+  dispatch deadlock-free by construction: only the outermost dispatch
+  uses the pool.
 
-The pool the evaluators should dispatch to is installed dynamically with
-:func:`use_pool` (a thread-local, mirroring
-``repro.telemetry.tracer.current_tracer``)::
-
-    with WorkerPool(jobs=4) as pool, use_pool(pool):
-        evaluate(p, db)          # independent subtrees fan out
-
-With no installed pool every dispatch site falls through to its ordinary
-sequential loop — the disabled path is one thread-local read.
+The pool fans out *across* queries (:mod:`repro.parallel.batch`) and
+hosts the shard processes of :mod:`repro.dist`; a single query runs
+start to finish on the thread that asked for it.
 
 Threads vs processes: CPython's GIL serialises pure-Python compute, so
 **thread** pools overlap latency (and exercise the concurrency paths
 deterministically) while **process** pools deliver CPU parallelism at the
 cost of pickling task envelopes; :mod:`repro.parallel.batch` supports
-both, intra-query parallelism is thread-only.
+both.
 """
 
 from __future__ import annotations
@@ -40,18 +33,20 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
-from ..telemetry import resources as _resources
-from ..telemetry.context import current_span_id, current_trace_id, set_trace_context
+from ..telemetry.context import (
+    current_span_id,
+    current_trace_id,
+    current_worker_id,
+    set_trace_context,
+    set_worker_id,
+)
 
 __all__ = [
     "WorkerPool",
-    "current_pool",
     "current_worker_id",
     "effective_cpu_count",
-    "use_pool",
 ]
 
 #: Executor kinds accepted by :class:`WorkerPool` and the Session API.
@@ -65,36 +60,6 @@ def effective_cpu_count() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-# ---------------------------------------------------------------------------
-# Thread-local dispatch context
-# ---------------------------------------------------------------------------
-_local = threading.local()
-
-
-def current_pool() -> "Optional[WorkerPool]":
-    """The pool parallel-safe dispatch sites fan out to (``None`` when
-    parallelism is disabled *or* when called from inside a worker — nested
-    dispatch runs inline)."""
-    return getattr(_local, "pool", None)
-
-
-def current_worker_id() -> Optional[str]:
-    """The id of the pool worker running this thread, or ``None`` outside
-    a worker.  The query log attaches it to events as ``worker``."""
-    return getattr(_local, "worker_id", None)
-
-
-@contextmanager
-def use_pool(pool: "Optional[WorkerPool]") -> Iterator["Optional[WorkerPool]"]:
-    """Install ``pool`` as this thread's dispatch target for the block."""
-    previous = getattr(_local, "pool", None)
-    _local.pool = pool
-    try:
-        yield pool
-    finally:
-        _local.pool = previous
 
 
 class WorkerPool:
@@ -187,7 +152,7 @@ class WorkerPool:
         worker (nested dispatch).
         """
         items = list(items)
-        if self.jobs <= 1 or len(items) < 2 or getattr(_local, "in_worker", False):
+        if self.jobs <= 1 or len(items) < 2 or current_worker_id() is not None:
             if self.metrics is not None and items:
                 self.metrics.counter(
                     "pool.tasks_total", {"executor": self.kind}).inc(len(items))
@@ -205,9 +170,7 @@ class WorkerPool:
                 self._note_process_done(len(items))
         executor = self._ensure_executor()
         self._note_submitted(len(items))
-        monitor = _resources.current_monitor()
-        run = self._thread_envelope(fn, monitor)
-        return list(executor.map(run, items))
+        return list(executor.map(self._thread_envelope(fn), items))
 
     def submit(self, fn: Callable[..., Any], *args: Any):
         """Submit one task to the executor **unconditionally**, returning
@@ -275,25 +238,19 @@ class WorkerPool:
             self._active = max(0, self._active - min(self.jobs, n_items))
             self._publish_gauges_locked()
 
-    def _thread_envelope(
-        self, fn: Callable[[Any], Any], monitor
-    ) -> Callable[[Any], Any]:
-        """Wrap ``fn`` for execution on a worker thread: mark the thread
-        as a worker (nested dispatch → inline), stamp its worker id,
-        install the submitter's resource monitor so budget accounting
-        crosses the thread boundary, and carry the submitter's trace
-        context so every span/obslog line a worker emits shares the
-        query's ``trace_id``."""
+    def _thread_envelope(self, fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
+        """Wrap ``fn`` for execution on a worker thread: stamp the thread
+        with its worker id (which also makes nested dispatch run inline)
+        and carry the submitter's trace context so every span/obslog line
+        a worker emits shares the batch's ``trace_id``."""
         trace_id = current_trace_id()
         span_id = current_span_id()
 
         def run(item: Any) -> Any:
-            _local.in_worker = True
-            if getattr(_local, "worker_id", None) is None:
+            if current_worker_id() is None:
                 with self._lock:
                     self._worker_seq += 1
-                    _local.worker_id = "t%d" % self._worker_seq
-            previous = _resources.install_monitor(monitor)
+                    set_worker_id("t%d" % self._worker_seq)
             previous_trace = set_trace_context(trace_id, span_id)
             self._note_started()
             try:
@@ -301,8 +258,6 @@ class WorkerPool:
             finally:
                 self._note_finished()
                 set_trace_context(*previous_trace)
-                _resources.install_monitor(previous)
-                _local.in_worker = False
 
         return run
 
@@ -317,6 +272,6 @@ def process_worker_id() -> str:
 
 def mark_process_worker() -> None:
     """Stamp the current (process-pool worker) thread with its id, so
-    obslog events emitted inside the worker carry it."""
-    _local.worker_id = process_worker_id()
-    _local.in_worker = True
+    obslog events emitted inside the worker carry it and dispatch from
+    inside it runs inline."""
+    set_worker_id(process_worker_id())

@@ -36,11 +36,12 @@ class QueryPlan:
         engine consumes — shared with every other plan for this shape.
     kernel:
         For Yannakakis plans, the relational kernel (``sql`` /
-        ``columnar`` / ``dist``, see :mod:`repro.relalg.config`) a
-        pool-less run resolves to against the database the plan was
-        built for — a label, the run itself asks ``choose_kernel``;
-        ``None`` for the other engines (they evaluate through their own
-        decomposition machinery before reaching the kernels).
+        ``columnar`` / ``dist``, see :mod:`repro.relalg.config`)
+        ``choose_kernel`` resolves against the database the plan was
+        built for — the same call the run makes, so the label names the
+        kernel that runs; ``None`` for the other engines (they evaluate
+        through their own decomposition machinery before reaching the
+        kernels).
     estimate:
         The planner's :class:`~repro.telemetry.insight.CardinalityEstimate`
         for this atom set against the database the plan was built for

@@ -61,7 +61,7 @@ from ..cqalgs.structured import (
 )
 from ..cqalgs.yannakakis import evaluate_with_join_tree, satisfiable_with_join_tree
 from ..hypergraphs.treedecomp import TreeDecomposition
-from ..relalg.config import default_kernel
+from ..relalg.config import choose_kernel
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.tracer import current_tracer
 from ..wdpt.wdpt import WDPT
@@ -143,21 +143,7 @@ class Planner:
 
     def profile_wdpt(self, p: WDPT) -> TreeProfile:
         """The memoized structural profile of a pattern tree — one shared
-        analysis for classes, EXPLAIN, and the Theorem 6/8/9 algorithms,
-        including the nodes whose subtrees :mod:`repro.parallel` may
-        evaluate concurrently (``profile.parallel_safe_nodes``).
-
-        >>> from repro.core.atoms import atom
-        >>> from repro.wdpt.wdpt import wdpt_from_nested
-        >>> p = wdpt_from_nested(
-        ...     ([atom("R", "?x")],
-        ...      [([atom("S", "?x", "?y")], []),
-        ...       ([atom("T", "?x", "?z")], [])]),
-        ...     free_variables=["?x", "?y", "?z"])
-        >>> profile = Planner().profile_wdpt(p)
-        >>> sorted(profile.parallel_safe_nodes)  # the root has two children
-        [0]
-        """
+        analysis for classes, EXPLAIN, and the Theorem 6/8/9 algorithms."""
         key = p.structural_fingerprint()
         profile = self.profiles.get(key)
         if profile is None:
@@ -209,7 +195,7 @@ class Planner:
                 ENGINE_YANNAKAKIS,
                 "Theorem 3, k=1 (HW(1) = AC): Yannakakis over the memoized join tree",
                 profile,
-                kernel=default_kernel(db),
+                kernel=choose_kernel(db),
                 estimate=estimate,
             )
         if profile.treewidth_upper <= self.tw_cutoff:

@@ -239,7 +239,6 @@ class TreeProfile:
         "_subtree_profiles",
         "_global",
         "_interface_width",
-        "_parallel_nodes",
         "subtree_hits",
         "subtree_misses",
     )
@@ -252,7 +251,6 @@ class TreeProfile:
         self._subtree_profiles: Dict[FrozenSet[int], StructuralProfile] = {}
         self._global: Optional[StructuralProfile] = None
         self._interface_width: Optional[int] = None
-        self._parallel_nodes: Optional[FrozenSet[int]] = None
         self.subtree_hits = 0
         self.subtree_misses = 0
 
@@ -307,30 +305,6 @@ class TreeProfile:
             )
         self._subtree_profiles[key] = profile
         return profile
-
-    # ------------------------------------------------------------------
-    # Parallel-safe fan-out points (repro.parallel)
-    # ------------------------------------------------------------------
-    @property
-    def parallel_safe_nodes(self) -> FrozenSet[int]:
-        """Nodes whose child subtrees may be evaluated concurrently.
-
-        Well-designedness makes a node's variables a separator between its
-        child subtrees (the same property the top-down evaluator's product
-        decomposition rests on), so sibling subtrees are *always*
-        independent given the parent's mapping — a node is marked as a
-        parallel fan-out point exactly when it has at least two children,
-        i.e. when there is more than one independent unit of work to
-        dispatch.  The intra-query dispatch sites in
-        :mod:`repro.wdpt.evaluation` and :mod:`repro.wdpt.eval_tractable`
-        only fan out at marked nodes.
-        """
-        if self._parallel_nodes is None:
-            tree = self.wdpt.tree
-            self._parallel_nodes = frozenset(
-                n for n in tree.nodes() if len(tree.children(n)) >= 2
-            )
-        return self._parallel_nodes
 
     # ------------------------------------------------------------------
     # Interface widths (Section 3.2)

@@ -15,7 +15,6 @@ from .config import (
     MODE_AUTO,
     MODE_COLUMNAR,
     choose_kernel,
-    default_kernel,
     force_kernels,
     kernel_mode,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "from_mappings",
     "to_mappings",
     "choose_kernel",
-    "default_kernel",
     "force_kernels",
     "kernel_mode",
     "KERNELS_ENV",

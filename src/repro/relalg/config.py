@@ -19,16 +19,15 @@ environment variable (or forced programmatically with
 :func:`force_kernels`):
 
 * ``auto`` (default) — the backend's native whole-tree path when it has
-  one (``dist`` on a sharded backend, ``sql`` on SQLite) and no worker
-  pool is installed, otherwise the columnar kernels;
+  one (``dist`` on a sharded backend, ``sql`` on SQLite), otherwise the
+  columnar kernels;
 * ``columnar`` — always the columnar Python kernels (even on SQLite or
   a sharded backend — the coordinator's mirror serves the scans).
 
 The **kernel** is the resolved per-execution choice (``dist`` / ``sql``
 / ``columnar``), computed by :func:`choose_kernel` from the mode plus
-the database's capabilities and the installed pool — and from nothing
-else; it is recorded in plans, traces, and the obslog so operators can
-see which path served a query.
+the database's capabilities — and from nothing else, so the kernel a
+plan, a trace, or the obslog names is the kernel that ran the query.
 """
 
 from __future__ import annotations
@@ -84,26 +83,21 @@ def force_kernels(mode: str) -> Iterator[None]:
         _forced = previous
 
 
-def choose_kernel(db: object, pool: object = None) -> str:
-    """Resolve the mode against the database's capabilities.
+def choose_kernel(db: object) -> str:
+    """Resolve the mode against the database's capabilities — the kernel
+    a Yannakakis run against ``db`` uses right now, and what EXPLAIN and
+    the obslog stamp on plans (``db=None``: a plan built without a
+    database runs columnar).
 
-    The native whole-tree paths are only chosen in ``auto`` mode and
-    with no worker pool installed (the level-parallel sweeps are a
-    Python-side feature): ``dist`` when the backend advertises
-    :attr:`supports_dist_yannakakis` (it already owns its own process
-    parallelism), else ``sql`` when it advertises
+    The native whole-tree paths are only chosen in ``auto`` mode:
+    ``dist`` when the backend advertises
+    :attr:`supports_dist_yannakakis`, else ``sql`` when it advertises
     :attr:`supports_sql_yannakakis`.
     """
     if kernel_mode() == MODE_COLUMNAR:
         return KERNEL_COLUMNAR
-    if pool is None and getattr(db, "supports_dist_yannakakis", False):
+    if getattr(db, "supports_dist_yannakakis", False):
         return KERNEL_DIST
-    if pool is None and getattr(db, "supports_sql_yannakakis", False):
+    if getattr(db, "supports_sql_yannakakis", False):
         return KERNEL_SQL
     return KERNEL_COLUMNAR
-
-
-def default_kernel(db: object = None) -> str:
-    """The kernel a plain (pool-less) execution against ``db`` would use
-    right now — what EXPLAIN and the obslog stamp on plans."""
-    return choose_kernel(db, None)

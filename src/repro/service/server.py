@@ -145,7 +145,6 @@ class ServiceServer:
         backend: Optional[str] = None,
         path: Optional[str] = None,
         shards: Optional[int] = None,
-        jobs: Optional[int] = None,
         global_limit: int = DEFAULT_GLOBAL_LIMIT,
         obslog: Optional[QueryLog] = None,
         drain_timeout: float = 30.0,
@@ -153,7 +152,6 @@ class ServiceServer:
         self.tenants = tenants if tenants is not None else default_registry()
         self.host = host
         self._requested_port = port
-        self.jobs = jobs
         self.drain_timeout = drain_timeout
         self.obslog = obslog
         # One root session owns backend conversion and the shared planner;
@@ -162,7 +160,7 @@ class ServiceServer:
         # processes — every tenant session shares the root's database.
         self._root = Session(
             data, backend=backend, path=path, shards=shards, cache=False,
-            jobs=None, obslog=obslog,
+            obslog=obslog,
         )
         self.planner = self._root.planner
         self.metrics = self.planner.metrics
@@ -179,7 +177,6 @@ class ServiceServer:
                 track_resources=True,
                 obslog=obslog,
                 tenant=tenant.name,
-                jobs=jobs,
             )
             for tenant in self.tenants
         }

@@ -13,8 +13,7 @@ The context is a plain thread-local, mirroring
   no query is in flight),
 * :func:`set_trace_context` installs it and returns the previous pair
   (the :class:`~repro.parallel.pool.WorkerPool` thread envelope uses
-  this to carry the submitter's context into worker threads, exactly as
-  it carries the resource monitor),
+  this to carry a batch's context into its worker threads),
 * :func:`trace_context` is the scoped form used by
   :class:`~repro.telemetry.obslog.QueryObservation`,
 * :func:`new_trace_id` mints ids (uuid4, 16 hex chars — short enough to
@@ -23,6 +22,12 @@ The context is a plain thread-local, mirroring
 Process workers do not inherit thread-locals; :mod:`repro.parallel.batch`
 ships the trace id inside each task tuple and the worker re-installs it
 before evaluating (see ``_run_process_task``).
+
+The same thread-local holds the **worker id** of a :mod:`repro.parallel`
+pool worker (``t<n>`` for threads, ``p<pid>`` for processes; ``None`` on
+every other thread): the pool stamps it with :func:`set_worker_id`, the
+query log reads it with :func:`current_worker_id` and attaches it to the
+records a worker emits.
 
 Telemetry stays dependency-light: this module imports only the standard
 library and is imported by obslog, resources, and the parallel layer.
@@ -38,9 +43,11 @@ from typing import Dict, Iterator, Optional, Tuple
 __all__ = [
     "current_trace_id",
     "current_span_id",
+    "current_worker_id",
     "new_trace_id",
     "new_span_id",
     "set_trace_context",
+    "set_worker_id",
     "trace_context",
     "trace_context_for_thread",
     "ensure_trace_id",
@@ -76,6 +83,18 @@ def current_trace_id() -> Optional[str]:
 def current_span_id() -> Optional[str]:
     """The active span id on this thread, or None."""
     return getattr(_context, "span_id", None)
+
+
+def current_worker_id() -> Optional[str]:
+    """The id of the pool worker running this thread, or ``None`` outside
+    a worker.  The query log attaches it to events as ``worker``."""
+    return getattr(_context, "worker_id", None)
+
+
+def set_worker_id(worker_id: str) -> None:
+    """Mark this thread as the pool worker ``worker_id`` for good: pool
+    threads and worker processes run nothing but pool tasks."""
+    _context.worker_id = worker_id
 
 
 def set_trace_context(

@@ -450,11 +450,9 @@ class NodeStatsCollector:
     to build the per-tree-node rows of ``EXPLAIN ANALYZE`` (key = node id).
 
     Allocated only when tracing is enabled, so the disabled-path cost at
-    every instrumentation site is a single ``is None`` check.  One
-    collector may be shared by several pool workers evaluating sibling
-    subtrees (``repro.parallel``); increments commute, and the lock makes
-    them lossless, so the aggregate is deterministic regardless of worker
-    scheduling.
+    every instrumentation site is a single ``is None`` check.  Increments
+    commute and take a lock, so a collector shared between threads loses
+    none.
     """
 
     __slots__ = ("_rows", "_lock")

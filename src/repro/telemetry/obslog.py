@@ -42,12 +42,16 @@ from __future__ import annotations
 import io
 import json
 import os
-import sys
 import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
-from .context import current_trace_id, ensure_trace_id, set_trace_context
+from .context import (
+    current_trace_id,
+    current_worker_id,
+    ensure_trace_id,
+    set_trace_context,
+)
 from .insight import DEFAULT_MISESTIMATE_QERROR
 from .resources import ResourceMonitor
 from .tracer import NULL_TRACER, Tracer, current_tracer, set_tracer
@@ -147,9 +151,8 @@ class QueryLog:
         Events emitted from inside a :mod:`repro.parallel` pool worker are
         stamped with the worker's id as ``worker`` (``t1``/``t2``… for
         threads, ``p<pid>`` for processes), so interleaved batch logs can
-        be attributed.  The pool module is looked up through
-        :data:`sys.modules` rather than imported — telemetry must not pull
-        the parallel layer in (the dependency points the other way).
+        be attributed; the id lives beside the trace context
+        (:func:`~repro.telemetry.context.current_worker_id`).
 
         When a trace context is active on the emitting thread
         (:mod:`repro.telemetry.context`), the record is stamped with its
@@ -157,11 +160,9 @@ class QueryLog:
         lines, spans, and resource accounting together across workers.
         """
         if "worker" not in fields:
-            pool_module = sys.modules.get("repro.parallel.pool")
-            if pool_module is not None:
-                worker = pool_module.current_worker_id()
-                if worker is not None:
-                    fields["worker"] = worker
+            worker = current_worker_id()
+            if worker is not None:
+                fields["worker"] = worker
         if "trace_id" not in fields:
             trace_id = current_trace_id()
             if trace_id is not None:
@@ -470,9 +471,9 @@ class QueryObservation:
         self.query = p
         self.query_id = p.structural_fingerprint()[:16]
         if self._plan_kernel is None:
-            from ..relalg.config import default_kernel
+            from ..relalg.config import choose_kernel
 
-            self._plan_kernel = default_kernel(self.session.database)
+            self._plan_kernel = choose_kernel(self.session.database)
         if self.log is None:
             return
         planner = self.session.planner

@@ -47,7 +47,6 @@ __all__ = [
     "account_rows",
     "account_subquery",
     "current_monitor",
-    "install_monitor",
 ]
 
 
@@ -145,18 +144,6 @@ def current_monitor() -> "Optional[ResourceMonitor]":
     return getattr(_active, "monitor", None)
 
 
-def install_monitor(
-    monitor: "Optional[ResourceMonitor]",
-) -> "Optional[ResourceMonitor]":
-    """Make ``monitor`` this thread's active monitor; returns the previous
-    one.  Used by :class:`repro.parallel.pool.WorkerPool` to carry the
-    submitting thread's monitor into its workers, so one query's budget is
-    accounted (and enforced) across every worker it fans out to."""
-    previous = getattr(_active, "monitor", None)
-    _active.monitor = monitor
-    return previous
-
-
 def account_rows(rows: int) -> None:
     """Report an intermediate relation / candidate-set cardinality.
 
@@ -210,9 +197,9 @@ class ResourceMonitor:
         self._start_cpu = 0.0
         self._previous: Optional[ResourceMonitor] = None
         self._started_tracemalloc = False
-        # One monitor may receive accounting from several pool workers at
-        # once (repro.parallel propagates it across threads); the peak and
-        # subquery updates are guarded so none are lost.
+        # ``note_rows``/``note_subqueries`` may be called by any thread
+        # holding the monitor; the peak and subquery updates are guarded
+        # so none are lost.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -52,7 +52,6 @@ from ..core.database import Database
 from ..core.mappings import Mapping
 from ..core.terms import Constant, Variable
 from ..cqalgs.naive import satisfiable
-from ..parallel.pool import current_pool
 from ..telemetry.metrics import NodeStatsCollector
 from ..telemetry.resources import account_rows, account_subquery
 from ..telemetry.tracer import current_tracer
@@ -118,15 +117,7 @@ def eval_tractable(
 
 
 class _InterfaceDP:
-    """Memoized ``IN``/``BLOCKED`` computation (see module docstring).
-
-    When a worker pool is installed (:mod:`repro.parallel`), the per-child
-    ``IN``/``BLOCKED`` checks of :meth:`_children_handled` fan out at
-    parallel-safe nodes — sound because ``S_u`` is a separator, so sibling
-    checks share nothing beyond the immutable ``g``.  The memo tables are
-    plain dicts shared across workers: a racing miss recomputes (both
-    sides write the same value), never corrupts.
-    """
+    """Memoized ``IN``/``BLOCKED`` computation (see module docstring)."""
 
     def __init__(
         self,
@@ -159,9 +150,6 @@ class _InterfaceDP:
             self.tree_profile = planner.profile_wdpt(p)
         self._in_memo: Dict[Tuple[int, Mapping], bool] = {}
         self._blocked_memo: Dict[Tuple[int, Mapping], bool] = {}
-        # Captured once: workers never see an installed pool (dispatch from
-        # inside a worker would run inline anyway).
-        self._pool = current_pool()
 
     # ------------------------------------------------------------------
     # BLOCKED(u, σ): no homomorphism of λ(u) extends σ.
@@ -283,26 +271,9 @@ class _InterfaceDP:
         return sorted(candidates)  # type: ignore[arg-type]
 
     def _children_handled(self, node: int, children: Sequence[int], g: Mapping) -> bool:
-        pool = self._pool
-        if pool is not None and len(children) >= 2 and self._fan_out_at(node):
-            # Sibling checks are independent given g; all() over the
-            # in-order results keeps the answer (trivially) deterministic.
-            # The sequential path's early exit is traded for overlap.
-            checks = pool.map_tasks(
-                lambda child: self._child_handled(node, child, g), children
-            )
-            return all(checks)
         for child in children:
             if not self._child_handled(node, child, g):
                 return False
-        return True
-
-    def _fan_out_at(self, node: int) -> bool:
-        """Fan out at ``node``?  The planner's marking when profiled
-        (``method="auto"``), else the same ≥2-children criterion (already
-        established by the caller)."""
-        if self.tree_profile is not None:
-            return node in self.tree_profile.parallel_safe_nodes
         return True
 
     def _child_handled(self, node: int, child: int, g: Mapping) -> bool:

@@ -61,7 +61,6 @@ from ..core.terms import Variable
 from ..cqalgs.naive import homomorphisms as cq_homomorphisms
 from ..cqalgs.yannakakis import relation_with_join_tree
 from ..hypergraphs.gyo import join_tree_of_atoms
-from ..parallel.pool import current_pool
 from ..relalg.relation import (
     Relation,
     Row,
@@ -123,10 +122,6 @@ class _TreeEvaluation:
         self.p = p
         self.db = db
         self.profile = profile
-        self.pool = current_pool()
-        self.safe = (
-            _parallel_safe_nodes(p, profile) if self.pool is not None else frozenset()
-        )
         kept = set(p.tree.nodes()) if frees is None else free_branch_nodes(p)
         self.children: Dict[int, List[int]] = {
             node: [c for c in p.tree.children(node) if c in kept] for node in kept
@@ -207,13 +202,7 @@ class _TreeEvaluation:
         the kept variables, an absent group being the failed OPT branch."""
         # Nothing to extend (only the root can be empty): no child CQs.
         children = self.children[node] if rel.rows else ()
-        if self.pool is not None and node in self.safe:
-            # Sibling subtrees only share variables through ``node``.
-            branches = self.pool.map_tasks(
-                lambda child: self.branch(node, rel, child), children
-            )
-        else:
-            branches = [self.branch(node, rel, child) for child in children]
+        branches = [self.branch(node, rel, child) for child in children]
         own = self.own[node]
         take = row_getter([rel.index[v] for v in own])
         rows: Iterable[Row]
@@ -293,16 +282,6 @@ class _TreeEvaluation:
         return stats
 
 
-def _parallel_safe_nodes(p: WDPT, profile: "Optional[TreeProfile]") -> FrozenSet[int]:
-    """The nodes this query may fan out at — the planner's marking when a
-    profile is supplied, otherwise the same ≥2-children criterion computed
-    locally (sibling independence holds for every well-designed tree)."""
-    if profile is not None:
-        return profile.parallel_safe_nodes
-    tree = p.tree
-    return frozenset(n for n in tree.nodes() if len(tree.children(n)) >= 2)
-
-
 def _evaluate_tree(
     p: WDPT,
     db: Database,
@@ -344,14 +323,6 @@ def maximal_homomorphisms(
     are attached to the ``wdpt.maximal_homomorphisms`` span as
     ``node_stats`` and joined with the static profile by
     ``Session.analyze``.
-
-    When a :class:`~repro.parallel.pool.WorkerPool` is installed
-    (:func:`~repro.parallel.pool.use_pool`), the sibling subtrees of the
-    nodes the planner marks parallel-safe (``profile=`` a
-    :class:`~repro.planner.profile.TreeProfile`) are evaluated
-    concurrently.  The product decomposition above is the soundness
-    argument: sibling work shares nothing but the (immutable) parent
-    relation, so the parallel schedule computes the same set.
     """
     return _evaluate_tree(p, db, profile, None)
 
@@ -362,9 +333,8 @@ def evaluate(
     """``p(D)`` via the top-down evaluator.
 
     ``profile`` (an optional planner :class:`TreeProfile`) supplies the
-    parallel-safe fan-out marking when a worker pool is installed; without
-    it the marking is recomputed locally, so the answer never depends on
-    whether a profile was passed.
+    memoised per-node join trees; without it they are recomputed locally,
+    so the answer never depends on whether a profile was passed.
 
     >>> from repro.core import atom, Database, Mapping
     >>> from repro.wdpt.wdpt import wdpt_from_nested

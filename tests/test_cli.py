@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import ast
 import os
 import re
 
@@ -158,6 +159,35 @@ def test_cli_matches_its_docs():
         rows += 1
     assert rows >= 10  # the table was found and read, not skipped
 
-    with pytest.raises(SystemExit) as exit_info:
-        main(["bench"])
-    assert exit_info.value.code == 2
+    # Deleted with what they selected: the old harness, the thread fan-out.
+    for gone in (["bench"], ["run", "{ ?x knows ?y }", "--jobs", "2"],
+                 ["serve", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(gone)
+        assert exit_info.value.code == 2
+
+
+def test_evaluators_and_telemetry_do_not_reach_for_the_parallel_layer():
+    """Dependency direction: ``repro.parallel`` drives the evaluators from
+    outside (batches, shards); nothing it drives, and nothing telemetry
+    does, imports it back or fishes it out of ``sys.modules``."""
+    root = os.path.dirname(cli.__file__)
+    below = ("cqalgs", "wdpt", "relalg", "planner", "hypergraphs", "storage",
+             "core", "rdf", "telemetry")
+    checked = 0
+    for package in below:
+        for name in sorted(os.listdir(os.path.join(root, package))):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, package, name)
+            with open(path) as handle:
+                source = handle.read()
+            for node in ast.walk(ast.parse(source, path)):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [alias.name for alias in node.names]
+                    names.append(getattr(node, "module", None) or "")
+                    assert not any("parallel" in n.split(".") for n in names), (
+                        path, node.lineno)
+            assert package != "telemetry" or "sys.modules" not in source, path
+            checked += 1
+    assert checked >= 60  # the packages were found and read, not skipped

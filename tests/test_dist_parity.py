@@ -114,11 +114,11 @@ def test_acyclic_cq_parity(seed, length, rays):
 
 
 def test_sharded_backend_selects_dist_kernel():
-    from repro.relalg.config import KERNEL_DIST, default_kernel
+    from repro.relalg.config import KERNEL_DIST, choose_kernel
 
     backend = ShardedBackend([atom("E", 1, 2)], shards=2)
     try:
-        assert default_kernel(backend) == KERNEL_DIST
+        assert choose_kernel(backend) == KERNEL_DIST
     finally:
         backend.shutdown()
 

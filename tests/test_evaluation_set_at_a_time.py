@@ -2,7 +2,7 @@
 
 Differential: on random WDPTs × databases, and on pinned shapes that hit
 each branch of the recursion, ``evaluate`` equals the literal Definition 2
-evaluator across backends, kernel modes and worker counts.  Structural: one
+evaluator across backends and kernel modes.  Structural: one
 node CQ per evaluated tree node (no wall clock), resource accounting that
 sees them, and a seeded ``scan`` that agrees with scan-then-semijoin on
 both sides of its probe/scan choice.
@@ -18,7 +18,6 @@ from repro.core.terms import Constant, Variable
 from repro.cqalgs.naive import count_homomorphisms
 from repro.cqalgs.yannakakis import relation_with_join_tree
 from repro.engine import Session
-from repro.parallel.pool import WorkerPool, use_pool
 from repro.relalg.config import MODES, force_kernels
 from repro.relalg.relation import Relation, group_by, scan, semijoin, to_mappings
 from repro.storage import MemoryBackend, SQLiteBackend
@@ -47,14 +46,12 @@ BACKENDS = (MemoryBackend, SQLiteBackend)
 
 
 def _everywhere(p, facts):
-    """``evaluate(p, ·)`` under every backend × kernel mode × jobs."""
+    """``evaluate(p, ·)`` under every backend × kernel mode."""
     for backend in BACKENDS:
         db = backend(facts)
         for mode in MODES:
             with force_kernels(mode):
-                yield (backend.__name__, mode, 1), evaluate(p, db)
-                with WorkerPool(jobs=2) as pool, use_pool(pool):
-                    yield (backend.__name__, mode, 2), evaluate(p, db)
+                yield (backend.__name__, mode), evaluate(p, db)
 
 
 def _assert_matches_reference(p, facts):

@@ -349,9 +349,9 @@ def test_process_batch_stitches_under_one_trace_id():
     produces spans and obslog events that share one trace_id."""
     log = QueryLog()
     db = company_directory(n_departments=2, employees_per_department=4, seed=1)
-    with Session(db, executor="process", obslog=log, cache=False) as session:
+    with Session(db, obslog=log, cache=False) as session:
         with tracing(Tracer()) as tracer:
-            session.run_batch([_company_query()] * 3, jobs=2)
+            session.run_batch([_company_query()] * 3, jobs=2, executor="process")
     trace_ids = {r["trace_id"] for r in log.recent()}
     assert len(trace_ids) == 1, "all events (incl. worker-side) share the trace"
     trace_id = trace_ids.pop()
@@ -373,7 +373,7 @@ def test_process_batch_stitches_under_one_trace_id():
 def test_process_batch_merges_worker_stats_store():
     store = QueryStatsStore()
     db = company_directory(n_departments=2, employees_per_department=4, seed=1)
-    with Session(db, executor="process", stats_store=store, cache=False) as session:
-        session.run_batch([_company_query()] * 4, jobs=2)
+    with Session(db, stats_store=store, cache=False) as session:
+        session.run_batch([_company_query()] * 4, jobs=2, executor="process")
     (query_id,) = store.dump()["queries"].keys()
     assert store.snapshot(query_id)["executions"] == 4

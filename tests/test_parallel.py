@@ -1,5 +1,4 @@
-"""Tests for :mod:`repro.parallel`: worker pools, batch evaluation, and
-the intra-query fan-out sites.
+"""Tests for :mod:`repro.parallel`: worker pools and batch evaluation.
 
 The layer's whole contract is *determinism*: every parallel path must be
 bit-identical to the sequential loop it replaces.  These tests pin that
@@ -18,22 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.atoms import atom
-from repro.core.cq import ConjunctiveQuery
 from repro.engine import Session
 from repro.exceptions import ResourceBudgetExceeded
 from repro.parallel import BatchResult, run_batch
-from repro.parallel.pool import (
-    WorkerPool,
-    current_pool,
-    current_worker_id,
-    effective_cpu_count,
-    use_pool,
-)
+from repro.parallel.pool import WorkerPool, current_worker_id, effective_cpu_count
 from repro.planner.cache import PlanCache
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.obslog import QueryLog
 from repro.telemetry.resources import ResourceBudget
-from repro.wdpt.evaluation import evaluate, evaluate_max
 from repro.wdpt.wdpt import wdpt_from_nested
 from repro.workloads.datasets import company_directory
 from repro.workloads.families import FIGURE1_QUERY_TEXT, example2_graph
@@ -132,14 +123,6 @@ def test_worker_ids_stable_and_absent_outside_workers():
     assert current_worker_id() is None  # the submitting thread is untouched
 
 
-def test_use_pool_is_scoped_to_the_block():
-    assert current_pool() is None
-    with WorkerPool(jobs=2) as pool:
-        with use_pool(pool):
-            assert current_pool() is pool
-        assert current_pool() is None
-
-
 def test_pool_rejects_unknown_executor():
     with pytest.raises(ValueError):
         WorkerPool(jobs=2, executor="fiber")
@@ -147,57 +130,6 @@ def test_pool_rejects_unknown_executor():
 
 def test_effective_cpu_count_positive():
     assert effective_cpu_count() >= 1
-
-
-# ---------------------------------------------------------------------------
-# Intra-query parallelism == sequential
-# ---------------------------------------------------------------------------
-def test_intra_query_evaluate_matches_sequential():
-    p, db = _company_query(), _company_db()
-    sequential = evaluate(p, db)
-    with WorkerPool(jobs=2) as pool, use_pool(pool):
-        assert evaluate(p, db) == sequential
-    sequential_max = evaluate_max(p, db)
-    with WorkerPool(jobs=3) as pool, use_pool(pool):
-        assert evaluate_max(p, db) == sequential_max
-
-
-def test_intra_query_yannakakis_matches_sequential():
-    from repro.cqalgs.yannakakis import evaluate_acyclic
-
-    q = ConjunctiveQuery(
-        ("?e", "?d", "?m"),
-        [
-            atom("works_in", "?e", "?d"),
-            atom("reports_to", "?e", "?m"),
-            atom("office", "?m", "?o"),
-        ],
-    )
-    db = _company_db()
-    sequential = evaluate_acyclic(q, db)
-    with WorkerPool(jobs=2) as pool, use_pool(pool):
-        assert evaluate_acyclic(q, db) == sequential
-
-
-def test_intra_query_ask_matches_sequential():
-    p, db = _company_query(), _company_db(employees=6)
-    answers = sorted(evaluate(p, db), key=repr)
-    assert answers
-    with Session(db) as plain, Session(db, jobs=2) as fanned:
-        for candidate in answers[:5]:
-            for method in ("naive", "auto"):
-                assert plain.ask(p, candidate, method=method) == fanned.ask(
-                    p, candidate, method=method
-                )
-
-
-@COMMON
-@given(wdpt_and_db())
-def test_parallel_evaluate_matches_sequential_on_random_inputs(pair):
-    p, db = pair
-    sequential = evaluate(p, db)
-    with WorkerPool(jobs=2) as pool, use_pool(pool):
-        assert evaluate(p, db) == sequential
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +152,9 @@ def test_thread_batch_matches_sequential():
 def test_process_batch_matches_sequential():
     queries = [_company_query()] * 4
     db = _company_db(employees=6)
-    with Session(db, executor="process") as session:
+    with Session(db) as session:
         sequential = [session.query(q).answers for q in queries]
-        batch = session.run_batch(queries, jobs=2)
+        batch = session.run_batch(queries, jobs=2, executor="process")
         assert batch.answers() == sequential
         assert all(w.startswith("p") for w in batch.workers_used())
 
@@ -253,8 +185,6 @@ def test_batch_rejects_unknown_op_and_executor():
         session.run_batch([EXAMPLE2_QUERY], op="transmogrify")
     with pytest.raises(ValueError):
         session.run_batch([EXAMPLE2_QUERY], executor="fiber")
-    with pytest.raises(ValueError):
-        Session(example2_graph(), executor="fiber")
 
 
 def test_batch_empty_input():
@@ -280,16 +210,6 @@ def test_hard_budget_enforced_through_thread_batch():
     with Session(_company_db(), budgets=budget) as session:
         with pytest.raises(ResourceBudgetExceeded):
             session.run_batch([_company_query()] * 3, jobs=2)
-
-
-def test_hard_budget_enforced_through_intra_query_fanout():
-    """The submitting thread's monitor must reach the pool workers the
-    subtrees fan out to — the hard limit fires even though the heavy
-    accounting happens on worker threads."""
-    budget = ResourceBudget(hard_intermediate_rows=1)
-    with Session(_company_db(), budgets=budget, jobs=2) as session:
-        with pytest.raises(ResourceBudgetExceeded):
-            session.query(_company_query())
 
 
 def test_resources_attached_to_batch_results():
@@ -362,9 +282,9 @@ def test_process_batch_merges_worker_metrics():
     db = _company_db(employees=4)
     # cache=False: a worker's result cache would serve repeats without
     # touching the engine, and this test counts engine selections.
-    with Session(db, executor="process", cache=False) as session:
+    with Session(db, cache=False) as session:
         before = dict(session.stats()["engine_selections"])
-        session.run_batch([_company_query()] * 4, jobs=2)
+        session.run_batch([_company_query()] * 4, jobs=2, executor="process")
         after = dict(session.stats()["engine_selections"])
     assert after.get("wdpt-topdown", 0) - before.get("wdpt-topdown", 0) == 4
 
@@ -444,7 +364,7 @@ def test_shared_planner_profiles_under_concurrent_sessions():
     """Two sessions sharing one planner may profile concurrently; stats()
     must iterate a consistent snapshot while workers keep inserting."""
     db = _company_db(employees=4)
-    with Session(db, jobs=2) as session:
+    with Session(db) as session:
         batch = session.run_batch([_company_query()] * 6, jobs=2)
         assert len(batch) == 6
         stats = session.stats()

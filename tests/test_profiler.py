@@ -314,7 +314,7 @@ def test_process_batch_merges_worker_samples():
     db = example2_graph()
     queries = [EXAMPLE2_QUERY] * 4
     with profiling(hz=500) as profiler:
-        with Session(db, executor="process", cache=False) as session:
+        with Session(db, cache=False) as session:
             batch = session.run_batch(queries, jobs=2, executor="process")
     assert len(batch.results) == 4
     # Worker samples were absorbed into the parent profiler (the parent
@@ -384,7 +384,7 @@ def test_inline_pool_counts_tasks_without_gauges():
 
 
 def test_session_pools_feed_the_planner_registry():
-    session = Session(example2_graph(), jobs=2)
+    session = Session(example2_graph())
     session.run_batch([EXAMPLE2_QUERY] * 4, jobs=2)
     exposition = session.planner.metrics.to_prometheus()
     assert "repro_pool_tasks_total" in exposition

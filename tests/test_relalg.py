@@ -31,7 +31,6 @@ from repro.relalg import (
 from repro.relalg.config import (
     KERNELS_ENV,
     choose_kernel,
-    default_kernel,
     force_kernels,
     kernel_mode,
 )
@@ -173,10 +172,9 @@ def test_choose_kernel_matrix():
     with force_kernels("auto"):
         assert choose_kernel(db) == "columnar"
         assert choose_kernel(_SQLCapable()) == "sql"
-        # a worker pool keeps execution on the Python side
-        assert choose_kernel(_SQLCapable(), pool=object()) == "columnar"
-        assert default_kernel(_SQLCapable()) == "sql"
-        assert default_kernel(None) == "columnar"
+        assert choose_kernel(None) == "columnar"  # a plan built without a database
+    with pytest.raises(TypeError):
+        choose_kernel(_SQLCapable(), None)  # the database and nothing else
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +186,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.engine import Session  # noqa: E402
 from repro.storage import SQLiteBackend  # noqa: E402
+from repro.telemetry.obslog import QueryLog  # noqa: E402
+from repro.telemetry.tracer import tracing  # noqa: E402
 from repro.wdpt.evaluation import evaluate_reference  # noqa: E402
+from repro.wdpt.wdpt import wdpt_from_nested  # noqa: E402
 from repro.workloads.generators import (  # noqa: E402
     path_cq,
     random_cq,
@@ -212,6 +213,26 @@ def _acyclic_queries(seed, length, rays):
     if join_tree_of_atoms(tuple(sorted(q.atoms))) is not None:
         queries.append(q)
     return queries
+
+
+@pytest.mark.parametrize("backend, expected", [("sqlite", "sql"), ("sharded", "dist")])
+def test_planned_kernel_is_the_kernel_that_runs(backend, expected):
+    """The kernel on the ``QueryPlan`` and the ``query.plan`` event is the
+    one the ``yannakakis`` spans of the same query report."""
+    p = wdpt_from_nested(
+        ([atom("E", "?x", "?y")], [([atom("F", "?y", "?z")], [])]),
+        free_variables=["?x", "?z"],
+    )
+    log = QueryLog()
+    facts = [atom("E", 1, 2), atom("E", 2, 3), atom("F", 2, 7)]
+    with force_kernels("auto"), Session(facts, obslog=log, backend=backend) as session:
+        with tracing() as tracer:
+            assert session.query(p).answers
+        plan = session.planner.plan_cq(path_cq(1), session.database)
+    (event,) = log.events("query.plan")
+    ran = {span.attrs["kernel"] for span in tracer.find("yannakakis")}
+    assert ran == {expected}
+    assert event["kernel"] == plan.kernel == expected
 
 
 @settings(max_examples=20, deadline=None)

@@ -577,17 +577,19 @@ class TestConcurrency:
     @staticmethod
     def _gate(session):
         """Hold every ``session.query`` until released; returns the
-        release event and the list of texts that reached evaluation."""
-        release, evaluated = threading.Event(), []
+        release event, the list of texts that reached evaluation, and an
+        event set once the first of them has."""
+        release, evaluated, entered = threading.Event(), [], threading.Event()
         original = session.query
 
         def gated(text):
             evaluated.append(text)
+            entered.set()
             assert release.wait(30)
             return original(text)
 
         session.query = gated
-        return release, evaluated
+        return release, evaluated, entered
 
     @staticmethod
     def _coalesced(srv, tenant):
@@ -598,7 +600,7 @@ class TestConcurrency:
     def test_identical_queries_coalesce(self):
         registry = TenantRegistry.from_dict(TENANTS)
         with ServiceServer(example2_graph(), tenants=registry) as srv:
-            release, evaluated = self._gate(srv.sessions["acme"])
+            release, evaluated, _ = self._gate(srv.sessions["acme"])
             before = srv.sessions["acme"].result_cache.stats()
             spec = [("/query", {"query": QUERY}, "acme-key")] * 4
             spec.append(("/query", {"query": SMALL_QUERY}, "acme-key"))
@@ -647,7 +649,7 @@ class TestConcurrency:
     ):
         registry = TenantRegistry.from_dict(TENANTS)
         with ServiceServer(example2_graph(), tenants=registry) as srv:
-            release, evaluated = self._gate(srv.sessions[tenant])
+            release, evaluated, _ = self._gate(srv.sessions[tenant])
             results = [None] * 3
             threads = [
                 threading.Thread(
@@ -750,14 +752,7 @@ class TestConcurrency:
         with ServiceServer(
             example2_graph(), tenants=registry, obslog=obslog
         ) as srv:
-            session = srv.sessions["slow"]
-            original = session.query
-
-            def slow_query(text):
-                time.sleep(0.6)
-                return original(text)
-
-            session.query = slow_query
+            release, _, entered = self._gate(srv.sessions["slow"])
             first = [None]
             thread = threading.Thread(
                 target=_fire,
@@ -765,11 +760,13 @@ class TestConcurrency:
                       first, 0),
             )
             thread.start()
-            time.sleep(0.25)  # let the slow query occupy the only slot
+            assert entered.wait(30)  # the held query occupies the only slot
             status, body, headers = _request(
                 srv.url, "/query", {"query": SMALL_QUERY}, key="slow-key"
             )
-            thread.join()
+            release.set()
+            thread.join(30)
+            assert not thread.is_alive()
             assert status == 429
             assert headers["Retry-After"] == "2.5"
             assert body["scope"] == "tenant"
@@ -789,14 +786,7 @@ class TestConcurrency:
         with ServiceServer(
             example2_graph(), tenants=registry, global_limit=1
         ) as srv:
-            session = srv.sessions["acme"]
-            original = session.query
-
-            def slow_query(text):
-                time.sleep(0.6)
-                return original(text)
-
-            session.query = slow_query
+            release, _, entered = self._gate(srv.sessions["acme"])
             first = [None]
             thread = threading.Thread(
                 target=_fire,
@@ -804,11 +794,13 @@ class TestConcurrency:
                       first, 0),
             )
             thread.start()
-            time.sleep(0.25)
+            assert entered.wait(30)  # the held query is the one global slot
             status, body, _ = _request(
                 srv.url, "/query", {"query": SMALL_QUERY}, key=None
             )
-            thread.join()
+            release.set()
+            thread.join(30)
+            assert not thread.is_alive()
             assert status == 429
             assert body["scope"] == "global"
             assert first[0][0] == 200
@@ -820,14 +812,7 @@ class TestConcurrency:
         srv = ServiceServer(
             example2_graph(), tenants=registry, obslog=obslog
         ).start()
-        session = srv.sessions["acme"]
-        original = session.query
-
-        def slow_query(text):
-            time.sleep(0.6)
-            return original(text)
-
-        session.query = slow_query
+        release, _, entered = self._gate(srv.sessions["acme"])
         result = [None]
         thread = threading.Thread(
             target=_fire,
@@ -835,10 +820,16 @@ class TestConcurrency:
                   result, 0),
         )
         thread.start()
-        time.sleep(0.25)  # the query is now evaluating
+        assert entered.wait(30)  # the query is now evaluating
         url = srv.url
-        srv.stop(drain=True)  # returns only once in-flight work finished
-        thread.join()
+        stopper = threading.Thread(target=srv.stop, kwargs={"drain": True})
+        stopper.start()
+        _wait_until(lambda: srv._draining)
+        assert stopper.is_alive()  # stop() waits for the in-flight query
+        release.set()
+        for waited in (thread, stopper):
+            waited.join(30)
+            assert not waited.is_alive()
         status, body, _ = result[0]
         assert status == 200  # zero dropped queries
         assert body["rows"] >= 2

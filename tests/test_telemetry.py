@@ -248,6 +248,18 @@ def test_session_query_records_spans():
     assert isinstance(evaluator.attrs["node_stats"], dict)
 
 
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_one_query_is_one_span_tree(backend):
+    """One query, one waterfall: the Figure 1 root has two children, and
+    every node CQ still hangs off the single ``session.query`` root."""
+    with tracing() as tracer:
+        Session(example2_graph(), backend=backend).query(EXAMPLE2_QUERY)
+    (root,) = tracer.roots
+    assert root.name == "session.query"
+    assert len(list(root.find("yannakakis"))) == 3
+    assert any(span.name.startswith("wdpt.") for span in root.walk())
+
+
 def test_analyze_end_to_end_on_example2_query_path():
     session = Session(example2_graph())
     report = session.analyze(EXAMPLE2_QUERY)

@@ -22,7 +22,6 @@ from repro.cqalgs.yannakakis import (
 from repro.engine import Session
 from repro.exceptions import ClassMembershipError
 from repro.hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
-from repro.parallel.pool import WorkerPool, use_pool
 from repro.relalg.config import force_kernels
 from repro.relalg.relation import Relation, scan, to_mappings
 from repro.storage import MemoryBackend, SQLiteBackend
@@ -157,17 +156,14 @@ def _joins(h, seed):
     )
 
 
-#: backend × pool/no pool.
-CONFIGURATIONS = [(b, jobs) for b in (MemoryBackend, SQLiteBackend) for jobs in (1, 2)]
+CONFIGURATIONS = (MemoryBackend, SQLiteBackend)
 
 
 @contextmanager
-def _configured(backend, jobs, facts):
-    """``(db, label)`` with the columnar kernels pinned and, for
-    ``jobs > 1``, a pool installed."""
-    with force_kernels("columnar"), WorkerPool(jobs=jobs) as pool:
-        with use_pool(pool if jobs > 1 else None):
-            yield backend(facts), (backend.__name__, jobs)
+def _configured(backend, facts):
+    """``(db, label)`` with the columnar kernels pinned."""
+    with force_kernels("columnar"):
+        yield backend(facts), backend.__name__
 
 
 _ACYCLIC = settings(
@@ -193,8 +189,8 @@ def test_scan_schedule_stays_between_full_reduction_and_plain_scan(case):
     oracle = MemoryBackend(facts)
     homs = [h for h in homomorphisms(atoms, oracle) if _joins(h, seed)]
     expected = frozenset(h.restrict(frees) for h in homs)
-    for backend, jobs in CONFIGURATIONS:
-        with _configured(backend, jobs, facts) as (db, config):
+    for backend in CONFIGURATIONS:
+        with _configured(backend, facts) as (db, config):
             relations = scan_schedule(atoms, links, db, seed)
             if relations is None:
                 assert not homs, config
@@ -215,13 +211,12 @@ def test_scan_schedule_stays_between_full_reduction_and_plain_scan(case):
 @_ACYCLIC
 @given(acyclic_cq_and_facts())
 def test_semijoin_program_ends_in_the_full_reduction(case):
-    """Per atom, exactly the rows some homomorphism uses — computed by the
-    same loop with and without a pool."""
+    """Per atom, exactly the rows some homomorphism uses."""
     atoms, facts, _, _ = case
     links = join_tree_of_atoms(atoms)
     homs = list(homomorphisms(atoms, MemoryBackend(facts)))
-    for backend, jobs in CONFIGURATIONS:
-        with _configured(backend, jobs, facts) as (db, config):
+    for backend in CONFIGURATIONS:
+        with _configured(backend, facts) as (db, config):
             relations = scan_schedule(atoms, links, db)
             alive = relations is not None and semijoin_reduce(
                 relations, join_tree_shape(links, len(atoms))
@@ -238,8 +233,8 @@ def test_enumeration_emits_every_answer_once(case):
     atoms, facts, frees, _ = case
     query = ConjunctiveQuery(sorted(frees), atoms)
     expected = evaluate_naive(query, MemoryBackend(facts))
-    for backend, jobs in CONFIGURATIONS:
-        with _configured(backend, jobs, facts) as (db, config):
+    for backend in CONFIGURATIONS:
+        with _configured(backend, facts) as (db, config):
             emitted = list(enumerate_answers(query, db))
             assert len(emitted) == len(expected), config
             assert frozenset(emitted) == expected, config
