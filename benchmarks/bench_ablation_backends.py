@@ -2,8 +2,9 @@
 
 Design choices DESIGN.md calls out, measured:
 
-1. the Theorem 6/8 algorithms accept a per-node CQ backend (``naive``
-   backtracking vs ``auto`` structure-exploiting dispatch).  On the small
+1. the Theorem 6/8 algorithms run their per-node CQ checks as the
+   backtracking search (no planner: the ``naive`` series) or routed
+   through a ``planner=`` (the ``auto`` series).  On the small
    node labels typical of WDPTs, backtracking wins by constant factors —
    the LOGCFL-grade engines only pay off on pathological node CQs, which
    we exhibit with a wide acyclic node;
@@ -56,15 +57,15 @@ def test_backend_ablation_on_typical_nodes():
         auto.add(
             employees,
             time_callable(
-                lambda: partial_eval(query, db, h, method="auto", planner=planner),
+                lambda: partial_eval(query, db, h, planner=planner),
                 repeats=3,
             ),
         )
         assert partial_eval(query, db, h) == partial_eval(
-            query, db, h, method="auto", planner=planner
+            query, db, h, planner=planner
         )
     stages = stage_breakdown(
-        lambda: partial_eval(query, db, h, method="auto", planner=planner)
+        lambda: partial_eval(query, db, h, planner=planner)
     )
     print()
     print(
@@ -147,6 +148,7 @@ def test_bench_streamed_first_answer(benchmark):
 def test_bench_partial_eval_auto(benchmark):
     query = _query()
     db = company_directory(n_departments=4, employees_per_department=16, seed=2)
+    planner = Planner()
     assert benchmark(
-        lambda: partial_eval(query, db, Mapping({"?e": "emp_0_0"}), method="auto")
+        lambda: partial_eval(query, db, Mapping({"?e": "emp_0_0"}), planner=planner)
     )

@@ -22,6 +22,7 @@ from repro.benchharness import (
     time_callable,
 )
 from repro.core.mappings import Mapping
+from repro.planner import Planner
 from repro.wdpt.eval_tractable import eval_tractable
 from repro.wdpt.evaluation import eval_check, evaluate
 from repro.workloads.datasets import company_directory
@@ -67,7 +68,7 @@ def test_tractable_column_polynomial_in_data():
         h = _answer_for(db, query)
         series.add(4 * employees, time_callable(lambda: eval_tractable(query, db, h), repeats=3))
     stages = stage_breakdown(
-        lambda: eval_tractable(query, db, h, method="auto")
+        lambda: eval_tractable(query, db, h, planner=Planner())
     )
     print()
     print(

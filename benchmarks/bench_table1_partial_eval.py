@@ -75,12 +75,12 @@ def test_partial_eval_polynomial_in_data():
         auto_series.add(
             4 * employees,
             time_callable(
-                lambda: partial_eval(query, db, h, method="auto", planner=planner),
+                lambda: partial_eval(query, db, h, planner=planner),
                 repeats=3,
             ),
         )
     stages = stage_breakdown(
-        lambda: partial_eval(query, db, h, method="auto", planner=planner)
+        lambda: partial_eval(query, db, h, planner=planner)
     )
     print()
     print(
@@ -110,6 +110,7 @@ def test_bench_partial_eval(benchmark):
 def test_bench_partial_eval_structured_backend(benchmark):
     query = _company_query()
     db = company_directory(n_departments=4, employees_per_department=16, seed=3)
+    planner = Planner()
     assert benchmark(
-        lambda: partial_eval(query, db, Mapping({"?e": "emp_0_0"}), method="auto")
+        lambda: partial_eval(query, db, Mapping({"?e": "emp_0_0"}), planner=planner)
     )

@@ -11,9 +11,10 @@ node into an :class:`AnalyzeReport`.
 The measured side comes from the ``node_stats`` attribute that
 :func:`repro.wdpt.evaluation.maximal_homomorphisms` (top-down path) and
 :func:`repro.wdpt.eval_tractable.eval_tractable` (Theorem 6 DP, whose
-per-node CQ checks route through Yannakakis under ``method="auto"``)
-attach to their spans, plus the aggregated engine spans
-(``yannakakis.*``, ``planner.*``).
+per-node CQ checks the session routes through its planner) attach to
+their spans, plus the aggregated engine spans (``yannakakis.*``,
+``planner.*``).  A node row names the engine that *ran* there, which on
+a cyclic label differs between the two (``_EVALUATOR_MODES`` below).
 
 Entry point: :meth:`repro.engine.Session.analyze`.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from .planner.plan import ENGINE_NAIVE
 from .planner.planner import Planner
 from .table import format_table
 from .telemetry.export import aggregate_spans, render_stage_breakdown, trace_to_dict
@@ -32,6 +34,14 @@ from .wdpt.wdpt import WDPT
 
 #: Span names whose ``node_stats`` attribute carries per-tree-node rows.
 _NODE_STATS_SPANS = ("wdpt.maximal_homomorphisms", "wdpt.eval_tractable")
+
+#: Modes run by the top-down evaluator, which does not consult the planner
+#: (:meth:`repro.wdpt.evaluation._TreeEvaluation.node_relation`): an acyclic
+#: label is one seeded Yannakakis run, as the planner would have it, but a
+#: cyclic one is searched per interface key — the decomposition engine
+#: would materialise a whole bag before the key could filter anything.
+_EVALUATOR_MODES = ("query", "query_maximal")
+_PER_KEY_SEARCH = "no join tree: backtracking search, once per distinct interface key"
 
 
 class AnalyzeReport:
@@ -182,7 +192,11 @@ def build_report(
     tree_profile = profile.tree_profile
     rows: List[Dict[str, Any]] = []
     for node in p.tree.nodes():
-        plan = planner.plan_for_profile("", tree_profile.node_profile(node), db)
+        node_profile = tree_profile.node_profile(node)
+        plan = planner.plan_for_profile("", node_profile, db)
+        engine, theorem = plan.engine, plan.theorem
+        if mode in _EVALUATOR_MODES and not node_profile.is_acyclic:
+            engine, theorem = ENGINE_NAIVE, _PER_KEY_SEARCH
         stats = measured.get(node, {})
         candidates = stats.get("candidates", 0)
         estimate = _node_estimate(p, tree_profile, planner, node, db)
@@ -195,9 +209,9 @@ def build_report(
                 "treewidth": profile.node_treewidths[node],
                 "hypertreewidth": profile.node_hypertreewidths[node],
                 "interface": profile.node_interfaces[node],
-                "engine": plan.engine,
+                "engine": engine,
                 "kernel": plan.kernel,
-                "theorem": plan.theorem,
+                "theorem": theorem,
                 "seconds": float(stats.get("seconds", 0.0)),
                 "candidates": candidates,
                 "extensions": stats.get("extensions", 0),

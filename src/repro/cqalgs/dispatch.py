@@ -1,18 +1,14 @@
 """Front-door CQ evaluation with engine selection.
 
-:func:`evaluate` routes a query to the cheapest applicable engine:
-
-* acyclic → Yannakakis (:mod:`repro.cqalgs.yannakakis`);
-* small-treewidth (heuristic bound ≤ the planner's ``tw_cutoff``,
-  default :data:`AUTO_TW_CUTOFF`) → the bounded treewidth engine
-  (:mod:`repro.cqalgs.structured`);
-* otherwise → backtracking (:mod:`repro.cqalgs.naive`).
-
-The ``auto`` path goes through :mod:`repro.planner`: the structural
-analysis (join tree, width bounds, decomposition) is computed once per
-query shape, cached in a bounded LRU keyed by the structural fingerprint,
-and handed to the chosen engine — the join tree built to *decide*
-acyclicity is the one Yannakakis *runs on*, never rebuilt.
+:func:`evaluate` runs a query on the engine ``method`` names (each
+computes the structure it needs from scratch) or, with ``auto``, hands it
+to :mod:`repro.planner`, whose rule
+(:attr:`~repro.planner.profile.StructuralProfile.engine`: acyclic →
+Yannakakis, treewidth bound ≤ ``TW_CUTOFF`` → the decomposition engine,
+otherwise backtracking) is decided once per query shape, cached in a
+bounded LRU keyed by the structural fingerprint, and run on the analysis
+that decided it — the join tree built to *decide* acyclicity is the one
+Yannakakis *runs on*, never rebuilt.
 
 All engines implement the same contract — the full set of answer mappings
 ``h|_x̄`` — and are cross-validated against each other in the test suite.
@@ -25,18 +21,20 @@ from typing import FrozenSet, Optional, TYPE_CHECKING
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
 from ..core.mappings import Mapping
-from .naive import evaluate_naive
+from .naive import evaluate_naive, satisfiable
 from .structured import evaluate_bounded_hypertreewidth, evaluate_bounded_treewidth
 from .yannakakis import evaluate_acyclic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner uses engines)
     from ..planner.planner import Planner
 
-#: Treewidth (heuristic upper bound) below which the TD engine is preferred.
-#: (Kept as the historical name; the planner's ``tw_cutoff`` defaults to it.)
-AUTO_TW_CUTOFF = 3
-
-_METHODS = ("auto", "naive", "yannakakis", "treewidth", "hypertreewidth")
+#: The explicitly named engines; ``auto`` is the planner's choice.
+_ENGINES = {
+    "naive": evaluate_naive,
+    "yannakakis": evaluate_acyclic,
+    "treewidth": evaluate_bounded_treewidth,
+    "hypertreewidth": evaluate_bounded_hypertreewidth,
+}
 
 
 def evaluate(
@@ -50,28 +48,22 @@ def evaluate(
     ``auto`` routes through ``planner`` (the process-wide default planner
     when omitted), reusing cached structural analyses across calls.
     """
-    if method not in _METHODS:
-        raise ValueError("unknown method %r; pick one of %r" % (method, _METHODS))
-    if method == "naive":
-        return evaluate_naive(query, db)
-    if method == "yannakakis":
-        return evaluate_acyclic(query, db)
-    if method == "treewidth":
-        return evaluate_bounded_treewidth(query, db)
-    if method == "hypertreewidth":
-        return evaluate_bounded_hypertreewidth(query, db)
-    # auto: plan-aware routing with memoized analysis.
-    if planner is None:
-        from ..planner.planner import get_default_planner
+    if method == "auto":
+        if planner is None:
+            from ..planner.planner import get_default_planner
 
-        planner = get_default_planner()
-    return planner.evaluate_cq(query, db)
+            planner = get_default_planner()
+        return planner.evaluate_cq(query, db)
+    engine = _ENGINES.get(method)
+    if engine is None:
+        raise ValueError(
+            "unknown method %r; pick one of %r" % (method, ("auto",) + tuple(_ENGINES))
+        )
+    return engine(query, db)
 
 
 def holds(query: ConjunctiveQuery, db: Database) -> bool:
-    """Boolean evaluation: is ``q(D)`` non-empty?"""
-    if query.is_boolean():
-        from .naive import satisfiable
-
-        return satisfiable(query.atoms, db)
-    return bool(evaluate(query, db))
+    """Boolean evaluation: is ``q(D)`` non-empty?  Every homomorphism of
+    the body projects to an answer, so this is satisfiability of the body
+    whatever is free — decided at the first witness, nothing assembled."""
+    return satisfiable(query.atoms, db)

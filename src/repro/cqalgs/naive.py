@@ -3,9 +3,9 @@
 The general-purpose engine: sound and complete for every CQ, exponential in
 query size in the worst case (CQ evaluation is NP-complete, Section 3.1).
 It is the baseline against which the structure-exploiting engines
-(:mod:`repro.cqalgs.yannakakis`, :mod:`repro.cqalgs.tdeval`,
-:mod:`repro.cqalgs.hweval`) are benchmarked, and the inner evaluator for
-the per-node CQs of WDPT algorithms when no structure is declared.
+(:mod:`repro.cqalgs.yannakakis`, :mod:`repro.cqalgs.structured`) are
+benchmarked, and the inner evaluator for the per-node CQs of WDPT
+algorithms when no structure is declared.
 
 The search instantiates atoms one at a time.  At each step the next atom is
 chosen greedily by the *fail-first* heuristic — fewest matching facts under

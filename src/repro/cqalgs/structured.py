@@ -10,7 +10,9 @@ to an *acyclic* instance and finish with Yannakakis:
    variables (cost ``|D|^{k+1}`` resp. ``|D|^k``);
 3. the bag relations are an acyclic instance with the decomposition tree
    as its join tree: hand them to the semi-join program
-   (:func:`~repro.cqalgs.yannakakis.semijoin_reduce`);
+   (:func:`~repro.cqalgs.yannakakis.semijoin_reduce`) — for a Boolean
+   question (:func:`satisfiable_with_decomposition`) its bottom-up sweep
+   alone decides, and the run stops there;
 4. assemble the answers with the join/projection phase
    (:func:`~repro.cqalgs.yannakakis.columnar_join_phase`).
 
@@ -20,7 +22,7 @@ condition (2)), so the join of the bag relations is the original query.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Atom
 from ..core.cq import ConjunctiveQuery
@@ -77,21 +79,60 @@ def evaluate_bounded_hypertreewidth(
     return _evaluate_with_decomposition(query, db, td)
 
 
+def satisfiable_with_decomposition(
+    atoms: Sequence[Atom], td: TreeDecomposition, db: Database
+) -> bool:
+    """Boolean twin of the two engines above: is the Boolean CQ over
+    ``atoms`` satisfiable, given a decomposition ``td`` of its hypergraph?
+
+    After the bottom-up semi-join sweep over the bag relations the root
+    bag is non-empty iff the query is satisfiable, so the top-down sweep
+    and the join phase never run and nothing is assembled — the
+    decomposition counterpart of
+    :func:`~repro.cqalgs.yannakakis.satisfiable_with_join_tree`.
+    """
+    relations = _bag_relations(atoms, td, db)
+    if relations is None:
+        return False
+    if not relations:
+        return True  # purely ground, and every atom holds
+    tree = join_tree_shape(_decomposition_links(td), len(relations))
+    return semijoin_reduce(relations, tree, top_down=False)
+
+
 def _evaluate_with_decomposition(
     query: ConjunctiveQuery, db: Database, td: TreeDecomposition
 ) -> FrozenSet[Mapping]:
-    atoms = sorted(query.atoms)
+    relations = _bag_relations(query.atoms, td, db)
+    if relations is None:
+        return frozenset()
+    if not relations:
+        # Purely ground query that passed all filters: the empty mapping.
+        return frozenset([Mapping()]) if not query.free_variables else frozenset()
+    tree = join_tree_shape(_decomposition_links(td), len(relations))
+    if not semijoin_reduce(relations, tree):
+        return frozenset()
+    return to_mappings(
+        columnar_join_phase(frozenset(query.free_variables), relations, tree)
+    )
 
+
+def _bag_relations(
+    atoms: Iterable[Atom], td: TreeDecomposition, db: Database
+) -> Optional[List[Relation]]:
+    """One non-empty relation per bag of ``td`` — the acyclic instance
+    both forms hand to the semi-join program; ``None`` as soon as a ground
+    atom has no matching fact or a bag relation is empty (no answers), and
+    ``[]`` when every atom is ground and all of them hold."""
     # Ground atoms (no variables) are global filters.
     variable_atoms: List[Atom] = []
-    for a in atoms:
+    for a in sorted(set(atoms)):
         if a.variables():
             variable_atoms.append(a)
         elif not any(True for _ in db.match(a)):
-            return frozenset()
+            return None
     if not variable_atoms:
-        # Purely ground query that passed all filters: the empty mapping.
-        return frozenset([Mapping()]) if not query.free_variables else frozenset()
+        return []
 
     assignment = _assign_atoms_to_bags(variable_atoms, td)
 
@@ -112,15 +153,9 @@ def _evaluate_with_decomposition(
             relation = _join(relation, _unary_domain(v, variable_atoms, db))
         relation = project(relation, bag)
         if not relation.rows:
-            return frozenset()
+            return None
         relations.append(relation)
-
-    tree = join_tree_shape(_decomposition_links(td), len(relations))
-    if not semijoin_reduce(relations, tree):
-        return frozenset()
-    return to_mappings(
-        columnar_join_phase(frozenset(query.free_variables), relations, tree)
-    )
+    return relations
 
 
 def _join(left: Relation, right: Relation) -> Relation:

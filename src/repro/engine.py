@@ -611,59 +611,55 @@ class Session:
                 self.result_cache.put(key, answers)
         return Result(self, p, answers)
 
-    def ask(self, query: Query, candidate: Mapping, method: str = "auto") -> bool:
+    def ask(self, query: Query, candidate: Mapping) -> bool:
         """``EVAL``: is ``candidate`` an answer?  (Theorem 6 DP, node
         checks routed through the planner.)"""
-        obs = self._observe("ask", query)
+        return self._decide("ask", query, candidate, eval_tractable)
+
+    def is_partial(self, query: Query, candidate: Mapping) -> bool:
+        """``PARTIAL-EVAL``: does some answer extend ``candidate``?
+        (Theorem 8, subtree CQ routed through the planner.)"""
+        return self._decide("is_partial", query, candidate, partial_eval)
+
+    def is_maximal(self, query: Query, candidate: Mapping) -> bool:
+        """``MAX-EVAL``: is ``candidate`` a ⊑-maximal answer?  (Theorem 9.)"""
+        return self._decide("is_maximal", query, candidate, max_eval)
+
+    def _decide(self, op: str, query: Query, candidate: Mapping, procedure) -> bool:
+        """:meth:`ask`, :meth:`is_partial` and :meth:`is_maximal` — they
+        differ in the op name and the Section 3 procedure only.  This is
+        the observation wrapper; the decision is :meth:`_decide_impl`."""
+        obs = self._observe(op, query)
         if obs is None:
-            return self._ask_impl(query, candidate, method, None)
+            return self._decide_impl(op, query, candidate, procedure, None)
         with obs:
-            decision = self._ask_impl(query, candidate, method, obs)
+            decision = self._decide_impl(op, query, candidate, procedure, obs)
             obs.finish(obs.query, int(decision))
         return decision
 
-    def _ask_impl(
+    def _decide_impl(
         self,
+        op: str,
         query: Query,
         candidate: Mapping,
-        method: str,
+        procedure,
         obs: Optional[QueryObservation],
     ) -> bool:
-        with current_tracer().span("session.ask", method=method):
+        with current_tracer().span("session." + op):
             p = self.parse(query)
             if obs is not None:
                 obs.parsed(p)
-            key = self._cache_key("ask", p, extra=(method, candidate))
+            key = self._cache_key(op, p, extra=candidate)
             if key is not None:
                 decision = self.result_cache.get(key)
                 if decision is not None:
                     self._note_cache(obs, "hit")
                     return decision
                 self._note_cache(obs, "miss")
-            decision = eval_tractable(
-                p, self.database, candidate,
-                method=method, planner=self.planner,
-            )
+            decision = procedure(p, self.database, candidate, planner=self.planner)
             if key is not None:
                 self.result_cache.put(key, decision)
             return decision
-
-    def is_partial(self, query: Query, candidate: Mapping, method: str = "auto") -> bool:
-        """``PARTIAL-EVAL``: does some answer extend ``candidate``?
-        (Theorem 8, subtree CQ routed through the planner.)"""
-        with current_tracer().span("session.is_partial", method=method):
-            return partial_eval(
-                self.parse(query), self.database, candidate,
-                method=method, planner=self.planner,
-            )
-
-    def is_maximal(self, query: Query, candidate: Mapping, method: str = "auto") -> bool:
-        """``MAX-EVAL``: is ``candidate`` a ⊑-maximal answer?  (Theorem 9.)"""
-        with current_tracer().span("session.is_maximal", method=method):
-            return max_eval(
-                self.parse(query), self.database, candidate,
-                method=method, planner=self.planner,
-            )
 
     def explain(self, query: Query) -> WDPTProfile:
         """EXPLAIN profile without evaluating — served from the planner's
@@ -705,7 +701,7 @@ class Session:
             with tracing(tracer):
                 if candidate is not None:
                     start = time.perf_counter()
-                    self.ask(p, candidate, method="auto")
+                    self.ask(p, candidate)
                     self.planner.record_engine(
                         "wdpt-dp", time.perf_counter() - start
                     )

@@ -18,13 +18,8 @@ from .plan import (
     ENGINE_YANNAKAKIS,
     QueryPlan,
 )
-from .planner import (
-    DEFAULT_TW_CUTOFF,
-    Planner,
-    get_default_planner,
-    set_default_planner,
-)
-from .profile import StructuralProfile, TreeProfile
+from .planner import Planner, get_default_planner, set_default_planner
+from .profile import TW_CUTOFF, StructuralProfile, TreeProfile
 
 __all__ = [
     "PlanCache",
@@ -33,7 +28,7 @@ __all__ = [
     "ENGINE_NAIVE",
     "ENGINE_TREEWIDTH",
     "ENGINE_YANNAKAKIS",
-    "DEFAULT_TW_CUTOFF",
+    "TW_CUTOFF",
     "Planner",
     "get_default_planner",
     "set_default_planner",

@@ -1,23 +1,32 @@
 """Query plans: the routing decision, its paper justification, and the
 precomputed structures the chosen engine consumes.
 
-A :class:`QueryPlan` is cheap — all heavy lifting lives in the memoized
-:class:`~repro.planner.profile.StructuralProfile` it references — and
-explicit: it names the engine, cites the theorem licensing it, and exposes
-``describe()`` for EXPLAIN-style output.
+A :class:`QueryPlan` describes, it does not instruct: its engine is
+:attr:`~repro.planner.profile.StructuralProfile.engine` of the memoized
+profile it references, the value the planner's dispatch site reads, so no
+run needs a plan built.  It cites the theorem licensing the engine
+(:data:`THEOREMS`) and exposes ``describe()`` for EXPLAIN-style output.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .profile import StructuralProfile
+from .profile import (
+    ENGINE_HYPERTREEWIDTH,
+    ENGINE_NAIVE,
+    ENGINE_TREEWIDTH,
+    ENGINE_YANNAKAKIS,
+    StructuralProfile,
+)
 
-#: Engine identifiers (also used as keys in planner statistics).
-ENGINE_YANNAKAKIS = "yannakakis"
-ENGINE_TREEWIDTH = "treewidth"
-ENGINE_HYPERTREEWIDTH = "hypertreewidth"
-ENGINE_NAIVE = "naive"
+#: The paper result licensing each engine the router can pick (``%d``:
+#: the shape's treewidth bound).
+THEOREMS = {
+    ENGINE_YANNAKAKIS: "Theorem 3, k=1 (HW(1) = AC): Yannakakis over the memoized join tree",
+    ENGINE_TREEWIDTH: "Theorem 2: TW(%d) bounded-treewidth engine over the memoized decomposition",
+    ENGINE_NAIVE: "no structural bound (Theorem 1 regime): backtracking search",
+}
 
 
 class QueryPlan:
@@ -81,14 +90,6 @@ class QueryPlan:
                 self.estimate.method,
             )
         return base
-
-    def width_note(self) -> Optional[str]:
-        """A short note on the width parameters behind the decision."""
-        if self.engine == ENGINE_YANNAKAKIS:
-            return "acyclic (join tree of %d atoms)" % len(self.profile.sorted_atoms)
-        if self.engine == ENGINE_TREEWIDTH:
-            return "tw ≤ %d" % self.profile.treewidth_upper
-        return None
 
     def __repr__(self) -> str:
         return "QueryPlan(%s)" % self.describe()

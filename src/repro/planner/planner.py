@@ -12,16 +12,17 @@ One :class:`Planner` owns
 * instrumentation: cache hits/misses/evictions plus a
   :class:`~repro.telemetry.metrics.MetricsRegistry` holding the
   per-engine selection counters, per-call engine-time histograms, and
-  cumulative analysis/engine time (formerly ad-hoc attributes); spans are
-  emitted through :func:`repro.telemetry.tracer.current_tracer` whenever
-  tracing is enabled.
+  cumulative analysis/engine time; spans are emitted through
+  :func:`repro.telemetry.tracer.current_tracer` whenever tracing is
+  enabled.
 
-Routing follows the paper:
-
-* acyclic CQ → Yannakakis (Theorem 3 with ``k = 1``, ``HW(1) = AC``);
-* treewidth bound ≤ ``tw_cutoff`` → bounded-treewidth engine (Theorem 2);
-* otherwise → backtracking (no structural guarantee; EVAL for CQs is
-  NP-complete in general).
+Routing follows the paper, as one rule on the query shape —
+:attr:`~repro.planner.profile.StructuralProfile.engine` — that
+:meth:`Planner._run` alone acts on: answer sets
+(:meth:`Planner.evaluate_cq`) and the Boolean checks of the Theorem
+6/8/9/16 procedures (:meth:`Planner.satisfiable_substituted`) reach their
+engine there, and EXPLAIN's :class:`~repro.planner.plan.QueryPlan` reads
+the same property.
 
 The module-level :func:`get_default_planner` provides a process-wide
 planner so free functions (``cqalgs.dispatch.evaluate``, ``wdpt.classes``,
@@ -43,21 +44,21 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    List,
     Mapping as TMapping,
     Optional,
+    Sequence,
     TYPE_CHECKING,
+    Union,
 )
 
 from ..core.atoms import Atom
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
-from ..core.mappings import Mapping
 from ..core.terms import Term, Variable
 from ..cqalgs.naive import evaluate_naive, satisfiable
 from ..cqalgs.structured import (
-    evaluate_bounded_hypertreewidth,
     evaluate_bounded_treewidth,
+    satisfiable_with_decomposition,
 )
 from ..cqalgs.yannakakis import evaluate_with_join_tree, satisfiable_with_join_tree
 from ..hypergraphs.treedecomp import TreeDecomposition
@@ -67,9 +68,9 @@ from ..telemetry.tracer import current_tracer
 from ..wdpt.wdpt import WDPT
 from .cache import PlanCache
 from .plan import (
-    ENGINE_NAIVE,
     ENGINE_TREEWIDTH,
     ENGINE_YANNAKAKIS,
+    THEOREMS,
     QueryPlan,
 )
 from .profile import StructuralProfile, TreeProfile
@@ -77,9 +78,6 @@ from .profile import StructuralProfile, TreeProfile
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..telemetry.insight import CardinalityEstimate
     from ..wdpt.explain import WDPTProfile
-
-#: Treewidth (heuristic upper bound) below which the TD engine is preferred.
-DEFAULT_TW_CUTOFF = 3
 
 
 class Planner:
@@ -89,19 +87,15 @@ class Planner:
         self,
         profile_cache_size: int = 256,
         parse_cache_size: int = 256,
-        tw_cutoff: int = DEFAULT_TW_CUTOFF,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.profiles = PlanCache(profile_cache_size)
         self.parses = PlanCache(parse_cache_size)
         self.explains = PlanCache(profile_cache_size)
         self.estimates = PlanCache(profile_cache_size)
-        self.tw_cutoff = tw_cutoff
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
-    # The former ad-hoc counter attributes, now views over the registry
-    # (kept as properties so ``planner.engine_seconds``-style consumers
-    # keep working).
+    # Views over the metrics registry.
     @property
     def engine_selections(self) -> Dict[str, int]:
         return {
@@ -186,33 +180,21 @@ class Planner:
         profile: StructuralProfile,
         db: Optional[Database] = None,
     ) -> QueryPlan:
-        """The routing decision for an already-profiled atom set."""
+        """The routing decision for an already-profiled atom set, as
+        EXPLAIN shows it: ``profile.engine`` — the value :meth:`_run`
+        dispatches on — plus its justification, kernel and estimate."""
         self.metrics.counter("planner.plans_built").inc()
-        estimate = self.estimate_for_profile(profile, db)
-        if profile.is_acyclic:
-            return QueryPlan(
-                fingerprint,
-                ENGINE_YANNAKAKIS,
-                "Theorem 3, k=1 (HW(1) = AC): Yannakakis over the memoized join tree",
-                profile,
-                kernel=choose_kernel(db),
-                estimate=estimate,
-            )
-        if profile.treewidth_upper <= self.tw_cutoff:
-            return QueryPlan(
-                fingerprint,
-                ENGINE_TREEWIDTH,
-                "Theorem 2: TW(%d) bounded-treewidth engine over the memoized decomposition"
-                % profile.treewidth_upper,
-                profile,
-                estimate=estimate,
-            )
+        engine = profile.engine
+        theorem = THEOREMS[engine]
+        if engine == ENGINE_TREEWIDTH:
+            theorem %= profile.treewidth_upper
         return QueryPlan(
             fingerprint,
-            ENGINE_NAIVE,
-            "no structural bound (Theorem 1 regime): backtracking search",
+            engine,
+            theorem,
             profile,
-            estimate=estimate,
+            kernel=choose_kernel(db) if engine == ENGINE_YANNAKAKIS else None,
+            estimate=self.estimate_for_profile(profile, db),
         )
 
     def estimate_for_profile(
@@ -221,9 +203,8 @@ class Planner:
         """The memoized cardinality estimate for ``profile`` over ``db``.
 
         Keyed by ``(atom set, backend_id, data_version)``: relation
-        counts are taken at most once per query shape per database epoch,
-        so the hot planning paths (one ``plan_for_profile`` per candidate
-        mapping in the Theorem 8/9 inner loop) pay one cache lookup."""
+        counts are taken at most once per query shape per database epoch.
+        Only plans and reports ask for one; no engine run does."""
         if db is None:
             return None
         key = (profile.sorted_atoms, db.backend_id, db.data_version)
@@ -239,24 +220,59 @@ class Planner:
         return estimate
 
     def evaluate_cq(self, query: ConjunctiveQuery, db: Database) -> FrozenSet:
-        """``q(D)`` through the plan-aware router (the ``auto`` method)."""
-        plan = self.plan_cq(query, db)
-        if plan.kernel is not None:
-            self.record_kernel(plan.kernel)
+        """``q(D)`` through the router (the ``auto`` method of
+        :func:`repro.cqalgs.dispatch.evaluate`)."""
+        return self._run("planner.evaluate_cq", self.profile_cq(query), db, query=query)
+
+    def _run(
+        self,
+        span: str,
+        profile: StructuralProfile,
+        db: Database,
+        query: Optional[ConjunctiveQuery] = None,
+        bind: Optional[TMapping[Variable, Term]] = None,
+    ) -> Union[FrozenSet, bool]:
+        """The one dispatch site: the atoms of ``profile`` on the engine
+        ``profile.engine`` names — the answers of ``query`` when one is
+        given, else whether the Boolean CQ is satisfiable (each engine's
+        form that stops after its bottom-up sweep or first witness).
+
+        ``bind`` substitutes constants for variables first; the analysis of
+        the unsubstituted shape stays valid (:mod:`repro.planner.profile`):
+        the join tree as it is, the decomposition with every bag cut down
+        to the surviving variables — each keeps its connected set of bags,
+        each atom's variables stay inside its old bag.
+        """
+        engine = profile.engine
+        atoms: Sequence[Atom] = profile.sorted_atoms
+        if bind is not None:
+            atoms = [a.substitute(bind) for a in atoms]
+        if engine == ENGINE_YANNAKAKIS:
+            self.record_kernel(choose_kernel(db))
         start = time.perf_counter()
         try:
-            with current_tracer().span("planner.evaluate_cq", engine=plan.engine):
-                if plan.engine == ENGINE_YANNAKAKIS:
-                    return evaluate_with_join_tree(
-                        query, db, plan.profile.sorted_atoms, plan.profile.join_tree
-                    )
-                if plan.engine == ENGINE_TREEWIDTH:
-                    return evaluate_bounded_treewidth(
-                        query, db, decomposition=plan.profile.tree_decomposition
-                    )
-                return evaluate_naive(query, db)
+            with current_tracer().span(span, engine=engine):
+                if engine == ENGINE_YANNAKAKIS:
+                    if query is not None:
+                        return evaluate_with_join_tree(
+                            query, db, atoms, profile.join_tree
+                        )
+                    return satisfiable_with_join_tree(atoms, profile.join_tree, db)
+                if engine == ENGINE_TREEWIDTH:
+                    td = profile.tree_decomposition
+                    if bind is not None:
+                        keep = frozenset(v for a in atoms for v in a.variables())
+                        td = TreeDecomposition(
+                            [bag & keep for bag in td.bags], td.tree_edges
+                        )
+                    if query is not None:
+                        return evaluate_bounded_treewidth(query, db, decomposition=td)
+                    return satisfiable_with_decomposition(atoms, td, db)
+                if query is not None:
+                    return evaluate_naive(query, db)
+                return satisfiable(atoms, db)
         finally:
-            self.record_engine(plan.engine, time.perf_counter() - start)
+            self.record_engine(engine, time.perf_counter() - start)
 
     def record_engine(self, engine: str, seconds: float) -> None:
         """Record one engine run: selection counter, cumulative time, and
@@ -294,58 +310,11 @@ class Planner:
         profile: StructuralProfile,
         substitution: TMapping[Variable, Term],
         db: Database,
-        method: str = "auto",
     ) -> bool:
         """Is the Boolean CQ ``σ(atoms)`` satisfiable over ``db``, where
         ``atoms`` is the (unsubstituted) atom set profiled by ``profile``?
-
-        Routing uses the *unsubstituted* profile — sound because
-        substitution only removes hypergraph vertices, and acyclicity /
-        treewidth are monotone under vertex removal — so one analysis
-        serves every candidate mapping.
-        """
-        atoms: List[Atom] = [a.substitute(substitution) for a in profile.sorted_atoms]
-        if method == "naive":
-            return satisfiable(atoms, db)
-        if method not in ("auto",):
-            # Explicit engine: build the substituted Boolean CQ and run it.
-            q = ConjunctiveQuery((), atoms)
-            start = time.perf_counter()
-            try:
-                with current_tracer().span("planner.satisfiable", engine=method):
-                    if method == "yannakakis":
-                        from ..cqalgs.yannakakis import evaluate_acyclic
-
-                        return bool(evaluate_acyclic(q, db))
-                    if method == "treewidth":
-                        return bool(evaluate_bounded_treewidth(q, db))
-                    if method == "hypertreewidth":
-                        return bool(evaluate_bounded_hypertreewidth(q, db))
-            finally:
-                self.record_engine(method, time.perf_counter() - start)
-            raise ValueError("unknown method %r" % (method,))
-        plan = self.plan_for_profile("", profile, db)
-        if plan.kernel is not None:
-            self.record_kernel(plan.kernel)
-        start = time.perf_counter()
-        try:
-            with current_tracer().span("planner.satisfiable", engine=plan.engine):
-                if plan.engine == ENGINE_YANNAKAKIS:
-                    # Boolean fast path: the bottom-up semi-join sweep
-                    # alone decides satisfiability, with early exit.
-                    return satisfiable_with_join_tree(
-                        atoms, profile.join_tree, db
-                    )
-                if plan.engine == ENGINE_TREEWIDTH:
-                    q = ConjunctiveQuery((), atoms)
-                    td = _restrict_decomposition(
-                        profile.tree_decomposition,
-                        frozenset(v for a in atoms for v in a.variables()),
-                    )
-                    return bool(evaluate_bounded_treewidth(q, db, decomposition=td))
-                return satisfiable(atoms, db)
-        finally:
-            self.record_engine(plan.engine, time.perf_counter() - start)
+        Routed on the unsubstituted profile (see :meth:`_run`)."""
+        return self._run("planner.satisfiable", profile, db, bind=substitution)
 
     # ------------------------------------------------------------------
     # Parse cache (session layer)
@@ -404,19 +373,6 @@ class Planner:
             len(self.profiles),
             100 * self.cache_hit_rate(),
         )
-
-
-def _restrict_decomposition(
-    td: TreeDecomposition, keep: FrozenSet
-) -> TreeDecomposition:
-    """The decomposition with every bag intersected with ``keep``.
-
-    Valid for the vertex-removed (substituted) hypergraph: per-vertex
-    connectedness is unchanged for surviving vertices, and every surviving
-    atom's variables sit inside the intersection of its original bag with
-    ``keep``.
-    """
-    return TreeDecomposition([bag & keep for bag in td.bags], td.tree_edges)
 
 
 # ---------------------------------------------------------------------------

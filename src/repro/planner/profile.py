@@ -45,6 +45,16 @@ from ..wdpt.wdpt import WDPT
 #: Sentinel distinguishing "not yet computed" from a computed ``None``.
 _UNSET = object()
 
+#: Engine identifiers (also used as keys in planner statistics).
+ENGINE_YANNAKAKIS = "yannakakis"
+ENGINE_TREEWIDTH = "treewidth"
+ENGINE_HYPERTREEWIDTH = "hypertreewidth"
+ENGINE_NAIVE = "naive"
+
+#: Treewidth (heuristic upper bound) up to which the decomposition engine
+#: is preferred over backtracking.
+TW_CUTOFF = 3
+
 AnalysisHook = Optional[Callable[[float], None]]
 
 
@@ -64,6 +74,7 @@ class StructuralProfile:
         "_inherited_tw_upper",
         "_hypergraph",
         "_join_tree",
+        "_engine",
         "_tw_upper",
         "_tw_exact",
         "_hw_exact",
@@ -88,6 +99,7 @@ class StructuralProfile:
         self._inherited_tw_upper = inherited_tw_upper
         self._hypergraph = _UNSET
         self._join_tree = _UNSET
+        self._engine = _UNSET
         self._tw_upper = _UNSET
         self._tw_exact = _UNSET
         self._hw_exact = _UNSET
@@ -138,6 +150,22 @@ class StructuralProfile:
     def is_acyclic(self) -> bool:
         """α-acyclicity (``HW(1) = AC``, Section 3.1)."""
         return self.join_tree is not None
+
+    @property
+    def engine(self) -> str:
+        """The engine this shape routes to — the planner's whole routing
+        rule, decided once per shape: acyclic → Yannakakis (Theorem 3 with
+        ``k = 1``, ``HW(1) = AC``); treewidth bound ≤ :data:`TW_CUTOFF` →
+        the decomposition engine (Theorem 2); otherwise backtracking (no
+        structural guarantee; EVAL for CQs is NP-complete in general)."""
+        if self._engine is _UNSET:
+            if self.is_acyclic:
+                self._engine = ENGINE_YANNAKAKIS
+            elif self.treewidth_upper <= TW_CUTOFF:
+                self._engine = ENGINE_TREEWIDTH
+            else:
+                self._engine = ENGINE_NAIVE
+        return self._engine  # type: ignore[return-value]
 
     @property
     def treewidth_upper(self) -> int:

@@ -35,7 +35,6 @@ _CHROME_REQUIRED_KEYS = ("name", "ph", "ts", "dur", "pid", "tid")
 SPAN_ATTR_TYPES: Dict[str, tuple] = {
     "engine": (str,),
     "kernel": (str,),
-    "method": (str,),
     "kind": (str,),
     "op": (str,),
     "executor": (str,),

@@ -70,7 +70,13 @@ OP_ENGINES = {
     "query": "wdpt-topdown",
     "query_maximal": "wdpt-topdown-max",
     "ask": "wdpt-dp",
+    "is_partial": "wdpt-partial",
+    "is_maximal": "wdpt-max",
 }
+
+#: Operations decided by the Theorem 8/9 procedures: the route the log
+#: names for them is the PARTIAL/MAX-EVAL one, not the EVAL one.
+_PARTIAL_EVAL_OPS = ("is_partial", "is_maximal")
 
 Sink = Union[None, str, io.IOBase, Callable[[Dict[str, Any]], None]]
 
@@ -508,7 +514,7 @@ class QueryObservation:
             query_id=self.query_id,
             engine=OP_ENGINES.get(self.op, self.op),
             kernel=self._plan_kernel,
-            theorem=profile.eval_route(),
+            theorem=self._route(profile),
             estimate=estimate,
             classes={
                 "local_treewidth": profile.local_treewidth,
@@ -518,6 +524,12 @@ class QueryObservation:
                 "projection_free": profile.projection_free,
             },
         )
+
+    def _route(self, profile) -> str:
+        """The theorem licensing this operation's algorithm on ``profile``."""
+        if self.op in _PARTIAL_EVAL_OPS:
+            return profile.partial_eval_route()
+        return profile.eval_route()
 
     def finish(self, p, n_rows: int) -> None:
         """Called by the session with the parsed query and the row count."""
@@ -680,7 +692,7 @@ class QueryObservation:
             "threshold_seconds": self.log.slow_threshold,
             "wall_seconds": wall,
             "engine": OP_ENGINES.get(self.op, self.op),
-            "theorem": profile.eval_route(),
+            "theorem": self._route(profile),
             "q_error": summary,
             "profile": {
                 "fingerprint": profile.fingerprint,

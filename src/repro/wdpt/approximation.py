@@ -150,9 +150,7 @@ def _quotients_of(p: WDPT) -> Iterator[WDPT]:
 # ---------------------------------------------------------------------------
 # Membership in M(WB(k))  (Theorem 13)
 # ---------------------------------------------------------------------------
-def find_wb_equivalent(
-    p: WDPT, k: int, variant: str = WB_TW, method: str = "naive"
-) -> Optional[WDPT]:
+def find_wb_equivalent(p: WDPT, k: int, variant: str = WB_TW) -> Optional[WDPT]:
     """A WDPT ``p' ∈ WB(k)`` with ``p ≡ₛ p'``, or ``None`` if no candidate
     witnesses membership.
 
@@ -169,14 +167,14 @@ def find_wb_equivalent(
     for candidate in candidate_space(p):
         if not is_in_wb(candidate, k, variant):
             continue
-        if is_subsumption_equivalent(p, candidate, method=method):
+        if is_subsumption_equivalent(p, candidate):
             return candidate
     return None
 
 
-def is_in_m_wb(p: WDPT, k: int, variant: str = WB_TW, method: str = "naive") -> bool:
+def is_in_m_wb(p: WDPT, k: int, variant: str = WB_TW) -> bool:
     """Is ``p ∈ M(WB(k))``?  (See :func:`find_wb_equivalent` for scope.)"""
-    return find_wb_equivalent(p, k, variant, method=method) is not None
+    return find_wb_equivalent(p, k, variant) is not None
 
 
 def _single_node_equivalent(p: WDPT, k: int, variant: str) -> Optional[WDPT]:
@@ -195,9 +193,7 @@ def _single_node_equivalent(p: WDPT, k: int, variant: str) -> Optional[WDPT]:
 # ---------------------------------------------------------------------------
 # WB(k)-approximation  (Theorem 14)
 # ---------------------------------------------------------------------------
-def wb_approximations(
-    p: WDPT, k: int, variant: str = WB_TW, method: str = "naive"
-) -> List[WDPT]:
+def wb_approximations(p: WDPT, k: int, variant: str = WB_TW) -> List[WDPT]:
     """The ⊑-maximal in-class candidates subsumed by ``p`` — the
     ``WB(k)``-approximations within the candidate space (exact
     approximations for single-node WDPTs, via [4]).
@@ -211,51 +207,46 @@ def wb_approximations(
         return [WDPT.from_cq(q) for q in cq_approximations(p.to_cq(), class_test)]
     in_class: List[WDPT] = []
     for candidate in candidate_space(p):
-        if is_in_wb(candidate, k, variant) and is_subsumed_by(candidate, p, method=method):
+        if is_in_wb(candidate, k, variant) and is_subsumed_by(candidate, p):
             in_class.append(candidate)
     maximal: List[WDPT] = []
     for q in in_class:
-        if any(is_properly_subsumed_by(q, other, method=method) for other in in_class):
+        if any(is_properly_subsumed_by(q, other) for other in in_class):
             continue
         maximal.append(q)
     # Deduplicate up to ≡ₛ.
     unique: List[WDPT] = []
     for q in maximal:
-        if not any(is_subsumption_equivalent(q, u, method=method) for u in unique):
+        if not any(is_subsumption_equivalent(q, u) for u in unique):
             unique.append(q)
     unique.sort(key=repr)
     return unique
 
 
-def wb_approximation(
-    p: WDPT, k: int, variant: str = WB_TW, method: str = "naive"
-) -> WDPT:
+def wb_approximation(p: WDPT, k: int, variant: str = WB_TW) -> WDPT:
     """One ``WB(k)``-approximation of ``p`` (the first in a deterministic
     order).  If ``p`` is already in ``WB(k)``, returns ``p`` itself."""
     if is_in_wb(p, k, variant):
         return p
-    candidates = wb_approximations(p, k, variant, method=method)
+    candidates = wb_approximations(p, k, variant)
     if not candidates:  # pragma: no cover - the space contains collapses
         raise BudgetExceededError("no approximation found in the candidate space")
     return candidates[0]
 
 
 def is_wb_approximation(
-    candidate: WDPT, p: WDPT, k: int, variant: str = WB_TW, method: str = "naive"
+    candidate: WDPT, p: WDPT, k: int, variant: str = WB_TW
 ) -> bool:
     """Decision problem ``WB(k)``-APPROXIMATION (Proposition 8), relative
     to the candidate space: ``candidate ∈ WB(k)``, ``candidate ⊑ p``, and
     no in-class candidate lies strictly between."""
     if not is_in_wb(candidate, k, variant):
         return False
-    if not is_subsumed_by(candidate, p, method=method):
+    if not is_subsumed_by(candidate, p):
         return False
     for other in candidate_space(p):
         if not is_in_wb(other, k, variant):
             continue
-        if (
-            is_subsumed_by(other, p, method=method)
-            and is_properly_subsumed_by(candidate, other, method=method)
-        ):
+        if is_subsumed_by(other, p) and is_properly_subsumed_by(candidate, other):
             return False
     return True

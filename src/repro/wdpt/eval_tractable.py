@@ -68,24 +68,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def eval_tractable(
-    p: WDPT,
-    db: Database,
-    h: Mapping,
-    method: str = "naive",
-    planner: "Optional[Planner]" = None,
+    p: WDPT, db: Database, h: Mapping, planner: "Optional[Planner]" = None
 ) -> bool:
     """``EVAL`` via the Theorem 6 dynamic program: is ``h ∈ p(D)``?
 
     Correct for every WDPT; polynomial when ``p`` is locally tractable with
-    bounded interface.  ``method`` selects the per-node CQ backend:
-    ``"naive"`` backtracking (default) or ``"auto"`` to route node checks
-    through the planner's memoized per-node profiles (the node label's join
-    tree / decomposition is analysed once and reused for every interface
-    assignment σ) — the configuration matching Theorem 7's LOGCFL bound
-    when nodes are in ``TW(k)``/``HW(k)``.
+    bounded interface.  The per-node CQ checks are the backtracking search
+    unless a ``planner`` is given; then they route through its memoized
+    per-node profiles (the node label's join tree / decomposition is
+    analysed once and reused for every interface assignment σ) — the
+    configuration matching Theorem 7's LOGCFL bound when nodes are in
+    ``TW(k)``/``HW(k)``.
     """
     tracer = current_tracer()
-    with tracer.span("wdpt.eval_tractable", method=method) as sp:
+    with tracer.span("wdpt.eval_tractable") as sp:
         frees = frozenset(p.free_variables)
         dom = h.domain()
         if not dom <= frees:
@@ -104,7 +100,7 @@ def eval_tractable(
             return False
         assert mandatory <= allowed
 
-        dp = _InterfaceDP(p, db, h, mandatory, allowed, method=method, planner=planner)
+        dp = _InterfaceDP(p, db, h, mandatory, allowed, planner)
         result = dp.node_in(ROOT, Mapping())
         if dp.collector is not None:
             sp.set(
@@ -126,7 +122,6 @@ class _InterfaceDP:
         h: Mapping,
         mandatory: FrozenSet[int],
         allowed: FrozenSet[int],
-        method: str = "naive",
         planner: "Optional[Planner]" = None,
     ):
         self.p = p
@@ -134,20 +129,11 @@ class _InterfaceDP:
         self.h = h
         self.mandatory = mandatory
         self.allowed = allowed
-        self.method = method
         self.collector = (
             NodeStatsCollector() if current_tracer().enabled else None
         )
-        if method == "naive":
-            self.planner = None
-            self.tree_profile = None
-        else:
-            if planner is None:
-                from ..planner.planner import get_default_planner
-
-                planner = get_default_planner()
-            self.planner = planner
-            self.tree_profile = planner.profile_wdpt(p)
+        self.planner = planner
+        self.tree_profile = None if planner is None else planner.profile_wdpt(p)
         self._in_memo: Dict[Tuple[int, Mapping], bool] = {}
         self._blocked_memo: Dict[Tuple[int, Mapping], bool] = {}
 
@@ -165,25 +151,21 @@ class _InterfaceDP:
         return cached
 
     def _satisfiable(self, node: int, pre: Mapping) -> bool:
-        """Satisfiability of ``σ(λ(node))``: naive backtracking, or the
-        planner routing on the node's memoized (unsubstituted) profile."""
+        """Satisfiability of ``σ(λ(node))``: the planner routing on the
+        node's memoized (unsubstituted) profile, or backtracking when the
+        caller gave none."""
         account_subquery()
         collector = self.collector
-        if collector is None:
-            if self.method == "naive":
-                return satisfiable(self.p.labels[node], self.db, pre)
-            return self.planner.satisfiable_substituted(
-                self.tree_profile.node_profile(node), pre.as_dict(), self.db, method=self.method
-            )
-        start = time.perf_counter()
+        start = time.perf_counter() if collector is not None else 0.0
         try:
-            if self.method == "naive":
+            if self.planner is None:
                 return satisfiable(self.p.labels[node], self.db, pre)
             return self.planner.satisfiable_substituted(
-                self.tree_profile.node_profile(node), pre.as_dict(), self.db, method=self.method
+                self.tree_profile.node_profile(node), pre.as_dict(), self.db
             )
         finally:
-            collector.add(node, sat_checks=1, seconds=time.perf_counter() - start)
+            if collector is not None:
+                collector.add(node, sat_checks=1, seconds=time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     # IN(t, σ)

@@ -24,10 +24,9 @@ from typing import Optional, TYPE_CHECKING
 
 from ..core.database import Database
 from ..core.mappings import Mapping
-from ..cqalgs.naive import satisfiable
-from ..telemetry.resources import account_subquery
+from ..core.terms import Variable
 from ..telemetry.tracer import current_tracer
-from .partial_eval import partial_eval
+from .partial_eval import partial_eval, subtree_satisfiable
 from .subtrees import minimal_subtree_containing
 from .wdpt import WDPT
 
@@ -36,16 +35,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def max_eval(
-    p: WDPT,
-    db: Database,
-    h: Mapping,
-    method: str = "naive",
-    planner: "Optional[Planner]" = None,
+    p: WDPT, db: Database, h: Mapping, planner: "Optional[Planner]" = None
 ) -> bool:
-    """``MAX-EVAL``: is ``h ∈ p_m(D)``?"""
+    """``MAX-EVAL``: is ``h ∈ p_m(D)``?  (``planner``: as for
+    :func:`~repro.wdpt.partial_eval.partial_eval`.)"""
     tracer = current_tracer()
-    with tracer.span("wdpt.max_eval", method=method) as sp:
-        if not partial_eval(p, db, h, method=method, planner=planner):
+    with tracer.span("wdpt.max_eval") as sp:
+        if not partial_eval(p, db, h, planner=planner):
             if tracer.enabled:
                 sp.set(result=False, extension_checks=0)
             return False
@@ -55,7 +51,7 @@ def max_eval(
             if y in dom:
                 continue
             extension_checks += 1
-            if _extension_exists(p, db, h, y, method, planner=planner):
+            if extension_exists(p, db, h, y, planner):
                 if tracer.enabled:
                     sp.set(result=False, extension_checks=extension_checks)
                 return False
@@ -64,25 +60,11 @@ def max_eval(
         return True
 
 
-def _extension_exists(
-    p: WDPT,
-    db: Database,
-    h: Mapping,
-    y,
-    method: str,
-    planner: "Optional[Planner]" = None,
+def extension_exists(
+    p: WDPT, db: Database, h: Mapping, y: Variable, planner: "Optional[Planner]" = None
 ) -> bool:
     """Is some ``h ∪ {y ↦ v}`` a partial answer?  Equivalently: is the
     minimal subtree for ``dom(h) ∪ {y}``, with ``h`` substituted and ``y``
     left open, satisfiable?"""
-    account_subquery()
     subtree = minimal_subtree_containing(p, set(h.domain()) | {y})
-    if method == "naive":
-        atoms = [a.substitute(h.as_dict()) for a in p.atoms_of(subtree)]
-        return satisfiable(atoms, db)
-    if planner is None:
-        from ..planner.planner import get_default_planner
-
-        planner = get_default_planner()
-    sub_profile = planner.profile_wdpt(p).subtree_profile(subtree)
-    return planner.satisfiable_substituted(sub_profile, h.as_dict(), db, method=method)
+    return subtree_satisfiable(p, db, h, subtree, planner)

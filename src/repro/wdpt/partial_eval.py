@@ -14,17 +14,17 @@ of the projections.  So it suffices to
    substituted — a CQ in ``TW(k)`` / ``HW(k)`` whenever ``p`` is globally
    tractable, hence LOGCFL by Theorems 2/3.
 
-``method`` selects the CQ backend: ``"naive"`` backtracking or the
-structure-exploiting engines.  Non-naive methods go through the planner:
+Step 2 is :func:`subtree_satisfiable`, shared with Theorems 9 and 16:
+the backtracking search, or — given a ``planner`` — routed through it, so
 the subtree's structural profile (join tree / decomposition) is computed
-once per subtree *shape* and reused across candidate mappings — sound
+once per subtree *shape* and reused across candidate mappings; sound
 because substituting ``h`` only removes hypergraph vertices, under which
 acyclicity and treewidth are monotone.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, TYPE_CHECKING
+from typing import AbstractSet, FrozenSet, Optional, TYPE_CHECKING
 
 from ..core.database import Database
 from ..core.mappings import Mapping
@@ -39,11 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def partial_eval(
-    p: WDPT,
-    db: Database,
-    h: Mapping,
-    method: str = "naive",
-    planner: "Optional[Planner]" = None,
+    p: WDPT, db: Database, h: Mapping, planner: "Optional[Planner]" = None
 ) -> bool:
     """``PARTIAL-EVAL``: is there ``h' ∈ p(D)`` with ``h ⊑ h'``?
 
@@ -57,23 +53,30 @@ def partial_eval(
         return False
     tracer = current_tracer()
     subtree = minimal_subtree_containing(p, dom)
-    with tracer.span("wdpt.partial_eval", method=method) as sp:
+    with tracer.span("wdpt.partial_eval") as sp:
         if tracer.enabled:
             sp.set(subtree=sorted(subtree), substituted=len(dom))
-        account_subquery()
-        if method == "naive":
-            atoms = [a.substitute(h.as_dict()) for a in p.atoms_of(subtree)]
-            return satisfiable(atoms, db)
-        # Non-emptiness of the substituted subtree CQ, routed on the
-        # memoized profile of its unsubstituted shape.
-        if planner is None:
-            from ..planner.planner import get_default_planner
+        return subtree_satisfiable(p, db, h, subtree, planner)
 
-            planner = get_default_planner()
-        sub_profile = planner.profile_wdpt(p).subtree_profile(subtree)
-        return planner.satisfiable_substituted(
-            sub_profile, h.as_dict(), db, method=method
-        )
+
+def subtree_satisfiable(
+    p: WDPT,
+    db: Database,
+    h: Mapping,
+    subtree: AbstractSet[int],
+    planner: "Optional[Planner]" = None,
+) -> bool:
+    """Non-emptiness of ``q̂_{T'}``: the CQ of the rooted subtree
+    ``subtree`` with ``h`` substituted — the one subroutine Theorems 8, 9
+    and 16 reduce to, run on the engine ``planner`` routes the subtree's
+    unsubstituted shape to, or as the backtracking search without one."""
+    account_subquery()
+    bind = h.as_dict()
+    if planner is None:
+        return satisfiable([a.substitute(bind) for a in p.atoms_of(subtree)], db)
+    return planner.satisfiable_substituted(
+        planner.profile_wdpt(p).subtree_profile(subtree), bind, db
+    )
 
 
 def partial_answers(p: WDPT, db: Database) -> FrozenSet[Mapping]:

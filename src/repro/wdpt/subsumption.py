@@ -40,11 +40,12 @@ from .subtrees import subtree_free_variables
 from .wdpt import WDPT
 
 
-def is_subsumed_by(p1: WDPT, p2: WDPT, method: str = "naive") -> bool:
+def is_subsumed_by(p1: WDPT, p2: WDPT) -> bool:
     """``p₁ ⊑ p₂``.
 
-    ``method`` is forwarded to the inner ``PARTIAL-EVAL`` calls (use
-    ``"auto"`` to exploit global tractability of ``p₂``).
+    The inner ``PARTIAL-EVAL`` calls run the backtracking search: each
+    canonical database is a handful of frozen facts, built for this one
+    check, so there is no analysis a planner could reuse.
     """
     frees2 = frozenset(p2.free_variables)
     for subtree in p1.tree.rooted_subtrees():
@@ -55,14 +56,12 @@ def is_subsumed_by(p1: WDPT, p2: WDPT, method: str = "naive") -> bool:
             return False
         db = canonical_database_of_atoms(p1.atoms_of(subtree))
         nu = freezing_of(frees_in_subtree)
-        if not partial_eval(p2, db, nu, method=method):
+        if not partial_eval(p2, db, nu):
             return False
     return True
 
 
-def subsumption_counterexample(
-    p1: WDPT, p2: WDPT, method: str = "naive"
-) -> Optional[FrozenSet[int]]:
+def subsumption_counterexample(p1: WDPT, p2: WDPT) -> Optional[FrozenSet[int]]:
     """The first rooted subtree of ``p1`` witnessing ``p1 ⋢ p2``, or
     ``None`` when ``p1 ⊑ p2``.
 
@@ -77,31 +76,27 @@ def subsumption_counterexample(
             return frozenset(subtree)
         db = canonical_database_of_atoms(p1.atoms_of(subtree))
         nu = freezing_of(frees_in_subtree)
-        if not partial_eval(p2, db, nu, method=method):
+        if not partial_eval(p2, db, nu):
             return frozenset(subtree)
     return None
 
 
-def is_subsumption_equivalent(p1: WDPT, p2: WDPT, method: str = "naive") -> bool:
+def is_subsumption_equivalent(p1: WDPT, p2: WDPT) -> bool:
     """``p₁ ≡ₛ p₂``: subsumption in both directions."""
-    return is_subsumed_by(p1, p2, method=method) and is_subsumed_by(
-        p2, p1, method=method
-    )
+    return is_subsumed_by(p1, p2) and is_subsumed_by(p2, p1)
 
 
-def is_properly_subsumed_by(p1: WDPT, p2: WDPT, method: str = "naive") -> bool:
+def is_properly_subsumed_by(p1: WDPT, p2: WDPT) -> bool:
     """``p₁ ⊏ p₂``: ``p₁ ⊑ p₂`` but not ``p₁ ≡ₛ p₂``."""
-    return is_subsumed_by(p1, p2, method=method) and not is_subsumed_by(
-        p2, p1, method=method
-    )
+    return is_subsumed_by(p1, p2) and not is_subsumed_by(p2, p1)
 
 
-def is_max_equivalent(p1: WDPT, p2: WDPT, method: str = "naive") -> bool:
+def is_max_equivalent(p1: WDPT, p2: WDPT) -> bool:
     """``p₁ ≡_max p₂`` — identical maximal-mapping answers over every
     database.  By Proposition 5 this *is* subsumption-equivalence; the
     function exists to make that identification explicit (and testable
     against the semantic definition on concrete databases)."""
-    return is_subsumption_equivalent(p1, p2, method=method)
+    return is_subsumption_equivalent(p1, p2)
 
 
 def max_equivalent_on(p1: WDPT, p2: WDPT, db: Database) -> bool:

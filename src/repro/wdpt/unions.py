@@ -34,6 +34,7 @@ from ..cqalgs.containment import reduce_union
 from ..cqalgs.cores import core, semantically_in_beta_hw, semantically_in_tw
 from .classes import WB_TW
 from .evaluation import evaluate as wdpt_evaluate
+from .max_eval import extension_exists
 from .partial_eval import partial_eval as wdpt_partial_eval
 from .subtrees import subtree_free_variables
 from .wdpt import WDPT
@@ -99,26 +100,17 @@ def union_eval(phi: UWDPT, db: Database, h: Mapping) -> bool:
 
 
 def union_partial_eval(
-    phi: UWDPT,
-    db: Database,
-    h: Mapping,
-    method: str = "naive",
-    planner: "Optional[Planner]" = None,
+    phi: UWDPT, db: Database, h: Mapping, planner: "Optional[Planner]" = None
 ) -> bool:
     """``⋃-PARTIAL-EVAL``: does some ``h' ∈ φ(D)`` extend ``h``?
-    LOGCFL-style: one Theorem 8 call per member (sharing one planner's
-    memoized subtree profiles across members and candidate mappings)."""
-    return any(
-        wdpt_partial_eval(p, db, h, method=method, planner=planner) for p in phi
-    )
+    LOGCFL-style: one Theorem 8 call per member (with a ``planner``, its
+    memoized subtree profiles are shared across members and candidate
+    mappings; without one each call is the backtracking search)."""
+    return any(wdpt_partial_eval(p, db, h, planner=planner) for p in phi)
 
 
 def union_max_eval(
-    phi: UWDPT,
-    db: Database,
-    h: Mapping,
-    method: str = "naive",
-    planner: "Optional[Planner]" = None,
+    phi: UWDPT, db: Database, h: Mapping, planner: "Optional[Planner]" = None
 ) -> bool:
     """``⋃-MAX-EVAL``: is ``h`` a ⊑-maximal answer of ``φ(D)``?
 
@@ -126,7 +118,7 @@ def union_max_eval(
     partial answer properly extending it (single-variable extensions
     suffice — restrictions of partial answers are partial answers).
     """
-    if not union_partial_eval(phi, db, h, method=method, planner=planner):
+    if not union_partial_eval(phi, db, h, planner=planner):
         return False
     for p in phi:
         if not h.domain() <= frozenset(p.free_variables):
@@ -134,9 +126,7 @@ def union_max_eval(
         for y in p.free_variables:
             if y in h:
                 continue
-            from .max_eval import _extension_exists
-
-            if _extension_exists(p, db, h, y, method, planner=planner):
+            if extension_exists(p, db, h, y, planner):
                 return False
     return True
 
@@ -172,12 +162,7 @@ def phi_cq_reduced(phi: UWDPT) -> List[ConjunctiveQuery]:
 # ---------------------------------------------------------------------------
 # Subsumption between unions
 # ---------------------------------------------------------------------------
-def union_subsumed_by(
-    phi1: UWDPT,
-    phi2: UWDPT,
-    method: str = "naive",
-    planner: "Optional[Planner]" = None,
-) -> bool:
+def union_subsumed_by(phi1: UWDPT, phi2: UWDPT) -> bool:
     """``φ₁ ⊑ φ₂``: for every database, every answer of ``φ₁`` is subsumed
     by an answer of ``φ₂``.
 
@@ -190,21 +175,14 @@ def union_subsumed_by(
         for subtree in p.tree.rooted_subtrees():
             db = canonical_database_of_atoms(p.atoms_of(subtree))
             nu = freezing_of(subtree_free_variables(p, subtree))
-            if not union_partial_eval(phi2, db, nu, method=method, planner=planner):
+            if not union_partial_eval(phi2, db, nu):
                 return False
     return True
 
 
-def union_subsumption_equivalent(
-    phi1: UWDPT,
-    phi2: UWDPT,
-    method: str = "naive",
-    planner: "Optional[Planner]" = None,
-) -> bool:
+def union_subsumption_equivalent(phi1: UWDPT, phi2: UWDPT) -> bool:
     """``φ₁ ≡ₛ φ₂``."""
-    return union_subsumed_by(
-        phi1, phi2, method=method, planner=planner
-    ) and union_subsumed_by(phi2, phi1, method=method, planner=planner)
+    return union_subsumed_by(phi1, phi2) and union_subsumed_by(phi2, phi1)
 
 
 def as_union_of_cqs(queries: Sequence[ConjunctiveQuery]) -> UWDPT:
@@ -245,12 +223,7 @@ def uwb_approximation(phi: UWDPT, k: int, variant: str = WB_TW) -> UWDPT:
 
 
 def is_uwb_approximation(
-    phi_prime: UWDPT,
-    phi: UWDPT,
-    k: int,
-    variant: str = WB_TW,
-    method: str = "naive",
-    planner: "Optional[Planner]" = None,
+    phi_prime: UWDPT, phi: UWDPT, k: int, variant: str = WB_TW
 ) -> bool:
     """Proposition 10's decision procedure: ``φ'`` is a
     ``UWB(k)``-approximation of ``φ`` iff ``φ' ⊑ φ`` and the canonical
@@ -260,7 +233,7 @@ def is_uwb_approximation(
 
     if not all(is_in_wb(p, k, variant) for p in phi_prime):
         return False
-    if not union_subsumed_by(phi_prime, phi, method=method, planner=planner):
+    if not union_subsumed_by(phi_prime, phi):
         return False
     canonical_app = uwb_approximation(phi, k, variant)
-    return union_subsumed_by(canonical_app, phi_prime, method=method, planner=planner)
+    return union_subsumed_by(canonical_app, phi_prime)

@@ -191,3 +191,65 @@ def test_evaluators_and_telemetry_do_not_reach_for_the_parallel_layer():
             assert package != "telemetry" or "sys.modules" not in source, path
             checked += 1
     assert checked >= 60  # the packages were found and read, not skipped
+
+
+def _source_trees(*relative):
+    """``(path, parsed module)`` of every ``.py`` file under the given
+    files/directories of the ``repro`` package."""
+    root = os.path.dirname(cli.__file__)
+    for entry in relative:
+        top = os.path.join(root, entry)
+        walked = os.walk(top) if os.path.isdir(top) else [(root, [], [entry])]
+        for directory, _, names in walked:
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    path = os.path.join(directory, name)
+                    with open(path) as handle:
+                        yield path, ast.parse(handle.read(), path)
+
+
+def test_no_routing_knob_between_a_decision_procedure_and_its_engine():
+    """A ``planner`` argument is what routes a Section 3 procedure; there
+    is no ``method=`` beside it and no tunable cutoff behind it."""
+    checked = 0
+    for path, tree in _source_trees("wdpt", "planner", "engine.py"):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                assert not {"method", "tw_cutoff"} & set(names), (path, node.name)
+                checked += 1
+    assert checked >= 150  # the modules were found and read, not skipped
+
+
+def test_the_planner_is_the_only_way_to_an_engine():
+    """Outside ``repro.cqalgs`` the engines' entry points are imported by
+    ``planner/planner.py`` alone, and used there by ``Planner._run`` alone
+    (the top-down evaluator keeps ``relation_with_join_tree`` and the
+    backtracking ``homomorphisms``; planner-less procedures keep
+    ``naive.satisfiable``)."""
+    engines = {
+        "evaluate_with_join_tree", "satisfiable_with_join_tree", "evaluate_acyclic",
+        "evaluate_bounded_treewidth", "evaluate_bounded_hypertreewidth",
+        "satisfiable_with_decomposition", "evaluate_naive",
+    }
+    root = os.path.dirname(cli.__file__)
+    importers = set()
+    for path, tree in _source_trees("."):
+        relative = os.path.relpath(path, root)
+        if relative.startswith("cqalgs" + os.sep):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if engines & {alias.name for alias in node.names}:
+                    importers.add(relative)
+        if relative == os.path.join("planner", "planner.py"):
+            users = {
+                function.name
+                for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef)
+                for node in ast.walk(function)
+                if isinstance(node, ast.Name) and node.id in engines
+            }
+            assert users == {"_run"}
+    assert importers == {os.path.join("planner", "planner.py")}

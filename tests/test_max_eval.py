@@ -5,6 +5,7 @@ import pytest
 from repro.core.atoms import atom
 from repro.core.database import Database
 from repro.core.mappings import Mapping
+from repro.planner.planner import Planner
 from repro.wdpt.evaluation import evaluate_max, max_eval_check
 from repro.wdpt.max_eval import max_eval
 from repro.wdpt.wdpt import wdpt_from_nested
@@ -39,7 +40,7 @@ class TestExample7:
 
     def test_structured_method(self, example7, db):
         h = Mapping({"?y": "Caribou", "?z": "2"})
-        assert max_eval(example7, db, h, method="auto")
+        assert max_eval(example7, db, h, planner=Planner())
 
 
 class TestMaximalPartialAnswerLemma:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.atoms import atom
 from repro.core.database import Database
 from repro.core.mappings import Mapping
+from repro.planner.planner import Planner
 from repro.wdpt.evaluation import partial_eval_check
 from repro.wdpt.partial_eval import partial_answers, partial_eval
 from repro.wdpt.wdpt import wdpt_from_nested
@@ -43,7 +44,7 @@ class TestFigure1:
     def test_structured_method_agrees(self, figure1, db):
         for h in (Mapping({"?y": "Caribou"}), Mapping({"?y": "Beatles"})):
             assert partial_eval(figure1, db, h) == partial_eval(
-                figure1, db, h, method="auto"
+                figure1, db, h, planner=Planner()
             )
 
 

@@ -18,6 +18,7 @@ from repro.planner import (
     ENGINE_NAIVE,
     ENGINE_TREEWIDTH,
     ENGINE_YANNAKAKIS,
+    TW_CUTOFF,
     PlanCache,
     Planner,
 )
@@ -117,6 +118,44 @@ class TestPlannerReuse:
         assert planner.plan_cq(triangle).engine == ENGINE_TREEWIDTH
         assert "Theorem" in planner.plan_cq(path).theorem
 
+    def test_explain_names_the_engine_the_dispatch_site_reads(self):
+        """``plan.engine`` is ``profile.engine`` — one rule, on the profile —
+        for a shape on each side of it."""
+        planner = Planner()
+        clique = [atom("E", "?v%d" % i, "?v%d" % j) for i in range(5) for j in range(i)]
+        shapes = {
+            ENGINE_YANNAKAKIS: [atom("E", "?x", "?y"), atom("E", "?y", "?z")],
+            ENGINE_TREEWIDTH: [
+                atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")
+            ],
+            ENGINE_NAIVE: clique,  # K5: treewidth 4 > TW_CUTOFF
+        }
+        assert TW_CUTOFF == 3
+        for engine, atoms in shapes.items():
+            profile = planner.profile_cq(ConjunctiveQuery([], atoms))
+            assert profile.engine == engine
+            assert planner.plan_for_profile("", profile).engine == profile.engine
+
+    def test_boolean_checks_build_no_plan(self):
+        """The routing decision is read off the profile: a run counts an
+        engine selection, never a plan."""
+        planner = Planner()
+        db = random_database(20, domain_size=5, seed=1)
+        profile = planner.profile_cq(
+            ConjunctiveQuery([], [atom("E", "?x", "?y"), atom("E", "?y", "?z")])
+        )
+        for value in range(50):
+            planner.satisfiable_substituted(
+                profile, Mapping({"?x": value % 5}).as_dict(), db
+            )
+        assert planner.plans_built == 0
+        assert planner.engine_selections == {ENGINE_YANNAKAKIS: 50}
+        assert sum(planner.kernel_selections.values()) == 50
+
+    def test_treewidth_cutoff_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            Planner(tw_cutoff=2)
+
     def test_plan_describe_names_theorem(self):
         planner = Planner()
         q = ConjunctiveQuery(["?x"], [atom("E", "?x", "?y")])
@@ -130,7 +169,7 @@ class TestPlannerReuse:
         free = sorted(p.free_variables)
         candidates = [Mapping({free[0]: c}) for c in range(5)]
         for h in candidates:
-            partial_eval(p, db, h, method="auto", planner=planner)
+            partial_eval(p, db, h, planner=planner)
         stats = planner.stats()
         assert stats["subtree_profiles"]["hits"] > 0
         # One tree profile, one structural analysis of its subtree shape.
@@ -168,13 +207,13 @@ class TestCrossEngineEquivalence:
             candidates.append(Mapping({free[0]: 0, free[1]: 1}))
         for h in candidates:
             assert partial_eval(p, db, h) == partial_eval(
-                p, db, h, method="auto", planner=planner
+                p, db, h, planner=planner
             )
             assert max_eval(p, db, h) == max_eval(
-                p, db, h, method="auto", planner=planner
+                p, db, h, planner=planner
             )
             assert eval_tractable(p, db, h) == eval_tractable(
-                p, db, h, method="auto", planner=planner
+                p, db, h, planner=planner
             )
 
 

@@ -8,6 +8,7 @@ import pytest
 from repro.core.atoms import atom
 from repro.engine import Session
 from repro.exceptions import ResourceBudgetExceeded
+from repro.planner.planner import Planner
 from repro.telemetry.resources import (
     ResourceBudget,
     ResourceMonitor,
@@ -141,6 +142,60 @@ def test_session_hard_budget_aborts_query():
         session.query(EXAMPLE2_QUERY)
 
 
+DECISION_OPS = ("ask", "is_partial", "is_maximal")
+
+
+@pytest.mark.parametrize("op", DECISION_OPS)
+def test_session_hard_budget_aborts_and_logs_every_decision_op(op):
+    """``budgets=`` and ``obslog=`` cover the three decision entry points
+    the way they cover ``query``: killed, and the kill is on the log."""
+    from repro.telemetry.obslog import QueryLog
+
+    answer = max(Session(example2_graph()).query(EXAMPLE2_QUERY).answers, key=len)
+    log = QueryLog()
+    session = Session(
+        example2_graph(), obslog=log, budgets=ResourceBudget(hard_wall_seconds=0.0)
+    )
+    with pytest.raises(ResourceBudgetExceeded):
+        getattr(session, op)(EXAMPLE2_QUERY, answer)
+    assert [e["op"] for e in log.events("query.start")] == [op]
+    assert [e["op"] for e in log.events("query.error")] == [op]
+    assert not log.events("query.complete")
+
+
+@pytest.mark.parametrize("op", DECISION_OPS)
+def test_session_decision_ops_are_logged_and_cached_by_data_version(op):
+    from repro.telemetry.insight import QueryStatsStore
+    from repro.telemetry.obslog import OP_ENGINES, QueryLog
+
+    log = QueryLog()
+    store = QueryStatsStore()
+    session = Session(
+        example2_graph(), obslog=log, track_resources=True, stats_store=store
+    )
+    answer = max(session.query(EXAMPLE2_QUERY).answers, key=len)
+    decide = getattr(session, op)
+    assert decide(EXAMPLE2_QUERY, answer) is True
+    assert decide(EXAMPLE2_QUERY, answer) is True  # unchanged data: a hit
+    session.add(atom("triple", "Nobody", "recorded_by", "Nothing"))
+    assert decide(EXAMPLE2_QUERY, answer) is True  # new data version: a miss
+    mine = [e for e in log.recent() if e.get("op") == op]
+    assert [e["outcome"] for e in mine if e["event"] == "query.cache"] == [
+        "miss", "hit", "miss",
+    ]
+    completes = [e for e in mine if e["event"] == "query.complete"]
+    assert len(completes) == 3 and all(e["rows"] == 1 for e in completes)
+    assert all("resources" in e for e in completes)
+    (plan,) = {
+        (e["engine"], e["theorem"]) for e in mine if e["event"] == "query.plan"
+    }
+    profile = session.explain(EXAMPLE2_QUERY)
+    route = profile.eval_route() if op == "ask" else profile.partial_eval_route()
+    assert plan == (OP_ENGINES[op], route)
+    (query_id,) = {e["query_id"] for e in completes}
+    assert store.snapshot(query_id)["engines"][OP_ENGINES[op]] == 3
+
+
 def test_session_soft_budget_logged_as_event():
     from repro.telemetry.obslog import QueryLog
 
@@ -164,7 +219,7 @@ def test_dp_subqueries_are_counted():
     db = company_directory(n_departments=2, employees_per_department=4, seed=1)
     h = max(evaluate(query, db), key=lambda m: (len(m), repr(m)))
     with ResourceMonitor() as monitor:
-        assert eval_tractable(query, db, h, method="auto")
+        assert eval_tractable(query, db, h, planner=Planner())
     assert monitor.usage.subqueries > 0
     assert monitor.usage.peak_intermediate_rows > 0
 
@@ -203,7 +258,8 @@ def test_disabled_accounting_overhead_below_5_percent():
     )
     db = company_directory(n_departments=4, employees_per_department=8, seed=1)
     h = max(evaluate(query, db), key=lambda m: (len(m), repr(m)))
-    workload = lambda: eval_tractable(query, db, h, method="auto")  # noqa: E731
+    planner = Planner()
+    workload = lambda: eval_tractable(query, db, h, planner=planner)  # noqa: E731
 
     # Count the accounting hits the workload actually performs.
     with ResourceMonitor() as monitor:

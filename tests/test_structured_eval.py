@@ -7,15 +7,22 @@ from hypothesis import strategies as st
 from repro.core.atoms import atom
 from repro.core.cq import cq
 from repro.core.database import Database
+from repro.core.mappings import Mapping
 from repro.cqalgs.dispatch import evaluate, holds
-from repro.cqalgs.naive import evaluate_naive
+from repro.cqalgs.naive import evaluate_naive, satisfiable
 from repro.cqalgs.structured import (
     evaluate_bounded_hypertreewidth,
     evaluate_bounded_treewidth,
+    satisfiable_with_decomposition,
 )
 from repro.exceptions import ClassMembershipError, ResourceBudgetExceeded
+from repro.hypergraphs.hypergraph import hypergraph_of_cq
+from repro.hypergraphs.treedecomp import TreeDecomposition
+from repro.hypergraphs.treewidth import tree_decomposition
+from repro.planner import ENGINE_TREEWIDTH, Planner, StructuralProfile
 from repro.storage import MemoryBackend, SQLiteBackend
 from repro.telemetry.resources import ResourceBudget, ResourceMonitor
+from repro.telemetry.tracer import Tracer, tracing
 from repro.workloads.generators import (
     cycle_cq,
     grid_cq,
@@ -92,7 +99,7 @@ def cyclic_cq_and_facts(draw):
     """A triangle or 4-cycle over ``E``/``F`` with pendant atoms hanging
     off it and, now and then, a repeated variable, a ground atom (present
     or not) and an atom over the empty relation ``Z``; free variables
-    (maybe none); a small database."""
+    (maybe none); a small database; values for some of the variables."""
     n = draw(st.sampled_from([3, 4]))
     cycle = ["?c%d" % i for i in range(n)]
     edge = st.sampled_from("EF")
@@ -111,18 +118,89 @@ def cyclic_cq_and_facts(draw):
     pairs = st.sets(st.tuples(*[st.sampled_from(VALUES)] * 2), min_size=3)
     facts = [atom(r, *pair) for r in "EF" for pair in sorted(draw(pairs))]
     facts += [atom("U", value) for value in sorted(draw(st.sets(st.sampled_from(VALUES))))]
-    return cq(sorted(frees), atoms), facts
+    bound = sorted(draw(st.sets(st.sampled_from(variables))))
+    binding = Mapping({v: draw(st.sampled_from(VALUES)) for v in bound})
+    return cq(sorted(frees), atoms), facts, binding
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cyclic_cq_and_facts())
 def test_both_engines_agree_with_naive_on_random_cyclic_cqs(case):
-    query, facts = case
+    query, facts, binding = case
     expected = evaluate_naive(query, MemoryBackend(facts))
+    # The Boolean form, on the atoms with some variables bound, over the
+    # unsubstituted query's decomposition cut down to what is left.
+    bound_atoms = [a.substitute(binding.as_dict()) for a in sorted(query.atoms)]
+    keep = frozenset(v for a in bound_atoms for v in a.variables())
+    td = tree_decomposition(hypergraph_of_cq(query))
+    td = TreeDecomposition([bag & keep for bag in td.bags], td.tree_edges)
+    bound_expected = satisfiable(bound_atoms, MemoryBackend(facts))
     for backend in (MemoryBackend, SQLiteBackend):
         db = backend(facts)
         assert evaluate_bounded_treewidth(query, db) == expected, backend.__name__
         assert evaluate_bounded_hypertreewidth(query, db) == expected, backend.__name__
+        assert (
+            satisfiable_with_decomposition(bound_atoms, td, db) is bound_expected
+        ), backend.__name__
+
+
+TRIANGLE = [atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")]
+
+
+def _span_names(run):
+    tracer = Tracer()
+    with tracing(tracer):
+        run()
+    return {span.name for span in tracer.walk()}
+
+
+@pytest.mark.parametrize("backend", [MemoryBackend, SQLiteBackend])
+def test_boolean_run_over_a_decomposition_stops_after_the_bottom_up_sweep(backend):
+    """Deciding non-emptiness needs the bottom-up sweep only: no top-down
+    sweep, no join phase — and no plan or estimate is built to get there."""
+    db = backend([atom("E", 0, 1), atom("E", 1, 2), atom("E", 2, 0), atom("E", 2, 3)])
+    profile = StructuralProfile(TRIANGLE)
+    assert profile.engine == ENGINE_TREEWIDTH
+    planner = Planner()
+    verdicts = []
+    routed = _span_names(
+        lambda: verdicts.append(
+            planner.satisfiable_substituted(profile, Mapping({"?x": 0}).as_dict(), db)
+        )
+    )
+    direct = _span_names(
+        lambda: verdicts.append(
+            satisfiable_with_decomposition(TRIANGLE, profile.tree_decomposition, db)
+        )
+    )
+    assert verdicts == [True, True]
+    assert planner.plans_built == 0
+    for names in (routed, direct):
+        assert "yannakakis.semijoin_up" in names
+        assert not names & {"yannakakis.semijoin_down", "yannakakis.join"}
+        assert "planner.estimate" not in names
+    assert "planner.satisfiable" in routed
+    # The same check on a value no triangle passes through.
+    assert not planner.satisfiable_substituted(
+        profile, Mapping({"?x": 3}).as_dict(), db
+    )
+
+
+def test_routed_triangle_matches_the_backtracking_search(db):
+    """On a treewidth-routed label both forms of the dispatch site return
+    what the reference search returns, memory and SQLite."""
+    query = cq(["?x", "?y"], TRIANGLE)
+    for backend in (MemoryBackend, SQLiteBackend):
+        store = backend(db.facts())
+        planner = Planner()
+        assert planner.evaluate_cq(query, store) == evaluate_naive(query, store)
+        profile = planner.profile_cq(query)
+        for value in range(7):
+            binding = Mapping({"?x": value})
+            assert planner.satisfiable_substituted(
+                profile, binding.as_dict(), store
+            ) is satisfiable(TRIANGLE, store, binding)
+        assert planner.engine_selections == {ENGINE_TREEWIDTH: 8}
 
 
 def test_hard_row_budget_stops_a_bag_where_it_blows_up():
@@ -159,3 +237,11 @@ class TestDispatch:
     def test_holds(self, db):
         assert holds(cq([], [atom("E", "?x", "?y")]), db)
         assert not holds(cq([], [atom("Z", "?x")]), db)
+
+    def test_holds_with_free_variables_assembles_no_answers(self, db):
+        """Non-emptiness of ``q(D)`` is satisfiability of the body, so a
+        query with free variables runs no engine either."""
+        q = cq(["?x"], [atom("E", "?x", "?y")])
+        assert _span_names(lambda: holds(q, db)) == set()
+        assert holds(q, db) and evaluate(q, db)
+        assert not holds(cq(["?x"], [atom("E", "?x", "?y"), atom("Z", "?y")]), db)

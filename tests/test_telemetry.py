@@ -10,6 +10,8 @@ import pytest
 from repro.benchharness import stage_breakdown
 from repro.core.atoms import atom
 from repro.engine import Session
+from repro.planner.planner import Planner
+from repro.relalg.config import choose_kernel
 from repro.telemetry.export import (
     aggregate_spans,
     from_chrome_trace,
@@ -301,6 +303,39 @@ def test_analyze_end_to_end_on_example2_dp_path():
     assert "EXPLAIN ANALYZE (ask)" in report.as_text()
 
 
+def test_analyze_names_the_engine_that_ran_at_a_cyclic_node():
+    """``L(x,l) OPT triangle(x,y,z)``: the top-down evaluator backtracks
+    per key on the cyclic label (the planner is not consulted, so no
+    ``planner.*`` span and no decomposition run); the Theorem 6 DP hands
+    the same label to the planner, which picks the decomposition engine."""
+    p = wdpt_from_nested(
+        (
+            [atom("L", "?x", "?l")],
+            [([atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")], [])],
+        ),
+        free_variables=["?x", "?l", "?y", "?z"],
+    )
+    facts = [atom("E", 0, 1), atom("E", 1, 2), atom("E", 2, 0), atom("E", 2, 3)]
+    session = Session(facts + [atom("L", 0, "a"), atom("L", 3, "b")])
+
+    report = session.analyze(p)
+    assert report.n_answers == 2
+    root, triangle = report.rows
+    assert (root["engine"], root["kernel"]) == ("yannakakis", choose_kernel(session.database))
+    assert (triangle["engine"], triangle["kernel"]) == ("naive", None)
+    assert "once per distinct interface key" in triangle["theorem"]
+    (evaluator,) = report.tracer.find("wdpt.maximal_homomorphisms")
+    assert not [s for s in evaluator.walk() if s.name.startswith("planner.")]
+    assert len(list(report.tracer.find("yannakakis"))) == 1  # the root label only
+
+    answer = max(session.query(p).answers, key=len)
+    report = session.analyze(p, candidate=answer)
+    assert [row["engine"] for row in report.rows] == ["yannakakis", "treewidth"]
+    (dp,) = report.tracer.find("wdpt.eval_tractable")
+    routed = [s.attrs["engine"] for s in dp.find("planner.satisfiable")]
+    assert "treewidth" in routed and set(routed) <= {"yannakakis", "treewidth"}
+
+
 def test_analyze_does_not_leak_a_tracer():
     session = Session(example2_graph())
     session.analyze(EXAMPLE2_QUERY)
@@ -338,7 +373,7 @@ def test_stage_breakdown_buckets():
     )
     db = company_directory(n_departments=2, employees_per_department=4, seed=1)
     h = max(evaluate(query, db), key=len)
-    stages = stage_breakdown(lambda: eval_tractable(query, db, h, method="auto"))
+    stages = stage_breakdown(lambda: eval_tractable(query, db, h, planner=Planner()))
     assert set(stages) == {"analysis", "engine", "semijoin"}
     assert stages["engine"] > 0
     assert stages["semijoin"] <= stages["engine"]

@@ -87,6 +87,29 @@ class TestBasics:
         assert union_max_eval(phi, db, Mapping({"?y": "Caribou", "?z": "2"}))
 
 
+    def test_planner_routed_checks_agree_with_the_planner_less_ones(self, db):
+        """Theorem 16 with ``planner=``: every check goes through the
+        router (counted there) and decides what the backtracking search
+        decides, on answers, their restrictions and non-answers alike."""
+        from repro.planner import Planner
+
+        narrow = figure1_wdpt(projection=("?y",))
+        wide = figure1_wdpt(projection=("?y", "?z"))
+        phi = UWDPT([narrow, wide])
+        candidates = {Mapping(), Mapping({"?y": "Beatles"}), Mapping({"?z": "7"})}
+        for answer in evaluate_union(phi, db):
+            candidates |= {answer, answer.restrict(["?y"]), answer.restrict(["?z"])}
+        planner = Planner()
+        for h in sorted(candidates, key=repr):
+            assert union_partial_eval(phi, db, h, planner=planner) is (
+                union_partial_eval(phi, db, h)
+            ), h
+            assert union_max_eval(phi, db, h, planner=planner) is (
+                union_max_eval(phi, db, h)
+            ), h
+        assert sum(planner.engine_selections.values()) >= len(candidates)
+
+
 class TestPhiCq:
     def test_example8_count(self):
         # Figure 1 tree with projection {y, z, z2}: 4 subtree CQs.
