@@ -15,14 +15,14 @@ sets, :func:`enumerate_answers` streams answers instead:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from ..core.atoms import Atom
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
 from ..core.mappings import Mapping
 from ..hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
-from ..relalg.relation import Row, group_by, row_getter
+from ..relalg.relation import Row, group_by, key_getter
 from .naive import homomorphisms
 from .yannakakis import scan_schedule, semijoin_reduce
 
@@ -83,7 +83,7 @@ def _acyclic_stream(
         rel = relations[node]
         shared = [v for v in rel.schema if v in schema]
         steps.append((
-            row_getter([schema.index(v) for v in shared]),
+            key_getter([schema.index(v) for v in shared]),
             group_by(rel, shared),
         ))
         schema += tuple(v for v in rel.schema if v not in shared)
@@ -96,12 +96,19 @@ def _acyclic_stream(
         for rest in groups[key_of(row)]:
             yield from extend(row + rest, i + 1)
 
+    # The Mapping boundary: an answer is the free columns of a full row,
+    # its cells decoded as it is emitted.
     frees = sorted(query.free_variables, key=repr)
-    answer_of = row_getter([schema.index(v) for v in frees])
-    seen: Set[Row] = set()
+    at = [schema.index(v) for v in frees]
+    answer_of = key_getter(at)
+    codec = relations[tree.root].codec
+    seen: Set[Any] = set()
     for row in relations[tree.root].rows:
         for full in extend(row, 0):
             answer = answer_of(full)
             if answer not in seen:
                 seen.add(answer)
-                yield Mapping.from_trusted(dict(zip(frees, answer)))
+                cells: Iterable[Any] = [full[i] for i in at]
+                if codec is not None:
+                    cells = map(codec.decode, cells)
+                yield Mapping.from_trusted(dict(zip(frees, cells)))

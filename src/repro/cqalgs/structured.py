@@ -146,7 +146,7 @@ def _bag_relations(
             _atom_with_variables(variable_atoms, edge)
             for edge in (td.covers[i] if td.covers is not None else ())
         ]
-        relation = Relation((), [()])
+        relation = Relation((), [()], db.codec)
         for a in covering + assignment.get(i, []):
             relation = _join(relation, scan(a, db))
         for v in sorted(bag.difference(relation.schema), key=repr):

@@ -68,6 +68,7 @@ from ..hypergraphs.gyo import JoinTree, join_tree_of_atoms, join_tree_shape
 from ..relalg.config import KERNEL_DIST, KERNEL_SQL, choose_kernel
 from ..relalg.relation import (
     Relation,
+    Row,
     hash_join,
     project,
     scan,
@@ -136,7 +137,7 @@ def relation_with_join_tree(
             "seed variables %r are not all free in the query" % (seed.schema,)
         )
     if not atoms or (seed is not None and not seed.rows):
-        return Relation(sorted(frees, key=repr), [])
+        return Relation(sorted(frees, key=repr), [], db.codec)
     return _run(atoms, links, db, frees, seed, False)
 
 
@@ -231,7 +232,7 @@ def _columnar(
         if not semijoin_reduce(relations, tree, top_down=not boolean):
             relations = None
     if relations is None:
-        return False if boolean else Relation(sorted(frees, key=repr), [])
+        return False if boolean else Relation(sorted(frees, key=repr), [], db.codec)
     if boolean:
         return True
     result = columnar_join_phase(frees, relations, tree)
@@ -245,22 +246,28 @@ def _columnar(
 
 
 class _CountedReads:
-    """``db`` as one scan sees it under tracing: ``match`` also counts the
-    facts it hands over (``facts_read`` of the ``yannakakis.scan`` span)."""
+    """``db`` as one scan sees it under tracing: ``rows`` and ``probe``
+    also count the facts they hand over (``facts_read`` of the
+    ``yannakakis.scan`` span)."""
 
-    __slots__ = ("db", "facts")
+    __slots__ = ("db", "codec", "probe_cost", "match_bound", "facts")
 
     def __init__(self, db: Database):
         self.db = db
+        self.codec = db.codec
+        self.probe_cost = db.probe_cost
+        self.match_bound = db.match_bound
         self.facts = 0
 
-    def match(self, pattern: Atom) -> List[Atom]:
-        found = list(self.db.match(pattern))
+    def rows(self, pattern: Atom) -> List[Row]:
+        found = list(self.db.rows(pattern))
         self.facts += len(found)
         return found
 
-    def match_bound(self, pattern: Atom) -> int:
-        return self.db.match_bound(pattern)
+    def probe(self, pattern: Atom, variables, keys) -> List[Row]:
+        found = list(self.db.probe(pattern, variables, keys))
+        self.facts += len(found)
+        return found
 
 
 def _shares_variable(rel: Relation, pattern: Atom) -> bool:
@@ -406,15 +413,23 @@ def columnar_join_phase(
     partials: List[Optional[Relation]] = [None] * len(relations)
     with tracer.span("yannakakis.join") as sp:
         for node in reversed(tree.order):
-            current = relations[node]
-            for child in tree.children[node]:
-                current = hash_join(current, partials[child])
-            account_rows(len(current))
             if node == tree.root:
                 keep = frees
             else:
                 keep = frees.union(relations[tree.parent[node]].schema)
-            partials[node] = project(current, keep)
+            current = relations[node]
+            children = tree.children[node]
+            for child in children[:-1]:
+                current = hash_join(current, partials[child])
+                account_rows(len(current))
+            # The last join emits the kept columns only: no wide
+            # intermediate, no second pass over it.
+            if children:
+                current = hash_join(current, partials[children[-1]], keep)
+            else:
+                current = project(current, keep)
+            account_rows(len(current))
+            partials[node] = current
         if tracer.enabled:
             sp.set(partial_sizes=[len(p) for p in partials])
     return partials[tree.root]

@@ -187,6 +187,20 @@ class ShardedBackend(StorageBackend):
     def match_bound(self, pattern: Atom) -> int:
         return self._mirror.match_bound(pattern)
 
+    # The cell seam: the mirror's term dictionary is the one authority
+    # for codes on the coordinator (shard-local codes never leave a shard).
+    @property
+    def codec(self):
+        return self._mirror.codec
+
+    probe_cost = MemoryBackend.probe_cost
+
+    def rows(self, pattern: Atom):
+        return self._mirror.rows(pattern)
+
+    def probe(self, pattern: Atom, variables, keys):
+        return self._mirror.probe(pattern, variables, keys)
+
     def __contains__(self, fact: Atom) -> bool:
         return fact in self._mirror
 

@@ -240,7 +240,11 @@ def run_program(
         common = tuple(sorted(atoms[child].variables() & atoms[parent].variables()))
         shared[(child, parent)] = shared[(parent, child)] = common
 
-    empty: Any = False if exists_only else Relation(sorted(frees, key=repr), [])
+    #: What comes home from the shards is ``Constant`` rows; the gathered
+    #: relations are re-encoded in the coordinator's own codec, so the
+    #: answers can meet relations scanned from (or packed for) ``backend``.
+    codec = backend.codec
+    empty: Any = False if exists_only else Relation(sorted(frees, key=repr), [], codec)
     with tracer.span(
         "yannakakis.dist",
         atoms=n, shards=backend.shards, qid=ex.qid, boolean=exists_only,
@@ -309,7 +313,9 @@ def run_program(
                 for shard_rows in rows_by_shard.values():
                     rows.update(shard_rows[node])
                 gathered += len(rows)
-                relations.append(Relation(needed[node], rows))
+                relations.append(Relation(
+                    needed[node], [tuple(map(codec.encode, row)) for row in rows], codec
+                ))
             ex.exchange_rows += gathered
             account_rows(gathered)
             if tracer.enabled:

@@ -16,7 +16,10 @@ shard when the coordinator absorbs them.
 
 The query ops operate on the shard's **fragments** — its local columnar
 relations, one per join-tree atom, kept in module state between RPCs so
-the semi-join sweeps never re-ship relations:
+the semi-join sweeps never re-ship relations.  A fragment's cells are
+codes of this shard's own term dictionary and mean nothing elsewhere:
+every row that leaves the process is decoded to ``Constant``s first, and
+every key set that arrives is ``Constant``s, encoded on arrival:
 
 * ``scan``      — materialise the fragments of a query's atoms;
 * ``keys``      — distinct projections of fragments onto shared
@@ -183,12 +186,17 @@ def _op_keys(payload) -> Dict[Any, List[Tuple[Any, ...]]]:
     ``[(tag, node, shared_vars), ...]`` → ``{tag: [key, ...]}``."""
     qid, requests = payload
     _check_qid(qid)
-    out: Dict[Any, List[Tuple[Any, ...]]] = {}
-    for tag, node, shared in requests:
-        rel = _fragments[node]
-        pos = [rel.index[v] for v in shared]
-        out[tag] = list({tuple(row[i] for i in pos) for row in rel.rows})
-    return out
+    return {tag: _decoded(_fragments[node], shared) for tag, node, shared in requests}
+
+
+def _decoded(rel, variables) -> List[Tuple[Any, ...]]:
+    """The distinct bindings of ``variables`` in ``rel``, as ``Constant``
+    tuples in that order — the form in which rows leave the shard."""
+    from ..relalg.relation import tuples_at
+
+    decode = _shard_db.codec.decode
+    keys = set(tuples_at(rel.rows, [rel.index[v] for v in variables]))
+    return [tuple(map(decode, key)) for key in keys]
 
 
 def _op_semijoin(payload) -> Dict[int, int]:
@@ -198,9 +206,11 @@ def _op_semijoin(payload) -> Dict[int, int]:
     _check_qid(qid)
     from ..relalg.relation import Relation, semijoin
 
+    codec = _shard_db.codec
     out: Dict[int, int] = {}
     for node, shared, keys in filters:
-        _fragments[node] = semijoin(_fragments[node], Relation(shared, keys))
+        arrived = Relation(shared, [tuple(map(codec.encode, key)) for key in keys], codec)
+        _fragments[node] = semijoin(_fragments[node], arrived)
         out[node] = len(_fragments[node])
     return out
 
@@ -214,11 +224,7 @@ def _op_gather(payload) -> Dict[int, List[Tuple[Any, ...]]]:
     global _fragments, _fragment_qid
     qid, wanted = payload
     _check_qid(qid)
-    out: Dict[int, List[Tuple[Any, ...]]] = {}
-    for node, keep in wanted:
-        rel = _fragments[node]
-        pos = [rel.index[v] for v in keep]
-        out[node] = list({tuple(row[i] for i in pos) for row in rel.rows})
+    out = {node: _decoded(_fragments[node], keep) for node, keep in wanted}
     _fragments = None
     _fragment_qid = None
     return out

@@ -9,14 +9,34 @@ shared-variable layout of every operation from row contents and pay a
 hash + dict per row per operation.
 
 A :class:`Relation` instead carries an explicit **schema** — a tuple of
-variables, fixed at creation — and its bindings as plain value tuples
-aligned with that schema.  The kernels below (:func:`scan`,
+variables, fixed at creation — and its bindings as plain tuples of
+**cells** aligned with that schema.  The kernels below (:func:`scan`,
 :func:`semijoin`, :func:`hash_join`, :func:`project`, :func:`group_by`,
 :func:`dedup`) resolve variable positions against the schemas **once per
 call** (i.e. once per join-tree edge, not once per row) and then run
-tight loops over the tuple arrays.  Conversion to and from ``Mapping``
-happens only at API boundaries (:func:`from_mappings` /
-:func:`to_mappings`).
+over the tuple arrays with C-level ``itemgetter`` keys — the bare cell
+for a one-column key, a tuple otherwise.
+
+**Cells and codecs.**  What a cell *is* is not the kernels' business:
+they hash it, compare it and copy it, nothing more, which is all a
+semi-join program needs.  It is the business of the relation's
+``codec`` slot, set where the relation is born: :func:`scan` copies
+``db.codec`` (:class:`~repro.storage.base.StorageBackend`).  For the
+memory backend that is its term dictionary and the cells are ``int``
+codes, so every hash and comparison between a scan and the ``Mapping``
+boundary runs in C; ``None`` means the cells are the ``Constant``
+objects themselves — SQLite, and every relation built by hand or by
+``from_mappings(mappings, schema)``.  The codec travels with the
+relation, never in module or thread-local state (many databases, each
+with its own dictionary, coexist in a process), and a kernel that
+takes two relations refuses them unless ``left.codec is right.codec``:
+codes of two dictionaries, or a code and a ``Constant``, must be a loud
+error, never a silently empty join.  Cells become terms, and terms
+cells, only at the boundary — :func:`to_mappings` and
+:func:`from_mappings`; the latter takes the database whose scans the
+relation is to meet.  A ``None`` cell is no term at all: the WDPT
+evaluator pads the columns of a failed OPT branch with it (so code 0 is
+a value, and "unbound" is ``is None``).
 
 :func:`scan` optionally takes a **seed**: a relation of key bindings
 that the scanned atom must join with.  This is sideways information
@@ -26,8 +46,10 @@ columnar Yannakakis seeds each atom with the smallest relation already
 scanned next to it in the join tree, so the scans of a query are a
 schedule, not independent reads.  A seeded scan returns exactly
 ``semijoin(scan(pattern, db), seed)``; it chooses between one index
-probe per distinct key and a full scan followed by the semi-join from
-the two sizes it can observe, the key count and the backend's
+probe per distinct key (the backend's compiled
+:meth:`~repro.storage.base.StorageBackend.probe`) and a full read
+filtered by the key set from the sizes it can observe: the key count
+times the backend's ``probe_cost`` against its
 :meth:`~repro.storage.base.StorageBackend.match_bound` for the pattern.
 
 The boundary cases of the kernel semantics, pinned down by the unit
@@ -43,43 +65,58 @@ tests, are those of relational algebra over sets of bindings:
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import (
+    Any,
     Callable,
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 from ..core.atoms import Atom
 from ..core.mappings import Mapping
-from ..core.terms import Constant, Variable
+from ..core.terms import Variable
+from ..exceptions import ReproError
 
-#: One binding: constants aligned with the owning relation's schema.
-Row = Tuple[Constant, ...]
+#: One binding: cells aligned with the owning relation's schema.  What a
+#: cell is belongs to the relation's codec — an ``int`` code of a term
+#: dictionary, or the ``Constant`` itself (codec ``None``); a ``None``
+#: cell pads the column of a failed OPT branch.
+Row = Tuple[Any, ...]
 
 
 class Relation:
     """A set of bindings of a fixed variable tuple.
 
-    ``schema`` orders the variables; ``rows`` holds one constant tuple
-    per binding, aligned with the schema.  Rows are duplicate-free by
+    ``schema`` orders the variables; ``rows`` holds one cell tuple per
+    binding, aligned with the schema.  Rows are duplicate-free by
     construction in every kernel below.  The positional index
     (variable → column) is computed once at construction and shared by
-    every kernel invocation against this relation.
+    every kernel invocation against this relation.  ``codec`` says what
+    the cells are (see the module docstring): the kernels copy it to
+    their result and refuse two relations whose codecs differ.
     """
 
-    __slots__ = ("schema", "rows", "index")
+    __slots__ = ("schema", "rows", "index", "codec")
 
-    def __init__(self, schema: Sequence[Variable], rows: Iterable[Row] = ()):
+    def __init__(
+        self,
+        schema: Sequence[Variable],
+        rows: Iterable[Row] = (),
+        codec: Any = None,
+    ):
         self.schema: Tuple[Variable, ...] = tuple(schema)
         self.rows: List[Row] = list(rows)
         self.index: Dict[Variable, int] = {v: i for i, v in enumerate(self.schema)}
+        self.codec = codec
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -94,32 +131,50 @@ class Relation:
         )
 
 
-def row_getter(positions: Sequence[int]) -> Callable[[Row], Row]:
-    """``row -> tuple(row[i] for i in positions)``, resolved once per
-    kernel call so the per-row work is one C-level ``itemgetter``."""
+def _same_codec(left, right) -> Any:
+    """The codec two relations (or a relation and a database) share.
+    Codes of two dictionaries, or a code and a ``Constant``, must never
+    be compared: the join would be silently empty or wrong."""
+    if left.codec is not right.codec:
+        raise ReproError(
+            "cannot combine cells of different codecs: %r has %r, %r has "
+            "%r (None = Constant cells; convert through "
+            "to_mappings/from_mappings(…, db))"
+            % (left, left.codec, right, right.codec)
+        )
+    return left.codec
+
+
+def _nothing(_row: Row) -> Row:
+    return ()
+
+
+def key_getter(positions: Sequence[int]) -> Callable[[Row], Any]:
+    """``row -> its join key on positions``, resolved once per kernel
+    call: the bare cell for one position, a tuple for several — either
+    way one C-level ``itemgetter`` — and ``()`` for none."""
+    return itemgetter(*positions) if positions else _nothing
+
+
+def tuples_at(rows: Sequence[Row], positions: Sequence[int]) -> Iterable[Row]:
+    """``tuple(row[i] for i in positions)`` per row, built in C."""
     if len(positions) > 1:
-        return itemgetter(*positions)
+        return map(itemgetter(*positions), rows)
     if positions:
-        (only,) = positions
-        return lambda row: (row[only],)
-    return lambda row: ()
+        return zip(map(itemgetter(positions[0]), rows))
+    return repeat((), len(rows))
+
+
+def _having(
+    rows: Sequence[Row], positions: Sequence[int], keys: Collection[Any]
+) -> Iterator[Row]:
+    """The rows whose key on ``positions`` (non-empty) is in ``keys``."""
+    return compress(rows, map(keys.__contains__, map(itemgetter(*positions), rows)))
 
 
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
-#: One index probe (substitute a key into the pattern, ``db.match`` the
-#: result) costs about as much as reading this many facts in a full
-#: ``db.match`` — measured at 6 on the memory backend and 3 on SQLite, for
-#: one match per key.  A seeded scan probes while ``keys × this`` stays
-#: under the pattern's match bound.
-_PROBE_COST_IN_FACTS = 6
-
-#: ``fact -> fact.args``: a scan turns facts into rows without a Python
-#: frame per fact.
-_ARGS = attrgetter("args")
-
-
 def scan(
     pattern: Atom,
     db,
@@ -127,42 +182,41 @@ def scan(
     bound: Optional[int] = None,
 ) -> Relation:
     """The relation of ``pattern`` over ``db``: the variable bindings of
-    its matching facts, schema sorted by variable repr (the same order
-    the SQL pushdown uses, so layouts agree across paths).
+    its matching facts as cells of ``db.codec``, schema sorted by
+    variable repr (the same order the SQL pushdown uses, so layouts agree
+    across paths).
 
     With ``seed``, the bindings that also join with it —
     ``semijoin(scan(pattern, db), seed)``, computed with one index probe
-    per distinct key when the keys are few against the facts a full scan
-    would read: ``bound``, the caller's ``db.match_bound(pattern)`` when
-    it already took one."""
+    per distinct key (``db.probe``) when the keys are few against the
+    facts a full read (``db.rows``) would touch: ``keys × db.probe_cost``
+    against ``bound``, the caller's ``db.match_bound(pattern)`` when it
+    already took one."""
     schema = sorted(pattern.variables(), key=repr)
-    if seed is not None and not seed.rows:
-        return Relation(schema, [])
+    codec = db.codec
+    if seed is not None:
+        _same_codec(seed, db)
+        if not seed.rows:
+            return Relation(schema, [], codec)
     if not schema:
         # Ground pattern: Boolean relation (all matches project to ()).
-        for _ in db.match(pattern):
-            return Relation((), [()])
-        return Relation((), [])
-    take = row_getter([pattern.args.index(v) for v in schema])
-    keys = None
-    if seed is not None:
-        shared = [v for v in schema if v in seed.index]
-        if shared:
-            keys = project(seed, shared)
-    if keys is not None:
-        if bound is None:
-            bound = db.match_bound(pattern)
-        if len(keys.rows) * _PROBE_COST_IN_FACTS < bound:
-            # Distinct keys match disjoint facts: no duplicates.
-            return Relation(schema, [
-                take(fact.args)
-                for key in keys.rows
-                for fact in db.match(pattern.substitute(dict(zip(keys.schema, key))))
-            ])
-    # Distinct facts matching a pattern always differ at some variable
-    # position, so the projection is already duplicate-free.
-    full = Relation(schema, map(take, map(_ARGS, db.match(pattern))))
-    return full if keys is None else semijoin(full, keys)
+        for _ in db.rows(pattern):
+            return Relation((), [()], codec)
+        return Relation((), [], codec)
+    at = [pattern.args.index(v) for v in schema]
+    shared = [v for v in schema if v in seed.index] if seed is not None else ()
+    if not shared:
+        # Distinct facts matching a pattern always differ at some variable
+        # position, so the projection is already duplicate-free.
+        return Relation(schema, tuples_at(db.rows(pattern), at), codec)
+    keys = set(map(itemgetter(*[seed.index[v] for v in shared]), seed.rows))
+    if bound is None:
+        bound = db.match_bound(pattern)
+    if len(keys) * db.probe_cost < bound:
+        # Distinct keys match disjoint facts: no duplicates.
+        return Relation(schema, tuples_at(db.probe(pattern, shared, keys), at), codec)
+    rows = list(tuples_at(db.rows(pattern), at))
+    return Relation(schema, _having(rows, [schema.index(v) for v in shared], keys), codec)
 
 
 def semijoin(left: Relation, right: Relation) -> Relation:
@@ -170,52 +224,63 @@ def semijoin(left: Relation, right: Relation) -> Relation:
     ``left`` with a join partner in ``right``.  An empty right side
     empties the result even when no variable is shared; a non-empty one
     sharing no variable leaves ``left`` unchanged."""
+    codec = _same_codec(left, right)
     if not right.rows:
-        return Relation(left.schema, [])
+        return Relation(left.schema, [], codec)
     shared = [v for v in left.schema if v in right.index]
     if not shared:
         return left
     if not left.rows:
-        return Relation(left.schema, [])
-    if len(shared) == 1:
-        li = left.index[shared[0]]
-        ri = right.index[shared[0]]
-        keys: Set = {row[ri] for row in right.rows}
-        return Relation(left.schema, [row for row in left.rows if row[li] in keys])
-    left_key = row_getter([left.index[v] for v in shared])
-    right_key = row_getter([right.index[v] for v in shared])
-    key_set: Set[Row] = set(map(right_key, right.rows))
+        return Relation(left.schema, [], codec)
+    keys = set(map(itemgetter(*[right.index[v] for v in shared]), right.rows))
     return Relation(
-        left.schema, [row for row in left.rows if left_key(row) in key_set]
+        left.schema, _having(left.rows, [left.index[v] for v in shared], keys), codec
     )
 
 
-def hash_join(left: Relation, right: Relation) -> Relation:
+def hash_join(
+    left: Relation, right: Relation, keep: Optional[Collection[Variable]] = None
+) -> Relation:
     """Natural join; output schema is ``left.schema`` followed by the
     right-only variables.  The join of duplicate-free inputs is
     duplicate-free (a result row determines both input rows), so no
-    dedup pass is needed."""
+    dedup pass is needed.
+
+    With ``keep``, the join projected onto it —
+    ``project(hash_join(left, right), keep)`` — without building the wide
+    rows first: only the kept columns of either side are emitted, into a
+    set when a column was dropped (rows may then coincide)."""
+    codec = _same_codec(left, right)
     shared = [v for v in left.schema if v in right.index]
-    extra = [(v, right.index[v]) for v in right.schema if v not in left.index]
-    schema = left.schema + tuple(v for v, _ in extra)
+    head = [v for v in left.schema if keep is None or v in keep]
+    tail = [
+        v for v in right.schema
+        if v not in left.index and (keep is None or v in keep)
+    ]
+    schema = tuple(head + tail)
     if not left.rows or not right.rows:
-        return Relation(schema, [])
-    right_key = row_getter([right.index[v] for v in shared])
-    extension = row_getter([i for _, i in extra])
-    buckets: Dict[Row, List[Row]] = {}
-    for row in right.rows:
-        buckets.setdefault(right_key(row), []).append(extension(row))
-    left_key = row_getter([left.index[v] for v in shared])
-    rows: List[Row] = []
-    for row in left.rows:
-        matches = buckets.get(left_key(row))
-        if matches is None:
-            continue
-        if len(matches) == 1:
-            rows.append(row + matches[0])
-        else:
-            rows.extend([row + ext for ext in matches])
-    return Relation(schema, rows)
+        return Relation(schema, [], codec)
+    heads: Iterable[Row] = left.rows
+    if len(head) < len(left.schema):
+        heads = tuples_at(left.rows, [left.index[v] for v in head])
+    tails = tuples_at(right.rows, [right.index[v] for v in tail])
+    if shared:
+        buckets: Dict[Any, List[Row]] = {}
+        right_key = itemgetter(*[right.index[v] for v in shared])
+        for key, ext in zip(map(right_key, right.rows), tails):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [ext]
+            else:
+                bucket.append(ext)
+        left_key = itemgetter(*[left.index[v] for v in shared])
+        found = map(buckets.get, map(left_key, left.rows), repeat(()))
+    else:
+        found = repeat(list(tails))  # cross product
+    pairs = zip(heads, found)
+    if len(schema) < len(left.schema) + len(right.schema) - len(shared):
+        return Relation(schema, {row + ext for row, exts in pairs for ext in exts}, codec)
+    return Relation(schema, [row + ext for row, exts in pairs for ext in exts], codec)
 
 
 def project(rel: Relation, keep: Iterable[Variable]) -> Relation:
@@ -225,54 +290,90 @@ def project(rel: Relation, keep: Iterable[Variable]) -> Relation:
     columns = [v for v in rel.schema if v in wanted]
     if len(columns) == len(rel.schema):
         return rel
-    take = row_getter([rel.index[v] for v in columns])
-    return Relation(tuple(columns), set(map(take, rel.rows)))
+    if len(columns) > 1:
+        rows: Iterable[Row] = set(
+            map(itemgetter(*[rel.index[v] for v in columns]), rel.rows)
+        )
+    elif columns:
+        # Dedup the bare cells, wrap only the distinct ones.
+        rows = zip(set(map(itemgetter(rel.index[columns[0]]), rel.rows)))
+    else:
+        rows = [()] if rel.rows else []
+    return Relation(columns, rows, rel.codec)
 
 
-def group_by(rel: Relation, keys: Sequence[Variable]) -> Dict[Row, List[Row]]:
+def group_by(rel: Relation, keys: Sequence[Variable]) -> Dict[Any, List[Row]]:
     """Partition ``rel`` by its bindings of ``keys`` (all in the schema):
-    ``{key row: [rows of the remaining columns]}``, key rows ordered like
-    ``keys``, the rest in schema order — the build side of a hash join
-    kept as a lookup table, which is how the WDPT evaluator finds a
-    parent row's OPT extensions (a missing key is a failed branch)."""
-    key_of = row_getter([rel.index[v] for v in keys])
-    rest_of = row_getter([i for i, v in enumerate(rel.schema) if v not in keys])
-    groups: Dict[Row, List[Row]] = {}
-    for row in rel.rows:
-        groups.setdefault(key_of(row), []).append(rest_of(row))
+    ``{key: [rows of the remaining columns]}``, a key being what
+    :func:`key_getter` reads off a row (the bare cell for one variable, a
+    tuple ordered like ``keys`` otherwise), the rest in schema order — the
+    build side of a hash join kept as a lookup table, which is how the
+    WDPT evaluator finds a parent row's OPT extensions (a missing key is
+    a failed branch)."""
+    key_of = key_getter([rel.index[v] for v in keys])
+    rest = tuples_at(rel.rows, [i for i, v in enumerate(rel.schema) if v not in keys])
+    groups: Dict[Any, List[Row]] = {}
+    for key, row in zip(map(key_of, rel.rows), rest):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [row]
+        else:
+            group.append(row)
     return groups
 
 
 def dedup(rel: Relation) -> Relation:
     """The relation with duplicate rows removed (idempotent; the other
     kernels already produce duplicate-free output)."""
-    return Relation(rel.schema, set(rel.rows))
+    return Relation(rel.schema, set(rel.rows), rel.codec)
 
 
 # ---------------------------------------------------------------------------
 # Mapping boundary
 # ---------------------------------------------------------------------------
-def from_mappings(mappings: Iterable[Mapping], schema: Sequence[Variable]) -> Relation:
-    """Pack mappings (each total on ``schema``) into a relation."""
+def from_mappings(
+    mappings: Iterable[Mapping], schema: Sequence[Variable], db=None
+) -> Relation:
+    """Pack mappings (each total on ``schema``) into a relation — of
+    ``Constant`` cells, or with ``db`` of the cells its scans produce, so
+    the result can meet them in a kernel.  A constant ``db`` has never
+    stored stays a ``Constant`` (its dictionary is not written to): it
+    joins with nothing scanned and unpacks to itself."""
     ordered = tuple(schema)
-    return Relation(ordered, {tuple(m[v] for v in ordered) for m in mappings})
+    codec = None if db is None else db.codec
+    if codec is None:
+        return Relation(ordered, {tuple([m[v] for v in ordered]) for m in mappings})
+    encode = codec.encode
+    return Relation(
+        ordered, {tuple([encode(m[v]) for v in ordered]) for m in mappings}, codec
+    )
 
 
 def to_mappings(rel: Relation, partial: bool = False) -> FrozenSet[Mapping]:
-    """Unpack a relation into the API-boundary ``Mapping`` set.
+    """Unpack a relation into the API-boundary ``Mapping`` set, decoding
+    its cells.
 
     With ``partial``, a ``None`` in a row means *unbound* and the
     variable is left out of that row's mapping — the WDPT evaluator pads
     the columns of a failed OPT branch this way, so one fixed-schema
     relation can hold maximal homomorphisms with different domains."""
     schema = rel.schema
-    if partial:
+    decode = None if rel.codec is None else rel.codec.decode
+    if partial and decode is None:
         return frozenset(
             Mapping.from_trusted(
                 {v: c for v, c in zip(schema, row) if c is not None}
             )
             for row in rel.rows
         )
-    return frozenset(
-        Mapping.from_trusted(dict(zip(schema, row))) for row in rel.rows
-    )
+    if partial:
+        return frozenset(
+            Mapping.from_trusted(
+                {v: decode(c) for v, c in zip(schema, row) if c is not None}
+            )
+            for row in rel.rows
+        )
+    rows: Iterable[Iterable[Any]] = rel.rows
+    if decode is not None:
+        rows = map(map, repeat(decode), rows)
+    return frozenset(Mapping.from_trusted(dict(zip(schema, row))) for row in rows)

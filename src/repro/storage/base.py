@@ -30,10 +30,23 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
+from operator import attrgetter
+from typing import (
+    Any,
+    Collection,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.atoms import Atom, Schema
-from ..core.terms import Constant
+from ..core.terms import Constant, Variable
+
+#: ``fact -> fact.args``: facts become rows without a Python frame each.
+_ARGS = attrgetter("args")
 
 #: Process-wide allocator for anonymous backend ids.
 _BACKEND_IDS = itertools.count(1)
@@ -67,6 +80,56 @@ class StorageBackend(abc.ABC):
     #: coordinator (:mod:`repro.dist`).  Also checked by
     #: :func:`repro.relalg.config.choose_kernel` in ``auto`` mode.
     supports_dist_yannakakis = False
+
+    # ------------------------------------------------------------------
+    # The cell seam of the columnar kernels (:mod:`repro.relalg`)
+    # ------------------------------------------------------------------
+    #: What the *cells* of this backend's rows are.  ``None``: the
+    #: ``Constant`` objects themselves.  Otherwise a dictionary owned by
+    #: the backend, with ``encode(constant) -> cell`` (lookup only — an
+    #: unknown constant is its own cell and equals no stored one) and
+    #: ``decode(cell) -> constant``.  A :class:`~repro.relalg.relation.
+    #: Relation` read from this backend carries the same object, and the
+    #: kernels refuse to combine relations whose codecs differ.
+    codec: Any = None
+
+    #: What one key of :meth:`probe` costs, in facts read by :meth:`rows`
+    #: — a seeded scan probes while ``keys × probe_cost`` stays under the
+    #: pattern's :meth:`match_bound`.  The default probe, measured on
+    #: SQLite (4 000 facts, 10–250 keys, one match a key; EXPERIMENTS.md
+    #: has the sweep): 9.3 µs a key against 3.2 µs a fact of a full
+    #: read, and about one fact more for every further match of a key.
+    probe_cost = 3
+
+    def rows(self, pattern: Atom) -> Iterable[Tuple[Any, ...]]:
+        """One row per fact unifying with ``pattern``: at argument
+        position ``i`` the fact's ``i``-th argument as a cell of
+        :attr:`codec`.  Readers address cells by argument position and
+        nothing else — a backend may keep cells of its own behind the
+        arguments (the memory backend's rows end in the fact itself).
+        Default: :meth:`match`, unwrapped."""
+        return map(_ARGS, self.match(pattern))
+
+    def probe(
+        self,
+        pattern: Atom,
+        variables: Sequence[Variable],
+        keys: Collection[Any],
+    ) -> Iterable[Tuple[Any, ...]]:
+        """:meth:`rows` of ``pattern`` restricted to the facts that bind
+        ``variables`` (all occurring in ``pattern``) to one of ``keys``: a
+        set of distinct keys, each the bare cell when there is one
+        variable and a tuple aligned with ``variables`` otherwise.
+        Distinct keys match disjoint facts, so no row repeats.  Default:
+        one ``substitute`` + :meth:`match` per key."""
+        if len(variables) == 1:
+            (only,) = variables
+            bindings: Iterable[dict] = ({only: key} for key in keys)
+        else:
+            bindings = (dict(zip(variables, key)) for key in keys)
+        return itertools.chain.from_iterable(
+            self.rows(pattern.substitute(binding)) for binding in bindings
+        )
 
     # ------------------------------------------------------------------
     # Identity

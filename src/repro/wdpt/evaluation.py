@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import time
 from operator import mul
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core.database import Database
 from ..core.mappings import Mapping, maximal_mappings
@@ -66,9 +66,10 @@ from ..relalg.relation import (
     Row,
     from_mappings,
     group_by,
+    key_getter,
     project,
-    row_getter,
     to_mappings,
+    tuples_at,
 )
 from ..telemetry.resources import account_rows, account_subquery
 from ..telemetry.tracer import current_tracer
@@ -177,6 +178,7 @@ class _TreeEvaluation:
             rel = from_mappings(
                 (h for s in seeds for h in cq_homomorphisms(label, self.db, s)),
                 schema,
+                self.db,
             )
         account_rows(len(rel))
         if self.relations is not None:
@@ -193,7 +195,7 @@ class _TreeEvaluation:
         groups = group_by(self.extensions(child, found), shared) if found.rows else {}
         if self.relations is not None:
             self.seconds[child] = time.perf_counter() - start
-        key_of = row_getter([rel.index[v] for v in shared])
+        key_of = key_getter([rel.index[v] for v in shared])
         return key_of, groups, (None,) * (len(self.schema[child]) - len(shared))
 
     def extensions(self, node: int, rel: Relation) -> Relation:
@@ -204,24 +206,24 @@ class _TreeEvaluation:
         children = self.children[node] if rel.rows else ()
         branches = [self.branch(node, rel, child) for child in children]
         own = self.own[node]
-        take = row_getter([rel.index[v] for v in own])
-        rows: Iterable[Row]
+        rows: Iterable[Row] = rel.rows
+        if own != rel.schema:
+            rows = tuples_at(rel.rows, [rel.index[v] for v in own])
         if branches:
-            rows = []
-            for row in rel.rows:
-                partial = [take(row)]
+            extended: List[Row] = []
+            for row, head in zip(rel.rows, rows):
+                partial = [head]
                 for key_of, groups, padding in branches:
                     found = groups.get(key_of(row))
                     if found is None:
                         partial = [r + padding for r in partial]
                     else:
                         partial = [r + e for r in partial for e in found]
-                rows.extend(partial)
-        else:
-            rows = map(take, rel.rows)
+                extended.extend(partial)
+            rows = extended
         if len(own) < len(rel.schema):
             rows = set(rows)  # the projection may have merged rows
-        out = Relation(self.schema[node], rows)
+        out = Relation(self.schema[node], rows, rel.codec)
         account_rows(len(out))
         return out
 
@@ -242,12 +244,12 @@ class _TreeEvaluation:
             upper, lower = relations[parent_of(node)], relations[node]
             shared = [v for v in upper.schema if v in lower.index]
             keys[node] = (
-                row_getter([upper.index[v] for v in shared]),
-                row_getter([lower.index[v] for v in shared]),
+                key_getter([upper.index[v] for v in shared]),
+                key_getter([lower.index[v] for v in shared]),
             )
 
-        def total_by_key(key_of, rel: Relation, counts: List[int]) -> Dict[Row, int]:
-            totals: Dict[Row, int] = {}
+        def total_by_key(key_of, rel: Relation, counts: List[int]) -> Dict[Any, int]:
+            totals: Dict[Any, int] = {}
             for row, count in zip(rel.rows, counts):
                 key = key_of(row)
                 totals[key] = totals.get(key, 0) + count

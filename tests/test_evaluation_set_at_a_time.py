@@ -14,12 +14,19 @@ from hypothesis import strategies as st
 
 from repro.core.atoms import atom
 from repro.core.mappings import Mapping, maximal_mappings
-from repro.core.terms import Constant, Variable
+from repro.core.terms import Variable
 from repro.cqalgs.naive import count_homomorphisms
 from repro.cqalgs.yannakakis import relation_with_join_tree
 from repro.engine import Session
 from repro.relalg.config import MODES, force_kernels
-from repro.relalg.relation import Relation, group_by, scan, semijoin, to_mappings
+from repro.relalg.relation import (
+    Relation,
+    from_mappings,
+    group_by,
+    scan,
+    semijoin,
+    to_mappings,
+)
 from repro.storage import MemoryBackend, SQLiteBackend
 from repro.telemetry.tracer import tracing
 from repro.wdpt.evaluation import (
@@ -155,6 +162,12 @@ PINNED = {
         _two_node([("nowhere", "?y", "?z")], ["?x", "?y", "?z"]),
         EDGES,
     ),
+    # "zero" is the first constant the memory backend interns: code 0, in
+    # a column the failed branches pad with None — a value, not unbound.
+    "code 0 in a padded column": (
+        _two_node([("F", "?z", "?y")], ["?x", "?y", "?z"]),
+        [atom("F", "zero", 2)] + EDGES,
+    ),
     # Each atom alone lets (1, 4) and (3, 2) through; only the semi-join
     # on the whole interface {x, y} rejects them.
     "interface over two atoms": (
@@ -200,14 +213,14 @@ def test_seeded_yannakakis_is_the_semijoin_of_the_unseeded_answers():
     x, y, u = Variable("x"), Variable("y"), Variable("u")
     atoms = [atom("A", "?x", "?u"), atom("B", "?y", "?u")]
     links = [(1, 0)]
-    seeds = [
-        Relation((x, y), [(Constant(1), Constant(2)), (Constant(3), Constant(2))]),
-        Relation((x,), [(Constant(3),), (Constant(7),)]),
-        Relation((), [()]),
-        Relation((x,), []),
-    ]
     for backend in BACKENDS:
         db = backend(facts)
+        seeds = [
+            from_mappings([Mapping({x: 1, y: 2}), Mapping({x: 3, y: 2})], (x, y), db),
+            from_mappings([Mapping({x: 3}), Mapping({x: 7})], (x,), db),
+            from_mappings([Mapping()], (), db),
+            from_mappings([], (x,), db),
+        ]
         limits = [None, 1] if backend is SQLiteBackend else [None]
         for mode in MODES:
             for limit in limits:
@@ -297,11 +310,35 @@ def test_node_stats_count_path_homomorphisms():
 # ---------------------------------------------------------------------------
 # relalg: seeded scan and group-by
 # ---------------------------------------------------------------------------
-class _CountingBackend(MemoryBackend):
-    __slots__ = ("matches",)
+class _CountingMemory(MemoryBackend):
+    """Records the reads a scan makes through the cell seam: ``"rows"``
+    per full read, the key count per compiled probe."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, facts):
+        self.reads = []
+        super().__init__(facts)
+
+    def rows(self, pattern):
+        self.reads.append("rows")
+        return super().rows(pattern)
+
+    def probe(self, pattern, variables, keys):
+        self.reads.append(len(keys))
+        return super().probe(pattern, variables, keys)
+
+
+class _CountingSQLite(SQLiteBackend):
+    """The same for a backend that inherits the seam's default: every
+    read, full or per key, is one ``match``."""
+
+    def __init__(self, facts):
+        self.reads = []
+        super().__init__(facts)
 
     def match(self, pattern):
-        self.matches = getattr(self, "matches", 0) + 1
+        self.reads.append("rows" if pattern.variables() >= {Variable("a")} else 1)
         return super().match(pattern)
 
 
@@ -313,32 +350,36 @@ def test_seeded_scan_equals_scan_then_semijoin_on_both_sides_of_its_choice():
     facts = [atom("R", i, i % 7, "c") for i in range(200)]
     pattern = atom("R", "?a", "?b", "c")
     a, b, z = Variable("a"), Variable("b"), Variable("z")
-    few = Relation((a, z), [(Constant(i), Constant(0)) for i in (3, 5, 999)])
-    many = Relation((z, a), [(Constant(0), Constant(i)) for i in range(0, 400, 2)])
-    pairs = Relation((b, a), [(Constant(3), Constant(3)), (Constant(4), Constant(3))])
-    for seed, probes in ((few, 3), (many, None), (pairs, 2)):
-        db = _CountingBackend(facts)
-        expected = semijoin(scan(pattern, db), seed)
-        db.matches = 0
-        got = scan(pattern, db, seed)
-        assert _rows(got) == _rows(expected)
-        assert len(got) > 0
-        # Few keys: one index probe each.  Many: one full scan.
-        assert db.matches == (probes if probes is not None else 1)
-    db = MemoryBackend(facts)
-    assert scan(pattern, db, Relation((z,), [(Constant(0),)])).rows == scan(pattern, db).rows
-    assert scan(pattern, db, Relation((a,), [])).rows == []
-    assert scan(atom("R", 1, 1, "c"), db, few).rows == [()]
-    for backend in (SQLiteBackend(facts), MemoryBackend(facts)):
-        assert _rows(scan(pattern, backend, few)) == _rows(
-            semijoin(scan(pattern, backend), few)
-        )
+    # 999 is a constant no backend has stored: a key that matches nothing.
+    few = [Mapping({a: i, z: 0}) for i in (3, 5, 999)], (a, z)
+    many = [Mapping({z: 0, a: i}) for i in range(0, 400, 2)], (z, a)
+    pairs = [Mapping({b: 3, a: 3}), Mapping({b: 4, a: 3})], (b, a)
+    for backend in (_CountingMemory, _CountingSQLite):
+        db = backend(facts)
+        # 200 facts to read in full: every backend's break-even lies
+        # between few (2-3 keys) and many (200 keys).
+        assert 3 * db.probe_cost < db.match_bound(pattern) <= 200 * db.probe_cost
+        for seed, probes in ((few, 3), (many, None), (pairs, 2)):
+            seed = from_mappings(*seed, db)
+            expected = semijoin(scan(pattern, db), seed)
+            db.reads = []
+            got = scan(pattern, db, seed)
+            assert _rows(got) == _rows(expected)
+            assert len(got) > 0
+            # Few keys: one index probe each.  Many: one full read.
+            assert sum(r for r in db.reads if r != "rows") == (probes or 0)
+            assert db.reads.count("rows") == (0 if probes else 1)
+        unrelated = from_mappings([Mapping({z: 0})], (z,), db)
+        assert scan(pattern, db, unrelated).rows == scan(pattern, db).rows
+        assert scan(pattern, db, from_mappings([], (a,), db)).rows == []
+        assert scan(atom("R", 1, 1, "c"), db, from_mappings(*few, db)).rows == [()]
 
 
 def test_group_by_partitions_rows_by_key():
     x, y, z = Variable("x"), Variable("y"), Variable("z")
     rel = Relation((x, y, z), [(1, "a", 10), (1, "b", 11), (2, "a", 12)])
-    assert group_by(rel, [x]) == {(1,): [("a", 10), ("b", 11)], (2,): [("a", 12)]}
+    # One key column: the key is the bare cell, not a 1-tuple.
+    assert group_by(rel, [x]) == {1: [("a", 10), ("b", 11)], 2: [("a", 12)]}
     assert group_by(rel, [y, x])[("a", 2)] == [(12,)]
     assert group_by(rel, []) == {(): rel.rows}
     assert group_by(rel, [x, y, z])[(2, "a", 12)] == [()]

@@ -278,9 +278,9 @@ def test_debug_queries_shows_in_flight_work():
                 barrier.wait()       # query is now in flight
                 barrier.wait()       # released after the scrape
 
-        def match(self, pattern):
+        def rows(self, pattern):  # every read, ``match`` included
             self._park_once()
-            return super().match(pattern)
+            return super().rows(pattern)
 
         def match_count(self, pattern):
             self._park_once()

@@ -16,12 +16,18 @@ from repro.core.database import Database
 from repro.core.mappings import Mapping, maximal_mappings
 from repro.core.terms import Constant, Variable
 from repro.cqalgs.naive import evaluate_naive, satisfiable
-from repro.cqalgs.yannakakis import evaluate_acyclic, satisfiable_with_join_tree
+from repro.cqalgs.yannakakis import (
+    evaluate_acyclic,
+    relation_with_join_tree,
+    satisfiable_with_join_tree,
+)
+from repro.exceptions import ReproError
 from repro.hypergraphs.gyo import join_tree_of_atoms
 from repro.relalg import (
     Relation,
     dedup,
     from_mappings,
+    group_by,
     hash_join,
     project,
     scan,
@@ -53,7 +59,8 @@ def test_scan_projects_and_dedups_repeated_variables():
     db.add(Atom("E", ("b", "b")))
     rel = scan(atom("E", "?x", "?x"), db)
     assert rel.schema == (X,)
-    assert sorted(rel.rows) == [(a,), (b,)]
+    assert len(rel.rows) == 2
+    assert to_mappings(rel) == {Mapping({X: a}), Mapping({X: b})}
 
 
 def test_scan_ground_pattern_is_boolean():
@@ -134,6 +141,123 @@ def test_mapping_round_trip():
 
 
 # ---------------------------------------------------------------------------
+# Cells: what is between a scan and the Mapping boundary
+# ---------------------------------------------------------------------------
+def test_relations_over_different_codecs_do_not_mix():
+    """Codes of two dictionaries, or a code and a ``Constant``, must not
+    meet in a kernel: a loud error, never an empty or wrong join."""
+    facts = [Atom("E", ("a", "b")), Atom("E", ("b", "c"))]
+    one, other = Database(facts), Database(reversed(facts))
+    scanned = scan(atom("E", "?x", "?y"), one)
+    elsewhere = scan(atom("E", "?y", "?z"), other)
+    by_hand = _rel([Y, Z], [(b, c)])
+    for kernel in (semijoin, hash_join):
+        for stranger in (elsewhere, by_hand):
+            for left, right in ((scanned, stranger), (stranger, scanned)):
+                with pytest.raises(ReproError) as error:
+                    kernel(left, right)
+                assert one.backend_id in str(error.value)
+                assert (other.backend_id in str(error.value)) is (stranger is elsewhere)
+    with pytest.raises(ReproError, match=one.backend_id):
+        scan(atom("E", "?x", "?y"), other, seed=scanned)
+    # The way across is the Mapping boundary.
+    moved = from_mappings(to_mappings(elsewhere), elsewhere.schema, one)
+    assert len(hash_join(scanned, moved)) == 1
+
+
+class _TermCalls:
+    """Counts Python-level ``Constant.__hash__`` / ``__eq__`` and
+    ``Atom.__init__`` calls while installed."""
+
+    def __init__(self, monkeypatch):
+        self.counts = {"hash": 0, "eq": 0, "atom": 0}
+        for cls, method, key in (
+            (Constant, "__hash__", "hash"), (Constant, "__eq__", "eq"),
+            (Atom, "__init__", "atom"),
+        ):
+            monkeypatch.setattr(cls, method, self._counting(getattr(cls, method), key))
+
+    def _counting(self, method, key):
+        def counted(*args):
+            self.counts[key] += 1
+            return method(*args)
+        return counted
+
+
+def test_no_term_is_hashed_or_compared_between_scan_and_boundary(monkeypatch):
+    """Structural, not wall-clock: a join-heavy CQ over the memory
+    backend touches ``Constant`` objects once per *pattern constant* —
+    never per row."""
+    db = random_graph_database(40, 160, seed=3)
+    atoms = tuple(sorted(path_cq(5).atoms))
+    links = join_tree_of_atoms(atoms)
+    frees = [Variable("x0"), Variable("x5")]
+    anchored = tuple(a.substitute({Variable("x0"): Constant(7)}) for a in atoms)
+    calls = _TermCalls(monkeypatch)
+    with force_kernels("columnar"):
+        answers = relation_with_join_tree(atoms, links, db, frees)
+        assert len(answers) > 100
+        assert calls.counts["hash"] == calls.counts["eq"] == 0
+        # One constant in one pattern: looked up when the schedule takes
+        # the atom's bound and when it scans it (and passed over once by
+        # ``args.index`` on the way to a variable's position).
+        assert len(relation_with_join_tree(anchored, links, db, frees[1:])) > 1
+        assert calls.counts["hash"] == 2 and calls.counts["eq"] <= 3
+
+
+def test_an_opt_extension_builds_no_atom_per_interface_key(monkeypatch):
+    """The ``eval_opt`` shape: a child label seeded with the interface
+    keys of its parent's rows runs on the compiled probe — no
+    ``substitute``, no ``Atom``, no term hashed per key."""
+    facts = [atom("works_in", e, e % 5) for e in range(150)]
+    facts += [atom("phone", e, 1000 + i) for e in range(0, 1500, 3) for i in (0, 1)]
+    db = Database(facts)
+    e = Variable("e")
+    calls = _TermCalls(monkeypatch)
+    with force_kernels("columnar"), tracing() as tracer:
+        parent = scan(atom("works_in", "?e", "?d"), db)
+        keys = project(parent, [e])
+        assert len(keys) == 150 and len(keys) * db.probe_cost < db.match_bound(
+            atom("phone", "?e", "?p")
+        )
+        child = relation_with_join_tree(
+            [atom("phone", "?e", "?p")], [], db, [e, Variable("p")], seed=keys
+        )
+        groups = group_by(child, [e])
+    (span,) = tracer.find("yannakakis.scan")
+    assert span.attrs["seeded_by"] == ["seed"]
+    assert span.attrs["facts_read"] == [len(child)] == [100]
+    assert len(groups) == 50
+    assert calls.counts == {"hash": 0, "eq": 0, "atom": 3}  # the three patterns above
+
+
+@pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded"])
+def test_from_mappings_keeps_constants_the_store_never_saw(kind):
+    """Packing for a database writes nothing into its dictionary: an
+    unknown constant stays itself, joins with nothing scanned, is equal
+    only to itself, and comes back out of ``to_mappings``."""
+    with Session([atom("E", 1, 2), atom("E", 2, 3)], backend=kind) as session:
+        db = session.database
+        size = None if db.codec is None else len(db.codec)
+        mappings = {
+            Mapping({X: 1, Y: "never"}), Mapping({X: 2, Y: "seen"}),
+            Mapping({X: "never", Y: 3}), Mapping({X: 2, Y: 3}),
+        }
+        packed = from_mappings(mappings, (X, Y), db)
+        assert to_mappings(packed) == mappings
+        # Three stored constants and two unknown ones: five distinct cells.
+        assert len(set(packed.rows)) == 4
+        assert len({cell for row in packed.rows for cell in row}) == 5
+        with force_kernels("columnar"):
+            scanned = scan(atom("E", "?x", "?y"), db)
+        assert to_mappings(semijoin(packed, scanned)) == {Mapping({X: 2, Y: 3})}
+        assert to_mappings(semijoin(scanned, project(packed, [X]))) == {
+            Mapping({X: 1, Y: 2}), Mapping({X: 2, Y: 3}),
+        }
+        assert size is None or len(db.codec) == size
+
+
+# ---------------------------------------------------------------------------
 # Kernel selection policy
 # ---------------------------------------------------------------------------
 class _SQLCapable:
@@ -194,6 +318,7 @@ from repro.workloads.generators import (  # noqa: E402
     path_cq,
     random_cq,
     random_database,
+    random_graph_database,
     random_wdpt,
     star_cq,
 )
@@ -205,6 +330,32 @@ def _db(seed, n_facts=25, domain_size=4):
     return random_database(
         n_facts, relations=RELATIONS, domain_size=domain_size, seed=seed
     )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    left=st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=8),
+    right=st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=8),
+    left_schema=st.permutations("abx"),
+    right_schema=st.sampled_from(["abc", "acd", "cde", "bad"]),
+    widths=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    keep=st.sets(st.sampled_from("abcdex")),
+)
+def test_join_onto_kept_columns_is_join_then_project(
+    left, right, left_schema, right_schema, widths, keep
+):
+    """``hash_join(l, r, keep)`` against ``project(hash_join(l, r), keep)``:
+    empty sides, no shared variable, ``keep`` missing a join variable,
+    zero-column sides and results."""
+    left_schema = [Variable(name) for name in left_schema[: widths[0]]]
+    right_schema = [Variable(name) for name in right_schema[: widths[1]]]
+    l = dedup(_rel(left_schema, [row[: widths[0]] for row in left]))
+    r = dedup(_rel(right_schema, [row[: widths[1]] for row in right]))
+    keep = {Variable(name) for name in keep}
+    fused, wide = hash_join(l, r, keep), project(hash_join(l, r), keep)
+    assert fused.schema == wide.schema
+    assert len(fused.rows) == len(set(fused.rows))
+    assert set(fused.rows) == set(wide.rows)
 
 
 def _acyclic_queries(seed, length, rays):

@@ -8,11 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.atoms import Schema, atom
-from repro.core.cq import ConjunctiveQuery
+from repro.core.cq import ConjunctiveQuery, cq
 from repro.core.database import Database
-from repro.core.terms import Constant
-from repro.cqalgs.yannakakis import evaluate_acyclic
+from repro.core.mappings import Mapping
+from repro.core.terms import Constant, Variable
+from repro.cqalgs.yannakakis import (
+    evaluate_acyclic,
+    relation_with_join_tree,
+    satisfiable_with_join_tree,
+)
+from repro.engine import Session
 from repro.exceptions import NotGroundError, ReproError, SchemaError
+from repro.relalg.config import MODES, force_kernels
+from repro.relalg.relation import from_mappings, scan, to_mappings
 from repro.storage import (
     BACKENDS,
     MemoryBackend,
@@ -70,16 +78,69 @@ _GROUND = st.one_of(
 def test_match_is_a_filter_over_facts(kind, facts, gone, patterns):
     """Any mix of constants, repeated variables, ground patterns, a wrong
     arity (``E``/3) and an unknown relation — before and after facts
-    leave the posting lists."""
+    leave the posting lists (some emptying a posting, a relation or the
+    store), and after half of them come back."""
     db = BACKENDS[kind](facts)
-    for removed in [()] + [gone]:
+    alive = set(facts)
+    for removed, added in ((), ()), (gone, ()), ((), gone[::2]):
         for fact in removed:
-            db.discard(fact)
+            assert db.discard(fact) is (fact in alive)
+            alive.discard(fact)
+        for fact in added:
+            assert db.add(fact) is (fact not in alive)
+            alive.add(fact)
+        decode = (lambda cell: cell) if db.codec is None else db.codec.decode
         for pattern in patterns:
-            expected = sorted(f for f in db.facts() if _unifies(pattern, f))
+            expected = sorted(f for f in alive if _unifies(pattern, f))
             assert sorted(db.match(pattern)) == expected, pattern
             assert db.match_count(pattern) == len(expected), pattern
             assert db.match_bound(pattern) >= len(expected), pattern
+            width = len(pattern.args)  # cells by argument position, no further
+            rows = sorted(tuple(map(decode, row[:width])) for row in db.rows(pattern))
+            assert rows == sorted(f.args for f in expected), pattern
+        # The index after any history is the index of a fresh load.
+        rebuilt = _state(BACKENDS[kind](alive))
+        assert rebuilt[0] == len(alive)
+        for same in (db, db.copy(), pickle.loads(pickle.dumps(db))):
+            assert _state(same) == rebuilt
+
+
+def _state(db):
+    """Everything a store says about its contents, order-insensitively."""
+    return (
+        len(db),
+        sorted(db),
+        {name: sorted(db.facts(name)) for name in sorted(db.relations())},
+        db.active_domain(),
+        db.facts("Z"),
+    )
+
+
+@pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded"])
+def test_constants_the_store_has_never_seen(kind):
+    """A pattern constant no fact holds matches nothing, on every read
+    path — and reading never writes: the term dictionary (where the
+    backend has one) is as long after a thousand such queries as before."""
+    x, y = Variable("x"), Variable("y")
+    with Session(FACTS, backend=kind, cache=False) as session:
+        db = session.database
+        terms = None if db.codec is None else len(db.codec)
+        for i in range(1000):
+            never = "never-%d" % i
+            pattern = atom("E", never, "?y")
+            assert db.match_bound(pattern) == db.match_count(pattern) == 0
+            assert list(db.rows(pattern)) == list(db.match(atom("E", "?x", never))) == []
+            assert atom("E", 1, never) not in db and not db.discard(atom("E", never, 2))
+            for mode in MODES if i % 100 == 0 else ():
+                with force_kernels(mode):
+                    assert len(scan(pattern, db)) == 0
+                    assert not satisfiable_with_join_tree([pattern], [], db)
+                    query = cq(["?x"], [atom("E", "?x", "?y"), atom("E", "?y", never)])
+                    assert session.planner.evaluate_cq(query, db) == frozenset()
+                    seed = from_mappings([Mapping({y: never}), Mapping({y: 2})], [y], db)
+                    found = relation_with_join_tree([atom("E", "?x", "?y")], [], db, [x, y], seed)
+                    assert to_mappings(found) == {Mapping({x: 1, y: 2}), Mapping({x: 2, y: 2})}
+        assert terms is None or len(db.codec) == terms
 
 
 # ---------------------------------------------------------------------------

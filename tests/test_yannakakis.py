@@ -7,9 +7,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.atoms import atom
+from repro.core.canonical import FrozenVariable
 from repro.core.cq import ConjunctiveQuery, cq
 from repro.core.database import Database
-from repro.core.terms import Constant, Variable
+from repro.core.mappings import Mapping
+from repro.core.terms import Variable
 from repro.cqalgs.enumeration import enumerate_answers
 from repro.cqalgs.naive import evaluate_naive, homomorphisms
 from repro.cqalgs.yannakakis import (
@@ -23,7 +25,7 @@ from repro.engine import Session
 from repro.exceptions import ClassMembershipError
 from repro.hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
 from repro.relalg.config import force_kernels
-from repro.relalg.relation import Relation, scan, to_mappings
+from repro.relalg.relation import from_mappings, scan, to_mappings
 from repro.storage import MemoryBackend, SQLiteBackend
 from repro.telemetry.tracer import tracing
 from repro.workloads.datasets import music_catalog
@@ -105,15 +107,20 @@ def test_theta_family_is_acyclic_and_agrees():
 #: relation), ``T`` gets enough for an index probe to beat a full scan.
 RELATIONS = {"E": (2, 9), "F": (2, 9), "T": (3, 27), "U": (1, 3), "Z": (2, 0)}
 VALUES = (0, 1, 2)
+#: Payloads whose equality is not identity: ``1``, ``1.0`` and ``True``
+#: are one constant, ``"1"`` is another, and ``None``, a tuple and a
+#: frozen variable are constants like any other.
+PAYLOADS = (1, 1.0, True, "1", None, (1, 2), FrozenVariable(Variable("x")))
 
 
 @st.composite
-def acyclic_cq_and_facts(draw):
+def acyclic_cq_and_facts(draw, values=VALUES):
     """An acyclic CQ grown ear by ear — every new atom takes its old
     variables from one earlier atom (possibly none: a join-tree edge with
     no shared variable) — with constants at any position (ground atoms,
     multi-constant ``T`` patterns), repeated variables, now and then the
-    empty relation; a database; free variables; maybe a seed over some."""
+    empty relation; a database; free variables; maybe a seed over some:
+    ``(schema, mappings)``, packed per backend by :func:`_packed`."""
     atoms, fresh = [], 0
     for _ in range(draw(st.integers(1, 4))):
         relation = draw(st.sampled_from("EEEFFFTTTTUZ"))
@@ -121,20 +128,20 @@ def acyclic_cq_and_facts(draw):
         args = []
         for _ in range(RELATIONS[relation][0]):
             kind = draw(st.sampled_from(["old"] * 3 + ["new", "new", "constant", "constant", "repeat"]))
-            mine = [a for a in args if isinstance(a, str)]
+            mine = [a for a in args if isinstance(a, str) and a.startswith("?")]
             if kind == "old" and old:
                 args.append("?" + draw(st.sampled_from(old)).name)
             elif kind == "repeat" and mine:
                 args.append(draw(st.sampled_from(mine)))
             elif kind == "constant":
-                args.append(draw(st.sampled_from(VALUES)))
+                args.append(draw(st.sampled_from(values)))
             else:
                 fresh += 1
                 args.append("?v%d" % fresh)
         atoms.append(atom(relation, *args))
     atoms = sorted(set(atoms))
     facts = {
-        atom(relation, *[draw(st.sampled_from(VALUES)) for _ in range(arity)])
+        atom(relation, *[draw(st.sampled_from(values)) for _ in range(arity)])
         for relation, (arity, most) in RELATIONS.items()
         for _ in range(draw(st.integers(most // 3, most)))
     }
@@ -143,17 +150,22 @@ def acyclic_cq_and_facts(draw):
     seed = None
     if frees and draw(st.integers(0, 2)):
         schema = sorted(draw(st.sets(st.sampled_from(sorted(frees)), min_size=1)))
-        seed = Relation(schema, {
-            tuple(Constant(draw(st.sampled_from(VALUES))) for _ in schema)
+        seed = schema, [
+            Mapping({v: draw(st.sampled_from(values)) for v in schema})
             for _ in range(draw(st.integers(1, 6)))
-        })
+        ]
     return atoms, sorted(facts), frozenset(frees), seed
 
 
 def _joins(h, seed):
     return seed is None or any(
-        all(h[v] == c for v, c in zip(seed.schema, row)) for row in seed.rows
+        all(h[v] == key[v] for v in seed[0]) for key in seed[1]
     )
+
+
+def _packed(seed, db):
+    """The drawn seed as a relation over ``db``'s cells."""
+    return None if seed is None else from_mappings(seed[1], seed[0], db)
 
 
 CONFIGURATIONS = (MemoryBackend, SQLiteBackend)
@@ -180,7 +192,7 @@ _ACYCLIC = settings(
     [atom("R", "?x", "?y"), atom("S", "?y", "c")],
     [atom("R", x, 10) for x in range(1, 5)] + [atom("S", 10, "c")],
     frozenset({Variable("x")}),
-    Relation([Variable("x")], [(Constant(1),), (Constant(2),), (Constant(9),)]),
+    ([Variable("x")], [Mapping({"?x": value}) for value in (1, 2, 9)]),
 ))
 def test_scan_schedule_stays_between_full_reduction_and_plain_scan(case):
     atoms, facts, frees, seed = case
@@ -191,7 +203,7 @@ def test_scan_schedule_stays_between_full_reduction_and_plain_scan(case):
     expected = frozenset(h.restrict(frees) for h in homs)
     for backend in CONFIGURATIONS:
         with _configured(backend, facts) as (db, config):
-            relations = scan_schedule(atoms, links, db, seed)
+            relations = scan_schedule(atoms, links, db, _packed(seed, db))
             if relations is None:
                 assert not homs, config
             else:
@@ -200,9 +212,11 @@ def test_scan_schedule_stays_between_full_reduction_and_plain_scan(case):
                     assert rel.schema == plain.schema, config
                     assert set(rel.rows) <= set(plain.rows), config
                     assert len(set(rel.rows)) == len(rel.rows), config
-                    reduced = {tuple(h[v] for v in rel.schema) for h in homs}
-                    assert reduced <= set(rel.rows), config
-            answers = relation_with_join_tree(atoms, links, db, frees, seed=seed)
+                    reduced = from_mappings(homs, rel.schema, db)
+                    assert set(reduced.rows) <= set(rel.rows), config
+            answers = relation_with_join_tree(
+                atoms, links, db, frees, seed=_packed(seed, db)
+            )
             assert to_mappings(answers) == expected, config
             if seed is None:
                 assert satisfiable_with_join_tree(atoms, links, db) is bool(homs), config
@@ -223,8 +237,26 @@ def test_semijoin_program_ends_in_the_full_reduction(case):
             )
             assert alive is bool(homs), config
             for rel in relations if alive else ():
-                used = {tuple(h[v] for v in rel.schema) for h in homs}
+                used = set(from_mappings(homs, rel.schema, db).rows)
                 assert len(rel.rows) == len(used) and set(rel.rows) == used, config
+
+
+@_ACYCLIC
+@given(acyclic_cq_and_facts(PAYLOADS))
+def test_payload_equality_classes_survive_the_term_dictionary(case):
+    """Cells are codes of equality classes of payloads, as the index keys
+    of the store always were: answers (seeded or not, set or stream)
+    equal the backtracking search's over every kind of payload."""
+    atoms, facts, frees, seed = case
+    db = MemoryBackend(facts)
+    homs = [h for h in homomorphisms(atoms, db) if _joins(h, seed)]
+    with force_kernels("columnar"):
+        answers = relation_with_join_tree(
+            atoms, join_tree_of_atoms(atoms), db, frees, seed=_packed(seed, db)
+        )
+        assert to_mappings(answers) == frozenset(h.restrict(frees) for h in homs)
+        query = ConjunctiveQuery(sorted(frees), atoms)
+        assert frozenset(enumerate_answers(query, db)) == evaluate_naive(query, db)
 
 
 @_ACYCLIC
@@ -278,11 +310,11 @@ def test_schedule_asks_for_one_bound_per_atom():
     facts = [atom("R", x, x % 3) for x in range(40)] + [atom("S", 1, "c")]
     atoms = [atom("R", "?x", "?y"), atom("S", "?y", "c")]
     x = Variable("x")
-    seed = Relation([x], [(Constant(1),), (Constant(4),), (Constant(5),)])
     db = Counting(facts)
+    seed = from_mappings([Mapping({x: value}) for value in (1, 4, 5)], [x], db)
     with force_kernels("columnar"):
         rel = relation_with_join_tree(atoms, [(1, 0)], db, {x}, seed=seed)
-    assert sorted(rel.rows) == [(Constant(1),), (Constant(4),)]
+    assert to_mappings(rel) == {Mapping({x: 1}), Mapping({x: 4})}
     assert db.bounds == 2
     # A lone atom is ordered against nobody: only a seeded scan wants its bound.
     db.bounds = 0
