@@ -14,7 +14,7 @@ constants already present in a query and can always be inverted.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .atoms import Atom
 from .database import Database
@@ -63,18 +63,27 @@ def freezing_of(variables: Iterable[Variable]) -> Mapping:
     return Mapping({v: freeze_variable(v) for v in variables})
 
 
-def freeze_atoms(atoms: Iterable[Atom]) -> Tuple[Atom, ...]:
-    """Freeze every variable of ``atoms`` (result atoms are ground)."""
+def freeze_atoms(
+    atoms: Iterable[Atom], freezing: Optional[Dict[Variable, Constant]] = None
+) -> Tuple[Atom, ...]:
+    """Freeze every variable of ``atoms`` (result atoms are ground).
+
+    Each variable is frozen once: ``freezing`` memoises ``variable →
+    frozen constant`` — pass one dict to several calls to share it (and
+    to read the constants back)."""
+    if freezing is None:
+        freezing = {}
     out = []
     for a in atoms:
-        out.append(
-            Atom(
-                a.relation,
-                tuple(
-                    freeze_variable(t) if isinstance(t, Variable) else t for t in a.args
-                ),
-            )
-        )
+        args = []
+        for t in a.args:
+            if isinstance(t, Variable):
+                frozen = freezing.get(t)
+                if frozen is None:
+                    frozen = freezing[t] = freeze_variable(t)
+                t = frozen
+            args.append(t)
+        out.append(Atom(a.relation, args))
     return tuple(out)
 
 

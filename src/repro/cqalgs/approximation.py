@@ -22,7 +22,7 @@ approximations (Theorem 18).
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 from ..core.cq import ConjunctiveQuery
 from ..exceptions import ConstantsNotSupportedError
@@ -34,6 +34,31 @@ from .cores import core
 from .quotients import enumerate_quotients
 
 ClassTest = Callable[[ConjunctiveQuery], bool]
+
+T = TypeVar("T")
+
+
+def maximal_up_to_equivalence(items: Sequence[T], below: Callable[[T, T], bool]) -> List[T]:
+    """The ``below``-maximal elements of ``items``, one per equivalence
+    class (the first in order), for a preorder ``below`` — containment of
+    CQs here, subsumption of WDPTs in :mod:`repro.wdpt.approximation`.
+    Each ordered pair is decided at most once, however often the two
+    passes (strictly below someone? equivalent to one already kept?) ask."""
+    table: Dict[Tuple[int, int], bool] = {}
+
+    def known(i: int, j: int) -> bool:
+        if (i, j) not in table:
+            table[i, j] = below(items[i], items[j])
+        return table[i, j]
+
+    everyone = range(len(items))
+    kept: List[int] = []
+    for i in everyone:
+        if any(j != i and known(i, j) and not known(j, i) for j in everyone):
+            continue
+        if not any(known(i, k) and known(k, i) for k in kept):
+            kept.append(i)
+    return [items[i] for i in kept]
 
 
 def in_tw(k: int) -> ClassTest:
@@ -70,18 +95,8 @@ def approximations(
     if class_test(query):
         return [core(query)]
     candidates = [q for q in enumerate_quotients(query) if class_test(q)]
-    maximal: List[ConjunctiveQuery] = []
-    for q in candidates:
-        if any(is_properly_contained_in(q, other) for other in candidates):
-            continue
-        maximal.append(q)
-    # Deduplicate up to equivalence.
-    unique: List[ConjunctiveQuery] = []
-    for q in maximal:
-        if not any(is_contained_in(q, u) and is_contained_in(u, q) for u in unique):
-            unique.append(core(q))
-    unique.sort(key=repr)
-    return unique
+    maximal = maximal_up_to_equivalence(candidates, is_contained_in)
+    return sorted((core(q) for q in maximal), key=repr)
 
 
 def tw_approximations(query: ConjunctiveQuery, k: int) -> List[ConjunctiveQuery]:

@@ -10,6 +10,7 @@ in ``B`` (constants are fixed).  We reduce to database homomorphisms: map
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Mapping as TMapping, Optional
 
 from ..core.atoms import Atom
@@ -41,19 +42,15 @@ def query_homomorphisms(
 
     ``fixed`` pins selected source variables to a target variable or
     constant (used e.g. to force free variables onto themselves in
-    containment tests).
+    containment tests); ``limit`` caps the number of results (``0``: none).
     """
     target_db = canonical_database_of_atoms(target)
     pre: Dict[Variable, Constant] = {}
     if fixed:
         for var, value in fixed.items():
             pre[var] = freeze_variable(value) if isinstance(value, Variable) else value
-    produced = 0
-    for h in _source_homomorphisms(source, target_db, Mapping(pre), limit):
+    for h in islice(_source_homomorphisms(source, target_db, Mapping(pre), limit), limit):
         yield _unfreeze(h)
-        produced += 1
-        if limit is not None and produced >= limit:
-            return
 
 
 def _source_homomorphisms(

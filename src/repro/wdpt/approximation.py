@@ -44,7 +44,7 @@ from ..exceptions import (
     SchemaError,
 )
 from ..cqalgs.approximation import approximations as cq_approximations
-from ..cqalgs.approximation import in_beta_hw, in_tw
+from ..cqalgs.approximation import in_beta_hw, in_tw, maximal_up_to_equivalence
 from ..cqalgs.cores import semantically_in_beta_hw, semantically_in_tw
 from .classes import WB_TW, is_in_wb
 from .subsumption import is_properly_subsumed_by, is_subsumed_by, is_subsumption_equivalent
@@ -205,22 +205,13 @@ def wb_approximations(p: WDPT, k: int, variant: str = WB_TW) -> List[WDPT]:
     if p.is_single_node():
         class_test = in_tw(k) if variant == WB_TW else in_beta_hw(k)
         return [WDPT.from_cq(q) for q in cq_approximations(p.to_cq(), class_test)]
-    in_class: List[WDPT] = []
-    for candidate in candidate_space(p):
-        if is_in_wb(candidate, k, variant) and is_subsumed_by(candidate, p):
-            in_class.append(candidate)
-    maximal: List[WDPT] = []
-    for q in in_class:
-        if any(is_properly_subsumed_by(q, other) for other in in_class):
-            continue
-        maximal.append(q)
-    # Deduplicate up to ≡ₛ.
-    unique: List[WDPT] = []
-    for q in maximal:
-        if not any(is_subsumption_equivalent(q, u) for u in unique):
-            unique.append(q)
-    unique.sort(key=repr)
-    return unique
+    in_class = [
+        candidate
+        for candidate in candidate_space(p)
+        if is_in_wb(candidate, k, variant) and is_subsumed_by(candidate, p)
+    ]
+    maximal = maximal_up_to_equivalence(in_class, is_subsumed_by)
+    return sorted(maximal, key=repr)
 
 
 def wb_approximation(p: WDPT, k: int, variant: str = WB_TW) -> WDPT:

@@ -71,11 +71,10 @@ def subtree_satisfiable(
     and 16 reduce to, run on the engine ``planner`` routes the subtree's
     unsubstituted shape to, or as the backtracking search without one."""
     account_subquery()
-    bind = h.as_dict()
     if planner is None:
-        return satisfiable([a.substitute(bind) for a in p.atoms_of(subtree)], db)
+        return satisfiable(p.atoms_of(subtree), db, h)
     return planner.satisfiable_substituted(
-        planner.profile_wdpt(p).subtree_profile(subtree), bind, db
+        planner.profile_wdpt(p).subtree_profile(subtree), h.as_dict(), db
     )
 
 

@@ -23,17 +23,17 @@ from .wdpt import WDPT
 
 
 def top_node_of_variable(p: WDPT, v: Variable) -> int:
-    """The unique node mentioning ``v`` closest to the root.
+    """The unique node mentioning ``v`` closest to the root (connectedness
+    makes it an ancestor of every other node mentioning ``v``).
 
     Raises ``KeyError`` if ``v`` does not occur in ``p``.
     """
-    holders = [n for n in p.tree.nodes() if v in p.node_variables(n)]
-    if not holders:
-        raise KeyError("variable %r does not occur in the pattern tree" % (v,))
-    # Connectedness ⇒ the minimum-depth holder is unique and an ancestor of
-    # all others; node ids are topologically ordered so the smallest id of
-    # minimal depth is the top node.
-    return min(holders, key=lambda n: (p.tree.depth(n), n))
+    try:
+        return p.top_nodes()[v]
+    except KeyError:
+        raise KeyError(
+            "variable %r does not occur in the pattern tree" % (v,)
+        ) from None
 
 
 def minimal_subtree_containing(p: WDPT, variables: Iterable[Variable]) -> FrozenSet[int]:

@@ -27,7 +27,6 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, TY
 
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
-from ..core.canonical import canonical_database_of_atoms, freezing_of
 from ..core.mappings import Mapping, maximal_mappings
 from ..cqalgs.approximation import in_beta_hw, in_tw, union_approximation
 from ..cqalgs.containment import reduce_union
@@ -36,7 +35,7 @@ from .classes import WB_TW
 from .evaluation import evaluate as wdpt_evaluate
 from .max_eval import extension_exists
 from .partial_eval import partial_eval as wdpt_partial_eval
-from .subtrees import subtree_free_variables
+from .subsumption import unsubsumed_subtree
 from .wdpt import WDPT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -171,13 +170,10 @@ def union_subsumed_by(phi1: UWDPT, phi2: UWDPT) -> bool:
     frozen free part of ``S`` must be a partial answer of ``φ₂`` over the
     canonical database of ``q_S``.
     """
-    for p in phi1:
-        for subtree in p.tree.rooted_subtrees():
-            db = canonical_database_of_atoms(p.atoms_of(subtree))
-            nu = freezing_of(subtree_free_variables(p, subtree))
-            if not union_partial_eval(phi2, db, nu):
-                return False
-    return True
+    def partial_answer(db: Database, nu: Mapping) -> bool:
+        return union_partial_eval(phi2, db, nu)
+
+    return all(unsubsumed_subtree(p, partial_answer) is None for p in phi1)
 
 
 def union_subsumption_equivalent(phi1: UWDPT, phi2: UWDPT) -> bool:

@@ -23,6 +23,7 @@ paper and keeps per-node CQs well-formed.
 from __future__ import annotations
 
 from typing import (
+    Dict,
     FrozenSet,
     Iterable,
     List,
@@ -34,6 +35,7 @@ from typing import (
 )
 
 from ..core.atoms import Atom, constants_of, variables_of
+from ..core.canonical import freeze_atoms
 from ..core.cq import ConjunctiveQuery
 from ..core.terms import Constant, Variable, term
 from ..exceptions import NotWellDesignedError, SchemaError
@@ -63,7 +65,10 @@ class WDPT:
         On malformed labels or free variables.
     """
 
-    __slots__ = ("tree", "labels", "free_variables", "_node_vars", "_hash", "_fingerprint")
+    __slots__ = (
+        "tree", "labels", "free_variables", "_node_vars", "_hash", "_fingerprint",
+        "_top_nodes", "_frozen",
+    )
 
     def __init__(
         self,
@@ -102,6 +107,8 @@ class WDPT:
         self._check_well_designed()
         self._hash = hash((self.tree, self.labels, self.free_variables))
         self._fingerprint: Optional[str] = None
+        self._top_nodes: Optional[Dict[Variable, int]] = None
+        self._frozen: Optional[Tuple[Tuple[Tuple[Atom, ...], ...], Dict[Variable, Constant]]] = None
 
     # ------------------------------------------------------------------
     # Structure
@@ -162,6 +169,30 @@ class WDPT:
                 parts.append(";".join(repr(a) for a in sorted(label)))
             self._fingerprint = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
         return self._fingerprint
+
+    def top_nodes(self) -> Dict[Variable, int]:
+        """``variable → its top node``: the node mentioning it closest to
+        the root (unique by well-designedness; node ids are parents-first,
+        so it is the smallest id).  Computed once per tree."""
+        if self._top_nodes is None:
+            top: Dict[Variable, int] = {}
+            for node in reversed(self.tree.nodes()):
+                top.update(dict.fromkeys(self._node_vars[node], node))
+            self._top_nodes = top
+        return self._top_nodes
+
+    def frozen_labels(self) -> Tuple[Tuple[Tuple[Atom, ...], ...], Dict[Variable, Constant]]:
+        """``(labels, freezing)``: every node's label as ground atoms over
+        frozen variables, and the ``variable → frozen constant`` map they
+        share — the building blocks of the canonical databases ``D_S`` of
+        Section 4.  Computed once per tree."""
+        if self._frozen is None:
+            freezing: Dict[Variable, Constant] = {}
+            self._frozen = (
+                tuple(freeze_atoms(label, freezing) for label in self.labels),
+                freezing,
+            )
+        return self._frozen
 
     # ------------------------------------------------------------------
     # Derived CQs
