@@ -46,7 +46,7 @@ Usage::
   ``--shards N`` hash-partitions the data across N long-lived worker
   processes and evaluates distributively (``repro.dist``; also via
   ``REPRO_BACKEND=sharded`` + ``REPRO_SHARDS``), and ``--no-cache``
-  disables the version-keyed result cache.
+  disables the version-stamped result cache.
   ``--stats-store STATS.json`` accumulates per-query-shape statistics
   (resumed across runs), and ``--serve-debug PORT`` serves ``/metrics``,
   ``/healthz`` and ``/debug/{queries,plans,stats}`` during the run
@@ -654,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--no-cache", action="store_true",
-        help="disable the version-keyed result cache",
+        help="disable the version-stamped result cache",
     )
     p_run.add_argument(
         "--stats-store", metavar="STATS.json", default=None,

@@ -37,10 +37,14 @@ selects the storage kind, and ``path=`` puts a SQLite session on disk:
     >>> s.size
     0
 
-Finished answers are memoized in a version-keyed
+Finished answers are memoized in a version-stamped
 :class:`~repro.storage.cache.ResultCache`: repeating a query against an
-unmodified database is a cache hit, and any ``add``/``update``/``remove``
-bumps the backend's data version so stale entries are never served.
+unmodified database is a cache hit.  Every write moves the backend's data
+version, and an entry is served only at the version it is stamped with;
+a write made *through the session* (:meth:`Session.add`,
+:meth:`Session.remove`, :meth:`Session.add_triples`) re-stamps the
+entries of the queries the written facts provably cannot reach
+(:func:`repro.wdpt.touch.can_touch`), so those stay hits.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Union
 
 from .core.atoms import Atom
 from .core.database import Database
@@ -72,6 +76,7 @@ from .wdpt.evaluation import evaluate, evaluate_max
 from .wdpt.explain import WDPTProfile
 from .wdpt.max_eval import max_eval
 from .wdpt.partial_eval import partial_eval
+from .wdpt.touch import can_touch
 from .wdpt.wdpt import WDPT
 from .wdpt.witness import AnswerWitness, witness
 
@@ -172,7 +177,7 @@ class Session:
       variable, else 2.  A session that built its own sharded backend
       shuts the shard processes down in :meth:`close`;
     * ``cache=`` — the result cache: ``True``/``None`` (default) enables
-      a version-keyed :class:`~repro.storage.cache.ResultCache`,
+      a version-stamped :class:`~repro.storage.cache.ResultCache`,
       ``False`` disables caching, or pass a ``ResultCache`` to share one;
     * ``cache_size=`` — LRU bound of the default cache;
     * ``planner=`` — share an existing :class:`Planner` (warmed caches)
@@ -251,7 +256,7 @@ class Session:
         # shard processes of an owned sharded backend.
         self._owned_backend = kind is not None and self.database is not data
         self.planner = planner if planner is not None else Planner()
-        #: Version-keyed finished-answer cache (``repro.storage.cache``);
+        #: Version-stamped finished-answer cache (``repro.storage.cache``);
         #: ``None`` when caching is disabled.
         self.result_cache: Optional[ResultCache]
         if isinstance(cache, ResultCache):
@@ -527,21 +532,21 @@ class Session:
             "stats": self.debug_stats,
         }
 
-    def _cache_key(self, op: str, p: WDPT, extra=None):
-        """The :class:`ResultCache` key of one evaluation call, or
-        ``None`` when caching is off (or bypassed by ``analyze`` on this
-        thread — EXPLAIN ANALYZE must measure a real execution)."""
+    def _cache_slot(self, op: str, p: WDPT, extra=None):
+        """``(key, stamp)`` of one evaluation call — its
+        :class:`ResultCache` slot and the data version an entry must be
+        stamped with to answer it — or ``None`` when caching is off (or
+        bypassed by ``analyze`` on this thread — EXPLAIN ANALYZE must
+        measure a real execution)."""
         if self.result_cache is None:
             return None
         if getattr(self._cache_bypass, "active", False):
             return None
-        return ResultCache.key(
-            op,
-            p.structural_fingerprint(),
-            self.database.backend_id,
-            self.database.data_version,
-            extra=extra,
+        db = self.database
+        key = ResultCache.key(
+            op, p.structural_fingerprint(), db.backend_id, extra=extra
         )
+        return key, db.data_version
 
     def _note_cache(self, obs: Optional[QueryObservation], outcome: str) -> None:
         """Emit a ``query.cache`` obslog record (hit or miss) and note
@@ -597,9 +602,9 @@ class Session:
                 profile = self.planner.profile_wdpt(p)  # warm the shared analysis
             if obs is not None:
                 obs.parsed(p)
-            key = self._cache_key(op, p)
-            if key is not None:
-                answers = self.result_cache.get(key)
+            slot = self._cache_slot(op, p)
+            if slot is not None:
+                answers = self.result_cache.get(*slot)
                 if answers is not None:
                     self._note_cache(obs, "hit")
                     return Result(self, p, answers)
@@ -607,8 +612,8 @@ class Session:
             start = time.perf_counter()
             answers = evaluator(p, self.database, profile)
             self.planner.record_engine(engine, time.perf_counter() - start)
-            if key is not None:
-                self.result_cache.put(key, answers)
+            if slot is not None:
+                self.result_cache.put(*slot, answers, p)
         return Result(self, p, answers)
 
     def ask(self, query: Query, candidate: Mapping) -> bool:
@@ -649,16 +654,16 @@ class Session:
             p = self.parse(query)
             if obs is not None:
                 obs.parsed(p)
-            key = self._cache_key(op, p, extra=candidate)
-            if key is not None:
-                decision = self.result_cache.get(key)
+            slot = self._cache_slot(op, p, extra=candidate)
+            if slot is not None:
+                decision = self.result_cache.get(*slot)
                 if decision is not None:
                     self._note_cache(obs, "hit")
                     return decision
                 self._note_cache(obs, "miss")
             decision = procedure(p, self.database, candidate, planner=self.planner)
-            if key is not None:
-                self.result_cache.put(key, decision)
+            if slot is not None:
+                self.result_cache.put(*slot, decision, p)
             return decision
 
     def explain(self, query: Query) -> WDPTProfile:
@@ -746,22 +751,73 @@ class Session:
         return len(self.database)
 
     def add(self, fact: Atom) -> bool:
-        """Insert a fact (answers of previous Results are snapshots;
-        the data version moves, so cached results are not reused)."""
-        return self.database.add(fact)
+        """Insert a fact; ``True`` iff it was new.  Answers of previous
+        Results are snapshots.  The data version moves, and with it the
+        stamp of every cached result ``fact`` cannot touch
+        (:meth:`_write`); the others are dropped."""
+        return bool(self._write([fact], lambda: int(self.database.add(fact)), False))
 
     def remove(self, fact: Atom) -> None:
         """Delete a fact (:exc:`KeyError` when absent); like :meth:`add`,
-        this bumps the data version and so invalidates cached results."""
-        self.database.remove(fact)
+        this keeps the cached results ``fact`` could not touch while it
+        was there and drops the rest."""
+        self._write([fact], lambda: self.database.remove(fact) or 1, True)
 
     def add_triples(self, triples: Iterable) -> int:
-        """Insert RDF triples into the ``triple/3`` relation."""
+        """Insert RDF triples into the ``triple/3`` relation (one
+        transaction on SQLite); returns how many were new.  A cached
+        result survives iff none of the triples can touch it."""
         from .rdf.graph import TRIPLE_RELATION
 
-        return self.database.update(
-            Atom(TRIPLE_RELATION, t) for t in triples
-        )
+        facts = [Atom(TRIPLE_RELATION, t) for t in triples]
+        return self._write(facts, lambda: self.database.update(facts), False)
+
+    def _write(self, facts: List[Atom], apply: Callable[[], int], deleting: bool) -> int:
+        """The one way a session writes: run ``apply`` (which returns how
+        many of ``facts`` it wrote) and carry the cached results the
+        write provably cannot touch across it.
+
+        A cached query is *untouched* when :func:`~repro.wdpt.touch.
+        can_touch` fails for every fact, tested over the store that holds
+        the facts — after an insert, before a delete.  Its entries
+        (``query``, ``query_maximal`` and every per-candidate decision
+        share the verdict) are re-stamped ``before → after``; the entries
+        of touched queries are deleted.  Nothing is carried unless the
+        version moved by exactly what this call wrote: after a racing
+        writer, or a backend that counts differently, the entries keep
+        their old stamp and miss."""
+        db, cache = self.database, self.result_cache
+        if cache is None:
+            return apply()
+        with current_tracer().span("session.write") as sp:
+            before = db.data_version
+            verdicts: Dict[WDPT, bool] = {}
+
+            def probe() -> None:
+                for p in cache.queries(db.backend_id, before):
+                    verdicts[p] = not any(can_touch(p, db, f) for f in facts)
+
+            if deleting:
+                probe()
+            written = apply()
+            after = db.data_version
+            if after == before:
+                return written
+            carried = dropped = 0
+            if after - before == written:
+                if not deleting:
+                    probe()
+                carried, dropped = cache.advance(
+                    db.backend_id, before, after, lambda p: verdicts.get(p, False)
+                )
+            counts = {
+                "facts": written, "probed": len(verdicts),
+                "carried": carried, "dropped": dropped,
+            }
+            sp.set(**counts)
+            if self.obslog is not None:
+                self.obslog.emit("cache.carry", **counts)
+            return written
 
     def __repr__(self) -> str:
         return "Session(%d facts, %d cached queries)" % (

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
 
 
 class PlanCache:
@@ -85,6 +85,18 @@ class PlanCache:
         endpoint renders the cache contents from it."""
         with self._lock:
             return list(self._data.items())
+
+    def rewrite(self, fn: Callable[[Hashable, Any], Optional[Any]]) -> None:
+        """Replace every value by ``fn(key, value)`` in one step under
+        the lock; an entry whose new value is ``None`` is deleted.
+        Recency and the counters are left alone."""
+        with self._lock:
+            for key, value in list(self._data.items()):
+                new = fn(key, value)
+                if new is None:
+                    del self._data[key]
+                elif new is not value:
+                    self._data[key] = new
 
     def __len__(self) -> int:
         return len(self._data)

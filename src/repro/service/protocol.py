@@ -224,8 +224,10 @@ class AnswerEncoder:
     Fragments are keyed by the *identity* of the answer ``frozenset`` and
     held through a weak reference to it: a
     :class:`~repro.storage.cache.ResultCache` entry and its encoding are
-    dropped together, whether the entry is evicted or a write rotates
-    the ``data_version`` in its key.  No bound or invalidation of its own
+    dropped together — when the entry is evicted, replaced by a
+    recomputed answer, or dropped by a write that can touch its query —
+    and kept together: a write that carries an entry re-stamps it around
+    the same ``frozenset``.  No bound or invalidation of its own
     — a set that nothing caches is encoded for its one response and
     forgotten with it.  Safe to call from any thread.
     """

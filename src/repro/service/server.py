@@ -8,7 +8,7 @@ owns
   :class:`~repro.planner.planner.Planner`, so parsed queries, structural
   profiles, and EXPLAINs warm across *all* tenants;
 * a pool of **warm per-tenant** :class:`~repro.engine.Session`\\ s, each
-  carrying its tenant's private version-keyed
+  carrying its tenant's private version-stamped
   :class:`~repro.storage.cache.ResultCache`, its tier's
   :class:`~repro.telemetry.resources.ResourceBudget`, and a
   tenant-stamped view of the shared obslog;

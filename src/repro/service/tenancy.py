@@ -12,7 +12,7 @@ enforces per tenant:
 * ``budget`` — the per-query :class:`~repro.telemetry.resources.
   ResourceBudget` (wall/memory/intermediate-rows soft+hard limits)
   applied to every query the tenant runs;
-* ``cache_size`` — the LRU bound of the tenant's private version-keyed
+* ``cache_size`` — the LRU bound of the tenant's private version-stamped
   :class:`~repro.storage.cache.ResultCache`.
 
 Tenants are declared in a JSON file (``repro serve --tenants FILE``)::

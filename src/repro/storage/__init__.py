@@ -1,4 +1,4 @@
-"""Pluggable storage backends and the version-keyed result cache.
+"""Pluggable storage backends and the version-stamped result cache.
 
 The evaluation engines (:mod:`repro.wdpt`, :mod:`repro.cqalgs`) run
 against any :class:`~repro.storage.base.StorageBackend`:
@@ -14,10 +14,12 @@ against any :class:`~repro.storage.base.StorageBackend`:
   Yannakakis running as a distributed shard program.
 
 Every backend maintains a monotonically increasing **data version**
-bumped on each mutation; :class:`~repro.storage.cache.ResultCache` keys
-finished answers by ``(query fingerprint, backend id, data version)``,
-so repeated queries are cache hits and any write invalidates exactly by
-moving the version forward.  Select a backend with
+bumped on each mutation; :class:`~repro.storage.cache.ResultCache` files
+finished answers under ``(query fingerprint, backend id)`` and stamps
+them with the data version, so repeated queries are cache hits and a
+write invalidates by moving the version forward — except for the entries
+a :class:`~repro.engine.Session` write re-stamps because the written
+facts provably cannot touch them.  Select a backend with
 ``Session(data, backend="sqlite")`` (or the ``REPRO_BACKEND``
 environment variable) — see :mod:`repro.engine`.
 """

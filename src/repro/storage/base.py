@@ -21,9 +21,16 @@ Every backend carries two pieces of identity used by the result cache
   on-disk SQLite files it is derived from the path, so re-opening the
   same file resumes the same cache lineage);
 * ``data_version`` — a monotonically increasing epoch counter bumped on
-  every successful mutation.  ``(query fingerprint, backend_id,
-  data_version)`` is a sound cache key: any write moves the version
-  forward, so stale answers are never served.
+  every successful mutation.  It is a sound *stamp*: an answer computed
+  at version ``v`` and filed under ``(query fingerprint, backend_id)``
+  may be served while the version still reads ``v``, and any write moves
+  the version forward, so an entry nobody touches is never served stale.
+  Only a writer that knows exactly what moved the version from ``v`` to
+  ``v'`` — it made the write itself and the counter moved by what it
+  wrote — and has shown that write cannot change the answer may re-stamp
+  an entry ``v → v'``; that writer is :class:`~repro.engine.Session`'s
+  write funnel.  A backend takes no part in it: it counts its mutations
+  and answers ``rows``/``__contains__``.
 """
 
 from __future__ import annotations
@@ -137,12 +144,14 @@ class StorageBackend(abc.ABC):
     @property
     @abc.abstractmethod
     def backend_id(self) -> str:
-        """Stable identifier of this database instance (cache keying)."""
+        """Stable identifier of this database instance (part of a
+        :class:`~repro.storage.cache.ResultCache` slot)."""
 
     @property
     @abc.abstractmethod
     def data_version(self) -> int:
-        """Epoch counter: bumped on every successful mutation."""
+        """Epoch counter: bumped on every successful mutation (the stamp
+        of a result-cache entry)."""
 
     # ------------------------------------------------------------------
     # Mutation
@@ -170,7 +179,7 @@ class StorageBackend(abc.ABC):
         Semantically :meth:`update`, but a bulk ingest is allowed to bump
         :attr:`data_version` **once** for the whole batch instead of once
         per tuple, so large loads don't churn the version counter (and
-        the caches keyed by it).  Backends override this with their
+        the caches stamped with it).  Backends override this with their
         native bulk path — SQLite uses ``executemany``, the memory
         backend inserts without per-fact bumps, and the sharded backend
         logs the batch as one write-ahead entry group.  The default loops

@@ -246,6 +246,11 @@ class SQLiteBackend(StorageBackend):
     # Mutation
     # ------------------------------------------------------------------
     def add(self, fact: Atom) -> bool:
+        with self._lock, self._conn:
+            return self._insert(fact)
+
+    def _insert(self, fact: Atom) -> bool:
+        """:meth:`add` inside the caller's lock and transaction."""
         if not fact.is_ground():
             raise NotGroundError("database facts must be ground, got %r" % (fact,))
         if self._explicit_schema:
@@ -253,17 +258,16 @@ class SQLiteBackend(StorageBackend):
         else:
             self._schema.add_relation(fact.relation, fact.arity)
         row = tuple(encode_value(a.value) for a in fact.args)  # type: ignore[union-attr]
-        with self._lock, self._conn:
-            tbl = self._table_for(fact.relation, fact.arity)
-            cur = self._conn.execute(
-                "INSERT OR IGNORE INTO %s VALUES (%s)"
-                % (tbl, ", ".join("?" * fact.arity)),
-                row,
-            )
-            if cur.rowcount == 0:
-                return False
-            self._bump_version()
-            return True
+        tbl = self._table_for(fact.relation, fact.arity)
+        cur = self._conn.execute(
+            "INSERT OR IGNORE INTO %s VALUES (%s)"
+            % (tbl, ", ".join("?" * fact.arity)),
+            row,
+        )
+        if cur.rowcount == 0:
+            return False
+        self._bump_version()
+        return True
 
     def discard(self, fact: Atom) -> bool:
         entry = self._tables.get(fact.relation)
@@ -282,8 +286,27 @@ class SQLiteBackend(StorageBackend):
             return True
 
     def update(self, facts: Iterable[Atom]) -> int:
+        """:meth:`add` for each fact — one version bump per new fact —
+        in **one** transaction: one commit however many facts, and a
+        fact that raises leaves neither the facts before it nor their
+        bumps (nor a table created for them) behind."""
         with self._lock:
-            return super().update(facts)
+            version, tables = self._version, dict(self._tables)
+            # Explicit, so a CREATE TABLE for a new relation is inside it
+            # (sqlite3 opens one implicitly only before an INSERT).
+            self._conn.execute("BEGIN")
+            try:
+                added = sum(1 for fact in facts if self._insert(fact))
+            except BaseException:
+                self._conn.rollback()
+                self._version, self._tables = version, tables
+                if not self._explicit_schema:
+                    self._schema = Schema(
+                        {rel: arity for rel, (_, arity) in tables.items()}
+                    )
+                raise
+            self._conn.commit()
+            return added
 
     def add_many(self, facts: Iterable[Atom]) -> int:
         """Bulk insert via one ``executemany`` per relation, with a

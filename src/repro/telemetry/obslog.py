@@ -21,6 +21,10 @@ one JSON-serialisable record per lifecycle event —
   re-running it — and, when a sampling profiler
   (:mod:`repro.telemetry.profiler`) is running, a ``profile_samples``
   digest of the query's hottest stacks keyed by the same ``trace_id``;
+* ``cache.carry`` — one per write made through the session that moved
+  the data version: how many facts it wrote, how many cached queries the
+  touch test probed, how many result-cache entries were carried across
+  the write and how many dropped;
 * ``log.rotated`` — a path sink reached ``max_bytes`` and was rotated
   (first record of each fresh file).
 
@@ -64,6 +68,9 @@ REQUIRED_KEYS = ("event", "ts", "seq", "schema")
 
 #: Events that must reference a query (and therefore carry ``query_id``).
 _QUERY_ID_EVENTS = ("query.parse", "query.plan", "query.complete", "query.slow")
+
+#: The counts of a ``cache.carry`` record (one per session write).
+_CARRY_COUNTS = ("facts", "probed", "carried", "dropped")
 
 #: ``Session`` operation → engine identifier recorded in the log.
 OP_ENGINES = {
@@ -391,6 +398,13 @@ def validate_obslog(lines: Iterable[str]) -> List[str]:
                     "line %d: query.slow 'profile_samples' must be a dict "
                     "with an integer 'samples' count" % lineno
                 )
+        if event == "cache.carry":
+            for key in _CARRY_COUNTS:
+                if not isinstance(record.get(key), int):
+                    errors.append(
+                        "line %d: cache.carry must carry an integer %r"
+                        % (lineno, key)
+                    )
         if event == "log.rotated" and not isinstance(
             record.get("max_bytes"), (int, float)
         ):

@@ -70,6 +70,7 @@ from .subtrees import (
     top_node_of_variable,
 )
 from .rewrite import merge_duplicate_branches, optimize, remove_redundant_atoms
+from .touch import can_touch
 from .transform import lemma1_normal_form, merge_chains, prune_non_free_branches
 from .tree import PatternTree
 from .unions import (
@@ -151,6 +152,7 @@ __all__ = [
     "merge_duplicate_branches",
     "optimize",
     "remove_redundant_atoms",
+    "can_touch",
     "lemma1_normal_form",
     "merge_chains",
     "prune_non_free_branches",

@@ -253,3 +253,36 @@ def test_the_planner_is_the_only_way_to_an_engine():
             }
             assert users == {"_run"}
     assert importers == {os.path.join("planner", "planner.py")}
+
+
+def test_the_data_version_is_a_stamp_and_only_the_session_advances_it():
+    """``ResultCache`` slots do not mention the data version (it is the
+    stamp *on* an entry, so a write can carry the entry), and the one
+    caller of the stamp-advancing method is the session's write funnel."""
+    root = os.path.dirname(cli.__file__)
+    key_functions = key_calls = 0
+    advancers = set()
+    for path, tree in _source_trees("."):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "ResultCache":
+                (key,) = [
+                    f for f in node.body
+                    if isinstance(f, ast.FunctionDef) and f.name == "key"
+                ]
+                names = {a.arg for a in key.args.args + key.args.kwonlyargs}
+                names |= {n.id for n in ast.walk(key) if isinstance(n, ast.Name)}
+                assert not {"version", "data_version", "stamp"} & names, path
+                key_functions += 1
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "key" and getattr(node.func.value, "id", "") == "ResultCache":
+                mentioned = {
+                    getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)
+                }
+                assert "data_version" not in mentioned, (path, node.lineno)
+                key_calls += 1
+            if node.func.attr == "advance":
+                advancers.add(os.path.relpath(path, root))
+    assert key_functions == 1 and key_calls >= 1
+    assert advancers == {"engine.py"}
+

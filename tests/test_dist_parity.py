@@ -153,7 +153,7 @@ def test_cache_and_mutation_parity():
         list(facts), backend="sharded", shards=2, cache=True
     ) as s_dist:
         assert s_dist.query(query).answers == s_mem.query(query).answers
-        # Second run is a version-keyed cache hit on both sessions.
+        # Second run is a version-stamped cache hit on both sessions.
         assert s_dist.query(query).answers == s_mem.query(query).answers
         extra = [atom("E", 0, 1), atom("F", 1, 2), atom("E", 2, 0)]
         assert s_mem.database.add_many(extra) == s_dist.database.add_many(extra)
@@ -161,7 +161,7 @@ def test_cache_and_mutation_parity():
         s_mem.database.remove(victim)
         s_dist.database.remove(victim)
         assert s_mem.database == s_dist.database
-        # The caches are version-keyed: both sessions re-evaluate against
+        # The caches are version-stamped: both sessions re-evaluate against
         # the mutated database (the shards replay their WAL suffix).
         assert s_dist.query(query).answers == s_mem.query(query).answers
 
@@ -179,7 +179,7 @@ def test_add_many_bumps_version_once(kind):
         assert db.add_many(batch) == 3
         assert db.data_version == before + 1
         # A batch of pure duplicates is a no-op: no new version, so
-        # version-keyed caches stay valid.
+        # version-stamped caches stay valid.
         assert db.add_many(batch) == 0
         assert db.data_version == before + 1
     finally:

@@ -177,8 +177,8 @@ def test_session_decision_ops_are_logged_and_cached_by_data_version(op):
     decide = getattr(session, op)
     assert decide(EXAMPLE2_QUERY, answer) is True
     assert decide(EXAMPLE2_QUERY, answer) is True  # unchanged data: a hit
-    session.add(atom("triple", "Nobody", "recorded_by", "Nothing"))
-    assert decide(EXAMPLE2_QUERY, answer) is True  # new data version: a miss
+    session.add(atom("triple", "Our_love", "NME_rating", "7"))
+    assert decide(EXAMPLE2_QUERY, answer) is True  # a write that reaches the query: a miss
     mine = [e for e in log.recent() if e.get("op") == op]
     assert [e["outcome"] for e in mine if e["event"] == "query.cache"] == [
         "miss", "hit", "miss",

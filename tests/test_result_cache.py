@@ -1,6 +1,7 @@
-"""Tests for the version-keyed result cache (repro.storage.cache +
-Session wiring): hits, invalidation by mutation, batch executors,
-metrics/obslog visibility, and the warm-vs-cold speedup."""
+"""Tests for the version-stamped result cache (repro.storage.cache +
+Session wiring): hits, invalidation by a mutation that touches the
+query, batch executors, metrics/obslog visibility, and the warm-vs-cold
+speedup.  What a write *keeps* is tests/test_cache_carry.py."""
 
 import time
 
@@ -99,6 +100,15 @@ class TestHitsAndInvalidation:
         two.query(QUERY)  # same backend id + version → cross-session hit
         assert shared.hits == 1
 
+    def test_one_slot_per_query_however_many_writes(self, session):
+        """The version is not in the key: a recomputed answer replaces
+        the entry of its slot instead of filling the LRU beside it."""
+        for i in range(10):
+            session.add(atom("triple", "s%d" % i, "recorded_by", "someone"))
+            session.query(QUERY)
+        stats = session.result_cache.stats()
+        assert (stats["size"], stats["evictions"], stats["misses"]) == (1, 0, 10)
+
 
 class TestBatchExecutors:
     def test_thread_batch_shares_the_session_cache(self):
@@ -130,6 +140,10 @@ class TestObservability:
         stats = session.stats()["result_cache"]
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["size"] == 1 and 0 < stats["hit_rate"] < 1
+        assert set(stats) == {
+            "size", "maxsize", "hits", "misses", "puts", "carried", "dropped",
+            "evictions", "hit_rate",
+        }
         session.reset_stats()
         stats = session.stats()["result_cache"]
         assert stats["hits"] == 0 and stats["misses"] == 0

@@ -307,6 +307,45 @@ class TestSQLiteBackend:
         restored.close()
         db.close()
 
+    def test_update_is_one_transaction_with_a_bump_per_fact(self, tmp_path):
+        session = Session(FACTS, path=str(tmp_path / "facts.sqlite"))
+        db = session.database
+        version = db.data_version
+        statements = []
+        db._conn.set_trace_callback(statements.append)
+        triples = [("s%d" % i, "p", "o") for i in range(50)] + [("s0", "p", "o")]
+        assert session.add_triples(triples) == 50
+        db._conn.set_trace_callback(None)
+        assert [s for s in statements if s in ("BEGIN", "COMMIT", "ROLLBACK")] == [
+            "BEGIN", "COMMIT",
+        ]
+        assert not db._conn.in_transaction
+        assert db.data_version == version + 50
+        db.close()
+        reopened = SQLiteBackend.open(str(tmp_path / "facts.sqlite"))
+        assert reopened.data_version == version + 50 and len(reopened) == len(FACTS) + 50
+        reopened.close()
+
+    def test_update_that_raises_leaves_nothing_behind(self, tmp_path):
+        path = str(tmp_path / "facts.sqlite")
+        db = SQLiteBackend(FACTS, path=path)
+        version, before = db.data_version, set(db)
+        batch = [atom("New", i, i) for i in range(50)]
+        batch[29] = atom("New", "?x", 29)
+        with pytest.raises(NotGroundError):
+            db.update(batch)
+        assert (db.data_version, set(db)) == (version, before)
+        assert "New" not in db.schema and not db._conn.in_transaction
+        # The rolled-back relation can be created again, under its table name.
+        assert db.add(atom("New", 1, 2, 3))
+        assert db.data_version == version + 1
+        db.close()
+        reopened = SQLiteBackend.open(path)
+        assert (reopened.data_version, set(reopened)) == (
+            version + 1, before | {atom("New", 1, 2, 3)},
+        )
+        reopened.close()
+
 
 class TestSQLPushdown:
     def _graph(self):

@@ -109,5 +109,5 @@ def test_parity_survives_mutation(seed):
     for db in (mem, sql):
         db.remove(victim)
     assert mem == sql
-    # Caches are version-keyed, so both sessions re-evaluate and agree.
+    # Caches are version-stamped, so both sessions re-evaluate and agree.
     assert s_mem.query(query).answers == s_sql.query(query).answers
