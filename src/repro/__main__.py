@@ -9,8 +9,7 @@ Usage::
                              [--log-queries LOG.jsonl] [--slow-ms MS]
                              [--max-log-bytes B] [--log-backups N]
                              [--profile-hz HZ] [--profile-out OUT.json]
-                             [--backend {memory,sharded,sqlite}] [--shards N]
-                             [--store DB.sqlite]
+                             [--backend {memory,sqlite}] [--store DB.sqlite]
                              [--save-db DB.sqlite] [--no-cache]
                              [--stats-store STATS.json] [--serve-debug PORT]
                              [--serve-seconds N]
@@ -20,7 +19,7 @@ Usage::
                              [--log-queries LOG.jsonl] [--max-log-bytes B]
     python -m repro serve    [TRIPLES.tsv]  [--tenants TENANTS.json]
                              [--port P] [--global-limit N]
-                             [--backend B | --store DB.sqlite] [--shards N]
+                             [--backend B | --store DB.sqlite]
                              [--self-check]
     python -m repro demo
 
@@ -43,10 +42,7 @@ Usage::
   (created from the triples file when missing, resumed — and extended
   with any given triples — when present; the triples file is then
   optional), ``--save-db`` snapshots the loaded data to a SQLite file,
-  ``--shards N`` hash-partitions the data across N long-lived worker
-  processes and evaluates distributively (``repro.dist``; also via
-  ``REPRO_BACKEND=sharded`` + ``REPRO_SHARDS``), and ``--no-cache``
-  disables the version-stamped result cache.
+  and ``--no-cache`` disables the version-stamped result cache.
   ``--stats-store STATS.json`` accumulates per-query-shape statistics
   (resumed across runs), and ``--serve-debug PORT`` serves ``/metrics``,
   ``/healthz`` and ``/debug/{queries,plans,stats}`` during the run
@@ -72,13 +68,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
-from .engine import Session, _parse_text
+from .engine import BACKEND_ENV, Session, _parse_text
 from .exceptions import ReproError
 from .rdf.graph import RDFGraph
 from .rdf.parser import parse_query
+from .storage import BACKEND_KINDS, backend_class
 from .wdpt.evaluation import evaluate
 from .wdpt.explain import explain
 from .wdpt.wdpt import WDPT
@@ -299,7 +297,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         stats_store=stats_store,
         backend=args.backend,
         path=args.store,
-        shards=args.shards,
         cache=not args.no_cache,
     )
     server = None
@@ -462,7 +459,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         backend=args.backend,
         path=args.store,
-        shards=args.shards,
         global_limit=args.global_limit,
         obslog=obslog,
     )
@@ -545,19 +541,13 @@ def _query_log_flags() -> argparse.ArgumentParser:
 
 
 def _storage_flags() -> argparse.ArgumentParser:
-    """The storage flags (``Session``'s ``backend=``/``shards=``/``path=``),
+    """The storage flags (``Session``'s ``backend=``/``path=``),
     as a parent parser of every subcommand that builds its own backend."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument(
-        "--backend", default=None, choices=["memory", "sharded", "sqlite"],
+        "--backend", default=None, choices=BACKEND_KINDS,
         help="storage backend (default: memory, or $REPRO_BACKEND; "
-             "--store implies sqlite, --shards implies sharded)",
-    )
-    flags.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="evaluate on N hash-partitioned shard processes "
-             "(repro.dist; implies --backend sharded; default: "
-             "$REPRO_SHARDS, else 2)",
+             "--store implies sqlite)",
     )
     flags.add_argument(
         "--store", metavar="DB.sqlite", default=None,
@@ -764,7 +754,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if BACKEND_ENV in os.environ:
+        # A usage error now, not a traceback from whichever command
+        # builds the first session.
+        try:
+            backend_class(os.environ[BACKEND_ENV])
+        except ValueError as exc:
+            parser.error("%s: %s" % (BACKEND_ENV, exc))
     try:
         return args.func(args)
     except ReproError as exc:

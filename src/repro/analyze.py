@@ -187,7 +187,7 @@ def build_report(
 
     ``db`` (the session's storage backend, when available) lets each
     Yannakakis-routed node report the relational kernel its CQ checks
-    resolve to (``sql``/``columnar``/``dist``)."""
+    resolve to (``sql``/``columnar``)."""
     measured = _merge_node_stats(tracer)
     tree_profile = profile.tree_profile
     rows: List[Dict[str, Any]] = []

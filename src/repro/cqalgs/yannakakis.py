@@ -38,12 +38,7 @@ executor runs the tree:
 * ``sql`` — on a SQLite backend, the **whole tree** runs as a single SQL
   statement (:meth:`~repro.storage.sqlite.SQLiteBackend.sql_yannakakis`):
   scans, both semi-join sweeps, and the join/projection phase are CTE
-  layers, and only the final answer rows cross back into Python;
-* ``dist`` — on a sharded backend (:mod:`repro.dist`), the whole tree
-  runs as a shard program: each shard sweeps its hash partition with the
-  columnar kernels, only join-key sets cross shard boundaries between
-  levels, and the coordinator merges the gathered fragments with
-  :func:`columnar_join_phase`.
+  layers, and only the final answer rows cross back into Python.
 
 The columnar path does not scan its atoms independently: one schedule
 (:func:`scan_schedule`) reads them in increasing ``db.match_bound`` and
@@ -65,7 +60,7 @@ from ..core.mappings import Mapping
 from ..core.terms import Variable
 from ..exceptions import ClassMembershipError
 from ..hypergraphs.gyo import JoinTree, join_tree_of_atoms, join_tree_shape
-from ..relalg.config import KERNEL_DIST, KERNEL_SQL, choose_kernel
+from ..relalg.config import KERNEL_SQL, choose_kernel
 from ..relalg.relation import (
     Relation,
     Row,
@@ -173,9 +168,8 @@ def _run(
     with ``boolean`` whether there are any.
 
     The seeded contract, ``result == semijoin(unseeded result, seed)``,
-    holds for every executor: the columnar and SQL ones push the seed
-    into their scans, and the shard program, which cannot, has its
-    answers filtered here.
+    holds in both executors by construction: each pushes the seed into
+    its scans.
     """
     tracer = current_tracer()
     kernel = choose_kernel(db)
@@ -184,14 +178,7 @@ def _run(
     else:
         span = tracer.span("yannakakis", atoms=len(atoms), kernel=kernel)
     with span as y_span:
-        if kernel == KERNEL_DIST:
-            # Local semi-join passes per shard, bounded key exchange
-            # between levels, final merge on the coordinator
-            # (:mod:`repro.dist.exec`).
-            result = db.dist_yannakakis(atoms, links, frees, exists_only=boolean)
-            if seed is not None:
-                result = semijoin(result, seed)
-        elif kernel == KERNEL_SQL:
+        if kernel == KERNEL_SQL:
             # Scans, sweeps and the join/projection phase as one SQL
             # statement; only the answer rows cross back into Python.
             with tracer.span("yannakakis.sql") as sp:
@@ -404,11 +391,10 @@ def columnar_join_phase(
     to the parent (:func:`~repro.relalg.relation.project` drops what the
     subtree does not bind).
 
-    The interface is read off the parent's schema, so the relations may
-    carry any sub-schema that still contains the free and interface
-    variables — the distributed executor (:mod:`repro.dist`) reuses this
-    pass on gathered fragments that were projected down to exactly those
-    variables shard-side."""
+    A node's own relation is cut down to those variables plus its
+    children's interfaces *before* the child joins: a private column —
+    neither free nor shared with a tree neighbour — would only multiply
+    the rows every join has to pair up."""
     tracer = current_tracer()
     partials: List[Optional[Relation]] = [None] * len(relations)
     with tracer.span("yannakakis.join") as sp:
@@ -419,6 +405,10 @@ def columnar_join_phase(
                 keep = frees.union(relations[tree.parent[node]].schema)
             current = relations[node]
             children = tree.children[node]
+            if children:
+                current = project(
+                    current, keep.union(*[partials[c].schema for c in children])
+                )
             for child in children[:-1]:
                 current = hash_join(current, partials[child])
                 account_rows(len(current))

@@ -86,10 +86,6 @@ DataSource = Union[StorageBackend, RDFGraph, Iterable[Atom]]
 #: Environment variable naming the default storage backend kind.
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: Environment variable giving the default shard count for the sharded
-#: backend (``Session(shards=...)`` and ``--shards`` override it).
-SHARDS_ENV = "REPRO_SHARDS"
-
 
 class Result:
     """The outcome of :meth:`Session.query`.
@@ -165,17 +161,12 @@ class Session:
 
     Keyword arguments beyond ``data``:
 
-    * ``backend=`` — storage kind, ``"memory"``, ``"sqlite"``, or
-      ``"sharded"`` (:mod:`repro.storage`); an explicitly passed backend
+    * ``backend=`` — storage kind, ``"memory"`` or ``"sqlite"``
+      (:mod:`repro.storage`); an explicitly passed backend
       instance is used as-is, raw data (iterables, graphs) defaults to
       the ``REPRO_BACKEND`` environment variable, else to memory;
     * ``path=`` — with ``backend="sqlite"``, the on-disk database file
       (created when missing, resumed when present);
-    * ``shards=`` — with ``backend="sharded"`` (implied when ``shards``
-      is set), the number of hash-partitioned shard processes
-      (:mod:`repro.dist`); defaults to the ``REPRO_SHARDS`` environment
-      variable, else 2.  A session that built its own sharded backend
-      shuts the shard processes down in :meth:`close`;
     * ``cache=`` — the result cache: ``True``/``None`` (default) enables
       a version-stamped :class:`~repro.storage.cache.ResultCache`,
       ``False`` disables caching, or pass a ``ResultCache`` to share one;
@@ -222,39 +213,31 @@ class Session:
         stats_store: Optional[QueryStatsStore] = None,
         backend: Optional[str] = None,
         path: Optional[str] = None,
-        shards: Optional[int] = None,
         cache: Union[bool, ResultCache, None] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
         tenant: Optional[str] = None,
     ):
+        # Asked of the caller's argument, before a graph becomes a
+        # ``Database``: a graph is raw data like a list of facts.
+        handed_backend = isinstance(data, StorageBackend)
         if isinstance(data, RDFGraph):
             data = data.to_database()
         kind = backend
         if kind is None and path is not None:
             kind = "sqlite"
-        if kind is None and shards is not None:
-            kind = "sharded"
-        if kind is None and not isinstance(data, StorageBackend):
+        if kind is None and not handed_backend:
             # The env var only picks the default for *raw* data; an
             # explicitly passed backend instance is always used as-is
             # (converting would silently detach the session from it).
             kind = os.environ.get(BACKEND_ENV)
-        if kind == "sharded" and shards is None:
-            env_shards = os.environ.get(SHARDS_ENV, "").strip()
-            shards = int(env_shards) if env_shards else None
         if kind is not None:
             self.database = to_backend(
-                data if data is not None else (), kind, path=path,
-                shards=shards,
+                data if data is not None else (), kind, path=path
             )
         elif isinstance(data, StorageBackend):
             self.database = data
         else:
             self.database = Database(data if data is not None else ())
-        # A backend the session itself built (not handed in by the
-        # caller) is the session's to tear down — close() stops the
-        # shard processes of an owned sharded backend.
-        self._owned_backend = kind is not None and self.database is not data
         self.planner = planner if planner is not None else Planner()
         #: Version-stamped finished-answer cache (``repro.storage.cache``);
         #: ``None`` when caching is disabled.
@@ -277,15 +260,6 @@ class Session:
         #: Structured query-event log (``repro.telemetry.obslog.QueryLog``);
         #: ``None`` disables observation entirely (zero per-query cost).
         self.obslog = obslog
-        # Backends with their own telemetry surface (the sharded backend
-        # emits dist.* metrics and obslog events) get wired into the
-        # registry/log of the session that *built* them; sessions handed
-        # an existing backend (e.g. the per-tenant service sessions) must
-        # not re-point its telemetry.
-        if self._owned_backend:
-            attach = getattr(self.database, "attach_telemetry", None)
-            if attach is not None:
-                attach(metrics=self.planner.metrics, obslog=obslog)
         #: Per-query resource budgets (``repro.telemetry.resources``).
         self.budgets = budgets
         #: Account resources even without budgets (``Result.resources``).
@@ -338,18 +312,11 @@ class Session:
         return pool
 
     def close(self) -> None:
-        """Shut down every worker pool this session created, plus the
-        shard processes of a backend the session built itself
-        (idempotent; a closed session still answers queries — a sharded
-        backend respawns its shards from the write-ahead log on the next
-        query)."""
+        """Shut down every worker pool this session created
+        (idempotent; a closed session still answers queries)."""
         for pool in self._pools.values():
             pool.close()
         self._pools.clear()
-        if self._owned_backend:
-            shutdown = getattr(self.database, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
 
     def __enter__(self) -> "Session":
         return self

@@ -105,7 +105,7 @@ def join_tree_of_atoms(atoms: Sequence[Atom]) -> Optional[List[Tuple[int, int]]]
 class JoinTree(NamedTuple):
     """The shape of a join tree, derived once from its parent links —
     what every walk over the tree needs (the semi-join sweeps, the join
-    phase, the SQL statement builder, the shard program)."""
+    phase, the SQL statement builder)."""
 
     root: int
     #: Child lists per node, in link order.
@@ -114,16 +114,14 @@ class JoinTree(NamedTuple):
     parent: Dict[int, int]
     #: All nodes, root first, every parent before its children.
     order: List[int]
-    #: The same nodes grouped by depth, the root's level first.
-    levels: List[List[int]]
 
 
 def join_tree_shape(links: Sequence[Tuple[int, int]], n_atoms: int) -> JoinTree:
     """The :class:`JoinTree` of the parent links :func:`join_tree_of_atoms`
     returns (any ``(child, parent)`` links forming one tree will do).
 
-    >>> join_tree_shape([(0, 1), (2, 1), (3, 2)], 4).levels
-    [[1], [0, 2], [3]]
+    >>> join_tree_shape([(0, 1), (2, 1), (3, 2)], 4).order
+    [1, 0, 2, 3]
     """
     parent = dict(links)
     children: Dict[int, List[int]] = {i: [] for i in range(n_atoms)}
@@ -132,14 +130,13 @@ def join_tree_shape(links: Sequence[Tuple[int, int]], n_atoms: int) -> JoinTree:
     level = list(children.keys() - parent.keys())
     if len(level) != 1:
         raise ValueError("join tree with %d atoms has %d roots" % (n_atoms, len(level)))
-    order, levels = level[:], [level]
+    order = level[:]
     while len(order) < n_atoms:
         level = [child for node in level for child in children[node]]
         if not level:
             raise ValueError("join-tree links reach %d of %d atoms" % (len(order), n_atoms))
         order += level
-        levels.append(level)
-    return JoinTree(order[0], children, parent, order, levels)
+    return JoinTree(order[0], children, parent, order)
 
 
 def join_tree_is_valid(atoms: Sequence[Atom], links: Sequence[Tuple[int, int]]) -> bool:

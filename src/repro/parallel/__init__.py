@@ -1,15 +1,11 @@
 """Parallel and batched WDPT evaluation.
 
-Parallelism lives at two outer seams; a single query runs start to finish
-on the thread that asked for it:
-
-* **across queries** — :func:`repro.parallel.batch.run_batch` fans
-  independent queries over thread or process workers
-  (:mod:`repro.parallel.pool`), sharing one warmed plan cache and merging
-  per-worker telemetry deterministically (surfaced as
-  ``Session.run_batch`` / ``Session.map``);
-* **across data** — the shard processes of :mod:`repro.dist`, each a
-  single-worker process pool from the same module.
+Parallelism lives at one outer seam, **across queries**; a single query
+runs start to finish on the thread that asked for it:
+:func:`repro.parallel.batch.run_batch` fans independent queries over
+thread or process workers (:mod:`repro.parallel.pool`), sharing one
+warmed plan cache and merging per-worker telemetry deterministically
+(surfaced as ``Session.run_batch`` / ``Session.map``).
 """
 
 from __future__ import annotations

@@ -17,9 +17,7 @@ Two executors (:data:`repro.parallel.pool.EXECUTORS`):
 * ``"process"`` — workers are separate interpreters, each owning a
   private :class:`~repro.engine.Session` built once per worker from the
   pickled database (so its plan cache warms across the tasks it serves).
-  Tasks ship back an :class:`Envelope` (the shard workers of
-  :mod:`repro.dist` reply in the same format, stamped with their shard
-  label); the parent folds the per-task
+  Tasks ship back an :class:`Envelope`; the parent folds the per-task
   :meth:`~repro.telemetry.metrics.MetricsRegistry.dump`
   payloads into the session's registry **in task order**, making the
   merged metrics deterministic regardless of which worker ran which
@@ -127,13 +125,7 @@ class BatchResult:
 # Process-pool worker side (module-level: must pickle by reference)
 # ---------------------------------------------------------------------------
 class Envelope(NamedTuple):
-    """The pickle-safe reply a process worker ships home.
-
-    One format for every process-worker reply in the library: batch tasks
-    leave ``shard`` as ``None``; the shard workers of :mod:`repro.dist`
-    stamp their shard label (``"s0"``, ``"s1"``, …) so the parent can
-    attribute spans, profiles, and metrics per shard.
-    """
+    """The pickle-safe reply a process worker ships home."""
 
     value: Any
     #: ``p<pid>`` of the process that ran the task.
@@ -149,7 +141,6 @@ class Envelope(NamedTuple):
     span_dicts: Sequence[Dict[str, Any]] = ()
     stats_dump: Any = None
     profile_dump: Any = None
-    shard: Optional[str] = None
 
 
 class _Task(NamedTuple):

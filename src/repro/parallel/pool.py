@@ -17,9 +17,8 @@ behind an API shaped for the query path:
   dispatch deadlock-free by construction: only the outermost dispatch
   uses the pool.
 
-The pool fans out *across* queries (:mod:`repro.parallel.batch`) and
-hosts the shard processes of :mod:`repro.dist`; a single query runs
-start to finish on the thread that asked for it.
+The pool fans out *across* queries (:mod:`repro.parallel.batch`); a
+single query runs start to finish on the thread that asked for it.
 
 Threads vs processes: CPython's GIL serialises pure-Python compute, so
 **thread** pools overlap latency (and exercise the concurrency paths
@@ -171,25 +170,6 @@ class WorkerPool:
         executor = self._ensure_executor()
         self._note_submitted(len(items))
         return list(executor.map(self._thread_envelope(fn), items))
-
-    def submit(self, fn: Callable[..., Any], *args: Any):
-        """Submit one task to the executor **unconditionally**, returning
-        its :class:`concurrent.futures.Future`.
-
-        Unlike :meth:`map_tasks` this never short-circuits to an inline
-        call: it exists for callers that use the pool as a *dedicated
-        remote process* — the sharded backend (:mod:`repro.dist`) keeps
-        one single-worker process pool per shard and must land every RPC
-        on that process even though ``jobs == 1``.  The raw executor
-        exceptions (notably ``BrokenProcessPool`` when the worker died)
-        surface through the future, so callers can detect dead workers.
-        """
-        executor = self._ensure_executor()
-        self._note_submitted(1)
-        future = executor.submit(fn, *args)
-        if self.metrics is not None:
-            future.add_done_callback(lambda _f: self._note_process_done(1))
-        return future
 
     # ------------------------------------------------------------------
     # Saturation gauges (repro.telemetry.metrics)

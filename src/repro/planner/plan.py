@@ -45,7 +45,7 @@ class QueryPlan:
         engine consumes — shared with every other plan for this shape.
     kernel:
         For Yannakakis plans, the relational kernel (``sql`` /
-        ``columnar`` / ``dist``, see :mod:`repro.relalg.config`)
+        ``columnar``, see :mod:`repro.relalg.config`)
         ``choose_kernel`` resolves against the database the plan was
         built for — the same call the run makes, so the label names the
         kernel that runs; ``None`` for the other engines (they evaluate

@@ -287,7 +287,7 @@ class Planner:
         self.metrics.histogram("planner.engine_latency", labels=labels).observe(seconds)
 
     def record_kernel(self, kernel: str) -> None:
-        """Record which relational kernel (``sql``/``columnar``/``dist``)
+        """Record which relational kernel (``sql``/``columnar``)
         a Yannakakis run resolved to — a labeled counter family, mirroring
         :meth:`record_engine`."""
         self.metrics.counter("planner.kernel.selected", {"kernel": kernel}).inc()

@@ -4,8 +4,8 @@ evaluation stack (ROADMAP item 2).
 :mod:`repro.relalg.relation` defines the :class:`Relation`
 representation and the kernels (``scan``/``semijoin``/``hash_join``/
 ``project``/``group_by``/``dedup``); :mod:`repro.relalg.config` resolves which
-executor — columnar, whole-tree SQL pushdown, or the shard program —
-serves a given query (``REPRO_KERNELS``).
+executor — columnar or whole-tree SQL pushdown — serves a given query
+(``REPRO_KERNELS``).
 """
 
 from .config import (

@@ -1,6 +1,6 @@
 """Kernel selection for the relational-algebra layer.
 
-Three executors run Yannakakis' algorithm over a join tree
+Two executors run Yannakakis' algorithm over a join tree
 (:mod:`repro.cqalgs.yannakakis`):
 
 * ``columnar`` — the set-oriented kernels of
@@ -8,24 +8,18 @@ Three executors run Yannakakis' algorithm over a join tree
   shared-variable layouts computed once per join-tree edge;
 * ``sql`` — the whole-tree SQL pushdown of
   :meth:`repro.storage.sqlite.SQLiteBackend.sql_yannakakis` (only
-  available when the database is SQLite-backed);
-* ``dist`` — the distributed shard program of :mod:`repro.dist` (only
-  available when the database is a
-  :class:`~repro.dist.backend.ShardedBackend`): shard-local columnar
-  semi-join passes with bounded exchange between join-tree levels.
+  available when the database is SQLite-backed).
 
 The **mode** is user-facing policy, read from the ``REPRO_KERNELS``
 environment variable (or forced programmatically with
 :func:`force_kernels`):
 
-* ``auto`` (default) — the backend's native whole-tree path when it has
-  one (``dist`` on a sharded backend, ``sql`` on SQLite), otherwise the
+* ``auto`` (default) — the SQL pushdown on SQLite, otherwise the
   columnar kernels;
-* ``columnar`` — always the columnar Python kernels (even on SQLite or
-  a sharded backend — the coordinator's mirror serves the scans).
+* ``columnar`` — always the columnar Python kernels (even on SQLite).
 
-The **kernel** is the resolved per-execution choice (``dist`` / ``sql``
-/ ``columnar``), computed by :func:`choose_kernel` from the mode plus
+The **kernel** is the resolved per-execution choice (``sql`` /
+``columnar``), computed by :func:`choose_kernel` from the mode plus
 the database's capabilities — and from nothing else, so the kernel a
 plan, a trace, or the obslog names is the kernel that ran the query.
 """
@@ -47,7 +41,6 @@ MODES = (MODE_AUTO, MODE_COLUMNAR)
 #: Resolved per-execution kernels.
 KERNEL_SQL = "sql"
 KERNEL_COLUMNAR = "columnar"
-KERNEL_DIST = "dist"
 
 #: Programmatic override (tests, benchmarks); ``None`` defers to the env.
 _forced: Optional[str] = None
@@ -89,15 +82,11 @@ def choose_kernel(db: object) -> str:
     the obslog stamp on plans (``db=None``: a plan built without a
     database runs columnar).
 
-    The native whole-tree paths are only chosen in ``auto`` mode:
-    ``dist`` when the backend advertises
-    :attr:`supports_dist_yannakakis`, else ``sql`` when it advertises
-    :attr:`supports_sql_yannakakis`.
+    The SQL pushdown is only chosen in ``auto`` mode, when the backend
+    advertises :attr:`supports_sql_yannakakis`.
     """
     if kernel_mode() == MODE_COLUMNAR:
         return KERNEL_COLUMNAR
-    if getattr(db, "supports_dist_yannakakis", False):
-        return KERNEL_DIST
     if getattr(db, "supports_sql_yannakakis", False):
         return KERNEL_SQL
     return KERNEL_COLUMNAR

@@ -144,7 +144,6 @@ class ServiceServer:
         port: int = 0,
         backend: Optional[str] = None,
         path: Optional[str] = None,
-        shards: Optional[int] = None,
         global_limit: int = DEFAULT_GLOBAL_LIMIT,
         obslog: Optional[QueryLog] = None,
         drain_timeout: float = 30.0,
@@ -155,12 +154,10 @@ class ServiceServer:
         self.drain_timeout = drain_timeout
         self.obslog = obslog
         # One root session owns backend conversion and the shared planner;
-        # it never runs queries itself.  With ``shards`` (or
-        # backend="sharded") the whole fleet serves from one set of shard
-        # processes — every tenant session shares the root's database.
+        # it never runs queries itself.  Every tenant session shares the
+        # root's database.
         self._root = Session(
-            data, backend=backend, path=path, shards=shards, cache=False,
-            obslog=obslog,
+            data, backend=backend, path=path, cache=False, obslog=obslog
         )
         self.planner = self._root.planner
         self.metrics = self.planner.metrics
@@ -623,7 +620,7 @@ class ServiceServer:
             self.obslog.emit("service.stopped", dropped_connections=dropped)
         for session in self.sessions.values():
             session.close()
-        self._root.close()  # stops the shard processes of a sharded backend
+        self._root.close()
         self._executor.shutdown(wait=False)
 
     async def serve_forever(self) -> None:

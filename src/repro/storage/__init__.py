@@ -8,10 +8,6 @@ against any :class:`~repro.storage.base.StorageBackend`:
 * :class:`~repro.storage.sqlite.SQLiteBackend` — stdlib ``sqlite3``, one
   table per relation with per-position indexes, on-disk open/save, and
   SQL pushdown of the Yannakakis semi-join program.
-* :class:`~repro.dist.backend.ShardedBackend` (kind ``"sharded"``,
-  imported lazily — it pulls in the process-pool machinery) — the
-  database hash-partitioned across N long-lived worker processes, with
-  Yannakakis running as a distributed shard program.
 
 Every backend maintains a monotonically increasing **data version**
 bumped on each mutation; :class:`~repro.storage.cache.ResultCache` files
@@ -30,44 +26,36 @@ from .memory import MemoryBackend
 from .sqlite import SQLiteBackend
 
 #: Name → constructor for ``Session(backend=...)`` / ``REPRO_BACKEND``.
-#: The sharded backend is resolved lazily by :func:`to_backend`.
 BACKENDS = {
     "memory": MemoryBackend,
     "sqlite": SQLiteBackend,
 }
 
 #: Every backend kind accepted by ``Session(backend=...)`` and the CLI's
-#: ``--backend`` flags (:data:`BACKENDS` plus the lazily-loaded kinds).
-BACKEND_KINDS = ("memory", "sharded", "sqlite")
+#: ``--backend`` flags.
+BACKEND_KINDS = tuple(BACKENDS)
 
 
-def to_backend(data, kind: str, path=None, shards=None):
-    """Coerce ``data`` (a backend or an iterable of facts) into a backend
-    of the given ``kind``, converting between kinds when necessary.
-
-    An instance already of the requested kind passes through unchanged
-    (no copy); anything else is loaded fact-by-fact into a fresh backend.
-    ``shards`` applies to ``kind="sharded"`` (defaulting to
-    :data:`repro.dist.backend.DEFAULT_SHARDS`).
-    """
-    if kind == "sharded":
-        from ..dist.backend import ShardedBackend
-
-        if isinstance(data, ShardedBackend) and (
-            shards is None or data.shards == int(shards)
-        ):
-            return data
-        facts = data.facts() if isinstance(data, StorageBackend) else data
-        if shards is None:
-            return ShardedBackend(facts)
-        return ShardedBackend(facts, shards=int(shards))
+def backend_class(kind: str):
+    """The backend class named ``kind`` (``ValueError`` naming the kinds
+    there are otherwise)."""
     try:
-        cls = BACKENDS[kind]
+        return BACKENDS[kind]
     except KeyError:
         raise ValueError(
             "unknown storage backend %r (expected one of %s)"
             % (kind, ", ".join(BACKEND_KINDS))
         ) from None
+
+
+def to_backend(data, kind: str, path=None):
+    """Coerce ``data`` (a backend or an iterable of facts) into a backend
+    of the given ``kind``, converting between kinds when necessary.
+
+    An instance already of the requested kind passes through unchanged
+    (no copy); anything else is loaded fact-by-fact into a fresh backend.
+    """
+    cls = backend_class(kind)
     if isinstance(data, cls) and (path is None or kind != "sqlite"):
         return data
     facts = data.facts() if isinstance(data, StorageBackend) else data
@@ -83,5 +71,6 @@ __all__ = [
     "ResultCache",
     "SQLiteBackend",
     "StorageBackend",
+    "backend_class",
     "to_backend",
 ]

@@ -81,12 +81,6 @@ class StorageBackend(abc.ABC):
     #: :func:`repro.relalg.config.choose_kernel` when resolving the
     #: ``auto`` kernel mode.
     supports_sql_yannakakis = False
-    #: The backend can run the *distributed* Yannakakis program
-    #: (``dist_yannakakis``): shard-local semi-join passes with bounded
-    #: exchange steps between join-tree levels and a final merge at the
-    #: coordinator (:mod:`repro.dist`).  Also checked by
-    #: :func:`repro.relalg.config.choose_kernel` in ``auto`` mode.
-    supports_dist_yannakakis = False
 
     # ------------------------------------------------------------------
     # The cell seam of the columnar kernels (:mod:`repro.relalg`)
@@ -181,8 +175,7 @@ class StorageBackend(abc.ABC):
         per tuple, so large loads don't churn the version counter (and
         the caches stamped with it).  Backends override this with their
         native bulk path — SQLite uses ``executemany``, the memory
-        backend inserts without per-fact bumps, and the sharded backend
-        logs the batch as one write-ahead entry group.  The default loops
+        backend inserts without per-fact bumps.  The default loops
         :meth:`add`.
         """
         return sum(1 for fact in facts if self.add(fact))

@@ -235,15 +235,8 @@ class MemoryBackend(StorageBackend):
 
     def add_many(self, facts: Iterable[Atom]) -> int:
         """Bulk insert with a **single** version bump (see the base
-        class): the fast path for shard/partition loads."""
-        return len(self._add_new(facts))
-
-    def _add_new(self, facts: Iterable[Atom]) -> List[Atom]:
-        """Insert ``facts`` and return exactly the ones that were new,
-        bumping the version once for the whole batch.  The sharded
-        backend (:mod:`repro.dist`) records the returned list in its
-        write-ahead log."""
-        new = [fact for fact in facts if self._insert(fact)]
+        class)."""
+        new = sum(map(self._insert, facts))
         if new:
             self._version += 1
         return new

@@ -514,7 +514,7 @@ class SQLiteBackend(StorageBackend):
         ``d``/``a`` layers are then not even generated).
         """
         n = len(atoms)
-        root, children, parent_of, order, _ = join_tree_shape(links, n)
+        root, children, parent_of, order = join_tree_shape(links, n)
 
         atom_vars: List[List[Variable]] = [
             sorted(a.variables(), key=repr) for a in atoms

@@ -8,7 +8,7 @@ one JSON-serialisable record per lifecycle event —
   structural fingerprint, so the same query shape gets the same ID across
   sessions and textual variants) plus parse/profile cache hits;
 * ``query.plan`` — engine chosen, the relational kernel its CQ checks
-  resolve to (``sql``/``columnar``/``dist``), theorem justification,
+  resolve to (``sql``/``columnar``), theorem justification,
   and the class memberships the routing was derived from (local
   treewidth, interface width, global treewidth, projection-freeness);
 * ``query.complete`` — row count, wall/CPU seconds, resource usage;

@@ -7,7 +7,7 @@ Three kinds of test, none with a clock in it:
 
 * a differential — random WDPTs over ``triple/3``, random interleavings
   of the three write calls and of all five ``Session`` read operations,
-  on memory / SQLite / sharded, against Definition 2 computed from
+  on memory / SQLite, against Definition 2 computed from
   scratch after **every** step;
 * structure — which entries survive as the *same object*, how many slots
   the cache holds, which writes carry nothing at all;
@@ -38,7 +38,7 @@ from repro.wdpt.touch import can_touch, unify  # noqa: E402
 from repro.wdpt.tree import PatternTree  # noqa: E402
 from repro.wdpt.wdpt import WDPT, wdpt_from_nested  # noqa: E402
 
-BACKENDS = ("memory", "sqlite", "sharded")
+BACKENDS = ("memory", "sqlite")
 
 
 def triple(s, p, o) -> Atom:
@@ -143,10 +143,8 @@ _HITS_ACROSS_WRITES = dict.fromkeys(BACKENDS, 0)
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_random_writes_and_reads_agree_with_definition_2(backend):
-    # One store for all examples, emptied in between: a sharded backend
-    # per example would spend the test spawning shard processes.
-    kwargs = {"shards": 2} if backend == "sharded" else {}
-    owner = Session(backend=backend, **kwargs)
+    # One store for all examples, emptied in between.
+    owner = Session(backend=backend)
     db = owner.database
 
     @settings(max_examples=200, deadline=None)
@@ -216,8 +214,7 @@ def session(request):
         triple("swim", "NME_rating", "2"),
         triple("andorra", "recorded_by", "caribou"),
     ]
-    kwargs = {"shards": 2} if request.param == "sharded" else {}
-    with Session(facts, backend=request.param, **kwargs) as s:
+    with Session(facts, backend=request.param) as s:
         yield s
 
 

@@ -1,6 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import ast
+import importlib.util
+import inspect
 import os
 import re
 
@@ -8,11 +10,16 @@ import pytest
 
 import repro.__main__ as cli
 from repro.__main__ import main
+from repro.engine import BACKEND_ENV, Session
+from repro.service import ServiceServer
+from repro.storage import BACKEND_KINDS, to_backend
 
-OBSERVABILITY_MD = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "docs", "OBSERVABILITY.md",
-)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: Spelled in two halves, like every deleted name below, so that this
+#: file passes its own search.
+FLEET = "sh" "ard"
+
+OBSERVABILITY_MD = os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md")
 
 
 class TestProfile:
@@ -167,9 +174,60 @@ def test_cli_matches_its_docs():
         assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("kind", [FLEET + "ed", "bogus"])
+def test_unknown_env_backend_is_a_usage_error(monkeypatch, capsys, kind):
+    monkeypatch.setenv(BACKEND_ENV, kind)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["demo"])
+    assert exit_info.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.endswith(
+        "%s: unknown storage backend %r (expected one of memory, sqlite)"
+        % (BACKEND_ENV, kind)
+    )
+
+
+def test_one_process_runs_a_query(tmp_path):
+    """The multi-process executor is gone, and with it everything that
+    selected it: the package, the keyword, the flags, the backend kind,
+    the kernel — and the word, outside ``bench/`` and the history files."""
+    assert importlib.util.find_spec("repro.dist") is None
+    for function in (Session.__init__, ServiceServer.__init__, to_backend):
+        assert FLEET + "s" not in inspect.signature(function).parameters
+    assert BACKEND_KINDS == ("memory", "sqlite")
+    triples = tmp_path / "data.tsv"
+    triples.write_text("a knows b\n")
+    run = ["run", "{ ?x knows ?y }", str(triples)]
+    for gone in (["--%ss" % FLEET, "2"], ["--backend", FLEET + "ed"]):
+        for command in (run, ["serve", "--self-check"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(command + gone)
+            assert exit_info.value.code == 2
+
+    words = re.compile("|".join([FLEET, "KERNEL_" "DIST", "dist_" "yannakakis"]), re.I)
+    tops = ("src", "tests", "docs", "README.md", "DESIGN.md", ".github", ".claude")
+    read = 0
+    for top in tops:
+        top = os.path.join(REPO_ROOT, top)
+        walked = os.walk(top) if os.path.isdir(top) else [(REPO_ROOT, [], [top])]
+        for directory, subdirs, names in walked:
+            subdirs[:] = [d for d in subdirs if d != "__pycache__"]
+            for name in names:
+                path = os.path.join(directory, name)
+                try:
+                    with open(path, encoding="utf-8") as handle:
+                        text = handle.read()
+                except (OSError, UnicodeDecodeError):
+                    continue
+                read += 1
+                hits = [n for n, line in enumerate(text.splitlines(), 1) if words.search(line)]
+                assert not hits, (path, hits)
+    assert read >= 150  # the trees were found and read, not skipped
+
+
 def test_evaluators_and_telemetry_do_not_reach_for_the_parallel_layer():
     """Dependency direction: ``repro.parallel`` drives the evaluators from
-    outside (batches, shards); nothing it drives, and nothing telemetry
+    outside (batches); nothing it drives, and nothing telemetry
     does, imports it back or fishes it out of ``sys.modules``."""
     root = os.path.dirname(cli.__file__)
     below = ("cqalgs", "wdpt", "relalg", "planner", "hypergraphs", "storage",

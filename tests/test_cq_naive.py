@@ -160,7 +160,7 @@ def brute_force(atoms, db, pre):
 
 
 def check_against_brute_force(kind, facts, atoms, pre, limit):
-    db = to_backend(facts, kind, shards=2)
+    db = to_backend(facts, kind)
     try:
         pre = Mapping(pre)
         terms = None if db.codec is None else len(db.codec)
@@ -177,11 +177,11 @@ def check_against_brute_force(kind, facts, atoms, pre, limit):
             assert count_homomorphisms(atoms, db) == len(expected)
         assert terms is None or len(db.codec) == terms  # reading never writes
     finally:
-        getattr(db, "shutdown", getattr(db, "close", lambda: None))()
+        getattr(db, "close", lambda: None)()
 
 
 @pytest.mark.parametrize(
-    "kind,examples", [("memory", 400), ("sqlite", 100), ("sharded", 60)]
+    "kind,examples", [("memory", 400), ("sqlite", 100)]
 )
 def test_search_agrees_with_brute_force(kind, examples):
     @settings(max_examples=examples, deadline=None)
@@ -192,7 +192,7 @@ def test_search_agrees_with_brute_force(kind, examples):
     run()
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded"])
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
 @pytest.mark.parametrize(
     "facts,atoms,pre",
     [

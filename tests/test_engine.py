@@ -5,8 +5,9 @@ import pytest
 from repro.core.atoms import atom
 from repro.core.database import Database
 from repro.core.mappings import Mapping
-from repro.engine import Result, Session
+from repro.engine import BACKEND_ENV, Result, Session
 from repro.exceptions import ParseError
+from repro.storage import MemoryBackend, SQLiteBackend
 from repro.workloads.families import FIGURE1_QUERY_TEXT, example2_graph
 
 SURFACE = (
@@ -32,6 +33,23 @@ class TestConstruction:
     def test_from_atoms(self):
         s = Session([atom("E", 1, 2), atom("E", 2, 3)])
         assert s.size == 2
+
+    def test_env_backend_applies_to_raw_data_graphs_included(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "sqlite")
+        graph = example2_graph()
+        from_graph = Session(graph)
+        assert isinstance(from_graph.database, SQLiteBackend)
+        assert from_graph.size == len(graph)
+        assert isinstance(Session([atom("E", 1, 2)]).database, SQLiteBackend)
+        # A backend object the caller hands over is used as it is.
+        for handed in (MemoryBackend([atom("E", 1, 2)]), Database([atom("E", 1, 2)])):
+            assert Session(handed).database is handed
+
+    @pytest.mark.parametrize("kind", ["sh" "arded", "bogus"])
+    def test_env_backend_must_name_a_backend(self, monkeypatch, kind):
+        monkeypatch.setenv(BACKEND_ENV, kind)
+        with pytest.raises(ValueError, match=r"\(expected one of memory, sqlite\)$"):
+            Session(example2_graph())
 
 
 class TestParsing:

@@ -72,7 +72,6 @@ class TestJoinTrees:
         assert tree.children[tree.root] == [1 - tree.root]
         assert tree.parent == {1 - tree.root: tree.root}
         assert tree.order == [tree.root, 1 - tree.root]
-        assert tree.levels == [[tree.root], [1 - tree.root]]
 
     def test_shape_rejects_links_that_are_not_one_tree(self):
         with pytest.raises(ValueError, match="2 roots"):

@@ -4,7 +4,7 @@
   bounds on the homomorphism count (property-based), independence
   estimates are sane, empty/ground corner cases;
 * EXPLAIN ANALYZE surfaces estimated vs. actual rows with the per-node
-  q-error across engines and all three kernel paths;
+  q-error across engines and both kernel paths;
 * the per-query-shape :class:`QueryStatsStore`: recording, LRU bound,
   deterministic merge, JSON persistence, and the planner's historical
   kernel preference built on top;

@@ -231,7 +231,7 @@ def test_an_opt_extension_builds_no_atom_per_interface_key(monkeypatch):
     assert calls.counts == {"hash": 0, "eq": 0, "atom": 3}  # the three patterns above
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded"])
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
 def test_from_mappings_keeps_constants_the_store_never_saw(kind):
     """Packing for a database writes nothing into its dictionary: an
     unknown constant stays itself, joins with nothing scanned, is equal
@@ -297,6 +297,9 @@ def test_choose_kernel_matrix():
         assert choose_kernel(db) == "columnar"
         assert choose_kernel(_SQLCapable()) == "sql"
         assert choose_kernel(None) == "columnar"  # a plan built without a database
+        # One capability is read; the deleted fleet's flag selects nothing.
+        fleet = type("_Fleet", (), {"supports_" + "dist" + "_yannakakis": True})()
+        assert choose_kernel(fleet) == "columnar"
     with pytest.raises(TypeError):
         choose_kernel(_SQLCapable(), None)  # the database and nothing else
 
@@ -366,7 +369,7 @@ def _acyclic_queries(seed, length, rays):
     return queries
 
 
-@pytest.mark.parametrize("backend, expected", [("sqlite", "sql"), ("sharded", "dist")])
+@pytest.mark.parametrize("backend, expected", [("sqlite", "sql"), ("memory", "columnar")])
 def test_planned_kernel_is_the_kernel_that_runs(backend, expected):
     """The kernel on the ``QueryPlan`` and the ``query.plan`` event is the
     one the ``yannakakis`` spans of the same query report."""

@@ -18,7 +18,12 @@ from repro.cqalgs.yannakakis import (
     satisfiable_with_join_tree,
 )
 from repro.engine import Session
-from repro.exceptions import NotGroundError, ReproError, SchemaError
+from repro.exceptions import (
+    NotGroundError,
+    ReproError,
+    ResourceBudgetExceeded,
+    SchemaError,
+)
 from repro.relalg.config import MODES, force_kernels
 from repro.relalg.relation import from_mappings, scan, to_mappings
 from repro.storage import (
@@ -29,6 +34,8 @@ from repro.storage import (
     to_backend,
 )
 from repro.storage.sqlite import decode_value, encode_value
+from repro.telemetry.resources import ResourceBudget
+from repro.workloads.generators import random_database, random_wdpt
 
 FACTS = [atom("E", 1, 2), atom("E", 2, 3), atom("E", 2, 2), atom("U", 1)]
 
@@ -116,7 +123,7 @@ def _state(db):
     )
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded"])
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
 def test_constants_the_store_has_never_seen(kind):
     """A pattern constant no fact holds matches nothing, on every read
     path — and reading never writes: the term dictionary (where the
@@ -141,6 +148,31 @@ def test_constants_the_store_has_never_seen(kind):
                     found = relation_with_join_tree([atom("E", "?x", "?y")], [], db, [x, y], seed)
                     assert to_mappings(found) == {Mapping({x: 1, y: 2}), Mapping({x: 2, y: 2})}
         assert terms is None or len(db.codec) == terms
+
+
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_row_budget_is_enforced_and_accounted(kind):
+    """``hard_intermediate_rows`` kills a query over either store, and a
+    generous budget returns the memory answers with the rows accounted.
+    On the columnar kernels: the SQL pushdown's Boolean statement accounts
+    no rows (ROADMAP item 2a), a hole this test leaves named."""
+    relations = ("E", "F")
+    facts = random_database(30, relations=relations, domain_size=4, seed=3).facts()
+    query = random_wdpt(
+        depth=2, fanout=2, atoms_per_node=1, fresh_vars_per_node=1,
+        relations=relations, seed=3,
+    )
+    expected = Session(MemoryBackend(facts), cache=False).query(query).answers
+    generous = ResourceBudget(hard_intermediate_rows=10 ** 6)
+    tiny = ResourceBudget(hard_intermediate_rows=1)
+    with force_kernels("columnar"):
+        with Session(facts, backend=kind, cache=False, budgets=generous) as session:
+            result = session.query(query)
+            assert result.answers == expected
+            assert result.resources.peak_intermediate_rows > 0
+        with Session(facts, backend=kind, cache=False, budgets=tiny) as session:
+            with pytest.raises(ResourceBudgetExceeded):
+                session.query(query)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +224,16 @@ class TestProtocol:
         assert db.data_version == v + 2
         db.discard(atom("E", 7, 8))  # absent: no-op
         assert db.data_version == v + 2
+
+    def test_add_many_bumps_version_once(self, db):
+        before = db.data_version
+        batch = [atom("E", 7, 8), atom("E", 8, 9), atom("F", 1, 1)]
+        assert db.add_many(batch) == 3
+        assert db.data_version == before + 1
+        # A batch of pure duplicates is a no-op: no new version, so
+        # version-stamped caches stay valid.
+        assert db.add_many(batch) == 0
+        assert db.data_version == before + 1
 
     def test_non_ground_rejected(self, db):
         with pytest.raises(NotGroundError):

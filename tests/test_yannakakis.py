@@ -1,6 +1,7 @@
 """Unit tests for Yannakakis' algorithm (cross-checked against naive)."""
 
 from contextlib import contextmanager
+from functools import reduce
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -14,7 +15,9 @@ from repro.core.mappings import Mapping
 from repro.core.terms import Variable
 from repro.cqalgs.enumeration import enumerate_answers
 from repro.cqalgs.naive import evaluate_naive, homomorphisms
+from repro.cqalgs import yannakakis
 from repro.cqalgs.yannakakis import (
+    columnar_join_phase,
     evaluate_acyclic,
     relation_with_join_tree,
     satisfiable_with_join_tree,
@@ -25,7 +28,7 @@ from repro.engine import Session
 from repro.exceptions import ClassMembershipError
 from repro.hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
 from repro.relalg.config import force_kernels
-from repro.relalg.relation import from_mappings, scan, to_mappings
+from repro.relalg.relation import from_mappings, hash_join, project, scan, to_mappings
 from repro.storage import MemoryBackend, SQLiteBackend
 from repro.telemetry.tracer import tracing
 from repro.workloads.datasets import music_catalog
@@ -271,6 +274,56 @@ def test_enumeration_emits_every_answer_once(case):
             assert len(emitted) == len(expected), config
             assert frozenset(emitted) == expected, config
             assert list(enumerate_answers(query, db, limit=2)) == emitted[:2], config
+
+
+@_ACYCLIC
+@given(acyclic_cq_and_facts())
+def test_join_phase_is_join_then_project(case):
+    """On plain scans — private columns, zero-column relations, edges
+    without a shared variable and all: the pass needs a join tree, not a
+    reduction."""
+    atoms, facts, frees, _ = case
+    db = MemoryBackend(facts)
+    relations = [scan(a, db) for a in atoms]
+    tree = join_tree_shape(join_tree_of_atoms(atoms), len(atoms))
+    wide = project(reduce(hash_join, relations), frees)
+    assert to_mappings(columnar_join_phase(frees, relations, tree)) == to_mappings(wide)
+
+
+def test_join_phase_drops_private_columns_before_joining(monkeypatch):
+    """Structural, not wall-clock: a node's relation enters its joins
+    without the columns that are neither kept above it nor shared with a
+    child — here the root's ``?d``, 400 values per ``?c``, which would
+    multiply every row pair of the root's joins."""
+    facts = (
+        [atom("R", a, a % 5) for a in range(20)]
+        + [atom("S", b, c) for b in range(5) for c in range(3)]
+        + [atom("V", c, c + 10) for c in range(3)]
+        + [atom("T", c, d) for c in range(3) for d in range(400)]
+    )
+    atoms = [atom("R", "?a", "?b"), atom("S", "?b", "?c"), atom("V", "?c", "?e"),
+             atom("T", "?c", "?d")]
+    db = MemoryBackend(facts)
+    tree = join_tree_shape([(0, 1), (1, 3), (2, 3)], 4)  # rooted at T(c, d)
+    frees = frozenset({Variable("a"), Variable("e")})
+    calls = []
+
+    def recording(left, right, keep=None):
+        calls.append((left, right, keep))
+        return hash_join(left, right, keep)
+
+    monkeypatch.setattr(yannakakis, "hash_join", recording)
+    answers = columnar_join_phase(frees, [scan(a, db) for a in atoms], tree)
+    assert to_mappings(answers) == evaluate_naive(ConjunctiveQuery(sorted(frees), atoms), db)
+    # A node's joins end with the one that is handed the kept columns.
+    ends = [i + 1 for i, call in enumerate(calls) if call[2] is not None]
+    nodes = [calls[start:end] for start, end in zip([0] + ends, ends)]
+    assert [len(node) for node in nodes] == [1, 2]  # S with R; T with S, then V
+    for node in nodes:
+        allowed = set(node[-1][2]).union(*(right.schema for _, right, _ in node))
+        assert set(node[0][0].schema) <= allowed
+    root = nodes[-1][0][0]
+    assert root.schema == (Variable("c"),) and len(root) == 3
 
 
 def test_band_query_root_label_reads_a_handful_of_facts():
