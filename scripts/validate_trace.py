@@ -11,8 +11,8 @@ Usage::
 Four formats:
 
 * ``chrome`` — a Chrome trace-event JSON file from the tracer.  Known
-  span attributes (``kernel``, ``engine``, ``trace_id``, ``est_rows``,
-  ``q_error``, … — see ``repro.telemetry.export.SPAN_ATTR_TYPES``) are
+  span attributes (``kernel``, ``engine``, ``trace_id``, ``node_stats``,
+  … — see ``repro.telemetry.export.SPAN_ATTR_TYPES``) are
   type-checked; attributes the validator does not know about are
   accepted, so instrumentation can grow without breaking old validators;
 * ``obslog`` — a JSON-lines structured query log from

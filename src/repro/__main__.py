@@ -11,8 +11,7 @@ Usage::
                              [--profile-hz HZ] [--profile-out OUT.json]
                              [--backend {memory,sqlite}] [--store DB.sqlite]
                              [--save-db DB.sqlite] [--no-cache]
-                             [--stats-store STATS.json] [--serve-debug PORT]
-                             [--serve-seconds N]
+                             [--serve-debug PORT] [--serve-seconds N]
     python -m repro analyze  QUERY  [TRIPLES.tsv]  [--trace-out trace.json]
     python -m repro metrics  [QUERY]  [TRIPLES.tsv]
     python -m repro serve-metrics  [TRIPLES.tsv]  [--port P] [--self-check]
@@ -43,10 +42,9 @@ Usage::
   with any given triples — when present; the triples file is then
   optional), ``--save-db`` snapshots the loaded data to a SQLite file,
   and ``--no-cache`` disables the version-stamped result cache.
-  ``--stats-store STATS.json`` accumulates per-query-shape statistics
-  (resumed across runs), and ``--serve-debug PORT`` serves ``/metrics``,
-  ``/healthz`` and ``/debug/{queries,plans,stats}`` during the run
-  (``--serve-seconds N`` keeps serving after it finishes).
+  ``--serve-debug PORT`` serves ``/metrics``, ``/healthz`` and
+  ``/debug/{queries,plans}`` during the run (``--serve-seconds N`` keeps
+  serving after it finishes).
 * ``analyze`` runs EXPLAIN ANALYZE directly (over the paper's Example 2
   database when no triples file is given).
 * ``metrics`` evaluates a query (the paper's query (1) by default) and
@@ -261,26 +259,6 @@ def _finish_profiler(args: argparse.Namespace, profiler) -> None:
         )
 
 
-def _make_stats_store(args: argparse.Namespace):
-    """A :class:`QueryStatsStore` from ``--stats-store`` (resumed from the
-    file when it exists), or ``None``."""
-    path = getattr(args, "stats_store", None)
-    if path is None:
-        return None
-    import os
-
-    from .telemetry.insight import QueryStatsStore
-
-    if os.path.exists(path):
-        try:
-            return QueryStatsStore.load(path)
-        except (OSError, ValueError) as exc:
-            raise ReproError(
-                "cannot load stats store %s: %s" % (path, exc)
-            ) from exc
-    return QueryStatsStore()
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     import time
 
@@ -290,11 +268,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     p = _parse_text(args.query)
     obslog = _make_obslog(args)
-    stats_store = _make_stats_store(args)
     session = Session(
         _load_triples(args.triples) if args.triples is not None else None,
         obslog=obslog,
-        stats_store=stats_store,
         backend=args.backend,
         path=args.store,
         cache=not args.no_cache,
@@ -330,9 +306,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             _write_trace(report, args.trace_out)
         if obslog is not None and args.log_queries:
             print("wrote query log to %s" % args.log_queries)
-        if stats_store is not None:
-            stats_store.save(args.stats_store)
-            print("saved query stats to %s" % args.stats_store)
         if args.save_db:
             print("saved database to %s" % args.save_db)
         _finish_profiler(args, profiler)
@@ -647,14 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the version-stamped result cache",
     )
     p_run.add_argument(
-        "--stats-store", metavar="STATS.json", default=None,
-        help="accumulate per-query-shape statistics (latency, rows, "
-             "kernels, q-errors) into this JSON file — resumed when it "
-             "exists, so history persists across runs",
-    )
-    p_run.add_argument(
         "--serve-debug", type=int, default=None, metavar="PORT",
-        help="serve /metrics, /healthz and /debug/{queries,plans,stats} "
+        help="serve /metrics, /healthz and /debug/{queries,plans} "
              "on this port (0 = pick a free one) while the run executes",
     )
     p_run.add_argument(

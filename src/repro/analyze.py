@@ -27,7 +27,6 @@ from .planner.plan import ENGINE_NAIVE
 from .planner.planner import Planner
 from .table import format_table
 from .telemetry.export import aggregate_spans, render_stage_breakdown, trace_to_dict
-from .telemetry.insight import q_error
 from .telemetry.tracer import Tracer
 from .wdpt.explain import WDPTProfile
 from .wdpt.wdpt import WDPT
@@ -89,22 +88,6 @@ class AnalyzeReport:
     def total_seconds(self) -> float:
         return sum(root.duration for root in self.tracer.roots)
 
-    def q_error_summary(self) -> Dict[str, float]:
-        """Distribution of per-node q-errors (nodes with an estimate and
-        measured candidates): count / p50 / p95 / max / mean."""
-        errors = sorted(
-            row["q_error"] for row in self.rows if row.get("q_error") is not None
-        )
-        if not errors:
-            return {"count": 0, "p50": 0.0, "p95": 0.0, "max": 0.0, "mean": 0.0}
-        return {
-            "count": len(errors),
-            "p50": _percentile(errors, 0.50),
-            "p95": _percentile(errors, 0.95),
-            "max": errors[-1],
-            "mean": sum(errors) / len(errors),
-        }
-
     def as_dict(self) -> Dict[str, Any]:
         """JSON-friendly form (the CLI's ``--json`` payload)."""
         return {
@@ -115,7 +98,6 @@ class AnalyzeReport:
             "answers": self.n_answers,
             "total_seconds": self.total_seconds(),
             "nodes": self.rows,
-            "q_error": self.q_error_summary(),
             "stages": self.stages,
             "trace": trace_to_dict(self.tracer),
         }
@@ -149,24 +131,16 @@ class AnalyzeReport:
                     row["engine"],
                     row.get("kernel") or "-",
                     _fmt_seconds(row["seconds"]),
-                    _fmt_estimate(row.get("est_rows"), row.get("est_method")),
                     int(row["candidates"]),
-                    _fmt_q_error(row.get("q_error")),
                     int(row["extensions"]),
                     int(row["sat_checks"]),
                 ]
             )
         node_table = format_table(
             ["tree node", "atoms", "tw", "iface", "engine", "kernel", "time",
-             "est rows", "candidates", "q-err", "extensions", "cq checks"],
+             "candidates", "extensions", "cq checks"],
             table_rows,
         )
-        summary = self.q_error_summary()
-        if summary["count"]:
-            header.append(
-                "estimate quality: q-error p50 %.2f, p95 %.2f, max %.2f over %d node(s)"
-                % (summary["p50"], summary["p95"], summary["max"], summary["count"])
-            )
         stage_table = render_stage_breakdown(self.tracer)
         return "\n".join(header) + "\n\n" + node_table + "\n\n" + stage_table
 
@@ -198,8 +172,6 @@ def build_report(
         if mode in _EVALUATOR_MODES and not node_profile.is_acyclic:
             engine, theorem = ENGINE_NAIVE, _PER_KEY_SEARCH
         stats = measured.get(node, {})
-        candidates = stats.get("candidates", 0)
-        estimate = _node_estimate(p, tree_profile, planner, node, db)
         rows.append(
             {
                 "node": node,
@@ -213,18 +185,11 @@ def build_report(
                 "kernel": plan.kernel,
                 "theorem": theorem,
                 "seconds": float(stats.get("seconds", 0.0)),
-                "candidates": candidates,
+                "candidates": stats.get("candidates", 0),
                 "extensions": stats.get("extensions", 0),
                 "sat_checks": stats.get("sat_checks", 0),
                 "in_calls": stats.get("in_calls", 0),
                 "blocked_checks": stats.get("blocked_checks", 0),
-                "est_rows": None if estimate is None else estimate.estimated_rows,
-                "est_method": None if estimate is None else estimate.method,
-                "q_error": (
-                    None
-                    if estimate is None or not candidates
-                    else q_error(estimate.estimated_rows, candidates)
-                ),
             }
         )
     # The root of the top-down evaluator has no per-child timer around it;
@@ -246,32 +211,6 @@ def build_report(
     )
 
 
-def _node_estimate(
-    p: WDPT, tree_profile: Any, planner: Planner, node: int, db: Optional[Any]
-):
-    """The planner's cardinality estimate for the root→``node`` *path* CQ.
-
-    A node's measured ``candidates`` counts the candidate mappings seen
-    there — in the top-down evaluator these are exactly the
-    homomorphisms of the CQ made of all atoms from the root down to the
-    node, so that path CQ (not the node label alone) is the estimand the
-    AGM bound must cover.  Path profiles are rooted subtrees, hence
-    memoized by :meth:`~repro.planner.profile.TreeProfile.subtree_profile`,
-    and the estimate itself is memoized by the planner."""
-    if db is None:
-        return None
-    path = []
-    current: Optional[int] = node
-    while current is not None:
-        path.append(current)
-        current = p.tree.parent(current)
-    try:
-        path_profile = tree_profile.subtree_profile(frozenset(path))
-        return planner.estimate_for_profile(path_profile, db)
-    except Exception:  # estimation must never break EXPLAIN ANALYZE
-        return None
-
-
 def _merge_node_stats(tracer: Tracer) -> Dict[int, Dict[str, float]]:
     """Sum the ``node_stats`` attributes of every evaluator span."""
     merged: Dict[int, Dict[str, float]] = {}
@@ -289,25 +228,6 @@ def _merge_node_stats(tracer: Tracer) -> Dict[int, Dict[str, float]]:
 
 def _fmt_opt(value: Optional[int]) -> str:
     return "?" if value is None else str(value)
-
-
-def _fmt_estimate(rows: Optional[float], method: Optional[str]) -> str:
-    if rows is None:
-        return "-"
-    tag = {"agm": "≤", "independence": "≈", "trivial": "="}.get(method or "", "≈")
-    return "%s%.4g" % (tag, rows)
-
-
-def _fmt_q_error(value: Optional[float]) -> str:
-    return "-" if value is None else "%.2f" % value
-
-
-def _percentile(ordered: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted list."""
-    if not ordered:
-        return 0.0
-    rank = max(0, min(len(ordered) - 1, int(round(q * (len(ordered) - 1)))))
-    return ordered[rank]
 
 
 def _fmt_seconds(seconds: float) -> str:

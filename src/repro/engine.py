@@ -22,8 +22,8 @@ algorithms of Sections 3 through the planner's engine router.
 per-engine selections, analysis vs. engine time).
 
 A query runs start to finish on the thread that asked for it;
-:meth:`Session.run_batch` / :meth:`Session.map` fan whole query lists
-out over thread or process workers (:mod:`repro.parallel`).
+:meth:`Session.run_batch` decides many ``ask`` pairs in worker processes
+(:mod:`repro.parallel`).
 
 The Session accepts any :class:`~repro.storage.base.StorageBackend`
 (:class:`~repro.core.database.Database`/
@@ -58,7 +58,6 @@ from .core.atoms import Atom
 from .core.database import Database
 from .core.mappings import Mapping
 from .exceptions import ParseError
-from .parallel.pool import WorkerPool
 from .rdf.graph import RDFGraph
 from .rdf.parser import parse_query
 from .rdf.sparql import parse_sparql
@@ -66,7 +65,6 @@ from .planner.planner import Planner
 from .storage import ResultCache, StorageBackend, to_backend
 from .storage.cache import DEFAULT_SIZE as DEFAULT_CACHE_SIZE
 from .table import format_table
-from .telemetry.insight import STATS_SCHEMA, QueryStatsStore
 from .telemetry.obslog import QueryLog, QueryObservation
 from .telemetry.profiler import current_profiler, gc_summary
 from .telemetry.resources import ResourceBudget
@@ -181,10 +179,6 @@ class Session:
       :class:`~repro.exceptions.ResourceBudgetExceeded`);
     * ``track_resources=`` — account wall/CPU/peak-rows per query even
       without budgets (``Result.resources``);
-    * ``stats_store=`` — a
-      :class:`~repro.telemetry.insight.QueryStatsStore` accumulating
-      per-query-shape execution history (latency, rows, cache hits,
-      kernel outcomes, q-errors);
     * ``tenant=`` — name of the tenant this session serves
       (:mod:`repro.service`): obslog records emitted by the session are
       stamped ``tenant=<name>`` (via ``QueryLog.bound``) and the
@@ -196,7 +190,7 @@ class Session:
     1
 
     A session is also a context manager — leaving the block shuts down
-    the worker pools :meth:`run_batch` created:
+    the worker processes :meth:`run_batch` started:
 
     >>> with Session([atom("E", 1, 2)]) as s:
     ...     s.size
@@ -210,7 +204,6 @@ class Session:
         obslog: Optional["QueryLog"] = None,
         budgets: Optional["ResourceBudget"] = None,
         track_resources: bool = False,
-        stats_store: Optional[QueryStatsStore] = None,
         backend: Optional[str] = None,
         path: Optional[str] = None,
         cache: Union[bool, ResultCache, None] = None,
@@ -264,10 +257,10 @@ class Session:
         self.budgets = budgets
         #: Account resources even without budgets (``Result.resources``).
         self.track_resources = bool(track_resources or budgets is not None)
-        #: Per-query-shape execution history (``telemetry.insight``);
-        #: ``None`` disables stats accumulation.
-        self.stats_store = stats_store
-        self._pools: Dict[object, WorkerPool] = {}
+        # run_batch's process pool and the (jobs, backend_id,
+        # data_version) it was built at.
+        self._pool = None
+        self._pool_key: Optional[tuple] = None
         # Live observability state backing the /debug/queries endpoint:
         # observations currently inside their ``with`` block, plus a
         # bounded ring of finished ones.
@@ -280,43 +273,62 @@ class Session:
         self._cache_bypass = threading.local()
 
     # ------------------------------------------------------------------
-    # Worker pools (repro.parallel)
+    # Batch decisions (repro.parallel.batch)
     # ------------------------------------------------------------------
-    def _pool_for(self, jobs: int, kind: str) -> WorkerPool:
-        """The session's cached pool for ``(jobs, kind)``; created on
-        first use (process pools carry an initializer building the
-        per-worker session from this database)."""
-        key = (jobs, kind)
-        pool = self._pools.get(key)
-        if pool is None:
-            if kind == "process":
-                from .parallel.batch import _init_process_worker
+    def run_batch(self, pairs, jobs: Optional[int] = None) -> List[bool]:
+        """``[self.ask(q, h) for q, h in pairs]``, decided ``jobs`` at a
+        time in worker processes (``None``: that loop, run here).
 
-                pool = WorkerPool(
-                    jobs,
-                    "process",
-                    initializer=_init_process_worker,
-                    initargs=(
-                        self.database,
-                        self.budgets,
-                        self.track_resources,
-                        self.result_cache is not None,
-                        self.obslog is not None,
-                        self.stats_store is not None,
-                    ),
-                    metrics=self.planner.metrics,
-                )
-            else:
-                pool = WorkerPool(jobs, "thread", metrics=self.planner.metrics)
-            self._pools[key] = pool
-        return pool
+        Worth it past a few hundred pairs (DESIGN.md, "Batches"); below
+        that the loop is as fast.
+
+        >>> from repro.workloads.families import example2_graph
+        >>> s = Session(example2_graph())
+        >>> q = ("SELECT ?x ?z WHERE { ?x recorded_by ?y "
+        ...      "OPTIONAL { ?x NME_rating ?z } }")
+        >>> pairs = [(q, h) for h in sorted(s.query(q).answers, key=repr)]
+        >>> s.run_batch(pairs, jobs=2) == [s.ask(q, h) for q, h in pairs]
+        True
+        >>> s.close()
+        """
+        from .parallel.batch import run_batch
+
+        return run_batch(self, pairs, jobs=jobs)
+
+    def _pool_for(self, jobs: int):
+        """The session's process pool with ``jobs`` workers, each holding
+        a copy of this database — built on first use, and rebuilt when
+        the worker count or the database's ``(backend_id, data_version)``
+        has moved since, so no worker answers from stale facts."""
+        db = self.database
+        key = (jobs, db.backend_id, db.data_version)
+        if self._pool_key != key:
+            self.close()
+        if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            from .parallel.batch import _init_process_worker
+
+            self._pool = ProcessPoolExecutor(
+                max_workers=jobs,
+                initializer=_init_process_worker,
+                initargs=(
+                    db,
+                    self.budgets,
+                    self.track_resources,
+                    self.result_cache is not None,
+                    self.obslog is not None,
+                ),
+            )
+            self._pool_key = key
+        return self._pool
 
     def close(self) -> None:
-        """Shut down every worker pool this session created
+        """Shut down the worker processes :meth:`run_batch` started
         (idempotent; a closed session still answers queries)."""
-        for pool in self._pools.values():
-            pool.close()
-        self._pools.clear()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+        self._pool = self._pool_key = None
 
     def __enter__(self) -> "Session":
         return self
@@ -324,50 +336,6 @@ class Session:
     def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
         self.close()
         return False
-
-    # ------------------------------------------------------------------
-    # Batch evaluation (repro.parallel.batch)
-    # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        queries,
-        jobs: Optional[int] = None,
-        executor: Optional[str] = None,
-        op: str = "query",
-    ):
-        """Evaluate many independent queries, ``jobs`` at a time
-        (``None``: the sequential loop) on ``executor`` workers
-        (``"thread"``, the default, or ``"process"``).
-
-        Returns a :class:`~repro.parallel.batch.BatchResult` whose
-        ``results[i]`` matches ``queries[i]`` — identical to the
-        sequential loop regardless of executor or scheduling.  ``op`` may
-        be ``"query"``, ``"query_maximal"``, or ``"ask"`` (then
-        ``queries`` holds ``(query, candidate)`` pairs).
-
-        >>> from repro.workloads.families import example2_graph
-        >>> s = Session(example2_graph())
-        >>> q = ("SELECT ?x ?z WHERE { ?x recorded_by ?y "
-        ...      "OPTIONAL { ?x NME_rating ?z } }")
-        >>> batch = s.run_batch([q, q], jobs=2)
-        >>> [len(r) for r in batch]
-        [2, 2]
-        >>> batch.answers() == [s.query(q).answers, s.query(q).answers]
-        True
-        """
-        from .parallel.batch import run_batch
-
-        return run_batch(self, queries, jobs=jobs, executor=executor, op=op)
-
-    def map(
-        self,
-        queries,
-        jobs: Optional[int] = None,
-        executor: Optional[str] = None,
-    ):
-        """``[self.query(q) for q in queries]``, fanned over the pool —
-        the list-of-:class:`Result` convenience over :meth:`run_batch`."""
-        return list(self.run_batch(queries, jobs=jobs, executor=executor))
 
     # ------------------------------------------------------------------
     # Parsing
@@ -384,16 +352,11 @@ class Session:
     # Evaluation
     # ------------------------------------------------------------------
     def _observe(self, op: str, query: Query) -> Optional[QueryObservation]:
-        """A per-call observation when obslog/budgets/resource tracking or
-        a stats store is configured — or a sampling profiler is running,
-        so profiled queries get a ``trace_id`` their samples attribute
-        to; ``None`` (the zero-overhead path, one module-global read)
-        otherwise."""
-        if (
-            self.obslog is None
-            and not self.track_resources
-            and self.stats_store is None
-        ):
+        """A per-call observation when obslog/budgets/resource tracking is
+        configured — or a sampling profiler is running, so profiled
+        queries get a ``trace_id`` their samples attribute to; ``None``
+        (the zero-overhead path, one module-global read) otherwise."""
+        if self.obslog is None and not self.track_resources:
             profiler = current_profiler()
             if profiler is None or not profiler.running:
                 return None
@@ -459,45 +422,23 @@ class Session:
         return {"in_flight": in_flight, "recent": recent}
 
     def debug_plans(self) -> Dict[str, Any]:
-        """The ``/debug/plans`` payload: the planner's EXPLAIN cache
-        joined with each shape's accumulated estimate accuracy."""
-        store = self.stats_store
+        """The ``/debug/plans`` payload: the planner's EXPLAIN cache, one
+        entry per query shape with its routes."""
         plans = []
         for key, profile in self.planner.explains.items_snapshot():
             fingerprint = key if isinstance(key, str) else repr(key)
-            entry: Dict[str, Any] = {
+            plans.append({
                 "fingerprint": fingerprint[:16],
                 "eval_route": profile.eval_route(),
                 "partial_eval_route": profile.partial_eval_route(),
-            }
-            if store is not None:
-                snapshot = store.snapshot(fingerprint[:16])
-                if snapshot is not None:
-                    entry["executions"] = snapshot["executions"]
-                    entry["q_error"] = snapshot["q_error"]
-            plans.append(entry)
-        return {
-            "plans": plans,
-            "estimate_cache": self.planner.estimates.stats(),
-            "profile_cache": self.planner.profiles.stats(),
-        }
-
-    def debug_stats(self) -> Dict[str, Any]:
-        """The ``/debug/stats`` payload: the stats store dump (an empty
-        schema-stamped dump when no store is configured)."""
-        if self.stats_store is None:
-            return {"schema": STATS_SCHEMA, "queries": {}}
-        return self.stats_store.dump()
+            })
+        return {"plans": plans, "profile_cache": self.planner.profiles.stats()}
 
     def debug_providers(self) -> Dict[str, Any]:
         """Callables for :class:`~repro.telemetry.promhttp.MetricsServer`'s
         ``/debug/*`` routes
         (``MetricsServer(..., debug=session.debug_providers())``)."""
-        return {
-            "queries": self.debug_queries,
-            "plans": self.debug_plans,
-            "stats": self.debug_stats,
-        }
+        return {"queries": self.debug_queries, "plans": self.debug_plans}
 
     def _cache_slot(self, op: str, p: WDPT, extra=None):
         """``(key, stamp)`` of one evaluation call — its
@@ -517,7 +458,7 @@ class Session:
 
     def _note_cache(self, obs: Optional[QueryObservation], outcome: str) -> None:
         """Emit a ``query.cache`` obslog record (hit or miss) and note
-        the outcome on the observation for the stats store."""
+        the outcome on the observation for ``/debug/queries``."""
         if obs is None:
             return
         obs.cache_outcome = outcome

@@ -81,3 +81,9 @@ class ResourceBudgetExceeded(ReproError):
         if trace_id is not None:
             message += " [trace %s]" % trace_id
         super().__init__(message)
+
+    def __reduce__(self):
+        # A kill inside a batch worker process crosses back by pickle.
+        return (
+            type(self), (self.dimension, self.limit, self.observed, self.trace_id)
+        )

@@ -9,11 +9,6 @@ from .beta import (
     beta_hypertreewidth_exact,
     is_beta_acyclic,
 )
-from .fractional import (
-    fractional_cover_number,
-    fractional_hypertreewidth,
-    fractional_hypertreewidth_upper_bound,
-)
 from .gyo import (
     JoinTree,
     gyo_reduction,
@@ -47,9 +42,6 @@ __all__ = [
     "beta_hypertreewidth_at_most",
     "beta_hypertreewidth_exact",
     "is_beta_acyclic",
-    "fractional_cover_number",
-    "fractional_hypertreewidth",
-    "fractional_hypertreewidth_upper_bound",
     "gyo_reduction",
     "is_alpha_acyclic",
     "join_tree_is_valid",

@@ -1,23 +1,14 @@
-"""Parallel and batched WDPT evaluation.
+"""Process-parallel ``ask`` batches.
 
-Parallelism lives at one outer seam, **across queries**; a single query
-runs start to finish on the thread that asked for it:
-:func:`repro.parallel.batch.run_batch` fans independent queries over
-thread or process workers (:mod:`repro.parallel.pool`), sharing one
-warmed plan cache and merging per-worker telemetry deterministically
-(surfaced as ``Session.run_batch`` / ``Session.map``).
+Parallelism lives at one outer seam, **across decisions**; a single
+query runs start to finish on the thread that asked for it:
+:func:`repro.parallel.batch.run_batch` decides independent ``(query,
+candidate)`` pairs in worker processes and merges their telemetry
+deterministically (surfaced as ``Session.run_batch``).
 """
 
 from __future__ import annotations
 
-from .batch import BatchResult, run_batch
-from .pool import EXECUTORS, WorkerPool, current_worker_id, effective_cpu_count
+from .batch import run_batch
 
-__all__ = [
-    "BatchResult",
-    "EXECUTORS",
-    "WorkerPool",
-    "current_worker_id",
-    "effective_cpu_count",
-    "run_batch",
-]
+__all__ = ["run_batch"]

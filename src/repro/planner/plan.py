@@ -51,17 +51,9 @@ class QueryPlan:
         kernel that runs; ``None`` for the other engines (they evaluate
         through their own decomposition machinery before reaching the
         kernels).
-    estimate:
-        The planner's :class:`~repro.telemetry.insight.CardinalityEstimate`
-        for this atom set against the database the plan was built for
-        (``None`` when no database was given) — relation sizes,
-        independence-assumption output estimate, and the AGM fractional
-        cover bound where one is available.  Memoized by the planner per
-        ``(atom set, backend_id, data_version)``, so stamping it here is
-        a cache lookup, not a recount.
     """
 
-    __slots__ = ("fingerprint", "engine", "theorem", "profile", "kernel", "estimate")
+    __slots__ = ("fingerprint", "engine", "theorem", "profile", "kernel")
 
     def __init__(
         self,
@@ -70,25 +62,18 @@ class QueryPlan:
         theorem: str,
         profile: StructuralProfile,
         kernel: Optional[str] = None,
-        estimate: Optional[object] = None,
     ):
         self.fingerprint = fingerprint
         self.engine = engine
         self.theorem = theorem
         self.profile = profile
         self.kernel = kernel
-        self.estimate = estimate
 
     def describe(self) -> str:
         """One-line EXPLAIN: engine plus justification."""
         base = "%s — %s" % (self.engine, self.theorem)
         if self.kernel is not None:
             base += " [kernel=%s]" % self.kernel
-        if self.estimate is not None:
-            base += " [est≈%.4g rows, %s]" % (
-                self.estimate.estimated_rows,
-                self.estimate.method,
-            )
         return base
 
     def __repr__(self) -> str:

@@ -29,8 +29,8 @@ planner so free functions (``cqalgs.dispatch.evaluate``, ``wdpt.classes``,
 ``wdpt.explain``) share analyses without explicit wiring; a
 :class:`~repro.engine.Session` owns a private planner instead.
 
-One planner may serve many threads at once (:mod:`repro.parallel`'s
-thread executor shares the session's planner across its workers): the
+One planner may serve many threads at once (the query service's
+executor threads share one planner across every tenant session): the
 caches lock their LRU mutation, the metrics registry locks its series,
 and :meth:`Planner.stats` aggregates from point-in-time snapshots, so
 concurrent queries neither corrupt state nor perturb each other's
@@ -76,7 +76,6 @@ from .plan import (
 from .profile import StructuralProfile, TreeProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..telemetry.insight import CardinalityEstimate
     from ..wdpt.explain import WDPTProfile
 
 
@@ -92,7 +91,6 @@ class Planner:
         self.profiles = PlanCache(profile_cache_size)
         self.parses = PlanCache(parse_cache_size)
         self.explains = PlanCache(profile_cache_size)
-        self.estimates = PlanCache(profile_cache_size)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     # Views over the metrics registry.
@@ -182,7 +180,7 @@ class Planner:
     ) -> QueryPlan:
         """The routing decision for an already-profiled atom set, as
         EXPLAIN shows it: ``profile.engine`` — the value :meth:`_run`
-        dispatches on — plus its justification, kernel and estimate."""
+        dispatches on — plus its justification and kernel."""
         self.metrics.counter("planner.plans_built").inc()
         engine = profile.engine
         theorem = THEOREMS[engine]
@@ -194,30 +192,7 @@ class Planner:
             theorem,
             profile,
             kernel=choose_kernel(db) if engine == ENGINE_YANNAKAKIS else None,
-            estimate=self.estimate_for_profile(profile, db),
         )
-
-    def estimate_for_profile(
-        self, profile: StructuralProfile, db: Optional[Database] = None
-    ) -> Optional["CardinalityEstimate"]:
-        """The memoized cardinality estimate for ``profile`` over ``db``.
-
-        Keyed by ``(atom set, backend_id, data_version)``: relation
-        counts are taken at most once per query shape per database epoch.
-        Only plans and reports ask for one; no engine run does."""
-        if db is None:
-            return None
-        key = (profile.sorted_atoms, db.backend_id, db.data_version)
-        estimate = self.estimates.get(key)
-        if estimate is None:
-            from ..telemetry.insight import estimate_profile
-
-            with current_tracer().span(
-                "planner.estimate", atoms=len(profile.sorted_atoms)
-            ):
-                estimate = estimate_profile(profile, db)
-            self.estimates.put(key, estimate)
-        return estimate
 
     def evaluate_cq(self, query: ConjunctiveQuery, db: Database) -> FrozenSet:
         """``q(D)`` through the router (the ``auto`` method of
@@ -344,7 +319,6 @@ class Planner:
             "plan_cache": self.profiles.stats(),
             "parse_cache": self.parses.stats(),
             "explain_cache": self.explains.stats(),
-            "estimate_cache": self.estimates.stats(),
             "subtree_profiles": {"hits": subtree_hits, "misses": subtree_misses},
             "engine_selections": dict(self.engine_selections),
             "kernel_selections": dict(self.kernel_selections),
@@ -365,7 +339,6 @@ class Planner:
         self.profiles.hits = self.profiles.misses = self.profiles.evictions = 0
         self.parses.hits = self.parses.misses = self.parses.evictions = 0
         self.explains.hits = self.explains.misses = self.explains.evictions = 0
-        self.estimates.hits = self.estimates.misses = self.estimates.evictions = 0
         self.metrics.reset()
 
     def __repr__(self) -> str:

@@ -35,8 +35,8 @@ HTTP routes:
 ``GET /metrics``      Prometheus exposition (shared registry, per-tenant
                       labels, per-tenant cache gauges)
 ``GET /tenants``      the key-free tenant/QoS registry
-``GET /debug/*``      the live debug endpoints (queries/plans/stats/
-                      profile), exactly as on ``MetricsServer``
+``GET /debug/*``      the live debug endpoints (queries/plans/profile),
+                      exactly as on ``MetricsServer``
 ====================  =====================================================
 
 Route matching, ``/healthz`` fields, and all error bodies are shared
@@ -221,12 +221,7 @@ class ServiceServer:
                 return {}
             return next(iter(self.sessions.values())).debug_plans()
 
-        def stats() -> Dict[str, Any]:
-            if not self.sessions:
-                return {}
-            return next(iter(self.sessions.values())).debug_stats()
-
-        return {"queries": queries, "plans": plans, "stats": stats}
+        return {"queries": queries, "plans": plans}
 
     def _service_exposition(self) -> str:
         """Scrape-time Prometheus text for per-tenant cache state and the

@@ -26,8 +26,9 @@ Three capabilities the in-memory backend does not have:
   ``VALUES`` CTE.  ``repro.cqalgs.yannakakis`` selects it automatically
   when the database is SQLite-backed (``REPRO_KERNELS=auto``).
 * **Concurrency** — the connection is shared across threads behind an
-  ``RLock`` (``repro.parallel``'s thread pools may issue matches
-  concurrently); pickling ships the facts, so process pools work too.
+  ``RLock`` (the query service's executor threads may issue matches
+  concurrently); pickling ships the facts (or, on disk, the path), so
+  ``repro.parallel``'s worker processes work too.
 """
 
 from __future__ import annotations

@@ -11,13 +11,10 @@
 * :mod:`repro.telemetry.resources` — per-query resource accounting and
   soft/hard budgets;
 * :mod:`repro.telemetry.context` — the per-query ``trace_id`` correlation
-  context carried across pool workers and process envelopes;
-* :mod:`repro.telemetry.insight` — cardinality estimation (independence +
-  AGM bounds), q-error accounting, and the per-query-shape
-  :class:`QueryStatsStore`;
+  context, shipped into process workers with each batch task;
 * :mod:`repro.telemetry.promhttp` — a stdlib ``/metrics`` + ``/healthz``
   + ``/debug/*`` endpoint serving the Prometheus text exposition and
-  live plan/query/stats snapshots;
+  live plan/query snapshots;
 * :mod:`repro.telemetry.profiler` — the span-aware sampling wall-clock
   profiler: folded-stack / speedscope flamegraph exports, per-trace
   sample attribution, and GC health gauges.
@@ -34,14 +31,6 @@ from .context import (
     new_trace_id,
     set_trace_context,
     trace_context,
-)
-from .insight import (
-    CardinalityEstimate,
-    DEFAULT_MISESTIMATE_QERROR,
-    QueryStatsStore,
-    STATS_SCHEMA,
-    estimate_profile,
-    q_error,
 )
 from .metrics import (
     Counter,
@@ -121,12 +110,6 @@ __all__ = [
     "new_trace_id",
     "set_trace_context",
     "trace_context",
-    "CardinalityEstimate",
-    "DEFAULT_MISESTIMATE_QERROR",
-    "QueryStatsStore",
-    "STATS_SCHEMA",
-    "estimate_profile",
-    "q_error",
     "Counter",
     "DEFAULT_QUANTILES",
     "Gauge",

@@ -2,32 +2,28 @@
 
 A trace id names one logical query execution end to end: every span,
 obslog line, and resource-budget event it produces — on the calling
-thread, on pool worker threads, and inside process workers — carries the
-same id, so operators can stitch the pieces back together after the
-fact (``grep trace_id=… query-log.jsonl``).
+thread and inside batch worker processes — carries the same id, so
+operators can stitch the pieces back together after the fact
+(``grep trace_id=… query-log.jsonl``).
 
 The context is a plain thread-local, mirroring
 :func:`repro.telemetry.resources.current_monitor`:
 
 * :func:`current_trace_id` / :func:`current_span_id` read it (None when
   no query is in flight),
-* :func:`set_trace_context` installs it and returns the previous pair
-  (the :class:`~repro.parallel.pool.WorkerPool` thread envelope uses
-  this to carry a batch's context into its worker threads),
-* :func:`trace_context` is the scoped form used by
-  :class:`~repro.telemetry.obslog.QueryObservation`,
+* :func:`set_trace_context` installs it and returns the previous pair,
+* :func:`trace_context` is the scoped form,
 * :func:`new_trace_id` mints ids (uuid4, 16 hex chars — short enough to
   read, long enough not to collide within one log).
 
-Process workers do not inherit thread-locals; :mod:`repro.parallel.batch`
+Worker processes do not inherit thread-locals; :mod:`repro.parallel.batch`
 ships the trace id inside each task tuple and the worker re-installs it
 before evaluating (see ``_run_process_task``).
 
 The same thread-local holds the **worker id** of a :mod:`repro.parallel`
-pool worker (``t<n>`` for threads, ``p<pid>`` for processes; ``None`` on
-every other thread): the pool stamps it with :func:`set_worker_id`, the
-query log reads it with :func:`current_worker_id` and attaches it to the
-records a worker emits.
+worker process (``p<pid>``; ``None`` everywhere else): the worker stamps
+it with :func:`set_worker_id` once, the query log reads it with
+:func:`current_worker_id` and attaches it to the records a worker emits.
 
 Telemetry stays dependency-light: this module imports only the standard
 library and is imported by obslog, resources, and the parallel layer.
@@ -86,14 +82,14 @@ def current_span_id() -> Optional[str]:
 
 
 def current_worker_id() -> Optional[str]:
-    """The id of the pool worker running this thread, or ``None`` outside
+    """The id of the batch worker running this thread, or ``None`` outside
     a worker.  The query log attaches it to events as ``worker``."""
     return getattr(_context, "worker_id", None)
 
 
 def set_worker_id(worker_id: str) -> None:
-    """Mark this thread as the pool worker ``worker_id`` for good: pool
-    threads and worker processes run nothing but pool tasks."""
+    """Mark this thread as the batch worker ``worker_id`` for good: a
+    worker process runs nothing but batch tasks."""
     _context.worker_id = worker_id
 
 

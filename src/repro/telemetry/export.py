@@ -37,19 +37,14 @@ SPAN_ATTR_TYPES: Dict[str, tuple] = {
     "kernel": (str,),
     "kind": (str,),
     "op": (str,),
-    "executor": (str,),
     "worker": (str,),
     "trace_id": (str,),
-    "est_method": (str,),
     "query": (str,),
     "atoms": (int,),
     "index": (int,),
     "jobs": (int,),
     "rows": (int,),
-    "est_rows": (int, float),
-    "q_error": (int, float),
     "node_stats": (dict,),
-    "estimate": (dict, type(None)),
 }
 
 

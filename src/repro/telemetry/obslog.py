@@ -56,7 +56,6 @@ from .context import (
     ensure_trace_id,
     set_trace_context,
 )
-from .insight import DEFAULT_MISESTIMATE_QERROR
 from .resources import ResourceMonitor
 from .tracer import NULL_TRACER, Tracer, current_tracer, set_tracer
 
@@ -103,10 +102,6 @@ class QueryLog:
         slow-query capture (and the tracer it requires).
     ring_size:
         How many recent records :meth:`recent` retains.
-    misestimate_threshold:
-        Per-node q-error above which a ``misestimate.detected`` record is
-        emitted alongside ``query.complete`` (needs slow-query capture's
-        recording tracer for the measured side).
     max_bytes / backup_count:
         Size-based rotation for **path sinks** (a long-lived
         ``serve-metrics --log-queries`` daemon must not grow one file
@@ -123,12 +118,10 @@ class QueryLog:
         slow_threshold: Optional[float] = None,
         ring_size: int = 256,
         clock: Callable[[], float] = time.time,
-        misestimate_threshold: float = DEFAULT_MISESTIMATE_QERROR,
         max_bytes: Optional[int] = None,
         backup_count: int = 3,
     ):
         self.slow_threshold = slow_threshold
-        self.misestimate_threshold = misestimate_threshold
         self.max_bytes = max_bytes
         self.backup_count = max(0, int(backup_count))
         self._clock = clock
@@ -161,11 +154,10 @@ class QueryLog:
     def emit(self, event: str, **fields: Any) -> Dict[str, Any]:
         """Record one event; returns the complete record.
 
-        Events emitted from inside a :mod:`repro.parallel` pool worker are
-        stamped with the worker's id as ``worker`` (``t1``/``t2``… for
-        threads, ``p<pid>`` for processes), so interleaved batch logs can
-        be attributed; the id lives beside the trace context
-        (:func:`~repro.telemetry.context.current_worker_id`).
+        Events emitted inside a :mod:`repro.parallel` worker process are
+        stamped with the worker's id as ``worker`` (``p<pid>``), so
+        interleaved batch logs can be attributed; the id lives beside the
+        trace context (:func:`~repro.telemetry.context.current_worker_id`).
 
         When a trace context is active on the emitting thread
         (:mod:`repro.telemetry.context`), the record is stamped with its
@@ -441,7 +433,6 @@ class QueryObservation:
         self.trace_id: Optional[str] = None
         self.cache_outcome: Optional[str] = None  # "hit"/"miss", set by Session
         self._plan_kernel: Optional[str] = None
-        self._report = None  # memoized EXPLAIN ANALYZE (slow + misestimate)
         self._owns_trace = False
         self._tracer: Optional[Tracer] = None
         self._previous_tracer = None
@@ -513,15 +504,6 @@ class QueryObservation:
             },
         )
         profile = planner.explain_wdpt(p)
-        estimate = None
-        try:
-            whole_query = planner.estimate_for_profile(
-                profile.tree_profile.global_profile, self.session.database
-            )
-            if whole_query is not None:
-                estimate = whole_query.as_dict()
-        except Exception:  # estimation must never break the query path
-            estimate = None
         self.log.emit(
             "query.plan",
             op=self.op,
@@ -529,7 +511,6 @@ class QueryObservation:
             engine=OP_ENGINES.get(self.op, self.op),
             kernel=self._plan_kernel,
             theorem=self._route(profile),
-            estimate=estimate,
             classes={
                 "local_treewidth": profile.local_treewidth,
                 "interface_width": profile.interface_width,
@@ -565,7 +546,6 @@ class QueryObservation:
                 exc_type, exc = type(budget_exc), budget_exc
         try:
             self._emit_exit_events(wall, exc_type, exc)
-            self._record_stats(wall, exc_type)
         finally:
             finished = getattr(self.session, "_query_finished", None)
             if finished is not None:
@@ -580,28 +560,6 @@ class QueryObservation:
         if exc is not None and tb is None:
             raise exc  # a post-hoc hard-budget violation from the monitor
         return False
-
-    def _record_stats(self, wall: float, exc_type) -> None:
-        """Fold this execution into the session's stats store (if any)."""
-        store = getattr(self.session, "stats_store", None)
-        if store is None or self.query_id is None or exc_type is not None:
-            return
-        max_q_error = None
-        if self._report is not None:
-            summary = self._report.q_error_summary()
-            if summary["count"]:
-                max_q_error = summary["max"]
-        store.record(
-            self.query_id,
-            wall_seconds=wall,
-            rows=self.n_rows or 0,
-            engine=OP_ENGINES.get(self.op, self.op),
-            kernel=self._plan_kernel,
-            cache_hit=(
-                None if self.cache_outcome is None else self.cache_outcome == "hit"
-            ),
-            max_q_error=max_q_error,
-        )
 
     # ------------------------------------------------------------------
     def _emit_exit_events(self, wall: float, exc_type, exc) -> None:
@@ -639,56 +597,21 @@ class QueryObservation:
         threshold = log.slow_threshold
         if threshold is not None and wall >= threshold and self.query is not None:
             log.emit("query.slow", **self._slow_record(wall))
-        self._emit_misestimate(log)
-
-    def _emit_misestimate(self, log: QueryLog) -> None:
-        """``misestimate.detected``: some node's q-error crossed the
-        threshold.  Needs the recorded trace for the measured side, so it
-        only fires in slow-capture mode (or under an ambient tracer)."""
-        report = self._build_report()
-        if report is None:
-            return
-        summary = report.q_error_summary()
-        if not summary["count"] or summary["max"] <= log.misestimate_threshold:
-            return
-        worst = max(
-            (row for row in report.rows if row.get("q_error") is not None),
-            key=lambda row: row["q_error"],
-        )
-        log.emit(
-            "misestimate.detected",
-            op=self.op,
-            query_id=self.query_id,
-            threshold=log.misestimate_threshold,
-            max_q_error=summary["max"],
-            p50_q_error=summary["p50"],
-            p95_q_error=summary["p95"],
-            node=worst["node"],
-            est_rows=worst["est_rows"],
-            est_method=worst["est_method"],
-            actual_rows=worst["candidates"],
-        )
 
     def _build_report(self):
-        """The EXPLAIN ANALYZE report of this run, built at most once —
-        ``None`` unless a recording tracer observed the execution."""
-        if self._report is not None:
-            return self._report
-        if self.query is None:
-            return None
+        """The EXPLAIN ANALYZE report of this run — ``None`` unless a
+        recording tracer observed the execution."""
         tracer = self._tracer if self._tracer is not None else current_tracer()
         if not getattr(tracer, "enabled", False) or tracer is NULL_TRACER:
             return None
         from ..analyze import build_report
 
         planner = self.session.planner
-        profile = planner.explain_wdpt(self.query)
-        self._report = build_report(
-            self.query, profile, tracer, planner,
+        return build_report(
+            self.query, planner.explain_wdpt(self.query), tracer, planner,
             n_answers=self.n_rows, mode=self.op,
             db=self.session.database,
         )
-        return self._report
 
     def _slow_record(self, wall: float) -> Dict[str, Any]:
         """The ``query.slow`` payload: plan + per-node EXPLAIN ANALYZE —
@@ -699,7 +622,6 @@ class QueryObservation:
         planner = self.session.planner
         profile = planner.explain_wdpt(self.query)
         report = self._build_report()
-        summary = report.q_error_summary() if report is not None else None
         record = {
             "op": self.op,
             "query_id": self.query_id,
@@ -707,7 +629,6 @@ class QueryObservation:
             "wall_seconds": wall,
             "engine": OP_ENGINES.get(self.op, self.op),
             "theorem": self._route(profile),
-            "q_error": summary,
             "profile": {
                 "fingerprint": profile.fingerprint,
                 "eval_route": profile.eval_route(),

@@ -26,11 +26,11 @@ answers it with a stdlib stack sampler:
   :func:`validate_folded` check the emitted artifacts (used by
   ``scripts/validate_trace.py`` and the CI ``profile-smoke`` job).
 
-* Sample tuples are plain picklable data, so process-pool workers ship
-  their sample batches back inside the result envelopes
-  (:mod:`repro.parallel.batch`) and the parent profiler absorbs them
-  with :meth:`SamplingProfiler.absorb_dump` — one merged profile for a
-  parallel batch, every sample still tagged with its trace id.
+* Sample tuples are plain picklable data, so the worker processes of an
+  ``ask`` batch ship their sample batches back inside the result
+  envelopes (:mod:`repro.parallel.batch`) and the parent profiler absorbs
+  them with :meth:`SamplingProfiler.absorb_dump` — one merged profile for
+  a parallel batch, every sample still tagged with its trace id.
 
 * :class:`GCMonitor` adds runtime health gauges via ``gc.callbacks``:
   a ``gc.pause_ms`` histogram and per-generation collection counters in
@@ -108,7 +108,7 @@ Sample = Tuple[float, int, Tuple[str, ...], Optional[str], Optional[str], Option
 # enumeration over the tree.
 SPAN_PHASES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("plan", ("session.parse", "session.profile", "planner.profile",
-              "planner.explain", "planner.estimate")),
+              "planner.explain")),
     ("semijoin", ("yannakakis.scan", "yannakakis.semijoin")),
     ("join", ("yannakakis.join", "yannakakis", "planner.evaluate_cq",
               "planner.satisfiable", "cq.")),

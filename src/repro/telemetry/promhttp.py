@@ -12,8 +12,8 @@ callables returning exposition text) —
 * ``GET /debug`` and ``GET /debug/<name>`` — live JSON snapshots from
   the registered debug providers (``debug=`` / :meth:`~MetricsServer.add_debug`);
   :meth:`repro.engine.Session.debug_providers` wires ``queries`` (in
-  flight + recent, with trace ids), ``plans`` (EXPLAIN cache joined with
-  estimate accuracy), and ``stats`` (the query-stats store dump).
+  flight + recent, with trace ids) and ``plans`` (the EXPLAIN cache with
+  each shape's routes).
   Append ``?format=html`` for a self-contained HTML view;
 * ``GET /debug/profile`` — the live sampling profiler
   (:mod:`repro.telemetry.profiler`): ``?action=start[&hz=N]`` /

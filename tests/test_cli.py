@@ -204,7 +204,13 @@ def test_one_process_runs_a_query(tmp_path):
                 main(command + gone)
             assert exit_info.value.code == 2
 
-    words = re.compile("|".join([FLEET, "KERNEL_" "DIST", "dist_" "yannakakis"]), re.I)
+    _assert_unmentioned([FLEET, "KERNEL_" "DIST", "dist_" "yannakakis"], re.I)
+
+
+def _assert_unmentioned(words, flags=0):
+    """No line of the code, tests, docs or CI config names any of
+    ``words`` (the history files, CHANGES.md and ROADMAP.md, may)."""
+    pattern = re.compile("|".join(words), flags)
     tops = ("src", "tests", "docs", "README.md", "DESIGN.md", ".github", ".claude")
     read = 0
     for top in tops:
@@ -220,9 +226,55 @@ def test_one_process_runs_a_query(tmp_path):
                 except (OSError, UnicodeDecodeError):
                     continue
                 read += 1
-                hits = [n for n, line in enumerate(text.splitlines(), 1) if words.search(line)]
+                hits = [n for n, line in enumerate(text.splitlines(), 1) if pattern.search(line)]
                 assert not hits, (path, hits)
     assert read >= 150  # the trees were found and read, not skipped
+
+
+def test_import_loads_no_numerical_stack():
+    """``import repro`` pulls in neither scipy nor numpy.  The fractional
+    cover LP that imported scipy fed only the cardinality estimator, and
+    both are gone.  (Where scipy is not installed this holds either way;
+    the module checks below hold everywhere.)"""
+    import subprocess
+    import sys
+
+    script = (
+        "import sys, repro, repro.engine, repro.service; "
+        "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
+    for gone in ("repro.telemetry.insight", "repro.hypergraphs.fractional",
+                 "repro.parallel.pool"):
+        assert importlib.util.find_spec(gone) is None, gone
+
+
+def test_one_batch_path_and_no_estimator(tmp_path):
+    """What no request ran is gone: the cardinality estimator with its
+    stats store and q-error event, and every batch path but
+    process-parallel ``ask`` pairs — no executor or op choice, no thread
+    pool."""
+    assert list(inspect.signature(Session.run_batch).parameters) == [
+        "self", "pairs", "jobs",
+    ]
+    assert not {"executor", "op", "stats_store"} & set(
+        inspect.signature(Session.__init__).parameters
+    )
+    assert not hasattr(Session, "map")
+    triples = tmp_path / "data.tsv"
+    triples.write_text("a knows b\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "{ ?x knows ?y }", str(triples), "--stats-store", "s.json"])
+    assert exit_info.value.code == 2
+    _assert_unmentioned([
+        "QueryStats" "Store", "estimate_for" "_profile", "mis" "estimate",
+        "Worker" "Pool", "fractional" "_cover",
+    ])
 
 
 def test_evaluators_and_telemetry_do_not_reach_for_the_parallel_layer():

@@ -1,5 +1,7 @@
 """Tests for the structured query log: lifecycle events, stable query IDs,
-slow-query EXPLAIN ANALYZE capture, and the obslog schema validator."""
+slow-query EXPLAIN ANALYZE capture, the obslog schema validator, and the
+one trace_id that ties a query's records, spans and resources together —
+across batch worker processes too."""
 
 import io
 import json
@@ -293,3 +295,91 @@ def test_validate_obslog_checks_rotation_and_profile_fields():
          '"profile_samples": "nope"}']
     )
     assert any("profile_samples" in e for e in errors)
+
+
+# ---------------------------------------------------------------------------
+# Trace correlation: one trace_id across spans, records and resources
+# ---------------------------------------------------------------------------
+def _walk(spans):
+    for span in spans:
+        yield span
+        yield from _walk(span.children)
+
+
+def _company_query():
+    from repro.core.atoms import atom
+    from repro.wdpt.wdpt import wdpt_from_nested
+
+    return wdpt_from_nested(
+        (
+            [atom("works_in", "?e", "?d")],
+            [
+                ([atom("phone", "?e", "?p")], []),
+                ([atom("reports_to", "?e", "?m")],
+                 [([atom("office", "?m", "?o")], [])]),
+            ],
+        ),
+        free_variables=["?e", "?d", "?p", "?m", "?o"],
+    )
+
+
+def test_single_query_shares_one_trace_id_everywhere():
+    log = QueryLog()
+    with Session(example2_graph(), obslog=log, track_resources=True) as session:
+        result = session.query(EXAMPLE2_QUERY)
+    trace_ids = {r["trace_id"] for r in log.recent()}
+    assert len(trace_ids) == 1
+    assert result.resources.trace_id == trace_ids.pop()
+
+
+def test_budget_kill_carries_the_trace_id():
+    from repro.exceptions import ResourceBudgetExceeded
+    from repro.telemetry.resources import ResourceBudget
+    from repro.workloads.datasets import company_directory
+
+    log = QueryLog()
+    budget = ResourceBudget(hard_intermediate_rows=1)
+    with Session(
+        company_directory(n_departments=3, employees_per_department=4, seed=1),
+        obslog=log, budgets=budget,
+    ) as session:
+        with pytest.raises(ResourceBudgetExceeded) as info:
+            session.query(_company_query())
+    assert info.value.trace_id
+    assert "[trace %s]" % info.value.trace_id in str(info.value)
+    assert any(r["trace_id"] == info.value.trace_id for r in log.recent())
+
+
+def test_process_batch_stitches_under_one_trace_id():
+    """The acceptance scenario: ``ask`` pairs fanned across worker
+    *processes* produce spans and obslog events that share one trace_id."""
+    from repro.telemetry.tracer import Tracer, tracing
+    from repro.workloads.datasets import company_directory
+
+    log = QueryLog()
+    db = company_directory(n_departments=2, employees_per_department=4, seed=1)
+    query = _company_query()
+    with Session(db, cache=False) as plain:
+        answers = sorted(plain.query(query).answers, key=repr)[:3]
+    with Session(db, obslog=log, cache=False) as session:
+        with tracing(Tracer()) as tracer:
+            assert session.run_batch([(query, h) for h in answers], jobs=2) == [
+                True, True, True,
+            ]
+    trace_ids = {r["trace_id"] for r in log.recent()}
+    assert len(trace_ids) == 1, "all events (incl. worker-side) share the trace"
+    trace_id = trace_ids.pop()
+    # Worker-side query lifecycle events made it back into the parent log.
+    completes = log.events("query.complete")
+    assert len(completes) == 3
+    assert all(r["op"] == "ask" for r in completes)
+    assert all(r.get("worker", "").startswith("p") for r in completes)
+    # Worker spans were grafted under the parent's run_batch span.
+    spans = list(_walk(tracer.roots))
+    batch_span = next(s for s in spans if s.name == "parallel.run_batch")
+    assert batch_span.attrs["trace_id"] == trace_id
+    task_spans = [s for s in spans if s.name == "parallel.task"]
+    assert len(task_spans) == 3
+    assert all(s.attrs["trace_id"] == trace_id for s in task_spans)
+    assert {s.attrs["index"] for s in task_spans} == {0, 1, 2}
+    assert all(s.attrs["worker"].startswith("p") for s in task_spans)

@@ -1,13 +1,13 @@
-"""Tests for :mod:`repro.parallel`: worker pools and batch evaluation.
+"""Tests for :mod:`repro.parallel`: process-parallel ``ask`` batches.
 
-The layer's whole contract is *determinism*: every parallel path must be
-bit-identical to the sequential loop it replaces.  These tests pin that
-down directly (thread and process executors, fixed and property-based
-random workloads), then cover the operational guarantees that ride on it —
-resource budgets enforced across workers, per-worker metrics merged
-deterministically, worker ids stamped on query-log events, and the
-planner's :class:`~repro.planner.cache.PlanCache` surviving a concurrent
-hammer.
+The layer's whole contract is *determinism*: a batch must equal the
+sequential loop of ``session.ask`` it replaces.  These tests pin that
+down (fixed and property-based random workloads, and after writes that a
+warm pool must see), then cover the operational guarantees that ride on
+it — resource budgets enforced in the worker processes, per-worker
+metrics merged in task order, worker ids stamped on query-log events —
+and the planner's :class:`~repro.planner.cache.PlanCache` surviving a
+concurrent hammer.
 """
 
 import threading
@@ -17,10 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.atoms import atom
+from repro.core.mappings import Mapping
 from repro.engine import Session
 from repro.exceptions import ResourceBudgetExceeded
-from repro.parallel import BatchResult, run_batch
-from repro.parallel.pool import WorkerPool, current_worker_id, effective_cpu_count
+from repro.parallel import run_batch
 from repro.planner.cache import PlanCache
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.obslog import QueryLog
@@ -56,6 +56,19 @@ def _company_db(employees=10):
     )
 
 
+def _pairs(session, query, n=8):
+    """``n`` ask pairs: answers alternating with answers that lost a
+    binding (partial mappings, so mostly not answers themselves)."""
+    answers = sorted(session.query(query).answers, key=repr)
+    pairs = []
+    for i in range(n):
+        h = answers[i % len(answers)]
+        if i % 2:
+            h = Mapping({v: c for v, c in h.items() if v != min(h.domain(), key=repr)})
+        pairs.append((query, h))
+    return pairs
+
+
 @st.composite
 def wdpt_and_db(draw):
     from repro.workloads.generators import random_database, random_wdpt
@@ -76,151 +89,75 @@ def wdpt_and_db(draw):
 
 
 # ---------------------------------------------------------------------------
-# WorkerPool mechanics
-# ---------------------------------------------------------------------------
-def test_pool_serial_runs_inline():
-    pool = WorkerPool(jobs=1)
-    assert pool.map_tasks(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-    assert pool._executor is None  # never spawned a thread
-
-
-def test_pool_preserves_input_order():
-    with WorkerPool(jobs=4) as pool:
-        items = list(range(40))
-        assert pool.map_tasks(lambda x: x * x, items) == [x * x for x in items]
-
-
-def test_pool_propagates_first_exception():
-    def boom(x):
-        if x == 3:
-            raise ValueError("task 3")
-        return x
-
-    with WorkerPool(jobs=2) as pool:
-        with pytest.raises(ValueError):
-            pool.map_tasks(boom, [1, 2, 3, 4])
-
-
-def test_nested_dispatch_runs_inline_without_deadlock():
-    """A task that itself calls map_tasks must not wait on the pool it is
-    running inside of — nested dispatch inlines (jobs=2 pool, depth-2
-    fan-out wider than the pool would deadlock otherwise)."""
-    with WorkerPool(jobs=2) as pool:
-
-        def outer(x):
-            assert current_worker_id() is not None
-            return sum(pool.map_tasks(lambda y: x * y, [1, 2, 3]))
-
-        assert pool.map_tasks(outer, [1, 2, 3, 4]) == [6, 12, 18, 24]
-
-
-def test_worker_ids_stable_and_absent_outside_workers():
-    assert current_worker_id() is None
-    with WorkerPool(jobs=2) as pool:
-        ids = pool.map_tasks(lambda _: current_worker_id(), range(8))
-    assert all(i is not None and i.startswith("t") for i in ids)
-    assert 1 <= len(set(ids)) <= 2
-    assert current_worker_id() is None  # the submitting thread is untouched
-
-
-def test_pool_rejects_unknown_executor():
-    with pytest.raises(ValueError):
-        WorkerPool(jobs=2, executor="fiber")
-
-
-def test_effective_cpu_count_positive():
-    assert effective_cpu_count() >= 1
-
-
-# ---------------------------------------------------------------------------
-# Batch evaluation: run_batch / map
+# Parity with the sequential loop
 # ---------------------------------------------------------------------------
 EXAMPLE2_QUERY = "SELECT ?x ?y ?z ?z2 WHERE " + FIGURE1_QUERY_TEXT
 
 
-def test_thread_batch_matches_sequential():
-    queries = [EXAMPLE2_QUERY] * 4
-    with Session(example2_graph()) as session:
-        sequential = [session.query(q).answers for q in queries]
-        batch = session.run_batch(queries, jobs=2)
-        assert isinstance(batch, BatchResult)
-        assert batch.answers() == sequential
-        assert len(batch) == 4 and batch[0].answers == sequential[0]
-        assert [r.answers for r in batch] == sequential
-
-
 def test_process_batch_matches_sequential():
-    queries = [_company_query()] * 4
-    db = _company_db(employees=6)
-    with Session(db) as session:
-        sequential = [session.query(q).answers for q in queries]
-        batch = session.run_batch(queries, jobs=2, executor="process")
-        assert batch.answers() == sequential
-        assert all(w.startswith("p") for w in batch.workers_used())
-
-
-def test_batch_maximal_and_ask_ops():
-    p, db = _company_query(), _company_db(employees=6)
-    with Session(db) as session:
-        maximal = session.run_batch([p, p], jobs=2, op="query_maximal")
-        assert maximal.answers() == [session.query_maximal(p).answers] * 2
-        candidates = sorted(session.query(p).answers, key=repr)[:4]
-        pairs = [(p, h) for h in candidates]
-        asked = session.run_batch(pairs, jobs=2, op="ask")
-        assert asked.answers() == [session.ask(p, h) for p, h in pairs]
-        assert all(d is True for d in asked.answers())
-
-
-def test_map_is_the_list_of_results():
-    with Session(example2_graph()) as session:
-        results = session.map([EXAMPLE2_QUERY] * 3, jobs=2)
-        assert [r.answers for r in results] == [
-            session.query(EXAMPLE2_QUERY).answers
-        ] * 3
-
-
-def test_batch_rejects_unknown_op_and_executor():
-    session = Session(example2_graph())
-    with pytest.raises(ValueError):
-        session.run_batch([EXAMPLE2_QUERY], op="transmogrify")
-    with pytest.raises(ValueError):
-        session.run_batch([EXAMPLE2_QUERY], executor="fiber")
+    with Session(_company_db(employees=6)) as session:
+        pairs = _pairs(session, _company_query())
+        sequential = [session.ask(q, h) for q, h in pairs]
+        assert True in sequential and False in sequential
+        assert session.run_batch(pairs, jobs=2) == sequential
+        assert session.run_batch(pairs) == sequential  # jobs=None: the loop
 
 
 def test_batch_empty_input():
     with Session(example2_graph()) as session:
-        batch = session.run_batch([], jobs=2)
-        assert len(batch) == 0 and batch.answers() == []
+        assert session.run_batch([], jobs=2) == []
 
 
 @COMMON
 @given(wdpt_and_db())
 def test_batch_matches_sequential_on_random_inputs(pair):
     p, db = pair
-    with Session(db) as session:
-        sequential = [session.query(p).answers for _ in range(3)]
-        assert session.run_batch([p] * 3, jobs=2).answers() == sequential
+    with Session(db, cache=False) as session:
+        answers = sorted(session.query(p).answers, key=repr)
+        candidates = answers[:3] + [Mapping({}), Mapping({"?x0": 0})]
+        pairs = [(p, h) for h in candidates]
+        sequential = [session.ask(q, h) for q, h in pairs]
+        assert session.run_batch(pairs, jobs=2) == sequential
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cache", "no_cache"])
+@pytest.mark.parametrize("store", ["memory", "sqlite", "sqlite_file"])
+def test_a_warm_pool_sees_every_write(tmp_path, store, cache):
+    """The pool is built with a copy of the database; a write through the
+    session (or behind its back) must not leave it answering from the
+    facts it was built with."""
+    kind, path = store, None
+    if store == "sqlite_file":
+        kind, path = "sqlite", str(tmp_path / "facts.sqlite")
+    session = Session(
+        [atom("E", 1, 2), atom("E", 2, 3)], backend=kind, path=path, cache=cache
+    )
+    with session:
+        query = wdpt_from_nested(([atom("E", "?x", "?y")], []), ["?x", "?y"])
+        old, new = Mapping({"?x": 1, "?y": 2}), Mapping({"?x": 7, "?y": 8})
+        pairs = [(query, old), (query, new)] * 2
+        assert session.run_batch(pairs, jobs=2) == [True, False] * 2
+        session.add(atom("E", 7, 8))
+        assert session.run_batch(pairs, jobs=2) == [
+            session.ask(q, h) for q, h in pairs
+        ] == [True, True] * 2
+        session.database.remove(atom("E", 1, 2))  # not through the session
+        assert session.run_batch(pairs, jobs=2) == [False, True] * 2
 
 
 # ---------------------------------------------------------------------------
-# Budgets across workers
+# Budgets in the worker processes
 # ---------------------------------------------------------------------------
-def test_hard_budget_enforced_through_thread_batch():
-    budget = ResourceBudget(hard_intermediate_rows=1)
-    with Session(_company_db(), budgets=budget) as session:
-        with pytest.raises(ResourceBudgetExceeded):
-            session.run_batch([_company_query()] * 3, jobs=2)
-
-
-def test_resources_attached_to_batch_results():
-    with Session(_company_db(employees=4), track_resources=True) as session:
-        for executor in ("thread", "process"):
-            batch = session.run_batch(
-                [_company_query()] * 2, jobs=2, executor=executor
-            )
-            for result in batch:
-                assert result.resources is not None
-                assert result.resources.peak_intermediate_rows >= 0
+def test_hard_budget_enforced_in_worker_processes():
+    budget = ResourceBudget(hard_wall_seconds=0.0)
+    with Session(example2_graph()) as plain:
+        pairs = _pairs(plain, EXAMPLE2_QUERY, n=4)
+    with Session(example2_graph(), budgets=budget) as session:
+        for _ in range(2):  # the kill comes home whole, the pool survives it
+            with pytest.raises(ResourceBudgetExceeded) as info:
+                session.run_batch(pairs, jobs=2)
+            assert info.value.dimension == "wall-seconds"
+            assert info.value.trace_id
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +216,19 @@ def test_merge_in_fixed_order_is_bit_identical():
 
 
 def test_process_batch_merges_worker_metrics():
+    """The workers' counters land in the session's registry, and they
+    are the counters the loop would have left there."""
     db = _company_db(employees=4)
     # cache=False: a worker's result cache would serve repeats without
     # touching the engine, and this test counts engine selections.
     with Session(db, cache=False) as session:
-        before = dict(session.stats()["engine_selections"])
-        session.run_batch([_company_query()] * 4, jobs=2, executor="process")
-        after = dict(session.stats()["engine_selections"])
-    assert after.get("wdpt-topdown", 0) - before.get("wdpt-topdown", 0) == 4
+        pairs = _pairs(session, _company_query())
+        with Session(db, cache=False) as loop:
+            [loop.ask(q, h) for q, h in pairs]
+        session.reset_stats()
+        session.run_batch(pairs, jobs=2)
+        assert session.stats()["engine_selections"] == loop.stats()["engine_selections"]
+        assert session.stats()["kernel_selections"] == loop.stats()["kernel_selections"]
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +236,18 @@ def test_process_batch_merges_worker_metrics():
 # ---------------------------------------------------------------------------
 def test_batch_events_carry_worker_ids():
     log = QueryLog()
-    with Session(example2_graph(), obslog=log) as session:
-        session.run_batch([EXAMPLE2_QUERY] * 3, jobs=2)
+    with Session(example2_graph(), obslog=log, cache=False) as session:
+        pairs = _pairs(Session(example2_graph()), EXAMPLE2_QUERY, n=3)
+        session.run_batch(pairs, jobs=2)
     starts = log.events("batch.start")
     completes = log.events("batch.complete")
     assert len(starts) == 1 and len(completes) == 1
     assert starts[0]["queries"] == 3
     assert completes[0]["workers"]  # at least one worker reported
+    assert all(w.startswith("p") for w in completes[0]["workers"])
     per_query = log.events("query.complete")
     assert len(per_query) == 3
-    assert all(r.get("worker", "").startswith("t") for r in per_query)
+    assert all(r.get("worker", "").startswith("p") for r in per_query)
 
 
 def test_sequential_events_have_no_worker_field():
@@ -361,21 +305,39 @@ def test_plan_cache_peek_does_not_perturb_lru():
 
 
 def test_shared_planner_profiles_under_concurrent_sessions():
-    """Two sessions sharing one planner may profile concurrently; stats()
-    must iterate a consistent snapshot while workers keep inserting."""
+    """Two sessions sharing one planner may profile concurrently (the
+    query service runs every tenant's session on one planner); stats()
+    must iterate a consistent snapshot while the threads keep inserting."""
     db = _company_db(employees=4)
-    with Session(db) as session:
-        batch = session.run_batch([_company_query()] * 6, jobs=2)
-        assert len(batch) == 6
-        stats = session.stats()
-        assert stats["plan_cache"]["size"] >= 1
+    with Session(db, cache=False) as session:
+        other = Session(db, planner=session.planner, cache=False)
+        results, errors = [], []
+
+        def run(s):
+            try:
+                for _ in range(3):
+                    results.append(s.query(_company_query()).answers)
+                    s.stats()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(s,)) for s in (session, other)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not errors and len(results) == 6
+        assert all(r == results[0] for r in results)
+        assert session.stats()["plan_cache"]["size"] >= 1
 
 
 # ---------------------------------------------------------------------------
 # Module-level run_batch (the functional spelling)
 # ---------------------------------------------------------------------------
 def test_functional_run_batch_spelling():
-    session = Session(example2_graph())
-    batch = run_batch(session, [EXAMPLE2_QUERY] * 2, jobs=2)
-    assert batch.answers() == [session.query(EXAMPLE2_QUERY).answers] * 2
-    session.close()
+    with Session(example2_graph()) as session:
+        pairs = _pairs(session, EXAMPLE2_QUERY, n=4)
+        assert run_batch(session, pairs, jobs=2) == [
+            session.ask(q, h) for q, h in pairs
+        ]

@@ -240,7 +240,7 @@ def test_add_debug_registers_routes_after_start():
 
 def test_session_debug_providers_serve_live_json():
     # The query registry rides on the observation path, so the session
-    # needs *some* observability turned on (obslog, resources, or stats).
+    # needs *some* observability turned on (obslog or resources).
     with Session(example2_graph(), track_resources=True) as session:
         session.query(EXAMPLE2_QUERY)
         session.explain(EXAMPLE2_QUERY)   # /debug/plans shows the EXPLAIN cache
@@ -255,8 +255,10 @@ def test_session_debug_providers_serve_live_json():
             _, plans = _get_json(server.url + "/debug/plans")
             assert len(plans["plans"]) == 1
             assert plans["plans"][0]["fingerprint"] == recent["query_id"]
-            _, stats = _get_json(server.url + "/debug/stats")
-            assert "queries" in stats  # empty store shape without a store
+            _, index = _get_json(server.url + "/debug")
+            assert index["routes"] == [
+                "/debug/plans", "/debug/profile", "/debug/queries",
+            ]
 
 
 def test_debug_queries_shows_in_flight_work():
@@ -339,7 +341,7 @@ def test_debug_endpoints_survive_concurrent_hammering():
 
             threads = [
                 threading.Thread(target=hammer, args=(route,))
-                for route in ("/debug/queries", "/debug/plans", "/debug/stats",
+                for route in ("/debug/queries", "/debug/plans",
                               "/metrics", "/healthz")
             ] + [threading.Thread(target=query_loop)]
             for t in threads:

@@ -1,6 +1,6 @@
 """Tests for the version-stamped result cache (repro.storage.cache +
 Session wiring): hits, invalidation by a mutation that touches the
-query, batch executors, metrics/obslog visibility, and the warm-vs-cold
+query, process batches, metrics/obslog visibility, and the warm-vs-cold
 speedup.  What a write *keeps* is tests/test_cache_carry.py."""
 
 import time
@@ -111,26 +111,18 @@ class TestHitsAndInvalidation:
 
 
 class TestBatchExecutors:
-    def test_thread_batch_shares_the_session_cache(self):
-        with Session(example2_graph()) as session:
-            batch = session.run_batch([QUERY] * 4, jobs=2, executor="thread")
-            answers = batch.answers()
-            assert answers.count(answers[0]) == 4
-            stats = session.result_cache.stats()
-            assert stats["misses"] >= 1
-            assert stats["hits"] + stats["misses"] == 4
-
     def test_process_batch_matches_sequential(self):
         with Session(example2_graph()) as session:
-            expected = session.query(QUERY).answers
-            batch = session.run_batch([QUERY] * 4, jobs=2, executor="process")
-            assert batch.answers() == [expected] * 4
+            pairs = [(QUERY, h) for h in session.query(QUERY).answers] * 2
+            assert session.run_batch(pairs, jobs=2) == [True] * len(pairs)
+            # The workers' caches are their own: the parent's saw one query.
+            assert session.result_cache.stats()["misses"] == 1
 
     def test_process_batch_respects_cache_off(self):
         with Session(example2_graph(), cache=False) as session:
-            expected = session.query(QUERY).answers
-            batch = session.run_batch([QUERY] * 3, jobs=2, executor="process")
-            assert batch.answers() == [expected] * 3
+            pairs = [(QUERY, h) for h in session.query(QUERY).answers] * 2
+            assert session.run_batch(pairs, jobs=2) == [True] * len(pairs)
+            assert session.result_cache is None
 
 
 class TestObservability:
