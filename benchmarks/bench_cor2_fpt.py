@@ -8,11 +8,14 @@ For ``p ∈ M(WB(k))`` the paper's pipeline pays ``f(|p|)`` once to build a
 original tree, and the per-query cost on the witness scales polynomially.
 """
 
+import importlib
+
 import pytest
 
 from repro.benchharness import Series, format_series_table, time_callable
 from repro.core.atoms import atom
 from repro.core.mappings import Mapping
+from repro.cqalgs.naive import satisfiable
 from repro.wdpt.approximation import find_wb_equivalent
 from repro.wdpt.classes import WB_TW, is_in_wb
 from repro.wdpt.max_eval import max_eval
@@ -54,7 +57,16 @@ def test_witness_exists_and_is_tractable():
     print("\nCOR2: witness tree has %d nodes (original %d)" % (len(witness.tree), len(p.tree)))
 
 
-def test_fpt_pipeline_scales_in_data():
+def test_fpt_pipeline_scales_in_data(monkeypatch):
+    searched = []
+
+    def counted(atoms, db, h):
+        searched.append(atoms)
+        return satisfiable(atoms, db, h)
+
+    # The package re-exports the function under the module's name.
+    module = importlib.import_module("repro.wdpt.partial_eval")
+    monkeypatch.setattr(module, "satisfiable", counted)
     p = _member_tree()
     witness = find_wb_equivalent(p, 1, WB_TW)
     assert witness is not None
@@ -63,7 +75,13 @@ def test_fpt_pipeline_scales_in_data():
     for employees in (4, 8, 16, 32):
         db = company_directory(n_departments=4, employees_per_department=employees, seed=9)
         h = Mapping({"?e": "emp_0_0"})
+        searched.clear()
         assert partial_eval(p, db, h) == partial_eval(witness, db, h)
+        direct_atoms, witness_atoms = searched
+        # The witness never touches the cyclic branch: per query it searches
+        # no more atoms than the original, and none of that branch.
+        assert len(witness_atoms) <= len(direct_atoms)
+        assert not any(a.relation == "reports_to" for a in witness_atoms)
         direct.add(4 * employees, time_callable(lambda: partial_eval(p, db, h), repeats=3))
         optimized.add(
             4 * employees, time_callable(lambda: partial_eval(witness, db, h), repeats=3)
@@ -72,8 +90,6 @@ def test_fpt_pipeline_scales_in_data():
     print(format_series_table([direct, optimized], parameter_name="employees"))
     slope = optimized.loglog_slope()
     assert slope is not None and slope < 2.0
-    # The witness never touches the cyclic branch: per-query it wins.
-    assert optimized.seconds()[-1] <= direct.seconds()[-1]
 
 
 def test_max_eval_on_witness_agrees():

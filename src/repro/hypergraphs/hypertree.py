@@ -14,25 +14,33 @@ subsets.  Hence
 
     ``ghw(H) = min over elimination orders of max_s ρ(bag(s))``
 
-and the same memoized subset dynamic program used for treewidth
-(:mod:`repro.hypergraphs.treewidth`) applies with the bag-size cost replaced
-by an exact set-cover computation.  Fast paths: ``ghw ≤ 1`` iff α-acyclic
-(GYO), and a greedy cover bound short-circuits most positive instances.
+which is the search of :mod:`repro.hypergraphs.treewidth` with the bag cost
+``ρ(bag)``: an exact set cover, memoised by bag bitmask and shared by every
+``k`` one scan tries.  The exact width scans ``k`` upwards from 1 (α-acyclic,
+by GYO) or 2 to the width of greedy covers along the min-fill order, one
+connected component at a time; the order of the first ``k`` accepted is the
+decomposition's witness.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import BudgetExceededError
 from .gyo import is_alpha_acyclic
 from .hypergraph import Edge, Hypergraph, Vertex
-from .treedecomp import TreeDecomposition, decomposition_from_elimination_order
+from .treedecomp import (
+    TreeDecomposition,
+    _elimination_bags,
+    decomposition_from_elimination_order,
+)
 from .treewidth import (
-    EXACT_VERTEX_LIMIT,
     _BitGraph,
+    _check_size,
+    _components,
     _iter_bits,
-    min_degree_order,
+    _minimum_order,
+    _order_within,
     min_fill_order,
 )
 
@@ -43,18 +51,26 @@ from .treewidth import (
 def edge_cover_number(H: Hypergraph, bag: FrozenSet[Vertex], limit: int) -> Optional[int]:
     """Exact minimum number of hyperedges of ``H`` covering ``bag``.
 
-    Returns the cover number if it is ≤ ``limit``, else ``None``.  Runs a
-    branch-and-bound over the uncovered vertex with fewest candidate edges.
+    Returns the cover number if it is ≤ ``limit``, else ``None``.
     """
-    if not bag:
-        return 0
-    usable = [e for e in H.edges if e & bag]
-    return _cover(bag, usable, limit)
+    cover = minimum_edge_cover(H, bag, limit)
+    return None if cover is None else len(cover)
 
 
-def _cover(uncovered: FrozenSet[Vertex], edges: Sequence[Edge], limit: int) -> Optional[int]:
+def minimum_edge_cover(
+    H: Hypergraph, bag: FrozenSet[Vertex], limit: int
+) -> Optional[List[Edge]]:
+    """A minimum edge cover of ``bag`` of size ≤ ``limit`` (or ``None``).
+
+    Runs a branch-and-bound over the uncovered vertex with fewest candidate
+    edges.
+    """
+    return _cover(frozenset(bag), [e for e in H.edges if e & bag], limit)
+
+
+def _cover(uncovered: FrozenSet[Vertex], edges: Sequence[Edge], limit: int) -> Optional[List[Edge]]:
     if not uncovered:
-        return 0
+        return []
     if limit <= 0:
         return None
     # Branch on the hardest vertex (fewest covering edges).
@@ -66,7 +82,7 @@ def _cover(uncovered: FrozenSet[Vertex], edges: Sequence[Edge], limit: int) -> O
             return None
         if best_vertex is None or len(candidates) < len(best_candidates):
             best_vertex, best_candidates = v, candidates
-    best: Optional[int] = None
+    best: Optional[List[Edge]] = None
     # Deduplicate candidates by their effect on the uncovered set.
     seen_effects: Set[FrozenSet[Vertex]] = set()
     for e in sorted(best_candidates, key=lambda e: -len(e & uncovered)):
@@ -74,14 +90,13 @@ def _cover(uncovered: FrozenSet[Vertex], edges: Sequence[Edge], limit: int) -> O
         if effect in seen_effects:
             continue
         seen_effects.add(effect)
-        budget = limit - 1 if best is None else min(limit - 1, best - 2)
+        # A cover found later must beat the best one by at least one edge.
+        budget = limit - 1 if best is None else min(limit - 1, len(best) - 2)
         sub = _cover(uncovered - e, edges, budget)
         if sub is not None:
-            total = sub + 1
-            if best is None or total < best:
-                best = total
-                if best == 1:
-                    break
+            best = [e] + sub
+            if len(best) == 1:
+                break
     return best
 
 
@@ -99,31 +114,6 @@ def greedy_edge_cover(H: Hypergraph, bag: FrozenSet[Vertex]) -> Optional[List[Ed
     return cover
 
 
-def minimum_edge_cover(
-    H: Hypergraph, bag: FrozenSet[Vertex], limit: int
-) -> Optional[List[Edge]]:
-    """A minimum edge cover of ``bag`` of size ≤ ``limit`` (or ``None``)."""
-    size = edge_cover_number(H, bag, limit)
-    if size is None:
-        return None
-    return _cover_witness(frozenset(bag), [e for e in H.edges if e & bag], size)
-
-
-def _cover_witness(
-    uncovered: FrozenSet[Vertex], edges: Sequence[Edge], budget: int
-) -> Optional[List[Edge]]:
-    if not uncovered:
-        return []
-    if budget <= 0:
-        return None
-    v = min(uncovered, key=lambda u: sum(1 for e in edges if u in e))
-    for e in sorted((e for e in edges if v in e), key=lambda e: -len(e & uncovered)):
-        rest = _cover_witness(uncovered - e, edges, budget - 1)
-        if rest is not None:
-            return [e] + rest
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Generalized hypertreewidth
 # ---------------------------------------------------------------------------
@@ -137,8 +127,7 @@ def hypertreewidth_at_most(H: Hypergraph, k: int) -> bool:
         return False
     if not H.edges:
         return True
-    if any(not H.incident_edges(v) for v in H.vertices):
-        # A vertex in no hyperedge can never be covered.
+    if _uncovered(H):
         return False
     if len(H.edges) <= k:
         return True
@@ -146,171 +135,94 @@ def hypertreewidth_at_most(H: Hypergraph, k: int) -> bool:
         return k >= 1
     if k == 1:
         return False  # not acyclic
-    if _order_hypertree_width(H, min_fill_order(H)) <= k:
+    if _greedy_cover_width(H, min_fill_order(H)) <= k:
         return True
     components = H.connected_components()
     if len(components) > 1:
         return all(
             hypertreewidth_at_most(H.induced_subhypergraph(c), k) for c in components
         )
-    if len(H.vertices) > EXACT_VERTEX_LIMIT:
-        raise BudgetExceededError(
-            "exact ghw decision limited to %d vertices, got %d"
-            % (EXACT_VERTEX_LIMIT, len(H.vertices))
-        )
-    return _decide_ghw(H, k)
+    _check_size(H, "exact ghw decision")
+    graph = _BitGraph(H)
+    return _order_within(graph, _rho(H)(graph, k), k) is not None
 
 
 def hypertreewidth_exact(H: Hypergraph) -> int:
-    """Exact generalized hypertreewidth (0 for edgeless hypergraphs)."""
+    """Exact generalized hypertreewidth: the maximum over connected
+    components (0 for edgeless hypergraphs; ``|E|`` when a vertex lies in
+    no hyperedge, which no width covers)."""
     if not H.edges:
         return 0
-    lo, hi = 1, len(H.edges)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if hypertreewidth_at_most(H, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _order_hypertree_width(H: Hypergraph, order: Sequence[Vertex]) -> int:
-    """Max bag edge-cover number along an elimination order (greedy covers
-    upper-bound the true ρ, so this is an upper bound on ghw)."""
-    adjacency: Dict[Vertex, Set[Vertex]] = {v: set(ns) for v, ns in H.primal_graph().items()}
-    width = 0
-    for v in order:
-        bag = frozenset(adjacency[v] | {v})
-        cover = greedy_edge_cover(H, bag)
-        if cover is None:
-            return len(H.edges) + 1
-        width = max(width, len(cover))
-        neighbourhood = adjacency[v]
-        for a in neighbourhood:
-            adjacency[a].discard(v)
-            adjacency[a].update(neighbourhood - {a})
-        del adjacency[v]
-    return width
-
-
-def _decide_ghw(H: Hypergraph, k: int) -> bool:
-    """Memoized elimination-order DP with the exact ρ(bag) ≤ k cost."""
-    graph = _BitGraph(H)
-    vertices = graph.vertices
-    memo: Dict[int, bool] = {}
-    cover_memo: Dict[FrozenSet[Vertex], bool] = {}
-
-    def bag_ok(mask_v: int, eliminated: int) -> bool:
-        bag = frozenset(
-            [vertices[mask_v]]
-            + [vertices[u] for u in _iter_bits(graph.q_mask(eliminated, mask_v))]
-        )
-        cached = cover_memo.get(bag)
-        if cached is None:
-            cached = edge_cover_number(H, bag, k) is not None
-            cover_memo[bag] = cached
-        return cached
-
-    def feasible(remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        cached = memo.get(remaining)
-        if cached is not None:
-            return cached
-        eliminated = graph.full & ~remaining
-        result = False
-        for v in _iter_bits(remaining):
-            if bag_ok(v, eliminated) and feasible(remaining & ~(1 << v)):
-                result = True
-                break
-        memo[remaining] = result
-        return result
-
-    return feasible(graph.full)
+    if _uncovered(H):
+        return len(H.edges)
+    return max(_exact(part)[0] for part in _components(H))
 
 
 def hypertree_decomposition(H: Hypergraph, k: Optional[int] = None) -> TreeDecomposition:
-    """A generalized hypertree decomposition of width ≤ ``k`` (default: the
-    exact ghw), with per-bag edge covers attached.
+    """A generalized hypertree decomposition of minimum width, with per-bag
+    minimum edge covers attached; ``k`` bounds the width it may have.
 
-    Built from a witness elimination order; the order is recovered greedily
-    against the memoized feasibility predicate.
+    Built from the elimination order each connected component's exact run
+    accepted.
     """
     if not H.edges:
         return TreeDecomposition([frozenset(H.vertices)], [], covers=[frozenset()])
-    width = hypertreewidth_exact(H) if k is None else k
-    if not hypertreewidth_at_most(H, width):
-        raise BudgetExceededError("hypergraph has ghw > %d" % width)
-    order = _ghw_order(H, width)
+    if _uncovered(H):
+        raise BudgetExceededError("a vertex lies in no hyperedge: no width covers it")
+    order: List[Vertex] = []
+    for part in _components(H):
+        width, part_order = _exact(part)
+        if k is not None and width > k:
+            raise BudgetExceededError("hypergraph has ghw > %d" % k)
+        order.extend(part_order)
     td = decomposition_from_elimination_order(H, order)
-    covers = []
-    for bag in td.bags:
-        cover = minimum_edge_cover(H, bag, len(H.edges))
-        if cover is None:  # pragma: no cover - every variable is in an edge
-            raise BudgetExceededError("bag %r has no edge cover" % (sorted(map(repr, bag)),))
-        covers.append(frozenset(cover))
+    covers = [frozenset(minimum_edge_cover(H, bag, len(H.edges))) for bag in td.bags]
     return TreeDecomposition(td.bags, td.tree_edges, covers=covers)
 
 
-def _ghw_order(H: Hypergraph, k: int) -> List[Vertex]:
-    """An elimination order whose bags all have ρ ≤ k."""
-    # Cheap attempt first: a greedy order might already fit.
-    for heuristic in (min_fill_order, min_degree_order):
-        order = heuristic(H)
-        if _order_exact_width_at_most(H, order, k):
-            return order
-    graph = _BitGraph(H)
-    vertices = graph.vertices
-    memo: Dict[int, bool] = {}
-
-    def feasible(remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        cached = memo.get(remaining)
-        if cached is not None:
-            return cached
-        eliminated = graph.full & ~remaining
-        result = False
-        for v in _iter_bits(remaining):
-            bag = frozenset(
-                [vertices[v]]
-                + [vertices[u] for u in _iter_bits(graph.q_mask(eliminated, v))]
-            )
-            if edge_cover_number(H, bag, k) is not None and feasible(remaining & ~(1 << v)):
-                result = True
-                break
-        memo[remaining] = result
-        return result
-
-    order: List[Vertex] = []
-    remaining = graph.full
-    eliminated = 0
-    while remaining:
-        for v in _iter_bits(remaining):
-            bag = frozenset(
-                [vertices[v]]
-                + [vertices[u] for u in _iter_bits(graph.q_mask(eliminated, v))]
-            )
-            if edge_cover_number(H, bag, k) is not None and feasible(remaining & ~(1 << v)):
-                order.append(vertices[v])
-                remaining &= ~(1 << v)
-                eliminated |= 1 << v
-                break
-        else:  # pragma: no cover
-            raise AssertionError("no feasible elimination step found")
-    return order
+def _exact(H: Hypergraph) -> Tuple[int, List[Vertex]]:
+    """ghw of the connected, edge-covered ``H`` and an elimination order of
+    that width, from the first decision run that succeeds."""
+    order = min_fill_order(H)
+    hi = _greedy_cover_width(H, order)
+    lo = 1 if is_alpha_acyclic(H) else 2
+    if lo < hi:
+        _check_size(H, "exact ghw")
+    return _minimum_order(H, _rho(H), lo, hi, order)
 
 
-def _order_exact_width_at_most(H: Hypergraph, order: Sequence[Vertex], k: int) -> bool:
-    adjacency: Dict[Vertex, Set[Vertex]] = {v: set(ns) for v, ns in H.primal_graph().items()}
-    for v in order:
-        bag = frozenset(adjacency[v] | {v})
-        if edge_cover_number(H, bag, k) is None:
-            return False
-        neighbourhood = adjacency[v]
-        for a in neighbourhood:
-            adjacency[a].discard(v)
-            adjacency[a].update(neighbourhood - {a})
-        del adjacency[v]
-    return True
+def _rho(H: Hypergraph) -> Callable[[_BitGraph, int], Callable[[int, int], int]]:
+    """The ghw bag cost: ``_rho(H)(graph, k)`` is the cost
+    :func:`~repro.hypergraphs.treewidth._order_within` runs on ``graph`` (of
+    ``H``) at width ``k`` — ``ρ(bag)``, or some value above ``k`` once
+    ``ρ(bag) > k``.
+
+    One memo serves every ``k``: keyed by bag bitmask, an entry is the
+    exact ``ρ`` (≥ 1), or ``−(j + 1)`` when only ``ρ > j`` is known.
+    """
+    memo: Dict[int, int] = {}
+
+    def at(graph: _BitGraph, k: int) -> Callable[[int, int], int]:
+        def cost(eliminated: int, v: int) -> int:
+            mask = graph.q_mask(eliminated, v) | 1 << v
+            rho = memo.get(mask)
+            if rho is None or -k <= rho < 0:  # unknown, or known only above a smaller k
+                bag = frozenset(graph.vertices[u] for u in _iter_bits(mask))
+                size = edge_cover_number(H, bag, k)
+                rho = memo[mask] = -(k + 1) if size is None else size
+            return abs(rho)
+
+        return cost
+
+    return at
+
+
+def _greedy_cover_width(H: Hypergraph, order: Sequence[Vertex]) -> int:
+    """Max greedy-cover size of the bags along ``order``: an upper bound on
+    ghw (greedy covers upper-bound ρ); every vertex must lie in an edge."""
+    return max(len(greedy_edge_cover(H, bag)) for _, bag in _elimination_bags(H, order))
+
+
+def _uncovered(H: Hypergraph) -> bool:
+    """Does some vertex lie in no hyperedge (so no edge cover exists)?"""
+    return any(not H.incident_edges(v) for v in H.vertices)

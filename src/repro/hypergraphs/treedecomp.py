@@ -14,7 +14,10 @@ condition (2') requires ``ν(s) ⊆ ⋃ κ(s)``; the hypertree width is
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Union,
+)
 
 from ..exceptions import DecompositionError
 from .hypergraph import Edge, Hypergraph, Vertex
@@ -172,17 +175,7 @@ def decomposition_from_elimination_order(
     """
     if set(order) != set(H.vertices):
         raise DecompositionError("elimination order must cover exactly the vertices")
-    adjacency: Dict[Vertex, Set[Vertex]] = {v: set(ns) for v, ns in H.primal_graph().items()}
-    bags: List[FrozenSet[Vertex]] = []
-    bag_of_vertex: Dict[Vertex, int] = {}
-    for v in order:
-        neighbourhood = frozenset(adjacency[v])
-        bags.append(frozenset({v}) | neighbourhood)
-        bag_of_vertex[v] = len(bags) - 1
-        for a in neighbourhood:
-            adjacency[a].discard(v)
-            adjacency[a].update(neighbourhood - {a})
-        del adjacency[v]
+    bags = [bag for _, bag in _elimination_bags(H, order)]
     # Connect each bag to the bag of the earliest-eliminated remaining
     # neighbour; the last bag is the root.
     position = {v: i for i, v in enumerate(order)}
@@ -191,7 +184,28 @@ def decomposition_from_elimination_order(
         later = [u for u in bags[i] if u != v and position[u] > position[v]]
         if later:
             parent_vertex = min(later, key=lambda u: position[u])
-            edges.append((i, bag_of_vertex[parent_vertex]))
+            edges.append((i, position[parent_vertex]))
         elif i != len(order) - 1:
             edges.append((i, len(order) - 1))
     return TreeDecomposition(bags, edges)
+
+
+def _elimination_bags(
+    H: Hypergraph,
+    order: Union[Sequence[Vertex], Callable[[Dict[Vertex, Set[Vertex]]], Vertex]],
+) -> Iterator[Tuple[Vertex, FrozenSet[Vertex]]]:
+    """Eliminate vertices from the primal graph of ``H``, yielding each
+    vertex with its bag: itself plus its neighbours at elimination time,
+    which are then filled into a clique.
+
+    ``order`` is either the vertices in elimination order or a function
+    choosing the next vertex from the current adjacency (a greedy order).
+    """
+    adjacency: Dict[Vertex, Set[Vertex]] = {v: set(ns) for v, ns in H.primal_graph().items()}
+    steps = (order(adjacency) for _ in H.vertices) if callable(order) else order
+    for v in steps:
+        neighbourhood = adjacency.pop(v)
+        for a in neighbourhood:
+            adjacency[a].discard(v)
+            adjacency[a].update(neighbourhood - {a})
+        yield v, frozenset(neighbourhood) | {v}

@@ -1,16 +1,20 @@
 """Treewidth: exact computation, heuristic bounds, and the ``TW(k)`` test.
 
 Treewidth drives the class ``TW(k)`` of the paper (Section 3.1).  Queries in
-scope here are small (tens of variables), so exact treewidth is feasible via
-the classic dynamic program over elimination orders:
+scope here are small (tens of variables), so exact widths are feasible by
+one search over elimination orders, :func:`_order_within`: is there an order
+of the remaining vertices all of whose bags cost at most ``k``?  It is
+memoised on the set of remaining vertices (a bitmask), records only the
+infeasible sets, and returns the order it found, so a successful decision is
+its own witness.  The cost of eliminating ``v`` after the set ``S`` is a
+function of its bag ``{v} ∪ Q(S, v)``, where ``Q(S, v)`` is the set of
+vertices outside ``S ∪ {v}`` reachable from ``v`` through ``S``:
+``|Q(S, v)|`` here, the edge-cover number ``ρ`` in
+:mod:`repro.hypergraphs.hypertree`.
 
-    ``tw(S) = min over v ∈ S of max(|Q(S∖{v}, v)|, tw(S∖{v}))``
-
-where ``Q(S, v)`` is the set of vertices outside ``S ∪ {v}`` reachable from
-``v`` through ``S`` — the bag size that eliminating ``v`` last among ``S``
-would incur.  Vertices are packed into bitmasks, and the search is bounded
-above/below by the min-fill heuristic and the minor-min-width lower bound so
-most instances never reach the exponential core.
+The exact width is the first ``k`` that search accepts, scanning from the
+minor-min-width lower bound up to the min-fill / min-degree upper bound,
+one connected component at a time.
 
 Public API:
 
@@ -23,18 +27,23 @@ Public API:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import BudgetExceededError
 from .hypergraph import Hypergraph, Vertex
-from .treedecomp import TreeDecomposition, decomposition_from_elimination_order
+from .treedecomp import (
+    TreeDecomposition,
+    _elimination_bags,
+    decomposition_from_elimination_order,
+)
 
-#: Above this many vertices the exact algorithm refuses to run.
+#: Above this many vertices (per connected component) the exact algorithm
+#: refuses to run.
 EXACT_VERTEX_LIMIT = 26
 
 
 # ---------------------------------------------------------------------------
-# Bitmask plumbing
+# Bitmask plumbing and the one search
 # ---------------------------------------------------------------------------
 class _BitGraph:
     """Primal graph with vertices packed into an int bitmask."""
@@ -77,6 +86,70 @@ class _BitGraph:
         return reached_outside
 
 
+def _order_within(
+    graph: _BitGraph, cost: Callable[[int, int], int], k: int
+) -> Optional[List[Vertex]]:
+    """An elimination order of ``graph`` none of whose bags costs more than
+    ``k``, or ``None`` when there is none.  ``cost(eliminated, v)`` prices
+    the bag of ``v`` eliminated after the vertex set ``eliminated`` (a bit
+    index and a bitmask)."""
+    infeasible: Set[int] = set()
+    found: List[int] = []  # filled on the way back up: last-eliminated first
+
+    def search(remaining: int) -> bool:
+        if not remaining:
+            return True
+        if remaining in infeasible:
+            return False
+        eliminated = graph.full & ~remaining
+        for v in _iter_bits(remaining):
+            if cost(eliminated, v) <= k and search(remaining & ~(1 << v)):
+                found.append(v)
+                return True
+        infeasible.add(remaining)
+        return False
+
+    if not search(graph.full):
+        return None
+    return [graph.vertices[v] for v in reversed(found)]
+
+
+def _minimum_order(
+    H: Hypergraph,
+    cost_at: Callable[[_BitGraph, int], Callable[[int, int], int]],
+    lo: int,
+    hi: int,
+    order: List[Vertex],
+) -> Tuple[int, List[Vertex]]:
+    """The least ``k`` in ``lo..hi`` with an elimination order of ``H``
+    whose bags all cost ``≤ k``, and that order — ``(hi, order)`` when none
+    below ``hi`` exists (``order`` is one of width ``hi``).  The search's
+    cost at ``k`` is ``cost_at(graph, k)``."""
+    if lo >= hi:
+        return hi, order
+    graph = _BitGraph(H)
+    for k in range(lo, hi):
+        found = _order_within(graph, cost_at(graph, k), k)
+        if found is not None:
+            return k, found
+    return hi, order
+
+
+def _check_size(H: Hypergraph, what: str) -> None:
+    if len(H.vertices) > EXACT_VERTEX_LIMIT:
+        raise BudgetExceededError(
+            "%s limited to %d vertices per connected component, got %d"
+            % (what, EXACT_VERTEX_LIMIT, len(H.vertices))
+        )
+
+
+def _components(H: Hypergraph) -> List[Hypergraph]:
+    components = H.connected_components()
+    if len(components) == 1:
+        return [H]
+    return [H.induced_subhypergraph(c) for c in components]
+
+
 def _popcount(x: int) -> int:
     return bin(x).count("1")
 
@@ -93,63 +166,52 @@ def _iter_bits(mask: int):
 # ---------------------------------------------------------------------------
 def min_fill_order(H: Hypergraph) -> List[Vertex]:
     """Elimination order chosen greedily by fewest fill-in edges."""
-    return _greedy_order(H, criterion="fill")
+    return _greedy(H, _fill_key)[1]
 
 
 def min_degree_order(H: Hypergraph) -> List[Vertex]:
     """Elimination order chosen greedily by minimum degree."""
-    return _greedy_order(H, criterion="degree")
+    return _greedy(H, _degree_key)[1]
 
 
-def _greedy_order(H: Hypergraph, criterion: str) -> List[Vertex]:
-    adjacency: Dict[Vertex, Set[Vertex]] = {v: set(ns) for v, ns in H.primal_graph().items()}
-    order: List[Vertex] = []
-    while adjacency:
-        if criterion == "degree":
-            v = min(adjacency, key=lambda u: (len(adjacency[u]), repr(u)))
-        else:
-            v = min(adjacency, key=lambda u: (_fill_in(adjacency, u), len(adjacency[u]), repr(u)))
+def _degree_key(adjacency: Dict[Vertex, Set[Vertex]], u: Vertex):
+    return len(adjacency[u]), repr(u)
+
+
+def _fill_key(adjacency: Dict[Vertex, Set[Vertex]], u: Vertex):
+    ns = list(adjacency[u])
+    missing = sum(1 for i, a in enumerate(ns) for b in ns[i + 1 :] if b not in adjacency[a])
+    return missing, len(ns), repr(u)
+
+
+def _greedy(H: Hypergraph, key) -> Tuple[int, List[Vertex]]:
+    """The greedy elimination order by ``key`` and its width."""
+    def choose(adjacency: Dict[Vertex, Set[Vertex]]) -> Vertex:
+        return min(adjacency, key=lambda u: key(adjacency, u))
+
+    width, order = -1, []
+    for v, bag in _elimination_bags(H, choose):
         order.append(v)
-        neighbourhood = adjacency[v]
-        for a in neighbourhood:
-            adjacency[a].discard(v)
-            adjacency[a].update(neighbourhood - {a})
-        del adjacency[v]
-    return order
+        width = max(width, len(bag) - 1)
+    return width, order
 
 
-def _fill_in(adjacency: Dict[Vertex, Set[Vertex]], v: Vertex) -> int:
-    ns = list(adjacency[v])
-    missing = 0
-    for i, a in enumerate(ns):
-        for b in ns[i + 1 :]:
-            if b not in adjacency[a]:
-                missing += 1
-    return missing
+def _best_heuristic(H: Hypergraph) -> Tuple[int, List[Vertex]]:
+    """The narrower of the min-fill and min-degree orders, with its width
+    (min-fill on a tie)."""
+    return min(_greedy(H, _fill_key), _greedy(H, _degree_key), key=lambda pair: pair[0])
 
 
 def order_width(H: Hypergraph, order: Sequence[Vertex]) -> int:
     """Width of an elimination order (−1 for the empty hypergraph)."""
-    adjacency: Dict[Vertex, Set[Vertex]] = {v: set(ns) for v, ns in H.primal_graph().items()}
-    width = -1
-    for v in order:
-        neighbourhood = adjacency[v]
-        width = max(width, len(neighbourhood))
-        for a in neighbourhood:
-            adjacency[a].discard(v)
-            adjacency[a].update(neighbourhood - {a})
-        del adjacency[v]
-    return width
+    return max((len(bag) - 1 for _, bag in _elimination_bags(H, order)), default=-1)
 
 
 def treewidth_upper_bound(H: Hypergraph) -> int:
     """Best of the min-fill and min-degree heuristic widths."""
     if not H.vertices:
         return -1
-    return min(
-        order_width(H, min_fill_order(H)),
-        order_width(H, min_degree_order(H)),
-    )
+    return _best_heuristic(H)[0]
 
 
 def treewidth_lower_bound(H: Hypergraph) -> int:
@@ -183,50 +245,33 @@ def treewidth_lower_bound(H: Hypergraph) -> int:
             adjacency[w].add(u)
     # A hyperedge of size s forces a bag of size ≥ s, hence width ≥ s − 1.
     edge_bound = max((len(e) - 1 for e in H.edges), default=0)
-    return max(best, edge_bound, 0) if H.vertices else -1
+    return max(best, edge_bound)
 
 
 # ---------------------------------------------------------------------------
 # Exact treewidth
 # ---------------------------------------------------------------------------
+def _exact(H: Hypergraph) -> Tuple[int, List[Vertex]]:
+    """Treewidth of the connected ``H`` and an elimination order of that
+    width, from the first decision run that succeeds."""
+    _check_size(H, "exact treewidth")
+    width, order = _best_heuristic(H)
+    return _minimum_order(
+        H, lambda graph, k: graph.q_size, treewidth_lower_bound(H), width, order
+    )
+
+
 def treewidth_exact(H: Hypergraph) -> int:
-    """Exact treewidth via the elimination-order dynamic program.
+    """Exact treewidth: the maximum over connected components.
 
     Raises :class:`~repro.exceptions.BudgetExceededError` beyond
     :data:`EXACT_VERTEX_LIMIT` vertices (per connected component).
     """
-    components = H.connected_components()
-    if not components:
-        return -1
-    if len(components) > 1:
-        return max(
-            treewidth_exact(H.induced_subhypergraph(comp)) for comp in components
-        )
-    n = len(H.vertices)
-    if n > EXACT_VERTEX_LIMIT:
-        raise BudgetExceededError(
-            "exact treewidth limited to %d vertices, got %d; use treewidth_upper_bound"
-            % (EXACT_VERTEX_LIMIT, n)
-        )
-    lb = treewidth_lower_bound(H)
-    ub = treewidth_upper_bound(H)
-    if lb >= ub:
-        return ub
-    graph = _BitGraph(H)
-    # Binary search the decision DP between the bounds (each decision run
-    # reuses its own memo; the window lb..ub is small in practice).
-    lo, hi = lb, ub
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _decide(graph, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return max((_exact(part)[0] for part in _components(H)), default=-1)
 
 
 def treewidth_at_most(H: Hypergraph, k: int) -> bool:
-    """Decision problem ``tw(H) ≤ k`` with heuristic fast paths."""
+    """Decision ``tw(H) ≤ k`` with heuristic fast paths."""
     if not H.vertices:
         return True
     if treewidth_upper_bound(H) <= k:
@@ -238,97 +283,22 @@ def treewidth_at_most(H: Hypergraph, k: int) -> bool:
         return all(
             treewidth_at_most(H.induced_subhypergraph(comp), k) for comp in components
         )
-    n = len(H.vertices)
-    if n > EXACT_VERTEX_LIMIT:
-        raise BudgetExceededError(
-            "exact treewidth decision limited to %d vertices, got %d"
-            % (EXACT_VERTEX_LIMIT, n)
-        )
-    return _decide(_BitGraph(H), k)
-
-
-def _decide(graph: _BitGraph, k: int) -> bool:
-    """Is there an elimination order of width ≤ k?  Memoized DP over the
-    set of *remaining* (not yet eliminated) vertices."""
-    n = len(graph.vertices)
-    memo: Dict[int, bool] = {}
-
-    def feasible(remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        cached = memo.get(remaining)
-        if cached is not None:
-            return cached
-        eliminated = graph.full & ~remaining
-        result = False
-        for v in _iter_bits(remaining):
-            # Eliminating v next: its bag is Q(eliminated, v) ∩ remaining
-            # plus the already-eliminated fill neighbours — captured exactly
-            # by Q over the eliminated set.
-            if graph.q_size(eliminated, v) <= k:
-                if feasible(remaining & ~(1 << v)):
-                    result = True
-                    break
-        memo[remaining] = result
-        return result
-
-    # Order vertices to eliminate low-degree first for better pruning: the
-    # recursion tries vertices in index order; nothing to tune here beyond
-    # the memoization.
-    return feasible(graph.full)
-
-
-def _exact_order(H: Hypergraph) -> List[Vertex]:
-    """An elimination order realizing the exact treewidth."""
-    k = treewidth_exact(H)
+    _check_size(H, "exact treewidth decision")
     graph = _BitGraph(H)
-    memo: Dict[int, bool] = {}
-
-    def feasible(remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        cached = memo.get(remaining)
-        if cached is not None:
-            return cached
-        eliminated = graph.full & ~remaining
-        result = any(
-            graph.q_size(eliminated, v) <= k and feasible(remaining & ~(1 << v))
-            for v in _iter_bits(remaining)
-        )
-        memo[remaining] = result
-        return result
-
-    order: List[Vertex] = []
-    remaining = graph.full
-    eliminated = 0
-    while remaining:
-        for v in _iter_bits(remaining):
-            if graph.q_size(eliminated, v) <= k and feasible(remaining & ~(1 << v)):
-                order.append(graph.vertices[v])
-                remaining &= ~(1 << v)
-                eliminated |= 1 << v
-                break
-        else:  # pragma: no cover - contradicts feasibility of `remaining`
-            raise AssertionError("no feasible elimination step found")
-    return order
+    return _order_within(graph, graph.q_size, k) is not None
 
 
 def tree_decomposition(H: Hypergraph, exact: bool = True) -> TreeDecomposition:
     """A tree decomposition of ``H`` — minimum width when ``exact`` (default),
-    otherwise the best heuristic one."""
+    otherwise the best heuristic one.  Each connected component is ordered
+    on its own (widths are independent across components); a component
+    beyond :data:`EXACT_VERTEX_LIMIT` vertices gets its heuristic order."""
     if not H.vertices:
         return TreeDecomposition([frozenset()], [])
-    if exact and len(H.vertices) <= EXACT_VERTEX_LIMIT:
-        if H.is_connected():
-            order = _exact_order(H)
+    order: List[Vertex] = []
+    for part in _components(H):
+        if exact and len(part.vertices) <= EXACT_VERTEX_LIMIT:
+            order.extend(_exact(part)[1])
         else:
-            # Exact per component, stitched by concatenating orders (widths
-            # are independent across components).
-            order = []
-            for comp in H.connected_components():
-                order.extend(_exact_order(H.induced_subhypergraph(comp)))
-    else:
-        fill = min_fill_order(H)
-        degree = min_degree_order(H)
-        order = fill if order_width(H, fill) <= order_width(H, degree) else degree
+            order.extend(_best_heuristic(part)[1])
     return decomposition_from_elimination_order(H, order)

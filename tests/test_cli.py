@@ -332,6 +332,29 @@ def test_no_routing_knob_between_a_decision_procedure_and_its_engine():
     assert checked >= 150  # the modules were found and read, not skipped
 
 
+def test_one_width_search_and_one_elimination_walk():
+    """Treewidth and ghw are one elimination-order search with two bag
+    costs, and every order width, greedy bound and decomposition is read
+    off one elimination walk: the per-measure copies stay gone."""
+    gone = {
+        "_decide_ghw", "_ghw_order", "_exact_order", "_order_hypertree_width",
+        "_order_exact_width_at_most", "_cover_witness",
+    }
+    defined = []
+    checked = 0
+    for path, tree in _source_trees("."):
+        for node in ast.walk(tree):
+            for name in (getattr(node, "name", None), getattr(node, "id", None),
+                         getattr(node, "attr", None)):
+                assert name not in gone, (path, getattr(node, "lineno", None), name)
+            if isinstance(node, ast.FunctionDef):
+                defined.append(node.name)
+        checked += 1
+    assert checked >= 90  # the package was found and read, not skipped
+    assert defined.count("_order_within") == 1
+    assert defined.count("_elimination_bags") == 1
+
+
 def test_the_planner_is_the_only_way_to_an_engine():
     """Outside ``repro.cqalgs`` the engines' entry points are imported by
     ``planner/planner.py`` alone, and used there by ``Planner._run`` alone

@@ -26,9 +26,16 @@ from repro.core.database import Database
 from repro.core.mappings import Mapping, maximal_mappings
 from repro.hypergraphs.gyo import join_tree_of_atoms
 from repro.hypergraphs.hypergraph import Hypergraph
+from repro.hypergraphs.hypertree import (
+    hypertree_decomposition,
+    hypertreewidth_at_most,
+    hypertreewidth_exact,
+)
 from repro.hypergraphs.treedecomp import decomposition_from_elimination_order
 from repro.hypergraphs.treewidth import (
     min_fill_order,
+    tree_decomposition,
+    treewidth_at_most,
     treewidth_exact,
     treewidth_lower_bound,
     treewidth_upper_bound,
@@ -164,6 +171,28 @@ def test_treewidth_bounds_bracket_exact(H):
 def test_elimination_order_decomposition_valid(H):
     td = decomposition_from_elimination_order(H, min_fill_order(H))
     assert td.is_valid_for(H)
+
+
+@COMMON
+@given(small_hypergraph())
+def test_widths_decisions_and_decompositions_agree(H):
+    """Both widths come from one search: its decision at every ``k``, its
+    exact value, the bounds around it, and the witness decomposition it
+    returns all tell the same story."""
+    tw = treewidth_exact(H)
+    assert treewidth_lower_bound(H) <= tw <= treewidth_upper_bound(H)
+    for k in range(-1, len(H.vertices) + 1):
+        assert treewidth_at_most(H, k) is (k >= tw)
+    ghw = hypertreewidth_exact(H)
+    # Every edge covers itself, and a bag of tw + 1 vertices needs at most
+    # tw + 1 edges.
+    assert 1 <= ghw <= min(len(H.edges), tw + 1)
+    for k in range(-1, len(H.edges) + 1):
+        assert hypertreewidth_at_most(H, k) is (k >= ghw)
+    td = tree_decomposition(H)
+    assert td.is_valid_for(H) and td.width() == tw
+    htd = hypertree_decomposition(H)
+    assert htd.violations(H) == [] and htd.hypertree_width() == ghw
 
 
 # ---------------------------------------------------------------------------
