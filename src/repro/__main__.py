@@ -326,16 +326,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _save_database(db, path: str) -> None:
     """Snapshot ``db`` into the SQLite file at ``path`` (overwriting)."""
-    import os
-
     from .storage import SQLiteBackend
 
-    if isinstance(db, SQLiteBackend):
-        db.save(path)
-        return
-    if os.path.exists(path):
-        os.remove(path)
-    SQLiteBackend(db.facts(), path=path).close()
+    if not isinstance(db, SQLiteBackend):
+        db = SQLiteBackend(db.facts())
+    db.save(path)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -9,6 +9,17 @@ Constants are encoded with a type tag (int/str/bool/float/None get
 compact readable forms, anything else a pickle payload), so facts
 round-trip exactly.
 
+Every connection is opened with the same fixed settings (no option
+selects them).  Temporary B-trees — the ``DISTINCT`` scans and
+materialised CTEs of the pushdown — live in RAM (``temp_store=MEMORY``)
+instead of spilling to temp files; this bounds no rows, so a pushed-down
+statement's scratch is still outside the row budget.  An on-disk file
+is journaled to a write-ahead log (``journal_mode=WAL``) with
+``synchronous=FULL``: a commit appends its pages to ``<file>-wal`` and
+fsyncs that once (a rollback journal costs two fsyncs plus a journal
+create and unlink), and every commit that returned survives a process
+kill or a power loss.
+
 Three capabilities the in-memory backend does not have:
 
 * **Persistence** — construct with ``path=`` to operate directly on an
@@ -16,7 +27,11 @@ Three capabilities the in-memory backend does not have:
   :meth:`~SQLiteBackend.save` to snapshot the current state elsewhere
   (via SQLite's online backup).  The catalog and the data version live
   in the file, so an re-opened database resumes its cache lineage
-  (same ``backend_id``, same ``data_version``).
+  (same ``backend_id``, same ``data_version``).  While any connection
+  has the file open, its ``-wal`` and ``-shm`` sidecars are part of the
+  database (recent commits may live only in the log); the last
+  :meth:`~SQLiteBackend.close` folds the log into the main file and
+  deletes both, leaving one self-contained file.
 * **Whole-tree SQL pushdown** — :meth:`~SQLiteBackend.sql_yannakakis`
   runs the *entire* Yannakakis join plan as a single SQL statement: one
   CTE layer per phase (per-atom ``DISTINCT`` scans, bottom-up and
@@ -28,7 +43,9 @@ Three capabilities the in-memory backend does not have:
 * **Concurrency** — the connection is shared across threads behind an
   ``RLock`` (the query service's executor threads may issue matches
   concurrently); pickling ships the facts (or, on disk, the path), so
-  ``repro.parallel``'s worker processes work too.
+  ``repro.parallel``'s worker processes work too.  A process that
+  reopens the path sees every commit made before it opened, and WAL
+  readers do not block the writer.
 """
 
 from __future__ import annotations
@@ -63,6 +80,9 @@ _CATALOG = "_repro_catalog"
 _META = "_repro_meta"
 #: On-disk layout version (bump on incompatible changes).
 _LAYOUT = 1
+#: Files SQLite keeps beside a database file ``<file>``: write-ahead log,
+#: its shared-memory index, rollback journal.
+_SIDECARS = ("-wal", "-shm", "-journal")
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +137,10 @@ class SQLiteBackend(StorageBackend):
         memory backend).
     path:
         SQLite file to operate on (created when missing; existing
-        repro-layout files are resumed).  ``None`` (default) keeps the
-        database in ``:memory:``.
+        repro-layout files are resumed, and switched to write-ahead
+        logging if they were not).  ``None`` (default) keeps the
+        database in ``:memory:``.  ``facts`` are loaded in one
+        transaction: one commit, one version bump per new fact.
 
     >>> from repro.core.atoms import atom
     >>> db = SQLiteBackend([atom("E", 1, 2), atom("E", 2, 3)])
@@ -139,6 +161,14 @@ class SQLiteBackend(StorageBackend):
             self._path if self._path is not None else ":memory:",
             check_same_thread=False,
         )
+        # The package's only PRAGMAs (tests/test_cli.py pins that).
+        # synchronous is set explicitly, after the mode switch, because a
+        # build may default WAL connections to NORMAL, which can lose the
+        # last commits on a power loss.
+        self._conn.execute("PRAGMA temp_store=MEMORY")
+        if self._path is not None:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=FULL")
         self._lock = threading.RLock()
         self._schema = schema if schema is not None else Schema()
         self._explicit_schema = schema is not None
@@ -157,8 +187,7 @@ class SQLiteBackend(StorageBackend):
             self._backend_id = allocate_backend_id("sqlite")
         with self._lock, self._conn:
             self._init_layout()
-        for fact in facts:
-            self.add(fact)
+        self.update(facts)
 
     # ------------------------------------------------------------------
     # Layout
@@ -170,6 +199,9 @@ class SQLiteBackend(StorageBackend):
         )
         fresh = cur.fetchone() is None
         if fresh:
+            # One commit for the layout: outside a transaction each
+            # CREATE TABLE would commit (and fsync) on its own.
+            self._conn.execute("BEGIN")
             self._conn.execute(
                 "CREATE TABLE %s (relation TEXT PRIMARY KEY, tbl TEXT, arity INTEGER)"
                 % _CATALOG
@@ -247,11 +279,12 @@ class SQLiteBackend(StorageBackend):
     # Mutation
     # ------------------------------------------------------------------
     def add(self, fact: Atom) -> bool:
-        with self._lock, self._conn:
-            return self._insert(fact)
+        # Through update: a fact of a new relation creates its table
+        # inside the same one commit.
+        return self.update((fact,)) == 1
 
     def _insert(self, fact: Atom) -> bool:
-        """:meth:`add` inside the caller's lock and transaction."""
+        """Insert one fact inside the caller's lock and transaction."""
         if not fact.is_ground():
             raise NotGroundError("database facts must be ground, got %r" % (fact,))
         if self._explicit_schema:
@@ -287,8 +320,8 @@ class SQLiteBackend(StorageBackend):
             return True
 
     def update(self, facts: Iterable[Atom]) -> int:
-        """:meth:`add` for each fact — one version bump per new fact —
-        in **one** transaction: one commit however many facts, and a
+        """Insert each fact — one version bump per new fact — in
+        **one** transaction: one commit however many facts, and a
         fact that raises leaves neither the facts before it nor their
         bumps (nor a table created for them) behind."""
         with self._lock:
@@ -725,49 +758,94 @@ class SQLiteBackend(StorageBackend):
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: str) -> None:
-        """Snapshot the current state into the SQLite file at ``path``
-        (overwriting it) via the online backup API."""
+        """Snapshot the current state into a self-contained SQLite file
+        at ``path``, replacing whatever is there.
+
+        The online backup API copies the database — commits still in
+        this backend's write-ahead log included — into a new file beside
+        ``path``, which is committed (fsynced) and then renamed over
+        ``path``: ``path`` holds its old content or the whole snapshot,
+        never a mix.  Any ``-wal``/``-shm``/``-journal`` left at ``path``
+        by an earlier database is deleted before the rename, since SQLite
+        would replay a stale log into the new file.  Saving over the
+        backend's own file raises :class:`ReproError`: it would unlink a
+        live database and orphan its log (the same holds for a file
+        another connection has open, which cannot be detected here).
+        """
         target = os.path.abspath(path)
-        if os.path.exists(target):
-            os.remove(target)
-        with self._lock:
-            dest = sqlite3.connect(target)
-            try:
-                with dest:
-                    self._conn.backup(dest)
-            finally:
-                dest.close()
+        if (
+            self._path is not None
+            and os.path.exists(target)
+            and os.path.samefile(target, self._path)
+        ):
+            raise ReproError("cannot save the database at %s over itself" % target)
+        scratch = "%s.%s.tmp" % (target, os.urandom(4).hex())
+        try:
+            with self._lock:
+                dest = sqlite3.connect(scratch)
+                try:
+                    with dest:
+                        self._conn.backup(dest)
+                finally:
+                    dest.close()
+            for suffix in _SIDECARS:
+                _remove_if_present(target + suffix)
+            os.replace(scratch, target)
+        finally:  # after the rename only a failed save leaves anything
+            for suffix in ("",) + _SIDECARS:
+                _remove_if_present(scratch + suffix)
 
     @classmethod
     def open(cls, path: str, schema: Optional[Schema] = None) -> "SQLiteBackend":
         """Resume the on-disk database at ``path`` (same ``backend_id``
         and ``data_version`` it was saved with, so result-cache lineage
-        survives the round trip)."""
+        survives the round trip).
+
+        Every commit acknowledged before the previous owner stopped is
+        there, closed or killed: a log a killed process left behind is
+        replayed on open.  A file written with a rollback journal is
+        switched to write-ahead logging in place, facts, identity and
+        version unchanged.  From here until the last connection closes,
+        ``path``'s ``-wal``/``-shm`` sidecars are part of the database:
+        copy or move the file only after :meth:`close`, or use
+        :meth:`save`."""
         if not os.path.exists(path):
             raise ReproError("no sqlite database at %s" % path)
         return cls(schema=schema, path=path)
 
     def close(self) -> None:
-        """Close the underlying connection (further use is an error)."""
+        """Close the underlying connection (further use is an error).
+
+        When this is the last connection to an on-disk file, SQLite
+        checkpoints the write-ahead log into the main file and deletes the
+        ``-wal``/``-shm`` sidecars: the main file alone then holds every
+        fact.  While another connection (a worker process, a second
+        backend on the same path) still has the file open, the log stays
+        and belongs to the database.  Closing is not needed for
+        durability — every acknowledged commit is already on disk."""
         with self._lock:
             self._conn.close()
 
     # ------------------------------------------------------------------
     # Copy / pickling
     # ------------------------------------------------------------------
+    def _set_version(self, version: int) -> None:
+        """Overwrite the stored data version (copies resume their
+        original's lineage counter)."""
+        with self._lock, self._conn:
+            self._version = version
+            self._conn.execute(
+                "UPDATE %s SET value=? WHERE key='data_version'" % _META,
+                (str(version),),
+            )
+
     def copy(self) -> "SQLiteBackend":
         """An independent in-memory copy (schema, facts, and version
         carry over; the copy gets its own ``backend_id``)."""
         clone = SQLiteBackend(
-            schema=self._schema if self._explicit_schema else None
+            self.facts(), schema=self._schema if self._explicit_schema else None
         )
-        clone.update(self.facts())
-        with clone._lock, clone._conn:
-            clone._version = self._version
-            clone._conn.execute(
-                "UPDATE %s SET value=? WHERE key='data_version'" % _META,
-                (str(self._version),),
-            )
+        clone._set_version(self._version)
         return clone
 
     def __reduce__(self):
@@ -786,10 +864,12 @@ def _restore_sqlite_backend(path, facts, schema, version):
     if path is not None:
         return SQLiteBackend(schema=schema, path=path)
     backend = SQLiteBackend(facts, schema=schema)
-    with backend._lock, backend._conn:
-        backend._version = version
-        backend._conn.execute(
-            "UPDATE %s SET value=? WHERE key='data_version'" % _META,
-            (str(version),),
-        )
+    backend._set_version(version)
     return backend
+
+
+def _remove_if_present(path: str) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass

@@ -419,3 +419,33 @@ def test_the_data_version_is_a_stamp_and_only_the_session_advances_it():
     assert key_functions == 1 and key_calls >= 1
     assert advancers == {"engine.py"}
 
+
+def test_sqlite_settings_are_issued_in_one_place_and_synchronous_stays_full():
+    """Every ``PRAGMA`` of the package is in ``SQLiteBackend.__init__``,
+    where each connection gets its fixed settings, and nothing sets
+    ``synchronous`` below FULL: below it, a WAL commit that returned can
+    be lost on a power loss."""
+    pragma = re.compile(r"\s*PRAGMA\b", re.IGNORECASE)
+    synchronous = re.compile(r"synchronous\s*=\s*['\"]?(\w+)", re.IGNORECASE)
+    issued, levels = [], []
+    for path, tree in _source_trees("."):
+        in_init = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "SQLiteBackend"
+            for f in cls.body
+            if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+            for node in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+                continue
+            if pragma.match(node.value):
+                assert id(node) in in_init, (path, node.lineno, node.value)
+                issued.append(node.value)
+            levels += [m.group(1).upper() for m in synchronous.finditer(node.value)]
+    assert sorted(issued) == [
+        "PRAGMA journal_mode=WAL", "PRAGMA synchronous=FULL", "PRAGMA temp_store=MEMORY",
+    ]
+    assert "FULL" in levels and set(levels) <= {"FULL", "EXTRA", "2", "3"}
+

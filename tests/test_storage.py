@@ -2,6 +2,7 @@
 SQL pushdown, and pickling."""
 
 import pickle
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -367,6 +368,44 @@ class TestSQLiteBackend:
         reopened = SQLiteBackend.open(str(tmp_path / "facts.sqlite"))
         assert reopened.data_version == version + 50 and len(reopened) == len(FACTS) + 50
         reopened.close()
+
+    def test_constructor_facts_and_a_new_relation_are_one_commit_each(
+        self, tmp_path, monkeypatch
+    ):
+        """On a file a commit is an fsync: the constructor loads its facts
+        in one transaction (with the version an ``add`` per fact gives),
+        a fresh file's layout is one more, and ``add`` of a fact whose
+        relation has no table yet is one commit, CREATE TABLE included."""
+        statements = []
+        connect = sqlite3.connect
+
+        def traced(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        def commits():
+            control = [s.strip() for s in statements]
+            statements.clear()
+            return [s for s in control if s in ("BEGIN", "COMMIT", "ROLLBACK")]
+
+        facts = [atom("E", i, i + 1) for i in range(40)]
+        facts += [atom("U", 1), atom("E", 0, 1)]  # a duplicate: no bump
+        existing = str(tmp_path / "existing.sqlite")
+        SQLiteBackend(path=existing).close()
+        monkeypatch.setattr(sqlite3, "connect", traced)
+
+        db = SQLiteBackend(facts, path=existing)
+        assert commits() == ["BEGIN", "COMMIT"]
+        assert db.data_version == len(set(facts)) == 41
+        assert db.add(atom("New", 1, 2))
+        assert commits() == ["BEGIN", "COMMIT"]
+        db.close()
+
+        fresh = SQLiteBackend(facts, path=str(tmp_path / "fresh.sqlite"))
+        assert commits() == ["BEGIN", "COMMIT"] * 2  # layout, facts
+        assert fresh.data_version == 41
+        fresh.close()
 
     def test_update_that_raises_leaves_nothing_behind(self, tmp_path):
         path = str(tmp_path / "facts.sqlite")
