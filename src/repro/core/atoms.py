@@ -44,6 +44,10 @@ class Atom:
         self.args = coerced
         self._hash = hash((relation, coerced))
 
+    def __reduce__(self):
+        # By value, so the hash is recomputed (see Variable.__reduce__).
+        return (Atom, (self.relation, self.args))
+
     @property
     def arity(self) -> int:
         """Number of argument positions."""

@@ -35,6 +35,10 @@ class FrozenVariable:
         self.variable = variable
         self._hash = hash(("FrozenVariable", variable))
 
+    def __reduce__(self):
+        # By value, so the hash is recomputed (see Variable.__reduce__).
+        return (FrozenVariable, (self.variable,))
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FrozenVariable) and other.variable == self.variable
 

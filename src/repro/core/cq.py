@@ -64,6 +64,10 @@ class ConjunctiveQuery:
         self._hash = hash((frees, body))
         self._fingerprint: Optional[str] = None
 
+    def __reduce__(self):
+        # By value, so the hash is recomputed (see Variable.__reduce__).
+        return (ConjunctiveQuery, (self.free_variables, self.atoms))
+
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------

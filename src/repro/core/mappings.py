@@ -9,15 +9,28 @@ variables.  Two orders structure the answer space (Section 2):
 * ``h ⊏ h'``: ``h ⊑ h'`` and not ``h' ⊑ h`` (with ``h ⊑ h'`` this reduces to
   ``dom(h) ⊊ dom(h')``).
 
-:class:`Mapping` is an immutable, hashable wrapper around a ``dict`` from
-:class:`~repro.core.terms.Variable` to :class:`~repro.core.terms.Constant`,
-with the order operations, restriction, compatible union, and helpers for
-selecting the maximal elements of a set of mappings — the operation at the
-heart of WDPT semantics (Definition 2).
+Both are inclusions of *graphs*: ``h ⊑ h'`` iff ``{(x, h(x))} ⊆ {(x,
+h'(x))}``.  So a :class:`Mapping` is its graph — a ``frozenset`` of
+``(Variable, Constant)`` pairs — and ``h <= h'`` / ``h < h'`` on two
+Mappings *are* ``⊑`` / ``⊏``.  Hashing, equality and both orders are
+frozenset's own, in C, and a Mapping equals (and hashes like) the plain
+frozenset of its pairs.  The boundaries that turn relation rows into
+answers build Mappings from pairs with C iterators
+(:func:`repro.relalg.relation.to_mappings`).
+
+On top of the set sits the read API of a dict: iterating a Mapping and
+``in`` see its variables, ``m[x]`` / :meth:`Mapping.get` look one up,
+:meth:`Mapping.items` yields the pairs.  ``set(m)`` and ``frozenset(m)``
+copy the set's own elements, the pairs; :meth:`Mapping.domain` is the set
+of variables.  Around them: restriction, compatible union, and the
+selection of the maximal elements of a set of mappings — the operation at
+the heart of WDPT semantics (Definition 2).
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -26,15 +39,30 @@ from typing import (
     List,
     Mapping as TMapping,
     Optional,
-    Set,
     Tuple,
 )
 
 from .terms import Constant, Term, Variable, term
 
+_pairs = frozenset.__iter__
+_variable_of = itemgetter(0)
 
-class Mapping:
-    """An immutable partial mapping from variables to constants.
+
+def _binds_once(pairs: FrozenSet[Tuple[Variable, Constant]]) -> bool:
+    """Does no variable occur in two of ``pairs``?"""
+    return len(pairs) == len(frozenset(map(_variable_of, pairs)))
+
+
+def _variable(key: object) -> Variable:
+    var = term(key)
+    if not isinstance(var, Variable):
+        raise TypeError("mapping keys must be variables, got %r" % (key,))
+    return var
+
+
+class Mapping(frozenset):
+    """An immutable partial mapping from variables to constants: the
+    frozenset of its ``(variable, constant)`` pairs.
 
     Construction accepts any mapping-like of variable → constant; plain
     Python values are coerced with :func:`repro.core.terms.term` (so keys
@@ -45,130 +73,94 @@ class Mapping:
     'Swim'
     >>> h.restrict([Variable("x")]).domain() == frozenset({Variable("x")})
     True
+    >>> Mapping({"?x": "Swim"}) <= h
+    True
     """
 
-    __slots__ = ("_assignment", "_hash")
+    __slots__ = ()
 
-    def __init__(self, assignment: Optional[TMapping] = None):
+    def __new__(cls, assignment: Optional[TMapping] = None) -> "Mapping":
         coerced: Dict[Variable, Constant] = {}
         if assignment:
             for key, value in assignment.items():
-                var = term(key)
                 val = term(value)
-                if not isinstance(var, Variable):
-                    raise TypeError("mapping keys must be variables, got %r" % (key,))
                 if not isinstance(val, Constant):
                     raise TypeError("mapping values must be constants, got %r" % (value,))
-                coerced[var] = val
-        self._assignment = coerced
-        self._hash = hash(frozenset(coerced.items()))
+                coerced[_variable(key)] = val
+        return frozenset.__new__(cls, coerced.items())
 
     @classmethod
-    def from_trusted(cls, assignment: Dict["Variable", "Constant"]) -> "Mapping":
-        """Wrap an already-validated ``Variable → Constant`` dict without
-        per-item coercion.  The caller must not mutate ``assignment``
-        afterwards — the boundary converters of :mod:`repro.relalg` build
-        a fresh dict per row and hand over ownership."""
-        self = cls.__new__(cls)
-        self._assignment = assignment
-        self._hash = hash(frozenset(assignment.items()))
-        return self
+    def from_trusted(cls, assignment: Dict[Variable, Constant]) -> "Mapping":
+        """The mapping of an already-validated ``Variable → Constant``
+        dict, without per-item coercion."""
+        return frozenset.__new__(cls, assignment.items())
+
+    def __reduce__(self):
+        # frozenset's own reduce would list ``iter(self)``: the variables.
+        # Rebuilt from its pairs, the receiver hashes them afresh.
+        return (Mapping.from_trusted, (self.as_dict(),))
 
     # ------------------------------------------------------------------
-    # Basic container protocol
+    # Dict-like reads over the pairs
     # ------------------------------------------------------------------
     def domain(self) -> FrozenSet[Variable]:
         """The set of variables on which the mapping is defined."""
-        return frozenset(self._assignment)
+        return frozenset(map(_variable_of, _pairs(self)))
 
     def items(self) -> Iterator[Tuple[Variable, Constant]]:
-        return iter(self._assignment.items())
-
-    def get(self, var: object, default: Optional[Constant] = None) -> Optional[Constant]:
-        key = term(var)
-        if not isinstance(key, Variable):
-            raise TypeError("mapping keys must be variables, got %r" % (var,))
-        return self._assignment.get(key, default)
-
-    def __getitem__(self, var: object) -> Constant:
-        key = term(var)
-        if not isinstance(key, Variable):
-            raise TypeError("mapping keys must be variables, got %r" % (var,))
-        return self._assignment[key]
-
-    def __contains__(self, var: object) -> bool:
-        key = term(var)
-        return isinstance(key, Variable) and key in self._assignment
-
-    def __len__(self) -> int:
-        return len(self._assignment)
-
-    def __iter__(self) -> Iterator[Variable]:
-        return iter(self._assignment)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mapping) and other._assignment == self._assignment
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            "%r↦%r" % (v, c) for v, c in sorted(self._assignment.items(), key=lambda kv: kv[0].name)
-        )
-        return "{%s}" % inner
+        """The ``(variable, constant)`` pairs."""
+        return _pairs(self)
 
     def as_dict(self) -> Dict[Variable, Constant]:
         """A fresh plain-dict copy of the assignment."""
-        return dict(self._assignment)
+        return dict(_pairs(self))
+
+    def get(self, var: object, default: Optional[Constant] = None) -> Optional[Constant]:
+        return self.as_dict().get(_variable(var), default)
+
+    def __getitem__(self, var: object) -> Constant:
+        return self.as_dict()[_variable(var)]
+
+    def __contains__(self, var: object) -> bool:
+        key = term(var)
+        return isinstance(key, Variable) and key in self.domain()
+
+    def __iter__(self) -> Iterator[Variable]:
+        return map(_variable_of, _pairs(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(
+            "%r↦%r" % (v, c) for v, c in sorted(_pairs(self), key=lambda kv: kv[0].name)
+        )
+        return "{%s}" % inner
 
     # ------------------------------------------------------------------
     # Order and algebra
     # ------------------------------------------------------------------
-    def subsumed_by(self, other: "Mapping") -> bool:
-        """``self ⊑ other``: domain inclusion + agreement on the domain."""
-        if len(self._assignment) > len(other._assignment):
-            return False
-        for var, val in self._assignment.items():
-            if other._assignment.get(var) != val:
-                return False
-        return True
-
-    def properly_subsumed_by(self, other: "Mapping") -> bool:
-        """``self ⊏ other``: subsumed and strictly smaller domain."""
-        return len(self._assignment) < len(other._assignment) and self.subsumed_by(other)
+    #: ``self ⊑ other``: the graph of ``self`` is a subset of ``other``'s.
+    subsumed_by = frozenset.__le__
+    #: ``self ⊏ other``: a proper subset.
+    properly_subsumed_by = frozenset.__lt__
 
     def compatible(self, other: "Mapping") -> bool:
-        """Do the two mappings agree on their common domain?"""
-        small, large = (
-            (self._assignment, other._assignment)
-            if len(self._assignment) <= len(other._assignment)
-            else (other._assignment, self._assignment)
-        )
-        for var, val in small.items():
-            existing = large.get(var)
-            if existing is not None and existing != val:
-                return False
-        return True
+        """Do the two mappings agree on their common domain?  (Their
+        graphs' union binds no variable twice.)"""
+        return _binds_once(self | other)
 
     def union(self, other: "Mapping") -> "Mapping":
         """Union of two *compatible* mappings.
 
         Raises ``ValueError`` on conflicting assignments.
         """
-        if not self.compatible(other):
+        merged = self | other
+        if not _binds_once(merged):
             raise ValueError("cannot union incompatible mappings %r and %r" % (self, other))
-        merged = dict(self._assignment)
-        merged.update(other._assignment)
-        return Mapping(merged)
+        return frozenset.__new__(Mapping, merged)
 
     def restrict(self, variables: Iterable[object]) -> "Mapping":
         """Restriction ``h|_V`` to the given variables (missing ones dropped)."""
         wanted = {term(v) for v in variables}
-        return Mapping({v: c for v, c in self._assignment.items() if v in wanted})
+        return frozenset.__new__(Mapping, [p for p in _pairs(self) if p[0] in wanted])
 
     def extend(self, var: object, value: object) -> "Mapping":
         """A new mapping additionally sending ``var ↦ value``.
@@ -180,18 +172,16 @@ class Mapping:
         val = term(value)
         if not isinstance(key, Variable) or not isinstance(val, Constant):
             raise TypeError("extend() needs a variable and a constant")
-        existing = self._assignment.get(key)
+        existing = self.get(key)
         if existing is not None and existing != val:
             raise ValueError("extend() would overwrite %r↦%r with %r" % (key, existing, val))
-        merged = dict(self._assignment)
-        merged[key] = val
-        return Mapping(merged)
+        return frozenset.__new__(Mapping, chain(_pairs(self), ((key, val),)))
 
     def apply(self, t: Term) -> Term:
         """Image of a term: variables map through ``self`` (if defined),
         constants map to themselves (footnote 3 of the paper)."""
         if isinstance(t, Variable):
-            return self._assignment.get(t, t)
+            return self.get(t, t)
         return t
 
 
@@ -204,39 +194,30 @@ def maximal_mappings(mappings: Iterable[Mapping]) -> FrozenSet[Mapping]:
     Used both for Definition 2 (maximal homomorphisms) and for the
     maximal-mapping semantics ``p_m(D)`` of Section 3.4.
 
-    ``h ⊑ h'`` is item-set inclusion, so this is the classical "maximal
-    sets" problem.  An inverted index from single bindings ``(x, c)`` to
-    the mappings containing them lets each candidate scan only the
-    shortest posting list among its own bindings instead of the whole
-    input — near-linear on the homomorphism sets produced by evaluation.
+    ``h ⊑ h'`` is inclusion of graphs, so this is the classical "maximal
+    sets" problem, solved with set operations that run in C.  The input
+    is grouped by domain.  A group no other group's domain strictly
+    contains — the largest mappings among them — is maximal without a
+    test.  For any other group ``G`` with domain ``D`` and pairs ``P =
+    ⋃G``, a mapping ``h'`` over a strictly larger domain meets ``P`` in
+    exactly ``h`` when it extends a member ``h`` (``h'|_D = h``, and
+    ``h ⊆ P``), and in no member otherwise; so ``G`` minus the sets
+    ``h' ∩ P`` is ``G``'s maximal part.  The work is one C intersection
+    per mapping and group below its domain: linear in the input for the
+    few domains a WDPT's answers have (one per set of matched OPT
+    branches).
     """
-    unique: List[Mapping] = list(set(mappings))
-    if not unique:
-        return frozenset()
-    postings: Dict[Tuple[Variable, Constant], List[Mapping]] = {}
-    max_size = 0
-    for m in unique:
-        max_size = max(max_size, len(m))
-        for binding in m.items():
-            postings.setdefault(binding, []).append(m)
-    result: Set[Mapping] = set()
-    for candidate in unique:
-        if not candidate:
-            # The empty mapping is maximal only when it is the sole element.
-            if max_size == 0:
-                result.add(candidate)
-            continue
-        shortest: Optional[List[Mapping]] = None
-        for binding in candidate.items():
-            posting = postings[binding]
-            if shortest is None or len(posting) < len(shortest):
-                shortest = posting
-        assert shortest is not None
-        if not any(candidate.properly_subsumed_by(m) for m in shortest):
-            result.add(candidate)
-    return frozenset(result)
+    by_domain: Dict[FrozenSet[Variable], List[Mapping]] = {}
+    for m in set(mappings):
+        by_domain.setdefault(m.domain(), []).append(m)
+    maximal: List[Mapping] = []
+    for domain, group in by_domain.items():
+        pairs = frozenset().union(*group)
+        above = (h for larger, hs in by_domain.items() if domain < larger for h in hs)
+        maximal.extend(set(group).difference(map(pairs.intersection, above)))
+    return frozenset(maximal)
 
 
 def is_maximal_in(candidate: Mapping, mappings: Iterable[Mapping]) -> bool:
     """Is ``candidate`` ``⊑``-maximal within ``mappings``?"""
-    return not any(candidate.properly_subsumed_by(m) for m in mappings)
+    return not any(map(candidate.__lt__, mappings))

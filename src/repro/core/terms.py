@@ -36,6 +36,11 @@ class Variable:
         self.name = name
         self._hash = hash(("Variable", name))
 
+    def __reduce__(self):
+        # Pickled by value: ``_hash`` depends on the process's hash seed
+        # (``PYTHONHASHSEED``), so the receiving process recomputes it.
+        return (Variable, (self.name,))
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Variable) and other.name == self.name
 
@@ -68,6 +73,10 @@ class Constant:
             raise ValueError("constant payload must be a plain value, got %r" % (value,))
         self.value = value
         self._hash = hash(("Constant", value))
+
+    def __reduce__(self):
+        # By value, so the hash is recomputed (see Variable.__reduce__).
+        return (Constant, (self.value,))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Constant) and other.value == self.value

@@ -97,7 +97,7 @@ def _acyclic_stream(
             yield from extend(row + rest, i + 1)
 
     # The Mapping boundary: an answer is the free columns of a full row,
-    # its cells decoded as it is emitted.
+    # its cells decoded as it is emitted, zipped into its pair set.
     frees = sorted(query.free_variables, key=repr)
     at = [schema.index(v) for v in frees]
     answer_of = key_getter(at)
@@ -108,7 +108,7 @@ def _acyclic_stream(
             answer = answer_of(full)
             if answer not in seen:
                 seen.add(answer)
-                cells: Iterable[Any] = [full[i] for i in at]
+                cells: Iterable[Any] = map(full.__getitem__, at)
                 if codec is not None:
                     cells = map(codec.decode, cells)
-                yield Mapping.from_trusted(dict(zip(frees, cells)))
+                yield frozenset.__new__(Mapping, zip(frees, cells))

@@ -11,7 +11,7 @@ in ``B`` (constants are fixed).  We reduce to database homomorphisms: map
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Mapping as TMapping, Optional
+from typing import Dict, Iterable, Iterator, Mapping as TMapping, Optional
 
 from ..core.atoms import Atom
 from ..core.canonical import (
@@ -71,8 +71,9 @@ def _source_homomorphisms(
     if limit is None and atoms:
         links = join_tree_of_atoms(atoms)
         if links is not None:
-            if len(pre):
-                substituted = tuple(a.substitute(pre) for a in atoms)
+            if pre:
+                base = pre.as_dict()
+                substituted = tuple(a.substitute(base) for a in atoms)
             else:
                 substituted = atoms
             frees: set = set()
@@ -80,15 +81,11 @@ def _source_homomorphisms(
                 frees |= a.variables()
             q = ConjunctiveQuery(tuple(sorted(frees)), substituted)
             rows = evaluate_with_join_tree(q, target_db, substituted, links)
-            if not len(pre):
+            if not pre:
                 return rows
-            base = pre.as_dict()
-            out: List[Mapping] = []
-            for m in rows:
-                merged = dict(base)
-                merged.update(m.items())
-                out.append(Mapping.from_trusted(merged))
-            return out
+            # ``pre``'s variables were substituted away: the domains are
+            # disjoint, so the union of the graphs is the extension.
+            return [frozenset.__new__(Mapping, pre | m) for m in rows]
     return db_homomorphisms(atoms, target_db, pre)
 
 

@@ -54,6 +54,10 @@ class Hypergraph:
         self._incidence = {v: frozenset(es) for v, es in incidence.items()}
         self._hash = hash((self.vertices, self.edges))
 
+    def __reduce__(self):
+        # By value, so the hash is recomputed (see Variable.__reduce__).
+        return (Hypergraph, (self.edges, self.vertices))
+
     # ------------------------------------------------------------------
     # Basic structure
     # ------------------------------------------------------------------

@@ -17,9 +17,11 @@ subsets.  Hence
 which is the search of :mod:`repro.hypergraphs.treewidth` with the bag cost
 ``ρ(bag)``: an exact set cover, memoised by bag bitmask and shared by every
 ``k`` one scan tries.  The exact width scans ``k`` upwards from 1 (α-acyclic,
-by GYO) or 2 to the width of greedy covers along the min-fill order, one
-connected component at a time; the order of the first ``k`` accepted is the
-decomposition's witness.
+by GYO) or 2 — or from ``⌈(tw + 1) / r⌉`` when that is higher, a bag of
+``tw + 1`` vertices needing that many edges of at most ``r`` vertices
+(``tw`` the treewidth lower bound, ``r`` the largest edge) — to the width
+of greedy covers along the min-fill order, one connected component at a
+time; the order of the first ``k`` accepted is the decomposition's witness.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .treewidth import (
     _minimum_order,
     _order_within,
     min_fill_order,
+    treewidth_lower_bound,
 )
 
 
@@ -186,6 +189,11 @@ def _exact(H: Hypergraph) -> Tuple[int, List[Vertex]]:
     order = min_fill_order(H)
     hi = _greedy_cover_width(H, order)
     lo = 1 if is_alpha_acyclic(H) else 2
+    if lo < hi:
+        # Some bag holds tw + 1 vertices, and an edge covers at most
+        # ``rank`` of them: ghw ≥ ⌈(tw + 1) / rank⌉.
+        rank = max(map(len, H.edges))
+        lo = max(lo, -(-(treewidth_lower_bound(H) + 1) // rank))
     if lo < hi:
         _check_size(H, "exact ghw")
     return _minimum_order(H, _rho(H), lo, hi, order)

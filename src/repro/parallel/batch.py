@@ -13,6 +13,8 @@ Each worker process owns a private :class:`~repro.engine.Session`, built
 once per pool from the parent's database (inherited under ``fork``,
 pickled through the backends' ``__reduce__`` under ``spawn`` and
 ``forkserver``), so its plan cache warms across the tasks it serves.
+Queries, candidates and facts pickle by value, so a worker with another
+hash seed rehashes them on arrival.
 The session rebuilds the pool when its database's ``(backend_id,
 data_version)`` has moved since the pool was built: a worker never
 answers from facts older than the batch.

@@ -4,9 +4,10 @@ The evaluation stack's inner loops — Yannakakis' semi-join sweeps, the
 join/projection phase, the per-node extension steps of the WDPT
 evaluators — operate on *relations over variables*: sets of bindings of
 a fixed variable set.  One immutable
-:class:`~repro.core.mappings.Mapping` per binding would re-derive the
-shared-variable layout of every operation from row contents and pay a
-hash + dict per row per operation.
+:class:`~repro.core.mappings.Mapping` per binding — a frozenset of
+``(variable, constant)`` pairs — would re-derive the shared-variable
+layout of every operation from row contents and pay a pair set per row
+per operation.
 
 A :class:`Relation` instead carries an explicit **schema** — a tuple of
 variables, fixed at creation — and its bindings as plain tuples of
@@ -34,9 +35,13 @@ codes of two dictionaries, or a code and a ``Constant``, must be a loud
 error, never a silently empty join.  Cells become terms, and terms
 cells, only at the boundary — :func:`to_mappings` and
 :func:`from_mappings`; the latter takes the database whose scans the
-relation is to meet.  A ``None`` cell is no term at all: the WDPT
-evaluator pads the columns of a failed OPT branch with it (so code 0 is
-a value, and "unbound" is ``is None``).
+relation is to meet.  A row's Mapping is the set of its cells'
+``(variable, constant)`` pairs (one shared pair per distinct code of a
+column), so :func:`to_mappings` builds the answer set with C iterators
+alone.  A
+``None`` cell is no term at all: the WDPT evaluator pads the columns of
+a failed OPT branch with it (so code 0 is a value, and "unbound" is
+``is None``).
 
 :func:`scan` optionally takes a **seed**: a relation of key bindings
 that the scanned atom must join with.  This is sideways information
@@ -66,7 +71,7 @@ tests, are those of relational algebra over sets of bindings:
 from __future__ import annotations
 
 from itertools import compress, repeat
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import (
     Any,
     Callable,
@@ -147,6 +152,10 @@ def _same_codec(left, right) -> Any:
 
 def _nothing(_row: Row) -> Row:
     return ()
+
+
+#: ``(variable, cell) -> cell``: what keeps the bound pairs of a padded row.
+_value = itemgetter(1)
 
 
 def key_getter(positions: Sequence[int]) -> Callable[[Row], Any]:
@@ -341,39 +350,41 @@ def from_mappings(
     joins with nothing scanned and unpacks to itself."""
     ordered = tuple(schema)
     codec = None if db is None else db.codec
-    if codec is None:
-        return Relation(ordered, {tuple([m[v] for v in ordered]) for m in mappings})
-    encode = codec.encode
-    return Relation(
-        ordered, {tuple([encode(m[v]) for v in ordered]) for m in mappings}, codec
-    )
+    # Each mapping's pairs as a dict, its values read in schema order.
+    rows = tuples_at(list(map(dict, map(frozenset.__iter__, mappings))), ordered)
+    if codec is not None:
+        rows = map(tuple, map(map, repeat(codec.encode), rows))
+    return Relation(ordered, set(rows), codec)
 
 
 def to_mappings(rel: Relation, partial: bool = False) -> FrozenSet[Mapping]:
     """Unpack a relation into the API-boundary ``Mapping`` set, decoding
     its cells.
 
+    A Mapping is the frozenset of its ``(variable, constant)`` pairs, so
+    a row's is ``zip(schema, row)`` and C iterators build the whole set,
+    with no Python frame per row.  Int codes hash in C, so a coded
+    relation goes one step further: each column's distinct codes are
+    decoded once, into one shared pair each, and rows pick their pairs
+    from those tables — no new pair per binding, and so nothing more for
+    the garbage collector to trace per binding than the Mapping itself.
+    (``Constant`` cells would be hashed in Python to build the tables.)
+
     With ``partial``, a ``None`` in a row means *unbound* and the
     variable is left out of that row's mapping — the WDPT evaluator pads
     the columns of a failed OPT branch this way, so one fixed-schema
-    relation can hold maximal homomorphisms with different domains."""
-    schema = rel.schema
-    decode = None if rel.codec is None else rel.codec.decode
-    if partial and decode is None:
-        return frozenset(
-            Mapping.from_trusted(
-                {v: c for v, c in zip(schema, row) if c is not None}
-            )
-            for row in rel.rows
-        )
+    relation can hold maximal homomorphisms with different domains.  A
+    codec decodes ``None`` to itself, and no ``Constant`` is falsy."""
+    rows = rel.rows
+    if rel.codec is None:
+        graphs: Iterable[Iterable[Any]] = map(zip, repeat(rel.schema), rows)
+    else:
+        pairs = []  # per column: code -> its (variable, constant) pair
+        for i, var in enumerate(rel.schema):
+            codes = list(set(map(itemgetter(i), rows)))
+            decoded = zip(repeat(var), map(rel.codec.decode, codes))
+            pairs.append(dict(zip(codes, decoded)))
+        graphs = map(map, repeat(getitem), repeat(pairs), rows)
     if partial:
-        return frozenset(
-            Mapping.from_trusted(
-                {v: decode(c) for v, c in zip(schema, row) if c is not None}
-            )
-            for row in rel.rows
-        )
-    rows: Iterable[Iterable[Any]] = rel.rows
-    if decode is not None:
-        rows = map(map, repeat(decode), rows)
-    return frozenset(Mapping.from_trusted(dict(zip(schema, row))) for row in rows)
+        graphs = map(filter, repeat(_value), graphs)
+    return frozenset(map(frozenset.__new__, repeat(Mapping), graphs))

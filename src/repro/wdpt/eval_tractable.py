@@ -233,7 +233,7 @@ class _InterfaceDP:
             n_candidates *= len(values)
         account_rows(n_candidates)
         for combo in product(*per_variable):
-            yield Mapping(dict(zip(open_interface, combo)))
+            yield frozenset.__new__(Mapping, zip(open_interface, combo))
 
     def _candidate_values(self, node: int, v: Variable) -> List[Constant]:
         candidates: Optional[Set[Constant]] = None

@@ -110,6 +110,10 @@ class WDPT:
         self._top_nodes: Optional[Dict[Variable, int]] = None
         self._frozen: Optional[Tuple[Tuple[Tuple[Atom, ...], ...], Dict[Variable, Constant]]] = None
 
+    def __reduce__(self):
+        # By value, so the hash is recomputed (see Variable.__reduce__).
+        return (WDPT, (self.tree, self.labels, self.free_variables))
+
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------

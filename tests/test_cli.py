@@ -449,3 +449,20 @@ def test_sqlite_settings_are_issued_in_one_place_and_synchronous_stays_full():
     ]
     assert "FULL" in levels and set(levels) <= {"FULL", "EXTRA", "2", "3"}
 
+
+def test_a_mapping_is_its_graph_and_nothing_reads_a_stored_dict():
+    """``Mapping`` is a frozenset of pairs: its hash, equality and
+    construction are frozenset's own, in C (no Python ``__hash__``,
+    ``__eq__`` or ``__init__``), and no per-mapping dict is stored for
+    anything under ``src/`` to read back."""
+    classes = 0
+    for path, tree in _source_trees("."):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Mapping":
+                assert [ast.unparse(b) for b in node.bases] == ["frozenset"], path
+                defined = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                assert not {"__hash__", "__eq__", "__ne__", "__init__"} & defined
+                classes += 1
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "_assignment", (path, node.lineno)
+    assert classes == 1  # the class was found and read, not skipped

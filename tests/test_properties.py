@@ -185,8 +185,13 @@ def test_widths_decisions_and_decompositions_agree(H):
         assert treewidth_at_most(H, k) is (k >= tw)
     ghw = hypertreewidth_exact(H)
     # Every edge covers itself, and a bag of tw + 1 vertices needs at most
-    # tw + 1 edges.
+    # tw + 1 edges — and at least ⌈(tw + 1) / r⌉ of at most r vertices,
+    # the bound the exact scan starts from.
     assert 1 <= ghw <= min(len(H.edges), tw + 1)
+    rank = max(map(len, H.edges))
+    assert -(-(treewidth_lower_bound(H) + 1) // rank) <= -(-(tw + 1) // rank) <= ghw
+    # The decision procedure uses no lower bound: agreeing with it at
+    # every k shows the bound changed no exact width.
     for k in range(-1, len(H.edges) + 1):
         assert hypertreewidth_at_most(H, k) is (k >= ghw)
     td = tree_decomposition(H)

@@ -6,6 +6,7 @@ gets exact answers and minimum-width witnesses."""
 import pytest
 
 from repro.exceptions import BudgetExceededError
+from repro.hypergraphs import treewidth
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.hypergraphs.hypertree import (
     hypertree_decomposition,
@@ -66,6 +67,21 @@ def test_a_component_beyond_the_limit_gets_its_heuristic_order():
     assert max(len(b) for b in td.bags if any(isinstance(v, tuple) for v in b)) - 1 == 4
     with pytest.raises(BudgetExceededError):
         treewidth_exact(H)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_clique_ghw_needs_no_search(monkeypatch, k):
+    """On ``K_k`` the ghw scan starts at ``⌈(tw + 1) / 2⌉ = ⌈k / 2⌉``,
+    which is the greedy covers' width: no elimination-order search runs."""
+    searches = []
+    search = treewidth._order_within
+    monkeypatch.setattr(
+        treewidth, "_order_within", lambda *a: searches.append(a) or search(*a)
+    )
+    clique = Hypergraph([{i, j} for i in range(k) for j in range(i)])
+    assert hypertreewidth_exact(clique) == -(-k // 2)
+    assert hypertree_decomposition(clique).hypertree_width() == -(-k // 2)
+    assert searches == []
 
 
 def test_explicit_ghw_bound_below_the_width_is_refused():
