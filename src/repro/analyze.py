@@ -129,7 +129,6 @@ class AnalyzeReport:
                     _fmt_opt(row["treewidth"]),
                     row["interface"],
                     row["engine"],
-                    row.get("kernel") or "-",
                     _fmt_seconds(row["seconds"]),
                     int(row["candidates"]),
                     int(row["extensions"]),
@@ -137,7 +136,7 @@ class AnalyzeReport:
                 ]
             )
         node_table = format_table(
-            ["tree node", "atoms", "tw", "iface", "engine", "kernel", "time",
+            ["tree node", "atoms", "tw", "iface", "engine", "time",
              "candidates", "extensions", "cq checks"],
             table_rows,
         )
@@ -155,19 +154,14 @@ def build_report(
     planner: Planner,
     n_answers: Optional[int] = None,
     mode: str = "query",
-    db: Optional[Any] = None,
 ) -> AnalyzeReport:
-    """Join the static profile with the measured trace, per tree node.
-
-    ``db`` (the session's storage backend, when available) lets each
-    Yannakakis-routed node report the relational kernel its CQ checks
-    resolve to (``sql``/``columnar``)."""
+    """Join the static profile with the measured trace, per tree node."""
     measured = _merge_node_stats(tracer)
     tree_profile = profile.tree_profile
     rows: List[Dict[str, Any]] = []
     for node in p.tree.nodes():
         node_profile = tree_profile.node_profile(node)
-        plan = planner.plan_for_profile("", node_profile, db)
+        plan = planner.plan_for_profile("", node_profile)
         engine, theorem = plan.engine, plan.theorem
         if mode in _EVALUATOR_MODES and not node_profile.is_acyclic:
             engine, theorem = ENGINE_NAIVE, _PER_KEY_SEARCH
@@ -182,7 +176,6 @@ def build_report(
                 "hypertreewidth": profile.node_hypertreewidths[node],
                 "interface": profile.node_interfaces[node],
                 "engine": engine,
-                "kernel": plan.kernel,
                 "theorem": theorem,
                 "seconds": float(stats.get("seconds", 0.0)),
                 "candidates": stats.get("candidates", 0),

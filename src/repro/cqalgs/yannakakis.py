@@ -29,16 +29,17 @@ through: the bottom-up sweep alone decides satisfiability (the root
 empties iff some relation empties), so the top-down sweep and the join
 phase are skipped.
 
-All of them cross one dispatch site, which asks
-:func:`repro.relalg.config.choose_kernel` (``REPRO_KERNELS``) which
-executor runs the tree:
+All of them cross one dispatch site, :func:`_run`, which picks the
+executor from the call and the backend alone:
 
-* ``columnar`` — scan schedule, :func:`semijoin_reduce`,
-  :func:`columnar_join_phase`, all on the kernels of :mod:`repro.relalg`;
-* ``sql`` — on a SQLite backend, the **whole tree** runs as a single SQL
-  statement (:meth:`~repro.storage.sqlite.SQLiteBackend.sql_yannakakis`):
-  scans, both semi-join sweeps, and the join/projection phase are CTE
-  layers, and only the final answer rows cross back into Python.
+* answers always run on the columnar executor — scan schedule,
+  :func:`semijoin_reduce`, :func:`columnar_join_phase`, all on the
+  kernels of :mod:`repro.relalg`, over the cells the backend serves
+  through its ``rows``/``probe`` seam;
+* a Boolean run on a backend that advertises ``supports_sql_yannakakis``
+  (SQLite) is decided by one SQL statement instead
+  (:meth:`~repro.storage.sqlite.SQLiteBackend.sql_yannakakis`): the scans
+  and the bottom-up sweep as CTE layers under a ``SELECT EXISTS``.
 
 The columnar path does not scan its atoms independently: one schedule
 (:func:`scan_schedule`) reads them in increasing ``db.match_bound`` and
@@ -60,7 +61,6 @@ from ..core.mappings import Mapping
 from ..core.terms import Variable
 from ..exceptions import ClassMembershipError
 from ..hypergraphs.gyo import JoinTree, join_tree_of_atoms, join_tree_shape
-from ..relalg.config import KERNEL_SQL, choose_kernel
 from ..relalg.relation import (
     Relation,
     Row,
@@ -122,9 +122,8 @@ def relation_with_join_tree(
 
     ``seed`` (a relation over some of ``frees``) restricts the result to
     the answers that join with it — ``semijoin(answers, seed)`` — without
-    computing the others first: the columnar executor filters every atom
-    that shares a variable with it during the scan phase, the SQL
-    executor ships it as a ``VALUES`` CTE.
+    computing the others first: the scan schedule filters every atom
+    that shares a variable with it.
     """
     frees = frozenset(frees)
     if seed is not None and not frees.issuperset(seed.schema):
@@ -163,32 +162,28 @@ def _run(
     seed: Optional[Relation],
     boolean: bool,
 ) -> Union[Relation, bool]:
-    """The one dispatch site: the tree on the executor
-    :func:`~repro.relalg.config.choose_kernel` names — the answers, or
-    with ``boolean`` whether there are any.
+    """The one dispatch site: the answers of the tree on the columnar
+    executor, or with ``boolean`` whether there are any — decided by one
+    SQL statement on a backend that supports it.
 
     The seeded contract, ``result == semijoin(unseeded result, seed)``,
-    holds in both executors by construction: each pushes the seed into
-    its scans.
+    holds by construction: the scan schedule pushes the seed into the
+    scans.
     """
     tracer = current_tracer()
-    kernel = choose_kernel(db)
+    sql = boolean and getattr(db, "supports_sql_yannakakis", False)
+    kernel = "sql" if sql else "columnar"
     if boolean:
         span = tracer.span("yannakakis", atoms=len(atoms), kernel=kernel, boolean=True)
     else:
         span = tracer.span("yannakakis", atoms=len(atoms), kernel=kernel)
     with span as y_span:
-        if kernel == KERNEL_SQL:
-            # Scans, sweeps and the join/projection phase as one SQL
-            # statement; only the answer rows cross back into Python.
+        if sql:
+            # Scans and the bottom-up sweep as one EXISTS statement.
             with tracer.span("yannakakis.sql") as sp:
-                result = db.sql_yannakakis(
-                    atoms, links, frees, exists_only=boolean, seed=seed
-                )
-                if not boolean:
-                    account_rows(len(result))
+                result = db.sql_yannakakis(atoms, links)
                 if tracer.enabled:
-                    sp.set(**_outcome(result, boolean))
+                    sp.set(satisfiable=result)
         else:
             result = _columnar(atoms, links, db, frees, seed, boolean)
         if tracer.enabled:

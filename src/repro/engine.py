@@ -628,8 +628,7 @@ class Session:
         finally:
             self._cache_bypass.active = False
         return build_report(
-            p, profile, tracer, self.planner, n_answers=n_answers, mode=mode,
-            db=self.database,
+            p, profile, tracer, self.planner, n_answers=n_answers, mode=mode
         )
 
     def stats(self) -> Dict[str, object]:

@@ -10,8 +10,6 @@ run needs a plan built.  It cites the theorem licensing the engine
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .profile import (
     ENGINE_HYPERTREEWIDTH,
     ENGINE_NAIVE,
@@ -43,17 +41,9 @@ class QueryPlan:
     profile:
         The memoized structural analysis (join tree / decomposition) the
         engine consumes — shared with every other plan for this shape.
-    kernel:
-        For Yannakakis plans, the relational kernel (``sql`` /
-        ``columnar``, see :mod:`repro.relalg.config`)
-        ``choose_kernel`` resolves against the database the plan was
-        built for — the same call the run makes, so the label names the
-        kernel that runs; ``None`` for the other engines (they evaluate
-        through their own decomposition machinery before reaching the
-        kernels).
     """
 
-    __slots__ = ("fingerprint", "engine", "theorem", "profile", "kernel")
+    __slots__ = ("fingerprint", "engine", "theorem", "profile")
 
     def __init__(
         self,
@@ -61,20 +51,15 @@ class QueryPlan:
         engine: str,
         theorem: str,
         profile: StructuralProfile,
-        kernel: Optional[str] = None,
     ):
         self.fingerprint = fingerprint
         self.engine = engine
         self.theorem = theorem
         self.profile = profile
-        self.kernel = kernel
 
     def describe(self) -> str:
         """One-line EXPLAIN: engine plus justification."""
-        base = "%s — %s" % (self.engine, self.theorem)
-        if self.kernel is not None:
-            base += " [kernel=%s]" % self.kernel
-        return base
+        return "%s — %s" % (self.engine, self.theorem)
 
     def __repr__(self) -> str:
         return "QueryPlan(%s)" % self.describe()

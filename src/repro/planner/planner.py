@@ -62,7 +62,6 @@ from ..cqalgs.structured import (
 )
 from ..cqalgs.yannakakis import evaluate_with_join_tree, satisfiable_with_join_tree
 from ..hypergraphs.treedecomp import TreeDecomposition
-from ..relalg.config import choose_kernel
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.tracer import current_tracer
 from ..wdpt.wdpt import WDPT
@@ -166,33 +165,21 @@ class Planner:
     def plan_cq(self, query: ConjunctiveQuery, db: Optional[Database] = None) -> QueryPlan:
         """The plan for ``query``: engine + justification + structures.
 
-        ``db`` (optional) lets the plan resolve the relational kernel a
-        Yannakakis run would use against that database (SQL pushdown is
-        backend-dependent)."""
+        The plan depends on the query's shape alone; ``db`` is accepted
+        and ignored."""
         profile = self.profile_cq(query)
-        return self.plan_for_profile(query.structural_fingerprint(), profile, db)
+        return self.plan_for_profile(query.structural_fingerprint(), profile)
 
-    def plan_for_profile(
-        self,
-        fingerprint: str,
-        profile: StructuralProfile,
-        db: Optional[Database] = None,
-    ) -> QueryPlan:
+    def plan_for_profile(self, fingerprint: str, profile: StructuralProfile) -> QueryPlan:
         """The routing decision for an already-profiled atom set, as
         EXPLAIN shows it: ``profile.engine`` — the value :meth:`_run`
-        dispatches on — plus its justification and kernel."""
+        dispatches on — plus its justification."""
         self.metrics.counter("planner.plans_built").inc()
         engine = profile.engine
         theorem = THEOREMS[engine]
         if engine == ENGINE_TREEWIDTH:
             theorem %= profile.treewidth_upper
-        return QueryPlan(
-            fingerprint,
-            engine,
-            theorem,
-            profile,
-            kernel=choose_kernel(db) if engine == ENGINE_YANNAKAKIS else None,
-        )
+        return QueryPlan(fingerprint, engine, theorem, profile)
 
     def evaluate_cq(self, query: ConjunctiveQuery, db: Database) -> FrozenSet:
         """``q(D)`` through the router (the ``auto`` method of
@@ -222,8 +209,6 @@ class Planner:
         atoms: Sequence[Atom] = profile.sorted_atoms
         if bind is not None:
             atoms = [a.substitute(bind) for a in atoms]
-        if engine == ENGINE_YANNAKAKIS:
-            self.record_kernel(choose_kernel(db))
         start = time.perf_counter()
         try:
             with current_tracer().span(span, engine=engine):
@@ -260,22 +245,6 @@ class Planner:
         self.metrics.counter("planner.engine.selected", labels).inc()
         self.metrics.counter("planner.engine_seconds").inc(seconds)
         self.metrics.histogram("planner.engine_latency", labels=labels).observe(seconds)
-
-    def record_kernel(self, kernel: str) -> None:
-        """Record which relational kernel (``sql``/``columnar``)
-        a Yannakakis run resolved to — a labeled counter family, mirroring
-        :meth:`record_engine`."""
-        self.metrics.counter("planner.kernel.selected", {"kernel": kernel}).inc()
-
-    @property
-    def kernel_selections(self) -> Dict[str, int]:
-        return {
-            kernel: int(count)
-            for kernel, count in self.metrics.labeled_values(
-                "planner.kernel.selected", "kernel"
-            ).items()
-            if count
-        }
 
     # ------------------------------------------------------------------
     # Substituted satisfiability (the Theorem 6/8/9 inner loop)
@@ -321,7 +290,6 @@ class Planner:
             "explain_cache": self.explains.stats(),
             "subtree_profiles": {"hits": subtree_hits, "misses": subtree_misses},
             "engine_selections": dict(self.engine_selections),
-            "kernel_selections": dict(self.kernel_selections),
             "plans_built": self.plans_built,
             "analysis_seconds": self.analysis_seconds,
             "engine_seconds": self.engine_seconds,

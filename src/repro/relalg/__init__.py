@@ -3,21 +3,11 @@ evaluation stack (ROADMAP item 2).
 
 :mod:`repro.relalg.relation` defines the :class:`Relation`
 representation and the kernels (``scan``/``semijoin``/``hash_join``/
-``project``/``group_by``/``dedup``); :mod:`repro.relalg.config` resolves which
-executor — columnar or whole-tree SQL pushdown — serves a given query
-(``REPRO_KERNELS``).
+``project``/``group_by``/``dedup``) that every answer query runs on,
+whatever the backend: a backend serves them cells through its
+``rows``/``probe`` seam (:class:`~repro.storage.base.StorageBackend`).
 """
 
-from .config import (
-    KERNEL_COLUMNAR,
-    KERNEL_SQL,
-    KERNELS_ENV,
-    MODE_AUTO,
-    MODE_COLUMNAR,
-    choose_kernel,
-    force_kernels,
-    kernel_mode,
-)
 from .relation import (
     Relation,
     dedup,
@@ -40,12 +30,4 @@ __all__ = [
     "dedup",
     "from_mappings",
     "to_mappings",
-    "choose_kernel",
-    "force_kernels",
-    "kernel_mode",
-    "KERNELS_ENV",
-    "KERNEL_SQL",
-    "KERNEL_COLUMNAR",
-    "MODE_AUTO",
-    "MODE_COLUMNAR",
 ]

@@ -11,8 +11,10 @@ library:
   in-memory store (the historical ``repro.core.database.Database``, which
   is now a thin alias of it);
 * :class:`repro.storage.sqlite.SQLiteBackend` — one SQLite table per
-  relation with per-position indexes, supporting on-disk open/save and
-  SQL pushdown of the Yannakakis semi-join program.
+  relation with per-position indexes, supporting on-disk open/save,
+  serving ``rows``/``probe`` as one statement each (per key chunk), and
+  deciding Boolean acyclic CQs by SQL pushdown of the bottom-up
+  semi-join sweep.
 
 Every backend carries two pieces of identity used by the result cache
 (:mod:`repro.storage.cache`):
@@ -75,11 +77,11 @@ class StorageBackend(abc.ABC):
     # ------------------------------------------------------------------
     # Optional capabilities
     # ------------------------------------------------------------------
-    #: The backend can run the *whole* Yannakakis join plan — scans,
-    #: both sweeps, and the join/projection phase — as one native query
-    #: (``sql_yannakakis``).  Checked by
-    #: :func:`repro.relalg.config.choose_kernel` when resolving the
-    #: ``auto`` kernel mode.
+    #: The backend decides a Boolean acyclic CQ — scans and the
+    #: bottom-up semi-join sweep — as one native query
+    #: (``sql_yannakakis(atoms, links) -> bool``).  Checked by
+    #: :mod:`repro.cqalgs.yannakakis` for Boolean runs only: answers
+    #: always run on the columnar kernels.
     supports_sql_yannakakis = False
 
     # ------------------------------------------------------------------
@@ -100,6 +102,8 @@ class StorageBackend(abc.ABC):
     #: SQLite (4 000 facts, 10–250 keys, one match a key; EXPERIMENTS.md
     #: has the sweep): 9.3 µs a key against 3.2 µs a fact of a full
     #: read, and about one fact more for every further match of a key.
+    #: Both shipped backends override :meth:`probe`; SQLite keeps this
+    #: value.
     probe_cost = 3
 
     def rows(self, pattern: Atom) -> Iterable[Tuple[Any, ...]]:
@@ -122,7 +126,8 @@ class StorageBackend(abc.ABC):
         set of distinct keys, each the bare cell when there is one
         variable and a tuple aligned with ``variables`` otherwise.
         Distinct keys match disjoint facts, so no row repeats.  Default:
-        one ``substitute`` + :meth:`match` per key."""
+        one ``substitute`` + :meth:`match` per key (the reference the
+        backends' compiled probes are tested against)."""
         if len(variables) == 1:
             (only,) = variables
             bindings: Iterable[dict] = ({only: key} for key in keys)

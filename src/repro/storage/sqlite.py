@@ -9,12 +9,19 @@ Constants are encoded with a type tag (int/str/bool/float/None get
 compact readable forms, anything else a pickle payload), so facts
 round-trip exactly.
 
+The columnar kernels (:mod:`repro.relalg`) read it through the cell
+seam of :class:`~repro.storage.base.StorageBackend`, natively: a
+:meth:`~SQLiteBackend.rows` read is one ``SELECT`` whose stored texts
+are decoded once each per call into ``Constant`` cells (no ``Atom`` is
+built), and a :meth:`~SQLiteBackend.probe` is one ``c_i IN (…)``
+statement per chunk of keys that fits the bound-parameter limit.
+
 Every connection is opened with the same fixed settings (no option
 selects them).  Temporary B-trees — the ``DISTINCT`` scans and
-materialised CTEs of the pushdown — live in RAM (``temp_store=MEMORY``)
-instead of spilling to temp files; this bounds no rows, so a pushed-down
-statement's scratch is still outside the row budget.  An on-disk file
-is journaled to a write-ahead log (``journal_mode=WAL``) with
+materialised CTEs of the Boolean pushdown — live in RAM
+(``temp_store=MEMORY``) instead of spilling to temp files; this bounds
+no rows, so that statement's scratch is outside the row budget.  An
+on-disk file is journaled to a write-ahead log (``journal_mode=WAL``) with
 ``synchronous=FULL``: a commit appends its pages to ``<file>-wal`` and
 fsyncs that once (a rollback journal costs two fsyncs plus a journal
 create and unlink), and every commit that returned survives a process
@@ -32,14 +39,12 @@ Three capabilities the in-memory backend does not have:
   database (recent commits may live only in the log); the last
   :meth:`~SQLiteBackend.close` folds the log into the main file and
   deletes both, leaving one self-contained file.
-* **Whole-tree SQL pushdown** — :meth:`~SQLiteBackend.sql_yannakakis`
-  runs the *entire* Yannakakis join plan as a single SQL statement: one
-  CTE layer per phase (per-atom ``DISTINCT`` scans, bottom-up and
-  top-down ``EXISTS`` semi-join sweeps, then the bottom-up
-  join/projection phase), with only the final answer rows decoded back
-  into Python; a seed relation of key bindings rides along as a
-  ``VALUES`` CTE.  ``repro.cqalgs.yannakakis`` selects it automatically
-  when the database is SQLite-backed (``REPRO_KERNELS=auto``).
+* **Boolean SQL pushdown** — :meth:`~SQLiteBackend.sql_yannakakis`
+  decides a Boolean acyclic CQ in one SQL statement: per-atom
+  ``DISTINCT`` scans and the bottom-up ``EXISTS`` semi-join sweep as CTE
+  layers, then ``SELECT EXISTS`` over the root.  ``repro.cqalgs.
+  yannakakis`` sends every Boolean run on this backend there; answers
+  run on the columnar kernels.
 * **Concurrency** — the connection is shared across threads behind an
   ``RLock`` (the query service's executor threads may issue matches
   concurrently); pickling ships the facts (or, on disk, the path), so
@@ -55,8 +60,10 @@ import os
 import pickle
 import sqlite3
 import threading
+from itertools import repeat
 from typing import (
     Any,
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
@@ -71,7 +78,6 @@ from ..core.atoms import Atom, Schema
 from ..core.terms import Constant, Variable
 from ..exceptions import NotGroundError, ReproError
 from ..hypergraphs.gyo import join_tree_shape
-from ..relalg.relation import Relation, semijoin
 from .base import StorageBackend, allocate_backend_id
 
 #: Catalog table mapping relation names to their backing tables.
@@ -382,9 +388,6 @@ class SQLiteBackend(StorageBackend):
     def schema(self) -> Schema:
         return self._schema
 
-    def _decode_row(self, relation: str, row: Sequence[str]) -> Atom:
-        return Atom(relation, tuple(Constant(decode_value(v)) for v in row))
-
     def facts(self, relation: Optional[str] = None) -> Tuple[Atom, ...]:
         if relation is None:
             out: List[Atom] = []
@@ -396,7 +399,7 @@ class SQLiteBackend(StorageBackend):
             return ()
         with self._lock:
             rows = self._conn.execute("SELECT * FROM %s" % entry[0]).fetchall()
-        return tuple(self._decode_row(relation, row) for row in rows)
+        return tuple(Atom(relation, row) for row in _decoded(rows))
 
     def relations(self) -> FrozenSet[str]:
         with self._lock:
@@ -472,16 +475,58 @@ class SQLiteBackend(StorageBackend):
         return entry[0], where, tuple(params)
 
     def match(self, pattern: Atom) -> Iterator[Atom]:
+        for row in self.rows(pattern):
+            yield Atom(pattern.relation, row)
+
+    def rows(self, pattern: Atom) -> List[Tuple[Constant, ...]]:
+        """The cell seam (see the base class): one ``SELECT``, its rows
+        as ``Constant`` cells, each distinct stored text decoded once per
+        call and no ``Atom`` built."""
         plan = self._pattern_sql(pattern)
         if plan is None:
-            return
+            return []
         tbl, where, params = plan
         with self._lock:
-            rows = self._conn.execute(
+            found = self._conn.execute(
                 "SELECT * FROM %s WHERE %s" % (tbl, where), params
             ).fetchall()
-        for row in rows:
-            yield self._decode_row(pattern.relation, row)
+        return _decoded(found)
+
+    def probe(
+        self,
+        pattern: Atom,
+        variables: Sequence[Variable],
+        keys: Collection[Constant],
+    ) -> List[Tuple[Constant, ...]]:
+        """The cell seam (see the base class): :meth:`rows` of
+        ``pattern`` whose ``variables`` take one of ``keys``, as one
+        ``c_i IN (…)`` statement — ``(c_i, c_j, …) IN (VALUES …)`` for a
+        multi-variable key — per chunk of keys that fits SQLite's
+        bound-parameter limit."""
+        plan = self._pattern_sql(pattern)
+        if plan is None or not keys:
+            return []
+        tbl, where, params = plan
+        width = len(variables)
+        columns = ", ".join("c%d" % pattern.args.index(v) for v in variables)
+        if width == 1:
+            encoded = [encode_value(key.value) for key in keys]
+            test, one = "%s IN (%%s)" % columns, "?"
+        else:
+            encoded = [encode_value(cell.value) for key in keys for cell in key]
+            test = "(%s) IN (VALUES %%s)" % columns
+            one = "(%s)" % ", ".join("?" * width)
+        per = max(1, (self._max_parameters - len(params)) // width) * width
+        found: List[Tuple[str, ...]] = []
+        with self._lock:
+            for start in range(0, len(encoded), per):
+                chunk = encoded[start:start + per]
+                found += self._conn.execute(
+                    "SELECT * FROM %s WHERE %s AND %s"
+                    % (tbl, where, test % ", ".join([one] * (len(chunk) // width))),
+                    params + tuple(chunk),
+                ).fetchall()
+        return _decoded(found)
 
     def match_count(self, pattern: Atom) -> int:
         plan = self._pattern_sql(pattern)
@@ -494,265 +539,80 @@ class SQLiteBackend(StorageBackend):
             ).fetchone()[0]
 
     # ------------------------------------------------------------------
-    # Whole-tree Yannakakis pushdown
+    # Boolean Yannakakis pushdown
     # ------------------------------------------------------------------
-    #: Capability flag :func:`repro.relalg.config.choose_kernel` checks.
+    #: The backend decides a Boolean join tree in one native statement
+    #: (:meth:`sql_yannakakis`); :mod:`repro.cqalgs.yannakakis` sends its
+    #: Boolean runs here.
     supports_sql_yannakakis = True
 
     def sql_yannakakis(
-        self,
-        atoms: Sequence[Atom],
-        links: Sequence[Tuple[int, int]],
-        frees: Iterable[Variable],
-        exists_only: bool = False,
-        seed: Optional[Relation] = None,
-    ):
-        """The whole Yannakakis join plan as **one** SQL statement.
-
-        ``atoms`` are the join-tree nodes, ``links`` its child→parent
-        edges, ``frees`` the output variables.  The statement is a
-        ``WITH`` chain of four CTE layers mirroring the algorithm:
+        self, atoms: Sequence[Atom], links: Sequence[Tuple[int, int]]
+    ) -> bool:
+        """Is the Boolean CQ over the join tree ``atoms``/``links``
+        (child→parent edges) satisfiable?  Decided by **one** SQL
+        statement: the bottom-up semi-join sweep as a ``WITH`` chain.
 
         * ``s<i>`` — the scan of atom ``i``: its distinct variable
           bindings, columns ``v0, v1, …`` aligned with the variables
-          sorted by repr (ground atoms become the one-column Boolean
-          relation ``SELECT DISTINCT 1``; atoms over an absent relation
-          become a correctly-shaped empty relation);
-        * ``u<i>`` — the bottom-up sweep: ``s<i>`` filtered by an
-          ``EXISTS`` per child (leaves are skipped — their ``u`` *is*
-          their ``s``);
-        * ``d<i>`` — the top-down sweep: ``u<i>`` filtered by an
-          ``EXISTS`` against the parent's ``d`` (the root's ``d`` is its
-          ``u``);
-        * ``a<i>`` — the join phase: ``d<i>`` joined with the children's
-          ``a`` relations and projected (``DISTINCT``) onto the free
-          variables plus the interface to the parent.  The running-
-          intersection property of the join tree guarantees every
-          variable shared between sibling subtrees occurs in atom ``i``,
-          so all cross-child equalities route through ``t0`` and each
-          kept column has a unique source.
+          sorted by repr (a ground atom is ``SELECT DISTINCT 1``, an atom
+          over an absent relation or arity an empty relation);
+        * ``u<i>`` — ``s<i>`` filtered by an ``EXISTS`` per child (a
+          leaf's ``u`` *is* its ``s``).
 
-        ``seed`` (a non-empty relation over some of ``frees``) keeps only
-        the answers that join with it.  Its rows become a ``VALUES`` CTE
-        named ``seed``: every scan sharing a variable with it gains an
-        ``IN (SELECT … FROM seed)`` on the shared columns, and the final
-        ``SELECT`` one over all its columns (a scan only sees the seed
-        variables of its own atom).
-        Past SQLite's bound-parameter limit the statement runs unseeded
-        and the semi-join happens here, on the decoded answers.
-
-        Returns the decoded answers as a
-        :class:`~repro.relalg.relation.Relation` (columns sorted by
-        variable repr), or — with ``exists_only``, the Boolean fast
-        path — whether the root survives the bottom-up sweep (the
-        ``d``/``a`` layers are then not even generated).
+        The root survives the sweep iff the query is satisfiable, so the
+        statement is ``SELECT EXISTS`` over the root's ``u``.  It
+        accounts no rows to a resource budget.
         """
         n = len(atoms)
-        root, children, parent_of, order = join_tree_shape(links, n)
-
+        root, children, _, order = join_tree_shape(links, n)
         atom_vars: List[List[Variable]] = [
             sorted(a.variables(), key=repr) for a in atoms
         ]
-        var_sets = [set(vs) for vs in atom_vars]
-
-        ctes: List[Tuple[str, str]] = []
+        ctes: List[str] = []
         params: List[str] = []
-        #: current CTE name per node, advanced layer by layer
+        #: current CTE name per node: its scan, then its sweep
         rel = ["s%d" % i for i in range(n)]
 
-        # --- seed --------------------------------------------------------
-        if seed is not None and exists_only:
-            raise ReproError("sql_yannakakis: a seed needs the answers, not exists_only")
-        seed_column: Dict[Variable, int] = {}
-        if seed is not None and seed.schema:
-            constants = sum(
-                isinstance(arg, Constant) for a in atoms for arg in a.args
-            )
-            width = len(seed.schema)
-            if len(seed.rows) * width + constants <= self._max_parameters:
-                seed_column = {v: j for j, v in enumerate(seed.schema)}
-                params.extend(
-                    encode_value(c.value) for row in seed.rows for c in row
-                )
-                ctes.append((
-                    "seed(%s)" % ", ".join("k%d" % j for j in range(width)),
-                    "VALUES %s" % ", ".join(
-                        ["(%s)" % ", ".join("?" * width)] * len(seed.rows)
-                    ),
-                ))
-
-        def joins_seed(column_of: Dict[Variable, str]) -> str:
-            """Membership of ``column_of``'s columns (SQL column per
-            variable) in the seed, on the variables the two share."""
-            shared = [v for v in column_of if v in seed_column]
-            return "(%s) IN (SELECT %s FROM seed)" % (
-                ", ".join(column_of[v] for v in shared),
-                ", ".join("k%d" % seed_column[v] for v in shared),
-            )
-
-        # --- scans -----------------------------------------------------
         for i, a in enumerate(atoms):
             vs = atom_vars[i]
             plan = self._pattern_sql(a)
             if plan is None:
-                cols = ", ".join(
-                    "NULL AS v%d" % j for j in range(len(vs))
-                ) or "1 AS one"
-                body = "SELECT %s WHERE 0" % cols
+                body = "SELECT %s WHERE 0" % (
+                    ", ".join("NULL AS v%d" % j for j in range(len(vs))) or "1 AS one"
+                )
             else:
                 tbl, where, scan_params = plan
                 params.extend(scan_params)
-                if vs:
-                    pos_of = {
-                        v: next(p for p, arg in enumerate(a.args) if arg == v)
-                        for v in vs
-                    }
-                    select = ", ".join(
-                        "c%d AS v%d" % (pos_of[v], j) for j, v in enumerate(vs)
-                    )
-                    if not seed_column.keys().isdisjoint(vs):
-                        where += " AND " + joins_seed(
-                            {v: "c%d" % pos_of[v] for v in vs}
-                        )
-                else:
-                    select = "1 AS one"
-                body = "SELECT DISTINCT %s FROM %s WHERE %s" % (
-                    select, tbl, where,
-                )
-            ctes.append((rel[i], body))
+                select = ", ".join(
+                    "c%d AS v%d" % (a.args.index(v), j) for j, v in enumerate(vs)
+                ) or "1 AS one"
+                body = "SELECT DISTINCT %s FROM %s WHERE %s" % (select, tbl, where)
+            ctes.append("%s AS (%s)" % (rel[i], body))
 
-        # --- bottom-up sweep -------------------------------------------
         for node in reversed(order):
             if not children[node]:
                 continue
             conditions: List[str] = []
             for child in children[node]:
-                shared = [v for v in atom_vars[node] if v in var_sets[child]]
                 sub = "SELECT 1 FROM %s" % rel[child]
+                shared = [v for v in atom_vars[node] if v in atom_vars[child]]
                 if shared:
                     sub += " WHERE " + " AND ".join(
                         "%s.v%d = t.v%d"
-                        % (
-                            rel[child],
-                            atom_vars[child].index(v),
-                            atom_vars[node].index(v),
-                        )
+                        % (rel[child], atom_vars[child].index(v), atom_vars[node].index(v))
                         for v in shared
                     )
                 conditions.append("EXISTS (%s)" % sub)
             ctes.append(
-                (
-                    "u%d" % node,
-                    "SELECT * FROM %s t WHERE %s"
-                    % (rel[node], " AND ".join(conditions)),
-                )
+                "u%d AS (SELECT * FROM %s t WHERE %s)"
+                % (node, rel[node], " AND ".join(conditions))
             )
             rel[node] = "u%d" % node
 
-        if exists_only:
-            sql = "WITH %s SELECT EXISTS (SELECT 1 FROM %s)" % (
-                ", ".join("%s AS (%s)" % (name, body) for name, body in ctes),
-                rel[root],
-            )
-            with self._lock:
-                return bool(self._conn.execute(sql, params).fetchone()[0])
-
-        # --- top-down sweep --------------------------------------------
-        for node in order:
-            if node == root:
-                continue
-            parent = parent_of[node]
-            shared = [v for v in atom_vars[node] if v in var_sets[parent]]
-            sub = "SELECT 1 FROM %s" % rel[parent]
-            if shared:
-                sub += " WHERE " + " AND ".join(
-                    "%s.v%d = t.v%d"
-                    % (
-                        rel[parent],
-                        atom_vars[parent].index(v),
-                        atom_vars[node].index(v),
-                    )
-                    for v in shared
-                )
-            ctes.append(
-                (
-                    "d%d" % node,
-                    "SELECT * FROM %s t WHERE EXISTS (%s)" % (rel[node], sub),
-                )
-            )
-            rel[node] = "d%d" % node
-
-        # --- join phase ------------------------------------------------
-        subtree: List[set] = [set(vs) for vs in var_sets]
-        for node in reversed(order):
-            for child in children[node]:
-                subtree[node] |= subtree[child]
-        free_set = set(frees)
-        a_schema: List[List[Variable]] = [[] for _ in range(n)]
-        for node in reversed(order):
-            if node == root:
-                keep = free_set & subtree[node]
-            else:
-                keep = (free_set & subtree[node]) | (
-                    subtree[node] & var_sets[parent_of[node]]
-                )
-            a_schema[node] = sorted(keep, key=repr)
-            source: List[str] = ["%s t0" % rel[node]]
-            for k, child in enumerate(children[node]):
-                alias = "t%d" % (k + 1)
-                join_on = [v for v in a_schema[child] if v in var_sets[node]]
-                condition = " AND ".join(
-                    "%s.v%d = t0.v%d"
-                    % (alias, a_schema[child].index(v), atom_vars[node].index(v))
-                    for v in join_on
-                ) or "1=1"
-                source.append(
-                    "JOIN a%d %s ON %s" % (child, alias, condition)
-                )
-            columns: List[str] = []
-            for j, v in enumerate(a_schema[node]):
-                if v in var_sets[node]:
-                    columns.append("t0.v%d AS v%d" % (atom_vars[node].index(v), j))
-                else:
-                    # Unique by the running-intersection property.
-                    k, child = next(
-                        (k, c)
-                        for k, c in enumerate(children[node])
-                        if v in subtree[c]
-                    )
-                    columns.append(
-                        "t%d.v%d AS v%d"
-                        % (k + 1, a_schema[child].index(v), j)
-                    )
-            ctes.append(
-                (
-                    "a%d" % node,
-                    "SELECT DISTINCT %s FROM %s"
-                    % (", ".join(columns) or "1 AS one", " ".join(source)),
-                )
-            )
-            rel[node] = "a%d" % node
-
-        out_schema = a_schema[root]
-        sql = "WITH %s SELECT * FROM %s" % (
-            ", ".join("%s AS (%s)" % (name, body) for name, body in ctes),
-            rel[root],
-        )
-        if seed_column:
-            sql += " WHERE " + joins_seed(
-                {v: "%s.v%d" % (rel[root], j) for j, v in enumerate(out_schema)}
-            )
+        sql = "WITH %s SELECT EXISTS (SELECT 1 FROM %s)" % (", ".join(ctes), rel[root])
         with self._lock:
-            rows = self._conn.execute(sql, params).fetchall()
-        if not out_schema:
-            return Relation((), [()] if rows else [])
-        answers = Relation(
-            out_schema,
-            [tuple(Constant(decode_value(text)) for text in row) for row in rows],
-        )
-        if seed is not None and not seed_column:
-            return semijoin(answers, seed)
-        return answers
+            return bool(self._conn.execute(sql, params).fetchone()[0])
 
     # ------------------------------------------------------------------
     # Persistence
@@ -858,6 +718,22 @@ class SQLiteBackend(StorageBackend):
                 self._version,
             ),
         )
+
+
+class _Cells(dict):
+    """Stored text → its ``Constant``, decoded on first sight."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> Constant:
+        cell = self[text] = Constant(decode_value(text))
+        return cell
+
+
+def _decoded(rows: Iterable[Tuple[str, ...]]) -> List[Tuple[Constant, ...]]:
+    """``rows`` of stored texts as rows of ``Constant`` cells, each
+    distinct text decoded once (and one object per text)."""
+    return list(map(tuple, map(map, repeat(_Cells().__getitem__), rows)))
 
 
 def _restore_sqlite_backend(path, facts, schema, version):

@@ -7,8 +7,7 @@ one JSON-serialisable record per lifecycle event —
 * ``query.parse`` — the **stable query ID** (a prefix of the WDPT's
   structural fingerprint, so the same query shape gets the same ID across
   sessions and textual variants) plus parse/profile cache hits;
-* ``query.plan`` — engine chosen, the relational kernel its CQ checks
-  resolve to (``sql``/``columnar``), theorem justification,
+* ``query.plan`` — engine chosen, theorem justification,
   and the class memberships the routing was derived from (local
   treewidth, interface width, global treewidth, projection-freeness);
 * ``query.complete`` — row count, wall/CPU seconds, resource usage;
@@ -432,7 +431,6 @@ class QueryObservation:
         self.usage = None
         self.trace_id: Optional[str] = None
         self.cache_outcome: Optional[str] = None  # "hit"/"miss", set by Session
-        self._plan_kernel: Optional[str] = None
         self._owns_trace = False
         self._tracer: Optional[Tracer] = None
         self._previous_tracer = None
@@ -481,10 +479,6 @@ class QueryObservation:
         """Called by the session once the WDPT (and its profile) exist."""
         self.query = p
         self.query_id = p.structural_fingerprint()[:16]
-        if self._plan_kernel is None:
-            from ..relalg.config import choose_kernel
-
-            self._plan_kernel = choose_kernel(self.session.database)
         if self.log is None:
             return
         planner = self.session.planner
@@ -509,7 +503,6 @@ class QueryObservation:
             op=self.op,
             query_id=self.query_id,
             engine=OP_ENGINES.get(self.op, self.op),
-            kernel=self._plan_kernel,
             theorem=self._route(profile),
             classes={
                 "local_treewidth": profile.local_treewidth,
@@ -610,7 +603,6 @@ class QueryObservation:
         return build_report(
             self.query, planner.explain_wdpt(self.query), tracer, planner,
             n_answers=self.n_rows, mode=self.op,
-            db=self.session.database,
         )
 
     def _slow_record(self, wall: float) -> Dict[str, Any]:

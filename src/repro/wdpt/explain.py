@@ -87,8 +87,6 @@ class WDPTProfile:
         return "general procedure (PARTIAL-EVAL is NP-complete, Prop. 1)"
 
     def as_table(self) -> str:
-        from ..relalg.config import kernel_mode
-
         rows = [
             ["tree nodes", self.tree_size],
             ["|p| (relational size)", self.size],
@@ -99,7 +97,6 @@ class WDPTProfile:
             ["global treewidth (g-TW)", _fmt(self.global_treewidth)],
             ["global hypertreewidth", _fmt(self.global_hypertreewidth)],
             ["fingerprint", self.fingerprint[:12]],
-            ["kernel mode (REPRO_KERNELS)", kernel_mode()],
             ["EVAL route", self.eval_route()],
             ["PARTIAL/MAX-EVAL route", self.partial_eval_route()],
         ]

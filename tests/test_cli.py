@@ -355,6 +355,32 @@ def test_one_width_search_and_one_elimination_walk():
     assert defined.count("_elimination_bags") == 1
 
 
+def test_one_answer_executor_and_no_kernel_mode():
+    """Answers run on the columnar kernels over every backend and SQLite's
+    SQL pushdown decides Boolean runs only, selected by the call and the
+    backend: no ``relalg/config.py``, no kernel-mode variable, override or
+    chooser anywhere under ``src/``, and ``sql_yannakakis`` takes neither
+    a seed nor output variables."""
+    root = os.path.dirname(cli.__file__)
+    assert not os.path.exists(os.path.join(root, "relalg", "config.py"))
+    gone = ("REPRO_" "KERNELS", "force_" "kernels", "choose_" "kernel", "kernel_" "mode")
+    pushdowns = []
+    checked = 0
+    for path, tree in _source_trees("."):
+        for node in ast.walk(tree):
+            for name in (getattr(node, "name", None), getattr(node, "id", None),
+                         getattr(node, "attr", None), getattr(node, "arg", None)):
+                assert name not in gone, (path, getattr(node, "lineno", None), name)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert not [w for w in gone if w in node.value], (path, node.lineno)
+            if isinstance(node, ast.FunctionDef) and node.name == "sql_yannakakis":
+                args = node.args
+                pushdowns.append([a.arg for a in args.args + args.kwonlyargs])
+        checked += 1
+    assert checked >= 90  # the package was found and read, not skipped
+    assert pushdowns == [["self", "atoms", "links"]]
+
+
 def test_the_planner_is_the_only_way_to_an_engine():
     """Outside ``repro.cqalgs`` the engines' entry points are imported by
     ``planner/planner.py`` alone, and used there by ``Planner._run`` alone

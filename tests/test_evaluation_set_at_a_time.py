@@ -2,7 +2,7 @@
 
 Differential: on random WDPTs × databases, and on pinned shapes that hit
 each branch of the recursion, ``evaluate`` equals the literal Definition 2
-evaluator across backends and kernel modes.  Structural: one
+evaluator across backends.  Structural: one
 node CQ per evaluated tree node (no wall clock), resource accounting that
 sees them, and a seeded ``scan`` that agrees with scan-then-semijoin on
 both sides of its probe/scan choice.
@@ -18,7 +18,6 @@ from repro.core.terms import Variable
 from repro.cqalgs.naive import count_homomorphisms
 from repro.cqalgs.yannakakis import relation_with_join_tree
 from repro.engine import Session
-from repro.relalg.config import MODES, force_kernels
 from repro.relalg.relation import (
     Relation,
     from_mappings,
@@ -53,12 +52,9 @@ BACKENDS = (MemoryBackend, SQLiteBackend)
 
 
 def _everywhere(p, facts):
-    """``evaluate(p, ·)`` under every backend × kernel mode."""
+    """``evaluate(p, ·)`` under every backend."""
     for backend in BACKENDS:
-        db = backend(facts)
-        for mode in MODES:
-            with force_kernels(mode):
-                yield (backend.__name__, mode), evaluate(p, db)
+        yield backend.__name__, evaluate(p, backend(facts))
 
 
 def _assert_matches_reference(p, facts):
@@ -207,32 +203,34 @@ def test_interface_over_two_atoms_is_filtered_exactly():
 
 
 def test_seeded_yannakakis_is_the_semijoin_of_the_unseeded_answers():
-    """Every kernel, seeds that one atom covers and seeds that none does,
-    and the SQL statement on both sides of its parameter limit."""
+    """Every backend, seeds that one atom covers and seeds that none does,
+    and SQLite's probes on both sides of its bound-parameter limit."""
     _, facts = PINNED["interface over two atoms"]
+    # Facts that join with nothing: enough of them that the seeded scans
+    # probe by key instead of reading in full.
+    facts = facts + [atom(r, i, "%s%d" % (r, i)) for r in "AB" for i in range(100, 140)]
     x, y, u = Variable("x"), Variable("y"), Variable("u")
     atoms = [atom("A", "?x", "?u"), atom("B", "?y", "?u")]
     links = [(1, 0)]
-    for backend in BACKENDS:
+    probes = {}
+    for backend, limit in ((MemoryBackend, None), (_CountingSQLite, None), (_CountingSQLite, 1)):
         db = backend(facts)
+        if limit is not None:
+            db._max_parameters = limit  # one key per statement
         seeds = [
             from_mappings([Mapping({x: 1, y: 2}), Mapping({x: 3, y: 2})], (x, y), db),
             from_mappings([Mapping({x: 3}), Mapping({x: 7})], (x,), db),
             from_mappings([Mapping()], (), db),
             from_mappings([], (x,), db),
         ]
-        limits = [None, 1] if backend is SQLiteBackend else [None]
-        for mode in MODES:
-            for limit in limits:
-                if limit is not None:
-                    db._max_parameters = limit
-                with force_kernels(mode):
-                    full = relation_with_join_tree(atoms, links, db, [x, y, u])
-                    for seed in seeds:
-                        got = relation_with_join_tree(
-                            atoms, links, db, [x, y, u], seed=seed
-                        )
-                        assert to_mappings(got) == to_mappings(semijoin(full, seed))
+        full = relation_with_join_tree(atoms, links, db, [x, y, u])
+        for seed in seeds:
+            got = relation_with_join_tree(atoms, links, db, [x, y, u], seed=seed)
+            assert to_mappings(got) == to_mappings(semijoin(full, seed))
+        if backend is _CountingSQLite:
+            probes[limit] = db.reads.count("probe")
+    # The limit cut a two-key probe in two.
+    assert 0 < probes[None] < probes[1]
     with pytest.raises(ValueError):
         relation_with_join_tree(atoms, links, db, [x], seed=seeds[0])
 
@@ -278,12 +276,11 @@ def _assert_one_run_per_node(p, evaluated):
     with Session(
         company_directory(3, 4, seed=1), track_resources=True, cache=False
     ) as session:
-        for mode in MODES:
-            with force_kernels(mode), tracing() as tracer:
-                result = session.query(p)
-            assert len(list(tracer.find("yannakakis"))) == evaluated
-            assert result.resources.subqueries == evaluated
-            assert result.answers == evaluate_reference(p, session.database)
+        with tracing() as tracer:
+            result = session.query(p)
+        assert len(list(tracer.find("yannakakis"))) == evaluated
+        assert result.resources.subqueries == evaluated
+        assert result.answers == evaluate_reference(p, session.database)
 
 
 def test_node_stats_count_path_homomorphisms():
@@ -330,16 +327,18 @@ class _CountingMemory(MemoryBackend):
 
 
 class _CountingSQLite(SQLiteBackend):
-    """The same for a backend that inherits the seam's default: every
-    read, full or per key, is one ``match``."""
+    """The same for SQLite, counted in the statements that read facts:
+    ``"rows"`` per full read, ``"probe"`` per ``IN`` statement of a probe
+    (one per chunk of keys)."""
 
     def __init__(self, facts):
-        self.reads = []
         super().__init__(facts)
+        self.reads = []
+        self._conn.set_trace_callback(self._traced)
 
-    def match(self, pattern):
-        self.reads.append("rows" if pattern.variables() >= {Variable("a")} else 1)
-        return super().match(pattern)
+    def _traced(self, statement):
+        if statement.startswith("SELECT * FROM"):
+            self.reads.append("probe" if " IN (" in statement else "rows")
 
 
 def _rows(rel):
@@ -366,8 +365,12 @@ def test_seeded_scan_equals_scan_then_semijoin_on_both_sides_of_its_choice():
             got = scan(pattern, db, seed)
             assert _rows(got) == _rows(expected)
             assert len(got) > 0
-            # Few keys: one index probe each.  Many: one full read.
-            assert sum(r for r in db.reads if r != "rows") == (probes or 0)
+            # Few keys: one probe — on SQLite one statement for all of
+            # them.  Many: one full read.
+            if isinstance(db, _CountingMemory):
+                assert sum(r for r in db.reads if r != "rows") == (probes or 0)
+            else:
+                assert db.reads.count("probe") == (1 if probes else 0)
             assert db.reads.count("rows") == (0 if probes else 1)
         unrelated = from_mappings([Mapping({z: 0})], (z,), db)
         assert scan(pattern, db, unrelated).rows == scan(pattern, db).rows

@@ -150,7 +150,6 @@ class TestPlannerReuse:
             )
         assert planner.plans_built == 0
         assert planner.engine_selections == {ENGINE_YANNAKAKIS: 50}
-        assert sum(planner.kernel_selections.values()) == 50
 
     def test_treewidth_cutoff_is_not_an_option(self):
         with pytest.raises(TypeError):

@@ -4,9 +4,10 @@ parity properties.
 The unit half pins down the edge semantics of the kernels (empty right
 side of a semi-join, no shared variables, Boolean relations over the
 empty schema).  The property half drives random acyclic CQs and WDPTs
-through the ``columnar`` kernels and (on SQLite) the whole-tree SQL
-pushdown and requires the answer sets of the independent references,
-the backtracking search and the literal Definition 2 evaluator.
+through the kernels over the memory and the SQLite backend (and Boolean
+checks through SQLite's SQL pushdown) and requires the answer sets of
+the independent references, the backtracking search and the literal
+Definition 2 evaluator.
 """
 
 import pytest
@@ -33,12 +34,6 @@ from repro.relalg import (
     scan,
     semijoin,
     to_mappings,
-)
-from repro.relalg.config import (
-    KERNELS_ENV,
-    choose_kernel,
-    force_kernels,
-    kernel_mode,
 )
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -194,15 +189,14 @@ def test_no_term_is_hashed_or_compared_between_scan_and_boundary(monkeypatch):
     frees = [Variable("x0"), Variable("x5")]
     anchored = tuple(a.substitute({Variable("x0"): Constant(7)}) for a in atoms)
     calls = _TermCalls(monkeypatch)
-    with force_kernels("columnar"):
-        answers = relation_with_join_tree(atoms, links, db, frees)
-        assert len(answers) > 100
-        assert calls.counts["hash"] == calls.counts["eq"] == 0
-        # One constant in one pattern: looked up when the schedule takes
-        # the atom's bound and when it scans it (and passed over once by
-        # ``args.index`` on the way to a variable's position).
-        assert len(relation_with_join_tree(anchored, links, db, frees[1:])) > 1
-        assert calls.counts["hash"] == 2 and calls.counts["eq"] <= 3
+    answers = relation_with_join_tree(atoms, links, db, frees)
+    assert len(answers) > 100
+    assert calls.counts["hash"] == calls.counts["eq"] == 0
+    # One constant in one pattern: looked up when the schedule takes
+    # the atom's bound and when it scans it (and passed over once by
+    # ``args.index`` on the way to a variable's position).
+    assert len(relation_with_join_tree(anchored, links, db, frees[1:])) > 1
+    assert calls.counts["hash"] == 2 and calls.counts["eq"] <= 3
 
 
 def test_an_opt_extension_builds_no_atom_per_interface_key(monkeypatch):
@@ -214,7 +208,7 @@ def test_an_opt_extension_builds_no_atom_per_interface_key(monkeypatch):
     db = Database(facts)
     e = Variable("e")
     calls = _TermCalls(monkeypatch)
-    with force_kernels("columnar"), tracing() as tracer:
+    with tracing() as tracer:
         parent = scan(atom("works_in", "?e", "?d"), db)
         keys = project(parent, [e])
         assert len(keys) == 150 and len(keys) * db.probe_cost < db.match_bound(
@@ -248,60 +242,12 @@ def test_from_mappings_keeps_constants_the_store_never_saw(kind):
         # Three stored constants and two unknown ones: five distinct cells.
         assert len(set(packed.rows)) == 4
         assert len({cell for row in packed.rows for cell in row}) == 5
-        with force_kernels("columnar"):
-            scanned = scan(atom("E", "?x", "?y"), db)
+        scanned = scan(atom("E", "?x", "?y"), db)
         assert to_mappings(semijoin(packed, scanned)) == {Mapping({X: 2, Y: 3})}
         assert to_mappings(semijoin(scanned, project(packed, [X]))) == {
             Mapping({X: 1, Y: 2}), Mapping({X: 2, Y: 3}),
         }
         assert size is None or len(db.codec) == size
-
-
-# ---------------------------------------------------------------------------
-# Kernel selection policy
-# ---------------------------------------------------------------------------
-class _SQLCapable:
-    supports_sql_yannakakis = True
-
-
-def test_kernel_mode_reads_environment(monkeypatch):
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
-    assert kernel_mode() == "auto"
-    monkeypatch.setenv(KERNELS_ENV, "COLUMNAR")
-    assert kernel_mode() == "columnar"
-    for not_a_mode in ("vectorized", "legacy"):
-        monkeypatch.setenv(KERNELS_ENV, not_a_mode)
-        with pytest.raises(ValueError, match="not a kernel mode"):
-            kernel_mode()
-
-
-def test_force_kernels_overrides_environment(monkeypatch):
-    monkeypatch.setenv(KERNELS_ENV, "auto")
-    with force_kernels("columnar"):
-        assert kernel_mode() == "columnar"
-        with force_kernels("auto"):
-            assert kernel_mode() == "auto"
-        assert kernel_mode() == "columnar"
-    assert kernel_mode() == "auto"
-    for not_a_mode in ("nope", "legacy"):
-        with pytest.raises(ValueError):
-            with force_kernels(not_a_mode):
-                pass
-
-
-def test_choose_kernel_matrix():
-    db = Database()
-    with force_kernels("columnar"):
-        assert choose_kernel(_SQLCapable()) == "columnar"
-    with force_kernels("auto"):
-        assert choose_kernel(db) == "columnar"
-        assert choose_kernel(_SQLCapable()) == "sql"
-        assert choose_kernel(None) == "columnar"  # a plan built without a database
-        # One capability is read; the deleted fleet's flag selects nothing.
-        fleet = type("_Fleet", (), {"supports_" + "dist" + "_yannakakis": True})()
-        assert choose_kernel(fleet) == "columnar"
-    with pytest.raises(TypeError):
-        choose_kernel(_SQLCapable(), None)  # the database and nothing else
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +259,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.engine import Session  # noqa: E402
 from repro.storage import SQLiteBackend  # noqa: E402
-from repro.telemetry.obslog import QueryLog  # noqa: E402
 from repro.telemetry.tracer import tracing  # noqa: E402
 from repro.wdpt.evaluation import evaluate_reference  # noqa: E402
 from repro.wdpt.wdpt import wdpt_from_nested  # noqa: E402
@@ -369,24 +314,38 @@ def _acyclic_queries(seed, length, rays):
     return queries
 
 
-@pytest.mark.parametrize("backend, expected", [("sqlite", "sql"), ("memory", "columnar")])
-def test_planned_kernel_is_the_kernel_that_runs(backend, expected):
-    """The kernel on the ``QueryPlan`` and the ``query.plan`` event is the
-    one the ``yannakakis`` spans of the same query report."""
+@pytest.mark.parametrize("backend, boolean", [("sqlite", "sql"), ("memory", "columnar")])
+def test_planned_kernel_is_the_kernel_that_runs(backend, boolean, monkeypatch):
+    """The kernel the dispatch site picks, and names on the ``yannakakis``
+    spans, is the one that runs: answers on the columnar kernels over
+    every backend, a Boolean check as one SQL statement where the backend
+    can decide it natively.  A spy on ``SQLiteBackend.sql_yannakakis``
+    agrees: an answer query never enters it, ``Session.ask`` does (on
+    SQLite)."""
+    entered = []
+    pushdown = SQLiteBackend.sql_yannakakis
+
+    def spy(self, atoms, links):
+        entered.append(len(atoms))
+        return pushdown(self, atoms, links)
+
+    monkeypatch.setattr(SQLiteBackend, "sql_yannakakis", spy)
     p = wdpt_from_nested(
         ([atom("E", "?x", "?y")], [([atom("F", "?y", "?z")], [])]),
         free_variables=["?x", "?z"],
     )
-    log = QueryLog()
     facts = [atom("E", 1, 2), atom("E", 2, 3), atom("F", 2, 7)]
-    with force_kernels("auto"), Session(facts, obslog=log, backend=backend) as session:
+    with Session(facts, backend=backend, cache=False) as session:
         with tracing() as tracer:
-            assert session.query(p).answers
-        plan = session.planner.plan_cq(path_cq(1), session.database)
-    (event,) = log.events("query.plan")
-    ran = {span.attrs["kernel"] for span in tracer.find("yannakakis")}
-    assert ran == {expected}
-    assert event["kernel"] == plan.kernel == expected
+            answers = session.query(p).answers
+            session.query_maximal(p)
+        assert answers and not entered
+        assert {span.attrs["kernel"] for span in tracer.find("yannakakis")} == {"columnar"}
+        with tracing() as tracer:
+            assert session.ask(p, max(answers, key=len))
+        ran = {span.attrs["kernel"] for span in tracer.find("yannakakis")}
+    assert ran == {boolean}
+    assert bool(entered) is (boolean == "sql")
 
 
 @settings(max_examples=20, deadline=None)
@@ -396,15 +355,14 @@ def test_planned_kernel_is_the_kernel_that_runs(backend, expected):
     rays=st.integers(min_value=1, max_value=3),
 )
 def test_columnar_legacy_sql_parity_on_acyclic_cqs(seed, length, rays):
+    """The columnar kernels over the memory and the SQLite backend
+    against the backtracking search."""
     db = _db(seed)
     lite = SQLiteBackend(db.facts())
     for q in _acyclic_queries(seed, length, rays):
         expected = evaluate_naive(q, db)
-        with force_kernels("columnar"):
-            assert evaluate_acyclic(q, db) == expected
-        with force_kernels("auto"):
-            # on SQLite this is the whole-tree SQL pushdown
-            assert evaluate_acyclic(q, lite) == expected
+        assert evaluate_acyclic(q, db) == expected
+        assert evaluate_acyclic(q, lite) == expected
 
 
 @settings(max_examples=20, deadline=None)
@@ -419,15 +377,16 @@ def test_boolean_fast_path_parity(seed, length):
     links = join_tree_of_atoms(atoms)
     assert links is not None
     expected = satisfiable(atoms, db)
-    with force_kernels("columnar"):
-        assert satisfiable_with_join_tree(atoms, links, db) is expected
-    with force_kernels("auto"):
-        assert satisfiable_with_join_tree(atoms, links, lite) is expected
+    assert satisfiable_with_join_tree(atoms, links, db) is expected
+    # on SQLite this is the Boolean SQL pushdown
+    assert satisfiable_with_join_tree(atoms, links, lite) is expected
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10 ** 6))
 def test_wdpt_evaluation_parity_across_kernel_modes(seed):
+    """Both executors: answers on the columnar kernels over either
+    backend, and ``ask`` — in SQL on SQLite — on each answer."""
     db = _db(seed, n_facts=15, domain_size=3)
     query = random_wdpt(
         depth=2,
@@ -439,10 +398,8 @@ def test_wdpt_evaluation_parity_across_kernel_modes(seed):
     )
     expected = evaluate_reference(query, db)
     expected_max = maximal_mappings(expected)
-    for mode in ("columnar", "auto"):
-        with force_kernels(mode):
-            assert Session(db, cache=False).query(query).answers == expected
-            assert (
-                Session(db, cache=False).query_maximal(query).answers
-                == expected_max
-            )
+    for backend in ("memory", "sqlite"):
+        session = Session(db.facts(), backend=backend, cache=False)
+        assert session.query(query).answers == expected
+        assert session.query_maximal(query).answers == expected_max
+        assert all(session.ask(query, h) for h in sorted(expected, key=repr)[:3])

@@ -5,7 +5,7 @@ import pickle
 import sqlite3
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.atoms import Schema, atom
@@ -25,7 +25,7 @@ from repro.exceptions import (
     ResourceBudgetExceeded,
     SchemaError,
 )
-from repro.relalg.config import MODES, force_kernels
+from repro.hypergraphs.gyo import join_tree_of_atoms
 from repro.relalg.relation import from_mappings, scan, to_mappings
 from repro.storage import (
     BACKENDS,
@@ -36,6 +36,7 @@ from repro.storage import (
 )
 from repro.storage.sqlite import decode_value, encode_value
 from repro.telemetry.resources import ResourceBudget
+from repro.wdpt.wdpt import WDPT
 from repro.workloads.generators import random_database, random_wdpt
 
 FACTS = [atom("E", 1, 2), atom("E", 2, 3), atom("E", 2, 2), atom("U", 1)]
@@ -113,6 +114,67 @@ def test_match_is_a_filter_over_facts(kind, facts, gone, patterns):
             assert _state(same) == rebuilt
 
 
+class _MatchDerived:
+    """The cell seam as the base class serves it: ``rows`` unwraps
+    :meth:`match`, ``probe`` substitutes and matches once per key."""
+
+    def __init__(self, db):
+        self.db = db
+
+    def rows(self, pattern):
+        return StorageBackend.rows(self.db, pattern)
+
+    def probe(self, pattern, variables, keys):
+        return StorageBackend.probe(self, pattern, variables, keys)
+
+
+_KEY_CELLS = st.sampled_from([0, 1, 2, "a", "never"]).map(Constant)  # "never" is stored nowhere
+_SEAM_PATTERNS = st.one_of(  # mostly variables, so that probes find rows
+    st.builds(atom, st.sampled_from(["E", "T"]), *[st.sampled_from([1, "?x", "?y", "?z"])] * 3),
+    st.builds(atom, st.sampled_from(["E", "F", "Z"]), *[st.sampled_from([1, "?x", "?y"])] * 2),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    facts=st.lists(_GROUND, min_size=10, max_size=40),
+    pattern=st.one_of(_PATTERNS, _SEAM_PATTERNS, _SEAM_PATTERNS),
+    width=st.sampled_from([1, 2]),
+    cells=st.sets(_KEY_CELLS, max_size=6),
+    pairs=st.sets(st.tuples(_KEY_CELLS, _KEY_CELLS), max_size=12),
+    limit=st.sampled_from([999, 1, 2, 3]),
+)
+@example(
+    facts=[atom("E", i, j) for i in (0, 1, 2) for j in (0, 1, "a")],
+    pattern=atom("E", "?x", "?y"), width=2, cells=set(),
+    pairs={(Constant(i), Constant(j)) for i in (0, 2, "never") for j in (0, 1)}, limit=3,
+)
+@example(
+    facts=[atom("T", i, i, j) for i in (0, 1, 2) for j in (0, "a")],
+    pattern=atom("T", "?x", "?x", "?y"), width=1,
+    cells={Constant(v) for v in (0, 1, 2, "never")}, pairs=set(), limit=1,
+)
+def test_sqlite_seam_equals_the_match_derived_default(
+    facts, pattern, width, cells, pairs, limit
+):
+    """SQLite's one-statement ``rows`` and chunked ``IN`` ``probe`` give
+    the rows the base class derives from ``match``: constants, repeated
+    variables, a wrong arity (``E``/3) and an unknown relation; one- and
+    two-variable keys, keys that match nothing, and a parameter limit
+    small enough to split the keys over several statements."""
+    db = SQLiteBackend(facts)
+    reference = _MatchDerived(db)
+    assert sorted(db.rows(pattern), key=repr) == sorted(reference.rows(pattern), key=repr)
+    variables = sorted(pattern.variables(), key=repr)[:width]
+    if not variables:
+        return
+    keys = cells if len(variables) == 1 else pairs
+    db._max_parameters = limit
+    found = list(db.probe(pattern, variables, keys))
+    assert len(found) == len(set(found))
+    assert sorted(found, key=repr) == sorted(reference.probe(pattern, variables, keys), key=repr)
+
+
 def _state(db):
     """Everything a store says about its contents, order-insensitively."""
     return (
@@ -139,24 +201,25 @@ def test_constants_the_store_has_never_seen(kind):
             assert db.match_bound(pattern) == db.match_count(pattern) == 0
             assert list(db.rows(pattern)) == list(db.match(atom("E", "?x", never))) == []
             assert atom("E", 1, never) not in db and not db.discard(atom("E", never, 2))
-            for mode in MODES if i % 100 == 0 else ():
-                with force_kernels(mode):
-                    assert len(scan(pattern, db)) == 0
-                    assert not satisfiable_with_join_tree([pattern], [], db)
-                    query = cq(["?x"], [atom("E", "?x", "?y"), atom("E", "?y", never)])
-                    assert session.planner.evaluate_cq(query, db) == frozenset()
-                    seed = from_mappings([Mapping({y: never}), Mapping({y: 2})], [y], db)
-                    found = relation_with_join_tree([atom("E", "?x", "?y")], [], db, [x, y], seed)
-                    assert to_mappings(found) == {Mapping({x: 1, y: 2}), Mapping({x: 2, y: 2})}
+            if i % 100 == 0:
+                assert len(scan(pattern, db)) == 0
+                assert not satisfiable_with_join_tree([pattern], [], db)
+                query = cq(["?x"], [atom("E", "?x", "?y"), atom("E", "?y", never)])
+                assert session.planner.evaluate_cq(query, db) == frozenset()
+                seed = from_mappings([Mapping({y: never}), Mapping({y: 2})], [y], db)
+                found = relation_with_join_tree([atom("E", "?x", "?y")], [], db, [x, y], seed)
+                assert to_mappings(found) == {Mapping({x: 1, y: 2}), Mapping({x: 2, y: 2})}
         assert terms is None or len(db.codec) == terms
 
 
 @pytest.mark.parametrize("kind", sorted(BACKENDS))
 def test_row_budget_is_enforced_and_accounted(kind):
     """``hard_intermediate_rows`` kills a query over either store, and a
-    generous budget returns the memory answers with the rows accounted.
-    On the columnar kernels: the SQL pushdown's Boolean statement accounts
-    no rows (ROADMAP item 2a), a hole this test leaves named."""
+    generous budget returns the memory answers with the rows accounted —
+    every intermediate relation, not just the answers: a budget between
+    the answer count and the largest scan is exceeded.  The SQL
+    pushdown's Boolean statement (``ask`` on SQLite) accounts no rows,
+    a hole this test leaves named."""
     relations = ("E", "F")
     facts = random_database(30, relations=relations, domain_size=4, seed=3).facts()
     query = random_wdpt(
@@ -166,14 +229,25 @@ def test_row_budget_is_enforced_and_accounted(kind):
     expected = Session(MemoryBackend(facts), cache=False).query(query).answers
     generous = ResourceBudget(hard_intermediate_rows=10 ** 6)
     tiny = ResourceBudget(hard_intermediate_rows=1)
-    with force_kernels("columnar"):
-        with Session(facts, backend=kind, cache=False, budgets=generous) as session:
-            result = session.query(query)
-            assert result.answers == expected
-            assert result.resources.peak_intermediate_rows > 0
-        with Session(facts, backend=kind, cache=False, budgets=tiny) as session:
-            with pytest.raises(ResourceBudgetExceeded):
-                session.query(query)
+    with Session(facts, backend=kind, cache=False, budgets=generous) as session:
+        result = session.query(query)
+        assert result.answers == expected
+        assert result.resources.peak_intermediate_rows > 0
+    with Session(facts, backend=kind, cache=False, budgets=tiny) as session:
+        with pytest.raises(ResourceBudgetExceeded):
+            session.query(query)
+    # 20 E facts and 20 F facts, of which 5 join: the scan of E holds 20
+    # rows, every relation downstream of the join at most 5.
+    narrow = [atom("E", i, i) for i in range(20)] + [atom("F", i, i) for i in range(15, 35)]
+    join = WDPT.from_cq(cq(["?x", "?z"], [atom("E", "?x", "?y"), atom("F", "?y", "?z")]))
+    with Session(narrow, backend=kind, cache=False, budgets=generous) as session:
+        result = session.query(join)
+        assert len(result.answers) == 5
+        assert result.resources.peak_intermediate_rows == 20
+    with Session(narrow, backend=kind, cache=False,
+                 budgets=ResourceBudget(hard_intermediate_rows=10)) as session:
+        with pytest.raises(ResourceBudgetExceeded):
+            session.query(join)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +522,12 @@ class TestSQLPushdown:
         ],
     )
     def test_matches_python_yannakakis(self, free, atoms):
+        """Answers over SQLite's seam, and the Boolean statement, against
+        the memory backend."""
         q = ConjunctiveQuery(free, atoms)
         facts = self._graph()
-        assert evaluate_acyclic(q, SQLiteBackend(facts)) == evaluate_acyclic(
-            q, MemoryBackend(facts)
-        )
+        lite = SQLiteBackend(facts)
+        expected = evaluate_acyclic(q, MemoryBackend(facts))
+        assert evaluate_acyclic(q, lite) == expected
+        ordered = sorted(atoms)
+        assert lite.sql_yannakakis(ordered, join_tree_of_atoms(ordered)) is bool(expected)

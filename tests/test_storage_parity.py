@@ -5,8 +5,9 @@ Random workloads from :mod:`repro.workloads.generators` run against both
 backends through every evaluator the Session exposes — the top-down
 evaluators (``query``/``query_maximal``), the Theorem 6 DP (``ask``),
 and the Theorem 8/9 decision procedures (``is_partial``/``is_maximal``)
-— plus Yannakakis directly on acyclic CQs, which on SQLite takes the SQL
-semi-join pushdown path.
+— plus Yannakakis directly on acyclic CQs, whose answers run on the
+columnar kernels over either backend (``ask`` on SQLite decides its
+Boolean checks in SQL).
 """
 
 import pytest
@@ -79,22 +80,16 @@ def test_decision_procedure_parity(seed):
         )
 
 
-@pytest.mark.parametrize("mode", ["auto", "columnar"])
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10 ** 6),
     length=st.integers(min_value=1, max_value=4),
     rays=st.integers(min_value=1, max_value=3),
 )
-def test_acyclic_cq_parity_per_kernel_mode(mode, seed, length, rays):
-    # ``auto`` on SQLite is the whole-tree SQL pushdown; ``columnar``
-    # pins the Python kernels on both backends.
-    from repro.relalg.config import force_kernels
-
+def test_acyclic_cq_parity(seed, length, rays):
     mem, sql = _pair(seed, n_facts=30, domain_size=5)
-    with force_kernels(mode):
-        for q in (path_cq(length), star_cq(rays)):
-            assert Planner().evaluate_cq(q, mem) == Planner().evaluate_cq(q, sql)
+    for q in (path_cq(length), star_cq(rays)):
+        assert Planner().evaluate_cq(q, mem) == Planner().evaluate_cq(q, sql)
 
 
 @settings(max_examples=10, deadline=None)

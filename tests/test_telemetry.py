@@ -11,7 +11,6 @@ from repro.benchharness import stage_breakdown
 from repro.core.atoms import atom
 from repro.engine import Session
 from repro.planner.planner import Planner
-from repro.relalg.config import choose_kernel
 from repro.telemetry.export import (
     aggregate_spans,
     from_chrome_trace,
@@ -295,7 +294,7 @@ def test_analyze_end_to_end_on_example2_dp_path():
     runs = list(report.tracer.find("yannakakis"))
     assert runs and all("kernel" in run.attrs for run in runs)
     # Python semi-join passes report intermediate relation sizes; on a
-    # SQLite backend the whole tree runs as one SQL statement instead.
+    # SQLite backend each Boolean check runs as one SQL statement instead.
     semijoins = list(report.tracer.find("yannakakis.semijoin_up"))
     pushdowns = list(report.tracer.find("yannakakis.sql"))
     assert semijoins or pushdowns
@@ -321,8 +320,7 @@ def test_analyze_names_the_engine_that_ran_at_a_cyclic_node():
     report = session.analyze(p)
     assert report.n_answers == 2
     root, triangle = report.rows
-    assert (root["engine"], root["kernel"]) == ("yannakakis", choose_kernel(session.database))
-    assert (triangle["engine"], triangle["kernel"]) == ("naive", None)
+    assert (root["engine"], triangle["engine"]) == ("yannakakis", "naive")
     assert "once per distinct interface key" in triangle["theorem"]
     (evaluator,) = report.tracer.find("wdpt.maximal_homomorphisms")
     assert not [s for s in evaluator.walk() if s.name.startswith("planner.")]
@@ -354,7 +352,7 @@ def test_yannakakis_spans_carry_intermediate_sizes():
     for run in runs:
         phases = {child.name for child in run.children}
         if "yannakakis.sql" in phases:
-            # SQLite backend: the whole tree ran as one SQL statement.
+            # SQLite backend: the Boolean check ran as one SQL statement.
             assert run.attrs["kernel"] == "sql"
         else:
             # An empty scan ends the run; otherwise the sweeps follow.

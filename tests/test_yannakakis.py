@@ -1,6 +1,5 @@
 """Unit tests for Yannakakis' algorithm (cross-checked against naive)."""
 
-from contextlib import contextmanager
 from functools import reduce
 
 import pytest
@@ -27,7 +26,6 @@ from repro.cqalgs.yannakakis import (
 from repro.engine import Session
 from repro.exceptions import ClassMembershipError
 from repro.hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
-from repro.relalg.config import force_kernels
 from repro.relalg.relation import from_mappings, hash_join, project, scan, to_mappings
 from repro.storage import MemoryBackend, SQLiteBackend
 from repro.telemetry.tracer import tracing
@@ -174,13 +172,6 @@ def _packed(seed, db):
 CONFIGURATIONS = (MemoryBackend, SQLiteBackend)
 
 
-@contextmanager
-def _configured(backend, facts):
-    """``(db, label)`` with the columnar kernels pinned."""
-    with force_kernels("columnar"):
-        yield backend(facts), backend.__name__
-
-
 _ACYCLIC = settings(
     max_examples=150, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
@@ -205,24 +196,24 @@ def test_scan_schedule_stays_between_full_reduction_and_plain_scan(case):
     homs = [h for h in homomorphisms(atoms, oracle) if _joins(h, seed)]
     expected = frozenset(h.restrict(frees) for h in homs)
     for backend in CONFIGURATIONS:
-        with _configured(backend, facts) as (db, config):
-            relations = scan_schedule(atoms, links, db, _packed(seed, db))
-            if relations is None:
-                assert not homs, config
-            else:
-                for a, rel in zip(atoms, relations):
-                    plain = scan(a, db)
-                    assert rel.schema == plain.schema, config
-                    assert set(rel.rows) <= set(plain.rows), config
-                    assert len(set(rel.rows)) == len(rel.rows), config
-                    reduced = from_mappings(homs, rel.schema, db)
-                    assert set(reduced.rows) <= set(rel.rows), config
-            answers = relation_with_join_tree(
-                atoms, links, db, frees, seed=_packed(seed, db)
-            )
-            assert to_mappings(answers) == expected, config
-            if seed is None:
-                assert satisfiable_with_join_tree(atoms, links, db) is bool(homs), config
+        db, config = backend(facts), backend.__name__
+        relations = scan_schedule(atoms, links, db, _packed(seed, db))
+        if relations is None:
+            assert not homs, config
+        else:
+            for a, rel in zip(atoms, relations):
+                plain = scan(a, db)
+                assert rel.schema == plain.schema, config
+                assert set(rel.rows) <= set(plain.rows), config
+                assert len(set(rel.rows)) == len(rel.rows), config
+                reduced = from_mappings(homs, rel.schema, db)
+                assert set(reduced.rows) <= set(rel.rows), config
+        answers = relation_with_join_tree(
+            atoms, links, db, frees, seed=_packed(seed, db)
+        )
+        assert to_mappings(answers) == expected, config
+        if seed is None:
+            assert satisfiable_with_join_tree(atoms, links, db) is bool(homs), config
 
 
 @_ACYCLIC
@@ -233,15 +224,15 @@ def test_semijoin_program_ends_in_the_full_reduction(case):
     links = join_tree_of_atoms(atoms)
     homs = list(homomorphisms(atoms, MemoryBackend(facts)))
     for backend in CONFIGURATIONS:
-        with _configured(backend, facts) as (db, config):
-            relations = scan_schedule(atoms, links, db)
-            alive = relations is not None and semijoin_reduce(
-                relations, join_tree_shape(links, len(atoms))
-            )
-            assert alive is bool(homs), config
-            for rel in relations if alive else ():
-                used = set(from_mappings(homs, rel.schema, db).rows)
-                assert len(rel.rows) == len(used) and set(rel.rows) == used, config
+        db, config = backend(facts), backend.__name__
+        relations = scan_schedule(atoms, links, db)
+        alive = relations is not None and semijoin_reduce(
+            relations, join_tree_shape(links, len(atoms))
+        )
+        assert alive is bool(homs), config
+        for rel in relations if alive else ():
+            used = set(from_mappings(homs, rel.schema, db).rows)
+            assert len(rel.rows) == len(used) and set(rel.rows) == used, config
 
 
 @_ACYCLIC
@@ -253,13 +244,12 @@ def test_payload_equality_classes_survive_the_term_dictionary(case):
     atoms, facts, frees, seed = case
     db = MemoryBackend(facts)
     homs = [h for h in homomorphisms(atoms, db) if _joins(h, seed)]
-    with force_kernels("columnar"):
-        answers = relation_with_join_tree(
-            atoms, join_tree_of_atoms(atoms), db, frees, seed=_packed(seed, db)
-        )
-        assert to_mappings(answers) == frozenset(h.restrict(frees) for h in homs)
-        query = ConjunctiveQuery(sorted(frees), atoms)
-        assert frozenset(enumerate_answers(query, db)) == evaluate_naive(query, db)
+    answers = relation_with_join_tree(
+        atoms, join_tree_of_atoms(atoms), db, frees, seed=_packed(seed, db)
+    )
+    assert to_mappings(answers) == frozenset(h.restrict(frees) for h in homs)
+    query = ConjunctiveQuery(sorted(frees), atoms)
+    assert frozenset(enumerate_answers(query, db)) == evaluate_naive(query, db)
 
 
 @_ACYCLIC
@@ -269,11 +259,11 @@ def test_enumeration_emits_every_answer_once(case):
     query = ConjunctiveQuery(sorted(frees), atoms)
     expected = evaluate_naive(query, MemoryBackend(facts))
     for backend in CONFIGURATIONS:
-        with _configured(backend, facts) as (db, config):
-            emitted = list(enumerate_answers(query, db))
-            assert len(emitted) == len(expected), config
-            assert frozenset(emitted) == expected, config
-            assert list(enumerate_answers(query, db, limit=2)) == emitted[:2], config
+        db, config = backend(facts), backend.__name__
+        emitted = list(enumerate_answers(query, db))
+        assert len(emitted) == len(expected), config
+        assert frozenset(emitted) == expected, config
+        assert list(enumerate_answers(query, db, limit=2)) == emitted[:2], config
 
 
 @_ACYCLIC
@@ -336,7 +326,7 @@ def test_band_query_root_label_reads_a_handful_of_facts():
         "OPTIONAL { ?x NME_rating ?z } }"
     )
     with Session(graph, backend="memory", cache=False) as session:
-        with force_kernels("columnar"), tracing() as tracer:
+        with tracing() as tracer:
             answers = session.query(text).answers
         db = session.database
         root = next(run for run in tracer.find("yannakakis") if run.attrs["atoms"] == 2)
@@ -365,14 +355,12 @@ def test_schedule_asks_for_one_bound_per_atom():
     x = Variable("x")
     db = Counting(facts)
     seed = from_mappings([Mapping({x: value}) for value in (1, 4, 5)], [x], db)
-    with force_kernels("columnar"):
-        rel = relation_with_join_tree(atoms, [(1, 0)], db, {x}, seed=seed)
+    rel = relation_with_join_tree(atoms, [(1, 0)], db, {x}, seed=seed)
     assert to_mappings(rel) == {Mapping({x: 1}), Mapping({x: 4})}
     assert db.bounds == 2
     # A lone atom is ordered against nobody: only a seeded scan wants its bound.
     db.bounds = 0
-    with force_kernels("columnar"):
-        relation_with_join_tree(atoms[:1], [], db, {x})
-        assert db.bounds == 0
-        relation_with_join_tree(atoms[:1], [], db, {x}, seed=seed)
-        assert db.bounds == 1
+    relation_with_join_tree(atoms[:1], [], db, {x})
+    assert db.bounds == 0
+    relation_with_join_tree(atoms[:1], [], db, {x}, seed=seed)
+    assert db.bounds == 1
