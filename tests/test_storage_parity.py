@@ -16,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.core.atoms import constants_of  # noqa: E402
 from repro.engine import Session  # noqa: E402
 from repro.planner.planner import Planner  # noqa: E402
 from repro.storage import MemoryBackend, SQLiteBackend  # noqa: E402
@@ -80,16 +81,42 @@ def test_decision_procedure_parity(seed):
         )
 
 
+class _NoPushdownSQLite(SQLiteBackend):
+    """SQLite without the Boolean ``EXISTS`` statement: every run, Boolean
+    or not, goes to the columnar kernels over ``rows``/``probe``."""
+
+    supports_sql_yannakakis = False
+
+    def sql_yannakakis(self, atoms, links):
+        raise AssertionError("a backend without the pushdown entered it")
+
+
+@pytest.mark.parametrize("mode", ["auto", "columnar"])
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10 ** 6),
     length=st.integers(min_value=1, max_value=4),
     rays=st.integers(min_value=1, max_value=3),
 )
-def test_acyclic_cq_parity(seed, length, rays):
-    mem, sql = _pair(seed, n_facts=30, domain_size=5)
+def test_acyclic_cq_parity_per_kernel_mode(mode, seed, length, rays):
+    # Answers run on the columnar kernels over both backends.  ``auto``
+    # leaves SQLite's Boolean checks to its own ``EXISTS`` statement;
+    # ``columnar`` takes that statement away, so they run on the columnar
+    # kernels over SQLite's ``rows``/``probe`` seam too.
+    facts = random_database(
+        30, relations=RELATIONS, domain_size=5, seed=seed
+    ).facts()
+    mem = MemoryBackend(facts)
+    sql = SQLiteBackend(facts) if mode == "auto" else _NoPushdownSQLite(facts)
+    planner = Planner()
     for q in (path_cq(length), star_cq(rays)):
-        assert Planner().evaluate_cq(q, mem) == Planner().evaluate_cq(q, sql)
+        assert planner.evaluate_cq(q, mem) == planner.evaluate_cq(q, sql)
+        profile = planner.profile_cq(q)
+        first = sorted(q.free_variables, key=repr)[0]
+        for bind in [{}] + [{first: c} for c in sorted(constants_of(facts), key=repr)]:
+            assert planner.satisfiable_substituted(
+                profile, bind, mem
+            ) is planner.satisfiable_substituted(profile, bind, sql)
 
 
 @settings(max_examples=10, deadline=None)
