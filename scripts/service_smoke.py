@@ -21,7 +21,8 @@ intermediate-rows budget).  The driver:
 4. storms beta's single-slot tier with concurrent clients and checks
    that at least one request was shed with ``429`` + ``Retry-After``;
 5. asserts the whole story is visible in ``/metrics`` and ``/healthz``
-   (per-tenant admitted/shed counters, cache series).
+   (per-tenant admitted/shed counters, cache series), and that the
+   cyclic garbage collector is on again after all of it.
 
 Exits 0 when every check passes, 1 otherwise.  Network access is only to
 the given base URL — this is an offline CI check.
@@ -199,6 +200,11 @@ def main(argv):
           "healthz admitted_total >= 8 (got %d)" % admission["admitted_total"])
     check(admission["shed_total"] >= 1,
           "healthz shed_total >= 1 (got %d)" % admission["shed_total"])
+    # Steps 1-4 ran concurrent evaluations on the executor threads and a
+    # budget-killed query: every collector pause they took is released.
+    check(health["runtime"]["gc_enabled"] is True,
+          "healthz runtime.gc_enabled is true (got %r)"
+          % health["runtime"]["gc_enabled"])
     status, tenants, _ = request(base, "/tenants")
     check("alpha-key" not in json.dumps(tenants),
           "/tenants never exposes raw API keys")

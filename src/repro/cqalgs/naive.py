@@ -203,7 +203,10 @@ def _search(
                 entry = [row for row in entry if row[at] == assignment[slot]]
         return entry
 
-    def extend(remaining: List[int]) -> Iterator[List[Any]]:
+    # ``extend`` recurses through its ``again`` argument, not through a
+    # closure cell holding itself: a self-referencing closure is a
+    # reference cycle per search, which only the cyclic collector frees.
+    def extend(remaining: List[int], again) -> Iterator[List[Any]]:
         if not remaining:
             yield assignment
             return
@@ -229,7 +232,7 @@ def _search(
                 if not alive:
                     break
             if alive:
-                yield from extend(rest)
+                yield from again(rest, again)
             while undo:
                 i, before = undo.pop()
                 candidates[i] = before
@@ -237,4 +240,4 @@ def _search(
                 assignment[slot] = None
         is_open[chosen] = True
 
-    return extend(list(range(len(rows))))
+    return extend(list(range(len(rows))), extend)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from ..collector import collector_paused
 from ..core.atoms import Atom
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
@@ -103,18 +104,21 @@ def satisfiable_with_decomposition(
 def _evaluate_with_decomposition(
     query: ConjunctiveQuery, db: Database, td: TreeDecomposition
 ) -> FrozenSet[Mapping]:
-    relations = _bag_relations(query.atoms, td, db)
-    if relations is None:
-        return frozenset()
-    if not relations:
-        # Purely ground query that passed all filters: the empty mapping.
-        return frozenset([Mapping()]) if not query.free_variables else frozenset()
-    tree = join_tree_shape(_decomposition_links(td), len(relations))
-    if not semijoin_reduce(relations, tree):
-        return frozenset()
-    return to_mappings(
-        columnar_join_phase(frozenset(query.free_variables), relations, tree)
-    )
+    # Bags, sweeps, join phase and answers allocate no reference cycles:
+    # the cyclic collector is paused for the whole build.
+    with collector_paused:
+        relations = _bag_relations(query.atoms, td, db)
+        if relations is None:
+            return frozenset()
+        if not relations:
+            # Purely ground query that passed all filters: the empty mapping.
+            return frozenset([Mapping()]) if not query.free_variables else frozenset()
+        tree = join_tree_shape(_decomposition_links(td), len(relations))
+        if not semijoin_reduce(relations, tree):
+            return frozenset()
+        return to_mappings(
+            columnar_join_phase(frozenset(query.free_variables), relations, tree)
+        )
 
 
 def _bag_relations(

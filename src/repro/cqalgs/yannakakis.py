@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..collector import collector_paused
 from ..core.atoms import Atom
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
@@ -105,10 +106,12 @@ def evaluate_with_join_tree(
     links: Sequence[Tuple[int, int]],
 ) -> FrozenSet[Mapping]:
     """Yannakakis over an explicit join tree (``links``: child→parent):
-    :func:`relation_with_join_tree` unpacked at the ``Mapping`` boundary."""
-    return to_mappings(
-        relation_with_join_tree(atoms, links, db, query.free_variables)
-    )
+    :func:`relation_with_join_tree` unpacked at the ``Mapping`` boundary,
+    the two under one pause of the cyclic collector."""
+    with collector_paused:
+        return to_mappings(
+            relation_with_join_tree(atoms, links, db, query.free_variables)
+        )
 
 
 def relation_with_join_tree(
@@ -124,6 +127,9 @@ def relation_with_join_tree(
     the answers that join with it — ``semijoin(answers, seed)`` — without
     computing the others first: the scan schedule filters every atom
     that shares a variable with it.
+
+    The run allocates no reference cycles, so the cyclic collector is
+    paused for it (:mod:`repro.collector`).
     """
     frees = frozenset(frees)
     if seed is not None and not frees.issuperset(seed.schema):
@@ -132,7 +138,8 @@ def relation_with_join_tree(
         )
     if not atoms or (seed is not None and not seed.rows):
         return Relation(sorted(frees, key=repr), [], db.codec)
-    return _run(atoms, links, db, frees, seed, False)
+    with collector_paused:
+        return _run(atoms, links, db, frees, seed, False)
 
 
 def satisfiable_with_join_tree(

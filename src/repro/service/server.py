@@ -60,6 +60,7 @@ the tests hammer it).
 from __future__ import annotations
 
 import asyncio
+import gc
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -250,7 +251,7 @@ class ServiceServer:
 
     def health(self) -> Dict[str, Any]:
         """The ``/healthz`` payload — the MetricsServer fields (identical
-        semantics) plus the service block."""
+        semantics) plus the service and runtime blocks."""
         payload = self._obs.health()
         payload["status"] = "draining" if self._draining else "ok"
         payload["uptime_seconds"] = (
@@ -265,6 +266,9 @@ class ServiceServer:
             "data_version": self.database.data_version,
             "facts": len(self.database),
         }
+        # Answer builds pause the cyclic collector: off while no query
+        # runs means a pause leaked.
+        payload["runtime"] = {"gc_enabled": gc.isenabled()}
         return payload
 
     # ------------------------------------------------------------------

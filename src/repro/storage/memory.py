@@ -71,7 +71,9 @@ class _Passthrough(dict):
 class TermDictionary:
     """The append-only ``Constant ↔ int`` dictionary of one backend.
 
-    ``encode`` and ``decode`` are C-level dict lookups.  Reading never
+    ``decode`` is a C-level dict lookup on an ``int``; ``encode`` is one
+    on a ``Constant``, which hashes through its Python ``__hash__`` (a
+    cached value) and compares through ``__eq__`` on a hit.  Reading never
     writes: a constant the store has never seen has no code, is its own
     cell (``encode(c) is c``, ``decode(c) is c``) and, being no ``int``,
     equals no stored cell — so a server does not grow its dictionary from

@@ -58,6 +58,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..collector import collector_paused
 from .context import trace_context_for_thread
 from .metrics import MetricsRegistry
 from .tracer import active_span_for_thread, set_span_registry
@@ -252,14 +253,11 @@ class SamplingProfiler:
         self.ticks += 1
         # CPython before 3.11.8/3.12.2 (gh-106883) can deadlock the whole
         # process when a collection starts inside sys._current_frames():
-        # it allocates while holding the runtime's thread-list lock.
-        gc_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        # it allocates while holding the runtime's thread-list lock.  The
+        # walk takes the process's one collector pause, which answer builds
+        # on other threads share, so no interleaving leaves it off.
+        with collector_paused:
             frames = sys._current_frames()
-        finally:
-            if gc_enabled:
-                gc.enable()
         collected: List[Sample] = []
         for ident, frame in list(frames.items()):
             if ident == own_ident:

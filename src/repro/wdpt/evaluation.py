@@ -37,6 +37,10 @@ node, over relations (:mod:`repro.relalg`), never per parent mapping.
 3. *Mapping boundary.*  Relations become ``Mapping`` objects once, at
    the final answer set.
 
+A run allocates no reference cycles, so it holds one pause of the cyclic
+collector (:mod:`repro.collector`) from the root's node relation
+to the last answer.
+
 :func:`evaluate` returns only ``x̄``-projections, so it projects every
 node's output onto the free and interface variables as it goes, and it
 skips (node ids unchanged) every node outside the keep-set of
@@ -55,6 +59,7 @@ import time
 from operator import mul
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from ..collector import collector_paused
 from ..core.database import Database
 from ..core.mappings import Mapping, maximal_mappings
 from ..core.terms import Variable
@@ -291,7 +296,9 @@ def _evaluate_tree(
     frees: Optional[FrozenSet[Variable]],
 ) -> FrozenSet[Mapping]:
     tracer = current_tracer()
-    with tracer.span("wdpt.maximal_homomorphisms") as sp:
+    # The node relations, their extensions and the answers allocate no
+    # reference cycles: the cyclic collector is paused for the whole run.
+    with collector_paused, tracer.span("wdpt.maximal_homomorphisms") as sp:
         run = _TreeEvaluation(p, db, profile, frees, tracer.enabled)
         out = run.extensions(ROOT, run.node_relation(ROOT, None))
         if tracer.enabled:
