@@ -21,9 +21,9 @@ algorithms of Sections 3 through the planner's engine router.
 :meth:`Session.stats` reports the accumulated counters (cache hit rates,
 per-engine selections, analysis vs. engine time).
 
-A query runs start to finish on the thread that asked for it;
-:meth:`Session.run_batch` decides many ``ask`` pairs in worker processes
-(:mod:`repro.parallel`).
+A query runs start to finish on the thread that asked for it.  Many
+verdicts are a loop, ``[session.ask(q, h) for q, h in pairs]``
+(DESIGN.md, "Batches").
 
 The Session accepts any :class:`~repro.storage.base.StorageBackend`
 (:class:`~repro.core.database.Database`/
@@ -189,8 +189,8 @@ class Session:
     >>> s.size
     1
 
-    A session is also a context manager — leaving the block shuts down
-    the worker processes :meth:`run_batch` started:
+    A session is also a context manager; leaving the block calls
+    :meth:`close`:
 
     >>> with Session([atom("E", 1, 2)]) as s:
     ...     s.size
@@ -257,10 +257,6 @@ class Session:
         self.budgets = budgets
         #: Account resources even without budgets (``Result.resources``).
         self.track_resources = bool(track_resources or budgets is not None)
-        # run_batch's process pool and the (jobs, backend_id,
-        # data_version) it was built at.
-        self._pool = None
-        self._pool_key: Optional[tuple] = None
         # Live observability state backing the /debug/queries endpoint:
         # observations currently inside their ``with`` block, plus a
         # bounded ring of finished ones.
@@ -272,63 +268,11 @@ class Session:
         # queries on other threads keep their cache.
         self._cache_bypass = threading.local()
 
-    # ------------------------------------------------------------------
-    # Batch decisions (repro.parallel.batch)
-    # ------------------------------------------------------------------
-    def run_batch(self, pairs, jobs: Optional[int] = None) -> List[bool]:
-        """``[self.ask(q, h) for q, h in pairs]``, decided ``jobs`` at a
-        time in worker processes (``None``: that loop, run here).
-
-        Worth it past a few hundred pairs (DESIGN.md, "Batches"); below
-        that the loop is as fast.
-
-        >>> from repro.workloads.families import example2_graph
-        >>> s = Session(example2_graph())
-        >>> q = ("SELECT ?x ?z WHERE { ?x recorded_by ?y "
-        ...      "OPTIONAL { ?x NME_rating ?z } }")
-        >>> pairs = [(q, h) for h in sorted(s.query(q).answers, key=repr)]
-        >>> s.run_batch(pairs, jobs=2) == [s.ask(q, h) for q, h in pairs]
-        True
-        >>> s.close()
-        """
-        from .parallel.batch import run_batch
-
-        return run_batch(self, pairs, jobs=jobs)
-
-    def _pool_for(self, jobs: int):
-        """The session's process pool with ``jobs`` workers, each holding
-        a copy of this database — built on first use, and rebuilt when
-        the worker count or the database's ``(backend_id, data_version)``
-        has moved since, so no worker answers from stale facts."""
-        db = self.database
-        key = (jobs, db.backend_id, db.data_version)
-        if self._pool_key != key:
-            self.close()
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            from .parallel.batch import _init_process_worker
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_init_process_worker,
-                initargs=(
-                    db,
-                    self.budgets,
-                    self.track_resources,
-                    self.result_cache is not None,
-                    self.obslog is not None,
-                ),
-            )
-            self._pool_key = key
-        return self._pool
-
     def close(self) -> None:
-        """Shut down the worker processes :meth:`run_batch` started
-        (idempotent; a closed session still answers queries)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-        self._pool = self._pool_key = None
+        """Release nothing: a session holds no processes or handles of
+        its own (its backend is the caller's to close).  Kept so callers
+        can treat a session as a resource; a closed session still answers
+        queries."""
 
     def __enter__(self) -> "Session":
         return self

@@ -83,7 +83,7 @@ class ResourceBudgetExceeded(ReproError):
         super().__init__(message)
 
     def __reduce__(self):
-        # A kill inside a batch worker process crosses back by pickle.
+        # Pickle by fields: the default would call ``__init__(message)``.
         return (
             type(self), (self.dimension, self.limit, self.observed, self.trace_id)
         )

@@ -65,16 +65,9 @@ class PlanCache:
                 self.evictions += 1
             return value
 
-    def peek(self, key: Hashable) -> Optional[Any]:
-        """The cached value without refreshing recency or counting a
-        hit/miss — for introspection (``stats``) paths that must not
-        perturb the LRU order."""
-        with self._lock:
-            return self._data.get(key)
-
     def values_snapshot(self) -> list:
         """A point-in-time copy of the cached values, taken under the
-        lock — safe to iterate while pool workers keep inserting
+        lock — safe to iterate while other threads keep inserting
         (``Planner.stats`` aggregates per-profile counters from it)."""
         with self._lock:
             return list(self._data.values())

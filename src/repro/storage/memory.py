@@ -419,8 +419,8 @@ class MemoryBackend(StorageBackend):
         clone._version = self._version
         return clone
 
-    # Pickling (repro.parallel's process executor ships the database to
-    # workers): reconstruct from facts + schema, then restore identity.
+    # Pickling (a copy for another interpreter): reconstruct from facts
+    # + schema, then restore identity.
     def __reduce__(self):
         return (
             _restore_memory_backend,

@@ -48,9 +48,9 @@ Three capabilities the in-memory backend does not have:
 * **Concurrency** — the connection is shared across threads behind an
   ``RLock`` (the query service's executor threads may issue matches
   concurrently); pickling ships the facts (or, on disk, the path), so
-  ``repro.parallel``'s worker processes work too.  A process that
-  reopens the path sees every commit made before it opened, and WAL
-  readers do not block the writer.
+  a copy can cross to another interpreter.  A process that reopens the
+  path sees every commit made before it opened, and WAL readers do not
+  block the writer.
 """
 
 from __future__ import annotations
@@ -679,7 +679,7 @@ class SQLiteBackend(StorageBackend):
         When this is the last connection to an on-disk file, SQLite
         checkpoints the write-ahead log into the main file and deletes the
         ``-wal``/``-shm`` sidecars: the main file alone then holds every
-        fact.  While another connection (a worker process, a second
+        fact.  While another connection (another process, a second
         backend on the same path) still has the file open, the log stays
         and belongs to the database.  Closing is not needed for
         durability — every acknowledged commit is already on disk."""

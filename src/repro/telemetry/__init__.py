@@ -11,7 +11,7 @@
 * :mod:`repro.telemetry.resources` — per-query resource accounting and
   soft/hard budgets;
 * :mod:`repro.telemetry.context` — the per-query ``trace_id`` correlation
-  context, shipped into process workers with each batch task;
+  context;
 * :mod:`repro.telemetry.promhttp` — a stdlib ``/metrics`` + ``/healthz``
   + ``/debug/*`` endpoint serving the Prometheus text exposition and
   live plan/query snapshots;
@@ -54,7 +54,6 @@ from .profiler import (
     PROFILE_SCHEMA,
     SamplingProfiler,
     current_profiler,
-    ensure_profiler,
     folded_stacks,
     folded_text,
     gc_summary,
@@ -94,7 +93,6 @@ from .export import (
     from_chrome_trace,
     render_stage_breakdown,
     render_trace,
-    span_from_dict,
     to_chrome_trace,
     trace_to_dict,
     trace_to_json,
@@ -127,7 +125,6 @@ __all__ = [
     "PROFILE_SCHEMA",
     "SamplingProfiler",
     "current_profiler",
-    "ensure_profiler",
     "folded_stacks",
     "folded_text",
     "gc_summary",
@@ -162,7 +159,6 @@ __all__ = [
     "from_chrome_trace",
     "render_stage_breakdown",
     "render_trace",
-    "span_from_dict",
     "to_chrome_trace",
     "trace_to_dict",
     "trace_to_json",

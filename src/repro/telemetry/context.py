@@ -1,9 +1,8 @@
 """Trace-correlation context: one ``trace_id`` per top-level query.
 
 A trace id names one logical query execution end to end: every span,
-obslog line, and resource-budget event it produces — on the calling
-thread and inside batch worker processes — carries the same id, so
-operators can stitch the pieces back together after the fact
+obslog line, and resource-budget event it produces carries the same id,
+so operators can stitch the pieces back together after the fact
 (``grep trace_id=… query-log.jsonl``).
 
 The context is a plain thread-local, mirroring
@@ -16,17 +15,8 @@ The context is a plain thread-local, mirroring
 * :func:`new_trace_id` mints ids (uuid4, 16 hex chars — short enough to
   read, long enough not to collide within one log).
 
-Worker processes do not inherit thread-locals; :mod:`repro.parallel.batch`
-ships the trace id inside each task tuple and the worker re-installs it
-before evaluating (see ``_run_process_task``).
-
-The same thread-local holds the **worker id** of a :mod:`repro.parallel`
-worker process (``p<pid>``; ``None`` everywhere else): the worker stamps
-it with :func:`set_worker_id` once, the query log reads it with
-:func:`current_worker_id` and attaches it to the records a worker emits.
-
 Telemetry stays dependency-light: this module imports only the standard
-library and is imported by obslog, resources, and the parallel layer.
+library and is imported by obslog, resources, and the profiler.
 """
 
 from __future__ import annotations
@@ -39,11 +29,9 @@ from typing import Dict, Iterator, Optional, Tuple
 __all__ = [
     "current_trace_id",
     "current_span_id",
-    "current_worker_id",
     "new_trace_id",
     "new_span_id",
     "set_trace_context",
-    "set_worker_id",
     "trace_context",
     "trace_context_for_thread",
     "ensure_trace_id",
@@ -57,7 +45,7 @@ _context = threading.local()
 # its own daemon thread to the trace in flight on the *sampled* thread.
 # set_trace_context maintains this map as a side channel: dict item
 # operations are atomic under the GIL, and the map is touched once per
-# query / pool task — never in evaluation hot loops.
+# query — never in evaluation hot loops.
 _threads: Dict[int, Tuple[Optional[str], Optional[str]]] = {}
 
 
@@ -81,23 +69,11 @@ def current_span_id() -> Optional[str]:
     return getattr(_context, "span_id", None)
 
 
-def current_worker_id() -> Optional[str]:
-    """The id of the batch worker running this thread, or ``None`` outside
-    a worker.  The query log attaches it to events as ``worker``."""
-    return getattr(_context, "worker_id", None)
-
-
-def set_worker_id(worker_id: str) -> None:
-    """Mark this thread as the batch worker ``worker_id`` for good: a
-    worker process runs nothing but batch tasks."""
-    _context.worker_id = worker_id
-
-
 def set_trace_context(
     trace_id: Optional[str], span_id: Optional[str] = None
 ) -> Tuple[Optional[str], Optional[str]]:
     """Install ``(trace_id, span_id)`` on this thread; return the previous
-    pair so callers can restore it (pool envelopes, nested queries)."""
+    pair so callers can restore it (nested queries)."""
     previous = (current_trace_id(), current_span_id())
     _context.trace_id = trace_id
     _context.span_id = span_id

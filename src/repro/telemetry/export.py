@@ -37,12 +37,9 @@ SPAN_ATTR_TYPES: Dict[str, tuple] = {
     "kernel": (str,),
     "kind": (str,),
     "op": (str,),
-    "worker": (str,),
     "trace_id": (str,),
     "query": (str,),
     "atoms": (int,),
-    "index": (int,),
-    "jobs": (int,),
     "rows": (int,),
     "node_stats": (dict,),
 }
@@ -97,20 +94,6 @@ def write_chrome_trace(tracer: Tracer, path: str) -> int:
     with open(path, "w") as handle:
         json.dump(events, handle, indent=1)
     return len(events)
-
-
-def span_from_dict(payload: Dict[str, Any]) -> Span:
-    """Rebuild one span (and its subtree) from :meth:`Span.to_dict` output.
-
-    The inverse of the structured-dict exporter, up to the tracer link;
-    ``repro.parallel.batch`` uses it to graft spans recorded inside a
-    process worker back into the parent's tracer.
-    """
-    span = Span(payload.get("name", "span"), payload.get("attrs") or {})
-    span.start = float(payload.get("start", 0.0))
-    span.end = span.start + float(payload.get("duration", 0.0))
-    span.children = [span_from_dict(c) for c in payload.get("children", ())]
-    return span
 
 
 def from_chrome_trace(events: Iterable[Dict[str, Any]]) -> List[Span]:

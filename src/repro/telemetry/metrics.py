@@ -135,20 +135,6 @@ class Histogram:
                 self.max = value
             self._values.append(value)
 
-    def merge(
-        self, count: int, sum_: float, max_: float, values: Sequence[float]
-    ) -> None:
-        """Fold another histogram's state in: exact ``count``/``sum``/
-        ``max``, plus its retained observations for the quantile reservoir
-        (the merged quantiles are estimates over the union of reservoirs).
-        Used by :meth:`MetricsRegistry.merge_dump`."""
-        with self._lock:
-            self.count += int(count)
-            self.sum += float(sum_)
-            if max_ > self.max:
-                self.max = float(max_)
-            self._values.extend(float(v) for v in values)
-
     def quantile(self, q: float) -> Optional[float]:
         """The ``q``-quantile (0 ≤ q ≤ 1) of the retained observations,
         by the nearest-rank method; ``None`` before any observation."""
@@ -234,50 +220,6 @@ class MetricsRegistry:
                               labels=labels),
                 )
         return instrument
-
-    # ------------------------------------------------------------------
-    # Cross-process merge (repro.parallel's process executor)
-    # ------------------------------------------------------------------
-    def dump(self) -> Dict[str, Any]:
-        """A picklable, lossless-enough dump of every instrument: counter
-        and gauge values, histogram count/sum/max plus the retained
-        quantile reservoir.  Process-pool workers ship these back to the
-        parent, which folds them in with :meth:`merge_dump`."""
-        return {
-            "counters": [
-                (name, labels, c.value)
-                for (name, labels), c in sorted(self._counters.items())
-            ],
-            "gauges": [
-                (name, labels, g.value)
-                for (name, labels), g in sorted(self._gauges.items())
-            ],
-            "histograms": [
-                (name, labels, h.count, h.sum, h.max, list(h._values),
-                 h.quantiles)
-                for (name, labels), h in sorted(self._histograms.items())
-            ],
-        }
-
-    def merge_dump(self, dump: Mapping[str, Any]) -> None:
-        """Fold a worker registry's :meth:`dump` into this registry:
-        counters add, gauges take the dumped value (last merge wins), and
-        histograms merge exactly in count/sum/max with reservoir-union
-        quantiles.  Merging the same dumps in the same order always yields
-        the same registry state — the batch layer merges in task order, so
-        batch metrics are deterministic regardless of which worker ran
-        which task."""
-        for name, labels, value in dump.get("counters", ()):
-            self.counter(name, dict(labels)).inc(value)
-        for name, labels, value in dump.get("gauges", ()):
-            if value is not None:
-                self.gauge(name, dict(labels)).set(value)
-        for name, labels, count, sum_, max_, values, quantiles in dump.get(
-            "histograms", ()
-        ):
-            self.histogram(
-                name, quantiles=tuple(quantiles), labels=dict(labels)
-            ).merge(count, sum_, max_, values)
 
     def counters_with_prefix(self, prefix: str) -> Dict[str, float]:
         """``{suffix: value}`` for every unlabeled counter named

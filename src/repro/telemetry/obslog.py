@@ -49,12 +49,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
-from .context import (
-    current_trace_id,
-    current_worker_id,
-    ensure_trace_id,
-    set_trace_context,
-)
+from .context import current_trace_id, ensure_trace_id, set_trace_context
 from .resources import ResourceMonitor
 from .tracer import NULL_TRACER, Tracer, current_tracer, set_tracer
 
@@ -153,20 +148,11 @@ class QueryLog:
     def emit(self, event: str, **fields: Any) -> Dict[str, Any]:
         """Record one event; returns the complete record.
 
-        Events emitted inside a :mod:`repro.parallel` worker process are
-        stamped with the worker's id as ``worker`` (``p<pid>``), so
-        interleaved batch logs can be attributed; the id lives beside the
-        trace context (:func:`~repro.telemetry.context.current_worker_id`).
-
         When a trace context is active on the emitting thread
         (:mod:`repro.telemetry.context`), the record is stamped with its
         ``trace_id`` — the correlation key that ties a query's obslog
-        lines, spans, and resource accounting together across workers.
+        lines, spans, and resource accounting together.
         """
-        if "worker" not in fields:
-            worker = current_worker_id()
-            if worker is not None:
-                fields["worker"] = worker
         if "trace_id" not in fields:
             trace_id = current_trace_id()
             if trace_id is not None:
@@ -174,15 +160,10 @@ class QueryLog:
         record: Dict[str, Any] = {
             "event": event,
             "ts": self._clock(),
-            "seq": 0,  # assigned under the lock by _append
+            "seq": 0,  # assigned under the lock below
             "schema": OBSLOG_SCHEMA,
         }
         record.update(fields)
-        self._append(record)
-        return record
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        """Sequence ``record`` and push it to the ring and the sink."""
         with self._lock:
             if (
                 self._path is not None
@@ -194,6 +175,7 @@ class QueryLog:
             self._seq += 1
             record["seq"] = self._seq
             self._push_locked(record)
+        return record
 
     def _push_locked(self, record: Dict[str, Any]) -> None:
         self._ring.append(record)
@@ -237,26 +219,6 @@ class QueryLog:
             "max_bytes": self.max_bytes,
             "backup_count": self.backup_count,
         })
-
-    def absorb(self, records: Iterable[Dict[str, Any]]) -> int:
-        """Fold records shipped back from a process worker into this log.
-
-        Each record keeps its original fields — event, timestamp,
-        ``trace_id``, ``worker`` — but is re-sequenced locally (``seq`` is
-        per-log, and the worker's counter means nothing here).  Returns
-        how many records were absorbed.  This is how ``run_batch`` makes
-        one obslog tell the whole story of a process-fanned batch.
-        """
-        count = 0
-        for record in records:
-            if not isinstance(record, dict) or "event" not in record:
-                continue
-            copied = dict(record)
-            copied["schema"] = OBSLOG_SCHEMA
-            copied.setdefault("ts", self._clock())
-            self._append(copied)
-            count += 1
-        return count
 
     def recent(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
         """The most recent ``n`` records (all retained ones by default)."""
@@ -443,8 +405,8 @@ class QueryObservation:
         return self.log is not None and self.log.slow_threshold is not None
 
     def __enter__(self) -> "QueryObservation":
-        # One trace id per top-level query: reuse an ambient context (a
-        # batch established one) or mint and own a fresh one.
+        # One trace id per top-level query: reuse an ambient context (the
+        # caller established one) or mint and own a fresh one.
         self.trace_id, self._owns_trace = ensure_trace_id()
         # Slow-query capture needs a recorded trace to build the EXPLAIN
         # ANALYZE profile from; install a fresh tracer only if none is on.

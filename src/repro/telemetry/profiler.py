@@ -26,12 +26,6 @@ answers it with a stdlib stack sampler:
   :func:`validate_folded` check the emitted artifacts (used by
   ``scripts/validate_trace.py`` and the CI ``profile-smoke`` job).
 
-* Sample tuples are plain picklable data, so the worker processes of an
-  ``ask`` batch ship their sample batches back inside the result
-  envelopes (:mod:`repro.parallel.batch`) and the parent profiler absorbs
-  them with :meth:`SamplingProfiler.absorb_dump` — one merged profile for
-  a parallel batch, every sample still tagged with its trace id.
-
 * :class:`GCMonitor` adds runtime health gauges via ``gc.callbacks``:
   a ``gc.pause_ms`` histogram and per-generation collection counters in
   the profiler's :class:`~repro.telemetry.metrics.MetricsRegistry`,
@@ -81,7 +75,6 @@ __all__ = [
     "validate_folded",
     "current_profiler",
     "profiler_active",
-    "ensure_profiler",
     "profiling",
 ]
 
@@ -92,8 +85,7 @@ DEFAULT_MAX_SAMPLES = 200_000
 DEFAULT_MAX_DEPTH = 128
 SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
-# A sample is a plain tuple so it pickles cheaply through process-pool
-# envelopes and snapshots without copying object graphs:
+# A sample is a plain tuple, so snapshots copy no object graphs:
 #   (ts, thread_ident, frames, trace_id, span_name, phase)
 # where ``frames`` is a root-first tuple of "file.py:function" labels.
 Sample = Tuple[float, int, Tuple[str, ...], Optional[str], Optional[str], Optional[str]]
@@ -140,8 +132,7 @@ class SamplingProfiler:
 
     ``start()`` spawns the daemon sampling thread, installs the tracer's
     cross-thread span registry, registers this profiler as the
-    module-level current one (so `Session`, obslog and the batch layer
-    pick it up), and — when a registry is given — installs the
+    module-level current one (so `Session` and obslog pick it up), and — when a registry is given — installs the
     :class:`GCMonitor`.  ``stop()`` undoes all of it.  Both are
     idempotent and thread-safe (the ``/debug/profile`` route hits them
     concurrently).
@@ -319,23 +310,6 @@ class SamplingProfiler:
             self._samples = []
             self.dropped = 0
 
-    def drain(self) -> List[Sample]:
-        """Return and clear the recorded samples (process workers drain
-        per task so each envelope carries only that task's samples)."""
-        with self._lock:
-            samples = self._samples
-            self._samples = []
-            return samples
-
-    def absorb(self, samples: Sequence[Sample]) -> None:
-        """Append externally collected samples (batch-envelope merge)."""
-        with self._lock:
-            for sample in samples:
-                if len(self._samples) >= self.max_samples:
-                    del self._samples[0]
-                    self.dropped += 1
-                self._samples.append(sample)
-
     def samples_for_trace(self, trace_id: Optional[str]) -> List[Sample]:
         """Samples attributed to one trace id (a single query's profile)."""
         if trace_id is None:
@@ -376,30 +350,6 @@ class SamplingProfiler:
         summary["trace_id"] = trace_id
         return summary
 
-    # -- pickle-friendly interchange ---------------------------------------
-    def dump(self, drain: bool = False) -> Dict[str, Any]:
-        """A picklable sample batch for process-pool envelopes."""
-        samples = self.drain() if drain else self.samples
-        return {
-            "schema": PROFILE_SCHEMA,
-            "hz": self.hz,
-            "dropped": self.dropped,
-            "samples": [list(s) for s in samples],
-        }
-
-    def absorb_dump(self, dump: Optional[Dict[str, Any]]) -> int:
-        """Merge a :meth:`dump` payload (e.g. from a worker envelope);
-        returns the number of samples absorbed."""
-        if not dump:
-            return 0
-        samples = [
-            (s[0], s[1], tuple(s[2]), s[3], s[4], s[5])
-            for s in dump.get("samples", ())
-        ]
-        self.absorb(samples)
-        self.dropped += int(dump.get("dropped", 0))
-        return len(samples)
-
     def __repr__(self) -> str:
         return "SamplingProfiler(hz=%d, running=%s, samples=%d)" % (
             self.hz, self.running, self.sample_count,
@@ -423,16 +373,6 @@ def profiler_active() -> bool:
     """True when a profiler is installed and its sampler thread runs."""
     profiler = _current
     return profiler is not None and profiler.running
-
-
-def ensure_profiler(hz: int,
-                    registry: Optional[MetricsRegistry] = None) -> SamplingProfiler:
-    """The running current profiler, or a freshly started one at ``hz``
-    (process workers call this on their first profiled task)."""
-    profiler = _current
-    if profiler is not None and profiler.running:
-        return profiler
-    return SamplingProfiler(hz=hz, registry=registry).start()
 
 
 @contextmanager

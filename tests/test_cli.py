@@ -249,20 +249,19 @@ def test_import_loads_no_numerical_stack():
         check=True,
     ).stdout
     assert out.strip() == "[]"
-    for gone in ("repro.telemetry.insight", "repro.hypergraphs.fractional",
-                 "repro.parallel.pool"):
+    for gone in ("repro.telemetry.insight", "repro.hypergraphs.fractional"):
         assert importlib.util.find_spec(gone) is None, gone
 
 
-def test_one_batch_path_and_no_estimator(tmp_path):
+def test_no_batch_path_and_no_estimator(tmp_path):
     """What no request ran is gone: the cardinality estimator with its
-    stats store and q-error event, and every batch path but
-    process-parallel ``ask`` pairs — no executor or op choice, no thread
-    pool."""
-    assert list(inspect.signature(Session.run_batch).parameters) == [
-        "self", "pairs", "jobs",
-    ]
-    assert not {"executor", "op", "stats_store"} & set(
+    stats store and q-error event, and every batch path — no process
+    pool, no executor or op choice, no thread pool, and none of the
+    telemetry that carried a worker's records, samples and metrics home.
+    Many verdicts are a loop of ``ask``."""
+    assert importlib.util.find_spec("repro.parallel") is None
+    assert not hasattr(Session, "run_" "batch")
+    assert not {"executor", "op", "stats_store", "jobs"} & set(
         inspect.signature(Session.__init__).parameters
     )
     assert not hasattr(Session, "map")
@@ -274,33 +273,9 @@ def test_one_batch_path_and_no_estimator(tmp_path):
     _assert_unmentioned([
         "QueryStats" "Store", "estimate_for" "_profile", "mis" "estimate",
         "Worker" "Pool", "fractional" "_cover",
+        "run_" "batch", "merge" "_dump", "absorb" "_dump", "ensure" "_profiler",
+        "set_worker" "_id", "ProcessPool" "Executor",
     ])
-
-
-def test_evaluators_and_telemetry_do_not_reach_for_the_parallel_layer():
-    """Dependency direction: ``repro.parallel`` drives the evaluators from
-    outside (batches); nothing it drives, and nothing telemetry
-    does, imports it back or fishes it out of ``sys.modules``."""
-    root = os.path.dirname(cli.__file__)
-    below = ("cqalgs", "wdpt", "relalg", "planner", "hypergraphs", "storage",
-             "core", "rdf", "telemetry")
-    checked = 0
-    for package in below:
-        for name in sorted(os.listdir(os.path.join(root, package))):
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(root, package, name)
-            with open(path) as handle:
-                source = handle.read()
-            for node in ast.walk(ast.parse(source, path)):
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    names = [alias.name for alias in node.names]
-                    names.append(getattr(node, "module", None) or "")
-                    assert not any("parallel" in n.split(".") for n in names), (
-                        path, node.lineno)
-            assert package != "telemetry" or "sys.modules" not in source, path
-            checked += 1
-    assert checked >= 60  # the packages were found and read, not skipped
 
 
 def _source_trees(*relative):

@@ -1,7 +1,6 @@
 """Tests for the structured query log: lifecycle events, stable query IDs,
 slow-query EXPLAIN ANALYZE capture, the obslog schema validator, and the
-one trace_id that ties a query's records, spans and resources together —
-across batch worker processes too."""
+one trace_id that ties a query's records, spans and resources together."""
 
 import io
 import json
@@ -300,12 +299,6 @@ def test_validate_obslog_checks_rotation_and_profile_fields():
 # ---------------------------------------------------------------------------
 # Trace correlation: one trace_id across spans, records and resources
 # ---------------------------------------------------------------------------
-def _walk(spans):
-    for span in spans:
-        yield span
-        yield from _walk(span.children)
-
-
 def _company_query():
     from repro.core.atoms import atom
     from repro.wdpt.wdpt import wdpt_from_nested
@@ -348,38 +341,3 @@ def test_budget_kill_carries_the_trace_id():
     assert info.value.trace_id
     assert "[trace %s]" % info.value.trace_id in str(info.value)
     assert any(r["trace_id"] == info.value.trace_id for r in log.recent())
-
-
-def test_process_batch_stitches_under_one_trace_id():
-    """The acceptance scenario: ``ask`` pairs fanned across worker
-    *processes* produce spans and obslog events that share one trace_id."""
-    from repro.telemetry.tracer import Tracer, tracing
-    from repro.workloads.datasets import company_directory
-
-    log = QueryLog()
-    db = company_directory(n_departments=2, employees_per_department=4, seed=1)
-    query = _company_query()
-    with Session(db, cache=False) as plain:
-        answers = sorted(plain.query(query).answers, key=repr)[:3]
-    with Session(db, obslog=log, cache=False) as session:
-        with tracing(Tracer()) as tracer:
-            assert session.run_batch([(query, h) for h in answers], jobs=2) == [
-                True, True, True,
-            ]
-    trace_ids = {r["trace_id"] for r in log.recent()}
-    assert len(trace_ids) == 1, "all events (incl. worker-side) share the trace"
-    trace_id = trace_ids.pop()
-    # Worker-side query lifecycle events made it back into the parent log.
-    completes = log.events("query.complete")
-    assert len(completes) == 3
-    assert all(r["op"] == "ask" for r in completes)
-    assert all(r.get("worker", "").startswith("p") for r in completes)
-    # Worker spans were grafted under the parent's run_batch span.
-    spans = list(_walk(tracer.roots))
-    batch_span = next(s for s in spans if s.name == "parallel.run_batch")
-    assert batch_span.attrs["trace_id"] == trace_id
-    task_spans = [s for s in spans if s.name == "parallel.task"]
-    assert len(task_spans) == 3
-    assert all(s.attrs["trace_id"] == trace_id for s in task_spans)
-    assert {s.attrs["index"] for s in task_spans} == {0, 1, 2}
-    assert all(s.attrs["worker"].startswith("p") for s in task_spans)

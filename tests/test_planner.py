@@ -3,8 +3,11 @@
 Covers the satellite acceptance criteria: stable structural fingerprints,
 LRU bound + hit/miss accounting of the plan cache, analysis reuse across
 structurally identical queries, cross-engine answer equivalence on seeded
-random workloads, and the session-level instrumentation surface.
+random workloads, the session-level instrumentation surface, and the
+plan cache and a shared planner under concurrent threads.
 """
+
+import threading
 
 import pytest
 
@@ -25,6 +28,8 @@ from repro.planner import (
 from repro.wdpt.eval_tractable import eval_tractable
 from repro.wdpt.max_eval import max_eval
 from repro.wdpt.partial_eval import partial_eval
+from repro.wdpt.wdpt import wdpt_from_nested
+from repro.workloads.datasets import company_directory
 from repro.workloads.generators import random_cq, random_database, random_wdpt
 
 
@@ -294,3 +299,87 @@ class TestSessionStats:
         from repro.planner import get_default_planner
 
         assert get_default_planner() is not planner
+
+
+# ---------------------------------------------------------------------------
+# Concurrency: one cache, one planner, many threads
+# ---------------------------------------------------------------------------
+def _company_query():
+    return wdpt_from_nested(
+        (
+            [atom("works_in", "?e", "?d")],
+            [
+                ([atom("phone", "?e", "?p")], []),
+                ([atom("reports_to", "?e", "?m")],
+                 [([atom("office", "?m", "?o")], [])]),
+            ],
+        ),
+        free_variables=["?e", "?d", "?p", "?m", "?o"],
+    )
+
+
+def _company_db(employees=10):
+    return company_directory(
+        n_departments=3, employees_per_department=employees, seed=1
+    )
+
+
+def test_plan_cache_concurrent_hammer():
+    """Regression test for the cache's thread safety: hammer one bounded
+    cache from many threads and require sane counters, a respected bound,
+    and no lost values among the survivors."""
+    cache = PlanCache(maxsize=32)
+    errors = []
+
+    def hammer(worker: int) -> None:
+        try:
+            for i in range(400):
+                key = (worker * 400 + i) % 48
+                value = cache.get(key)
+                if value is not None:
+                    assert value == key * 2
+                cache.put(key, key * 2)
+                if i % 50 == 0:
+                    for v in cache.values_snapshot():
+                        assert v % 2 == 0
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    assert len(cache) <= 32
+    stats = cache.stats()
+    assert stats["hits"] + stats["misses"] == 8 * 400
+    assert stats["evictions"] > 0
+
+
+def test_shared_planner_profiles_under_concurrent_sessions():
+    """Two sessions sharing one planner may profile concurrently (the
+    query service runs every tenant's session on one planner); stats()
+    must iterate a consistent snapshot while the threads keep inserting."""
+    db = _company_db(employees=4)
+    with Session(db, cache=False) as session:
+        other = Session(db, planner=session.planner, cache=False)
+        results, errors = [], []
+
+        def run(s):
+            try:
+                for _ in range(3):
+                    results.append(s.query(_company_query()).answers)
+                    s.stats()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(s,)) for s in (session, other)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not errors and len(results) == 6
+        assert all(r == results[0] for r in results)
+        assert session.stats()["plan_cache"]["size"] >= 1

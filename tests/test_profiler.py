@@ -21,7 +21,6 @@ from repro.telemetry.profiler import (
     GCMonitor,
     SamplingProfiler,
     current_profiler,
-    ensure_profiler,
     folded_stacks,
     folded_text,
     gc_summary,
@@ -107,19 +106,11 @@ def test_max_samples_bounds_memory_and_counts_drops():
     assert profiler.dropped + profiler.sample_count >= 10
 
 
-def test_profiling_contextmanager_and_ensure_profiler():
+def test_profiling_contextmanager():
     with profiling(hz=300) as profiler:
         assert current_profiler() is profiler
         assert profiler.running
-        # ensure_profiler reuses the running one.
-        assert ensure_profiler(300) is profiler
     assert current_profiler() is None
-    # ensure_profiler creates + starts one when none is running.
-    profiler = ensure_profiler(250)
-    try:
-        assert profiler.running and profiler.hz == 250
-    finally:
-        profiler.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +242,6 @@ def test_summarize_samples_reports_phases_and_top():
 
 
 # ---------------------------------------------------------------------------
-# Dump / absorb (the process-pool envelope path)
-# ---------------------------------------------------------------------------
-def test_dump_absorb_roundtrip():
-    import pickle
-
-    source = SamplingProfiler(hz=100)
-    source.absorb(_tagged_samples())
-    dump = source.dump(drain=True)
-    assert source.sample_count == 0
-    # The envelope must survive pickling (process pool transport).
-    dump = pickle.loads(pickle.dumps(dump))
-    target = SamplingProfiler(hz=100)
-    assert target.absorb_dump(dump) == 3
-    assert target.sample_count == 3
-    assert target.absorb_dump(None) == 0
-
-
-# ---------------------------------------------------------------------------
 # Session integration: Result.profile_samples + obslog slow records
 # ---------------------------------------------------------------------------
 def test_result_profile_samples_attached_under_running_profiler():
@@ -307,20 +280,6 @@ def test_slow_record_embeds_profile_digest_and_shares_trace_id(tmp_path):
         assert payload["trace_id"] == trace_id
     for sample in result.profile_samples:
         assert sample[3] == trace_id
-
-
-def test_process_batch_merges_worker_samples():
-    db = example2_graph()
-    answer = max(Session(db).query(EXAMPLE2_QUERY).answers, key=len)
-    with profiling(hz=500) as profiler:
-        with Session(db, cache=False) as session:
-            verdicts = session.run_batch([(EXAMPLE2_QUERY, answer)] * 4, jobs=2)
-    assert verdicts == [True] * 4
-    # Worker samples were absorbed into the parent profiler (the parent
-    # also samples itself, so just require absorbed worker frames to be
-    # plausible: every sample keeps the 6-tuple shape).
-    for sample in profiler.samples:
-        assert len(sample) == 6
 
 
 # ---------------------------------------------------------------------------

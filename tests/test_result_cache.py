@@ -1,6 +1,6 @@
 """Tests for the version-stamped result cache (repro.storage.cache +
 Session wiring): hits, invalidation by a mutation that touches the
-query, process batches, metrics/obslog visibility, and the warm-vs-cold
+query, metrics/obslog visibility, and the warm-vs-cold
 speedup.  What a write *keeps* is tests/test_cache_carry.py."""
 
 import time
@@ -108,21 +108,6 @@ class TestHitsAndInvalidation:
             session.query(QUERY)
         stats = session.result_cache.stats()
         assert (stats["size"], stats["evictions"], stats["misses"]) == (1, 0, 10)
-
-
-class TestBatchExecutors:
-    def test_process_batch_matches_sequential(self):
-        with Session(example2_graph()) as session:
-            pairs = [(QUERY, h) for h in session.query(QUERY).answers] * 2
-            assert session.run_batch(pairs, jobs=2) == [True] * len(pairs)
-            # The workers' caches are their own: the parent's saw one query.
-            assert session.result_cache.stats()["misses"] == 1
-
-    def test_process_batch_respects_cache_off(self):
-        with Session(example2_graph(), cache=False) as session:
-            pairs = [(QUERY, h) for h in session.query(QUERY).answers] * 2
-            assert session.run_batch(pairs, jobs=2) == [True] * len(pairs)
-            assert session.result_cache is None
 
 
 class TestObservability:

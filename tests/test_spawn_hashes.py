@@ -3,11 +3,13 @@
 ``Variable``, ``Constant``, ``Atom``, ``FrozenVariable``,
 ``ConjunctiveQuery``, ``WDPT`` and ``Hypergraph`` cache ``hash()`` in a
 slot, and a ``Mapping`` is a frozenset of pairs whose hashes depend on
-them.  A process started with ``spawn`` or ``forkserver`` runs under its
-own ``PYTHONHASHSEED``, so each of them pickles by value and the
+them.  Another interpreter (one started by ``spawn`` or ``forkserver``
+included) runs under its own ``PYTHONHASHSEED``, so each of them pickles
+by value and the
 receiver hashes afresh: a value that crossed a process boundary is
-found in the receiver's sets and dicts, and ``run_batch`` under
-``spawn`` answers what the sequential loop answers.
+found in the receiver's sets and dicts, and a database pickled (memory)
+or reopened (SQLite file) under another seed answers every ``ask`` as
+the sender did.
 """
 
 import os
@@ -96,34 +98,45 @@ def test_hashes_and_membership_survive_a_change_of_hash_seed(tmp_path):
     ]
 
 
-# The sequential loop against run_batch in worker processes started with
-# spawn, whose hash seeds differ from the parent's; queries as text and
-# as a pickled WDPT, candidates true and perturbed.
-SPAWN_BATCH = r"""
-import multiprocessing, sys
+# One interpreter builds the database and decides every pair; a second,
+# under another hash seed, unpickles the database (memory) or reopens its
+# file (SQLite) and must decide the same.  Queries as text and as a
+# pickled WDPT, candidates true and perturbed.
+SEND = r"""
+import pickle, sys
 from repro.core.mappings import Mapping
 from repro.engine import Session
 from repro.workloads.families import example2_graph
 
-if __name__ == "__main__":
-    multiprocessing.set_start_method("spawn")
-    path = sys.argv[1] if len(sys.argv) > 1 else None
-    session = Session(example2_graph(), path=path) if path else Session(
-        example2_graph(), backend="memory")
-    text = "SELECT ?x ?z WHERE { ?x recorded_by ?y OPTIONAL { ?x NME_rating ?z } }"
-    answers = sorted(session.query(text).answers, key=repr)
-    perturbed = [Mapping({"?x": "Swim"}), Mapping({"?x": "Our_love", "?z": "7"})]
-    pairs = [(q, h) for q in (text, session.parse(text)) for h in answers + perturbed]
-    loop = [session.ask(q, h) for q, h in pairs]
-    batch = session.run_batch(pairs, jobs=2)
-    session.close()
-    print(sum(loop), len(loop), "same" if batch == loop else "DIFFERENT %r" % batch)
+out, path = sys.argv[1], sys.argv[2] if len(sys.argv) > 2 else None
+session = Session(example2_graph(), path=path) if path else Session(
+    example2_graph(), backend="memory")
+text = "SELECT ?x ?z WHERE { ?x recorded_by ?y OPTIONAL { ?x NME_rating ?z } }"
+answers = sorted(session.query(text).answers, key=repr)
+perturbed = [Mapping({"?x": "Swim"}), Mapping({"?x": "Our_love", "?z": "7"})]
+pairs = [(q, h) for q in (text, session.parse(text)) for h in answers + perturbed]
+with open(out, "wb") as handle:
+    pickle.dump((None if path else session.database, pairs), handle)
+print(" ".join(str(int(session.ask(q, h))) for q, h in pairs))
+if path:
+    session.database.close()
+"""
+
+RECEIVE = r"""
+import pickle, sys
+from repro.engine import Session
+
+with open(sys.argv[1], "rb") as handle:
+    database, pairs = pickle.load(handle)
+session = Session(database) if database is not None else Session(path=sys.argv[2])
+print(" ".join(str(int(session.ask(q, h))) for q, h in pairs))
 """
 
 
 @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "sqlite-file"])
-def test_run_batch_under_spawn_equals_the_loop(tmp_path, on_disk):
-    args = [tmp_path / "spawn.db"] if on_disk else []
-    trues, total, verdict = _python(SPAWN_BATCH, *args).split(None, 2)
-    assert 0 < int(trues) < int(total)
-    assert verdict.strip() == "same"
+def test_verdicts_survive_a_change_of_hash_seed(tmp_path, on_disk):
+    args = [tmp_path / "pairs.pickle"] + ([tmp_path / "facts.db"] if on_disk else [])
+    sent = _python(SEND, *args, seed=1).split()
+    received = _python(RECEIVE, *args, seed=2).split()
+    assert 0 < sent.count("1") < len(sent)
+    assert received == sent
