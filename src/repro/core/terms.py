@@ -2,9 +2,27 @@
 
 The paper fixes two disjoint countably infinite sets: constants ``U`` and
 variables ``X`` (Section 2).  We model them as two small immutable classes.
-Both are interned-friendly value objects: equality and hashing are by name,
-so structurally equal terms behave identically everywhere (dict keys, set
-members, mapping domains).
+
+Both are **hash-consed**: ``Variable(name)`` and ``Constant(payload)``
+return the one live object for that name or payload, so two terms are
+equal iff they are the same object.  Neither class defines a hash or an
+equality method: both inherit ``object``'s, which run in C, so every dict
+keyed by terms, every set of terms, every ``(variable, constant)`` pair
+of a :class:`~repro.core.mappings.Mapping` and every ``Atom`` hash is
+built without a Python frame.  Payloads are keyed by value: ``1``,
+``1.0`` and ``True`` are one constant while any of them is alive, and
+it shows the payload it was first built with (exactly the classes
+``==`` on payloads defines).
+
+The tables that find a term by its key hold it *weakly*: a term lives
+exactly as long as something else refers to it, so query text never
+grows a long-running process's tables.  A hit is one dict lookup and one
+dereference, with no lock; a miss takes one lock, re-checks, and files
+the new term.  Each table entry is a weak reference that knows its key
+and table, and its callback removes the entry only while it is still
+that dead reference, so a term re-created concurrently is never dropped.
+Hashes are therefore addresses and differ from process to process; terms
+pickle (and copy) by value, and the receiver re-interns what it reads.
 
 The convention throughout the library is:
 
@@ -18,37 +36,76 @@ shorthand that strings starting with ``"?"`` denote variables.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Tuple, Union
+import threading
+from _weakref import _remove_dead_weakref
+from typing import Dict, Hashable, Iterable, Tuple, Union
+from weakref import ref
+
+
+class _Entry(ref):
+    """A table's weak reference to a live term, knowing where it is filed."""
+
+    __slots__ = ("key", "table")
+
+
+def _forget(entry: _Entry, remove=_remove_dead_weakref) -> None:
+    # The term died: drop its entry, unless the key already holds a newer
+    # term's entry (``remove`` deletes only a dead reference, atomically).
+    remove(entry.table, entry.key)
+
+
+_variables: Dict[str, _Entry] = {}
+_constants: Dict[Hashable, _Entry] = {}
+# Taken by a miss only, through its bound methods: ``with`` would add two
+# special-method calls, as much again as the rest of the lock's cost.
+_filing = threading.Lock()
+_acquire, _release = _filing.acquire, _filing.release
+_new = object.__new__
 
 
 class Variable:
     """A query variable (an element of the set **X** of the paper)."""
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "__weakref__")
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str) -> "Variable":
+        entry = _variables.get(name)
+        if entry is not None:
+            found = entry()
+            if found is not None:
+                return found
         if not isinstance(name, str) or not name:
             raise ValueError("variable name must be a non-empty string, got %r" % (name,))
-        if name.startswith("?"):
+        # Filed under its name, or, for a name that itself starts with "?"
+        # (spelt "??x"), under that spelling: no key is "?" + a plain name.
+        key = name
+        if name[0] == "?":
             name = name[1:]
-        if not name:
-            raise ValueError("variable name must not be just '?'")
-        self.name = name
-        self._hash = hash(("Variable", name))
+            entry = _variables.get(name)
+            found = None if entry is None else entry()
+            if found is not None:
+                return found
+            if not name:
+                raise ValueError("variable name must not be just '?'")
+            if name[0] != "?":
+                key = name
+        # The miss: re-check under the lock, then file one weak entry.
+        _acquire()
+        try:
+            entry = _variables.get(key)
+            found = None if entry is None else entry()
+            if found is None:
+                found = _new(cls)
+                found.name = name
+                entry = _variables[key] = _Entry(found, _forget)
+                entry.key, entry.table = key, _variables
+            return found
+        finally:
+            _release()
 
     def __reduce__(self):
-        # Pickled by value: ``_hash`` depends on the process's hash seed
-        # (``PYTHONHASHSEED``), so the receiving process recomputes it.
+        # By value: the receiver re-interns the name (a hash is an address).
         return (Variable, (self.name,))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Variable) and other.name == self.name
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return "?%s" % self.name
@@ -62,30 +119,36 @@ class Variable:
 class Constant:
     """A constant (an element of the set **U** of the paper).
 
-    The wrapped ``value`` may be any hashable Python object.  Two constants
-    are equal iff their values are equal.
+    The wrapped ``value`` may be any hashable Python object.  Equal
+    values give the same constant (see the module docstring).
     """
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value", "__weakref__")
 
-    def __init__(self, value: Hashable):
-        if isinstance(value, (Variable, Constant)):
+    def __new__(cls, value: Hashable) -> "Constant":
+        entry = _constants.get(value)
+        if entry is not None:
+            found = entry()
+            if found is not None:
+                return found
+        if isinstance(value, _TERMS):
             raise ValueError("constant payload must be a plain value, got %r" % (value,))
-        self.value = value
-        self._hash = hash(("Constant", value))
+        _acquire()  # the miss, as in Variable.__new__
+        try:
+            entry = _constants.get(value)
+            found = None if entry is None else entry()
+            if found is None:
+                found = _new(cls)
+                found.value = value
+                entry = _constants[value] = _Entry(found, _forget)
+                entry.key, entry.table = value, _constants
+            return found
+        finally:
+            _release()
 
     def __reduce__(self):
-        # By value, so the hash is recomputed (see Variable.__reduce__).
+        # By value (see Variable.__reduce__).
         return (Constant, (self.value,))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Constant) and other.value == self.value
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return repr(self.value)
@@ -100,6 +163,7 @@ class Constant:
 
 
 Term = Union[Variable, Constant]
+_TERMS = (Variable, Constant)
 
 
 def term(value: object) -> Term:
@@ -116,7 +180,7 @@ def term(value: object) -> Term:
     >>> term(3)
     3
     """
-    if isinstance(value, (Variable, Constant)):
+    if isinstance(value, _TERMS):
         return value
     if isinstance(value, str) and value.startswith("?"):
         return Variable(value)

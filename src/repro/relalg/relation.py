@@ -24,19 +24,20 @@ semi-join program needs.  It is the business of the relation's
 ``codec`` slot, set where the relation is born: :func:`scan` copies
 ``db.codec`` (:class:`~repro.storage.base.StorageBackend`).  For the
 memory backend that is its term dictionary and the cells are ``int``
-codes, so every hash and comparison between a scan and the ``Mapping``
-boundary runs in C; ``None`` means the cells are the ``Constant``
-objects themselves — SQLite, and every relation built by hand or by
-``from_mappings(mappings, schema)``.  The codec travels with the
-relation, never in module or thread-local state (many databases, each
-with its own dictionary, coexist in a process), and a kernel that
-takes two relations refuses them unless ``left.codec is right.codec``:
-codes of two dictionaries, or a code and a ``Constant``, must be a loud
-error, never a silently empty join.  Cells become terms, and terms
+codes; ``None`` means the cells are the ``Constant`` objects themselves
+— SQLite, and every relation built by hand or by
+``from_mappings(mappings, schema)``.  Either way every hash and
+comparison between a scan and the ``Mapping`` boundary runs in C
+(constants are hash-consed, :mod:`repro.core.terms`).  The codec
+travels with the relation, never in module or thread-local state (many
+databases, each with its own dictionary, coexist in a process), and a
+kernel that takes two relations refuses them unless ``left.codec is
+right.codec``: codes of two dictionaries, or a code and a ``Constant``,
+must be a loud error, never a silently empty join.  Cells become terms, and terms
 cells, only at the boundary — :func:`to_mappings` and
 :func:`from_mappings`; the latter takes the database whose scans the
 relation is to meet.  A row's Mapping is the set of its cells'
-``(variable, constant)`` pairs (one shared pair per distinct code of a
+``(variable, constant)`` pairs (one shared pair per distinct cell of a
 column), so :func:`to_mappings` builds the answer set with C iterators
 alone.  A
 ``None`` cell is no term at all: the WDPT evaluator pads the columns of
@@ -361,14 +362,13 @@ def to_mappings(rel: Relation, partial: bool = False) -> FrozenSet[Mapping]:
     """Unpack a relation into the API-boundary ``Mapping`` set, decoding
     its cells.
 
-    A Mapping is the frozenset of its ``(variable, constant)`` pairs, so
-    a row's is ``zip(schema, row)`` and C iterators build the whole set,
-    with no Python frame per row.  Int codes hash in C, so a coded
-    relation goes one step further: each column's distinct codes are
-    decoded once, into one shared pair each, and rows pick their pairs
-    from those tables — no new pair per binding, and so nothing more for
-    the garbage collector to trace per binding than the Mapping itself.
-    (``Constant`` cells would be hashed in Python to build the tables.)
+    A Mapping is the frozenset of its ``(variable, constant)`` pairs, and
+    C iterators build the whole set, with no Python frame per row.  Each
+    column's distinct cells (int codes, or ``Constant``s, which hash in C
+    too) are decoded once, into one shared pair each, and rows pick their
+    pairs from those tables — no new pair per binding, and so nothing
+    more for the garbage collector to trace per binding than the Mapping
+    itself.
 
     With ``partial``, a ``None`` in a row means *unbound* and the
     variable is left out of that row's mapping — the WDPT evaluator pads
@@ -376,15 +376,13 @@ def to_mappings(rel: Relation, partial: bool = False) -> FrozenSet[Mapping]:
     relation can hold maximal homomorphisms with different domains.  A
     codec decodes ``None`` to itself, and no ``Constant`` is falsy."""
     rows = rel.rows
-    if rel.codec is None:
-        graphs: Iterable[Iterable[Any]] = map(zip, repeat(rel.schema), rows)
-    else:
-        pairs = []  # per column: code -> its (variable, constant) pair
-        for i, var in enumerate(rel.schema):
-            codes = list(set(map(itemgetter(i), rows)))
-            decoded = zip(repeat(var), map(rel.codec.decode, codes))
-            pairs.append(dict(zip(codes, decoded)))
-        graphs = map(map, repeat(getitem), repeat(pairs), rows)
+    codec = rel.codec
+    pairs = []  # per column: cell -> its (variable, constant) pair
+    for i, var in enumerate(rel.schema):
+        cells = set(map(itemgetter(i), rows))  # iterated twice, in one order
+        decoded = cells if codec is None else map(codec.decode, cells)
+        pairs.append(dict(zip(cells, zip(repeat(var), decoded))))
+    graphs: Iterable[Iterable[Any]] = map(map, repeat(getitem), repeat(pairs), rows)
     if partial:
         graphs = map(filter, repeat(_value), graphs)
     return frozenset(map(frozenset.__new__, repeat(Mapping), graphs))

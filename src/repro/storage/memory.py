@@ -72,8 +72,10 @@ class TermDictionary:
     """The append-only ``Constant ↔ int`` dictionary of one backend.
 
     ``decode`` is a C-level dict lookup on an ``int``; ``encode`` is one
-    on a ``Constant``, which hashes through its Python ``__hash__`` (a
-    cached value) and compares through ``__eq__`` on a hit.  Reading never
+    on a ``Constant``, which is hash-consed (:mod:`repro.core.terms`), so
+    it hashes by identity and a hit is an identity match, both in C.  The
+    dictionary holds its constants strongly, so the spelling stored first
+    is the one every later equal payload gets back.  Reading never
     writes: a constant the store has never seen has no code, is its own
     cell (``encode(c) is c``, ``decode(c) is c``) and, being no ``int``,
     equals no stored cell — so a server does not grow its dictionary from

@@ -455,15 +455,23 @@ def test_a_mapping_is_its_graph_and_nothing_reads_a_stored_dict():
     """``Mapping`` is a frozenset of pairs: its hash, equality and
     construction are frozenset's own, in C (no Python ``__hash__``,
     ``__eq__`` or ``__init__``), and no per-mapping dict is stored for
-    anything under ``src/`` to read back."""
-    classes = 0
+    anything under ``src/`` to read back.  Its pairs' terms are
+    hash-consed: ``Variable`` and ``Constant`` hash and compare with
+    ``object``'s C slots, and keep no ``_hash`` slot."""
+    found = set()
     for path, tree in _source_trees("."):
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == "Mapping":
-                assert [ast.unparse(b) for b in node.bases] == ["frozenset"], path
+            if isinstance(node, ast.ClassDef) and node.name in ("Mapping", "Variable", "Constant"):
+                if node.name == "Mapping":
+                    assert [ast.unparse(b) for b in node.bases] == ["frozenset"], path
                 defined = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-                assert not {"__hash__", "__eq__", "__ne__", "__init__"} & defined
-                classes += 1
+                assert not {"__hash__", "__eq__", "__ne__", "__init__"} & defined, node.name
+                slots = [
+                    ast.literal_eval(s.value) for s in node.body
+                    if isinstance(s, ast.Assign) and ast.unparse(s.targets[0]) == "__slots__"
+                ]
+                assert slots and "_hash" not in slots[0], node.name
+                found.add(node.name)
             if isinstance(node, ast.Attribute):
                 assert node.attr != "_assignment", (path, node.lineno)
-    assert classes == 1  # the class was found and read, not skipped
+    assert found == {"Mapping", "Variable", "Constant"}  # found and read, not skipped

@@ -1,15 +1,17 @@
-"""Pickled values carry no hash seed.
+"""Pickled values carry no hash seed and no address.
 
-``Variable``, ``Constant``, ``Atom``, ``FrozenVariable``,
+``Variable`` and ``Constant`` are hash-consed: their hash is the address
+of the one live object per name or payload, so they cache no ``hash()``
+and re-intern on arrival.  ``Atom``, ``FrozenVariable``,
 ``ConjunctiveQuery``, ``WDPT`` and ``Hypergraph`` cache ``hash()`` in a
 slot, and a ``Mapping`` is a frozenset of pairs whose hashes depend on
-them.  Another interpreter (one started by ``spawn`` or ``forkserver``
-included) runs under its own ``PYTHONHASHSEED``, so each of them pickles
-by value and the
-receiver hashes afresh: a value that crossed a process boundary is
-found in the receiver's sets and dicts, and a database pickled (memory)
-or reopened (SQLite file) under another seed answers every ``ask`` as
-the sender did.
+the terms'.  Another interpreter (one started by ``spawn`` or
+``forkserver`` included) runs under its own ``PYTHONHASHSEED`` and
+heap, so each of them pickles by value and the receiver re-interns and
+hashes afresh: a value that crossed a process boundary is found in the
+receiver's sets and dicts, and a database pickled (memory) or reopened
+(SQLite file) under another seed answers every ``ask`` as the sender
+did.
 """
 
 import os
@@ -37,7 +39,8 @@ def _python(code, *args, seed=None, **kwargs):
     ).stdout
 
 
-# One value of each hash-caching kind; run in both interpreters.
+# One value of each kind that hashes by seed or address; run in both
+# interpreters.
 VALUES = r"""
 from repro.core.atoms import atom
 from repro.core.canonical import FrozenVariable
@@ -67,7 +70,7 @@ DUMP = VALUES + r"""
 import pickle, sys
 with open(sys.argv[1], "wb") as handle:
     pickle.dump(values(), handle)
-print(hash(Variable("x")))
+print(hash(atom("recorded_by", "?x", "Caribou")))
 """
 
 LOAD = VALUES + r"""
@@ -80,7 +83,7 @@ for name in sorted(fresh):
     ok = type(a) is type(b) and a == b and hash(a) == hash(b)
     ok = ok and a in {b} and b in {a} and {a: 1}.get(b) == 1
     print(name, "ok" if ok else "STALE")
-print(hash(Variable("x")))
+print(hash(atom("recorded_by", "?x", "Caribou")))
 """
 
 

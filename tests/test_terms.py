@@ -1,8 +1,23 @@
-"""Unit tests for repro.core.terms."""
+"""Unit tests for repro.core.terms, the interning contract included."""
+
+import copy
+import gc
+import importlib
+import operator
+import pickle
+import sys
+import threading
+import uuid
+import weakref
 
 import pytest
 
+from repro.core.atoms import atom
 from repro.core.terms import Constant, Variable, is_constant, is_variable, term, terms
+from repro.engine import Session
+
+# The module itself: ``repro.core`` exports a ``terms`` function.
+_terms = importlib.import_module("repro.core.terms")
 
 
 class TestVariable:
@@ -82,3 +97,94 @@ class TestCoercion:
     def test_predicates(self):
         assert is_variable(Variable("x")) and not is_variable(Constant(1))
         assert is_constant(Constant(1)) and not is_constant(Variable("x"))
+
+
+class TestInterning:
+    """One live object per variable name and per constant payload."""
+
+    def test_equal_terms_are_one_object(self):
+        assert Constant("a") is Constant("a")
+        assert Constant(("t", 1)) is Constant(("t", 1))
+        assert Variable("?x") is Variable("x")
+        assert Variable("??x") is not Variable("?x")
+        assert (Variable("??x").name, Variable("?x").name) == ("?x", "x")
+        assert term("?x") is Variable("x") and term(7) is Constant(7)
+
+    def test_equal_payloads_share_one_constant_while_one_lives(self):
+        one = Constant(1)
+        assert Constant(1.0) is one and Constant(True) is one
+        first = Constant(98765.0)
+        assert Constant(98765) is first and repr(Constant(98765)) == "98765.0"
+        del first
+        gc.collect()
+        assert repr(Constant(98765)) == "98765"
+
+    @pytest.mark.parametrize(
+        "copier", [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_copies_are_the_same_object(self, copier):
+        for t in (Variable("x"), Constant("a"), Constant(("nested", (1, "b")))):
+            assert copier(t) is t
+
+    def test_unhashable_payload_raises_type_error(self):
+        with pytest.raises(TypeError):
+            Constant([1, 2])
+        with pytest.raises(TypeError):
+            Constant({"a": 1})
+
+    @pytest.mark.parametrize("round_", range(5))
+    def test_racing_threads_get_one_object_per_payload(self, round_):
+        run = uuid.uuid4().hex
+        payloads = [("race", run, i) for i in range(1000)]
+        names = ["race_%s_%d" % (run, i) for i in range(1000)]
+        barrier = threading.Barrier(8)
+        built = [None] * 8
+
+        def build(k):
+            barrier.wait(timeout=30)
+            built[k] = ([Constant(p) for p in payloads], [Variable(n) for n in names])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        constants, variables = built[0]
+        for other_constants, other_variables in built[1:]:
+            assert all(map(operator.is_, constants, other_constants))
+            assert all(map(operator.is_, variables, other_variables))
+        assert len(set(map(id, constants))) == len(set(map(id, variables))) == 1000
+        assert all(_terms._constants[p]() is c for p, c in zip(payloads, constants))
+        assert all(_terms._variables[n]() is v for n, v in zip(names, variables))
+
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    def test_constants_of_request_text_are_released(self, kind):
+        """The tables hold terms weakly: 1 000 constants that only ever
+        appeared in request text die with the last thing that held them
+        (here the session's caches), and leave no table entry behind."""
+        def session():
+            return Session([atom("knows", "ann", "bob")], backend=kind)
+
+        with session() as warm:  # first-use imports and their constants
+            warm.query("SELECT ?x WHERE { ?x knows bob }")
+        gc.collect()
+        baseline = len(_terms._constants)
+        live = session()
+        refs = []
+        for i in range(1000):
+            answers = live.query("SELECT ?x WHERE { ?x knows fresh_%d }" % i).answers
+            assert not answers
+            refs.append(weakref.ref(Constant("fresh_%d" % i)))
+        assert any(ref() is not None for ref in refs)  # held by the caches
+        live.close()
+        del live
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
+        assert len(_terms._constants) <= baseline
