@@ -9,10 +9,17 @@ equal iff they are the same object.  Neither class defines a hash or an
 equality method: both inherit ``object``'s, which run in C, so every dict
 keyed by terms, every set of terms, every ``(variable, constant)`` pair
 of a :class:`~repro.core.mappings.Mapping` and every ``Atom`` hash is
-built without a Python frame.  Payloads are keyed by value: ``1``,
-``1.0`` and ``True`` are one constant while any of them is alive, and
-it shows the payload it was first built with (exactly the classes
-``==`` on payloads defines).
+built without a Python frame.
+
+Payloads are keyed by type and value, so a constant's payload is
+exactly the one it was built from, whatever else the process holds:
+``1``, ``1.0`` and ``True`` are three constants (as they are three
+stored texts on SQLite and three JSON values on the wire); so are
+``0.0`` and ``-0.0``, and ``(1,)`` and ``(True,)`` (tuples and
+frozensets are keyed through their items).  Any other payload type
+whose equal values print differently (``Decimal("1")`` and
+``Decimal("1.0")``) is the exception: such values are one constant,
+shown as the first one built.
 
 The tables that find a term by its key hold it *weakly*: a term lives
 exactly as long as something else refers to it, so query text never
@@ -63,6 +70,43 @@ _acquire, _release = _filing.acquire, _filing.release
 _new = object.__new__
 
 
+def _file(table: Dict[Hashable, _Entry], key: Hashable, term: object):
+    """The miss: file the new ``term`` under ``key``, unless a live term
+    was filed there first (re-checked under the lock); return the filed
+    one.  A term that lost the race has no entry and simply dies."""
+    _acquire()
+    try:
+        entry = table.get(key)
+        found = None if entry is None else entry()
+        if found is None:
+            entry = table[key] = _Entry(term, _forget)
+            entry.key, entry.table = key, table
+            found = term
+        return found
+    finally:
+        _release()
+
+
+def _key(value: Hashable) -> Hashable:
+    """The table key of a constant payload: equal keys mean one type.
+
+    An exact ``str`` or ``int`` is its own key (``Constant.__new__``
+    takes that case inline); a float is keyed by its value, or a zero by
+    its spelling (``0.0`` and ``-0.0`` are equal); tuples and frozensets
+    by their items' keys; anything else by its type and value.
+    """
+    kind = value.__class__
+    if kind is str or kind is int:
+        return value
+    if kind is float:
+        return (float, value) if value else (float, repr(value))
+    if kind is tuple:
+        return (tuple, *map(_key, value))
+    if kind is frozenset:
+        return (frozenset, frozenset(map(_key, value)))
+    return (kind, value)
+
+
 class Variable:
     """A query variable (an element of the set **X** of the paper)."""
 
@@ -89,23 +133,14 @@ class Variable:
                 raise ValueError("variable name must not be just '?'")
             if name[0] != "?":
                 key = name
-        # The miss: re-check under the lock, then file one weak entry.
-        _acquire()
-        try:
-            entry = _variables.get(key)
-            found = None if entry is None else entry()
-            if found is None:
-                found = _new(cls)
-                found.name = name
-                entry = _variables[key] = _Entry(found, _forget)
-                entry.key, entry.table = key, _variables
-            return found
-        finally:
-            _release()
+        found = _new(cls)
+        found.name = name
+        return _file(_variables, key, found)
 
     def __reduce__(self):
         # By value: the receiver re-interns the name (a hash is an address).
-        return (Variable, (self.name,))
+        # Spelt with its "?", which re-strips to this name ("??x" included).
+        return (Variable, ("?" + self.name,))
 
     def __repr__(self) -> str:
         return "?%s" % self.name
@@ -120,31 +155,24 @@ class Constant:
     """A constant (an element of the set **U** of the paper).
 
     The wrapped ``value`` may be any hashable Python object.  Equal
-    values give the same constant (see the module docstring).
+    values of one type give the same constant (see the module docstring).
     """
 
     __slots__ = ("value", "__weakref__")
 
     def __new__(cls, value: Hashable) -> "Constant":
-        entry = _constants.get(value)
+        kind = value.__class__
+        key = value if kind is str or kind is int else _key(value)
+        entry = _constants.get(key)
         if entry is not None:
             found = entry()
             if found is not None:
                 return found
         if isinstance(value, _TERMS):
             raise ValueError("constant payload must be a plain value, got %r" % (value,))
-        _acquire()  # the miss, as in Variable.__new__
-        try:
-            entry = _constants.get(value)
-            found = None if entry is None else entry()
-            if found is None:
-                found = _new(cls)
-                found.value = value
-                entry = _constants[value] = _Entry(found, _forget)
-                entry.key, entry.table = value, _constants
-            return found
-        finally:
-            _release()
+        found = _new(cls)
+        found.value = value
+        return _file(_constants, key, found)
 
     def __reduce__(self):
         # By value (see Variable.__reduce__).

@@ -21,12 +21,11 @@ their atoms in one C-level pass; the columnar kernels
 (:mod:`repro.relalg`) skip that last step and compute on the rows
 themselves (:meth:`~MemoryBackend.rows`, :meth:`~MemoryBackend.probe`),
 so between a scan and the ``Mapping`` boundary every cell hashes and
-compares in C.  The dictionary is keyed by the ``Constant`` itself, so
-the store returns one spelling per equality class of payloads (``1``,
-``1.0`` and ``True`` are one constant, and whichever was stored first is
-the one answers show).  Removal keeps the index and the active domain exact —
-the active domain *is* the key set of the postings — and every
-successful mutation bumps
+compares in C.  The dictionary is keyed by the ``Constant`` itself,
+which is keyed by its payload's type and value (:mod:`repro.core.terms`):
+``1``, ``1.0`` and ``True`` are three constants, as on SQLite.  Removal
+keeps the index and the active domain exact — the active domain *is*
+the key set of the postings — and every successful mutation bumps
 :attr:`~repro.storage.base.StorageBackend.data_version`.
 """
 
@@ -73,9 +72,8 @@ class TermDictionary:
 
     ``decode`` is a C-level dict lookup on an ``int``; ``encode`` is one
     on a ``Constant``, which is hash-consed (:mod:`repro.core.terms`), so
-    it hashes by identity and a hit is an identity match, both in C.  The
-    dictionary holds its constants strongly, so the spelling stored first
-    is the one every later equal payload gets back.  Reading never
+    it hashes by identity and a hit is an identity match, both in C.
+    Reading never
     writes: a constant the store has never seen has no code, is its own
     cell (``encode(c) is c``, ``decode(c) is c``) and, being no ``int``,
     equals no stored cell — so a server does not grow its dictionary from

@@ -110,21 +110,37 @@ class TestInterning:
         assert (Variable("??x").name, Variable("?x").name) == ("?x", "x")
         assert term("?x") is Variable("x") and term(7) is Constant(7)
 
-    def test_equal_payloads_share_one_constant_while_one_lives(self):
-        one = Constant(1)
-        assert Constant(1.0) is one and Constant(True) is one
-        first = Constant(98765.0)
-        assert Constant(98765) is first and repr(Constant(98765)) == "98765.0"
-        del first
-        gc.collect()
-        assert repr(Constant(98765)) == "98765"
+    def test_equal_payloads_of_one_type_share_one_constant(self):
+        big = 10 ** 30
+        assert Constant(int("1" + "0" * 30)) is Constant(big)
+        assert Constant("".join(["ab", "c"])) is Constant("abc")
+        assert Constant(float("2.5")) is Constant(2.5)
+        assert Constant((1, ("a", 2.5))) is Constant((1, ("a", 2.5)))
+        assert Constant(frozenset({1, "a"})) is Constant(frozenset({"a", 1}))
+        assert Constant(None) is Constant(None)
+
+    def test_a_payload_keeps_its_type_whatever_else_lives(self):
+        """``1``, ``1.0`` and ``True`` are equal but spelt (and stored)
+        differently: each is its own constant, so what one caller built
+        never changes what another gets back."""
+        first = [Constant(True), Constant(98765.0), Constant(-0.0), Constant((True,))]
+        assert Constant(1) is not first[0] and Constant(1.0) is not first[0]
+        assert Constant(1) is not Constant(1.0)
+        assert repr(Constant(1)) == "1" and type(Constant(1).value) is int
+        assert repr(Constant(98765)) == "98765" and repr(first[1]) == "98765.0"
+        assert repr(Constant(0.0)) == "0.0" and repr(first[2]) == "-0.0"
+        assert repr(Constant((1,))) == "(1,)" and repr(first[3]) == "(True,)"
+        assert len({Constant(1), Constant(1.0), Constant(True), Constant("1")}) == 4
 
     @pytest.mark.parametrize(
         "copier", [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy],
         ids=["pickle", "copy", "deepcopy"],
     )
     def test_copies_are_the_same_object(self, copier):
-        for t in (Variable("x"), Constant("a"), Constant(("nested", (1, "b")))):
+        for t in (
+            Variable("x"), Variable("??x"), Constant("a"), Constant(True),
+            Constant(-0.0), Constant(("nested", (1, "b", True))),
+        ):
             assert copier(t) is t
 
     def test_unhashable_payload_raises_type_error(self):
@@ -161,7 +177,7 @@ class TestInterning:
             assert all(map(operator.is_, constants, other_constants))
             assert all(map(operator.is_, variables, other_variables))
         assert len(set(map(id, constants))) == len(set(map(id, variables))) == 1000
-        assert all(_terms._constants[p]() is c for p, c in zip(payloads, constants))
+        assert all(_terms._constants[_terms._key(p)]() is c for p, c in zip(payloads, constants))
         assert all(_terms._variables[n]() is v for n, v in zip(names, variables))
 
     @pytest.mark.parametrize("kind", ["memory", "sqlite"])
@@ -188,3 +204,39 @@ class TestInterning:
         gc.collect()
         assert [ref for ref in refs if ref() is not None] == []
         assert len(_terms._constants) <= baseline
+
+
+class TestStoredSpelling:
+    """What a store reads and writes depends on its own payloads only,
+    never on which equal payloads of other types the process holds."""
+
+    def test_sqlite_asks_and_adds_an_int_beside_live_bool_and_float(self):
+        from repro.core.mappings import Mapping
+        from repro.storage.sqlite import SQLiteBackend, encode_value
+
+        alive = (Constant(True), Constant(1.0))  # e.g. another tenant's facts
+        db = SQLiteBackend([atom("R", 1)])
+        assert atom("R", 1) in db and atom("R", True) not in db
+        assert encode_value(atom("R", 1).args[0].value) == "i1"
+        assert db.add(atom("R", 1)) is False
+        assert db.add(atom("S", 1)) is True
+        (fact,) = db.facts("S")
+        assert type(fact.args[0].value) is int and fact.args[0] is not alive[0]
+        with Session([atom("triple", "ann", "R", 1)], backend="sqlite") as session:
+            query = "SELECT ?y WHERE { ann R ?y }"
+            y = Variable("y")
+            assert session.ask(query, Mapping({y: Constant(1)}))
+            assert not session.ask(query, Mapping({y: alive[0]}))
+            assert not session.ask(query, Mapping({y: alive[1]}))
+        db.close()
+
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    def test_two_sessions_show_their_own_spellings(self, kind):
+        query, y = "SELECT ?y WHERE { ann R ?y }", Variable("y")
+        with Session([atom("triple", "ann", "R", 1.0)], backend=kind) as floats, Session(
+            [atom("triple", "ann", "R", 1)], backend=kind
+        ) as ints:
+            (shown_float,) = [m[y] for m in floats.query(query).answers]
+            (shown_int,) = [m[y] for m in ints.query(query).answers]
+        assert (repr(shown_float), repr(shown_int)) == ("1.0", "1")
+        assert type(shown_int.value) is int

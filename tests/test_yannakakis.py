@@ -108,9 +108,9 @@ def test_theta_family_is_acyclic_and_agrees():
 #: relation), ``T`` gets enough for an index probe to beat a full scan.
 RELATIONS = {"E": (2, 9), "F": (2, 9), "T": (3, 27), "U": (1, 3), "Z": (2, 0)}
 VALUES = (0, 1, 2)
-#: Payloads whose equality is not identity: ``1``, ``1.0`` and ``True``
-#: are one constant, ``"1"`` is another, and ``None``, a tuple and a
-#: frozen variable are constants like any other.
+#: Payloads equal across types: ``1``, ``1.0`` and ``True`` are three
+#: constants (keyed by type and value), ``"1"`` is a fourth, and
+#: ``None``, a tuple and a frozen variable are constants like any other.
 PAYLOADS = (1, 1.0, True, "1", None, (1, 2), FrozenVariable(Variable("x")))
 
 
