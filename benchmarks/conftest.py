@@ -40,13 +40,9 @@ def _trace_session():
         yield
         return
     from repro.telemetry.export import write_chrome_trace
-    from repro.telemetry.tracer import Tracer, set_tracer
+    from repro.telemetry.tracer import tracing
 
-    tracer = Tracer()
-    previous = set_tracer(tracer)
-    try:
+    with tracing() as tracer:
         yield
-    finally:
-        set_tracer(previous)
-        events = write_chrome_trace(tracer, path)
-        print("\n[repro] wrote %d trace event(s) to %s" % (events, path))
+    events = write_chrome_trace(tracer, path)
+    print("\n[repro] wrote %d trace event(s) to %s" % (events, path))

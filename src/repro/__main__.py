@@ -66,15 +66,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
 
-from .engine import BACKEND_ENV, Session, _parse_text
+from .engine import Session, _parse_text
 from .exceptions import ReproError
 from .rdf.graph import RDFGraph
 from .rdf.parser import parse_query
-from .storage import BACKEND_KINDS, backend_class
+from .storage import BACKEND_ENV, BACKEND_KINDS, backend_from_env
 from .wdpt.evaluation import evaluate
 from .wdpt.explain import explain
 from .wdpt.wdpt import WDPT
@@ -718,13 +717,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if BACKEND_ENV in os.environ:
-        # A usage error now, not a traceback from whichever command
-        # builds the first session.
-        try:
-            backend_class(os.environ[BACKEND_ENV])
-        except ValueError as exc:
-            parser.error("%s: %s" % (BACKEND_ENV, exc))
+    # A usage error now, not a traceback from whichever command builds
+    # the first session.
+    try:
+        backend_from_env()
+    except ValueError as exc:
+        parser.error("%s: %s" % (BACKEND_ENV, exc))
     try:
         return args.func(args)
     except ReproError as exc:

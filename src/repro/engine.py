@@ -49,7 +49,6 @@ entries of the queries the written facts provably cannot reach
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Union
@@ -62,13 +61,14 @@ from .rdf.graph import RDFGraph
 from .rdf.parser import parse_query
 from .rdf.sparql import parse_sparql
 from .planner.planner import Planner
-from .storage import ResultCache, StorageBackend, to_backend
+from .storage import ResultCache, StorageBackend, backend_from_env, to_backend
 from .storage.cache import DEFAULT_SIZE as DEFAULT_CACHE_SIZE
 from .table import format_table
+from .telemetry.context import current, scoped
 from .telemetry.obslog import QueryLog, QueryObservation
 from .telemetry.profiler import current_profiler, gc_summary
 from .telemetry.resources import ResourceBudget
-from .telemetry.tracer import Tracer, current_tracer, tracing
+from .telemetry.tracer import Tracer, current_tracer
 from .wdpt.eval_tractable import eval_tractable
 from .wdpt.evaluation import evaluate, evaluate_max
 from .wdpt.explain import WDPTProfile
@@ -80,9 +80,6 @@ from .wdpt.witness import AnswerWitness, witness
 
 Query = Union[str, WDPT]
 DataSource = Union[StorageBackend, RDFGraph, Iterable[Atom]]
-
-#: Environment variable naming the default storage backend kind.
-BACKEND_ENV = "REPRO_BACKEND"
 
 
 class Result:
@@ -222,7 +219,7 @@ class Session:
             # The env var only picks the default for *raw* data; an
             # explicitly passed backend instance is always used as-is
             # (converting would silently detach the session from it).
-            kind = os.environ.get(BACKEND_ENV)
+            kind = backend_from_env()
         if kind is not None:
             self.database = to_backend(
                 data if data is not None else (), kind, path=path
@@ -263,10 +260,6 @@ class Session:
         self._in_flight: Dict[int, QueryObservation] = {}
         self._recent_queries: List[Dict[str, Any]] = []
         self._debug_lock = threading.Lock()
-        # Set by analyze() so EXPLAIN ANALYZE measures a real execution
-        # instead of a result-cache hit; thread-local, so concurrent
-        # queries on other threads keep their cache.
-        self._cache_bypass = threading.local()
 
     def close(self) -> None:
         """Release nothing: a session holds no processes or handles of
@@ -388,11 +381,10 @@ class Session:
         """``(key, stamp)`` of one evaluation call — its
         :class:`ResultCache` slot and the data version an entry must be
         stamped with to answer it — or ``None`` when caching is off (or
-        bypassed by ``analyze`` on this thread — EXPLAIN ANALYZE must
-        measure a real execution)."""
-        if self.result_cache is None:
-            return None
-        if getattr(self._cache_bypass, "active", False):
+        bypassed by ``analyze`` in the calling context — EXPLAIN ANALYZE
+        must measure a real execution; queries other threads run
+        meanwhile keep their cache)."""
+        if self.result_cache is None or current().cache_bypass:
             return None
         db = self.database
         key = ResultCache.key(
@@ -540,9 +532,10 @@ class Session:
           satisfiability-check counts;
         * ``maximal=True`` — the ``p_m(D)`` semantics.
 
-        The result cache is bypassed for the analyzed call (on this
-        thread only): EXPLAIN ANALYZE always measures a real execution,
-        never a cache hit with nothing to report.
+        The tracer and a result-cache bypass are scoped to the calling
+        context: EXPLAIN ANALYZE always measures a real execution, never a
+        cache hit with nothing to report, and records none of the queries
+        other threads run meanwhile.
 
         Returns an :class:`repro.analyze.AnalyzeReport`; ``print(report)``
         renders the tree-shaped text form.
@@ -553,24 +546,18 @@ class Session:
         profile = self.planner.explain_wdpt(p)
         tracer = Tracer()
         n_answers: Optional[int] = None
-        self._cache_bypass.active = True
-        try:
-            with tracing(tracer):
-                if candidate is not None:
-                    start = time.perf_counter()
-                    self.ask(p, candidate)
-                    self.planner.record_engine(
-                        "wdpt-dp", time.perf_counter() - start
-                    )
-                    mode = "ask"
-                elif maximal:
-                    n_answers = len(self.query_maximal(p).answers)
-                    mode = "query_maximal"
-                else:
-                    n_answers = len(self.query(p).answers)
-                    mode = "query"
-        finally:
-            self._cache_bypass.active = False
+        with scoped(current()._replace(tracer=tracer, cache_bypass=True)):
+            if candidate is not None:
+                start = time.perf_counter()
+                self.ask(p, candidate)
+                self.planner.record_engine("wdpt-dp", time.perf_counter() - start)
+                mode = "ask"
+            elif maximal:
+                n_answers = len(self.query_maximal(p).answers)
+                mode = "query_maximal"
+            else:
+                n_answers = len(self.query(p).answers)
+                mode = "query"
         return build_report(
             p, profile, tracer, self.planner, n_answers=n_answers, mode=mode
         )

@@ -20,6 +20,9 @@ facts provably cannot touch them.  Select a backend with
 environment variable) — see :mod:`repro.engine`.
 """
 
+import os
+from typing import Optional
+
 from .base import StorageBackend
 from .cache import ResultCache
 from .memory import MemoryBackend
@@ -48,6 +51,20 @@ def backend_class(kind: str):
         ) from None
 
 
+#: Environment variable naming the default storage backend kind.
+BACKEND_ENV = "REPRO_BACKEND"
+
+
+def backend_from_env() -> Optional[str]:
+    """The backend kind ``REPRO_BACKEND`` names, or ``None`` when it is
+    unset (``ValueError`` naming the kinds there are when it names none).
+    The package's one read of its environment."""
+    kind = os.environ.get(BACKEND_ENV)
+    if kind is not None:
+        backend_class(kind)
+    return kind
+
+
 def to_backend(data, kind: str, path=None):
     """Coerce ``data`` (a backend or an iterable of facts) into a backend
     of the given ``kind``, converting between kinds when necessary.
@@ -65,6 +82,7 @@ def to_backend(data, kind: str, path=None):
 
 
 __all__ = [
+    "BACKEND_ENV",
     "BACKENDS",
     "BACKEND_KINDS",
     "MemoryBackend",
@@ -72,5 +90,6 @@ __all__ = [
     "SQLiteBackend",
     "StorageBackend",
     "backend_class",
+    "backend_from_env",
     "to_backend",
 ]

@@ -10,8 +10,9 @@
   stable query IDs and slow-query EXPLAIN ANALYZE capture;
 * :mod:`repro.telemetry.resources` — per-query resource accounting and
   soft/hard budgets;
-* :mod:`repro.telemetry.context` — the per-query ``trace_id`` correlation
-  context;
+* :mod:`repro.telemetry.context` — the per-query context (trace id,
+  tracer, innermost span, resource monitor, cache bypass) in one
+  ``ContextVar``;
 * :mod:`repro.telemetry.promhttp` — a stdlib ``/metrics`` + ``/healthz``
   + ``/debug/*`` endpoint serving the Prometheus text exposition and
   live plan/query snapshots;
@@ -24,13 +25,11 @@ See ``docs/OBSERVABILITY.md`` for the full tour and
 """
 
 from .context import (
-    current_span_id,
+    QueryContext,
+    current,
     current_trace_id,
-    ensure_trace_id,
-    new_span_id,
     new_trace_id,
-    set_trace_context,
-    trace_context,
+    scoped,
 )
 from .metrics import (
     Counter,
@@ -82,7 +81,6 @@ from .tracer import (
     Span,
     Tracer,
     current_tracer,
-    set_tracer,
     trace_span,
     tracing,
 )
@@ -101,13 +99,11 @@ from .export import (
 )
 
 __all__ = [
-    "current_span_id",
+    "QueryContext",
+    "current",
     "current_trace_id",
-    "ensure_trace_id",
-    "new_span_id",
     "new_trace_id",
-    "set_trace_context",
-    "trace_context",
+    "scoped",
     "Counter",
     "DEFAULT_QUANTILES",
     "Gauge",
@@ -150,7 +146,6 @@ __all__ = [
     "Span",
     "Tracer",
     "current_tracer",
-    "set_tracer",
     "trace_span",
     "tracing",
     "SPAN_ATTR_TYPES",

@@ -1,52 +1,83 @@
-"""Trace-correlation context: one ``trace_id`` per top-level query.
+"""The per-query context: one :class:`QueryContext` in one ``ContextVar``.
 
-A trace id names one logical query execution end to end: every span,
-obslog line, and resource-budget event it produces carries the same id,
-so operators can stitch the pieces back together after the fact
-(``grep trace_id=… query-log.jsonl``).
+Everything one query execution carries implicitly — the ``trace_id`` that
+correlates its spans, obslog lines and budget events; the tracer its
+instrumentation records into and the innermost span open there; the
+resource monitor its accounting hooks report to; whether the result
+cache is bypassed (EXPLAIN ANALYZE) — is one frozen :class:`QueryContext`
+held by one :class:`contextvars.ContextVar`:
 
-The context is a plain thread-local, mirroring
-:func:`repro.telemetry.resources.current_monitor`:
-
-* :func:`current_trace_id` / :func:`current_span_id` read it (None when
-  no query is in flight),
-* :func:`set_trace_context` installs it and returns the previous pair,
-* :func:`trace_context` is the scoped form,
+* :func:`current` reads it (the default context when no query is in
+  flight: no trace id, no tracer, no span, no monitor, cache on);
+* :class:`scoped` installs a whole replacement for a block and resets by
+  token on exit — including on an exception, which matters because a
+  ``ThreadPoolExecutor`` worker keeps its context from one job to the next;
 * :func:`new_trace_id` mints ids (uuid4, 16 hex chars — short enough to
   read, long enough not to collide within one log).
 
+A context variable is per thread *and* per asyncio task, so two queries
+on two threads never see each other's tracer, spans or monitor.  The
+sampling profiler reads other threads' contexts, which a ``ContextVar``
+does not allow; while one runs it installs a table (thread ident →
+context) with :func:`publish_threads`, and every context change writes
+its thread's entry.  With no profiler the table is ``None`` and a change
+pays one ``is None`` check.
+
 Telemetry stays dependency-light: this module imports only the standard
-library and is imported by obslog, resources, and the profiler.
+library and is imported by the tracer, obslog, resources and the profiler.
 """
 
 from __future__ import annotations
 
-import threading
 import uuid
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from contextvars import ContextVar, Token
+from threading import get_ident
+from typing import Any, Dict, NamedTuple, Optional
 
 __all__ = [
+    "QueryContext",
+    "current",
     "current_trace_id",
-    "current_span_id",
     "new_trace_id",
-    "new_span_id",
-    "set_trace_context",
-    "trace_context",
-    "trace_context_for_thread",
-    "ensure_trace_id",
+    "publish_threads",
+    "scoped",
 ]
 
-_context = threading.local()
 
-# Cross-thread view of the per-thread context, keyed by thread ident.
-# Thread-locals are unreadable from other threads, but the sampling
-# profiler (repro.telemetry.profiler) attributes stack samples taken on
-# its own daemon thread to the trace in flight on the *sampled* thread.
-# set_trace_context maintains this map as a side channel: dict item
-# operations are atomic under the GIL, and the map is touched once per
-# query — never in evaluation hot loops.
-_threads: Dict[int, Tuple[Optional[str], Optional[str]]] = {}
+class QueryContext(NamedTuple):
+    """What one query carries implicitly (see the module docstring).
+
+    Immutable: a change is a new context, ``current()._replace(...)``,
+    installed with :class:`scoped`.
+    """
+
+    trace_id: Optional[str] = None
+    #: The recording tracer, or ``None`` (instrumentation then sees the
+    #: null tracer through ``current_tracer()``).
+    tracer: Any = None
+    #: The innermost open span (of any tracer) in this context.
+    span: Any = None
+    #: The :class:`~repro.telemetry.resources.ResourceMonitor` accounting
+    #: hooks report into, or ``None``.
+    monitor: Any = None
+    #: Set by ``Session.analyze``: serve nothing from the result cache.
+    cache_bypass: bool = False
+
+
+_EMPTY = QueryContext()
+_context: ContextVar[QueryContext] = ContextVar("repro_query", default=_EMPTY)
+
+#: The context in flight on this thread (or asyncio task).
+current = _context.get
+
+# Thread ident -> that thread's current context, kept only while a
+# sampling profiler runs (see publish_threads).
+_threads: Optional[Dict[int, QueryContext]] = None
+
+
+def current_trace_id() -> Optional[str]:
+    """The trace id of the query in flight here, or None."""
+    return _context.get().trace_id
 
 
 def new_trace_id() -> str:
@@ -54,68 +85,63 @@ def new_trace_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-def new_span_id() -> str:
-    """A fresh 8-hex-char span id (scoped under a trace id)."""
-    return uuid.uuid4().hex[:8]
+class scoped:
+    """``with scoped(context):`` runs the block under ``context``.
 
-
-def current_trace_id() -> Optional[str]:
-    """The trace id of the query in flight on this thread, or None."""
-    return getattr(_context, "trace_id", None)
-
-
-def current_span_id() -> Optional[str]:
-    """The active span id on this thread, or None."""
-    return getattr(_context, "span_id", None)
-
-
-def set_trace_context(
-    trace_id: Optional[str], span_id: Optional[str] = None
-) -> Tuple[Optional[str], Optional[str]]:
-    """Install ``(trace_id, span_id)`` on this thread; return the previous
-    pair so callers can restore it (nested queries)."""
-    previous = (current_trace_id(), current_span_id())
-    _context.trace_id = trace_id
-    _context.span_id = span_id
-    ident = threading.get_ident()
-    if trace_id is None and span_id is None:
-        _threads.pop(ident, None)
-    else:
-        _threads[ident] = (trace_id, span_id)
-    return previous
-
-
-def trace_context_for_thread(
-    ident: int,
-) -> Tuple[Optional[str], Optional[str]]:
-    """The ``(trace_id, span_id)`` pair installed on the thread with the
-    given ident, or ``(None, None)``.  Readable from any thread — this is
-    how the sampling profiler tags samples with the sampled thread's
-    trace."""
-    return _threads.get(ident, (None, None))
-
-
-@contextmanager
-def trace_context(
-    trace_id: Optional[str], span_id: Optional[str] = None
-) -> Iterator[Optional[str]]:
-    """Scoped :func:`set_trace_context`: restore the previous pair on exit."""
-    previous = set_trace_context(trace_id, span_id)
-    try:
-        yield trace_id
-    finally:
-        set_trace_context(*previous)
-
-
-def ensure_trace_id() -> Tuple[str, bool]:
-    """The current trace id, minting and installing one when absent.
-
-    Returns ``(trace_id, created)`` — ``created`` tells the caller it owns
-    the context and should clear it when the query finishes.
+    The whole context is replaced — build the new one from the old,
+    ``scoped(current()._replace(trace_id=t))`` — and the previous one is
+    restored by token on exit, whatever the block raised.  Objects whose
+    own ``__enter__``/``__exit__`` scope a context (resource monitors,
+    query observations) hold one of these and call through.
     """
-    existing = current_trace_id()
-    if existing is not None:
-        return existing, False
-    minted = new_trace_id()
-    set_trace_context(minted)
-    return minted, True
+
+    __slots__ = ("context", "_token")
+
+    def __init__(self, context: QueryContext):
+        self.context = context
+
+    def __enter__(self) -> QueryContext:
+        self._token = _enter(self.context)
+        return self.context
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
+        _exit(self._token)
+        return False
+
+
+# The two halves of ``scoped``, also called directly by a recorded span,
+# which holds its own token (one allocation less per span).
+def _enter(context: QueryContext) -> Token:
+    token = _context.set(context)
+    threads = _threads
+    if threads is not None:
+        _publish(threads, context)
+    return token
+
+
+def _exit(token: Token) -> None:
+    _context.reset(token)
+    threads = _threads
+    if threads is not None:
+        _publish(threads, _context.get())
+
+
+def _publish(threads: Dict[int, QueryContext], context: QueryContext) -> None:
+    if context is _EMPTY:
+        threads.pop(get_ident(), None)
+    else:
+        threads[get_ident()] = context
+
+
+def publish_threads(
+    table: Optional[Dict[int, QueryContext]],
+) -> Optional[Dict[int, QueryContext]]:
+    """Install (or, with ``None``, remove) the thread ident → context
+    table every context change then writes; returns the table installed
+    before.  The sampling profiler's hook: it reads the sampled thread's
+    trace id and innermost span from here.  A thread appears once its
+    context changes after the install."""
+    global _threads
+    previous = _threads
+    _threads = table
+    return previous

@@ -32,8 +32,9 @@ and into a bounded in-memory ring (:meth:`QueryLog.recent`) for
 programmatic access and tests.  :func:`validate_obslog` schema-checks a
 log (shared with ``scripts/validate_trace.py``).
 
-:class:`QueryObservation` is the session-side orchestrator: it installs a
-recording tracer when slow-query capture needs one, runs the query under a
+:class:`QueryObservation` is the session-side orchestrator: it scopes a
+trace id (and, when slow-query capture needs one, a recording tracer) to
+the calling context, runs the query under a
 :class:`~repro.telemetry.resources.ResourceMonitor`, and emits the events
 above.  ``Session.query``/``query_maximal``/``ask`` construct one per call
 when observability is configured — and skip all of it (one ``is None``
@@ -49,9 +50,9 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
-from .context import current_trace_id, ensure_trace_id, set_trace_context
+from .context import current, current_trace_id, new_trace_id, scoped
 from .resources import ResourceMonitor
-from .tracer import NULL_TRACER, Tracer, current_tracer, set_tracer
+from .tracer import Tracer
 
 #: Schema version stamped on every record.
 OBSLOG_SCHEMA = 1
@@ -393,9 +394,7 @@ class QueryObservation:
         self.usage = None
         self.trace_id: Optional[str] = None
         self.cache_outcome: Optional[str] = None  # "hit"/"miss", set by Session
-        self._owns_trace = False
-        self._tracer: Optional[Tracer] = None
-        self._previous_tracer = None
+        self._scope: Optional[scoped] = None
         self._start = 0.0
         self._finished = False
         self._cache_baseline: Dict[str, int] = {}
@@ -405,36 +404,45 @@ class QueryObservation:
         return self.log is not None and self.log.slow_threshold is not None
 
     def __enter__(self) -> "QueryObservation":
-        # One trace id per top-level query: reuse an ambient context (the
-        # caller established one) or mint and own a fresh one.
-        self.trace_id, self._owns_trace = ensure_trace_id()
+        # One trace id per top-level query: reuse the caller's or mint one.
         # Slow-query capture needs a recorded trace to build the EXPLAIN
-        # ANALYZE profile from; install a fresh tracer only if none is on.
-        if self._slow_capture() and current_tracer() is NULL_TRACER:
-            self._tracer = Tracer()
-            self._previous_tracer = set_tracer(self._tracer)
-        budget = self.session.budgets
-        if budget is not None or self.session.track_resources:
-            self.monitor = ResourceMonitor(budget)
-            self.monitor.__enter__()
-        planner = self.session.planner
-        self._cache_baseline = {
-            "parse_hits": planner.parses.hits,
-            "parse_misses": planner.parses.misses,
-            "profile_hits": planner.profiles.hits,
-            "profile_misses": planner.profiles.misses,
-        }
-        if self.log is not None:
-            preview = (
-                self.raw_query
-                if isinstance(self.raw_query, str)
-                else repr(self.raw_query)
-            )
-            self.log.emit("query.start", op=self.op, query=preview[:200])
-        self._start = time.perf_counter()
-        started = getattr(self.session, "_query_started", None)
-        if started is not None:  # the session's /debug/queries registry
-            started(self)
+        # ANALYZE profile from; record into a fresh tracer if none is on.
+        # Both live in this query's context only.
+        context = current()
+        tracer = context.tracer
+        if self._slow_capture() and not getattr(tracer, "enabled", False):
+            tracer = Tracer()
+        self.trace_id = context.trace_id or new_trace_id()
+        self._scope = scoped(context._replace(trace_id=self.trace_id, tracer=tracer))
+        self._scope.__enter__()
+        try:
+            budget = self.session.budgets
+            if budget is not None or self.session.track_resources:
+                self.monitor = ResourceMonitor(budget)
+                self.monitor.__enter__()
+            planner = self.session.planner
+            self._cache_baseline = {
+                "parse_hits": planner.parses.hits,
+                "parse_misses": planner.parses.misses,
+                "profile_hits": planner.profiles.hits,
+                "profile_misses": planner.profiles.misses,
+            }
+            if self.log is not None:
+                preview = (
+                    self.raw_query
+                    if isinstance(self.raw_query, str)
+                    else repr(self.raw_query)
+                )
+                self.log.emit("query.start", op=self.op, query=preview[:200])
+            self._start = time.perf_counter()
+            started = getattr(self.session, "_query_started", None)
+            if started is not None:  # the session's /debug/queries registry
+                started(self)
+        except BaseException as exc:
+            # Never leave the scope set: a pool thread runs the next job
+            # in whatever context this one leaves behind.
+            self._scope.__exit__(type(exc), exc, exc.__traceback__)
+            raise
         return self
 
     def parsed(self, p) -> None:
@@ -502,16 +510,14 @@ class QueryObservation:
         try:
             self._emit_exit_events(wall, exc_type, exc)
         finally:
+            self._scope.__exit__(exc_type, exc, tb)
+            self._scope = None
             finished = getattr(self.session, "_query_finished", None)
             if finished is not None:
                 finished(
                     self, wall,
                     None if exc_type is None else exc_type.__name__,
                 )
-            if self._tracer is not None:
-                set_tracer(self._previous_tracer)
-            if self._owns_trace:
-                set_trace_context(None, None)
         if exc is not None and tb is None:
             raise exc  # a post-hoc hard-budget violation from the monitor
         return False
@@ -556,8 +562,8 @@ class QueryObservation:
     def _build_report(self):
         """The EXPLAIN ANALYZE report of this run — ``None`` unless a
         recording tracer observed the execution."""
-        tracer = self._tracer if self._tracer is not None else current_tracer()
-        if not getattr(tracer, "enabled", False) or tracer is NULL_TRACER:
+        tracer = current().tracer
+        if not getattr(tracer, "enabled", False):
             return None
         from ..analyze import build_report
 

@@ -11,10 +11,10 @@ answers it with a stdlib stack sampler:
   per second, walks :func:`sys._current_frames`, and records one
   :class:`sample <Sample>` per application thread: the frame stack
   (root-first), plus — this is the span-aware part — the ``trace_id`` in
-  flight on the *sampled* thread (via
-  :func:`~repro.telemetry.context.trace_context_for_thread`) and the
-  innermost open :class:`~repro.telemetry.tracer.Span` there (via the
-  cross-thread span registry the profiler installs while running).  The
+  flight on the *sampled* thread and the innermost open
+  :class:`~repro.telemetry.tracer.Span` there, both read from that
+  thread's query context in the ident → context table the profiler
+  installs while running (:func:`~repro.telemetry.context.publish_threads`).  The
   span name maps onto a plan *phase* (plan / semijoin / join /
   enumerate), so a flamegraph can fold by phase as well as by frame.
 
@@ -33,7 +33,7 @@ answers it with a stdlib stack sampler:
 
 Overhead contract (gated in ``tests/test_profiler.py``): with no
 profiler running the hooks are a module-global ``is None`` check per
-recorded span transition and one :func:`current_profiler` read per
+context change and one :func:`current_profiler` read per
 observed query — nothing on evaluation hot loops — and sampling at
 100 Hz costs at most a few percent of wall time, because each tick does
 O(threads x stack depth) work in C-backed frame walking, a few hundred
@@ -53,9 +53,8 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..collector import collector_paused
-from .context import trace_context_for_thread
+from .context import QueryContext, publish_threads
 from .metrics import MetricsRegistry
-from .tracer import active_span_for_thread, set_span_registry
 
 __all__ = [
     "PROFILE_SCHEMA",
@@ -111,6 +110,9 @@ SPAN_PHASES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 
 PHASE_OTHER = "other"
 
+#: What a thread absent from the context table is running under.
+_NO_QUERY = QueryContext()
+
 
 def span_phase(span_name: Optional[str]) -> Optional[str]:
     """Map a span name onto its plan phase (``plan`` / ``semijoin`` /
@@ -130,8 +132,8 @@ def span_phase(span_name: Optional[str]) -> Optional[str]:
 class SamplingProfiler:
     """Wall-clock stack sampler with span/trace attribution.
 
-    ``start()`` spawns the daemon sampling thread, installs the tracer's
-    cross-thread span registry, registers this profiler as the
+    ``start()`` spawns the daemon sampling thread, installs the
+    cross-thread context table, registers this profiler as the
     module-level current one (so `Session` and obslog pick it up), and — when a registry is given — installs the
     :class:`GCMonitor`.  ``stop()`` undoes all of it.  Both are
     idempotent and thread-safe (the ``/debug/profile`` route hits them
@@ -159,8 +161,8 @@ class SamplingProfiler:
         self._state_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._span_registry: Dict[int, Any] = {}
-        self._previous_registry: Optional[Dict[int, Any]] = None
+        self._contexts: Dict[int, QueryContext] = {}
+        self._previous_contexts: Optional[Dict[int, QueryContext]] = None
         self._gc_monitor: Optional[GCMonitor] = None
         self._labels: Dict[Any, str] = {}
 
@@ -177,7 +179,7 @@ class SamplingProfiler:
             if self.running:
                 return self
             self._stop = threading.Event()
-            self._previous_registry = set_span_registry(self._span_registry)
+            self._previous_contexts = publish_threads(self._contexts)
             if self.gc_stats and self.registry is not None:
                 self._gc_monitor = GCMonitor(self.registry)
                 self._gc_monitor.install()
@@ -199,9 +201,9 @@ class SamplingProfiler:
             self._stop.set()
             thread.join(timeout=2.0)
             self._thread = None
-            set_span_registry(self._previous_registry)
-            self._previous_registry = None
-            self._span_registry.clear()
+            publish_threads(self._previous_contexts)
+            self._previous_contexts = None
+            self._contexts.clear()
             if self._gc_monitor is not None:
                 self._gc_monitor.uninstall()
                 self._gc_monitor = None
@@ -262,11 +264,10 @@ class SamplingProfiler:
             if not stack:
                 continue
             stack.reverse()  # root-first, the folded/speedscope order
-            trace_id, _ = trace_context_for_thread(ident)
-            span = active_span_for_thread(ident)
-            span_name = span.name if span is not None else None
+            context = self._contexts.get(ident, _NO_QUERY)
+            span_name = context.span.name if context.span is not None else None
             collected.append(
-                (now, ident, tuple(stack), trace_id, span_name,
+                (now, ident, tuple(stack), context.trace_id, span_name,
                  span_phase(span_name))
             )
         if collected:

@@ -20,9 +20,12 @@ session's query log turns them into warning events); **hard** limits raise
 intermediate cardinality *in flight*, aborting a blowing-up query at the
 next accounting point rather than after the fact.
 
-The disabled path is one thread-local attribute read per accounting hook
-(gated <5% alongside the null tracer in ``tests/test_resources.py``); no
-monitor installed means no clock reads and no allocation.
+The monitor is a field of the per-query context
+(:mod:`repro.telemetry.context`), so a query on one thread never reports
+into another thread's monitor.  The disabled path is one context read per
+accounting hook (gated <5% alongside the null tracer in
+``tests/test_resources.py``); no monitor installed means no clock reads
+and no allocation.
 
 Wired through :class:`repro.engine.Session` — pass ``budgets=`` or
 ``track_resources=True`` and every ``query``/``query_maximal``/``ask``
@@ -37,7 +40,7 @@ import tracemalloc
 from typing import Any, Dict, List, Optional
 
 from ..exceptions import ResourceBudgetExceeded
-from .context import current_trace_id
+from .context import current, current_trace_id, scoped
 
 __all__ = [
     "ResourceBudget",
@@ -134,25 +137,22 @@ class ResourceUsage:
 
 
 # ---------------------------------------------------------------------------
-# The thread-local active monitor — the accounting hooks' lookup point
+# The accounting hooks: they report into the context's monitor
 # ---------------------------------------------------------------------------
-_active = threading.local()
-
-
 def current_monitor() -> "Optional[ResourceMonitor]":
     """The monitor accounting hooks report into (``None`` when disabled)."""
-    return getattr(_active, "monitor", None)
+    return current().monitor
 
 
 def account_rows(rows: int) -> None:
     """Report an intermediate relation / candidate-set cardinality.
 
     Called by the instrumented engines at phase boundaries (never per
-    tuple).  A no-op — one thread-local read — unless a monitor is active;
+    tuple).  A no-op — one context read — unless a monitor is active;
     with an active monitor it updates the peak and enforces the hard
     cardinality and wall-time budgets in flight.
     """
-    monitor = getattr(_active, "monitor", None)
+    monitor = current().monitor
     if monitor is not None:
         monitor.note_rows(rows)
 
@@ -160,7 +160,7 @@ def account_rows(rows: int) -> None:
 def account_subquery(n: int = 1) -> None:
     """Report ``n`` CQ subqueries issued by an evaluator or a decision
     procedure."""
-    monitor = getattr(_active, "monitor", None)
+    monitor = current().monitor
     if monitor is not None:
         monitor.note_subqueries(n)
 
@@ -174,8 +174,8 @@ class ResourceMonitor:
             session_does_work()
         monitor.usage.peak_intermediate_rows
 
-    Entering installs the monitor as the thread's active monitor (nesting
-    restores the previous one on exit) and starts the clocks; exiting
+    Entering installs the monitor in the calling context (exiting restores
+    the previous one, nested or not) and starts the clocks; exiting
     finalises the :class:`ResourceUsage` and applies post-hoc hard checks
     (memory — tracemalloc peaks are only meaningful at the end).
     """
@@ -195,7 +195,7 @@ class ResourceMonitor:
         self.usage = ResourceUsage()
         self._start_wall = 0.0
         self._start_cpu = 0.0
-        self._previous: Optional[ResourceMonitor] = None
+        self._scope: Optional[scoped] = None
         self._started_tracemalloc = False
         # ``note_rows``/``note_subqueries`` may be called by any thread
         # holding the monitor; the peak and subquery updates are guarded
@@ -243,9 +243,8 @@ class ResourceMonitor:
             else:
                 tracemalloc.start()
                 self._started_tracemalloc = True
-        self._previous = getattr(_active, "monitor", None)
-        _active.monitor = self
-        self.usage.trace_id = current_trace_id()
+        self._scope = scoped(current()._replace(monitor=self))
+        self.usage.trace_id = self._scope.__enter__().trace_id
         self._start_cpu = time.process_time()
         self._start_wall = time.perf_counter()
         return self
@@ -254,7 +253,8 @@ class ResourceMonitor:
         usage = self.usage
         usage.wall_seconds = time.perf_counter() - self._start_wall
         usage.cpu_seconds = time.process_time() - self._start_cpu
-        _active.monitor = self._previous
+        self._scope.__exit__(exc_type, exc, tb)
+        self._scope = None
         if self.trace_memory:
             _, peak = tracemalloc.get_traced_memory()
             usage.peak_memory_bytes = peak

@@ -8,18 +8,22 @@ A :class:`Tracer` records a forest of nested, monotonic-clock
         with tracer.span("planner.profile") as sp:
             sp.set(cache="miss")
 
-Spans nest per *thread* (the active-span stack is thread-local) while the
-completed roots are collected on the tracer under a lock, so one tracer can
-observe a multi-threaded evaluation.
+The innermost open span lives in the per-query context
+(:mod:`repro.telemetry.context`), so spans nest per thread (and per
+asyncio task) while the completed roots are collected on the tracer under
+a lock: one tracer can observe a multi-threaded evaluation.
 
-Tracing is **off by default**: the module-level current tracer is a
-:class:`NullTracer` whose :meth:`~NullTracer.span` returns a shared no-op
-span — no allocation, no clock reads, no bookkeeping — so instrumentation
-left in hot paths is close to free (the overhead gate lives in
-``tests/test_telemetry.py``).  Hot loops that compute span *attributes*
-should additionally guard on ``tracer.enabled``.
+Tracing is **off by default**: the context carries no tracer and
+:func:`current_tracer` returns a :class:`NullTracer` whose
+:meth:`~NullTracer.span` returns a shared no-op span — no allocation, no
+clock reads, no bookkeeping — so instrumentation left in hot paths is
+close to free (the overhead gate lives in ``tests/test_telemetry.py``).
+Hot loops that compute span *attributes* should additionally guard on
+``tracer.enabled``.
 
-Install a real tracer for the duration of a block with :func:`tracing`::
+Record into a tracer for the duration of a block with :func:`tracing`;
+it is installed in the calling context only, so queries other threads run
+meanwhile record nothing into it::
 
     with tracing() as tracer:
         session.query(q)
@@ -33,13 +37,17 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
+from .context import QueryContext, _enter, _exit, current, scoped
+
 
 class Span:
     """One timed, attributed section of work.  Also its own context
     manager: entering starts the clock and links the span under the
-    tracer's current span; exiting stops the clock."""
+    calling context's innermost open span — or, when that belongs to
+    another tracer or there is none, among its tracer's roots; exiting
+    stops the clock."""
 
-    __slots__ = ("name", "attrs", "start", "end", "children", "_tracer")
+    __slots__ = ("name", "attrs", "start", "end", "children", "_tracer", "_token")
 
     def __init__(self, name: str, attrs: Optional[Dict[str, Any]] = None,
                  tracer: "Optional[Tracer]" = None):
@@ -63,33 +71,27 @@ class Span:
     def __enter__(self) -> "Span":
         tracer = self._tracer
         if tracer is not None:
-            stack = tracer._stack()
-            if stack:
-                stack[-1].children.append(self)
+            context = current()
+            parent = context.span
+            if parent is not None and parent._tracer is tracer:
+                parent.children.append(self)
             else:
                 with tracer._lock:
                     tracer.roots.append(self)
-            stack.append(self)
-            registry = _span_registry
-            if registry is not None:
-                registry[threading.get_ident()] = self
+            self._token = _enter(QueryContext(
+                context.trace_id, context.tracer, self, context.monitor,
+                context.cache_bypass,
+            ))
         self.start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
         self.end = time.perf_counter()
-        tracer = self._tracer
-        if tracer is not None:
-            stack = tracer._stack()
-            if stack and stack[-1] is self:
-                stack.pop()
-            registry = _span_registry
-            if registry is not None:
-                ident = threading.get_ident()
-                if stack:
-                    registry[ident] = stack[-1]
-                else:
-                    registry.pop(ident, None)
+        if self._tracer is not None:
+            _exit(self._token)
+            # The token holds the enclosing context, whose span holds this
+            # one: drop it, so a recorded trace holds no reference cycles.
+            self._token = None
         return False
 
     def walk(self) -> Iterator["Span"]:
@@ -127,22 +129,10 @@ class Tracer:
     def __init__(self) -> None:
         self.roots: List[Span] = []
         self._lock = threading.Lock()
-        self._local = threading.local()
-
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     def span(self, name: str, **attrs: Any) -> Span:
         """A new span, to be used as a context manager."""
         return Span(name, attrs, tracer=self)
-
-    def current(self) -> Optional[Span]:
-        """The innermost open span on this thread, or ``None``."""
-        stack = self._stack()
-        return stack[-1] if stack else None
 
     def clear(self) -> None:
         with self._lock:
@@ -200,9 +190,6 @@ class NullTracer:
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return NULL_SPAN
 
-    def current(self) -> None:
-        return None
-
     def clear(self) -> None:
         pass
 
@@ -221,72 +208,21 @@ class NullTracer:
 
 NULL_TRACER = NullTracer()
 
-# ---------------------------------------------------------------------------
-# Cross-thread active-span registry (sampling-profiler hook)
-# ---------------------------------------------------------------------------
-# The per-thread span stack is thread-local, so the sampling profiler's
-# daemon thread cannot see which span is open on the threads it samples.
-# When a profiler is running it installs a plain dict here (thread ident
-# -> innermost open Span) and Span.__enter__/__exit__ keep it current.
-# The hook costs one module-global read + ``is None`` check per recorded
-# span transition, and nothing at all on the NullTracer fast path (null
-# spans never reach the registry code).
-_span_registry: Optional[Dict[int, Span]] = None
-
-
-def set_span_registry(
-    registry: Optional[Dict[int, Span]],
-) -> Optional[Dict[int, Span]]:
-    """Install (or, with ``None``, remove) the cross-thread active-span
-    registry; returns the previously installed one so callers can
-    restore it."""
-    global _span_registry
-    previous = _span_registry
-    _span_registry = registry
-    return previous
-
-
-def active_span_for_thread(ident: int) -> Optional[Span]:
-    """The innermost open span on the thread with the given ident, or
-    ``None`` (always ``None`` unless a span registry is installed)."""
-    registry = _span_registry
-    if registry is None:
-        return None
-    return registry.get(ident)
-
-
-# ---------------------------------------------------------------------------
-# Module-level current tracer (the instrumentation sites' lookup point)
-# ---------------------------------------------------------------------------
-_current = NULL_TRACER
-
-
 def current_tracer():
-    """The tracer instrumentation sites record into (NullTracer when
-    tracing is disabled)."""
-    return _current
-
-
-def set_tracer(tracer) -> object:
-    """Install ``tracer`` as current (``None`` → the null tracer);
-    returns the previously installed tracer."""
-    global _current
-    previous = _current
-    _current = tracer if tracer is not None else NULL_TRACER
-    return previous
+    """The tracer instrumentation sites record into: the calling
+    context's, or the null tracer when tracing is disabled."""
+    return current().tracer or NULL_TRACER
 
 
 def trace_span(name: str, **attrs: Any):
     """``current_tracer().span(...)`` — the one-line instrumentation call."""
-    return _current.span(name, **attrs)
+    return current_tracer().span(name, **attrs)
 
 
 @contextmanager
 def tracing(tracer: Optional[Tracer] = None):
-    """Install a (fresh, by default) recording tracer for the block."""
+    """Record into ``tracer`` (a fresh one by default) for the block, in
+    the calling context only."""
     installed = tracer if tracer is not None else Tracer()
-    previous = set_tracer(installed)
-    try:
+    with scoped(current()._replace(tracer=installed)):
         yield installed
-    finally:
-        set_tracer(previous)

@@ -10,9 +10,9 @@ import pytest
 
 import repro.__main__ as cli
 from repro.__main__ import main
-from repro.engine import BACKEND_ENV, Session
+from repro.engine import Session
 from repro.service import ServiceServer
-from repro.storage import BACKEND_KINDS, to_backend
+from repro.storage import BACKEND_ENV, BACKEND_KINDS, to_backend
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Spelled in two halves, like every deleted name below, so that this

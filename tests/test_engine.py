@@ -5,9 +5,9 @@ import pytest
 from repro.core.atoms import atom
 from repro.core.database import Database
 from repro.core.mappings import Mapping
-from repro.engine import BACKEND_ENV, Result, Session
+from repro.engine import Result, Session
 from repro.exceptions import ParseError
-from repro.storage import MemoryBackend, SQLiteBackend
+from repro.storage import BACKEND_ENV, MemoryBackend, SQLiteBackend
 from repro.workloads.families import FIGURE1_QUERY_TEXT, example2_graph
 
 SURFACE = (

@@ -4,10 +4,14 @@ one trace_id that ties a query's records, spans and resources together."""
 
 import io
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.engine as engine_mod
 from repro.engine import Session
+from repro.telemetry.context import QueryContext, current
 from repro.telemetry.obslog import (
     OBSLOG_SCHEMA,
     QueryLog,
@@ -341,3 +345,117 @@ def test_budget_kill_carries_the_trace_id():
     assert info.value.trace_id
     assert "[trace %s]" % info.value.trace_id in str(info.value)
     assert any(r["trace_id"] == info.value.trace_id for r in log.recent())
+
+
+# ---------------------------------------------------------------------------
+# Each observation keeps its context to itself
+# ---------------------------------------------------------------------------
+def _slow_counts(record):
+    return [
+        (n["node"], n["candidates"], n["extensions"], n["sat_checks"])
+        for n in record["profile"]["nodes"]
+    ]
+
+
+def test_overlapping_slow_captures_log_their_own_node_counts(monkeypatch):
+    alone = QueryLog(slow_threshold=0.0)
+    _session(obslog=alone, cache=False).query(EXAMPLE2_QUERY)
+    (record,) = alone.events("query.slow")
+    expected = _slow_counts(record)
+
+    log = QueryLog(slow_threshold=0.0)
+    session = _session(obslog=log, cache=False)
+    # Both observations are open before either evaluates, and neither
+    # closes before both have evaluated.
+    opened = threading.Barrier(2, timeout=10)
+    evaluated = threading.Barrier(2, timeout=10)
+    real = engine_mod.evaluate
+    errors = []
+
+    def gated(*args):
+        opened.wait()
+        answers = real(*args)
+        evaluated.wait()
+        return answers
+
+    def run():
+        try:
+            session.query(EXAMPLE2_QUERY)
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    monkeypatch.setattr(engine_mod, "evaluate", gated)
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    records = log.events("query.slow")
+    assert len({r["trace_id"] for r in records}) == 2
+    assert [_slow_counts(r) for r in records] == [expected, expected]
+
+
+def test_concurrent_slow_captures_under_fast_switching():
+    """More threads than cores, switching every 10 µs: every query.slow
+    record still carries its own query's node counts."""
+    import sys
+
+    alone = QueryLog(slow_threshold=0.0)
+    _session(obslog=alone, cache=False).query(EXAMPLE2_QUERY)
+    expected = _slow_counts(alone.events("query.slow")[0])
+    log = QueryLog(slow_threshold=0.0, ring_size=1000)
+    session = _session(obslog=log, cache=False)
+    start = threading.Barrier(4, timeout=10)
+    errors = []
+
+    def run():
+        try:
+            start.wait()
+            for _ in range(20):
+                session.query(EXAMPLE2_QUERY)
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    records = log.events("query.slow")
+    assert len(records) == 80
+    assert all(_slow_counts(r) == expected for r in records)
+
+
+def test_a_pool_worker_carries_nothing_from_one_query_to_the_next(monkeypatch):
+    from repro.exceptions import ResourceBudgetExceeded
+    from repro.telemetry.resources import ResourceBudget
+    from repro.workloads.datasets import company_directory
+
+    killed = Session(
+        company_directory(n_departments=3, employees_per_department=4, seed=1),
+        obslog=QueryLog(), budgets=ResourceBudget(hard_intermediate_rows=1),
+    )
+    seen = []
+    real = engine_mod.evaluate
+
+    def spy(*args):
+        seen.append(current())
+        return real(*args)
+
+    monkeypatch.setattr(engine_mod, "evaluate", spy)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with pytest.raises(ResourceBudgetExceeded):
+            pool.submit(killed.query, _company_query()).result()
+        pool.submit(_session().query, EXAMPLE2_QUERY).result()
+        after = pool.submit(current).result()
+    first, second = seen
+    assert first.monitor is not None and first.trace_id is not None
+    assert second.monitor is None and second.trace_id is None
+    assert second == after == QueryContext()

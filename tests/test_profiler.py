@@ -13,8 +13,8 @@ import urllib.request
 import pytest
 
 from repro.engine import Session
+from repro.telemetry import context as context_mod
 from repro.telemetry import profiler as profiler_mod
-from repro.telemetry import tracer as tracer_mod
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.obslog import QueryLog, validate_obslog
 from repro.telemetry.profiler import (
@@ -55,7 +55,7 @@ def _no_leftover_hooks():
     if leftover is not None:
         leftover.stop()
     assert current_profiler() is None
-    assert tracer_mod._span_registry is None
+    assert context_mod._threads is None
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +87,12 @@ def test_start_stop_are_idempotent_and_restore_hooks():
     profiler.start()  # no-op, no second thread
     assert profiler.running
     assert current_profiler() is profiler
-    assert tracer_mod._span_registry is not None
+    assert context_mod._threads is not None
     profiler.stop()
     profiler.stop()  # no-op
     assert not profiler.running
     assert current_profiler() is None
-    assert tracer_mod._span_registry is None
+    assert context_mod._threads is None
 
 
 def test_max_samples_bounds_memory_and_counts_drops():
@@ -129,18 +129,15 @@ def test_span_phase_table():
 
 
 def test_samples_are_tagged_with_trace_span_and_phase():
-    from repro.telemetry.context import set_trace_context
+    from repro.telemetry.context import current, scoped
 
     profiler = SamplingProfiler(hz=500)
     profiler.start()
     try:
-        previous = set_trace_context("trace-abc", None)
-        try:
+        with scoped(current()._replace(trace_id="trace-abc")):
             with tracing() as tracer:
                 with tracer.span("yannakakis.semijoin_up"):
                     _busy(0.1)
-        finally:
-            set_trace_context(*previous)
     finally:
         profiler.stop()
     tagged = [s for s in profiler.samples if s[3] == "trace-abc"]
@@ -434,22 +431,22 @@ def _kernel_workload():
 
 
 def test_disabled_path_is_structurally_zero_cost():
-    # No profiler → the per-span hook is a single module-global read
-    # that is None, and the trace-map is the only context write.
-    assert tracer_mod._span_registry is None
+    # No profiler → the per-context-change hook is a single module-global
+    # read that is None.
+    assert context_mod._threads is None
     assert current_profiler() is None
     # NullTracer span path untouched: entering spans with tracing
-    # disabled must not populate any registry even while one exists.
+    # disabled must not populate the context table even while one exists.
     registry = {}
-    previous = tracer_mod.set_span_registry(registry)
+    previous = context_mod.publish_threads(registry)
     try:
         from repro.telemetry.tracer import trace_span
 
         with trace_span("yannakakis.join"):
             pass
-        assert registry == {}  # NullSpan never touches the registry
+        assert registry == {}  # NullSpan never changes the context
     finally:
-        tracer_mod.set_span_registry(previous)
+        context_mod.publish_threads(previous)
 
 
 def test_no_collection_while_reading_other_threads_frames(monkeypatch):

@@ -20,6 +20,7 @@ from repro.telemetry.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.telemetry.context import QueryContext, current, scoped
 from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
@@ -31,7 +32,6 @@ from repro.telemetry.tracer import (
     NullTracer,
     Tracer,
     current_tracer,
-    set_tracer,
     tracing,
 )
 from repro.wdpt.eval_tractable import eval_tractable
@@ -90,7 +90,7 @@ def test_tracer_is_thread_safe():
     assert all(len(root.children) == 1 for root in tracer.roots)
 
 
-def test_set_tracer_and_tracing_restore_previous():
+def test_scoped_tracer_and_tracing_restore_previous():
     assert current_tracer() is NULL_TRACER
     with tracing() as tracer:
         assert current_tracer() is tracer
@@ -98,8 +98,9 @@ def test_set_tracer_and_tracing_restore_previous():
             pass
     assert current_tracer() is NULL_TRACER
     assert [s.name for s in tracer.walk()] == ["inside"]
-    previous = set_tracer(None)
-    assert previous is NULL_TRACER and current_tracer() is NULL_TRACER
+    with scoped(current()._replace(tracer=None)) as context:
+        assert context.tracer is None and current_tracer() is NULL_TRACER
+    assert current() == QueryContext()
 
 
 def test_null_tracer_records_nothing():
@@ -548,3 +549,88 @@ def test_session_reset_stats_keeps_warm_caches():
     session.query(EXAMPLE2_QUERY)
     assert session.stats()["parse_cache"]["hits"] == 1
     assert session.stats()["parse_cache"]["misses"] == 0
+
+
+# ---------------------------------------------------------------------------
+# One context carrier: what a query carries stays on its own thread
+# ---------------------------------------------------------------------------
+def _node_counts(rows):
+    return [(r["node"], r["candidates"], r["extensions"], r["sat_checks"]) for r in rows]
+
+
+def test_tracing_records_none_of_another_threads_spans():
+    session = Session(example2_graph(), cache=False)
+    installed, finished = threading.Event(), threading.Event()
+    theirs = []
+
+    def other():
+        try:
+            assert installed.wait(10)
+            theirs.append(current_tracer())
+            with tracing() as tracer:
+                session.query(EXAMPLE2_QUERY)
+            theirs.append(tracer)
+        finally:
+            finished.set()
+
+    thread = threading.Thread(target=other)
+    with tracing() as mine:
+        thread.start()
+        installed.set()
+        assert finished.wait(10)
+    thread.join(10)
+    assert not thread.is_alive()
+    before, own = theirs
+    assert before is NULL_TRACER
+    assert list(mine.walk()) == []
+    assert [root.name for root in own.roots] == ["session.query"]
+
+
+def test_analyze_counts_only_its_own_query_while_another_runs(monkeypatch):
+    import repro.engine as engine_mod
+
+    session = Session(example2_graph())
+    expected = _node_counts(session.analyze(EXAMPLE2_QUERY).rows)
+    held, go, released = threading.Event(), threading.Event(), threading.Event()
+    real = engine_mod.evaluate
+    errors = []
+
+    def gated(*args):
+        if threading.current_thread() is worker:
+            held.set()  # the worker's query is open, mid-evaluation
+            assert go.wait(10)
+        else:  # the analyzed query: let the worker evaluate under its tracer
+            go.set()
+            assert released.wait(10)
+        return real(*args)
+
+    def work():
+        try:
+            session.query(EXAMPLE2_QUERY)
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+        finally:
+            released.set()
+
+    monkeypatch.setattr(engine_mod, "evaluate", gated)
+    worker = threading.Thread(target=work)
+    worker.start()
+    assert held.wait(10)
+    report = session.analyze(EXAMPLE2_QUERY)
+    worker.join(10)
+    assert not worker.is_alive() and errors == []
+    assert _node_counts(report.rows) == expected
+    assert [root.name for root in report.tracer.roots] == ["session.query"]
+
+
+def test_one_context_carrier():
+    """Per-query state has one home: no thread-locals, one ContextVar,
+    and one read of the environment."""
+    import pathlib
+
+    import repro
+
+    sources = [p.read_text() for p in pathlib.Path(repro.__file__).parent.rglob("*.py")]
+    assert not [text for text in sources if "threading.local" in text]
+    assert sum(text.count("ContextVar(") for text in sources) == 1
+    assert sum(text.count("os.environ") for text in sources) == 1
