@@ -11,7 +11,7 @@ but a schema can be supplied to get eager arity checking.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
 
 from ..exceptions import SchemaError
 from .terms import Constant, Term, Variable, term
@@ -32,17 +32,23 @@ class Atom:
     frozenset({'after_2010'})
     """
 
-    __slots__ = ("relation", "args", "_hash")
+    __slots__ = ("relation", "args", "_hash", "_order")
 
     def __init__(self, relation: str, args: Iterable[object]):
         if not isinstance(relation, str) or not relation:
             raise SchemaError("relation name must be a non-empty string, got %r" % (relation,))
-        coerced = tuple(term(a) for a in args)
+        coerced = tuple(args)
+        for a in coerced:  # terms pass as they are; a raw payload coerces all
+            if a.__class__ is not Variable and a.__class__ is not Constant:
+                coerced = tuple(map(term, coerced))
+                break
         if not coerced:
             raise SchemaError("atom %s() has arity 0; arities must be positive" % relation)
         self.relation = relation
         self.args = coerced
         self._hash = hash((relation, coerced))
+        #: the sort key, built by the first comparison (see ``__lt__``)
+        self._order: Optional[Tuple[str, Tuple[str, ...]]] = None
 
     def __reduce__(self):
         # By value, so the hash is recomputed (see Variable.__reduce__).
@@ -71,9 +77,9 @@ class Atom:
         Variables outside the assignment's domain are left untouched, so the
         result may still contain variables (partial instantiation).
         """
+        get = assignment.get
         return Atom(
-            self.relation,
-            tuple(assignment.get(a, a) if isinstance(a, Variable) else a for a in self.args),
+            self.relation, [get(a, a) if a.__class__ is Variable else a for a in self.args]
         )
 
     def rename(self, renaming: Mapping[Variable, Variable]) -> "Atom":
@@ -98,12 +104,16 @@ class Atom:
         return "%s(%s)" % (self.relation, ", ".join(repr(a) for a in self.args))
 
     def __lt__(self, other: "Atom") -> bool:
+        # By relation, then argument by argument in ``repr`` order; each
+        # atom builds that key once, so a sort reprs each argument once.
         if not isinstance(other, Atom):
             return NotImplemented
-        return (self.relation, [repr(a) for a in self.args]) < (
-            other.relation,
-            [repr(a) for a in other.args],
-        )
+        mine, theirs = self._order, other._order
+        if mine is None:
+            mine = self._order = (self.relation, tuple(map(repr, self.args)))
+        if theirs is None:
+            theirs = other._order = (other.relation, tuple(map(repr, other.args)))
+        return mine < theirs
 
 
 def atom(relation: str, *args: object) -> Atom:

@@ -66,11 +66,16 @@ def candidate_space(p: WDPT) -> Iterator[WDPT]:
 
     Deduplicated; includes ``p``'s normal form itself.
     """
+    yield from _candidates_of(p, lemma1_normal_form(p))
+
+
+def _candidates_of(p: WDPT, norm: WDPT) -> Iterator[WDPT]:
+    """:func:`candidate_space` of ``p``, whose Lemma 1 normal form
+    ``norm`` the caller built already."""
     if p.constants():
         raise ConstantsNotSupportedError(
             "approximation requires a constant-free WDPT (paper Section 5)"
         )
-    norm = lemma1_normal_form(p)
     seen: Set[WDPT] = set()
     subtree_count = 0
     for nodes in norm.tree.rooted_subtrees():
@@ -164,7 +169,7 @@ def find_wb_equivalent(p: WDPT, k: int, variant: str = WB_TW) -> Optional[WDPT]:
     norm = lemma1_normal_form(p)
     if is_in_wb(norm, k, variant):
         return norm
-    for candidate in candidate_space(p):
+    for candidate in _candidates_of(p, norm):
         if not is_in_wb(candidate, k, variant):
             continue
         if is_subsumption_equivalent(p, candidate):

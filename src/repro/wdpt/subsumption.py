@@ -51,11 +51,25 @@ from .wdpt import WDPT
 def is_subsumed_by(p1: WDPT, p2: WDPT) -> bool:
     """``p₁ ⊑ p₂``.
 
-    The inner ``PARTIAL-EVAL`` calls run the backtracking search: each
+    ``False`` at once when ``p₁`` has a free variable ``p₂`` lacks
+    (:func:`frees_covered`); otherwise the subtree walk decides.  The
+    inner ``PARTIAL-EVAL`` calls run the backtracking search: each
     canonical database is a handful of frozen facts, so there is no
     analysis a planner could reuse.
     """
-    return subsumption_counterexample(p1, p2) is None
+    return frees_covered(p1, p2) and subsumption_counterexample(p1, p2) is None
+
+
+def frees_covered(p1: WDPT, p2: WDPT) -> bool:
+    """``free(p₁) ⊆ free(p₂)``, a necessary condition for ``p₁ ⊑ p₂``.
+
+    Over the canonical database of *all* of ``p₁`` the identity is a
+    maximal homomorphism mapping every node, so its answer binds every
+    free variable of ``p₁``; an answer of ``p₂`` binds variables of its
+    own free tuple only, so none subsumes that answer once ``p₁`` has a
+    free variable ``p₂`` lacks.
+    """
+    return set(p1.free_variables).issubset(p2.free_variables)
 
 
 def subsumption_counterexample(p1: WDPT, p2: WDPT) -> Optional[FrozenSet[int]]:
@@ -66,7 +80,10 @@ def subsumption_counterexample(p1: WDPT, p2: WDPT) -> Optional[FrozenSet[int]]:
     database of that subtree admits an answer of ``p1`` that no answer of
     ``p2`` subsumes — ready-made debugging output for query rewrites.
     (A subtree binding a free variable ``p₂`` does not have fails inside
-    ``PARTIAL-EVAL``: no answer of ``p₂`` can subsume one mentioning it.)
+    ``PARTIAL-EVAL``: no answer of ``p₂`` can subsume one mentioning it.
+    This function still walks to the first such subtree, so its output
+    names a node set; :func:`is_subsumed_by` answers ``False`` for the
+    same pair before any walk, see :func:`frees_covered`.)
     """
     return unsubsumed_subtree(p1, lambda db, nu: partial_eval(p2, db, nu))
 

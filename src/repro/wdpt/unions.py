@@ -35,7 +35,7 @@ from .classes import WB_TW
 from .evaluation import evaluate as wdpt_evaluate
 from .max_eval import extension_exists
 from .partial_eval import partial_eval as wdpt_partial_eval
-from .subsumption import unsubsumed_subtree
+from .subsumption import frees_covered, unsubsumed_subtree
 from .wdpt import WDPT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -169,7 +169,15 @@ def union_subsumed_by(phi1: UWDPT, phi2: UWDPT) -> bool:
     member ``p`` of ``φ₁`` and each rooted subtree ``S`` of ``p``, the
     frozen free part of ``S`` must be a partial answer of ``φ₂`` over the
     canonical database of ``q_S``.
+
+    ``False`` before any walk when some member ``p`` of ``φ₁`` has no
+    member ``q`` of ``φ₂`` with ``free(p) ⊆ free(q)``: ``φ₂(D)`` is the
+    union of its members' answers, so none subsumes the answer of ``p``
+    binding all of ``p``'s free variables (:func:`frees_covered`).
     """
+    if not all(any(frees_covered(p, q) for q in phi2) for p in phi1):
+        return False
+
     def partial_answer(db: Database, nu: Mapping) -> bool:
         return union_partial_eval(phi2, db, nu)
 

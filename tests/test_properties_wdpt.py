@@ -87,6 +87,34 @@ def test_projection_monotonicity(pair):
         assert any(answer.subsumed_by(w) for w in wide)
 
 
+@st.composite
+def reprojected_pair(draw):
+    """Two trees, or one tree twice, each projected to a drawn subset of
+    its free variables: the free tuples differ in most draws, either way."""
+    p, q = draw(two_wdpts())
+    if draw(st.booleans()):
+        q = p
+    return tuple(
+        t.with_free_variables(
+            draw(st.lists(st.sampled_from(t.free_variables), unique=True))
+            if t.free_variables else ()
+        )
+        for t in (p, q)
+    )
+
+
+@settings(COMMON, max_examples=60)
+@given(reprojected_pair())
+def test_subsumption_decision_agrees_with_the_walk(pair):
+    """``is_subsumed_by`` answers some pairs from the free tuples alone;
+    the subtree walk behind ``subsumption_counterexample`` decides all."""
+    from repro.wdpt.subsumption import is_subsumed_by, subsumption_counterexample
+
+    p, q = pair
+    assert is_subsumed_by(p, q) == (subsumption_counterexample(p, q) is None)
+    assert is_subsumed_by(q, p) == (subsumption_counterexample(q, p) is None)
+
+
 # ---------------------------------------------------------------------------
 # φ_cq faithfulness
 # ---------------------------------------------------------------------------

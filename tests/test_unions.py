@@ -6,7 +6,9 @@ from repro.core.atoms import atom
 from repro.core.cq import cq
 from repro.core.database import Database
 from repro.core.mappings import Mapping
+from repro.telemetry.tracer import tracing
 from repro.wdpt.classes import WB_TW, is_in_wb
+from repro.wdpt.subsumption import unsubsumed_subtree
 from repro.wdpt.unions import (
     UWDPT,
     as_union_of_cqs,
@@ -147,6 +149,25 @@ class TestUnionSubsumption:
         phi_big = UWDPT([figure1, other])
         assert union_subsumed_by(phi_small, phi_big)
         assert not union_subsumed_by(phi_big, phi_small)
+
+    def test_free_variables_split_across_members_fail_before_any_walk(self):
+        """Each member of ``halves`` has the body of ``both`` and one of its
+        free variables; ``both``'s answer binding ``?x`` and ``?y`` is
+        subsumed by no answer of either half.  The free tuples alone decide
+        this, so no subsumption walk runs — and the walk agrees."""
+        body = [atom("R", "?x", "?y")]
+        both = UWDPT([WDPT.from_cq(cq(["?x", "?y"], body))])
+        halves = UWDPT([WDPT.from_cq(cq(["?x"], body)), WDPT.from_cq(cq(["?y"], body))])
+        with tracing() as tracer:
+            assert not union_subsumed_by(both, halves)
+        assert list(tracer.find("wdpt.subsumption")) == []
+        (p,) = both
+        assert unsubsumed_subtree(
+            p, lambda db, nu: union_partial_eval(halves, db, nu)
+        ) is not None
+        with tracing() as tracer:
+            assert union_subsumed_by(halves, both)
+        assert len(list(tracer.find("wdpt.subsumption"))) == 2
 
 
 class TestSemanticOptimization:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.atoms import atom
 from repro.core.cq import cq
 from repro.exceptions import ConstantsNotSupportedError
+from repro.telemetry.tracer import tracing
 from repro.wdpt.approximation import (
     candidate_space,
     find_wb_equivalent,
@@ -16,6 +17,7 @@ from repro.wdpt.approximation import (
 from repro.wdpt.classes import WB_BETA_HW, WB_TW, is_in_wb
 from repro.wdpt.subsumption import is_subsumed_by, is_subsumption_equivalent
 from repro.wdpt.wdpt import WDPT, wdpt_from_nested
+from repro.workloads.families import figure2_family
 
 
 @pytest.fixture
@@ -94,6 +96,16 @@ class TestMembership:
     def test_beta_hw_variant(self, triangle_tree):
         assert is_in_m_wb(triangle_tree, 2, WB_BETA_HW)
         assert not is_in_m_wb(triangle_tree, 1, WB_BETA_HW)
+
+    def test_candidates_missing_a_free_variable_cost_no_walk(self):
+        """Figure 2's ``p₁`` is not in ``M(WB(2))``: of the 98 equivalence
+        tests the search makes, 70 meet a candidate that lost a free
+        variable of ``p₁``; those fail on the free tuples alone, so at
+        most 29 PARTIAL-EVAL calls remain (100 when every test walked)."""
+        p1, _ = figure2_family(1, 2)
+        with tracing() as tracer:
+            assert not is_in_m_wb(p1, 2)
+        assert len(list(tracer.find("wdpt.partial_eval"))) <= 29
 
 
 class TestApproximation:
