@@ -16,10 +16,15 @@ intermediate-rows budget).  The driver:
 2. fires a herd of 8 identical never-seen queries as alpha and checks,
    from ``/metrics`` counts alone (no timing), that it cost exactly one
    evaluation: one cache miss, seven riders or cache hits, equal bodies;
+   then 8 more of the same query, which must be exactly 8 cache hits,
+   no miss and no rider (a hit is answered on the event loop and never
+   joins a flight);
 3. sends one over-budget query as beta and checks the ``429`` budget
    response;
-4. storms beta's single-slot tier with concurrent clients and checks
-   that at least one request was shed with ``429`` + ``Retry-After``;
+4. storms beta's single-slot tier with concurrent clients: a storm of
+   one cached query must be served whole (a hit holds its slot across
+   no await), a storm of distinct never-seen queries must see at least
+   one request shed with ``429`` + ``Retry-After``;
 5. asserts the whole story is visible in ``/metrics`` and ``/healthz``
    (per-tenant admitted/shed counters, cache series), and that the
    cyclic garbage collector is on again after all of it.
@@ -156,6 +161,23 @@ def main(argv):
         for _, body, _ in herd
     }
     check(len(bodies) == 1, "all 8 herd bodies carry the same answers")
+    # The herd's answers are cached now: 8 more identical requests are
+    # 8 hits answered on the event loop, and a hit never flies, so none
+    # of them rides another.
+    before = scrape(base, "alpha")
+    repeat = fan_out(base, [("/query", {"query": herd_query}, "alpha-key")] * 8)
+    after = scrape(base, "alpha")
+    check(all(status == 200 for status, _, _ in repeat),
+          "all 8 repeat requests served (got %s)"
+          % [status for status, _, _ in repeat])
+    check(rose("repro_service_cache_hits") == 8
+          and rose("repro_service_cache_misses") == 0
+          and rose("repro_service_coalesced") == 0,
+          "the 8 repeats were 8 cache hits, no miss, none coalesced "
+          "(hits +%g, misses +%g, coalesced +%g)"
+          % (rose("repro_service_cache_hits"),
+             rose("repro_service_cache_misses"),
+             rose("repro_service_coalesced")))
 
     print("3. over-budget query (beta's hard intermediate-rows limit)")
     status, body, headers = request(
@@ -167,9 +189,27 @@ def main(argv):
     check("Retry-After" in headers, "budget 429 carries Retry-After")
 
     print("4. load shedding (30 concurrent clients vs. beta's 1 slot)")
-    storm = fan_out(
+    # A cached query is answered on the event loop and holds its slot
+    # across no await, so a storm of one cached query is served whole...
+    shed_before = request(base, "/healthz")[1]["service"]["admission"]["shed_total"]
+    cached = fan_out(
         base, [("/query", {"query": SMALL_QUERY}, "beta-key")] * 30
     )
+    shed_after = request(base, "/healthz")[1]["service"]["admission"]["shed_total"]
+    check(all(status == 200 for status, _, _ in cached)
+          and shed_after == shed_before,
+          "a storm of a cached query is served whole (got %s, shed +%d)"
+          % (sorted({status for status, _, _ in cached}),
+             shed_after - shed_before))
+    # ...while evaluations hold it on the executor: a storm of distinct
+    # never-seen queries overruns the single slot.
+    storm = fan_out(base, [
+        ("/query",
+         {"query": 'SELECT ?x WHERE { ?x recorded_by "storm-%d-%d-%d" }'
+                   % (os.getpid(), time.time_ns(), i)},
+         "beta-key")
+        for i in range(30)
+    ])
     shed = [
         (status, body, headers)
         for status, body, headers in storm

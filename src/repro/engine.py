@@ -45,6 +45,8 @@ a write made *through the session* (:meth:`Session.add`,
 :meth:`Session.remove`, :meth:`Session.add_triples`) re-stamps the
 entries of the queries the written facts provably cannot reach
 (:func:`repro.wdpt.touch.can_touch`), so those stay hits.
+:meth:`Session.cached` serves a hit from the caches alone, or reports
+``None`` having parsed, evaluated and counted nothing.
 """
 
 from __future__ import annotations
@@ -377,20 +379,25 @@ class Session:
         (``MetricsServer(..., debug=session.debug_providers())``)."""
         return {"queries": self.debug_queries, "plans": self.debug_plans}
 
-    def _cache_slot(self, op: str, p: WDPT, extra=None):
-        """``(key, stamp)`` of one evaluation call — its
-        :class:`ResultCache` slot and the data version an entry must be
-        stamped with to answer it — or ``None`` when caching is off (or
-        bypassed by ``analyze`` in the calling context — EXPLAIN ANALYZE
-        must measure a real execution; queries other threads run
-        meanwhile keep their cache)."""
-        if self.result_cache is None or current().cache_bypass:
-            return None
+    def _lookup(self, op: str, p: WDPT, extra=None, count: bool = True):
+        """``(slot, value)`` of one evaluation call: the one read of the
+        result cache.  ``slot`` is the call's :class:`ResultCache` key and
+        the data version an entry must be stamped with to answer it, or
+        ``None`` when caching is off (or bypassed by ``analyze`` in the
+        calling context — EXPLAIN ANALYZE must measure a real execution;
+        queries other threads run meanwhile keep their cache); ``value``
+        is what the slot holds at that stamp, or ``None``.  The hit or
+        miss is counted, unless ``count`` is false (:meth:`cached`)."""
+        cache = self.result_cache
+        if cache is None or current().cache_bypass:
+            return None, None
         db = self.database
         key = ResultCache.key(
             op, p.structural_fingerprint(), db.backend_id, extra=extra
         )
-        return key, db.data_version
+        stamp = db.data_version
+        read = cache.get if count else cache.peek
+        return (key, stamp), read(key, stamp)
 
     def _note_cache(self, obs: Optional[QueryObservation], outcome: str) -> None:
         """Emit a ``query.cache`` obslog record (hit or miss) and note
@@ -416,15 +423,38 @@ class Session:
             "query_maximal", query, evaluate_max, "wdpt-topdown-max"
         )
 
-    def _evaluate(self, op: str, query: Query, evaluator, engine: str) -> Result:
+    def cached(self, op: str, text: str) -> Optional[Result]:
+        """:meth:`query` (``op="query"``) or :meth:`query_maximal`
+        (``op="query_maximal"``) of ``text`` when both its parse and its
+        answers are cached at the current data version, else ``None``.
+
+        A miss reads the two caches and nothing else: it parses,
+        evaluates and counts nothing, so the :meth:`query` that follows
+        counts it once.  A hit is counted, refreshed and observed as
+        :meth:`query` would, around the answers already read — so an
+        eviction or a write after the read cannot make this call parse,
+        evaluate or fill the cache.  The query service answers cached
+        requests on its event loop through this."""
+        p = self.planner.parses.peek(text)
+        if p is None:
+            return None
+        slot, answers = self._lookup(op, p, count=False)
+        if answers is None:
+            return None
+        return self._evaluate(op, text, None, "", hit=(p, slot, answers))
+
+    def _evaluate(
+        self, op: str, query: Query, evaluator, engine: str, hit=None
+    ) -> Result:
         """:meth:`query` and :meth:`query_maximal` — they differ in the op
-        name, the evaluator and the planner's engine label only.  This is
-        the observation wrapper; the evaluation is :meth:`_evaluate_impl`."""
+        name, the evaluator and the planner's engine label only — and the
+        hits of :meth:`cached`.  This is the observation wrapper; the
+        evaluation is :meth:`_evaluate_impl`."""
         obs = self._observe(op, query)
         if obs is None:
-            return self._evaluate_impl(op, query, evaluator, engine, None)
+            return self._evaluate_impl(op, query, evaluator, engine, None, hit)
         with obs:
-            result = self._evaluate_impl(op, query, evaluator, engine, obs)
+            result = self._evaluate_impl(op, query, evaluator, engine, obs, hit)
             obs.finish(result.query, len(result.answers))
         result.resources = obs.usage
         self._attach_profile(result, obs)
@@ -437,21 +467,29 @@ class Session:
         evaluator,
         engine: str,
         obs: Optional[QueryObservation],
+        hit,
     ) -> Result:
         tracer = current_tracer()
         with tracer.span("session." + op):
-            with tracer.span("session.parse"):
-                p = self.parse(query)
-            with tracer.span("session.profile"):
-                profile = self.planner.profile_wdpt(p)  # warm the shared analysis
+            if hit is None:
+                with tracer.span("session.parse"):
+                    p = self.parse(query)
+                with tracer.span("session.profile"):
+                    profile = self.planner.profile_wdpt(p)  # warm the shared analysis
+                slot, answers = self._lookup(op, p)
+            else:
+                # What cached() read: counted and refreshed as parse(),
+                # profile_wdpt() and _lookup() would, computing nothing.
+                p, slot, answers = hit
+                self.planner.parses.touch(query)
+                self.planner.profiles.touch(p.structural_fingerprint())
+                self.result_cache.hit(slot[0])
             if obs is not None:
                 obs.parsed(p)
-            slot = self._cache_slot(op, p)
+            if answers is not None:
+                self._note_cache(obs, "hit")
+                return Result(self, p, answers)
             if slot is not None:
-                answers = self.result_cache.get(*slot)
-                if answers is not None:
-                    self._note_cache(obs, "hit")
-                    return Result(self, p, answers)
                 self._note_cache(obs, "miss")
             start = time.perf_counter()
             answers = evaluator(p, self.database, profile)
@@ -498,12 +536,11 @@ class Session:
             p = self.parse(query)
             if obs is not None:
                 obs.parsed(p)
-            slot = self._cache_slot(op, p, extra=candidate)
+            slot, decision = self._lookup(op, p, extra=candidate)
+            if decision is not None:
+                self._note_cache(obs, "hit")
+                return decision
             if slot is not None:
-                decision = self.result_cache.get(*slot)
-                if decision is not None:
-                    self._note_cache(obs, "hit")
-                    return decision
                 self._note_cache(obs, "miss")
             decision = procedure(p, self.database, candidate, planner=self.planner)
             if slot is not None:

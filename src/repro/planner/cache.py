@@ -54,6 +54,20 @@ class PlanCache:
             self.hits += 1
             return value
 
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """The cached value, or ``None`` — counting nothing and leaving
+        recency alone (one atomic dict read, no lock)."""
+        return self._data.get(key)
+
+    def touch(self, key: Hashable) -> None:
+        """Count a hit on ``key`` and refresh it as most-recently-used,
+        if it is still cached: the bookkeeping :meth:`get` does, for a
+        value the caller already holds."""
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+                self.hits += 1
+
     def put(self, key: Hashable, value: Any) -> Any:
         """Insert (or refresh) ``key`` and return ``value``."""
         with self._lock:

@@ -33,7 +33,7 @@ the metrics registry (shared with scrape threads) is thread-safe.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Set
 
 from ..exceptions import ReproError
 from ..telemetry.metrics import MetricsRegistry
@@ -100,6 +100,7 @@ class AdmissionController:
         self._in_flight_global = 0
         self._waiting = 0
         self._condition: Optional[asyncio.Condition] = None
+        self._notifying: Set["asyncio.Task"] = set()
         # Lifetime tallies for /healthz (metrics hold the labeled detail).
         self.admitted_total = 0
         self.shed_total = 0
@@ -179,13 +180,18 @@ class AdmissionController:
         )
         self._in_flight_global = max(0, self._in_flight_global - 1)
         self._set_gauges(tenant.name)
+        # A waiter counts itself before it first yields, so with none
+        # counted nobody can miss this release.  The loop holds tasks
+        # weakly: the set keeps each notify alive until it has run.
+        if self._waiting:
+            task = asyncio.ensure_future(self._notify())
+            self._notifying.add(task)
+            task.add_done_callback(self._notifying.discard)
+
+    async def _notify(self) -> None:
         condition = self._cond()
-
-        async def _notify() -> None:
-            async with condition:
-                condition.notify_all()
-
-        asyncio.ensure_future(_notify())
+        async with condition:
+            condition.notify_all()
 
     def _set_gauges(self, tenant_name: str) -> None:
         self.metrics.gauge(

@@ -235,14 +235,22 @@ class AnswerEncoder:
     def __init__(self) -> None:
         self._fragments: Dict[int, Tuple[weakref.ref, bytes]] = {}
 
-    def fragment(self, answers) -> bytes:
-        """``encode_json(encode_answers(answers))``."""
+    def peek(self, answers) -> Optional[bytes]:
+        """The fragment of ``answers`` if it is live, else ``None``;
+        never encodes."""
         if not answers:
             return b"[]"  # frozenset() is one immortal object: nothing to tie to
-        key = id(answers)
-        entry = self._fragments.get(key)
+        entry = self._fragments.get(id(answers))
         if entry is not None and entry[0]() is answers:
             return entry[1]
+        return None
+
+    def fragment(self, answers) -> bytes:
+        """``encode_json(encode_answers(answers))``."""
+        data = self.peek(answers)
+        if data is not None:
+            return data
+        key = id(answers)
         data = encode_json(encode_answers(answers))
         # The callback runs while the set is being freed, so before its
         # id can name another object.

@@ -16,14 +16,22 @@ owns
   per-tenant concurrency caps and a global in-flight ceiling — requests
   queue briefly, then are shed with ``429`` + ``Retry-After``;
 * an **in-flight table** (single-flight coalescing): the first request
-  for a ``(tenant, op, query text)`` goes to the executor at once,
-  identical requests arriving while it runs await the same future and
-  share its answers, distinct texts run side by side.
+  for a ``(tenant, op, query text)`` that misses the result cache goes
+  to the executor at once, identical requests arriving while it runs
+  await the same future and share its answers, distinct texts run side
+  by side.
 
-Evaluation is synchronous Python, so the asyncio loop never runs a
-query itself: admitted requests are handed to a bounded thread executor
-— which also serialises the answers, once per answer set
-(:class:`~repro.service.protocol.AnswerEncoder`) — and the loop keeps
+Evaluation is synchronous Python, so the asyncio loop never parses,
+plans or evaluates a query, and never serialises answers.  It answers
+one kind of request itself: an admitted ``query``/``query_maximal``
+whose parse and answers its tenant's caches hold at the current data
+version (:meth:`~repro.engine.Session.cached` — two dictionary reads,
+one counted hit, the query's usual observation) and whose answers are
+already serialised (:meth:`~repro.service.protocol.AnswerEncoder.peek`).
+Everything else is handed to a bounded thread executor — a miss, a hit
+whose serialised answers are gone (to encode them), ``ask`` and
+``explain`` — which also serialises the answers, once per answer set
+(:class:`~repro.service.protocol.AnswerEncoder`), and the loop keeps
 accepting, shedding, and answering health checks while queries grind.
 HTTP routes:
 
@@ -362,6 +370,24 @@ class ServiceServer:
             response = await self._execute(tenant, parsed, start)
         return self._finish_op(tenant, op, start, response)
 
+    async def _answer(
+        self, tenant: TenantConfig, op: str, text: str
+    ) -> Tuple[Result, bytes, bool]:
+        """``(result, serialised answers, coalesced)`` of a ``query`` or
+        ``query_maximal``: a result-cache hit is answered here, on the
+        loop, with its live fragment; anything else flies."""
+        result = self.sessions[tenant.name].cached(op, text)
+        if result is None:
+            return await self._fly(tenant, op, text)
+        answers_json = self._answers.peek(result.answers)
+        if answers_json is None:
+            # Cached by an in-process query, never served: encoding is
+            # the executor's job.
+            answers_json = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._answers.fragment, result.answers
+            )
+        return result, answers_json, False
+
     async def _fly(
         self, tenant: TenantConfig, op: str, text: str
     ) -> Tuple[Result, bytes, bool]:
@@ -394,7 +420,7 @@ class ServiceServer:
         loop = asyncio.get_running_loop()
         try:
             if parsed.op in ("query", "query_maximal"):
-                result, answers_json, coalesced = await self._fly(
+                result, answers_json, coalesced = await self._answer(
                     tenant, parsed.op, parsed.query
                 )
                 return RouteResponse(200, JSON_CONTENT_TYPE, result_body(

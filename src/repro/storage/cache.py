@@ -92,6 +92,20 @@ class ResultCache:
         self.metrics.counter(HITS).inc()
         return entry[1]
 
+    def peek(self, key: Hashable, version: int) -> Optional[Any]:
+        """:meth:`get` counting nothing and leaving recency alone."""
+        entry = self._entries.peek(key)
+        if entry is None or entry[0] != version:
+            return None
+        return entry[1]
+
+    def hit(self, key: Hashable) -> None:
+        """Count the hit of a value read with :meth:`peek` and refresh
+        its slot as most-recently-used (if an eviction or a write has
+        not dropped it since)."""
+        self._entries.touch(key)
+        self.metrics.counter(HITS).inc()
+
     def put(self, key: Hashable, version: int, value: Any, query: Any) -> Any:
         """Fill the slot (replacing what it held) with ``value``, the
         result of ``query`` computed at ``version``."""

@@ -6,10 +6,13 @@ import asyncio
 import gc
 import json
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -360,6 +363,31 @@ class TestAdmission:
             slot.release()
             slot.release()
             assert controller.in_flight_global == 0
+
+        asyncio.run(scenario())
+
+    def test_only_a_contended_release_spawns_a_notify(self):
+        async def scenario():
+            controller = AdmissionController(global_limit=4)
+            tenant = self._tenant("slow")  # max_concurrency 1
+            tasks = asyncio.all_tasks()
+            for _ in range(50):
+                async with await controller.admit(tenant):
+                    pass
+            assert asyncio.all_tasks() == tasks
+            assert controller.admitted_total == 50
+            # With a waiter queued, the release notifies it, and the
+            # controller holds the notify until it has run.
+            slot = await controller.admit(tenant)
+            waiter = asyncio.ensure_future(controller.admit(tenant))
+            await asyncio.sleep(0)
+            assert controller.snapshot()["queued"] == 1
+            slot.release()
+            assert len(controller._notifying) == 1
+            (await waiter).release()
+            await asyncio.sleep(0)
+            assert not controller._notifying
+            assert asyncio.all_tasks() == tasks
 
         asyncio.run(scenario())
 
@@ -880,6 +908,248 @@ class TestCorrelation:
         assert any(
             e["tenant"] == "acme" and e["status"] == 200 for e in requests
         )
+
+
+# ---------------------------------------------------------------------------
+# Result-cache hits answered on the event loop (work counted, never timed)
+# ---------------------------------------------------------------------------
+def _band_query(band):
+    return 'SELECT ?x WHERE { ?x recorded_by "%s" }' % band
+
+
+class TestLoopSideHits:
+    @staticmethod
+    def _submits(srv):
+        """Record every job handed to the server's executor."""
+        jobs = []
+        submit = srv._executor.submit
+
+        def recording(fn, *args, **kwargs):
+            jobs.append(getattr(fn, "__name__", fn))
+            return submit(fn, *args, **kwargs)
+
+        srv._executor.submit = recording
+        return jobs
+
+    @staticmethod
+    def _counts(srv, tenant):
+        cache = srv.sessions[tenant].result_cache.stats()
+        return {
+            "hits": cache["hits"], "misses": cache["misses"],
+            "parse_hits": srv.planner.parses.hits,
+            "parse_misses": srv.planner.parses.misses,
+        }
+
+    @staticmethod
+    def _moved(before, after):
+        return {name: after[name] - before[name] for name in before}
+
+    @staticmethod
+    def _answers(body):
+        per_request = ("wall_ms", "trace_id", "resources")
+        return {k: v for k, v in body.items() if k not in per_request}
+
+    def test_hits_submit_nothing_to_the_executor(self):
+        registry = TenantRegistry.from_dict(TENANTS)
+        with ServiceServer(example2_graph(), tenants=registry) as srv:
+            payloads = [{"query": QUERY}, {"query": QUERY, "maximal": True}]
+            first = []
+            for payload in payloads:
+                status, body, _ = _request(srv.url, "/query", payload, key="acme-key")
+                assert status == 200
+                first.append(body)
+            jobs = self._submits(srv)
+            for payload, expected in zip(payloads, first):
+                for _ in range(20):
+                    before = self._counts(srv, "acme")
+                    status, body, _ = _request(
+                        srv.url, "/query", payload, key="acme-key"
+                    )
+                    assert status == 200
+                    assert self._answers(body) == self._answers(expected)
+                    assert self._moved(before, self._counts(srv, "acme")) == {
+                        "hits": 1, "misses": 0,
+                        "parse_hits": 1, "parse_misses": 0,
+                    }
+            assert jobs == []
+
+    def test_each_unique_text_misses_each_cache_once(self):
+        registry = TenantRegistry.from_dict(TENANTS)
+        with ServiceServer(example2_graph(), tenants=registry) as srv:
+            jobs = self._submits(srv)
+            for i in range(12):
+                before = self._counts(srv, "public")
+                payload = {"query": _band_query("band-%d" % i)}
+                if i % 3 == 2:
+                    payload["maximal"] = True
+                status, _, _ = _request(srv.url, "/query", payload)
+                assert status == 200
+                assert self._moved(before, self._counts(srv, "public")) == {
+                    "hits": 0, "misses": 1,
+                    "parse_hits": 0, "parse_misses": 1,
+                }
+            assert jobs == ["_evaluate"] * 12
+
+    def test_the_loop_never_evaluates_or_encodes(self, monkeypatch):
+        import repro.engine as engine_module
+        from repro.core.atoms import Atom
+        from repro.rdf.graph import TRIPLE_RELATION
+        from repro.service import protocol
+
+        calls = []
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("evaluate", "evaluate_max"):
+            monkeypatch.setattr(
+                engine_module, name, recorded(name, getattr(engine_module, name))
+            )
+        monkeypatch.setattr(
+            protocol, "encode_answers",
+            recorded("encode_answers", protocol.encode_answers),
+        )
+        registry = TenantRegistry.from_dict({
+            "tiers": {"small": {"cache_size": 2}},
+            "tenants": [{"name": "public", "tier": "small"}],
+        })
+        bands = ["Caribou", "Swans", "Liars"]
+        with ServiceServer(example2_graph(), tenants=registry) as srv:
+            session = srv.sessions["public"]
+            session.add_triples(
+                ("record_%d" % i, "recorded_by", band)
+                for i, band in enumerate(bands)
+            )
+
+            def ask(text, maximal=False):
+                payload = {"query": text}
+                if maximal:
+                    payload["maximal"] = True
+                status, body, _ = _request(srv.url, "/query", payload)
+                assert status == 200 and body["rows"] >= 1
+                return body
+
+            # Hits, misses and LRU evictions: three texts cycle through
+            # a two-entry cache, each asked twice in a row.
+            for _ in range(2):
+                for band in bands:
+                    ask(_band_query(band))
+                    ask(_band_query(band))
+            ask(QUERY, maximal=True)
+            ask(QUERY, maximal=True)
+            # An entry cleared between the loop's lookup and its serve.
+            cache = session.result_cache
+            peek = cache.peek
+
+            def clearing(key, version):
+                value = peek(key, version)
+                cache.clear()
+                return value
+
+            cache.peek = clearing
+            ask(QUERY, maximal=True)
+            del cache.peek
+            ask(QUERY, maximal=True)
+            # A write between requests: the touched entry is recomputed.
+            session.add_triples([("Our_love", "recorded_by", "Liars")])
+            grown = ask(_band_query("Liars"))
+            assert {"?x": "Our_love"} in grown["answers"]
+            ask(_band_query("Liars"))
+            session.remove(Atom(TRIPLE_RELATION, ("Our_love", "recorded_by", "Liars")))
+            assert {"?x": "Our_love"} not in ask(_band_query("Liars"))["answers"]
+            stats = cache.stats()
+            assert stats["hits"] >= 6 and stats["evictions"] >= 1
+            loop_thread = srv._thread
+        assert {name for name, _ in calls} == {
+            "evaluate", "evaluate_max", "encode_answers",
+        }
+        assert all(thread is not loop_thread for _, thread in calls)
+
+    def test_a_hit_without_a_live_fragment_is_encoded_on_the_executor(
+        self, monkeypatch
+    ):
+        from repro.service import protocol
+
+        encoded = []
+        encode = protocol.encode_answers
+
+        def recording(answers):
+            encoded.append(threading.current_thread())
+            return encode(answers)
+
+        monkeypatch.setattr(protocol, "encode_answers", recording)
+        registry = TenantRegistry.from_dict(TENANTS)
+        with ServiceServer(example2_graph(), tenants=registry) as srv:
+            srv.sessions["acme"].query(QUERY)  # cached in process, never served
+            jobs = self._submits(srv)
+            before = self._counts(srv, "acme")
+            for _ in range(3):
+                status, body, _ = _request(
+                    srv.url, "/query", {"query": QUERY}, key="acme-key"
+                )
+                assert status == 200 and body["rows"] >= 2
+            assert self._moved(before, self._counts(srv, "acme"))["hits"] == 3
+            assert jobs == ["fragment"]
+            assert len(encoded) == 1 and encoded[0] is not srv._thread
+
+    def test_a_loop_hit_is_observed_like_an_executor_hit(self, tmp_path):
+        log_path = tmp_path / "obslog.jsonl"
+        obslog = QueryLog(sink=str(log_path))
+        registry = TenantRegistry.from_dict(TENANTS)
+        with ServiceServer(
+            example2_graph(), tenants=registry, obslog=obslog
+        ) as srv:
+            assert _request(
+                srv.url, "/query", {"query": QUERY}, key="acme-key"
+            )[0] == 200
+            # The executor's path for a hit: Session.query itself.
+            in_process = srv.sessions["acme"].query(QUERY)
+            jobs = self._submits(srv)
+            bodies = [
+                _request(srv.url, "/query", {"query": QUERY}, key="acme-key")[1]
+                for _ in range(2)
+            ]
+            assert jobs == []
+            debug = _request(srv.url, "/debug/queries")[1]["acme"]["recent"]
+        obslog.close()
+        traces = [body["trace_id"] for body in bodies]
+        assert all(traces) and len(set(traces)) == 2
+        assert all(set(body["resources"]) == {
+            "wall_seconds", "peak_intermediate_rows", "subqueries",
+        } for body in bodies)
+        by_trace = {record["trace_id"]: record for record in debug}
+        for trace in traces:
+            assert by_trace[trace]["cache"] == "hit"
+            assert by_trace[trace]["tenant"] == "acme"
+        events = [json.loads(line) for line in log_path.read_text().splitlines()]
+
+        def story(trace):
+            return [
+                (
+                    e["event"], sorted(e),
+                    e.get("outcome"), e.get("parse_cache"), e.get("profile_cache"),
+                )
+                for e in events
+                if e.get("trace_id") == trace and e["event"].startswith("query.")
+            ]
+
+        expected = story(in_process.resources.trace_id)
+        assert [step[0] for step in expected] == [
+            "query.start", "query.parse", "query.plan", "query.cache",
+            "query.complete",
+        ]
+        assert expected[3][2] == "hit"
+        for trace in traces:
+            assert story(trace) == expected
+        script = Path(__file__).resolve().parents[1] / "scripts" / "validate_trace.py"
+        checked = subprocess.run(
+            [sys.executable, str(script), "--format", "obslog", str(log_path)],
+            capture_output=True, text=True,
+        )
+        assert checked.returncode == 0, checked.stdout + checked.stderr
 
 
 # ---------------------------------------------------------------------------
