@@ -17,6 +17,9 @@ from ..exceptions import SchemaError
 from .terms import Constant, Term, Variable, term
 
 
+_new_atom = object.__new__
+
+
 class Atom:
     """An atom ``R(t₁, …, t_n)``.
 
@@ -75,12 +78,22 @@ class Atom:
         """Apply ``assignment`` to the variables of this atom.
 
         Variables outside the assignment's domain are left untouched, so the
-        result may still contain variables (partial instantiation).
+        result may still contain variables (partial instantiation).  When
+        every image is already a term the result is built directly, without
+        a second pass through ``__init__``; a raw image (``{x: 3}``) goes
+        through ``__init__``, which coerces it.
         """
         get = assignment.get
-        return Atom(
-            self.relation, [get(a, a) if a.__class__ is Variable else a for a in self.args]
-        )
+        args = tuple([get(a, a) if a.__class__ is Variable else a for a in self.args])
+        for a in args:
+            if a.__class__ is not Variable and a.__class__ is not Constant:
+                return Atom(self.relation, args)
+        image = _new_atom(Atom)
+        image.relation = relation = self.relation
+        image.args = args
+        image._hash = hash((relation, args))
+        image._order = None
+        return image
 
     def rename(self, renaming: Mapping[Variable, Variable]) -> "Atom":
         """Apply a variable renaming (alias of :meth:`substitute`)."""

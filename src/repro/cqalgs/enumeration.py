@@ -15,13 +15,13 @@ sets, :func:`enumerate_answers` streams answers instead:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, Iterator, Optional, Sequence, Set
 
 from ..core.atoms import Atom
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
 from ..core.mappings import Mapping
-from ..hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
+from ..hypergraphs.gyo import JoinTree, join_tree_of_atoms, join_tree_shape
 from ..relalg.relation import Row, group_by, key_getter
 from .naive import homomorphisms
 from .yannakakis import scan_schedule, semijoin_reduce
@@ -40,7 +40,9 @@ def enumerate_answers(
     atoms = sorted(query.atoms)
     links = join_tree_of_atoms(atoms)
     if links is not None:
-        source: Iterator[Mapping] = _acyclic_stream(query, db, atoms, links)
+        source: Iterator[Mapping] = _acyclic_stream(
+            query, db, atoms, join_tree_shape(links, len(atoms))
+        )
     else:
         source = _naive_stream(query, db)
     emitted = 0
@@ -65,12 +67,11 @@ def _acyclic_stream(
     query: ConjunctiveQuery,
     db: Database,
     atoms: Sequence[Atom],
-    links: Sequence[Tuple[int, int]],
+    tree: JoinTree,
 ) -> Iterator[Mapping]:
     """Semi-join-reduce, then walk the join tree; every branch of the walk
     extends to a full answer, so delay is polynomial per answer."""
-    relations = scan_schedule(atoms, links, db)
-    tree = join_tree_shape(links, len(atoms))
+    relations = scan_schedule(atoms, tree, db)
     if relations is None or not semijoin_reduce(relations, tree):
         return
     # A homomorphism is a root row extended node by node, parents first.

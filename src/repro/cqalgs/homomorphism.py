@@ -24,7 +24,7 @@ from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
 from ..core.mappings import Mapping
 from ..core.terms import Constant, Term, Variable
-from ..hypergraphs.gyo import join_tree_of_atoms
+from ..hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
 from .naive import homomorphisms as db_homomorphisms
 from .yannakakis import evaluate_with_join_tree
 
@@ -80,7 +80,8 @@ def _source_homomorphisms(
             for a in substituted:
                 frees |= a.variables()
             q = ConjunctiveQuery(tuple(sorted(frees)), substituted)
-            rows = evaluate_with_join_tree(q, target_db, substituted, links)
+            tree = join_tree_shape(links, len(atoms))
+            rows = evaluate_with_join_tree(q, target_db, substituted, tree)
             if not pre:
                 return rows
             # ``pre``'s variables were substituted away: the domains are

@@ -83,11 +83,11 @@ def evaluate_acyclic(
 ) -> FrozenSet[Mapping]:
     """``q(D)`` for an acyclic CQ via Yannakakis.
 
-    ``atoms``/``links`` optionally supply a precomputed join tree (e.g. the
-    one the dispatcher or planner already built to decide acyclicity), so
-    the GYO reduction is not rerun.  Raises
-    :class:`~repro.exceptions.ClassMembershipError` when the query
-    hypergraph is cyclic.
+    ``atoms``/``links`` optionally supply precomputed join-tree links (e.g.
+    the ones the dispatcher already built to decide acyclicity), so the
+    GYO reduction is not rerun; the tree's shape is derived from them
+    once, here.  Raises :class:`~repro.exceptions.ClassMembershipError`
+    when the query hypergraph is cyclic.
     """
     if atoms is None:
         atoms = sorted(query.atoms)
@@ -96,27 +96,29 @@ def evaluate_acyclic(
         links = join_tree_of_atoms(atoms)
     if links is None:
         raise ClassMembershipError("query is not acyclic: %r" % (query,))
-    return evaluate_with_join_tree(query, db, atoms, links)
+    return evaluate_with_join_tree(
+        query, db, atoms, join_tree_shape(links, len(atoms))
+    )
 
 
 def evaluate_with_join_tree(
     query: ConjunctiveQuery,
     db: Database,
     atoms: Sequence[Atom],
-    links: Sequence[Tuple[int, int]],
+    tree: JoinTree,
 ) -> FrozenSet[Mapping]:
-    """Yannakakis over an explicit join tree (``links``: child→parent):
+    """Yannakakis over an explicit join tree over ``atoms`` indices:
     :func:`relation_with_join_tree` unpacked at the ``Mapping`` boundary,
     the two under one pause of the cyclic collector."""
     with collector_paused:
         return to_mappings(
-            relation_with_join_tree(atoms, links, db, query.free_variables)
+            relation_with_join_tree(atoms, tree, db, query.free_variables)
         )
 
 
 def relation_with_join_tree(
     atoms: Sequence[Atom],
-    links: Sequence[Tuple[int, int]],
+    tree: JoinTree,
     db: Database,
     frees: Iterable[Variable],
     seed: Optional[Relation] = None,
@@ -139,12 +141,12 @@ def relation_with_join_tree(
     if not atoms or (seed is not None and not seed.rows):
         return Relation(sorted(frees, key=repr), [], db.codec)
     with collector_paused:
-        return _run(atoms, links, db, frees, seed, False)
+        return _run(atoms, tree, db, frees, seed, False)
 
 
 def satisfiable_with_join_tree(
     atoms: Sequence[Atom],
-    links: Sequence[Tuple[int, int]],
+    tree: JoinTree,
     db: Database,
 ) -> bool:
     """Boolean fast path: is the Boolean CQ over ``atoms`` satisfiable?
@@ -158,12 +160,12 @@ def satisfiable_with_join_tree(
     """
     if not atoms:
         return False  # mirrors evaluate_with_join_tree's empty-query result
-    return _run(atoms, links, db, frozenset(), None, True)
+    return _run(atoms, tree, db, frozenset(), None, True)
 
 
 def _run(
     atoms: Sequence[Atom],
-    links: Sequence[Tuple[int, int]],
+    tree: JoinTree,
     db: Database,
     frees: FrozenSet[Variable],
     seed: Optional[Relation],
@@ -188,11 +190,11 @@ def _run(
         if sql:
             # Scans and the bottom-up sweep as one EXISTS statement.
             with tracer.span("yannakakis.sql") as sp:
-                result = db.sql_yannakakis(atoms, links)
+                result = db.sql_yannakakis(atoms, tree)
                 if tracer.enabled:
                     sp.set(satisfiable=result)
         else:
-            result = _columnar(atoms, links, db, frees, seed, boolean)
+            result = _columnar(atoms, tree, db, frees, seed, boolean)
         if tracer.enabled:
             y_span.set(**_outcome(result, boolean))
         return result
@@ -207,7 +209,7 @@ def _outcome(result: Union[Relation, bool], boolean: bool) -> dict:
 # ---------------------------------------------------------------------------
 def _columnar(
     atoms: Sequence[Atom],
-    links: Sequence[Tuple[int, int]],
+    tree: JoinTree,
     db: Database,
     frees: FrozenSet[Variable],
     seed: Optional[Relation],
@@ -215,11 +217,11 @@ def _columnar(
 ) -> Union[Relation, bool]:
     """Scan schedule → semi-join program → join phase; the Boolean run
     stops after the bottom-up sweep."""
-    relations = scan_schedule(atoms, links, db, seed)
-    if relations is not None:
-        tree = join_tree_shape(links, len(atoms))
-        if not semijoin_reduce(relations, tree, top_down=not boolean):
-            relations = None
+    relations = scan_schedule(atoms, tree, db, seed)
+    if relations is not None and not semijoin_reduce(
+        relations, tree, top_down=not boolean
+    ):
+        relations = None
     if relations is None:
         return False if boolean else Relation(sorted(frees, key=repr), [], db.codec)
     if boolean:
@@ -265,7 +267,7 @@ def _shares_variable(rel: Relation, pattern: Atom) -> bool:
 
 def scan_schedule(
     atoms: Sequence[Atom],
-    links: Sequence[Tuple[int, int]],
+    tree: JoinTree,
     db: Database,
     seed: Optional[Relation] = None,
 ) -> Optional[List[Relation]]:
@@ -297,10 +299,7 @@ def scan_schedule(
         # A lone atom has nobody to be ordered against; ``scan`` asks for
         # its bound itself if a seed makes it matter.
         bounds = [db.match_bound(a) for a in atoms] if n > 1 else [None]
-        neighbours: List[List[int]] = [[] for _ in range(n)]
-        for child, parent in links:
-            neighbours[child].append(parent)
-            neighbours[parent].append(child)
+        children, parent = tree.children, tree.parent
         order = sorted(range(n), key=bounds.__getitem__)
 
         relations: List[Optional[Relation]] = [None] * n
@@ -310,7 +309,8 @@ def scan_schedule(
         for i in order if nonempty else ():
             pattern = atoms[i]
             via = by = None
-            for j in neighbours[i]:
+            up = parent.get(i)
+            for j in children[i] if up is None else children[i] + [up]:
                 near = relations[j]
                 if (
                     near is not None

@@ -47,6 +47,7 @@ from typing import (
     Mapping as TMapping,
     Optional,
     Sequence,
+    Tuple,
     TYPE_CHECKING,
     Union,
 )
@@ -62,7 +63,7 @@ from ..cqalgs.structured import (
 )
 from ..cqalgs.yannakakis import evaluate_with_join_tree, satisfiable_with_join_tree
 from ..hypergraphs.treedecomp import TreeDecomposition
-from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.metrics import Counter, Histogram, MetricsRegistry
 from ..telemetry.tracer import current_tracer
 from ..wdpt.wdpt import WDPT
 from .cache import PlanCache
@@ -91,6 +92,10 @@ class Planner:
         self.parses = PlanCache(parse_cache_size)
         self.explains = PlanCache(profile_cache_size)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: engine → its (selection counter, time counter, latency
+        #: histogram), resolved by its first :meth:`record_engine`; the
+        #: registry keeps instruments across ``reset()``, so they stay live.
+        self._engine_instruments: Dict[str, Tuple[Counter, Counter, Histogram]] = {}
 
     # Views over the metrics registry.
     @property
@@ -237,14 +242,23 @@ class Planner:
     def record_engine(self, engine: str, seconds: float) -> None:
         """Record one engine run: selection counter, cumulative time, and
         a per-call latency histogram (p50/p95/p99/max in :meth:`stats`).
+        The three instruments are looked up once per engine and kept.
 
         Both instruments are labeled families (``{"engine": engine}``), so
         the Prometheus exposition renders them as one metric with an
         ``engine`` label rather than one metric per engine."""
-        labels = {"engine": engine}
-        self.metrics.counter("planner.engine.selected", labels).inc()
-        self.metrics.counter("planner.engine_seconds").inc(seconds)
-        self.metrics.histogram("planner.engine_latency", labels=labels).observe(seconds)
+        instruments = self._engine_instruments.get(engine)
+        if instruments is None:
+            labels = {"engine": engine}
+            instruments = self._engine_instruments.setdefault(engine, (
+                self.metrics.counter("planner.engine.selected", labels),
+                self.metrics.counter("planner.engine_seconds"),
+                self.metrics.histogram("planner.engine_latency", labels=labels),
+            ))
+        selected, total, latency = instruments
+        selected.inc()
+        total.inc(seconds)
+        latency.observe(seconds)
 
     # ------------------------------------------------------------------
     # Substituted satisfiability (the Theorem 6/8/9 inner loop)

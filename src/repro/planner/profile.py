@@ -31,7 +31,7 @@ from ..core.atoms import Atom, variables_of
 from ..core.terms import Variable
 from ..exceptions import BudgetExceededError
 from ..hypergraphs.beta import beta_hypertreewidth_at_most
-from ..hypergraphs.gyo import join_tree_of_atoms
+from ..hypergraphs.gyo import JoinTree, join_tree_of_atoms, join_tree_shape
 from ..hypergraphs.hypergraph import Hypergraph
 from ..hypergraphs.hypertree import hypertree_decomposition, hypertreewidth_at_most, hypertreewidth_exact
 from ..hypergraphs.treedecomp import TreeDecomposition
@@ -138,13 +138,20 @@ class StructuralProfile:
         return self._hypergraph  # type: ignore[return-value]
 
     @property
-    def join_tree(self) -> Optional[List[Tuple[int, int]]]:
-        """A join tree over :attr:`sorted_atoms` indices, or ``None`` when
-        the query is cyclic.  Computed once; consumed directly by the
-        Yannakakis engine (no rebuild)."""
+    def join_tree(self) -> Optional[JoinTree]:
+        """The :class:`~repro.hypergraphs.gyo.JoinTree` over
+        :attr:`sorted_atoms` indices, or ``None`` when the query is cyclic.
+        The GYO links and the shape derived from them are computed once;
+        every Yannakakis run on this shape consumes the shape as it is."""
         if self._join_tree is _UNSET:
-            self._join_tree = self._timed(lambda: join_tree_of_atoms(self.sorted_atoms))
+            self._join_tree = self._timed(self._derive_join_tree)
         return self._join_tree  # type: ignore[return-value]
+
+    def _derive_join_tree(self) -> Optional[JoinTree]:
+        links = join_tree_of_atoms(self.sorted_atoms)
+        if links is None:
+            return None
+        return join_tree_shape(links, len(self.sorted_atoms))
 
     @property
     def is_acyclic(self) -> bool:

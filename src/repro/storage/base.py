@@ -79,7 +79,9 @@ class StorageBackend(abc.ABC):
     # ------------------------------------------------------------------
     #: The backend decides a Boolean acyclic CQ — scans and the
     #: bottom-up semi-join sweep — as one native query
-    #: (``sql_yannakakis(atoms, links) -> bool``).  Checked by
+    #: (``sql_yannakakis(atoms, links) -> bool``, ``links`` the
+    #: :class:`~repro.hypergraphs.gyo.JoinTree` of the engine's run or
+    #: its child→parent edges).  Checked by
     #: :mod:`repro.cqalgs.yannakakis` for Boolean runs only: answers
     #: always run on the columnar kernels.
     supports_sql_yannakakis = False

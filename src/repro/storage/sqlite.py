@@ -72,12 +72,13 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from ..core.atoms import Atom, Schema
 from ..core.terms import Constant, Variable
 from ..exceptions import NotGroundError, ReproError
-from ..hypergraphs.gyo import join_tree_shape
+from ..hypergraphs.gyo import JoinTree, join_tree_shape
 from .base import StorageBackend, allocate_backend_id
 
 #: Catalog table mapping relation names to their backing tables.
@@ -547,11 +548,16 @@ class SQLiteBackend(StorageBackend):
     supports_sql_yannakakis = True
 
     def sql_yannakakis(
-        self, atoms: Sequence[Atom], links: Sequence[Tuple[int, int]]
+        self,
+        atoms: Sequence[Atom],
+        links: Union[JoinTree, Sequence[Tuple[int, int]]],
     ) -> bool:
         """Is the Boolean CQ over the join tree ``atoms``/``links``
-        (child→parent edges) satisfiable?  Decided by **one** SQL
-        statement: the bottom-up semi-join sweep as a ``WITH`` chain.
+        satisfiable?  ``links`` is the tree's
+        :class:`~repro.hypergraphs.gyo.JoinTree` (what the Yannakakis
+        engine passes) or its child→parent edges, whose shape is then
+        derived here.  Decided by **one** SQL statement: the bottom-up
+        semi-join sweep as a ``WITH`` chain.
 
         * ``s<i>`` — the scan of atom ``i``: its distinct variable
           bindings, columns ``v0, v1, …`` aligned with the variables
@@ -565,7 +571,8 @@ class SQLiteBackend(StorageBackend):
         accounts no rows to a resource budget.
         """
         n = len(atoms)
-        root, children, _, order = join_tree_shape(links, n)
+        tree = links if isinstance(links, JoinTree) else join_tree_shape(links, n)
+        root, children, _, order = tree
         atom_vars: List[List[Variable]] = [
             sorted(a.variables(), key=repr) for a in atoms
         ]

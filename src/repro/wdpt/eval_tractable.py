@@ -216,17 +216,19 @@ class _InterfaceDP:
         """Assignments of the unpinned child-interface variables.
 
         Candidate values per variable are pre-filtered: ``v ↦ a`` is only
-        possible if every atom of ``λ(node)`` mentioning ``v`` has a
-        matching fact with ``a`` in ``v``'s positions.  The cross product
-        is at most ``|adom|^c`` under ``BI(c)``.
+        possible if every atom of ``λ(node)`` mentioning ``v``, with
+        ``pinned`` substituted, has a matching fact with ``a`` in ``v``'s
+        positions (sound: every candidate extends ``pinned``).  The cross
+        product is at most ``|adom|^c`` under ``BI(c)``.
         """
         if not open_interface:
             yield Mapping()
             return
+        fixed = pinned.as_dict()
         per_variable: List[List[Constant]] = []
         n_candidates = 1
         for v in open_interface:
-            values = self._candidate_values(node, v)
+            values = self._candidate_values(node, v, fixed)
             if not values:
                 return
             per_variable.append(values)
@@ -235,7 +237,9 @@ class _InterfaceDP:
         for combo in product(*per_variable):
             yield frozenset.__new__(Mapping, zip(open_interface, combo))
 
-    def _candidate_values(self, node: int, v: Variable) -> List[Constant]:
+    def _candidate_values(
+        self, node: int, v: Variable, fixed: Dict[Variable, Constant]
+    ) -> List[Constant]:
         candidates: Optional[Set[Constant]] = None
         for a in self.p.labels[node]:
             positions = [i for i, t in enumerate(a.args) if t == v]
@@ -243,7 +247,7 @@ class _InterfaceDP:
                 continue
             values = {
                 fact.args[positions[0]]
-                for fact in self.db.match(_blank_except(a, v))
+                for fact in self.db.match(_blank_except(a.substitute(fixed), v))
                 if all(fact.args[i] == fact.args[positions[0]] for i in positions)
             }
             candidates = values if candidates is None else candidates & values
@@ -273,7 +277,8 @@ class _InterfaceDP:
 
 def _blank_except(a: Atom, v: Variable) -> Atom:
     """``a`` with every variable other than ``v`` replaced by a fresh one,
-    so that :meth:`Database.match` only enforces constants and the repeated
+    so that :meth:`Database.match` only enforces constants (those of the
+    label and the pinned values substituted into it) and the repeated
     positions of ``v``."""
     fresh = 0
     args = []

@@ -65,7 +65,7 @@ from ..core.mappings import Mapping, maximal_mappings
 from ..core.terms import Variable
 from ..cqalgs.naive import homomorphisms as cq_homomorphisms
 from ..cqalgs.yannakakis import relation_with_join_tree
-from ..hypergraphs.gyo import join_tree_of_atoms
+from ..hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
 from ..relalg.relation import (
     Relation,
     Row,
@@ -155,15 +155,16 @@ class _TreeEvaluation:
 
     # -- node relations ---------------------------------------------------
     def join_tree(self, node: int):
-        """``(sorted atoms, join-tree links)`` of ``λ(node)``, the links
-        ``None`` when the label is cyclic — the planner's memoised
-        analysis when a profile was supplied, so a hot query pays for the
-        sort and the GYO reduction once, not once per run."""
+        """``(sorted atoms, join tree)`` of ``λ(node)``, the tree ``None``
+        when the label is cyclic — the planner's memoised analysis when a
+        profile was supplied, so a hot query pays for the sort, the GYO
+        reduction and the tree's shape once, not once per run."""
         if self.profile is not None:
             analysed = self.profile.node_profile(node)
             return analysed.sorted_atoms, analysed.join_tree
         atoms = sorted(self.p.labels[node])
-        return atoms, join_tree_of_atoms(atoms)
+        links = join_tree_of_atoms(atoms)
+        return atoms, None if links is None else join_tree_shape(links, len(atoms))
 
     def node_relation(self, node: int, keys: Optional[Relation]) -> Relation:
         """The homomorphisms of ``λ(node)`` that join with ``keys`` (the
@@ -171,9 +172,9 @@ class _TreeEvaluation:
         root) — one CQ per tree node."""
         account_subquery()
         variables = self.p.node_variables(node)
-        atoms, links = self.join_tree(node)
-        if links is not None:
-            rel = relation_with_join_tree(atoms, links, self.db, variables, seed=keys)
+        atoms, tree = self.join_tree(node)
+        if tree is not None:
+            rel = relation_with_join_tree(atoms, tree, self.db, variables, seed=keys)
         else:
             # Cyclic label: backtracking search, once per distinct key
             # instead of once per parent mapping.

@@ -11,15 +11,27 @@ Three operations recur throughout Sections 3–6 of the paper:
 Well-designedness makes both extremal subtrees unique: the nodes mentioning
 a variable form a connected subgraph, so each variable has a unique
 *top node* (the closest-to-root node mentioning it).
+
+Both, and the free variables of a node set, are set operations over facts
+the :class:`~repro.wdpt.wdpt.WDPT` derives once per tree
+(:meth:`~repro.wdpt.wdpt.WDPT.root_paths`,
+:meth:`~repro.wdpt.wdpt.WDPT.node_free_variables`,
+:meth:`~repro.wdpt.wdpt.WDPT.path_free_variables`): the Theorem 6/8/9
+procedures ask them once per decision, and no decision walks the tree.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import FrozenSet, Iterable, Iterator, Set
 
 from ..core.terms import Variable
 from .tree import ROOT
 from .wdpt import WDPT
+
+_ROOT_ONLY: FrozenSet[int] = frozenset((ROOT,))
+_NO_VARIABLES: FrozenSet[Variable] = frozenset()
+_UNKNOWN_VARIABLE = "variable %r does not occur in the pattern tree"
 
 
 def top_node_of_variable(p: WDPT, v: Variable) -> int:
@@ -31,43 +43,31 @@ def top_node_of_variable(p: WDPT, v: Variable) -> int:
     try:
         return p.top_nodes()[v]
     except KeyError:
-        raise KeyError(
-            "variable %r does not occur in the pattern tree" % (v,)
-        ) from None
+        raise KeyError(_UNKNOWN_VARIABLE % (v,)) from None
 
 
 def minimal_subtree_containing(p: WDPT, variables: Iterable[Variable]) -> FrozenSet[int]:
     """The minimal rooted subtree of ``p`` whose variable set covers
-    ``variables``: the union of root-paths to each variable's top node."""
-    nodes: Set[int] = {ROOT}
-    for v in variables:
-        nodes.update(p.tree.path_to_root(top_node_of_variable(p, v)))
-    return frozenset(nodes)
+    ``variables``: the union of root-paths to each variable's top node.
+
+    Raises ``KeyError`` if some variable does not occur in ``p``."""
+    try:
+        return _ROOT_ONLY.union(*map(p.root_paths().__getitem__, variables))
+    except KeyError as missing:
+        raise KeyError(_UNKNOWN_VARIABLE % (missing.args[0],)) from None
 
 
 def maximal_subtree_within_free(
     p: WDPT, allowed_free: FrozenSet[Variable]
 ) -> FrozenSet[int]:
     """The maximal rooted subtree whose nodes mention no free variable
-    outside ``allowed_free`` (the paper's ``T''`` in Theorem 6)."""
-    frees = frozenset(p.free_variables)
-    nodes: Set[int] = set()
-
-    def admissible(n: int) -> bool:
-        return (p.node_variables(n) & frees) <= allowed_free
-
-    if not admissible(ROOT):
-        # Even the root mentions a forbidden free variable; the maximal
-        # admissible subtree is empty, which callers treat as failure.
-        return frozenset()
-    stack = [ROOT]
-    while stack:
-        n = stack.pop()
-        nodes.add(n)
-        for child in p.tree.children(n):
-            if admissible(child):
-                stack.append(child)
-    return frozenset(nodes)
+    outside ``allowed_free`` (the paper's ``T''`` in Theorem 6): the nodes
+    whose whole root path does.  Empty when even the root mentions a
+    forbidden free variable, which callers treat as failure."""
+    within = frozenset(allowed_free).issuperset
+    return frozenset(
+        compress(p.tree.nodes(), map(within, p.path_free_variables()))
+    )
 
 
 def rooted_subtrees(p: WDPT) -> Iterator[FrozenSet[int]]:
@@ -77,10 +77,7 @@ def rooted_subtrees(p: WDPT) -> Iterator[FrozenSet[int]]:
 
 def subtree_free_variables(p: WDPT, nodes: Iterable[int]) -> FrozenSet[Variable]:
     """Free variables of ``p`` occurring in the given nodes."""
-    vs: Set[Variable] = set()
-    for n in nodes:
-        vs |= p.node_variables(n)
-    return vs & frozenset(p.free_variables)
+    return _NO_VARIABLES.union(*map(p.node_free_variables().__getitem__, nodes))
 
 
 def new_variables_at(p: WDPT, node: int) -> FrozenSet[Variable]:

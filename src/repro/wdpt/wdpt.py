@@ -67,7 +67,7 @@ class WDPT:
 
     __slots__ = (
         "tree", "labels", "free_variables", "_node_vars", "_hash", "_fingerprint",
-        "_top_nodes", "_frozen",
+        "_top_nodes", "_root_paths", "_node_frees", "_path_frees", "_frozen",
     )
 
     def __init__(
@@ -108,6 +108,9 @@ class WDPT:
         self._hash = hash((self.tree, self.labels, self.free_variables))
         self._fingerprint: Optional[str] = None
         self._top_nodes: Optional[Dict[Variable, int]] = None
+        self._root_paths: Optional[Dict[Variable, FrozenSet[int]]] = None
+        self._node_frees: Optional[Tuple[FrozenSet[Variable], ...]] = None
+        self._path_frees: Optional[Tuple[FrozenSet[Variable], ...]] = None
         self._frozen: Optional[Tuple[Tuple[Tuple[Atom, ...], ...], Dict[Variable, Constant]]] = None
 
     def __reduce__(self):
@@ -184,6 +187,36 @@ class WDPT:
                 top.update(dict.fromkeys(self._node_vars[node], node))
             self._top_nodes = top
         return self._top_nodes
+
+    def root_paths(self) -> Dict[Variable, FrozenSet[int]]:
+        """``variable → the nodes from its top node up to the root`` — the
+        minimal rooted subtree mentioning it.  Built once per tree, each
+        node's path from its parent's (ids are parents-first); variables
+        with the same top node share one set."""
+        if self._root_paths is None:
+            paths: List[FrozenSet[int]] = [frozenset((ROOT,))]
+            for node in range(1, len(self.tree)):
+                paths.append(paths[self.tree.parent(node)] | {node})  # type: ignore[index]
+            self._root_paths = {v: paths[n] for v, n in self.top_nodes().items()}
+        return self._root_paths
+
+    def node_free_variables(self) -> Tuple[FrozenSet[Variable], ...]:
+        """Per node, the free variables it mentions.  Built once per tree."""
+        if self._node_frees is None:
+            frees = frozenset(self.free_variables)
+            self._node_frees = tuple(vs & frees for vs in self._node_vars)
+        return self._node_frees
+
+    def path_free_variables(self) -> Tuple[FrozenSet[Variable], ...]:
+        """Per node, the free variables mentioned from it up to the root.
+        Built once per tree, each node's set from its parent's."""
+        if self._path_frees is None:
+            own = self.node_free_variables()
+            along = [own[ROOT]]
+            for node in range(1, len(self.tree)):
+                along.append(along[self.tree.parent(node)] | own[node])  # type: ignore[index]
+            self._path_frees = tuple(along)
+        return self._path_frees
 
     def frozen_labels(self) -> Tuple[Tuple[Tuple[Atom, ...], ...], Dict[Variable, Constant]]:
         """``(labels, freezing)``: every node's label as ground atoms over

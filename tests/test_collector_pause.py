@@ -209,7 +209,9 @@ def test_boolean_runs_keep_the_collector_on(monkeypatch, small_db):
     query = path_cq(3)
     atoms = sorted(query.atoms)
     links = yannakakis.join_tree_of_atoms(atoms)
-    assert yannakakis.satisfiable_with_join_tree(atoms, links, small_db)
+    assert yannakakis.satisfiable_with_join_tree(
+        atoms, yannakakis.join_tree_shape(links, len(atoms)), small_db
+    )
     assert seen == [("semijoin_reduce", True)]
 
 

@@ -130,3 +130,63 @@ class TestCrossValidation:
             for value in adom[:3]:
                 candidate = Mapping({frees[0]: value})
                 assert eval_tractable(p, db, candidate) == (candidate in answers)
+
+
+class TestPinnedInterfaceCandidates:
+    """A node's interface candidates come from the facts that agree with
+    the values already pinned there, not from the whole column: with
+    ``?x`` pinned, ``R(?x, ?y)`` offers ``?y`` only the values next to
+    that ``?x``."""
+
+    X = Mapping({"?x": 1000000})  # in no fact
+    THREE = Mapping({"?x": 3})  # 100 facts, none with an S-partner
+
+    @pytest.fixture
+    def case(self):
+        p = wdpt_from_nested(
+            ([atom("R", "?x", "?y")], [([atom("S", "?y", "?z")], [])]),
+            free_variables=["?x", "?z"],
+        )
+        return p, Database([atom("R", i % 50, i) for i in range(5000)])
+
+    @staticmethod
+    def _count_checks(monkeypatch):
+        from repro.wdpt.eval_tractable import _InterfaceDP
+
+        calls = []
+        original = _InterfaceDP._satisfiable
+
+        def counted(self, node, pre):
+            calls.append(node)
+            return original(self, node, pre)
+
+        monkeypatch.setattr(_InterfaceDP, "_satisfiable", counted)
+        return calls
+
+    def test_an_unmatched_pin_is_decided_without_scanning_the_column(
+        self, case, monkeypatch
+    ):
+        from repro.engine import Session
+        from repro.wdpt.evaluation import eval_check
+
+        p, db = case
+        calls = self._count_checks(monkeypatch)
+        assert eval_tractable(p, db, self.X) is eval_check(p, db, self.X) is False
+        assert len(calls) <= 2
+        del calls[:]
+        session = Session(db, cache=False)
+        assert session.ask(p, self.X) is False and len(calls) <= 2
+        del calls[:]
+        assert session.ask(p, self.THREE) is eval_check(p, db, self.THREE) is True
+        assert len(calls) <= 2  # the first of its 100 values: the node, the child
+
+    def test_the_row_budget_counts_pinned_candidates_only(self, case):
+        from repro.engine import Session
+        from repro.telemetry.resources import ResourceBudget
+        from repro.wdpt.evaluation import eval_check
+
+        p, db = case
+        budgets = ResourceBudget(hard_intermediate_rows=1000)
+        with Session(db, cache=False, budgets=budgets) as session:
+            assert session.ask(p, self.X) is eval_check(p, db, self.X)
+            assert session.ask(p, self.THREE) is eval_check(p, db, self.THREE)

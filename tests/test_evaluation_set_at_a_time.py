@@ -18,6 +18,7 @@ from repro.core.terms import Variable
 from repro.cqalgs.naive import count_homomorphisms
 from repro.cqalgs.yannakakis import relation_with_join_tree
 from repro.engine import Session
+from repro.hypergraphs.gyo import join_tree_shape
 from repro.relalg.relation import (
     Relation,
     from_mappings,
@@ -223,16 +224,22 @@ def test_seeded_yannakakis_is_the_semijoin_of_the_unseeded_answers():
             from_mappings([Mapping()], (), db),
             from_mappings([], (x,), db),
         ]
-        full = relation_with_join_tree(atoms, links, db, [x, y, u])
+        full = relation_with_join_tree(
+            atoms, join_tree_shape(links, len(atoms)), db, [x, y, u]
+        )
         for seed in seeds:
-            got = relation_with_join_tree(atoms, links, db, [x, y, u], seed=seed)
+            got = relation_with_join_tree(
+                atoms, join_tree_shape(links, len(atoms)), db, [x, y, u], seed=seed
+            )
             assert to_mappings(got) == to_mappings(semijoin(full, seed))
         if backend is _CountingSQLite:
             probes[limit] = db.reads.count("probe")
     # The limit cut a two-key probe in two.
     assert 0 < probes[None] < probes[1]
     with pytest.raises(ValueError):
-        relation_with_join_tree(atoms, links, db, [x], seed=seeds[0])
+        relation_with_join_tree(
+            atoms, join_tree_shape(links, len(atoms)), db, [x], seed=seeds[0]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Covers the satellite acceptance criteria: stable structural fingerprints,
 LRU bound + hit/miss accounting of the plan cache, analysis reuse across
 structurally identical queries, cross-engine answer equivalence on seeded
-random workloads, the session-level instrumentation surface, and the
-plan cache and a shared planner under concurrent threads.
+random workloads, the session-level instrumentation surface, the
+plan cache and a shared planner under concurrent threads, and warm
+decisions that read their shape facts as built.
 """
 
+import sys
 import threading
 
 import pytest
@@ -16,7 +18,9 @@ from repro.core.cq import ConjunctiveQuery
 from repro.core.mappings import Mapping
 from repro.cqalgs.dispatch import evaluate
 from repro.cqalgs.naive import evaluate_naive
+from repro.core.terms import Variable
 from repro.engine import Session
+from repro.hypergraphs import gyo
 from repro.planner import (
     ENGINE_NAIVE,
     ENGINE_TREEWIDTH,
@@ -25,9 +29,11 @@ from repro.planner import (
     PlanCache,
     Planner,
 )
+from repro.telemetry.metrics import MetricsRegistry
 from repro.wdpt.eval_tractable import eval_tractable
 from repro.wdpt.max_eval import max_eval
 from repro.wdpt.partial_eval import partial_eval
+from repro.wdpt.tree import PatternTree
 from repro.wdpt.wdpt import wdpt_from_nested
 from repro.workloads.datasets import company_directory
 from repro.workloads.generators import random_cq, random_database, random_wdpt
@@ -383,3 +389,134 @@ def test_shared_planner_profiles_under_concurrent_sessions():
         assert not errors and len(results) == 6
         assert all(r == results[0] for r in results)
         assert session.stats()["plan_cache"]["size"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# Warm decisions: shape facts are read as built, not derived per check
+# ---------------------------------------------------------------------------
+_KINDS = ("ask", "is_partial", "is_maximal")
+_EMPLOYEE = Variable("e")
+
+
+def _decision_stream(answers, n, offset=0):
+    """``n`` (kind, candidate) pairs cycling through the kinds and over
+    candidate domains of every size the answers have, the employee
+    always bound."""
+    ordered = sorted(answers, key=repr)
+    out = []
+    for i in range(n):
+        answer = ordered[(offset + 7 * i) % len(ordered)]
+        domain = sorted(answer.domain(), key=repr)
+        kept = set(domain[: 1 + i % len(domain)]) | {_EMPLOYEE}
+        out.append((_KINDS[i % len(_KINDS)], answer.restrict(kept)))
+    return out
+
+
+@pytest.fixture
+def warm_decisions():
+    """A session, its query, and 50 fresh decisions after one warm-up
+    decision per (kind, candidate domain)."""
+    session = Session(_company_db(employees=24), cache=False)
+    query = _company_query()
+    answers = session.query(query).answers
+    seen = set()
+    for kind, candidate in _decision_stream(answers, 300):
+        if (kind, candidate.domain()) not in seen:
+            seen.add((kind, candidate.domain()))
+            getattr(session, kind)(query, candidate)
+    fresh = [
+        (kind, candidate)
+        for kind, candidate in _decision_stream(answers, 400, offset=1)
+        if (kind, candidate.domain()) in seen
+    ][:50]
+    assert len(fresh) == 50
+    return session, query, fresh
+
+
+def _count_calls(monkeypatch, owner, name, counts, only_from=None):
+    """Count calls of ``owner.name`` — for a module function, through
+    every ``repro`` module's by-name import of it; with ``only_from``,
+    only calls made directly by a function of that name."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        if only_from is None or sys._getframe(1).f_code.co_name == only_from:
+            counts[name] += 1
+        return original(*args, **kwargs)
+
+    counts[name] = 0
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counted)
+        return
+    for module in list(sys.modules.values()):
+        if (module is not None and module.__name__.startswith("repro")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counted)
+
+
+class TestWarmDecisions:
+    """``ask``/``is_partial``/``is_maximal`` turn into many small
+    satisfiability checks.  Once each candidate domain has been decided,
+    a check reads the join tree, the engine instruments and the tree's
+    root paths as built.  These tests count that work; they do not time
+    it."""
+
+    def test_no_shape_fact_is_derived_again(self, warm_decisions, monkeypatch):
+        session, query, fresh = warm_decisions
+        counts = {}
+        _count_calls(monkeypatch, gyo, "join_tree_shape", counts)
+        _count_calls(monkeypatch, MetricsRegistry, "counter", counts, "record_engine")
+        _count_calls(monkeypatch, MetricsRegistry, "histogram", counts, "record_engine")
+        _count_calls(monkeypatch, PatternTree, "path_to_root", counts)
+        _count_calls(monkeypatch, Planner, "satisfiable_substituted", counts)
+        verdicts = [getattr(session, kind)(query, c) for kind, c in fresh]
+        assert counts.pop("satisfiable_substituted") >= len(fresh)
+        assert counts == {
+            "join_tree_shape": 0, "counter": 0, "histogram": 0, "path_to_root": 0,
+        }
+        assert any(verdicts) and not all(verdicts)
+
+    @staticmethod
+    def _engine_counts(session):
+        stats = session.stats()
+        latency = stats["engine_latency"].get("yannakakis", {"count": 0})
+        return stats["engine_selections"].get("yannakakis", 0), latency["count"]
+
+    def test_engine_instruments_count_every_check_across_resets(
+        self, warm_decisions, monkeypatch
+    ):
+        session, query, fresh = warm_decisions
+        counts = {}
+        _count_calls(monkeypatch, Planner, "satisfiable_substituted", counts)
+        selected, latencies = self._engine_counts(session)
+        for kind, candidate in fresh[:25]:
+            getattr(session, kind)(query, candidate)
+        checks = counts["satisfiable_substituted"]
+        assert checks > 0
+        assert self._engine_counts(session) == (selected + checks, latencies + checks)
+        session.reset_stats()
+        assert self._engine_counts(session) == (0, 0)
+        counts["satisfiable_substituted"] = 0
+        for kind, candidate in fresh[25:]:
+            getattr(session, kind)(query, candidate)
+        checks = counts["satisfiable_substituted"]
+        assert checks > 0 and self._engine_counts(session) == (checks, checks)
+        assert session.planner.engine_seconds > 0
+
+    def test_kept_instruments_are_the_registry_s(self):
+        """What ``record_engine`` keeps are the registry's own series:
+        snapshots, ``engine_selections`` and the exposition read them,
+        also after a reset."""
+        planner = Planner()
+        planner.record_engine("yannakakis", 0.5)
+        planner.metrics.reset()
+        planner.record_engine("yannakakis", 0.25)
+        planner.record_engine("naive", 0.25)
+        snapshot = planner.metrics.snapshot()
+        assert snapshot["counters"]['planner.engine.selected{engine="yannakakis"}'] == 1
+        assert snapshot["counters"]["planner.engine_seconds"] == 0.5
+        assert snapshot["histograms"]['planner.engine_latency{engine="naive"}']["count"] == 1
+        assert planner.engine_selections == {"yannakakis": 1, "naive": 1}
+        assert 'repro_planner_engine_selected{engine="naive"} 1' in (
+            planner.metrics.to_prometheus()
+        )

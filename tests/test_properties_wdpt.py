@@ -208,3 +208,117 @@ def test_normal_form_preserves_partial_and_max_answers(pair):
     norm = lemma1_normal_form(p)
     assert evaluate_max(p, db) == evaluate_max(norm, db)
     assert partial_answers(p, db) == partial_answers(norm, db)
+
+
+# ---------------------------------------------------------------------------
+# Per-tree shape facts: the subtree functions against the tree walks
+# ---------------------------------------------------------------------------
+def _walked_minimal_subtree(p, variables):
+    """Reference: the union of the root paths walked from each variable's
+    top node."""
+    nodes = {0}
+    for v in variables:
+        nodes.update(p.tree.path_to_root(p.top_nodes()[v]))
+    return frozenset(nodes)
+
+
+def _walked_maximal_subtree(p, allowed_free):
+    """Reference: a depth-first walk from the root through the nodes that
+    mention no free variable outside ``allowed_free``."""
+    frees = frozenset(p.free_variables)
+
+    def admissible(n):
+        return (p.node_variables(n) & frees) <= allowed_free
+
+    if not admissible(0):
+        return frozenset()
+    nodes, stack = set(), [0]
+    while stack:
+        n = stack.pop()
+        nodes.add(n)
+        stack.extend(c for c in p.tree.children(n) if admissible(c))
+    return frozenset(nodes)
+
+
+def _walked_free_variables(p, nodes):
+    """Reference: the free variables among the nodes' variables."""
+    vs = set()
+    for n in nodes:
+        vs |= p.node_variables(n)
+    return vs & frozenset(p.free_variables)
+
+
+@COMMON
+@given(wdpt_and_db(), st.data())
+def test_subtree_sets_equal_the_tree_walks(pair, data):
+    from repro.core.terms import Variable
+    from repro.wdpt.subtrees import (
+        maximal_subtree_within_free,
+        minimal_subtree_containing,
+        subtree_free_variables,
+    )
+
+    p, _ = pair
+    variables = sorted(p.variables(), key=repr)
+    frees = sorted(p.free_variables, key=repr)
+    for _ in range(4):
+        chosen = data.draw(st.lists(st.sampled_from(variables), unique=True))
+        allowed = frozenset(
+            data.draw(st.lists(st.sampled_from(frees), unique=True)) if frees else ()
+        )
+        nodes = data.draw(st.sets(st.sampled_from(list(p.tree.nodes()))))
+        assert minimal_subtree_containing(p, chosen) == _walked_minimal_subtree(p, chosen)
+        assert maximal_subtree_within_free(p, allowed) == (
+            _walked_maximal_subtree(p, allowed)
+        )
+        assert subtree_free_variables(p, nodes) == _walked_free_variables(p, nodes)
+    with pytest.raises(KeyError, match="does not occur"):
+        minimal_subtree_containing(p, variables + [Variable("not_in_the_tree")])
+
+
+# ---------------------------------------------------------------------------
+# Decisions through a warm session against the enumerating checks
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@COMMON
+@given(wdpt_and_db(), st.data())
+def test_warm_session_decisions_equal_the_checks(backend, pair, data):
+    """``ask``/``is_partial``/``is_maximal`` equal ``eval_check``,
+    ``partial_eval_check`` and ``max_eval_check`` over candidates of mixed
+    domains — answers, their restrictions and arbitrary assignments —
+    once the session has decided every candidate before."""
+    from repro.core.mappings import Mapping
+    from repro.engine import Session
+    from repro.wdpt.evaluation import (
+        eval_check,
+        evaluate,
+        max_eval_check,
+        partial_eval_check,
+    )
+
+    p, db = pair
+    frees = sorted(p.free_variables, key=repr)
+    values = sorted({c for fact in db.facts() for c in fact.args}, key=repr)
+    candidates = []
+    for answer in sorted(evaluate(p, db), key=repr)[:3]:
+        kept = data.draw(st.sets(st.sampled_from(sorted(answer.domain(), key=repr))))
+        candidates += [answer, answer.restrict(kept)] if answer else [answer]
+    for _ in range(3):
+        domain = data.draw(st.sets(st.sampled_from(frees))) if frees else ()
+        draw_value = st.sampled_from(values)
+        candidates.append(
+            Mapping({v: data.draw(draw_value) for v in sorted(domain, key=repr)})
+        )
+    checks = (
+        ("ask", eval_check), ("is_partial", partial_eval_check),
+        ("is_maximal", max_eval_check),
+    )
+    with Session(db, backend=backend, cache=False) as session:
+        for kind, _ in checks:
+            for candidate in candidates:
+                getattr(session, kind)(p, candidate)
+        for kind, check in checks:
+            for candidate in candidates:
+                assert getattr(session, kind)(p, candidate) is check(p, db, candidate), (
+                    kind, candidate,
+                )

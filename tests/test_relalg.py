@@ -25,7 +25,7 @@ from repro.cqalgs.yannakakis import (
     satisfiable_with_join_tree,
 )
 from repro.exceptions import ReproError
-from repro.hypergraphs.gyo import join_tree_of_atoms
+from repro.hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
 from repro.relalg import (
     Relation,
     dedup,
@@ -194,9 +194,10 @@ def test_no_term_is_hashed_or_compared_between_scan_and_boundary(monkeypatch):
     frees = [Variable("x0"), Variable("x5")]
     anchored = tuple(a.substitute({Variable("x0"): Constant(7)}) for a in atoms)
     calls = _TermCalls(monkeypatch)
-    answers = relation_with_join_tree(atoms, links, db, frees)
+    tree = join_tree_shape(links, len(atoms))
+    answers = relation_with_join_tree(atoms, tree, db, frees)
     assert len(answers) > 100
-    assert len(relation_with_join_tree(anchored, links, db, frees[1:])) > 1
+    assert len(relation_with_join_tree(anchored, tree, db, frees[1:])) > 1
     assert calls.counts == {"new": 0, "atom": 0}
 
 
@@ -215,7 +216,7 @@ def test_an_opt_extension_builds_no_atom_per_interface_key(monkeypatch):
         keys = project(parent, [e])
         assert len(keys) == 150 and len(keys) * db.probe_cost < db.match_bound(phone)
         child = relation_with_join_tree(
-            [phone], [], db, [e, Variable("p")], seed=keys
+            [phone], join_tree_shape([], 1), db, [e, Variable("p")], seed=keys
         )
         groups = group_by(child, [e])
     (span,) = tracer.find("yannakakis.scan")
@@ -377,9 +378,10 @@ def test_boolean_fast_path_parity(seed, length):
     links = join_tree_of_atoms(atoms)
     assert links is not None
     expected = satisfiable(atoms, db)
-    assert satisfiable_with_join_tree(atoms, links, db) is expected
+    tree = join_tree_shape(links, len(atoms))
+    assert satisfiable_with_join_tree(atoms, tree, db) is expected
     # on SQLite this is the Boolean SQL pushdown
-    assert satisfiable_with_join_tree(atoms, links, lite) is expected
+    assert satisfiable_with_join_tree(atoms, tree, lite) is expected
 
 
 @settings(max_examples=10, deadline=None)

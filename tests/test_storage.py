@@ -25,7 +25,7 @@ from repro.exceptions import (
     ResourceBudgetExceeded,
     SchemaError,
 )
-from repro.hypergraphs.gyo import join_tree_of_atoms
+from repro.hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
 from repro.relalg.relation import from_mappings, scan, to_mappings
 from repro.storage import (
     BACKENDS,
@@ -203,11 +203,13 @@ def test_constants_the_store_has_never_seen(kind):
             assert atom("E", 1, never) not in db and not db.discard(atom("E", never, 2))
             if i % 100 == 0:
                 assert len(scan(pattern, db)) == 0
-                assert not satisfiable_with_join_tree([pattern], [], db)
+                assert not satisfiable_with_join_tree([pattern], join_tree_shape([], 1), db)
                 query = cq(["?x"], [atom("E", "?x", "?y"), atom("E", "?y", never)])
                 assert session.planner.evaluate_cq(query, db) == frozenset()
                 seed = from_mappings([Mapping({y: never}), Mapping({y: 2})], [y], db)
-                found = relation_with_join_tree([atom("E", "?x", "?y")], [], db, [x, y], seed)
+                found = relation_with_join_tree(
+                    [atom("E", "?x", "?y")], join_tree_shape([], 1), db, [x, y], seed
+                )
                 assert to_mappings(found) == {Mapping({x: 1, y: 2}), Mapping({x: 2, y: 2})}
         assert terms is None or len(db.codec) == terms
 

@@ -74,17 +74,21 @@ def test_sibling_spans_attach_to_the_same_parent():
 
 def test_tracer_is_thread_safe():
     tracer = Tracer()
+    # Every thread waits inside its child span until all four are there,
+    # so the four span stacks are provably open at the same time.
+    inside = threading.Barrier(4, timeout=10)
 
     def work(label):
         with tracer.span("thread-%s" % label):
             with tracer.span("child-%s" % label):
-                time.sleep(0.001)
+                inside.wait()
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    assert not inside.broken  # all four met: no wait timed out
     # Each thread's spans nest on its own stack: 4 roots, each 1 child.
     assert len(tracer.roots) == 4
     assert all(len(root.children) == 1 for root in tracer.roots)

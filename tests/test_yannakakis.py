@@ -197,7 +197,8 @@ def test_scan_schedule_stays_between_full_reduction_and_plain_scan(case):
     expected = frozenset(h.restrict(frees) for h in homs)
     for backend in CONFIGURATIONS:
         db, config = backend(facts), backend.__name__
-        relations = scan_schedule(atoms, links, db, _packed(seed, db))
+        tree = join_tree_shape(links, len(atoms))
+        relations = scan_schedule(atoms, tree, db, _packed(seed, db))
         if relations is None:
             assert not homs, config
         else:
@@ -209,11 +210,11 @@ def test_scan_schedule_stays_between_full_reduction_and_plain_scan(case):
                 reduced = from_mappings(homs, rel.schema, db)
                 assert set(reduced.rows) <= set(rel.rows), config
         answers = relation_with_join_tree(
-            atoms, links, db, frees, seed=_packed(seed, db)
+            atoms, tree, db, frees, seed=_packed(seed, db)
         )
         assert to_mappings(answers) == expected, config
         if seed is None:
-            assert satisfiable_with_join_tree(atoms, links, db) is bool(homs), config
+            assert satisfiable_with_join_tree(atoms, tree, db) is bool(homs), config
 
 
 @_ACYCLIC
@@ -225,7 +226,7 @@ def test_semijoin_program_ends_in_the_full_reduction(case):
     homs = list(homomorphisms(atoms, MemoryBackend(facts)))
     for backend in CONFIGURATIONS:
         db, config = backend(facts), backend.__name__
-        relations = scan_schedule(atoms, links, db)
+        relations = scan_schedule(atoms, join_tree_shape(links, len(atoms)), db)
         alive = relations is not None and semijoin_reduce(
             relations, join_tree_shape(links, len(atoms))
         )
@@ -245,7 +246,11 @@ def test_payload_equality_classes_survive_the_term_dictionary(case):
     db = MemoryBackend(facts)
     homs = [h for h in homomorphisms(atoms, db) if _joins(h, seed)]
     answers = relation_with_join_tree(
-        atoms, join_tree_of_atoms(atoms), db, frees, seed=_packed(seed, db)
+        atoms,
+        join_tree_shape(join_tree_of_atoms(atoms), len(atoms)),
+        db,
+        frees,
+        seed=_packed(seed, db),
     )
     assert to_mappings(answers) == frozenset(h.restrict(frees) for h in homs)
     query = ConjunctiveQuery(sorted(frees), atoms)
@@ -355,12 +360,14 @@ def test_schedule_asks_for_one_bound_per_atom():
     x = Variable("x")
     db = Counting(facts)
     seed = from_mappings([Mapping({x: value}) for value in (1, 4, 5)], [x], db)
-    rel = relation_with_join_tree(atoms, [(1, 0)], db, {x}, seed=seed)
+    rel = relation_with_join_tree(
+        atoms, join_tree_shape([(1, 0)], len(atoms)), db, {x}, seed=seed
+    )
     assert to_mappings(rel) == {Mapping({x: 1}), Mapping({x: 4})}
     assert db.bounds == 2
     # A lone atom is ordered against nobody: only a seeded scan wants its bound.
     db.bounds = 0
-    relation_with_join_tree(atoms[:1], [], db, {x})
+    relation_with_join_tree(atoms[:1], join_tree_shape([], 1), db, {x})
     assert db.bounds == 0
-    relation_with_join_tree(atoms[:1], [], db, {x}, seed=seed)
+    relation_with_join_tree(atoms[:1], join_tree_shape([], 1), db, {x}, seed=seed)
     assert db.bounds == 1
