@@ -25,7 +25,12 @@ intermediate-rows budget).  The driver:
    one cached query must be served whole (a hit holds its slot across
    no await), a storm of distinct never-seen queries must see at least
    one request shed with ``429`` + ``Retry-After``;
-5. asserts the whole story is visible in ``/metrics`` and ``/healthz``
+5. asks ``/ask`` about one true and one false candidate of the OPT
+   query that no earlier request asked, so the result cache cannot
+   answer them, checks both verdicts, and checks from ``/metrics`` that
+   the planner decided their checks by existence probes
+   (``repro_planner_engine_selected{engine="probe"}`` rose);
+6. asserts the whole story is visible in ``/metrics`` and ``/healthz``
    (per-tenant admitted/shed counters, cache series), and that the
    cyclic garbage collector is on again after all of it.
 
@@ -103,6 +108,17 @@ def scrape(base, tenant):
         name: float(value)
         for name, value in re.findall(pattern, text, flags=re.MULTILINE)
     }
+
+
+def scrape_series(base, series):
+    """The value of one exact ``/metrics`` series (0 when absent)."""
+    with urllib.request.urlopen(base + "/metrics", timeout=30) as resp:
+        text = resp.read().decode("utf-8")
+    for line in text.splitlines():
+        name, _, value = line.rpartition(" ")
+        if name == series:
+            return float(value)
+    return 0.0
 
 
 def main(argv):
@@ -224,7 +240,32 @@ def main(argv):
     check(all(body["scope"] in ("tenant", "global") for _, body, _ in shed),
           "shed responses name the saturated scope")
 
-    print("5. the story is visible in /metrics and /healthz")
+    print("5. decisions on the probe route (/ask, never-seen candidates)")
+    # Tracks 11-32 have no rating, so {?x, ?y} of one of them is an answer
+    # (the OPTIONAL unmatched) and the same track by Caribou is not; the
+    # pid picks the track, so a rerun against one server asks anew.
+    track = 11 + os.getpid() % 22
+    probes = 'repro_planner_engine_selected{engine="probe"}'
+    before = scrape_series(base, probes)
+    verdicts = [
+        request(base, "/ask", {"query": OPT_QUERY, "candidate": candidate},
+                key="alpha-key")
+        for candidate in (
+            {"?x": "track%d" % track, "?y": "artist%d" % track},
+            {"?x": "track%d" % track, "?y": "Caribou"},
+        )
+    ]
+    rose = scrape_series(base, probes) - before
+    check([status for status, _, _ in verdicts] == [200, 200],
+          "both /ask requests served (got %s)"
+          % [status for status, _, _ in verdicts])
+    check([body.get("answer") for _, body, _ in verdicts] == [True, False],
+          "the answer is an answer and the other is not (got %s)"
+          % [body.get("answer") for _, body, _ in verdicts])
+    check(rose >= 2,
+          "their checks were existence probes (probe selections +%g)" % rose)
+
+    print("6. the story is visible in /metrics and /healthz")
     with urllib.request.urlopen(base + "/metrics", timeout=30) as resp:
         metrics = resp.read().decode("utf-8")
     check('repro_service_admitted{tenant="alpha"}' in metrics,

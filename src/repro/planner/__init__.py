@@ -14,6 +14,7 @@ from .cache import PlanCache
 from .plan import (
     ENGINE_HYPERTREEWIDTH,
     ENGINE_NAIVE,
+    ENGINE_PROBE,
     ENGINE_TREEWIDTH,
     ENGINE_YANNAKAKIS,
     QueryPlan,
@@ -26,6 +27,7 @@ __all__ = [
     "QueryPlan",
     "ENGINE_HYPERTREEWIDTH",
     "ENGINE_NAIVE",
+    "ENGINE_PROBE",
     "ENGINE_TREEWIDTH",
     "ENGINE_YANNAKAKIS",
     "TW_CUTOFF",

@@ -18,6 +18,14 @@ from .profile import (
     StructuralProfile,
 )
 
+#: The route of a Boolean check whose atoms, under its binding, pairwise
+#: share no open variable: one existence read per atom
+#: (:meth:`~repro.storage.base.StorageBackend.exists`), no relation
+#: built.  Chosen per (shape, bound-variable set) by
+#: :meth:`~repro.planner.profile.StructuralProfile.independent_under`,
+#: never per shape, so no :class:`QueryPlan` names it.
+ENGINE_PROBE = "probe"
+
 #: The paper result licensing each engine the router can pick (``%d``:
 #: the shape's treewidth bound).
 THEOREMS = {

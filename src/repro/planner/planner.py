@@ -22,7 +22,9 @@ Routing follows the paper, as one rule on the query shape —
 (:meth:`Planner.evaluate_cq`) and the Boolean checks of the Theorem
 6/8/9/16 procedures (:meth:`Planner.satisfiable_substituted`) reach their
 engine there, and EXPLAIN's :class:`~repro.planner.plan.QueryPlan` reads
-the same property.
+the same property.  One refinement depends on the binding as well: a
+Boolean check whose atoms share no variable its binding leaves open is
+decided by one existence read per atom (the ``probe`` route).
 
 The module-level :func:`get_default_planner` provides a process-wide
 planner so free functions (``cqalgs.dispatch.evaluate``, ``wdpt.classes``,
@@ -64,10 +66,12 @@ from ..cqalgs.structured import (
 from ..cqalgs.yannakakis import evaluate_with_join_tree, satisfiable_with_join_tree
 from ..hypergraphs.treedecomp import TreeDecomposition
 from ..telemetry.metrics import Counter, Histogram, MetricsRegistry
+from ..telemetry.resources import account_rows
 from ..telemetry.tracer import current_tracer
 from ..wdpt.wdpt import WDPT
 from .cache import PlanCache
 from .plan import (
+    ENGINE_PROBE,
     ENGINE_TREEWIDTH,
     ENGINE_YANNAKAKIS,
     THEOREMS,
@@ -208,15 +212,25 @@ class Planner:
         the unsubstituted shape stays valid (:mod:`repro.planner.profile`):
         the join tree as it is, the decomposition with every bag cut down
         to the surviving variables — each keeps its connected set of bags,
-        each atom's variables stay inside its old bag.
+        each atom's variables stay inside its old bag.  A Boolean check
+        whose substituted atoms pairwise share no open variable
+        (:meth:`~repro.planner.profile.StructuralProfile.independent_under`)
+        runs none of them: it is the :data:`~repro.planner.plan.ENGINE_PROBE`
+        route, one ``db.exists`` per atom up to the first ``False``, each
+        reading at most one row.
         """
         engine = profile.engine
         atoms: Sequence[Atom] = profile.sorted_atoms
         if bind is not None:
             atoms = [a.substitute(bind) for a in atoms]
+            if query is None and profile.independent_under(bind):
+                engine = ENGINE_PROBE
         start = time.perf_counter()
         try:
             with current_tracer().span(span, engine=engine):
+                if engine == ENGINE_PROBE:
+                    account_rows(1)
+                    return all(map(db.exists, atoms))
                 if engine == ENGINE_YANNAKAKIS:
                     if query is not None:
                         return evaluate_with_join_tree(
@@ -270,8 +284,10 @@ class Planner:
         db: Database,
     ) -> bool:
         """Is the Boolean CQ ``σ(atoms)`` satisfiable over ``db``, where
-        ``atoms`` is the (unsubstituted) atom set profiled by ``profile``?
-        Routed on the unsubstituted profile (see :meth:`_run`)."""
+        ``atoms`` is the (unsubstituted) atom set profiled by ``profile``
+        and ``substitution`` maps variables to constants?  Routed on the
+        unsubstituted profile and the substitution's variables (see
+        :meth:`_run`)."""
         return self._run("planner.satisfiable", profile, db, bind=substitution)
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ memoization pay off.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Atom, variables_of
 from ..core.terms import Variable
@@ -72,6 +72,8 @@ class StructuralProfile:
         "analysis_seconds",
         "_on_analysis",
         "_inherited_tw_upper",
+        "_variables",
+        "_independent",
         "_hypergraph",
         "_join_tree",
         "_engine",
@@ -97,6 +99,8 @@ class StructuralProfile:
         self.analysis_seconds = 0.0
         self._on_analysis = on_analysis
         self._inherited_tw_upper = inherited_tw_upper
+        self._variables = _UNSET
+        self._independent: Optional[Dict[FrozenSet[Variable], bool]] = None
         self._hypergraph = _UNSET
         self._join_tree = _UNSET
         self._engine = _UNSET
@@ -126,13 +130,47 @@ class StructuralProfile:
     # Structure
     # ------------------------------------------------------------------
     @property
+    def variables(self) -> FrozenSet[Variable]:
+        """``vars(shape)``, built on first use: like the answers of
+        :meth:`independent_under`, nothing a profile that is never bound
+        (one per request on a cold server) pays for."""
+        if self._variables is _UNSET:
+            self._variables = variables_of(self.sorted_atoms)
+        return self._variables  # type: ignore[return-value]
+
+    def independent_under(self, bound: Iterable[Variable]) -> bool:
+        """Under bindings of the variables ``bound``, do the atoms pairwise
+        share no variable outside ``bound``?  Then a binding extends to a
+        homomorphism exactly when each substituted atom alone matches a
+        fact (ALGORITHMS.md §9).  Decided once per ``bound ∩ vars(shape)``
+        and kept, so new values never add an entry.  No lock: threads
+        racing on an entry store the same answer, and a store lost to a
+        race costs one recomputation."""
+        key = self.variables.intersection(bound)
+        known = self._independent
+        if known is None:
+            known = self._independent = {}
+        answer = known.get(key)
+        if answer is None:
+            seen: set = set()
+            answer = True
+            for a in self.sorted_atoms:
+                open_ = a.variables() - key
+                if not seen.isdisjoint(open_):
+                    answer = False
+                    break
+                seen |= open_
+            known[key] = answer
+        return answer
+
+    @property
     def hypergraph(self) -> Hypergraph:
         """The query hypergraph (variables as vertices, atoms as edges)."""
         if self._hypergraph is _UNSET:
             self._hypergraph = self._timed(
                 lambda: Hypergraph(
                     (a.variables() for a in self.sorted_atoms),
-                    vertices=variables_of(self.sorted_atoms),
+                    vertices=self.variables,
                 )
             )
         return self._hypergraph  # type: ignore[return-value]

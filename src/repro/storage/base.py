@@ -139,6 +139,17 @@ class StorageBackend(abc.ABC):
             self.rows(pattern.substitute(binding)) for binding in bindings
         )
 
+    def exists(self, pattern: Atom) -> bool:
+        """Does some fact unify with ``pattern``?  ``bool(rows(pattern))``
+        without building the rows — the one read the planner's ``probe``
+        route makes per atom (:meth:`repro.planner.planner.Planner._run`).
+        An unknown relation, another arity or a constant no fact has
+        answer ``False``; repeated variables impose equality, as in
+        :meth:`rows`.  Default: the first fact of :meth:`match`."""
+        for _ in self.match(pattern):
+            return True
+        return False
+
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------

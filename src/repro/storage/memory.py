@@ -324,6 +324,24 @@ class MemoryBackend(StorageBackend):
         compiled = self._compile(pattern)
         return () if compiled is None else _select(compiled)
 
+    def exists(self, pattern: Atom) -> bool:
+        """Whether :meth:`rows` of ``pattern`` is non-empty, read from the
+        compiled pattern: a ground one is a single table lookup, and a
+        posting list or a table is never empty, so only the checks it
+        leaves open are tested — row by row, up to the first that passes."""
+        compiled = self._compile(pattern)
+        if compiled is None:
+            return False
+        table, _, rows, _, others, equal = compiled
+        if not (others or equal):
+            return True
+        for row in table.values() if rows is None else rows:
+            if all([row[pos] == code for pos, code in others]) and all(
+                [row[pos] == row[other] for pos, other in equal]
+            ):
+                return True
+        return False
+
     def match_bound(self, pattern: Atom) -> int:
         """How many rows :meth:`rows` would read (O(arity))."""
         compiled = self._compile(pattern)

@@ -425,20 +425,7 @@ class SQLiteBackend(StorageBackend):
         return frozenset(out)
 
     def __contains__(self, fact: Atom) -> bool:
-        if not fact.is_ground():
-            return False
-        entry = self._tables.get(fact.relation)
-        if entry is None or entry[1] != fact.arity:
-            return False
-        where = " AND ".join("c%d=?" % i for i in range(fact.arity))
-        row = tuple(encode_value(a.value) for a in fact.args)  # type: ignore[union-attr]
-        with self._lock:
-            return (
-                self._conn.execute(
-                    "SELECT 1 FROM %s WHERE %s LIMIT 1" % (entry[0], where), row
-                ).fetchone()
-                is not None
-            )
+        return fact.is_ground() and self.exists(fact)
 
     def __len__(self) -> int:
         with self._lock:
@@ -528,6 +515,18 @@ class SQLiteBackend(StorageBackend):
                     params + tuple(chunk),
                 ).fetchall()
         return _decoded(found)
+
+    def exists(self, pattern: Atom) -> bool:
+        """The existence read (see the base class): one ``SELECT 1 …
+        LIMIT 1`` over the pattern's ``WHERE`` clause, nothing decoded."""
+        plan = self._pattern_sql(pattern)
+        if plan is None:
+            return False
+        tbl, where, params = plan
+        with self._lock:
+            return self._conn.execute(
+                "SELECT 1 FROM %s WHERE %s LIMIT 1" % (tbl, where), params
+            ).fetchone() is not None
 
     def match_count(self, pattern: Atom) -> int:
         plan = self._pattern_sql(pattern)

@@ -8,6 +8,7 @@ plan cache and a shared planner under concurrent threads, and warm
 decisions that read their shape facts as built.
 """
 
+import random
 import sys
 import threading
 
@@ -16,6 +17,7 @@ import pytest
 from repro.core.atoms import atom
 from repro.core.cq import ConjunctiveQuery
 from repro.core.mappings import Mapping
+from repro.cqalgs import yannakakis as yannakakis_module
 from repro.cqalgs.dispatch import evaluate
 from repro.cqalgs.naive import evaluate_naive
 from repro.core.terms import Variable
@@ -23,12 +25,15 @@ from repro.engine import Session
 from repro.hypergraphs import gyo
 from repro.planner import (
     ENGINE_NAIVE,
+    ENGINE_PROBE,
     ENGINE_TREEWIDTH,
     ENGINE_YANNAKAKIS,
     TW_CUTOFF,
     PlanCache,
     Planner,
 )
+from repro.relalg import relation as relation_module
+from repro.storage.sqlite import SQLiteBackend
 from repro.telemetry.metrics import MetricsRegistry
 from repro.wdpt.eval_tractable import eval_tractable
 from repro.wdpt.max_eval import max_eval
@@ -478,30 +483,97 @@ class TestWarmDecisions:
 
     @staticmethod
     def _engine_counts(session):
+        """``{route: (selections, latency observations)}`` of the two
+        routes a check on this acyclic query can take."""
         stats = session.stats()
-        latency = stats["engine_latency"].get("yannakakis", {"count": 0})
-        return stats["engine_selections"].get("yannakakis", 0), latency["count"]
+        return {
+            engine: (
+                stats["engine_selections"].get(engine, 0),
+                stats["engine_latency"].get(engine, {"count": 0})["count"],
+            )
+            for engine in (ENGINE_PROBE, "yannakakis")
+        }
 
     def test_engine_instruments_count_every_check_across_resets(
         self, warm_decisions, monkeypatch
     ):
+        """Every check lands on exactly one route's instruments: ``probe``
+        plus ``yannakakis`` selections (and latency observations) equal the
+        ``satisfiable_substituted`` calls, before and after a reset."""
         session, query, fresh = warm_decisions
         counts = {}
         _count_calls(monkeypatch, Planner, "satisfiable_substituted", counts)
-        selected, latencies = self._engine_counts(session)
+
+        def routed(before):
+            after = self._engine_counts(session)
+            per_route = [
+                (after[e][0] - before[e][0], after[e][1] - before[e][1])
+                for e in after
+            ]
+            assert all(selected == seen for selected, seen in per_route)
+            return [selected for selected, _ in per_route]
+
+        before = self._engine_counts(session)
         for kind, candidate in fresh[:25]:
             getattr(session, kind)(query, candidate)
+        probes, yannakakis = routed(before)
         checks = counts["satisfiable_substituted"]
-        assert checks > 0
-        assert self._engine_counts(session) == (selected + checks, latencies + checks)
+        assert probes > 0 and probes + yannakakis == checks
         session.reset_stats()
-        assert self._engine_counts(session) == (0, 0)
+        zero = {engine: (0, 0) for engine in (ENGINE_PROBE, "yannakakis")}
+        assert self._engine_counts(session) == zero
         counts["satisfiable_substituted"] = 0
         for kind, candidate in fresh[25:]:
             getattr(session, kind)(query, candidate)
+        probes, yannakakis = routed(zero)
         checks = counts["satisfiable_substituted"]
-        assert checks > 0 and self._engine_counts(session) == (checks, checks)
+        assert probes > 0 and probes + yannakakis == checks
         assert session.planner.engine_seconds > 0
+
+    def test_fully_bound_asks_run_no_engine(self, warm_decisions, monkeypatch):
+        """50 ``ask``s of fully bound candidates never seen before, once
+        each candidate domain is warm: every check is ``probe`` — no scan
+        schedule, no Yannakakis run, no relational scan, no SQL statement
+        — and no profile learns a new bound-variable set."""
+        session, query, _ = warm_decisions
+        frees = frozenset(query.free_variables)
+        every = session.query(query).answers
+        answers = sorted((a for a in every if a.domain() == frees), key=repr)
+        rng = random.Random(5)
+        fresh = []
+        for i in range(50):  # true answers alternate with perturbed ones
+            chosen = answers[(11 * i) % len(answers)].as_dict()
+            if i % 2:  # one value from another answer
+                var = rng.choice(sorted(frees, key=repr))
+                chosen[var] = rng.choice(answers)[var]
+            fresh.append(Mapping(chosen))
+        session.ask(query, fresh[0])
+        profiles = session.planner.profile_wdpt(query)
+
+        def learned():
+            tree = profiles.wdpt.tree
+            node_profiles = [profiles.node_profile(n) for n in tree.nodes()]
+            return sum(len(p._independent or ()) for p in node_profiles)
+
+        entries = learned()
+        before = session.stats()["engine_selections"].get(ENGINE_PROBE, 0)
+        counts = {}
+        _count_calls(monkeypatch, yannakakis_module, "scan_schedule", counts)
+        _count_calls(monkeypatch, yannakakis_module, "satisfiable_with_join_tree", counts)
+        _count_calls(monkeypatch, relation_module, "scan", counts)
+        _count_calls(monkeypatch, SQLiteBackend, "sql_yannakakis", counts)
+        _count_calls(monkeypatch, Planner, "satisfiable_substituted", counts)
+        verdicts = [session.ask(query, candidate) for candidate in fresh]
+        checks = counts.pop("satisfiable_substituted")
+        assert counts == {
+            "scan_schedule": 0, "satisfiable_with_join_tree": 0, "scan": 0,
+            "sql_yannakakis": 0,
+        }
+        assert learned() == entries
+        after = session.stats()["engine_selections"].get(ENGINE_PROBE, 0)
+        assert checks > 0 and after - before == checks
+        assert verdicts == [c in every for c in fresh]
+        assert any(verdicts) and not all(verdicts)
 
     def test_kept_instruments_are_the_registry_s(self):
         """What ``record_engine`` keeps are the registry's own series:

@@ -322,3 +322,136 @@ def test_warm_session_decisions_equal_the_checks(backend, pair, data):
                 assert getattr(session, kind)(p, candidate) is check(p, db, candidate), (
                     kind, candidate,
                 )
+
+
+# ---------------------------------------------------------------------------
+# Bound checks: the planner's routes against the backtracking search
+# ---------------------------------------------------------------------------
+#: A constant no generated database stores.
+_UNSEEN = 99
+
+
+@st.composite
+def atoms_and_db(draw):
+    """A random atom set over ``E``/``F`` with, now and then, an atom that
+    repeats a variable, holds a constant no fact has, names a relation the
+    database lacks or has the wrong arity; and a random ``E``/``F``
+    database with a few facts removed again."""
+    from repro.workloads.generators import random_cq, random_database
+
+    seed = draw(st.integers(0, 10**6))
+    q = random_cq(
+        draw(st.integers(1, 4)), draw(st.integers(2, 4)), relations=("E", "F"),
+        seed=seed,
+    )
+    atoms = list(q.atoms)
+    extras = (
+        atom("E", "?v0", "?v0"), atom("F", "?v1", _UNSEEN), atom("G", "?v0", 1),
+        atom("E", "?v1", "?v2", "?v0"),
+    )
+    atoms += draw(st.lists(st.sampled_from(extras), max_size=2, unique=True))
+    db = random_database(
+        draw(st.integers(3, 14)), relations=("E", "F"), domain_size=4, seed=seed + 1
+    )
+    for fact in draw(st.lists(st.sampled_from(sorted(db.facts())), max_size=3)):
+        db.discard(fact)
+    return atoms, db
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@COMMON
+@given(atoms_and_db(), st.data())
+def test_satisfiable_substituted_equals_the_search(backend, case, data):
+    """``Planner.satisfiable_substituted`` — on whichever route the
+    binding takes it, ``probe`` or the shape's engine — equals
+    ``cqalgs.naive.satisfiable`` for bindings over every variable subset,
+    values drawn from the stored ones and one never stored."""
+    from repro.core.atoms import variables_of
+    from repro.core.mappings import Mapping
+    from repro.core.terms import Constant
+    from repro.cqalgs.naive import satisfiable
+    from repro.planner import Planner, StructuralProfile
+    from repro.storage.sqlite import SQLiteBackend
+
+    atoms, db = case
+    store = SQLiteBackend(db.facts()) if backend == "sqlite" else db
+    planner = Planner()
+    profile = StructuralProfile(atoms)
+    variables = sorted(variables_of(atoms), key=repr)
+    values = sorted({c for fact in db.facts() for c in fact.args}, key=repr)
+    draw_value = st.sampled_from(values + [Constant(_UNSEEN)])
+    for mask in range(1 << len(variables)):
+        bound = [v for i, v in enumerate(variables) if mask >> i & 1]
+        bind = {v: data.draw(draw_value) for v in bound}
+        expected = satisfiable(atoms, db, Mapping(bind))
+        assert planner.satisfiable_substituted(profile, bind, store) is expected, bind
+
+
+@st.composite
+def pattern_and_db(draw):
+    """A pattern of any arity over a stored, an absent or a mis-sized
+    relation, mixing (possibly repeated) variables with stored and unseen
+    constants; and a random database with a few facts removed again."""
+    from repro.core.atoms import Atom
+    from repro.workloads.generators import random_database
+
+    seed = draw(st.integers(0, 10**6))
+    db = random_database(
+        draw(st.integers(1, 14)), relations=("E", "F"), arity=3, domain_size=3,
+        seed=seed,
+    )
+    for fact in draw(st.lists(st.sampled_from(sorted(db.facts())), max_size=4)):
+        db.discard(fact)
+    terms = st.sampled_from(["?a", "?b", 0, 1, 2, _UNSEEN])
+    relation = draw(st.sampled_from(["E", "F", "G"]))
+    pattern = Atom(relation, draw(st.lists(terms, min_size=2, max_size=4)))
+    return pattern, db
+
+
+@COMMON
+@given(pattern_and_db())
+def test_exists_equals_nonempty_rows(case):
+    """``exists(p)`` is ``bool(rows(p))`` on both backends, and both
+    backends agree."""
+    from repro.storage.sqlite import SQLiteBackend
+
+    pattern, db = case
+    lite = SQLiteBackend(db.facts())
+    expected = bool(list(db.rows(pattern)))
+    assert db.exists(pattern) is expected
+    assert lite.exists(pattern) is bool(list(lite.rows(pattern))) is expected
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@COMMON
+@given(wdpt_and_db(), st.data())
+def test_fully_bound_decisions_equal_the_checks(backend, pair, data):
+    """``ask``/``is_partial``/``is_maximal`` of candidates that bind every
+    free variable — answers and arbitrary assignments, the shape of the
+    checks the ``probe`` route decides — equal ``eval_check``,
+    ``partial_eval_check`` and ``max_eval_check``."""
+    from repro.core.mappings import Mapping
+    from repro.engine import Session
+    from repro.wdpt.evaluation import (
+        eval_check,
+        evaluate,
+        max_eval_check,
+        partial_eval_check,
+    )
+
+    p, db = pair
+    frees = sorted(p.free_variables, key=repr)
+    values = sorted({c for fact in db.facts() for c in fact.args}, key=repr)
+    candidates = [a for a in evaluate(p, db) if len(a) == len(frees)][:3]
+    for _ in range(4):
+        candidates.append(Mapping({v: data.draw(st.sampled_from(values)) for v in frees}))
+    checks = (
+        ("ask", eval_check), ("is_partial", partial_eval_check),
+        ("is_maximal", max_eval_check),
+    )
+    with Session(db, backend=backend, cache=False) as session:
+        for kind, check in checks:
+            for candidate in candidates:
+                assert getattr(session, kind)(p, candidate) is check(p, db, candidate), (
+                    kind, candidate,
+                )

@@ -319,9 +319,11 @@ def _acyclic_queries(seed, length, rays):
 def test_planned_kernel_is_the_kernel_that_runs(backend, boolean, monkeypatch):
     """The kernel the dispatch site picks, and names on the ``yannakakis``
     spans, is the one that runs: answers on the columnar kernels over
-    every backend, a Boolean check as one SQL statement where the backend
-    can decide it natively.  A spy on ``SQLiteBackend.sql_yannakakis``
-    agrees: an answer query never enters it, ``Session.ask`` does (on
+    every backend, a Boolean check whose open atoms share a variable as
+    one SQL statement where the backend can decide it natively.  A spy on
+    ``SQLiteBackend.sql_yannakakis`` agrees: an answer query never enters
+    it, nor does an ``ask`` whose every check is bound down to single
+    atoms (those are ``probe`` runs), ``Session.is_partial`` does (on
     SQLite)."""
     entered = []
     pushdown = SQLiteBackend.sql_yannakakis
@@ -344,6 +346,11 @@ def test_planned_kernel_is_the_kernel_that_runs(backend, boolean, monkeypatch):
         assert {span.attrs["kernel"] for span in tracer.find("yannakakis")} == {"columnar"}
         with tracing() as tracer:
             assert session.ask(p, max(answers, key=len))
+        routes = {span.attrs["engine"] for span in tracer.find("planner.satisfiable")}
+        assert routes == {"probe"} and not list(tracer.find("yannakakis"))
+        assert not entered
+        with tracing() as tracer:  # E(1, ?y), F(?y, 7): ?y joins two atoms
+            assert session.is_partial(p, max(answers, key=len))
         ran = {span.attrs["kernel"] for span in tracer.find("yannakakis")}
     assert ran == {boolean}
     assert bool(entered) is (boolean == "sql")

@@ -9,6 +9,7 @@ import pytest
 
 from repro.benchharness import stage_breakdown
 from repro.core.atoms import atom
+from repro.core.terms import Variable
 from repro.engine import Session
 from repro.planner.planner import Planner
 from repro.telemetry.export import (
@@ -294,16 +295,12 @@ def test_analyze_end_to_end_on_example2_dp_path():
     # The Theorem 6 DP touched the tree: interface candidates were tried
     # and per-node CQ satisfiability checks ran through the planner …
     assert sum(row["candidates"] for row in report.rows) > 0
-    assert sum(row["sat_checks"] for row in report.rows) > 0
-    # … which routed the (acyclic) node CQs to Yannakakis.
-    runs = list(report.tracer.find("yannakakis"))
-    assert runs and all("kernel" in run.attrs for run in runs)
-    # Python semi-join passes report intermediate relation sizes; on a
-    # SQLite backend each Boolean check runs as one SQL statement instead.
-    semijoins = list(report.tracer.find("yannakakis.semijoin_up"))
-    pushdowns = list(report.tracer.find("yannakakis.sql"))
-    assert semijoins or pushdowns
-    assert all("relation_sizes" in span.attrs for span in semijoins)
+    checks = list(report.tracer.find("planner.satisfiable"))
+    assert sum(row["sat_checks"] for row in report.rows) == len(checks) > 0
+    # … which, every variable being bound by the candidate or an interface
+    # value, decided each node CQ by existence probes: no Yannakakis run.
+    assert {check.attrs["engine"] for check in checks} == {"probe"}
+    assert not list(report.tracer.find("yannakakis"))
     assert "EXPLAIN ANALYZE (ask)" in report.as_text()
 
 
@@ -331,12 +328,18 @@ def test_analyze_names_the_engine_that_ran_at_a_cyclic_node():
     assert not [s for s in evaluator.walk() if s.name.startswith("planner.")]
     assert len(list(report.tracer.find("yannakakis"))) == 1  # the root label only
 
-    answer = max(session.query(p).answers, key=len)
-    report = session.analyze(p, candidate=answer)
+    # {x: 3, l: b} has no triangle: the DP asks whether E(3,?y), E(?y,?z),
+    # E(?z,3) is satisfiable — open atoms sharing ?y and ?z.
+    shortest, longest = sorted(session.query(p).answers, key=len)
+    report = session.analyze(p, candidate=shortest)
     assert [row["engine"] for row in report.rows] == ["yannakakis", "treewidth"]
     (dp,) = report.tracer.find("wdpt.eval_tractable")
     routed = [s.attrs["engine"] for s in dp.find("planner.satisfiable")]
-    assert "treewidth" in routed and set(routed) <= {"yannakakis", "treewidth"}
+    assert "treewidth" in routed and set(routed) <= {"probe", "treewidth"}
+    # The full answer binds every variable of the triangle: probes only.
+    report = session.analyze(p, candidate=longest)
+    (dp,) = report.tracer.find("wdpt.eval_tractable")
+    assert {s.attrs["engine"] for s in dp.find("planner.satisfiable")} == {"probe"}
 
 
 def test_analyze_does_not_leak_a_tracer():
@@ -348,12 +351,14 @@ def test_analyze_does_not_leak_a_tracer():
 def test_yannakakis_spans_carry_intermediate_sizes():
     session = Session(example2_graph())
     answer = max(session.query(EXAMPLE2_QUERY).answers, key=len)
+    # Only ?z bound: the subtree CQ's open ?x joins all three atoms.
+    partial = answer.restrict([Variable("z")])
     with tracing() as tracer:
-        session.ask(EXAMPLE2_QUERY, answer)
-    (ask_root,) = tracer.roots
-    assert ask_root.name == "session.ask"
+        assert session.is_partial(EXAMPLE2_QUERY, partial)
+    (root,) = tracer.roots
+    assert root.name == "session.is_partial"
     runs = list(tracer.find("yannakakis"))
-    assert runs, "auto method should dispatch acyclic node CQs to Yannakakis"
+    assert runs, "auto method should dispatch acyclic subtree CQs to Yannakakis"
     for run in runs:
         phases = {child.name for child in run.children}
         if "yannakakis.sql" in phases:
@@ -364,6 +369,10 @@ def test_yannakakis_spans_carry_intermediate_sizes():
             (scan,) = [c for c in run.children if c.name == "yannakakis.scan"]
             swept = "yannakakis.semijoin_up" in phases
             assert swept == all(scan.attrs["relation_sizes"])
+            assert all(
+                "relation_sizes" in c.attrs
+                for c in run.children if c.name == "yannakakis.semijoin_up"
+            )
 
 
 def test_stage_breakdown_buckets():
@@ -401,11 +410,14 @@ def test_explain_cache_hits_and_result_profile_memoization():
 def test_planner_engine_latency_histograms():
     session = Session(example2_graph())
     answer = max(session.query(EXAMPLE2_QUERY).answers, key=len)
-    session.ask(EXAMPLE2_QUERY, answer)
+    session.ask(EXAMPLE2_QUERY, answer)  # every check bound: probes
+    session.is_partial(EXAMPLE2_QUERY, answer.restrict([Variable("z")]))
     stats = session.stats()
-    assert stats["engine_selections"].get("yannakakis", 0) > 0
-    latency = stats["engine_latency"]["yannakakis"]
-    assert latency["count"] > 0 and latency["p95"] is not None
+    for engine in ("probe", "yannakakis"):
+        assert stats["engine_selections"].get(engine, 0) > 0
+        latency = stats["engine_latency"][engine]
+        assert latency["count"] == stats["engine_selections"][engine]
+        assert latency["p95"] is not None
     session.planner.record_engine("custom", 0.25)
     assert session.stats()["engine_selections"]["custom"] == 1
     session.planner.reset_counters()
