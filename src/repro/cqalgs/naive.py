@@ -41,8 +41,9 @@ store's own postings would have answered — ROADMAP item 5).
 (``int`` codes on the memory backend, the ``Constant`` objects themselves
 on a backend without a codec); they are compared as they are.  Only
 :func:`homomorphisms` decodes, once per *yielded* result, into a
-:class:`~repro.core.mappings.Mapping`; :func:`satisfiable` consumes the
-raw search and builds nothing.
+:class:`~repro.core.mappings.Mapping`; :func:`first_homomorphism` decodes
+its one result into a plain dict, and :func:`satisfiable` consumes the raw
+search and builds nothing.
 """
 
 from __future__ import annotations
@@ -97,6 +98,23 @@ def satisfiable(
     return False
 
 
+def first_homomorphism(
+    atoms: Iterable[Atom], db: Database, pre: Dict[Variable, Constant]
+) -> Optional[Dict[Variable, Constant]]:
+    """The first homomorphism from ``atoms`` into ``db`` extending ``pre``,
+    as a fresh ``variable → constant`` dict (``pre`` included, total on
+    the variables of ``atoms``), or ``None`` when there is none.
+
+    :func:`satisfiable` with its certificate: one search, one decoded
+    result, no :class:`~repro.core.mappings.Mapping`."""
+    compiled = _compile(atoms, db, pre)
+    if compiled is None:
+        return None
+    for cells in _search(*compiled):
+        return _decoded(pre, compiled[0], cells, db.codec)
+    return None
+
+
 def homomorphisms(
     atoms: Iterable[Atom],
     db: Database,
@@ -116,14 +134,21 @@ def homomorphisms(
     variables = compiled[0]
     codec = db.codec
     for cells in islice(_search(*compiled), limit):
-        full = dict(pre)
-        full.update(zip(variables, cells if codec is None else map(codec.decode, cells)))
-        yield Mapping.from_trusted(full)
+        yield Mapping.from_trusted(_decoded(pre, variables, cells, codec))
 
 
 def count_homomorphisms(atoms: Iterable[Atom], db: Database) -> int:
     """Number of homomorphisms from ``atoms`` into ``db``."""
     return sum(1 for _ in homomorphisms(atoms, db))
+
+
+def _decoded(
+    pre: Dict[Variable, Constant], variables: List[Variable], cells: List[Any], codec: Any
+) -> Dict[Variable, Constant]:
+    """``pre`` extended by one result of the search, its cells decoded."""
+    full = dict(pre)
+    full.update(zip(variables, cells if codec is None else map(codec.decode, cells)))
+    return full
 
 
 def _compile(

@@ -31,18 +31,21 @@ may be arbitrary.
 The loop exists once, :func:`unsubsumed_subtree`; the Boolean tests here
 and :func:`repro.wdpt.unions.union_subsumed_by` are "no counterexample".
 It walks the subtree lattice depth-first and keeps ``D_S`` and ``ν``
-incrementally instead of rebuilding them ``2ⁿ`` times.
+incrementally instead of rebuilding them ``2ⁿ`` times; along a path both
+only grow, so each check is handed the homomorphism the last one found
+and searches only the atoms of the ``p₂`` nodes it newly needs
+(:func:`~repro.wdpt.partial_eval.partial_eval_witness`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
 from ..core.atoms import Atom
 from ..core.database import Database
 from ..core.mappings import Mapping
 from ..telemetry.tracer import current_tracer
-from .partial_eval import partial_eval
+from .partial_eval import partial_eval_witness
 from .subtrees import new_variables_at
 from .tree import ROOT
 from .wdpt import WDPT
@@ -55,7 +58,11 @@ def is_subsumed_by(p1: WDPT, p2: WDPT) -> bool:
     (:func:`frees_covered`); otherwise the subtree walk decides.  The
     inner ``PARTIAL-EVAL`` calls run the backtracking search: each
     canonical database is a handful of frozen facts, so there is no
-    analysis a planner could reuse.
+    analysis a planner could reuse.  Each check starts from the
+    homomorphism the nearest passed check above it found and searches only
+    the atoms of the ``p₂`` nodes its larger ``ν`` newly needs; when that
+    witness does not extend, it runs the full search, so every verdict is
+    exact.
     """
     return frees_covered(p1, p2) and subsumption_counterexample(p1, p2) is None
 
@@ -85,15 +92,25 @@ def subsumption_counterexample(p1: WDPT, p2: WDPT) -> Optional[FrozenSet[int]]:
     names a node set; :func:`is_subsumed_by` answers ``False`` for the
     same pair before any walk, see :func:`frees_covered`.)
     """
-    return unsubsumed_subtree(p1, lambda db, nu: partial_eval(p2, db, nu))
+    return unsubsumed_subtree(
+        p1, lambda db, nu, witness: partial_eval_witness(p2, db, nu, witness)
+    )
 
 
 def unsubsumed_subtree(
-    p1: WDPT, partial_answer: Callable[[Database, Mapping], bool]
+    p1: WDPT, check: Callable[[Database, Mapping, Any], Any]
 ) -> Optional[FrozenSet[int]]:
     """The Theorem 11 loop, written once: the first rooted subtree ``S`` of
-    ``p1`` whose frozen free part ``ν_S`` fails ``partial_answer(D_S,
-    ν_S)``, or ``None`` when every subtree passes.
+    ``p1`` whose frozen free part ``ν_S`` fails ``check(D_S, ν_S,
+    witness)``, or ``None`` when every subtree passes.
+
+    A check returns ``None`` for a failure and a *witness* for a pass: any
+    object whose ``extended`` says whether the check got it by extending
+    the witness handed in.  Each check is handed the witness of the nearest
+    passed check on the current path (``None`` at the root); a subtree
+    skipped by monotonicity hands on the one it was handed.  Along a path
+    ``D_S`` and ``ν_S`` only grow, so that witness stays a homomorphism
+    into the current ``D_S``.
 
     Subtrees are walked depth-first, each exactly once, a child differing
     from its parent by one node ``n`` — so ``ν`` grows by the free
@@ -102,8 +119,8 @@ def unsubsumed_subtree(
     the way down and discarded on the way back, an atom two nodes share
     staying until the last of them leaves.
 
-    ``partial_answer`` must be monotone in the database (PARTIAL-EVAL asks
-    for a homomorphism, so it is).  Then a subtree with a leaf ``ℓ``
+    ``check`` must be monotone in the database (PARTIAL-EVAL asks for a
+    homomorphism, so it is).  Then a subtree with a leaf ``ℓ``
     introducing no free variable needs no check: ``S ∖ {ℓ}`` is a rooted
     subtree with the same ``ν`` and a smaller database, and it either
     passed — so ``S`` passes — or is the counterexample itself.
@@ -118,9 +135,11 @@ def unsubsumed_subtree(
     holders: Dict[Atom, int] = {}
     subtree: List[int] = []
     kids = [0] * len(labels)  # children inside the subtree, per node
-    counts = {"subtrees": 0, "checks": 0}
+    counts = {"subtrees": 0, "checks": 0, "extended": 0}
 
-    def walk(node: int, frontier: List[int], nu: Dict, silent_leaves: int) -> bool:
+    def walk(
+        node: int, frontier: List[int], nu: Dict, silent_leaves: int, witness: Any
+    ) -> bool:
         """Does some subtree extending ``subtree + [node]`` by nodes of
         ``frontier`` (and below) fail?  Leaves it in ``subtree`` if so."""
         subtree.append(node)
@@ -138,11 +157,13 @@ def unsubsumed_subtree(
         counts["subtrees"] += 1
         if not silent_leaves or node == ROOT:
             counts["checks"] += 1
-            if not partial_answer(db, Mapping.from_trusted(nu)):
+            witness = check(db, Mapping.from_trusted(nu), witness)
+            if witness is None:
                 return True
+            counts["extended"] += witness.extended
         frontier = frontier + list(tree.children(node))
         for i, child in enumerate(frontier):
-            if walk(child, frontier[i + 1:], nu, silent_leaves):
+            if walk(child, frontier[i + 1:], nu, silent_leaves, witness):
                 return True
         subtree.pop()
         if parent is not None:
@@ -155,7 +176,7 @@ def unsubsumed_subtree(
 
     tracer = current_tracer()
     with tracer.span("wdpt.subsumption") as sp:
-        failed = walk(ROOT, [], {}, 0)
+        failed = walk(ROOT, [], {}, 0, None)
         if tracer.enabled:
             sp.set(result=not failed, **counts)
     return frozenset(subtree) if failed else None

@@ -23,7 +23,9 @@ cheaper than for single WDPTs through the ``φ_cq`` translation:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import (
+    FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, TYPE_CHECKING,
+)
 
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
@@ -34,6 +36,7 @@ from ..cqalgs.cores import core, semantically_in_beta_hw, semantically_in_tw
 from .classes import WB_TW
 from .evaluation import evaluate as wdpt_evaluate
 from .max_eval import extension_exists
+from .partial_eval import Witness, partial_eval_witness
 from .partial_eval import partial_eval as wdpt_partial_eval
 from .subsumption import frees_covered, unsubsumed_subtree
 from .wdpt import WDPT
@@ -108,6 +111,41 @@ def union_partial_eval(
     return any(wdpt_partial_eval(p, db, h, planner=planner) for p in phi)
 
 
+class MemberWitness(NamedTuple):
+    """The certificate of a successful ``⋃-PARTIAL-EVAL``: which member
+    answered, and its :class:`~repro.wdpt.partial_eval.Witness`."""
+
+    member: int
+    witness: Witness
+
+    @property
+    def extended(self) -> bool:
+        """Found by extending the carried witness of the same member."""
+        return self.witness.extended
+
+
+def union_partial_eval_witness(
+    phi: UWDPT, db: Database, h: Mapping, carried: Optional[MemberWitness] = None
+) -> Optional[MemberWitness]:
+    """``⋃-PARTIAL-EVAL`` by the backtracking search, with its certificate.
+
+    The member of ``carried`` is tried first, extending its witness
+    (:func:`~repro.wdpt.partial_eval.partial_eval_witness`, which falls
+    back to that member's full search); then every other member in order."""
+    members = phi.members
+    first = None if carried is None else carried.member
+    if first is not None:
+        found = partial_eval_witness(members[first], db, h, carried.witness)
+        if found is not None:
+            return MemberWitness(first, found)
+    for i, p in enumerate(members):
+        if i != first:
+            found = partial_eval_witness(p, db, h)
+            if found is not None:
+                return MemberWitness(i, found)
+    return None
+
+
 def union_max_eval(
     phi: UWDPT, db: Database, h: Mapping, planner: "Optional[Planner]" = None
 ) -> bool:
@@ -168,7 +206,9 @@ def union_subsumed_by(phi1: UWDPT, phi2: UWDPT) -> bool:
     Same canonical-database characterization as for single WDPTs: for each
     member ``p`` of ``φ₁`` and each rooted subtree ``S`` of ``p``, the
     frozen free part of ``S`` must be a partial answer of ``φ₂`` over the
-    canonical database of ``q_S``.
+    canonical database of ``q_S``.  The walk carries the answering member
+    and its witness down to the next check, which tries to extend it
+    before anything else (:func:`union_partial_eval_witness`).
 
     ``False`` before any walk when some member ``p`` of ``φ₁`` has no
     member ``q`` of ``φ₂`` with ``free(p) ⊆ free(q)``: ``φ₂(D)`` is the
@@ -178,10 +218,10 @@ def union_subsumed_by(phi1: UWDPT, phi2: UWDPT) -> bool:
     if not all(any(frees_covered(p, q) for q in phi2) for p in phi1):
         return False
 
-    def partial_answer(db: Database, nu: Mapping) -> bool:
-        return union_partial_eval(phi2, db, nu)
+    def check(db: Database, nu: Mapping, carried: Optional[MemberWitness]):
+        return union_partial_eval_witness(phi2, db, nu, carried)
 
-    return all(unsubsumed_subtree(p, partial_answer) is None for p in phi1)
+    return all(unsubsumed_subtree(p, check) is None for p in phi1)
 
 
 def union_subsumption_equivalent(phi1: UWDPT, phi2: UWDPT) -> bool:

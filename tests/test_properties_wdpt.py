@@ -115,6 +115,82 @@ def test_subsumption_decision_agrees_with_the_walk(pair):
     assert is_subsumed_by(q, p) == (subsumption_counterexample(q, p) is None)
 
 
+def _certifying(check, tree_of):
+    """``check`` for the Theorem 11 walker, asserting that every witness
+    it returns maps the atoms of its ``T'`` (in the tree ``tree_of``
+    names) to facts of ``D_S`` and agrees with ``ν_S``."""
+
+    def certified(db, nu, carried):
+        found = check(db, nu, carried)
+        if found is not None:
+            p, witness = tree_of(found)
+            assignment = witness.assignment
+            assert all(assignment.get(v) is c for v, c in nu.items())
+            assert all(a.substitute(assignment) in db for a in p.atoms_of(witness.nodes))
+        return found
+
+    return certified
+
+
+def _reference_counterexamples(p1, partial_answer):
+    """The Theorem 11 loop without a walk: every rooted subtree of ``p1``
+    whose frozen free part fails ``partial_answer`` over its canonical
+    database, built from scratch."""
+    from repro.core.canonical import canonical_database_of_atoms, freezing_of
+    from repro.wdpt.subtrees import subtree_free_variables
+
+    return {
+        subtree
+        for subtree in p1.tree.rooted_subtrees()
+        if not partial_answer(
+            canonical_database_of_atoms(p1.atoms_of(subtree)),
+            freezing_of(subtree_free_variables(p1, subtree)),
+        )
+    }
+
+
+@settings(COMMON, max_examples=40)
+@given(reprojected_pair())
+def test_carried_witnesses_are_certificates(pair):
+    """Carrying each check's witness down the walk changes no verdict and
+    no counterexample, for WDPTs and for unions, in both orders; and every
+    witness a check returns is a homomorphism into ``D_S`` extending ``ν_S``."""
+    from repro.wdpt.partial_eval import partial_eval, partial_eval_witness
+    from repro.wdpt.subsumption import unsubsumed_subtree
+    from repro.wdpt.unions import (
+        UWDPT,
+        union_partial_eval,
+        union_partial_eval_witness,
+        union_subsumed_by,
+    )
+
+    p, q = pair
+    for p1, p2 in ((p, q), (q, p)):
+        failing = _reference_counterexamples(p1, lambda db, nu: partial_eval(p2, db, nu))
+        found = unsubsumed_subtree(p1, _certifying(
+            lambda db, nu, carried: partial_eval_witness(p2, db, nu, carried),
+            lambda witness: (p2, witness),
+        ))
+        cold = unsubsumed_subtree(p1, lambda db, nu, _: partial_eval_witness(p2, db, nu))
+        assert (found is None) == (not failing)
+        assert found == cold and (found is None or found in failing)
+
+    for phi1, phi2 in ((UWDPT([p, q]), UWDPT([q])), (UWDPT([q]), UWDPT([p, q]))):
+        verdict = True
+        for member in phi1:
+            failing = _reference_counterexamples(
+                member, lambda db, nu: union_partial_eval(phi2, db, nu)
+            )
+            found = unsubsumed_subtree(member, _certifying(
+                lambda db, nu, carried: union_partial_eval_witness(phi2, db, nu, carried),
+                lambda answer: (phi2.members[answer.member], answer.witness),
+            ))
+            assert (found is None) == (not failing)
+            assert found is None or found in failing
+            verdict = verdict and found is None
+        assert union_subsumed_by(phi1, phi2) == verdict
+
+
 # ---------------------------------------------------------------------------
 # φ_cq faithfulness
 # ---------------------------------------------------------------------------

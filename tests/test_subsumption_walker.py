@@ -4,11 +4,12 @@ its mechanism pinned by counts, its verdicts by the loop it replaced."""
 import pytest
 
 import repro.core.canonical as canonical
+import repro.cqalgs.naive as naive
 from repro.core.atoms import atom
 from repro.core.canonical import canonical_database_of_atoms, freezing_of
 from repro.telemetry.resources import ResourceMonitor
 from repro.telemetry.tracer import tracing
-from repro.wdpt.partial_eval import partial_eval
+from repro.wdpt.partial_eval import Witness, partial_eval
 from repro.wdpt.subsumption import (
     is_subsumed_by,
     subsumption_counterexample,
@@ -51,7 +52,9 @@ def test_labels_are_frozen_once_per_tree(monkeypatch):
 def test_every_check_is_one_accounted_partial_eval():
     with ResourceMonitor() as monitor, tracing() as tracer:
         assert is_subsumed_by(comb(6), comb(6))
-    assert subsumption_spans(tracer) == [{"subtrees": 64, "checks": 64, "result": True}]
+    assert subsumption_spans(tracer) == [
+        {"subtrees": 64, "checks": 64, "extended": 63, "result": True}
+    ]
     assert sum(1 for s in tracer.walk() if s.name == "wdpt.partial_eval") == 64
     assert monitor.usage.subqueries == 64
 
@@ -74,20 +77,24 @@ def test_each_subtree_once_with_its_canonical_database():
     )
     seen = []
 
-    def record(db, nu):
+    def record(db, nu, witness):
         subtree = frozenset(
             n for n in p.tree.nodes() if new_variables_at(p, n) & nu.domain()
         )
         assert nu == freezing_of(subtree_free_variables(p, subtree))
         assert set(db) == set(canonical_database_of_atoms(p.atoms_of(subtree)))
+        # Handed the witness of the subtree one node smaller, on its path.
+        assert witness is None if len(subtree) == 1 else len(subtree - witness.nodes) == 1
         seen.append(subtree)
-        return True
+        return Witness(subtree, nu.as_dict(), False)
 
     with tracing() as tracer:
         assert unsubsumed_subtree(p, record) is None
     assert len(seen) == len(set(seen)) == p.tree.count_rooted_subtrees() == 6
     assert set(seen) == set(p.tree.rooted_subtrees())
-    assert subsumption_spans(tracer) == [{"subtrees": 6, "checks": 6, "result": True}]
+    assert subsumption_spans(tracer) == [
+        {"subtrees": 6, "checks": 6, "extended": 0, "result": True}
+    ]
 
 
 def reference_counterexamples(p1, p2):
@@ -141,5 +148,42 @@ def test_monotonicity_skips_subtrees_that_add_no_free_variable():
     )
     with ResourceMonitor() as monitor, tracing() as tracer:
         assert is_subsumed_by(p, p)
-    assert subsumption_spans(tracer) == [{"subtrees": 6, "checks": 1, "result": True}]
+    assert subsumption_spans(tracer) == [
+        {"subtrees": 6, "checks": 1, "extended": 0, "result": True}
+    ]
     assert monitor.usage.subqueries == 1
+
+
+def test_each_check_searches_only_the_nodes_it_newly_needs(monkeypatch):
+    """The root check of ``comb(6) ⊑ comb(6)`` searches the six root atoms
+    of ``p₂``; every other check extends the witness handed down by the
+    one atom of the tooth its new free variable lives in."""
+    compiled = []
+    compile_ = naive._compile
+
+    def counting(atoms, db, pre):
+        atoms = list(atoms)
+        compiled.append(len(atoms))
+        return compile_(atoms, db, pre)
+
+    monkeypatch.setattr(naive, "_compile", counting)
+    with tracing() as tracer:
+        assert is_subsumed_by(comb(6), comb(6))
+    assert sorted(compiled) == [1] * 63 + [6]
+    assert subsumption_spans(tracer) == [
+        {"subtrees": 64, "checks": 64, "extended": 63, "result": True}
+    ]
+
+
+def test_a_witness_that_does_not_extend_falls_back_to_the_full_search():
+    """Theorem 15's family: most checks of ``f₂ ⊑ f₁`` cannot extend the
+    witness they are handed, and the full search still finds one; the
+    other direction fails on a genuine counterexample."""
+    f1, f2 = figure2_family(2, 2)
+    with tracing() as tracer:
+        assert is_subsumed_by(f2, f1)
+    (span,) = subsumption_spans(tracer)
+    assert span["result"] and span["checks"] == span["subtrees"]
+    assert span["extended"] < span["checks"] - 1  # a non-root check fell back
+    assert not is_subsumed_by(f1, f2)
+    assert subsumption_counterexample(f1, f2) in reference_counterexamples(f1, f2)

@@ -21,6 +21,7 @@ from repro.wdpt.unions import (
     union_eval,
     union_max_eval,
     union_partial_eval,
+    union_partial_eval_witness,
     union_subsumed_by,
     union_subsumption_equivalent,
     uwb_approximation,
@@ -163,7 +164,7 @@ class TestUnionSubsumption:
         assert list(tracer.find("wdpt.subsumption")) == []
         (p,) = both
         assert unsubsumed_subtree(
-            p, lambda db, nu: union_partial_eval(halves, db, nu)
+            p, lambda db, nu, carried: union_partial_eval_witness(halves, db, nu, carried)
         ) is not None
         with tracing() as tracer:
             assert union_subsumed_by(halves, both)
