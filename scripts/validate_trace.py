@@ -13,7 +13,8 @@ Four formats:
 * ``chrome`` — a Chrome trace-event JSON file from the tracer.  Known
   span attributes (``kernel``, ``engine``, ``trace_id``, ``node_stats``,
   … — see ``repro.telemetry.export.SPAN_ATTR_TYPES``) are
-  type-checked; attributes the validator does not know about are
+  type-checked, and so is each ``node_stats`` row's ``engines``
+  (``{engine name: count}``); attributes the validator does not know about are
   accepted, so instrumentation can grow without breaking old validators;
 * ``obslog`` — a JSON-lines structured query log from
   :class:`repro.telemetry.obslog.QueryLog`;

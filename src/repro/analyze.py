@@ -2,19 +2,19 @@
 
 :func:`build_report` takes the planner's memoized
 :class:`~repro.wdpt.explain.WDPTProfile` (what the paper's theorems
-*predict*: per-node widths, interface sizes, engine routing) and a
+*predict*: per-node widths, interface sizes) and a
 :class:`~repro.telemetry.tracer.Tracer` recorded while the query actually
-ran (what *happened*: per-node wall time, candidate-mapping counts,
-extension attempts, semijoin intermediate sizes) and joins them per tree
-node into an :class:`AnalyzeReport`.
+ran (what *happened*: per-node engines, wall time, candidate-mapping
+counts, extension attempts, semijoin intermediate sizes) and joins them
+per tree node into an :class:`AnalyzeReport`.
 
 The measured side comes from the ``node_stats`` attribute that
 :func:`repro.wdpt.evaluation.maximal_homomorphisms` (top-down path) and
 :func:`repro.wdpt.eval_tractable.eval_tractable` (Theorem 6 DP, whose
 per-node CQ checks the session routes through its planner) attach to
 their spans, plus the aggregated engine spans (``yannakakis.*``,
-``planner.*``).  A node row names the engine that *ran* there, which on
-a cyclic label differs between the two (``_EVALUATOR_MODES`` below).
+``planner.*``).  Both count the plan engines that ran at each node, so a
+node row names what ran there, read from the trace.
 
 Entry point: :meth:`repro.engine.Session.analyze`.
 """
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from .planner.plan import ENGINE_NAIVE
-from .planner.planner import Planner
 from .table import format_table
 from .telemetry.export import aggregate_spans, render_stage_breakdown, trace_to_dict
 from .telemetry.tracer import Tracer
@@ -33,14 +31,6 @@ from .wdpt.wdpt import WDPT
 
 #: Span names whose ``node_stats`` attribute carries per-tree-node rows.
 _NODE_STATS_SPANS = ("wdpt.maximal_homomorphisms", "wdpt.eval_tractable")
-
-#: Modes run by the top-down evaluator, which does not consult the planner
-#: (:meth:`repro.wdpt.evaluation._TreeEvaluation.node_relation`): an acyclic
-#: label is one seeded Yannakakis run, as the planner would have it, but a
-#: cyclic one is searched per interface key — the decomposition engine
-#: would materialise a whole bag before the key could filter anything.
-_EVALUATOR_MODES = ("query", "query_maximal")
-_PER_KEY_SEARCH = "no join tree: backtracking search, once per distinct interface key"
 
 
 class AnalyzeReport:
@@ -51,10 +41,10 @@ class AnalyzeReport:
     ----------
     rows:
         One dict per tree node, pre-order: static fields (``depth``,
-        ``atoms``, ``treewidth``, ``interface``, ``engine``, ``theorem``)
-        joined with measured fields (``seconds``, ``candidates``,
-        ``extensions``, ``sat_checks``, …; 0 when the node was never
-        touched).
+        ``atoms``, ``treewidth``, ``interface``) joined with measured
+        fields (``engine`` and its per-engine counts ``engines``,
+        ``seconds``, ``candidates``, ``extensions``, ``sat_checks``, …; 0,
+        ``{}`` and engine ``-`` when the node was never touched).
     stages:
         ``{span name: {"calls", "seconds"}}`` aggregated over the trace.
     tracer:
@@ -151,21 +141,15 @@ def build_report(
     p: WDPT,
     profile: WDPTProfile,
     tracer: Tracer,
-    planner: Planner,
     n_answers: Optional[int] = None,
     mode: str = "query",
 ) -> AnalyzeReport:
     """Join the static profile with the measured trace, per tree node."""
     measured = _merge_node_stats(tracer)
-    tree_profile = profile.tree_profile
     rows: List[Dict[str, Any]] = []
     for node in p.tree.nodes():
-        node_profile = tree_profile.node_profile(node)
-        plan = planner.plan_for_profile("", node_profile)
-        engine, theorem = plan.engine, plan.theorem
-        if mode in _EVALUATOR_MODES and not node_profile.is_acyclic:
-            engine, theorem = ENGINE_NAIVE, _PER_KEY_SEARCH
         stats = measured.get(node, {})
+        engines = stats.get("engines", {})
         rows.append(
             {
                 "node": node,
@@ -175,8 +159,8 @@ def build_report(
                 "treewidth": profile.node_treewidths[node],
                 "hypertreewidth": profile.node_hypertreewidths[node],
                 "interface": profile.node_interfaces[node],
-                "engine": engine,
-                "theorem": theorem,
+                "engine": _fmt_engines(engines),
+                "engines": engines,
                 "seconds": float(stats.get("seconds", 0.0)),
                 "candidates": stats.get("candidates", 0),
                 "extensions": stats.get("extensions", 0),
@@ -204,9 +188,9 @@ def build_report(
     )
 
 
-def _merge_node_stats(tracer: Tracer) -> Dict[int, Dict[str, float]]:
+def _merge_node_stats(tracer: Tracer) -> Dict[int, Dict[str, Any]]:
     """Sum the ``node_stats`` attributes of every evaluator span."""
-    merged: Dict[int, Dict[str, float]] = {}
+    merged: Dict[int, Dict[str, Any]] = {}
     for name in _NODE_STATS_SPANS:
         for span in tracer.find(name):
             stats = span.attrs.get("node_stats")
@@ -215,8 +199,21 @@ def _merge_node_stats(tracer: Tracer) -> Dict[int, Dict[str, float]]:
             for node, fields in stats.items():
                 row = merged.setdefault(int(node), {})
                 for field, amount in fields.items():
-                    row[field] = row.get(field, 0) + amount
+                    if isinstance(amount, dict):  # engines: {engine: count}
+                        counts = row.setdefault(field, {})
+                        for engine, n in amount.items():
+                            counts[engine] = counts.get(engine, 0) + n
+                    else:
+                        row[field] = row.get(field, 0) + amount
     return merged
+
+
+def _fmt_engines(engines: Dict[str, int]) -> str:
+    """``yannakakis`` for one engine, ``naive×1, probe×2`` for several,
+    ``-`` for a node nothing ran at."""
+    if len(engines) <= 1:
+        return next(iter(engines), "-")
+    return ", ".join("%s×%d" % item for item in sorted(engines.items()))
 
 
 def _fmt_opt(value: Optional[int]) -> str:

@@ -2,13 +2,13 @@
 
 :func:`evaluate` runs a query on the engine ``method`` names (each
 computes the structure it needs from scratch) or, with ``auto``, hands it
-to :mod:`repro.planner`, whose rule
-(:attr:`~repro.planner.profile.StructuralProfile.engine`: acyclic →
-Yannakakis, treewidth bound ≤ ``TW_CUTOFF`` → the decomposition engine,
-otherwise backtracking) is decided once per query shape, cached in a
+to :mod:`repro.planner`, which runs the shape's answers plan
+(:func:`~repro.planner.plan.plan_node`: acyclic → Yannakakis, cyclic →
+the backtracking search), decided once per query shape, cached in a
 bounded LRU keyed by the structural fingerprint, and run on the analysis
 that decided it — the join tree built to *decide* acyclicity is the one
-Yannakakis *runs on*, never rebuilt.
+Yannakakis *runs on*, never rebuilt.  The Theorem 2 engine is no answers
+plan; it runs here as ``method="treewidth"``.
 
 All engines implement the same contract — the full set of answer mappings
 ``h|_x̄`` — and are cross-validated against each other in the test suite.

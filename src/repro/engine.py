@@ -595,9 +595,7 @@ class Session:
             else:
                 n_answers = len(self.query(p).answers)
                 mode = "query"
-        return build_report(
-            p, profile, tracer, self.planner, n_answers=n_answers, mode=mode
-        )
+        return build_report(p, profile, tracer, n_answers=n_answers, mode=mode)
 
     def stats(self) -> Dict[str, object]:
         """Planner instrumentation (cache hit rates, per-engine selection

@@ -1,73 +1,105 @@
-"""Query plans: the routing decision, its paper justification, and the
-precomputed structures the chosen engine consumes.
+"""Node plans: the route of one CQ shape for one op kind, decided once.
 
-A :class:`QueryPlan` describes, it does not instruct: its engine is
-:attr:`~repro.planner.profile.StructuralProfile.engine` of the memoized
-profile it references, the value the planner's dispatch site reads, so no
-run needs a plan built.  It cites the theorem licensing the engine
-(:data:`THEOREMS`) and exposes ``describe()`` for EXPLAIN-style output.
+A :class:`NodePlan` names the engine that runs, the paper result licensing
+it, and the structure the engine runs on.  :func:`plan_node` is the whole
+routing rule, one branch per op kind:
+
+* **answers** (``bound is None``) — acyclic → Yannakakis over the join
+  tree (Theorem 3 with ``k = 1``), seeded by the interface keys when the
+  caller has keys; cyclic → the compiled backtracking search, once per
+  distinct key;
+* **Boolean under a bound set** — ``probe`` when no two atoms share a
+  variable the binding leaves open; otherwise Yannakakis if acyclic, the
+  Theorem 2 sweep over a decomposition already cut to the open variables
+  if the treewidth bound is at most :data:`TW_CUTOFF`, the search if
+  neither.
+
+:class:`~repro.planner.profile.StructuralProfile` keeps each plan it is
+asked for, one per (op kind, ``bound ∩ vars(shape)``); the top-down
+evaluator, :meth:`~repro.planner.planner.Planner._run` and EXPLAIN read
+those, never the rule.
 """
 
 from __future__ import annotations
 
-from .profile import (
-    ENGINE_HYPERTREEWIDTH,
-    ENGINE_NAIVE,
-    ENGINE_TREEWIDTH,
-    ENGINE_YANNAKAKIS,
-    StructuralProfile,
-)
+from typing import TYPE_CHECKING, FrozenSet, NamedTuple, Optional, Union
 
-#: The route of a Boolean check whose atoms, under its binding, pairwise
-#: share no open variable: one existence read per atom
-#: (:meth:`~repro.storage.base.StorageBackend.exists`), no relation
-#: built.  Chosen per (shape, bound-variable set) by
-#: :meth:`~repro.planner.profile.StructuralProfile.independent_under`,
-#: never per shape, so no :class:`QueryPlan` names it.
+from ..hypergraphs.gyo import JoinTree
+from ..hypergraphs.treedecomp import TreeDecomposition
+
+if TYPE_CHECKING:  # pragma: no cover - profile imports this module
+    from ..core.terms import Variable
+    from .profile import StructuralProfile
+
+#: Engine identifiers (also the ``engine`` label of the planner metrics).
+ENGINE_YANNAKAKIS = "yannakakis"
+ENGINE_TREEWIDTH = "treewidth"
+ENGINE_NAIVE = "naive"
+#: A Boolean check whose atoms, under its binding, pairwise share no open
+#: variable: one :meth:`~repro.storage.base.StorageBackend.exists` per
+#: atom, no relation built.
 ENGINE_PROBE = "probe"
 
-#: The paper result licensing each engine the router can pick (``%d``:
-#: the shape's treewidth bound).
-THEOREMS = {
-    ENGINE_YANNAKAKIS: "Theorem 3, k=1 (HW(1) = AC): Yannakakis over the memoized join tree",
-    ENGINE_TREEWIDTH: "Theorem 2: TW(%d) bounded-treewidth engine over the memoized decomposition",
-    ENGINE_NAIVE: "no structural bound (Theorem 1 regime): backtracking search",
-}
+#: Treewidth (heuristic upper bound) up to which a Boolean check runs the
+#: decomposition engine rather than the search.
+TW_CUTOFF = 3
+
+_YANNAKAKIS = "Theorem 3, k=1 (HW(1) = AC): Yannakakis over the memoized join tree"
 
 
-class QueryPlan:
-    """The planner's routing decision for one CQ shape.
+class NodePlan(NamedTuple):
+    """The route of one shape for one op kind (and, for a Boolean check,
+    one bound-variable set)."""
 
-    Attributes
-    ----------
-    fingerprint:
-        The structural fingerprint the plan is cached under.
-    engine:
-        One of the ``ENGINE_*`` identifiers.
-    theorem:
-        The paper result justifying the choice.
-    profile:
-        The memoized structural analysis (join tree / decomposition) the
-        engine consumes — shared with every other plan for this shape.
-    """
-
-    __slots__ = ("fingerprint", "engine", "theorem", "profile")
-
-    def __init__(
-        self,
-        fingerprint: str,
-        engine: str,
-        theorem: str,
-        profile: StructuralProfile,
-    ):
-        self.fingerprint = fingerprint
-        self.engine = engine
-        self.theorem = theorem
-        self.profile = profile
+    engine: str
+    #: The paper result (or the reason) justifying the engine.
+    theorem: str
+    #: What the engine runs on: the ``JoinTree`` (Yannakakis), the
+    #: ``TreeDecomposition`` (Theorem 2), or ``None`` (search, probe).
+    structure: Union[JoinTree, TreeDecomposition, None] = None
 
     def describe(self) -> str:
         """One-line EXPLAIN: engine plus justification."""
         return "%s — %s" % (self.engine, self.theorem)
 
-    def __repr__(self) -> str:
-        return "QueryPlan(%s)" % self.describe()
+
+def plan_node(
+    profile: "StructuralProfile", bound: "Optional[FrozenSet[Variable]]" = None
+) -> NodePlan:
+    """The plan of ``profile``'s atoms for the answers op (``bound is
+    None``) or for a Boolean check binding ``bound ⊆ vars(shape)``.
+
+    Substitution only removes vertices from the query hypergraph, so the
+    join tree of the unbound shape stays one, and its decomposition stays
+    one with every bag cut to the open variables."""
+    tree = profile.join_tree
+    if bound is None:
+        if tree is not None:
+            return NodePlan(ENGINE_YANNAKAKIS, _YANNAKAKIS, tree)
+        return NodePlan(
+            ENGINE_NAIVE,
+            "no join tree: the compiled search, once per distinct interface key",
+        )
+    seen: set = set()
+    for a in profile.sorted_atoms:
+        open_ = a.variables() - bound
+        if not seen.isdisjoint(open_):
+            break
+        seen |= open_
+    else:
+        return NodePlan(
+            ENGINE_PROBE, "no two atoms share an open variable: one existence probe per atom"
+        )
+    if tree is not None:
+        return NodePlan(ENGINE_YANNAKAKIS, _YANNAKAKIS, tree)
+    width = profile.treewidth_upper
+    if width <= TW_CUTOFF:
+        td = profile.tree_decomposition
+        keep = profile.variables - bound
+        return NodePlan(
+            ENGINE_TREEWIDTH,
+            "Theorem 2: TW(%d) bounded-treewidth engine over the memoized decomposition"
+            % width,
+            TreeDecomposition([bag & keep for bag in td.bags], td.tree_edges),
+        )
+    return NodePlan(ENGINE_NAIVE, "no structural bound (Theorem 1 regime): backtracking search")

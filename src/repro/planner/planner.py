@@ -16,15 +16,16 @@ One :class:`Planner` owns
   :func:`repro.telemetry.tracer.current_tracer` whenever tracing is
   enabled.
 
-Routing follows the paper, as one rule on the query shape —
-:attr:`~repro.planner.profile.StructuralProfile.engine` — that
-:meth:`Planner._run` alone acts on: answer sets
-(:meth:`Planner.evaluate_cq`) and the Boolean checks of the Theorem
-6/8/9/16 procedures (:meth:`Planner.satisfiable_substituted`) reach their
-engine there, and EXPLAIN's :class:`~repro.planner.plan.QueryPlan` reads
-the same property.  One refinement depends on the binding as well: a
-Boolean check whose atoms share no variable its binding leaves open is
-decided by one existence read per atom (the ``probe`` route).
+Routing follows the paper, as one rule per op kind
+(:func:`~repro.planner.plan.plan_node`) whose
+:class:`~repro.planner.plan.NodePlan` the profile keeps: answer sets
+(:meth:`Planner.evaluate_cq`) run the shape's answers plan, the Boolean
+checks of the Theorem 6/8/9/16 procedures
+(:meth:`Planner.satisfiable_substituted`) the plan for the variables their
+binding fixes — ``probe``, one existence read per atom, when no two atoms
+share an open variable.  :meth:`Planner._run` is the one place that acts
+on a plan's engine; the top-down evaluator runs the same answers plans
+and EXPLAIN prints them.
 
 The module-level :func:`get_default_planner` provides a process-wide
 planner so free functions (``cqalgs.dispatch.evaluate``, ``wdpt.classes``,
@@ -54,29 +55,18 @@ from typing import (
     Union,
 )
 
-from ..core.atoms import Atom
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
 from ..core.terms import Term, Variable
 from ..cqalgs.naive import evaluate_naive, satisfiable
-from ..cqalgs.structured import (
-    evaluate_bounded_treewidth,
-    satisfiable_with_decomposition,
-)
+from ..cqalgs.structured import satisfiable_with_decomposition
 from ..cqalgs.yannakakis import evaluate_with_join_tree, satisfiable_with_join_tree
-from ..hypergraphs.treedecomp import TreeDecomposition
 from ..telemetry.metrics import Counter, Histogram, MetricsRegistry
 from ..telemetry.resources import account_rows
 from ..telemetry.tracer import current_tracer
 from ..wdpt.wdpt import WDPT
 from .cache import PlanCache
-from .plan import (
-    ENGINE_PROBE,
-    ENGINE_TREEWIDTH,
-    ENGINE_YANNAKAKIS,
-    THEOREMS,
-    QueryPlan,
-)
+from .plan import ENGINE_PROBE, ENGINE_TREEWIDTH, ENGINE_YANNAKAKIS, NodePlan
 from .profile import StructuralProfile, TreeProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -137,6 +127,7 @@ class Planner:
                     sorted(query.atoms),
                     free_variables=query.free_variables,
                     on_analysis=self._on_analysis,
+                    on_plan=self._on_plan,
                 )
             self.profiles.put(key, profile)
         return profile
@@ -148,7 +139,7 @@ class Planner:
         profile = self.profiles.get(key)
         if profile is None:
             with current_tracer().span("planner.profile", kind="wdpt"):
-                profile = TreeProfile(p, on_analysis=self._on_analysis)
+                profile = TreeProfile(p, self._on_analysis, self._on_plan)
             self.profiles.put(key, profile)
         return profile
 
@@ -168,63 +159,44 @@ class Planner:
     def _on_analysis(self, seconds: float) -> None:
         self.metrics.counter("planner.analysis_seconds").inc(seconds)
 
+    def _on_plan(self) -> None:
+        self.metrics.counter("planner.plans_built").inc()
+
     # ------------------------------------------------------------------
     # Planning and execution
     # ------------------------------------------------------------------
-    def plan_cq(self, query: ConjunctiveQuery, db: Optional[Database] = None) -> QueryPlan:
-        """The plan for ``query``: engine + justification + structures.
+    def plan_cq(self, query: ConjunctiveQuery, db: Optional[Database] = None) -> NodePlan:
+        """The answers plan of ``query``.  It depends on the query's shape
+        alone; ``db`` is accepted and ignored."""
+        return self.plan_for_profile(query.structural_fingerprint(), self.profile_cq(query))
 
-        The plan depends on the query's shape alone; ``db`` is accepted
-        and ignored."""
-        profile = self.profile_cq(query)
-        return self.plan_for_profile(query.structural_fingerprint(), profile)
-
-    def plan_for_profile(self, fingerprint: str, profile: StructuralProfile) -> QueryPlan:
-        """The routing decision for an already-profiled atom set, as
-        EXPLAIN shows it: ``profile.engine`` — the value :meth:`_run`
-        dispatches on — plus its justification."""
-        self.metrics.counter("planner.plans_built").inc()
-        engine = profile.engine
-        theorem = THEOREMS[engine]
-        if engine == ENGINE_TREEWIDTH:
-            theorem %= profile.treewidth_upper
-        return QueryPlan(fingerprint, engine, theorem, profile)
+    def plan_for_profile(self, fingerprint: str, profile: StructuralProfile) -> NodePlan:
+        """The answers plan of an already-profiled atom set, built on first
+        request and kept on ``profile`` (``fingerprint`` is not read)."""
+        return profile.answers_plan
 
     def evaluate_cq(self, query: ConjunctiveQuery, db: Database) -> FrozenSet:
-        """``q(D)`` through the router (the ``auto`` method of
+        """``q(D)`` on the shape's answers plan (the ``auto`` method of
         :func:`repro.cqalgs.dispatch.evaluate`)."""
-        return self._run("planner.evaluate_cq", self.profile_cq(query), db, query=query)
+        profile = self.profile_cq(query)
+        return self._run(
+            "planner.evaluate_cq", profile.answers_plan, profile.sorted_atoms, db, query
+        )
 
     def _run(
         self,
         span: str,
-        profile: StructuralProfile,
+        plan: NodePlan,
+        atoms: Sequence,
         db: Database,
         query: Optional[ConjunctiveQuery] = None,
-        bind: Optional[TMapping[Variable, Term]] = None,
     ) -> Union[FrozenSet, bool]:
-        """The one dispatch site: the atoms of ``profile`` on the engine
-        ``profile.engine`` names — the answers of ``query`` when one is
-        given, else whether the Boolean CQ is satisfiable (each engine's
-        form that stops after its bottom-up sweep or first witness).
-
-        ``bind`` substitutes constants for variables first; the analysis of
-        the unsubstituted shape stays valid (:mod:`repro.planner.profile`):
-        the join tree as it is, the decomposition with every bag cut down
-        to the surviving variables — each keeps its connected set of bags,
-        each atom's variables stay inside its old bag.  A Boolean check
-        whose substituted atoms pairwise share no open variable
-        (:meth:`~repro.planner.profile.StructuralProfile.independent_under`)
-        runs none of them: it is the :data:`~repro.planner.plan.ENGINE_PROBE`
-        route, one ``db.exists`` per atom up to the first ``False``, each
-        reading at most one row.
-        """
-        engine = profile.engine
-        atoms: Sequence[Atom] = profile.sorted_atoms
-        if bind is not None:
-            atoms = [a.substitute(bind) for a in atoms]
-            if query is None and profile.independent_under(bind):
-                engine = ENGINE_PROBE
+        """The one dispatch site: ``atoms`` on the engine ``plan`` names —
+        the answers of ``query`` when one is given, else whether the
+        Boolean CQ is satisfiable (each engine's form that stops after its
+        bottom-up sweep or first witness; ``probe``: one ``db.exists`` per
+        atom up to the first ``False``, each reading at most one row)."""
+        engine = plan.engine
         start = time.perf_counter()
         try:
             with current_tracer().span(span, engine=engine):
@@ -233,20 +205,10 @@ class Planner:
                     return all(map(db.exists, atoms))
                 if engine == ENGINE_YANNAKAKIS:
                     if query is not None:
-                        return evaluate_with_join_tree(
-                            query, db, atoms, profile.join_tree
-                        )
-                    return satisfiable_with_join_tree(atoms, profile.join_tree, db)
+                        return evaluate_with_join_tree(query, db, atoms, plan.structure)
+                    return satisfiable_with_join_tree(atoms, plan.structure, db)
                 if engine == ENGINE_TREEWIDTH:
-                    td = profile.tree_decomposition
-                    if bind is not None:
-                        keep = frozenset(v for a in atoms for v in a.variables())
-                        td = TreeDecomposition(
-                            [bag & keep for bag in td.bags], td.tree_edges
-                        )
-                    if query is not None:
-                        return evaluate_bounded_treewidth(query, db, decomposition=td)
-                    return satisfiable_with_decomposition(atoms, td, db)
+                    return satisfiable_with_decomposition(atoms, plan.structure, db)
                 if query is not None:
                     return evaluate_naive(query, db)
                 return satisfiable(atoms, db)
@@ -285,10 +247,11 @@ class Planner:
     ) -> bool:
         """Is the Boolean CQ ``σ(atoms)`` satisfiable over ``db``, where
         ``atoms`` is the (unsubstituted) atom set profiled by ``profile``
-        and ``substitution`` maps variables to constants?  Routed on the
-        unsubstituted profile and the substitution's variables (see
-        :meth:`_run`)."""
-        return self._run("planner.satisfiable", profile, db, bind=substitution)
+        and ``substitution`` maps variables to constants?  Run on the
+        profile's plan for the substitution's variables: the analysis of
+        the unsubstituted shape stays valid (:mod:`repro.planner.profile`)."""
+        atoms = [a.substitute(substitution) for a in profile.sorted_atoms]
+        return self._run("planner.satisfiable", profile.boolean_plan(substitution), atoms, db)
 
     # ------------------------------------------------------------------
     # Parse cache (session layer)

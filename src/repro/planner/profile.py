@@ -41,21 +41,14 @@ from ..hypergraphs.treewidth import (
     treewidth_upper_bound,
 )
 from ..wdpt.wdpt import WDPT
+from .plan import NodePlan, plan_node
 
 #: Sentinel distinguishing "not yet computed" from a computed ``None``.
 _UNSET = object()
 
-#: Engine identifiers (also used as keys in planner statistics).
-ENGINE_YANNAKAKIS = "yannakakis"
-ENGINE_TREEWIDTH = "treewidth"
-ENGINE_HYPERTREEWIDTH = "hypertreewidth"
-ENGINE_NAIVE = "naive"
-
-#: Treewidth (heuristic upper bound) up to which the decomposition engine
-#: is preferred over backtracking.
-TW_CUTOFF = 3
-
 AnalysisHook = Optional[Callable[[float], None]]
+#: Called once per :class:`~repro.planner.plan.NodePlan` a profile builds.
+PlanHook = Optional[Callable[[], None]]
 
 
 class StructuralProfile:
@@ -71,12 +64,12 @@ class StructuralProfile:
         "free_variables",
         "analysis_seconds",
         "_on_analysis",
+        "_on_plan",
         "_inherited_tw_upper",
         "_variables",
-        "_independent",
+        "_plans",
         "_hypergraph",
         "_join_tree",
-        "_engine",
         "_tw_upper",
         "_tw_exact",
         "_hw_exact",
@@ -93,17 +86,18 @@ class StructuralProfile:
         free_variables: Tuple[Variable, ...] = (),
         on_analysis: AnalysisHook = None,
         inherited_tw_upper: Optional[int] = None,
+        on_plan: PlanHook = None,
     ):
         self.sorted_atoms: Tuple[Atom, ...] = tuple(sorted(set(atoms)))
         self.free_variables = tuple(free_variables)
         self.analysis_seconds = 0.0
         self._on_analysis = on_analysis
+        self._on_plan = on_plan
         self._inherited_tw_upper = inherited_tw_upper
         self._variables = _UNSET
-        self._independent: Optional[Dict[FrozenSet[Variable], bool]] = None
+        self._plans: Optional[Dict[Optional[FrozenSet[Variable]], NodePlan]] = None
         self._hypergraph = _UNSET
         self._join_tree = _UNSET
-        self._engine = _UNSET
         self._tw_upper = _UNSET
         self._tw_exact = _UNSET
         self._hw_exact = _UNSET
@@ -131,37 +125,40 @@ class StructuralProfile:
     # ------------------------------------------------------------------
     @property
     def variables(self) -> FrozenSet[Variable]:
-        """``vars(shape)``, built on first use: like the answers of
-        :meth:`independent_under`, nothing a profile that is never bound
-        (one per request on a cold server) pays for."""
+        """``vars(shape)``, built on first use: nothing a profile that is
+        never bound (one per request on a cold server) pays for."""
         if self._variables is _UNSET:
             self._variables = variables_of(self.sorted_atoms)
         return self._variables  # type: ignore[return-value]
 
-    def independent_under(self, bound: Iterable[Variable]) -> bool:
-        """Under bindings of the variables ``bound``, do the atoms pairwise
-        share no variable outside ``bound``?  Then a binding extends to a
-        homomorphism exactly when each substituted atom alone matches a
-        fact (ALGORITHMS.md §9).  Decided once per ``bound ∩ vars(shape)``
-        and kept, so new values never add an entry.  No lock: threads
-        racing on an entry store the same answer, and a store lost to a
-        race costs one recomputation."""
+    # ------------------------------------------------------------------
+    # Plans (the rule is repro.planner.plan.plan_node)
+    # ------------------------------------------------------------------
+    @property
+    def answers_plan(self) -> NodePlan:
+        """The plan of the answers op: what the top-down evaluator and
+        :meth:`~repro.planner.planner.Planner.evaluate_cq` run."""
+        plans = self._plans
+        plan = None if plans is None else plans.get(None)
+        return self._plan(None) if plan is None else plan
+
+    def boolean_plan(self, bound: Iterable[Variable]) -> NodePlan:
+        """The plan of a Boolean check binding the variables ``bound``,
+        built once per ``bound ∩ vars(shape)`` and kept, so new values never
+        add an entry.  No lock: threads racing on an entry store equal
+        plans, and a store lost to a race costs one rebuild."""
         key = self.variables.intersection(bound)
-        known = self._independent
-        if known is None:
-            known = self._independent = {}
-        answer = known.get(key)
-        if answer is None:
-            seen: set = set()
-            answer = True
-            for a in self.sorted_atoms:
-                open_ = a.variables() - key
-                if not seen.isdisjoint(open_):
-                    answer = False
-                    break
-                seen |= open_
-            known[key] = answer
-        return answer
+        plans = self._plans
+        plan = None if plans is None else plans.get(key)
+        return self._plan(key) if plan is None else plan
+
+    def _plan(self, key: Optional[FrozenSet[Variable]]) -> NodePlan:
+        if self._plans is None:
+            self._plans = {}
+        plan = self._plans[key] = plan_node(self, key)
+        if self._on_plan is not None:
+            self._on_plan()
+        return plan
 
     @property
     def hypergraph(self) -> Hypergraph:
@@ -197,22 +194,6 @@ class StructuralProfile:
         return self.join_tree is not None
 
     @property
-    def engine(self) -> str:
-        """The engine this shape routes to — the planner's whole routing
-        rule, decided once per shape: acyclic → Yannakakis (Theorem 3 with
-        ``k = 1``, ``HW(1) = AC``); treewidth bound ≤ :data:`TW_CUTOFF` →
-        the decomposition engine (Theorem 2); otherwise backtracking (no
-        structural guarantee; EVAL for CQs is NP-complete in general)."""
-        if self._engine is _UNSET:
-            if self.is_acyclic:
-                self._engine = ENGINE_YANNAKAKIS
-            elif self.treewidth_upper <= TW_CUTOFF:
-                self._engine = ENGINE_TREEWIDTH
-            else:
-                self._engine = ENGINE_NAIVE
-        return self._engine  # type: ignore[return-value]
-
-    @property
     def treewidth_upper(self) -> int:
         """The cheap heuristic upper bound on treewidth, capped by any bound
         inherited from a superquery (treewidth is monotone under subqueries)."""
@@ -241,8 +222,8 @@ class StructuralProfile:
 
     @property
     def tree_decomposition(self) -> TreeDecomposition:
-        """A tree decomposition witness (exact width within budget),
-        consumed by the bounded-treewidth engine."""
+        """A tree decomposition witness (exact width within budget); a
+        Theorem 2 plan runs on it, cut to its open variables."""
         if self._tree_decomp is _UNSET:
             self._tree_decomp = self._timed(lambda: tree_decomposition(self.hypergraph))
         return self._tree_decomp  # type: ignore[return-value]
@@ -308,6 +289,7 @@ class TreeProfile:
         "wdpt",
         "fingerprint",
         "_on_analysis",
+        "_on_plan",
         "_node_profiles",
         "_subtree_profiles",
         "_global",
@@ -316,10 +298,11 @@ class TreeProfile:
         "subtree_misses",
     )
 
-    def __init__(self, p: WDPT, on_analysis: AnalysisHook = None):
+    def __init__(self, p: WDPT, on_analysis: AnalysisHook = None, on_plan: PlanHook = None):
         self.wdpt = p
         self.fingerprint = p.structural_fingerprint()
         self._on_analysis = on_analysis
+        self._on_plan = on_plan
         self._node_profiles: List[Optional[StructuralProfile]] = [None] * len(p.tree)
         self._subtree_profiles: Dict[FrozenSet[int], StructuralProfile] = {}
         self._global: Optional[StructuralProfile] = None
@@ -330,15 +313,18 @@ class TreeProfile:
     # ------------------------------------------------------------------
     # Profiles
     # ------------------------------------------------------------------
+    def _profile(self, atoms, **kwargs) -> StructuralProfile:
+        return StructuralProfile(
+            sorted(atoms), on_analysis=self._on_analysis, on_plan=self._on_plan, **kwargs
+        )
+
     def node_profile(self, node: int) -> StructuralProfile:
-        """The profile of ``λ(node)`` as a Boolean CQ (Theorem 7's per-node
-        checks route on this)."""
+        """The profile of ``λ(node)``: its answers plan gives the top-down
+        evaluator's node relation, its Boolean plans the Theorem 6 DP's
+        per-node checks."""
         profile = self._node_profiles[node]
         if profile is None:
-            profile = StructuralProfile(
-                sorted(self.wdpt.labels[node]), on_analysis=self._on_analysis
-            )
-            self._node_profiles[node] = profile
+            profile = self._node_profiles[node] = self._profile(self.wdpt.labels[node])
         return profile
 
     @property
@@ -347,10 +333,8 @@ class TreeProfile:
         Theorems 8/9 route on this."""
         if self._global is None:
             p = self.wdpt
-            self._global = StructuralProfile(
-                sorted(p.atoms_of(p.tree.nodes())),
-                free_variables=p.free_variables,
-                on_analysis=self._on_analysis,
+            self._global = self._profile(
+                p.atoms_of(p.tree.nodes()), free_variables=p.free_variables
             )
         return self._global
 
@@ -371,11 +355,7 @@ class TreeProfile:
             g = self._global
             if g is not None and g._tw_upper is not _UNSET:
                 inherited = g.treewidth_upper
-            profile = StructuralProfile(
-                sorted(self.wdpt.atoms_of(key)),
-                on_analysis=self._on_analysis,
-                inherited_tw_upper=inherited,
-            )
+            profile = self._profile(self.wdpt.atoms_of(key), inherited_tw_upper=inherited)
         self._subtree_profiles[key] = profile
         return profile
 

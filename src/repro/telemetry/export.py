@@ -167,6 +167,15 @@ def validate_chrome_trace(payload: Any) -> List[str]:
                            "/".join(t.__name__ for t in expected),
                            type(value).__name__)
                     )
+            stats = args.get("node_stats")
+            for node, row in stats.items() if isinstance(stats, dict) else ():
+                engines = row.get("engines", {}) if isinstance(row, dict) else None
+                if not isinstance(engines, dict) or not all(
+                    isinstance(e, str) and type(n) is int for e, n in engines.items()
+                ):
+                    errors.append(
+                        "event %d: node_stats[%s] engines must be {name: count}" % (i, node)
+                    )
     return errors
 
 

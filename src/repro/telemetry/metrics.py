@@ -409,12 +409,13 @@ class NodeStatsCollector:
             for name, amount in increments.items():
                 row[name] = row.get(name, 0) + amount
 
-    def merge(self, rows: Dict[Any, Dict[str, float]]) -> None:
-        """Fold another collector's :meth:`rows` in (summing per key)."""
-        for key, row in rows.items():
-            self.add(key, **row)
+    def tally(self, key: Any, field: str, label: str) -> None:
+        """Count one ``label`` under ``field`` (a ``{label: count}`` dict)."""
+        with self._lock:
+            counts = self._rows.setdefault(key, {}).setdefault(field, {})
+            counts[label] = counts.get(label, 0) + 1
 
-    def rows(self) -> Dict[Any, Dict[str, float]]:
+    def rows(self) -> Dict[Any, Dict[str, Any]]:
         with self._lock:
             return {key: dict(row) for key, row in self._rows.items()}
 

@@ -567,9 +567,8 @@ class QueryObservation:
             return None
         from ..analyze import build_report
 
-        planner = self.session.planner
         return build_report(
-            self.query, planner.explain_wdpt(self.query), tracer, planner,
+            self.query, self.session.planner.explain_wdpt(self.query), tracer,
             n_answers=self.n_rows, mode=self.op,
         )
 

@@ -52,6 +52,7 @@ from ..core.database import Database
 from ..core.mappings import Mapping
 from ..core.terms import Constant, Variable
 from ..cqalgs.naive import satisfiable
+from ..planner.plan import ENGINE_NAIVE
 from ..telemetry.metrics import NodeStatsCollector
 from ..telemetry.resources import account_rows, account_subquery
 from ..telemetry.tracer import current_tracer
@@ -74,11 +75,11 @@ def eval_tractable(
 
     Correct for every WDPT; polynomial when ``p`` is locally tractable with
     bounded interface.  The per-node CQ checks are the backtracking search
-    unless a ``planner`` is given; then they route through its memoized
-    per-node profiles (the node label's join tree / decomposition is
-    analysed once and reused for every interface assignment σ) — the
-    configuration matching Theorem 7's LOGCFL bound when nodes are in
-    ``TW(k)``/``HW(k)``.
+    unless a ``planner`` is given; then each runs the node profile's
+    Boolean plan for the variables it binds (the label's join tree /
+    decomposition is analysed once and reused for every interface
+    assignment σ) — the configuration matching Theorem 7's LOGCFL bound
+    when nodes are in ``TW(k)``/``HW(k)``.
     """
     tracer = current_tracer()
     with tracer.span("wdpt.eval_tractable") as sp:
@@ -151,21 +152,26 @@ class _InterfaceDP:
         return cached
 
     def _satisfiable(self, node: int, pre: Mapping) -> bool:
-        """Satisfiability of ``σ(λ(node))``: the planner routing on the
-        node's memoized (unsubstituted) profile, or backtracking when the
-        caller gave none."""
+        """Satisfiability of ``σ(λ(node))``: the node profile's plan for the
+        variables ``pre`` binds, run by the planner, or backtracking when
+        the caller gave none.  Traced, it counts each check under the
+        engine that ran."""
         account_subquery()
         collector = self.collector
         start = time.perf_counter() if collector is not None else 0.0
-        try:
-            if self.planner is None:
-                return satisfiable(self.p.labels[node], self.db, pre)
-            return self.planner.satisfiable_substituted(
-                self.tree_profile.node_profile(node), pre.as_dict(), self.db
-            )
-        finally:
+        if self.planner is None:
+            engine = ENGINE_NAIVE
+            result = satisfiable(self.p.labels[node], self.db, pre)
+        else:
+            profile = self.tree_profile.node_profile(node)
+            bind = pre.as_dict()
+            result = self.planner.satisfiable_substituted(profile, bind, self.db)
             if collector is not None:
-                collector.add(node, sat_checks=1, seconds=time.perf_counter() - start)
+                engine = profile.boolean_plan(bind).engine
+        if collector is not None:
+            collector.add(node, sat_checks=1, seconds=time.perf_counter() - start)
+            collector.tally(node, "engines", engine)
+        return result
 
     # ------------------------------------------------------------------
     # IN(t, σ)

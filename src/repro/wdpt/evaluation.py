@@ -21,14 +21,15 @@ node, over relations (:mod:`repro.relalg`), never per parent mapping.
 1. *Node relation.*  The root's relation is ``λ(root)`` evaluated as a
    full CQ.  For a child ``c`` of ``t``, ``t``'s relation is projected
    onto the interface ``vars(t) ∩ vars(c)`` and ``λ(c)`` is evaluated
-   **once**, as a full CQ *seeded* with those keys
+   **once**, on the label's answers plan
+   (:attr:`~repro.planner.profile.StructuralProfile.answers_plan`).  On an
+   acyclic label that is a full CQ *seeded* with those keys
    (:func:`~repro.cqalgs.yannakakis.relation_with_join_tree`): the keys
    filter every scanned atom they share a variable with — by index
    probes or by a scan and a semi-join, whichever the sizes favour — and
    the result holds exactly the homomorphisms of ``λ(c)`` that some row
-   of ``t`` can be extended by.  Cyclic labels have no join tree to run;
-   their node relation comes from the backtracking search, once per
-   distinct key.
+   of ``t`` can be extended by.  A cyclic label's plan is the
+   backtracking search, once per distinct key.
 2. *Product.*  ``c``'s relation is extended into its own subtree the same
    way, then grouped by interface key.  Sibling subtrees share variables
    only through ``t``, so each row ``h`` of ``t`` yields ``{h} ⨝ ∏_c
@@ -65,7 +66,7 @@ from ..core.mappings import Mapping, maximal_mappings
 from ..core.terms import Variable
 from ..cqalgs.naive import homomorphisms as cq_homomorphisms
 from ..cqalgs.yannakakis import relation_with_join_tree
-from ..hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
+from ..planner.profile import StructuralProfile
 from ..relalg.relation import (
     Relation,
     Row,
@@ -149,35 +150,33 @@ class _TreeEvaluation:
                 for v in self.schema[child]
                 if v not in variables
             )
-        #: Node relations and per-child wall time, kept only for node_stats.
+        #: Node relations, plan engines and per-child wall time, kept only
+        #: for node_stats.
         self.relations: Optional[Dict[int, Relation]] = {} if tracing else None
+        self.engines: Dict[int, str] = {}
         self.seconds: Dict[int, float] = {}
 
     # -- node relations ---------------------------------------------------
-    def join_tree(self, node: int):
-        """``(sorted atoms, join tree)`` of ``λ(node)``, the tree ``None``
-        when the label is cyclic — the planner's memoised analysis when a
-        profile was supplied, so a hot query pays for the sort, the GYO
-        reduction and the tree's shape once, not once per run."""
-        if self.profile is not None:
-            analysed = self.profile.node_profile(node)
-            return analysed.sorted_atoms, analysed.join_tree
-        atoms = sorted(self.p.labels[node])
-        links = join_tree_of_atoms(atoms)
-        return atoms, None if links is None else join_tree_shape(links, len(atoms))
-
     def node_relation(self, node: int, keys: Optional[Relation]) -> Relation:
         """The homomorphisms of ``λ(node)`` that join with ``keys`` (the
         parent relation projected onto the interface; ``None`` at the
-        root) — one CQ per tree node."""
+        root) — one CQ per tree node, on the label's answers plan: the
+        planner's memoised one when a profile was supplied, so a hot query
+        pays for the sort, the GYO reduction and the tree's shape once."""
         account_subquery()
         variables = self.p.node_variables(node)
-        atoms, tree = self.join_tree(node)
-        if tree is not None:
-            rel = relation_with_join_tree(atoms, tree, self.db, variables, seed=keys)
+        if self.profile is not None:
+            analysed = self.profile.node_profile(node)
         else:
-            # Cyclic label: backtracking search, once per distinct key
-            # instead of once per parent mapping.
+            analysed = StructuralProfile(self.p.labels[node])
+        plan = analysed.answers_plan
+        if plan.structure is not None:
+            rel = relation_with_join_tree(
+                analysed.sorted_atoms, plan.structure, self.db, variables, seed=keys
+            )
+        else:
+            # The search, once per distinct key instead of once per parent
+            # mapping.
             schema = sorted(variables, key=repr)
             label = self.p.labels[node]
             seeds = [Mapping()] if keys is None else to_mappings(keys)
@@ -189,6 +188,7 @@ class _TreeEvaluation:
         account_rows(len(rel))
         if self.relations is not None:
             self.relations[node] = rel
+            self.engines[node] = plan.engine
         return rel
 
     # -- the product decomposition ------------------------------------------
@@ -234,11 +234,12 @@ class _TreeEvaluation:
         return out
 
     # -- node_stats ---------------------------------------------------------
-    def node_stats(self) -> Dict[int, Dict[str, float]]:
+    def node_stats(self) -> Dict[int, Dict[str, Any]]:
         """Per evaluated node: ``candidates`` — homomorphisms of the
         root→node path CQ, ``extensions`` — their maximal extensions into
         the node's subtree (what the mapping-at-a-time evaluator counted
-        one by one), ``seconds`` — inclusive wall time.  A path
+        one by one), ``seconds`` — inclusive wall time, ``engines`` —
+        ``{plan engine: 1}`` for the node relation's one run.  A path
         homomorphism is a chain of node-relation rows agreeing on the
         interfaces, so both counts follow from the relations alone."""
         relations = self.relations
@@ -279,11 +280,12 @@ class _TreeEvaluation:
                         count * under.get(keys[child][0](row), 1)
                         for count, row in zip(below[node], relations[node].rows)
                     ]
-        stats: Dict[int, Dict[str, float]] = {}
+        stats: Dict[int, Dict[str, Any]] = {}
         for node in nodes:
             stats[node] = {
                 "candidates": sum(paths[node]),
                 "extensions": sum(map(mul, paths[node], below[node])),
+                "engines": {self.engines[node]: 1},
             }
             if node in self.seconds:
                 stats[node]["seconds"] = self.seconds[node]
@@ -343,8 +345,9 @@ def evaluate(
     """``p(D)`` via the top-down evaluator.
 
     ``profile`` (an optional planner :class:`TreeProfile`) supplies the
-    memoised per-node join trees; without it they are recomputed locally,
-    so the answer never depends on whether a profile was passed.
+    memoised per-node answers plans; without it each label gets a bare
+    profile of its own, so the answer never depends on whether a profile
+    was passed.
 
     >>> from repro.core import atom, Database, Mapping
     >>> from repro.wdpt.wdpt import wdpt_from_nested

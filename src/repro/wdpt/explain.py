@@ -1,15 +1,17 @@
 """EXPLAIN for pattern trees: which of the paper's tractability conditions
-does a query satisfy, and which algorithm will therefore run?
+does a query satisfy, and what will run?
 
 :func:`explain` reads the full structural profile of a WDPT — per-node
-treewidth, interface width, global widths, class membership for the
-relevant ``k``/``c`` — and derives the paper-backed routing decisions:
+treewidth, interface width, global widths — and names what each
+operation runs:
 
-* ``EVAL``: Theorem 7 (LOGCFL) if locally tractable with bounded
-  interface; Theorem 4 if projection-free and locally tractable; otherwise
-  the general exponential procedure (Theorem 1: Σ₂ᵖ-complete).
-* ``PARTIAL-EVAL`` / ``MAX-EVAL``: Theorems 8/9 (LOGCFL) under global
-  tractability; NP/DP-hard otherwise (Propositions 1/4).
+* ``query``: per tree node, the label's answers plan
+  (:class:`~repro.planner.plan.NodePlan`) that the top-down evaluator
+  runs;
+* ``ask`` (``EVAL``): the Theorem 6 interface DP, with the tree's
+  ``ℓ-TW(k) ∩ BI(c)`` parameters (LOGCFL for fixed ``k``, ``c``: Theorem 7);
+* ``is_partial`` / ``is_maximal``: the Theorem 8/9 procedures, with the
+  tree's ``g-TW(k)`` parameter.
 
 The structural analysis itself lives in :mod:`repro.planner`: EXPLAIN asks
 the planner for the tree's memoized :class:`~repro.planner.profile.TreeProfile`,
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
+from ..planner.plan import NodePlan
 from ..table import format_table
 from .wdpt import WDPT
 
@@ -58,6 +61,10 @@ class WDPTProfile:
         ]
         self.interface_width = tp.interface_width
         self.node_interfaces = tp.node_interfaces()
+        #: Per tree node, the answers plan ``query`` runs.
+        self.node_plans: List[NodePlan] = [
+            tp.node_profile(n).answers_plan for n in p.tree.nodes()
+        ]
         self.global_treewidth = tp.global_profile.treewidth
         self.global_hypertreewidth = tp.global_profile.hypertreewidth
 
@@ -69,22 +76,18 @@ class WDPTProfile:
         return max(max(widths, default=0), 0)
 
     def eval_route(self) -> str:
-        """Which EVAL algorithm the profile licenses."""
-        if self.local_treewidth is not None and self.interface_width <= max(
-            2, self.local_treewidth
-        ):
-            return (
-                "Theorem 7 DP: ℓ-TW(%d) ∩ BI(%d) → LOGCFL"
-                % (self.local_treewidth, self.interface_width)
-            )
-        if self.projection_free and self.local_treewidth is not None:
-            return "Theorem 4: projection-free + ℓ-TW(%d) → PTIME" % self.local_treewidth
-        return "general procedure (EVAL is Σ₂ᵖ-complete, Theorem 1)"
+        """What ``ask`` runs: the Theorem 6 DP, with its parameters."""
+        return "Theorem 6 DP: ℓ-TW(%s) ∩ BI(%d) → LOGCFL for fixed k, c (Theorem 7)" % (
+            _fmt(self.local_treewidth),
+            self.interface_width,
+        )
 
     def partial_eval_route(self) -> str:
-        if self.global_treewidth is not None:
-            return "Theorem 8: g-TW(%d) → LOGCFL" % max(self.global_treewidth, 1)
-        return "general procedure (PARTIAL-EVAL is NP-complete, Prop. 1)"
+        """What ``is_partial``/``is_maximal`` run: Theorems 8/9."""
+        width = self.global_treewidth
+        return "Theorem 8/9 procedures: g-TW(%s) → LOGCFL for fixed k" % _fmt(
+            None if width is None else max(width, 1)
+        )
 
     def as_table(self) -> str:
         rows = [
@@ -97,8 +100,14 @@ class WDPTProfile:
             ["global treewidth (g-TW)", _fmt(self.global_treewidth)],
             ["global hypertreewidth", _fmt(self.global_hypertreewidth)],
             ["fingerprint", self.fingerprint[:12]],
-            ["EVAL route", self.eval_route()],
-            ["PARTIAL/MAX-EVAL route", self.partial_eval_route()],
+        ]
+        rows += [
+            ["query: node %d plan" % node, plan.describe()]
+            for node, plan in enumerate(self.node_plans)
+        ]
+        rows += [
+            ["EVAL route (ask)", self.eval_route()],
+            ["PARTIAL/MAX-EVAL route (is_partial, is_maximal)", self.partial_eval_route()],
         ]
         return format_table(["property", "value"], rows, title="WDPT profile")
 

@@ -56,3 +56,36 @@ class TestRouting:
         assert profile.node_treewidths[0] == 2
         assert profile.node_hypertreewidths[0] == 2
         assert profile.global_hypertreewidth == 2
+
+
+class TestRoutesNameWhatRuns:
+    def test_projection_free_tree_names_the_dp_ask_runs(self):
+        """Projection-free, ℓ-TW(1), interface 4: ``ask`` still runs the
+        Theorem 6 DP, so that is the EVAL route EXPLAIN prints."""
+        p = wdpt_from_nested(
+            (
+                [atom("R", "?a"), atom("R", "?b"), atom("R", "?c"), atom("R", "?d")],
+                [([atom("S", "?a", "?b")], []), ([atom("S", "?c", "?d")], [])],
+            ),
+            free_variables=["?a", "?b", "?c", "?d"],
+        )
+        profile = explain(p)
+        assert profile.projection_free and profile.interface_width == 4
+        route = profile.eval_route()
+        assert route.startswith("Theorem 6 DP: ℓ-TW(1) ∩ BI(4)")
+        assert "Theorem 4" not in route
+        assert "Theorem 8/9" in profile.partial_eval_route()
+
+    def test_table_lists_each_node_answers_plan(self):
+        p = wdpt_from_nested(
+            (
+                [atom("L", "?x", "?l")],
+                [([atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")], [])],
+            ),
+            free_variables=["?x", "?l", "?y", "?z"],
+        )
+        profile = explain(p)
+        assert [plan.engine for plan in profile.node_plans] == ["yannakakis", "naive"]
+        text = profile.as_table()
+        assert "query: node 1 plan" in text and "once per distinct interface key" in text
+        assert "EVAL route (ask)" in text

@@ -123,38 +123,55 @@ class TestPlannerReuse:
         assert planner.profiles.hits == 1
         assert planner.profiles.misses == 1
 
-    def test_routing_matches_structure(self):
+    def test_answers_plan_per_shape(self):
+        """The answers op: Yannakakis over the profile's join tree when the
+        shape is acyclic, the search once per interface key when not."""
         planner = Planner()
         path = ConjunctiveQuery(["?x"], [atom("E", "?x", "?y"), atom("E", "?y", "?z")])
-        assert planner.plan_cq(path).engine == ENGINE_YANNAKAKIS
+        plan = planner.plan_cq(path)
+        assert plan.engine == ENGINE_YANNAKAKIS
+        assert plan.structure is planner.profile_cq(path).join_tree
+        assert "Theorem" in plan.theorem
         triangle = ConjunctiveQuery(
             ["?x"],
             [atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")],
         )
-        assert planner.plan_cq(triangle).engine == ENGINE_TREEWIDTH
-        assert "Theorem" in planner.plan_cq(path).theorem
+        plan = planner.plan_cq(triangle)
+        assert (plan.engine, plan.structure) == (ENGINE_NAIVE, None)
+        assert "once per distinct interface key" in plan.theorem
+        profile = planner.profile_cq(triangle)
+        assert planner.plan_for_profile("", profile) is profile.answers_plan is plan
 
-    def test_explain_names_the_engine_the_dispatch_site_reads(self):
-        """``plan.engine`` is ``profile.engine`` — one rule, on the profile —
-        for a shape on each side of it."""
+    def test_boolean_plan_per_shape_and_bound_set(self):
+        """The Boolean op, for a shape on each side of every branch: probe
+        when the binding leaves no open variable shared, then Yannakakis,
+        Theorem 2 up to TW_CUTOFF, the search past it."""
         planner = Planner()
         clique = [atom("E", "?v%d" % i, "?v%d" % j) for i in range(5) for j in range(i)]
+        triangle = [atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")]
+        x, y, z = Variable("?x"), Variable("?y"), Variable("?z")
         shapes = {
             ENGINE_YANNAKAKIS: [atom("E", "?x", "?y"), atom("E", "?y", "?z")],
-            ENGINE_TREEWIDTH: [
-                atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")
-            ],
+            ENGINE_TREEWIDTH: triangle,
             ENGINE_NAIVE: clique,  # K5: treewidth 4 > TW_CUTOFF
         }
         assert TW_CUTOFF == 3
         for engine, atoms in shapes.items():
             profile = planner.profile_cq(ConjunctiveQuery([], atoms))
-            assert profile.engine == engine
-            assert planner.plan_for_profile("", profile).engine == profile.engine
+            assert profile.boolean_plan(()).engine == engine
+        profile = planner.profile_cq(ConjunctiveQuery([], triangle))
+        plan = profile.boolean_plan({x: 0})
+        assert plan.engine == ENGINE_TREEWIDTH
+        # The decomposition is stored cut to the open variables.
+        assert set().union(*plan.structure.bags) == {y, z}
+        # One plan per bound set, whatever the values or extra variables.
+        assert profile.boolean_plan({x: 5, Variable("?w"): 1}) is plan
+        assert profile.boolean_plan({x: 0, y: 1, z: 2}).engine == ENGINE_PROBE
+        assert profile.answers_plan.engine == ENGINE_NAIVE
 
-    def test_boolean_checks_build_no_plan(self):
-        """The routing decision is read off the profile: a run counts an
-        engine selection, never a plan."""
+    def test_boolean_checks_build_one_plan_per_bound_set(self):
+        """A run reads its plan off the profile: the first check of a bound
+        set builds it, every later check with other values reuses it."""
         planner = Planner()
         db = random_database(20, domain_size=5, seed=1)
         profile = planner.profile_cq(
@@ -164,8 +181,11 @@ class TestPlannerReuse:
             planner.satisfiable_substituted(
                 profile, Mapping({"?x": value % 5}).as_dict(), db
             )
-        assert planner.plans_built == 0
+        assert planner.plans_built == 1
         assert planner.engine_selections == {ENGINE_YANNAKAKIS: 50}
+        planner.satisfiable_substituted(profile, Mapping({"?x": 0, "?y": 1}).as_dict(), db)
+        assert planner.plans_built == 2
+        assert planner.engine_selections == {ENGINE_YANNAKAKIS: 50, ENGINE_PROBE: 1}
 
     def test_treewidth_cutoff_is_not_an_option(self):
         with pytest.raises(TypeError):
@@ -534,7 +554,7 @@ class TestWarmDecisions:
         """50 ``ask``s of fully bound candidates never seen before, once
         each candidate domain is warm: every check is ``probe`` — no scan
         schedule, no Yannakakis run, no relational scan, no SQL statement
-        — and no profile learns a new bound-variable set."""
+        — and no profile builds a plan for a new bound-variable set."""
         session, query, _ = warm_decisions
         frees = frozenset(query.free_variables)
         every = session.query(query).answers
@@ -548,14 +568,7 @@ class TestWarmDecisions:
                 chosen[var] = rng.choice(answers)[var]
             fresh.append(Mapping(chosen))
         session.ask(query, fresh[0])
-        profiles = session.planner.profile_wdpt(query)
-
-        def learned():
-            tree = profiles.wdpt.tree
-            node_profiles = [profiles.node_profile(n) for n in tree.nodes()]
-            return sum(len(p._independent or ()) for p in node_profiles)
-
-        entries = learned()
+        entries = session.planner.plans_built
         before = session.stats()["engine_selections"].get(ENGINE_PROBE, 0)
         counts = {}
         _count_calls(monkeypatch, yannakakis_module, "scan_schedule", counts)
@@ -569,7 +582,7 @@ class TestWarmDecisions:
             "scan_schedule": 0, "satisfiable_with_join_tree": 0, "scan": 0,
             "sql_yannakakis": 0,
         }
-        assert learned() == entries
+        assert session.planner.plans_built == entries
         after = session.stats()["engine_selections"].get(ENGINE_PROBE, 0)
         assert checks > 0 and after - before == checks
         assert verdicts == [c in every for c in fresh]

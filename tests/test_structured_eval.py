@@ -8,6 +8,7 @@ from repro.core.atoms import atom
 from repro.core.cq import cq
 from repro.core.database import Database
 from repro.core.mappings import Mapping
+from repro.core.terms import Variable
 from repro.cqalgs.dispatch import evaluate, holds
 from repro.cqalgs.naive import evaluate_naive, satisfiable
 from repro.cqalgs.structured import (
@@ -19,7 +20,7 @@ from repro.exceptions import ClassMembershipError, ResourceBudgetExceeded
 from repro.hypergraphs.hypergraph import hypergraph_of_cq
 from repro.hypergraphs.treedecomp import TreeDecomposition
 from repro.hypergraphs.treewidth import tree_decomposition
-from repro.planner import ENGINE_TREEWIDTH, Planner, StructuralProfile
+from repro.planner import ENGINE_NAIVE, ENGINE_TREEWIDTH, Planner
 from repro.storage import MemoryBackend, SQLiteBackend
 from repro.telemetry.resources import ResourceBudget, ResourceMonitor
 from repro.telemetry.tracer import Tracer, tracing
@@ -157,11 +158,11 @@ def _span_names(run):
 @pytest.mark.parametrize("backend", [MemoryBackend, SQLiteBackend])
 def test_boolean_run_over_a_decomposition_stops_after_the_bottom_up_sweep(backend):
     """Deciding non-emptiness needs the bottom-up sweep only: no top-down
-    sweep, no join phase — and no plan is built to get there."""
+    sweep, no join phase — and one plan serves every value of ``?x``."""
     db = backend([atom("E", 0, 1), atom("E", 1, 2), atom("E", 2, 0), atom("E", 2, 3)])
-    profile = StructuralProfile(TRIANGLE)
-    assert profile.engine == ENGINE_TREEWIDTH
     planner = Planner()
+    profile = planner.profile_cq(cq([], TRIANGLE))
+    assert profile.boolean_plan({Variable("?x"): 0}).engine == ENGINE_TREEWIDTH
     verdicts = []
     routed = _span_names(
         lambda: verdicts.append(
@@ -174,7 +175,7 @@ def test_boolean_run_over_a_decomposition_stops_after_the_bottom_up_sweep(backen
         )
     )
     assert verdicts == [True, True]
-    assert planner.plans_built == 0
+    assert planner.plans_built == 1
     for names in (routed, direct):
         assert "yannakakis.semijoin_up" in names
         assert not names & {"yannakakis.semijoin_down", "yannakakis.join"}
@@ -183,11 +184,13 @@ def test_boolean_run_over_a_decomposition_stops_after_the_bottom_up_sweep(backen
     assert not planner.satisfiable_substituted(
         profile, Mapping({"?x": 3}).as_dict(), db
     )
+    assert planner.plans_built == 1
 
 
 def test_routed_triangle_matches_the_backtracking_search(db):
-    """On a treewidth-routed label both forms of the dispatch site return
-    what the reference search returns, memory and SQLite."""
+    """On the triangle, the answers plan (the search) and the Boolean plan
+    under a bound ``?x`` (Theorem 2) return what the reference search
+    returns, memory and SQLite."""
     query = cq(["?x", "?y"], TRIANGLE)
     for backend in (MemoryBackend, SQLiteBackend):
         store = backend(db.facts())
@@ -199,7 +202,7 @@ def test_routed_triangle_matches_the_backtracking_search(db):
             assert planner.satisfiable_substituted(
                 profile, binding.as_dict(), store
             ) is satisfiable(TRIANGLE, store, binding)
-        assert planner.engine_selections == {ENGINE_TREEWIDTH: 8}
+        assert planner.engine_selections == {ENGINE_NAIVE: 1, ENGINE_TREEWIDTH: 7}
 
 
 def test_hard_row_budget_stops_a_bag_where_it_blows_up():

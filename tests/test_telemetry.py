@@ -275,7 +275,7 @@ def test_analyze_end_to_end_on_example2_query_path():
     assert [row["node"] for row in report.rows] == [0, 1, 2]
     root = report.node_row(0)
     assert root["depth"] == 0 and root["atoms"] == 2
-    assert root["engine"] and root["theorem"]
+    assert root["engine"] == "yannakakis" and root["engines"] == {"yannakakis": 1}
     assert root["candidates"] > 0 and root["extensions"] > 0
     assert root["seconds"] > 0
     text = report.as_text()
@@ -305,10 +305,11 @@ def test_analyze_end_to_end_on_example2_dp_path():
 
 
 def test_analyze_names_the_engine_that_ran_at_a_cyclic_node():
-    """``L(x,l) OPT triangle(x,y,z)``: the top-down evaluator backtracks
-    per key on the cyclic label (the planner is not consulted, so no
-    ``planner.*`` span and no decomposition run); the Theorem 6 DP hands
-    the same label to the planner, which picks the decomposition engine."""
+    """``L(x,l) OPT triangle(x,y,z)``: the top-down evaluator runs the
+    cyclic label's answers plan, the search per key (no ``planner.*`` span
+    and no decomposition run); the Theorem 6 DP runs its Boolean plans,
+    the decomposition engine while ``?y``, ``?z`` are open.  Each row
+    names what the trace says ran."""
     p = wdpt_from_nested(
         (
             [atom("L", "?x", "?l")],
@@ -323,7 +324,7 @@ def test_analyze_names_the_engine_that_ran_at_a_cyclic_node():
     assert report.n_answers == 2
     root, triangle = report.rows
     assert (root["engine"], triangle["engine"]) == ("yannakakis", "naive")
-    assert "once per distinct interface key" in triangle["theorem"]
+    assert "once per distinct interface key" in session.explain(p).node_plans[1].theorem
     (evaluator,) = report.tracer.find("wdpt.maximal_homomorphisms")
     assert not [s for s in evaluator.walk() if s.name.startswith("planner.")]
     assert len(list(report.tracer.find("yannakakis"))) == 1  # the root label only
@@ -332,12 +333,13 @@ def test_analyze_names_the_engine_that_ran_at_a_cyclic_node():
     # E(?z,3) is satisfiable — open atoms sharing ?y and ?z.
     shortest, longest = sorted(session.query(p).answers, key=len)
     report = session.analyze(p, candidate=shortest)
-    assert [row["engine"] for row in report.rows] == ["yannakakis", "treewidth"]
+    assert [row["engine"] for row in report.rows] == ["probe", "treewidth"]
     (dp,) = report.tracer.find("wdpt.eval_tractable")
     routed = [s.attrs["engine"] for s in dp.find("planner.satisfiable")]
-    assert "treewidth" in routed and set(routed) <= {"probe", "treewidth"}
+    assert sorted(routed) == ["probe", "treewidth"]
     # The full answer binds every variable of the triangle: probes only.
     report = session.analyze(p, candidate=longest)
+    assert [row["engine"] for row in report.rows] == ["probe", "probe"]
     (dp,) = report.tracer.find("wdpt.eval_tractable")
     assert {s.attrs["engine"] for s in dp.find("planner.satisfiable")} == {"probe"}
 
