@@ -72,7 +72,7 @@ from .telemetry.profiler import current_profiler, gc_summary
 from .telemetry.resources import ResourceBudget
 from .telemetry.tracer import Tracer, current_tracer
 from .wdpt.eval_tractable import eval_tractable
-from .wdpt.evaluation import evaluate, evaluate_max
+from .wdpt.evaluation import evaluate, evaluate_max, maximal_answers
 from .wdpt.explain import WDPTProfile
 from .wdpt.max_eval import max_eval
 from .wdpt.partial_eval import partial_eval
@@ -117,9 +117,7 @@ class Result:
 
     def maximal(self) -> FrozenSet[Mapping]:
         """The ⊑-maximal answers, ``p_m(D)``."""
-        from .core.mappings import maximal_mappings
-
-        return maximal_mappings(self.answers)
+        return maximal_answers(self.query, self.answers)
 
     def witness(self, answer: Mapping) -> Optional[AnswerWitness]:
         """A verified provenance certificate for ``answer``."""

@@ -78,6 +78,9 @@ OP_ENGINES = {
 #: Operations decided by the Theorem 8/9 procedures: the route the log
 #: names for them is the PARTIAL/MAX-EVAL one, not the EVAL one.
 _PARTIAL_EVAL_OPS = ("is_partial", "is_maximal")
+#: Operations run by the top-down evaluator: the route named for them is
+#: the query route, not the Theorem 6 DP that ``ask`` runs.
+_QUERY_OPS = ("query", "query_maximal")
 
 Sink = Union[None, str, io.IOBase, Callable[[Dict[str, Any]], None]]
 
@@ -487,6 +490,8 @@ class QueryObservation:
         """The theorem licensing this operation's algorithm on ``profile``."""
         if self.op in _PARTIAL_EVAL_OPS:
             return profile.partial_eval_route()
+        if self.op in _QUERY_OPS:
+            return profile.query_route(maximal=self.op == "query_maximal")
         return profile.eval_route()
 
     def finish(self, p, n_rows: int) -> None:

@@ -4,7 +4,8 @@ Definition 2 of the paper: a homomorphism from ``p = (T, λ, x̄)`` to a
 database ``D`` is a partial mapping that is a total homomorphism of
 ``q_{T'}`` for some rooted subtree ``T'``; ``p(D)`` collects the
 projections ``h|_x̄`` of the *maximal* such homomorphisms, and ``p_m(D)``
-(Section 3.4) keeps only the ⊑-maximal elements of ``p(D)``.
+(Section 3.4) keeps only the ⊑-maximal elements of ``p(D)`` — every one
+of them when ``p`` is projection-free (:func:`maximal_answers`).
 
 Two independent evaluators are provided and cross-checked in the tests:
 
@@ -33,8 +34,10 @@ node, over relations (:mod:`repro.relalg`), never per parent mapping.
 2. *Product.*  ``c``'s relation is extended into its own subtree the same
    way, then grouped by interface key.  Sibling subtrees share variables
    only through ``t``, so each row ``h`` of ``t`` yields ``{h} ⨝ ∏_c
-   group_c(h|interface)``; a key without a group is an OPT branch that
-   fails, and its columns are padded with ``None`` (unbound).
+   group_c(h|interface)``: one left outer hash join per child, the rows
+   keeping all of ``t``'s columns until the last one.  A key without a
+   group is an OPT branch that fails: its columns are padded with
+   ``None`` (unbound).
 3. *Mapping boundary.*  Relations become ``Mapping`` objects once, at
    the final answer set.
 
@@ -57,6 +60,7 @@ enumeration; the polynomial algorithm for ``ℓ-C ∩ BI(c)`` lives in
 from __future__ import annotations
 
 import time
+from itertools import repeat
 from operator import mul
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -206,27 +210,22 @@ class _TreeEvaluation:
 
     def extensions(self, node: int, rel: Relation) -> Relation:
         """``rel`` (``node``'s relation) extended into the subtree below:
-        per row ``h``, ``{h} ⨝ ∏_c branch(c, h|shared)`` projected onto
-        the kept variables, an absent group being the failed OPT branch."""
+        ``{h} ⨝ ∏_c branch(c, h|shared)`` per row ``h``, as one left outer
+        hash join per child (a key without a group is the failed OPT
+        branch, padded), then projected onto the kept variables."""
         # Nothing to extend (only the root can be empty): no child CQs.
         children = self.children[node] if rel.rows else ()
-        branches = [self.branch(node, rel, child) for child in children]
-        own = self.own[node]
         rows: Iterable[Row] = rel.rows
+        # Every row keeps all of rel.schema in front, where each branch's
+        # key_of reads its interface key as the row grows.
+        for key_of, groups, padding in [self.branch(node, rel, c) for c in children]:
+            found = map(groups.get, map(key_of, rows), repeat((padding,)))
+            rows = [r + e for r, group in zip(rows, found) for e in group]
+        own = self.own[node]
         if own != rel.schema:
-            rows = tuples_at(rel.rows, [rel.index[v] for v in own])
-        if branches:
-            extended: List[Row] = []
-            for row, head in zip(rel.rows, rows):
-                partial = [head]
-                for key_of, groups, padding in branches:
-                    found = groups.get(key_of(row))
-                    if found is None:
-                        partial = [r + padding for r in partial]
-                    else:
-                        partial = [r + e for r in partial for e in found]
-                extended.extend(partial)
-            rows = extended
+            width = len(rel.schema) + len(self.schema[node]) - len(own)
+            at = [rel.index[v] for v in own] + list(range(len(rel.schema), width))
+            rows = tuples_at(rows, at)
         if len(own) < len(rel.schema):
             rows = set(rows)  # the projection may have merged rows
         out = Relation(self.schema[node], rows, rel.codec)
@@ -328,7 +327,8 @@ def maximal_homomorphisms(
     subtree — or the trivial ``{σ}`` when ``λ(c)`` admits no extension at
     all (the OPT branch simply fails).  A child that *is* extendable must
     be extended in every maximal homomorphism, which is exactly what the
-    product encodes.  No a-posteriori maximality filtering is needed.
+    product encodes: one left outer hash join of the node's rows per
+    child.  No a-posteriori maximality filtering is needed.
 
     When tracing is enabled (:mod:`repro.telemetry`) the per-node
     candidate counts, maximal-extension counts and inclusive wall times
@@ -367,12 +367,24 @@ def evaluate(
         return answers
 
 
+def maximal_answers(p: WDPT, answers: FrozenSet[Mapping]) -> FrozenSet[Mapping]:
+    """``p_m(D)`` from ``answers = p(D)``: the ⊑-maximal answers (Section
+    3.4).  A projection-free ``p``'s answers are its maximal
+    homomorphisms, none of which another homomorphism strictly extends,
+    so they are returned as they are, with no ⊑-filter."""
+    return answers if p.is_projection_free() else maximal_mappings(answers)
+
+
 def evaluate_max(
     p: WDPT, db: Database, profile: "Optional[TreeProfile]" = None
 ) -> FrozenSet[Mapping]:
     """``p_m(D)``: the ⊑-maximal answers (Section 3.4)."""
-    with current_tracer().span("wdpt.evaluate_max"):
-        return maximal_mappings(evaluate(p, db, profile))
+    tracer = current_tracer()
+    with tracer.span("wdpt.evaluate_max") as sp:
+        answers = maximal_answers(p, evaluate(p, db, profile))
+        if tracer.enabled:
+            sp.set(answers=len(answers), filtered=not p.is_projection_free())
+        return answers
 
 
 # ---------------------------------------------------------------------------

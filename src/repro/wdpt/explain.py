@@ -5,9 +5,10 @@ does a query satisfy, and what will run?
 treewidth, interface width, global widths — and names what each
 operation runs:
 
-* ``query``: per tree node, the label's answers plan
-  (:class:`~repro.planner.plan.NodePlan`) that the top-down evaluator
-  runs;
+* ``query`` / ``query_maximal``: the top-down evaluator (Theorem 1:
+  Σ₂ᵖ-complete in general), and per tree node the label's answers plan
+  (:class:`~repro.planner.plan.NodePlan`) that it runs; ``query_maximal``
+  on a projection-free tree runs no ⊑-filter, as ``p_m(D) = p(D)`` there;
 * ``ask`` (``EVAL``): the Theorem 6 interface DP, with the tree's
   ``ℓ-TW(k) ∩ BI(c)`` parameters (LOGCFL for fixed ``k``, ``c``: Theorem 7);
 * ``is_partial`` / ``is_maximal``: the Theorem 8/9 procedures, with the
@@ -74,6 +75,17 @@ class WDPTProfile:
         if len(widths) != len(self.node_treewidths):
             return None
         return max(max(widths, default=0), 0)
+
+    def query_route(self, maximal: bool = False) -> str:
+        """What ``query`` (``maximal``: ``query_maximal``) runs: the
+        top-down evaluator over the per-node answers plans."""
+        route = (
+            "top-down evaluator over the per-node answers plans: "
+            "EVAL is Σ₂ᵖ-complete in general (Theorem 1)"
+        )
+        if maximal and self.projection_free:
+            route += "; projection-free, so p_m(D) = p(D): no ⊑-filter"
+        return route
 
     def eval_route(self) -> str:
         """What ``ask`` runs: the Theorem 6 DP, with its parameters."""

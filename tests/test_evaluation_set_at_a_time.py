@@ -4,8 +4,9 @@ Differential: on random WDPTs × databases, and on pinned shapes that hit
 each branch of the recursion, ``evaluate`` equals the literal Definition 2
 evaluator across backends.  Structural: one
 node CQ per evaluated tree node (no wall clock), resource accounting that
-sees them, and a seeded ``scan`` that agrees with scan-then-semijoin on
-both sides of its probe/scan choice.
+sees them, no ⊑-filter on a projection-free tree, and a seeded ``scan``
+that agrees with scan-then-semijoin on both sides of its probe/scan
+choice.
 """
 
 import pytest
@@ -185,6 +186,22 @@ PINNED = {
         ),
         EDGES + [atom("F", 1, "p"), atom("F", 1, "q")],
     ),
+    # Two OPT children joined onto the root's rows in turn: F's groups
+    # have several rows, G's key 2 has none (padded).  ?y, the interface
+    # to F, is existential: the rows carry it through both joins and lose
+    # it only at the final projection, where (1, 2) and (1, 4) merge.
+    "outer-join carry": (
+        wdpt_from_nested(
+            (
+                [atom("E", "?x", "?y")],
+                [([atom("F", "?y", "?z")], []), ([atom("G", "?x", "?w")], [])],
+            ),
+            free_variables=["?x", "?z", "?w"],
+        ),
+        EDGES + [atom("E", 1, 4), atom("F", 2, "a"), atom("F", 2, "b"),
+                 atom("F", 3, "c"), atom("F", 4, "a"),
+                 atom("G", 1, "p"), atom("G", 3, "q"), atom("G", 3, "r")],
+    ),
 }
 
 
@@ -201,6 +218,19 @@ def test_interface_over_two_atoms_is_filtered_exactly():
     assert Mapping({"?x": 1, "?y": 2, "?u": "k"}) in answers
     assert Mapping({"?x": 5, "?y": 6}) in answers
     assert len(answers) == 3
+
+
+def test_outer_join_carry_pads_failed_branches_and_merges_projected_rows():
+    p, facts = PINNED["outer-join carry"]
+    answers = evaluate(p, MemoryBackend(facts))
+    expected = [
+        {"?x": 1, "?z": "a", "?w": "p"}, {"?x": 1, "?z": "b", "?w": "p"},
+        {"?x": 2, "?z": "c"}, {"?x": 3, "?w": "q"}, {"?x": 3, "?w": "r"},
+        {"?x": 3, "?z": "c", "?w": "q"}, {"?x": 3, "?z": "c", "?w": "r"},
+    ]
+    assert answers == {Mapping(m) for m in expected}
+    # (3, 1) found no F row: its answers are below those of (3, 3).
+    assert len(evaluate_max(p, MemoryBackend(facts))) == 5
 
 
 def test_seeded_yannakakis_is_the_semijoin_of_the_unseeded_answers():
@@ -309,6 +339,45 @@ def test_node_stats_count_path_homomorphisms():
         pruned = prune_non_free_branches(p)
         assert stats[0]["extensions"] == len(maximal_homomorphisms(pruned, db))
         assert span.attrs["maximal"] == stats[0]["extensions"]
+
+
+# ---------------------------------------------------------------------------
+# p_m(D) = p(D) on projection-free trees: no ⊑-filter
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize(
+    "frees, filters", [(("?e", "?d", "?p", "?m", "?o"), 0), (("?e", "?o"), 1)]
+)
+def test_only_a_projected_tree_runs_the_maximality_filter(
+    monkeypatch, backend, frees, filters
+):
+    p = _company_query(frees)
+    assert p.is_projection_free() == (filters == 0)
+    with Session(company_directory(3, 4, seed=1), backend=backend, cache=False) as session:
+        expected = maximal_mappings(evaluate_reference(p, session.database))
+        calls = []
+        monkeypatch.setattr(
+            "repro.wdpt.evaluation.maximal_mappings",
+            lambda mappings: calls.append(1) or maximal_mappings(mappings),
+        )
+        assert evaluate_max(p, session.database) == expected
+        assert len(calls) == filters
+        result = session.query_maximal(p)
+        assert result.answers == expected
+        assert len(calls) == 2 * filters
+        assert session.query(p).maximal() == expected
+        assert len(calls) == 3 * filters
+
+
+def test_evaluate_max_span_says_whether_it_filtered():
+    db = company_directory(3, 4, seed=1)
+    for frees, filtered in ((("?e", "?d", "?p", "?m", "?o"), False), (("?e", "?o"), True)):
+        p = _company_query(frees)
+        with tracing() as tracer:
+            answers = evaluate_max(p, db)
+        (span,) = tracer.find("wdpt.evaluate_max")
+        assert span.attrs["filtered"] is filtered
+        assert span.attrs["answers"] == len(answers)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,26 @@ def test_ask_and_query_maximal_are_logged():
     assert asks and asks[0]["rows"] == 1  # decision True
 
 
+def test_query_records_name_the_top_down_evaluator_not_theorem_6():
+    """``query`` and ``query_maximal`` run the top-down evaluator, ``ask``
+    the Theorem 6 DP: each op's ``query.plan`` and ``query.slow`` name
+    what ran, and only a projection-free ``query_maximal`` skips the
+    ⊑-filter."""
+    log = QueryLog(slow_threshold=0.0)
+    session = _session(obslog=log)
+    answer = max(session.query(EXAMPLE2_QUERY).answers, key=len)
+    session.ask(EXAMPLE2_QUERY, answer)
+    session.query_maximal(EXAMPLE2_QUERY)
+    session.query_maximal("SELECT ?x ?z WHERE " + FIGURE1_QUERY_TEXT)
+    for event in ("query.plan", "query.slow"):
+        query, ask, maximal, projected = (r["theorem"] for r in log.events(event))
+        for route in (query, maximal, projected):
+            assert "Theorem 6" not in route and "Theorem 1" in route
+        assert "Theorem 6" in ask
+        assert "no ⊑-filter" in maximal
+        assert "⊑" not in query and "⊑" not in projected
+
+
 def test_error_event_on_unparseable_query():
     from repro.exceptions import ParseError
 

@@ -3,8 +3,8 @@
 Deeper invariants than :mod:`tests.test_properties`: order laws of
 subsumption on random trees, semantic soundness of the syntactic
 subsumption test, φ_cq equivalence, witness certificates, serialization
-round-trips, and the Theorem 4 / Theorem 6 agreement on projection-free
-inputs.
+round-trips, and on projection-free inputs the Theorem 4 / Theorem 6
+agreement and ``p_m(D) = p(D)``.
 """
 
 import random
@@ -252,6 +252,25 @@ def test_projection_free_algorithms_agree(pair):
             expected = smaller in answers
             assert eval_projection_free(p, db, smaller) == expected
             assert eval_tractable(p, db, smaller) == expected
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@COMMON
+@given(wdpt_and_db())
+def test_projection_free_answers_are_already_maximal(backend, pair):
+    """Without projection every answer is a maximal homomorphism, which no
+    other homomorphism strictly extends: ``p_m(D) = p(D)``."""
+    from repro.core.mappings import maximal_mappings
+    from repro.storage.sqlite import SQLiteBackend
+    from repro.wdpt.evaluation import evaluate, evaluate_max, evaluate_reference
+    from repro.wdpt.projection_free import evaluate_projection_free
+
+    p, db = pair
+    p = p.with_free_variables(sorted(p.variables()))
+    store = SQLiteBackend(db.facts()) if backend == "sqlite" else db
+    answers = evaluate_reference(p, store)
+    assert maximal_mappings(answers) == answers == evaluate_max(p, store)
+    assert evaluate_projection_free(p, store) == evaluate(p, store)
 
 
 # ---------------------------------------------------------------------------
