@@ -32,7 +32,11 @@ intermediate-rows budget).  The driver:
    (``repro_planner_engine_selected{engine="probe"}`` rose);
 6. asserts the whole story is visible in ``/metrics`` and ``/healthz``
    (per-tenant admitted/shed counters, cache series), and that the
-   cyclic garbage collector is on again after all of it.
+   cyclic garbage collector is on again after all of it;
+7. sends one cached query as alpha from a slow client, in delayed
+   packets, and fires 8 cached requests before its last packet: all 8
+   are answered while the slow one has no answer yet, its answer then
+   matches a fast client's, and ``/metrics`` counts 9 hits, no miss.
 
 Exits 0 when every check passes, 1 otherwise.  Network access is only to
 the given base URL — this is an offline CI check.
@@ -41,6 +45,7 @@ the given base URL — this is an offline CI check.
 import json
 import os
 import re
+import socket
 import sys
 import threading
 import time
@@ -289,6 +294,63 @@ def main(argv):
     status, tenants, _ = request(base, "/tenants")
     check("alpha-key" not in json.dumps(tenants),
           "/tenants never exposes raw API keys")
+
+    print("7. a slow client dribbles a cached query past 8 fast ones")
+    fast = request(base, "/query", {"query": OPT_QUERY}, key="alpha-key")
+    body = json.dumps({"query": OPT_QUERY}).encode("utf-8")
+    host, _, port = base.split("//", 1)[1].partition(":")
+    data = (
+        "POST /query HTTP/1.1\r\nHost: %s\r\nX-Api-Key: alpha-key\r\n"
+        "Content-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+        % (host, len(body))
+    ).encode("latin-1") + body
+    cuts = [0, 9, len(data) - len(body) - 2, len(data) - 7, len(data)]
+    before = scrape(base, "alpha")
+    with socket.create_connection((host, int(port)), timeout=30) as slow:
+        slow.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for start, end in zip(cuts[:-2], cuts[1:-1]):
+            slow.sendall(data[start:end])
+            time.sleep(0.05)
+        others = fan_out(
+            base, [("/query", {"query": OPT_QUERY}, "alpha-key")] * 8
+        )
+        slow.setblocking(False)
+        try:
+            early = slow.recv(1)
+        except BlockingIOError:
+            early = None
+        slow.setblocking(True)
+        slow.sendall(data[cuts[-2]:])
+        reply = b""
+        while True:
+            chunk = slow.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    after = scrape(base, "alpha")
+
+    def rose(name):
+        return after.get(name, 0.0) - before.get(name, 0.0)
+
+    check(all(status == 200 for status, _, _ in others) and early is None,
+          "all 8 fast requests answered before the slow one (got %s, slow "
+          "answered early: %s)"
+          % ([status for status, _, _ in others], early is not None))
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    slow_status = int(head.split()[1]) if head else 0
+    per_request = ("wall_ms", "trace_id", "resources")
+    same = slow_status == 200 and (
+        {k: v for k, v in json.loads(payload).items() if k not in per_request}
+        == {k: v for k, v in fast[1].items() if k not in per_request}
+    )
+    check(same, "the slow client got the fast client's 200 body (status %d)"
+          % slow_status)
+    check(rose("repro_service_cache_hits") == 9
+          and rose("repro_service_cache_misses") == 0,
+          "the 8 fast and the slow request were 9 cache hits, no miss "
+          "(hits +%g, misses +%g)"
+          % (rose("repro_service_cache_hits"),
+             rose("repro_service_cache_misses")))
 
     if FAILURES:
         print("\n%d check(s) failed" % len(FAILURES))

@@ -25,6 +25,11 @@ metrics registry with per-tenant labels::
     service.in_flight{tenant=...}       # live gauge
     service.in_flight_global
 
+A request that finds a slot free and nobody queued takes it at once
+(:meth:`AdmissionController.try_admit`, no lock, no ``await``); only
+otherwise does it queue on the controller's ``asyncio.Condition``
+(:meth:`AdmissionController.admit`).
+
 The controller is single-event-loop asyncio (the service's model): all
 state transitions happen on the loop, so counters need no locks; only
 the metrics registry (shared with scrape threads) is thread-safe.
@@ -120,6 +125,15 @@ class AdmissionController:
         if self._in_flight.get(tenant.name, 0) >= tenant.tier.max_concurrency:
             return "tenant"
         return None
+
+    def try_admit(self, tenant: TenantConfig) -> Optional[AdmissionSlot]:
+        """A slot at once — counted as :meth:`admit` counts a grant with
+        no wait — when nobody is queued and both caps have room, else
+        ``None`` (then :meth:`admit` queues or sheds)."""
+        if self._waiting or self._has_capacity(tenant) is not None:
+            return None
+        self._grant(tenant, 0.0)
+        return AdmissionSlot(self, tenant)
 
     async def admit(self, tenant: TenantConfig) -> AdmissionSlot:
         """Wait up to the tier's ``queue_timeout`` for a slot.

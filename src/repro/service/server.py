@@ -21,17 +21,22 @@ owns
   await the same future and share its answers, distinct texts run side
   by side.
 
-Evaluation is synchronous Python, so the asyncio loop never parses,
-plans or evaluates a query, and never serialises answers.  It answers
-one kind of request itself: an admitted ``query``/``query_maximal``
-whose parse and answers its tenant's caches hold at the current data
-version (:meth:`~repro.engine.Session.cached` — two dictionary reads,
-one counted hit, the query's usual observation) and whose answers are
+Each connection is one :class:`asyncio.Protocol` (``_Exchange``): the
+request is parsed as its bytes arrive, under one read deadline, and
+answered once (``Connection: close``).  Evaluation is synchronous Python,
+so the loop never parses, plans or evaluates a query, and never
+serialises answers.  It answers one kind of request itself, inside
+``data_received`` and without creating a Task: a ``query``/
+``query_maximal`` admitted at once whose parse and answers its tenant's
+caches hold at the current data version
+(:meth:`~repro.engine.Session.cached` — two dictionary reads, one
+counted hit, the query's usual observation) and whose answers are
 already serialised (:meth:`~repro.service.protocol.AnswerEncoder.peek`).
-Everything else is handed to a bounded thread executor — a miss, a hit
-whose serialised answers are gone (to encode them), ``ask`` and
-``explain`` — which also serialises the answers, once per answer set
-(:class:`~repro.service.protocol.AnswerEncoder`), and the loop keeps
+Everything else — a miss, a hit whose serialised answers are gone,
+``ask``, ``explain``, a request that queues for admission — is one Task
+that hands its work to a bounded thread executor, which also serialises
+the answers, once per answer set
+(:class:`~repro.service.protocol.AnswerEncoder`); the loop keeps
 accepting, shedding, and answering health checks while queries grind.
 HTTP routes:
 
@@ -68,6 +73,7 @@ the tests hammer it).
 from __future__ import annotations
 
 import asyncio
+import functools
 import gc
 import threading
 import time
@@ -87,7 +93,12 @@ from ..telemetry.routes import (
     error_response,
     json_response,
 )
-from .admission import DEFAULT_GLOBAL_LIMIT, AdmissionController, LoadShedError
+from .admission import (
+    DEFAULT_GLOBAL_LIMIT,
+    AdmissionController,
+    AdmissionSlot,
+    LoadShedError,
+)
 from .protocol import (
     MAX_BODY_BYTES,
     AnswerEncoder,
@@ -104,10 +115,12 @@ __all__ = ["ServiceServer"]
 #: Largest request head (request line + headers) accepted (431 beyond).
 MAX_HEAD_BYTES = 1 << 16
 
-#: Timeout of the request-head read, and of each body read.
+#: Seconds a connection may take to send its whole request.
 READ_TIMEOUT = 30.0
 
 _HEAD_END = b"\r\n\r\n"
+
+_ANSWER_OPS = ("query", "query_maximal")
 
 _HTTP_STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 401: "Unauthorized", 404: "Not Found",
@@ -127,19 +140,181 @@ def _evaluate(
     return result, encoder.fragment(result.answers)
 
 
-async def _read_head(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """The request head through its blank line — or ``None`` for one over
-    :data:`MAX_HEAD_BYTES`, which is read to its end and discarded so the
-    client can finish writing and read the 431 instead of a reset."""
-    oversized = False
-    while True:
+def _failure(tenant: TenantConfig, exc: ReproError) -> RouteResponse:
+    """The error response of a query that raised ``exc``."""
+    if isinstance(exc, ResourceBudgetExceeded):
+        return error_response(
+            429,
+            "resource budget exceeded: %s" % exc,
+            headers={"Retry-After": "%g" % tenant.tier.retry_after},
+            budget="hard", trace_id=getattr(exc, "trace_id", None),
+        )
+    if isinstance(exc, ParseError):
+        return error_response(400, "parse error: %s" % exc)
+    return error_response(400, "%s: %s" % (type(exc).__name__, exc))
+
+
+# Where an exchange stands: reading the head, skipping an over-long head
+# to its end, reading the body, discarding an over-long body, answering.
+_HEAD, _SKIP_HEAD, _BODY, _SKIP_BODY, _ANSWERING = range(5)
+
+
+def _response_bytes(response: RouteResponse) -> bytes:
+    head = "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n" \
+        "Connection: close\r\n" % (
+            response.status, _HTTP_STATUS_TEXT.get(response.status, "Unknown"),
+            response.content_type, len(response.body),
+        )
+    for name, value in response.headers.items():
+        head += "%s: %s\r\n" % (name, value)
+    return (head + "\r\n").encode("latin-1") + response.body
+
+
+class _Exchange(asyncio.Protocol):
+    """One connection: its request parsed as the bytes arrive, one
+    response, then close.  ``done`` resolves once the connection is gone
+    and nothing is left computing its answer."""
+
+    def __init__(self, server: "ServiceServer", loop: asyncio.AbstractEventLoop):
+        self.server = server
+        self.loop = loop
+        self.transport: Optional[asyncio.Transport] = None
+        self.state = _HEAD
+        self.buffer = bytearray()
+        self.request: Optional[RouteRequest] = None
+        self.wanted = 0  # body bytes to read (_BODY) or to discard
+        self.refusal: Optional[RouteResponse] = None  # the 413 (_SKIP_BODY)
+        self.task: Optional["asyncio.Task"] = None
+        self.lost = False
+        self.done = loop.create_future()
+        self.deadline = loop.call_later(READ_TIMEOUT, self._cut_short, True)
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self.done)
+        self.done.add_done_callback(self.server._connections.discard)
+
+    def data_received(self, data: bytes) -> None:
+        state = self.state
+        if state == _HEAD or state == _SKIP_HEAD:
+            buffer = self.buffer
+            seen = len(buffer)
+            buffer += data
+            end = buffer.find(_HEAD_END, max(0, seen - 3))
+            if end < 0:
+                if len(buffer) > MAX_HEAD_BYTES:
+                    # Read an over-long head to its end, keeping only what
+                    # could begin its blank line, so the client can finish
+                    # writing and read the 431 instead of a reset.
+                    self.state = _SKIP_HEAD
+                    del buffer[:-3]
+                return
+            if state == _SKIP_HEAD or end > MAX_HEAD_BYTES:
+                self._answer(error_response(
+                    431, "request head exceeds the %d byte limit" % MAX_HEAD_BYTES
+                ))
+                return
+            self._read_head(bytes(buffer[:end]), buffer[end + 4:])
+        elif state == _BODY:
+            self.buffer += data
+            self._read_body()
+        elif state == _SKIP_BODY:
+            self.wanted -= len(data)
+            if self.wanted <= 0:
+                self._answer(self.refusal)
+        # Bytes after the request are ignored.
+
+    def _read_head(self, head: bytes, rest: bytearray) -> None:
+        request_line, *header_lines = head.decode("latin-1").split("\r\n")
+        parts = request_line.split()
+        if len(parts) != 3:
+            return self._answer(error_response(400, "malformed HTTP request line"))
+        method, target, _version = parts
+        headers: Dict[str, str] = {}
+        for line in header_lines:
+            name, sep, value = line.partition(":")
+            if sep:
+                headers[name.strip().lower()] = value.strip()
         try:
-            head = await reader.readuntil(_HEAD_END)
-        except asyncio.LimitOverrunError as exc:
-            oversized = True
-            await reader.read(exc.consumed)
+            length = int(headers.get("content-length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            return self._answer(error_response(400, "invalid Content-Length"))
+        path, _, query = target.partition("?")
+        self.request = RouteRequest(method, path, query, headers=headers)
+        self.buffer = rest
+        if length > MAX_BODY_BYTES:
+            # Discard (bounded) so the client can finish writing and read
+            # the error instead of seeing a reset mid-upload.
+            self.state = _SKIP_BODY
+            self.wanted = min(length, 4 * MAX_BODY_BYTES) - len(rest)
+            self.refusal = error_response(
+                413, "request body of %d bytes exceeds the %d byte limit"
+                % (length, MAX_BODY_BYTES),
+            )
+            if self.wanted <= 0:
+                self._answer(self.refusal)
+            return
+        self.state = _BODY
+        self.wanted = length
+        self._read_body()
+
+    def _read_body(self) -> None:
+        if len(self.buffer) < self.wanted:
+            return
+        request = self.request
+        request.body = bytes(self.buffer[:self.wanted])
+        self.state = _ANSWERING
+        self.deadline.cancel()
+        server = self.server
+        server.requests_served += 1
+        outcome = server.router.dispatch(request)
+        if isinstance(outcome, RouteResponse):
+            self._answer(outcome)
         else:
-            return None if oversized else head
+            self.task = self.loop.create_task(self._finish(outcome, request))
+
+    async def _finish(self, outcome: Any, request: RouteRequest) -> None:
+        try:
+            response = Router.finish(await outcome, request)
+        except Exception as exc:  # noqa: BLE001
+            response = Router.internal_error(exc)
+        self.task = None
+        self._answer(response)
+
+    def _cut_short(self, timed_out: bool) -> None:
+        """The request ended (EOF or the deadline) before it was whole."""
+        if self.state == _SKIP_BODY:
+            self._answer(self.refusal)
+        elif self.state == _BODY:
+            self._answer(error_response(
+                400, "request body shorter than Content-Length"
+            ))
+        elif self.state != _ANSWERING:
+            self._answer(error_response(400, (
+                "timed out reading the request head" if timed_out
+                else "connection closed before the end of the request head"
+            )))
+
+    def _answer(self, response: RouteResponse) -> None:
+        self.state = _ANSWERING
+        self.deadline.cancel()
+        if self.lost:  # the client left while its answer was computed
+            self.done.set_result(None)
+        else:
+            self.transport.write(_response_bytes(response))
+            self.transport.close()
+
+    def eof_received(self) -> bool:
+        self._cut_short(False)
+        return True  # half-closed: the answer is still written
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.lost = True
+        self.deadline.cancel()
+        if self.task is None:
+            self.done.set_result(None)
 
 
 class ServiceServer:
@@ -206,6 +381,7 @@ class ServiceServer:
         self.requests_served = 0
         self._started_at = 0.0
         self._draining = False
+        #: The ``done`` future of every open connection (``_Exchange``).
         self._connections: set = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -286,9 +462,8 @@ class ServiceServer:
         router = self._obs.build_router()
         router.add("GET", "/healthz", self._route_healthz)
         router.add("GET", "/tenants", self._route_tenants)
-        router.add("POST", "/query", self._route_query)
-        router.add("POST", "/ask", self._route_ask)
-        router.add("POST", "/explain", self._route_explain)
+        for op in ("query", "ask", "explain"):
+            router.add("POST", "/" + op, functools.partial(self._serve_op, op))
         return router
 
     def _route_healthz(self, request: RouteRequest) -> RouteResponse:
@@ -319,16 +494,10 @@ class ServiceServer:
             return None, error_response(401, message)
         return tenant, None
 
-    async def _route_query(self, request: RouteRequest) -> RouteResponse:
-        return await self._serve_op("query", request)
-
-    async def _route_ask(self, request: RouteRequest) -> RouteResponse:
-        return await self._serve_op("ask", request)
-
-    async def _route_explain(self, request: RouteRequest) -> RouteResponse:
-        return await self._serve_op("explain", request)
-
-    async def _serve_op(self, op: str, request: RouteRequest) -> RouteResponse:
+    def _serve_op(self, op: str, request: RouteRequest) -> Any:
+        """The response, when the loop can give it at once (an error, or
+        a hit admitted at once whose serialised answers are live), else
+        the one coroutine that carries on from where this stopped."""
         tenant, failure = self._authenticate(request)
         if failure is not None:
             return failure
@@ -350,6 +519,14 @@ class ServiceServer:
         self.metrics.counter(
             "service.requests", labels={"tenant": tenant.name, "op": parsed.op}
         ).inc()
+        slot = self.admission.try_admit(tenant)
+        if slot is None:
+            return self._admit(tenant, op, parsed, start)
+        return self._serve_admitted(tenant, op, parsed, start, slot)
+
+    async def _admit(
+        self, tenant: TenantConfig, op: str, parsed: QueryRequest, start: float
+    ) -> RouteResponse:
         try:
             slot = await self.admission.admit(tenant)
         except LoadShedError as exc:
@@ -366,27 +543,36 @@ class ServiceServer:
                     scope=exc.scope, retry_after=exc.retry_after,
                 ),
             )
-        async with slot:
-            response = await self._execute(tenant, parsed, start)
-        return self._finish_op(tenant, op, start, response)
+        outcome = self._serve_admitted(tenant, op, parsed, start, slot)
+        return outcome if isinstance(outcome, RouteResponse) else await outcome
 
-    async def _answer(
-        self, tenant: TenantConfig, op: str, text: str
-    ) -> Tuple[Result, bytes, bool]:
-        """``(result, serialised answers, coalesced)`` of a ``query`` or
-        ``query_maximal``: a result-cache hit is answered here, on the
-        loop, with its live fragment; anything else flies."""
-        result = self.sessions[tenant.name].cached(op, text)
-        if result is None:
-            return await self._fly(tenant, op, text)
-        answers_json = self._answers.peek(result.answers)
-        if answers_json is None:
-            # Cached by an in-process query, never served: encoding is
-            # the executor's job.
-            answers_json = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._answers.fragment, result.answers
-            )
-        return result, answers_json, False
+    def _serve_admitted(
+        self, tenant: TenantConfig, op: str, parsed: QueryRequest,
+        start: float, slot: AdmissionSlot,
+    ) -> Any:
+        """A ``query``/``query_maximal`` whose answers the tenant's caches
+        hold, already serialised, is answered here, on the loop; anything
+        else returns the coroutine that runs it on the executor, carrying
+        the hit read here so that it is counted once."""
+        result = None
+        if parsed.op in _ANSWER_OPS:
+            try:
+                result = self.sessions[tenant.name].cached(parsed.op, parsed.query)
+                answers_json = (
+                    None if result is None else self._answers.peek(result.answers)
+                )
+            except ReproError as exc:
+                slot.release()
+                return self._finish_op(tenant, op, start, _failure(tenant, exc))
+            if answers_json is not None:
+                slot.release()
+                return self._finish_op(tenant, op, start, RouteResponse(
+                    200, JSON_CONTENT_TYPE, result_body(
+                        parsed.op, tenant.name, result,
+                        time.perf_counter() - start, False, answers_json,
+                    ),
+                ))
+        return self._execute(tenant, op, parsed, start, slot, result)
 
     async def _fly(
         self, tenant: TenantConfig, op: str, text: str
@@ -414,43 +600,47 @@ class ServiceServer:
         return result, answers_json, coalesced
 
     async def _execute(
-        self, tenant: TenantConfig, parsed: QueryRequest, start: float
+        self, tenant: TenantConfig, op: str, parsed: QueryRequest,
+        start: float, slot: AdmissionSlot, hit: Optional[Result],
     ) -> RouteResponse:
+        """The rest of an admitted request, on the executor; releases
+        ``slot`` once answered."""
         session = self.sessions[tenant.name]
         loop = asyncio.get_running_loop()
         try:
-            if parsed.op in ("query", "query_maximal"):
-                result, answers_json, coalesced = await self._answer(
-                    tenant, parsed.op, parsed.query
-                )
-                return RouteResponse(200, JSON_CONTENT_TYPE, result_body(
+            if parsed.op in _ANSWER_OPS:
+                if hit is None:
+                    result, answers_json, coalesced = await self._fly(
+                        tenant, parsed.op, parsed.query
+                    )
+                else:
+                    # Cached by an in-process query, never served:
+                    # encoding is the executor's job.
+                    result, coalesced = hit, False
+                    answers_json = await loop.run_in_executor(
+                        self._executor, self._answers.fragment, hit.answers
+                    )
+                response = RouteResponse(200, JSON_CONTENT_TYPE, result_body(
                     parsed.op, tenant.name, result,
                     time.perf_counter() - start, coalesced, answers_json,
                 ))
-            if parsed.op == "ask":
+            elif parsed.op == "ask":
                 decision = await loop.run_in_executor(
                     self._executor, session.ask, parsed.query, parsed.candidate
                 )
-                body = encode_ask(
+                response = json_response(200, encode_ask(
                     tenant.name, decision, time.perf_counter() - start
-                )
+                ))
             else:  # explain
                 profile = await loop.run_in_executor(
                     self._executor, session.explain, parsed.query
                 )
-                body = encode_explain(tenant.name, profile)
-        except ResourceBudgetExceeded as exc:
-            return error_response(
-                429,
-                "resource budget exceeded: %s" % exc,
-                headers={"Retry-After": "%g" % tenant.tier.retry_after},
-                budget="hard", trace_id=getattr(exc, "trace_id", None),
-            )
-        except ParseError as exc:
-            return error_response(400, "parse error: %s" % exc)
+                response = json_response(200, encode_explain(tenant.name, profile))
         except ReproError as exc:
-            return error_response(400, "%s: %s" % (type(exc).__name__, exc))
-        return json_response(200, body)
+            response = _failure(tenant, exc)
+        finally:
+            slot.release()
+        return self._finish_op(tenant, op, start, response)
 
     def _finish_op(
         self, tenant: Optional[TenantConfig], op: str, start: float,
@@ -473,119 +663,6 @@ class ServiceServer:
         return response
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            request = await self._read_request(reader)
-            if isinstance(request, RouteResponse):  # parse-level failure
-                response = request
-            else:
-                self.requests_served += 1
-                outcome = self.router.dispatch(request)
-                if hasattr(outcome, "__await__"):
-                    try:
-                        outcome = Router.finish(await outcome, request)
-                    except Exception as exc:  # noqa: BLE001
-                        outcome = Router.internal_error(exc)
-                response = outcome
-            await self._write_response(writer, response)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request
-        finally:
-            self._connections.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Any:
-        """Parse one HTTP/1.1 request into a
-        :class:`~repro.telemetry.routes.RouteRequest` — or return the
-        error :class:`RouteResponse` to answer with."""
-        try:
-            head = await asyncio.wait_for(_read_head(reader), READ_TIMEOUT)
-        except asyncio.TimeoutError:
-            return error_response(400, "timed out reading the request head")
-        except asyncio.IncompleteReadError:
-            return error_response(
-                400, "connection closed before the end of the request head"
-            )
-        if head is None:
-            return error_response(
-                431, "request head exceeds the %d byte limit" % MAX_HEAD_BYTES
-            )
-        request_line, *header_lines = head.decode("latin-1").split("\r\n")
-        parts = request_line.split()
-        if len(parts) != 3:
-            return error_response(400, "malformed HTTP request line")
-        method, target, _version = parts
-        headers: Dict[str, str] = {}
-        for line in header_lines:
-            name, sep, value = line.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0:
-            return error_response(400, "invalid Content-Length")
-        if length > MAX_BODY_BYTES:
-            # Drain (bounded) so the client can finish writing and read
-            # the error instead of seeing a reset mid-upload.
-            remaining = min(length, 4 * MAX_BODY_BYTES)
-            while remaining > 0:
-                try:
-                    chunk = await asyncio.wait_for(
-                        reader.read(min(remaining, 65536)), READ_TIMEOUT
-                    )
-                except asyncio.TimeoutError:
-                    break
-                if not chunk:
-                    break
-                remaining -= len(chunk)
-            return error_response(
-                413,
-                "request body of %d bytes exceeds the %d byte limit"
-                % (length, MAX_BODY_BYTES),
-            )
-        body = b""
-        if length > 0:
-            try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), READ_TIMEOUT
-                )
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-                return error_response(400, "request body shorter than Content-Length")
-        path, _, query = target.partition("?")
-        return RouteRequest(method, path, query, headers=headers, body=body)
-
-    async def _write_response(
-        self, writer: asyncio.StreamWriter, response: RouteResponse
-    ) -> None:
-        reason = _HTTP_STATUS_TEXT.get(response.status, "Unknown")
-        head = [
-            "HTTP/1.1 %d %s" % (response.status, reason),
-            "Content-Type: %s" % response.content_type,
-            "Content-Length: %d" % len(response.body),
-            "Connection: close",
-        ]
-        for name, value in response.headers.items():
-            head.append("%s: %s" % (name, value))
-        writer.write(
-            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + response.body
-        )
-        await writer.drain()
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     @property
@@ -606,12 +683,11 @@ class ServiceServer:
         """Bind and start accepting on the current event loop."""
         if self._server is not None:
             return self
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port,
-            limit=MAX_HEAD_BYTES,
+        loop = self._loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Exchange(self, loop), self.host, self._requested_port
         )
         self._started_at = time.time()
-        self._loop = asyncio.get_running_loop()
         if self.obslog is not None:
             self.obslog.emit(
                 "service.started", host=self.host, port=self.port,
@@ -632,14 +708,8 @@ class ServiceServer:
             )
         server, self._server = self._server, None
         server.close()
-        await server.wait_closed()
         if drain and self._connections:
-            pending = {
-                task for task in self._connections
-                if task is not asyncio.current_task()
-            }
-            if pending:
-                await asyncio.wait(pending, timeout=self.drain_timeout)
+            await asyncio.wait(set(self._connections), timeout=self.drain_timeout)
         dropped = len(self._connections)
         if self.obslog is not None:
             self.obslog.emit("service.stopped", dropped_connections=dropped)

@@ -14,6 +14,10 @@ the registry keys instruments by ``(name, labels)``, so one metric family
 combination — exactly the Prometheus data model, which
 :meth:`MetricsRegistry.to_prometheus` renders in the text exposition
 format (``# TYPE`` headers, escaped label values, summary quantiles).
+A lookup resolves labels as given (one tuple, one dict read) and sorts a
+label set only the first time it is seen; label values are compared as
+the caller passes them, so one label takes values of one type (``1`` and
+``True`` are equal keys but distinct series).
 
 Histograms keep exact ``count``/``sum``/``max`` and a bounded reservoir of
 recent observations for the quantile estimates (p50/p95/p99 by default,
@@ -183,24 +187,35 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, LabelsKey], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelsKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelsKey], Histogram] = {}
+        #: Every instrument by ``(kind, name, labels as the caller gave
+        #: them)``, so a lookup sorts a label set only the first time it
+        #: is seen.  Instruments are never removed (``reset`` zeroes
+        #: them), so an entry cannot go stale.
+        self._given: Dict[Tuple[Any, ...], Any] = {}
         self._lock = threading.Lock()
+
+    def _register(self, given: Tuple[Any, ...], store: Dict, fresh: Any) -> Any:
+        """The instrument registered under ``fresh``'s name and labels
+        (``fresh`` itself the first time), remembered under ``given``."""
+        with self._lock:
+            instrument = store.setdefault((fresh.name, fresh.labels), fresh)
+            self._given[given] = instrument
+        return instrument
 
     def counter(
         self, name: str, labels: Optional[Mapping[str, str]] = None
     ) -> Counter:
-        key = (name, _labels_key(labels))
-        instrument = self._counters.get(key)
+        given = ("c", name, tuple(labels.items()) if labels else ())
+        instrument = self._given.get(given)
         if instrument is None:
-            with self._lock:
-                instrument = self._counters.setdefault(key, Counter(name, labels))
+            instrument = self._register(given, self._counters, Counter(name, labels))
         return instrument
 
     def gauge(self, name: str, labels: Optional[Mapping[str, str]] = None) -> Gauge:
-        key = (name, _labels_key(labels))
-        instrument = self._gauges.get(key)
+        given = ("g", name, tuple(labels.items()) if labels else ())
+        instrument = self._given.get(given)
         if instrument is None:
-            with self._lock:
-                instrument = self._gauges.setdefault(key, Gauge(name, labels))
+            instrument = self._register(given, self._gauges, Gauge(name, labels))
         return instrument
 
     def histogram(
@@ -210,15 +225,12 @@ class MetricsRegistry:
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
         labels: Optional[Mapping[str, str]] = None,
     ) -> Histogram:
-        key = (name, _labels_key(labels))
-        instrument = self._histograms.get(key)
+        given = ("h", name, tuple(labels.items()) if labels else ())
+        instrument = self._given.get(given)
         if instrument is None:
-            with self._lock:
-                instrument = self._histograms.setdefault(
-                    key,
-                    Histogram(name, reservoir=reservoir, quantiles=quantiles,
-                              labels=labels),
-                )
+            instrument = self._register(given, self._histograms, Histogram(
+                name, reservoir=reservoir, quantiles=quantiles, labels=labels,
+            ))
         return instrument
 
     def counters_with_prefix(self, prefix: str) -> Dict[str, float]:

@@ -48,7 +48,7 @@ from .evaluation import (
     partial_eval_check,
 )
 from .max_eval import max_eval
-from .projection_free import eval_projection_free, evaluate_projection_free
+from .projection_free import eval_projection_free
 from .partial_eval import partial_answers, partial_eval
 from .subsumption import (
     is_max_equivalent,
@@ -131,7 +131,6 @@ __all__ = [
     "partial_eval_check",
     "max_eval",
     "eval_projection_free",
-    "evaluate_projection_free",
     "partial_answers",
     "partial_eval",
     "is_max_equivalent",

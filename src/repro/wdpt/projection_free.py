@@ -19,7 +19,7 @@ dynamic program on projection-free inputs.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Set
+from typing import Set
 
 from ..core.database import Database
 from ..core.mappings import Mapping
@@ -81,17 +81,3 @@ def _node_matched(p: WDPT, db: Database, h: Mapping, node: int) -> bool:
         return False
     assignment = h.as_dict()
     return all(a.substitute(assignment) in db for a in p.labels[node])
-
-
-def evaluate_projection_free(p: WDPT, db: Database) -> FrozenSet[Mapping]:
-    """``p(D)`` for projection-free WDPTs.
-
-    Delegates to the general top-down evaluator (whose product
-    decomposition is already polynomial per answer); provided for symmetry
-    and for call sites that want the projection-free precondition
-    enforced."""
-    if not p.is_projection_free():
-        raise ValueError("evaluate_projection_free requires a projection-free WDPT")
-    from .evaluation import evaluate
-
-    return evaluate(p, db)

@@ -47,6 +47,17 @@ def _busy(seconds):
     return n
 
 
+def _busy_until(condition, timeout=30.0):
+    """Burn CPU in a recognizably-named frame until ``condition()`` holds
+    (the deadline turns a hang into a failure; it is not a measurement)."""
+    deadline = time.monotonic() + timeout
+    n = 0
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        n += sum(i * i for i in range(200))
+    return n
+
+
 @pytest.fixture(autouse=True)
 def _no_leftover_hooks():
     """Every test must leave the module-level hooks clean."""
@@ -137,7 +148,7 @@ def test_samples_are_tagged_with_trace_span_and_phase():
         with scoped(current()._replace(trace_id="trace-abc")):
             with tracing() as tracer:
                 with tracer.span("yannakakis.semijoin_up"):
-                    _busy(0.1)
+                    _busy_until(lambda: profiler.samples_for_trace("trace-abc"))
     finally:
         profiler.stop()
     tagged = [s for s in profiler.samples if s[3] == "trace-abc"]
@@ -150,15 +161,20 @@ def test_samples_are_tagged_with_trace_span_and_phase():
 
 def test_span_attribution_tracks_nesting():
     profiler = SamplingProfiler(hz=500)
+
+    def in_phase(phase, after=0):
+        return lambda: any(s[5] == phase for s in profiler.samples[after:])
+
     profiler.start()
     try:
         with tracing() as tracer:
             with tracer.span("planner.profile"):
-                _busy(0.06)
+                _busy_until(in_phase("plan"))
                 with tracer.span("yannakakis.join"):
-                    _busy(0.06)
+                    _busy_until(in_phase("join"))
                 # Back in the outer span after the inner exits.
-                _busy(0.06)
+                inner_done = len(profiler.samples)
+                _busy_until(in_phase("plan", inner_done))
     finally:
         profiler.stop()
     phases = {s[5] for s in profiler.samples}

@@ -7,7 +7,7 @@ from repro.core.database import Database
 from repro.core.mappings import Mapping
 from repro.wdpt.eval_tractable import eval_tractable
 from repro.wdpt.evaluation import evaluate
-from repro.wdpt.projection_free import eval_projection_free, evaluate_projection_free
+from repro.wdpt.projection_free import eval_projection_free
 from repro.wdpt.wdpt import wdpt_from_nested
 from repro.workloads.families import example2_graph, figure1_wdpt
 from repro.workloads.generators import random_database, random_wdpt
@@ -47,8 +47,6 @@ class TestFigure1:
         p = figure1.with_free_variables(["?x"])
         with pytest.raises(ValueError):
             eval_projection_free(p, db, Mapping({"?x": "Swim"}))
-        with pytest.raises(ValueError):
-            evaluate_projection_free(p, db)
 
 
 class TestAgainstGeneralDP:
@@ -70,9 +68,6 @@ class TestAgainstGeneralDP:
             if len(domain) > 1:
                 restricted = h.restrict(domain[:-1])
                 assert eval_projection_free(p, db, restricted) == (restricted in answers)
-
-    def test_evaluate_projection_free_wrapper(self, figure1, db):
-        assert evaluate_projection_free(figure1, db) == evaluate(figure1, db)
 
 
 class TestEdgeCases:

@@ -259,18 +259,37 @@ def test_projection_free_algorithms_agree(pair):
 @given(wdpt_and_db())
 def test_projection_free_answers_are_already_maximal(backend, pair):
     """Without projection every answer is a maximal homomorphism, which no
-    other homomorphism strictly extends: ``p_m(D) = p(D)``."""
+    other homomorphism strictly extends: ``p_m(D) = p(D)``.  Theorem 4's
+    procedure, independent code, accepts exactly the reference answers:
+    each of them, and one perturbed candidate per answer (a variable
+    dropped, rebound or added) exactly when it is one."""
     from repro.core.mappings import maximal_mappings
     from repro.storage.sqlite import SQLiteBackend
-    from repro.wdpt.evaluation import evaluate, evaluate_max, evaluate_reference
-    from repro.wdpt.projection_free import evaluate_projection_free
+    from repro.wdpt.evaluation import evaluate_max, evaluate_reference
+    from repro.wdpt.projection_free import eval_projection_free
 
     p, db = pair
     p = p.with_free_variables(sorted(p.variables()))
     store = SQLiteBackend(db.facts()) if backend == "sqlite" else db
     answers = evaluate_reference(p, store)
     assert maximal_mappings(answers) == answers == evaluate_max(p, store)
-    assert evaluate_projection_free(p, store) == evaluate(p, store)
+    constants = sorted(store.active_domain(), key=repr)
+    for i, answer in enumerate(sorted(answers, key=repr)):
+        assert eval_projection_free(p, store, answer)
+        bound = sorted(answer.domain(), key=repr)
+        unbound = sorted(p.variables() - answer.domain(), key=repr)
+        values = answer.as_dict()
+        if i % 3 == 0 and bound:
+            candidate = answer.restrict(bound[:-1])
+        elif i % 3 == 1 and unbound and constants:
+            candidate = answer.extend(unbound[0], constants[i % len(constants)])
+        elif bound and len(constants) > 1:
+            value = values[bound[0]]
+            other = next(c for c in constants if c != value)
+            candidate = answer.restrict(bound[1:]).extend(bound[0], other)
+        else:
+            continue
+        assert eval_projection_free(p, store, candidate) == (candidate in answers)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,38 @@ def _raw_exchange(srv, data, half_close=False):
     return int(head.split()[1]), json.loads(body)
 
 
+def _dribble(srv, pieces, half_close=False):
+    """Send ``pieces`` as separate sends (a short pause between them, so
+    each tends to arrive on its own; the outcome may not depend on it),
+    read to EOF; returns (status, decoded JSON body)."""
+    with socket.create_connection((srv.host, srv.port), timeout=30) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for piece in pieces:
+            sock.sendall(piece)
+            time.sleep(0.002)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def _post(path, payload, key=None):
+    """The bytes of one POST request."""
+    body = json.dumps(payload).encode()
+    head = "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n" % (
+        path, len(body)
+    )
+    if key is not None:
+        head += "X-Api-Key: %s\r\n" % key
+    return (head + "\r\n").encode("latin-1"), body
+
+
 def _wait_until(condition, timeout=30.0):
     """Poll ``condition`` (a deadline, not a measurement)."""
     deadline = time.monotonic() + timeout
@@ -356,6 +388,32 @@ class TestAdmission:
 
         asyncio.run(scenario())
 
+    def test_try_admit_grants_at_once_only_with_no_queue_and_room(self):
+        async def scenario():
+            controller = AdmissionController(global_limit=4)
+            tenant = self._tenant("slow")  # max_concurrency 1
+            slot = controller.try_admit(tenant)
+            assert slot is not None and controller.in_flight_global == 1
+            assert controller.try_admit(tenant) is None  # tenant cap full
+            waiter = asyncio.ensure_future(controller.admit(tenant))
+            await asyncio.sleep(0)
+            slot.release()
+            # A waiter is queued: the slot is its, not a newcomer's.
+            assert controller.try_admit(tenant) is None
+            (await waiter).release()
+            await asyncio.sleep(0)
+            controller.try_admit(tenant).release()
+            assert controller.admitted_total == 3
+            waits = controller.metrics.histogram(
+                "service.queue_wait_seconds", labels={"tenant": "slow"}
+            )
+            assert waits.count == 3 and waits.quantile(0.0) == 0.0
+            assert controller.metrics.counter(
+                "service.admitted", labels={"tenant": "slow"}
+            ).value == 3
+
+        asyncio.run(scenario())
+
     def test_release_is_idempotent(self):
         async def scenario():
             controller = AdmissionController(global_limit=4)
@@ -519,6 +577,91 @@ class TestLiveRequests:
         assert status == 429
         assert "budget" in body["error"]
         assert "Retry-After" in headers
+
+
+class TestIncrementalParsing:
+    """The request arrives in pieces: every split answers as the whole
+    request does, and every early end with the error a whole one gets."""
+
+    @staticmethod
+    def _strip(body):
+        return {
+            k: v for k, v in body.items()
+            if k not in ("wall_ms", "trace_id", "resources")
+        }
+
+    def test_one_byte_per_send(self, server):
+        head, body = _post("/query", {"query": QUERY}, key="acme-key")
+        whole = _raw_exchange(server, head + body)
+        status, answer = _dribble(
+            server, [bytes([b]) for b in head + body]
+        )
+        assert status == whole[0] == 200
+        assert self._strip(answer) == self._strip(whole[1])
+
+    def test_head_split_at_every_offset_of_its_blank_line(self, server):
+        head, body = _post("/query", {"query": QUERY}, key="acme-key")
+        expected = self._strip(_raw_exchange(server, head + body)[1])
+        for cut in range(len(head) - 4, len(head) + 1):
+            status, answer = _dribble(server, [head[:cut], head[cut:] + body])
+            assert status == 200, cut
+            assert self._strip(answer) == expected, cut
+
+    def test_body_split_across_two_sends(self, server):
+        head, body = _post("/query", {"query": QUERY}, key="acme-key")
+        expected = self._strip(_raw_exchange(server, head + body)[1])
+        status, answer = _dribble(server, [head + body[:7], body[7:]])
+        assert status == 200 and self._strip(answer) == expected
+
+    def test_oversized_head_in_4k_chunks_is_431(self, server):
+        data = b"POST /query HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n"
+        whole = _raw_exchange(server, data)
+        chunks = [data[i:i + 4096] for i in range(0, len(data), 4096)]
+        assert _dribble(server, chunks) == whole
+        assert whole[0] == 431
+
+    def test_eof_mid_head_and_mid_body_are_400(self, server):
+        head, body = _post("/query", {"query": QUERY}, key="acme-key")
+        status, answer = _dribble(server, [head[:20], head[20:-2]], half_close=True)
+        assert status == 400
+        assert answer["error"] == (
+            "connection closed before the end of the request head"
+        )
+        status, answer = _dribble(server, [head, body[:5]], half_close=True)
+        assert status == 400
+        assert answer["error"] == "request body shorter than Content-Length"
+
+    def test_stalled_client_times_out_while_others_are_answered(
+        self, server, monkeypatch
+    ):
+        head, body = _post("/query", {"query": QUERY}, key="acme-key")
+        assert _raw_exchange(server, head + body)[0] == 200  # now cached
+        _wait_until(lambda: not server._connections)
+        monkeypatch.setattr(server_module, "READ_TIMEOUT", 1.0)
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(head[:10])
+            _wait_until(lambda: len(server._connections) == 1)
+            # Other clients' requests read with the usual deadline.
+            monkeypatch.setattr(server_module, "READ_TIMEOUT", 30.0)
+            for _ in range(5):
+                assert _raw_exchange(server, head + body)[0] == 200
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        status_line, _, payload = reply.partition(b"\r\n\r\n")
+        assert int(status_line.split()[1]) == 400
+        assert json.loads(payload)["error"] == "timed out reading the request head"
+
+    def test_bytes_after_the_body_are_ignored(self, server):
+        head, body = _post("/query", {"query": QUERY}, key="acme-key")
+        expected = self._strip(_raw_exchange(server, head + body)[1])
+        status, answer = _raw_exchange(
+            server, head + body + b"GET /nope HTTP/1.1\r\n\r\n" + b"x" * 5000
+        )
+        assert status == 200 and self._strip(answer) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -932,6 +1075,25 @@ class TestLoopSideHits:
         return jobs
 
     @staticmethod
+    def _tasks(srv):
+        """Record the coroutine of every Task the server loop creates."""
+        names = []
+
+        def counting(loop, coro, **kwargs):
+            names.append(coro.__qualname__)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        installed = threading.Event()
+
+        def install():
+            srv._loop.set_task_factory(counting)
+            installed.set()
+
+        srv._loop.call_soon_threadsafe(install)
+        assert installed.wait(30)
+        return names
+
+    @staticmethod
     def _counts(srv, tenant):
         cache = srv.sessions[tenant].result_cache.stats()
         return {
@@ -972,6 +1134,50 @@ class TestLoopSideHits:
                         "parse_hits": 1, "parse_misses": 0,
                     }
             assert jobs == []
+
+    def test_a_hit_creates_no_task_and_a_miss_one(self):
+        registry = TenantRegistry.from_dict(TENANTS)
+        with ServiceServer(example2_graph(), tenants=registry) as srv:
+            assert _request(srv.url, "/query", {"query": QUERY}, key="acme-key")[0] == 200
+            srv.sessions["acme"].query(SMALL_QUERY)  # cached, never served
+            tasks, jobs = self._tasks(srv), self._submits(srv)
+
+            def exchange(text):
+                """(Tasks other than the loop's own accept of the
+                connection, executor jobs, service.cache.hits rise)."""
+                del tasks[:], jobs[:]
+                before = self._service_cache_hits(srv, "acme")
+                status, _, _ = _request(
+                    srv.url, "/query", {"query": text}, key="acme-key"
+                )
+                assert status == 200
+                rose = self._service_cache_hits(srv, "acme") - before
+                # asyncio's create_server sets up every accepted socket
+                # (this request's and the two scrapes') in a Task of its own.
+                ours = [n for n in tasks if not n.endswith("._accept_connection2")]
+                return ours, list(jobs), rose
+
+            for _ in range(10):
+                assert exchange(QUERY) == ([], [], 1)
+            # A hit whose serialised answers are gone: one Task carries
+            # the hit it read to the executor's encoder, counted once.
+            assert exchange(SMALL_QUERY) == (["_Exchange._finish"], ["fragment"], 1)
+            assert exchange(SMALL_QUERY) == ([], [], 1)
+            # A miss: one Task, one flight.
+            assert exchange(_band_query("Swans")) == (
+                ["_Exchange._finish"], ["_evaluate"], 0
+            )
+
+    @staticmethod
+    def _service_cache_hits(srv, tenant):
+        """``service.cache.hits{tenant}`` as ``/metrics`` reads it (the
+        scrape answers on the loop: it creates no Task of the server's)."""
+        text = urllib.request.urlopen(srv.url + "/metrics", timeout=30).read()
+        series = 'repro_service_cache_hits{tenant="%s"} ' % tenant
+        for line in text.decode().splitlines():
+            if line.startswith(series):
+                return float(line[len(series):])
+        return 0.0
 
     def test_each_unique_text_misses_each_cache_once(self):
         registry = TenantRegistry.from_dict(TENANTS)

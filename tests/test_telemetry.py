@@ -526,6 +526,32 @@ def test_registry_labeled_instruments_are_distinct():
     assert registry.counter("sel", {"engine": "a"}) is a
 
 
+def test_registry_sorts_a_label_set_once(monkeypatch):
+    from repro.telemetry import metrics
+
+    sorts = []
+    labels_key = metrics._labels_key
+    monkeypatch.setattr(
+        metrics, "_labels_key", lambda labels: sorts.append(1) or labels_key(labels)
+    )
+    registry = MetricsRegistry()
+    a = registry.counter("req", {"tenant": "t", "op": "query"})
+    for _ in range(5):
+        assert registry.counter("req", {"tenant": "t", "op": "query"}) is a
+    # Another order of the same labels is the same series, sorted once.
+    assert registry.counter("req", {"op": "query", "tenant": "t"}) is a
+    assert len(sorts) == 2
+    g = registry.gauge("req", {"tenant": "t"})
+    h = registry.histogram("req", labels={"tenant": "t"})
+    assert registry.gauge("req", {"tenant": "t"}) is g
+    assert registry.histogram("req", labels={"tenant": "t"}) is h
+    assert len({id(a), id(g), id(h)}) == 3
+    assert len(sorts) == 4
+    registry.reset()  # zeroes, keeps: the remembered instruments stay live
+    assert registry.counter("req", {"tenant": "t", "op": "query"}) is a
+    assert list(registry.snapshot()["counters"]) == ['req{op="query",tenant="t"}']
+
+
 def test_engine_latency_stats_report_p99():
     # cache=False so each repeat reaches the engine and is observed.
     session = Session(example2_graph(), cache=False)
