@@ -276,7 +276,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     server = None
     if args.serve_debug is not None:
-        from .telemetry.promhttp import MetricsServer
+        from .service import MetricsServer
 
         server = MetricsServer(
             session.planner.metrics,
@@ -368,10 +368,44 @@ def _metrics_session(args: argparse.Namespace, obslog=None):
     return session, p
 
 
-def cmd_serve_metrics(args: argparse.Namespace) -> int:
-    import time
+def _self_check(server, checks) -> None:
+    """``--self-check``: fetch each ``(label, path, JSON body or None)``
+    from the started ``server`` (a body makes it a POST) and print
+    ``label: text`` — or the bare text when ``label`` is empty."""
+    import json
+    import urllib.request
 
-    from .telemetry.promhttp import MetricsServer
+    for label, path, payload in checks:
+        request = urllib.request.Request(server.url + path)
+        if payload is not None:
+            request.data = json.dumps(payload).encode("utf-8")
+            request.add_header("Content-Type", "application/json")
+        with urllib.request.urlopen(request) as response:
+            text = response.read().decode()
+        if label:
+            print("%s: %s" % (label, text))
+        else:
+            print(text, end="")
+
+
+def _serve_forever(server, banner) -> None:
+    """Bind ``server``, print ``banner(url)``, serve until SIGTERM/SIGINT,
+    then drain."""
+    import asyncio
+
+    async def _serve() -> None:
+        await server.start_async()
+        print(banner(server.url), flush=True)
+        await server.serve_forever()
+
+    try:
+        asyncio.run(_serve())
+    except KeyboardInterrupt:  # pragma: no cover - interactive
+        pass
+
+
+def cmd_serve_metrics(args: argparse.Namespace) -> int:
+    from .service import MetricsServer
 
     obslog = _make_obslog(args)
     session, p = _metrics_session(args, obslog=obslog)
@@ -379,30 +413,24 @@ def cmd_serve_metrics(args: argparse.Namespace) -> int:
     server = MetricsServer(
         session.planner.metrics, host=args.host, port=args.port,
         debug=session.debug_providers(),
-    ).start()
-    print(
-        "serving %s/metrics, %s/healthz and %s/debug"
-        % (server.url, server.url, server.url)
     )
+
+    def banner(url: str) -> str:
+        return "serving %s/metrics, %s/healthz and %s/debug" % (url, url, url)
+
     try:
         if args.self_check:
-            import urllib.request
-
-            with urllib.request.urlopen(server.url + "/healthz") as response:
-                print("healthz:", response.read().decode())
-            with urllib.request.urlopen(
-                server.url + "/debug/queries"
-            ) as response:
-                print("debug/queries:", response.read().decode())
-            with urllib.request.urlopen(server.url + "/metrics") as response:
-                print(response.read().decode(), end="")
-            return 0
-        while True:  # pragma: no cover - interactive serving loop
-            time.sleep(1)
-    except KeyboardInterrupt:  # pragma: no cover
+            with server:
+                print(banner(server.url))
+                _self_check(server, [
+                    ("healthz", "/healthz", None),
+                    ("debug/queries", "/debug/queries", None),
+                    ("", "/metrics", None),
+                ])
+        else:
+            _serve_forever(server, banner)
         return 0
     finally:
-        server.stop()
         session.close()
         if obslog is not None:
             obslog.close()
@@ -410,9 +438,6 @@ def cmd_serve_metrics(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """The multi-tenant async query service (``docs/SERVICE.md``)."""
-    import asyncio
-    import json as _json
-
     from .service import ServiceServer, default_registry, load_tenants
 
     obslog = _make_obslog(args)
@@ -431,37 +456,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     try:
         if args.self_check:
-            import urllib.request
-
             with server:
-                with urllib.request.urlopen(server.url + "/healthz") as resp:
-                    print("healthz:", resp.read().decode())
-                with urllib.request.urlopen(server.url + "/tenants") as resp:
-                    print("tenants:", resp.read().decode())
-                request = urllib.request.Request(
-                    server.url + "/explain",
-                    data=_json.dumps(
-                        {"query": "SELECT ?x ?y WHERE { ?x recorded_by ?y }"}
-                    ).encode("utf-8"),
-                    headers={"Content-Type": "application/json"},
-                    method="POST",
-                )
-                with urllib.request.urlopen(request) as resp:
-                    print("explain:", resp.read().decode())
-            return 0
-        async def _serve() -> None:
-            await server.start_async()
-            print(
+                _self_check(server, [
+                    ("healthz", "/healthz", None),
+                    ("tenants", "/tenants", None),
+                    ("explain", "/explain", {
+                        "query": "SELECT ?x ?y WHERE { ?x recorded_by ?y }"
+                    }),
+                ])
+        else:
+            _serve_forever(server, lambda url: (
                 "serving %s/query, %s/healthz, %s/metrics for tenants: %s\n"
                 "(SIGTERM drains gracefully)"
-                % (server.url, server.url, server.url,
-                   ", ".join(server.tenants.names()))
-            )
-            await server.serve_forever()
-
-        asyncio.run(_serve())
-        return 0
-    except KeyboardInterrupt:  # pragma: no cover - interactive
+                % (url, url, url, ", ".join(server.tenants.names()))
+            ))
         return 0
     finally:
         if obslog is not None:

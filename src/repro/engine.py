@@ -372,7 +372,7 @@ class Session:
         return {"plans": plans, "profile_cache": self.planner.profiles.stats()}
 
     def debug_providers(self) -> Dict[str, Any]:
-        """Callables for :class:`~repro.telemetry.promhttp.MetricsServer`'s
+        """Callables for :class:`~repro.service.MetricsServer`'s
         ``/debug/*`` routes
         (``MetricsServer(..., debug=session.debug_providers())``)."""
         return {"queries": self.debug_queries, "plans": self.debug_plans}

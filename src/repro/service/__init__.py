@@ -1,6 +1,9 @@
-"""The multi-tenant async query service (``repro serve``).
+"""The one HTTP front and the multi-tenant async query service.
 
-A stdlib-``asyncio`` HTTP daemon that owns a pool of warm per-tenant
+:class:`MetricsServer` serves ``/metrics``, ``/healthz`` and
+``/debug/*`` on the package's stdlib-``asyncio`` transport (``repro
+serve-metrics``, ``repro run --serve-debug``).  :class:`ServiceServer`
+(``repro serve``) is a ``MetricsServer`` that owns a pool of warm per-tenant
 :class:`~repro.engine.Session`\\ s over one shared planner and storage
 backend, fronted by admission control (per-tenant concurrency caps, a
 global in-flight ceiling, 429 load shedding) and request coalescing.
@@ -24,7 +27,7 @@ from .protocol import (
     ProtocolError,
     QueryRequest,
 )
-from .server import ServiceServer
+from .server import MetricsServer, ServiceServer
 from .tenancy import (
     API_KEY_HEADER,
     DEFAULT_TIERS,
@@ -43,6 +46,7 @@ __all__ = [
     "DEFAULT_TIERS",
     "LoadShedError",
     "MAX_BODY_BYTES",
+    "MetricsServer",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "QoSTier",

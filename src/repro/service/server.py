@@ -1,8 +1,27 @@
-"""The multi-tenant async query service: a stdlib-``asyncio`` HTTP daemon.
+"""The one HTTP front: an ``asyncio`` transport, the observability server
+on it, and the multi-tenant query daemon built on that.
 
-:class:`ServiceServer` is the long-lived, network-facing front end of the
-reproduction — the "millions of users" deployment shape.  One process
-owns
+Each connection is one :class:`asyncio.Protocol` (``_Exchange``): the
+request is parsed as its bytes arrive, under one read deadline,
+dispatched through the server's :class:`~repro.telemetry.routes.Router`
+and answered once (``Connection: close``).  A route that is not there
+is a ``404`` listing the routes that are; a path routed under another
+method is a ``405`` with an ``Allow`` header.
+
+:class:`MetricsServer` owns the transport, its lifecycle — foreground
+(:meth:`~MetricsServer.serve_forever`, drained by SIGTERM/SIGINT) or
+embedded (:meth:`~MetricsServer.start`/:meth:`~MetricsServer.stop` on a
+private event-loop thread; also a context manager) — and the
+observability routes: ``GET /metrics`` (the Prometheus exposition of
+every source), ``/healthz``, ``/debug`` (the index), ``/debug/<name>``
+(a registered provider's live snapshot; ``?format=html`` renders any
+JSON route as a page) and ``/debug/profile`` (the sampling profiler,
+which stopping the server stops).  ``repro serve-metrics`` and ``repro
+run --serve-debug`` run it.
+
+:class:`ServiceServer` is a :class:`MetricsServer` — the long-lived,
+network-facing "millions of users" deployment shape (``repro serve``).
+It adds
 
 * one **storage backend** (memory or SQLite) and one shared
   :class:`~repro.planner.planner.Planner`, so parsed queries, structural
@@ -21,14 +40,11 @@ owns
   await the same future and share its answers, distinct texts run side
   by side.
 
-Each connection is one :class:`asyncio.Protocol` (``_Exchange``): the
-request is parsed as its bytes arrive, under one read deadline, and
-answered once (``Connection: close``).  Evaluation is synchronous Python,
-so the loop never parses, plans or evaluates a query, and never
-serialises answers.  It answers one kind of request itself, inside
-``data_received`` and without creating a Task: a ``query``/
-``query_maximal`` admitted at once whose parse and answers its tenant's
-caches hold at the current data version
+Evaluation is synchronous Python, so the loop never parses, plans or
+evaluates a query, and never serialises answers.  It answers one kind of
+request itself, inside ``data_received`` and without creating a Task: a
+``query``/``query_maximal`` admitted at once whose parse and answers its
+tenant's caches hold at the current data version
 (:meth:`~repro.engine.Session.cached` — two dictionary reads, one
 counted hit, the query's usual observation) and whose answers are
 already serialised (:meth:`~repro.service.protocol.AnswerEncoder.peek`).
@@ -38,36 +54,23 @@ that hands its work to a bounded thread executor, which also serialises
 the answers, once per answer set
 (:class:`~repro.service.protocol.AnswerEncoder`); the loop keeps
 accepting, shedding, and answering health checks while queries grind.
-HTTP routes:
+Its routes, beside the observability ones it inherits:
 
 ====================  =====================================================
 ``POST /query``       evaluate (``{"maximal": true}`` for ``p_m(D)``)
 ``POST /ask``         is a candidate mapping an answer?
 ``POST /explain``     static EXPLAIN profile, no evaluation
-``GET /healthz``      liveness + drain state + admission snapshot
-``GET /metrics``      Prometheus exposition (shared registry, per-tenant
-                      labels, per-tenant cache gauges)
 ``GET /tenants``      the key-free tenant/QoS registry
-``GET /debug/*``      the live debug endpoints (queries/plans/profile),
-                      exactly as on ``MetricsServer``
 ====================  =====================================================
 
-Route matching, ``/healthz`` fields, and all error bodies are shared
-with :class:`~repro.telemetry.promhttp.MetricsServer` through one
-:class:`~repro.telemetry.routes.Router` built by
-``MetricsServer.build_router`` — the service *embeds* an unstarted
-metrics server and overlays its own routes, so the two daemons cannot
-drift apart.
+Its ``/healthz`` adds the service and runtime blocks, ``/metrics`` the
+per-tenant cache gauges, and ``/debug/queries`` groups by tenant.
 
-Shutdown is graceful: ``SIGTERM`` (or :meth:`ServiceServer.stop`) stops
+Shutdown is graceful: ``SIGTERM`` (or :meth:`MetricsServer.stop`) stops
 accepting, answers new work ``503 draining``, waits for every in-flight
 request to finish writing its response, then exits — zero dropped
 queries, visible in the obslog as ``service.draining`` /
 ``service.stopped`` events.
-
-``repro serve`` is the CLI wrapper; the server can also run embedded
-(``start()``/``stop()`` drive a private event-loop thread, which is how
-the tests hammer it).
 """
 
 from __future__ import annotations
@@ -75,18 +78,20 @@ from __future__ import annotations
 import asyncio
 import functools
 import gc
+import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..engine import Result, Session
 from ..exceptions import ParseError, ReproError, ResourceBudgetExceeded
 from ..storage import StorageBackend
+from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.obslog import QueryLog
-from ..telemetry.promhttp import MetricsServer
 from ..telemetry.routes import (
     JSON_CONTENT_TYPE,
+    PROMETHEUS_CONTENT_TYPE,
     RouteRequest,
     RouteResponse,
     Router,
@@ -110,7 +115,7 @@ from .protocol import (
 )
 from .tenancy import API_KEY_HEADER, TenantConfig, TenantRegistry, default_registry
 
-__all__ = ["ServiceServer"]
+__all__ = ["MetricsServer", "ServiceServer"]
 
 #: Largest request head (request line + headers) accepted (431 beyond).
 MAX_HEAD_BYTES = 1 << 16
@@ -175,7 +180,7 @@ class _Exchange(asyncio.Protocol):
     response, then close.  ``done`` resolves once the connection is gone
     and nothing is left computing its answer."""
 
-    def __init__(self, server: "ServiceServer", loop: asyncio.AbstractEventLoop):
+    def __init__(self, server: "MetricsServer", loop: asyncio.AbstractEventLoop):
         self.server = server
         self.loop = loop
         self.transport: Optional[asyncio.Transport] = None
@@ -317,8 +322,338 @@ class _Exchange(asyncio.Protocol):
             self.done.set_result(None)
 
 
-class ServiceServer:
-    """The multi-tenant asyncio HTTP query daemon (module docstring)."""
+Source = Union[MetricsRegistry, Callable[[], str]]
+
+DebugProvider = Callable[[], Any]
+
+
+class MetricsServer:
+    """``/metrics``, ``/healthz`` and ``/debug/*`` over the one transport
+    (module docstring).
+
+    ::
+
+        with MetricsServer(session.planner.metrics,
+                           debug=session.debug_providers()) as server:
+            ... curl http://127.0.0.1:<server.port>/metrics ...
+    """
+
+    #: Seconds a shutdown waits for open connections to be answered.
+    drain_timeout = 30.0
+
+    def __init__(
+        self,
+        sources: Union[Source, Sequence[Source]],
+        host: str = "127.0.0.1",
+        port: int = 0,
+        namespace: str = "repro",
+        debug: Optional[Dict[str, DebugProvider]] = None,
+        profiler=None,
+    ):
+        if isinstance(sources, MetricsRegistry) or callable(sources):
+            sources = [sources]
+        self.sources: List[Source] = list(sources)
+        self.namespace = namespace
+        self.host = host
+        #: ``name → zero-arg callable`` behind ``/debug/<name>``.
+        self.debug: Dict[str, DebugProvider] = dict(debug) if debug else {}
+        #: The :class:`~repro.telemetry.profiler.SamplingProfiler` behind
+        #: ``/debug/profile`` — injectable; created lazily on the first
+        #: ``?action=start`` otherwise.
+        self.profiler = profiler
+        self._profile_lock = threading.Lock()
+        self._owns_profiler = False
+        self._requested_port = port
+        self.router = self.build_router()
+        self.requests_served = 0
+        self._started_at = 0.0
+        self._draining = False
+        #: The ``done`` future of every open connection (``_Exchange``).
+        self._connections: set = set()
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+
+    def add_debug(self, name: str, provider: DebugProvider) -> "MetricsServer":
+        """Register (or replace) the ``/debug/<name>`` provider."""
+        self.debug[name] = provider
+        return self
+
+    # ------------------------------------------------------------------
+    # Observability surfaces
+    # ------------------------------------------------------------------
+    def exposition(self) -> str:
+        """The concatenated Prometheus text for every source."""
+        chunks = []
+        for source in self.sources:
+            if isinstance(source, MetricsRegistry):
+                chunks.append(source.to_prometheus(namespace=self.namespace))
+            else:
+                chunks.append(source())
+        return "".join(chunk for chunk in chunks if chunk)
+
+    def health(self) -> Dict[str, Any]:
+        """The ``/healthz`` payload."""
+        return {
+            "status": "draining" if self._draining else "ok",
+            "uptime_seconds": (
+                time.time() - self._started_at if self._started_at else 0.0
+            ),
+            "requests_served": self.requests_served,
+            "sources": len(self.sources),
+            "debug_routes": sorted(self.debug),
+        }
+
+    def debug_index(self) -> dict:
+        """The ``/debug`` payload: the routes this server exposes."""
+        routes = sorted(
+            {"/debug/%s" % name for name in self.debug} | {"/debug/profile"}
+        )
+        return {
+            "routes": routes,
+            "hint": "append ?format=html for a browser view",
+        }
+
+    def profile_action(self, action: str, hz: Optional[int] = None) -> dict:
+        """Drive the live profiler: ``start`` / ``stop`` / ``snapshot``.
+
+        Thread-safe and idempotent — concurrent start/stop requests race
+        only for the lock, never double-start a sampler thread or leave
+        hooks behind.  ``start`` lazily creates a profiler (sampling the
+        first registry source for GC gauges) and registers it as the
+        module-level current one, so sessions in this process attach
+        per-query samples and obslog slow records pick the digest up.
+        """
+        from ..telemetry.profiler import DEFAULT_HZ, SamplingProfiler
+
+        with self._profile_lock:
+            profiler = self.profiler
+            if action == "start":
+                started = False
+                if profiler is None:
+                    registry = next(
+                        (s for s in self.sources
+                         if isinstance(s, MetricsRegistry)), None,
+                    )
+                    profiler = SamplingProfiler(
+                        hz=hz or DEFAULT_HZ, registry=registry,
+                    )
+                    self.profiler = profiler
+                    self._owns_profiler = True
+                if not profiler.running:
+                    if hz:
+                        profiler.hz = max(1, min(int(hz), 1000))
+                    profiler.start()
+                    started = True
+                return {
+                    "running": True,
+                    "started": started,
+                    "hz": profiler.hz,
+                    "samples": profiler.sample_count,
+                }
+            if action == "stop":
+                stopped = False
+                if profiler is not None and profiler.running:
+                    profiler.stop()
+                    stopped = True
+                return {
+                    "running": False,
+                    "stopped": stopped,
+                    "samples": (
+                        profiler.sample_count if profiler is not None else 0
+                    ),
+                }
+            if action == "snapshot":
+                if profiler is None:
+                    return {"running": False, "samples": 0,
+                            "hint": "?action=start to begin sampling"}
+                return profiler.summary()
+            raise ValueError(
+                "unknown profile action %r "
+                "(expected start, stop or snapshot)" % (action,)
+            )
+
+    # ------------------------------------------------------------------
+    # Routing
+    # ------------------------------------------------------------------
+    def build_router(self) -> Router:
+        """The route table :attr:`router` is built from, once, at
+        construction; a subclass extends it through ``super()``."""
+        router = Router()
+        router.add("GET", "/metrics", self._route_metrics)
+        router.add("GET", "/healthz", self._route_healthz)
+        router.add("GET", "/debug", self._route_debug_index)
+        router.add("GET", "/debug/", self._route_debug_index)
+        router.add("GET", "/debug/profile", self._route_profile)
+        router.add_prefix("GET", "/debug/", self._route_debug)
+        return router
+
+    def _route_metrics(self, request: RouteRequest) -> RouteResponse:
+        return RouteResponse(
+            200, PROMETHEUS_CONTENT_TYPE, self.exposition().encode("utf-8")
+        )
+
+    def _route_healthz(self, request: RouteRequest) -> RouteResponse:
+        return json_response(200, self.health(), request, title="/healthz")
+
+    def _route_debug_index(self, request: RouteRequest) -> RouteResponse:
+        return json_response(200, self.debug_index(), request, title="/debug")
+
+    def _route_profile(self, request: RouteRequest) -> RouteResponse:
+        hz_value = request.param("hz")
+        try:
+            hz = int(hz_value) if hz_value else None
+        except ValueError:
+            return error_response(400, "hz must be an integer")
+        action = request.param("action", "snapshot")
+        fmt = request.param("format", "")
+        if action == "snapshot" and fmt in ("speedscope", "folded"):
+            profiler = self.profiler
+            if profiler is None:
+                return error_response(404, "no profiler: ?action=start first")
+            if fmt == "speedscope":
+                body = json.dumps(
+                    profiler.speedscope(), default=repr
+                ).encode("utf-8")
+                return RouteResponse(200, JSON_CONTENT_TYPE, body)
+            body = (profiler.folded_text(by="phase") + "\n").encode("utf-8")
+            return RouteResponse(200, "text/plain; charset=utf-8", body)
+        try:
+            payload = self.profile_action(action, hz=hz)
+        except ValueError as exc:
+            return error_response(400, str(exc))
+        return json_response(200, payload, request, title="/debug/profile")
+
+    def _route_debug(self, request: RouteRequest) -> RouteResponse:
+        name = request.rest
+        provider = self.debug.get(name)
+        if provider is None:
+            return error_response(
+                404,
+                "unknown debug route %r" % name,
+                routes=self.debug_index()["routes"],
+            )
+        payload = provider()  # Router.dispatch maps exceptions to the 500 shape
+        return json_response(200, payload, request, title="/debug/%s" % name)
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def port(self) -> int:
+        if self._server is not None and self._server.sockets:
+            return self._server.sockets[0].getsockname()[1]
+        return self._requested_port
+
+    @property
+    def url(self) -> str:
+        return "http://%s:%d" % (self.host, self.port)
+
+    async def start_async(self) -> "MetricsServer":
+        """Bind and start accepting on the current event loop."""
+        if self._server is None:
+            loop = self._loop = asyncio.get_running_loop()
+            self._server = await loop.create_server(
+                lambda: _Exchange(self, loop), self.host, self._requested_port
+            )
+            self._started_at = time.time()
+            self._draining = False
+        return self
+
+    async def shutdown_async(self, drain: bool = True) -> None:
+        """Stop accepting, wait up to :attr:`drain_timeout` for the open
+        connections to be answered, stop the profiler this server
+        started."""
+        if self._server is None:
+            return
+        self._draining = True
+        server, self._server = self._server, None
+        server.close()
+        if drain and self._connections:
+            await asyncio.wait(set(self._connections), timeout=self.drain_timeout)
+        with self._profile_lock:
+            if self._owns_profiler and self.profiler is not None:
+                self.profiler.stop()
+
+    async def serve_forever(self) -> None:
+        """Foreground mode (the CLI): serve until SIGTERM/SIGINT, then
+        drain gracefully."""
+        import signal
+
+        await self.start_async()
+        loop = asyncio.get_running_loop()
+        stop = asyncio.Event()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, stop.set)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass
+        await stop.wait()
+        await self.shutdown_async(drain=True)
+
+    # -- embedded mode: a private event-loop thread (tests, notebooks) --
+    def start(self) -> "MetricsServer":
+        """Serve from a daemon thread running a private event loop."""
+        if self._thread is not None:
+            return self
+        ready = threading.Event()
+        failure: List[BaseException] = []
+
+        def _run() -> None:
+            loop = asyncio.new_event_loop()
+            asyncio.set_event_loop(loop)
+            self._loop = loop
+            try:
+                loop.run_until_complete(self.start_async())
+            except BaseException as exc:  # surface bind errors to start()
+                failure.append(exc)
+                ready.set()
+                loop.close()
+                return
+            ready.set()
+            try:
+                loop.run_forever()
+            finally:
+                loop.run_until_complete(loop.shutdown_asyncgens())
+                loop.close()
+
+        self._thread = threading.Thread(target=_run, name="repro-http", daemon=True)
+        self._thread.start()
+        ready.wait()
+        if failure:
+            self._thread = None
+            raise failure[0]
+        return self
+
+    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
+        """Drain and stop the embedded server thread (idempotent)."""
+        thread, loop = self._thread, self._loop
+        if thread is None or loop is None:
+            return
+        future = asyncio.run_coroutine_threadsafe(
+            self.shutdown_async(drain=drain), loop
+        )
+        try:
+            future.result(timeout)
+        finally:
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(timeout)
+            self._thread = None
+
+    def __enter__(self) -> "MetricsServer":
+        return self.start()
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.stop()
+        return False
+
+    def __repr__(self) -> str:
+        state = "serving on %s" % self.url if self._server else "stopped"
+        return "%s(%s, %d sources)" % (type(self).__name__, state, len(self.sources))
+
+
+class ServiceServer(MetricsServer):
+    """The multi-tenant query daemon (module docstring)."""
 
     def __init__(
         self,
@@ -333,8 +668,6 @@ class ServiceServer:
         drain_timeout: float = 30.0,
     ):
         self.tenants = tenants if tenants is not None else default_registry()
-        self.host = host
-        self._requested_port = port
         self.drain_timeout = drain_timeout
         self.obslog = obslog
         # One root session owns backend conversion and the shared planner;
@@ -371,22 +704,11 @@ class ServiceServer:
         self._executor = ThreadPoolExecutor(
             max_workers=global_limit, thread_name_prefix="repro-service"
         )
-        # The embedded (never started) metrics server supplies the
-        # shared observability routes and the /debug/profile plumbing.
-        self._obs = MetricsServer(
-            [self.metrics, self._service_exposition],
+        # Last: the base builds the route table, which needs the above.
+        super().__init__(
+            [self.metrics, self._service_exposition], host=host, port=port,
             debug=self._debug_providers(),
         )
-        self.router = self._build_router()
-        self.requests_served = 0
-        self._started_at = 0.0
-        self._draining = False
-        #: The ``done`` future of every open connection (``_Exchange``).
-        self._connections: set = set()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stopped = threading.Event()
 
     # ------------------------------------------------------------------
     # Observability surfaces
@@ -434,14 +756,9 @@ class ServiceServer:
         return registry.to_prometheus()
 
     def health(self) -> Dict[str, Any]:
-        """The ``/healthz`` payload — the MetricsServer fields (identical
-        semantics) plus the service and runtime blocks."""
-        payload = self._obs.health()
-        payload["status"] = "draining" if self._draining else "ok"
-        payload["uptime_seconds"] = (
-            time.time() - self._started_at if self._started_at else 0.0
-        )
-        payload["requests_served"] = self.requests_served
+        """The ``/healthz`` payload: the base fields plus the service and
+        runtime blocks."""
+        payload = super().health()
         payload["service"] = {
             "tenants": self.tenants.names(),
             "admission": self.admission.snapshot(),
@@ -458,16 +775,12 @@ class ServiceServer:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _build_router(self) -> Router:
-        router = self._obs.build_router()
-        router.add("GET", "/healthz", self._route_healthz)
+    def build_router(self) -> Router:
+        router = super().build_router()
         router.add("GET", "/tenants", self._route_tenants)
         for op in ("query", "ask", "explain"):
             router.add("POST", "/" + op, functools.partial(self._serve_op, op))
         return router
-
-    def _route_healthz(self, request: RouteRequest) -> RouteResponse:
-        return json_response(200, self.health(), request, title="/healthz")
 
     def _route_tenants(self, request: RouteRequest) -> RouteResponse:
         payload = {
@@ -663,136 +976,34 @@ class ServiceServer:
         return response
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle: the base's, plus the obslog events and the release of
+    # the sessions and the executor
     # ------------------------------------------------------------------
-    @property
-    def port(self) -> int:
-        if self._server is not None and self._server.sockets:
-            return self._server.sockets[0].getsockname()[1]
-        return self._requested_port
-
-    @property
-    def url(self) -> str:
-        return "http://%s:%d" % (self.host, self.port)
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     async def start_async(self) -> "ServiceServer":
-        """Bind and start accepting on the current event loop."""
-        if self._server is not None:
-            return self
-        loop = self._loop = asyncio.get_running_loop()
-        self._server = await loop.create_server(
-            lambda: _Exchange(self, loop), self.host, self._requested_port
-        )
-        self._started_at = time.time()
-        if self.obslog is not None:
-            self.obslog.emit(
-                "service.started", host=self.host, port=self.port,
-                tenants=self.tenants.names(),
-            )
+        if self._server is None:
+            await super().start_async()
+            if self.obslog is not None:
+                self.obslog.emit(
+                    "service.started", host=self.host, port=self.port,
+                    tenants=self.tenants.names(),
+                )
         return self
 
     async def shutdown_async(self, drain: bool = True) -> None:
-        """Graceful drain: refuse new work, finish in-flight, release."""
         if self._server is None:
             return
-        self._draining = True
         if self.obslog is not None:
             self.obslog.emit(
                 "service.draining",
                 in_flight=self.admission.in_flight_global,
                 connections=len(self._connections),
             )
-        server, self._server = self._server, None
-        server.close()
-        if drain and self._connections:
-            await asyncio.wait(set(self._connections), timeout=self.drain_timeout)
-        dropped = len(self._connections)
+        await super().shutdown_async(drain)
         if self.obslog is not None:
-            self.obslog.emit("service.stopped", dropped_connections=dropped)
+            self.obslog.emit(
+                "service.stopped", dropped_connections=len(self._connections)
+            )
         for session in self.sessions.values():
             session.close()
         self._root.close()
         self._executor.shutdown(wait=False)
-
-    async def serve_forever(self) -> None:
-        """Foreground mode (the CLI): serve until SIGTERM/SIGINT, then
-        drain gracefully."""
-        import signal
-
-        await self.start_async()
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        await stop.wait()
-        await self.shutdown_async(drain=True)
-
-    # -- embedded mode: a private event-loop thread (tests, notebooks) --
-    def start(self) -> "ServiceServer":
-        """Serve from a daemon thread running a private event loop."""
-        if self._thread is not None:
-            return self
-        ready = threading.Event()
-        failure: List[BaseException] = []
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self.start_async())
-            except BaseException as exc:  # surface bind errors to start()
-                failure.append(exc)
-                ready.set()
-                loop.close()
-                return
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-                self._stopped.set()
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-service", daemon=True
-        )
-        self._thread.start()
-        ready.wait()
-        if failure:
-            self._thread = None
-            raise failure[0]
-        return self
-
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Drain and stop the embedded server thread (idempotent)."""
-        thread, loop = self._thread, self._loop
-        if thread is None or loop is None:
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.shutdown_async(drain=drain), loop
-        )
-        try:
-            future.result(timeout)
-        finally:
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout)
-            self._thread = None
-
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
-
-    def __repr__(self) -> str:
-        state = "serving on %s" % self.url if self._started_at else "stopped"
-        return "ServiceServer(%s, %d tenants)" % (state, len(self.sessions))

@@ -13,9 +13,10 @@
 * :mod:`repro.telemetry.context` — the per-query context (trace id,
   tracer, innermost span, resource monitor, cache bypass) in one
   ``ContextVar``;
-* :mod:`repro.telemetry.promhttp` — a stdlib ``/metrics`` + ``/healthz``
-  + ``/debug/*`` endpoint serving the Prometheus text exposition and
-  live plan/query snapshots;
+* :mod:`repro.telemetry.routes` — the route table, request/response
+  types and JSON/HTML/error bodies of the one HTTP front
+  (:class:`repro.service.MetricsServer` serves ``/metrics``,
+  ``/healthz`` and ``/debug/*`` on it);
 * :mod:`repro.telemetry.profiler` — the span-aware sampling wall-clock
   profiler: folded-stack / speedscope flamegraph exports, per-trace
   sample attribution, and GC health gauges.
@@ -65,7 +66,6 @@ from .profiler import (
     validate_speedscope,
     write_speedscope,
 )
-from .promhttp import PROMETHEUS_CONTENT_TYPE, MetricsServer
 from .resources import (
     ResourceBudget,
     ResourceBudgetExceeded,
@@ -75,6 +75,7 @@ from .resources import (
     account_subquery,
     current_monitor,
 )
+from .routes import PROMETHEUS_CONTENT_TYPE
 from .tracer import (
     NULL_TRACER,
     NullTracer,
@@ -133,7 +134,6 @@ __all__ = [
     "validate_speedscope",
     "write_speedscope",
     "PROMETHEUS_CONTENT_TYPE",
-    "MetricsServer",
     "ResourceBudget",
     "ResourceBudgetExceeded",
     "ResourceMonitor",

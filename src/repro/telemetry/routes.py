@@ -1,15 +1,15 @@
-"""Transport-agnostic HTTP route table shared by every repro server.
+"""Transport-agnostic HTTP route table of the one repro HTTP front.
 
-Two daemons expose HTTP in this codebase — the threaded
-:class:`~repro.telemetry.promhttp.MetricsServer` (``repro serve-metrics``)
-and the asyncio query service (:mod:`repro.service`, ``repro serve``).
-Both dispatch through one :class:`Router`, so route matching, the
-``/healthz`` semantics, and the error bodies (400/404/500 JSON shapes)
-are identical regardless of which server answered:
+:class:`~repro.service.MetricsServer` (``repro serve-metrics``, ``repro
+run --serve-debug``) and its subclass, the query service
+:class:`~repro.service.ServiceServer` (``repro serve``), dispatch every
+request through one :class:`Router` built by
+``MetricsServer.build_router``, on one asyncio transport:
 
 * every error is ``{"error": "<message>", ...}`` JSON with the matching
   status code — a 404 additionally lists the routes the server *does*
-  serve;
+  serve, a 405 (a path routed under another method) names the methods
+  it takes, also in an ``Allow`` header;
 * any JSON payload can be rendered as a self-contained auto-refreshing
   HTML page with ``?format=html``;
 * handlers never kill the server: an exception inside one becomes a 500
@@ -17,8 +17,9 @@ are identical regardless of which server answered:
 
 A handler takes a :class:`RouteRequest` and returns a
 :class:`RouteResponse` (or any JSON-serialisable object, which is wrapped
-into a 200).  Handlers may be coroutine functions — the asyncio server
-awaits them; the threaded server only registers synchronous ones.
+into a 200).  A handler may also return an awaitable (the query
+service's routes do when they must wait), which the transport awaits on
+its event loop.
 """
 
 from __future__ import annotations
@@ -159,11 +160,11 @@ class Router:
         response = router.dispatch(RouteRequest("GET", "/healthz"))
 
     ``dispatch`` returns a :class:`RouteResponse` — or, when the matched
-    handler is a coroutine function, whatever awaitable it produced (the
-    asyncio server awaits it; if the awaited value is not already a
-    ``RouteResponse`` it is wrapped via :meth:`finish`).  Unknown paths
-    get the shared 404 listing every registered route; handler
-    exceptions become the shared 500 shape.
+    handler returned an awaitable, that awaitable (the transport awaits
+    it; if the awaited value is not already a ``RouteResponse`` it is
+    wrapped via :meth:`finish`).  Unknown paths get the shared 404
+    listing every registered route, a known path under another method
+    the 405; handler exceptions become the shared 500 shape.
     """
 
     def __init__(self) -> None:
@@ -205,16 +206,29 @@ class Router:
         return None
 
     def dispatch(self, request: RouteRequest) -> Any:
-        """Resolve and invoke; shared 404/500 semantics.
+        """Resolve and invoke; shared 404/405/500 semantics.
 
-        Synchronous handlers come back as a finished
-        :class:`RouteResponse`.  A coroutine handler's awaitable is
-        returned as-is — the caller must await it and pass the value
-        through :meth:`finish` (which also maps exceptions raised during
-        the await to the shared 500 shape).
+        A handler's value comes back as a finished :class:`RouteResponse`
+        — unless it is awaitable, which is returned as-is: the caller must
+        await it and pass the value through :meth:`finish` (mapping an
+        exception raised during the await through
+        :meth:`internal_error`).
         """
         handler = self.resolve(request)
         if handler is None:
+            path = request.path
+            allowed = sorted(
+                {method for method, routed in self._exact if routed == path}
+                | {method for method, prefix, _ in self._prefixes
+                   if path.startswith(prefix)}
+            )
+            if allowed:
+                return error_response(
+                    405,
+                    "%s %s is not allowed" % (request.method, request.path),
+                    headers={"Allow": ", ".join(allowed)},
+                    allowed=allowed,
+                )
             return error_response(
                 404,
                 "no route for %s %s" % (request.method, request.path),

@@ -3,8 +3,14 @@
 import ast
 import importlib.util
 import inspect
+import json
 import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import urllib.request
 
 import pytest
 
@@ -97,6 +103,17 @@ class TestRun:
         (slow,) = [e for e in events if e["event"] == "query.slow"]
         assert slow["profile"]["nodes"]
 
+    def test_serve_debug_leaves_no_server_or_profiler(self, capsys, triples_file):
+        from repro.telemetry.profiler import current_profiler
+
+        before = set(threading.enumerate())
+        code = main(["run", "{ ?x knows ?y }", triples_file, "--serve-debug", "0"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert re.search(r"serving http://127\.0\.0\.1:\d+/metrics", out)
+        assert set(threading.enumerate()) <= before
+        assert current_profiler() is None
+
     def test_query_log_unwritable(self, capsys, triples_file):
         code = main(
             ["run", "{ ?x knows ?y }", triples_file,
@@ -130,6 +147,36 @@ class TestMetrics:
         assert "serving http://127.0.0.1:" in out
         assert '"status": "ok"' in out
         assert "repro_planner_engine_selected" in out
+
+
+@pytest.mark.parametrize("command", ["serve", "serve-metrics"])
+def test_daemon_answers_and_exits_0_on_sigterm(command):
+    """Both daemons run the one front's ``serve_forever``: each prints its
+    URL, answers ``/healthz``, and drains and exits 0 on SIGTERM."""
+    env = dict(
+        os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"),
+        PYTHONUNBUFFERED="1",
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", command, "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    hang = threading.Timer(120, proc.kill)  # a hang fails, it never blocks
+    hang.start()
+    try:
+        banner = proc.stdout.readline()
+        url = re.match(r"serving (http://127\.0\.0\.1:\d+)/", banner)
+        assert url, (banner, proc.stderr.read())
+        with urllib.request.urlopen(url.group(1) + "/healthz", timeout=30) as r:
+            assert json.loads(r.read())["status"] == "ok"
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    finally:
+        hang.cancel()
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
 
 
 class TestDemo:
@@ -475,3 +522,32 @@ def test_a_mapping_is_its_graph_and_nothing_reads_a_stored_dict():
             if isinstance(node, ast.Attribute):
                 assert node.attr != "_assignment", (path, node.lineno)
     assert found == {"Mapping", "Variable", "Constant"}  # found and read, not skipped
+
+
+def test_one_http_transport():
+    """The service's asyncio transport is the only HTTP server in the
+    package: nothing imports ``http.server`` or ``socketserver``, one class
+    is an ``asyncio`` protocol and one call binds a listening socket."""
+    protocols, binds = [], []
+    for path, tree in _source_trees("."):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["%s.%s" % (node.module, alias.name) for alias in node.names]
+            else:
+                names = []
+            for name in names:
+                assert not name.startswith(("http.server", "socketserver")), (path, name)
+            if isinstance(node, ast.ClassDef):
+                if any(re.fullmatch(r"asyncio\.\w*Protocol", ast.unparse(base))
+                       for base in node.bases):
+                    protocols.append(node.name)
+            if isinstance(node, ast.Attribute) and node.attr in (
+                "create_server", "start_server", "start_unix_server"
+            ):
+                binds.append(path)
+    assert protocols == ["_Exchange"]
+    assert [os.path.relpath(p, os.path.dirname(cli.__file__)) for p in binds] == [
+        os.path.join("service", "server.py")
+    ]

@@ -31,7 +31,7 @@ from repro.telemetry.profiler import (
     validate_folded,
     validate_speedscope,
 )
-from repro.telemetry.promhttp import MetricsServer
+from repro.service import MetricsServer, ServiceServer
 from repro.telemetry.tracer import tracing
 from repro.workloads.families import FIGURE1_QUERY_TEXT, example2_graph
 
@@ -334,35 +334,52 @@ def _get(url):
         return response.status, json.loads(response.read().decode())
 
 
+#: Both servers own the /debug/profile route, and stopping either stops
+#: the profiler it started.
+_SERVERS = (
+    lambda: MetricsServer(MetricsRegistry(), port=0),
+    lambda: ServiceServer(example2_graph()),
+)
+
+
+def _no_sampler_left():
+    return current_profiler() is None and not any(
+        thread.name.startswith("repro-profiler")
+        for thread in threading.enumerate()
+    )
+
+
 def test_debug_profile_lifecycle_over_http():
-    registry = MetricsRegistry()
-    with MetricsServer(registry, port=0) as server:
-        status, payload = _get(server.url + "/debug/profile")
-        assert status == 200 and payload["running"] is False
-        assert "hint" in payload
-        status, payload = _get(
-            server.url + "/debug/profile?action=start&hz=300")
-        assert status == 200
-        assert payload["running"] is True and payload["hz"] == 300
-        _busy(0.05)
-        status, snapshot = _get(
-            server.url + "/debug/profile?action=snapshot")
-        assert status == 200 and "phases" in snapshot
-        with urllib.request.urlopen(
-            server.url + "/debug/profile?format=speedscope"
-        ) as response:
-            speedscope = json.loads(response.read().decode())
-        # May legitimately be empty if no sample landed yet; only
-        # validate the shape keys.
-        assert speedscope["$schema"] == profiler_mod.SPEEDSCOPE_SCHEMA
-        with urllib.request.urlopen(
-            server.url + "/debug/profile?format=folded"
-        ) as response:
-            assert response.headers["Content-Type"].startswith("text/plain")
-        status, payload = _get(server.url + "/debug/profile?action=stop")
-        assert status == 200 and payload["running"] is False
-    # Server stop also stops the owned profiler and clears the hooks.
-    assert current_profiler() is None
+    for make_server in _SERVERS:
+        with make_server() as server:
+            status, payload = _get(server.url + "/debug/profile")
+            assert status == 200 and payload["running"] is False
+            assert "hint" in payload
+            status, payload = _get(
+                server.url + "/debug/profile?action=start&hz=300")
+            assert status == 200
+            assert payload["running"] is True and payload["hz"] == 300
+            _busy(0.05)
+            status, snapshot = _get(
+                server.url + "/debug/profile?action=snapshot")
+            assert status == 200 and "phases" in snapshot
+            with urllib.request.urlopen(
+                server.url + "/debug/profile?format=speedscope"
+            ) as response:
+                speedscope = json.loads(response.read().decode())
+            # May legitimately be empty if no sample landed yet; only
+            # validate the shape keys.
+            assert speedscope["$schema"] == profiler_mod.SPEEDSCOPE_SCHEMA
+            with urllib.request.urlopen(
+                server.url + "/debug/profile?format=folded"
+            ) as response:
+                assert response.headers["Content-Type"].startswith("text/plain")
+            status, payload = _get(server.url + "/debug/profile?action=stop")
+            assert status == 200 and payload["running"] is False
+            status, payload = _get(server.url + "/debug/profile?action=start")
+            assert status == 200 and payload["started"] is True
+        # Server stop also stops the owned profiler and clears the hooks.
+        assert _no_sampler_left(), server
 
 
 def test_debug_profile_error_paths():
@@ -384,32 +401,30 @@ def test_debug_profile_error_paths():
 
 
 def test_debug_profile_survives_concurrent_start_stop_races():
-    with MetricsServer(MetricsRegistry(), port=0) as server:
-        errors = []
+    for make_server in _SERVERS:
+        with make_server() as server:
+            errors = []
 
-        def hammer(action):
-            for _ in range(10):
-                try:
-                    _get(server.url + "/debug/profile?action=" + action)
-                except Exception as exc:  # noqa: BLE001 - collect all
-                    errors.append(exc)
+            def hammer(action):
+                for _ in range(10):
+                    try:
+                        _get(server.url + "/debug/profile?action=" + action)
+                    except Exception as exc:  # noqa: BLE001 - collect all
+                        errors.append(exc)
 
-        threads = [
-            threading.Thread(target=hammer, args=(action,))
-            for action in ("start", "stop", "snapshot", "start", "stop")
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        # Whatever the interleaving, stop leaves exactly zero samplers.
-        _get(server.url + "/debug/profile?action=stop")
-    assert current_profiler() is None
-    assert not any(
-        thread.name.startswith("repro-profiler")
-        for thread in threading.enumerate()
-    )
+            threads = [
+                threading.Thread(target=hammer, args=(action,))
+                for action in ("start", "stop", "snapshot", "start", "stop")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == []
+            _get(server.url + "/debug/profile?action=start")
+        # Whatever the interleaving, stopping the server leaves exactly zero
+        # samplers.
+        assert _no_sampler_left(), server
 
 
 def test_debug_unknown_route_and_broken_provider_still_honored():

@@ -8,8 +8,9 @@ import urllib.error
 import urllib.request
 
 from repro.engine import Session
+from repro.service import MetricsServer
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.promhttp import PROMETHEUS_CONTENT_TYPE, MetricsServer
+from repro.telemetry.routes import PROMETHEUS_CONTENT_TYPE
 from repro.workloads.families import FIGURE1_QUERY_TEXT, example2_graph
 
 EXAMPLE2_QUERY = "SELECT ?x ?y ?z ?z2 WHERE " + FIGURE1_QUERY_TEXT
@@ -134,12 +135,27 @@ def test_healthz_and_404():
             health = json.loads(response.read().decode("utf-8"))
         assert health["status"] == "ok"
         assert health["sources"] == 1
-        try:
-            urllib.request.urlopen(server.url + "/nope")
-        except urllib.error.HTTPError as exc:
-            assert exc.code == 404
-        else:  # pragma: no cover
-            raise AssertionError("expected a 404")
+        for method, path, status, allow in [
+            ("GET", "/nope", 404, None),
+            ("POST", "/metrics", 405, "GET"),
+            ("POST", "/healthz", 405, "GET"),
+            ("POST", "/debug/plans", 405, "GET"),
+        ]:
+            request = urllib.request.Request(
+                server.url + path, method=method,
+                data=b"{}" if method == "POST" else None,
+            )
+            try:
+                urllib.request.urlopen(request)
+            except urllib.error.HTTPError as exc:
+                assert exc.code == status, path
+                assert exc.headers["Content-Type"] == "application/json"
+                assert exc.headers["Allow"] == allow
+                body = json.loads(exc.read().decode("utf-8"))
+                assert "error" in body
+                assert body.get("allowed") == (allow and [allow])
+            else:  # pragma: no cover
+                raise AssertionError("expected a %d" % status)
 
 
 def test_server_accepts_callable_sources_and_live_updates():

@@ -569,6 +569,18 @@ class TestLiveRequests:
         assert status == 404
         assert "error" in body and "routes" in body
         assert "POST /query" in body["routes"]
+        # A path routed under another method is a 405 naming the methods.
+        for method, path, allow in [
+            ("GET", "/query", "POST"),
+            ("POST", "/metrics", "GET"),
+            ("POST", "/debug/plans", "GET"),
+        ]:
+            status, body, headers = _request(
+                server.url, path, method=method, raw=b"{}" if method == "POST" else None
+            )
+            assert status == 405, path
+            assert "error" in body and body["allowed"] == [allow]
+            assert headers["Allow"] == allow
 
     def test_budget_exceeded_is_429(self, server):
         status, body, headers = _request(
