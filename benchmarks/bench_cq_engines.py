@@ -4,7 +4,7 @@ Reproduces the substrate claims the WDPT results build on:
 
 * acyclic CQs (``HW(1)``): Yannakakis scales polynomially where the naive
   engine blows up on adversarial path queries;
-* bounded treewidth (``TW(k)``): the decomposition engine matches naive
+* bounded treewidth (``TW(k)``): bucket elimination matches naive
   answers and scales on cycle queries;
 * Example 5's ``θ_n``: acyclic for every n (hypertree machinery) while
   treewidth grows — the reason HW(k) matters at all.

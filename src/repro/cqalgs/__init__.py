@@ -1,6 +1,6 @@
 """Conjunctive-query algorithms.
 
-Evaluation engines (naive, Yannakakis, bounded treewidth/hypertreewidth),
+Evaluation engines (naive, Yannakakis, bounded treewidth),
 homomorphisms, containment, cores, quotients, and the CQ approximations of
 Barceló–Libkin–Romero used by Sections 5–6 of the paper.
 """
@@ -45,7 +45,7 @@ from .naive import (
     satisfiable,
 )
 from .quotients import count_partitions, enumerate_quotients, quotient
-from .structured import evaluate_bounded_hypertreewidth, evaluate_bounded_treewidth
+from .structured import evaluate_bounded_treewidth, satisfiable_by_elimination
 from .yannakakis import evaluate_acyclic, evaluate_with_join_tree
 
 __all__ = [
@@ -82,8 +82,8 @@ __all__ = [
     "count_partitions",
     "enumerate_quotients",
     "quotient",
-    "evaluate_bounded_hypertreewidth",
     "evaluate_bounded_treewidth",
+    "satisfiable_by_elimination",
     "evaluate_acyclic",
     "evaluate_with_join_tree",
 ]

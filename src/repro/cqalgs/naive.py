@@ -2,10 +2,10 @@
 
 The general-purpose engine: sound and complete for every CQ, exponential in
 query size in the worst case (CQ evaluation is NP-complete, Section 3.1).
-It is the baseline against which the structure-exploiting engines
-(:mod:`repro.cqalgs.yannakakis`, :mod:`repro.cqalgs.structured`) are
-benchmarked, the inner evaluator for the per-node CQs of WDPT algorithms
-when no structure is declared, and the homomorphism test behind all of
+It is the baseline against which Yannakakis (:mod:`repro.cqalgs.yannakakis`)
+and bucket elimination (:mod:`repro.cqalgs.structured`) are benchmarked,
+the inner evaluator for the per-node CQs of WDPT algorithms when no
+structure is declared, and the homomorphism test behind all of
 Sections 4–6 (subsumption, approximation, ``φ_cq``).
 
 **What is compiled.**  A call compiles its atom list once

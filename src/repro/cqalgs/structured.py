@@ -1,28 +1,30 @@
-"""Structure-exploiting CQ evaluation: bounded treewidth and hypertreewidth.
+"""Bounded-treewidth CQ evaluation by bucket elimination (Theorem 2).
 
-These engines realize Theorems 2 and 3 of the paper: CQs in ``TW(k)`` /
-``HW(k)`` evaluate in polynomial time for fixed ``k``.  Both reduce the CQ
-to an *acyclic* instance and finish with Yannakakis:
+Theorem 2 of the paper: CQs in ``TW(k)`` evaluate in time ``|D|^{k+1}``
+for fixed ``k``.  The engine is bucket elimination (Dechter, *Bucket
+elimination*, AIJ 1999) over an elimination order of the query's
+variables whose width is ``k``:
 
-1. compute a (hyper)tree decomposition of the query hypergraph;
-2. materialize one relation per decomposition node ("bag"): the join of
-   the atoms assigned to / covering the bag, projected onto the bag's
-   variables (cost ``|D|^{k+1}`` resp. ``|D|^k``);
-3. the bag relations are an acyclic instance with the decomposition tree
-   as its join tree: hand them to the semi-join program
-   (:func:`~repro.cqalgs.yannakakis.semijoin_reduce`) — for a Boolean
-   question (:func:`satisfiable_with_decomposition`) its bottom-up sweep
-   alone decides, and the run stops there;
-4. assemble the answers with the join/projection phase
-   (:func:`~repro.cqalgs.yannakakis.columnar_join_phase`).
-
-Every original atom is assigned to some bag (guaranteed by decomposition
-condition (2)), so the join of the bag relations is the original query.
+1. every atom's scan goes into the bucket of its earliest variable in the
+   order (a ground atom is a filter, read once with ``db.exists``);
+2. buckets are processed in order: a bucket joins its factors — all of
+   them mention its variable, so no join is a domain product — and hands
+   the join's projection without that variable to the bucket of the next
+   variable left in scope.  A bucket holds at most its variable and that
+   variable's neighbours at elimination time: ``k + 1`` variables;
+3. the Boolean form (:func:`satisfiable_by_elimination`) stops at the
+   first empty bucket, and is satisfiable when none empties;
+4. for answers, each bucket's join sits below the bucket its message went
+   to, so the buckets form a join tree of an acyclic instance whose join
+   is the query: the semi-join program
+   (:func:`~repro.cqalgs.yannakakis.semijoin_reduce`) and the join phase
+   (:func:`~repro.cqalgs.yannakakis.columnar_join_phase`) finish, as for
+   any acyclic query.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from ..collector import collector_paused
 from ..core.atoms import Atom
@@ -31,89 +33,39 @@ from ..core.database import Database
 from ..core.mappings import Mapping
 from ..core.terms import Variable
 from ..exceptions import ClassMembershipError
-from ..hypergraphs.gyo import join_tree_shape
+from ..hypergraphs.gyo import JoinTree, join_tree_shape
 from ..hypergraphs.hypergraph import hypergraph_of_cq
-from ..hypergraphs.hypertree import hypertree_decomposition
-from ..hypergraphs.treedecomp import TreeDecomposition
-from ..hypergraphs.treewidth import tree_decomposition
+from ..hypergraphs.treewidth import elimination_order, order_width
 from ..relalg.relation import Relation, hash_join, project, scan, to_mappings
 from ..telemetry.resources import account_rows
+from ..telemetry.tracer import current_tracer
 from .yannakakis import columnar_join_phase, semijoin_reduce
 
 
 def evaluate_bounded_treewidth(
-    query: ConjunctiveQuery,
-    db: Database,
-    k: Optional[int] = None,
-    decomposition: Optional[TreeDecomposition] = None,
+    query: ConjunctiveQuery, db: Database, k: Optional[int] = None
 ) -> FrozenSet[Mapping]:
-    """``q(D)`` via a tree decomposition (Theorem 2 engine).
+    """``q(D)`` by bucket elimination over a minimum-width elimination
+    order of the query's variables (Theorem 2 engine).
 
-    ``k`` (optional) asserts a width bound: a wider decomposition raises
+    ``k`` (optional) asserts a width bound: a wider query raises
     :class:`~repro.exceptions.ClassMembershipError`.
     """
     H = hypergraph_of_cq(query)
-    td = decomposition if decomposition is not None else tree_decomposition(H)
-    if k is not None and td.width() > k:
+    order = elimination_order(H)
+    width = order_width(H, order)
+    if k is not None and width > k:
         raise ClassMembershipError(
-            "query has treewidth %d > requested bound %d" % (td.width(), k)
+            "query has treewidth %d > requested bound %d" % (width, k)
         )
-    return _evaluate_with_decomposition(query, db, td)
-
-
-def evaluate_bounded_hypertreewidth(
-    query: ConjunctiveQuery,
-    db: Database,
-    k: Optional[int] = None,
-    decomposition: Optional[TreeDecomposition] = None,
-) -> FrozenSet[Mapping]:
-    """``q(D)`` via a generalized hypertree decomposition (Theorem 3 engine)."""
-    H = hypergraph_of_cq(query)
-    td = decomposition if decomposition is not None else hypertree_decomposition(H)
-    if td.covers is None:
-        raise ClassMembershipError("decomposition has no edge covers")
-    if k is not None and td.hypertree_width() > k:
-        raise ClassMembershipError(
-            "query has hypertreewidth %d > requested bound %d"
-            % (td.hypertree_width(), k)
-        )
-    return _evaluate_with_decomposition(query, db, td)
-
-
-def satisfiable_with_decomposition(
-    atoms: Sequence[Atom], td: TreeDecomposition, db: Database
-) -> bool:
-    """Boolean twin of the two engines above: is the Boolean CQ over
-    ``atoms`` satisfiable, given a decomposition ``td`` of its hypergraph?
-
-    After the bottom-up semi-join sweep over the bag relations the root
-    bag is non-empty iff the query is satisfiable, so the top-down sweep
-    and the join phase never run and nothing is assembled — the
-    decomposition counterpart of
-    :func:`~repro.cqalgs.yannakakis.satisfiable_with_join_tree`.
-    """
-    relations = _bag_relations(atoms, td, db)
-    if relations is None:
-        return False
-    if not relations:
-        return True  # purely ground, and every atom holds
-    tree = join_tree_shape(_decomposition_links(td), len(relations))
-    return semijoin_reduce(relations, tree, top_down=False)
-
-
-def _evaluate_with_decomposition(
-    query: ConjunctiveQuery, db: Database, td: TreeDecomposition
-) -> FrozenSet[Mapping]:
-    # Bags, sweeps, join phase and answers allocate no reference cycles:
-    # the cyclic collector is paused for the whole build.
     with collector_paused:
-        relations = _bag_relations(query.atoms, td, db)
-        if relations is None:
+        buckets = _eliminate(query.atoms, order, db, False)
+        if buckets is None:
             return frozenset()
-        if not relations:
+        relations, tree = buckets
+        if tree is None:
             # Purely ground query that passed all filters: the empty mapping.
-            return frozenset([Mapping()]) if not query.free_variables else frozenset()
-        tree = join_tree_shape(_decomposition_links(td), len(relations))
+            return frozenset([Mapping()])
         if not semijoin_reduce(relations, tree):
             return frozenset()
         return to_mappings(
@@ -121,99 +73,76 @@ def _evaluate_with_decomposition(
         )
 
 
-def _bag_relations(
-    atoms: Iterable[Atom], td: TreeDecomposition, db: Database
-) -> Optional[List[Relation]]:
-    """One non-empty relation per bag of ``td`` — the acyclic instance
-    both forms hand to the semi-join program; ``None`` as soon as a ground
-    atom has no matching fact or a bag relation is empty (no answers), and
-    ``[]`` when every atom is ground and all of them hold."""
-    # Ground atoms (no variables) are global filters.
-    variable_atoms: List[Atom] = []
+def satisfiable_by_elimination(
+    atoms: Sequence[Atom], order: Sequence[Variable], db: Database
+) -> bool:
+    """Is the Boolean CQ over ``atoms`` satisfiable?  Bucket elimination
+    over ``order`` (the variables of ``atoms``), stopping at the first
+    empty bucket; nothing is kept once its message is sent."""
+    with collector_paused:
+        return _eliminate(atoms, order, db, True) is not None
+
+
+def _eliminate(
+    atoms: Sequence[Atom], order: Sequence[Variable], db: Database, boolean: bool
+) -> Union[None, bool, Tuple[List[Relation], Optional[JoinTree]]]:
+    """Run the buckets of ``order``: ``None`` as soon as a ground atom
+    fails or a bucket empties; otherwise ``True`` when ``boolean``, else
+    the bucket relations and their join tree (``None`` for an empty
+    ``order``)."""
+    position = {v: i for i, v in enumerate(order)}
+    n = len(order)
+    pending: List[List[Atom]] = [[] for _ in range(n)]
+    messages: List[List[Relation]] = [[] for _ in range(n)]
     for a in sorted(set(atoms)):
-        if a.variables():
-            variable_atoms.append(a)
-        elif not any(True for _ in db.match(a)):
-            return None
-    if not variable_atoms:
-        return []
-
-    assignment = _assign_atoms_to_bags(variable_atoms, td)
-
-    # Materialize one relation per bag: its cover edges' and assigned
-    # atoms' relations, then a unary domain per variable still uncovered.
-    # An empty bag (a padding node of a degenerate decomposition) is the
-    # Boolean *true* relation, which constrains nothing.
-    relations: List[Relation] = []
-    for i, bag in enumerate(td.bags):
-        covering = [
-            _atom_with_variables(variable_atoms, edge)
-            for edge in (td.covers[i] if td.covers is not None else ())
-        ]
-        relation = Relation((), [()], db.codec)
-        for a in covering + assignment.get(i, []):
-            relation = _join(relation, scan(a, db))
-        for v in sorted(bag.difference(relation.schema), key=repr):
-            relation = _join(relation, _unary_domain(v, variable_atoms, db))
-        relation = project(relation, bag)
-        if not relation.rows:
-            return None
-        relations.append(relation)
-    return relations
-
-
-def _join(left: Relation, right: Relation) -> Relation:
-    """One factor joined into a bag relation, the intermediate result
-    accounted so a hard row budget stops a bag blow-up where it starts."""
-    joined = hash_join(left, right)
-    account_rows(len(joined))
-    return joined
-
-
-def _assign_atoms_to_bags(
-    atoms: Sequence[Atom], td: TreeDecomposition
-) -> Dict[int, List[Atom]]:
-    assignment: Dict[int, List[Atom]] = {}
-    for a in atoms:
-        vs = a.variables()
-        for i, bag in enumerate(td.bags):
-            if vs <= bag:
-                assignment.setdefault(i, []).append(a)
-                break
+        variables = a.variables()
+        if not variables:
+            if not db.exists(a):
+                return None
         else:
-            raise ClassMembershipError(
-                "decomposition has no bag containing atom %r" % (a,)
-            )
-    return assignment
-
-
-def _atom_with_variables(atoms: Sequence[Atom], variables: FrozenSet[Variable]) -> Atom:
-    for a in atoms:
-        if a.variables() == variables:
-            return a
-    raise ClassMembershipError(
-        "cover edge %r corresponds to no atom" % (sorted(map(repr, variables)),)
-    )
-
-
-def _unary_domain(v: Variable, atoms: Sequence[Atom], db: Database) -> Relation:
-    """All values ``v`` can take in any atom mentioning it (a tight unary
-    relation used to pad bag variables not covered by local atoms)."""
-    for a in atoms:
-        if v in a.variables():
-            return project(scan(a, db), [v])
-    raise ClassMembershipError("variable %r occurs in no atom" % (v,))
-
-
-def _decomposition_links(td: TreeDecomposition) -> List[Tuple[int, int]]:
-    """The decomposition tree as child→parent links, rooted at node 0."""
+            pending[min(map(position.__getitem__, variables))].append(a)
+    tracer = current_tracer()
+    relations: List[Relation] = []
     links: List[Tuple[int, int]] = []
-    seen = {0}
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for neighbour in td.neighbours(node) - seen:
-            seen.add(neighbour)
-            links.append((neighbour, node))
-            stack.append(neighbour)
-    return links
+    scopes: List[int] = []
+    sizes: List[int] = []
+    with tracer.span("elimination", variables=n, boolean=boolean) as sp:
+        for i, v in enumerate(order):
+            # Every factor mentions ``v``.  The scans are seeded with the
+            # smallest message, so they keep only rows that can join it.
+            factors = sorted(messages[i], key=len)
+            seed = factors[0] if factors else None
+            for a in pending[i]:
+                rel = scan(a, db, seed)
+                account_rows(len(rel))
+                if not rel.rows:
+                    return None
+                factors.append(rel)
+            factors.sort(key=len)
+            rest = frozenset().union(*[f.schema for f in factors]) - {v}
+            joined = factors[0]
+            for f in factors[1:-1]:
+                joined = hash_join(joined, f)
+                account_rows(len(joined))
+            if len(factors) > 1:
+                # The Boolean form emits the message's columns only.
+                joined = hash_join(joined, factors[-1], rest if boolean else None)
+                account_rows(len(joined))
+            if not joined.rows:
+                return None
+            if tracer.enabled:
+                scopes.append(len(rest) + 1)
+                sizes.append(len(joined))
+            if not boolean:
+                relations.append(joined)
+            if rest:
+                parent = min(map(position.__getitem__, rest))
+                messages[parent].append(project(joined, rest))
+                links.append((i, parent))
+            elif i != n - 1:
+                links.append((i, n - 1))
+        if tracer.enabled:
+            sp.set(bucket_variables=scopes, bucket_rows=sizes)
+    if boolean:
+        return True
+    return relations, (join_tree_shape(links, n) if n else None)

@@ -6,8 +6,8 @@ rest, (3) a bottom-up join/projection pass assembles the answers while only
 ever keeping variables that are still needed above (free variables plus the
 interface to the parent).  Runs in time polynomial in ``|D| + |output|`` —
 the concrete engine behind the paper's use of ``HW(1) = AC`` (Theorem 3
-with ``k = 1``), and the last stage of the bounded-width engines
-(:mod:`repro.cqalgs.structured`), whose bags form an acyclic instance.
+with ``k = 1``), and the last stage of the Theorem 2 engine
+(:mod:`repro.cqalgs.structured`), whose buckets form an acyclic instance.
 
 Phases (1) and (2) — the semi-join program — are written once, in
 :func:`semijoin_reduce`, over :class:`~repro.relalg.relation.Relation`
@@ -16,7 +16,8 @@ the tree's root-first order, children before parents on the way up and
 parents before children on the way down, so every pass reads relations
 that are already final.  Everything that needs a reduction calls it:
 evaluation and the Boolean path here, answer enumeration
-(:mod:`repro.cqalgs.enumeration`), and the Theorem 2/3 engines.
+(:mod:`repro.cqalgs.enumeration`), and the answers form of bucket
+elimination.
 
 :func:`relation_with_join_tree` is the entry point: it returns the answers
 as a :class:`~repro.relalg.relation.Relation` and optionally takes a

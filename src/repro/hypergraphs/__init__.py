@@ -28,6 +28,7 @@ from .hypertree import (
 )
 from .treedecomp import TreeDecomposition, decomposition_from_elimination_order
 from .treewidth import (
+    elimination_order,
     min_degree_order,
     min_fill_order,
     order_width,
@@ -59,6 +60,7 @@ __all__ = [
     "minimum_edge_cover",
     "TreeDecomposition",
     "decomposition_from_elimination_order",
+    "elimination_order",
     "min_degree_order",
     "min_fill_order",
     "order_width",

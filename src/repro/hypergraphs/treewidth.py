@@ -21,8 +21,10 @@ Public API:
 * :func:`treewidth_exact` — the exact treewidth.
 * :func:`treewidth_at_most` — decision ``tw(H) ≤ k`` (with fast paths).
 * :func:`treewidth_upper_bound` / :func:`treewidth_lower_bound`.
-* :func:`tree_decomposition` — a witness decomposition of minimum width
-  (or of heuristic width when ``exact=False``).
+* :func:`elimination_order` — an order of minimum width (or of heuristic
+  width when ``exact=False``), the one the Theorem 2 engine eliminates in.
+* :func:`tree_decomposition` — the witness decomposition that order
+  induces.
 """
 
 from __future__ import annotations
@@ -288,17 +290,23 @@ def treewidth_at_most(H: Hypergraph, k: int) -> bool:
     return _order_within(graph, graph.q_size, k) is not None
 
 
-def tree_decomposition(H: Hypergraph, exact: bool = True) -> TreeDecomposition:
-    """A tree decomposition of ``H`` — minimum width when ``exact`` (default),
-    otherwise the best heuristic one.  Each connected component is ordered
-    on its own (widths are independent across components); a component
-    beyond :data:`EXACT_VERTEX_LIMIT` vertices gets its heuristic order."""
-    if not H.vertices:
-        return TreeDecomposition([frozenset()], [])
+def elimination_order(H: Hypergraph, exact: bool = True) -> List[Vertex]:
+    """An elimination order of ``H`` — of minimum width when ``exact``
+    (default), otherwise the best heuristic one.  Each connected component
+    is ordered on its own (widths are independent across components); a
+    component beyond :data:`EXACT_VERTEX_LIMIT` vertices gets its
+    heuristic order."""
     order: List[Vertex] = []
     for part in _components(H):
         if exact and len(part.vertices) <= EXACT_VERTEX_LIMIT:
             order.extend(_exact(part)[1])
         else:
             order.extend(_best_heuristic(part)[1])
-    return decomposition_from_elimination_order(H, order)
+    return order
+
+
+def tree_decomposition(H: Hypergraph, exact: bool = True) -> TreeDecomposition:
+    """The tree decomposition of :func:`elimination_order`'s order."""
+    if not H.vertices:
+        return TreeDecomposition([frozenset()], [])
+    return decomposition_from_elimination_order(H, elimination_order(H, exact))

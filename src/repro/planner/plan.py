@@ -9,10 +9,10 @@ routing rule, one branch per op kind:
   caller has keys; cyclic → the compiled backtracking search, once per
   distinct key;
 * **Boolean under a bound set** — ``probe`` when no two atoms share a
-  variable the binding leaves open; otherwise Yannakakis if acyclic, the
-  Theorem 2 sweep over a decomposition already cut to the open variables
-  if the treewidth bound is at most :data:`TW_CUTOFF`, the search if
-  neither.
+  variable the binding leaves open; otherwise Yannakakis if acyclic,
+  Theorem 2's bucket elimination over the elimination order with the
+  bound variables dropped if the treewidth bound is at most
+  :data:`TW_CUTOFF`, the search if neither.
 
 :class:`~repro.planner.profile.StructuralProfile` keeps each plan it is
 asked for, one per (op kind, ``bound ∩ vars(shape)``); the top-down
@@ -22,10 +22,9 @@ those, never the rule.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, FrozenSet, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, FrozenSet, NamedTuple, Optional, Tuple, Union
 
 from ..hypergraphs.gyo import JoinTree
-from ..hypergraphs.treedecomp import TreeDecomposition
 
 if TYPE_CHECKING:  # pragma: no cover - profile imports this module
     from ..core.terms import Variable
@@ -41,7 +40,7 @@ ENGINE_NAIVE = "naive"
 ENGINE_PROBE = "probe"
 
 #: Treewidth (heuristic upper bound) up to which a Boolean check runs the
-#: decomposition engine rather than the search.
+#: elimination engine rather than the search.
 TW_CUTOFF = 3
 
 _YANNAKAKIS = "Theorem 3, k=1 (HW(1) = AC): Yannakakis over the memoized join tree"
@@ -55,8 +54,9 @@ class NodePlan(NamedTuple):
     #: The paper result (or the reason) justifying the engine.
     theorem: str
     #: What the engine runs on: the ``JoinTree`` (Yannakakis), the
-    #: ``TreeDecomposition`` (Theorem 2), or ``None`` (search, probe).
-    structure: Union[JoinTree, TreeDecomposition, None] = None
+    #: elimination order of the open variables (Theorem 2), or ``None``
+    #: (search, probe).
+    structure: Union[JoinTree, Tuple[Variable, ...], None] = None
 
     def describe(self) -> str:
         """One-line EXPLAIN: engine plus justification."""
@@ -70,8 +70,8 @@ def plan_node(
     None``) or for a Boolean check binding ``bound ⊆ vars(shape)``.
 
     Substitution only removes vertices from the query hypergraph, so the
-    join tree of the unbound shape stays one, and its decomposition stays
-    one with every bag cut to the open variables."""
+    join tree of the unbound shape stays one, and its elimination order
+    with the bound variables dropped is no wider."""
     tree = profile.join_tree
     if bound is None:
         if tree is not None:
@@ -94,12 +94,10 @@ def plan_node(
         return NodePlan(ENGINE_YANNAKAKIS, _YANNAKAKIS, tree)
     width = profile.treewidth_upper
     if width <= TW_CUTOFF:
-        td = profile.tree_decomposition
-        keep = profile.variables - bound
         return NodePlan(
             ENGINE_TREEWIDTH,
-            "Theorem 2: TW(%d) bounded-treewidth engine over the memoized decomposition"
+            "Theorem 2: TW(%d) bucket elimination over the memoized elimination order"
             % width,
-            TreeDecomposition([bag & keep for bag in td.bags], td.tree_edges),
+            tuple(v for v in profile.elimination_order if v not in bound),
         )
     return NodePlan(ENGINE_NAIVE, "no structural bound (Theorem 1 regime): backtracking search")

@@ -59,7 +59,7 @@ from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
 from ..core.terms import Term, Variable
 from ..cqalgs.naive import evaluate_naive, satisfiable
-from ..cqalgs.structured import satisfiable_with_decomposition
+from ..cqalgs.structured import satisfiable_by_elimination
 from ..cqalgs.yannakakis import evaluate_with_join_tree, satisfiable_with_join_tree
 from ..telemetry.metrics import Counter, Histogram, MetricsRegistry
 from ..telemetry.resources import account_rows
@@ -176,8 +176,8 @@ class Planner:
         return profile.answers_plan
 
     def evaluate_cq(self, query: ConjunctiveQuery, db: Database) -> FrozenSet:
-        """``q(D)`` on the shape's answers plan (the ``auto`` method of
-        :func:`repro.cqalgs.dispatch.evaluate`)."""
+        """``q(D)`` on the shape's answers plan (what
+        :func:`repro.cqalgs.dispatch.evaluate` runs)."""
         profile = self.profile_cq(query)
         return self._run(
             "planner.evaluate_cq", profile.answers_plan, profile.sorted_atoms, db, query
@@ -208,7 +208,7 @@ class Planner:
                         return evaluate_with_join_tree(query, db, atoms, plan.structure)
                     return satisfiable_with_join_tree(atoms, plan.structure, db)
                 if engine == ENGINE_TREEWIDTH:
-                    return satisfiable_with_decomposition(atoms, plan.structure, db)
+                    return satisfiable_by_elimination(atoms, plan.structure, db)
                 if query is not None:
                     return evaluate_naive(query, db)
                 return satisfiable(atoms, db)

@@ -4,7 +4,7 @@ The paper's tractability results (Theorems 2/3, 6–9, 16) route on
 *structural* parameters — acyclicity, (hyper)treewidth, interface width,
 class membership — that are properties of the query alone, not of the
 database.  :class:`StructuralProfile` computes each of them lazily, exactly
-once, and keeps the witnesses (join tree, tree decomposition) so the
+once, and keeps the witnesses (join tree, elimination order) so the
 engines can consume them without recomputation.  :class:`TreeProfile` does
 the same for a WDPT: per-node profiles, the global profile, and *derived*
 profiles for rooted subtrees, which the Theorem 8/9 algorithms request
@@ -15,8 +15,9 @@ Soundness of reuse under substitution: the Theorem 8/9 algorithms evaluate
 *substituted* subtree CQs ``q̂_{T'}`` (a candidate mapping ``h`` replaces
 some variables by constants).  Substitution only removes vertices from the
 query hypergraph, and both α-acyclicity and treewidth are monotone under
-vertex removal (a join tree / decomposition restricted to the remaining
-vertices stays valid).  Routing a substituted CQ on the profile of its
+vertex removal (a join tree restricted to the remaining vertices stays
+one, and an elimination order with the removed vertices dropped is no
+wider).  Routing a substituted CQ on the profile of its
 *unsubstituted* shape is therefore sound, and the unsubstituted shape is
 shared by every candidate mapping — which is exactly what makes the
 memoization pay off.
@@ -33,10 +34,9 @@ from ..exceptions import BudgetExceededError
 from ..hypergraphs.beta import beta_hypertreewidth_at_most
 from ..hypergraphs.gyo import JoinTree, join_tree_of_atoms, join_tree_shape
 from ..hypergraphs.hypergraph import Hypergraph
-from ..hypergraphs.hypertree import hypertree_decomposition, hypertreewidth_at_most, hypertreewidth_exact
-from ..hypergraphs.treedecomp import TreeDecomposition
+from ..hypergraphs.hypertree import hypertreewidth_at_most, hypertreewidth_exact
 from ..hypergraphs.treewidth import (
-    tree_decomposition,
+    elimination_order,
     treewidth_exact,
     treewidth_upper_bound,
 )
@@ -73,8 +73,7 @@ class StructuralProfile:
         "_tw_upper",
         "_tw_exact",
         "_hw_exact",
-        "_tree_decomp",
-        "_hypertree_decomp",
+        "_order",
         "_tw_at_most",
         "_hw_at_most",
         "_beta_hw_at_most",
@@ -101,8 +100,7 @@ class StructuralProfile:
         self._tw_upper = _UNSET
         self._tw_exact = _UNSET
         self._hw_exact = _UNSET
-        self._tree_decomp = _UNSET
-        self._hypertree_decomp = _UNSET
+        self._order = _UNSET
         self._tw_at_most: Dict[int, bool] = {}
         self._hw_at_most: Dict[int, bool] = {}
         self._beta_hw_at_most: Dict[int, bool] = {}
@@ -221,21 +219,13 @@ class StructuralProfile:
         return self._hw_exact  # type: ignore[return-value]
 
     @property
-    def tree_decomposition(self) -> TreeDecomposition:
-        """A tree decomposition witness (exact width within budget); a
-        Theorem 2 plan runs on it, cut to its open variables."""
-        if self._tree_decomp is _UNSET:
-            self._tree_decomp = self._timed(lambda: tree_decomposition(self.hypergraph))
-        return self._tree_decomp  # type: ignore[return-value]
-
-    @property
-    def hypertree_decomposition(self) -> TreeDecomposition:
-        """A generalized hypertree decomposition witness."""
-        if self._hypertree_decomp is _UNSET:
-            self._hypertree_decomp = self._timed(
-                lambda: hypertree_decomposition(self.hypergraph)
-            )
-        return self._hypertree_decomp  # type: ignore[return-value]
+    def elimination_order(self) -> List[Variable]:
+        """An elimination order of the variables (exact minimum width
+        within budget); a Theorem 2 plan eliminates in it, bound variables
+        dropped."""
+        if self._order is _UNSET:
+            self._order = self._timed(lambda: elimination_order(self.hypergraph))
+        return self._order  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Class membership (memoized per k)

@@ -403,6 +403,39 @@ def test_one_answer_executor_and_no_kernel_mode():
     assert pushdowns == [["self", "atoms", "links"]]
 
 
+def test_one_structural_engine():
+    """Theorem 2 is one bucket-elimination engine: the bag-building
+    helpers, the Theorem 3 engine, the decomposition Boolean form and the
+    profile's hypertree decomposition stay gone, and neither
+    ``cqalgs.evaluate`` nor ``evaluate_bounded_treewidth`` takes an engine
+    or decomposition argument."""
+    from repro.cqalgs.dispatch import evaluate
+    from repro.cqalgs.structured import evaluate_bounded_treewidth
+    from repro.planner.profile import StructuralProfile
+
+    gone = {
+        "_bag_relations", "_assign_atoms_to_bags", "_atom_with_variables",
+        "_unary_domain", "_decomposition_links", "_evaluate_with_decomposition",
+        "evaluate_bounded_hypertreewidth", "satisfiable_with_decomposition",
+        "_hypertree_decomp",
+    }
+    checked = 0
+    for path, tree in _source_trees("."):
+        for node in ast.walk(tree):
+            for name in (getattr(node, "name", None), getattr(node, "id", None),
+                         getattr(node, "attr", None)):
+                assert name not in gone, (path, getattr(node, "lineno", None), name)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert node.value not in gone, (path, node.lineno)
+        checked += 1
+    assert checked >= 90  # the package was found and read, not skipped
+    assert not hasattr(StructuralProfile, "hypertree_decomposition")
+    assert list(inspect.signature(evaluate).parameters) == ["query", "db", "planner"]
+    assert list(inspect.signature(evaluate_bounded_treewidth).parameters) == [
+        "query", "db", "k",
+    ]
+
+
 def test_the_planner_is_the_only_way_to_an_engine():
     """Outside ``repro.cqalgs`` the engines' entry points are imported by
     ``planner/planner.py`` alone, and used there by ``Planner._run`` alone
@@ -411,8 +444,7 @@ def test_the_planner_is_the_only_way_to_an_engine():
     ``naive.satisfiable``)."""
     engines = {
         "evaluate_with_join_tree", "satisfiable_with_join_tree", "evaluate_acyclic",
-        "evaluate_bounded_treewidth", "evaluate_bounded_hypertreewidth",
-        "satisfiable_with_decomposition", "evaluate_naive",
+        "evaluate_bounded_treewidth", "satisfiable_by_elimination", "evaluate_naive",
     }
     root = os.path.dirname(cli.__file__)
     importers = set()

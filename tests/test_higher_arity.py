@@ -2,7 +2,8 @@
 
 Bounded treewidth is the wrong yardstick once relations get wide —
 hypertree decompositions cover a whole atom with one edge.  These tests
-run every engine over ternary/quaternary relations and check agreement,
+run every engine over ternary/quaternary relations and check agreement —
+bucket elimination in its answers and Boolean forms on both backends —
 including the RDF triple relation that instantiates the paper's semantic
 web reading.
 """
@@ -14,14 +15,11 @@ from repro.core.cq import cq
 from repro.core.database import Database
 from repro.core.mappings import Mapping
 from repro.cqalgs.naive import evaluate_naive
-from repro.cqalgs.structured import (
-    evaluate_bounded_hypertreewidth,
-    evaluate_bounded_treewidth,
-)
 from repro.cqalgs.yannakakis import evaluate_acyclic
 from repro.hypergraphs.hypergraph import hypergraph_of_cq
 from repro.hypergraphs.hypertree import hypertreewidth_exact
 from repro.workloads.families import example5_theta
+from tests.test_structured_eval import assert_elimination_agrees
 
 
 @pytest.fixture
@@ -40,7 +38,7 @@ class TestTernary:
         q = cq(["?a", "?c"], [atom("T", "?a", "?b", "?c")])
         expected = evaluate_naive(q, ternary_db)
         assert evaluate_acyclic(q, ternary_db) == expected
-        assert evaluate_bounded_hypertreewidth(q, ternary_db) == expected
+        assert_elimination_agrees(q, ternary_db.facts())
 
     def test_chain_of_wide_atoms(self, ternary_db):
         q = cq(
@@ -49,8 +47,7 @@ class TestTernary:
         )
         expected = evaluate_naive(q, ternary_db)
         assert evaluate_acyclic(q, ternary_db) == expected
-        assert evaluate_bounded_treewidth(q, ternary_db) == expected
-        assert evaluate_bounded_hypertreewidth(q, ternary_db) == expected
+        assert_elimination_agrees(q, ternary_db.facts())
 
     def test_wide_atom_with_binary_cycle(self, ternary_db):
         # T(a,b,c) covers the triangle a-b-c in one hyperedge: ghw 1.
@@ -63,14 +60,13 @@ class TestTernary:
             ],
         )
         assert hypertreewidth_exact(hypergraph_of_cq(q)) == 1
-        expected = evaluate_naive(q, ternary_db)
-        assert evaluate_bounded_hypertreewidth(q, ternary_db) == expected
+        assert_elimination_agrees(q, ternary_db.facts())
 
     def test_repeated_positions(self, ternary_db):
         q = cq(["?a"], [atom("T", "?a", "?a", "?b")])
         expected = evaluate_naive(q, ternary_db)
         assert evaluate_acyclic(q, ternary_db) == expected
-        assert evaluate_bounded_hypertreewidth(q, ternary_db) == expected
+        assert_elimination_agrees(q, ternary_db.facts())
 
 
 class TestThetaEvaluation:
@@ -83,7 +79,7 @@ class TestThetaEvaluation:
         expected = evaluate_naive(q, db)
         assert expected == frozenset([Mapping()])
         assert evaluate_acyclic(q, db) == expected
-        assert evaluate_bounded_hypertreewidth(q, db) == expected
+        assert_elimination_agrees(q, db.facts())
 
     def test_theta4_unsatisfiable(self):
         q = example5_theta(4)
@@ -93,7 +89,7 @@ class TestThetaEvaluation:
         )
         expected = evaluate_naive(q, db)
         assert evaluate_acyclic(q, db) == expected
-        assert evaluate_bounded_hypertreewidth(q, db) == expected
+        assert_elimination_agrees(q, db.facts())
 
 
 class TestRDFTriples:

@@ -162,8 +162,8 @@ class TestPlannerReuse:
         profile = planner.profile_cq(ConjunctiveQuery([], triangle))
         plan = profile.boolean_plan({x: 0})
         assert plan.engine == ENGINE_TREEWIDTH
-        # The decomposition is stored cut to the open variables.
-        assert set().union(*plan.structure.bags) == {y, z}
+        # The elimination order is stored with the bound variable dropped.
+        assert set(plan.structure) == {y, z}
         # One plan per bound set, whatever the values or extra variables.
         assert profile.boolean_plan({x: 5, Variable("?w"): 1}) is plan
         assert profile.boolean_plan({x: 0, y: 1, z: 2}).engine == ENGINE_PROBE
@@ -222,11 +222,11 @@ class TestCrossEngineEquivalence:
         q = random_cq(4, 5, n_free=2, seed=seed)
         db = random_database(30, domain_size=6, seed=seed)
         expected = evaluate_naive(q, db)
-        assert evaluate(q, db, method="auto", planner=planner) == expected
+        assert evaluate(q, db, planner=planner) == expected
         # Second evaluation of an equal query object hits the cache and
         # still agrees.
         q2 = random_cq(4, 5, n_free=2, seed=seed)
-        assert evaluate(q2, db, method="auto", planner=planner) == expected
+        assert evaluate(q2, db, planner=planner) == expected
         assert planner.profiles.hits >= 1
 
     @pytest.mark.parametrize("seed", range(5))
@@ -279,7 +279,7 @@ class TestCrossEnginePropertyBased:
         q = random_cq(n_atoms, n_variables, n_free=min(n_free, n_variables), seed=q_seed)
         db = random_database(25, domain_size=5, seed=db_seed)
         assert evaluate(
-            q, db, method="auto", planner=self.shared_planner
+            q, db, planner=self.shared_planner
         ) == evaluate_naive(q, db)
 
 

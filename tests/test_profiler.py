@@ -386,17 +386,20 @@ def test_debug_profile_error_paths():
     with MetricsServer(MetricsRegistry(), port=0) as server:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server.url + "/debug/profile?action=flood")
-        assert err.value.code == 400
-        assert "unknown profile action" in json.loads(
-            err.value.read().decode())["error"]
+        with err.value:
+            assert err.value.code == 400
+            assert "unknown profile action" in json.loads(
+                err.value.read().decode())["error"]
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(
                 server.url + "/debug/profile?action=start&hz=abc")
+        err.value.close()
         assert err.value.code == 400
         # Export before any profiler exists → 404.
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(
                 server.url + "/debug/profile?format=speedscope")
+        err.value.close()
         assert err.value.code == 404
 
 
@@ -438,14 +441,16 @@ def test_debug_unknown_route_and_broken_provider_still_honored():
     ) as server:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server.url + "/debug/nope")
-        assert err.value.code == 404
-        body = json.loads(err.value.read().decode())
+        with err.value:
+            assert err.value.code == 404
+            body = json.loads(err.value.read().decode())
         assert "/debug/profile" in body["routes"]
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server.url + "/debug/boom")
-        assert err.value.code == 500
-        assert "ZeroDivisionError" in json.loads(
-            err.value.read().decode())["error"]
+        with err.value:
+            assert err.value.code == 500
+            assert "ZeroDivisionError" in json.loads(
+                err.value.read().decode())["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -148,11 +148,12 @@ def test_healthz_and_404():
             try:
                 urllib.request.urlopen(request)
             except urllib.error.HTTPError as exc:
-                assert exc.code == status, path
-                assert exc.headers["Content-Type"] == "application/json"
-                assert exc.headers["Allow"] == allow
-                body = json.loads(exc.read().decode("utf-8"))
-                assert "error" in body
+                with exc:
+                    assert exc.code == status, path
+                    assert exc.headers["Content-Type"] == "application/json"
+                    assert exc.headers["Allow"] == allow
+                    body = json.loads(exc.read().decode("utf-8"))
+                    assert "error" in body
                 assert body.get("allowed") == (allow and [allow])
             else:  # pragma: no cover
                 raise AssertionError("expected a %d" % status)
@@ -215,9 +216,10 @@ def test_debug_unknown_route_is_a_404_listing_valid_ones():
         try:
             urllib.request.urlopen(server.url + "/debug/nope")
         except urllib.error.HTTPError as exc:
-            assert exc.code == 404
-            body = json.loads(exc.read().decode("utf-8"))
-            assert "/debug/stats" in body["routes"]
+            with exc:
+                assert exc.code == 404
+                body = json.loads(exc.read().decode("utf-8"))
+                assert "/debug/stats" in body["routes"]
         else:  # pragma: no cover
             raise AssertionError("expected a 404")
 
@@ -230,9 +232,10 @@ def test_debug_provider_exception_is_a_500_json():
         try:
             urllib.request.urlopen(server.url + "/debug/broken")
         except urllib.error.HTTPError as exc:
-            assert exc.code == 500
-            body = json.loads(exc.read().decode("utf-8"))
-            assert "RuntimeError" in body["error"] and "boom" in body["error"]
+            with exc:
+                assert exc.code == 500
+                body = json.loads(exc.read().decode("utf-8"))
+                assert "RuntimeError" in body["error"] and "boom" in body["error"]
         else:  # pragma: no cover
             raise AssertionError("expected a 500")
 

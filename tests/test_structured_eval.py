@@ -1,4 +1,4 @@
-"""Unit tests for bounded-treewidth / bounded-hypertreewidth evaluation."""
+"""Unit tests for bounded-treewidth evaluation by bucket elimination."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,19 +8,19 @@ from repro.core.atoms import atom
 from repro.core.cq import cq
 from repro.core.database import Database
 from repro.core.mappings import Mapping
+from repro.core.cq import ConjunctiveQuery
 from repro.core.terms import Variable
 from repro.cqalgs.dispatch import evaluate, holds
-from repro.cqalgs.naive import evaluate_naive, satisfiable
+from repro.cqalgs.naive import evaluate_naive, first_homomorphism, satisfiable
 from repro.cqalgs.structured import (
-    evaluate_bounded_hypertreewidth,
     evaluate_bounded_treewidth,
-    satisfiable_with_decomposition,
+    satisfiable_by_elimination,
 )
 from repro.exceptions import ClassMembershipError, ResourceBudgetExceeded
 from repro.hypergraphs.hypergraph import hypergraph_of_cq
-from repro.hypergraphs.treedecomp import TreeDecomposition
-from repro.hypergraphs.treewidth import tree_decomposition
+from repro.hypergraphs.treewidth import elimination_order, treewidth_exact
 from repro.planner import ENGINE_NAIVE, ENGINE_TREEWIDTH, Planner
+from repro.relalg.relation import hash_join, scan
 from repro.storage import MemoryBackend, SQLiteBackend
 from repro.telemetry.resources import ResourceBudget, ResourceMonitor
 from repro.telemetry.tracer import Tracer, tracing
@@ -32,33 +32,92 @@ from repro.workloads.generators import (
 )
 
 
+def _bindings(query, db):
+    """No variable bound; then the first one, and the first two, bound to
+    their values in a match (when there is one) and to a stored value."""
+    variables = sorted(query.variables(), key=repr)
+    match = first_homomorphism(sorted(query.atoms), db, {})
+    stored = [c for fact in sorted(db.facts()) for c in fact.args][:1]
+    out = [{}]
+    for n in (1, 2):
+        some = variables[:n]
+        if match is not None:
+            out.append({v: match[v] for v in some})
+        out += [{v: c for v in some} for c in stored]
+    return out
+
+
+def assert_elimination_agrees(query, facts, bindings=()):
+    """On memory and SQLite: the elimination engine's answers are
+    ``evaluate_naive``'s, and its Boolean form over the order with the
+    bound variables dropped is ``naive.satisfiable``'s verdict under 0, 1
+    and 2 bound variables (and under each of ``bindings``)."""
+    order = elimination_order(hypergraph_of_cq(query))
+    atoms = sorted(query.atoms)
+    for backend in (MemoryBackend, SQLiteBackend):
+        db = backend(facts)
+        assert evaluate_bounded_treewidth(query, db) == evaluate_naive(query, db), (
+            backend.__name__
+        )
+        for binding in _bindings(query, db) + list(bindings):
+            kept = [v for v in order if v not in binding]
+            bound = [a.substitute(binding) for a in atoms]
+            expected = satisfiable(atoms, db, Mapping(binding))
+            assert satisfiable_by_elimination(bound, kept, db) is expected, (
+                backend.__name__, binding,
+            )
+
+
 @pytest.fixture
 def db():
     return random_graph_database(7, 22, seed=7)
 
 
-@pytest.mark.parametrize(
-    "query",
-    [
-        path_cq(3),
-        cycle_cq(4),
-        cycle_cq(5),
-        grid_cq(2, 3),
-        cq(["?x"], [atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")]),
-    ],
-    ids=["path3", "cycle4", "cycle5", "grid2x3", "triangle-free-x"],
-)
+SHAPES = [
+    path_cq(3),
+    cycle_cq(4),
+    cycle_cq(5),
+    grid_cq(2, 3),
+    cq(["?x"], [atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")]),
+    cq([], [atom("E", "?x", "?y"), atom("E", "?y", "?x")]),
+]
+SHAPE_IDS = ["path3", "cycle4", "cycle5", "grid2x3", "triangle-free-x", "two-cycle"]
+
+
+@pytest.mark.parametrize("query", SHAPES, ids=SHAPE_IDS)
 def test_td_engine_agrees_with_naive(db, query):
-    assert evaluate_bounded_treewidth(query, db) == evaluate_naive(query, db)
+    assert_elimination_agrees(query, db.facts())
 
 
-@pytest.mark.parametrize(
-    "query",
-    [path_cq(3), cycle_cq(4), cq([], [atom("E", "?x", "?y"), atom("E", "?y", "?x")])],
-    ids=["path3", "cycle4", "two-cycle"],
-)
-def test_hw_engine_agrees_with_naive(db, query):
-    assert evaluate_bounded_hypertreewidth(query, db) == evaluate_naive(query, db)
+@pytest.mark.parametrize("query", SHAPES, ids=SHAPE_IDS)
+def test_every_bucket_has_at_most_width_plus_one_variables(db, query):
+    tracer = Tracer()
+    with tracing(tracer):
+        evaluate_bounded_treewidth(query, db)
+    (span,) = tracer.find("elimination")
+    width = treewidth_exact(hypergraph_of_cq(query))
+    assert len(span.attrs["bucket_variables"]) == len(query.variables())
+    assert max(span.attrs["bucket_variables"]) <= width + 1
+
+
+def test_no_bucket_is_a_domain_product():
+    """The all-free triangle over 300 vertices and 1 500 edges peaks at
+    the largest join of two of its atoms that share a variable (7 356
+    rows), not at a 299 × 299 domain product."""
+    db = random_graph_database(300, 1500, seed=7)
+    query = ConjunctiveQuery(["?x0", "?x1", "?x2"], cycle_cq(3).atoms)
+    atoms = sorted(query.atoms)
+    pairs = max(
+        len(hash_join(scan(a, db), scan(b, db)))
+        for i, a in enumerate(atoms)
+        for b in atoms[i + 1:]
+        if a.variables() & b.variables()
+    )
+    with ResourceMonitor() as monitor:
+        answers = evaluate_bounded_treewidth(query, db)
+    assert answers == evaluate_naive(query, db) and len(answers) == 127
+    assert pairs == 7356
+    assert monitor.usage.peak_intermediate_rows <= pairs
 
 
 def test_width_bound_enforced(db):
@@ -68,28 +127,22 @@ def test_width_bound_enforced(db):
     assert evaluate_bounded_treewidth(tri, db, k=2) == evaluate_naive(tri, db)
 
 
-def test_hw_bound_enforced(db):
-    tri = cycle_cq(3)
-    with pytest.raises(ClassMembershipError):
-        evaluate_bounded_hypertreewidth(tri, db, k=1)
-
-
 def test_ground_atom_filters():
     db = Database([atom("E", 1, 2), atom("M", 5)])
     q_ok = cq(["?x"], [atom("E", "?x", "?y"), atom("M", 5)])
     q_fail = cq(["?x"], [atom("E", "?x", "?y"), atom("M", 6)])
-    assert evaluate_bounded_treewidth(q_ok, db) == evaluate_naive(q_ok, db)
+    assert_elimination_agrees(q_ok, db.facts())
     assert evaluate_bounded_treewidth(q_fail, db) == frozenset()
 
 
 def test_constants_inside_atoms(db):
     q = cq(["?y"], [atom("E", 0, "?y"), atom("E", "?y", "?z"), atom("E", "?z", 0)])
-    assert evaluate_bounded_treewidth(q, db) == evaluate_naive(q, db)
+    assert_elimination_agrees(q, db.facts())
 
 
 def test_repeated_variables(db):
     q = cq(["?x"], [atom("E", "?x", "?x"), atom("E", "?x", "?y")])
-    assert evaluate_bounded_treewidth(q, db) == evaluate_naive(q, db)
+    assert_elimination_agrees(q, db.facts())
 
 
 VALUES = (0, 1, 2)
@@ -127,22 +180,11 @@ def cyclic_cq_and_facts(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cyclic_cq_and_facts())
 def test_both_engines_agree_with_naive_on_random_cyclic_cqs(case):
+    """The answers form and the Boolean form, the latter under the drawn
+    binding too, over the unsubstituted query's order with the bound
+    variables dropped."""
     query, facts, binding = case
-    expected = evaluate_naive(query, MemoryBackend(facts))
-    # The Boolean form, on the atoms with some variables bound, over the
-    # unsubstituted query's decomposition cut down to what is left.
-    bound_atoms = [a.substitute(binding.as_dict()) for a in sorted(query.atoms)]
-    keep = frozenset(v for a in bound_atoms for v in a.variables())
-    td = tree_decomposition(hypergraph_of_cq(query))
-    td = TreeDecomposition([bag & keep for bag in td.bags], td.tree_edges)
-    bound_expected = satisfiable(bound_atoms, MemoryBackend(facts))
-    for backend in (MemoryBackend, SQLiteBackend):
-        db = backend(facts)
-        assert evaluate_bounded_treewidth(query, db) == expected, backend.__name__
-        assert evaluate_bounded_hypertreewidth(query, db) == expected, backend.__name__
-        assert (
-            satisfiable_with_decomposition(bound_atoms, td, db) is bound_expected
-        ), backend.__name__
+    assert_elimination_agrees(query, facts, [binding.as_dict()])
 
 
 TRIANGLE = [atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")]
@@ -157,8 +199,9 @@ def _span_names(run):
 
 @pytest.mark.parametrize("backend", [MemoryBackend, SQLiteBackend])
 def test_boolean_run_over_a_decomposition_stops_after_the_bottom_up_sweep(backend):
-    """Deciding non-emptiness needs the bottom-up sweep only: no top-down
-    sweep, no join phase — and one plan serves every value of ``?x``."""
+    """Deciding non-emptiness needs the one bottom-up pass over the
+    buckets: no semi-join program, no join phase — and one plan serves
+    every value of ``?x``."""
     db = backend([atom("E", 0, 1), atom("E", 1, 2), atom("E", 2, 0), atom("E", 2, 3)])
     planner = Planner()
     profile = planner.profile_cq(cq([], TRIANGLE))
@@ -171,14 +214,14 @@ def test_boolean_run_over_a_decomposition_stops_after_the_bottom_up_sweep(backen
     )
     direct = _span_names(
         lambda: verdicts.append(
-            satisfiable_with_decomposition(TRIANGLE, profile.tree_decomposition, db)
+            satisfiable_by_elimination(TRIANGLE, profile.elimination_order, db)
         )
     )
     assert verdicts == [True, True]
     assert planner.plans_built == 1
     for names in (routed, direct):
-        assert "yannakakis.semijoin_up" in names
-        assert not names & {"yannakakis.semijoin_down", "yannakakis.join"}
+        assert "elimination" in names
+        assert not [name for name in names if name.startswith("yannakakis")]
     assert "planner.satisfiable" in routed
     # The same check on a value no triangle passes through.
     assert not planner.satisfiable_substituted(
@@ -206,8 +249,9 @@ def test_routed_triangle_matches_the_backtracking_search(db):
 
 
 def test_hard_row_budget_stops_a_bag_where_it_blows_up():
-    """The triangle's one bag joins to 40·39·38 rows; the kill comes at
-    the first intermediate over the limit, not after the finished bag."""
+    """The triangle's first bucket joins to 40·39·38 rows; the kill comes
+    at the first intermediate over the limit (a scan), not after the
+    finished bucket."""
     db = Database([atom("E", i, j) for i in range(40) for j in range(40) if i != j])
     with ResourceMonitor(ResourceBudget(hard_intermediate_rows=100)):
         with pytest.raises(ResourceBudgetExceeded) as kill:
@@ -226,15 +270,13 @@ class TestDispatch:
 
     def test_explicit_methods_agree(self, db):
         q = cycle_cq(4)
-        results = {
-            evaluate(q, db, method=m)
-            for m in ("naive", "treewidth", "hypertreewidth")
-        }
+        results = {evaluate(q, db), evaluate_bounded_treewidth(q, db), evaluate_naive(q, db)}
         assert len(results) == 1
 
     def test_unknown_method(self, db):
-        with pytest.raises(ValueError):
-            evaluate(path_cq(2), db, method="quantum")
+        """There is no engine knob: the planner picks the engine."""
+        with pytest.raises(TypeError):
+            evaluate(path_cq(2), db, method="naive")
 
     def test_holds(self, db):
         assert holds(cq([], [atom("E", "?x", "?y")]), db)

@@ -7,11 +7,7 @@ from repro.core.cq import cq
 from repro.core.database import Database
 from repro.core.mappings import Mapping
 from repro.cqalgs.naive import evaluate_naive
-from repro.cqalgs.structured import (
-    evaluate_bounded_hypertreewidth,
-    evaluate_bounded_treewidth,
-)
-from repro.hypergraphs.treedecomp import TreeDecomposition
+from repro.cqalgs.structured import evaluate_bounded_treewidth
 
 
 @pytest.fixture
@@ -21,32 +17,6 @@ def db():
         + [atom("E", i, i) for i in (0, 2)]
         + [atom("U", 3)]
     )
-
-
-class TestExplicitDecompositions:
-    def test_user_supplied_decomposition(self, db):
-        from repro.core.terms import Variable
-
-        q = cq(["?x"], [atom("E", "?x", "?y"), atom("E", "?y", "?z")])
-        x, y, z = Variable("x"), Variable("y"), Variable("z")
-        td = TreeDecomposition([{x, y}, {y, z}], [(0, 1)])
-        assert evaluate_bounded_treewidth(q, db, decomposition=td) == evaluate_naive(q, db)
-
-    def test_single_bag_decomposition(self, db):
-        from repro.core.terms import Variable
-
-        q = cq([], [atom("E", "?x", "?y"), atom("E", "?y", "?x")])
-        td = TreeDecomposition([{Variable("x"), Variable("y")}], [])
-        assert evaluate_bounded_treewidth(q, db, decomposition=td) == evaluate_naive(q, db)
-
-    def test_decomposition_missing_atom_rejected(self, db):
-        from repro.core.terms import Variable
-        from repro.exceptions import ClassMembershipError
-
-        q = cq([], [atom("E", "?x", "?y"), atom("E", "?y", "?z")])
-        td = TreeDecomposition([{Variable("x"), Variable("y")}, {Variable("z")}], [(0, 1)])
-        with pytest.raises(ClassMembershipError):
-            evaluate_bounded_treewidth(q, db, decomposition=td)
 
 
 class TestDegenerateQueries:
@@ -65,7 +35,6 @@ class TestDegenerateQueries:
     def test_unary_relation_join(self, db):
         q = cq(["?x"], [atom("U", "?x"), atom("E", "?x", "?y")])
         assert evaluate_bounded_treewidth(q, db) == evaluate_naive(q, db)
-        assert evaluate_bounded_hypertreewidth(q, db) == evaluate_naive(q, db)
 
     def test_empty_answer_propagates(self):
         db = Database([atom("E", 1, 2)])
@@ -80,4 +49,3 @@ class TestSelfLoops:
             [atom("E", "?x", "?x"), atom("E", "?x", "?z"), atom("E", "?z", "?z")],
         )
         assert evaluate_bounded_treewidth(q, db) == evaluate_naive(q, db)
-        assert evaluate_bounded_hypertreewidth(q, db) == evaluate_naive(q, db)
