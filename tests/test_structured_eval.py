@@ -89,6 +89,24 @@ def test_td_engine_agrees_with_naive(db, query):
     assert_elimination_agrees(query, db.facts())
 
 
+@pytest.mark.parametrize(
+    "query, width",
+    [(path_cq(3), 1), (cycle_cq(4), 2), (cq([], [atom("E", "?x", "?y"), atom("E", "?y", "?x")]), 1)],
+    ids=["path3", "cycle4", "two-cycle"],
+)
+def test_hw_engine_agrees_with_naive(db, query, width):
+    """Bounded-hypertreewidth queries (Theorem 3) are answered by the
+    planner's route for their width — Yannakakis at width 1, elimination
+    beyond — with ``evaluate_naive``'s answers on memory and SQLite."""
+    planner = Planner()
+    assert planner.profile_cq(query).hypertreewidth == width
+    for backend in (MemoryBackend, SQLiteBackend):
+        facts = backend(db.facts())
+        assert planner.evaluate_cq(query, facts) == evaluate_naive(query, facts), (
+            backend.__name__
+        )
+
+
 @pytest.mark.parametrize("query", SHAPES, ids=SHAPE_IDS)
 def test_every_bucket_has_at_most_width_plus_one_variables(db, query):
     tracer = Tracer()
