@@ -2,10 +2,12 @@
 
 :func:`evaluate` hands a query to :mod:`repro.planner`, which runs the
 shape's answers plan (:func:`~repro.planner.plan.plan_node`: acyclic →
-Yannakakis, cyclic → the backtracking search), decided once per query
-shape, cached in a bounded LRU keyed by the structural fingerprint, and
-run on the analysis that decided it — the join tree built to *decide*
-acyclicity is the one Yannakakis *runs on*, never rebuilt.
+Yannakakis, cyclic → Theorem 2's bucket elimination), decided once per
+query shape, cached in a bounded LRU keyed by the structural
+fingerprint, and run on the analysis that decided it — the join tree
+built to *decide* acyclicity is the one Yannakakis *runs on*, and the
+elimination order the width search found is the one the buckets follow,
+never rebuilt.
 
 Every engine implements the same contract — the full set of answer
 mappings ``h|_x̄`` — and the test suite cross-validates them.

@@ -12,19 +12,24 @@ variables whose width is ``k``:
    the join's projection without that variable to the bucket of the next
    variable left in scope.  A bucket holds at most its variable and that
    variable's neighbours at elimination time: ``k + 1`` variables;
-3. the Boolean form (:func:`satisfiable_by_elimination`) stops at the
-   first empty bucket, and is satisfiable when none empties;
-4. for answers, each bucket's join sits below the bucket its message went
-   to, so the buckets form a join tree of an acyclic instance whose join
-   is the query: the semi-join program
-   (:func:`~repro.cqalgs.yannakakis.semijoin_reduce`) and the join phase
-   (:func:`~repro.cqalgs.yannakakis.columnar_join_phase`) finish, as for
-   any acyclic query.
+3. the Boolean form (:func:`satisfiable_by_elimination`) first reads
+   every atom once with ``db.exists``, then stops at the first empty
+   bucket, and is satisfiable when none empties;
+4. for answers (:func:`relation_by_elimination`), each bucket's join sits
+   below the bucket its message went to: a join tree whose join is the
+   query, bottom-up consistent as built, which the top-down sweep
+   (:func:`~repro.cqalgs.yannakakis.semijoin_down`) and the join phase
+   (:func:`~repro.cqalgs.yannakakis.columnar_join_phase`) finish.
+
+A **seed** (the interface keys of a parent node in the WDPT evaluator)
+filters every scan that shares a variable with it and, when no factor
+holds all its variables, joins the buckets that do: the width grows by
+at most its ``c`` variables, ``k + c`` under ``BI(c)``.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..collector import collector_paused
 from ..core.atoms import Atom
@@ -36,10 +41,10 @@ from ..exceptions import ClassMembershipError
 from ..hypergraphs.gyo import JoinTree, join_tree_shape
 from ..hypergraphs.hypergraph import hypergraph_of_cq
 from ..hypergraphs.treewidth import elimination_order, order_width
-from ..relalg.relation import Relation, hash_join, project, scan, to_mappings
+from ..relalg.relation import Relation, hash_join, project, scan, semijoin, to_mappings
 from ..telemetry.resources import account_rows
 from ..telemetry.tracer import current_tracer
-from .yannakakis import columnar_join_phase, semijoin_reduce
+from .yannakakis import _shares_variable, columnar_join_phase, seed_has_rows, semijoin_down
 
 
 def evaluate_bounded_treewidth(
@@ -55,22 +60,30 @@ def evaluate_bounded_treewidth(
     order = elimination_order(H)
     width = order_width(H, order)
     if k is not None and width > k:
-        raise ClassMembershipError(
-            "query has treewidth %d > requested bound %d" % (width, k)
-        )
+        raise ClassMembershipError("query has treewidth %d > requested bound %d" % (width, k))
     with collector_paused:
-        buckets = _eliminate(query.atoms, order, db, False)
+        return to_mappings(relation_by_elimination(query.atoms, order, db, query.free_variables))
+
+
+def relation_by_elimination(
+    atoms: Sequence[Atom], order: Sequence[Variable], db: Database,
+    frees: Iterable[Variable], seed: Optional[Relation] = None,
+) -> Relation:
+    """The answers of the CQ ``(frees, atoms)`` as a :class:`Relation`, by
+    bucket elimination over ``order`` (the variables of ``atoms``).  With
+    ``seed`` (over some of ``frees``), ``semijoin(answers, seed)``, the
+    others never computed: the contract of ``relation_with_join_tree``."""
+    frees = frozenset(frees)
+    with collector_paused:
+        buckets = _eliminate(atoms, order, db, seed, False) if seed_has_rows(frees, seed) else None
         if buckets is None:
-            return frozenset()
+            return Relation(sorted(frees, key=repr), [], db.codec)
         relations, tree = buckets
         if tree is None:
             # Purely ground query that passed all filters: the empty mapping.
-            return frozenset([Mapping()])
-        if not semijoin_reduce(relations, tree):
-            return frozenset()
-        return to_mappings(
-            columnar_join_phase(frozenset(query.free_variables), relations, tree)
-        )
+            return Relation((), [()], db.codec)
+        semijoin_down(relations, tree)
+        return columnar_join_phase(frees, relations, tree)
 
 
 def satisfiable_by_elimination(
@@ -80,27 +93,34 @@ def satisfiable_by_elimination(
     over ``order`` (the variables of ``atoms``), stopping at the first
     empty bucket; nothing is kept once its message is sent."""
     with collector_paused:
-        return _eliminate(atoms, order, db, True) is not None
+        return _eliminate(atoms, order, db, None, True) is not None
 
 
 def _eliminate(
-    atoms: Sequence[Atom], order: Sequence[Variable], db: Database, boolean: bool
+    atoms: Sequence[Atom], order: Sequence[Variable], db: Database,
+    seed: Optional[Relation], boolean: bool,
 ) -> Union[None, bool, Tuple[List[Relation], Optional[JoinTree]]]:
-    """Run the buckets of ``order``: ``None`` as soon as a ground atom
-    fails or a bucket empties; otherwise ``True`` when ``boolean``, else
-    the bucket relations and their join tree (``None`` for an empty
-    ``order``)."""
+    """Run the buckets of ``order``: ``None`` as soon as an atom read up
+    front has no match or a bucket empties; otherwise ``True`` when
+    ``boolean``, else the bucket relations and their join tree (``None``
+    for an empty ``order``)."""
     position = {v: i for i, v in enumerate(order)}
     n = len(order)
     pending: List[List[Atom]] = [[] for _ in range(n)]
     messages: List[List[Relation]] = [[] for _ in range(n)]
     for a in sorted(set(atoms)):
         variables = a.variables()
-        if not variables:
-            if not db.exists(a):
-                return None
-        else:
+        # A ground atom is a filter; a Boolean check reads every atom once
+        # before any join, so one with no match decides it at once.
+        if (boolean or not variables) and not db.exists(a):
+            return None
+        if variables:
             pending[min(map(position.__getitem__, variables))].append(a)
+    # The seed joins each bucket, up to that of its earliest variable, whose
+    # factors hold all its variables together (it widens no scope there)
+    # but none alone: such a factor is a seeded scan or a seeded message.
+    keys = frozenset(() if seed is None else seed.schema)
+    last = min(map(position.__getitem__, keys), default=-1)
     tracer = current_tracer()
     relations: List[Relation] = []
     links: List[Tuple[int, int]] = []
@@ -108,25 +128,38 @@ def _eliminate(
     sizes: List[int] = []
     with tracer.span("elimination", variables=n, boolean=boolean) as sp:
         for i, v in enumerate(order):
-            # Every factor mentions ``v``.  The scans are seeded with the
-            # smallest message, so they keep only rows that can join it.
-            factors = sorted(messages[i], key=len)
-            seed = factors[0] if factors else None
+            # Every factor but the seed mentions ``v``.  A scan is seeded with
+            # the smallest message (in a bucket without one, the first scan),
+            # so it keeps only rows that can join it, and filtered by the
+            # seed wherever they share a variable.
+            factors = messages[i]
+            if i <= last:
+                held = [a.variables() for a in pending[i]] + [f.index.keys() for f in factors]
+                if (i == last or keys <= set().union(*held)) and not any(keys <= h for h in held):
+                    factors.append(seed)
+            factors.sort(key=len)
             for a in pending[i]:
-                rel = scan(a, db, seed)
+                via = factors[0] if factors else None
+                seeded = seed is not None and _shares_variable(seed, a)
+                if seeded and (via is None or len(seed) <= len(via)):
+                    via = seed
+                rel = scan(a, db, via)
+                if seeded and via is not seed:
+                    rel = semijoin(rel, seed)
                 account_rows(len(rel))
                 if not rel.rows:
                     return None
                 factors.append(rel)
             factors.sort(key=len)
             rest = frozenset().union(*[f.schema for f in factors]) - {v}
-            joined = factors[0]
-            for f in factors[1:-1]:
-                joined = hash_join(joined, f)
-                account_rows(len(joined))
-            if len(factors) > 1:
-                # The Boolean form emits the message's columns only.
-                joined = hash_join(joined, factors[-1], rest if boolean else None)
+            joined, factors = factors[0], factors[1:]
+            while factors:
+                # The smallest factor sharing a variable with the join so far;
+                # the Boolean form's last join emits the message's columns only.
+                f = next((f for f in factors if joined.index.keys() & f.index.keys()),
+                         factors[0])
+                factors.remove(f)
+                joined = hash_join(joined, f, rest if boolean and not factors else None)
                 account_rows(len(joined))
             if not joined.rows:
                 return None

@@ -14,10 +14,10 @@ Phases (1) and (2) — the semi-join program — are written once, in
 objects and a :class:`~repro.hypergraphs.gyo.JoinTree`: two loops over
 the tree's root-first order, children before parents on the way up and
 parents before children on the way down, so every pass reads relations
-that are already final.  Everything that needs a reduction calls it:
-evaluation and the Boolean path here, answer enumeration
-(:mod:`repro.cqalgs.enumeration`), and the answers form of bucket
-elimination.
+that are already final.  Evaluation, the Boolean path and answer
+enumeration (:mod:`repro.cqalgs.enumeration`) call it; bucket elimination,
+bottom-up consistent as built, runs the second loop alone
+(:func:`semijoin_down`).
 
 :func:`relation_with_join_tree` is the entry point: it returns the answers
 as a :class:`~repro.relalg.relation.Relation` and optionally takes a
@@ -76,30 +76,15 @@ from ..telemetry.resources import account_rows
 from ..telemetry.tracer import current_tracer
 
 
-def evaluate_acyclic(
-    query: ConjunctiveQuery,
-    db: Database,
-    atoms: Optional[Sequence[Atom]] = None,
-    links: Optional[Sequence[Tuple[int, int]]] = None,
-) -> FrozenSet[Mapping]:
-    """``q(D)`` for an acyclic CQ via Yannakakis.
-
-    ``atoms``/``links`` optionally supply precomputed join-tree links (e.g.
-    the ones the dispatcher already built to decide acyclicity), so the
-    GYO reduction is not rerun; the tree's shape is derived from them
-    once, here.  Raises :class:`~repro.exceptions.ClassMembershipError`
-    when the query hypergraph is cyclic.
-    """
-    if atoms is None:
-        atoms = sorted(query.atoms)
-        links = None  # a caller-supplied tree is only valid for its atoms
-    if links is None:
-        links = join_tree_of_atoms(atoms)
+def evaluate_acyclic(query: ConjunctiveQuery, db: Database) -> FrozenSet[Mapping]:
+    """``q(D)`` for an acyclic CQ via Yannakakis over a join tree of its
+    sorted atoms.  Raises :class:`~repro.exceptions.ClassMembershipError`
+    when the query hypergraph is cyclic."""
+    atoms = sorted(query.atoms)
+    links = join_tree_of_atoms(atoms)
     if links is None:
         raise ClassMembershipError("query is not acyclic: %r" % (query,))
-    return evaluate_with_join_tree(
-        query, db, atoms, join_tree_shape(links, len(atoms))
-    )
+    return evaluate_with_join_tree(query, db, atoms, join_tree_shape(links, len(atoms)))
 
 
 def evaluate_with_join_tree(
@@ -135,14 +120,20 @@ def relation_with_join_tree(
     paused for it (:mod:`repro.collector`).
     """
     frees = frozenset(frees)
-    if seed is not None and not frees.issuperset(seed.schema):
-        raise ValueError(
-            "seed variables %r are not all free in the query" % (seed.schema,)
-        )
-    if not atoms or (seed is not None and not seed.rows):
+    if not atoms or not seed_has_rows(frees, seed):
         return Relation(sorted(frees, key=repr), [], db.codec)
     with collector_paused:
         return _run(atoms, tree, db, frees, seed, False)
+
+
+def seed_has_rows(frees: FrozenSet[Variable], seed: Optional[Relation]) -> bool:
+    """Can an answer join ``seed`` (``None``: no seed)?  ``ValueError`` when
+    it binds a variable outside ``frees``."""
+    if seed is None:
+        return True
+    if not frees.issuperset(seed.schema):
+        raise ValueError("seed variables %r are not all free in the query" % (seed.schema,))
+    return bool(seed.rows)
 
 
 def satisfiable_with_join_tree(
@@ -197,12 +188,8 @@ def _run(
         else:
             result = _columnar(atoms, tree, db, frees, seed, boolean)
         if tracer.enabled:
-            y_span.set(**_outcome(result, boolean))
+            y_span.set(**({"satisfiable": result} if boolean else {"answers": len(result)}))
         return result
-
-
-def _outcome(result: Union[Relation, bool], boolean: bool) -> dict:
-    return {"satisfiable": result} if boolean else {"answers": len(result)}
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +338,20 @@ def semijoin_reduce(
     bottom-up sweep (children filter parents) and, with ``top_down``, the
     top-down one (parents filter children), after which every row left
     takes part in some homomorphism of the whole tree — the *full
-    reduction*.  Returns ``False`` as soon as a relation empties (no
-    homomorphism exists; the remaining passes are skipped), else ``True``
-    — after the bottom-up sweep alone that already decides satisfiability.
+    reduction*.  Returns ``False`` as soon as a relation empties on the
+    way up (no homomorphism exists; the remaining passes are skipped),
+    else ``True``: the bottom-up sweep alone decides satisfiability, and
+    the top-down one (:func:`semijoin_down`) empties nothing.
 
     ``tree.order`` lists parents before children.  Walked backwards, a
     node's children are final when it is reached; walked forwards from
     the second entry, its parent is.
     """
     tracer = current_tracer()
-    children, parent, order = tree.children, tree.parent, tree.order
+    children = tree.children
     alive = True
     with tracer.span("yannakakis.semijoin_up") as sp:
-        for node in reversed(order):
+        for node in reversed(tree.order):
             rel = relations[node]
             for child in children[node]:
                 rel = semijoin(rel, relations[child])
@@ -374,16 +362,21 @@ def semijoin_reduce(
         if tracer.enabled:
             sp.set(relation_sizes=[len(r) for r in relations])
     if alive and top_down:
-        with tracer.span("yannakakis.semijoin_down") as sp:
-            for node in order[1:]:
-                rel = semijoin(relations[node], relations[parent[node]])
-                relations[node] = rel
-                if not rel.rows:
-                    alive = False
-                    break
-            if tracer.enabled:
-                sp.set(relation_sizes=[len(r) for r in relations])
+        semijoin_down(relations, tree)
     return alive
+
+
+def semijoin_down(relations: List[Relation], tree: JoinTree) -> None:
+    """The top-down sweep (parents filter children), in place: the full
+    reduction of non-empty, bottom-up consistent ``relations`` (every row
+    of a parent joins some row of each child), which empties none."""
+    tracer = current_tracer()
+    parent = tree.parent
+    with tracer.span("yannakakis.semijoin_down") as sp:
+        for node in tree.order[1:]:
+            relations[node] = semijoin(relations[node], relations[parent[node]])
+        if tracer.enabled:
+            sp.set(relation_sizes=[len(r) for r in relations])
 
 
 def columnar_join_phase(

@@ -5,15 +5,16 @@ it, and the structure the engine runs on.  :func:`plan_node` is the whole
 routing rule, one branch per op kind:
 
 * **answers** (``bound is None``) — acyclic → Yannakakis over the join
-  tree (Theorem 3 with ``k = 1``), seeded by the interface keys when the
-  caller has keys; cyclic → the compiled backtracking search, once per
-  distinct key;
+  tree (Theorem 3 with ``k = 1``), cyclic → Theorem 2's bucket
+  elimination over the elimination order, either run by
+  :meth:`NodePlan.relation` (seeded by the caller's interface keys);
 * **Boolean under a bound set** — ``probe`` when no two atoms share a
   variable the binding leaves open; otherwise Yannakakis if acyclic,
   Theorem 2's bucket elimination over the elimination order with the
   bound variables dropped if the treewidth bound is at most
   :data:`TW_CUTOFF`, the search if neither.
 
+A Theorem 2 plan names the width of its order.
 :class:`~repro.planner.profile.StructuralProfile` keeps each plan it is
 asked for, one per (op kind, ``bound ∩ vars(shape)``); the top-down
 evaluator, :meth:`~repro.planner.planner.Planner._run` and EXPLAIN read
@@ -22,11 +23,17 @@ those, never the rule.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, FrozenSet, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ..cqalgs.structured import relation_by_elimination
+from ..cqalgs.yannakakis import relation_with_join_tree
 from ..hypergraphs.gyo import JoinTree
+from ..hypergraphs.treewidth import order_width
+from ..relalg.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - profile imports this module
+    from ..core.atoms import Atom
+    from ..core.database import Database
     from ..core.terms import Variable
     from .profile import StructuralProfile
 
@@ -62,6 +69,16 @@ class NodePlan(NamedTuple):
         """One-line EXPLAIN: engine plus justification."""
         return "%s — %s" % (self.engine, self.theorem)
 
+    def relation(
+        self, atoms: "Sequence[Atom]", db: "Database", frees: "Iterable[Variable]",
+        seed: Optional[Relation] = None,
+    ) -> Relation:
+        """The answers of the CQ ``(frees, atoms)`` on this answers plan's
+        engine, restricted to those that join with ``seed``."""
+        if self.engine == ENGINE_YANNAKAKIS:
+            return relation_with_join_tree(atoms, self.structure, db, frees, seed)
+        return relation_by_elimination(atoms, self.structure, db, frees, seed)
+
 
 def plan_node(
     profile: "StructuralProfile", bound: "Optional[FrozenSet[Variable]]" = None
@@ -73,31 +90,27 @@ def plan_node(
     join tree of the unbound shape stays one, and its elimination order
     with the bound variables dropped is no wider."""
     tree = profile.join_tree
-    if bound is None:
-        if tree is not None:
-            return NodePlan(ENGINE_YANNAKAKIS, _YANNAKAKIS, tree)
-        return NodePlan(
-            ENGINE_NAIVE,
-            "no join tree: the compiled search, once per distinct interface key",
-        )
-    seen: set = set()
-    for a in profile.sorted_atoms:
-        open_ = a.variables() - bound
-        if not seen.isdisjoint(open_):
-            break
-        seen |= open_
-    else:
-        return NodePlan(
-            ENGINE_PROBE, "no two atoms share an open variable: one existence probe per atom"
-        )
+    if bound is not None:
+        seen: set = set()
+        for a in profile.sorted_atoms:
+            open_ = a.variables() - bound
+            if not seen.isdisjoint(open_):
+                break
+            seen |= open_
+        else:
+            return NodePlan(
+                ENGINE_PROBE, "no two atoms share an open variable: one existence probe per atom"
+            )
     if tree is not None:
         return NodePlan(ENGINE_YANNAKAKIS, _YANNAKAKIS, tree)
-    width = profile.treewidth_upper
-    if width <= TW_CUTOFF:
-        return NodePlan(
-            ENGINE_TREEWIDTH,
-            "Theorem 2: TW(%d) bucket elimination over the memoized elimination order"
-            % width,
-            tuple(v for v in profile.elimination_order if v not in bound),
-        )
-    return NodePlan(ENGINE_NAIVE, "no structural bound (Theorem 1 regime): backtracking search")
+    if bound is None:
+        bound = frozenset()
+    elif profile.treewidth_upper > TW_CUTOFF:
+        return NodePlan(ENGINE_NAIVE, "no structural bound (Theorem 1 regime): backtracking search")
+    order = tuple(v for v in profile.elimination_order if v not in bound)
+    width = order_width(profile.hypergraph.induced_subhypergraph(order), order)
+    return NodePlan(
+        ENGINE_TREEWIDTH,
+        "Theorem 2: TW(%d) bucket elimination over the memoized elimination order" % width,
+        order,
+    )

@@ -55,12 +55,14 @@ from typing import (
     Union,
 )
 
+from ..collector import collector_paused
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
 from ..core.terms import Term, Variable
-from ..cqalgs.naive import evaluate_naive, satisfiable
+from ..cqalgs.naive import satisfiable
 from ..cqalgs.structured import satisfiable_by_elimination
-from ..cqalgs.yannakakis import evaluate_with_join_tree, satisfiable_with_join_tree
+from ..cqalgs.yannakakis import satisfiable_with_join_tree
+from ..relalg.relation import to_mappings
 from ..telemetry.metrics import Counter, Histogram, MetricsRegistry
 from ..telemetry.resources import account_rows
 from ..telemetry.tracer import current_tracer
@@ -192,25 +194,24 @@ class Planner:
         query: Optional[ConjunctiveQuery] = None,
     ) -> Union[FrozenSet, bool]:
         """The one dispatch site: ``atoms`` on the engine ``plan`` names —
-        the answers of ``query`` when one is given, else whether the
-        Boolean CQ is satisfiable (each engine's form that stops after its
-        bottom-up sweep or first witness; ``probe``: one ``db.exists`` per
-        atom up to the first ``False``, each reading at most one row)."""
+        the answers of ``query`` when one is given (the evaluator's seam,
+        :meth:`~repro.planner.plan.NodePlan.relation`), else whether the
+        Boolean CQ is satisfiable (each engine's form that stops early;
+        ``probe``: one ``db.exists`` per atom up to the first ``False``)."""
         engine = plan.engine
         start = time.perf_counter()
         try:
             with current_tracer().span(span, engine=engine):
+                if query is not None:
+                    with collector_paused:
+                        return to_mappings(plan.relation(atoms, db, query.free_variables))
                 if engine == ENGINE_PROBE:
                     account_rows(1)
                     return all(map(db.exists, atoms))
                 if engine == ENGINE_YANNAKAKIS:
-                    if query is not None:
-                        return evaluate_with_join_tree(query, db, atoms, plan.structure)
                     return satisfiable_with_join_tree(atoms, plan.structure, db)
                 if engine == ENGINE_TREEWIDTH:
                     return satisfiable_by_elimination(atoms, plan.structure, db)
-                if query is not None:
-                    return evaluate_naive(query, db)
                 return satisfiable(atoms, db)
         finally:
             self.record_engine(engine, time.perf_counter() - start)

@@ -37,6 +37,7 @@ from ..hypergraphs.hypergraph import Hypergraph
 from ..hypergraphs.hypertree import hypertreewidth_at_most, hypertreewidth_exact
 from ..hypergraphs.treewidth import (
     elimination_order,
+    treewidth_at_most,
     treewidth_exact,
     treewidth_upper_bound,
 )
@@ -55,14 +56,13 @@ class StructuralProfile:
     """Lazily computed, memoized structural analysis of one atom set.
 
     Every accessor computes its answer at most once; the time spent is
-    accumulated in :attr:`analysis_seconds` and reported through the
-    optional ``on_analysis`` hook (the planner aggregates these).
+    reported through the optional ``on_analysis`` hook (the planner
+    aggregates it).
     """
 
     __slots__ = (
         "sorted_atoms",
         "free_variables",
-        "analysis_seconds",
         "_on_analysis",
         "_on_plan",
         "_inherited_tw_upper",
@@ -89,7 +89,6 @@ class StructuralProfile:
     ):
         self.sorted_atoms: Tuple[Atom, ...] = tuple(sorted(set(atoms)))
         self.free_variables = tuple(free_variables)
-        self.analysis_seconds = 0.0
         self._on_analysis = on_analysis
         self._on_plan = on_plan
         self._inherited_tw_upper = inherited_tw_upper
@@ -113,10 +112,8 @@ class StructuralProfile:
         try:
             return fn()
         finally:
-            elapsed = time.perf_counter() - start
-            self.analysis_seconds += elapsed
             if self._on_analysis is not None:
-                self._on_analysis(elapsed)
+                self._on_analysis(time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     # Structure
@@ -232,32 +229,24 @@ class StructuralProfile:
     # ------------------------------------------------------------------
     def in_tw(self, k: int) -> bool:
         """``TW(k)`` membership (Section 3.1), with inherited fast path."""
-        cached = self._tw_at_most.get(k)
-        if cached is None:
-            if self._inherited_tw_upper is not None and self._inherited_tw_upper <= k:
-                cached = True
-            else:
-                from ..hypergraphs.treewidth import treewidth_at_most
-
-                cached = self._timed(lambda: treewidth_at_most(self.hypergraph, k))
-            self._tw_at_most[k] = cached  # type: ignore[assignment]
-        return cached  # type: ignore[return-value]
+        inherited = self._inherited_tw_upper
+        if inherited is not None and inherited <= k:
+            return True
+        return self._member(self._tw_at_most, treewidth_at_most, k)
 
     def in_hw(self, k: int) -> bool:
         """``HW(k)`` membership."""
-        cached = self._hw_at_most.get(k)
-        if cached is None:
-            cached = self._timed(lambda: hypertreewidth_at_most(self.hypergraph, k))
-            self._hw_at_most[k] = cached  # type: ignore[assignment]
-        return cached  # type: ignore[return-value]
+        return self._member(self._hw_at_most, hypertreewidth_at_most, k)
 
     def in_beta_hw(self, k: int) -> bool:
         """``HW'(k)`` (β-hypertreewidth) membership — subquery-closed."""
-        cached = self._beta_hw_at_most.get(k)
+        return self._member(self._beta_hw_at_most, beta_hypertreewidth_at_most, k)
+
+    def _member(self, memo: Dict[int, bool], decide: Callable, k: int) -> bool:
+        cached = memo.get(k)
         if cached is None:
-            cached = self._timed(lambda: beta_hypertreewidth_at_most(self.hypergraph, k))
-            self._beta_hw_at_most[k] = cached  # type: ignore[assignment]
-        return cached  # type: ignore[return-value]
+            cached = memo[k] = self._timed(lambda: decide(self.hypergraph, k))  # type: ignore
+        return cached
 
     def __repr__(self) -> str:
         acyclic = "?" if self._join_tree is _UNSET else str(self.is_acyclic)
@@ -407,15 +396,6 @@ class TreeProfile:
             self.subtree_profile(nodes).in_hw(k)
             for nodes in self.wdpt.tree.rooted_subtrees()
         )
-
-    @property
-    def analysis_seconds(self) -> float:
-        """Total analysis time across all owned profiles."""
-        total = sum(p.analysis_seconds for p in self._node_profiles if p is not None)
-        total += sum(p.analysis_seconds for p in self._subtree_profiles.values())
-        if self._global is not None and frozenset(self.wdpt.tree.nodes()) not in self._subtree_profiles:
-            total += self._global.analysis_seconds
-        return total
 
     def __repr__(self) -> str:
         return "TreeProfile(%d nodes, %d subtree profiles)" % (

@@ -22,15 +22,11 @@ node, over relations (:mod:`repro.relalg`), never per parent mapping.
 1. *Node relation.*  The root's relation is ``λ(root)`` evaluated as a
    full CQ.  For a child ``c`` of ``t``, ``t``'s relation is projected
    onto the interface ``vars(t) ∩ vars(c)`` and ``λ(c)`` is evaluated
-   **once**, on the label's answers plan
-   (:attr:`~repro.planner.profile.StructuralProfile.answers_plan`).  On an
-   acyclic label that is a full CQ *seeded* with those keys
-   (:func:`~repro.cqalgs.yannakakis.relation_with_join_tree`): the keys
-   filter every scanned atom they share a variable with — by index
-   probes or by a scan and a semi-join, whichever the sizes favour — and
-   the result holds exactly the homomorphisms of ``λ(c)`` that some row
-   of ``t`` can be extended by.  A cyclic label's plan is the
-   backtracking search, once per distinct key.
+   **once**, *seeded* with those keys, on the label's answers plan
+   (:meth:`~repro.planner.plan.NodePlan.relation`: Yannakakis when the
+   label is acyclic, bucket elimination when not).  The keys filter every
+   scanned atom they share a variable with, and the result holds exactly
+   the homomorphisms of ``λ(c)`` that some row of ``t`` can be extended by.
 2. *Product.*  ``c``'s relation is extended into its own subtree the same
    way, then grouped by interface key.  Sibling subtrees share variables
    only through ``t``, so each row ``h`` of ``t`` yields ``{h} ⨝ ∏_c
@@ -69,12 +65,10 @@ from ..core.database import Database
 from ..core.mappings import Mapping, maximal_mappings
 from ..core.terms import Variable
 from ..cqalgs.naive import homomorphisms as cq_homomorphisms
-from ..cqalgs.yannakakis import relation_with_join_tree
 from ..planner.profile import StructuralProfile
 from ..relalg.relation import (
     Relation,
     Row,
-    from_mappings,
     group_by,
     key_getter,
     project,
@@ -174,21 +168,7 @@ class _TreeEvaluation:
         else:
             analysed = StructuralProfile(self.p.labels[node])
         plan = analysed.answers_plan
-        if plan.structure is not None:
-            rel = relation_with_join_tree(
-                analysed.sorted_atoms, plan.structure, self.db, variables, seed=keys
-            )
-        else:
-            # The search, once per distinct key instead of once per parent
-            # mapping.
-            schema = sorted(variables, key=repr)
-            label = self.p.labels[node]
-            seeds = [Mapping()] if keys is None else to_mappings(keys)
-            rel = from_mappings(
-                (h for s in seeds for h in cq_homomorphisms(label, self.db, s)),
-                schema,
-                self.db,
-            )
+        rel = plan.relation(analysed.sorted_atoms, self.db, variables, keys)
         account_rows(len(rel))
         if self.relations is not None:
             self.relations[node] = rel

@@ -436,6 +436,32 @@ def test_one_structural_engine():
     ]
 
 
+def test_one_answers_route_per_label_class():
+    """An answers plan is Yannakakis (acyclic) or bucket elimination
+    (cyclic, at any width), reached through ``NodePlan.relation``: the
+    top-down evaluator calls no search, ``Planner._run`` has no
+    ``evaluate_naive`` branch, and no answers plan is the search's."""
+    from repro.core.atoms import atom
+    from repro.planner import ENGINE_TREEWIDTH, TW_CUTOFF, StructuralProfile
+
+    search = {"homomorphisms", "cq_homomorphisms", "evaluate_naive", "from_mappings"}
+    found = set()
+    for path, tree in _source_trees(os.path.join("wdpt", "evaluation.py"),
+                                    os.path.join("planner", "planner.py")):
+        for scope in ast.walk(tree):
+            if getattr(scope, "name", None) in ("_TreeEvaluation", "_run"):
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(scope)}
+                assert not names & search, (path, scope.name, names & search)
+                assert "relation" in names, (path, scope.name)
+                found.add(scope.name)
+    assert found == {"_TreeEvaluation", "_run"}
+    clique = [atom("E", "?v%d" % i, "?v%d" % j) for i in range(6) for j in range(i)]
+    profile = StructuralProfile(clique)
+    assert profile.treewidth_upper > TW_CUTOFF
+    plan = profile.answers_plan
+    assert plan.engine == ENGINE_TREEWIDTH and plan.structure == tuple(profile.elimination_order)
+
+
 def test_the_planner_is_the_only_way_to_an_engine():
     """Outside ``repro.cqalgs`` the engines' entry points are imported by
     ``planner/planner.py`` alone, and used there by ``Planner._run`` alone

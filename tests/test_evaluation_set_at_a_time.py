@@ -156,6 +156,34 @@ PINNED = {
         ),
         EDGES,
     ),
+    # The interface ?z is last in the label's order (?a, ?b, ?c, ?z): the
+    # keys join only the last bucket, and seed the scans on ?z.  Key 4 is
+    # on no 4-cycle: its branch fails.
+    "cyclic child, interface last in the order": (
+        wdpt_from_nested(
+            (
+                [atom("L", "?z", "?l")],
+                [([atom("E", "?z", "?a"), atom("E", "?a", "?b"),
+                   atom("E", "?b", "?c"), atom("E", "?c", "?z")], [])],
+            ),
+            free_variables=["?z", "?l", "?a", "?b", "?c"],
+        ),
+        EDGES + [atom("L", 1, "p"), atom("L", 2, "q"), atom("L", 4, "r")],
+    ),
+    # A two-variable interface {x, y} that no atom of the 4-cycle holds:
+    # (x, y) = (3, 1) is on a cycle but is no key, (1, 1) is a key on none.
+    "cyclic child, two-variable interface": (
+        wdpt_from_nested(
+            (
+                [atom("P", "?x", "?y")],
+                [([atom("E", "?x", "?a"), atom("E", "?a", "?y"),
+                   atom("E", "?y", "?b"), atom("E", "?b", "?x")], [])],
+            ),
+            free_variables=["?x", "?y", "?a", "?b"],
+        ),
+        EDGES + [atom("P", 1, 3), atom("P", 3, 3), atom("P", 2, 1), atom("P", 1, 1),
+                 atom("P", 2, 2)],
+    ),
     "absent relation": (
         _two_node([("nowhere", "?y", "?z")], ["?x", "?y", "?z"]),
         EDGES,
@@ -231,6 +259,42 @@ def test_outer_join_carry_pads_failed_branches_and_merges_projected_rows():
     assert answers == {Mapping(m) for m in expected}
     # (3, 1) found no F row: its answers are below those of (3, 3).
     assert len(evaluate_max(p, MemoryBackend(facts))) == 5
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("cyclic child, interface last in the order", [
+        {"?z": 1, "?l": "p", "?a": 2, "?b": 3, "?c": 3},
+        {"?z": 2, "?l": "q", "?a": 3, "?b": 3, "?c": 1},
+        {"?z": 4, "?l": "r"},
+    ]),
+    ("cyclic child, two-variable interface", [
+        {"?x": 1, "?y": 3, "?a": 2, "?b": 3},
+        {"?x": 3, "?y": 3, "?a": 3, "?b": 3},
+        {"?x": 1, "?y": 1}, {"?x": 2, "?y": 1}, {"?x": 2, "?y": 2},
+    ]),
+])
+def test_cyclic_children_answer_exactly(name, expected):
+    p, facts = PINNED[name]
+    for backend in BACKENDS:
+        assert evaluate(p, backend(facts)) == {Mapping(m) for m in expected}, backend
+
+
+def test_a_cyclic_child_runs_one_seeded_elimination_for_all_its_keys():
+    """``L(?x, ?l) OPT triangle`` with 12 keys, 3 of them on a triangle:
+    the child's answers are one bucket elimination seeded by the keys, not
+    a search per key, and ``node_stats`` names that one run."""
+    triangle = [atom("E", "?x", "?a"), atom("E", "?a", "?b"), atom("E", "?b", "?x")]
+    p = wdpt_from_nested(
+        ([atom("L", "?x", "?l")], [(triangle, [])]), free_variables=["?x", "?l", "?a", "?b"]
+    )
+    facts = EDGES + [atom("L", key, "l%d" % key) for key in range(1, 13)]
+    for backend in BACKENDS:
+        with tracing() as tracer:
+            answers = evaluate(p, backend(facts))
+        assert answers == evaluate_reference(p, MemoryBackend(facts))
+        assert len(list(tracer.find("elimination"))) == 1
+        (span,) = tracer.find("wdpt.maximal_homomorphisms")
+        assert span.attrs["node_stats"][1]["engines"] == {"treewidth": 1}
 
 
 def test_seeded_yannakakis_is_the_semijoin_of_the_unseeded_answers():

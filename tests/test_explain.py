@@ -85,7 +85,31 @@ class TestRoutesNameWhatRuns:
             free_variables=["?x", "?l", "?y", "?z"],
         )
         profile = explain(p)
-        assert [plan.engine for plan in profile.node_plans] == ["yannakakis", "naive"]
+        assert [plan.engine for plan in profile.node_plans] == ["yannakakis", "treewidth"]
         text = profile.as_table()
-        assert "query: node 1 plan" in text and "once per distinct interface key" in text
+        assert "query: node 1 plan" in text and "bucket elimination" in text
         assert "EVAL route (ask)" in text
+
+    def test_treewidth_plan_names_the_width_of_its_order(self, monkeypatch):
+        """A Theorem 2 plan names the width of the order it eliminates in,
+        not the heuristic bound: with the bound made to read 3, the
+        triangle's answers plan still reads TW(2), and its Boolean plan
+        with ``?x`` bound reads TW(1), the path ``?y``–``?z`` left over."""
+        import repro.planner.profile as profile_module
+        from repro.core.terms import Variable
+        from repro.hypergraphs.treewidth import order_width
+        from repro.planner import Planner
+
+        monkeypatch.setattr(profile_module, "treewidth_upper_bound", lambda H: 3)
+        triangle = [atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")]
+        p = wdpt_from_nested(
+            ([atom("L", "?x", "?l")], [(triangle, [])]), free_variables=["?x", "?l", "?y", "?z"]
+        )
+        planner = Planner()
+        node = planner.profile_wdpt(p).node_profile(1)
+        assert node.treewidth_upper == 3
+        plan = explain(p, planner=planner).node_plans[1]
+        assert order_width(node.hypergraph, plan.structure) == 2
+        assert "TW(2)" in plan.theorem and "TW(3)" not in plan.theorem
+        assert "TW(2) bucket elimination" in explain(p, planner=planner).as_table()
+        assert "TW(1)" in node.boolean_plan({Variable("?x")}).theorem

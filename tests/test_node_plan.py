@@ -58,7 +58,7 @@ def test_query_rows_name_the_answers_plan(backend):
             assert row["engine"] == plans[row["node"]].engine, (seed, row["node"])
             assert row["engines"] == {row["engine"]: 1}
         seen.update(row["engine"] for row in evaluated)
-    assert seen == {"yannakakis", "naive"}  # both answers routes ran
+    assert seen == {"yannakakis", "treewidth"}  # both answers routes ran
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

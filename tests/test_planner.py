@@ -125,7 +125,7 @@ class TestPlannerReuse:
 
     def test_answers_plan_per_shape(self):
         """The answers op: Yannakakis over the profile's join tree when the
-        shape is acyclic, the search once per interface key when not."""
+        shape is acyclic, Theorem 2 over its elimination order when not."""
         planner = Planner()
         path = ConjunctiveQuery(["?x"], [atom("E", "?x", "?y"), atom("E", "?y", "?z")])
         plan = planner.plan_cq(path)
@@ -137,9 +137,10 @@ class TestPlannerReuse:
             [atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")],
         )
         plan = planner.plan_cq(triangle)
-        assert (plan.engine, plan.structure) == (ENGINE_NAIVE, None)
-        assert "once per distinct interface key" in plan.theorem
         profile = planner.profile_cq(triangle)
+        assert plan.engine == ENGINE_TREEWIDTH
+        assert plan.structure == tuple(profile.elimination_order)
+        assert "bucket elimination" in plan.theorem
         assert planner.plan_for_profile("", profile) is profile.answers_plan is plan
 
     def test_boolean_plan_per_shape_and_bound_set(self):
@@ -167,7 +168,7 @@ class TestPlannerReuse:
         # One plan per bound set, whatever the values or extra variables.
         assert profile.boolean_plan({x: 5, Variable("?w"): 1}) is plan
         assert profile.boolean_plan({x: 0, y: 1, z: 2}).engine == ENGINE_PROBE
-        assert profile.answers_plan.engine == ENGINE_NAIVE
+        assert profile.answers_plan.engine == ENGINE_TREEWIDTH
 
     def test_boolean_checks_build_one_plan_per_bound_set(self):
         """A run reads its plan off the profile: the first check of a bound

@@ -14,13 +14,14 @@ from repro.cqalgs.dispatch import evaluate, holds
 from repro.cqalgs.naive import evaluate_naive, first_homomorphism, satisfiable
 from repro.cqalgs.structured import (
     evaluate_bounded_treewidth,
+    relation_by_elimination,
     satisfiable_by_elimination,
 )
 from repro.exceptions import ClassMembershipError, ResourceBudgetExceeded
 from repro.hypergraphs.hypergraph import hypergraph_of_cq
 from repro.hypergraphs.treewidth import elimination_order, treewidth_exact
-from repro.planner import ENGINE_NAIVE, ENGINE_TREEWIDTH, Planner
-from repro.relalg.relation import hash_join, scan
+from repro.planner import ENGINE_TREEWIDTH, Planner
+from repro.relalg.relation import from_mappings, hash_join, scan, semijoin, to_mappings
 from repro.storage import MemoryBackend, SQLiteBackend
 from repro.telemetry.resources import ResourceBudget, ResourceMonitor
 from repro.telemetry.tracer import Tracer, tracing
@@ -138,6 +139,57 @@ def test_no_bucket_is_a_domain_product():
     assert monitor.usage.peak_intermediate_rows <= pairs
 
 
+def test_seeded_buckets_read_only_what_a_key_can_join():
+    """``L(?x, ?l) OPT triangle`` with ``?x`` last in the order, as the
+    evaluator runs it for 10 keys over 300 vertices and 1 500 edges: the
+    seed scans the two atoms on ``?x``, so the largest bucket is at least
+    10× below the unseeded run's (214 against 7 356 rows), and the seeded
+    answers are the unseeded ones that join the keys."""
+    db = MemoryBackend(random_graph_database(300, 1500, seed=7).facts())
+    a, b, x = Variable("?a"), Variable("?b"), Variable("?x")
+    atoms = [atom("E", "?x", "?a"), atom("E", "?a", "?b"), atom("E", "?b", "?x")]
+    keys = from_mappings([Mapping({x: v}) for v in range(0, 300, 30)], [x], db)
+    peaks, answers = [], []
+    for seed in (None, keys):
+        with tracing() as tracer:
+            answers.append(relation_by_elimination(atoms, [a, b, x], db, [x, a, b], seed))
+        (span,) = tracer.find("elimination")
+        peaks.append(max(span.attrs["bucket_rows"]))
+    assert peaks[0] >= 10 * peaks[1]
+    assert to_mappings(answers[1]) == to_mappings(semijoin(answers[0], keys))
+
+
+def test_answers_form_runs_only_the_top_down_sweep(db):
+    """Each bucket joined its children's messages, so the bucket relations
+    are bottom-up consistent: the answers form sweeps top-down only."""
+    with tracing() as tracer:
+        evaluate_bounded_treewidth(cycle_cq(4), db)
+    names = {span.name for span in tracer.walk()}
+    assert "yannakakis.semijoin_down" in names
+    assert "yannakakis.semijoin_up" not in names
+
+
+def test_a_bound_atom_without_a_match_decides_the_check_before_any_bucket(monkeypatch):
+    """The 4-cycle through ``9``, which has out-edges but no in-edge: the
+    last atom of the order, ``E(?x3, 9)``, has no match, and the check
+    says so without scanning or joining a bucket."""
+    import repro.cqalgs.structured as structured
+
+    db = Database([atom("E", 9, 1), atom("E", 1, 2), atom("E", 2, 3), atom("E", 3, 4)])
+    atoms = [atom("E", 9, "?x1"), atom("E", "?x1", "?x2"), atom("E", "?x2", "?x3"),
+             atom("E", "?x3", 9)]
+    order = [Variable("?x1"), Variable("?x2"), Variable("?x3")]
+    calls = []
+    for name in ("scan", "hash_join"):
+        original = getattr(structured, name)
+        monkeypatch.setattr(
+            structured, name, lambda *a, n=name, f=original, **k: calls.append(n) or f(*a, **k)
+        )
+    assert satisfiable_by_elimination(atoms, order, db) is False
+    assert calls == []
+    assert satisfiable_by_elimination(atoms[:3], order, db) is True  # no false stop
+
+
 def test_width_bound_enforced(db):
     tri = cycle_cq(3)
     with pytest.raises(ClassMembershipError):
@@ -249,8 +301,8 @@ def test_boolean_run_over_a_decomposition_stops_after_the_bottom_up_sweep(backen
 
 
 def test_routed_triangle_matches_the_backtracking_search(db):
-    """On the triangle, the answers plan (the search) and the Boolean plan
-    under a bound ``?x`` (Theorem 2) return what the reference search
+    """On the triangle, the answers plan and the Boolean plan under a
+    bound ``?x`` (both Theorem 2) return what the reference search
     returns, memory and SQLite."""
     query = cq(["?x", "?y"], TRIANGLE)
     for backend in (MemoryBackend, SQLiteBackend):
@@ -263,7 +315,7 @@ def test_routed_triangle_matches_the_backtracking_search(db):
             assert planner.satisfiable_substituted(
                 profile, binding.as_dict(), store
             ) is satisfiable(TRIANGLE, store, binding)
-        assert planner.engine_selections == {ENGINE_NAIVE: 1, ENGINE_TREEWIDTH: 7}
+        assert planner.engine_selections == {ENGINE_TREEWIDTH: 8}
 
 
 def test_hard_row_budget_stops_a_bag_where_it_blows_up():

@@ -306,9 +306,9 @@ def test_analyze_end_to_end_on_example2_dp_path():
 
 def test_analyze_names_the_engine_that_ran_at_a_cyclic_node():
     """``L(x,l) OPT triangle(x,y,z)``: the top-down evaluator runs the
-    cyclic label's answers plan, the search per key (no ``planner.*`` span
-    and no decomposition run); the Theorem 6 DP runs its Boolean plans,
-    the decomposition engine while ``?y``, ``?z`` are open.  Each row
+    cyclic label's answers plan, bucket elimination seeded by the keys (no
+    ``planner.*`` span); the Theorem 6 DP runs its Boolean plans, the
+    elimination engine while ``?y``, ``?z`` are open.  Each row
     names what the trace says ran."""
     p = wdpt_from_nested(
         (
@@ -323,8 +323,8 @@ def test_analyze_names_the_engine_that_ran_at_a_cyclic_node():
     report = session.analyze(p)
     assert report.n_answers == 2
     root, triangle = report.rows
-    assert (root["engine"], triangle["engine"]) == ("yannakakis", "naive")
-    assert "once per distinct interface key" in session.explain(p).node_plans[1].theorem
+    assert (root["engine"], triangle["engine"]) == ("yannakakis", "treewidth")
+    assert "bucket elimination" in session.explain(p).node_plans[1].theorem
     (evaluator,) = report.tracer.find("wdpt.maximal_homomorphisms")
     assert not [s for s in evaluator.walk() if s.name.startswith("planner.")]
     assert len(list(report.tracer.find("yannakakis"))) == 1  # the root label only

@@ -13,6 +13,7 @@ from repro.core.database import Database
 from repro.core.mappings import Mapping
 from repro.core.terms import Variable
 from repro.cqalgs.enumeration import enumerate_answers
+from repro.cqalgs.structured import relation_by_elimination
 from repro.cqalgs.naive import evaluate_naive, homomorphisms
 from repro.cqalgs import yannakakis
 from repro.cqalgs.yannakakis import (
@@ -26,7 +27,14 @@ from repro.cqalgs.yannakakis import (
 from repro.engine import Session
 from repro.exceptions import ClassMembershipError
 from repro.hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
-from repro.relalg.relation import from_mappings, hash_join, project, scan, to_mappings
+from repro.relalg.relation import (
+    from_mappings,
+    hash_join,
+    project,
+    scan,
+    semijoin,
+    to_mappings,
+)
 from repro.storage import MemoryBackend, SQLiteBackend
 from repro.telemetry.tracer import tracing
 from repro.workloads.datasets import music_catalog
@@ -215,6 +223,47 @@ def test_scan_schedule_stays_between_full_reduction_and_plain_scan(case):
         assert to_mappings(answers) == expected, config
         if seed is None:
             assert satisfiable_with_join_tree(atoms, tree, db) is bool(homs), config
+
+
+@st.composite
+def cq_order_and_facts(draw):
+    """:func:`acyclic_cq_and_facts` with, now and then, an ``E`` atom over
+    two of its variables (closing a cycle, or a self-loop), and any order
+    of the variables to eliminate in."""
+    atoms, facts, frees, seed = draw(acyclic_cq_and_facts())
+    variables = sorted({v for a in atoms for v in a.variables()})
+    if variables and draw(st.booleans()):
+        pair = [draw(st.sampled_from(variables)) for _ in range(2)]
+        atoms = sorted(set(atoms) | {atom("E", *["?" + v.name for v in pair])})
+    return atoms, draw(st.permutations(variables)), facts, frees, seed
+
+
+@_ACYCLIC
+@given(cq_order_and_facts())
+@example((
+    # No atom holds both seed variables: each seeded scan lets (1, 4) and
+    # (3, 2) through, and only the seed joined as a factor drops them.
+    [atom("R", "?x", "?u"), atom("S", "?u", "?y")],
+    [Variable("u"), Variable("x"), Variable("y")],
+    [atom("R", 1, "a"), atom("R", 3, "a"), atom("S", "a", 2), atom("S", "a", 4)],
+    frozenset({Variable("x"), Variable("u"), Variable("y")}),
+    ([Variable("x"), Variable("y")], [Mapping({"?x": 1, "?y": 2}), Mapping({"?x": 3, "?y": 4})]),
+))
+def test_seeded_elimination_is_the_semijoin_of_the_unseeded_answers(case):
+    """The seeded contract of the Theorem 2 answers form, as for
+    ``relation_with_join_tree`` above: over any order, the seeded run's
+    answers are the unseeded ones that join the seed, which are the
+    search's answers that do — memory and SQLite."""
+    atoms, order, facts, frees, seed = case
+    homs = [h for h in homomorphisms(atoms, MemoryBackend(facts)) if _joins(h, seed)]
+    expected = frozenset(h.restrict(frees) for h in homs)
+    for backend in CONFIGURATIONS:
+        db, config = backend(facts), backend.__name__
+        seeded = relation_by_elimination(atoms, order, db, frees, seed=_packed(seed, db))
+        assert to_mappings(seeded) == expected, config
+        if seed is not None:
+            full = relation_by_elimination(atoms, order, db, frees)
+            assert to_mappings(seeded) == to_mappings(semijoin(full, _packed(seed, db)))
 
 
 @_ACYCLIC
