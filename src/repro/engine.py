@@ -51,7 +51,6 @@ entries of the queries the written facts provably cannot reach
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Union
 
@@ -67,7 +66,7 @@ from .storage import ResultCache, StorageBackend, backend_from_env, to_backend
 from .storage.cache import DEFAULT_SIZE as DEFAULT_CACHE_SIZE
 from .table import format_table
 from .telemetry.context import current, scoped
-from .telemetry.obslog import QueryLog, QueryObservation
+from .telemetry.obslog import LiveQueries, QueryLog, QueryObservation
 from .telemetry.profiler import current_profiler, gc_summary
 from .telemetry.resources import ResourceBudget
 from .telemetry.tracer import Tracer, current_tracer
@@ -254,12 +253,9 @@ class Session:
         self.budgets = budgets
         #: Account resources even without budgets (``Result.resources``).
         self.track_resources = bool(track_resources or budgets is not None)
-        # Live observability state backing the /debug/queries endpoint:
-        # observations currently inside their ``with`` block, plus a
-        # bounded ring of finished ones.
-        self._in_flight: Dict[int, QueryObservation] = {}
-        self._recent_queries: List[Dict[str, Any]] = []
-        self._debug_lock = threading.Lock()
+        #: What backs ``/debug/queries``: the observations in flight and
+        #: a bounded ring of finished ones.
+        self.live_queries = LiveQueries(tenant)
 
     def close(self) -> None:
         """Release nothing: a session holds no processes or handles of
@@ -299,64 +295,13 @@ class Session:
                 return None
         return QueryObservation(self, op, query)
 
-    @staticmethod
-    def _attach_profile(result: Result, obs: QueryObservation) -> None:
-        """Attach the running profiler's samples for this query's trace
-        to the result (no-op when no profiler is running)."""
-        profiler = current_profiler()
-        if profiler is not None and profiler.running:
-            result.profile_samples = profiler.samples_for_trace(obs.trace_id)
-
     # ------------------------------------------------------------------
     # Live query registry (/debug/queries)
     # ------------------------------------------------------------------
-    #: How many finished queries :meth:`debug_queries` retains.
-    RECENT_QUERIES = 64
-
-    def _query_started(self, obs: QueryObservation) -> None:
-        """Register an observation as in flight (called on ``__enter__``)."""
-        with self._debug_lock:
-            self._in_flight[id(obs)] = obs
-
-    def _query_finished(
-        self, obs: QueryObservation, wall: float, error: Optional[str]
-    ) -> None:
-        """Move an observation from in-flight to the recent ring."""
-        record = {
-            "op": obs.op,
-            "query_id": obs.query_id,
-            "trace_id": obs.trace_id,
-            "rows": obs.n_rows,
-            "wall_seconds": wall,
-            "cache": obs.cache_outcome,
-            "error": error,
-        }
-        if self.tenant is not None:
-            record["tenant"] = self.tenant
-        with self._debug_lock:
-            self._in_flight.pop(id(obs), None)
-            self._recent_queries.append(record)
-            if len(self._recent_queries) > self.RECENT_QUERIES:
-                del self._recent_queries[: len(self._recent_queries)
-                                         - self.RECENT_QUERIES]
-
     def debug_queries(self) -> Dict[str, Any]:
         """The ``/debug/queries`` payload: queries currently executing
         (with their trace ids and elapsed time) plus the recent ring."""
-        now = time.perf_counter()
-        with self._debug_lock:
-            in_flight = [
-                {
-                    "op": obs.op,
-                    "query_id": obs.query_id,
-                    "trace_id": obs.trace_id,
-                    "elapsed_seconds": max(0.0, now - obs._start),
-                    **({"tenant": self.tenant} if self.tenant else {}),
-                }
-                for obs in self._in_flight.values()
-            ]
-            recent = list(self._recent_queries)
-        return {"in_flight": in_flight, "recent": recent}
+        return self.live_queries.snapshot()
 
     def debug_plans(self) -> Dict[str, Any]:
         """The ``/debug/plans`` payload: the planner's EXPLAIN cache, one
@@ -396,20 +341,6 @@ class Session:
         stamp = db.data_version
         read = cache.get if count else cache.peek
         return (key, stamp), read(key, stamp)
-
-    def _note_cache(self, obs: Optional[QueryObservation], outcome: str) -> None:
-        """Emit a ``query.cache`` obslog record (hit or miss) and note
-        the outcome on the observation for ``/debug/queries``."""
-        if obs is None:
-            return
-        obs.cache_outcome = outcome
-        if obs.log is not None:
-            obs.log.emit(
-                "query.cache",
-                op=obs.op,
-                query_id=obs.query_id,
-                outcome=outcome,
-            )
 
     def query(self, query: Query) -> Result:
         """Evaluate and return all answers."""
@@ -453,9 +384,7 @@ class Session:
             return self._evaluate_impl(op, query, evaluator, engine, None, hit)
         with obs:
             result = self._evaluate_impl(op, query, evaluator, engine, obs, hit)
-            obs.finish(result.query, len(result.answers))
-        result.resources = obs.usage
-        self._attach_profile(result, obs)
+            obs.finish(len(result.answers), result)
         return result
 
     def _evaluate_impl(
@@ -484,11 +413,10 @@ class Session:
                 self.result_cache.hit(slot[0])
             if obs is not None:
                 obs.parsed(p)
+                if slot is not None:
+                    obs.cache("miss" if answers is None else "hit")
             if answers is not None:
-                self._note_cache(obs, "hit")
                 return Result(self, p, answers)
-            if slot is not None:
-                self._note_cache(obs, "miss")
             start = time.perf_counter()
             answers = evaluator(p, self.database, profile)
             self.planner.record_engine(engine, time.perf_counter() - start)
@@ -519,7 +447,7 @@ class Session:
             return self._decide_impl(op, query, candidate, procedure, None)
         with obs:
             decision = self._decide_impl(op, query, candidate, procedure, obs)
-            obs.finish(obs.query, int(decision))
+            obs.finish(int(decision))
         return decision
 
     def _decide_impl(
@@ -532,14 +460,13 @@ class Session:
     ) -> bool:
         with current_tracer().span("session." + op):
             p = self.parse(query)
+            slot, decision = self._lookup(op, p, extra=candidate)
             if obs is not None:
                 obs.parsed(p)
-            slot, decision = self._lookup(op, p, extra=candidate)
+                if slot is not None:
+                    obs.cache("miss" if decision is None else "hit")
             if decision is not None:
-                self._note_cache(obs, "hit")
                 return decision
-            if slot is not None:
-                self._note_cache(obs, "miss")
             decision = procedure(p, self.database, candidate, planner=self.planner)
             if slot is not None:
                 self.result_cache.put(*slot, decision, p)

@@ -4,7 +4,7 @@
   zero-cost disabled default, :func:`tracing` to turn recording on;
 * :mod:`repro.telemetry.metrics` — counters / gauges / histograms behind a
   :class:`MetricsRegistry` (the planner's instrumentation store);
-* :mod:`repro.telemetry.export` — dict/JSON, Chrome ``chrome://tracing``
+* :mod:`repro.telemetry.export` — dict, Chrome ``chrome://tracing``
   trace-event, and fixed-width text exporters;
 * :mod:`repro.telemetry.obslog` — the structured JSON-lines query log with
   stable query IDs and slow-query EXPLAIN ANALYZE capture;
@@ -39,7 +39,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     NodeStatsCollector,
-    get_registry,
     quantile_key,
 )
 from .obslog import (
@@ -57,7 +56,6 @@ from .profiler import (
     folded_stacks,
     folded_text,
     gc_summary,
-    profiler_active,
     profiling,
     span_phase,
     summarize_samples,
@@ -88,13 +86,11 @@ from .tracer import (
 from .export import (
     SPAN_ATTR_TYPES,
     aggregate_spans,
-    chrome_trace_json,
     from_chrome_trace,
     render_stage_breakdown,
     render_trace,
     to_chrome_trace,
     trace_to_dict,
-    trace_to_json,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -111,7 +107,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NodeStatsCollector",
-    "get_registry",
     "quantile_key",
     "OBSLOG_SCHEMA",
     "QueryLog",
@@ -125,7 +120,6 @@ __all__ = [
     "folded_stacks",
     "folded_text",
     "gc_summary",
-    "profiler_active",
     "profiling",
     "span_phase",
     "summarize_samples",
@@ -150,13 +144,11 @@ __all__ = [
     "tracing",
     "SPAN_ATTR_TYPES",
     "aggregate_spans",
-    "chrome_trace_json",
     "from_chrome_trace",
     "render_stage_breakdown",
     "render_trace",
     "to_chrome_trace",
     "trace_to_dict",
-    "trace_to_json",
     "validate_chrome_trace",
     "write_chrome_trace",
 ]

@@ -2,9 +2,9 @@
 
 Three consumers of a recorded :class:`~repro.telemetry.tracer.Tracer`:
 
-* :func:`trace_to_dict` / :func:`trace_to_json` — structured nested dicts
-  (the ``--trace-out`` payload is the Chrome format below, but the dict
-  form is what programmatic consumers and ``analyze()`` join against);
+* :func:`trace_to_dict` — structured nested dicts (the ``--trace-out``
+  payload is the Chrome format below, but the dict form is what
+  programmatic consumers and ``analyze()`` join against);
 * :func:`to_chrome_trace` — the ``chrome://tracing`` / Perfetto
   "trace event" format (complete events, ``ph: "X"``, microsecond
   timestamps), with :func:`from_chrome_trace` reconstructing the span
@@ -20,7 +20,7 @@ bench harness prints these as the per-stage time breakdown.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from ..table import format_table
 from .tracer import Span, Tracer
@@ -46,15 +46,11 @@ SPAN_ATTR_TYPES: Dict[str, tuple] = {
 
 
 # ---------------------------------------------------------------------------
-# Structured dict / JSON
+# Structured dicts
 # ---------------------------------------------------------------------------
 def trace_to_dict(tracer: Tracer) -> Dict[str, Any]:
     """The whole trace as nested dicts (see :meth:`Span.to_dict`)."""
     return {"spans": [root.to_dict() for root in tracer.roots]}
-
-
-def trace_to_json(tracer: Tracer, indent: Optional[int] = None) -> str:
-    return json.dumps(trace_to_dict(tracer), indent=indent, default=repr)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +78,6 @@ def to_chrome_trace(tracer: Tracer, pid: int = 0, tid: int = 0) -> List[Dict[str
     for root in tracer.roots:
         emit(root)
     return events
-
-
-def chrome_trace_json(tracer: Tracer, indent: Optional[int] = None) -> str:
-    return json.dumps(to_chrome_trace(tracer), indent=indent)
 
 
 def write_chrome_trace(tracer: Tracer, path: str) -> int:

@@ -22,8 +22,7 @@ the caller passes them, so one label takes values of one type (``1`` and
 Histograms keep exact ``count``/``sum``/``max`` and a bounded reservoir of
 recent observations for the quantile estimates (p50/p95/p99 by default,
 configurable per instrument), so long-running sessions do not grow without
-bound.  The planner owns one registry; anything else may use the
-module-level default registry via :func:`get_registry`.
+bound.  The planner owns one registry.
 """
 
 from __future__ import annotations
@@ -434,13 +433,3 @@ class NodeStatsCollector:
     def __repr__(self) -> str:
         return "NodeStatsCollector(%d keys)" % len(self._rows)
 
-
-# ---------------------------------------------------------------------------
-# Module-level default registry
-# ---------------------------------------------------------------------------
-_default = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry (the planner uses its own)."""
-    return _default

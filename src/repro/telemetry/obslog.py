@@ -32,13 +32,13 @@ and into a bounded in-memory ring (:meth:`QueryLog.recent`) for
 programmatic access and tests.  :func:`validate_obslog` schema-checks a
 log (shared with ``scripts/validate_trace.py``).
 
-:class:`QueryObservation` is the session-side orchestrator: it scopes a
-trace id (and, when slow-query capture needs one, a recording tracer) to
-the calling context, runs the query under a
-:class:`~repro.telemetry.resources.ResourceMonitor`, and emits the events
-above.  ``Session.query``/``query_maximal``/``ask`` construct one per call
-when observability is configured — and skip all of it (one ``is None``
-check) when it is not.
+:class:`QueryObservation` is the one object that observes a session
+operation: one context install (trace id, the slow-capture tracer when
+one is needed, the :class:`~repro.telemetry.resources.ResourceMonitor`),
+one clock reading at each end, the events above, and the session's
+:class:`LiveQueries` entry.  ``Session.query``/``query_maximal``/``ask``
+construct one per call when observability is configured — and skip all
+of it (one ``is None`` check) when it is not.
 """
 
 from __future__ import annotations
@@ -48,9 +48,11 @@ import json
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Union
 
 from .context import current, current_trace_id, new_trace_id, scoped
+from .profiler import current_profiler
 from .resources import ResourceMonitor
 from .tracer import Tracer
 
@@ -277,10 +279,6 @@ class BoundQueryLog:
         """The underlying shared log."""
         return self._log
 
-    @property
-    def bound_fields(self) -> Dict[str, Any]:
-        return dict(self._fields)
-
     def emit(self, event: str, **fields: Any) -> Dict[str, Any]:
         merged = dict(self._fields)
         merged.update(fields)
@@ -373,16 +371,82 @@ def validate_obslog(lines: Iterable[str]) -> List[str]:
     return errors
 
 
-class QueryObservation:
-    """Observe one ``Session`` operation: events, resources, slow capture.
+class LiveQueries:
+    """A session's live-query registry, the ``/debug/queries`` payload: the
+    observations inside their ``with`` block, and the last :attr:`SIZE`
+    finished ones.  Each :class:`QueryObservation` reports here on entry
+    and on exit."""
 
-    Used as a context manager by the session entry points::
+    #: How many finished queries the registry retains.
+    SIZE = 64
+
+    def __init__(self, tenant: Optional[str] = None):
+        self.tenant = tenant
+        self._running: Dict[int, "QueryObservation"] = {}
+        self._recent: Deque[Dict[str, Any]] = deque(maxlen=self.SIZE)
+        self._lock = threading.Lock()
+
+    def started(self, obs: "QueryObservation") -> None:
+        with self._lock:
+            self._running[id(obs)] = obs
+
+    def finished(
+        self, obs: "QueryObservation", wall: float, error: Optional[str]
+    ) -> None:
+        record = {
+            "op": obs.op,
+            "query_id": obs.query_id,
+            "trace_id": obs.trace_id,
+            "rows": obs.n_rows,
+            "wall_seconds": wall,
+            "cache": obs.cache_outcome,
+            "error": error,
+        }
+        if self.tenant is not None:
+            record["tenant"] = self.tenant
+        with self._lock:
+            self._running.pop(id(obs), None)
+            self._recent.append(record)
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Queries executing now (trace id, elapsed seconds since their
+        observation's start reading) plus the recent ring."""
+        now = time.perf_counter()
+        tenant = {"tenant": self.tenant} if self.tenant else {}
+        with self._lock:
+            in_flight = [
+                {
+                    "op": obs.op,
+                    "query_id": obs.query_id,
+                    "trace_id": obs.trace_id,
+                    "elapsed_seconds": max(0.0, now - obs.wall_start),
+                    **tenant,
+                }
+                for obs in self._running.values()
+            ]
+            recent = list(self._recent)
+        return {"in_flight": in_flight, "recent": recent}
+
+
+class QueryObservation:
+    """Observe one ``Session`` operation: the one object that does.
+
+    Entering installs the query's context once — its trace id (the
+    caller's, or a fresh one), the recording tracer slow-query capture
+    needs, and the session's :class:`ResourceMonitor` when it accounts
+    resources, in a single :class:`~repro.telemetry.context.scoped` — and
+    reads the wall clock (``perf_counter``) once at each end, the CPU
+    clock too when a monitor runs.  That one wall time is the
+    ``ResourceUsage``'s, the obslog records' and the ``/debug/queries``
+    entry's.  The session entry points use it as a context manager::
 
         obs = QueryObservation(session, "query", raw_query)
         with obs:
-            ... parse; obs.parsed(p); evaluate ...
-            obs.finish(p, n_rows)
-        result.resources = obs.usage
+            ... parse; obs.parsed(p); obs.cache("miss"); evaluate ...
+            obs.finish(n_rows, result)
+
+    and on a clean exit it attaches the usage (and, while a sampling
+    profiler runs, this trace's samples) to ``result``.
     """
 
     def __init__(self, session, op: str, raw_query: Any):
@@ -393,54 +457,55 @@ class QueryObservation:
         self.query = None
         self.query_id: Optional[str] = None
         self.n_rows: Optional[int] = None
+        self.result = None
         self.monitor: Optional[ResourceMonitor] = None
-        self.usage = None
+        if session.budgets is not None or session.track_resources:
+            self.monitor = ResourceMonitor(session.budgets)
+        self.usage = None if self.monitor is None else self.monitor.usage
         self.trace_id: Optional[str] = None
-        self.cache_outcome: Optional[str] = None  # "hit"/"miss", set by Session
+        self.cache_outcome: Optional[str] = None  # "hit"/"miss", see cache()
+        #: The ``perf_counter`` reading the query's wall time runs from.
+        self.wall_start = 0.0
         self._scope: Optional[scoped] = None
-        self._start = 0.0
-        self._finished = False
-        self._cache_baseline: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def _slow_capture(self) -> bool:
-        return self.log is not None and self.log.slow_threshold is not None
-
     def __enter__(self) -> "QueryObservation":
         # One trace id per top-level query: reuse the caller's or mint one.
         # Slow-query capture needs a recorded trace to build the EXPLAIN
         # ANALYZE profile from; record into a fresh tracer if none is on.
-        # Both live in this query's context only.
+        # All of it, and the monitor, live in this query's context only.
         context = current()
+        log, monitor = self.log, self.monitor
         tracer = context.tracer
-        if self._slow_capture() and not getattr(tracer, "enabled", False):
+        if (
+            log is not None and log.slow_threshold is not None
+            and not getattr(tracer, "enabled", False)
+        ):
             tracer = Tracer()
         self.trace_id = context.trace_id or new_trace_id()
-        self._scope = scoped(context._replace(trace_id=self.trace_id, tracer=tracer))
+        self._scope = scoped(context._replace(
+            trace_id=self.trace_id, tracer=tracer,
+            monitor=context.monitor if monitor is None else monitor,
+        ))
         self._scope.__enter__()
         try:
-            budget = self.session.budgets
-            if budget is not None or self.session.track_resources:
-                self.monitor = ResourceMonitor(budget)
-                self.monitor.__enter__()
-            planner = self.session.planner
-            self._cache_baseline = {
-                "parse_hits": planner.parses.hits,
-                "parse_misses": planner.parses.misses,
-                "profile_hits": planner.profiles.hits,
-                "profile_misses": planner.profiles.misses,
-            }
-            if self.log is not None:
+            if log is not None:
+                planner = self.session.planner
+                self._cache_baseline = (
+                    planner.parses.hits, planner.parses.misses,
+                    planner.profiles.hits, planner.profiles.misses,
+                )
                 preview = (
                     self.raw_query
                     if isinstance(self.raw_query, str)
                     else repr(self.raw_query)
                 )
-                self.log.emit("query.start", op=self.op, query=preview[:200])
-            self._start = time.perf_counter()
-            started = getattr(self.session, "_query_started", None)
-            if started is not None:  # the session's /debug/queries registry
-                started(self)
+                log.emit("query.start", op=self.op, query=preview[:200])
+            self.wall_start = time.perf_counter()
+            if monitor is not None:
+                monitor.usage.trace_id = self.trace_id
+                monitor.start(self.wall_start, time.process_time())
+            self.session.live_queries.started(self)
         except BaseException as exc:
             # Never leave the scope set: a pool thread runs the next job
             # in whatever context this one leaves behind.
@@ -455,19 +520,19 @@ class QueryObservation:
         if self.log is None:
             return
         planner = self.session.planner
-        baseline = self._cache_baseline
+        parse_hits, parse_misses, profile_hits, profile_misses = self._cache_baseline
         self.log.emit(
             "query.parse",
             op=self.op,
             query_id=self.query_id,
             # Per-call deltas: did *this* query hit the parse/profile caches?
             parse_cache={
-                "hits": planner.parses.hits - baseline["parse_hits"],
-                "misses": planner.parses.misses - baseline["parse_misses"],
+                "hits": planner.parses.hits - parse_hits,
+                "misses": planner.parses.misses - parse_misses,
             },
             profile_cache={
-                "hits": planner.profiles.hits - baseline["profile_hits"],
-                "misses": planner.profiles.misses - baseline["profile_misses"],
+                "hits": planner.profiles.hits - profile_hits,
+                "misses": planner.profiles.misses - profile_misses,
             },
         )
         profile = planner.explain_wdpt(p)
@@ -486,6 +551,16 @@ class QueryObservation:
             },
         )
 
+    def cache(self, outcome: str) -> None:
+        """Called by the session with the result cache's answer, ``"hit"``
+        or ``"miss"``: kept for ``/debug/queries``, logged as
+        ``query.cache``."""
+        self.cache_outcome = outcome
+        if self.log is not None:
+            self.log.emit(
+                "query.cache", op=self.op, query_id=self.query_id, outcome=outcome
+            )
+
     def _route(self, profile) -> str:
         """The theorem licensing this operation's algorithm on ``profile``."""
         if self.op in _PARTIAL_EVAL_OPS:
@@ -494,22 +569,22 @@ class QueryObservation:
             return profile.query_route(maximal=self.op == "query_maximal")
         return profile.eval_route()
 
-    def finish(self, p, n_rows: int) -> None:
-        """Called by the session with the parsed query and the row count."""
-        if self.query is None:
-            self.parsed(p)
+    def finish(self, n_rows: int, result=None) -> None:
+        """Called by the session with the row count and the ``Result``
+        (if any) to attach the usage and profile samples to on exit."""
         self.n_rows = n_rows
-        self._finished = True
+        self.result = result
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        wall = time.perf_counter() - self._start
-        if self.monitor is not None:
+        end = time.perf_counter()
+        wall = end - self.wall_start
+        monitor = self.monitor
+        if monitor is not None:
             # May raise ResourceBudgetExceeded (post-hoc hard limits); run
             # it first so the usage is finalised for the log records, and
             # re-enter the normal flow with the budget error as `exc`.
-            self.usage = self.monitor.usage
             try:
-                self.monitor.__exit__(exc_type, exc, tb)
+                monitor.stop(end, time.process_time(), exc_type is not None)
             except Exception as budget_exc:  # noqa: BLE001 - re-raised below
                 exc_type, exc = type(budget_exc), budget_exc
         try:
@@ -517,14 +592,17 @@ class QueryObservation:
         finally:
             self._scope.__exit__(exc_type, exc, tb)
             self._scope = None
-            finished = getattr(self.session, "_query_finished", None)
-            if finished is not None:
-                finished(
-                    self, wall,
-                    None if exc_type is None else exc_type.__name__,
-                )
+            self.session.live_queries.finished(
+                self, wall, None if exc_type is None else exc_type.__name__
+            )
         if exc is not None and tb is None:
             raise exc  # a post-hoc hard-budget violation from the monitor
+        result = self.result
+        if exc_type is None and result is not None:
+            result.resources = self.usage
+            profiler = current_profiler()
+            if profiler is not None and profiler.running:
+                result.profile_samples = profiler.samples_for_trace(self.trace_id)
         return False
 
     # ------------------------------------------------------------------
@@ -600,8 +678,6 @@ class QueryObservation:
                 "stages": report.stages if report is not None else {},
             },
         }
-        from .profiler import current_profiler
-
         profiler = current_profiler()
         if profiler is not None and profiler.running:
             record["profile_samples"] = profiler.trace_summary(self.trace_id)

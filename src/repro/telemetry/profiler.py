@@ -73,7 +73,6 @@ __all__ = [
     "validate_speedscope",
     "validate_folded",
     "current_profiler",
-    "profiler_active",
     "profiling",
 ]
 
@@ -368,12 +367,6 @@ def current_profiler() -> Optional[SamplingProfiler]:
     """The most recently started profiler, or ``None``.  This is the
     single module-global read the disabled path pays per observed query."""
     return _current
-
-
-def profiler_active() -> bool:
-    """True when a profiler is installed and its sampler thread runs."""
-    profiler = _current
-    return profiler is not None and profiler.running
 
 
 @contextmanager

@@ -29,7 +29,8 @@ and no allocation.
 
 Wired through :class:`repro.engine.Session` — pass ``budgets=`` or
 ``track_resources=True`` and every ``query``/``query_maximal``/``ask``
-carries a ``.resources`` usage report.
+carries a ``.resources`` usage report; the session's
+:class:`~repro.telemetry.obslog.QueryObservation` runs the monitor.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 import tracemalloc
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NoReturn, Optional
 
 from ..exceptions import ResourceBudgetExceeded
 from .context import current, current_trace_id, scoped
@@ -175,9 +176,13 @@ class ResourceMonitor:
         monitor.usage.peak_intermediate_rows
 
     Entering installs the monitor in the calling context (exiting restores
-    the previous one, nested or not) and starts the clocks; exiting
+    the previous one, nested or not) and reads the clocks into
+    :meth:`start`; exiting reads them again into :meth:`stop`, which
     finalises the :class:`ResourceUsage` and applies post-hoc hard checks
-    (memory — tracemalloc peaks are only meaningful at the end).
+    (memory — tracemalloc peaks are only meaningful at the end).  A
+    :class:`~repro.telemetry.obslog.QueryObservation` calls
+    :meth:`start`/:meth:`stop` itself, with the context it installs and
+    the clock readings it takes, so an observed query has one of each.
     """
 
     def __init__(
@@ -216,45 +221,49 @@ class ResourceMonitor:
             return
         hard_rows = budget.hard_intermediate_rows
         if hard_rows is not None and rows > hard_rows:
-            raise ResourceBudgetExceeded(
-                "intermediate-rows", hard_rows, rows,
-                trace_id=usage.trace_id or current_trace_id(),
-            )
+            self._exceeded("intermediate-rows", hard_rows, rows)
         hard_wall = budget.hard_wall_seconds
         if hard_wall is not None:
             elapsed = time.perf_counter() - self._start_wall
             if elapsed > hard_wall:
-                raise ResourceBudgetExceeded(
-                    "wall-seconds", hard_wall, elapsed,
-                    trace_id=usage.trace_id or current_trace_id(),
-                )
+                self._exceeded("wall-seconds", hard_wall, elapsed)
 
     def note_subqueries(self, n: int) -> None:
         with self._lock:
             self.usage.subqueries += n
 
+    def _exceeded(
+        self, dimension: str, limit: float, observed: float
+    ) -> NoReturn:
+        raise ResourceBudgetExceeded(
+            dimension, limit, observed,
+            trace_id=self.usage.trace_id or current_trace_id(),
+        )
+
     # ------------------------------------------------------------------
-    # Context manager
+    # The accounting window
     # ------------------------------------------------------------------
-    def __enter__(self) -> "ResourceMonitor":
+    def start(self, wall: float, cpu: float) -> None:
+        """Open the window at the readings ``wall`` (``perf_counter``) and
+        ``cpu`` (``process_time``); start tracemalloc when it is asked."""
         if self.trace_memory:
             if tracemalloc.is_tracing():
                 tracemalloc.reset_peak()
             else:
                 tracemalloc.start()
                 self._started_tracemalloc = True
-        self._scope = scoped(current()._replace(monitor=self))
-        self.usage.trace_id = self._scope.__enter__().trace_id
-        self._start_cpu = time.process_time()
-        self._start_wall = time.perf_counter()
-        return self
+        self._start_wall = wall
+        self._start_cpu = cpu
 
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
+    def stop(self, wall: float, cpu: float, failed: bool) -> None:
+        """Close the window at the readings ``wall`` and ``cpu``: finalise
+        the usage, record the soft violations and — unless the query has
+        ``failed`` already — raise :class:`ResourceBudgetExceeded` for a
+        hard limit it went past without an accounting point to catch it
+        (memory, and wall time after the last point)."""
         usage = self.usage
-        usage.wall_seconds = time.perf_counter() - self._start_wall
-        usage.cpu_seconds = time.process_time() - self._start_cpu
-        self._scope.__exit__(exc_type, exc, tb)
-        self._scope = None
+        usage.wall_seconds = wall - self._start_wall
+        usage.cpu_seconds = cpu - self._start_cpu
         if self.trace_memory:
             _, peak = tracemalloc.get_traced_memory()
             usage.peak_memory_bytes = peak
@@ -262,58 +271,41 @@ class ResourceMonitor:
                 tracemalloc.stop()
         budget = self.budget
         if budget is None:
-            return False
-        self._note_soft(budget)
-        if exc_type is None:
-            # Post-hoc hard checks for the dimensions that cannot be
-            # enforced mid-flight (memory) or that the query finished
-            # without an accounting point to catch (wall time).
-            if (
-                budget.hard_wall_seconds is not None
-                and usage.wall_seconds > budget.hard_wall_seconds
-            ):
-                raise ResourceBudgetExceeded(
-                    "wall-seconds", budget.hard_wall_seconds, usage.wall_seconds,
-                    trace_id=usage.trace_id or current_trace_id(),
+            return
+        checks = (
+            ("wall-seconds", "%.6f", usage.wall_seconds,
+             budget.soft_wall_seconds, budget.hard_wall_seconds),
+            ("memory-bytes", "%d", usage.peak_memory_bytes,
+             budget.soft_memory_bytes, budget.hard_memory_bytes),
+            # The hard cardinality limit is enforced in flight (note_rows).
+            ("intermediate-rows", "%d", usage.peak_intermediate_rows,
+             budget.soft_intermediate_rows, None),
+        )
+        for dimension, form, observed, soft, _ in checks:
+            if soft is not None and observed is not None and observed > soft:
+                usage.soft_violations.append(
+                    ("%s " + form + " > soft limit " + form)
+                    % (dimension, observed, soft)
                 )
-            if (
-                budget.hard_memory_bytes is not None
-                and usage.peak_memory_bytes is not None
-                and usage.peak_memory_bytes > budget.hard_memory_bytes
-            ):
-                raise ResourceBudgetExceeded(
-                    "memory-bytes", budget.hard_memory_bytes, usage.peak_memory_bytes,
-                    trace_id=usage.trace_id or current_trace_id(),
-                )
-        return False
+        if failed:
+            return
+        for dimension, _, observed, _, hard in checks:
+            if hard is not None and observed is not None and observed > hard:
+                self._exceeded(dimension, hard, observed)
 
-    def _note_soft(self, budget: ResourceBudget) -> None:
-        usage = self.usage
-        if (
-            budget.soft_wall_seconds is not None
-            and usage.wall_seconds > budget.soft_wall_seconds
-        ):
-            usage.soft_violations.append(
-                "wall-seconds %.6f > soft limit %.6f"
-                % (usage.wall_seconds, budget.soft_wall_seconds)
-            )
-        if (
-            budget.soft_memory_bytes is not None
-            and usage.peak_memory_bytes is not None
-            and usage.peak_memory_bytes > budget.soft_memory_bytes
-        ):
-            usage.soft_violations.append(
-                "memory-bytes %d > soft limit %d"
-                % (usage.peak_memory_bytes, budget.soft_memory_bytes)
-            )
-        if (
-            budget.soft_intermediate_rows is not None
-            and usage.peak_intermediate_rows > budget.soft_intermediate_rows
-        ):
-            usage.soft_violations.append(
-                "intermediate-rows %d > soft limit %d"
-                % (usage.peak_intermediate_rows, budget.soft_intermediate_rows)
-            )
+    def __enter__(self) -> "ResourceMonitor":
+        self._scope = scoped(current()._replace(monitor=self))
+        self.usage.trace_id = self._scope.__enter__().trace_id
+        self.start(time.perf_counter(), time.process_time())
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
+        try:
+            self.stop(time.perf_counter(), time.process_time(), exc_type is not None)
+        finally:
+            self._scope.__exit__(exc_type, exc, tb)
+            self._scope = None
+        return False
 
     def __repr__(self) -> str:
         return "ResourceMonitor(%r)" % (self.budget,)

@@ -464,13 +464,18 @@ def test_one_answers_route_per_label_class():
 
 def test_the_planner_is_the_only_way_to_an_engine():
     """Outside ``repro.cqalgs`` the engines' entry points are imported by
-    ``planner/planner.py`` alone, and used there by ``Planner._run`` alone
-    (the top-down evaluator keeps ``relation_with_join_tree`` and the
-    backtracking ``homomorphisms``; planner-less procedures keep
-    ``naive.satisfiable``)."""
+    the planner alone: ``planner/planner.py``, where ``Planner._run`` alone
+    uses them, and ``planner/plan.py``, where ``NodePlan.relation`` alone
+    runs an answers plan (the top-down evaluator reaches an engine through
+    it; planner-less procedures keep ``naive.satisfiable``)."""
     engines = {
         "evaluate_with_join_tree", "satisfiable_with_join_tree", "evaluate_acyclic",
         "evaluate_bounded_treewidth", "satisfiable_by_elimination", "evaluate_naive",
+        "relation_with_join_tree", "relation_by_elimination",
+    }
+    users_allowed = {
+        os.path.join("planner", "planner.py"): {"_run"},
+        os.path.join("planner", "plan.py"): {"relation"},
     }
     root = os.path.dirname(cli.__file__)
     importers = set()
@@ -482,7 +487,7 @@ def test_the_planner_is_the_only_way_to_an_engine():
             if isinstance(node, ast.ImportFrom):
                 if engines & {alias.name for alias in node.names}:
                     importers.add(relative)
-        if relative == os.path.join("planner", "planner.py"):
+        if relative in users_allowed:
             users = {
                 function.name
                 for function in ast.walk(tree)
@@ -490,8 +495,8 @@ def test_the_planner_is_the_only_way_to_an_engine():
                 for node in ast.walk(function)
                 if isinstance(node, ast.Name) and node.id in engines
             }
-            assert users == {"_run"}
-    assert importers == {os.path.join("planner", "planner.py")}
+            assert users == users_allowed[relative], relative
+    assert importers == set(users_allowed)
 
 
 def test_the_data_version_is_a_stamp_and_only_the_session_advances_it():

@@ -10,13 +10,16 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro.engine as engine_mod
+import repro.telemetry.context as context_mod
 from repro.engine import Session
 from repro.telemetry.context import QueryContext, current
 from repro.telemetry.obslog import (
     OBSLOG_SCHEMA,
     QueryLog,
+    QueryObservation,
     validate_obslog,
 )
+from repro.telemetry.resources import ResourceBudget
 from repro.telemetry.tracer import NULL_TRACER, NullTracer, current_tracer
 from repro.workloads.families import FIGURE1_QUERY_TEXT, example2_graph
 
@@ -365,6 +368,62 @@ def test_budget_kill_carries_the_trace_id():
     assert info.value.trace_id
     assert "[trace %s]" % info.value.trace_id in str(info.value)
     assert any(r["trace_id"] == info.value.trace_id for r in log.recent())
+
+
+# ---------------------------------------------------------------------------
+# One observation: one context install, one clock reading at each end
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("config", ["tracked", "budgeted", "logged", "unobserved"])
+def test_an_observed_op_installs_its_context_once(monkeypatch, config):
+    """With no recording tracer (no slow-query capture, no ``analyze``),
+    an observed ``query``, ``ask`` and ``cached`` hit each install the
+    query's context exactly once — trace id, tracer and resource monitor
+    together — and an unobserved session installs none and builds no
+    observation."""
+    kwargs = {
+        "tracked": {"track_resources": True},
+        "budgeted": {"budgets": ResourceBudget(soft_wall_seconds=60.0)},
+        "logged": {"obslog": QueryLog()},
+        "unobserved": {},
+    }[config]
+    session = _session(**kwargs)
+    # Caches the parse and the answers the ``cached`` hit below reads.
+    answer = max(session.query(EXAMPLE2_QUERY).answers, key=len)
+    installs, built = [], []
+    enter, init = context_mod._enter, QueryObservation.__init__
+    monkeypatch.setattr(
+        context_mod, "_enter", lambda c: installs.append(c) or enter(c)
+    )
+    monkeypatch.setattr(
+        QueryObservation, "__init__",
+        lambda obs, *args: built.append(obs) or init(obs, *args),
+    )
+    calls = {
+        # A miss: parsed, planned and evaluated.
+        "query": lambda: session.query("SELECT ?x ?y WHERE { ?x recorded_by ?y }"),
+        "ask": lambda: session.ask(EXAMPLE2_QUERY, answer),
+        "cached": lambda: session.cached("query", EXAMPLE2_QUERY),
+    }
+    expected = 0 if config == "unobserved" else 1
+    for name, call in calls.items():
+        del installs[:], built[:]
+        assert call() is not None
+        assert (name, len(installs), len(built)) == (name, expected, expected)
+
+
+def test_one_wall_time_feeds_usage_log_and_debug_queries():
+    log = QueryLog()
+    session = _session(obslog=log, track_resources=True)
+    result = session.query(EXAMPLE2_QUERY)
+    (complete,) = log.events("query.complete")
+    (recent,) = session.debug_queries()["recent"]
+    assert result.resources.wall_seconds > 0
+    assert (
+        result.resources.wall_seconds
+        == complete["wall_seconds"]
+        == complete["resources"]["wall_seconds"]
+        == recent["wall_seconds"]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.core.atoms import atom
 from repro.engine import Session
 from repro.exceptions import ResourceBudgetExceeded
 from repro.planner.planner import Planner
+from repro.telemetry import resources
 from repro.telemetry.resources import (
     ResourceBudget,
     ResourceMonitor,
@@ -72,6 +73,29 @@ def test_memory_tracing_reports_peak():
 # ---------------------------------------------------------------------------
 # Budgets
 # ---------------------------------------------------------------------------
+class FakeClock:
+    """Stands in for the ``time`` module the monitor reads its clocks
+    from: both clocks move only when the test calls :meth:`sleep`."""
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def perf_counter(self):
+        return self.now
+
+    process_time = perf_counter
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(resources, "time", fake)
+    return fake
+
+
 def test_hard_rows_budget_raises_in_flight():
     budget = ResourceBudget(hard_intermediate_rows=100)
     with pytest.raises(ResourceBudgetExceeded) as info:
@@ -83,37 +107,37 @@ def test_hard_rows_budget_raises_in_flight():
     assert current_monitor() is None  # monitor uninstalled despite the raise
 
 
-def test_hard_wall_budget_enforced_at_accounting_points():
+def test_hard_wall_budget_enforced_at_accounting_points(clock):
     budget = ResourceBudget(hard_wall_seconds=0.01)
     with pytest.raises(ResourceBudgetExceeded) as info:
         with ResourceMonitor(budget):
-            time.sleep(0.02)
+            clock.sleep(0.02)
             account_rows(1)
     assert info.value.dimension == "wall-seconds"
 
 
-def test_hard_wall_budget_enforced_post_hoc():
+def test_hard_wall_budget_enforced_post_hoc(clock):
     budget = ResourceBudget(hard_wall_seconds=0.01)
     with pytest.raises(ResourceBudgetExceeded):
         with ResourceMonitor(budget):
-            time.sleep(0.02)  # no accounting point: caught on exit
+            clock.sleep(0.02)  # no accounting point: caught on exit
 
 
-def test_soft_budgets_record_violations_without_raising():
+def test_soft_budgets_record_violations_without_raising(clock):
     budget = ResourceBudget(soft_wall_seconds=0.0, soft_intermediate_rows=1)
     with ResourceMonitor(budget) as monitor:
         account_rows(5)
-        time.sleep(0.001)
+        clock.sleep(0.001)
     violations = monitor.usage.soft_violations
     assert any("wall-seconds" in v for v in violations)
     assert any("intermediate-rows" in v for v in violations)
 
 
-def test_post_hoc_checks_skipped_when_already_raising():
+def test_post_hoc_checks_skipped_when_already_raising(clock):
     budget = ResourceBudget(hard_wall_seconds=0.0)
     with pytest.raises(KeyError):  # the original error, not the budget one
         with ResourceMonitor(budget):
-            time.sleep(0.001)
+            clock.sleep(0.001)
             raise KeyError("original")
 
 
