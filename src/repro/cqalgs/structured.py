@@ -16,8 +16,10 @@ variables whose width is ``k``:
    every atom once with ``db.exists``, then stops at the first empty
    bucket, and is satisfiable when none empties;
 4. for answers (:func:`relation_by_elimination`), each bucket's join sits
-   below the bucket its message went to: a join tree whose join is the
-   query, bottom-up consistent as built, which the top-down sweep
+   below the bucket its message went to — a bucket whose only factor is
+   one message keeps no relation (it would be a projection of its
+   sender's) and sends its sender on with the message's projection: a
+   join tree whose join is the query, bottom-up consistent as built, which the top-down sweep
    (:func:`~repro.cqalgs.yannakakis.semijoin_down`) and the join phase
    (:func:`~repro.cqalgs.yannakakis.columnar_join_phase`) finish.
 
@@ -124,6 +126,12 @@ def _eliminate(
     tracer = current_tracer()
     relations: List[Relation] = []
     links: List[Tuple[int, int]] = []
+    # Per bucket, the join-tree nodes whose messages it received; a bucket
+    # whose only factor is one message adds no node and hands its sender
+    # on with the message's projection (its relation would be one).
+    senders: List[List[int]] = [[] for _ in range(n)]
+    loose: List[int] = []
+    root = -1
     scopes: List[int] = []
     sizes: List[int] = []
     with tracer.span("elimination", variables=n, boolean=boolean) as sp:
@@ -137,6 +145,7 @@ def _eliminate(
                 held = [a.variables() for a in pending[i]] + [f.index.keys() for f in factors]
                 if (i == last or keys <= set().union(*held)) and not any(keys <= h for h in held):
                     factors.append(seed)
+            forward = len(factors) == 1 and not pending[i]
             factors.sort(key=len)
             for a in pending[i]:
                 via = factors[0] if factors else None
@@ -166,16 +175,25 @@ def _eliminate(
             if tracer.enabled:
                 scopes.append(len(rest) + 1)
                 sizes.append(len(joined))
-            if not boolean:
+            if boolean:
+                node = -1
+            elif forward:
+                (node,) = senders[i]
+            else:
+                node = len(relations)
                 relations.append(joined)
+                links.extend((sender, node) for sender in senders[i])
             if rest:
                 parent = min(map(position.__getitem__, rest))
                 messages[parent].append(project(joined, rest))
-                links.append((i, parent))
+                senders[parent].append(node)
             elif i != n - 1:
-                links.append((i, n - 1))
+                loose.append(node)
+            else:
+                root = node
         if tracer.enabled:
             sp.set(bucket_variables=scopes, bucket_rows=sizes)
     if boolean:
         return True
-    return relations, (join_tree_shape(links, n) if n else None)
+    links.extend((node, root) for node in loose)
+    return relations, (join_tree_shape(links, len(relations)) if n else None)

@@ -9,7 +9,8 @@ routing rule, one branch per op kind:
   elimination over the elimination order, either run by
   :meth:`NodePlan.relation` (seeded by the caller's interface keys);
 * **Boolean under a bound set** — ``probe`` when no two atoms share a
-  variable the binding leaves open; otherwise Yannakakis if acyclic,
+  variable the binding leaves open, with its probe program (one
+  :class:`~repro.storage.base.ProbeAtom` per atom); otherwise Yannakakis if acyclic,
   Theorem 2's bucket elimination over the elimination order with the
   bound variables dropped if the treewidth bound is at most
   :data:`TW_CUTOFF`, the search if neither.
@@ -30,6 +31,7 @@ from ..cqalgs.yannakakis import relation_with_join_tree
 from ..hypergraphs.gyo import JoinTree
 from ..hypergraphs.treewidth import order_width
 from ..relalg.relation import Relation
+from ..storage.base import ProbeAtom
 
 if TYPE_CHECKING:  # pragma: no cover - profile imports this module
     from ..core.atoms import Atom
@@ -42,8 +44,9 @@ ENGINE_YANNAKAKIS = "yannakakis"
 ENGINE_TREEWIDTH = "treewidth"
 ENGINE_NAIVE = "naive"
 #: A Boolean check whose atoms, under its binding, pairwise share no open
-#: variable: one :meth:`~repro.storage.base.StorageBackend.exists` per
-#: atom, no relation built.
+#: variable: one existence read per atom, no relation built — the plan's
+#: probe program, read by
+#: :meth:`~repro.storage.base.StorageBackend.exists_substituted`.
 ENGINE_PROBE = "probe"
 
 #: Treewidth (heuristic upper bound) up to which a Boolean check runs the
@@ -61,9 +64,9 @@ class NodePlan(NamedTuple):
     #: The paper result (or the reason) justifying the engine.
     theorem: str
     #: What the engine runs on: the ``JoinTree`` (Yannakakis), the
-    #: elimination order of the open variables (Theorem 2), or ``None``
-    #: (search, probe).
-    structure: Union[JoinTree, Tuple[Variable, ...], None] = None
+    #: elimination order of the open variables (Theorem 2), the probe
+    #: program (probe), or ``None`` (search).
+    structure: Union[JoinTree, Tuple[Variable, ...], Tuple[ProbeAtom, ...], None] = None
 
     def describe(self) -> str:
         """One-line EXPLAIN: engine plus justification."""
@@ -99,7 +102,11 @@ def plan_node(
             seen |= open_
         else:
             return NodePlan(
-                ENGINE_PROBE, "no two atoms share an open variable: one existence probe per atom"
+                ENGINE_PROBE, "no two atoms share an open variable: one existence probe per atom",
+                tuple(
+                    ProbeAtom(a.relation, a.args, a.variables() <= bound)
+                    for a in profile.sorted_atoms
+                ),
             )
     if tree is not None:
         return NodePlan(ENGINE_YANNAKAKIS, _YANNAKAKIS, tree)

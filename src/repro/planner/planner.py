@@ -11,8 +11,10 @@ One :class:`Planner` owns
   are hits;
 * instrumentation: cache hits/misses/evictions plus a
   :class:`~repro.telemetry.metrics.MetricsRegistry` holding the
-  per-engine selection counters, per-call engine-time histograms, and
-  cumulative analysis/engine time; spans are emitted through
+  per-call engine-time histograms (one per engine, the only instrument
+  an engine run updates), the per-engine selection counters and the
+  cumulative engine time read from them, and the cumulative analysis
+  time; spans are emitted through
   :func:`repro.telemetry.tracer.current_tracer` whenever tracing is
   enabled.
 
@@ -22,8 +24,9 @@ Routing follows the paper, as one rule per op kind
 (:meth:`Planner.evaluate_cq`) run the shape's answers plan, the Boolean
 checks of the Theorem 6/8/9/16 procedures
 (:meth:`Planner.satisfiable_substituted`) the plan for the variables their
-binding fixes — ``probe``, one existence read per atom, when no two atoms
-share an open variable.  :meth:`Planner._run` is the one place that acts
+binding fixes — ``probe``, one existence read per atom of the plan's
+probe program (:meth:`~repro.storage.base.StorageBackend.exists_substituted`),
+when no two atoms share an open variable.  :meth:`Planner._run` is the one place that acts
 on a plan's engine; the top-down evaluator runs the same answers plans
 and EXPLAIN prints them.
 
@@ -42,7 +45,7 @@ results.
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 from typing import (
     Callable,
     Dict,
@@ -50,7 +53,6 @@ from typing import (
     Mapping as TMapping,
     Optional,
     Sequence,
-    Tuple,
     TYPE_CHECKING,
     Union,
 )
@@ -63,9 +65,10 @@ from ..cqalgs.naive import satisfiable
 from ..cqalgs.structured import satisfiable_by_elimination
 from ..cqalgs.yannakakis import satisfiable_with_join_tree
 from ..relalg.relation import to_mappings
-from ..telemetry.metrics import Counter, Histogram, MetricsRegistry
+from ..telemetry.context import current
+from ..telemetry.metrics import CounterView, Histogram, MetricsRegistry
 from ..telemetry.resources import account_rows
-from ..telemetry.tracer import current_tracer
+from ..telemetry.tracer import NULL_SPAN, current_tracer
 from ..wdpt.wdpt import WDPT
 from .cache import PlanCache
 from .plan import ENGINE_PROBE, ENGINE_TREEWIDTH, ENGINE_YANNAKAKIS, NodePlan
@@ -88,10 +91,10 @@ class Planner:
         self.parses = PlanCache(parse_cache_size)
         self.explains = PlanCache(profile_cache_size)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: engine → its (selection counter, time counter, latency
-        #: histogram), resolved by its first :meth:`record_engine`; the
-        #: registry keeps instruments across ``reset()``, so they stay live.
-        self._engine_instruments: Dict[str, Tuple[Counter, Counter, Histogram]] = {}
+        #: engine → its latency histogram, resolved by its first
+        #: :meth:`record_engine`; the registry keeps instruments across
+        #: ``reset()``, so they stay live.
+        self._engine_latency: Dict[str, Histogram] = {}
 
     # Views over the metrics registry.
     @property
@@ -110,7 +113,7 @@ class Planner:
 
     @property
     def engine_seconds(self) -> float:
-        return self.metrics.counter("planner.engine_seconds").value
+        return self._engine_seconds().value
 
     @property
     def plans_built(self) -> int:
@@ -192,50 +195,70 @@ class Planner:
         atoms: Sequence,
         db: Database,
         query: Optional[ConjunctiveQuery] = None,
+        binding: Optional[TMapping[Variable, Term]] = None,
     ) -> Union[FrozenSet, bool]:
         """The one dispatch site: ``atoms`` on the engine ``plan`` names —
         the answers of ``query`` when one is given (the evaluator's seam,
         :meth:`~repro.planner.plan.NodePlan.relation`), else whether the
-        Boolean CQ is satisfiable (each engine's form that stops early;
-        ``probe``: one ``db.exists`` per atom up to the first ``False``)."""
+        Boolean CQ ``binding(atoms)`` is satisfiable, by each engine's form
+        that stops early: ``probe`` hands its program and the binding to
+        one :meth:`~repro.storage.base.StorageBackend.exists_substituted`
+        read, the other engines run on the substituted atoms.  The run is
+        timed into the engine's histogram; the ``span`` is opened only when
+        the calling context has a recording tracer."""
         engine = plan.engine
-        start = time.perf_counter()
+        tracer = current().tracer
+        start = perf_counter()
         try:
-            with current_tracer().span(span, engine=engine):
+            with NULL_SPAN if tracer is None else tracer.span(span, engine=engine):
                 if query is not None:
                     with collector_paused:
                         return to_mappings(plan.relation(atoms, db, query.free_variables))
                 if engine == ENGINE_PROBE:
                     account_rows(1)
-                    return all(map(db.exists, atoms))
+                    return db.exists_substituted(plan.structure, binding)
+                atoms = [a.substitute(binding) for a in atoms]
                 if engine == ENGINE_YANNAKAKIS:
                     return satisfiable_with_join_tree(atoms, plan.structure, db)
                 if engine == ENGINE_TREEWIDTH:
                     return satisfiable_by_elimination(atoms, plan.structure, db)
                 return satisfiable(atoms, db)
         finally:
-            self.record_engine(engine, time.perf_counter() - start)
+            self.record_engine(engine, perf_counter() - start)
 
     def record_engine(self, engine: str, seconds: float) -> None:
-        """Record one engine run: selection counter, cumulative time, and
-        a per-call latency histogram (p50/p95/p99/max in :meth:`stats`).
-        The three instruments are looked up once per engine and kept.
+        """Record one engine run: one observation of the engine's latency
+        histogram (p50/p95/p99/max in :meth:`stats`), under its one lock.
 
-        Both instruments are labeled families (``{"engine": engine}``), so
-        the Prometheus exposition renders them as one metric with an
-        ``engine`` label rather than one metric per engine."""
-        instruments = self._engine_instruments.get(engine)
-        if instruments is None:
-            labels = {"engine": engine}
-            instruments = self._engine_instruments.setdefault(engine, (
-                self.metrics.counter("planner.engine.selected", labels),
-                self.metrics.counter("planner.engine_seconds"),
-                self.metrics.histogram("planner.engine_latency", labels=labels),
-            ))
-        selected, total, latency = instruments
-        selected.inc()
-        total.inc(seconds)
+        The selection counter ``planner.engine.selected{engine}`` and the
+        cumulative ``planner.engine_seconds`` are views of that histogram's
+        ``count`` and of the family's summed ``sum``, registered with it,
+        so all three stay exact with one update.  Labeled families
+        (``{"engine": engine}``) render in the Prometheus exposition as
+        one metric with an ``engine`` label."""
+        latency = self._engine_latency.get(engine)
+        if latency is None:
+            latency = self._engine_histogram(engine)
         latency.observe(seconds)
+
+    def _engine_histogram(self, engine: str) -> Histogram:
+        """Register ``engine``'s latency histogram and the counters read
+        from it (the first run on the engine)."""
+        labels = {"engine": engine}
+        latency = self.metrics.histogram("planner.engine_latency", labels=labels)
+        self.metrics.counter_view(
+            "planner.engine.selected", lambda: latency.count, labels
+        )
+        self._engine_seconds()
+        return self._engine_latency.setdefault(engine, latency)
+
+    def _engine_seconds(self) -> CounterView:
+        """``planner.engine_seconds``: the summed ``sum`` of every
+        ``planner.engine_latency`` histogram of the registry."""
+        metrics = self.metrics
+        return metrics.counter_view("planner.engine_seconds", lambda: sum(
+            h.sum for h in metrics.labeled_histograms("planner.engine_latency", "engine").values()
+        ))
 
     # ------------------------------------------------------------------
     # Substituted satisfiability (the Theorem 6/8/9 inner loop)
@@ -250,9 +273,12 @@ class Planner:
         ``atoms`` is the (unsubstituted) atom set profiled by ``profile``
         and ``substitution`` maps variables to constants?  Run on the
         profile's plan for the substitution's variables: the analysis of
-        the unsubstituted shape stays valid (:mod:`repro.planner.profile`)."""
-        atoms = [a.substitute(substitution) for a in profile.sorted_atoms]
-        return self._run("planner.satisfiable", profile.boolean_plan(substitution), atoms, db)
+        the unsubstituted shape stays valid (:mod:`repro.planner.profile`),
+        and so does its probe program."""
+        return self._run(
+            "planner.satisfiable", profile.boolean_plan(substitution), profile.sorted_atoms,
+            db, binding=substitution,
+        )
 
     # ------------------------------------------------------------------
     # Parse cache (session layer)

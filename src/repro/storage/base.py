@@ -46,13 +46,15 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
+    Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
 )
 
 from ..core.atoms import Atom, Schema
-from ..core.terms import Constant, Variable
+from ..core.terms import Constant, Term, Variable
 
 #: ``fact -> fact.args``: facts become rows without a Python frame each.
 _ARGS = attrgetter("args")
@@ -64,6 +66,20 @@ _BACKEND_IDS = itertools.count(1)
 def allocate_backend_id(kind: str) -> str:
     """A fresh ``"<kind>#<n>"`` identifier for an anonymous backend."""
     return "%s#%d" % (kind, next(_BACKEND_IDS))
+
+
+class ProbeAtom(NamedTuple):
+    """One atom of a *probe program*: what
+    :meth:`StorageBackend.exists_substituted` reads for it.  A program is
+    built once per (shape, bound-variable set) by
+    :func:`repro.planner.plan.plan_node` and holds one entry per atom."""
+
+    relation: str
+    #: The atom's arguments: a constant stays, a bound variable is filled
+    #: from the binding, an open variable is left as it is.
+    template: Tuple[Term, ...]
+    #: Every variable of the atom is bound: filled, it is a fact to look up.
+    ground: bool
 
 
 class StorageBackend(abc.ABC):
@@ -141,14 +157,27 @@ class StorageBackend(abc.ABC):
 
     def exists(self, pattern: Atom) -> bool:
         """Does some fact unify with ``pattern``?  ``bool(rows(pattern))``
-        without building the rows — the one read the planner's ``probe``
-        route makes per atom (:meth:`repro.planner.planner.Planner._run`).
+        without building the rows — what the planner's ``probe`` route
+        reads per atom, by default (:meth:`exists_substituted`).
         An unknown relation, another arity or a constant no fact has
         answer ``False``; repeated variables impose equality, as in
         :meth:`rows`.  Default: the first fact of :meth:`match`."""
         for _ in self.match(pattern):
             return True
         return False
+
+    def exists_substituted(
+        self, program: Sequence[ProbeAtom], binding: Mapping[Variable, Term]
+    ) -> bool:
+        """Does every atom of ``program``, with ``binding`` (variables to
+        ``Constant`` terms) substituted, have a match?  The read of the planner's
+        ``probe`` route, up to the first atom without one.  Default: each
+        atom substituted and read with :meth:`exists`."""
+        get = binding.get
+        for relation, template, _ in program:
+            if not self.exists(Atom(relation, map(get, template, template))):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Identity

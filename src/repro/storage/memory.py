@@ -10,8 +10,10 @@ them the atom itself, which is the way back for the callers of
 :meth:`~MemoryBackend.match` (the kernels address cells by argument
 position and never see it).  There is one index, per relation:
 
-* an insertion-ordered table ``Atom → row`` (membership on the atom's
-  cached hash, ``facts()``, and the row to unlink on removal), and
+* an insertion-ordered table ``args → row``, keyed by the fact's
+  argument tuple, which the row already holds through its fact
+  (membership as one C-level tuple lookup, ``facts()``, and the row to
+  unlink on removal), and
 * per argument position, the postings ``code → [row, …]``.
 
 :meth:`MemoryBackend.match` answers "which facts unify with this
@@ -41,15 +43,16 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
 )
 
 from ..core.atoms import Atom, Schema
-from ..core.terms import Constant, Variable
+from ..core.terms import Constant, Term, Variable
 from ..exceptions import NotGroundError
-from .base import StorageBackend, allocate_backend_id
+from .base import ProbeAtom, StorageBackend, allocate_backend_id
 
 #: A stored fact: the dictionary codes of its arguments, then the fact
 #: itself — so the way from a row back to its atom is ``row[-1]``.
@@ -176,11 +179,11 @@ class MemoryBackend(StorageBackend):
         self._version = 0
         self._backend_id = allocate_backend_id("memory")
         self.codec = TermDictionary(self._backend_id)
-        #: relation → (fact → row in insertion order, per position
-        #: code → rows).  Every relation has one arity (the schema
-        #: enforces it) and at least one fact.
+        #: relation → (fact's args → row in insertion order, per
+        #: position code → rows).  Every relation has one arity (the
+        #: schema enforces it) and at least one fact.
         self._relations: Dict[
-            str, Tuple[Dict[Atom, CodeRow], Tuple[Dict[int, List[CodeRow]], ...]]
+            str, Tuple[Dict[Tuple[Constant, ...], CodeRow], Tuple[Dict[int, List[CodeRow]], ...]]
         ] = {}
         for fact in facts:
             self.add(fact)
@@ -210,9 +213,9 @@ class MemoryBackend(StorageBackend):
         """The indexing work of :meth:`add` without the version bump —
         the shared inner step of ``add`` and the bulk :meth:`add_many`."""
         stored = self._relations.get(fact.relation)
-        if stored is not None and fact in stored[0]:
-            return False
         args = fact.args
+        if stored is not None and args in stored[0]:
+            return False
         codes = tuple(map(self.codec.code, args))
         if None in codes and not fact.is_ground():  # a stored term is a constant
             raise NotGroundError("database facts must be ground, got %r" % (fact,))
@@ -226,7 +229,7 @@ class MemoryBackend(StorageBackend):
         table, columns = stored
         if None in codes:
             codes = tuple(map(self.codec.intern, args))
-        row = table[fact] = codes + (fact,)
+        row = table[args] = codes + (fact,)
         for column, code in zip(columns, codes):
             posting = column.get(code)
             if posting is None:
@@ -247,7 +250,7 @@ class MemoryBackend(StorageBackend):
         """Delete ``fact`` if present, keeping the relation table and the
         postings (and with them the active domain) exact."""
         stored = self._relations.get(fact.relation)
-        row = None if stored is None else stored[0].pop(fact, None)
+        row = None if stored is None else stored[0].pop(fact.args, None)
         if row is None:
             return False
         table, columns = stored
@@ -275,7 +278,7 @@ class MemoryBackend(StorageBackend):
         if relation is None:
             return tuple(self)
         stored = self._relations.get(relation)
-        return () if stored is None else tuple(stored[0])
+        return () if stored is None else tuple(map(_FACT, stored[0].values()))
 
     def relations(self) -> FrozenSet[str]:
         """Relation names with at least one fact."""
@@ -290,13 +293,15 @@ class MemoryBackend(StorageBackend):
 
     def __contains__(self, fact: Atom) -> bool:
         stored = self._relations.get(fact.relation)
-        return stored is not None and fact in stored[0]
+        return stored is not None and fact.args in stored[0]
 
     def __len__(self) -> int:
         return sum(len(table) for table, _ in self._relations.values())
 
     def __iter__(self) -> Iterator[Atom]:
-        return chain.from_iterable([table for table, _ in self._relations.values()])
+        return map(_FACT, chain.from_iterable(
+            [table.values() for table, _ in self._relations.values()]
+        ))
 
     # ------------------------------------------------------------------
     # Matching
@@ -312,7 +317,7 @@ class MemoryBackend(StorageBackend):
         if compiled is None:
             return iter(())
         if compiled[2] is None and not compiled[5]:  # every fact
-            return iter(list(compiled[0]))
+            return map(_FACT, list(compiled[0].values()))
         return map(_FACT, _select(compiled))
 
     def rows(self, pattern: Atom) -> Sequence[CodeRow]:
@@ -341,6 +346,28 @@ class MemoryBackend(StorageBackend):
             ):
                 return True
         return False
+
+    def exists_substituted(
+        self, program: Sequence[ProbeAtom], binding: Mapping[Variable, Term]
+    ) -> bool:
+        """The probe route's read (see the base class): a ground atom is
+        one C-level lookup of its filled argument tuple in its relation's
+        table — no ``Atom`` built, nothing compiled; an atom the binding
+        leaves open is built and read with :meth:`exists`.  A relation or
+        an arity the store lacks finds no key."""
+        get = binding.get
+        relations = self._relations
+        for relation, template, ground in program:
+            stored = relations.get(relation)
+            if stored is None:
+                return False
+            args = tuple(map(get, template, template))
+            if ground:
+                if args not in stored[0]:
+                    return False
+            elif not self.exists(Atom(relation, args)):
+                return False
+        return True
 
     def match_bound(self, pattern: Atom) -> int:
         """How many rows :meth:`rows` would read (O(arity))."""
@@ -392,9 +419,8 @@ class MemoryBackend(StorageBackend):
         table, columns = stored
         if isinstance(args[0], Constant) and isinstance(args[-1], Constant):
             # Ground, unless a variable sits in between: one table lookup
-            # on the atom's cached hash — the fixed cost the decision
-            # procedures' checks pay.
-            row = table.get(pattern)
+            # on the argument tuple.
+            row = table.get(args)
             if row is not None:
                 return table, columns, (row,), None, (), ()
             if len(args) < 3:

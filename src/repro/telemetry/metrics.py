@@ -22,7 +22,9 @@ the caller passes them, so one label takes values of one type (``1`` and
 Histograms keep exact ``count``/``sum``/``max`` and a bounded reservoir of
 recent observations for the quantile estimates (p50/p95/p99 by default,
 configurable per instrument), so long-running sessions do not grow without
-bound.  The planner owns one registry.
+bound.  A :class:`CounterView` is a counter read from other instruments
+(a histogram's ``count``, a family's summed ``sum``): it is exported as a
+counter, and what it reads is updated once.  The planner owns one registry.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 #: Observations retained per histogram for quantile estimation.
 DEFAULT_RESERVOIR = 2048
@@ -81,6 +83,32 @@ class Counter:
 
     def __repr__(self) -> str:
         return "Counter(%r, %g)" % (_display_name(self.name, self.labels), self.value)
+
+
+class CounterView:
+    """A counter whose value is read, when asked, from other instruments
+    (``read()``): exported like a :class:`Counter`, never incremented.
+    Resetting it is resetting what it reads."""
+
+    __slots__ = ("name", "labels", "_read")
+
+    def __init__(
+        self, name: str, read: Callable[[], float],
+        labels: Optional[Mapping[str, str]] = None,
+    ):
+        self.name = name
+        self.labels: LabelsKey = _labels_key(labels)
+        self._read = read
+
+    @property
+    def value(self) -> float:
+        return float(self._read())
+
+    def reset(self) -> None:
+        pass
+
+    def __repr__(self) -> str:
+        return "CounterView(%r, %g)" % (_display_name(self.name, self.labels), self.value)
 
 
 class Gauge:
@@ -183,7 +211,7 @@ class MetricsRegistry:
     keyed by ``(name, labels)``."""
 
     def __init__(self) -> None:
-        self._counters: Dict[Tuple[str, LabelsKey], Counter] = {}
+        self._counters: Dict[Tuple[str, LabelsKey], Union[Counter, CounterView]] = {}
         self._gauges: Dict[Tuple[str, LabelsKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelsKey], Histogram] = {}
         #: Every instrument by ``(kind, name, labels as the caller gave
@@ -208,6 +236,19 @@ class MetricsRegistry:
         instrument = self._given.get(given)
         if instrument is None:
             instrument = self._register(given, self._counters, Counter(name, labels))
+        return instrument
+
+    def counter_view(
+        self, name: str, read: Callable[[], float],
+        labels: Optional[Mapping[str, str]] = None,
+    ) -> CounterView:
+        """The counter ``name`` (with ``labels``) as a :class:`CounterView`
+        of ``read``, registered the first time: :meth:`counter` then
+        returns it too."""
+        given = ("c", name, tuple(labels.items()) if labels else ())
+        instrument = self._given.get(given)
+        if instrument is None:
+            instrument = self._register(given, self._counters, CounterView(name, read, labels))
         return instrument
 
     def gauge(self, name: str, labels: Optional[Mapping[str, str]] = None) -> Gauge:

@@ -17,7 +17,8 @@ of the projections.  So it suffices to
 Given a ``planner``, step 2 is :func:`subtree_satisfiable`, shared with
 Theorems 9 and 16 and routed through the planner, so the subtree's
 structural profile (join tree / decomposition) is computed once per
-subtree *shape* and reused across candidate mappings; sound because
+subtree *shape* and reused across candidate mappings (a decision op looks
+the tree's profile up once and hands it to each of its checks); sound because
 substituting ``h`` only removes hypergraph vertices, under which
 acyclicity and treewidth are monotone.  Without one it is
 :func:`partial_eval_witness`: the backtracking search, returning the
@@ -41,6 +42,7 @@ from .wdpt import WDPT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..planner.planner import Planner
+    from ..planner.profile import TreeProfile
 
 
 class Witness(NamedTuple):
@@ -66,11 +68,18 @@ def partial_eval(
     """
     if planner is None:
         return partial_eval_witness(p, db, h) is not None
+    return planned_partial_eval(p, db, h, planner, planner.profile_wdpt(p))
+
+
+def planned_partial_eval(
+    p: WDPT, db: Database, h: Mapping, planner: "Planner", tree: "TreeProfile"
+) -> bool:
+    """:func:`partial_eval` with a planner, ``tree`` its profile of ``p``."""
     subtree = _covering_subtree(p, h)
     if subtree is None:
         return False
     with _span(subtree, h):
-        return subtree_satisfiable(p, db, h, subtree, planner)
+        return subtree_satisfiable(p, db, h, subtree, planner, tree)
 
 
 def partial_eval_witness(
@@ -134,17 +143,20 @@ def subtree_satisfiable(
     h: Mapping,
     subtree: AbstractSet[int],
     planner: "Optional[Planner]" = None,
+    tree: "Optional[TreeProfile]" = None,
 ) -> bool:
     """Non-emptiness of ``q̂_{T'}``: the CQ of the rooted subtree
     ``subtree`` with ``h`` substituted — the one subroutine Theorems 8, 9
     and 16 reduce to, run on the engine ``planner`` routes the subtree's
-    unsubstituted shape to, or as the backtracking search without one."""
+    unsubstituted shape to, or as the backtracking search without one.
+    ``tree`` is ``planner``'s profile of ``p`` when the caller holds it
+    (else it is looked up here)."""
     account_subquery()
     if planner is None:
         return satisfiable(p.atoms_of(subtree), db, h)
-    return planner.satisfiable_substituted(
-        planner.profile_wdpt(p).subtree_profile(subtree), h.as_dict(), db
-    )
+    if tree is None:
+        tree = planner.profile_wdpt(p)
+    return planner.satisfiable_substituted(tree.subtree_profile(subtree), h.as_dict(), db)
 
 
 def partial_answers(p: WDPT, db: Database) -> FrozenSet[Mapping]:

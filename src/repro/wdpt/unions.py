@@ -160,10 +160,11 @@ def union_max_eval(
     for p in phi:
         if not h.domain() <= frozenset(p.free_variables):
             continue
+        tree = None if planner is None else planner.profile_wdpt(p)
         for y in p.free_variables:
             if y in h:
                 continue
-            if extension_exists(p, db, h, y, planner):
+            if extension_exists(p, db, h, y, planner, tree):
                 return False
     return True
 

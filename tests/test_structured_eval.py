@@ -13,6 +13,7 @@ from repro.core.terms import Variable
 from repro.cqalgs.dispatch import evaluate, holds
 from repro.cqalgs.naive import evaluate_naive, first_homomorphism, satisfiable
 from repro.cqalgs.structured import (
+    _eliminate,
     evaluate_bounded_treewidth,
     relation_by_elimination,
     satisfiable_by_elimination,
@@ -20,7 +21,7 @@ from repro.cqalgs.structured import (
 from repro.exceptions import ClassMembershipError, ResourceBudgetExceeded
 from repro.hypergraphs.hypergraph import hypergraph_of_cq
 from repro.hypergraphs.treewidth import elimination_order, treewidth_exact
-from repro.planner import ENGINE_TREEWIDTH, Planner
+from repro.planner import ENGINE_TREEWIDTH, Planner, StructuralProfile
 from repro.relalg.relation import from_mappings, hash_join, scan, semijoin, to_mappings
 from repro.storage import MemoryBackend, SQLiteBackend
 from repro.telemetry.resources import ResourceBudget, ResourceMonitor
@@ -157,6 +158,39 @@ def test_seeded_buckets_read_only_what_a_key_can_join():
         peaks.append(max(span.attrs["bucket_rows"]))
     assert peaks[0] >= 10 * peaks[1]
     assert to_mappings(answers[1]) == to_mappings(semijoin(answers[0], keys))
+
+
+@pytest.mark.parametrize("backend", [MemoryBackend, SQLiteBackend])
+def test_a_bucket_whose_only_factor_is_a_message_adds_no_node(backend):
+    """The 4-cycle through ``?x`` and ``?y`` seeded with 10 ``(?x, ?y)``
+    keys (an OPT child under ``P(?x, ?y)``), over 300 vertices and 1 500
+    edges.  In the order ``?a, ?b, ?x, ?y`` the bucket of ``?y`` receives
+    only the message of bucket ``?x``: it forwards it, so the bucket tree
+    has 3 nodes, not 4, and the answers are ``evaluate_naive``'s that join
+    the keys."""
+    db = backend(random_graph_database(300, 1500, seed=7).facts())
+    a, b, x, y = (Variable(n) for n in ("?a", "?b", "?x", "?y"))
+    square = [atom("E", "?x", "?a"), atom("E", "?a", "?y"), atom("E", "?y", "?b"),
+              atom("E", "?b", "?x")]
+    order = [a, b, x, y]
+    assert StructuralProfile(square).elimination_order == order
+    successors = {}
+    for fact in db.facts():
+        successors.setdefault(fact.args[0], []).append(fact.args[1])
+    pairs = sorted({(u, w) for u, vs in successors.items() for v in vs
+                    for w in successors.get(v, ())}, key=repr)[::37][:10]
+    keys = from_mappings([Mapping({x: u, y: w}) for u, w in pairs], [x, y], db)
+    relations, tree = _eliminate(square, order, db, keys, False)
+    assert len(relations) == len(tree.order) == 3
+    with tracing() as tracer:
+        answers = relation_by_elimination(square, order, db, [x, a, y, b], keys)
+    (span,) = tracer.find("elimination")
+    assert len(span.attrs["bucket_rows"]) == 4
+    expected = {
+        m for m in evaluate_naive(ConjunctiveQuery(["?x", "?a", "?y", "?b"], square), db)
+        if (m[x], m[y]) in pairs
+    }
+    assert expected and to_mappings(answers) == expected
 
 
 def test_answers_form_runs_only_the_top_down_sweep(db):
