@@ -19,10 +19,10 @@ Four formats:
 * ``obslog`` — a JSON-lines structured query log from
   :class:`repro.telemetry.obslog.QueryLog`;
 * ``speedscope`` — a sampled profile from
-  :mod:`repro.telemetry.profiler` (``repro profile --speedscope``,
-  ``repro run --profile-out``);
-* ``folded`` — Brendan-Gregg folded stacks from ``repro profile
-  --folded`` (flamegraph.pl input).
+  :mod:`repro.telemetry.profiler` (``repro run --profile-hz HZ
+  --profile-out FILE.json``);
+* ``folded`` — Brendan-Gregg folded stacks from ``repro run --profile-hz
+  HZ --profile-out FILE.folded`` (flamegraph.pl input).
 
 ``--format auto`` (the default) picks ``obslog`` for ``.jsonl`` files,
 ``folded`` for ``.folded``/``.collapsed`` files, ``speedscope`` when the

@@ -3,63 +3,62 @@
 Usage::
 
     python -m repro profile  "SELECT ?x WHERE { ?x knows ?y OPTIONAL { ?x age ?a } }"
-    python -m repro profile  QUERY  [TRIPLES.tsv]  [--hz HZ] [--duration S]
-                             [--speedscope OUT.json] [--folded OUT.folded]
     python -m repro run      QUERY  [TRIPLES.tsv]  [--analyze] [--trace-out trace.json]
                              [--log-queries LOG.jsonl] [--slow-ms MS]
                              [--max-log-bytes B] [--log-backups N]
-                             [--profile-hz HZ] [--profile-out OUT.json]
+                             [--profile-hz HZ] [--profile-out FILE]...
+                             [--repeat N] [--duration S] [--by {phase,frames}] [--top N]
                              [--backend {memory,sqlite}] [--store DB.sqlite]
                              [--save-db DB.sqlite] [--no-cache]
                              [--serve-debug PORT] [--serve-seconds N]
-    python -m repro analyze  QUERY  [TRIPLES.tsv]  [--trace-out trace.json]
     python -m repro metrics  [QUERY]  [TRIPLES.tsv]
-    python -m repro serve-metrics  [TRIPLES.tsv]  [--port P] [--self-check]
-                             [--log-queries LOG.jsonl] [--max-log-bytes B]
     python -m repro serve    [TRIPLES.tsv]  [--tenants TENANTS.json]
-                             [--port P] [--global-limit N]
+                             [--host H] [--port P] [--global-limit N]
                              [--backend B | --store DB.sqlite]
+                             [--log-queries LOG.jsonl] [--slow-ms MS]
+                             [--max-log-bytes B] [--log-backups N]
                              [--self-check]
     python -m repro demo
 
+Every subcommand that reads data takes a TRIPLES file — one
+``subject predicate object`` per line, tab/whitespace-separated, ``#``
+comments — and falls back to the paper's Example 2 database when given
+neither TRIPLES nor ``--store``.
+
 * ``profile`` parses the query (surface SPARQL first, the paper's
   algebraic notation as fallback) and prints the EXPLAIN profile — widths,
-  interface, and which of the paper's algorithms apply.  With any of
-  ``--hz``/``--duration``/``--speedscope``/``--folded`` it instead runs
-  the query in a loop under the span-aware sampling profiler
-  (:mod:`repro.telemetry.profiler`) and reports the hottest stacks,
-  optionally exporting speedscope JSON and/or folded flamegraph stacks.
-* ``run`` additionally evaluates over a tab/whitespace-separated triples
-  file (one ``subject predicate object`` per line; ``#`` comments);
-  ``--analyze`` appends the EXPLAIN ANALYZE report, ``--trace-out``
-  writes the Chrome ``chrome://tracing`` trace of the execution,
-  ``--log-queries`` appends structured JSON-lines query events, and
-  ``--slow-ms`` additionally captures the full EXPLAIN ANALYZE profile of
-  queries slower than the threshold into the query log.  Storage flags:
-  ``--backend`` selects the :mod:`repro.storage` kind, ``--store
-  DB.sqlite`` evaluates directly against an on-disk SQLite database
-  (created from the triples file when missing, resumed — and extended
-  with any given triples — when present; the triples file is then
-  optional), ``--save-db`` snapshots the loaded data to a SQLite file,
-  and ``--no-cache`` disables the version-stamped result cache.
+  interface, and which of the paper's algorithms apply.
+* ``run`` evaluates the query and prints its answers.  ``--analyze``
+  appends the EXPLAIN ANALYZE report, ``--trace-out`` writes the Chrome
+  ``chrome://tracing`` trace of the execution, ``--log-queries`` appends
+  structured JSON-lines query events, and ``--slow-ms`` additionally
+  captures the full EXPLAIN ANALYZE profile of queries slower than the
+  threshold into the query log.  ``--profile-hz HZ`` runs the query under
+  the span-aware sampling profiler (:mod:`repro.telemetry.profiler`),
+  evaluating every time (no result-cache hits) at least ``--repeat`` times
+  and for at least ``--duration`` seconds, and reports the hottest stacks;
+  each ``--profile-out FILE`` writes the samples, as folded flamegraph
+  stacks when FILE ends in ``.folded``/``.collapsed`` and as speedscope
+  JSON otherwise.  Storage flags: ``--backend`` selects the
+  :mod:`repro.storage` kind, ``--store DB.sqlite`` evaluates directly
+  against an on-disk SQLite database (created from the triples file when
+  missing, resumed — and extended with any given triples — when present),
+  ``--save-db`` snapshots the loaded data to a SQLite file, and
+  ``--no-cache`` disables the version-stamped result cache.
   ``--serve-debug PORT`` serves ``/metrics``, ``/healthz`` and
   ``/debug/{queries,plans}`` during the run (``--serve-seconds N`` keeps
   serving after it finishes).
-* ``analyze`` runs EXPLAIN ANALYZE directly (over the paper's Example 2
-  database when no triples file is given).
 * ``metrics`` evaluates a query (the paper's query (1) by default) and
   prints the planner's metrics in Prometheus text exposition format.
-* ``serve-metrics`` exposes ``/metrics`` + ``/healthz`` + ``/debug/*``
-  over HTTP (``--self-check`` fetches its own endpoint once and exits,
-  for CI).
 * ``serve`` runs the **multi-tenant async query service**
-  (:mod:`repro.service`): ``POST /query|/ask|/explain`` as JSON, plus the
-  same ``/metrics``/``/healthz``/``/debug/*`` routes as ``serve-metrics``
+  (:mod:`repro.service`): ``POST /query|/ask|/explain`` as JSON, the
+  ``/metrics``, ``/healthz``, ``/debug/*`` and ``/debug/profile`` routes,
   and the key-free ``GET /tenants`` registry view.  ``--tenants`` maps
   API keys to QoS tiers (concurrency caps, queue patience, per-query
   resource budgets, private result-cache sizes); over-cap traffic is shed
   with ``429`` + ``Retry-After``, and ``SIGTERM`` drains gracefully.
-  See ``docs/SERVICE.md`` for the operator guide.
+  ``--self-check`` probes the routes once and exits, for CI.  See
+  ``docs/SERVICE.md`` for the operator guide.
 * ``demo`` replays the paper's running example.
 """
 
@@ -67,6 +66,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+from collections import Counter
+from contextlib import nullcontext
 from typing import Optional
 
 from .engine import Session, _parse_text
@@ -76,8 +78,11 @@ from .rdf.parser import parse_query
 from .storage import BACKEND_ENV, BACKEND_KINDS, backend_from_env
 from .wdpt.evaluation import evaluate
 from .wdpt.explain import explain
-from .wdpt.wdpt import WDPT
 from .workloads.families import FIGURE1_QUERY_TEXT, example2_graph
+
+#: ``--profile-out`` names that get folded stacks; any other gets
+#: speedscope JSON (the rule ``scripts/validate_trace.py`` reads them by).
+_FOLDED_SUFFIXES = (".folded", ".collapsed")
 
 
 def _load_triples(path: str) -> RDFGraph:
@@ -101,180 +106,56 @@ def _load_triples(path: str) -> RDFGraph:
     return graph
 
 
-def _graph(triples: Optional[str]) -> RDFGraph:
-    """The graph of a TRIPLES file, or the paper's Example 2 database
-    when the subcommand was given none."""
-    return _load_triples(triples) if triples is not None else example2_graph()
+def _graph(triples: Optional[str], store: Optional[str] = None) -> Optional[RDFGraph]:
+    """The graph of a TRIPLES file; else nothing when ``--store`` names
+    the data; else the paper's Example 2 database."""
+    if triples is not None:
+        return _load_triples(triples)
+    return None if store is not None else example2_graph()
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     p = _parse_text(args.query)
-    sampling = (
-        args.hz is not None
-        or args.duration is not None
-        or args.speedscope is not None
-        or args.folded is not None
-    )
-    if not sampling:
-        print(p)
-        print()
-        print(explain(p).as_table())
-        return 0
-    return _profile_sampled(args, p)
-
-
-def _profile_sampled(args: argparse.Namespace, p: WDPT) -> int:
-    """Run ``p`` in a loop under the sampling profiler and report/export.
-
-    The loop runs at least ``--repeat`` iterations AND at least
-    ``--duration`` seconds (whichever is longer), with the result cache
-    disabled — otherwise every iteration after the first is a cache hit
-    and the flamegraph shows nothing but dictionary lookups.
-    """
-    import time
-
-    from .telemetry.profiler import DEFAULT_HZ, SamplingProfiler
-    from .telemetry.tracer import tracing
-
-    hz = int(args.hz) if args.hz is not None else DEFAULT_HZ
-    duration = float(args.duration) if args.duration is not None else 1.0
-    session = Session(_graph(args.triples), cache=False)
-    profiler = SamplingProfiler(hz=hz, registry=session.planner.metrics)
-    runs = 0
-    profiler.start()
-    try:
-        # A recording tracer makes the evaluators open spans, which is
-        # what lets the profiler attribute samples to plan phases.
-        with tracing():
-            deadline = time.monotonic() + duration
-            start = time.monotonic()
-            while runs < args.repeat or time.monotonic() < deadline:
-                session.query(p)
-                runs += 1
-            elapsed = time.monotonic() - start
-    finally:
-        profiler.stop()
-        session.close()
-    summary = profiler.summary(top=args.top)
-    print(
-        "profiled %d run(s) in %.2fs: %d sample(s) at %d Hz"
-        % (runs, elapsed, summary["samples"], hz)
-    )
-    if summary["phases"]:
-        print(
-            "phases: "
-            + ", ".join(
-                "%s %d" % (phase, n)
-                for phase, n in sorted(
-                    summary["phases"].items(), key=lambda kv: -kv[1]
-                )
-            )
-        )
-    if summary["top"]:
-        print("hottest stacks (by %s):" % args.by)
-        for stack, count in sorted(
-            profiler.folded(by=args.by).items(), key=lambda kv: -kv[1]
-        )[: args.top]:
-            print("  %6d  %s" % (count, stack))
-    if args.speedscope:
-        profiler.write_speedscope(
-            args.speedscope, name="repro profile: %s" % args.query, by=args.by
-        )
-        print("wrote speedscope profile to %s" % args.speedscope)
-    if args.folded:
-        try:
-            with open(args.folded, "w") as handle:
-                handle.write(profiler.folded_text(by=args.by))
-        except OSError as exc:
-            raise ReproError(
-                "cannot write folded stacks to %s: %s" % (args.folded, exc)
-            ) from exc
-        print("wrote folded stacks to %s" % args.folded)
-    if summary["samples"] == 0:
-        print(
-            "note: no samples captured — the query is faster than the "
-            "sampling interval; raise --hz or --duration"
-        )
+    print(p)
+    print()
+    print(explain(p).as_table())
     return 0
 
 
 def _make_obslog(args: argparse.Namespace):
     """A :class:`QueryLog` from ``--log-queries``/``--slow-ms`` (or None),
     with size rotation when ``--max-log-bytes`` is given."""
-    log_path = getattr(args, "log_queries", None)
-    slow_ms = getattr(args, "slow_ms", None)
-    if log_path is None and slow_ms is None:
+    if args.log_queries is None and args.slow_ms is None:
         return None
     from .telemetry.obslog import QueryLog
 
-    threshold = slow_ms / 1000.0 if slow_ms is not None else None
+    threshold = args.slow_ms / 1000.0 if args.slow_ms is not None else None
     try:
         return QueryLog(
-            sink=log_path,
+            sink=args.log_queries,
             slow_threshold=threshold,
-            max_bytes=getattr(args, "max_log_bytes", None),
-            backup_count=getattr(args, "log_backups", 3),
+            max_bytes=args.max_log_bytes,
+            backup_count=args.log_backups,
         )
     except OSError as exc:
         raise ReproError(
-            "cannot open query log %s: %s" % (log_path, exc)
+            "cannot open query log %s: %s" % (args.log_queries, exc)
         ) from exc
 
 
-def _start_profiler(args: argparse.Namespace, registry):
-    """A started :class:`SamplingProfiler` from ``--profile-hz`` (or None)."""
-    hz = getattr(args, "profile_hz", None)
-    if hz is None:
-        return None
-    from .telemetry.profiler import MAX_HZ, SamplingProfiler
-
-    hz = max(1, min(int(hz), MAX_HZ))
-    return SamplingProfiler(hz=hz, registry=registry).start()
-
-
-def _finish_profiler(args: argparse.Namespace, profiler) -> None:
-    """Stop ``profiler`` and write ``--profile-out`` / print a summary."""
-    if profiler is None:
-        return
-    profiler.stop()
-    out = getattr(args, "profile_out", None)
-    if out:
-        profiler.write_speedscope(out, by="phase")
-        print(
-            "wrote %d profile sample(s) to %s"
-            % (profiler.sample_count, out)
-        )
-    else:
-        summary = profiler.summary(top=3)
-        phases = ", ".join(
-            "%s %d" % (phase, n)
-            for phase, n in sorted(
-                summary["phases"].items(), key=lambda kv: -kv[1]
-            )
-        ) or "none"
-        print(
-            "profile: %d sample(s) at %d Hz (phases: %s)"
-            % (summary["samples"], profiler.hz, phases)
-        )
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    import time
-
-    if args.triples is None and args.store is None:
-        raise ReproError(
-            "run needs a TRIPLES file, --store DB.sqlite, or both"
-        )
     p = _parse_text(args.query)
     obslog = _make_obslog(args)
     session = Session(
-        _load_triples(args.triples) if args.triples is not None else None,
+        _graph(args.triples, args.store),
         obslog=obslog,
         backend=args.backend,
         path=args.store,
-        cache=not args.no_cache,
+        # A sampled run evaluates every time: a result-cache hit would
+        # show the flamegraph nothing but a dictionary lookup.
+        cache=not (args.no_cache or args.profile_hz is not None),
     )
-    server = None
+    server = profiler = None
     if args.serve_debug is not None:
         from .service import MetricsServer
 
@@ -287,12 +168,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             "serving %s/metrics, %s/healthz and %s/debug"
             % (server.url, server.url, server.url)
         )
-    profiler = _start_profiler(args, session.planner.metrics)
     try:
+        if args.profile_hz is not None:
+            from .telemetry.profiler import SamplingProfiler
+
+            profiler = SamplingProfiler(
+                hz=args.profile_hz, registry=session.planner.metrics
+            ).start()
         report = (
             session.analyze(p) if args.analyze or args.trace_out else None
         )
-        answers = sorted(session.query(p), key=repr)
+        runs, elapsed, result = _run_repeatedly(session, p, args, profiler)
+        answers = sorted(result, key=repr)
         if args.save_db:
             _save_database(session.database, args.save_db)
         print("%d answer(s) over %d facts:" % (len(answers), session.size))
@@ -307,8 +194,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             print("wrote query log to %s" % args.log_queries)
         if args.save_db:
             print("saved database to %s" % args.save_db)
-        _finish_profiler(args, profiler)
-        profiler = None
+        if profiler is not None:
+            profiler.stop()
+            _report_profile(args, profiler, runs, elapsed)
         if server is not None and args.serve_seconds > 0:
             print("serving debug endpoints for %gs" % args.serve_seconds)
             time.sleep(args.serve_seconds)
@@ -323,6 +211,63 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_repeatedly(session: Session, p, args: argparse.Namespace, profiler):
+    """``(runs, seconds, last result)`` of querying ``p`` at least
+    ``--repeat`` times and for at least ``--duration`` seconds.  Under a
+    profiler each run records its spans, which is what lets a sample
+    name the plan phase it landed in."""
+    from .telemetry.tracer import tracing
+
+    traced = tracing if profiler is not None else nullcontext
+    runs = 0
+    start = time.monotonic()
+    deadline = start + args.duration
+    while runs < max(args.repeat, 1) or time.monotonic() < deadline:
+        with traced():
+            result = session.query(p)
+        runs += 1
+    return runs, time.monotonic() - start, result
+
+
+def _report_profile(args: argparse.Namespace, profiler, runs: int, elapsed: float) -> None:
+    """Print ``--profile-hz``'s summary and write each ``--profile-out``."""
+    summary = profiler.summary(top=args.top)
+    print(
+        "profiled %d run(s) in %.2fs: %d sample(s) at %d Hz"
+        % (runs, elapsed, summary["samples"], profiler.hz)
+    )
+    if summary["phases"]:
+        print("phases: " + ", ".join(
+            "%s %d" % item for item in Counter(summary["phases"]).most_common()
+        ))
+    if summary["top"]:
+        print("hottest stacks (by %s):" % args.by)
+        for stack, count in Counter(profiler.folded(by=args.by)).most_common(args.top):
+            print("  %6d  %s" % (count, stack))
+    for path in args.profile_out or ():
+        folded = path.lower().endswith(_FOLDED_SUFFIXES)
+        try:
+            if folded:
+                with open(path, "w") as handle:
+                    handle.write(profiler.folded_text(by=args.by))
+            else:
+                profiler.write_speedscope(
+                    path, name="repro run: %s" % args.query, by=args.by
+                )
+        except OSError as exc:
+            raise ReproError(
+                "cannot write profile to %s: %s" % (path, exc)
+            ) from exc
+        print("wrote %s to %s" % (
+            "folded stacks" if folded else "speedscope profile", path
+        ))
+    if summary["samples"] == 0:
+        print(
+            "note: no samples captured — the query is faster than the "
+            "sampling interval; raise --profile-hz or --duration"
+        )
+
+
 def _save_database(db, path: str) -> None:
     """Snapshot ``db`` into the SQLite file at ``path`` (overwriting)."""
     from .storage import SQLiteBackend
@@ -330,15 +275,6 @@ def _save_database(db, path: str) -> None:
     if not isinstance(db, SQLiteBackend):
         db = SQLiteBackend(db.facts())
     db.save(path)
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    p = _parse_text(args.query)
-    report = Session(_graph(args.triples)).analyze(p)
-    print(report.as_text())
-    if args.trace_out:
-        _write_trace(report, args.trace_out)
-    return 0
 
 
 def _write_trace(report, path: str) -> None:
@@ -352,20 +288,10 @@ def _write_trace(report, path: str) -> None:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    session, p = _metrics_session(args)
-    session.query(p)
+    session = Session(_graph(args.triples))
+    session.query(_parse_text(args.query))
     print(session.planner.metrics.to_prometheus(), end="")
     return 0
-
-
-def _metrics_session(args: argparse.Namespace, obslog=None):
-    """A Session plus warm-up query for the metrics subcommands."""
-    session = Session(_graph(args.triples), obslog=obslog)
-    if getattr(args, "query", None):
-        p = _parse_text(args.query)
-    else:
-        p = parse_query(FIGURE1_QUERY_TEXT)
-    return session, p
 
 
 def _self_check(server, checks) -> None:
@@ -388,56 +314,10 @@ def _self_check(server, checks) -> None:
             print(text, end="")
 
 
-def _serve_forever(server, banner) -> None:
-    """Bind ``server``, print ``banner(url)``, serve until SIGTERM/SIGINT,
-    then drain."""
-    import asyncio
-
-    async def _serve() -> None:
-        await server.start_async()
-        print(banner(server.url), flush=True)
-        await server.serve_forever()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-
-
-def cmd_serve_metrics(args: argparse.Namespace) -> int:
-    from .service import MetricsServer
-
-    obslog = _make_obslog(args)
-    session, p = _metrics_session(args, obslog=obslog)
-    session.query(p)  # warm the registry so the exposition is non-empty
-    server = MetricsServer(
-        session.planner.metrics, host=args.host, port=args.port,
-        debug=session.debug_providers(),
-    )
-
-    def banner(url: str) -> str:
-        return "serving %s/metrics, %s/healthz and %s/debug" % (url, url, url)
-
-    try:
-        if args.self_check:
-            with server:
-                print(banner(server.url))
-                _self_check(server, [
-                    ("healthz", "/healthz", None),
-                    ("debug/queries", "/debug/queries", None),
-                    ("", "/metrics", None),
-                ])
-        else:
-            _serve_forever(server, banner)
-        return 0
-    finally:
-        session.close()
-        if obslog is not None:
-            obslog.close()
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """The multi-tenant async query service (``docs/SERVICE.md``)."""
+    import asyncio
+
     from .service import ServiceServer, default_registry, load_tenants
 
     obslog = _make_obslog(args)
@@ -445,7 +325,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         load_tenants(args.tenants) if args.tenants else default_registry()
     )
     server = ServiceServer(
-        _graph(args.triples),
+        _graph(args.triples, args.store),
         tenants=tenants,
         host=args.host,
         port=args.port,
@@ -454,6 +334,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
         global_limit=args.global_limit,
         obslog=obslog,
     )
+
+    async def serve_forever() -> None:
+        await server.start_async()
+        print(
+            "serving %s/query, %s/healthz, %s/metrics for tenants: %s\n"
+            "(SIGTERM drains gracefully)"
+            % (server.url, server.url, server.url,
+               ", ".join(server.tenants.names())),
+            flush=True,
+        )
+        await server.serve_forever()
+
     try:
         if args.self_check:
             with server:
@@ -463,13 +355,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     ("explain", "/explain", {
                         "query": "SELECT ?x ?y WHERE { ?x recorded_by ?y }"
                     }),
+                    ("query", "/query", {"query": FIGURE1_QUERY_TEXT}),
+                    ("debug/queries", "/debug/queries", None),
+                    ("", "/metrics", None),
                 ])
         else:
-            _serve_forever(server, lambda url: (
-                "serving %s/query, %s/healthz, %s/metrics for tenants: %s\n"
-                "(SIGTERM drains gracefully)"
-                % (url, url, url, ", ".join(server.tenants.names()))
-            ))
+            try:
+                asyncio.run(serve_forever())
+            except KeyboardInterrupt:  # pragma: no cover - interactive
+                pass
         return 0
     finally:
         if obslog is not None:
@@ -489,10 +383,21 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _query_log_flags() -> argparse.ArgumentParser:
-    """The query-log flags (read by :func:`_make_obslog`), as a parent
-    parser of every subcommand that keeps a query log."""
+def _data_flags() -> argparse.ArgumentParser:
+    """The data flags — TRIPLES, ``--backend``, ``--store`` and the
+    query-log flags read by :func:`_make_obslog` — as a parent parser of
+    ``run`` and ``serve``."""
     flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--backend", default=None, choices=BACKEND_KINDS,
+        help="storage backend (default: memory, or $REPRO_BACKEND; "
+             "--store implies sqlite)",
+    )
+    flags.add_argument(
+        "--store", metavar="DB.sqlite", default=None,
+        help="on-disk SQLite database to evaluate against (created when "
+             "missing, resumed when present; any TRIPLES are added to it)",
+    )
     flags.add_argument(
         "--log-queries", metavar="LOG.jsonl", default=None,
         help="append structured query events as JSON lines",
@@ -515,21 +420,12 @@ def _query_log_flags() -> argparse.ArgumentParser:
     return flags
 
 
-def _storage_flags() -> argparse.ArgumentParser:
-    """The storage flags (``Session``'s ``backend=``/``path=``),
-    as a parent parser of every subcommand that builds its own backend."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument(
-        "--backend", default=None, choices=BACKEND_KINDS,
-        help="storage backend (default: memory, or $REPRO_BACKEND; "
-             "--store implies sqlite)",
+def _triples(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "triples", nargs="?", default=None,
+        help="whitespace-separated 's p o' lines (default: the paper's "
+             "Example 2 database, unless --store names the data)",
     )
-    flags.add_argument(
-        "--store", metavar="DB.sqlite", default=None,
-        help="on-disk SQLite database to evaluate against (created when "
-             "missing, resumed when present; any TRIPLES are added to it)",
-    )
-    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,65 +434,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Well-designed pattern trees: profile and evaluate {AND, OPT} queries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    query_log = _query_log_flags()
-    storage = _storage_flags()
+    data = _data_flags()
 
     p_profile = sub.add_parser(
-        "profile",
-        help="print a query's EXPLAIN profile, or (with --hz/--duration/"
-             "--speedscope/--folded) sample its execution into a flamegraph",
+        "profile", help="print a query's EXPLAIN profile",
     )
     p_profile.add_argument("query")
-    p_profile.add_argument(
-        "triples", nargs="?", default=None,
-        help="whitespace-separated 's p o' lines to profile against "
-             "(default: the paper's Example 2 database)",
-    )
-    p_profile.add_argument(
-        "--hz", type=int, default=None, metavar="HZ",
-        help="sampling frequency (enables sampling mode; default: 100)",
-    )
-    p_profile.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
-        help="keep re-running the query for at least this long "
-             "(enables sampling mode; default: 1.0)",
-    )
-    p_profile.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="run the query at least N times (default: 1)",
-    )
-    p_profile.add_argument(
-        "--top", type=int, default=10, metavar="N",
-        help="print the N hottest stacks (default: 10)",
-    )
-    p_profile.add_argument(
-        "--by", default="phase", choices=["phase", "frames"],
-        help="fold stacks under a plan-phase root (plan/semijoin/join/"
-             "enumerate) or by Python frames only (default: %(default)s)",
-    )
-    p_profile.add_argument(
-        "--speedscope", metavar="FILE.json", default=None,
-        help="write the profile as speedscope JSON "
-             "(open at https://speedscope.app; enables sampling mode)",
-    )
-    p_profile.add_argument(
-        "--folded", metavar="FILE.folded", default=None,
-        help="write Brendan-Gregg folded stacks (flamegraph.pl input; "
-             "enables sampling mode)",
-    )
     p_profile.set_defaults(func=cmd_profile)
 
     p_run = sub.add_parser(
         "run",
-        parents=[query_log, storage],
-        help="evaluate a query over a triples file or a stored database",
+        parents=[data],
+        help="evaluate a query: EXPLAIN ANALYZE it, trace it, log it, "
+             "sample it into a flamegraph",
     )
     p_run.add_argument("query")
-    p_run.add_argument(
-        "triples", nargs="?", default=None,
-        help="whitespace-separated 's p o' lines (optional when --store "
-             "names an existing database)",
-    )
+    _triples(p_run)
     p_run.add_argument(
         "--analyze", action="store_true",
         help="append the EXPLAIN ANALYZE report to the answers",
@@ -607,11 +460,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--profile-hz", type=int, default=None, metavar="HZ",
-        help="sample wall-clock stacks at HZ while the query runs",
+        help="sample the run's stacks at HZ (evaluating every time, never "
+             "from the result cache) and print the hottest",
     )
     p_run.add_argument(
-        "--profile-out", metavar="FILE.json", default=None,
-        help="with --profile-hz, write the profile as speedscope JSON",
+        "--profile-out", metavar="FILE", action="append", default=None,
+        help="with --profile-hz, write the samples to FILE: folded stacks "
+             "(flamegraph.pl input) for *.folded/*.collapsed, speedscope "
+             "JSON (https://speedscope.app) otherwise; repeatable",
+    )
+    p_run.add_argument(
+        "--repeat", type=int, default=1, metavar="N",
+        help="run the query at least N times (default: %(default)s)",
+    )
+    p_run.add_argument(
+        "--duration", type=float, default=0.0, metavar="SECONDS",
+        help="keep re-running the query for at least this long "
+             "(default: %(default)s)",
+    )
+    p_run.add_argument(
+        "--by", default="phase", choices=["phase", "frames"],
+        help="fold sampled stacks under a plan-phase root (plan/semijoin/"
+             "join/enumerate) or by Python frames only (default: %(default)s)",
+    )
+    p_run.add_argument(
+        "--top", type=int, default=10, metavar="N",
+        help="print the N hottest sampled stacks (default: %(default)s)",
     )
     p_run.add_argument(
         "--save-db", metavar="DB.sqlite", default=None,
@@ -633,47 +507,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=cmd_run)
 
-    p_analyze = sub.add_parser(
-        "analyze",
-        help="EXPLAIN ANALYZE a query (Example 2 database unless TRIPLES given)",
-    )
-    p_analyze.add_argument("query")
-    p_analyze.add_argument(
-        "triples", nargs="?", default=None,
-        help="whitespace-separated 's p o' lines (default: paper's Example 2)",
-    )
-    p_analyze.add_argument(
-        "--trace-out", metavar="TRACE.json", default=None,
-        help="write the Chrome trace-event JSON of the execution",
-    )
-    p_analyze.set_defaults(func=cmd_analyze)
-
     p_metrics = sub.add_parser(
         "metrics",
         help="run a query and print the Prometheus text exposition",
     )
     p_metrics.add_argument(
-        "query", nargs="?", default=None,
+        "query", nargs="?", default=FIGURE1_QUERY_TEXT,
         help="query to evaluate (default: the paper's query (1))",
     )
-    p_metrics.add_argument(
-        "triples", nargs="?", default=None,
-        help="whitespace-separated 's p o' lines (default: paper's Example 2)",
-    )
+    _triples(p_metrics)
     p_metrics.set_defaults(func=cmd_metrics)
 
     p_serve = sub.add_parser(
-        "serve-metrics",
-        parents=[query_log],
-        help="expose /metrics and /healthz over HTTP",
+        "serve",
+        parents=[data],
+        help="run the multi-tenant async query service "
+             "(POST /query|/ask|/explain, /metrics, /debug; see docs/SERVICE.md)",
     )
+    _triples(p_serve)
     p_serve.add_argument(
-        "triples", nargs="?", default=None,
-        help="whitespace-separated 's p o' lines (default: paper's Example 2)",
-    )
-    p_serve.add_argument(
-        "--query", default=None,
-        help="warm-up query to evaluate (default: the paper's query (1))",
+        "--tenants", default=None, metavar="TENANTS.json",
+        help="tenant/QoS registry file (default: one anonymous 'public' "
+             "tenant on the gold tier)",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
@@ -681,41 +536,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="port to bind (default: 0 = pick a free one, printed)",
     )
     p_serve.add_argument(
-        "--self-check", action="store_true",
-        help="fetch the endpoint once, print the response, and exit",
-    )
-    p_serve.set_defaults(func=cmd_serve_metrics)
-
-    p_svc = sub.add_parser(
-        "serve",
-        parents=[query_log, storage],
-        help="run the multi-tenant async query service "
-             "(POST /query|/ask|/explain; see docs/SERVICE.md)",
-    )
-    p_svc.add_argument(
-        "triples", nargs="?", default=None,
-        help="whitespace-separated 's p o' lines (default: paper's Example 2)",
-    )
-    p_svc.add_argument(
-        "--tenants", default=None, metavar="TENANTS.json",
-        help="tenant/QoS registry file (default: one anonymous 'public' "
-             "tenant on the gold tier)",
-    )
-    p_svc.add_argument("--host", default="127.0.0.1")
-    p_svc.add_argument(
-        "--port", type=int, default=0,
-        help="port to bind (default: 0 = pick a free one, printed)",
-    )
-    p_svc.add_argument(
         "--global-limit", type=int, default=64, metavar="N",
         help="process-wide in-flight query ceiling (default: %(default)s)",
     )
-    p_svc.add_argument(
+    p_serve.add_argument(
         "--self-check", action="store_true",
-        help="start, probe /healthz, /tenants and POST /explain once, "
-             "print the responses, and exit",
+        help="start, probe /healthz, /tenants, POST /explain, POST /query, "
+             "/debug/queries and /metrics once, print the responses, and exit",
     )
-    p_svc.set_defaults(func=cmd_serve)
+    p_serve.set_defaults(func=cmd_serve)
 
     p_demo = sub.add_parser("demo", help="replay the paper's running example")
     p_demo.set_defaults(func=cmd_demo)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from .table import format_table
+from .table import format_optional, format_seconds, format_table
 from .telemetry.export import aggregate_spans, render_stage_breakdown, trace_to_dict
 from .telemetry.tracer import Tracer
 from .wdpt.explain import WDPTProfile
@@ -103,10 +103,10 @@ class AnalyzeReport:
         if self.n_answers is not None:
             header.append(
                 "%d answer(s) in %s"
-                % (self.n_answers, _fmt_seconds(self.total_seconds()))
+                % (self.n_answers, format_seconds(self.total_seconds()))
             )
         else:
-            header.append("decided in %s" % _fmt_seconds(self.total_seconds()))
+            header.append("decided in %s" % format_seconds(self.total_seconds()))
 
         table_rows: List[List[object]] = []
         for row in self.rows:
@@ -116,10 +116,10 @@ class AnalyzeReport:
                 [
                     "%s%snode %d" % (indent, marker, row["node"]),
                     row["atoms"],
-                    _fmt_opt(row["treewidth"]),
+                    format_optional(row["treewidth"]),
                     row["interface"],
                     row["engine"],
-                    _fmt_seconds(row["seconds"]),
+                    format_seconds(row["seconds"]),
                     int(row["candidates"]),
                     int(row["extensions"]),
                     int(row["sat_checks"]),
@@ -214,15 +214,3 @@ def _fmt_engines(engines: Dict[str, int]) -> str:
     if len(engines) <= 1:
         return next(iter(engines), "-")
     return ", ".join("%s×%d" % item for item in sorted(engines.items()))
-
-
-def _fmt_opt(value: Optional[int]) -> str:
-    return "?" if value is None else str(value)
-
-
-def _fmt_seconds(seconds: float) -> str:
-    if seconds >= 1:
-        return "%.2fs" % seconds
-    if seconds >= 1e-3:
-        return "%.2fms" % (seconds * 1e3)
-    return "%.0fµs" % (seconds * 1e6)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence
 
-from ..table import format_table
+from ..table import format_seconds, format_table
 from .runner import Series
 
 
@@ -39,7 +39,7 @@ def format_series_table(
     for p in parameters:
         row: List[object] = [_fmt_param(p)]
         for table in lookup:
-            row.append(_fmt_seconds(table.get(p)))
+            row.append(format_seconds(table.get(p)))
         rows.append(row)
     summary_slope: List[object] = ["slope≈"]
     summary_ratio: List[object] = ["step×"]
@@ -67,7 +67,7 @@ def format_series_table(
             for s in series_list:
                 breakdown = stage_seconds.get(s.name)
                 stage_row.append(
-                    _fmt_seconds(breakdown[stage])
+                    format_seconds(breakdown[stage])
                     if breakdown is not None and stage in breakdown
                     else "-"
                 )
@@ -119,8 +119,8 @@ def format_planner_stats(stats: Mapping[str, object], title: str = "planner") ->
             ]
         )
     rows.append(["plans built", stats.get("plans_built", 0)])
-    rows.append(["analysis time", _fmt_seconds(float(stats.get("analysis_seconds", 0.0)))])
-    rows.append(["engine time", _fmt_seconds(float(stats.get("engine_seconds", 0.0)))])
+    rows.append(["analysis time", format_seconds(float(stats.get("analysis_seconds", 0.0)))])
+    rows.append(["engine time", format_seconds(float(stats.get("engine_seconds", 0.0)))])
     latency = stats.get("engine_latency")
     if isinstance(latency, Mapping):
         for engine in sorted(latency):
@@ -134,10 +134,10 @@ def format_planner_stats(stats: Mapping[str, object], title: str = "planner") ->
                     % (
                         snap.get("count", 0),
                         ", ".join(
-                            "%s %s" % (k, _fmt_seconds(snap[k]))
+                            "%s %s" % (k, format_seconds(snap[k]))
                             for k in quantile_keys
                         ),
-                        _fmt_seconds(snap.get("max")),
+                        format_seconds(snap.get("max")),
                     ),
                 ]
             )
@@ -146,13 +146,3 @@ def format_planner_stats(stats: Mapping[str, object], title: str = "planner") ->
 
 def _fmt_param(p: float) -> str:
     return "%d" % p if float(p).is_integer() else "%.3g" % p
-
-
-def _fmt_seconds(seconds: Optional[float]) -> str:
-    if seconds is None:
-        return "-"
-    if seconds >= 1:
-        return "%.2fs" % seconds
-    if seconds >= 1e-3:
-        return "%.2fms" % (seconds * 1e3)
-    return "%.0fµs" % (seconds * 1e6)

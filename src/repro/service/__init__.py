@@ -2,7 +2,7 @@
 
 :class:`MetricsServer` serves ``/metrics``, ``/healthz`` and
 ``/debug/*`` on the package's stdlib-``asyncio`` transport (``repro
-serve-metrics``, ``repro run --serve-debug``).  :class:`ServiceServer`
+run --serve-debug``).  :class:`ServiceServer`
 (``repro serve``) is a ``MetricsServer`` that owns a pool of warm per-tenant
 :class:`~repro.engine.Session`\\ s over one shared planner and storage
 backend, fronted by admission control (per-tenant concurrency caps, a

@@ -16,8 +16,8 @@ observability routes: ``GET /metrics`` (the Prometheus exposition of
 every source), ``/healthz``, ``/debug`` (the index), ``/debug/<name>``
 (a registered provider's live snapshot; ``?format=html`` renders any
 JSON route as a page) and ``/debug/profile`` (the sampling profiler,
-which stopping the server stops).  ``repro serve-metrics`` and ``repro
-run --serve-debug`` run it.
+which stopping the server stops).  ``repro run --serve-debug`` runs
+it.
 
 :class:`ServiceServer` is a :class:`MetricsServer` — the long-lived,
 network-facing "millions of users" deployment shape (``repro serve``).

@@ -1,6 +1,7 @@
 """Fixed-width text tables (standard library only, imports nothing from
 ``repro``): the one renderer behind ``Result.to_table``, the EXPLAIN and
-EXPLAIN ANALYZE reports, the trace summaries and the benchmark tables."""
+EXPLAIN ANALYZE reports, the trace summaries and the benchmark tables,
+with the cell formats they share."""
 
 from __future__ import annotations
 
@@ -24,6 +25,23 @@ def format_table(
     for row in str_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def format_seconds(seconds: Optional[float]) -> str:
+    """A duration in the largest unit that keeps it readable; ``-`` for
+    ``None`` (nothing measured)."""
+    if seconds is None:
+        return "-"
+    if seconds >= 1:
+        return "%.2fs" % seconds
+    if seconds >= 1e-3:
+        return "%.2fms" % (seconds * 1e3)
+    return "%.0fµs" % (seconds * 1e6)
+
+
+def format_optional(value: Optional[int]) -> str:
+    """A width or count, ``?`` when it was not computed."""
+    return "?" if value is None else str(value)
 
 
 def _cell(value: object) -> str:

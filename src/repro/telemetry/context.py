@@ -12,8 +12,11 @@ held by one :class:`contextvars.ContextVar`:
 * :class:`scoped` installs a whole replacement for a block and resets by
   token on exit — including on an exception, which matters because a
   ``ThreadPoolExecutor`` worker keeps its context from one job to the next;
-* :func:`new_trace_id` mints ids (uuid4, 16 hex chars — short enough to
-  read, long enough not to collide within one log).
+* :func:`new_trace_id` mints ids: 16 hex chars, a per-process random
+  prefix and a counter — short enough to read, unique within a process,
+  and no system call per id (``os.urandom`` releases the GIL, and a
+  query loop that gives it up once per query starves every thread in a
+  timed wait, the sampling profiler's included).
 
 A context variable is per thread *and* per asyncio task, so two queries
 on two threads never see each other's tracer, spans or monitor.  The
@@ -29,7 +32,8 @@ library and is imported by the tracer, obslog, resources and the profiler.
 
 from __future__ import annotations
 
-import uuid
+import itertools
+import os
 from contextvars import ContextVar, Token
 from threading import get_ident
 from typing import Any, Dict, NamedTuple, Optional
@@ -81,8 +85,22 @@ def current_trace_id() -> Optional[str]:
 
 
 def new_trace_id() -> str:
-    """A fresh 16-hex-char trace id."""
-    return uuid.uuid4().hex[:16]
+    """A fresh 16-hex-char trace id: this process's prefix, then the
+    next value of its counter."""
+    return "%s%08x" % (_trace_prefix, next(_trace_counter) & 0xFFFFFFFF)
+
+
+def _seed_trace_ids() -> None:
+    """Draw this process's trace-id prefix and restart its counter; run
+    again in a forked child, which would otherwise mint its parent's
+    sequence."""
+    global _trace_prefix, _trace_counter
+    _trace_prefix = os.urandom(4).hex()
+    _trace_counter = itertools.count()
+
+
+_seed_trace_ids()
+os.register_at_fork(after_in_child=_seed_trace_ids)
 
 
 class scoped:

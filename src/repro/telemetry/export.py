@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-from ..table import format_table
+from ..table import format_seconds, format_table
 from .tracer import Span, Tracer
 
 #: Chrome trace-event keys every exported event carries.
@@ -198,7 +198,7 @@ def render_trace(tracer: Tracer, max_attr_chars: int = 48) -> str:
         rows.append(
             [
                 "  " * depth + span.name,
-                _fmt_seconds(span.duration),
+                format_seconds(span.duration),
                 "%.1f%%" % (100.0 * span.duration / total),
                 attrs,
             ]
@@ -215,7 +215,7 @@ def render_stage_breakdown(tracer: Tracer, title: str = "per-stage time") -> str
     """The aggregated per-stage table the benchmarks print."""
     totals = aggregate_spans(tracer)
     rows = [
-        [name, "%d" % int(entry["calls"]), _fmt_seconds(entry["seconds"])]
+        [name, "%d" % int(entry["calls"]), format_seconds(entry["seconds"])]
         for name, entry in sorted(
             totals.items(), key=lambda item: -item[1]["seconds"]
         )
@@ -234,11 +234,3 @@ def _jsonable(value: Any) -> Any:
 def _short(value: Any) -> str:
     text = str(value)
     return text if len(text) <= 20 else text[:19] + "…"
-
-
-def _fmt_seconds(seconds: float) -> str:
-    if seconds >= 1:
-        return "%.2fs" % seconds
-    if seconds >= 1e-3:
-        return "%.2fms" % (seconds * 1e3)
-    return "%.0fµs" % (seconds * 1e6)

@@ -104,7 +104,7 @@ class QueryLog:
         How many recent records :meth:`recent` retains.
     max_bytes / backup_count:
         Size-based rotation for **path sinks** (a long-lived
-        ``serve-metrics --log-queries`` daemon must not grow one file
+        ``serve --log-queries`` daemon must not grow one file
         unboundedly): once the file reaches ``max_bytes``, it is renamed
         to ``<path>.1`` (existing backups shift to ``.2`` … up to
         ``backup_count``, the oldest dropped) and a fresh file starts

@@ -1,7 +1,7 @@
 """Transport-agnostic HTTP route table of the one repro HTTP front.
 
-:class:`~repro.service.MetricsServer` (``repro serve-metrics``, ``repro
-run --serve-debug``) and its subclass, the query service
+:class:`~repro.service.MetricsServer` (``repro run --serve-debug``)
+and its subclass, the query service
 :class:`~repro.service.ServiceServer` (``repro serve``), dispatch every
 request through one :class:`Router` built by
 ``MetricsServer.build_router``, on one asyncio transport:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, TYPE_CHECKING
 
 from ..planner.plan import NodePlan
-from ..table import format_table
+from ..table import format_optional, format_table
 from .wdpt import WDPT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -90,14 +90,14 @@ class WDPTProfile:
     def eval_route(self) -> str:
         """What ``ask`` runs: the Theorem 6 DP, with its parameters."""
         return "Theorem 6 DP: ℓ-TW(%s) ∩ BI(%d) → LOGCFL for fixed k, c (Theorem 7)" % (
-            _fmt(self.local_treewidth),
+            format_optional(self.local_treewidth),
             self.interface_width,
         )
 
     def partial_eval_route(self) -> str:
         """What ``is_partial``/``is_maximal`` run: Theorems 8/9."""
         width = self.global_treewidth
-        return "Theorem 8/9 procedures: g-TW(%s) → LOGCFL for fixed k" % _fmt(
+        return "Theorem 8/9 procedures: g-TW(%s) → LOGCFL for fixed k" % format_optional(
             None if width is None else max(width, 1)
         )
 
@@ -107,10 +107,10 @@ class WDPTProfile:
             ["|p| (relational size)", self.size],
             ["variables (free)", "%d (%d)" % (self.n_variables, self.n_free)],
             ["projection-free", self.projection_free],
-            ["local treewidth (max node)", _fmt(self.local_treewidth)],
+            ["local treewidth (max node)", format_optional(self.local_treewidth)],
             ["interface width (BI)", self.interface_width],
-            ["global treewidth (g-TW)", _fmt(self.global_treewidth)],
-            ["global hypertreewidth", _fmt(self.global_hypertreewidth)],
+            ["global treewidth (g-TW)", format_optional(self.global_treewidth)],
+            ["global hypertreewidth", format_optional(self.global_hypertreewidth)],
             ["fingerprint", self.fingerprint[:12]],
         ]
         rows += [
@@ -139,7 +139,3 @@ def explain(p: WDPT, planner: "Optional[Planner]" = None) -> WDPTProfile:
     1
     """
     return WDPTProfile(p, planner=planner)
-
-
-def _fmt(value: Optional[int]) -> str:
-    return "?" if value is None else str(value)

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import ast
+import glob
 import importlib.util
 import inspect
 import json
@@ -26,6 +27,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FLEET = "sh" "ard"
 
 OBSERVABILITY_MD = os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md")
+#: The paper's query (1), as the CI jobs spell it.
+QUERY = "(?x, recorded_by, ?y) OPT (?x, NME_rating, ?z)"
 
 
 class TestProfile:
@@ -42,6 +45,13 @@ class TestProfile:
     def test_unparseable(self, capsys):
         assert main(["profile", "((("]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_sampling_moved_to_run(self):
+        for flags in (["--hz", "100"], ["--speedscope", "x.json"],
+                      ["--folded", "x.folded"], ["--duration", "1"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["profile", "{ ?x knows ?y }"] + flags)
+            assert exit_info.value.code == 2
 
 
 class TestRun:
@@ -122,15 +132,80 @@ class TestRun:
         assert code == 1
         assert "cannot open query log" in capsys.readouterr().err
 
+    def test_no_data_runs_over_example_2(self, capsys, tmp_path):
+        """Without TRIPLES or ``--store`` the data is the paper's Example 2
+        database; with ``--store`` alone it is the store's, and nothing of
+        Example 2 is written there."""
+        assert main(["run", QUERY]) == 0
+        assert "over 5 facts" in capsys.readouterr().out
+        store = str(tmp_path / "empty.sqlite")
+        assert main(["run", QUERY, "--store", store]) == 0
+        assert "0 answer(s) over 0 facts" in capsys.readouterr().out
+
+    def test_profile_outputs_one_run(self, capsys, tmp_path, triples_file):
+        """``--profile-hz`` samples the run; each ``--profile-out`` picks
+        its format by name; the answers are printed once."""
+        from repro.telemetry.profiler import validate_folded, validate_speedscope
+
+        speedscope = tmp_path / "x.speedscope.json"
+        folded = tmp_path / "x.folded"
+        code = main([
+            "run", "SELECT ?x ?a WHERE { ?x knows ?y OPTIONAL { ?x age ?a } }",
+            triples_file, "--profile-hz", "500", "--duration", "0.3",
+            "--profile-out", str(speedscope), "--profile-out", str(folded),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("answer(s) over") == 1
+        assert re.search(r"profiled \d+ run\(s\) in [\d.]+s: [1-9]\d* sample", out)
+        assert validate_speedscope(json.loads(speedscope.read_text())) == []
+        text = folded.read_text()
+        assert validate_folded(text) == []
+        # Folded by phase (the default): the sampled runs record spans, so
+        # samples land under a plan phase, not all under "(no span)".
+        roots = {line.split(";", 1)[0] for line in text.splitlines()}
+        assert roots - {"phase:(no span)"}, roots
+        assert all(root.startswith("phase:") for root in roots)
+
+    def test_repeat_evaluates_each_time_under_the_profiler(self, capsys, triples_file):
+        code = main([
+            "run", "{ ?x knows ?y }", triples_file, "--profile-hz", "100",
+            "--repeat", "3", "--top", "0", "--by", "frames",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "profiled 3 run(s)" in out and "hottest stacks" not in out
+
+    def test_profile_out_unwritable(self, capsys, triples_file):
+        code = main([
+            "run", "{ ?x knows ?y }", triples_file, "--profile-hz", "100",
+            "--profile-out", "/nonexistent/dir/p.folded",
+        ])
+        assert code == 1
+        assert "cannot write profile" in capsys.readouterr().err
+
 
 class TestAnalyzeErrors:
+    """EXPLAIN ANALYZE is ``run --analyze``; its errors are ``run``'s."""
+
     def test_missing_triples_file(self, capsys):
-        assert main(["analyze", "{ ?x knows ?y }", "/nonexistent/f.tsv"]) == 1
+        assert main(
+            ["run", "{ ?x knows ?y }", "/nonexistent/f.tsv", "--analyze"]
+        ) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_unparseable_query(self, capsys):
-        assert main(["analyze", "((("]) == 1
+        assert main(["run", "(((", "--analyze"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_analyze_over_example_2_writes_a_trace(self, capsys, tmp_path):
+        from repro.telemetry.export import validate_chrome_trace
+
+        trace = tmp_path / "trace.json"
+        assert main(["run", QUERY, "--analyze", "--trace-out", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "EXPLAIN ANALYZE" in out and "wrote" in out
+        assert validate_chrome_trace(json.loads(trace.read_text())) == []
 
 
 class TestMetrics:
@@ -142,16 +217,27 @@ class TestMetrics:
         assert 'quantile="0.99"' in out
 
     def test_serve_metrics_self_check(self, capsys):
-        assert main(["serve-metrics", "--self-check"]) == 0
+        """``serve --self-check`` covers the metrics daemon's old probe:
+        ``/healthz``, ``/debug/queries`` after a query, and a ``/metrics``
+        exposition that counts the engine the query ran."""
+        assert main(["serve", "--self-check"]) == 0
         out = capsys.readouterr().out
-        assert "serving http://127.0.0.1:" in out
         assert '"status": "ok"' in out
-        assert "repro_planner_engine_selected" in out
+        assert re.search(r'^query: .*"rows": 2', out, re.M)
+        assert re.search(r'^debug/queries: .*"op": "query"', out, re.M)
+        assert 'repro_planner_engine_selected{engine="wdpt-topdown"}' in out
+
+    def test_serve_store_alone_adds_no_example_data(self, capsys, tmp_path):
+        store = str(tmp_path / "empty.sqlite")
+        assert main(["serve", "--store", store, "--self-check"]) == 0
+        assert '"rows": 0' in capsys.readouterr().out
+        with Session(path=store) as session:
+            assert session.size == 0
 
 
-@pytest.mark.parametrize("command", ["serve", "serve-metrics"])
+@pytest.mark.parametrize("command", ["serve"])
 def test_daemon_answers_and_exits_0_on_sigterm(command):
-    """Both daemons run the one front's ``serve_forever``: each prints its
+    """The daemon runs the one front's ``serve_forever``: it prints its
     URL, answers ``/healthz``, and drains and exits 0 on SIGTERM."""
     env = dict(
         os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"),
@@ -186,13 +272,37 @@ class TestDemo:
         assert "Our_love" in out and "Theorem 7" in out
 
 
+def _documented_commands():
+    """``(file, subcommand, flags)`` for every ``python -m repro …``
+    command in README.md and docs/*.md: backslash continuations joined,
+    the command cut at a comment, a pipe, ``&``, ``;`` or the end of
+    inline code."""
+    docs = [os.path.join(REPO_ROOT, "README.md")]
+    docs += sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
+    for path in docs:
+        with open(path) as handle:
+            text = handle.read().replace("\\\n", " ")
+        for match in re.finditer(r"python -m repro ([a-z][a-z-]*)([^`|&;#\n]*)", text):
+            command, rest = match.groups()
+            yield path, command, re.findall(r"(?<![\w-])--[a-z][a-z-]*", rest)
+
+
 def test_cli_matches_its_docs():
-    """The parser, the module's usage docstring and the flag table of
-    docs/OBSERVABILITY.md name the same subcommands and flags."""
+    """The parser, the module's usage docstring, the flag table of
+    docs/OBSERVABILITY.md and every command line of the README and docs
+    name the same subcommands and flags."""
     parser = cli.build_parser()
     commands = parser._subparsers._group_actions[0].choices
-    usage = re.findall(r"^    python -m repro (\S+)", cli.__doc__, re.M)
-    assert set(usage) == set(commands)
+
+    def options(name):
+        return {o for o in commands[name]._option_string_actions if o.startswith("--")} - {"--help"}
+
+    # The usage docstring: one block per subcommand, naming every option.
+    usage = cli.__doc__[: cli.__doc__.index("\n\n", cli.__doc__.index("Usage::") + 9)]
+    blocks = re.findall(r"^    python -m repro (\S+)(.*?)(?=^    python -m repro|\Z)", usage, re.M | re.S)
+    assert sorted(name for name, _ in blocks) == sorted(commands)
+    for name, block in blocks:
+        assert set(re.findall(r"--[a-z][a-z-]*", block)) == options(name), name
 
     with open(OBSERVABILITY_MD) as handle:
         text = handle.read()
@@ -203,19 +313,27 @@ def test_cli_matches_its_docs():
             break
         flags_cell, commands_cell = line.split("|")[1:3]
         flags = re.findall(r"--[a-z-]+", flags_cell)
-        listed = [name.strip() for name in commands_cell.split(",")]
-        assert flags and set(listed) <= set(commands), line
+        listed = {name.strip() for name in commands_cell.split(",")}
+        assert flags, line
         for flag in flags:
-            for name in listed:
-                assert flag in commands[name]._option_string_actions, (flag, name)
-            if "analyze" not in listed:
-                assert flag not in commands["analyze"]._option_string_actions, flag
+            # Exactly the subcommands that accept the flag are listed.
+            assert listed == {name for name in commands if flag in options(name)}, (flag, line)
         rows += 1
     assert rows >= 10  # the table was found and read, not skipped
 
-    # Deleted with what they selected: the old harness, the thread fan-out.
+    documented = 0
+    for path, name, flags in _documented_commands():
+        assert name in commands, (path, name)
+        for flag in flags:
+            assert flag in options(name), (path, name, flag)
+        documented += 1
+    assert documented >= 20  # the docs were found and read, not skipped
+
+    # Deleted with what they selected: the old harness, the thread fan-out,
+    # and the duplicates of `run --analyze`, `run --profile-hz` and `serve`.
     for gone in (["bench"], ["run", "{ ?x knows ?y }", "--jobs", "2"],
-                 ["serve", "--jobs", "2"]):
+                 ["serve", "--jobs", "2"], ["analyze", "{ ?x knows ?y }"],
+                 ["serve-metrics"], ["profile", "{ ?x knows ?y }", "t.tsv"]):
         with pytest.raises(SystemExit) as exit_info:
             main(gone)
         assert exit_info.value.code == 2

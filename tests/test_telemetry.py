@@ -2,6 +2,7 @@
 ANALYZE, and the zero-cost-when-disabled guarantee."""
 
 import json
+import os
 import threading
 import time
 
@@ -120,6 +121,57 @@ def test_null_tracer_records_nothing():
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
+def test_trace_ids_are_minted_without_a_system_call(monkeypatch):
+    """A trace id is a per-process random prefix plus a counter: minting
+    one, or observing a query that mints one, calls neither
+    ``os.urandom`` nor ``uuid.uuid4`` (a GIL release per observed query
+    starves every thread in a timed wait, the sampling profiler's
+    included)."""
+    import os
+    import re
+    import uuid
+
+    from repro.telemetry.context import new_trace_id
+
+    session = Session(example2_graph(), track_resources=True, cache=False)
+
+    def refuse(*args):
+        raise AssertionError("a trace id made a system call")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "urandom", refuse)
+        patch.setattr(uuid, "uuid4", refuse)
+        ids = [new_trace_id() for _ in range(10_000)]
+        observed = session.query(FIGURE1_QUERY_TEXT).resources.trace_id
+    ids.append(observed)
+    assert len(set(ids)) == len(ids)
+    assert all(re.fullmatch("[0-9a-f]{16}", t) for t in ids)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_mints_its_own_trace_ids():
+    """Without a fresh prefix after ``fork`` the child would continue its
+    parent's sequence: its first id would be the parent's next one."""
+    from repro.telemetry.context import new_trace_id
+
+    new_trace_id()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child
+        try:
+            os.write(write, new_trace_id().encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as handle:
+        child = handle.read()
+    os.waitpid(pid, 0)
+    parent = new_trace_id()
+    assert len(child) == len(parent) == 16
+    assert child != parent
+    assert child[:8] != parent[:8]
+
+
 def test_histogram_quantiles_and_snapshot():
     h = Histogram("t")
     for value in range(1, 101):
