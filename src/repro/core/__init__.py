@@ -6,21 +6,16 @@ This package contains the data model shared by the whole library — it is the
 
 from .atoms import Atom, Schema, atom, constants_of, variables_of
 from .canonical import (
-    FrozenVariable,
-    canonical_database,
     canonical_database_of_atoms,
     freeze_atoms,
     freeze_variable,
-    freezing_of,
     is_frozen_constant,
     unfreeze_constant,
-    unfreeze_mapping,
 )
-from .cq import ConjunctiveQuery, cq, fresh_variable
-from .io import load_facts, load_tsv_directory, save_facts, save_tsv_directory
+from .cq import ConjunctiveQuery, cq
 from .database import Database
-from .mappings import EMPTY_MAPPING, Mapping, is_maximal_in, maximal_mappings
-from .terms import Constant, Term, Variable, is_constant, is_variable, term, terms
+from .mappings import Mapping, maximal_mappings
+from .terms import Constant, Term, Variable, term, terms
 
 __all__ = [
     "Atom",
@@ -28,32 +23,19 @@ __all__ = [
     "atom",
     "constants_of",
     "variables_of",
-    "FrozenVariable",
-    "canonical_database",
     "canonical_database_of_atoms",
     "freeze_atoms",
     "freeze_variable",
-    "freezing_of",
     "is_frozen_constant",
     "unfreeze_constant",
-    "unfreeze_mapping",
     "ConjunctiveQuery",
     "cq",
-    "fresh_variable",
-    "load_facts",
-    "load_tsv_directory",
-    "save_facts",
-    "save_tsv_directory",
     "Database",
-    "EMPTY_MAPPING",
     "Mapping",
-    "is_maximal_in",
     "maximal_mappings",
     "Constant",
     "Term",
     "Variable",
-    "is_constant",
-    "is_variable",
     "term",
     "terms",
 ]

@@ -18,8 +18,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .atoms import Atom
 from .database import Database
-from .cq import ConjunctiveQuery
-from .mappings import Mapping
 from .terms import Constant, Variable
 
 
@@ -62,11 +60,6 @@ def freeze_variable(v: Variable) -> Constant:
     return Constant(FrozenVariable(v))
 
 
-def freezing_of(variables: Iterable[Variable]) -> Mapping:
-    """The mapping sending each variable to its frozen constant."""
-    return Mapping({v: freeze_variable(v) for v in variables})
-
-
 def freeze_atoms(
     atoms: Iterable[Atom], freezing: Optional[Dict[Variable, Constant]] = None
 ) -> Tuple[Atom, ...]:
@@ -91,11 +84,6 @@ def freeze_atoms(
     return tuple(out)
 
 
-def canonical_database(query: ConjunctiveQuery) -> Database:
-    """The canonical database ``D_q`` of ``query``."""
-    return Database(freeze_atoms(query.atoms))
-
-
 def canonical_database_of_atoms(atoms: Iterable[Atom]) -> Database:
     """The canonical database of a bare atom set."""
     return Database(freeze_atoms(atoms))
@@ -111,16 +99,3 @@ def unfreeze_constant(c: Constant) -> Variable:
     if not isinstance(c.value, FrozenVariable):
         raise ValueError("%r is not a frozen variable" % (c,))
     return c.value.variable
-
-
-def unfreeze_mapping(m: Mapping) -> Dict[Variable, object]:
-    """Turn a mapping into a variable→(variable-or-constant) dict.
-
-    Frozen constants in the range are unfrozen back into the variables they
-    came from; ordinary constants stay.  Used to read a homomorphism into a
-    canonical database back as a query-to-query homomorphism.
-    """
-    out: Dict[Variable, object] = {}
-    for var, val in m.items():
-        out[var] = unfreeze_constant(val) if is_frozen_constant(val) else val
-    return out

@@ -15,7 +15,6 @@ helpers).
 
 from __future__ import annotations
 
-from itertools import count
 from typing import FrozenSet, Iterable, Mapping as TMapping, Optional, Tuple
 
 from ..exceptions import SchemaError
@@ -198,11 +197,3 @@ def _as_variable(value: object, role: str) -> Variable:
     if not isinstance(t, Variable):
         raise SchemaError("%s must be a variable, got %r" % (role, value))
     return t
-
-
-_fresh_counter = count()
-
-
-def fresh_variable(prefix: str = "v") -> Variable:
-    """A globally fresh variable (``prefix__<n>``)."""
-    return Variable("%s__%d" % (prefix, next(_fresh_counter)))

@@ -185,9 +185,6 @@ class Mapping(frozenset):
         return t
 
 
-EMPTY_MAPPING = Mapping()
-
-
 def maximal_mappings(mappings: Iterable[Mapping]) -> FrozenSet[Mapping]:
     """The ``⊑``-maximal elements of a set of mappings.
 
@@ -216,8 +213,3 @@ def maximal_mappings(mappings: Iterable[Mapping]) -> FrozenSet[Mapping]:
         above = (h for larger, hs in by_domain.items() if domain < larger for h in hs)
         maximal.extend(set(group).difference(map(pairs.intersection, above)))
     return frozenset(maximal)
-
-
-def is_maximal_in(candidate: Mapping, mappings: Iterable[Mapping]) -> bool:
-    """Is ``candidate`` ``⊑``-maximal within ``mappings``?"""
-    return not any(map(candidate.__lt__, mappings))

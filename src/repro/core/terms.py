@@ -218,13 +218,3 @@ def term(value: object) -> Term:
 def terms(values: Iterable[object]) -> Tuple[Term, ...]:
     """Coerce an iterable of plain values into a tuple of terms."""
     return tuple(term(v) for v in values)
-
-
-def is_variable(t: object) -> bool:
-    """Return ``True`` iff ``t`` is a :class:`Variable`."""
-    return isinstance(t, Variable)
-
-
-def is_constant(t: object) -> bool:
-    """Return ``True`` iff ``t`` is a :class:`Constant`."""
-    return isinstance(t, Constant)

@@ -29,7 +29,7 @@ from ..exceptions import ConstantsNotSupportedError
 from ..hypergraphs.beta import beta_hypertreewidth_at_most
 from ..hypergraphs.hypergraph import hypergraph_of_cq
 from ..hypergraphs.treewidth import treewidth_at_most
-from .containment import is_contained_in, is_properly_contained_in
+from .containment import is_contained_in
 from .cores import core
 from .quotients import enumerate_quotients
 
@@ -102,31 +102,6 @@ def approximations(
 def tw_approximations(query: ConjunctiveQuery, k: int) -> List[ConjunctiveQuery]:
     """All ``TW(k)``-approximations of ``query``."""
     return approximations(query, in_tw(k))
-
-
-def beta_hw_approximations(query: ConjunctiveQuery, k: int) -> List[ConjunctiveQuery]:
-    """All ``HW'(k)``-approximations of ``query``."""
-    return approximations(query, in_beta_hw(k))
-
-
-def is_approximation(
-    candidate: ConjunctiveQuery, query: ConjunctiveQuery, class_test: ClassTest
-) -> bool:
-    """Is ``candidate`` a ``C``-approximation of ``query``?
-
-    Checks the definition directly against the quotient witness space:
-    ``candidate ∈ C``, ``candidate ⊆ query``, and no in-class quotient of
-    ``query`` lies strictly between them.
-    """
-    if not class_test(candidate) or not is_contained_in(candidate, query):
-        return False
-    for q in enumerate_quotients(query):
-        if not class_test(q):
-            continue
-        if is_contained_in(candidate, q) and is_contained_in(q, query):
-            if is_properly_contained_in(candidate, q):
-                return False
-    return True
 
 
 def union_approximation(

@@ -42,29 +42,12 @@ def is_contained_in(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     return has_query_homomorphism(q2.atoms, q1.atoms, fixed=fixed)
 
 
-def are_equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
-    """``q₁ ≡ q₂``: containment in both directions."""
-    return is_contained_in(q1, q2) and is_contained_in(q2, q1)
-
-
-def is_properly_contained_in(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
-    """``q₁ ⊂ q₂``: contained but not equivalent."""
-    return is_contained_in(q1, q2) and not is_contained_in(q2, q1)
-
-
 def union_contained(
     union1: Sequence[ConjunctiveQuery], union2: Sequence[ConjunctiveQuery]
 ) -> bool:
     """UCQ containment: every disjunct of ``union1`` is contained in some
     disjunct of ``union2`` (Sagiv–Yannakakis)."""
     return all(any(is_contained_in(q1, q2) for q2 in union2) for q1 in union1)
-
-
-def union_equivalent(
-    union1: Sequence[ConjunctiveQuery], union2: Sequence[ConjunctiveQuery]
-) -> bool:
-    """UCQ equivalence (both containments)."""
-    return union_contained(union1, union2) and union_contained(union2, union1)
 
 
 def reduce_union(queries: Iterable[ConjunctiveQuery]) -> List[ConjunctiveQuery]:
@@ -92,5 +75,3 @@ def reduce_union(queries: Iterable[ConjunctiveQuery]) -> List[ConjunctiveQuery]:
         if not dominated:
             kept.append(q)
     return kept
-
-

@@ -22,7 +22,6 @@ from ..core.atoms import Atom, variables_of
 from ..core.cq import ConjunctiveQuery
 from ..hypergraphs.beta import beta_hypertreewidth_at_most
 from ..hypergraphs.hypergraph import hypergraph_of_cq
-from ..hypergraphs.hypertree import hypertreewidth_at_most
 from ..hypergraphs.treewidth import treewidth_at_most
 from .homomorphism import apply_homomorphism, query_homomorphisms
 
@@ -53,31 +52,12 @@ def _fold_once(atoms: FrozenSet[Atom], frees) -> Optional[FrozenSet[Atom]]:
     return None
 
 
-def is_core(query: ConjunctiveQuery) -> bool:
-    """Has ``query`` no proper fold (i.e. is it its own core)?"""
-    return _fold_once(frozenset(query.atoms), {v: v for v in query.free_variables}) is None
-
-
 def semantically_in_tw(query: ConjunctiveQuery, k: int) -> bool:
     """Is ``query`` equivalent to some CQ of treewidth ≤ k?
 
     By [10] this holds iff the core has treewidth ≤ k.
     """
     return treewidth_at_most(hypergraph_of_cq(core(query)), k)
-
-
-def semantically_in_hw(query: ConjunctiveQuery, k: int) -> bool:
-    """Core-based test for equivalence to a CQ of hypertreewidth ≤ k.
-
-    ``core(q) ∈ HW(k)`` is *sufficient* for semantic membership (the core is
-    equivalent to ``q``).  It is also necessary for every class closed under
-    subqueries, because the core is a retract — hence an atom-subset — of
-    any equivalent witness.  Plain ``HW(k)`` is **not** subquery-closed,
-    which is exactly why Section 5 of the paper switches to ``HW'(k)``; for
-    the subquery-closed variant use :func:`semantically_in_beta_hw`, which
-    is sound and complete.
-    """
-    return hypertreewidth_at_most(hypergraph_of_cq(core(query)), k)
 
 
 def semantically_in_beta_hw(query: ConjunctiveQuery, k: int) -> bool:

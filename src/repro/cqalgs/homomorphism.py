@@ -106,14 +106,6 @@ def apply_homomorphism(atoms: Iterable[Atom], h: TMapping[Variable, Term]) -> fr
     return frozenset(a.substitute(h) for a in atoms)
 
 
-def is_query_homomorphism(
-    source: Iterable[Atom], target: Iterable[Atom], h: TMapping[Variable, Term]
-) -> bool:
-    """Verify that ``h`` maps every atom of ``source`` into ``target``."""
-    target_set = frozenset(target)
-    return all(a.substitute(h) in target_set for a in source)
-
-
 def _unfreeze(h: Mapping) -> QueryHomomorphism:
     out: QueryHomomorphism = {}
     for var, val in h.items():

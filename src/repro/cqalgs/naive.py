@@ -73,17 +73,6 @@ def evaluate_naive(query: ConjunctiveQuery, db: Database) -> FrozenSet[Mapping]:
     return frozenset(h.restrict(frees) for h in homomorphisms(query.atoms, db))
 
 
-def is_answer(query: ConjunctiveQuery, db: Database, candidate: Mapping) -> bool:
-    """Is ``candidate ∈ q(D)``?
-
-    The candidate must be defined on exactly the free variables; the check
-    then searches for a homomorphism extending it.
-    """
-    if candidate.domain() != frozenset(query.free_variables):
-        return False
-    return satisfiable(query.atoms, db, candidate)
-
-
 def satisfiable(
     atoms: Iterable[Atom], db: Database, pre_assignment: Optional[Mapping] = None
 ) -> bool:
@@ -135,11 +124,6 @@ def homomorphisms(
     codec = db.codec
     for cells in islice(_search(*compiled), limit):
         yield Mapping.from_trusted(_decoded(pre, variables, cells, codec))
-
-
-def count_homomorphisms(atoms: Iterable[Atom], db: Database) -> int:
-    """Number of homomorphisms from ``atoms`` into ``db``."""
-    return sum(1 for _ in homomorphisms(atoms, db))
 
 
 def _decoded(

@@ -78,13 +78,6 @@ def enumerate_quotients(query: ConjunctiveQuery) -> Iterator[ConjunctiveQuery]:
             yield q
 
 
-def count_partitions(query: ConjunctiveQuery) -> int:
-    """Number of admissible partitions (the size of the search space)."""
-    variables = sorted(query.variables())
-    frees = frozenset(query.free_variables)
-    return sum(1 for _ in _partitions(variables, frees))
-
-
 def _partitions(
     variables: List[Variable], frees: frozenset
 ) -> Iterator[List[List[Variable]]]:

@@ -97,13 +97,3 @@ def beta_hypertreewidth_at_most(H: Hypergraph, k: int) -> bool:
             if not hypertreewidth_at_most(Hypergraph(subset), k):
                 return False
     return True
-
-
-def beta_hypertreewidth_exact(H: Hypergraph) -> int:
-    """Exact β-hypertreewidth (max ghw over edge subsets)."""
-    if not H.edges:
-        return 0
-    k = 1
-    while not beta_hypertreewidth_at_most(H, k):
-        k += 1
-    return k

@@ -137,42 +137,3 @@ def join_tree_shape(links: Sequence[Tuple[int, int]], n_atoms: int) -> JoinTree:
             raise ValueError("join-tree links reach %d of %d atoms" % (len(order), n_atoms))
         order += level
     return JoinTree(order[0], children, parent, order)
-
-
-def join_tree_is_valid(atoms: Sequence[Atom], links: Sequence[Tuple[int, int]]) -> bool:
-    """Check the running-intersection property of a join tree."""
-    n = len(atoms)
-    if n == 0:
-        return not links
-    if len(links) != n - 1:
-        return False
-    adjacency: Dict[int, Set[int]] = {i: set() for i in range(n)}
-    for child, parent in links:
-        adjacency[child].add(parent)
-        adjacency[parent].add(child)
-    # connectivity of the tree itself
-    seen: Set[int] = set()
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        stack.extend(adjacency[i] - seen)
-    if len(seen) != n:
-        return False
-    # running intersection per variable
-    for v in {v for a in atoms for v in a.variables()}:
-        holders = [i for i, a in enumerate(atoms) if v in a.variables()]
-        wanted = set(holders)
-        comp: Set[int] = set()
-        stack = [holders[0]]
-        while stack:
-            i = stack.pop()
-            if i in comp:
-                continue
-            comp.add(i)
-            stack.extend(j for j in adjacency[i] if j in wanted and j not in comp)
-        if comp != wanted:
-            return False
-    return True

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Set
 
-from ..core.atoms import Atom
 from ..core.cq import ConjunctiveQuery
 
 Vertex = Hashable
@@ -159,12 +158,3 @@ def hypergraph_of_cq(query: ConjunctiveQuery) -> Hypergraph:
         (a.variables() for a in query.atoms),
         vertices=query.variables(),
     )
-
-
-def hypergraph_of_atoms(atoms: Iterable[Atom]) -> Hypergraph:
-    """The hypergraph of a bare atom set."""
-    atom_list = list(atoms)
-    vertices: Set[Vertex] = set()
-    for a in atom_list:
-        vertices.update(a.variables())
-    return Hypergraph((a.variables() for a in atom_list), vertices=vertices)

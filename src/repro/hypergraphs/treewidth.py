@@ -171,11 +171,6 @@ def min_fill_order(H: Hypergraph) -> List[Vertex]:
     return _greedy(H, _fill_key)[1]
 
 
-def min_degree_order(H: Hypergraph) -> List[Vertex]:
-    """Elimination order chosen greedily by minimum degree."""
-    return _greedy(H, _degree_key)[1]
-
-
 def _degree_key(adjacency: Dict[Vertex, Set[Vertex]], u: Vertex):
     return len(adjacency[u]), repr(u)
 

@@ -17,11 +17,10 @@ from .plan import (
     ENGINE_PROBE,
     ENGINE_TREEWIDTH,
     ENGINE_YANNAKAKIS,
-    TW_CUTOFF,
     NodePlan,
     plan_node,
 )
-from .planner import Planner, get_default_planner, set_default_planner
+from .planner import Planner, get_default_planner
 from .profile import StructuralProfile, TreeProfile
 
 __all__ = [
@@ -32,10 +31,8 @@ __all__ = [
     "ENGINE_PROBE",
     "ENGINE_TREEWIDTH",
     "ENGINE_YANNAKAKIS",
-    "TW_CUTOFF",
     "Planner",
     "get_default_planner",
-    "set_default_planner",
     "StructuralProfile",
     "TreeProfile",
 ]

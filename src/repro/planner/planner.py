@@ -349,9 +349,3 @@ def get_default_planner() -> Planner:
     if _default_planner is None:
         _default_planner = Planner()
     return _default_planner
-
-
-def set_default_planner(planner: Optional[Planner]) -> None:
-    """Install (or, with ``None``, reset) the process-wide planner."""
-    global _default_planner
-    _default_planner = planner

@@ -6,11 +6,11 @@ instantiation end-to-end: parse an {AND, OPT} query, translate it to a
 WDPT, and evaluate it over a triple store.
 """
 
-from .algebra import And, Opt, Pattern, TriplePattern, is_well_designed, triple_patterns
+from .algebra import And, Opt, Pattern, TriplePattern, is_well_designed
 from .graph import TRIPLE_RELATION, RDFGraph
 from .parser import parse_pattern, parse_query, tokenize
 from .sparql import parse_sparql
-from .translate import pattern_to_wdpt, wdpt_to_pattern
+from .translate import pattern_to_wdpt
 
 __all__ = [
     "And",
@@ -18,7 +18,6 @@ __all__ = [
     "Pattern",
     "TriplePattern",
     "is_well_designed",
-    "triple_patterns",
     "TRIPLE_RELATION",
     "RDFGraph",
     "parse_pattern",
@@ -26,5 +25,4 @@ __all__ = [
     "parse_query",
     "tokenize",
     "pattern_to_wdpt",
-    "wdpt_to_pattern",
 ]

@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 from ..core.atoms import Atom
 from ..core.terms import Variable
 from ..exceptions import NotWellDesignedError
-from ..wdpt.tree import ROOT, PatternTree
+from ..wdpt.tree import PatternTree
 from ..wdpt.wdpt import WDPT
 from .algebra import And, Opt, Pattern, TriplePattern, is_well_designed
 from .graph import TRIPLE_RELATION
@@ -72,34 +72,6 @@ def pattern_to_wdpt(
     else:
         frees = list(projection)
     return WDPT(PatternTree(parents), labels, frees)
-
-
-def wdpt_to_pattern(p: WDPT) -> Pattern:
-    """Translate an RDF WDPT (all atoms over the triple relation) back into
-    an {AND, OPT} pattern.  Inverse of :func:`pattern_to_wdpt` up to
-    pattern-algebra associativity."""
-
-    def bgp_of(node: int) -> Pattern:
-        atoms = sorted(p.labels[node])
-        parts: List[Pattern] = []
-        for a in atoms:
-            if a.relation != TRIPLE_RELATION or a.arity != 3:
-                raise ValueError(
-                    "atom %r is not a triple; only RDF WDPTs translate back" % (a,)
-                )
-            parts.append(TriplePattern(*a.args))
-        combined = parts[0]
-        for extra in parts[1:]:
-            combined = And(combined, extra)
-        return combined
-
-    def walk(node: int) -> Pattern:
-        result = bgp_of(node)
-        for child in p.tree.children(node):
-            result = Opt(result, walk(child))
-        return result
-
-    return walk(ROOT)
 
 
 def _normalize(pattern: Pattern) -> _NormalNode:

@@ -23,18 +23,14 @@ See :mod:`repro.service.server` for the architecture and
 from .admission import AdmissionController, AdmissionSlot, LoadShedError
 from .protocol import (
     MAX_BODY_BYTES,
-    PROTOCOL_VERSION,
     ProtocolError,
     QueryRequest,
 )
 from .server import MetricsServer, ServiceServer
 from .tenancy import (
     API_KEY_HEADER,
-    DEFAULT_TIERS,
-    QoSTier,
     TenantConfig,
     TenantRegistry,
-    TenantsFileError,
     default_registry,
     load_tenants,
 )
@@ -43,18 +39,14 @@ __all__ = [
     "API_KEY_HEADER",
     "AdmissionController",
     "AdmissionSlot",
-    "DEFAULT_TIERS",
     "LoadShedError",
     "MAX_BODY_BYTES",
     "MetricsServer",
-    "PROTOCOL_VERSION",
     "ProtocolError",
-    "QoSTier",
     "QueryRequest",
     "ServiceServer",
     "TenantConfig",
     "TenantRegistry",
-    "TenantsFileError",
     "default_registry",
     "load_tenants",
 ]

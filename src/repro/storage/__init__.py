@@ -29,21 +29,21 @@ from .memory import MemoryBackend
 from .sqlite import SQLiteBackend
 
 #: Name → constructor for ``Session(backend=...)`` / ``REPRO_BACKEND``.
-BACKENDS = {
+_BACKENDS = {
     "memory": MemoryBackend,
     "sqlite": SQLiteBackend,
 }
 
 #: Every backend kind accepted by ``Session(backend=...)`` and the CLI's
 #: ``--backend`` flags.
-BACKEND_KINDS = tuple(BACKENDS)
+BACKEND_KINDS = tuple(_BACKENDS)
 
 
-def backend_class(kind: str):
+def _backend_class(kind: str):
     """The backend class named ``kind`` (``ValueError`` naming the kinds
     there are otherwise)."""
     try:
-        return BACKENDS[kind]
+        return _BACKENDS[kind]
     except KeyError:
         raise ValueError(
             "unknown storage backend %r (expected one of %s)"
@@ -61,7 +61,7 @@ def backend_from_env() -> Optional[str]:
     The package's one read of its environment."""
     kind = os.environ.get(BACKEND_ENV)
     if kind is not None:
-        backend_class(kind)
+        _backend_class(kind)
     return kind
 
 
@@ -72,7 +72,7 @@ def to_backend(data, kind: str, path=None):
     An instance already of the requested kind passes through unchanged
     (no copy); anything else is loaded fact-by-fact into a fresh backend.
     """
-    cls = backend_class(kind)
+    cls = _backend_class(kind)
     if isinstance(data, cls) and (path is None or kind != "sqlite"):
         return data
     facts = data.facts() if isinstance(data, StorageBackend) else data
@@ -83,13 +83,11 @@ def to_backend(data, kind: str, path=None):
 
 __all__ = [
     "BACKEND_ENV",
-    "BACKENDS",
     "BACKEND_KINDS",
     "MemoryBackend",
     "ResultCache",
     "SQLiteBackend",
     "StorageBackend",
-    "backend_class",
     "backend_from_env",
     "to_backend",
 ]

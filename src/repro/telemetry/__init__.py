@@ -34,31 +34,22 @@ from .context import (
 )
 from .metrics import (
     Counter,
-    DEFAULT_QUANTILES,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NodeStatsCollector,
-    quantile_key,
 )
 from .obslog import (
-    OBSLOG_SCHEMA,
     QueryLog,
     QueryObservation,
     validate_obslog,
 )
 from .profiler import (
     DEFAULT_HZ,
-    GCMonitor,
-    PROFILE_SCHEMA,
     SamplingProfiler,
     current_profiler,
-    folded_stacks,
     folded_text,
     gc_summary,
     profiling,
-    span_phase,
-    summarize_samples,
     to_speedscope,
     validate_folded,
     validate_speedscope,
@@ -71,25 +62,19 @@ from .resources import (
     ResourceUsage,
     account_rows,
     account_subquery,
-    current_monitor,
 )
 from .routes import PROMETHEUS_CONTENT_TYPE
 from .tracer import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     Tracer,
     current_tracer,
-    trace_span,
     tracing,
 )
 from .export import (
     SPAN_ATTR_TYPES,
     aggregate_spans,
-    from_chrome_trace,
     render_stage_breakdown,
     render_trace,
-    to_chrome_trace,
     trace_to_dict,
     validate_chrome_trace,
     write_chrome_trace,
@@ -102,27 +87,18 @@ __all__ = [
     "new_trace_id",
     "scoped",
     "Counter",
-    "DEFAULT_QUANTILES",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NodeStatsCollector",
-    "quantile_key",
-    "OBSLOG_SCHEMA",
     "QueryLog",
     "QueryObservation",
     "validate_obslog",
     "DEFAULT_HZ",
-    "GCMonitor",
-    "PROFILE_SCHEMA",
     "SamplingProfiler",
     "current_profiler",
-    "folded_stacks",
     "folded_text",
     "gc_summary",
     "profiling",
-    "span_phase",
-    "summarize_samples",
     "to_speedscope",
     "validate_folded",
     "validate_speedscope",
@@ -134,20 +110,14 @@ __all__ = [
     "ResourceUsage",
     "account_rows",
     "account_subquery",
-    "current_monitor",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Tracer",
     "current_tracer",
-    "trace_span",
     "tracing",
     "SPAN_ATTR_TYPES",
     "aggregate_spans",
-    "from_chrome_trace",
     "render_stage_breakdown",
     "render_trace",
-    "to_chrome_trace",
     "trace_to_dict",
     "validate_chrome_trace",
     "write_chrome_trace",

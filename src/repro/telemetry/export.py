@@ -7,9 +7,8 @@ Three consumers of a recorded :class:`~repro.telemetry.tracer.Tracer`:
   programmatic consumers and ``analyze()`` join against);
 * :func:`to_chrome_trace` — the ``chrome://tracing`` / Perfetto
   "trace event" format (complete events, ``ph: "X"``, microsecond
-  timestamps), with :func:`from_chrome_trace` reconstructing the span
-  forest (round-tripped in the tests) and :func:`validate_chrome_trace`
-  used by the CI smoke job's schema check;
+  timestamps; the tests rebuild the span forest from it), with
+  :func:`validate_chrome_trace` used by the CI smoke job's schema check;
 * :func:`render_trace` — a fixed-width text tree reusing
   :func:`repro.table.format_table`.
 
@@ -20,7 +19,7 @@ bench harness prints these as the per-stage time breakdown.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from ..table import format_seconds, format_table
 from .tracer import Span, Tracer
@@ -86,32 +85,6 @@ def write_chrome_trace(tracer: Tracer, path: str) -> int:
     with open(path, "w") as handle:
         json.dump(events, handle, indent=1)
     return len(events)
-
-
-def from_chrome_trace(events: Iterable[Dict[str, Any]]) -> List[Span]:
-    """Rebuild the span forest from complete events (inverse of
-    :func:`to_chrome_trace` up to clock units and attr JSON coercion)."""
-    spans: List[Tuple[float, float, Span]] = []
-    for event in events:
-        if event.get("ph") != "X":
-            continue
-        span = Span(event["name"], event.get("args") or {})
-        span.start = event["ts"] / 1e6
-        span.end = span.start + event.get("dur", 0.0) / 1e6
-        spans.append((span.start, -(span.end - span.start), span))
-    spans.sort(key=lambda item: (item[0], item[1]))
-    roots: List[Span] = []
-    stack: List[Span] = []
-    epsilon = 1e-9
-    for start, _, span in spans:
-        while stack and (stack[-1].end or 0.0) < start - epsilon:
-            stack.pop()
-        if stack:
-            stack[-1].children.append(span)
-        else:
-            roots.append(span)
-        stack.append(span)
-    return roots
 
 
 def validate_chrome_trace(payload: Any) -> List[str]:

@@ -16,7 +16,8 @@ answers it with a stdlib stack sampler:
   thread's query context in the ident → context table the profiler
   installs while running (:func:`~repro.telemetry.context.publish_threads`).  The
   span name maps onto a plan *phase* (plan / semijoin / join /
-  enumerate), so a flamegraph can fold by phase as well as by frame.
+  enumerate; ``obslog.write`` for the query log's writes outside every
+  span), so a flamegraph can fold by phase as well as by frame.
 
 * Samples aggregate into the two interchange formats flamegraph tooling
   speaks: **folded stacks** (``root;child;leaf 42`` lines, flamegraph.pl
@@ -67,6 +68,7 @@ __all__ = [
     "span_phase",
     "folded_stacks",
     "folded_text",
+    "sample_weights",
     "to_speedscope",
     "write_speedscope",
     "summarize_samples",
@@ -108,6 +110,12 @@ SPAN_PHASES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 )
 
 PHASE_OTHER = "other"
+
+#: The phase of a sample taken outside every span while the query log
+#: writes a record (``QueryLog.emit`` runs before and after the query's
+#: spans), recognised from the stack the sampler walks anyway.
+PHASE_OBSLOG = "obslog.write"
+_OBSLOG_EMIT = "obslog.py:emit"
 
 #: What a thread absent from the context table is running under.
 _NO_QUERY = QueryContext()
@@ -265,9 +273,11 @@ class SamplingProfiler:
             stack.reverse()  # root-first, the folded/speedscope order
             context = self._contexts.get(ident, _NO_QUERY)
             span_name = context.span.name if context.span is not None else None
+            phase = span_phase(span_name)
+            if phase is None and _OBSLOG_EMIT in stack:
+                phase = PHASE_OBSLOG
             collected.append(
-                (now, ident, tuple(stack), context.trace_id, span_name,
-                 span_phase(span_name))
+                (now, ident, tuple(stack), context.trace_id, span_name, phase)
             )
         if collected:
             with self._lock:
@@ -433,6 +443,24 @@ def folded_text(
     return "\n".join("%s %d" % (stack, n) for stack, n in ordered)
 
 
+def sample_weights(samples: Sequence[Sample], hz: int) -> List[float]:
+    """Seconds each sample stands for: the measured spacing since the
+    previous tick, read from the samples' timestamps, and ``1/hz`` for the
+    first tick.  The sampler wakes less often than ``hz`` asks when a busy
+    query loop holds the GIL, so a fixed ``1/hz`` would shrink the time
+    axis; the samples of one tick share its timestamp and its spacing."""
+    weights: List[float] = []
+    spacing = 1.0 / max(1, hz)
+    previous: Optional[float] = None
+    for sample in samples:
+        ts = sample[0]
+        if previous is not None and ts != previous:
+            spacing = ts - previous
+        previous = ts
+        weights.append(spacing)
+    return weights
+
+
 def to_speedscope(
     samples: Sequence[Sample],
     hz: int,
@@ -440,8 +468,8 @@ def to_speedscope(
     by: str = "frames",
     trace_id: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Samples as a speedscope ``sampled`` profile (one weight of
-    ``1/hz`` seconds per sample).  When every sample belongs to one
+    """Samples as a speedscope ``sampled`` profile, each weighted by
+    :func:`sample_weights`.  When every sample belongs to one
     trace, the payload carries a top-level ``trace_id`` so the export,
     the spans and the obslog record of a query correlate by id."""
     if by not in ("frames", "phase"):
@@ -451,7 +479,6 @@ def to_speedscope(
     frame_index: Dict[str, int] = {}
     frames: List[Dict[str, str]] = []
     stacks: List[List[int]] = []
-    weight = 1.0 / max(1, hz)
     for sample in samples:
         stack: List[int] = []
         for label in _stack_key(sample, by):
@@ -461,7 +488,7 @@ def to_speedscope(
                 frames.append({"name": label})
             stack.append(idx)
         stacks.append(stack)
-    total = weight * len(stacks)
+    weights = sample_weights(samples, hz)
     trace_ids = sorted({s[3] for s in samples if s[3] is not None})
     payload: Dict[str, Any] = {
         "$schema": SPEEDSCOPE_SCHEMA,
@@ -475,9 +502,9 @@ def to_speedscope(
                 "name": name,
                 "unit": "seconds",
                 "startValue": 0,
-                "endValue": total,
+                "endValue": sum(weights),
                 "samples": stacks,
-                "weights": [weight] * len(stacks),
+                "weights": weights,
             }
         ],
     }
@@ -523,7 +550,7 @@ def summarize_samples(
         "schema": PROFILE_SCHEMA,
         "hz": hz,
         "samples": len(samples),
-        "seconds": len(samples) / float(max(1, hz)),
+        "seconds": sum(sample_weights(samples, hz)),
         "phases": phases,
         "trace_ids": len(traces),
         "top": [[stack, n] for stack, n in hottest],
@@ -593,11 +620,18 @@ def validate_speedscope(payload: Any) -> List[str]:
                     "profile %d sample %d has out-of-range frame index %r"
                     % (p, s, bad[0]))
                 break
+        if not all(isinstance(w, (int, float)) and w > 0 for w in weights):
+            errors.append("profile %d has a weight that is not > 0" % p)
+            continue
         start = profile.get("startValue", 0)
         end = profile.get("endValue", 0)
         if not isinstance(start, (int, float)) or not isinstance(end, (int, float)) \
                 or end < start:
             errors.append("profile %d has endValue < startValue" % p)
+        elif abs((end - start) - sum(weights)) > 1e-6:
+            errors.append(
+                "profile %d spans %r s but its weights sum to %r s"
+                % (p, end - start, sum(weights)))
     return errors
 
 

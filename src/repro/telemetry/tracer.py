@@ -214,11 +214,6 @@ def current_tracer():
     return current().tracer or NULL_TRACER
 
 
-def trace_span(name: str, **attrs: Any):
-    """``current_tracer().span(...)`` — the one-line instrumentation call."""
-    return current_tracer().span(name, **attrs)
-
-
 @contextmanager
 def tracing(tracer: Optional[Tracer] = None):
     """Record into ``tracer`` (a fresh one by default) for the block, in

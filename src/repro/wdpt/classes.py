@@ -19,12 +19,8 @@ Also here: Proposition 2's containment
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
-from ..core.cq import ConjunctiveQuery
-from ..hypergraphs.beta import beta_hypertreewidth_at_most
-from ..hypergraphs.hypergraph import hypergraph_of_atoms
-from ..hypergraphs.treewidth import treewidth_at_most
 from .wdpt import WDPT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -118,15 +114,6 @@ def is_in_wb(p: WDPT, k: int, variant: str = WB_TW) -> bool:
         return is_globally_in_tw(p, k)
     if variant == WB_BETA_HW:
         return is_globally_in_beta_hw(p, k)
-    raise ValueError("unknown WB variant %r" % (variant,))
-
-
-def cq_class_test(k: int, variant: str = WB_TW) -> Callable[[ConjunctiveQuery], bool]:
-    """The CQ-level class test ``C(k)`` matching a WB variant."""
-    if variant == WB_TW:
-        return lambda q: treewidth_at_most(hypergraph_of_atoms(q.atoms), k)
-    if variant == WB_BETA_HW:
-        return lambda q: beta_hypertreewidth_at_most(hypergraph_of_atoms(q.atoms), k)
     raise ValueError("unknown WB variant %r" % (variant,))
 
 

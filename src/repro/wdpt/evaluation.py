@@ -378,10 +378,3 @@ def eval_check(p: WDPT, db: Database, h: Mapping) -> bool:
 def max_eval_check(p: WDPT, db: Database, h: Mapping) -> bool:
     """``MAX-EVAL``: is ``h ∈ p_m(D)``?  (General algorithm.)"""
     return h in evaluate_max(p, db)
-
-
-def partial_eval_check(p: WDPT, db: Database, h: Mapping) -> bool:
-    """``PARTIAL-EVAL``: is some ``h' ∈ p(D)`` with ``h ⊑ h'``?
-    (General algorithm; the polynomial one is in
-    :mod:`repro.wdpt.partial_eval`.)"""
-    return any(h.subsumed_by(answer) for answer in evaluate(p, db))

@@ -157,17 +157,3 @@ def subtree_satisfiable(
     if tree is None:
         tree = planner.profile_wdpt(p)
     return planner.satisfiable_substituted(tree.subtree_profile(subtree), h.as_dict(), db)
-
-
-def partial_answers(p: WDPT, db: Database) -> FrozenSet[Mapping]:
-    """All partial answers of ``p`` over ``db`` — the downward closure of
-    ``p(D)`` under restriction.  Reference-quality helper for tests."""
-    from .evaluation import evaluate
-
-    out = set()
-    for answer in evaluate(p, db):
-        domain = sorted(answer.domain())
-        for mask in range(1 << len(domain)):
-            chosen = [v for i, v in enumerate(domain) if mask >> i & 1]
-            out.add(answer.restrict(chosen))
-    return frozenset(out)

@@ -200,14 +200,6 @@ def is_max_equivalent(p1: WDPT, p2: WDPT) -> bool:
     return is_subsumption_equivalent(p1, p2)
 
 
-def max_equivalent_on(p1: WDPT, p2: WDPT, db: Database) -> bool:
-    """Semantic spot check used in tests: ``p₁ₘ(D) = p₂ₘ(D)`` on one
-    concrete database."""
-    from .evaluation import evaluate_max
-
-    return evaluate_max(p1, db) == evaluate_max(p2, db)
-
-
 def subsumed_on(p1: WDPT, p2: WDPT, db: Database) -> bool:
     """Semantic spot check: every answer of ``p₁(D)`` is subsumed by some
     answer of ``p₂(D)`` on one concrete database."""

@@ -34,18 +34,6 @@ _NO_VARIABLES: FrozenSet[Variable] = frozenset()
 _UNKNOWN_VARIABLE = "variable %r does not occur in the pattern tree"
 
 
-def top_node_of_variable(p: WDPT, v: Variable) -> int:
-    """The unique node mentioning ``v`` closest to the root (connectedness
-    makes it an ancestor of every other node mentioning ``v``).
-
-    Raises ``KeyError`` if ``v`` does not occur in ``p``.
-    """
-    try:
-        return p.top_nodes()[v]
-    except KeyError:
-        raise KeyError(_UNKNOWN_VARIABLE % (v,)) from None
-
-
 def minimal_subtree_containing(p: WDPT, variables: Iterable[Variable]) -> FrozenSet[int]:
     """The minimal rooted subtree of ``p`` whose variable set covers
     ``variables``: the union of root-paths to each variable's top node.

@@ -1,16 +1,12 @@
 """Workload generators: random instances, paper constructions, datasets."""
 
-from .datasets import COMPANY_RELATIONS, company_directory, music_catalog, social_network
+from .datasets import company_directory, music_catalog, social_network
 from .families import (
     FIGURE1_QUERY_TEXT,
-    brute_force_sat,
-    sat_eval_instance,
-    complete_graph_edges,
     example2_graph,
     example5_theta,
     figure1_wdpt,
     figure2_family,
-    odd_cycle_edges,
     prop2_family,
     three_colorability_instance,
 )
@@ -19,7 +15,6 @@ from .generators import (
     cycle_cq,
     grid_cq,
     path_cq,
-    random_cq,
     random_database,
     random_graph_database,
     random_wdpt,
@@ -27,26 +22,20 @@ from .generators import (
 )
 
 __all__ = [
-    "COMPANY_RELATIONS",
     "company_directory",
     "music_catalog",
     "social_network",
     "FIGURE1_QUERY_TEXT",
-    "complete_graph_edges",
     "example2_graph",
     "example5_theta",
     "figure1_wdpt",
     "figure2_family",
-    "odd_cycle_edges",
     "prop2_family",
     "three_colorability_instance",
-    "brute_force_sat",
-    "sat_eval_instance",
     "clique_cq",
     "cycle_cq",
     "grid_cq",
     "path_cq",
-    "random_cq",
     "random_database",
     "random_graph_database",
     "random_wdpt",

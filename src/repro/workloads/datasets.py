@@ -61,16 +61,6 @@ def music_catalog(
     return graph
 
 
-#: Relations of the company-directory schema.
-COMPANY_RELATIONS = (
-    "works_in",      # works_in(employee, department)
-    "reports_to",    # reports_to(employee, manager)
-    "phone",         # phone(employee, number)
-    "office",        # office(employee, room)
-    "dept_head",     # dept_head(department, employee)
-)
-
-
 def social_network(
     n_people: int = 20,
     avg_degree: int = 3,

@@ -171,87 +171,6 @@ def three_colorability_instance(
     return db, p, h
 
 
-def odd_cycle_edges(length: int) -> List[Tuple[int, int]]:
-    """Edges of a cycle (odd lengths ≥ 5 are 3-colorable; triangles too;
-    use :func:`complete_graph_edges` for non-colorable instances)."""
-    return [(i, (i + 1) % length) for i in range(length)]
-
-
-def complete_graph_edges(n: int) -> List[Tuple[int, int]]:
-    """Edges of ``K_n`` (3-colorable iff ``n ≤ 3``)."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-# ---------------------------------------------------------------------------
-# Theorem 5-style SAT reduction: EVAL is NP-hard under local tractability
-# ---------------------------------------------------------------------------
-def sat_eval_instance(
-    n_variables: int, clauses: Sequence[Sequence[int]]
-) -> Tuple[Database, WDPT, Mapping]:
-    """Encode CNF satisfiability into ``EVAL`` (the mechanism behind
-    Theorem 5 / Proposition 1's NP-hardness, in the style of
-    Proposition 3's appendix construction).
-
-    Clauses use DIMACS conventions: literal ``+i`` is variable ``i``
-    positive, ``−i`` negative (variables are 1-based).  Returns
-    ``(D, p, h)`` with ``p ∈ ℓ-TW(1)`` and ``h ∈ p(D)`` iff the formula is
-    satisfiable:
-
-    * the root guesses an assignment (``v(u_i)`` with ``v(0), v(1) ∈ D``);
-    * one optional child per clause matches exactly the assignments that
-      *violate* the clause (every literal false), introducing a fresh free
-      variable;
-    * ``h`` binds only the root's anchor, so it is an answer iff some
-      assignment blocks every violation gadget — i.e. satisfies every
-      clause.
-    """
-    db = Database(
-        [
-            Atom("v", (0,)),
-            Atom("v", (1,)),
-            Atom("anchor", ("ok",)),
-            Atom("false_pos", (0,)),   # a positive literal is false at 0
-            Atom("false_neg", (1,)),   # a negative literal is false at 1
-        ]
-    )
-    root: List[Atom] = [Atom("v", ("?u%d" % i,)) for i in range(1, n_variables + 1)]
-    root.append(Atom("anchor", ("?x",)))
-    labels: List[List[Atom]] = [root]
-    parents: List[int] = []
-    frees = ["?x"]
-    for j, clause in enumerate(clauses):
-        gadget: List[Atom] = []
-        for literal in clause:
-            index = abs(literal)
-            if not 1 <= index <= n_variables:
-                raise ValueError("literal %d out of range" % literal)
-            relation = "false_pos" if literal > 0 else "false_neg"
-            gadget.append(Atom(relation, ("?u%d" % index,)))
-        xj = "?viol%d" % j
-        gadget.append(Atom("anchor", (xj,)))
-        labels.append(gadget)
-        parents.append(0)
-        frees.append(xj)
-    p = WDPT(PatternTree(parents), labels, frees)
-    h = Mapping({"?x": "ok"})
-    return db, p, h
-
-
-def brute_force_sat(n_variables: int, clauses: Sequence[Sequence[int]]) -> bool:
-    """Reference SAT check for validating the reduction (≤ ~20 vars)."""
-    for bits in range(1 << n_variables):
-        assignment = [(bits >> i) & 1 for i in range(n_variables)]
-        if all(
-            any(
-                assignment[abs(l) - 1] == (1 if l > 0 else 0)
-                for l in clause
-            )
-            for clause in clauses
-        ):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Example 5: acyclic CQs of unbounded treewidth
 # ---------------------------------------------------------------------------

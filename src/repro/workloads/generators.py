@@ -118,26 +118,6 @@ def star_cq(rays: int, relation: str = "E", free_center: bool = True) -> Conjunc
     return ConjunctiveQuery(["?c"] if free_center else (), atoms)
 
 
-def random_cq(
-    n_atoms: int,
-    n_variables: int,
-    relations: Sequence[str] = ("E",),
-    arity: int = 2,
-    n_free: int = 1,
-    seed: Rng = 0,
-) -> ConjunctiveQuery:
-    """A random CQ over the given variable pool (connected not guaranteed)."""
-    rng = _rng(seed)
-    pool = ["?v%d" % i for i in range(n_variables)]
-    atoms = [
-        Atom(rng.choice(list(relations)), tuple(rng.choice(pool) for _ in range(arity)))
-        for _ in range(n_atoms)
-    ]
-    used = sorted({v for a in atoms for v in a.variables()})
-    frees = [v for v in used[: max(0, n_free)]]
-    return ConjunctiveQuery(frees, atoms)
-
-
 # ---------------------------------------------------------------------------
 # Random WDPTs
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import BudgetExceededError
 from repro.hypergraphs.beta import (
     beta_hypertreewidth_at_most,
-    beta_hypertreewidth_exact,
     is_beta_acyclic,
 )
 from repro.hypergraphs.gyo import is_alpha_acyclic
@@ -55,7 +54,7 @@ class TestBetaHw:
     def test_triangle_is_two(self):
         tri = Hypergraph([{1, 2}, {2, 3}, {1, 3}])
         assert beta_hypertreewidth_at_most(tri, 2)
-        assert beta_hypertreewidth_exact(tri) == 2
+        assert not beta_hypertreewidth_at_most(tri, 1)
 
     def test_theta_grows(self):
         # θ_5 contains a K5 subquery with ghw 3 > 2.

@@ -4,18 +4,15 @@ import pytest
 
 from repro.core.atoms import atom
 from repro.core.canonical import (
-    canonical_database,
     canonical_database_of_atoms,
     freeze_atoms,
     freeze_variable,
-    freezing_of,
     is_frozen_constant,
     unfreeze_constant,
-    unfreeze_mapping,
 )
 from repro.core.cq import cq
-from repro.core.mappings import Mapping
 from repro.core.terms import Constant, Variable
+from tests.harness.oracles import freezing_of
 
 
 def test_freeze_variable_roundtrip():
@@ -46,16 +43,11 @@ def test_freeze_atoms_ground():
 
 def test_canonical_database_facts():
     q = cq(["?x"], [atom("E", "?x", "?y"), atom("E", "?y", "?x")])
-    db = canonical_database(q)
+    db = canonical_database_of_atoms(q.atoms)
     assert len(db) == 2
     fx = freeze_variable(Variable("x"))
     fy = freeze_variable(Variable("y"))
     assert atom("E", fx.value, fy.value) in db
-
-
-def test_canonical_database_of_atoms_matches_query_version():
-    q = cq([], [atom("E", "?x", "?y")])
-    assert canonical_database(q) == canonical_database_of_atoms(q.atoms)
 
 
 def test_freezing_of():
@@ -63,17 +55,10 @@ def test_freezing_of():
     assert m[Variable("x")] == freeze_variable(Variable("x"))
 
 
-def test_unfreeze_mapping_mixed():
-    m = Mapping({Variable("x"): freeze_variable(Variable("y")), Variable("z"): Constant(3)})
-    out = unfreeze_mapping(m)
-    assert out[Variable("x")] == Variable("y")
-    assert out[Variable("z")] == Constant(3)
-
-
 def test_chandra_merlin_canonical_property():
     """The identity freeze is always a homomorphism from q to canonical(q)."""
     from repro.cqalgs.naive import satisfiable
 
     q = cq(["?x"], [atom("E", "?x", "?y"), atom("F", "?y", "?y")])
-    db = canonical_database(q)
+    db = canonical_database_of_atoms(q.atoms)
     assert satisfiable(q.atoms, db, freezing_of(q.variables()))

@@ -560,7 +560,8 @@ def test_one_answers_route_per_label_class():
     top-down evaluator calls no search, ``Planner._run`` has no
     ``evaluate_naive`` branch, and no answers plan is the search's."""
     from repro.core.atoms import atom
-    from repro.planner import ENGINE_TREEWIDTH, TW_CUTOFF, StructuralProfile
+    from repro.planner import ENGINE_TREEWIDTH, StructuralProfile
+    from repro.planner.plan import TW_CUTOFF
 
     search = {"homomorphisms", "cq_homomorphisms", "evaluate_naive", "from_mappings"}
     found = set()

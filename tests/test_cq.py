@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.atoms import atom
-from repro.core.cq import ConjunctiveQuery, cq, fresh_variable
+from repro.core.cq import ConjunctiveQuery, cq
 from repro.core.terms import Constant, Variable
 from repro.exceptions import SchemaError
 
@@ -95,8 +95,3 @@ class TestValueSemantics:
     def test_repr_contains_head_and_body(self, path):
         text = repr(path)
         assert "Ans(" in text and "E(" in text
-
-
-def test_fresh_variables_distinct():
-    a, b = fresh_variable(), fresh_variable()
-    assert a != b

@@ -6,16 +6,16 @@ from repro.core.atoms import atom
 from repro.core.cq import cq
 from repro.cqalgs.approximation import (
     approximations,
-    beta_hw_approximations,
+    in_beta_hw,
     in_tw,
-    is_approximation,
     tw_approximations,
     union_approximation,
 )
-from repro.cqalgs.containment import are_equivalent, is_contained_in
+from repro.cqalgs.containment import is_contained_in
 from repro.exceptions import ConstantsNotSupportedError
 from repro.hypergraphs.hypergraph import hypergraph_of_cq
 from repro.hypergraphs.treewidth import treewidth_at_most
+from tests.harness.oracles import are_equivalent, is_approximation
 
 
 @pytest.fixture
@@ -59,13 +59,13 @@ class TestTwApproximations:
 
 class TestBetaHwApproximations:
     def test_triangle_hw1(self, tri):
-        apps = beta_hw_approximations(tri, 1)
+        apps = approximations(tri, in_beta_hw(1))
         assert apps
         for a in apps:
             assert is_contained_in(a, tri)
 
     def test_k2_keeps_triangle(self, tri):
-        apps = beta_hw_approximations(tri, 2)
+        apps = approximations(tri, in_beta_hw(2))
         assert len(apps) == 1 and are_equivalent(apps[0], tri)
 
 

@@ -9,13 +9,12 @@ from repro.wdpt.eval_tractable import eval_tractable
 from repro.wdpt.evaluation import evaluate
 from repro.wdpt.wdpt import wdpt_from_nested
 from repro.workloads.families import (
-    complete_graph_edges,
     example2_graph,
     figure1_wdpt,
-    odd_cycle_edges,
     three_colorability_instance,
 )
 from repro.workloads.generators import random_database, random_wdpt
+from tests.harness.generators import complete_graph_edges, odd_cycle_edges
 
 
 @pytest.fixture

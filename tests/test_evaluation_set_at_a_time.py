@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.core.atoms import atom
 from repro.core.mappings import Mapping, maximal_mappings
 from repro.core.terms import Variable
-from repro.cqalgs.naive import count_homomorphisms
 from repro.cqalgs.yannakakis import relation_with_join_tree
 from repro.engine import Session
 from repro.hypergraphs.gyo import join_tree_shape
@@ -40,6 +39,7 @@ from repro.wdpt.transform import free_branch_nodes, prune_non_free_branches
 from repro.wdpt.wdpt import wdpt_from_nested
 from repro.workloads.datasets import company_directory
 from repro.workloads.generators import random_database, random_wdpt
+from tests.harness.oracles import count_homomorphisms
 
 COMMON = settings(
     max_examples=60,

@@ -5,7 +5,7 @@ import pytest
 from repro.core.atoms import atom
 from repro.core.cq import cq
 from repro.core.terms import Variable
-from repro.hypergraphs.hypergraph import Hypergraph, hypergraph_of_atoms, hypergraph_of_cq
+from repro.hypergraphs.hypergraph import Hypergraph, hypergraph_of_cq
 
 
 class TestStructure:
@@ -80,7 +80,3 @@ class TestCQBridge:
         q = cq([], [atom("R", 1, 2), atom("E", "?x", "?y")])
         H = hypergraph_of_cq(q)
         assert len(H.edges) == 1
-
-    def test_hypergraph_of_atoms(self):
-        H = hypergraph_of_atoms([atom("E", "?x", "?y")])
-        assert H.vertices == {Variable("x"), Variable("y")}

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.mappings import EMPTY_MAPPING, Mapping, is_maximal_in, maximal_mappings
+from repro.core.mappings import Mapping, maximal_mappings
 from repro.core.terms import Constant, Variable
+from tests.harness.oracles import is_maximal_in
 
 
 class TestConstruction:
@@ -21,8 +22,8 @@ class TestConstruction:
             Mapping({"?x": Variable("y")})
 
     def test_empty(self):
-        assert len(EMPTY_MAPPING) == 0
-        assert EMPTY_MAPPING.domain() == frozenset()
+        assert len(Mapping()) == 0
+        assert Mapping().domain() == frozenset()
 
 
 class TestSubsumption:
@@ -46,7 +47,7 @@ class TestSubsumption:
         assert not small.properly_subsumed_by(small)
 
     def test_empty_subsumed_by_all(self):
-        assert EMPTY_MAPPING.subsumed_by(Mapping({"?x": 1}))
+        assert Mapping().subsumed_by(Mapping({"?x": 1}))
 
     def test_antisymmetry(self):
         a = Mapping({"?x": 1})

@@ -23,15 +23,14 @@ from repro.wdpt.eval_tractable import eval_tractable
 from repro.wdpt.subsumption import is_max_equivalent, is_subsumption_equivalent
 from repro.wdpt.unions import UWDPT, phi_cq
 from repro.workloads.families import (
-    complete_graph_edges,
     example2_graph,
     example5_theta,
     figure1_wdpt,
     figure2_family,
-    odd_cycle_edges,
     prop2_family,
     three_colorability_instance,
 )
+from tests.harness.generators import complete_graph_edges, odd_cycle_edges
 
 
 @pytest.fixture

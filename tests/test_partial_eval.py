@@ -6,11 +6,11 @@ from repro.core.atoms import atom
 from repro.core.database import Database
 from repro.core.mappings import Mapping
 from repro.planner.planner import Planner
-from repro.wdpt.evaluation import partial_eval_check
-from repro.wdpt.partial_eval import partial_answers, partial_eval
+from repro.wdpt.partial_eval import partial_eval
 from repro.wdpt.wdpt import wdpt_from_nested
 from repro.workloads.families import example2_graph, figure1_wdpt
 from repro.workloads.generators import random_database, random_wdpt
+from tests.harness.oracles import partial_answers, partial_eval_check
 
 
 @pytest.fixture

@@ -28,10 +28,10 @@ from repro.planner import (
     ENGINE_PROBE,
     ENGINE_TREEWIDTH,
     ENGINE_YANNAKAKIS,
-    TW_CUTOFF,
     PlanCache,
     Planner,
 )
+from repro.planner.plan import TW_CUTOFF
 from repro.relalg import relation as relation_module
 from repro.storage.sqlite import SQLiteBackend
 from repro.telemetry.metrics import MetricsRegistry
@@ -41,7 +41,8 @@ from repro.wdpt.partial_eval import partial_eval
 from repro.wdpt.tree import PatternTree
 from repro.wdpt.wdpt import wdpt_from_nested
 from repro.workloads.datasets import company_directory
-from repro.workloads.generators import random_cq, random_database, random_wdpt
+from repro.workloads.generators import random_database, random_wdpt
+from tests.harness.generators import random_cq
 
 
 # ---------------------------------------------------------------------------

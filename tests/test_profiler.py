@@ -224,6 +224,32 @@ def test_speedscope_payload_validates_and_carries_trace_id():
     assert "trace_id" not in mixed or mixed["trace_id"] is None
 
 
+def test_samples_weigh_the_measured_tick_spacing():
+    """A starved sampler ticks less often than ``hz`` asks: each sample
+    weighs the spacing since the previous tick, so the time axis is the
+    wall time sampled, not ``len(samples) / hz``."""
+    samples = [(ts, 1, ("a.py:f",), None, None, None) for ts in (0.0, 0.01, 0.03, 0.06)]
+    # A second thread seen at the last tick stands for the same spacing.
+    samples.append((0.06, 2, ("b.py:g",), None, None, None))
+    expected = [0.001, 0.01, 0.02, 0.03, 0.03]
+    assert profiler_mod.sample_weights(samples, hz=1000) == pytest.approx(expected)
+    profile = to_speedscope(samples, hz=1000)["profiles"][0]
+    assert profile["weights"] == pytest.approx(expected)
+    assert profile["endValue"] - profile["startValue"] == pytest.approx(sum(expected))
+    assert summarize_samples(samples, hz=1000)["seconds"] == pytest.approx(sum(expected))
+    assert validate_speedscope(to_speedscope(samples, hz=1000)) == []
+
+
+def test_validator_checks_weights_against_the_time_axis():
+    payload = to_speedscope(_tagged_samples(), hz=100)
+    profile = payload["profiles"][0]
+    profile["endValue"] += 1.0
+    assert any("weights sum" in e for e in validate_speedscope(payload))
+    profile["endValue"] -= 1.0
+    profile["weights"][1] = 0.0
+    assert any("not > 0" in e for e in validate_speedscope(payload))
+
+
 def test_write_speedscope_roundtrip(tmp_path):
     path = tmp_path / "out.speedscope.json"
     profiler_mod.write_speedscope(_tagged_samples(), 100, str(path))
@@ -248,7 +274,8 @@ def test_validators_reject_garbage():
 def test_summarize_samples_reports_phases_and_top():
     summary = summarize_samples(_tagged_samples(), hz=100, top=5)
     assert summary["samples"] == 3
-    assert summary["seconds"] == pytest.approx(3 / 100)
+    # 1/hz for the first tick, then the measured spacing of the next two.
+    assert summary["seconds"] == pytest.approx(1 / 100 + 0.1 + 0.1)
     assert summary["phases"] == {"join": 2, "(no span)": 1}
     assert summary["trace_ids"] == 2
     assert summary["top"][0][1] == 2
@@ -476,13 +503,42 @@ def test_disabled_path_is_structurally_zero_cost():
     registry = {}
     previous = context_mod.publish_threads(registry)
     try:
-        from repro.telemetry.tracer import trace_span
+        from repro.telemetry.tracer import current_tracer
 
-        with trace_span("yannakakis.join"):
+        with current_tracer().span("yannakakis.join"):
             pass
         assert registry == {}  # NullSpan never changes the context
     finally:
         context_mod.publish_threads(previous)
+
+
+def test_query_log_writes_outside_spans_get_their_own_phase():
+    """A sample taken outside every span inside ``QueryLog.emit`` is filed
+    under ``obslog.write``, not ``(no span)``."""
+    entered = threading.Event()
+    release = threading.Event()
+
+    def parked_sink(record):
+        entered.set()
+        release.wait(30)
+
+    log = QueryLog(sink=parked_sink)
+    writer = threading.Thread(target=log.emit, args=("query.start",), daemon=True)
+    writer.start()
+    try:
+        assert entered.wait(30)
+        profiler = SamplingProfiler(hz=100, gc_stats=False)
+        profiler._sample_once(time.perf_counter(), own_ident=-1)
+    finally:
+        release.set()
+        writer.join(30)
+    assert not writer.is_alive()
+    (sample,) = [s for s in profiler.samples if s[1] == writer.ident]
+    assert "obslog.py:emit" in sample[2]
+    assert sample[4] is None and sample[5] == profiler_mod.PHASE_OBSLOG
+    # The main thread, in no span and not logging, stays unclassified.
+    (main,) = [s for s in profiler.samples if s[1] == threading.get_ident()]
+    assert main[5] is None
 
 
 def test_no_collection_while_reading_other_threads_frames(monkeypatch):

@@ -205,7 +205,7 @@ def test_widths_decisions_and_decompositions_agree(H):
 @COMMON
 @given(small_cq())
 def test_core_is_equivalent_and_idempotent(query):
-    from repro.cqalgs.containment import are_equivalent
+    from tests.harness.oracles import are_equivalent
     from repro.cqalgs.cores import core
 
     c = core(query)

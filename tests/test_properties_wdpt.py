@@ -136,7 +136,8 @@ def _reference_counterexamples(p1, partial_answer):
     """The Theorem 11 loop without a walk: every rooted subtree of ``p1``
     whose frozen free part fails ``partial_answer`` over its canonical
     database, built from scratch."""
-    from repro.core.canonical import canonical_database_of_atoms, freezing_of
+    from repro.core.canonical import canonical_database_of_atoms
+    from tests.harness.oracles import freezing_of
     from repro.wdpt.subtrees import subtree_free_variables
 
     return {
@@ -315,7 +316,7 @@ def test_serialization_roundtrip_preserves_semantics(pair):
 @given(wdpt_and_db())
 def test_normal_form_preserves_partial_and_max_answers(pair):
     from repro.wdpt.evaluation import evaluate_max
-    from repro.wdpt.partial_eval import partial_answers
+    from tests.harness.oracles import partial_answers
     from repro.wdpt.transform import lemma1_normal_form
 
     p, db = pair
@@ -403,12 +404,8 @@ def test_warm_session_decisions_equal_the_checks(backend, pair, data):
     once the session has decided every candidate before."""
     from repro.core.mappings import Mapping
     from repro.engine import Session
-    from repro.wdpt.evaluation import (
-        eval_check,
-        evaluate,
-        max_eval_check,
-        partial_eval_check,
-    )
+    from repro.wdpt.evaluation import eval_check, evaluate, max_eval_check
+    from tests.harness.oracles import partial_eval_check
 
     p, db = pair
     frees = sorted(p.free_variables, key=repr)
@@ -451,7 +448,8 @@ def atoms_and_db(draw):
     repeats a variable, holds a constant no fact has, names a relation the
     database lacks or has the wrong arity; and a random ``E``/``F``
     database with a few facts removed again."""
-    from repro.workloads.generators import random_cq, random_database
+    from tests.harness.generators import random_cq
+    from repro.workloads.generators import random_database
 
     seed = draw(st.integers(0, 10**6))
     q = random_cq(
@@ -546,12 +544,8 @@ def test_fully_bound_decisions_equal_the_checks(backend, pair, data):
     ``partial_eval_check`` and ``max_eval_check``."""
     from repro.core.mappings import Mapping
     from repro.engine import Session
-    from repro.wdpt.evaluation import (
-        eval_check,
-        evaluate,
-        max_eval_check,
-        partial_eval_check,
-    )
+    from repro.wdpt.evaluation import eval_check, evaluate, max_eval_check
+    from tests.harness.oracles import partial_eval_check
 
     p, db = pair
     frees = sorted(p.free_variables, key=repr)

@@ -9,7 +9,8 @@ from repro.exceptions import NotWellDesignedError, ParseError
 from repro.rdf.algebra import And, Opt, TriplePattern, is_well_designed, triple_patterns
 from repro.rdf.graph import RDFGraph
 from repro.rdf.parser import parse_pattern, parse_query, tokenize
-from repro.rdf.translate import pattern_to_wdpt, wdpt_to_pattern
+from repro.rdf.translate import pattern_to_wdpt
+from tests.harness.oracles import wdpt_to_pattern
 
 
 class TestRDFGraph:

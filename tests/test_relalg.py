@@ -263,14 +263,14 @@ from repro.storage import SQLiteBackend  # noqa: E402
 from repro.telemetry.tracer import tracing  # noqa: E402
 from repro.wdpt.evaluation import evaluate_reference  # noqa: E402
 from repro.wdpt.wdpt import wdpt_from_nested  # noqa: E402
-from repro.workloads.generators import (  # noqa: E402
+from repro.workloads.generators import (
     path_cq,
-    random_cq,
     random_database,
     random_graph_database,
     random_wdpt,
     star_cq,
 )
+from tests.harness.generators import random_cq
 
 RELATIONS = ("E", "F")
 

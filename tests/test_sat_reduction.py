@@ -7,7 +7,8 @@ import pytest
 from repro.wdpt.classes import is_locally_in_tw
 from repro.wdpt.eval_tractable import eval_tractable
 from repro.wdpt.evaluation import eval_check
-from repro.workloads.families import brute_force_sat, sat_eval_instance
+from tests.harness.generators import sat_eval_instance
+from tests.harness.oracles import brute_force_sat
 
 
 KNOWN = [

@@ -29,10 +29,10 @@ from repro.service import (
     QueryRequest,
     ServiceServer,
     TenantRegistry,
-    TenantsFileError,
     default_registry,
     load_tenants,
 )
+from repro.service.tenancy import TenantsFileError
 from repro.service import server as server_module
 from repro.service.protocol import (
     AnswerEncoder,

@@ -28,7 +28,7 @@ from repro.exceptions import (
 from repro.hypergraphs.gyo import join_tree_of_atoms, join_tree_shape
 from repro.relalg.relation import from_mappings, scan, to_mappings
 from repro.storage import (
-    BACKENDS,
+    BACKEND_KINDS,
     MemoryBackend,
     SQLiteBackend,
     StorageBackend,
@@ -42,9 +42,9 @@ from repro.workloads.generators import random_database, random_wdpt
 FACTS = [atom("E", 1, 2), atom("E", 2, 3), atom("E", 2, 2), atom("U", 1)]
 
 
-@pytest.fixture(params=sorted(BACKENDS))
+@pytest.fixture(params=sorted(BACKEND_KINDS))
 def db(request):
-    return BACKENDS[request.param](FACTS)
+    return to_backend(FACTS, request.param)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ _GROUND = st.one_of(
 )
 
 
-@pytest.mark.parametrize("kind", sorted(BACKENDS))
+@pytest.mark.parametrize("kind", sorted(BACKEND_KINDS))
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     facts=st.lists(_GROUND, max_size=25),
@@ -89,7 +89,7 @@ def test_match_is_a_filter_over_facts(kind, facts, gone, patterns):
     arity (``E``/3) and an unknown relation — before and after facts
     leave the posting lists (some emptying a posting, a relation or the
     store), and after half of them come back."""
-    db = BACKENDS[kind](facts)
+    db = to_backend(facts, kind)
     alive = set(facts)
     for removed, added in ((), ()), (gone, ()), ((), gone[::2]):
         for fact in removed:
@@ -108,7 +108,7 @@ def test_match_is_a_filter_over_facts(kind, facts, gone, patterns):
             rows = sorted(tuple(map(decode, row[:width])) for row in db.rows(pattern))
             assert rows == sorted(f.args for f in expected), pattern
         # The index after any history is the index of a fresh load.
-        rebuilt = _state(BACKENDS[kind](alive))
+        rebuilt = _state(to_backend(alive, kind))
         assert rebuilt[0] == len(alive)
         for same in (db, db.copy(), pickle.loads(pickle.dumps(db))):
             assert _state(same) == rebuilt
@@ -214,7 +214,7 @@ def test_constants_the_store_has_never_seen(kind):
         assert terms is None or len(db.codec) == terms
 
 
-@pytest.mark.parametrize("kind", sorted(BACKENDS))
+@pytest.mark.parametrize("kind", sorted(BACKEND_KINDS))
 def test_row_budget_is_enforced_and_accounted(kind):
     """``hard_intermediate_rows`` kills a query over either store, and a
     generous budget returns the memory answers with the rows accounted —

@@ -8,12 +8,12 @@ from repro.wdpt.subsumption import (
     is_properly_subsumed_by,
     is_subsumed_by,
     is_subsumption_equivalent,
-    max_equivalent_on,
     subsumed_on,
 )
 from repro.wdpt.wdpt import WDPT, wdpt_from_nested
 from repro.workloads.families import example2_graph, figure1_wdpt, figure2_family
 from repro.workloads.generators import random_database, random_wdpt
+from tests.harness.oracles import max_equivalent_on
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import pytest
 import repro.core.canonical as canonical
 import repro.cqalgs.naive as naive
 from repro.core.atoms import atom
-from repro.core.canonical import canonical_database_of_atoms, freezing_of
+from repro.core.canonical import canonical_database_of_atoms
 from repro.telemetry.resources import ResourceMonitor
 from repro.telemetry.tracer import tracing
 from repro.wdpt.partial_eval import Witness, partial_eval
@@ -19,6 +19,7 @@ from repro.wdpt.subtrees import new_variables_at, subtree_free_variables
 from repro.wdpt.wdpt import wdpt_from_nested
 from repro.workloads.families import figure1_wdpt, figure2_family
 from repro.workloads.generators import random_wdpt
+from tests.harness.oracles import freezing_of
 
 
 def comb(width):

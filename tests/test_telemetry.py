@@ -15,7 +15,6 @@ from repro.engine import Session
 from repro.planner.planner import Planner
 from repro.telemetry.export import (
     aggregate_spans,
-    from_chrome_trace,
     render_stage_breakdown,
     render_trace,
     to_chrome_trace,
@@ -41,6 +40,7 @@ from repro.wdpt.evaluation import evaluate
 from repro.wdpt.wdpt import wdpt_from_nested
 from repro.workloads.datasets import company_directory
 from repro.workloads.families import FIGURE1_QUERY_TEXT, example2_graph
+from tests.harness.oracles import from_chrome_trace
 
 EXAMPLE2_QUERY = "SELECT ?x ?y ?z ?z2 WHERE " + FIGURE1_QUERY_TEXT
 

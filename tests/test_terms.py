@@ -13,7 +13,7 @@ import weakref
 import pytest
 
 from repro.core.atoms import atom
-from repro.core.terms import Constant, Variable, is_constant, is_variable, term, terms
+from repro.core.terms import Constant, Variable, term, terms
 from repro.engine import Session
 
 # The module itself: ``repro.core`` exports a ``terms`` function.
@@ -93,10 +93,6 @@ class TestCoercion:
     def test_terms_tuple(self):
         result = terms(["?x", 1])
         assert result == (Variable("x"), Constant(1))
-
-    def test_predicates(self):
-        assert is_variable(Variable("x")) and not is_variable(Constant(1))
-        assert is_constant(Constant(1)) and not is_constant(Variable("x"))
 
 
 class TestInterning:

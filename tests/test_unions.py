@@ -135,7 +135,7 @@ class TestPhiCq:
         assert union_subsumption_equivalent(phi, as_union_of_cqs(phi_cq(phi)))
 
     def test_reduced_no_containments(self, figure1):
-        from repro.cqalgs.containment import is_properly_contained_in
+        from tests.harness.oracles import is_properly_contained_in
 
         reduced = phi_cq_reduced(UWDPT([figure1]))
         for q1 in reduced:

@@ -7,7 +7,6 @@ from repro.wdpt.classes import (
     WB_BETA_HW,
     WB_TW,
     check_proposition2,
-    cq_class_test,
     has_bounded_interface,
     interface_width,
     is_globally_in_beta_hw,
@@ -105,14 +104,6 @@ class TestWB:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             is_in_wb(triangle_root_wdpt(), 1, "nope")
-
-    def test_cq_class_test(self):
-        from repro.core.cq import cq
-
-        tri = cq([], [atom("E", "?x", "?y"), atom("E", "?y", "?z"), atom("E", "?z", "?x")])
-        assert not cq_class_test(1, WB_TW)(tri)
-        assert cq_class_test(2, WB_TW)(tri)
-        assert cq_class_test(2, WB_BETA_HW)(tri)
 
 
 class TestProposition2:

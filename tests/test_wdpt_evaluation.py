@@ -13,11 +13,11 @@ from repro.wdpt.evaluation import (
     homomorphisms_reference,
     max_eval_check,
     maximal_homomorphisms,
-    partial_eval_check,
 )
 from repro.wdpt.wdpt import WDPT, wdpt_from_nested
 from repro.workloads.families import example2_graph, figure1_wdpt
 from repro.workloads.generators import random_database, random_wdpt
+from tests.harness.oracles import partial_eval_check
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ from repro.wdpt.subtrees import (
     minimal_subtree_containing,
     new_variables_at,
     subtree_free_variables,
-    top_node_of_variable,
 )
 from repro.wdpt.wdpt import wdpt_from_nested
 
@@ -39,18 +38,18 @@ def p():
 
 class TestTopNode:
     def test_root_variable(self, p):
-        assert top_node_of_variable(p, Variable("x")) == 0
+        assert p.top_nodes()[Variable("x")] == 0
 
     def test_shared_variable(self, p):
-        assert top_node_of_variable(p, Variable("y")) == 0
-        assert top_node_of_variable(p, Variable("z")) == 1
+        assert p.top_nodes()[Variable("y")] == 0
+        assert p.top_nodes()[Variable("z")] == 1
 
     def test_deep_variable(self, p):
-        assert top_node_of_variable(p, Variable("w")) == 2
+        assert p.top_nodes()[Variable("w")] == 2
 
     def test_missing_variable(self, p):
         with pytest.raises(KeyError):
-            top_node_of_variable(p, Variable("nope"))
+            p.top_nodes()[Variable("nope")]
 
 
 class TestMinimalSubtree:

@@ -9,10 +9,8 @@ from repro.hypergraphs.treewidth import treewidth_exact
 from repro.wdpt.classes import interface_width, is_globally_in_tw
 from repro.workloads.datasets import company_directory, music_catalog
 from repro.workloads.families import (
-    complete_graph_edges,
     example5_theta,
     figure2_family,
-    odd_cycle_edges,
     prop2_family,
     three_colorability_instance,
 )
@@ -21,12 +19,12 @@ from repro.workloads.generators import (
     cycle_cq,
     grid_cq,
     path_cq,
-    random_cq,
     random_database,
     random_graph_database,
     random_wdpt,
     star_cq,
 )
+from tests.harness.generators import complete_graph_edges, odd_cycle_edges, random_cq
 
 
 class TestGenerators:
