@@ -6,25 +6,28 @@ Usage::
     python scripts/probe_cost.py            # 100 departments x 100 employees
     python scripts/probe_cost.py --smoke    # 5 x 20, a few seconds
 
-A report, not a gate.  It replays a stream shaped like the benchmark's
-``decide`` workload in process — ``ask`` (Theorem 6), ``is_partial``
-(Theorem 8, the employee and at most one more variable bound) and
-``is_maximal`` (Theorem 9) in turn, on true answers of the company tree
-and on candidates with one value taken from another answer — over
-``company_directory`` on the memory backend, and prints
+It replays a stream shaped like the benchmark's ``decide`` workload in
+process — ``ask`` (Theorem 6), ``is_partial`` (Theorem 8, the employee
+and at most one more variable bound) and ``is_maximal`` (Theorem 9) in
+turn, on true answers of the company tree and on candidates with one
+value taken from another answer — over ``company_directory`` on the
+memory backend, and prints
 
-* **ops**: checks (``Planner.satisfiable_substituted`` calls) per op,
-  the route mix, and the µs of an op as it runs and with every check
-  answered from a table of its recorded verdicts;
+* **ops**: checks (``Planner.check`` calls: the compiled decision
+  programs hand every check to the planner there, with its plan) per op,
+  the route mix, the µs of an op as it runs, and the *procedure µs*: the
+  op with every check answered from a table of its recorded verdicts,
+  which is what the procedures and the session cost around the checks;
 * **checks**: per route, the µs one check spends in each step, replayed
-  over the recorded checks: the plan lookup (``boolean_plan``), the store
-  read (``exists_substituted`` of the probe program; for the other routes
-  the substitution plus the engine run), the bookkeeping
-  (tracer test, two clock reads and the histogram update, plus
-  ``account_rows`` on ``probe``), and the whole check.
+  over the recorded checks: the store read (``exists_substituted`` of the
+  probe program; for the other routes the substitution plus the engine
+  run), the bookkeeping (tracer test, two clock reads and the histogram
+  update, plus ``account_rows`` on ``probe``), and the whole check.
 
 Every figure is the best of 7 passes, less an empty loop's time.  The
-verdicts of the replayed steps are checked against the stream's.
+verdicts of the replayed steps are checked against the stream's; the
+script exits 1 when a replayed verdict differs or the stream recorded no
+check (the seam moved), so it is a gate as well as a report.
 """
 
 import argparse
@@ -111,22 +114,22 @@ def best_us(bodies, count):
 
 
 def record_checks(session, query, ops):
-    """Run ``ops`` once, recording every check as (profile, binding, plan,
+    """Run ``ops`` once, recording every check as (plan, atoms, binding,
     verdict)."""
     checks = []
-    original = Planner.satisfiable_substituted
+    original = Planner.check
 
-    def recorded(self, profile, binding, db):
-        verdict = original(self, profile, binding, db)
-        checks.append((profile, dict(binding), profile.boolean_plan(binding), verdict))
+    def recorded(self, plan, atoms, binding, db):
+        verdict = original(self, plan, atoms, binding, db)
+        checks.append((plan, atoms, dict(binding), verdict))
         return verdict
 
-    Planner.satisfiable_substituted = recorded
+    Planner.check = recorded
     try:
         for kind, candidate in ops:
             getattr(session, kind)(query, candidate)
     finally:
-        Planner.satisfiable_substituted = original
+        Planner.check = original
     return checks
 
 
@@ -135,28 +138,28 @@ def op_table(session, query, ops, checks):
         for kind, candidate in ops:
             getattr(session, kind)(query, candidate)
 
-    verdicts = {(id(p), frozenset(b.items())): v for p, b, _, v in checks}
-    original = Planner.satisfiable_substituted
+    verdicts = {(id(plan), frozenset(b.items())): v for plan, _, b, v in checks}
+    original = Planner.check
 
     def stubbed():
-        Planner.satisfiable_substituted = (
-            lambda self, profile, binding, db: verdicts[id(profile), frozenset(binding.items())]
+        Planner.check = (
+            lambda self, plan, atoms, binding, db: verdicts[id(plan), frozenset(binding.items())]
         )
         try:
             run()
         finally:
-            Planner.satisfiable_substituted = original
+            Planner.check = original
 
-    op_us, stubbed_us = best_us([run, stubbed], len(ops))
-    routes = Counter(_route(plan) for _, _, plan, _ in checks)
+    op_us, procedure_us = best_us([run, stubbed], len(ops))
+    routes = Counter(_route(plan) for plan, _, _, _ in checks)
     rows = [
         ["ops", len(ops)],
         ["checks per op", "%.2f" % (len(checks) / len(ops))],
         ["route mix", ", ".join("%s %d (%.1f %%)" % (e, c, 100 * c / len(checks))
                                 for e, c in routes.most_common())],
         ["op µs", "%.2f" % op_us],
-        ["op µs, checks from a table", "%.2f" % stubbed_us],
-        ["checks' share of an op", "%.0f %%" % (100 * (1 - stubbed_us / op_us))],
+        ["procedure µs (checks from a table)", "%.2f" % procedure_us],
+        ["checks' share of an op", "%.0f %%" % (100 * (1 - procedure_us / op_us))],
     ]
     return format_table(["ops", "value"], rows, title="Decision ops (memory backend)")
 
@@ -169,41 +172,40 @@ def _route(plan):
     return "probe, ground" if all(e.ground for e in plan.structure) else "probe, open"
 
 
-def check_table(db, checks):
+def check_table(db, checks, mismatches):
+    """The per-step table; every replayed verdict that differs from the
+    recorded one is appended to ``mismatches``."""
     bookkeeper = Planner()  # a planner of its own: the replay's records stay out of the session's
     rows = []
     routes = ["probe, ground", "probe, open", ENGINE_YANNAKAKIS, ENGINE_TREEWIDTH, "naive"]
     for route in routes:
-        mine = [(p, b, plan, v) for p, b, plan, v in checks if _route(plan) == route]
+        mine = [c for c in checks if _route(c[0]) == route]
         if not mine:
             continue
         n = len(mine)
-        engine = mine[0][2].engine
+        engine = mine[0][0].engine
 
         def empty():
-            for profile, binding, plan, _ in mine:
+            for plan, atoms, binding, _ in mine:
                 pass
 
-        def lookup():
-            for profile, binding, plan, _ in mine:
-                profile.boolean_plan(binding)
-
         def read():
-            for profile, binding, plan, verdict in mine:
+            for plan, atoms, binding, verdict in mine:
                 if engine == ENGINE_PROBE:
                     got = db.exists_substituted(plan.structure, binding)
                 else:
-                    atoms = [a.substitute(binding) for a in profile.sorted_atoms]
+                    substituted = [a.substitute(binding) for a in atoms]
                     if engine == ENGINE_YANNAKAKIS:
-                        got = satisfiable_with_join_tree(atoms, plan.structure, db)
+                        got = satisfiable_with_join_tree(substituted, plan.structure, db)
                     elif engine == ENGINE_TREEWIDTH:
-                        got = satisfiable_by_elimination(atoms, plan.structure, db)
+                        got = satisfiable_by_elimination(substituted, plan.structure, db)
                     else:
-                        got = satisfiable(atoms, db)
-                assert got is verdict
+                        got = satisfiable(substituted, db)
+                if got is not verdict:
+                    mismatches.append((route, "read", binding))
 
         def bookkeeping():
-            for profile, binding, plan, _ in mine:
+            for plan, atoms, binding, _ in mine:
                 current().tracer
                 start = perf_counter()
                 if engine == ENGINE_PROBE:
@@ -211,16 +213,16 @@ def check_table(db, checks):
                 bookkeeper.record_engine(engine, perf_counter() - start)
 
         def whole():
-            for profile, binding, plan, _ in mine:
-                bookkeeper.satisfiable_substituted(profile, binding, db)
+            for plan, atoms, binding, verdict in mine:
+                if bookkeeper.check(plan, atoms, binding, db) is not verdict:
+                    mismatches.append((route, "check", binding))
 
-        base, *steps = best_us([empty, lookup, read, bookkeeping, whole], n)
+        base, *steps = best_us([empty, read, bookkeeping, whole], n)
         steps = [us - base for us in steps]
-        rest = steps[3] - sum(steps[:3])
+        rest = steps[2] - sum(steps[:2])
         rows.append([route, n] + ["%.2f" % us for us in steps] + ["%.2f" % rest])
     return format_table(
-        ["route", "checks", "plan lookup µs", "store read µs", "bookkeeping µs",
-         "whole check µs", "rest µs"],
+        ["route", "checks", "store read µs", "bookkeeping µs", "whole check µs", "rest µs"],
         rows,
         title="One check, by step (replayed over the recorded checks)",
     )
@@ -240,11 +242,20 @@ def main(argv=None) -> int:
         getattr(session, kind)(query, candidate)
     ops = stream(answers, n, rng)
     checks = record_checks(session, query, ops)
+    if not checks:
+        print("no check recorded at Planner.check: the decision procedures bypass it",
+              file=sys.stderr)
+        return 1
     print("%d departments x %d employees, %d facts, seed %d"
           % (departments, employees, session.size, SEED))
     print(op_table(session, query, ops, checks))
     print()
-    print(check_table(session.database, checks))
+    mismatches = []
+    print(check_table(session.database, checks, mismatches))
+    if mismatches:
+        print("%d replayed verdicts differ from the recorded ones, first: %r"
+              % (len(mismatches), mismatches[0]), file=sys.stderr)
+        return 1
     return 0
 
 

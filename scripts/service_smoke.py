@@ -4,6 +4,7 @@
 Usage::
 
     python scripts/service_smoke.py http://127.0.0.1:9311
+    python scripts/service_smoke.py --help
 
 Expects the two-tenant CI configuration (see the `service-smoke` job in
 .github/workflows/ci.yml): tenant **alpha** (key ``alpha-key``, gold
@@ -38,8 +39,10 @@ intermediate-rows budget).  The driver:
    are answered while the slow one has no answer yet, its answer then
    matches a fast client's, and ``/metrics`` counts 9 hits, no miss.
 
-Exits 0 when every check passes, 1 otherwise.  Network access is only to
-the given base URL — this is an offline CI check.
+Exits 0 when every check passes, 1 otherwise: a request that raises
+(say, the base URL is unreachable) is a failed check naming the request
+and the error, not a traceback.  Network access is only to the given
+base URL — this is an offline CI check.
 """
 
 import json
@@ -87,11 +90,16 @@ def request(base, path, payload=None, key=None):
 
 
 def fan_out(base, spec):
-    """Run the (path, payload, key) triples concurrently."""
+    """Run the (path, payload, key) triples concurrently.  A request that
+    raises fills its slot with status 0 and the error as the body's
+    ``error``, and fails a check that names it."""
     results = [None] * len(spec)
 
     def fire(i, path, payload, key):
-        results[i] = request(base, path, payload, key=key)
+        try:
+            results[i] = request(base, path, payload, key=key)
+        except (OSError, ValueError) as exc:  # unreachable, reset, not JSON
+            results[i] = (0, {"error": repr(exc)}, {})
 
     threads = [
         threading.Thread(target=fire, args=(i,) + entry)
@@ -101,6 +109,10 @@ def fan_out(base, spec):
         thread.start()
     for thread in threads:
         thread.join()
+    for (path, payload, key), (status, body, _) in zip(spec, results):
+        if status == 0:
+            method = "GET" if payload is None else "POST"
+            check(False, "%s %s as %s raised %s" % (method, path, key, body["error"]))
     return results
 
 
@@ -127,11 +139,26 @@ def scrape_series(base, series):
 
 
 def main(argv):
-    if len(argv) != 1:
+    if argv in (["-h"], ["--help"]):
         print(__doc__)
+        return 0
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
         return 1
     base = argv[0].rstrip("/")
+    try:
+        run_steps(base)
+    except (OSError, ValueError) as exc:  # the service went away or spoke garbage
+        check(False, "reading %s raised %r" % (base, exc))
+    if FAILURES:
+        print("\n%d check(s) failed" % len(FAILURES))
+        return 1
+    print("\nservice smoke: all checks passed")
+    return 0
 
+
+def run_steps(base):
+    """Steps 1-7 of the module docstring against ``base``."""
     print("1. mixed concurrent traffic (8 clients, 2 tenants)")
     spec = [("/query", {"query": OPT_QUERY}, "alpha-key")] * 5
     spec += [("/query", {"query": SMALL_QUERY}, "beta-key")] * 2
@@ -351,12 +378,6 @@ def main(argv):
           "(hits +%g, misses +%g)"
           % (rose("repro_service_cache_hits"),
              rose("repro_service_cache_misses")))
-
-    if FAILURES:
-        print("\n%d check(s) failed" % len(FAILURES))
-        return 1
-    print("\nservice smoke: all checks passed")
-    return 0
 
 
 if __name__ == "__main__":

@@ -97,15 +97,13 @@ def format_planner_stats(stats: Mapping[str, object], title: str = "planner") ->
                     ),
                 ]
             )
-    subtree = stats.get("subtree_profiles")
-    if isinstance(subtree, Mapping):
-        rows.append(
-            [
-                "subtree profiles",
-                "%d hits, %d misses"
-                % (subtree.get("hits", 0), subtree.get("misses", 0)),
-            ]
-        )
+    for key, label in (("subtree_profiles", "subtree profiles"),
+                       ("decision_programs", "decision programs")):
+        counts = stats.get(key)
+        if isinstance(counts, Mapping):
+            rows.append(
+                [label, "%d hits, %d misses" % (counts.get("hits", 0), counts.get("misses", 0))]
+            )
     selections = stats.get("engine_selections")
     if isinstance(selections, Mapping):
         rows.append(

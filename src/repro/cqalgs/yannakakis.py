@@ -148,7 +148,7 @@ def satisfiable_with_join_tree(
     phase never run; an empty scan or an emptied relation exits
     immediately (emptiness propagates to the root along the sweep).
     This is the engine behind the Theorem 6/8/9 inner loops
-    (:meth:`repro.planner.planner.Planner.satisfiable_substituted`).
+    (:meth:`repro.planner.planner.Planner.check`).
     """
     if not atoms:
         return False  # mirrors evaluate_with_join_tree's empty-query result

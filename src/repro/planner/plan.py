@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ..core.terms import Variable
 from ..cqalgs.structured import relation_by_elimination
 from ..cqalgs.yannakakis import relation_with_join_tree
 from ..hypergraphs.gyo import JoinTree
@@ -36,7 +37,6 @@ from ..storage.base import ProbeAtom
 if TYPE_CHECKING:  # pragma: no cover - profile imports this module
     from ..core.atoms import Atom
     from ..core.database import Database
-    from ..core.terms import Variable
     from .profile import StructuralProfile
 
 #: Engine identifiers (also the ``engine`` label of the planner metrics).
@@ -103,10 +103,7 @@ def plan_node(
         else:
             return NodePlan(
                 ENGINE_PROBE, "no two atoms share an open variable: one existence probe per atom",
-                tuple(
-                    ProbeAtom(a.relation, a.args, a.variables() <= bound)
-                    for a in profile.sorted_atoms
-                ),
+                tuple(_probe_atom(a, bound) for a in profile.sorted_atoms),
             )
     if tree is not None:
         return NodePlan(ENGINE_YANNAKAKIS, _YANNAKAKIS, tree)
@@ -121,3 +118,21 @@ def plan_node(
         "Theorem 2: TW(%d) bucket elimination over the memoized elimination order" % width,
         order,
     )
+
+
+def _probe_atom(a: "Atom", bound: "FrozenSet[Variable]") -> ProbeAtom:
+    """The probe program's entry for ``a`` under ``bound``: a ground one
+    is its template; an open one also lists its fixed positions
+    (constants and bound variables) and the repeats of its open
+    variables, which is all a backend's read needs."""
+    if a.variables() <= bound:
+        return ProbeAtom(a.relation, a.args, True)
+    fixed = []
+    first: dict = {}
+    repeats = []
+    for pos, t in enumerate(a.args):
+        if t in bound or not isinstance(t, Variable):
+            fixed.append((pos, t))
+        elif first.setdefault(t, pos) != pos:
+            repeats.append((first[t], pos))
+    return ProbeAtom(a.relation, a.args, False, tuple(fixed), tuple(repeats))

@@ -22,11 +22,12 @@ Routing follows the paper, as one rule per op kind
 (:func:`~repro.planner.plan.plan_node`) whose
 :class:`~repro.planner.plan.NodePlan` the profile keeps: answer sets
 (:meth:`Planner.evaluate_cq`) run the shape's answers plan, the Boolean
-checks of the Theorem 6/8/9/16 procedures
-(:meth:`Planner.satisfiable_substituted`) the plan for the variables their
-binding fixes — ``probe``, one existence read per atom of the plan's
-probe program (:meth:`~repro.storage.base.StorageBackend.exists_substituted`),
-when no two atoms share an open variable.  :meth:`Planner._run` is the one place that acts
+checks of the Theorem 6/8/9/16 procedures (:meth:`Planner.check`) the
+plan for the variables their binding fixes, which their compiled
+programs resolve once per candidate domain — ``probe``, one existence
+read per atom of the plan's probe program
+(:meth:`~repro.storage.base.StorageBackend.exists_substituted`), when no
+two atoms share an open variable.  :meth:`Planner._run` is the one place that acts
 on a plan's engine; the top-down evaluator runs the same answers plans
 and EXPLAIN prints them.
 
@@ -58,6 +59,7 @@ from typing import (
 )
 
 from ..collector import collector_paused
+from ..core.atoms import Atom
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
 from ..core.terms import Term, Variable
@@ -261,8 +263,25 @@ class Planner:
         ))
 
     # ------------------------------------------------------------------
-    # Substituted satisfiability (the Theorem 6/8/9 inner loop)
+    # Boolean checks (the Theorem 6/8/9/16 inner loop)
     # ------------------------------------------------------------------
+    def check(
+        self,
+        plan: NodePlan,
+        atoms: Sequence[Atom],
+        binding: TMapping[Variable, Term],
+        db: Database,
+    ) -> bool:
+        """Is the Boolean CQ ``binding(atoms)`` satisfiable over ``db``,
+        run on ``plan`` — the Boolean plan of ``atoms``' shape for the
+        variables ``binding`` fixes (``binding`` may bind more variables;
+        those outside ``atoms`` are not read)?  The one way a check with
+        a resolved plan enters the planner: the compiled Theorem 6/8/9
+        decision programs resolve their plans once per candidate domain
+        and call this for every check
+        (:meth:`repro.wdpt.partial_eval.Check.run`)."""
+        return self._run("planner.satisfiable", plan, atoms, db, binding=binding)
+
     def satisfiable_substituted(
         self,
         profile: StructuralProfile,
@@ -271,13 +290,12 @@ class Planner:
     ) -> bool:
         """Is the Boolean CQ ``σ(atoms)`` satisfiable over ``db``, where
         ``atoms`` is the (unsubstituted) atom set profiled by ``profile``
-        and ``substitution`` maps variables to constants?  Run on the
-        profile's plan for the substitution's variables: the analysis of
-        the unsubstituted shape stays valid (:mod:`repro.planner.profile`),
-        and so does its probe program."""
-        return self._run(
-            "planner.satisfiable", profile.boolean_plan(substitution), profile.sorted_atoms,
-            db, binding=substitution,
+        and ``substitution`` maps variables to constants?  The profile's
+        plan for the substitution's variables, looked up, then
+        :meth:`check`: the analysis of the unsubstituted shape stays valid
+        (:mod:`repro.planner.profile`), and so does its probe program."""
+        return self.check(
+            profile.boolean_plan(substitution), profile.sorted_atoms, substitution, db
         )
 
     # ------------------------------------------------------------------
@@ -299,16 +317,19 @@ class Planner:
 
     def stats(self) -> Dict[str, object]:
         """Counters for ``session.stats()`` and the benchmark tables."""
-        subtree_hits = subtree_misses = 0
+        subtree_hits = subtree_misses = program_hits = program_misses = 0
         for profile in self.profiles.values_snapshot():
             if isinstance(profile, TreeProfile):
                 subtree_hits += profile.subtree_hits
                 subtree_misses += profile.subtree_misses
+                program_hits += profile.program_hits
+                program_misses += profile.program_misses
         return {
             "plan_cache": self.profiles.stats(),
             "parse_cache": self.parses.stats(),
             "explain_cache": self.explains.stats(),
             "subtree_profiles": {"hits": subtree_hits, "misses": subtree_misses},
+            "decision_programs": {"hits": program_hits, "misses": program_misses},
             "engine_selections": dict(self.engine_selections),
             "plans_built": self.plans_built,
             "analysis_seconds": self.analysis_seconds,

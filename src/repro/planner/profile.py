@@ -6,10 +6,10 @@ class membership — that are properties of the query alone, not of the
 database.  :class:`StructuralProfile` computes each of them lazily, exactly
 once, and keeps the witnesses (join tree, elimination order) so the
 engines can consume them without recomputation.  :class:`TreeProfile` does
-the same for a WDPT: per-node profiles, the global profile, and *derived*
-profiles for rooted subtrees, which the Theorem 8/9 algorithms request
-repeatedly (one per candidate mapping) and which are therefore memoized and
-seeded with the bounds already known for the full tree.
+the same for a WDPT: per-node profiles, the global profile, *derived*
+profiles for rooted subtrees, memoized and seeded with the bounds already
+known for the full tree, and the compiled Theorem 6/8/9 decision programs
+that resolve their plans.
 
 Soundness of reuse under substitution: the Theorem 8/9 algorithms evaluate
 *substituted* subtree CQs ``q̂_{T'}`` (a candidate mapping ``h`` replaces
@@ -259,9 +259,13 @@ class TreeProfile:
     Holds per-node profiles, the global (full-tree) profile, interface
     widths, and derived rooted-subtree profiles.  Subtree profiles inherit
     the global treewidth bound (treewidth is subquery-monotone) so class
-    checks on subtrees are usually free, and they are memoized by node set:
-    the Theorem 8/9 algorithms request the same few subtrees once per
-    candidate mapping, so across a workload almost every request is a hit.
+    checks on subtrees are usually free, and they are memoized by node set.
+
+    It also keeps the compiled Theorem 6/8/9 decision programs
+    (:meth:`program`), one per (procedure, candidate domain): each is
+    built from the node and subtree profiles and holds the Boolean plans
+    it resolves, so a decision runs on plain values and asks this profile
+    nothing.
     """
 
     __slots__ = (
@@ -273,8 +277,11 @@ class TreeProfile:
         "_subtree_profiles",
         "_global",
         "_interface_width",
+        "_programs",
         "subtree_hits",
         "subtree_misses",
+        "program_hits",
+        "program_misses",
     )
 
     def __init__(self, p: WDPT, on_analysis: AnalysisHook = None, on_plan: PlanHook = None):
@@ -286,8 +293,11 @@ class TreeProfile:
         self._subtree_profiles: Dict[FrozenSet[int], StructuralProfile] = {}
         self._global: Optional[StructuralProfile] = None
         self._interface_width: Optional[int] = None
+        self._programs: Dict[Tuple[Callable, FrozenSet[Variable]], object] = {}
         self.subtree_hits = 0
         self.subtree_misses = 0
+        self.program_hits = 0
+        self.program_misses = 0
 
     # ------------------------------------------------------------------
     # Profiles
@@ -337,6 +347,32 @@ class TreeProfile:
             profile = self._profile(self.wdpt.atoms_of(key), inherited_tw_upper=inherited)
         self._subtree_profiles[key] = profile
         return profile
+
+    # ------------------------------------------------------------------
+    # Compiled decision programs (Theorems 6, 8, 9)
+    # ------------------------------------------------------------------
+    def program(
+        self, build: Callable[[WDPT, FrozenSet[Variable], "TreeProfile"], object],
+        domain: FrozenSet[Variable],
+    ) -> object:
+        """The decision program ``build`` compiles for this tree and the
+        candidate domain ``domain``: built on first request, from
+        :attr:`wdpt` and this profile (whose plans it resolves), and kept
+        while the profile lives.  Callers ask only for ``domain ⊆ x̄``.
+        No lock, as for :meth:`StructuralProfile.boolean_plan`: threads
+        racing on an entry store equal programs."""
+        key = (build, domain)
+        program = self._programs.get(key, _UNSET)
+        if program is _UNSET:
+            self.program_misses += 1
+            program = self._programs[key] = build(self.wdpt, domain, self)
+        else:
+            self.program_hits += 1
+        return program
+
+    def programs(self) -> List[Tuple[Callable, FrozenSet[Variable]]]:
+        """The ``(build, domain)`` keys of the programs built so far."""
+        return list(self._programs)
 
     # ------------------------------------------------------------------
     # Interface widths (Section 3.2)

@@ -80,6 +80,13 @@ class ProbeAtom(NamedTuple):
     template: Tuple[Term, ...]
     #: Every variable of the atom is bound: filled, it is a fact to look up.
     ground: bool
+    #: An atom the binding leaves open: its ``(position, term)`` pairs
+    #: whose value is fixed — a constant of the atom, or a bound variable
+    #: filled from the binding (empty on a ground atom).
+    fixed: Tuple[Tuple[int, Term], ...] = ()
+    #: …and its ``(first position, later position)`` pairs, one per
+    #: repeat of an open variable.
+    repeats: Tuple[Tuple[int, int], ...] = ()
 
 
 class StorageBackend(abc.ABC):
@@ -174,8 +181,9 @@ class StorageBackend(abc.ABC):
         ``probe`` route, up to the first atom without one.  Default: each
         atom substituted and read with :meth:`exists`."""
         get = binding.get
-        for relation, template, _ in program:
-            if not self.exists(Atom(relation, map(get, template, template))):
+        for entry in program:
+            template = entry.template
+            if not self.exists(Atom(entry.relation, map(get, template, template))):
                 return False
         return True
 

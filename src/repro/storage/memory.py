@@ -124,6 +124,17 @@ def _passing(rows: Iterable[CodeRow], constants, equal) -> Iterable[CodeRow]:
     return rows
 
 
+def _any_passing(rows: Iterable[CodeRow], constants, equal) -> bool:
+    """Does some row pass every ``(position, code)`` and ``(position,
+    position)`` check?  Row by row, up to the first that does."""
+    for row in rows:
+        if all([row[pos] == code for pos, code in constants]) and all(
+            [row[pos] == row[other] for pos, other in equal]
+        ):
+            return True
+    return False
+
+
 def _select(compiled) -> Sequence[CodeRow]:
     """The rows a compiled pattern (:meth:`MemoryBackend._compile`)
     matches: its posting list, or all rows, filtered by the checks the
@@ -338,34 +349,53 @@ class MemoryBackend(StorageBackend):
         if compiled is None:
             return False
         table, _, rows, _, others, equal = compiled
-        if not (others or equal):
-            return True
-        for row in table.values() if rows is None else rows:
-            if all([row[pos] == code for pos, code in others]) and all(
-                [row[pos] == row[other] for pos, other in equal]
-            ):
-                return True
-        return False
+        return not (others or equal) or _any_passing(
+            table.values() if rows is None else rows, others, equal
+        )
 
     def exists_substituted(
         self, program: Sequence[ProbeAtom], binding: Mapping[Variable, Term]
     ) -> bool:
-        """The probe route's read (see the base class): a ground atom is
-        one C-level lookup of its filled argument tuple in its relation's
-        table — no ``Atom`` built, nothing compiled; an atom the binding
-        leaves open is built and read with :meth:`exists`.  A relation or
-        an arity the store lacks finds no key."""
+        """The probe route's read (see the base class), building no
+        ``Atom`` and compiling nothing: a ground atom is one C-level lookup
+        of its filled argument tuple in its relation's table; an atom the
+        binding leaves open reads the smallest posting list among its fixed
+        positions (every row of the table when it has none) and checks the
+        other fixed positions and its repeats, as :meth:`_compile` would.
+        A relation or an arity the store lacks, and a constant the
+        dictionary never stored, find nothing."""
         get = binding.get
+        code_of = self.codec.code
         relations = self._relations
-        for relation, template, ground in program:
+        for relation, template, ground, fixed, repeats in program:
             stored = relations.get(relation)
             if stored is None:
                 return False
-            args = tuple(map(get, template, template))
+            table, columns = stored
             if ground:
-                if args not in stored[0]:
+                if tuple(map(get, template, template)) not in table:
                     return False
-            elif not self.exists(Atom(relation, args)):
+                continue
+            if len(columns) != len(template):
+                return False
+            rows = None
+            checks = []
+            for pos, t in fixed:
+                code = code_of(get(t, t))
+                posting = None if code is None else columns[pos].get(code)
+                if posting is None:
+                    return False
+                if rows is None:
+                    rows, chosen = posting, (pos, code)
+                elif len(posting) < len(rows):
+                    checks.append(chosen)
+                    rows, chosen = posting, (pos, code)
+                else:
+                    checks.append((pos, code))
+            # A posting list or a table is never empty.
+            if (checks or repeats) and not _any_passing(
+                table.values() if rows is None else rows, checks, repeats
+            ):
                 return False
         return True
 

@@ -22,10 +22,11 @@ next accounting point rather than after the fact.
 
 The monitor is a field of the per-query context
 (:mod:`repro.telemetry.context`), so a query on one thread never reports
-into another thread's monitor.  The disabled path is one context read per
-accounting hook (gated <5% alongside the null tracer in
-``tests/test_resources.py``); no monitor installed means no clock reads
-and no allocation.
+into another thread's monitor.  The disabled path is one read of a
+module global per accounting hook — the set of monitors whose window is
+open — and one context read while any is (gated <5% alongside the null
+tracer in ``tests/test_resources.py``); no monitor installed means no
+clock reads and no allocation.
 
 Wired through :class:`repro.engine.Session` — pass ``budgets=`` or
 ``track_resources=True`` and every ``query``/``query_maximal``/``ask``
@@ -38,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 import tracemalloc
-from typing import Any, Dict, List, NoReturn, Optional
+from typing import Any, Dict, List, NoReturn, Optional, Set
 
 from ..exceptions import ResourceBudgetExceeded
 from .context import current, current_trace_id, scoped
@@ -145,25 +146,37 @@ def current_monitor() -> "Optional[ResourceMonitor]":
     return current().monitor
 
 
+#: The monitors whose accounting window is open (between
+#: :meth:`ResourceMonitor.start` and :meth:`ResourceMonitor.stop`), on any
+#: thread.  While it is empty no context holds a monitor that is counting,
+#: and the hooks return without reading the context.  ``add`` and
+#: ``discard`` of an object hashed by identity are each one step under the
+#: interpreter lock, so threads opening and closing windows lose none.
+_open_windows: "Set[ResourceMonitor]" = set()
+
+
 def account_rows(rows: int) -> None:
     """Report an intermediate relation / candidate-set cardinality.
 
     Called by the instrumented engines at phase boundaries (never per
-    tuple).  A no-op — one context read — unless a monitor is active;
-    with an active monitor it updates the peak and enforces the hard
+    tuple).  A no-op — one global read, or one context read while some
+    monitor counts on another thread — unless a monitor is active; with
+    an active monitor it updates the peak and enforces the hard
     cardinality and wall-time budgets in flight.
     """
-    monitor = current().monitor
-    if monitor is not None:
-        monitor.note_rows(rows)
+    if _open_windows:
+        monitor = current().monitor
+        if monitor is not None:
+            monitor.note_rows(rows)
 
 
 def account_subquery(n: int = 1) -> None:
     """Report ``n`` CQ subqueries issued by an evaluator or a decision
     procedure."""
-    monitor = current().monitor
-    if monitor is not None:
-        monitor.note_subqueries(n)
+    if _open_windows:
+        monitor = current().monitor
+        if monitor is not None:
+            monitor.note_subqueries(n)
 
 
 class ResourceMonitor:
@@ -254,6 +267,7 @@ class ResourceMonitor:
                 self._started_tracemalloc = True
         self._start_wall = wall
         self._start_cpu = cpu
+        _open_windows.add(self)
 
     def stop(self, wall: float, cpu: float, failed: bool) -> None:
         """Close the window at the readings ``wall`` and ``cpu``: finalise
@@ -261,6 +275,7 @@ class ResourceMonitor:
         ``failed`` already — raise :class:`ResourceBudgetExceeded` for a
         hard limit it went past without an accounting point to catch it
         (memory, and wall time after the last point)."""
+        _open_windows.discard(self)
         usage = self.usage
         usage.wall_seconds = wall - self._start_wall
         usage.cpu_seconds = cpu - self._start_cpu

@@ -15,25 +15,61 @@ are partial answers, so it suffices to refute *single-variable* extensions
 ``h ∪ {y ↦ v}`` — and the existential over ``v`` collapses into one
 CQ-satisfiability call per free variable ``y`` (leave ``y`` unsubstituted).
 Total cost: ``1 + |x̄ ∖ dom(h)|`` partial-evaluation calls, each LOGCFL
-under global tractability — matching Theorem 9.  With a planner, the
-tree's profile is looked up once and shared by all of them.
+under global tractability — matching Theorem 9.  Every one of those
+checks is fixed by ``dom(h)``, so they are compiled once per (tree shape,
+``dom(h)``) into a :class:`MaxProgram`, as Theorem 8's are.
 """
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from ..core.database import Database
 from ..core.mappings import Mapping
-from ..core.terms import Variable
+from ..core.terms import Constant, Variable
 from ..telemetry.tracer import current_tracer
-from .partial_eval import partial_eval, planned_partial_eval, subtree_satisfiable
+from .partial_eval import Check, PartialProgram, compile_partial, program
 from .subtrees import minimal_subtree_containing
 from .wdpt import WDPT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..planner.planner import Planner
     from ..planner.profile import TreeProfile
+
+
+class MaxProgram(NamedTuple):
+    """The Theorem 9 program for one candidate domain."""
+
+    #: Is ``h`` a partial answer?
+    partial: PartialProgram
+    #: Per free variable ``y ∉ dom``, in ``x̄`` order: is some
+    #: ``h ∪ {y ↦ v}`` a partial answer — the minimal subtree for
+    #: ``dom ∪ {y}`` with the domain bound and ``y`` left open.
+    extensions: Tuple[Check, ...]
+
+    def extended(
+        self, h: Dict[Variable, Constant], db: Database, planner: "Optional[Planner]"
+    ) -> int:
+        """How many extension checks ran before one succeeded (counting
+        it), or ``0`` when none does: no partial answer properly extends
+        ``h``."""
+        for ran, check in enumerate(self.extensions, 1):
+            if check.run(h, db, planner):
+                return ran
+        return 0
+
+
+def compile_max(
+    p: WDPT, domain: FrozenSet[Variable], tree: "Optional[TreeProfile]"
+) -> MaxProgram:
+    """The Theorem 9 program for candidates with domain ``domain ⊆ x̄``."""
+    extensions = []
+    for y in p.free_variables:
+        if y not in domain:
+            subtree = minimal_subtree_containing(p, domain | {y})
+            profile = None if tree is None else tree.subtree_profile(subtree)
+            extensions.append(Check.of(p.atoms_of(subtree), profile, domain))
+    return MaxProgram(compile_partial(p, domain, tree), tuple(extensions))
 
 
 def max_eval(
@@ -43,37 +79,13 @@ def max_eval(
     :func:`~repro.wdpt.partial_eval.partial_eval`.)"""
     tracer = current_tracer()
     with tracer.span("wdpt.max_eval") as sp:
-        tree = None if planner is None else planner.profile_wdpt(p)
-        if tree is None:
-            partial = partial_eval(p, db, h)
-        else:
-            partial = planned_partial_eval(p, db, h, planner, tree)
-        if not partial:
-            if tracer.enabled:
-                sp.set(result=False, extension_checks=0)
-            return False
-        dom = h.domain()
-        extension_checks = 0
-        for y in p.free_variables:
-            if y in dom:
-                continue
-            extension_checks += 1
-            if extension_exists(p, db, h, y, planner, tree):
-                if tracer.enabled:
-                    sp.set(result=False, extension_checks=extension_checks)
-                return False
+        bound = h.as_dict()
+        compiled = program(compile_max, p, frozenset(bound), planner)
+        result, extension_checks = False, 0
+        if compiled is not None and compiled.partial.run(bound, db, planner):
+            extended = compiled.extended(bound, db, planner)
+            result = not extended
+            extension_checks = extended or len(compiled.extensions)
         if tracer.enabled:
-            sp.set(result=True, extension_checks=extension_checks)
-        return True
-
-
-def extension_exists(
-    p: WDPT, db: Database, h: Mapping, y: Variable, planner: "Optional[Planner]" = None,
-    tree: "Optional[TreeProfile]" = None,
-) -> bool:
-    """Is some ``h ∪ {y ↦ v}`` a partial answer?  Equivalently: is the
-    minimal subtree for ``dom(h) ∪ {y}``, with ``h`` substituted and ``y``
-    left open, satisfiable?  (``tree``: as for
-    :func:`~repro.wdpt.partial_eval.subtree_satisfiable`.)"""
-    subtree = minimal_subtree_containing(p, set(h.domain()) | {y})
-    return subtree_satisfiable(p, db, h, subtree, planner, tree)
+            sp.set(result=result, extension_checks=extension_checks)
+        return result

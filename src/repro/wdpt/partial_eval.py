@@ -14,27 +14,35 @@ of the projections.  So it suffices to
    substituted — a CQ in ``TW(k)`` / ``HW(k)`` whenever ``p`` is globally
    tractable, hence LOGCFL by Theorems 2/3.
 
-Given a ``planner``, step 2 is :func:`subtree_satisfiable`, shared with
-Theorems 9 and 16 and routed through the planner, so the subtree's
-structural profile (join tree / decomposition) is computed once per
-subtree *shape* and reused across candidate mappings (a decision op looks
-the tree's profile up once and hands it to each of its checks); sound because
-substituting ``h`` only removes hypergraph vertices, under which
-acyclicity and treewidth are monotone.  Without one it is
-:func:`partial_eval_witness`: the backtracking search, returning the
-homomorphism it found, which a caller asking about a growing ``h`` over a
-growing ``D`` (the Theorem 11 walk) hands back to the next call so that
-only the newly needed atoms are searched.
+Step 1 depends on ``dom(h)`` alone, and so does the plan of step 2: a
+decision runs a *program* compiled once per (tree shape, ``dom(h)``) —
+the subtree and its :class:`Check`, whose plan the planner resolved for
+the bound set ``dom(h)`` on the subtree's unsubstituted shape (sound
+because substituting ``h`` only removes hypergraph vertices, under which
+acyclicity and treewidth are monotone) — and kept on the planner's
+:class:`~repro.planner.profile.TreeProfile` (:func:`program`).  A
+:class:`Check` is also the unit of the Theorem 6 and 9 programs: one
+Boolean CQ and its plan, run by :meth:`Check.run` through
+:meth:`~repro.planner.planner.Planner.check`, or as the backtracking
+search without a planner.  :func:`partial_eval_witness` is the search
+that returns the homomorphism it found, which a caller asking about a
+growing ``h`` over a growing ``D`` (the Theorem 11 walk) hands back to
+the next call so that only the newly needed atoms are searched.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, NamedTuple, Optional, TYPE_CHECKING
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Sized, TypeVar,
+    TYPE_CHECKING,
+)
 
+from ..core.atoms import Atom
 from ..core.database import Database
 from ..core.mappings import Mapping
-from ..core.terms import Constant, Variable
+from ..core.terms import Constant, Term, Variable
 from ..cqalgs.naive import first_homomorphism, satisfiable
+from ..planner.plan import ENGINE_NAIVE, NodePlan
 from ..telemetry.resources import account_subquery
 from ..telemetry.tracer import Span, current_tracer
 from .subtrees import minimal_subtree_containing
@@ -42,7 +50,90 @@ from .wdpt import WDPT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..planner.planner import Planner
-    from ..planner.profile import TreeProfile
+    from ..planner.profile import StructuralProfile, TreeProfile
+
+_Program = TypeVar("_Program")
+
+
+class Check(NamedTuple):
+    """One Boolean CQ check of a compiled decision program."""
+
+    #: The CQ's atoms, unsubstituted.
+    atoms: Sequence[Atom]
+    #: The planner's plan for the variables the check's binding fixes;
+    #: ``None`` when the program was compiled without a planner, and the
+    #: check is the backtracking search.
+    plan: Optional[NodePlan]
+
+    @classmethod
+    def of(
+        cls, atoms: Iterable[Atom], profile: "Optional[StructuralProfile]",
+        bound: FrozenSet[Variable],
+    ) -> "Check":
+        """The check of ``atoms`` binding ``bound``: on ``profile``'s plan
+        for ``bound`` (``profile`` the planner's profile of ``atoms``), or
+        the search when there is no profile."""
+        if profile is None:
+            return cls(tuple(atoms), None)
+        return cls(profile.sorted_atoms, profile.boolean_plan(bound))
+
+    @property
+    def engine(self) -> str:
+        """The engine the check runs on."""
+        return ENGINE_NAIVE if self.plan is None else self.plan.engine
+
+    def run(
+        self, binding: Dict[Variable, Term], db: Database, planner: "Optional[Planner]"
+    ) -> bool:
+        """Is ``binding(atoms)`` satisfiable over ``db``?  ``binding``
+        binds the check's bound set (and may bind variables the atoms do
+        not have).  Counted as one subquery."""
+        account_subquery()
+        if self.plan is None:
+            return satisfiable(self.atoms, db, binding)
+        return planner.check(self.plan, self.atoms, binding, db)  # type: ignore[union-attr]
+
+
+def program(
+    build: "Callable[[WDPT, FrozenSet[Variable], Optional[TreeProfile]], _Program]",
+    p: WDPT,
+    domain: FrozenSet[Variable],
+    planner: "Optional[Planner]",
+) -> Optional[_Program]:
+    """The program ``build`` compiles for ``p`` and candidates with domain
+    ``domain``: kept on ``planner``'s profile of ``p`` (so trees with one
+    fingerprint share it), compiled afresh without a planner.  ``None``,
+    and no entry, when ``domain`` holds a variable that is not free in
+    ``p``: answers of ``p`` are defined on subsets of ``x̄`` only."""
+    if not domain <= frozenset(p.free_variables):
+        return None
+    if planner is None:
+        return build(p, domain, None)
+    return planner.profile_wdpt(p).program(build, domain)  # type: ignore[return-value]
+
+
+class PartialProgram(NamedTuple):
+    """The Theorem 8 program for one candidate domain."""
+
+    #: ``T'``: the minimal rooted subtree covering the domain.
+    subtree: FrozenSet[int]
+    #: Non-emptiness of ``q̂_{T'}`` with the domain bound.
+    check: Check
+
+    def run(self, h: Dict[Variable, Constant], db: Database, planner: "Optional[Planner]") -> bool:
+        """Does ``h`` (over the program's domain) extend to an answer?"""
+        with _span(self.subtree, h):
+            return self.check.run(h, db, planner)
+
+
+def compile_partial(
+    p: WDPT, domain: FrozenSet[Variable], tree: "Optional[TreeProfile]"
+) -> PartialProgram:
+    """The Theorem 8 program for candidates with domain ``domain ⊆ x̄``
+    (every free variable occurs in the tree, so ``T'`` exists)."""
+    subtree = minimal_subtree_containing(p, domain)
+    profile = None if tree is None else tree.subtree_profile(subtree)
+    return PartialProgram(subtree, Check.of(p.atoms_of(subtree), profile, domain))
 
 
 class Witness(NamedTuple):
@@ -63,23 +154,11 @@ def partial_eval(
     """``PARTIAL-EVAL``: is there ``h' ∈ p(D)`` with ``h ⊑ h'``?
 
     Answers of ``p`` are defined on subsets of ``x̄``, so a mapping using a
-    non-free variable can never be extended by one.  Without a planner this
-    asks whether :func:`partial_eval_witness` finds a witness.
-    """
-    if planner is None:
-        return partial_eval_witness(p, db, h) is not None
-    return planned_partial_eval(p, db, h, planner, planner.profile_wdpt(p))
-
-
-def planned_partial_eval(
-    p: WDPT, db: Database, h: Mapping, planner: "Planner", tree: "TreeProfile"
-) -> bool:
-    """:func:`partial_eval` with a planner, ``tree`` its profile of ``p``."""
-    subtree = _covering_subtree(p, h)
-    if subtree is None:
-        return False
-    with _span(subtree, h):
-        return subtree_satisfiable(p, db, h, subtree, planner, tree)
+    non-free variable can never be extended by one.  ``planner`` routes
+    the check; without one it is the backtracking search."""
+    bound = h.as_dict()
+    compiled = program(compile_partial, p, frozenset(bound), planner)
+    return compiled is not None and compiled.run(bound, db, planner)
 
 
 def partial_eval_witness(
@@ -98,9 +177,10 @@ def partial_eval_witness(
     ``h``.  A disagreement or a failed extension falls back to the full
     search from ``h`` alone, which decides the question either way.
     """
-    subtree = _covering_subtree(p, h)
-    if subtree is None:
+    dom = h.domain()
+    if not dom <= frozenset(p.free_variables):
         return None
+    subtree = minimal_subtree_containing(p, dom)
     with _span(subtree, h):
         account_subquery()
         pre = dict(h.items())
@@ -117,17 +197,7 @@ def partial_eval_witness(
         return None if found is None else Witness(subtree, found, False)
 
 
-def _covering_subtree(p: WDPT, h: Mapping) -> Optional[FrozenSet[int]]:
-    """The minimal rooted subtree covering ``dom(h)``, or ``None`` when
-    ``h`` binds a variable that is not free in ``p`` (every free variable
-    occurs in the tree, so the subtree then exists)."""
-    dom = h.domain()
-    if not dom <= frozenset(p.free_variables):
-        return None
-    return minimal_subtree_containing(p, dom)
-
-
-def _span(subtree: FrozenSet[int], h: Mapping) -> Span:
+def _span(subtree: FrozenSet[int], h: Sized) -> Span:
     """The ``wdpt.partial_eval`` span of one check (the shared no-op span
     when tracing is off)."""
     tracer = current_tracer()
@@ -135,25 +205,3 @@ def _span(subtree: FrozenSet[int], h: Mapping) -> Span:
     if tracer.enabled:
         span.set(subtree=sorted(subtree), substituted=len(h))
     return span
-
-
-def subtree_satisfiable(
-    p: WDPT,
-    db: Database,
-    h: Mapping,
-    subtree: AbstractSet[int],
-    planner: "Optional[Planner]" = None,
-    tree: "Optional[TreeProfile]" = None,
-) -> bool:
-    """Non-emptiness of ``q̂_{T'}``: the CQ of the rooted subtree
-    ``subtree`` with ``h`` substituted — the one subroutine Theorems 8, 9
-    and 16 reduce to, run on the engine ``planner`` routes the subtree's
-    unsubstituted shape to, or as the backtracking search without one.
-    ``tree`` is ``planner``'s profile of ``p`` when the caller holds it
-    (else it is looked up here)."""
-    account_subquery()
-    if planner is None:
-        return satisfiable(p.atoms_of(subtree), db, h)
-    if tree is None:
-        tree = planner.profile_wdpt(p)
-    return planner.satisfiable_substituted(tree.subtree_profile(subtree), h.as_dict(), db)

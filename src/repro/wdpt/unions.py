@@ -35,8 +35,8 @@ from ..cqalgs.containment import reduce_union
 from ..cqalgs.cores import core, semantically_in_beta_hw, semantically_in_tw
 from .classes import WB_TW
 from .evaluation import evaluate as wdpt_evaluate
-from .max_eval import extension_exists
-from .partial_eval import Witness, partial_eval_witness
+from .max_eval import compile_max
+from .partial_eval import Witness, partial_eval_witness, program
 from .partial_eval import partial_eval as wdpt_partial_eval
 from .subsumption import frees_covered, unsubsumed_subtree
 from .wdpt import WDPT
@@ -157,15 +157,12 @@ def union_max_eval(
     """
     if not union_partial_eval(phi, db, h, planner=planner):
         return False
+    bound = h.as_dict()
+    domain = frozenset(bound)
     for p in phi:
-        if not h.domain() <= frozenset(p.free_variables):
-            continue
-        tree = None if planner is None else planner.profile_wdpt(p)
-        for y in p.free_variables:
-            if y in h:
-                continue
-            if extension_exists(p, db, h, y, planner, tree):
-                return False
+        compiled = program(compile_max, p, domain, planner)
+        if compiled is not None and compiled.extended(bound, db, planner):
+            return False
     return True
 
 

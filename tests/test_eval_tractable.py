@@ -150,16 +150,18 @@ class TestPinnedInterfaceCandidates:
 
     @staticmethod
     def _count_checks(monkeypatch):
-        from repro.wdpt.eval_tractable import _InterfaceDP
+        """Count the program's checks where each one runs, with a planner
+        or without one (``Check.run``)."""
+        from repro.wdpt.partial_eval import Check
 
         calls = []
-        original = _InterfaceDP._satisfiable
+        original = Check.run
 
-        def counted(self, node, pre):
-            calls.append(node)
-            return original(self, node, pre)
+        def counted(self, binding, db, planner):
+            calls.append(self)
+            return original(self, binding, db, planner)
 
-        monkeypatch.setattr(_InterfaceDP, "_satisfiable", counted)
+        monkeypatch.setattr(Check, "run", counted)
         return calls
 
     def test_an_unmatched_pin_is_decided_without_scanning_the_column(

@@ -37,7 +37,7 @@ from repro.storage.sqlite import SQLiteBackend
 from repro.telemetry.metrics import MetricsRegistry
 from repro.wdpt.eval_tractable import eval_tractable
 from repro.wdpt.max_eval import max_eval
-from repro.wdpt.partial_eval import partial_eval
+from repro.wdpt.partial_eval import compile_partial, partial_eval
 from repro.wdpt.tree import PatternTree
 from repro.wdpt.wdpt import wdpt_from_nested
 from repro.workloads.datasets import company_directory
@@ -208,10 +208,12 @@ class TestPlannerReuse:
         for h in candidates:
             partial_eval(p, db, h, planner=planner)
         stats = planner.stats()
-        assert stats["subtree_profiles"]["hits"] > 0
-        # One tree profile, one structural analysis of its subtree shape.
-        assert stats["subtree_profiles"]["misses"] <= len(p.tree.nodes())
+        # One tree profile, one structural analysis of its subtree shape,
+        # asked for once: by the one program every candidate runs.
+        assert stats["subtree_profiles"] == {"hits": 0, "misses": 1}
+        assert stats["decision_programs"] == {"hits": 4, "misses": 1}
         assert stats["plan_cache"]["misses"] == 1
+        assert planner.profile_wdpt(p).programs() == [(compile_partial, frozenset(free[:1]))]
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +497,9 @@ class TestWarmDecisions:
         _count_calls(monkeypatch, MetricsRegistry, "counter", counts, "record_engine")
         _count_calls(monkeypatch, MetricsRegistry, "histogram", counts, "record_engine")
         _count_calls(monkeypatch, PatternTree, "path_to_root", counts)
-        _count_calls(monkeypatch, Planner, "satisfiable_substituted", counts)
+        _count_calls(monkeypatch, Planner, "check", counts)
         verdicts = [getattr(session, kind)(query, c) for kind, c in fresh]
-        assert counts.pop("satisfiable_substituted") >= len(fresh)
+        assert counts.pop("check") >= len(fresh)
         assert counts == {
             "join_tree_shape": 0, "counter": 0, "histogram": 0, "path_to_root": 0,
         }
@@ -521,10 +523,10 @@ class TestWarmDecisions:
     ):
         """Every check lands on exactly one route's instruments: ``probe``
         plus ``yannakakis`` selections (and latency observations) equal the
-        ``satisfiable_substituted`` calls, before and after a reset."""
+        checks (``Planner.check`` calls), before and after a reset."""
         session, query, fresh = warm_decisions
         counts = {}
-        _count_calls(monkeypatch, Planner, "satisfiable_substituted", counts)
+        _count_calls(monkeypatch, Planner, "check", counts)
 
         def routed(before):
             after = self._engine_counts(session)
@@ -539,16 +541,16 @@ class TestWarmDecisions:
         for kind, candidate in fresh[:25]:
             getattr(session, kind)(query, candidate)
         probes, yannakakis = routed(before)
-        checks = counts["satisfiable_substituted"]
+        checks = counts["check"]
         assert probes > 0 and probes + yannakakis == checks
         session.reset_stats()
         zero = {engine: (0, 0) for engine in (ENGINE_PROBE, "yannakakis")}
         assert self._engine_counts(session) == zero
-        counts["satisfiable_substituted"] = 0
+        counts["check"] = 0
         for kind, candidate in fresh[25:]:
             getattr(session, kind)(query, candidate)
         probes, yannakakis = routed(zero)
-        checks = counts["satisfiable_substituted"]
+        checks = counts["check"]
         assert probes > 0 and probes + yannakakis == checks
         assert session.planner.engine_seconds > 0
 
@@ -577,9 +579,9 @@ class TestWarmDecisions:
         _count_calls(monkeypatch, yannakakis_module, "satisfiable_with_join_tree", counts)
         _count_calls(monkeypatch, relation_module, "scan", counts)
         _count_calls(monkeypatch, SQLiteBackend, "sql_yannakakis", counts)
-        _count_calls(monkeypatch, Planner, "satisfiable_substituted", counts)
+        _count_calls(monkeypatch, Planner, "check", counts)
         verdicts = [session.ask(query, candidate) for candidate in fresh]
-        checks = counts.pop("satisfiable_substituted")
+        checks = counts.pop("check")
         assert counts == {
             "scan_schedule": 0, "satisfiable_with_join_tree": 0, "scan": 0,
             "sql_yannakakis": 0,

@@ -1,12 +1,13 @@
 """The ``probe`` route's compiled program.
 
 A Boolean check whose atoms pairwise share no open variable runs on the
-plan's probe program: per atom its relation, its argument template and
-whether the bound set makes it ground, built once per (shape, bound set)
+plan's probe program: per atom its relation, its argument template,
+whether the bound set makes it ground and, when it does not, its fixed
+positions and repeated open variables, built once per (shape, bound set)
 and handed with the binding to one ``exists_substituted`` read.  These
 tests hold that read to ``db.exists`` of the substituted atoms and to the
-search, on memory and SQLite; check that a ground check on memory builds
-no atom and compiles no pattern; and check that the one histogram update
+search, on memory and SQLite; check that a check on memory, ground or
+open, builds no atom and compiles no pattern; and check that the one histogram update
 per run keeps the selection counters and the engine time exact.
 """
 
@@ -99,8 +100,13 @@ def test_the_program_is_the_shape_s_atoms_under_the_bound_set():
     atoms = SHAPES["star"]
     _, plan = _probe_plan(atoms, {X: Constant(1)})
     assert plan.structure == (
-        ProbeAtom("E", (X, Y), False),
-        ProbeAtom("L", (X, Z), False),
+        ProbeAtom("E", (X, Y), False, ((0, X),)),
+        ProbeAtom("L", (X, Z), False, ((0, X),)),
+    )
+    _, plan = _probe_plan(OPEN_SHAPE, {X: Constant(1)})
+    assert plan.structure == (
+        ProbeAtom("W", (X, Y, Y, Constant("k"), Y), False,
+                  ((0, X), (3, Constant("k"))), ((1, 2), (1, 4))),
     )
     _, plan = _probe_plan(atoms, {X: Constant(1), Y: Constant(2), Z: Constant("a")})
     assert [entry.ground for entry in plan.structure] == [True, True]
@@ -141,6 +147,60 @@ def test_type_distinct_constants_stay_distinct(backend):
     bound = {(c.value, type(c.value)) for c in VALUES
              if _assert_agrees(db, shape, {X: c})}
     assert bound == {(1, int), (1.0, float)}
+
+
+#: One atom a binding of ``?x`` leaves open: a label constant, a repeated
+#: open variable, and facts whose ``?x`` values are 1, 1.0 and True.
+OPEN_SHAPE = [atom("W", "?x", "?y", "?y", "k", "?y")]
+OPEN_FACTS = [
+    atom("W", 1, 5, 5, "k", 5), atom("W", 1.0, 2, 3, "k", 2),
+    atom("W", True, 4, 4, "j", 4), atom("W", "a", 6, 6, "k", 6),
+    atom("W", "a", 7, 7, "k", 8),
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_open_atoms_read_as_the_substituted_atom(backend):
+    """An open atom's read — its fixed positions and its repeats — gives
+    ``exists`` of the substituted atom: a constant in the label, a
+    repeated open variable, and bound values ``1``, ``1.0`` and ``True``
+    that are three constants."""
+    db = backend(OPEN_FACTS)
+    values = [Constant(v) for v in (1, 1.0, True, "a", "never")]
+    verdicts = [_assert_agrees(db, OPEN_SHAPE, {X: c}) for c in values]
+    assert verdicts == [True, False, False, True, False]
+    assert _assert_agrees(db, OPEN_SHAPE, {}) is True
+    assert _assert_agrees(db, [atom("W", "?x", "?y", "?y", "j", "?x")], {}) is False
+
+
+def test_an_open_check_on_memory_builds_no_atom_and_compiles_nothing(monkeypatch):
+    """Atoms the binding leaves open are read from the postings of their
+    fixed positions: no ``Atom`` built, no pattern compiled, and a
+    constant the store never saw adds nothing to its dictionary."""
+    db = MemoryBackend(OPEN_FACTS)
+    planner = Planner()
+    profile = planner.profile_cq(ConjunctiveQuery([], OPEN_SHAPE))
+    bindings = [{X: Constant(v)} for v in (1, 1.0, True, "a", "never")]
+    planner.satisfiable_substituted(profile, bindings[0], db)  # builds the plan
+    terms = len(db.codec)
+    counts = {"__init__": 0, "_compile": 0, "exists": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(Atom, "__init__")
+    counting(MemoryBackend, "_compile")
+    counting(MemoryBackend, "exists")
+    verdicts = [planner.satisfiable_substituted(profile, b, db) for b in bindings]
+    assert verdicts == [True, False, False, True, False]
+    assert counts == {"__init__": 0, "_compile": 0, "exists": 0}
+    assert len(db.codec) == terms
 
 
 def test_a_ground_check_on_memory_builds_no_atom_and_compiles_nothing(monkeypatch):

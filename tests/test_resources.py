@@ -63,6 +63,51 @@ def test_monitors_nest():
     assert outer.usage.peak_intermediate_rows == 6
 
 
+def test_open_windows_survive_racing_threads():
+    """Eight threads open and close monitors with a short switch interval
+    while others account without one: every window is recorded open and
+    closed (the hooks skip the context only while none is open), every monitor
+    counts exactly its own thread's hooks, and none leaks into another."""
+    import sys
+    import threading
+
+    per_thread, errors = 300, []
+
+    def monitored():
+        try:
+            for _ in range(per_thread):
+                with ResourceMonitor() as monitor:
+                    account_subquery()
+                    account_rows(3)
+                assert monitor.usage.subqueries == 1
+                assert monitor.usage.peak_intermediate_rows == 3
+        except Exception as exc:  # reported below, not swallowed
+            errors.append(exc)
+
+    def unmonitored():
+        try:
+            for _ in range(per_thread):
+                account_subquery()
+                account_rows(10 ** 9)
+                assert current_monitor() is None
+        except Exception as exc:  # reported below, not swallowed
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=monitored) for _ in range(6)]
+        threads += [threading.Thread(target=unmonitored) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert not resources._open_windows
+
+
 def test_memory_tracing_reports_peak():
     with ResourceMonitor(trace_memory=True) as monitor:
         blob = [list(range(1000)) for _ in range(50)]
