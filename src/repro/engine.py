@@ -44,7 +44,7 @@ version, and an entry is served only at the version it is stamped with;
 a write made *through the session* (:meth:`Session.add`,
 :meth:`Session.remove`, :meth:`Session.add_triples`) re-stamps the
 entries of the queries the written facts provably cannot reach
-(:func:`repro.wdpt.touch.can_touch`), so those stay hits.
+(:mod:`repro.wdpt.touch`), so those stay hits.
 :meth:`Session.cached` serves a hit from the caches alone, or reports
 ``None`` having parsed, evaluated and counted nothing.
 """
@@ -75,7 +75,7 @@ from .wdpt.evaluation import evaluate, evaluate_max, maximal_answers
 from .wdpt.explain import WDPTProfile
 from .wdpt.max_eval import max_eval
 from .wdpt.partial_eval import partial_eval
-from .wdpt.touch import can_touch
+from .wdpt.touch import touch_program
 from .wdpt.wdpt import WDPT
 from .wdpt.witness import AnswerWitness, witness
 
@@ -575,9 +575,12 @@ class Session:
         many of ``facts`` it wrote) and carry the cached results the
         write provably cannot touch across it.
 
-        A cached query is *untouched* when :func:`~repro.wdpt.touch.
-        can_touch` fails for every fact, tested over the store that holds
-        the facts — after an insert, before a delete.  Its entries
+        A cached query is *untouched* when its touch program
+        (:func:`~repro.wdpt.touch.touch_program`, kept on the planner's
+        profile of the query, its checks run by :meth:`Planner.check
+        <repro.planner.planner.Planner.check>`) clears every fact, tested
+        over the store that holds the facts — after an insert, before a
+        delete.  Its entries
         (``query``, ``query_maximal`` and every per-candidate decision
         share the verdict) are re-stamped ``before → after``; the entries
         of touched queries are deleted.  Nothing is carried unless the
@@ -590,10 +593,15 @@ class Session:
         with current_tracer().span("session.write") as sp:
             before = db.data_version
             verdicts: Dict[WDPT, bool] = {}
+            checks = 0
 
             def probe() -> None:
+                nonlocal checks
+                planner = self.planner
                 for p in cache.queries(db.backend_id, before):
-                    verdicts[p] = not any(can_touch(p, db, f) for f in facts)
+                    touched, issued = touch_program(p, planner).touches(facts, db, planner)
+                    verdicts[p] = not touched
+                    checks += issued
 
             if deleting:
                 probe()
@@ -609,7 +617,7 @@ class Session:
                     db.backend_id, before, after, lambda p: verdicts.get(p, False)
                 )
             counts = {
-                "facts": written, "probed": len(verdicts),
+                "facts": written, "probed": len(verdicts), "checks": checks,
                 "carried": carried, "dropped": dropped,
             }
             sp.set(**counts)

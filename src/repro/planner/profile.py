@@ -9,7 +9,7 @@ engines can consume them without recomputation.  :class:`TreeProfile` does
 the same for a WDPT: per-node profiles, the global profile, *derived*
 profiles for rooted subtrees, memoized and seeded with the bounds already
 known for the full tree, and the compiled Theorem 6/8/9 decision programs
-that resolve their plans.
+and touch program that resolve their plans.
 
 Soundness of reuse under substitution: the Theorem 8/9 algorithms evaluate
 *substituted* subtree CQs ``q̂_{T'}`` (a candidate mapping ``h`` replaces
@@ -261,11 +261,12 @@ class TreeProfile:
     the global treewidth bound (treewidth is subquery-monotone) so class
     checks on subtrees are usually free, and they are memoized by node set.
 
-    It also keeps the compiled Theorem 6/8/9 decision programs
-    (:meth:`program`), one per (procedure, candidate domain): each is
-    built from the node and subtree profiles and holds the Boolean plans
-    it resolves, so a decision runs on plain values and asks this profile
-    nothing.
+    It also keeps the compiled programs (:meth:`program`): the Theorem
+    6/8/9 decision programs, one per (procedure, candidate domain), and
+    the touch program of :mod:`repro.wdpt.touch`, one per tree.  Each is
+    built from the node, subtree and branch profiles and holds the
+    Boolean plans it resolves, so a decision or a write's touch test runs
+    on plain values and asks this profile nothing.
     """
 
     __slots__ = (
@@ -306,6 +307,12 @@ class TreeProfile:
         return StructuralProfile(
             sorted(atoms), on_analysis=self._on_analysis, on_plan=self._on_plan, **kwargs
         )
+
+    def profile_of(self, atoms: Iterable[Atom]) -> StructuralProfile:
+        """A fresh profile of ``atoms`` (atoms of this tree), reporting to
+        the planner's hooks and kept by whoever asked: the touch program
+        keeps one per branch check."""
+        return self._profile(atoms)
 
     def node_profile(self, node: int) -> StructuralProfile:
         """The profile of ``λ(node)``: its answers plan gives the top-down
@@ -349,16 +356,17 @@ class TreeProfile:
         return profile
 
     # ------------------------------------------------------------------
-    # Compiled decision programs (Theorems 6, 8, 9)
+    # Compiled programs (Theorems 6, 8, 9 and the touch test)
     # ------------------------------------------------------------------
     def program(
         self, build: Callable[[WDPT, FrozenSet[Variable], "TreeProfile"], object],
         domain: FrozenSet[Variable],
     ) -> object:
-        """The decision program ``build`` compiles for this tree and the
-        candidate domain ``domain``: built on first request, from
-        :attr:`wdpt` and this profile (whose plans it resolves), and kept
-        while the profile lives.  Callers ask only for ``domain ⊆ x̄``.
+        """The program ``build`` compiles for this tree and the candidate
+        domain ``domain``: built on first request, from :attr:`wdpt` and
+        this profile (whose plans it resolves), and kept while the profile
+        lives.  Callers ask only for ``domain ⊆ x̄``; the touch program,
+        which has no domain, for the empty one.
         No lock, as for :meth:`StructuralProfile.boolean_plan`: threads
         racing on an entry store equal programs."""
         key = (build, domain)

@@ -19,7 +19,7 @@ entries of one backend from the version before a write to the version
 after it, for exactly the queries a caller-supplied test clears, by
 compare-and-set under the cache's lock.  The one caller is the write
 funnel of :class:`~repro.engine.Session`, whose test is
-:func:`repro.wdpt.touch.can_touch` — can the written fact take part in
+:mod:`repro.wdpt.touch` — can the written fact take part in
 any homomorphism of the query? — and which calls only when the version
 moved by exactly what it wrote.  Everything else (a write that goes
 around the session, another cache, a racing writer) advances nothing,

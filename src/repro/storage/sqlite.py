@@ -69,6 +69,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -76,10 +77,10 @@ from typing import (
 )
 
 from ..core.atoms import Atom, Schema
-from ..core.terms import Constant, Variable
+from ..core.terms import Constant, Term, Variable
 from ..exceptions import NotGroundError, ReproError
 from ..hypergraphs.gyo import JoinTree, join_tree_shape
-from .base import StorageBackend, allocate_backend_id
+from .base import ProbeAtom, StorageBackend, allocate_backend_id
 
 #: Catalog table mapping relation names to their backing tables.
 _CATALOG = "_repro_catalog"
@@ -181,6 +182,8 @@ class SQLiteBackend(StorageBackend):
         self._explicit_schema = schema is not None
         #: relation name -> (table name, arity)
         self._tables: Dict[str, Tuple[str, int]] = {}
+        #: Probe-atom layout -> its ``SELECT 1`` (:meth:`exists_substituted`).
+        self._probe_sql: Dict[tuple, str] = {}
         self._version = 0
         # ``Connection.getlimit`` is Python ≥ 3.11; 999 is what SQLite
         # builds before 3.32 default to, so it is safe everywhere.
@@ -341,6 +344,7 @@ class SQLiteBackend(StorageBackend):
             except BaseException:
                 self._conn.rollback()
                 self._version, self._tables = version, tables
+                self._probe_sql = {}
                 if not self._explicit_schema:
                     self._schema = Schema(
                         {rel: arity for rel, (_, arity) in tables.items()}
@@ -527,6 +531,56 @@ class SQLiteBackend(StorageBackend):
             return self._conn.execute(
                 "SELECT 1 FROM %s WHERE %s LIMIT 1" % (tbl, where), params
             ).fetchone() is not None
+
+    def exists_substituted(
+        self, program: Sequence[ProbeAtom], binding: Mapping[Variable, Term]
+    ) -> bool:
+        """The probe route's read (see the base class), building no
+        ``Atom``: per atom one ``SELECT 1 … LIMIT 1`` whose text is built
+        once per probe-atom layout — relation, arity, fixed positions and
+        repeats, never the values, so the memo is bounded by the schema —
+        and the values it fixes (the template's constants and the bound
+        variables) encoded per call.  A relation without a table, or an
+        arity its table lacks, finds nothing and is not memoed: its table
+        may come later."""
+        get = binding.get
+        with self._lock:
+            memo = self._probe_sql
+            for relation, template, ground, fixed, repeats in program:
+                if ground:
+                    key: tuple = (relation, len(template))
+                    values = [get(t, t) for t in template]
+                else:
+                    key = (relation, len(template), tuple([pos for pos, _ in fixed]), repeats)
+                    values = [get(t, t) for _, t in fixed]
+                sql = memo.get(key)
+                if sql is None:
+                    sql = self._probe_statement(*key)
+                    if sql is None:
+                        return False
+                    memo[key] = sql
+                params = [encode_value(c.value) for c in values]  # type: ignore[union-attr]
+                if self._conn.execute(sql, params).fetchone() is None:
+                    return False
+        return True
+
+    def _probe_statement(
+        self, relation: str, arity: int, positions: Optional[Sequence[int]] = None,
+        repeats: Sequence[Tuple[int, int]] = (),
+    ) -> Optional[str]:
+        """The ``SELECT 1`` of a probe atom fixing ``positions`` (all of
+        them when ``None``: a ground atom) with ``repeats``, or ``None``
+        when ``relation`` has no table of that arity."""
+        entry = self._tables.get(relation)
+        if entry is None or entry[1] != arity:
+            return None
+        if positions is None:
+            positions = range(arity)
+        conditions = ["c%d=?" % pos for pos in positions]
+        conditions += ["c%d=c%d" % (later, first) for first, later in repeats]
+        return "SELECT 1 FROM %s WHERE %s LIMIT 1" % (
+            entry[0], " AND ".join(conditions) or "1=1"
+        )
 
     def match_count(self, pattern: Atom) -> int:
         plan = self._pattern_sql(pattern)

@@ -22,8 +22,9 @@ one JSON-serialisable record per lifecycle event —
   digest of the query's hottest stacks keyed by the same ``trace_id``;
 * ``cache.carry`` — one per write made through the session that moved
   the data version: how many facts it wrote, how many cached queries the
-  touch test probed, how many result-cache entries were carried across
-  the write and how many dropped;
+  touch test probed, how many store checks their touch programs issued,
+  how many result-cache entries were carried across the write and how
+  many dropped;
 * ``log.rotated`` — a path sink reached ``max_bytes`` and was rotated
   (first record of each fresh file).
 
@@ -66,7 +67,7 @@ REQUIRED_KEYS = ("event", "ts", "seq", "schema")
 _QUERY_ID_EVENTS = ("query.parse", "query.plan", "query.complete", "query.slow")
 
 #: The counts of a ``cache.carry`` record (one per session write).
-_CARRY_COUNTS = ("facts", "probed", "carried", "dropped")
+_CARRY_COUNTS = ("facts", "probed", "checks", "carried", "dropped")
 
 #: ``Session`` operation → engine identifier recorded in the log.
 OP_ENGINES = {

@@ -26,7 +26,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.core.atoms import Atom, atom  # noqa: E402
 from repro.core.mappings import Mapping, maximal_mappings  # noqa: E402
 from repro.core.terms import Constant, Variable  # noqa: E402
+from repro.cqalgs.naive import satisfiable  # noqa: E402
 from repro.engine import Session  # noqa: E402
+from repro.planner import Planner  # noqa: E402
 from repro.rdf.graph import TRIPLE_RELATION  # noqa: E402
 from repro.service.protocol import AnswerEncoder  # noqa: E402
 from repro.storage import MemoryBackend, ResultCache, SQLiteBackend  # noqa: E402
@@ -34,7 +36,7 @@ from repro.storage.cache import CARRIED, DROPPED  # noqa: E402
 from repro.telemetry.obslog import QueryLog, validate_obslog  # noqa: E402
 from repro.telemetry.tracer import Tracer, tracing  # noqa: E402
 from repro.wdpt.evaluation import evaluate_reference  # noqa: E402
-from repro.wdpt.touch import can_touch, unify  # noqa: E402
+from repro.wdpt.touch import can_touch, compile_touch, touch_program, unify  # noqa: E402
 from repro.wdpt.tree import PatternTree  # noqa: E402
 from repro.wdpt.wdpt import WDPT, wdpt_from_nested  # noqa: E402
 
@@ -191,6 +193,43 @@ class TestUnify:
         assert unify(atom("E", "?x", "?x"), atom("E", 1, 1)) is not None
 
 
+def touches_by_definition(p: WDPT, db, fact: Atom) -> bool:
+    """ALGORITHMS §11's definition, read literally: some ``(n, a)`` and
+    ``θ`` with ``a·θ = fact`` whose whole branch (``a`` included) has a
+    homomorphism into ``db`` extending ``θ``."""
+    for node, label in enumerate(p.labels):
+        branch = [b for n in p.tree.path_to_root(node) for b in p.labels[n]]
+        for a in label:
+            theta = {}
+            if a.relation != fact.relation or a.arity != fact.arity or any(
+                theta.setdefault(t, c) is not c if isinstance(t, Variable) else t is not c
+                for t, c in zip(a.args, fact.args)
+            ):
+                continue
+            if satisfiable(branch, db, theta):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(p=wdpts(), facts=st.lists(facts_st, max_size=8), fact=facts_st)
+@settings(max_examples=150, deadline=None)
+def test_planner_routed_verdict_is_the_planner_less_one(backend, p, facts, fact):
+    """The touch program run through ``Planner.check``, the planner-less
+    ``can_touch`` and the definition agree, over a store holding the
+    fact; the checks counted are the planner's check calls."""
+    db = MemoryBackend(set(facts) | {fact})
+    if backend == "sqlite":
+        db = SQLiteBackend(db)
+    planner = Planner()
+    calls = []
+    check = planner.check
+    planner.check = lambda *args: calls.append(1) or check(*args)
+    touched, checks = touch_program(p, planner).touches((fact,), db, planner)
+    assert touched == can_touch(p, db, fact) == touches_by_definition(p, db, fact)
+    assert checks == len(calls)
+
+
 @given(p=wdpts(), facts=st.lists(facts_st, max_size=8), fact=facts_st)
 @settings(max_examples=200, deadline=None)
 def test_a_fact_that_cannot_touch_changes_nothing(p, facts, fact):
@@ -339,6 +378,42 @@ class TestWhatSurvivesAWrite:
         assert stats["carried"] == stats["dropped"] == 0
 
 
+class TestTouchPrograms:
+    """A write runs each cached tree's touch program, compiled once."""
+
+    def test_one_program_per_cached_tree_and_none_rebuilt(self, session):
+        queries = [RATED, "SELECT ?x WHERE { ?x recorded_by caribou }",
+                   "SELECT ?x ?y WHERE { ?x recorded_by ?y }"]
+        for q in queries:
+            session.query(q)
+        for i in range(5):
+            assert session.add(triple("caribou", "formed_in", "19%d" % i))
+        programs = [
+            key for q in queries
+            for key in session.planner.profile_wdpt(session.parse(q)).programs()
+            if key[0] is compile_touch
+        ]
+        assert len(programs) == len(queries)
+        assert session.planner.stats()["decision_programs"] == {
+            "hits": 4 * len(queries), "misses": len(queries),
+        }
+
+    def test_a_fact_no_atom_unifies_with_issues_no_check(self, session, monkeypatch):
+        session.query(RATED)
+        calls = []
+        monkeypatch.setattr(session.planner, "check", lambda *args: calls.append(args))
+        assert session.add(triple("caribou", "formed_in", "2001"))
+        assert calls == []
+        assert session.result_cache.stats()["carried"] == 1
+
+    def test_a_root_only_atom_touches_with_no_store_read(self):
+        p = wdpt_from_nested(([triple("?x", "p", "?y")], []), free_variables=["?x"])
+        planner = Planner()
+        no_store = object()  # any read raises AttributeError
+        assert touch_program(p, planner).touches([triple(0, "p", 1)], no_store, planner) == (True, 0)
+        assert touch_program(p, planner).touches([triple(0, "q", 1)], no_store, planner) == (False, 0)
+
+
 class TestNothingIsCarriedAroundTheSession:
     """Every path the funnel does not see leaves the stamps behind: the
     entries miss, exactly as when the version was part of the key."""
@@ -472,12 +547,20 @@ class TestObservability:
         assert any("cache.carry" in e for e in validate_obslog([json.dumps(record)]))
 
     def test_write_span(self, session):
+        """``checks`` counts the store checks of the touch programs, and
+        each one is a ``planner.satisfiable`` span of its own."""
         session.query(RATED)
         tracer = Tracer()
         with tracing(tracer):
             session.add(triple("caribou", "formed_in", "2001"))
-        (span,) = [s for s in tracer.walk() if s.name == "session.write"]
-        assert span.attrs == {"facts": 1, "probed": 1, "carried": 1, "dropped": 0}
+            session.add(triple("nobody", "NME_rating", "1"))
+        writes = [s for s in tracer.walk() if s.name == "session.write"]
+        assert [span.attrs for span in writes] == [
+            {"facts": 1, "probed": 1, "checks": 0, "carried": 1, "dropped": 0},
+            {"facts": 1, "probed": 1, "checks": 1, "carried": 1, "dropped": 0},
+        ]
+        (check,) = [s for s in tracer.walk() if s.name == "planner.satisfiable"]
+        assert check.attrs["engine"] == "probe"
 
 
 def test_sqlite_file_session_carries_too(tmp_path):

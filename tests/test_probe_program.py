@@ -239,6 +239,47 @@ def test_a_ground_check_on_memory_builds_no_atom_and_compiles_nothing(monkeypatc
     assert planner.engine_selections == {ENGINE_PROBE: 1 + len(bindings)}
 
 
+def test_sqlite_prepares_one_statement_per_probe_atom_layout(monkeypatch):
+    """SQLite's read builds no ``Atom`` and keeps one statement text per
+    (relation, arity, fixed positions, repeats): new values, bound or
+    constant, add none."""
+    db = SQLiteBackend(OPEN_FACTS + FACTS)
+    planner = Planner()
+    shapes = [OPEN_SHAPE, SHAPES["star"], SHAPES["constant"]]
+    profiles = [planner.profile_cq(ConjunctiveQuery([], shape)) for shape in shapes]
+    for profile in profiles:
+        planner.satisfiable_substituted(profile, {X: Constant(1)}, db)
+    statements = dict(db._probe_sql)
+    built = []
+    monkeypatch.setattr(Atom, "__init__", lambda *args: built.append(args))
+    for value in (1, 1.0, True, "a", "never", 2, 3):
+        for profile in profiles:
+            planner.satisfiable_substituted(profile, {X: Constant(value)}, db)
+    assert db._probe_sql == statements
+    assert len(statements) == 5  # W, E and L open (star); E and L ground (constant)
+    assert built == []
+
+
+def test_sqlite_probe_of_a_relation_without_a_table_keeps_no_statement():
+    """A relation with no table yet answers ``False`` and memos nothing,
+    so its first fact is seen; ``1``, ``1.0`` and ``True`` stay three
+    values."""
+    db = SQLiteBackend()
+    one, real, true = Constant(1), Constant(1.0), Constant(True)
+    ground = ProbeAtom("R", (X, Constant("k")), True)
+    open_ = ProbeAtom("R", (X, Y), False, ((0, X),))
+    for entry in (ground, open_):
+        assert db.exists_substituted([entry], {X: one}) is False
+    assert db.exists_substituted([ProbeAtom("R", (one,), True)], {}) is False
+    assert db._probe_sql == {}
+    db.add(atom("R", 1, "k"))
+    for entry in (ground, open_):
+        assert [db.exists_substituted([entry], {X: c}) for c in (one, real, true)] == [
+            True, False, False,
+        ]
+    assert db.exists_substituted([ProbeAtom("R", (one,), True)], {}) is False  # arity 1
+
+
 def _company():
     query = wdpt_from_nested(
         (
