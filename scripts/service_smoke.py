@@ -37,7 +37,11 @@ intermediate-rows budget).  The driver:
 7. sends one cached query as alpha from a slow client, in delayed
    packets, and fires 8 cached requests before its last packet: all 8
    are answered while the slow one has no answer yet, its answer then
-   matches a fast client's, and ``/metrics`` counts 9 hits, no miss.
+   matches a fast client's, and ``/metrics`` counts 9 hits, no miss;
+8. reads the wide query's answer as alpha through a small receive
+   buffer, only after a pause and in small pieces, and checks it is a
+   fast client's body; then resets a connection (``SO_LINGER`` 0) in
+   the middle of a request body and checks ``/healthz`` still answers.
 
 Exits 0 when every check passes, 1 otherwise: a request that raises
 (say, the base URL is unreachable) is a failed check naming the request
@@ -49,6 +53,7 @@ import json
 import os
 import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -158,7 +163,7 @@ def main(argv):
 
 
 def run_steps(base):
-    """Steps 1-7 of the module docstring against ``base``."""
+    """Steps 1-8 of the module docstring against ``base``."""
     print("1. mixed concurrent traffic (8 clients, 2 tenants)")
     spec = [("/query", {"query": OPT_QUERY}, "alpha-key")] * 5
     spec += [("/query", {"query": SMALL_QUERY}, "beta-key")] * 2
@@ -378,6 +383,43 @@ def run_steps(base):
           "(hits +%g, misses +%g)"
           % (rose("repro_service_cache_hits"),
              rose("repro_service_cache_misses")))
+
+    print("8. a slow reader of the wide answer, and a reset mid-body")
+    fast = request(base, "/query", {"query": WIDE_QUERY}, key="alpha-key")
+    body = json.dumps({"query": WIDE_QUERY}).encode("utf-8")
+    head = (
+        "POST /query HTTP/1.1\r\nHost: %s\r\nX-Api-Key: alpha-key\r\n"
+        "Content-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+        % (host, len(body))
+    ).encode("latin-1")
+    with socket.socket() as slow:
+        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        slow.settimeout(30)
+        slow.connect((host, int(port)))
+        slow.sendall(head + body)
+        time.sleep(0.2)
+        reply = b""
+        while True:
+            chunk = slow.recv(512)
+            if not chunk:
+                break
+            reply += chunk
+    head_line, _, payload = reply.partition(b"\r\n\r\n")
+    slow_status = int(head_line.split()[1]) if head_line else 0
+    same = fast[0] == slow_status == 200 and (
+        {k: v for k, v in json.loads(payload).items() if k not in per_request}
+        == {k: v for k, v in fast[1].items() if k not in per_request}
+    )
+    check(same, "the slow reader got the fast client's 200 body of %d bytes "
+          "(status %d)" % (len(payload), slow_status))
+    with socket.create_connection((host, int(port)), timeout=30) as reset:
+        reset.sendall(head + body[:len(body) // 2])
+        time.sleep(0.05)
+        reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                         struct.pack("ii", 1, 0))
+    status, health, _ = request(base, "/healthz")
+    check(status == 200 and health.get("status") == "ok",
+          "/healthz answers after a reset mid-body (status %d)" % status)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """The one HTTP front and the multi-tenant async query service.
 
 :class:`MetricsServer` serves ``/metrics``, ``/healthz`` and
-``/debug/*`` on the package's stdlib-``asyncio`` transport (``repro
-run --serve-debug``).  :class:`ServiceServer`
+``/debug/*`` on the package's socket edge, an ``asyncio`` loop
+(``repro run --serve-debug``).  :class:`ServiceServer`
 (``repro serve``) is a ``MetricsServer`` that owns a pool of warm per-tenant
 :class:`~repro.engine.Session`\\ s over one shared planner and storage
 backend, fronted by admission control (per-tenant concurrency caps, a

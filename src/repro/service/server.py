@@ -1,14 +1,19 @@
-"""The one HTTP front: an ``asyncio`` transport, the observability server
-on it, and the multi-tenant query daemon built on that.
+"""The one HTTP front: a non-blocking socket edge on an ``asyncio`` loop,
+the observability server on it, and the multi-tenant query daemon built
+on that.
 
-Each connection is one :class:`asyncio.Protocol` (``_Exchange``): the
-request is parsed as its bytes arrive, under one read deadline,
-dispatched through the server's :class:`~repro.telemetry.routes.Router`
-and answered once (``Connection: close``).  A route that is not there
-is a ``404`` listing the routes that are; a path routed under another
-method is a ``405`` with an ``Allow`` header.
+The listening socket is a reader on the loop; each wake-up accepts up to
+the backlog and reads each new connection (``_Exchange``) at once.  A
+request already whole is parsed, dispatched through the server's
+:class:`~repro.telemetry.routes.Router` and answered with one ``send``
+(``Connection: close``) in that same callback: no Task, no transport.
+Only a socket that is not ready costs more — a reader and one read
+deadline while its request is incomplete, a writer while its answer
+does not fit the send buffer.  A route that is not there is a ``404``
+listing the routes that are; a path routed under another method is a
+``405`` with an ``Allow`` header.
 
-:class:`MetricsServer` owns the transport, its lifecycle — foreground
+:class:`MetricsServer` owns the edge, its lifecycle — foreground
 (:meth:`~MetricsServer.serve_forever`, drained by SIGTERM/SIGINT) or
 embedded (:meth:`~MetricsServer.start`/:meth:`~MetricsServer.stop` on a
 private event-loop thread; also a context manager) — and the
@@ -42,7 +47,7 @@ It adds
 
 Evaluation is synchronous Python, so the loop never parses, plans or
 evaluates a query, and never serialises answers.  It answers one kind of
-request itself, inside ``data_received`` and without creating a Task: a
+request itself, in the read that completes it and without a Task: a
 ``query``/``query_maximal`` admitted at once whose parse and answers its
 tenant's caches hold at the current data version
 (:meth:`~repro.engine.Session.cached` — two dictionary reads, one
@@ -76,9 +81,12 @@ queries, visible in the obslog as ``service.draining`` /
 from __future__ import annotations
 
 import asyncio
+import errno
 import functools
 import gc
+import ipaddress
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -122,6 +130,16 @@ MAX_HEAD_BYTES = 1 << 16
 
 #: Seconds a connection may take to send its whole request.
 READ_TIMEOUT = 30.0
+
+#: Seconds accepting pauses when ``accept`` runs out of descriptors or memory.
+ACCEPT_PAUSE = 1.0
+_OUT_OF_RESOURCES = (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM)
+
+#: The listen backlog, and the most connections one wake-up accepts.
+_BACKLOG = 100
+
+#: The most bytes one ``recv`` reads (asyncio's socket transport's).
+_RECV_BYTES = 256 * 1024
 
 _HEAD_END = b"\r\n\r\n"
 
@@ -175,29 +193,76 @@ def _response_bytes(response: RouteResponse) -> bytes:
     return (head + "\r\n").encode("latin-1") + response.body
 
 
-class _Exchange(asyncio.Protocol):
-    """One connection: its request parsed as the bytes arrive, one
-    response, then close.  ``done`` resolves once the connection is gone
-    and nothing is left computing its answer."""
+def _listen(host: Optional[str], port: int) -> List[socket.socket]:
+    """Non-blocking sockets listening on ``host``, bound as
+    ``loop.create_server`` binds them: an IP literal as it is (resolving
+    loads the resolver's libraries), a name on every address
+    ``getaddrinfo`` gives it; ``SO_REUSEADDR``; IPv6 sockets IPv6 only."""
+    try:
+        version = ipaddress.ip_address(host).version
+        family = socket.AF_INET6 if version == 6 else socket.AF_INET
+        addresses = [(family, (host, port))]
+    except ValueError:
+        addresses = [(info[0], info[4]) for info in socket.getaddrinfo(
+            host or None, port, socket.AF_UNSPEC, socket.SOCK_STREAM, 0,
+            socket.AI_PASSIVE,
+        )]
+    listeners: List[socket.socket] = []
+    try:
+        for family, address in addresses:
+            sock = socket.socket(family, socket.SOCK_STREAM)
+            listeners.append(sock)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            if family == socket.AF_INET6:
+                sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY, 1)
+            sock.bind(address)
+            sock.listen(_BACKLOG)
+            sock.setblocking(False)
+    except BaseException:
+        for sock in listeners:
+            sock.close()
+        raise
+    return listeners
 
-    def __init__(self, server: "MetricsServer", loop: asyncio.AbstractEventLoop):
+
+class _Exchange:
+    """One connection: its request parsed as the bytes arrive, one
+    response, then close.  It is in ``server._connections`` until its
+    socket is closed, which is after its answer is written."""
+
+    def __init__(self, server: "MetricsServer", sock: socket.socket):
         self.server = server
-        self.loop = loop
-        self.transport: Optional[asyncio.Transport] = None
+        self.loop = server._loop
+        self.sock = sock
+        self.fd = sock.fileno()
         self.state = _HEAD
         self.buffer = bytearray()
         self.request: Optional[RouteRequest] = None
         self.wanted = 0  # body bytes to read (_BODY) or to discard
         self.refusal: Optional[RouteResponse] = None  # the 413 (_SKIP_BODY)
         self.task: Optional["asyncio.Task"] = None
-        self.lost = False
-        self.done = loop.create_future()
-        self.deadline = loop.call_later(READ_TIMEOUT, self._cut_short, True)
+        #: Armed with a reader when the first read leaves the request short.
+        self.deadline: Optional[asyncio.TimerHandle] = None
+        self.unsent: Optional[memoryview] = None  # what a send left over
+        server._connections.add(self)
 
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        self.server._connections.add(self.done)
-        self.done.add_done_callback(self.server._connections.discard)
+    def read(self) -> None:
+        """Read what the socket holds: once right after accept, then as
+        the reader callback while the request is not whole."""
+        try:
+            data = self.sock.recv(_RECV_BYTES)
+        except (BlockingIOError, InterruptedError):
+            data = None
+        except OSError:  # reset by the peer
+            self._close()
+            return
+        if data:
+            self.data_received(data)
+        elif data is not None:
+            self._cut_short(False)  # EOF: the answer is still written
+        if self.state < _ANSWERING and self.deadline is None:
+            self.deadline = self.loop.call_later(READ_TIMEOUT, self._cut_short, True)
+            self.loop.add_reader(self.fd, self.read)
 
     def data_received(self, data: bytes) -> None:
         state = self.state
@@ -271,7 +336,7 @@ class _Exchange(asyncio.Protocol):
         request = self.request
         request.body = bytes(self.buffer[:self.wanted])
         self.state = _ANSWERING
-        self.deadline.cancel()
+        self._stop_reading()
         server = self.server
         server.requests_served += 1
         outcome = server.router.dispatch(request)
@@ -304,22 +369,40 @@ class _Exchange(asyncio.Protocol):
 
     def _answer(self, response: RouteResponse) -> None:
         self.state = _ANSWERING
-        self.deadline.cancel()
-        if self.lost:  # the client left while its answer was computed
-            self.done.set_result(None)
+        self._stop_reading()
+        self._send(_response_bytes(response))
+
+    def _send(self, data: Union[bytes, memoryview]) -> None:
+        """Write ``data`` and close; what the socket does not take at
+        once is written by the writer callback."""
+        try:
+            sent = self.sock.send(data)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:  # the client left: nobody reads the rest
+            sent = len(data)
+        if sent < len(data):
+            if self.unsent is None:
+                self.loop.add_writer(self.fd, self._flush)
+            self.unsent = memoryview(data)[sent:]
         else:
-            self.transport.write(_response_bytes(response))
-            self.transport.close()
+            self._close()
 
-    def eof_received(self) -> bool:
-        self._cut_short(False)
-        return True  # half-closed: the answer is still written
+    def _flush(self) -> None:
+        self._send(self.unsent)
 
-    def connection_lost(self, exc: Optional[BaseException]) -> None:
-        self.lost = True
-        self.deadline.cancel()
-        if self.task is None:
-            self.done.set_result(None)
+    def _stop_reading(self) -> None:
+        if self.deadline is not None:
+            self.deadline.cancel()
+            self.deadline = None
+            self.loop.remove_reader(self.fd)
+
+    def _close(self) -> None:
+        self._stop_reading()
+        if self.unsent is not None:
+            self.loop.remove_writer(self.fd)
+        self.sock.close()
+        self.server._forget(self)
 
 
 Source = Union[MetricsRegistry, Callable[[], str]]
@@ -328,7 +411,7 @@ DebugProvider = Callable[[], Any]
 
 
 class MetricsServer:
-    """``/metrics``, ``/healthz`` and ``/debug/*`` over the one transport
+    """``/metrics``, ``/healthz`` and ``/debug/*`` over the one edge
     (module docstring).
 
     ::
@@ -368,9 +451,11 @@ class MetricsServer:
         self.requests_served = 0
         self._started_at = 0.0
         self._draining = False
-        #: The ``done`` future of every open connection (``_Exchange``).
+        #: Every open connection (``_Exchange``).
         self._connections: set = set()
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._listeners: List[socket.socket] = []
+        #: Resolved once the last connection closes during a drain.
+        self._drained: Optional["asyncio.Future"] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -541,8 +626,8 @@ class MetricsServer:
     # ------------------------------------------------------------------
     @property
     def port(self) -> int:
-        if self._server is not None and self._server.sockets:
-            return self._server.sockets[0].getsockname()[1]
+        if self._listeners:
+            return self._listeners[0].getsockname()[1]
         return self._requested_port
 
     @property
@@ -551,26 +636,60 @@ class MetricsServer:
 
     async def start_async(self) -> "MetricsServer":
         """Bind and start accepting on the current event loop."""
-        if self._server is None:
+        if not self._listeners:
             loop = self._loop = asyncio.get_running_loop()
-            self._server = await loop.create_server(
-                lambda: _Exchange(self, loop), self.host, self._requested_port
-            )
+            self._listeners = _listen(self.host, self._requested_port)
+            for listener in self._listeners:
+                loop.add_reader(listener.fileno(), self._accept, listener)
             self._started_at = time.time()
             self._draining = False
+            self._drained = None
         return self
+
+    def _accept(self, listener: socket.socket) -> None:
+        """The listener's reader callback: accept up to the backlog and
+        read each connection at once, so a request already whole is
+        answered here.  Out of descriptors or memory, stop accepting on
+        ``listener`` for a second instead of spinning."""
+        for _ in range(_BACKLOG):
+            try:
+                sock, _address = listener.accept()
+            except (BlockingIOError, InterruptedError, ConnectionAbortedError):
+                return
+            except OSError as exc:
+                if exc.errno not in _OUT_OF_RESOURCES:
+                    raise
+                self._loop.remove_reader(listener.fileno())
+                self._loop.call_later(ACCEPT_PAUSE, self._resume, listener)
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            _Exchange(self, sock).read()
+
+    def _resume(self, listener: socket.socket) -> None:
+        if listener.fileno() >= 0:  # not closed by a shutdown meanwhile
+            self._loop.add_reader(listener.fileno(), self._accept, listener)
+
+    def _forget(self, exchange: _Exchange) -> None:
+        self._connections.discard(exchange)
+        drained = self._drained
+        if not self._connections and drained is not None and not drained.done():
+            drained.set_result(None)
 
     async def shutdown_async(self, drain: bool = True) -> None:
         """Stop accepting, wait up to :attr:`drain_timeout` for the open
         connections to be answered, stop the profiler this server
         started."""
-        if self._server is None:
+        if not self._listeners:
             return
         self._draining = True
-        server, self._server = self._server, None
-        server.close()
+        listeners, self._listeners = self._listeners, []
+        for listener in listeners:
+            self._loop.remove_reader(listener.fileno())
+            listener.close()
         if drain and self._connections:
-            await asyncio.wait(set(self._connections), timeout=self.drain_timeout)
+            self._drained = self._loop.create_future()
+            await asyncio.wait([self._drained], timeout=self.drain_timeout)
         with self._profile_lock:
             if self._owns_profiler and self.profiler is not None:
                 self.profiler.stop()
@@ -648,7 +767,7 @@ class MetricsServer:
         return False
 
     def __repr__(self) -> str:
-        state = "serving on %s" % self.url if self._server else "stopped"
+        state = "serving on %s" % self.url if self._listeners else "stopped"
         return "%s(%s, %d sources)" % (type(self).__name__, state, len(self.sources))
 
 
@@ -980,7 +1099,7 @@ class ServiceServer(MetricsServer):
     # the sessions and the executor
     # ------------------------------------------------------------------
     async def start_async(self) -> "ServiceServer":
-        if self._server is None:
+        if not self._listeners:
             await super().start_async()
             if self.obslog is not None:
                 self.obslog.emit(
@@ -990,7 +1109,7 @@ class ServiceServer(MetricsServer):
         return self
 
     async def shutdown_async(self, drain: bool = True) -> None:
-        if self._server is None:
+        if not self._listeners:
             return
         if self.obslog is not None:
             self.obslog.emit(

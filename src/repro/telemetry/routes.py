@@ -4,7 +4,7 @@
 and its subclass, the query service
 :class:`~repro.service.ServiceServer` (``repro serve``), dispatch every
 request through one :class:`Router` built by
-``MetricsServer.build_router``, on one asyncio transport:
+``MetricsServer.build_router``, on one socket edge:
 
 * every error is ``{"error": "<message>", ...}`` JSON with the matching
   status code — a 404 additionally lists the routes the server *does*
@@ -18,8 +18,8 @@ request through one :class:`Router` built by
 A handler takes a :class:`RouteRequest` and returns a
 :class:`RouteResponse` (or any JSON-serialisable object, which is wrapped
 into a 200).  A handler may also return an awaitable (the query
-service's routes do when they must wait), which the transport awaits on
-its event loop.
+service's routes do when they must wait), which the edge awaits on its
+event loop.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class Router:
         response = router.dispatch(RouteRequest("GET", "/healthz"))
 
     ``dispatch`` returns a :class:`RouteResponse` — or, when the matched
-    handler returned an awaitable, that awaitable (the transport awaits
+    handler returned an awaitable, that awaitable (the edge awaits
     it; if the awaited value is not already a ``RouteResponse`` it is
     wrapped via :meth:`finish`).  Unknown paths get the shared 404
     listing every registered route, a known path under another method

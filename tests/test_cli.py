@@ -707,10 +707,11 @@ def test_a_mapping_is_its_graph_and_nothing_reads_a_stored_dict():
 
 
 def test_one_http_transport():
-    """The service's asyncio transport is the only HTTP server in the
-    package: nothing imports ``http.server`` or ``socketserver``, one class
-    is an ``asyncio`` protocol and one call binds a listening socket."""
-    protocols, binds = [], []
+    """The service's socket edge is the only HTTP server in the package:
+    nothing imports ``http.server`` or ``socketserver``, one class handles
+    a connection (reads a socket or is an ``asyncio`` protocol), and
+    every listening socket is made in ``service/server.py``."""
+    readers, listens = [], []
     for path, tree in _source_trees("."):
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -723,13 +724,17 @@ def test_one_http_transport():
                 assert not name.startswith(("http.server", "socketserver")), (path, name)
             if isinstance(node, ast.ClassDef):
                 if any(re.fullmatch(r"asyncio\.\w*Protocol", ast.unparse(base))
-                       for base in node.bases):
-                    protocols.append(node.name)
+                       for base in node.bases) or any(
+                    isinstance(inner, ast.Attribute)
+                    and inner.attr in ("recv", "recv_into")
+                    for inner in ast.walk(node)
+                ):
+                    readers.append(node.name)
             if isinstance(node, ast.Attribute) and node.attr in (
-                "create_server", "start_server", "start_unix_server"
+                "create_server", "start_server", "start_unix_server", "listen"
             ):
-                binds.append(path)
-    assert protocols == ["_Exchange"]
-    assert [os.path.relpath(p, os.path.dirname(cli.__file__)) for p in binds] == [
+                listens.append(path)
+    assert readers == ["_Exchange"]
+    assert [os.path.relpath(p, os.path.dirname(cli.__file__)) for p in listens] == [
         os.path.join("service", "server.py")
     ]

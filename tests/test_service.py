@@ -3,9 +3,11 @@ protocol validation, the tenant registry, admission control, and live
 concurrent HTTP traffic against an embedded server."""
 
 import asyncio
+import errno
 import gc
 import json
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -25,6 +27,7 @@ from repro.exceptions import ReproError
 from repro.service import (
     AdmissionController,
     LoadShedError,
+    MetricsServer,
     ProtocolError,
     QueryRequest,
     ServiceServer,
@@ -40,6 +43,7 @@ from repro.service.protocol import (
     encode_result,
     result_body,
 )
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.routes import encode_json
 from repro.telemetry.obslog import QueryLog
 from repro.telemetry.resources import ResourceBudget
@@ -107,14 +111,34 @@ def _raw_exchange(srv, data, half_close=False):
 
 
 def _dribble(srv, pieces, half_close=False):
-    """Send ``pieces`` as separate sends (a short pause between them, so
-    each tends to arrive on its own; the outcome may not depend on it),
+    """Send ``pieces`` as separate sends, each once the server's exchange
+    has consumed the one before (so the server reads every split named),
     read to EOF; returns (status, decoded JSON body)."""
+    exchange_class = server_module._Exchange
+    consume = exchange_class.data_received
+    consumed, moved = [0], threading.Condition()
     with socket.create_connection((srv.host, srv.port), timeout=30) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        for piece in pieces:
-            sock.sendall(piece)
-            time.sleep(0.002)
+        client = sock.getsockname()
+
+        def counting(exchange, data):
+            ours = exchange.sock.getpeername() == client
+            consume(exchange, data)
+            if ours:
+                with moved:
+                    consumed[0] += len(data)
+                    moved.notify_all()
+
+        exchange_class.data_received = counting
+        try:
+            sent = 0
+            for piece in pieces:
+                sock.sendall(piece)
+                sent += len(piece)
+                with moved:
+                    assert moved.wait_for(lambda: consumed[0] >= sent, 30)
+        finally:
+            exchange_class.data_received = consume
         if half_close:
             sock.shutdown(socket.SHUT_WR)
         chunks = []
@@ -676,6 +700,155 @@ class TestIncrementalParsing:
         assert status == 200 and self._strip(answer) == expected
 
 
+class TestSocketEdge:
+    """What the edge does with sockets that are not ready, or go away:
+    partial sends, resets, accept failures, rebinding."""
+
+    @staticmethod
+    def _metrics_server(**kwargs):
+        return MetricsServer(MetricsRegistry(), **kwargs)
+
+    @staticmethod
+    def _on_accept(monkeypatch, hook):
+        """Call ``hook(sock)`` on every accepted socket."""
+        init = server_module._Exchange.__init__
+
+        def hooked(exchange, srv, sock):
+            hook(sock)
+            init(exchange, srv, sock)
+
+        monkeypatch.setattr(server_module._Exchange, "__init__", hooked)
+
+    @staticmethod
+    def _loop_errors(srv):
+        """Record every call of the server loop's exception handler."""
+        errors, installed = [], threading.Event()
+
+        def install():
+            srv._loop.set_exception_handler(lambda loop, context: errors.append(context))
+            installed.set()
+
+        srv._loop.call_soon_threadsafe(install)
+        assert installed.wait(30)
+        return errors
+
+    def test_slow_reader_gets_an_answer_larger_than_the_send_buffer(
+        self, monkeypatch
+    ):
+        flushes = []
+        flush = server_module._Exchange._flush
+
+        def counting(exchange):
+            flushes.append(len(exchange.unsent))
+            flush(exchange)
+
+        monkeypatch.setattr(server_module._Exchange, "_flush", counting)
+        self._on_accept(monkeypatch, lambda sock: sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+        ))
+        payload = {"rows": ["row-%06d" % i for i in range(20_000)]}
+        with self._metrics_server(debug={"wide": lambda: payload}) as srv:
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.settimeout(30)
+                sock.connect((srv.host, srv.port))
+                sock.sendall(b"GET /debug/wide HTTP/1.1\r\n\r\n")
+                # Read only once the server holds what the socket refused.
+                _wait_until(lambda: any(
+                    exchange.unsent is not None
+                    for exchange in list(srv._connections)
+                ))
+                chunks = []
+                while True:
+                    chunk = sock.recv(1024)
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+            _wait_until(lambda: not srv._connections)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == 200
+        assert json.loads(body) == payload
+        assert len(body) > 8 * 4096 and flushes  # the writer callback ran
+
+    @pytest.mark.parametrize("state", ["head", "body"])
+    def test_a_reset_mid_request_is_forgotten(self, state):
+        head, body = _post("/debug", {"pad": "x" * 100})
+        sent, reading = (head[:15], server_module._HEAD) if state == "head" else (
+            head + body[:10], server_module._BODY
+        )
+        with self._metrics_server() as srv:
+            errors = self._loop_errors(srv)
+            with socket.create_connection((srv.host, srv.port), timeout=30) as sock:
+                sock.sendall(sent)
+                _wait_until(
+                    lambda: [e.state for e in list(srv._connections)] == [reading]
+                )
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            _wait_until(lambda: not srv._connections)
+            assert _request(srv.url, "/healthz")[0] == 200
+            assert errors == []
+
+    def test_a_client_gone_before_its_answer_raises_nothing(self):
+        registry = TenantRegistry.from_dict(TENANTS)
+        with ServiceServer(example2_graph(), tenants=registry) as srv:
+            errors = self._loop_errors(srv)
+            release, _, entered = TestConcurrency._gate(srv.sessions["acme"])
+            for text, linger in [
+                (QUERY, None), (SMALL_QUERY, struct.pack("ii", 1, 0)),  # FIN, RST
+            ]:
+                head, body = _post("/query", {"query": text}, key="acme-key")
+                entered.clear()
+                sock = socket.create_connection((srv.host, srv.port), timeout=30)
+                sock.sendall(head + body)
+                assert entered.wait(30)  # its answer is being computed
+                if linger is not None:
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+                sock.close()
+                release.set()
+                _wait_until(lambda: not srv._connections)
+                release.clear()
+            assert _request(srv.url, "/healthz")[0] == 200
+            assert errors == []
+
+    def test_out_of_descriptors_pauses_accepting(self, monkeypatch):
+        monkeypatch.setattr(server_module, "ACCEPT_PAUSE", 0.2)
+        with self._metrics_server() as srv:
+            listener, calls = srv._listeners[0], []
+            accept = socket.socket.accept
+
+            def failing_once(sock):
+                if sock is listener:
+                    calls.append(time.monotonic())
+                    if len(calls) == 1:
+                        raise OSError(errno.EMFILE, "Too many open files")
+                return accept(sock)
+
+            monkeypatch.setattr(socket.socket, "accept", failing_once)
+            assert _request(srv.url, "/healthz")[0] == 200
+        # The failure, then nothing until the pause is over.
+        assert len(calls) >= 2 and calls[1] - calls[0] >= 0.9 * 0.2
+
+    @pytest.mark.parametrize("host", ["127.0.0.1", "localhost"])  # literal, name
+    def test_a_stopped_server_rebinds_its_port(self, host):
+        first = self._metrics_server(host=host).start()
+        port = first.port
+        assert _request(first.url, "/healthz")[0] == 200  # leaves a TIME_WAIT
+        first.stop()
+        with self._metrics_server(host=host, port=port) as second:
+            assert second.port == port
+            assert _request(second.url, "/healthz")[0] == 200
+
+    def test_accepted_sockets_have_nodelay(self, server, monkeypatch):
+        flags = []
+        self._on_accept(monkeypatch, lambda sock: flags.append(
+            sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        ))
+        assert _request(server.url, "/healthz")[0] == 200
+        assert flags and all(flags)
+
+
 # ---------------------------------------------------------------------------
 # Live server: observability surfaces
 # ---------------------------------------------------------------------------
@@ -1155,8 +1328,8 @@ class TestLoopSideHits:
             tasks, jobs = self._tasks(srv), self._submits(srv)
 
             def exchange(text):
-                """(Tasks other than the loop's own accept of the
-                connection, executor jobs, service.cache.hits rise)."""
+                """(Tasks of any kind, executor jobs, service.cache.hits
+                rise); accepting a connection creates no Task."""
                 del tasks[:], jobs[:]
                 before = self._service_cache_hits(srv, "acme")
                 status, _, _ = _request(
@@ -1164,10 +1337,7 @@ class TestLoopSideHits:
                 )
                 assert status == 200
                 rose = self._service_cache_hits(srv, "acme") - before
-                # asyncio's create_server sets up every accepted socket
-                # (this request's and the two scrapes') in a Task of its own.
-                ours = [n for n in tasks if not n.endswith("._accept_connection2")]
-                return ours, list(jobs), rose
+                return list(tasks), list(jobs), rose
 
             for _ in range(10):
                 assert exchange(QUERY) == ([], [], 1)
