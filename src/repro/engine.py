@@ -65,10 +65,10 @@ from .planner.planner import Planner
 from .storage import ResultCache, StorageBackend, backend_from_env, to_backend
 from .storage.cache import DEFAULT_SIZE as DEFAULT_CACHE_SIZE
 from .table import format_table
-from .telemetry.context import current, scoped
+from .telemetry.context import current, new_trace_id, scoped
 from .telemetry.obslog import LiveQueries, QueryLog, QueryObservation
 from .telemetry.profiler import current_profiler, gc_summary
-from .telemetry.resources import ResourceBudget
+from .telemetry.resources import ResourceBudget, ResourceUsage
 from .telemetry.tracer import Tracer, current_tracer
 from .wdpt.eval_tractable import eval_tractable
 from .wdpt.evaluation import evaluate, evaluate_max, maximal_answers
@@ -234,8 +234,12 @@ class Session:
         if isinstance(cache, ResultCache):
             self.result_cache = cache
         elif cache is None or cache:
+            # Sessions share their planner's registry; a tenant's cache
+            # counts under its own label, not into its peers' series.
+            metrics = self.planner.metrics
             self.result_cache = ResultCache(
-                cache_size, metrics=self.planner.metrics
+                cache_size,
+                metrics=metrics if tenant is None else metrics.bound(tenant=tenant),
             )
         else:
             self.result_cache = None
@@ -322,7 +326,7 @@ class Session:
         (``MetricsServer(..., debug=session.debug_providers())``)."""
         return {"queries": self.debug_queries, "plans": self.debug_plans}
 
-    def _lookup(self, op: str, p: WDPT, extra=None, count: bool = True):
+    def _lookup(self, op: str, p: WDPT, extra=None):
         """``(slot, value)`` of one evaluation call: the one read of the
         result cache.  ``slot`` is the call's :class:`ResultCache` key and
         the data version an entry must be stamped with to answer it, or
@@ -330,7 +334,7 @@ class Session:
         calling context — EXPLAIN ANALYZE must measure a real execution;
         queries other threads run meanwhile keep their cache); ``value``
         is what the slot holds at that stamp, or ``None``.  The hit or
-        miss is counted, unless ``count`` is false (:meth:`cached`)."""
+        miss is counted (:meth:`cached` reads the same slot uncounted)."""
         cache = self.result_cache
         if cache is None or current().cache_bypass:
             return None, None
@@ -339,8 +343,7 @@ class Session:
             op, p.structural_fingerprint(), db.backend_id, extra=extra
         )
         stamp = db.data_version
-        read = cache.get if count else cache.peek
-        return (key, stamp), read(key, stamp)
+        return (key, stamp), cache.get(key, stamp)
 
     def query(self, query: Query) -> Result:
         """Evaluate and return all answers."""
@@ -359,18 +362,49 @@ class Session:
 
         A miss reads the two caches and nothing else: it parses,
         evaluates and counts nothing, so the :meth:`query` that follows
-        counts it once.  A hit is counted, refreshed and observed as
-        :meth:`query` would, around the answers already read — so an
-        eviction or a write after the read cannot make this call parse,
-        evaluate or fill the cache.  The query service answers cached
-        requests on its event loop through this."""
-        p = self.planner.parses.peek(text)
-        if p is None:
+        counts it once.  A hit is counted and refreshed as :meth:`query`
+        would, around the answers already read — so an eviction or a
+        write after the read cannot make this call parse, evaluate or
+        fill the cache.  The query service answers cached requests on its
+        event loop through this.
+
+        A hit scans no rows and can trip no budget, so unless there is
+        something to log, a budget, a running profiler or a recording
+        tracer, it is not observed in full: a tracked session gives it a
+        trace id, a :class:`~repro.telemetry.resources.ResourceUsage` of
+        its wall time and one ``/debug/queries`` ring entry
+        (:meth:`LiveQueries.hit`), with no ``QueryObservation``, context
+        install or span."""
+        planner, cache = self.planner, self.result_cache
+        p = planner.parses.peek(text)
+        context = current()
+        if p is None or cache is None or context.cache_bypass:
             return None
-        slot, answers = self._lookup(op, p, count=False)
+        db, fingerprint = self.database, p.structural_fingerprint()
+        # _lookup's slot, read without counting.
+        key = ResultCache.key(op, fingerprint, db.backend_id)
+        stamp = db.data_version
+        answers = cache.peek(key, stamp)
         if answers is None:
             return None
-        return self._evaluate(op, text, None, "", hit=(p, slot, answers))
+        profiler = current_profiler()
+        if (
+            self.obslog is not None or self.budgets is not None
+            or getattr(context.tracer, "enabled", False)
+            or (profiler is not None and profiler.running)
+        ):
+            return self._evaluate(op, text, None, "", hit=(p, (key, stamp), answers))
+        start = time.perf_counter()
+        planner.parses.touch(text)
+        planner.profiles.touch(fingerprint)
+        cache.hit(key)
+        result = Result(self, p, answers)
+        if self.track_resources:
+            usage = result.resources = ResourceUsage()
+            usage.trace_id = trace_id = context.trace_id or new_trace_id()
+            usage.wall_seconds = wall = time.perf_counter() - start
+            self.live_queries.hit(op, fingerprint[:16], trace_id, len(answers), wall)
+        return result
 
     def _evaluate(
         self, op: str, query: Query, evaluator, engine: str, hit=None

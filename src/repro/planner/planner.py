@@ -68,7 +68,7 @@ from ..cqalgs.structured import satisfiable_by_elimination
 from ..cqalgs.yannakakis import satisfiable_with_join_tree
 from ..relalg.relation import to_mappings
 from ..telemetry.context import current
-from ..telemetry.metrics import CounterView, Histogram, MetricsRegistry
+from ..telemetry.metrics import Histogram, MetricsRegistry, View
 from ..telemetry.resources import account_rows
 from ..telemetry.tracer import NULL_SPAN, current_tracer
 from ..wdpt.wdpt import WDPT
@@ -254,7 +254,7 @@ class Planner:
         self._engine_seconds()
         return self._engine_latency.setdefault(engine, latency)
 
-    def _engine_seconds(self) -> CounterView:
+    def _engine_seconds(self) -> View:
         """``planner.engine_seconds``: the summed ``sum`` of every
         ``planner.engine_latency`` histogram of the registry."""
         metrics = self.metrics

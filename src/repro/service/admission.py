@@ -22,8 +22,9 @@ metrics registry with per-tenant labels::
     service.admitted{tenant=...}        # granted slots
     service.shed{tenant=..., scope=...} # 429s, scope = tenant | global
     service.queue_wait_seconds{tenant=...}
-    service.in_flight{tenant=...}       # live gauge
+    service.in_flight{tenant=...}       # gauges read at scrape time
     service.in_flight_global
+    service.queued
 
 A request that finds a slot free and nobody queued takes it at once
 (:meth:`AdmissionController.try_admit`, no lock, no ``await``); only
@@ -38,10 +39,10 @@ the metrics registry (shared with scrape threads) is thread-safe.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..exceptions import ReproError
-from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.metrics import Counter, Histogram, MetricsRegistry
 from .tenancy import TenantConfig
 
 __all__ = ["AdmissionController", "AdmissionSlot", "LoadShedError"]
@@ -109,6 +110,12 @@ class AdmissionController:
         # Lifetime tallies for /healthz (metrics hold the labeled detail).
         self.admitted_total = 0
         self.shed_total = 0
+        #: Per tenant: its ``service.admitted`` counter and
+        #: ``service.queue_wait_seconds`` histogram, looked up once.
+        self._instruments: Dict[str, Tuple[Counter, Histogram]] = {}
+        # The levels are read when scraped, not set on every change.
+        self.metrics.gauge_view("service.in_flight_global", lambda: self._in_flight_global)
+        self.metrics.gauge_view("service.queued", lambda: self._waiting)
 
     def _cond(self) -> asyncio.Condition:
         # Created lazily so the controller can be built off-loop (the
@@ -149,7 +156,6 @@ class AdmissionController:
             if scope is not None:
                 deadline = start + tenant.tier.queue_timeout
                 self._waiting += 1
-                self.metrics.gauge("service.queued").set(self._waiting)
                 try:
                     while scope is not None:
                         remaining = deadline - loop.time()
@@ -165,7 +171,6 @@ class AdmissionController:
                         scope = self._has_capacity(tenant)
                 finally:
                     self._waiting -= 1
-                    self.metrics.gauge("service.queued").set(self._waiting)
             self._grant(tenant, loop.time() - start)
             return AdmissionSlot(self, tenant)
 
@@ -177,23 +182,33 @@ class AdmissionController:
         raise LoadShedError(tenant.name, scope, tenant.tier.retry_after, waited)
 
     def _grant(self, tenant: TenantConfig, waited: float) -> None:
+        name = tenant.name
+        instruments = self._instruments.get(name)
+        if instruments is None:
+            instruments = self._instruments[name] = self._register(name)
         self.admitted_total += 1
-        self._in_flight[tenant.name] = self._in_flight.get(tenant.name, 0) + 1
+        self._in_flight[name] = self._in_flight.get(name, 0) + 1
         self._in_flight_global += 1
-        self.metrics.counter(
-            "service.admitted", labels={"tenant": tenant.name}
-        ).inc()
-        self.metrics.histogram(
-            "service.queue_wait_seconds", labels={"tenant": tenant.name}
-        ).observe(waited)
-        self._set_gauges(tenant.name)
+        admitted, queue_wait = instruments
+        admitted.inc()
+        queue_wait.observe(waited)
+
+    def _register(self, name: str) -> Tuple[Counter, Histogram]:
+        """A tenant's instruments, the first time it is admitted."""
+        labels = {"tenant": name}
+        self.metrics.gauge_view(
+            "service.in_flight", lambda: self._in_flight.get(name, 0), labels=labels
+        )
+        return (
+            self.metrics.counter("service.admitted", labels=labels),
+            self.metrics.histogram("service.queue_wait_seconds", labels=labels),
+        )
 
     def _release(self, tenant: TenantConfig) -> None:
         self._in_flight[tenant.name] = max(
             0, self._in_flight.get(tenant.name, 0) - 1
         )
         self._in_flight_global = max(0, self._in_flight_global - 1)
-        self._set_gauges(tenant.name)
         # A waiter counts itself before it first yields, so with none
         # counted nobody can miss this release.  The loop holds tasks
         # weakly: the set keeps each notify alive until it has run.
@@ -206,14 +221,6 @@ class AdmissionController:
         condition = self._cond()
         async with condition:
             condition.notify_all()
-
-    def _set_gauges(self, tenant_name: str) -> None:
-        self.metrics.gauge(
-            "service.in_flight", labels={"tenant": tenant_name}
-        ).set(self._in_flight.get(tenant_name, 0))
-        self.metrics.gauge("service.in_flight_global").set(
-            self._in_flight_global
-        )
 
     # ------------------------------------------------------------------
     @property

@@ -32,8 +32,10 @@ fields.
 
 from __future__ import annotations
 
+import functools
 import json
 import weakref
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.mappings import Mapping
@@ -164,26 +166,6 @@ def _base(op: str, tenant: str) -> Dict[str, Any]:
     return {"protocol": PROTOCOL_VERSION, "op": op, "tenant": tenant}
 
 
-def _result_fields(
-    op: str, tenant: str, result, wall_seconds: float, coalesced: bool
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """An evaluation body's fields before and after ``answers``."""
-    head = _base(op, tenant)
-    head["rows"] = len(result.answers)
-    tail: Dict[str, Any] = {"wall_ms": round(wall_seconds * 1000.0, 3)}
-    resources = getattr(result, "resources", None)
-    tail["trace_id"] = getattr(resources, "trace_id", None)
-    if resources is not None:
-        tail["resources"] = {
-            "wall_seconds": resources.wall_seconds,
-            "peak_intermediate_rows": resources.peak_intermediate_rows,
-            "subqueries": resources.subqueries,
-        }
-    if coalesced:
-        tail["coalesced"] = True
-    return head, tail
-
-
 def encode_result(
     op: str,
     tenant: str,
@@ -192,9 +174,20 @@ def encode_result(
     coalesced: bool = False,
 ) -> Dict[str, Any]:
     """The success body of a ``query`` / ``query_maximal`` evaluation."""
-    body, tail = _result_fields(op, tenant, result, wall_seconds, coalesced)
+    body = _base(op, tenant)
+    body["rows"] = len(result.answers)
     body["answers"] = encode_answers(result.answers)
-    body.update(tail)
+    body["wall_ms"] = round(wall_seconds * 1000.0, 3)
+    resources = getattr(result, "resources", None)
+    body["trace_id"] = getattr(resources, "trace_id", None)
+    if resources is not None:
+        body["resources"] = {
+            "wall_seconds": resources.wall_seconds,
+            "peak_intermediate_rows": resources.peak_intermediate_rows,
+            "subqueries": resources.subqueries,
+        }
+    if coalesced:
+        body["coalesced"] = True
     return body
 
 
@@ -209,12 +202,46 @@ def result_body(
     """The bytes ``encode_json(encode_result(...))`` would produce, given
     ``answers_json`` — the already serialised ``answers`` array
     (:meth:`AnswerEncoder.fragment`) — so a response costs its few
-    per-request fields however many rows it carries."""
-    head, tail = _result_fields(op, tenant, result, wall_seconds, coalesced)
+    per-request fields however many rows it carries.
+
+    Formatted, not dumped: the fields before ``rows`` are one prefix per
+    ``(op, tenant)``, and each field after ``answers`` is written as
+    :func:`json.dumps` writes it (``repr`` of an ``int`` or finite
+    ``float``, ASCII-escaped strings)."""
+    resources = getattr(result, "resources", None)
+    tail = ', "wall_ms": %s, "trace_id": %s' % (
+        _scalar(round(wall_seconds * 1000.0, 3)),
+        _scalar(getattr(resources, "trace_id", None)),
+    )
+    if resources is not None:
+        tail += ', "resources": {"wall_seconds": %s, "peak_intermediate_rows": %s, ' \
+            '"subqueries": %s}' % (
+                _scalar(resources.wall_seconds),
+                _scalar(resources.peak_intermediate_rows),
+                _scalar(resources.subqueries),
+            )
+    if coalesced:
+        tail += ', "coalesced": true'
     return b"".join((
-        encode_json(head)[:-1], b', "answers": ', answers_json, b", ",
-        encode_json(tail)[1:],
+        _head(op, tenant), b"%d" % len(result.answers), b', "answers": ',
+        answers_json, tail.encode("ascii"), b"}",
     ))
+
+
+@functools.lru_cache(maxsize=256)
+def _head(op: str, tenant: str) -> bytes:
+    """An evaluation body up to the value of ``rows``."""
+    return encode_json(_base(op, tenant))[:-1] + b', "rows": '
+
+
+def _scalar(value: Any) -> str:
+    """``value`` as :func:`encode_json` writes it."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or (kind is float and value - value == 0.0):  # not inf/nan
+        return repr(value)
+    return encode_json(value).decode("ascii")
 
 
 class AnswerEncoder:

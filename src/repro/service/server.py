@@ -95,7 +95,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..engine import Result, Session
 from ..exceptions import ParseError, ReproError, ResourceBudgetExceeded
 from ..storage import StorageBackend
-from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.metrics import Counter, Histogram, MetricsRegistry
 from ..telemetry.obslog import QueryLog
 from ..telemetry.routes import (
     JSON_CONTENT_TYPE,
@@ -819,6 +819,11 @@ class ServiceServer(MetricsServer):
         #: Evaluations in progress by ``(tenant, op, query text)``; only
         #: the event-loop thread touches it.
         self._flights: Dict[Tuple[str, str, str], "asyncio.Future"] = {}
+        #: The per-request instruments, each looked up in the registry
+        #: once: counters by (name, tenant, label value), the latency
+        #: histogram by tenant.
+        self._counters: Dict[Tuple[str, str, Any], Counter] = {}
+        self._request_seconds: Dict[str, Histogram] = {}
         self._answers = AnswerEncoder()
         self._executor = ThreadPoolExecutor(
             max_workers=global_limit, thread_name_prefix="repro-service"
@@ -948,9 +953,7 @@ class ServiceServer(MetricsServer):
             return self._finish_op(
                 tenant, op, start, error_response(exc.status, str(exc))
             )
-        self.metrics.counter(
-            "service.requests", labels={"tenant": tenant.name, "op": parsed.op}
-        ).inc()
+        self._counter("service.requests", tenant.name, "op", parsed.op).inc()
         slot = self.admission.try_admit(tenant)
         if slot is None:
             return self._admit(tenant, op, parsed, start)
@@ -1080,19 +1083,30 @@ class ServiceServer(MetricsServer):
     ) -> RouteResponse:
         wall = time.perf_counter() - start
         name = tenant.name if tenant is not None else "?"
-        self.metrics.counter(
-            "service.responses",
-            labels={"tenant": name, "status": str(response.status)},
-        ).inc()
-        self.metrics.histogram(
-            "service.request_seconds", labels={"tenant": name}
-        ).observe(wall)
+        self._counter("service.responses", name, "status", response.status).inc()
+        seconds = self._request_seconds.get(name)
+        if seconds is None:
+            seconds = self._request_seconds[name] = self.metrics.histogram(
+                "service.request_seconds", labels={"tenant": name}
+            )
+        seconds.observe(wall)
         if self.obslog is not None:
             self.obslog.emit(
                 "service.request", tenant=name, op=op,
                 status=response.status, wall_ms=round(wall * 1000.0, 3),
             )
         return response
+
+    def _counter(self, name: str, tenant: str, label: str, value: Any) -> Counter:
+        """The counter ``name{tenant, label=value}``, looked up in the
+        registry the first time, then kept."""
+        key = (name, tenant, value)
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = self.metrics.counter(
+                name, labels={"tenant": tenant, label: str(value)}
+            )
+        return counter
 
     # ------------------------------------------------------------------
     # Lifecycle: the base's, plus the obslog events and the release of

@@ -35,14 +35,16 @@ bounded LRU), and the counters are mirrored into a
 :class:`~repro.telemetry.metrics.MetricsRegistry`
 (``session.result_cache.hits``/``.misses``/``.puts``/``.carried``/
 ``.dropped``), so cache behaviour shows up in ``session.stats()``, the
-Prometheus exposition, and the query log.
+Prometheus exposition, and the query log.  Caches that share a registry
+keep their counters apart by a label each
+(``MetricsRegistry.bound(tenant=...)``: a tenant's session does).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
-from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.metrics import BoundRegistry, MetricsRegistry
 
 #: Metric names mirrored into the registry.
 HITS = "session.result_cache.hits"
@@ -63,7 +65,7 @@ class ResultCache:
     def __init__(
         self,
         maxsize: int = DEFAULT_SIZE,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: Union[MetricsRegistry, BoundRegistry, None] = None,
     ):
         # Deferred: repro.planner transitively imports repro.core, which
         # is mid-initialisation when repro.storage first loads.
@@ -71,6 +73,9 @@ class ResultCache:
 
         self._entries = PlanCache(maxsize)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        counter = self.metrics.counter
+        self._hits, self._misses, self._puts = counter(HITS), counter(MISSES), counter(PUTS)
+        self._carried, self._dropped = counter(CARRIED), counter(DROPPED)
 
     @staticmethod
     def key(
@@ -87,9 +92,9 @@ class ResultCache:
         hit or miss."""
         entry = self._entries.get(key)
         if entry is None or entry[0] != version:
-            self.metrics.counter(MISSES).inc()
+            self._misses.inc()
             return None
-        self.metrics.counter(HITS).inc()
+        self._hits.inc()
         return entry[1]
 
     def peek(self, key: Hashable, version: int) -> Optional[Any]:
@@ -104,12 +109,12 @@ class ResultCache:
         its slot as most-recently-used (if an eviction or a write has
         not dropped it since)."""
         self._entries.touch(key)
-        self.metrics.counter(HITS).inc()
+        self._hits.inc()
 
     def put(self, key: Hashable, version: int, value: Any, query: Any) -> Any:
         """Fill the slot (replacing what it held) with ``value``, the
         result of ``query`` computed at ``version``."""
-        self.metrics.counter(PUTS).inc()
+        self._puts.inc()
         self._entries.put(key, (version, value, query))
         return value
 
@@ -147,17 +152,17 @@ class ResultCache:
 
         self._entries.rewrite(restamp)
         carried, dropped = counts
-        self.metrics.counter(CARRIED).inc(carried)
-        self.metrics.counter(DROPPED).inc(dropped)
+        self._carried.inc(carried)
+        self._dropped.inc(dropped)
         return carried, dropped
 
     @property
     def hits(self) -> int:
-        return int(self.metrics.counter(HITS).value)
+        return int(self._hits.value)
 
     @property
     def misses(self) -> int:
-        return int(self.metrics.counter(MISSES).value)
+        return int(self._misses.value)
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -169,9 +174,9 @@ class ResultCache:
             "maxsize": self._entries.maxsize,
             "hits": self.hits,
             "misses": self.misses,
-            "puts": int(self.metrics.counter(PUTS).value),
-            "carried": int(self.metrics.counter(CARRIED).value),
-            "dropped": int(self.metrics.counter(DROPPED).value),
+            "puts": int(self._puts.value),
+            "carried": int(self._carried.value),
+            "dropped": int(self._dropped.value),
             "evictions": self._entries.evictions,
             "hit_rate": self.hit_rate(),
         }
@@ -182,8 +187,8 @@ class ResultCache:
 
     def reset_counters(self) -> None:
         """Zero the counters (entries are kept)."""
-        for name in (HITS, MISSES, PUTS, CARRIED, DROPPED):
-            self.metrics.counter(name).reset()
+        for counter in (self._hits, self._misses, self._puts, self._carried, self._dropped):
+            counter.reset()
         self._entries.hits = self._entries.misses = 0
         self._entries.evictions = 0
 

@@ -22,9 +22,10 @@ the caller passes them, so one label takes values of one type (``1`` and
 Histograms keep exact ``count``/``sum``/``max`` and a bounded reservoir of
 recent observations for the quantile estimates (p50/p95/p99 by default,
 configurable per instrument), so long-running sessions do not grow without
-bound.  A :class:`CounterView` is a counter read from other instruments
-(a histogram's ``count``, a family's summed ``sum``): it is exported as a
-counter, and what it reads is updated once.  The planner owns one registry.
+bound.  A :class:`View` is a counter or gauge read, when asked, from
+other state (a histogram's ``count``, a family's summed ``sum``, a
+count kept on an object): it is exported as a counter or a gauge, and
+what it reads is updated once.  The planner owns one registry.
 """
 
 from __future__ import annotations
@@ -85,9 +86,10 @@ class Counter:
         return "Counter(%r, %g)" % (_display_name(self.name, self.labels), self.value)
 
 
-class CounterView:
-    """A counter whose value is read, when asked, from other instruments
-    (``read()``): exported like a :class:`Counter`, never incremented.
+class View:
+    """A counter (:meth:`MetricsRegistry.counter_view`) or a gauge
+    (:meth:`MetricsRegistry.gauge_view`) whose value is read, when asked,
+    from other state (``read()``): exported like one, never set.
     Resetting it is resetting what it reads."""
 
     __slots__ = ("name", "labels", "_read")
@@ -108,7 +110,7 @@ class CounterView:
         pass
 
     def __repr__(self) -> str:
-        return "CounterView(%r, %g)" % (_display_name(self.name, self.labels), self.value)
+        return "View(%r, %g)" % (_display_name(self.name, self.labels), self.value)
 
 
 class Gauge:
@@ -211,8 +213,8 @@ class MetricsRegistry:
     keyed by ``(name, labels)``."""
 
     def __init__(self) -> None:
-        self._counters: Dict[Tuple[str, LabelsKey], Union[Counter, CounterView]] = {}
-        self._gauges: Dict[Tuple[str, LabelsKey], Gauge] = {}
+        self._counters: Dict[Tuple[str, LabelsKey], Union[Counter, View]] = {}
+        self._gauges: Dict[Tuple[str, LabelsKey], Union[Gauge, View]] = {}
         self._histograms: Dict[Tuple[str, LabelsKey], Histogram] = {}
         #: Every instrument by ``(kind, name, labels as the caller gave
         #: them)``, so a lookup sorts a label set only the first time it
@@ -241,14 +243,27 @@ class MetricsRegistry:
     def counter_view(
         self, name: str, read: Callable[[], float],
         labels: Optional[Mapping[str, str]] = None,
-    ) -> CounterView:
-        """The counter ``name`` (with ``labels``) as a :class:`CounterView`
-        of ``read``, registered the first time: :meth:`counter` then
-        returns it too."""
+    ) -> View:
+        """The counter ``name`` (with ``labels``) as a :class:`View` of
+        ``read``, registered the first time: :meth:`counter` then returns
+        it too."""
         given = ("c", name, tuple(labels.items()) if labels else ())
         instrument = self._given.get(given)
         if instrument is None:
-            instrument = self._register(given, self._counters, CounterView(name, read, labels))
+            instrument = self._register(given, self._counters, View(name, read, labels))
+        return instrument
+
+    def gauge_view(
+        self, name: str, read: Callable[[], float],
+        labels: Optional[Mapping[str, str]] = None,
+    ) -> View:
+        """The gauge ``name`` (with ``labels``) as a :class:`View` of
+        ``read``: a level kept elsewhere, read at scrape time instead of
+        set on every change."""
+        given = ("g", name, tuple(labels.items()) if labels else ())
+        instrument = self._given.get(given)
+        if instrument is None:
+            instrument = self._register(given, self._gauges, View(name, read, labels))
         return instrument
 
     def gauge(self, name: str, labels: Optional[Mapping[str, str]] = None) -> Gauge:
@@ -272,6 +287,13 @@ class MetricsRegistry:
                 name, reservoir=reservoir, quantiles=quantiles, labels=labels,
             ))
         return instrument
+
+    def bound(self, **labels: str) -> "BoundRegistry":
+        """A view of this registry whose :meth:`counter` adds ``labels``
+        to every series it names: one component's counters, kept apart
+        from a peer's of the same name (``registry.bound(tenant="a")``,
+        as ``QueryLog.bound`` stamps a tenant's log records)."""
+        return BoundRegistry(self, labels)
 
     def counters_with_prefix(self, prefix: str) -> Dict[str, float]:
         """``{suffix: value}`` for every unlabeled counter named
@@ -394,6 +416,28 @@ class MetricsRegistry:
         return "MetricsRegistry(%d counters, %d gauges, %d histograms)" % (
             len(self._counters), len(self._gauges), len(self._histograms),
         )
+
+
+class BoundRegistry:
+    """:meth:`MetricsRegistry.bound`: counters of the underlying registry,
+    each carrying the bound labels beside its own."""
+
+    __slots__ = ("registry", "labels")
+
+    def __init__(self, registry: MetricsRegistry, labels: Mapping[str, str]):
+        self.registry = registry
+        self.labels = dict(labels)
+
+    def counter(
+        self, name: str, labels: Optional[Mapping[str, str]] = None
+    ) -> Counter:
+        merged = dict(self.labels)
+        if labels:
+            merged.update(labels)
+        return self.registry.counter(name, merged)
+
+    def __repr__(self) -> str:
+        return "BoundRegistry(%r, %r)" % (self.labels, self.registry)
 
 
 def _families(store: Dict[Tuple[str, LabelsKey], Any]):

@@ -39,7 +39,10 @@ one is needed, the :class:`~repro.telemetry.resources.ResourceMonitor`),
 one clock reading at each end, the events above, and the session's
 :class:`LiveQueries` entry.  ``Session.query``/``query_maximal``/``ask``
 construct one per call when observability is configured — and skip all
-of it (one ``is None`` check) when it is not.
+of it (one ``is None`` check) when it is not.  A hit that
+``Session.cached`` serves with nothing to log, no budget, no running
+profiler and no recording tracer skips it too: a session that tracks
+resources records it as one :meth:`LiveQueries.hit` entry.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from .context import current, current_trace_id, new_trace_id, scoped
 from .profiler import current_profiler
@@ -376,15 +379,20 @@ class LiveQueries:
     """A session's live-query registry, the ``/debug/queries`` payload: the
     observations inside their ``with`` block, and the last :attr:`SIZE`
     finished ones.  Each :class:`QueryObservation` reports here on entry
-    and on exit."""
+    and on exit; a cache hit served without one reports once, through
+    :meth:`hit`.  The ring holds one tuple per finished query, made into
+    a record only when :meth:`snapshot` reads it."""
 
     #: How many finished queries the registry retains.
     SIZE = 64
 
+    #: The fields of a ring entry, in order.
+    FIELDS = ("op", "query_id", "trace_id", "rows", "wall_seconds", "cache", "error")
+
     def __init__(self, tenant: Optional[str] = None):
         self.tenant = tenant
         self._running: Dict[int, "QueryObservation"] = {}
-        self._recent: Deque[Dict[str, Any]] = deque(maxlen=self.SIZE)
+        self._recent: Deque[Tuple[Any, ...]] = deque(maxlen=self.SIZE)
         self._lock = threading.Lock()
 
     def started(self, obs: "QueryObservation") -> None:
@@ -394,26 +402,25 @@ class LiveQueries:
     def finished(
         self, obs: "QueryObservation", wall: float, error: Optional[str]
     ) -> None:
-        record = {
-            "op": obs.op,
-            "query_id": obs.query_id,
-            "trace_id": obs.trace_id,
-            "rows": obs.n_rows,
-            "wall_seconds": wall,
-            "cache": obs.cache_outcome,
-            "error": error,
-        }
-        if self.tenant is not None:
-            record["tenant"] = self.tenant
         with self._lock:
             self._running.pop(id(obs), None)
-            self._recent.append(record)
+            self._recent.append((
+                obs.op, obs.query_id, obs.trace_id, obs.n_rows, wall,
+                obs.cache_outcome, error,
+            ))
+
+    def hit(
+        self, op: str, query_id: str, trace_id: str, rows: int, wall: float
+    ) -> None:
+        """Record a cache hit that ran no observation: never in flight,
+        so the ring alone, and one append needs no lock."""
+        self._recent.append((op, query_id, trace_id, rows, wall, "hit", None))
 
     def snapshot(self) -> Dict[str, Any]:
         """Queries executing now (trace id, elapsed seconds since their
         observation's start reading) plus the recent ring."""
         now = time.perf_counter()
-        tenant = {"tenant": self.tenant} if self.tenant else {}
+        tenant = {"tenant": self.tenant} if self.tenant is not None else {}
         with self._lock:
             in_flight = [
                 {
@@ -425,7 +432,9 @@ class LiveQueries:
                 }
                 for obs in self._running.values()
             ]
-            recent = list(self._recent)
+            entries = list(self._recent)
+        fields = self.FIELDS
+        recent = [{**dict(zip(fields, entry)), **tenant} for entry in entries]
         return {"in_flight": in_flight, "recent": recent}
 
 

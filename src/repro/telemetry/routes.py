@@ -65,7 +65,7 @@ class RouteRequest:
         #: First value of each query-string parameter.
         self.params: Dict[str, str] = {
             key: values[0] for key, values in parse_qs(query).items()
-        }
+        } if query else {}
         #: Header names lower-cased.
         self.headers: Dict[str, str] = {
             key.lower(): value for key, value in (headers or {}).items()

@@ -2,6 +2,7 @@
 slow-query EXPLAIN ANALYZE capture, the obslog schema validator, and the
 one trace_id that ties a query's records, spans and resources together."""
 
+import contextlib
 import io
 import json
 import threading
@@ -379,7 +380,8 @@ def test_an_observed_op_installs_its_context_once(monkeypatch, config):
     an observed ``query``, ``ask`` and ``cached`` hit each install the
     query's context exactly once — trace id, tracer and resource monitor
     together — and an unobserved session installs none and builds no
-    observation."""
+    observation.  A ``cached`` hit that only tracks resources is served
+    without an observation: no install either."""
     kwargs = {
         "tracked": {"track_resources": True},
         "budgeted": {"budgets": ResourceBudget(soft_wall_seconds=60.0)},
@@ -404,11 +406,84 @@ def test_an_observed_op_installs_its_context_once(monkeypatch, config):
         "ask": lambda: session.ask(EXAMPLE2_QUERY, answer),
         "cached": lambda: session.cached("query", EXAMPLE2_QUERY),
     }
-    expected = 0 if config == "unobserved" else 1
     for name, call in calls.items():
+        expected = 0 if config == "unobserved" else 1
+        if name == "cached" and config == "tracked":
+            expected = 0
         del installs[:], built[:]
         assert call() is not None
         assert (name, len(installs), len(built)) == (name, expected, expected)
+
+
+def test_an_untraced_hit_builds_no_observation_monitor_or_span(monkeypatch):
+    """A ``cached`` hit with nothing to log, no budget, no profiler and no
+    recording tracer is a trace id, a usage of its wall time and one ring
+    entry that ``/debug/queries`` reads as a finished query's."""
+    import repro.telemetry.obslog as obslog_mod
+    import repro.telemetry.resources as resources_mod
+
+    session = _session(track_resources=True, tenant="acme")
+    miss = session.query(EXAMPLE2_QUERY)
+    built = []
+    for cls in (obslog_mod.QueryObservation, resources_mod.ResourceMonitor):
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__",
+            lambda obj, *a, _init=init, **k: built.append(obj) or _init(obj, *a, **k),
+        )
+    spans = []
+    span = NullTracer.span
+    monkeypatch.setattr(
+        NullTracer, "span", lambda tracer, name, **k: spans.append(name) or span(tracer, name)
+    )
+    hits = [session.cached("query", EXAMPLE2_QUERY) for _ in range(2)]
+    assert (built, spans) == ([], [])
+    assert [hit.answers for hit in hits] == [miss.answers] * 2
+    traces = [hit.resources.trace_id for hit in hits]
+    assert all(traces) and len(set(traces + [miss.resources.trace_id])) == 3
+    assert all(hit.resources.wall_seconds > 0 for hit in hits)
+    assert all(hit.profile_samples is None for hit in hits)
+    first, *recent = session.debug_queries()["recent"]
+    assert [entry["trace_id"] for entry in recent] == traces
+    for hit, entry in zip(hits, recent):
+        assert entry == {
+            "op": "query", "query_id": first["query_id"],
+            "trace_id": hit.resources.trace_id, "rows": len(miss.answers),
+            "wall_seconds": hit.resources.wall_seconds, "cache": "hit",
+            "error": None, "tenant": "acme",
+        }
+    assert (first["cache"], first["trace_id"]) == ("miss", miss.resources.trace_id)
+    assert session.result_cache.stats()["hits"] == 2
+
+
+@pytest.mark.parametrize("config", ["logged", "budgeted", "traced", "profiled"])
+def test_a_hit_anything_may_keep_is_observed_in_full(monkeypatch, config):
+    """The cases that may keep a hit's record — an obslog (and its slow
+    capture), a budget, a recording tracer, a running profiler — take
+    the full observation, as ``query`` does."""
+    from repro.telemetry.profiler import profiling
+    from repro.telemetry.tracer import tracing
+
+    kwargs = {
+        "logged": {"obslog": QueryLog()},
+        "budgeted": {"budgets": ResourceBudget(soft_wall_seconds=60.0)},
+    }.get(config, {"track_resources": True})
+    session = _session(**kwargs)
+    session.query(EXAMPLE2_QUERY)
+    built = []
+    init = QueryObservation.__init__
+    monkeypatch.setattr(
+        QueryObservation, "__init__", lambda obs, *a: built.append(obs) or init(obs, *a)
+    )
+    with contextlib.ExitStack() as stack:
+        tracer = stack.enter_context(tracing()) if config == "traced" else None
+        if config == "profiled":
+            stack.enter_context(profiling())
+        hit = session.cached("query", EXAMPLE2_QUERY)
+    if tracer is not None:
+        assert [span.name for span in tracer.roots] == ["session.query"]
+    assert hit is not None and len(built) == 1
+    assert built[0].cache_outcome == "hit"
 
 
 def test_one_wall_time_feeds_usage_log_and_debug_queries():

@@ -6,6 +6,7 @@ import asyncio
 import errno
 import gc
 import json
+import selectors
 import socket
 import struct
 import subprocess
@@ -18,7 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.mappings import Mapping
@@ -162,12 +163,42 @@ def _post(path, payload, key=None):
     return (head + "\r\n").encode("latin-1"), body
 
 
+#: Notified each time a server loop is about to wait for I/O, that is
+#: after every loop iteration, and by ``TestConcurrency._gate`` when an
+#: evaluation reaches it: every change a test waits for.
+_progress = threading.Condition()
+
+
+def _moved():
+    with _progress:
+        _progress.notify_all()
+
+
+class _NotifyingSelector(selectors.DefaultSelector):
+    """The selector of every server loop this module starts."""
+
+    def select(self, timeout=None):
+        _moved()
+        return super().select(timeout)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _notifying_loops():
+    """Servers (``MetricsServer.start``) run on loops whose selector
+    wakes ``_wait_until``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            asyncio, "new_event_loop",
+            lambda: asyncio.SelectorEventLoop(_NotifyingSelector()),
+        )
+        yield
+
+
 def _wait_until(condition, timeout=30.0):
-    """Poll ``condition`` (a deadline, not a measurement)."""
-    deadline = time.monotonic() + timeout
-    while not condition():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.005)
+    """Wait for ``condition``, checked again after each server loop
+    iteration (a deadline, not a measurement)."""
+    with _progress:
+        assert _progress.wait_for(condition, timeout), "condition never held"
 
 
 @pytest.fixture(scope="module")
@@ -237,12 +268,22 @@ _answer_sets = st.frozensets(
     st.dictionaries(st.sampled_from(["?x", "?y", "?z"]), _values).map(Mapping),
     max_size=6,
 )
+# Names and ids that JSON must escape: quotes, backslashes, control
+# characters, non-ASCII (astral included).
+_escaped_text = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028\U0001d11e', max_size=6),
+)
+# Seconds whose ``round(…, 3)`` or ``repr`` prints in exponent form.
+_seconds = st.one_of(
+    st.floats(0, 100), st.floats(1e-12, 1e-5), st.floats(1e13, 1e300),
+)
 _resources = st.one_of(
     st.none(),
     st.builds(
         SimpleNamespace,
-        trace_id=st.text(max_size=8),
-        wall_seconds=st.floats(0, 10),
+        trace_id=st.one_of(st.none(), _escaped_text),
+        wall_seconds=_seconds,
         peak_intermediate_rows=st.integers(0, 10**6),
         subqueries=st.integers(0, 100),
     ),
@@ -250,21 +291,32 @@ _resources = st.one_of(
 
 
 class TestEncodedBody:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        answers=_answer_sets, resources=_resources,
+        answers=_answer_sets, resources=_resources, tenant=_escaped_text,
         op=st.sampled_from(["query", "query_maximal"]),
-        wall=st.floats(0, 100), coalesced=st.booleans(),
+        wall=_seconds, coalesced=st.booleans(),
+    )
+    @example(
+        answers=frozenset(), tenant='a"\\\x01\u00e9', op="query", wall=2e16,
+        coalesced=False, resources=SimpleNamespace(
+            trace_id=None, wall_seconds=1e-7, peak_intermediate_rows=0,
+            subqueries=0,
+        ),
+    )
+    @example(
+        answers=frozenset(), tenant="acme", op="query_maximal", wall=1e-9,
+        coalesced=True, resources=None,
     )
     def test_spliced_body_is_encode_result(
-        self, answers, resources, op, wall, coalesced
+        self, answers, resources, tenant, op, wall, coalesced
     ):
         result = SimpleNamespace(answers=answers, resources=resources)
         body = result_body(
-            op, "acme", result, wall, coalesced,
+            op, tenant, result, wall, coalesced,
             AnswerEncoder().fragment(answers),
         )
-        expected = encode_result(op, "acme", result, wall, coalesced)
+        expected = encode_result(op, tenant, result, wall, coalesced)
         assert expected["answers"] == encode_answers(answers)
         assert body == encode_json(expected)
         assert json.loads(body) == expected
@@ -941,6 +993,7 @@ class TestConcurrency:
         def gated(text):
             evaluated.append(text)
             entered.set()
+            _moved()
             assert release.wait(30)
             return original(text)
 
@@ -1084,22 +1137,51 @@ class TestConcurrency:
             gc.collect()
             assert len(srv._answers) == 0
 
-    def test_tenant_result_caches_are_isolated(self, server):
-        for key in ("acme-key", None):
-            for _ in range(2):
-                status, _, _ = _request(
-                    server.url, "/query",
-                    {"query": "SELECT ?a ?b WHERE { ?a NME_rating ?b }"},
-                    key=key,
+    def test_tenant_result_caches_are_isolated(self):
+        registry = TenantRegistry.from_dict(TENANTS)
+        with ServiceServer(example2_graph(), tenants=registry) as srv:
+            acme = srv.sessions["acme"].result_cache
+            public = srv.sessions["public"].result_cache
+            assert acme is not public
+            counted = ("hits", "misses", "puts", "size")
+
+            def counts():
+                return {
+                    name: tuple(cache.stats()[c] for c in counted)
+                    for name, cache in (("acme", acme), ("public", public))
+                }
+
+            def scraped(tenant):
+                text = urllib.request.urlopen(srv.url + "/metrics", timeout=30).read()
+                wanted = (
+                    'repro_service_cache_hits{tenant="%s"} ' % tenant,
+                    'repro_session_result_cache_hits{tenant="%s"} ' % tenant,
                 )
-                assert status == 200
-        acme = server.sessions["acme"].result_cache
-        public = server.sessions["public"].result_cache
-        assert acme is not public
-        # Each tenant warmed its own cache: a hit on the repeat, no
-        # cross-tenant sharing of entries.
-        assert acme.stats()["hits"] >= 1
-        assert public.stats()["hits"] >= 1
+                return [
+                    float(line.split()[-1])
+                    for line in text.decode().splitlines()
+                    if line.startswith(wanted)
+                ]
+
+            # Each tenant's traffic moves its own cache's counters by
+            # exactly its own lookups, and the other's by nothing.
+            for tenant, key, repeats in (("acme", "acme-key", 3), ("public", None, 2)):
+                before = counts()
+                for _ in range(repeats):
+                    status, _, _ = _request(
+                        srv.url, "/query",
+                        {"query": "SELECT ?a ?b WHERE { ?a NME_rating ?b }"},
+                        key=key,
+                    )
+                    assert status == 200
+                after = counts()
+                for name in after:
+                    moved = tuple(a - b for a, b in zip(after[name], before[name]))
+                    assert moved == (
+                        (repeats - 1, 1, 1, 1) if name == tenant else (0, 0, 0, 0)
+                    ), name
+            assert scraped("acme") == [2.0, 2.0]
+            assert scraped("public") == [1.0, 1.0]
 
     def test_saturated_tier_sheds_429(self, tmp_path):
         log_path = tmp_path / "obslog.jsonl"
@@ -1482,6 +1564,31 @@ class TestLoopSideHits:
             assert self._moved(before, self._counts(srv, "acme"))["hits"] == 3
             assert jobs == ["fragment"]
             assert len(encoded) == 1 and encoded[0] is not srv._thread
+
+    def test_an_unlogged_loop_hit_is_listed_by_debug_queries(self):
+        registry = TenantRegistry.from_dict(TENANTS)
+        with ServiceServer(example2_graph(), tenants=registry) as srv:
+            assert _request(srv.url, "/query", {"query": QUERY}, key="acme-key")[0] == 200
+            bodies = [
+                _request(srv.url, "/query", {"query": QUERY}, key="acme-key")[1]
+                for _ in range(2)
+            ]
+            debug = _request(srv.url, "/debug/queries")[1]["acme"]["recent"]
+        traces = [body["trace_id"] for body in bodies]
+        assert all(traces) and len(set(traces)) == 2
+        assert all(
+            body["resources"]["wall_seconds"] > 0
+            and body["resources"]["peak_intermediate_rows"] == 0
+            and body["resources"]["subqueries"] == 0
+            for body in bodies
+        )
+        by_trace = {record["trace_id"]: record for record in debug}
+        for body in bodies:
+            record = by_trace[body["trace_id"]]
+            assert (record["cache"], record["tenant"], record["rows"]) == (
+                "hit", "acme", body["rows"],
+            )
+            assert record["wall_seconds"] == body["resources"]["wall_seconds"]
 
     def test_a_loop_hit_is_observed_like_an_executor_hit(self, tmp_path):
         log_path = tmp_path / "obslog.jsonl"
